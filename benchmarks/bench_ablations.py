@@ -23,7 +23,8 @@ import pytest
 
 from conftest import once
 from repro.bench import (
-    emit, format_table, measure_cmr, run_dons_probed, scaled_l3_config,
+    NaiveOrderEngine, emit, format_table, measure_cmr, run_dons_probed,
+    scaled_l3_config,
 )
 from repro.bench.scenarios import dcn_scenario
 from repro.core.engine import DodEngine
@@ -41,10 +42,8 @@ def test_ablation_system_order(benchmark):
 
     def experiment():
         truth = run_baseline(scenario, TraceLevel.FULL)
-        paper = DodEngine(scenario, TraceLevel.FULL,
-                          system_order="paper").run()
-        naive = DodEngine(scenario, TraceLevel.FULL,
-                          system_order="naive").run()
+        paper = DodEngine(scenario, TraceLevel.FULL).run()
+        naive = NaiveOrderEngine(scenario, TraceLevel.FULL).run()
         return truth, paper, naive
 
     truth, paper, naive = once(benchmark, experiment)

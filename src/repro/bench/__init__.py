@@ -1,5 +1,6 @@
 """Benchmark harness: scenario builders, scaling helpers, table output."""
 
+from .naive_order import NaiveOrderEngine
 from .tables import emit, format_table, out_dir, ratio_str
 from .scenarios import (
     EventRatios, LOOKAHEAD_S, PAPER_DURATION_S, PAPER_LOAD, PAPER_RATE,
@@ -12,7 +13,7 @@ from .workloads import (
 )
 
 __all__ = [
-    "emit", "format_table", "out_dir", "ratio_str",
+    "emit", "format_table", "out_dir", "ratio_str", "NaiveOrderEngine",
     "EventRatios", "LOOKAHEAD_S", "PAPER_DURATION_S", "PAPER_LOAD",
     "PAPER_RATE", "dcn_scenario", "fattree_full_events",
     "full_mesh_packets", "isp_scenario", "measure_cmr",

@@ -294,6 +294,9 @@ def cmd_profile(args) -> int:
     import json
     scenario = build_scenario(args)
     telemetry = bool(args.timeline) or None  # None: REPRO_TELEMETRY decides
+    from .core.engine import DodEngine, resolve_backend
+    backend = resolve_backend(args.backend)
+    ffwd = False  # cluster agents never fast-forward
     if args.cluster:
         from .cluster import DonsManager
         from .partition import ClusterSpec, measured_machine_times
@@ -301,7 +304,7 @@ def cmd_profile(args) -> int:
         mgr = DonsManager(scenario, ClusterSpec.homogeneous(args.cluster),
                           workers_per_agent=args.workers,
                           transport=args.transport,
-                          backend=args.backend,
+                          backend=backend,
                           telemetry=bool(telemetry))
         engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
         progress = _progress_for(args, engine, scenario)
@@ -318,11 +321,11 @@ def cmd_profile(args) -> int:
         results, bus = engine.results, engine.bus
         agent_times = measured_machine_times(bus, args.cluster)
     else:
-        from .core.engine import DodEngine
         from .core.runner import EngineRunner, chain_hooks
         eng = DodEngine(scenario, workers=args.workers,
-                        backend=args.backend, telemetry=telemetry,
+                        backend=backend, telemetry=telemetry,
                         ffwd=args.ffwd)
+        ffwd = eng.ffwd
         progress = _progress_for(args, eng, scenario)
         live = _live_for(args, eng)
         try:
@@ -338,13 +341,9 @@ def cmd_profile(args) -> int:
     if args.timeline:
         from .metrics.timeline import write_timeline
         write_timeline(bus, args.timeline, manifest=dict(
-            command="profile", scenario=scenario.name,
-            backend=args.backend or os.environ.get("REPRO_BACKEND") or "python",
+            command="profile", scenario=scenario.name, backend=backend,
             transport=args.transport if args.cluster else None,
-            cluster=args.cluster or None, workers=args.workers,
-            ffwd=(bool(args.ffwd if args.ffwd is not None
-                       else os.environ.get("REPRO_FFWD") == "1")
-                  and not args.cluster),
+            cluster=args.cluster or None, workers=args.workers, ffwd=ffwd,
         ))
         print(f"timeline written to {args.timeline}", file=sys.stderr)
     rows = bus.profile_rows()
@@ -390,18 +389,19 @@ def cmd_stats(args) -> int:
     import json
     from .core.runner import EngineRunner
     scenario = build_scenario(args)
+    from .core.engine import DodEngine, resolve_backend
+    backend = resolve_backend(args.backend)
     if args.cluster:
         from .cluster import DonsManager
         from .partition import ClusterSpec, plan_scenario
         mgr = DonsManager(scenario, ClusterSpec.homogeneous(args.cluster),
                           workers_per_agent=args.workers,
                           transport=args.transport,
-                          backend=args.backend, telemetry=True)
+                          backend=backend, telemetry=True)
         engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
     else:
-        from .core.engine import DodEngine
         engine = DodEngine(scenario, workers=args.workers,
-                           backend=args.backend, telemetry=True,
+                           backend=backend, telemetry=True,
                            ffwd=args.ffwd)
     live = _live_for(args, engine)
     try:
@@ -414,9 +414,7 @@ def cmd_stats(args) -> int:
     from .metrics.timeline import stats_csv, stats_dict, write_stats
     if args.out:
         write_stats(bus, args.out, fmt=args.format, manifest=dict(
-            command="stats", scenario=scenario.name,
-            backend=args.backend or os.environ.get("REPRO_BACKEND")
-            or "python",
+            command="stats", scenario=scenario.name, backend=backend,
             transport=args.transport if args.cluster else None,
             cluster=args.cluster or None, workers=args.workers,
         ))

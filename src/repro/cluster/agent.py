@@ -84,9 +84,6 @@ class AgentEngine(DodEngine):
         self.partition = partition
         #: per remote agent: (arrival_ps, node, row) records of this window
         self.outbox: Dict[int, List[Tuple[int, int, Row]]] = {}
-        #: boundary-distance table, keyed by the partition object so a
-        #: migration rebind invalidates it.
-        self._quiet_cache: Optional[Tuple[Partition, Dict[int, int]]] = None
 
     # --- builder: local endpoints only ------------------------------------
 
@@ -137,108 +134,6 @@ class AgentEngine(DodEngine):
         """One cluster step: execute the window, hand back the outbox."""
         self.process_window(window)
         return self.take_outbox()
-
-    # --- multi-window batching (§4.2 extension) ----------------------------
-
-    def run_windows(
-        self, current: int, end_window: int,
-    ) -> Tuple[int, Dict[int, List[Tuple[int, int, Row]]]]:
-        """Run every locally scheduled window in ``(current, end_window)``
-        back to back — one batched cluster span, zero barrier rounds.
-
-        The coordinator calls this only after every agent's
-        :meth:`remote_quiet_horizon` proved no cross-agent record can be
-        produced before ``end_window``; the returned outbox is therefore
-        expected to be empty (the coordinator enforces that as a
-        soundness check).  Returns ``(last window run, outbox)``.
-        """
-        cur = current
-        while True:
-            nxt = self.peek_next_window(cur)
-            if nxt is None or nxt >= end_window:
-                break
-            cur = self._next_window(cur)  # == nxt; consumes the index
-            self.process_window(cur)
-        return cur, self.take_outbox()
-
-    def _boundary_distances(self) -> Dict[int, int]:
-        """Hops from each local node to its nearest boundary egress.
-
-        Reverse BFS over this agent's local links: a node owning an
-        egress whose peer is remote has distance 0; a node one local
-        link upstream has distance 1; nodes that cannot reach a
-        boundary are absent.  Cached per partition object (a migration
-        rebind replaces the partition and thus invalidates the cache).
-        """
-        cached = self._quiet_cache
-        if cached is not None and cached[0] is self.partition:
-            return cached[1]
-        from collections import deque
-        part_of = self.partition.part_of
-        me = self.agent_id
-        dist: Dict[int, int] = {}
-        rev: Dict[int, List[int]] = {}
-        queue: deque = deque()
-        for iface in self.scenario.topology.interfaces:
-            node = iface.node
-            if part_of(node) != me:
-                continue
-            peer = iface.peer_node
-            if part_of(peer) != me:
-                if node not in dist:
-                    dist[node] = 0
-                    queue.append(node)
-            else:
-                rev.setdefault(peer, []).append(node)
-        while queue:
-            node = queue.popleft()
-            d = dist[node] + 1
-            for pred in rev.get(node, ()):
-                if pred not in dist:
-                    dist[pred] = d
-                    queue.append(pred)
-        self._quiet_cache = (self.partition, dist)
-        return dist
-
-    def remote_quiet_horizon(self, current: int, limit: int) -> int:
-        """Largest ``H <= limit`` such that this agent provably emits no
-        cross-agent record while running windows in ``(current, H)``.
-
-        The bound rides the lookahead discipline: every hop costs at
-        least one full window (link delay >= lookahead), so a pending
-        entry at ``(window w, node n)`` cannot reach a boundary egress
-        before window ``w + dist(n)``, and a busy port's backlog cannot
-        reach one before ``current + 1`` (boundary port) or
-        ``current + 2 + dist(peer)`` (local port).  The minimum over
-        all pending state is the agent's quiet horizon; the coordinator
-        batches up to the cluster-wide minimum.
-        """
-        dist = self._boundary_distances()
-        if not dist:
-            return limit  # no boundary egress: this agent never emits
-        horizon = limit
-        for win, nodes in self.events.pending_nodes():
-            if win >= horizon:
-                break
-            for node in nodes:
-                d = dist.get(node)
-                if d is not None and win + d < horizon:
-                    horizon = win + d
-        part_of = self.partition.part_of
-        me = self.agent_id
-        for iface_id in self.active_ports:
-            iface = self.ports[iface_id].iface
-            peer = iface.peer_node
-            if part_of(peer) != me:
-                bound = current + 1
-            else:
-                d = dist.get(peer)
-                if d is None:
-                    continue
-                bound = current + 2 + d
-            if bound < horizon:
-                horizon = bound
-        return horizon
 
     def finish(self) -> None:
         self.finalize()

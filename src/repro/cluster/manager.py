@@ -133,7 +133,6 @@ class DonsManager:
         fault: Optional[FaultPlan] = None,
         backend: Optional[str] = None,
         telemetry: bool = False,
-        batch_windows: Optional[int] = None,
         watchdog: Union[bool, None, object] = None,
     ) -> None:
         self.scenario = scenario
@@ -145,7 +144,6 @@ class DonsManager:
         self.fault = fault
         self.backend = backend
         self.telemetry = telemetry
-        self.batch_windows = batch_windows
         self.watchdog = watchdog
 
     def _specs(self, partition: Partition) -> List[AgentSpec]:
@@ -167,7 +165,6 @@ class DonsManager:
             schedule=schedule,
             checkpoint_every=self.checkpoint_every,
             fault=self.fault,
-            batch_windows=self.batch_windows,
             watchdog=self.watchdog,
         )
 

@@ -38,7 +38,6 @@ stays byte-identical to the fault-free run.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .agent import AgentSpec
@@ -48,6 +47,7 @@ from .transport import (
     make_transport,
 )
 from ..core.instrument import InstrumentationBus
+from ..core.runtime import env_flag
 from ..core.telemetry import WAIT_MS_BUCKETS
 from ..des.partition_types import Partition
 from ..errors import ClusterError
@@ -66,7 +66,6 @@ class ClusterEngine:
         schedule: Optional[List[Tuple[int, Partition]]] = None,
         checkpoint_every: Optional[int] = None,
         fault: Optional[FaultPlan] = None,
-        batch_windows: Optional[int] = None,
         watchdog: Union[bool, None, "object"] = None,
     ) -> None:
         if not specs:
@@ -76,12 +75,6 @@ class ClusterEngine:
         self.schedule = sorted(schedule or [], key=lambda s: s[0])
         self.fault = fault
         self.checkpoint_every = checkpoint_every
-        if batch_windows is None:
-            batch_windows = int(os.environ.get("REPRO_BATCH_WINDOWS") or 1)
-        #: Upper bound on how many lookahead windows one ``advance()``
-        #: may cover without a barrier round, when the agents' quiet
-        #: horizons prove no cross-agent traffic in the span.
-        self.batch_windows = max(1, batch_windows)
         self._fault_tolerant = fault is not None or checkpoint_every is not None
         if self._fault_tolerant and self.schedule:
             raise ClusterError(
@@ -95,8 +88,7 @@ class ClusterEngine:
         # coordinator-side spans/metrics too, so one exported timeline
         # holds both the agent tracks and the barrier-wait slices.
         if (any(spec.telemetry for spec in self.specs)
-                or os.environ.get("REPRO_TELEMETRY", "")
-                not in ("", "0", "false", "off")):
+                or env_flag("REPRO_TELEMETRY")):
             self.bus.enable_telemetry()
             self.bus.metrics.histogram("cluster.barrier_wait_ms",
                                        WAIT_MS_BUCKETS)
@@ -138,9 +130,7 @@ class ClusterEngine:
         if arg is False:
             return None
         if arg is None:
-            armed = self.bus.telemetry or os.environ.get(
-                "REPRO_WATCHDOG", "") not in ("", "0", "false", "off")
-            if not armed:
+            if not (self.bus.telemetry or env_flag("REPRO_WATCHDOG")):
                 return None
             arg = True
         if arg is True:
@@ -238,17 +228,6 @@ class ClusterEngine:
         if duration is not None and window * self._lookahead > duration:
             return False
 
-        if (self.batch_windows > 1 and not self._fault_tolerant
-                and self.fault is None and not self.schedule):
-            limit = window + self.batch_windows
-            if duration is not None:
-                limit = min(limit, duration // self._lookahead + 1)
-            if limit > window + 1:
-                horizons = transport.quiet_all(self._cursor, limit)
-                horizon = min(horizons)
-                if horizon > window + 1:
-                    return self._advance_span(window, horizon, _w0)
-
         self._maybe_migrate(window)
         if (self.fault is not None and not self.fault.fired
                 and window >= self.fault.at_window):
@@ -308,43 +287,6 @@ class ClusterEngine:
             for agent_id, peek in enumerate(peeks)
         ]
         return None if all(mask) else mask
-
-    def _advance_span(self, window: int, horizon: int, _w0: float) -> bool:
-        """Barrier-free batched span: every agent runs its scheduled
-        windows in ``(cursor, horizon)`` back to back.
-
-        Taken only after every agent's quiet horizon proved no
-        cross-agent record can be produced in the span (see
-        docs/ARCHITECTURE.md, "Why K-window batching is safe"), so the
-        whole span costs one RPC round and one FINISH barrier instead
-        of ``horizon - window`` of each.
-        """
-        transport = self.transport
-        bus = self.bus
-        telemetry = bus.telemetry
-        outs = transport.run_windows_all(self._cursor, horizon)
-        for agent_id, (_last, outbox) in enumerate(outs):
-            if outbox:
-                # The quiet-horizon bound is a proof obligation, not a
-                # heuristic: an agent emitting inside the span means the
-                # distance table or the lookahead discipline is broken.
-                raise ClusterError(
-                    f"agent {agent_id} emitted cross-agent records inside "
-                    f"a quiet span [{window}, {horizon})"
-                )
-        if self.watchdog is not None:
-            self.watchdog.observe(window, transport.window_times, bus)
-        if telemetry:
-            self._window_telemetry(window)
-        transport.barrier()
-        bus.count("cluster.windows")
-        bus.count("cluster.batch_spans")
-        bus.count("cluster.batched_windows", horizon - window)
-        if telemetry:
-            bus.span_add("window", _w0, bus.now(), "cluster",
-                         {"index": window, "span": horizon - window})
-        self._cursor = horizon - 1
-        return True
 
     def progress(self) -> Dict[str, object]:
         """In-flight progress snapshot, same shape as

@@ -79,6 +79,7 @@ from ..core.checkpoint import (
     restore_snapshot, state_oob_parts, take_checkpoint,
 )
 from ..core.instrument import SystemProfile, WindowProfile
+from ..core.runtime import env_flag
 from ..errors import ClusterError
 from ..metrics import SimResults
 from ..protocols.packet import Row
@@ -92,10 +93,6 @@ Record = Tuple[int, int, Row]
 #: simulate a stalled machine and assert the watchdog flags it.  Always
 #: ``None`` in production.
 stall_injector = None
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "") not in ("", "0", "false", "off")
 
 
 class AgentFailure(ClusterError):
@@ -253,19 +250,6 @@ class Transport:
         it is skipped (empty outbox) without a command round-trip."""
         raise NotImplementedError
 
-    def quiet_all(self, current: int, limit: int) -> List[int]:
-        """Every agent's :meth:`AgentEngine.remote_quiet_horizon` — the
-        batcher takes the minimum before committing to a barrier-free
-        span."""
-        raise NotImplementedError
-
-    def run_windows_all(
-        self, current: int, end_window: int
-    ) -> List[Tuple[int, Dict[int, List[Record]]]]:
-        """Batched span: every agent runs its scheduled windows in
-        ``(current, end_window)`` without intermediate barriers."""
-        raise NotImplementedError
-
     def accept_sections(self, agent_id: int, sections: List[Section],
                         records: List[Record]) -> None:
         """Deliver one destination's drained batches (``records`` is the
@@ -375,23 +359,6 @@ class LocalTransport(Transport):
             if timed:
                 # Serial execution: each agent's busy time is exactly its
                 # own wall time; the runtime derives barrier waits.
-                self.window_times.append(time.perf_counter() - t0)
-        return out
-
-    def quiet_all(self, current: int, limit: int) -> List[int]:
-        return [self._engine(a).remote_quiet_horizon(current, limit)
-                for a in range(len(self.engines))]
-
-    def run_windows_all(self, current: int, end_window: int):
-        out: List[Tuple[int, Dict[int, List[Record]]]] = []
-        timed = self._timed()
-        if timed:
-            self.window_times = []
-        for agent_id in range(len(self.engines)):
-            t0 = time.perf_counter() if timed else 0.0
-            out.append(self._engine(agent_id, current)
-                       .run_windows(current, end_window))
-            if timed:
                 self.window_times.append(time.perf_counter() - t0)
         return out
 
@@ -534,16 +501,6 @@ def _agent_worker(conn, spec: AgentSpec,
                     if seq:
                         replied_seq = seq
                     reply = (ref, engine.peek_next_window(message[1]))
-                elif command == "quiet":
-                    reply = engine.remote_quiet_horizon(message[1], message[2])
-                elif command == "windows":
-                    last, out = engine.run_windows(message[1], message[2])
-                    ref, seq = _encode_outbox(out, ring_out, engine.bus)
-                    if seq:
-                        replied_seq = seq
-                    # The coordinator resumes peeking from the span end.
-                    reply = (last, ref,
-                             engine.peek_next_window(message[2] - 1))
                 elif command == "snapshot":
                     if ring_out is not None:
                         # Zero-copy checkpoint: protocol-5 out-of-band
@@ -630,8 +587,8 @@ class ProcessTransport(Transport):
         super().__init__()
         self._ctx = _fork_or_spawn()
         self._workers: List[_Worker] = []
-        self.shm = _env_flag("REPRO_TRANSPORT_SHM") if shm is None else bool(shm)
-        self.pin_cpus = (_env_flag("REPRO_PIN_CPUS") if pin_cpus is None
+        self.shm = env_flag("REPRO_TRANSPORT_SHM") if shm is None else bool(shm)
+        self.pin_cpus = (env_flag("REPRO_PIN_CPUS") if pin_cpus is None
                          else bool(pin_cpus))
         self._slot_bytes = slot_bytes
         self._slots = slots
@@ -818,26 +775,6 @@ class ProcessTransport(Transport):
                 # runtime's barrier-wait split.
                 self.window_times.append(time.perf_counter() - t_sent)
         return results
-
-    def quiet_all(self, current: int, limit: int) -> List[int]:
-        return self._fan_out(("quiet", current, limit), current)
-
-    def run_windows_all(self, current: int, end_window: int):
-        timed = self._timed()
-        t_sent = 0.0
-        for agent_id in range(len(self._workers)):
-            self._send(agent_id, ("windows", current, end_window), current)
-        if timed:
-            t_sent = time.perf_counter()
-            self.window_times = []
-        out: List[Tuple[int, Dict[int, List[Record]]]] = []
-        for agent_id in range(len(self._workers)):
-            last, ref, peek = self._recv(agent_id, current)
-            self._note_window_reply(agent_id, peek)
-            out.append((last, self._decode_outbox(agent_id, ref)))
-            if timed:
-                self.window_times.append(time.perf_counter() - t_sent)
-        return out
 
     def accept_sections(self, agent_id: int, sections: List[Section],
                         records: List[Record]) -> None:

@@ -58,7 +58,6 @@ def _engine_state(engine: DodEngine, current_window: int) -> dict:
         "world": engine.world,
         "results": engine.results,
         "trace": engine.trace,
-        "carried_staged": engine._carried_staged,
     }
     if engine.bus.telemetry:
         # Telemetry buffers (spans, histograms, counters) must survive a
@@ -92,7 +91,6 @@ def _install_state(engine: DodEngine, state: dict) -> int:
     engine.world = state["world"]
     engine.results = state["results"]
     engine.attach_trace(state["trace"])
-    engine._carried_staged = state.get("carried_staged", {})
     engine._running_window = state["current_window"]
     engine._cursor = state["current_window"]
     bus_state = state.get("bus_state")

@@ -16,8 +16,8 @@ from ...errors import ConfigError
 
 #: Known table backends.  ``python`` stores columns as lists and sweeps
 #: them in the interpreter; ``numpy`` stores typed ndarrays and executes
-#: the system kernels through the vectorized variants
-#: (:mod:`repro.core.systems.vectorized`).
+#: each window through the fused pass of
+#: :mod:`repro.core.systems.vectorized`.
 BACKENDS = ("python", "numpy")
 
 

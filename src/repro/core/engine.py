@@ -15,11 +15,11 @@ columns per pending window, plus a window-occupancy index that makes
 invariant here: every entry of window *w* was inserted by a window
 strictly before *w* (link delay >= lookahead), so a window's inputs are
 complete before it runs, and no synchronization is ever needed within a
-machine.  The same discipline is what makes multi-window batching
-(``advance(max_windows=K)``, ``REPRO_BATCH_WINDOWS``) safe: a span of
-windows whose inputs are already complete can run back-to-back with no
-intervening scheduling work — see docs/ARCHITECTURE.md, "Why K-window
-batching is safe".
+machine.  One ``advance()`` runs exactly one such window — the paper's
+"batch length = minimum link delay" — and executes it one way per
+backend: the four reference systems on ``python``, the fused pass on
+``numpy`` (see docs/ARCHITECTURE.md, "Why a batch is exactly one
+lookahead window").
 
 All observation goes through the engine's
 :class:`~repro.core.instrument.InstrumentationBus`: the trace recorder,
@@ -39,17 +39,18 @@ import os
 import struct
 from hashlib import blake2b
 from time import perf_counter
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from .ecs import World
 from .events import EventColumns
 from .instrument import OP_WINDOW, InstrumentationBus
 from .runner import EngineRunner
-from .runtime import WorkerPool
-from .systems import system_set
+from .runtime import WorkerPool, env_flag
+from .systems import (
+    run_ack_system, run_forward_system, run_send_system, run_transmit_system,
+)
 from .window import (
-    ENTRY_ARRIVAL, ENTRY_FLOW_START, ENTRY_TIMER, ENTRY_UDP, Entry,
-    WindowContext,
+    ENTRY_ARRIVAL, ENTRY_FLOW_START, ENTRY_UDP, Entry, WindowContext,
 )
 from ..errors import SimulationError
 from ..metrics import SimResults, TraceLevel, TraceRecorder
@@ -58,6 +59,13 @@ from ..protocols import EgressPort
 from ..protocols.packet import PRIO_ARRIVAL, Row, segment_count
 from ..scenario import Scenario
 from ..traffic import Transport
+
+
+def resolve_backend(backend: Optional[str]) -> str:
+    """``backend``, or for ``None`` ``$REPRO_BACKEND`` (default ``"python"``)."""
+    if backend is None:
+        backend = os.environ.get("REPRO_BACKEND") or "python"
+    return backend
 
 
 class DodEngine:
@@ -72,77 +80,51 @@ class DodEngine:
         workers: int = 1,
         max_windows: Optional[int] = None,
         lookahead_override: Optional[int] = None,
-        system_order: str = "paper",
         sample_queues: bool = False,
         backend: Optional[str] = None,
         telemetry: Optional[bool] = None,
-        batch_windows: Optional[int] = None,
         ffwd: Optional[bool] = None,
     ) -> None:
         """``lookahead_override`` shrinks the batch below the minimum
         link delay (correct but slower — the ablation of the §3.3 design
-        choice).  ``system_order='naive'`` runs the systems in the naive
-        Send-Forward-Transmit-ACK order the paper rejects; ACK outputs
-        then miss their window's TransmitSystem and drift by one batch —
-        the LCC violation §3.3 proves the paper order avoids.
+        choice).
 
-        ``backend`` selects the ECS substrate and system variants:
-        ``"python"`` (list columns, scalar orchestration — the
-        deterministic reference) or ``"numpy"`` (typed ndarray columns,
-        vectorized plan/commit).  ``None`` resolves the
-        ``REPRO_BACKEND`` environment variable, defaulting to
-        ``"python"`` — which is how the CI backend matrix runs the whole
-        suite under each backend without touching test code.
+        ``backend`` selects the ECS substrate and the window execution:
+        ``"python"`` (list columns, the four reference systems run back
+        to back — the deterministic reference) or ``"numpy"`` (typed
+        ndarray columns, one fused plan/kernel/commit pass).  ``None``
+        resolves the ``REPRO_BACKEND`` environment variable, defaulting
+        to ``"python"`` — which is how the CI backend matrix runs the
+        whole suite under each backend without touching test code.
 
         ``telemetry`` turns on span recording and metric sampling on the
         engine's bus (``None`` resolves ``REPRO_TELEMETRY``).  Telemetry
         only reads clocks and port counters — the event trace, and
         therefore the conformance digest, is identical either way.
 
-        ``batch_windows`` is the default window budget of one
-        :meth:`advance` call (``None`` resolves ``REPRO_BATCH_WINDOWS``,
-        defaulting to 1).  Budgets above 1 run up to K consecutive
-        windows per advance; the trace stays byte-identical because
-        each window's inputs were complete before the batch started
-        (the LCC discipline).
-
         ``ffwd`` enables the window-signature memoization +
         fast-forwarding cache (``None`` resolves ``REPRO_FFWD``,
         defaulting to off).  The cache only ever activates under the
-        static gates checked by :meth:`_maybe_init_memo` — paper system
-        order, local deliveries, no RED / packet spraying / queue
-        sampling, at least one UDP flow — and the ``dons-numpy-ffwd``
-        conformance oracle holds the trace digest byte-identical with
-        it on or off.  See docs/MEMOIZATION.md.
+        static gates checked by :meth:`_maybe_init_memo` — local
+        deliveries, no RED / packet spraying / queue sampling, at least
+        one UDP flow — and the ``dons-numpy-ffwd`` conformance oracle
+        holds the trace digest byte-identical with it on or off.  See
+        docs/MEMOIZATION.md.
         """
         self.scenario = scenario
-        if backend is None:
-            backend = os.environ.get("REPRO_BACKEND") or "python"
-        self.backend = backend
-        self._systems = system_set(backend)
+        self.backend = resolve_backend(backend)
         self.bus = InstrumentationBus()
         if telemetry is None:
-            telemetry = os.environ.get("REPRO_TELEMETRY", "") not in (
-                "", "0", "false", "off")
+            telemetry = env_flag("REPRO_TELEMETRY")
         if telemetry:
             self.bus.enable_telemetry()
         self._tx_prev: Dict[int, int] = {}
         self.trace = self.bus.subscribe_trace(TraceRecorder(trace_level))
         self.pool = WorkerPool(workers, bus=self.bus)
         self.max_windows = max_windows
-        if batch_windows is None:
-            batch_windows = int(os.environ.get("REPRO_BATCH_WINDOWS") or 1)
-        self.batch_windows = max(1, batch_windows)
-        if system_order not in ("paper", "naive"):
-            raise SimulationError(f"unknown system order {system_order!r}")
-        self.system_order = system_order
-        self._carried_staged: Dict[int, list] = {}
         self._running_window = -1
         self.sample_queues = sample_queues
-        if ffwd is None:
-            ffwd = os.environ.get("REPRO_FFWD", "") not in (
-                "", "0", "false", "off")
-        self.ffwd = ffwd
+        self.ffwd = env_flag("REPRO_FFWD") if ffwd is None else ffwd
         self._memo = None
 
         self.lookahead = scenario.lookahead_ps
@@ -156,7 +138,7 @@ class DodEngine:
         if self.lookahead <= 0:
             raise SimulationError("lookahead must be positive")
 
-        self.world = World(backend)
+        self.world = World(self.backend)  # rejects unknown backend names
         self.ports: List[EgressPort] = []
         self.results = SimResults(self.name, scenario.name, 0)
 
@@ -168,11 +150,11 @@ class DodEngine:
         self._cursor = -1
         self._windows_run = 0
 
-        # Fused single-pass window execution is a vectorized-backend
-        # specialization of the paper order; the reference backend keeps
-        # the four separate system runs.
+        # One execution per backend: the reference backend runs the four
+        # systems back to back, the vectorized one a single fused pass
+        # (imported lazily so ``python`` works without numpy installed).
         self._fused_run = None
-        if backend == "numpy" and system_order == "paper":
+        if self.backend == "numpy":
             from .systems.vectorized import run_window_fused
             self._fused_run = run_window_fused
 
@@ -338,14 +320,12 @@ class DodEngine:
         static eligibility gates hold.
 
         The gates keep fast-forwarding inside the closed world the
-        signature can encode (see docs/MEMOIZATION.md): the paper
-        system order (the naive ablation carries staged packets across
-        windows), local deliveries only (cluster agents clear
-        ``deliveries_local`` — a window with cross-agent traffic must
-        run for real so its outbox fills), no queue sampling (samples
-        are absolute-time pairs), no RED and no packet-mode ECMP (both
-        hash raw sequence numbers, which the per-flow rebase erases),
-        and at least one UDP flow (the per-window probe only ever
+        signature can encode (see docs/MEMOIZATION.md): local deliveries
+        only (cluster agents clear ``deliveries_local`` — a window with
+        cross-agent traffic must run for real so its outbox fills), no
+        queue sampling (samples are absolute-time pairs), no RED and no
+        packet-mode ECMP (both hash raw sequence numbers, which the
+        per-flow rebase erases), and at least one UDP flow (the per-window probe only ever
         memoizes pure-UDP windows, so without UDP flows the cache could
         never hit).
         """
@@ -356,8 +336,7 @@ class DodEngine:
         has_udp = getattr(sc.flows, "has_udp", None)
         if has_udp is None:
             has_udp = any(f.transport == Transport.UDP for f in sc.flows)
-        if (self.system_order != "paper"
-                or not self.deliveries_local
+        if (not self.deliveries_local
                 or self.sample_queues
                 or sc.host_egress.aqm.kind == AqmKind.RED
                 or sc.switch_egress.aqm.kind == AqmKind.RED
@@ -373,13 +352,8 @@ class DodEngine:
         return t // self.lookahead
 
     def _insert(self, t: int, node: int, entry: Entry) -> None:
-        win = self._window_of(t)
-        # Under the paper order, LCC guarantees win > the running window;
-        # the naive-order ablation can violate that (its whole point), so
-        # late entries are clamped forward instead of silently lost.
-        if win <= self._running_window:
-            win = self._running_window + 1
-        self.events.insert(win, node, entry)
+        # LCC guarantees the target window lies after the running one.
+        self.events.insert(self._window_of(t), node, entry)
 
     def deliver(self, node: int, t: int, row: Row) -> None:
         """TransmitSystem callback: a packet reaches ``node`` at ``t``."""
@@ -424,8 +398,7 @@ class DodEngine:
 
         O(1) off the occupancy index.  Used by the distributed
         coordinator to agree on the cluster-wide window (§4.2: every
-        Runner executes the same batch) and by the batcher to prove a
-        span of windows is free of new scheduling work.
+        Runner executes the same batch).
         """
         return self.events.peek_next(current, bool(self.active_ports))
 
@@ -447,13 +420,9 @@ class DodEngine:
         h.update(struct.pack(f"<q{len(active)}q", len(active), *active))
         return h.hexdigest()
 
-    def process_window(self, index: int) -> WindowContext:
-        """Execute one lookahead batch: the four systems in §3.3 order."""
+    def _open_window(self, index: int) -> WindowContext:
+        """Pop window ``index``'s pending entries into a fresh context."""
         L = self.lookahead
-        bus = self.bus
-        telemetry = bus.telemetry
-        if telemetry:
-            _w0 = bus.now()
         self._running_window = index
         start = index * L
         end = start + L
@@ -479,76 +448,63 @@ class DodEngine:
                 index=index, start=start, end=end,
                 node_entries=self.events.pop_window(index, t_cut),
             )
+        bus = self.bus
         bus.window_begin(index, start)
         if bus.has_ops:
             bus.op(OP_WINDOW, 0, 0)  # buffer arenas recycle
-        run_ack, run_send, run_forward, run_transmit = self._systems
-        if self.system_order == "paper":
-            # The paper's execution order (§3.3): ACK, Send, Forward,
-            # Transmit.  Timed inline — bus.system_time costs two clock
-            # reads per system, nothing else on the hot path.  The
-            # vectorized backend runs the same four phases through one
-            # fused pass (one plan traversal, shared column handles).
-            if self._fused_run is not None:
-                t0, t1, t2, t3, t4 = self._fused_run(self, ctx)
-            else:
-                clock = perf_counter
-                t0 = clock()
-                run_ack(self, ctx)
-                t1 = clock()
-                run_send(self, ctx)
-                t2 = clock()
-                run_forward(self, ctx)
-                t3 = clock()
-                run_transmit(self, ctx)
-                t4 = clock()
-            bus.system_time("ack", t1 - t0)
-            bus.system_time("send", t2 - t1)
-            bus.system_time("forward", t3 - t2)
-            bus.system_time("transmit", t4 - t3)
-            if telemetry:
-                # System spans reuse the timing reads above — the only
-                # extra hot-path cost is four list appends.
-                rel = bus.rel
-                bus.span_add("ack", rel(t0), rel(t1), "system")
-                bus.span_add("send", rel(t1), rel(t2), "system")
-                bus.span_add("forward", rel(t2), rel(t3), "system")
-                bus.span_add("transmit", rel(t3), rel(t4), "system")
-        else:
-            # Naive order (ablation): ACK last.  Its staged packets miss
-            # this window's TransmitSystem and carry into the next batch.
-            if self._carried_staged:
-                for iface_id, staged in self._carried_staged.items():
-                    ctx.staged.setdefault(iface_id, []).extend(staged)
-                self._carried_staged = {}
-            with bus.system_timer("send"):
-                run_send(self, ctx)
-            with bus.system_timer("forward"):
-                run_forward(self, ctx)
-            with bus.system_timer("transmit"):
-                run_transmit(self, ctx)
-            before = {k: len(v) for k, v in ctx.staged.items()}
-            with bus.system_timer("ack"):
-                run_ack(self, ctx)
-            self._carried_staged = {
-                k: v[before.get(k, 0):]
-                for k, v in ctx.staged.items()
-                if len(v) > before.get(k, 0)
-            }
-            if self._carried_staged:
-                # Something is pending: the next window must run.
-                self._insert((ctx.index + 1) * self.lookahead, 0, (ENTRY_TIMER, -1))
+        return ctx
+
+    def _close_window(self, ctx: WindowContext) -> None:
+        """Fold the executed window's event counts into the results."""
         self.results.end_time_ps = ctx.end
         if ctx.counts.total:
             self.results.events.add(ctx.counts)
             self.results.window_breakdown.append(
-                (start, ctx.counts.ack, ctx.counts.send,
+                (ctx.start, ctx.counts.ack, ctx.counts.send,
                  ctx.counts.forward, ctx.counts.transmit)
             )
+
+    def process_window(self, index: int) -> WindowContext:
+        """Execute one lookahead batch: the four systems in §3.3 order
+        (ACK, Send, Forward, Transmit)."""
+        bus = self.bus
+        telemetry = bus.telemetry
         if telemetry:
+            _w0 = bus.now()
+        ctx = self._open_window(index)
+        # Timed inline — bus.system_time costs two clock reads per
+        # system, nothing else on the hot path.  The vectorized backend
+        # runs the same four phases through one fused pass (one plan
+        # traversal, shared column handles).
+        if self._fused_run is not None:
+            t0, t1, t2, t3, t4 = self._fused_run(self, ctx)
+        else:
+            clock = perf_counter
+            t0 = clock()
+            run_ack_system(self, ctx)
+            t1 = clock()
+            run_send_system(self, ctx)
+            t2 = clock()
+            run_forward_system(self, ctx)
+            t3 = clock()
+            run_transmit_system(self, ctx)
+            t4 = clock()
+        bus.system_time("ack", t1 - t0)
+        bus.system_time("send", t2 - t1)
+        bus.system_time("forward", t3 - t2)
+        bus.system_time("transmit", t4 - t3)
+        self._close_window(ctx)
+        if telemetry:
+            # System spans reuse the timing reads above — the only
+            # extra hot-path cost is four list appends.
+            rel = bus.rel
+            bus.span_add("ack", rel(t0), rel(t1), "system")
+            bus.span_add("send", rel(t1), rel(t2), "system")
+            bus.span_add("forward", rel(t2), rel(t3), "system")
+            bus.span_add("transmit", rel(t3), rel(t4), "system")
             self._sample_window_metrics(ctx)
             bus.span_add("window", _w0, bus.now(), "window",
-                         {"index": index, "start_ps": start})
+                         {"index": index, "start_ps": ctx.start})
         return ctx
 
     def _sample_window_metrics(self, ctx: WindowContext) -> None:
@@ -578,59 +534,25 @@ class DodEngine:
                 if capacity > 0:
                     util.record(min(1.0, sent * 8.0 / capacity))
 
-    def advance(self, max_windows: Optional[int] = None) -> bool:
-        """Run up to ``max_windows`` pending lookahead windows.
-
-        ``None`` resolves the engine's ``batch_windows`` default (1
-        unless configured).  With a budget of 1 this is exactly the
-        classic one-window step; larger budgets run consecutive windows
-        back-to-back — safe because the LCC discipline completed every
-        window's inputs before this call — and, on the fused backend,
-        merge runs of queue-drain-only windows into single port-replay
-        spans (:meth:`_drain_span`).
+    def advance(self) -> bool:
+        """Run the next pending lookahead window.
 
         Returns ``False`` once no runnable window remains (or duration
-        / ``max_windows`` is reached), exactly as before.
+        / ``max_windows`` is reached).
         """
-        budget = max_windows if max_windows is not None else self.batch_windows
-        if budget < 1:
-            budget = 1
-        if self.max_windows is not None:
-            remaining = self.max_windows - self._windows_run
-            if remaining < budget:
-                budget = remaining if remaining > 1 else 1
+        nxt = self._next_window(self._cursor)
+        if nxt is None:
+            return False
         duration = self.scenario.duration_ps
-        L = self.lookahead
-        batched = budget > 1
-        progressed = 0
-        while budget > 0:
-            nxt = self._next_window(self._cursor)
-            if nxt is None:
-                break
-            if duration is not None and nxt * L > duration:
-                break
-            if (budget > 1 and self._fused_run is not None
-                    and self.active_ports
-                    and not self.events.has_window(nxt)
-                    and not self.bus.has_ops and not self.bus.telemetry):
-                ran = self._drain_span(nxt, budget)
-            else:
-                self._cursor = nxt
-                memo = self._memo
-                if memo is None or not memo.run_window(nxt):
-                    self.process_window(nxt)
-                ran = 1
-            self._windows_run += ran
-            progressed += ran
-            budget -= ran
-            if (self.max_windows is not None
-                    and self._windows_run >= self.max_windows):
-                if batched:
-                    self._note_batch(progressed)
-                return False
-        if batched and progressed:
-            self._note_batch(progressed)
-        return progressed > 0 and budget == 0
+        if duration is not None and nxt * self.lookahead > duration:
+            return False
+        self._cursor = nxt
+        memo = self._memo
+        if memo is None or not memo.run_window(nxt):
+            self.process_window(nxt)
+        self._windows_run += 1
+        return (self.max_windows is None
+                or self._windows_run < self.max_windows)
 
     def progress(self) -> Dict[str, Any]:
         """In-flight progress snapshot (read-only; safe mid-run).
@@ -651,130 +573,6 @@ class DodEngine:
             "events": self.results.events.total,
             "done": min(1.0, sim_ps / duration) if duration else None,
         }
-
-    def _note_batch(self, n: int) -> None:
-        """Batched-advance observability: counter always, histogram when
-        telemetry is live (neither feeds the trace digest)."""
-        bus = self.bus
-        bus.count("engine.batch_windows", n)
-        if bus.telemetry:
-            from .telemetry import BATCH_SIZE_BUCKETS
-            bus.metrics.record("window.batch_size", n, BATCH_SIZE_BUCKETS)
-
-    def _drain_span(self, first: int, budget: int) -> int:
-        """Run a span of consecutive drain-only windows as one replay.
-
-        Preconditions (checked by :meth:`advance`): fused vectorized
-        backend, window ``first`` has no pending entries, ports are
-        active, no op probes, no telemetry.  Within such a span the only
-        work is TransmitSystem replaying busy egress ports, so the span
-        collapses to one work-conserving replay per port over
-        ``[first*L, bound*L)`` — equivalent to per-window replays
-        because a busy FIFO port's next emission time is independent of
-        window boundaries.
-
-        The span's upper ``bound`` is clamped so that, provably, no
-        in-span emission's *delivery* (emission end + link delay) lands
-        inside the span, no occupied window is crossed, and the
-        duration cut stays outside; whenever the bound degenerates the
-        method falls back to the classic single window.  Returns the
-        number of windows consumed.
-        """
-        L = self.lookahead
-        bound = first + budget
-        occ = self.events.peek_occupied(first)
-        if occ is not None and occ < bound:
-            bound = occ
-        duration = self.scenario.duration_ps
-        if duration is not None:
-            # First window whose end would need the duration clamp.
-            cut = (duration + 1) // L
-            if cut < bound:
-                bound = cut
-        ports = self.ports
-        if bound > first + 1:
-            from ..protocols.packet import F_SIZE
-            from ..schedulers.disciplines import FifoScheduler
-            from .systems.vectorized import _PS8
-            span_start = first * L
-            for iface_id in self.active_ports:
-                port = ports[iface_id]
-                sched = port.sched
-                if type(sched) is not FifoScheduler:
-                    # Stateful disciplines (DRR credit, RR pointer) are
-                    # cheap to keep on the per-window path.
-                    bound = first + 1
-                    break
-                # The port's first in-span emission: starts when the
-                # line frees (clamped into the span), serializes the
-                # head packet, and delivers one link delay later.  No
-                # other port can beat its own head.
-                start = port.free_at
-                if start < span_start:
-                    start = span_start
-                end = start + (sched._peek(0)[F_SIZE] * _PS8) \
-                    // port.iface.rate_bps
-                delivery = (end + port.iface.delay_ps) // L
-                if delivery < bound:
-                    bound = delivery
-                if bound <= first + 1:
-                    # Already degenerate — no later port can raise the
-                    # bound back up, so the rest of the scan is wasted
-                    # work (the K=8 batch regression: wide active-port
-                    # sets paid a full scan per failed span attempt).
-                    break
-        if bound <= first + 1:
-            self._cursor = first
-            memo = self._memo
-            if memo is None or not memo.run_window(first):
-                self.process_window(first)
-            return 1
-        # Merged replay over [first, bound): per-window bookkeeping
-        # (window_begin, breakdown rows, event counts, deliveries) is
-        # reconstructed from emission timestamps so the run is
-        # indistinguishable from the per-window path.
-        from ..protocols.packet import F_FLOW, F_ISACK, F_SEQ
-        from .systems.vectorized import transmit_batch_kernel
-        bus = self.bus
-        n_windows = bound - first
-        self._running_window = first
-        self._cursor = bound - 1
-        span_start = first * L
-        span_end = bound * L
-        full_trace = bus.trace_level >= 2
-        trace_on = bool(bus.trace_level)
-        clock = perf_counter
-        t0 = clock()
-        iface_ids = sorted(self.active_ports)
-        results = transmit_batch_kernel(ports, {}, span_start, span_end,
-                                        full_trace, iface_ids)
-        per_win = [0] * n_windows
-        deliver = self.deliver
-        for iface_id, emissions, _drops, _enq, still_active, _n in results:
-            iface = ports[iface_id].iface
-            self.bump_node(iface.node, len(emissions))
-            delay = iface.delay_ps
-            peer = iface.peer_node
-            for row, start, end in emissions:
-                if trace_on:
-                    bus.deq(start, iface_id, row[F_FLOW], row[F_ISACK],
-                            row[F_SEQ])
-                deliver(peer, end + delay, row)
-                per_win[start // L - first] += 1
-            if not still_active:
-                self.active_ports.discard(iface_id)
-        t1 = clock()
-        res = self.results
-        for j in range(n_windows):
-            bus.window_begin(first + j, (first + j) * L)
-            c = per_win[j]
-            if c:
-                res.events.transmit += c
-                res.window_breakdown.append(
-                    ((first + j) * L, 0, 0, 0, c))
-        bus.system_time("transmit", t1 - t0)
-        res.end_time_ps = span_end
-        return n_windows
 
     def run(self) -> SimResults:
         """Run to completion (or duration / max_windows)."""
@@ -826,10 +624,8 @@ def run_dons(
     workers: int = 1,
     backend: Optional[str] = None,
     telemetry: Optional[bool] = None,
-    batch_windows: Optional[int] = None,
     ffwd: Optional[bool] = None,
 ) -> SimResults:
     """Convenience one-shot run of the DOD engine."""
     return DodEngine(scenario, trace_level, workers, backend=backend,
-                     telemetry=telemetry,
-                     batch_windows=batch_windows, ffwd=ffwd).run()
+                     telemetry=telemetry, ffwd=ffwd).run()

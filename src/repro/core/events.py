@@ -144,8 +144,8 @@ class EventColumns:
         ``emissions`` is the TransmitSystem's ``(row, start, end)`` list;
         every packet lands on the port's single ``node`` peer at
         ``end + delay_ps``, in a window no earlier than ``floor`` (the
-        LCC clamp — see ``DodEngine._insert``).  Appending straight to
-        the columns here is byte-equivalent to one :meth:`insert` per
+        window after the running one — the LCC bound).  Appending straight
+        to the columns here is byte-equivalent to one :meth:`insert` per
         packet, but hoists the window arithmetic and column lookups out
         of the per-packet call chain; the vectorized backend's fused
         transmit commit rides on it.
@@ -198,16 +198,7 @@ class EventColumns:
             candidates.append(heap[0])
         return min(candidates) if candidates else None
 
-    def peek_occupied(self, current: int) -> Optional[int]:
-        """Smallest *occupied* window index > ``current`` (ignores active
-        ports) — the batcher's bound on how far a drain span may run."""
-        self._prune(current)
-        return self._heap[0] if self._heap else None
-
     # --- readers ----------------------------------------------------------
-
-    def has_window(self, win: int) -> bool:
-        return win in self._buckets
 
     def windows(self) -> List[int]:
         """Pending window indices, ascending."""
@@ -282,16 +273,6 @@ class EventColumns:
         """Iterate ``(window, grouped entries)`` over pending windows."""
         for win in sorted(self._buckets):
             yield win, self._grouped(self._buckets[win])
-
-    def pending_nodes(self) -> Iterator[Tuple[int, List[int]]]:
-        """Iterate ``(window, node column)`` ascending, without grouping.
-
-        The quiet-horizon scan only needs *which nodes* hold pending
-        work per window — handing out the raw node column avoids
-        building the grouped dicts :meth:`items` would."""
-        buckets = self._buckets
-        for win in sorted(buckets):
-            yield win, buckets[win].nodes
 
     def pop_window(self, win: int,
                    t_cut: Optional[int] = None) -> Dict[int, List[Entry]]:

@@ -206,7 +206,7 @@ class WindowMemoCache:
     """Per-engine signature -> delta cache with fast-forward apply.
 
     Constructed by ``DodEngine._maybe_init_memo`` only when the static
-    gates hold (paper system order, local deliveries, no RED / packet
+    gates hold (local deliveries, no RED / packet
     spray / queue sampling, at least one UDP flow).  Never persisted:
     checkpoints invalidate it on restore (``core.checkpoint``), and
     cluster agents never build one (``deliveries_local`` is cleared on
@@ -328,7 +328,7 @@ class WindowMemoCache:
         duration = engine.scenario.duration_ps
         if duration is not None and end > duration + 1:
             return None  # the duration cut truncates this window
-        if engine.bus.has_ops or engine._carried_staged:
+        if engine.bus.has_ops:
             return None
         got = engine.events.window_entries(win)
         nodes, payloads = got if got is not None else ((), ())
@@ -604,7 +604,7 @@ class WindowMemoCache:
               pre_drops: int, pre_rtt: int, ops) -> Optional[WindowDelta]:
         engine = self.engine
         res = engine.results
-        if len(res.rtt_samples) != pre_rtt or engine._carried_staged:
+        if len(res.rtt_samples) != pre_rtt:
             return None
         union = set(probe.union_ports)
         if not set(ctx.staged) <= union:

@@ -20,6 +20,7 @@ pool-local ``PoolStats``.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -27,6 +28,12 @@ from .instrument import InstrumentationBus
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+def env_flag(name: str) -> bool:
+    """The one truthiness rule for ``REPRO_*`` on/off switches: anything
+    but unset / empty / ``0`` / ``false`` / ``off`` is on."""
+    return os.environ.get(name, "") not in ("", "0", "false", "off")
 
 
 class WorkerPool:

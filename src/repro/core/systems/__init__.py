@@ -6,11 +6,11 @@ builds per-chunk work slices on the main thread, ``*_kernel`` is a pure
 function over column slices run on the worker pool, and ``commit_*``
 consolidates the kernel outputs deterministically.
 
-Every system exists in two interchangeable implementations — the Python
-reference (scalar orchestration over list columns) and the vectorized
-NumPy variants (:mod:`repro.core.systems.vectorized`).
-:func:`system_set` resolves a backend name to its four ``run_*``
-entry points; the engine dispatches through that tuple."""
+These modules are the Python reference (scalar orchestration over list
+columns), which the engine runs back to back on the ``python`` backend.
+The ``numpy`` backend runs the same kernels and commit helpers through
+one fused pass, :func:`repro.core.systems.vectorized.run_window_fused`
+(imported by the engine only when that backend is selected)."""
 
 from .ack import ack_kernel, commit_ack, plan_ack, run_ack_system
 from .send import commit_send, plan_send, run_send_system, send_kernel
@@ -20,34 +20,6 @@ from .forward import (
 from .transmit import (
     commit_transmit, plan_transmit, run_transmit_system, transmit_kernel,
 )
-from ...errors import ConfigError
-
-#: run-system entry points in execution order (ack, send, forward, transmit).
-SystemSet = tuple
-
-
-def system_set(backend: str = "python") -> SystemSet:
-    """The four ``run_*_system`` callables for one table backend.
-
-    The numpy variants are imported lazily so the Python backend works
-    on interpreters without numpy installed.
-    """
-    if backend == "python":
-        return (run_ack_system, run_send_system,
-                run_forward_system, run_transmit_system)
-    if backend == "numpy":
-        try:
-            from . import vectorized
-        except ImportError as exc:  # pragma: no cover - numpy is baked in
-            raise ConfigError(
-                f"backend 'numpy' needs numpy installed: {exc}")
-        return (vectorized.run_ack_system_np, vectorized.run_send_system_np,
-                vectorized.run_forward_system_np,
-                vectorized.run_transmit_system_np)
-    from ..ecs import BACKENDS
-    raise ConfigError(
-        f"unknown system backend {backend!r}; known: {', '.join(BACKENDS)}")
-
 
 __all__ = [
     "run_ack_system", "run_send_system",
@@ -56,5 +28,4 @@ __all__ = [
     "plan_send", "send_kernel", "commit_send",
     "plan_forward", "forward_kernel", "commit_forward",
     "plan_transmit", "transmit_kernel", "commit_transmit",
-    "system_set",
 ]

@@ -1,8 +1,9 @@
-"""Vectorized (NumPy-backend) variants of the four systems.
+"""The NumPy backend's window execution: one fused pass over the four
+systems (:func:`run_window_fused`) and the batch kernels it dispatches.
 
-Same plan → kernel → commit decomposition, same pure protocol
-transitions, same deterministic commit order — but the orchestration
-around the kernels is columnar:
+Same plan → kernel → commit decomposition as the Python reference, same
+pure protocol transitions, same deterministic commit order — but the
+orchestration around the kernels is columnar:
 
 * **plan** stages operate on per-window index arrays: the transmit work
   list is a masked selection over the port axis (fed ∪ active), and
@@ -34,8 +35,8 @@ closed form so ``int64`` cannot overflow (falling back to the scalar
 schedule — same floor divisions — when it could).
 
 The commit helpers (``commit_send``/``commit_ack``/``commit_transmit``)
-are shared with the Python variants: the backends differ in how work is
-planned and dispatched, never in what is committed.
+are shared with the Python reference: the backends differ in how work
+is planned and dispatched, never in what is committed.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .ack import AckCols, ack_kernel, commit_ack
-from .forward import ForwardWork, plan_forward
-from .send import (
-    SENDER_COLS, _DCTCP_FIELDS, commit_send, plan_send, send_kernel,
-)
+from .forward import ForwardWork
+from .send import SENDER_COLS, commit_send, send_kernel
 from .transmit import commit_transmit
 from .. import events as events_mod
 from ..ecs import CommandBuffer, consolidate_grouped
@@ -190,97 +189,16 @@ def send_batch_kernel(cols, sender_of_flow, scenario, acks_of, starts,
     return out
 
 
-def run_send_system_np(engine, ctx: WindowContext) -> None:
-    """Vectorized SendSystem: resident columns, batched kernels.
-
-    The kernels run against the sender table's resident working set
-    (:meth:`~repro.core.ecs.NumpyTable.resident`): whole columns
-    materialized to Python values once and committed back to the arrays
-    in bulk at sync points, so the per-window loop pays no per-flow
-    conversion at all.
-    """
-    flow_ids, acks_of, starts, deliver_trace = plan_send(engine, ctx)
-    if not flow_ids:
-        return
-
-    bus = engine.bus
-    if bus.trace_level:
-        for t, node, row in sorted(
-            deliver_trace,
-            key=lambda d: (d[0], d[2][F_FLOW], d[2][F_ISACK], d[2][F_SEQ]),
-        ):
-            bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
-
-    cols = engine.world.senders.resident(SENDER_COLS)
-    sender_of_flow = engine.world.sender_of_flow
-    chunks = _chunked(flow_ids, engine.pool.workers)
-    results = engine.pool.map(
-        "send",
-        lambda chunk: send_batch_kernel(cols, sender_of_flow,
-                                        engine.scenario, acks_of, starts,
-                                        ctx.end, chunk),
-        chunks,
-        sizes=[sum(len(acks_of.get(f, ())) + 1 for f in chunk)
-               for chunk in chunks],
-    )
-    if len(results) == 1:
-        commit_send(engine, ctx, results[0])
-    else:
-        commit_send(engine, ctx, [r for chunk in results for r in chunk])
-
-
 # --- ACKSystem -------------------------------------------------------------
 
 
 AckWork = Tuple[int, List[Tuple[int, int, Row]]]
 
 
-def plan_ack_np(engine, ctx: WindowContext) -> List[AckWork]:
-    """Per-host work slices; the canonical sort runs vectorized."""
-    work: List[AckWork] = []
-    for node, entries in sorted(ctx.node_entries.items()):
-        if not engine.scenario.topology.nodes[node].is_host:
-            continue
-        data = [
-            (e[1], e[2], e[3])
-            for e in entries
-            if e[0] == ENTRY_ARRIVAL and not e[3][F_ISACK]
-        ]
-        if data:
-            work.append((node, sort_contract(data)))
-    return work
-
-
 def ack_batch_kernel(cols: AckCols, receiver_of_flow, flows,
                      items: List[AckWork]):
     """One worker's slice of the receiver sweep, host by host."""
     return [ack_kernel(cols, receiver_of_flow, flows, item) for item in items]
-
-
-def run_ack_system_np(engine, ctx: WindowContext) -> None:
-    """Vectorized ACKSystem: resident columns, batched kernels.
-
-    Like the SendSystem, the reassembly kernels sweep the receiver
-    table's resident working set; the bulk write-back happens at the
-    table's sync points, not per window.
-    """
-    work = plan_ack_np(engine, ctx)
-    if not work:
-        return
-    cols = AckCols(**engine.world.receivers.resident(AckCols._fields))
-    receiver_of_flow = engine.world.receiver_of_flow
-    chunks = _chunked(work, engine.pool.workers)
-    results = engine.pool.map(
-        "ack",
-        lambda chunk: ack_batch_kernel(cols, receiver_of_flow,
-                                       engine.scenario.flows, chunk),
-        chunks,
-        sizes=[sum(len(w[1]) for w in chunk) for chunk in chunks],
-    )
-    if len(results) == 1:
-        commit_ack(engine, ctx, results[0])
-    else:
-        commit_ack(engine, ctx, [r for chunk in results for r in chunk])
 
 
 # --- ForwardSystem ---------------------------------------------------------
@@ -394,28 +312,6 @@ def _route_memo(engine, spray: bool) -> Optional[Dict]:
     if memo is None:
         memo = engine._fwd_memo = {}
     return memo
-
-
-def run_forward_system_np(engine, ctx: WindowContext) -> None:
-    """Vectorized ForwardSystem: batched routing, grouped consolidation."""
-    work = plan_forward(engine, ctx)
-    if not work:
-        return
-    sc = engine.scenario
-    spray = sc.ecmp_mode == "packet"
-    memo = _route_memo(engine, spray)
-    chunks = _chunked(work, engine.pool.workers)
-    results = engine.pool.map(
-        "forward",
-        lambda chunk: forward_batch_kernel(
-            sc.fib, sc.topology.iface_id, spray, chunk, memo),
-        chunks,
-        sizes=[sum(len(w[1]) for w in chunk) for chunk in chunks],
-    )
-    if len(results) == 1:
-        commit_forward_np(engine, ctx, results[0])
-    else:
-        commit_forward_np(engine, ctx, [r for chunk in results for r in chunk])
 
 
 # --- TransmitSystem --------------------------------------------------------
@@ -1045,30 +941,6 @@ def _transmit_serial_np(engine, ctx: WindowContext,
     ctx.counts.transmit += count
 
 
-def run_transmit_system_np(engine, ctx: WindowContext) -> None:
-    """Vectorized TransmitSystem: masked plan, batched port replay."""
-    iface_ids = plan_transmit_np(engine, ctx)
-    if not iface_ids:
-        return
-    if engine.pool.workers <= 1 and not engine.bus.trace_level:
-        _transmit_serial_np(engine, ctx, iface_ids, ctx.start, ctx.end)
-        return
-    full_trace = engine.bus.trace_level >= 2
-    chunks = _chunked(iface_ids, engine.pool.workers)
-    results = engine.pool.map(
-        "transmit",
-        lambda chunk: transmit_batch_kernel(
-            engine.ports, ctx.staged, ctx.start, ctx.end, full_trace, chunk),
-        chunks,
-        sizes=[sum(len(ctx.staged.get(i, ())) + 1 for i in chunk)
-               for chunk in chunks],
-    )
-    if len(results) == 1:
-        commit_transmit(engine, ctx, results[0])
-    else:
-        commit_transmit(engine, ctx, [r for chunk in results for r in chunk])
-
-
 # --- Fused window pass ------------------------------------------------------
 
 
@@ -1142,9 +1014,8 @@ def run_window_fused(engine, ctx: WindowContext):
     """One fused pass over the window: plan once, then the four phases
     in paper order over shared column handles.
 
-    Semantically identical to running
-    ``run_ack_system_np``/``run_send_system_np``/``run_forward_system_np``
-    /``run_transmit_system_np`` back to back — same kernels, same shared
+    Semantically identical to the reference backend's four
+    ``run_*_system`` calls back to back — same kernels, same shared
     commit helpers, same ordering contract — but the plan traversal
     happens once, and single-worker runs dispatch kernels directly
     instead of through the pool's task machinery.  Returns the five

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "Histogram", "MetricsRegistry",
     "QUEUE_DEPTH_BUCKETS", "UTILIZATION_BUCKETS", "FCT_US_BUCKETS",
-    "WAIT_MS_BUCKETS", "BATCH_SIZE_BUCKETS", "MEMO_APPLY_MS_BUCKETS",
+    "WAIT_MS_BUCKETS", "MEMO_APPLY_MS_BUCKETS",
 ]
 
 #: Queue depth at window end, bytes (powers of four up to 64 MB).
@@ -49,11 +49,6 @@ FCT_US_BUCKETS: Tuple[float, ...] = (
 #: Barrier-wait / idle times, milliseconds.
 WAIT_MS_BUCKETS: Tuple[float, ...] = (
     0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000,
-)
-#: Windows executed by one batched ``advance()`` call (powers of two up
-#: to the largest REPRO_BATCH_WINDOWS anyone should reasonably set).
-BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
-    1, 2, 4, 8, 16, 32, 64, 128, 256,
 )
 #: Wall-clock of one memoized-window delta apply, milliseconds — the
 #: fast-forward path's cost; compare against the ``window`` spans of

@@ -45,7 +45,7 @@ __all__ = [
 
 #: Version stamp shared by every telemetry artifact this layer writes.
 #: v2: perf-smoke reports grew the fast-forward entries (dons_steady_s,
-#: dons_ffwd_s, ratio_ffwd_over_plain, ffwd_hits, batch_best_k) and the
+#: dons_ffwd_s, ratio_ffwd_over_plain, ffwd_hits) and the
 #: counter set gained the memo.* family with the memo.apply_ms histogram.
 #: v3: stats reports grew the derived ``memo`` (hit/miss/hit_rate) and
 #: ``transport_shm`` (frames/bytes/fallbacks) sections, and the live

@@ -69,6 +69,15 @@ class TestWindowMechanics:
         res = eng.run()
         assert len(res.window_breakdown) <= 5
         assert res.completed() < 4
+        assert eng._windows_run == 5
+
+    def test_public_annotations_resolve(self):
+        """Every name an engine method is annotated with is importable
+        (``progress()`` once named an un-imported ``Any``)."""
+        import inspect
+        import typing
+        for _name, fn in inspect.getmembers(DodEngine, inspect.isfunction):
+            typing.get_type_hints(fn)
 
 
 class TestParityWithBaseline:

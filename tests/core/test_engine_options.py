@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bench import NaiveOrderEngine
+from repro.cluster import ClusterEngine, DonsManager
 from repro.core.engine import DodEngine, run_dons
 from repro.des import run_baseline
 from repro.errors import SimulationError
@@ -36,20 +38,53 @@ class TestLookaheadOverride:
 class TestSystemOrder:
     def test_paper_order_matches_ground_truth(self, fattree4_scenario):
         truth = run_baseline(fattree4_scenario, TraceLevel.FULL)
-        res = DodEngine(fattree4_scenario, TraceLevel.FULL,
-                        system_order="paper").run()
+        res = DodEngine(fattree4_scenario, TraceLevel.FULL).run()
         assert res.trace.digest() == truth.trace.digest()
 
-    def test_naive_order_diverges_but_completes(self, fattree4_scenario):
+    @pytest.mark.parametrize("env_backend", ["python", "numpy"])
+    def test_naive_order_diverges_but_completes(self, fattree4_scenario,
+                                                monkeypatch, env_backend):
+        """The §3.3 ablation lives in a bench-only subclass that pins
+        the reference backend, whatever $REPRO_BACKEND says."""
+        monkeypatch.setenv("REPRO_BACKEND", env_backend)
         truth = run_baseline(fattree4_scenario, TraceLevel.FULL)
-        res = DodEngine(fattree4_scenario, TraceLevel.FULL,
-                        system_order="naive").run()
+        engine = NaiveOrderEngine(fattree4_scenario, TraceLevel.FULL)
+        assert engine.backend == "python"
+        res = engine.run()
         assert res.trace.digest() != truth.trace.digest()
         assert res.completed() == len(fattree4_scenario.flows)
 
-    def test_unknown_order_rejected(self, dumbbell_scenario):
-        with pytest.raises(SimulationError):
-            DodEngine(dumbbell_scenario, system_order="chaotic")
+
+class TestOneWindowPerAdvance:
+    def test_batch_windows_env_is_ignored(self, dumbbell_scenario,
+                                          monkeypatch):
+        """K-window batching is gone: a stale $REPRO_BATCH_WINDOWS
+        export changes nothing — every advance() runs one window."""
+        monkeypatch.setenv("REPRO_BATCH_WINDOWS", "8")
+        engine = DodEngine(dumbbell_scenario, backend="numpy")
+        engine.build()
+        steps = 0
+        while True:
+            before = engine._windows_run
+            more = engine.advance()
+            assert engine._windows_run - before == (1 if more else 0)
+            if not more:
+                break
+            steps += 1
+        assert steps == engine._windows_run > 8
+        assert engine.bus.counters["windows"] == steps
+
+    def test_batch_windows_argument_is_gone(self, dumbbell_scenario):
+        from repro.partition import ClusterSpec
+        with pytest.raises(TypeError):
+            DodEngine(dumbbell_scenario, batch_windows=8)
+        with pytest.raises(TypeError):
+            run_dons(dumbbell_scenario, batch_windows=8)
+        with pytest.raises(TypeError):
+            ClusterEngine([], batch_windows=8)
+        with pytest.raises(TypeError):
+            DonsManager(dumbbell_scenario, ClusterSpec.homogeneous(2),
+                        batch_windows=8)
 
 
 class TestRenoTransport:

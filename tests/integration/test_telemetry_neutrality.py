@@ -34,15 +34,17 @@ def reference_digest(scenario):
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_single_engine_digest_neutral(scenario, reference_digest, backend):
+@pytest.mark.parametrize("which", ["scenario", "fattree4_scenario"])
+def test_single_engine_digest_neutral(request, which, backend):
     if backend == "numpy":
         pytest.importorskip("numpy")
-    on = run_dons(scenario, TraceLevel.FULL, backend=backend,
-                  telemetry=True)
-    assert _digest(on) == reference_digest
-    off = run_dons(scenario, TraceLevel.FULL, backend=backend,
-                   telemetry=False)
-    assert _digest(off) == reference_digest
+    sc = request.getfixturevalue(which)
+    reference = _digest(run_dons(sc, TraceLevel.FULL, backend="python",
+                                 telemetry=False))
+    on = run_dons(sc, TraceLevel.FULL, backend=backend, telemetry=True)
+    assert _digest(on) == reference
+    off = run_dons(sc, TraceLevel.FULL, backend=backend, telemetry=False)
+    assert _digest(off) == reference
 
 
 @pytest.mark.parametrize("transport", ["local", "process"])

@@ -11,14 +11,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_generator_runs_and_covers_public_modules(tmp_path):
+    """Renders into a temp file (the working tree stays clean) and, via
+    ``--check``, fails when the checked-in docs/API.md has drifted."""
+    path = tmp_path / "API.md"
     result = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "gen_api_docs.py")],
+        [sys.executable, os.path.join(ROOT, "tools", "gen_api_docs.py"),
+         "--check", "--out", str(path)],
         capture_output=True, text=True, timeout=120,
     )
-    assert result.returncode == 0, result.stderr
-    path = os.path.join(ROOT, "docs", "API.md")
-    with open(path) as fh:
-        text = fh.read()
+    assert result.returncode == 0, result.stdout + result.stderr
+    text = path.read_text()
+    assert " at 0x" not in text, "per-process address in the rendering"
     for section in ("## `repro`", "## `repro.core`", "## `repro.cluster`",
                     "## `repro.machine`", "## `repro.partition`"):
         assert section in text

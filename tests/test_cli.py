@@ -147,6 +147,26 @@ class TestTelemetryCommands:
         counters = json.loads(capsys.readouterr().out)["counters"]
         assert any(k.startswith("memo.") for k in counters)
 
+    def test_timeline_manifest_records_resolved_switches(
+            self, tmp_path, capsys, monkeypatch):
+        """The manifest reports what the engine actually ran with, not a
+        second parse of the environment: ``REPRO_FFWD=true`` turns the
+        memo on, so the manifest must say so."""
+        import json
+        monkeypatch.setenv("REPRO_FFWD", "true")
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        udp = ["--topology", "dumbbell:2",
+               "--flows", "fixed:n=2,size=60000,transport=udp"]
+        out = tmp_path / "timeline.json"
+        rc = main(["profile", *udp, "--timeline", str(out), "--json"])
+        assert rc == 0
+        counters = json.loads(capsys.readouterr().out)["counters"]
+        assert any(k.startswith("memo.") for k in counters)
+        manifest = json.loads(
+            (tmp_path / "timeline.json.manifest.json").read_text())
+        assert manifest["ffwd"] is True
+        assert manifest["backend"] == "numpy"
+
     def test_stats_json_stdout(self, capsys):
         import json
         rc = main(["stats", *self.ARGS])

@@ -8,10 +8,7 @@ the DOD engine has not regressed more than ``--tolerance`` (default
 20%) against the recorded baseline.  The NumPy backend carries standing
 gates of its own: its event counts must equal the Python backend's
 exactly, ``ratio_numpy_over_python`` must stay below ``NUMPY_GATE``
-(the vectorized backend exists to be faster), and the K=8
-multi-window-batched run (``dons_numpy_batched_s``) must reproduce the
-unbatched event counts exactly.  ``batch_scaling`` records the numpy
-wall-clock at K ∈ {1, 4, 8} windows per drain for the CI artifact.
+(the vectorized backend exists to be faster).
 
 The telemetry layer carries its own standing gates: a fully
 instrumented run (``ratio_telemetry_over_plain``) must stay under
@@ -195,9 +192,8 @@ def measure() -> dict:
     telem_s, live_s = [], []
     steady_s, ffwd_s = [], []
     wan_s = []
-    batch_s = {1: [], 4: [], 8: []}
     ood_res = dons_res = numpy_res = cluster_run = fuzz_report = None
-    telem_res = batched_res = steady_res = ffwd_res = None
+    telem_res = steady_res = ffwd_res = None
     live_res = None
     wan_res = wan_py_res = None
     ffwd_hits = 0
@@ -205,15 +201,11 @@ def measure() -> dict:
         t0 = time.perf_counter()
         ood_res = run_baseline(scenario)
         ood_s.append(time.perf_counter() - t0)
-        # Measured entries pin batch_windows explicitly so a CI matrix
-        # job exporting REPRO_BATCH_WINDOWS cannot silently change what
-        # this harness times.
         t0 = time.perf_counter()
-        dons_res = run_dons(scenario, backend="python", batch_windows=1)
+        dons_res = run_dons(scenario, backend="python")
         dons_s.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        telem_res = run_dons(scenario, backend="python", telemetry=True,
-                             batch_windows=1)
+        telem_res = run_dons(scenario, backend="python", telemetry=True)
         telem_s.append(time.perf_counter() - t0)
         # The live-plane entry: the same plain (untelemetered) run with
         # the full plane attached — NDJSON sampler at the 50 ms default
@@ -221,7 +213,7 @@ def measure() -> dict:
         # and teardown (server bind/join) stay outside the timed region;
         # the gate measures the per-window sampling cost a production
         # run would pay.
-        eng = DodEngine(scenario, backend="python", batch_windows=1)
+        eng = DodEngine(scenario, backend="python")
         plane = LivePlane(eng, path=os.devnull, interval_ms=50,
                           metrics_port=0)
         try:
@@ -232,25 +224,17 @@ def measure() -> dict:
             plane.close()
         live_res = eng.results
         if have_numpy:
-            for k in (1, 4, 8):
-                t0 = time.perf_counter()
-                res = run_dons(scenario, backend="numpy", batch_windows=k)
-                batch_s[k].append(time.perf_counter() - t0)
-                if k == 1:
-                    numpy_res = res
-                elif k == 8:
-                    batched_res = res
-            numpy_s = batch_s[1]
+            t0 = time.perf_counter()
+            numpy_res = run_dons(scenario, backend="numpy")
+            numpy_s.append(time.perf_counter() - t0)
         # The fast-forward entries run the steady-state UDP scenario on
         # the reference backend, plain vs memoized, pinned like the
         # others so a CI matrix exporting REPRO_FFWD cannot change what
         # is timed.
         t0 = time.perf_counter()
-        steady_res = run_dons(steady, backend="python", batch_windows=1,
-                              ffwd=False)
+        steady_res = run_dons(steady, backend="python", ffwd=False)
         steady_s.append(time.perf_counter() - t0)
-        eng = DodEngine(steady, backend="python", batch_windows=1,
-                        ffwd=True)
+        eng = DodEngine(steady, backend="python", ffwd=True)
         t0 = time.perf_counter()
         ffwd_res = eng.run()
         ffwd_s.append(time.perf_counter() - t0)
@@ -270,11 +254,10 @@ def measure() -> dict:
         # (counts are deterministic, so once is enough).
         wan_backend = "numpy" if have_numpy else "python"
         t0 = time.perf_counter()
-        wan_res = run_dons(wan_twin, backend=wan_backend, batch_windows=1)
+        wan_res = run_dons(wan_twin, backend=wan_backend)
         wan_s.append(time.perf_counter() - t0)
         if wan_py_res is None:
-            wan_py_res = (run_dons(wan_twin, backend="python",
-                                   batch_windows=1)
+            wan_py_res = (run_dons(wan_twin, backend="python")
                           if have_numpy else wan_res)
         t0 = time.perf_counter()
         fuzz_report = check_spec(fuzz_spec, ("ood", "dons"))
@@ -288,11 +271,6 @@ def measure() -> dict:
         "dons_telemetry_s": min(telem_s),
         "dons_live_s": min(live_s),
         "dons_numpy_s": min(numpy_s) if numpy_s else None,
-        "dons_numpy_batched_s": min(batch_s[8]) if batch_s[8] else None,
-        "batch_scaling": ({str(k): min(v) for k, v in batch_s.items()}
-                          if batch_s[1] else None),
-        "batch_best_k": (min(batch_s, key=lambda k: min(batch_s[k]))
-                         if batch_s[1] else None),
         "dons_steady_s": min(steady_s),
         "dons_ffwd_s": min(ffwd_s),
         "wan_twin_s": min(wan_s),
@@ -337,8 +315,6 @@ def measure() -> dict:
         "dons_telemetry_events": _events(telem_res),
         "dons_live_events": _events(live_res),
         "dons_numpy_events": _events(numpy_res) if numpy_res else None,
-        "dons_numpy_batched_events": (_events(batched_res)
-                                      if batched_res else None),
         "cluster_events": _events(cluster_run.results),
         "cluster_windows": cluster_run.traffic.windows,
         "dons_steady_events": _events(steady_res),
@@ -376,9 +352,6 @@ def main(argv=None) -> int:
     if report["dons_numpy_s"] is not None:
         print(f"numpy    : {report['dons_numpy_s']:.3f}s  "
               f"({report['dons_numpy_events']['total']} events)")
-        print(f"numpy K=8: {report['dons_numpy_batched_s']:.3f}s  "
-              f"(scaling {report['batch_scaling']}, "
-              f"best K={report['batch_best_k']})")
     print(f"steady   : {report['dons_steady_s']:.3f}s  "
           f"({report['dons_steady_events']['total']} events)")
     print(f"ffwd     : {report['dons_ffwd_s']:.3f}s  "
@@ -437,18 +410,12 @@ def main(argv=None) -> int:
         return 1
 
     # The vectorized backend's standing gates (not baseline-relative):
-    # it must produce the exact event counts of the reference kernels,
-    # it must beat them by the NUMPY_GATE margin on the smoke scenario,
-    # and K-window batching must not perturb the simulation.
+    # it must produce the exact event counts of the reference kernels
+    # and beat them by the NUMPY_GATE margin on the smoke scenario.
     if report["dons_numpy_s"] is not None:
         if report["dons_numpy_events"] != report["dons_events"]:
             print(f"FAIL: numpy backend events "
                   f"{report['dons_numpy_events']} != python backend "
-                  f"{report['dons_events']}", file=sys.stderr)
-            return 1
-        if report["dons_numpy_batched_events"] != report["dons_events"]:
-            print(f"FAIL: K=8 batched numpy events "
-                  f"{report['dons_numpy_batched_events']} != "
                   f"{report['dons_events']}", file=sys.stderr)
             return 1
         if report["ratio_numpy_over_python"] >= NUMPY_GATE:
@@ -531,8 +498,7 @@ def main(argv=None) -> int:
         base = json.load(fh)
     failures = []
     for key in ("ood_events", "dons_events", "dons_numpy_events",
-                "dons_numpy_batched_events", "cluster_events",
-                "dons_steady_events", "dons_ffwd_events",
+                "cluster_events", "dons_steady_events", "dons_ffwd_events",
                 "dons_live_events", "wan_twin_events"):
         if report[key] != base.get(key, report[key]):
             failures.append(f"{key} changed: {base[key]} -> {report[key]}")
