@@ -4,14 +4,18 @@ An Agent wraps the single-machine DOD engine, restricted to its
 partition: its Simulation Builder only instantiates sender state for
 flows starting locally, and its Runner's TransmitSystem hands packets
 whose next hop lives on another machine to an outbox instead of the
-local calendar.  The Cluster Controller flushes outboxes as batched
-RPCs between windows.
+local calendar.  After every window the transport moves each outbox
+entry to its peer Agent as one batch.
+
+This module also holds the rule by which Agents agree on the next
+window without a coordinator round trip (:func:`agreed_window`) and the
+run-ahead grant they execute under (:class:`Horizon`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..core.engine import DodEngine
 from ..des.partition_types import Partition
@@ -52,6 +56,52 @@ class AgentSpec:
         return AgentEngine(self.agent_id, self.scenario, self.partition,
                            self.trace_level, self.workers, self.backend,
                            self.telemetry)
+
+
+def window_offer(peek: Optional[int], outbox: Dict[int, list],
+                 lookahead_ps: int) -> Optional[int]:
+    """What an agent offers after a window: the earliest window it knows
+    work exists in — its own peek, or the arrival window ``t // L`` of a
+    record it just sent."""
+    for records in outbox.values():
+        if records:
+            arrival = min(record[0] for record in records) // lookahead_ps
+            if peek is None or arrival < peek:
+                peek = arrival
+    return peek
+
+
+def agreed_window(offers: Iterable[Optional[int]], lookahead_ps: int,
+                  duration_ps: Optional[int]) -> Optional[int]:
+    """The next cluster window, or ``None`` when the run is over.
+
+    The next window is the minimum :func:`window_offer` over all agents,
+    cut at the scenario duration.  That equals the minimum of all
+    peeks *after* delivery — a delivered record lands in window
+    ``t // L``, which the lookahead discipline keeps in the receiver's
+    future — so every agent derives the same window from the frames it
+    waits for anyway.
+    """
+    live = [w for w in offers if w is not None]
+    if not live:
+        return None
+    window = min(live)
+    if duration_ps is not None and window * lookahead_ps > duration_ps:
+        return None
+    return window
+
+
+class Horizon(NamedTuple):
+    """How far agents may run before they wait for the coordinator."""
+
+    #: Windows this grant covers (``None``: unlimited).
+    max_windows: Optional[int] = None
+    #: Pause before the first agreed window >= this (fault injection).
+    stop_at: Optional[int] = None
+
+    def reached(self, done: int, window: int) -> bool:
+        return ((self.max_windows is not None and done >= self.max_windows)
+                or (self.stop_at is not None and window >= self.stop_at))
 
 
 def spec_of(engine: "AgentEngine") -> AgentSpec:
@@ -125,15 +175,24 @@ class AgentEngine(DodEngine):
         for t, node, row in records:
             super().deliver(node, t, row)
 
-    def take_outbox(self) -> Dict[int, List[Tuple[int, int, Row]]]:
-        out = self.outbox
-        self.outbox = {}
-        return out
+    def run_window(self, window: int, skip_idle: bool = True):
+        """One cluster step: execute the agreed window; returns
+        ``(outbox, offer)`` — the batches for the peers and this agent's
+        offer for the next agreement (see :func:`agreed_window`).
 
-    def run_window(self, window: int) -> Dict[int, List[Tuple[int, int, Row]]]:
-        """One cluster step: execute the window, hand back the outbox."""
-        self.process_window(window)
-        return self.take_outbox()
+        An agent whose own peek lies beyond the window has nothing
+        scheduled — no pending entries, no busy ports — so executing it
+        is a provable no-op and is skipped.  ``skip_idle=False`` while a
+        migration is scheduled: it rewrites agent state between windows.
+        """
+        if skip_idle:
+            peek = self.peek_next_window(window - 1)
+            skip_idle = peek is None or peek > window
+        if not skip_idle:
+            self.process_window(window)
+        outbox, self.outbox = self.outbox, {}
+        return outbox, window_offer(self.peek_next_window(window), outbox,
+                                    self.lookahead)
 
     def finish(self) -> None:
         self.finalize()

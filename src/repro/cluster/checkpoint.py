@@ -2,14 +2,14 @@
 utilizes checkpointing to periodically preserve the run-time state").
 
 A cluster checkpoint is taken at a window boundary, where the FINISH
-barrier guarantees a clean cut: outboxes are flushed, channels drained,
-every agent paused between batches.  It bundles one engine snapshot per
+barrier guarantees a clean cut: every batch delivered, every agent
+paused between windows.  It bundles one engine snapshot per
 agent plus the runtime's cursor, partition and remaining migration
 schedule.  Resuming on fresh agents continues the run and produces the
 uninterrupted trace (tests/cluster/test_cluster_checkpoint.py).
 
 ``take_cluster_checkpoint`` accepts anything that exposes ``agents`` /
-``channels`` / ``schedule`` — the legacy :class:`ClusterController`
+``schedule`` — the legacy :class:`ClusterController`
 facade or a :class:`~repro.cluster.runtime.ClusterEngine` on the
 ``LocalTransport`` directly.  (The in-run recovery path — kill one agent
 mid-simulation, restore it from its latest snapshot while peers keep
@@ -50,9 +50,6 @@ def take_cluster_checkpoint(controller,
                             current_window: int) -> ClusterCheckpoint:
     """Snapshot a controller (or local ClusterEngine) paused between
     windows."""
-    for (_s, _d), channel in controller.channels.items():
-        if channel.pending:
-            raise ClusterError("checkpoint requires drained channels")
     agents = controller.agents
     partition = agents[0].partition
     return ClusterCheckpoint(

@@ -1,28 +1,31 @@
 """Fault injection and recovery accounting (§8, Discussion).
 
 The paper's fault-tolerance story is checkpoint-based: periodically
-snapshot every agent; when a machine dies, restore its share of the
-simulation from the latest snapshot and continue.  This module holds the
-two small data types the stack shares:
+snapshot every agent; when a machine dies, restore the simulation from
+the latest snapshot and continue.  This module holds the two small data
+types the stack shares:
 
 * :class:`FaultPlan` — a deterministic fault to inject: kill one agent
   when the cluster reaches a given window.  The
-  :class:`~repro.cluster.runtime.ClusterEngine` triggers it through the
+  :class:`~repro.cluster.runtime.ClusterEngine` grants the agents a
+  horizon that stops in front of that window and then triggers the
   transport's ``kill`` hook (a ``ProcessTransport`` worker is actually
   ``terminate()``-d; a ``LocalTransport`` engine is dropped), so the
   recovery path under test is the real one.
 * :class:`RecoveryStats` — what one recovery cost: which snapshot it
-  restored, how many windows it re-executed, how many logged records
-  peers replayed into it.
+  restored, how many already-reported windows were re-executed and how
+  many records the agents re-sent in them.
 
-Recovery itself lives in ``ClusterEngine._recover``: restore the dead
-agent from the latest per-agent snapshot, replay the remote batches it
-received since that snapshot (from the runtime's delivery log), then
-re-run the missed windows with outboxes discarded (peers already hold
-those batches).  Because engine state between windows is a pure function
-of the windows executed, the recovered run's merged trace is
-byte-identical to the fault-free run
-(tests/cluster/test_fault_recovery.py).
+Recovery itself is *coordinated rollback*
+(``ClusterEngine._recover`` → ``Transport.restore_all``): every agent —
+not just the dead one — is restored from the latest coordinated
+snapshot, a dead worker is respawned first, every pair ring is replaced
+by a fresh segment, and the normal window loop re-runs from the
+snapshot window with the already-reported windows consumed silently.
+Because engine state between windows is a pure function of the windows
+executed, the recovered run's merged trace is byte-identical to the
+fault-free run (tests/cluster/test_fault_recovery.py,
+tests/cluster/test_failure_drills.py).
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from dataclasses import dataclass
 class FaultPlan:
     """Kill ``agent`` when the cluster reaches window ``at_window``.
 
-    The kill fires at the first cluster window >= ``at_window`` (windows
-    with no pending work are skipped by the scheduler, so an exact match
-    may never run).  ``fired`` records that the fault happened.
+    The kill fires in front of the first agreed cluster window >=
+    ``at_window`` (windows with no pending work never run, so an exact
+    match may not exist).  ``fired`` records that the fault happened.
     """
 
     agent: int

@@ -5,15 +5,16 @@ Partitioner to produce the execution plan, and hands the execution to the
 layered cluster stack:
 
 * **transport** (:mod:`repro.cluster.transport`) — where agents live and
-  how batched window RPCs move: in-process mailboxes
-  (``LocalTransport``) or one ``multiprocessing`` worker per agent
+  how they exchange window batches and the FINISH barrier: in-process
+  mailboxes (``LocalTransport``) or one ``multiprocessing`` worker per
+  agent talking to its peers over shared-memory pair rings
   (``ProcessTransport``, GIL-free agent parallelism).
 * **runtime** (:mod:`repro.cluster.runtime`) — :class:`ClusterEngine`,
   the distributed run as an ``Engine`` (one window per ``advance``),
   driven by the same :class:`~repro.core.runner.EngineRunner` as the
   single-machine engines.
-* **fault** (:mod:`repro.cluster.fault`) — checkpoint-based recovery
-  from injected agent kills.
+* **fault** (:mod:`repro.cluster.fault`) — checkpoint-based coordinated
+  rollback after an agent dies.
 
 Correctness: the merged distributed trace equals the single-machine
 trace under *every* transport
@@ -73,8 +74,8 @@ class ClusterController:
 
     Kept as a facade over :class:`ClusterEngine` so existing call sites
     (checkpoint resume, the migration tests) keep their shape:
-    ``agents``, ``channels``, ``schedule``, ``migrations`` and
-    ``run``/``run_from`` all delegate to the engine.
+    ``agents``, ``schedule``, ``migrations`` and ``run``/``run_from``
+    all delegate to the engine.
     """
 
     def __init__(self, agents: List[AgentEngine],
@@ -92,10 +93,6 @@ class ClusterController:
         return self.engine.agents
 
     @property
-    def channels(self):
-        return self.engine.channels
-
-    @property
     def stats(self) -> ClusterTrafficStats:
         return self.engine.stats
 
@@ -106,9 +103,6 @@ class ClusterController:
     @property
     def migrations(self):
         return self.engine.migrations
-
-    def _maybe_migrate(self, window: int) -> None:
-        self.engine._maybe_migrate(window)
 
     def run(self) -> List[SimResults]:
         return self.engine.run()

@@ -3,21 +3,24 @@
 PR 1 unified the single-machine engines behind ``build`` / ``advance``
 / ``finalize`` and one :class:`~repro.core.runner.EngineRunner` loop.
 :class:`ClusterEngine` brings the distributed stack into the same shape:
-one ``advance()`` executes one cluster-wide lookahead window end to end —
+one ``advance()`` reports one cluster-wide lookahead window.
 
-1. agree on the window (min over the agents' ``peek_next_window``, the
-   conservative synchronization of §4.2),
-2. run any scheduled live migration (Appendix A),
-3. execute the window on every agent through the transport (a
-   ``ProcessTransport`` overlaps the agents across cores),
-4. flush outboxes as batched RPCs, drain them into their destinations,
-   count the N*(N-1) FINISH signals,
-5. optionally snapshot every agent for fault tolerance.
+The runtime is the *control plane* only.  The window protocol — agree
+on the window, run it, exchange batches, FINISH barrier — runs among
+the agents, inside the transport (:mod:`repro.cluster.transport`).  The
+runtime grants the agents a :class:`~repro.cluster.agent.Horizon` and
+then takes finished windows off the transport one per ``advance()``:
 
-Because it is an :class:`~repro.core.runner.Engine`, ``EngineRunner``,
-``python -m repro profile --cluster`` and checkpoint resume all drive a
-distributed run through exactly the loop they drive a ``DodEngine``
-through.
+* a plain run is one unlimited grant — under a ``ProcessTransport`` the
+  agents run ahead of the coordinator, which sleeps when it has caught
+  up;
+* with ``checkpoint_every`` a grant covers the windows up to the next
+  snapshot, so every agent is paused between windows when it is taken;
+* with a ``fault`` plan a grant stops in front of the first agreed
+  window >= ``fault.at_window``, where the runtime kills the agent.
+
+Live migration (Appendix A, ``LocalTransport`` only) hooks in before
+each agreed window runs.
 
 Observability: each agent owns its :class:`InstrumentationBus`; at
 ``finalize()`` the per-agent streams come back in the agents'
@@ -25,26 +28,25 @@ Observability: each agent owns its :class:`InstrumentationBus`; at
 cluster-level bus — counters summed, per-window / per-system timers
 tagged ``a<id>:<system>`` — so the profiler and the time-cost model
 (:func:`repro.partition.measured_machine_times`) consume *measured*
-per-agent window costs.
+per-agent window costs.  Busy and barrier-wait seconds are measured by
+the agents, per window.
 
-Fault tolerance: with ``checkpoint_every`` (or a ``fault``) set, the
-runtime keeps the latest per-agent snapshots plus a log of every record
-delivered since.  When the transport reports an
+Fault tolerance is coordinated rollback: when the transport reports an
 :class:`~repro.cluster.transport.AgentFailure`, ``_recover`` restores
-the dead agent from its snapshot, replays the logged inbound batches,
-re-runs the missed windows with outboxes discarded, and the merged trace
-stays byte-identical to the fault-free run.
+*every* agent from the latest coordinated snapshot and the normal loop
+re-runs from the snapshot window; windows already reported are consumed
+silently, so ``advance()`` still returns ``True`` exactly once per
+window and the merged trace stays byte-identical to the fault-free run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .agent import AgentSpec
+from .agent import AgentSpec, Horizon
 from .fault import FaultPlan, RecoveryStats
 from .transport import (
-    AgentFailure, AgentReport, LocalTransport, Record, Transport,
-    make_transport,
+    AgentFailure, LocalTransport, Transport, make_transport,
 )
 from ..core.instrument import InstrumentationBus
 from ..core.runtime import env_flag
@@ -93,9 +95,10 @@ class ClusterEngine:
             self.bus.metrics.histogram("cluster.barrier_wait_ms",
                                        WAIT_MS_BUCKETS)
         self.transport.bus = self.bus
-        #: Coordinator-observed per-agent busy / barrier-wait seconds,
-        #: accumulated per window; exported as ``a<i>:busy_s`` /
-        #: ``a<i>:barrier_wait_s`` gauges at finalize — the exact series
+        #: Agent-measured per-agent busy / barrier-wait seconds,
+        #: accumulated per window whenever the transport times windows;
+        #: exported as ``a<i>:busy_s`` / ``a<i>:barrier_wait_s`` gauges
+        #: at finalize — the exact series
         #: :func:`repro.partition.refit_cluster_spec` takes as
         #: ``measured_times``.
         self._busy_s = [0.0] * len(self.specs)
@@ -105,8 +108,8 @@ class ClusterEngine:
         #: ``True`` forced on, default (``None`` argument) arms it when
         #: the bus is telemetered or ``$REPRO_WATCHDOG`` is set; an
         #: instance is adopted as-is.  An armed watchdog makes the
-        #: transport measure ``window_times`` even with telemetry off
-        #: (``track_times``) — reply timing without span capture.
+        #: transport time windows even with telemetry off
+        #: (``track_times``) — window timing without span capture.
         self.watchdog = self._make_watchdog(watchdog)
         if self.watchdog is not None:
             self.transport.track_times = True
@@ -120,11 +123,17 @@ class ClusterEngine:
         self._built = False
         self._finalized = False
 
-        # Fault-tolerance state: latest snapshots + deliveries since.
-        self._snapshots: Optional[List[bytes]] = None
+        #: Whether the agents hold a grant (see the module doc).
+        self._granted = False
+        # Fault-tolerance state: the latest coordinated snapshot, how
+        # many windows were reported and records sent since, and how
+        # many windows the agents have executed since (fewer right
+        # after a rollback).
+        self._snapshot: Any = None
         self._snap_window = -1
-        self._replay_log: Dict[int, List[Record]] = {}
-        self._windows_since_snap: List[int] = []
+        self._reported_since_snap = 0
+        self._records_since_snap = 0
+        self._ran_since_snap = 0
 
     def _make_watchdog(self, arg: Union[bool, None, "object"]):
         if arg is False:
@@ -175,6 +184,8 @@ class ClusterEngine:
                 "live migration schedules require the LocalTransport "
                 "(state moves between in-process engines)"
             )
+        if self.schedule:
+            self.transport.before_window = self._maybe_migrate
         self.transport.build_all()
         if self._fault_tolerant:
             self._take_snapshots(self._cursor)
@@ -212,119 +223,102 @@ class ClusterEngine:
                 )
 
     def advance(self) -> bool:
-        """Execute one cluster-wide lookahead window; False when done."""
-        transport = self.transport
+        """Report one cluster-wide lookahead window; False when done."""
         bus = self.bus
         telemetry = bus.telemetry
         _w0 = bus.now() if telemetry else 0.0
-        peeks = transport.peek_all(self._cursor)
-        if telemetry:
-            bus.span_add("agree", _w0, bus.now(), "cluster")
-        live = [w for w in peeks if w is not None]
-        if not live:
+        window = self._next_window()
+        if window is None:
             return False
-        window = min(live)
-        duration = self.specs[0].scenario.duration_ps
-        if duration is not None and window * self._lookahead > duration:
-            return False
-
-        self._maybe_migrate(window)
-        if (self.fault is not None and not self.fault.fired
-                and window >= self.fault.at_window):
-            self.fault.fired = True
-            transport.kill(self.fault.agent)
-
-        outboxes = transport.run_window_all(
-            window, self._active_mask(peeks, window))
-        for agent_id, out in enumerate(outboxes):
-            if isinstance(out, AgentFailure):
-                outboxes[agent_id] = self._recover(agent_id, window)
-        if self.watchdog is not None:
-            self.watchdog.observe(window, transport.window_times, bus)
-        if telemetry:
-            self._window_telemetry(window)
-            _f0 = bus.now()
-
-        for agent_id, out in enumerate(outboxes):
-            for dst, records in sorted(out.items()):
-                transport.send_batch(agent_id, dst, records)
-        delivered = transport.deliver_pending()
-        transport.barrier()
-        self.bus.count("cluster.windows")
-        if telemetry:
-            now = bus.now()
-            bus.span_add("flush", _f0, now, "cluster")
-            bus.span_add("window", _w0, now, "cluster", {"index": window})
+        transport = self.transport
+        transport.stats.windows += 1
+        bus.count("cluster.windows")
+        if transport.window_times:
+            self._observe_window(window, _w0)
         self._cursor = window
-
         if self._fault_tolerant:
-            for dst, records in delivered.items():
-                self._replay_log.setdefault(dst, []).extend(records)
-            self._windows_since_snap.append(window)
+            self._reported_since_snap += 1
+            self._records_since_snap += transport.window_records
             if (self.checkpoint_every
-                    and len(self._windows_since_snap) >= self.checkpoint_every):
+                    and self._reported_since_snap >= self.checkpoint_every):
                 self._take_snapshots(window)
         return True
 
-    def _active_mask(self, peeks: List[Optional[int]],
-                     window: int) -> Optional[List[bool]]:
-        """Which agents actually have work this window.
-
-        An agent whose peek is beyond the agreed window has nothing
-        scheduled — no pending entries, no busy ports — so running the
-        window there is a provable no-op and the transport skips the
-        command round-trip.  A dead agent must still be dispatched (the
-        failure is what triggers recovery), and a pending migration
-        rewrites agent state behind the peeks' back, so no skipping
-        while one is scheduled.  ``None`` means everyone runs.
-        """
-        if self.schedule:
-            return None
+    def _next_window(self) -> Optional[int]:
+        """The next window not reported yet, granting horizons, firing
+        the fault plan and rolling back on failures along the way."""
         transport = self.transport
-        mask = [
-            (peek is not None and peek <= window)
-            or not transport.alive(agent_id)
-            for agent_id, peek in enumerate(peeks)
-        ]
-        return None if all(mask) else mask
+        while True:
+            try:
+                if not self._granted:
+                    self._grant()
+                window = transport.next_window()
+            except AgentFailure as failure:
+                self._recover(failure)
+                continue
+            if window is None:
+                if transport.done:
+                    return None
+                self._granted = False   # horizon reached: all paused
+            else:
+                self._ran_since_snap += 1
+                if window > self._cursor:  # else: re-run after a rollback
+                    return window
+
+    def _grant(self) -> None:
+        transport, fault = self.transport, self.fault
+        stop_at = None
+        if fault is not None and not fault.fired:
+            if (transport.pending is not None
+                    and transport.pending >= fault.at_window):
+                fault.fired = True
+                transport.kill(fault.agent)  # the grant below will notice
+            else:
+                stop_at = fault.at_window
+        self._granted = True
+        transport.grant(Horizon(
+            self.checkpoint_every - self._ran_since_snap
+            if self.checkpoint_every else None, stop_at))
 
     def progress(self) -> Dict[str, object]:
         """In-flight progress snapshot, same shape as
-        :meth:`repro.core.engine.DodEngine.progress`.
-
-        Per-agent event counts only merge at ``finalize()``, so the
-        ``events`` field stays 0 mid-run on a cluster engine — the live
-        plane documents this and consumers fall back to window progress.
-        """
+        :meth:`repro.core.engine.DodEngine.progress`.  ``windows`` are
+        the ``advance()`` calls that reported one; ``events`` is what
+        the agents have committed so far — under a ``ProcessTransport``
+        they may be a few windows ahead of ``windows``."""
         sim_ps = (self._cursor + 1) * self._lookahead if self._cursor >= 0 else 0
         duration = self.specs[0].scenario.duration_ps
         return {
             "windows": self.bus.counters.get("cluster.windows", 0),
             "sim_ps": sim_ps,
             "duration_ps": duration,
-            "events": self.results.events.total,
+            "events": (self.results.events.total if self._finalized
+                       else self.transport.events_so_far()),
             "done": min(1.0, sim_ps / duration) if duration else None,
         }
 
-    def _window_telemetry(self, window: int) -> None:
-        """Split the window the coordinator just ran into per-agent busy
-        time and barrier wait (slowest agent waits zero), as both
-        ``a<i>:barrier-wait`` timeline slices and accumulated seconds."""
+    def _observe_window(self, window: int, t_begin: float) -> None:
+        """Fold the agent-measured busy / barrier-wait seconds of the
+        window just reported into the running totals, the watchdog and
+        — telemetered — the ``a<i>:barrier-wait`` slices, the wait
+        histogram and the coordinator's ``window`` span."""
         bus = self.bus
-        times = self.transport.window_times
-        if not times:
+        transport = self.transport
+        for agent_id, busy in enumerate(transport.window_times):
+            self._busy_s[agent_id] += busy
+            self._wait_s[agent_id] += transport.window_waits[agent_id]
+        if self.watchdog is not None:
+            self.watchdog.observe(window, transport.window_times, bus)
+        if not bus.telemetry:
             return
         t_done = bus.now()
-        t_max = max(times)
-        for agent_id, busy in enumerate(times):
-            wait = t_max - busy
-            self._busy_s[agent_id] += busy
-            self._wait_s[agent_id] += wait
+        for agent_id, wait in enumerate(transport.window_waits):
             bus.metrics.record("cluster.barrier_wait_ms", wait * 1e3)
             if wait > 0.0:
                 bus.span_add(f"a{agent_id}:barrier-wait",
                              t_done - wait, t_done, "cluster",
                              {"window": window})
+        bus.span_add("window", t_begin, t_done, "cluster", {"index": window})
 
     def finalize(self) -> SimResults:
         """Collect per-agent results and bus streams, merge, shut down."""
@@ -344,21 +338,15 @@ class ClusterEngine:
                     spans=report.spans, metrics=report.metrics,
                     epoch_wall=report.epoch_wall,
                 )
-            if self.bus.telemetry:
+            if self.bus.telemetry or self.watchdog is not None:
+                # Telemetered or watched, the transport timed every
+                # window: export the totals so the measure →
+                # refit_cluster_spec loop closes either way.
                 for agent_id in range(len(self.specs)):
                     self.bus.metrics.gauge(f"a{agent_id}:busy_s",
                                            self._busy_s[agent_id])
                     self.bus.metrics.gauge(f"a{agent_id}:barrier_wait_s",
                                            self._wait_s[agent_id])
-            elif self.watchdog is not None:
-                # Telemetry off but the watchdog measured reply times:
-                # export its accumulated busy/wait so the measure →
-                # refit_cluster_spec loop still closes.
-                for agent_id in range(len(self.specs)):
-                    self.bus.metrics.gauge(f"a{agent_id}:busy_s",
-                                           self.watchdog.busy_s[agent_id])
-                    self.bus.metrics.gauge(f"a{agent_id}:barrier_wait_s",
-                                           self.watchdog.wait_s[agent_id])
             self.transport.finalize_stats()
         finally:
             self.transport.close()
@@ -374,7 +362,7 @@ class ClusterEngine:
         from ..core.runner import EngineRunner
         if not self._built:
             self.build()
-        self._cursor = current
+        self._cursor = self.transport.cursor = current
         EngineRunner(self).run()
         return self.per_agent
 
@@ -394,47 +382,36 @@ class ClusterEngine:
     # --- fault tolerance --------------------------------------------------
 
     def _take_snapshots(self, window: int) -> None:
-        self._snapshots = self.transport.snapshot_all(window)
+        self._snapshot = self.transport.snapshot_all(window)
         self._snap_window = window
-        self._replay_log = {}
-        self._windows_since_snap = []
+        self._reported_since_snap = 0
+        self._records_since_snap = 0
+        self._ran_since_snap = 0
         self.bus.count("cluster.checkpoints")
 
-    def _recover(self, agent_id: int, window: int) -> Dict[int, List[Record]]:
-        """Restore a dead agent, replay its missed inputs, catch it up,
-        and run the window it failed on.  Returns that window's outbox."""
-        if self._snapshots is None:
+    def _recover(self, failure: AgentFailure) -> None:
+        """Coordinated rollback: every agent back to the latest
+        snapshot (dead ones replaced); the caller's loop re-runs from
+        there and skips the windows already reported."""
+        if self._snapshot is None:
             raise ClusterError(
-                f"agent {agent_id} died at window {window} and no "
-                "checkpoint exists (enable checkpoint_every)"
-            )
-        transport = self.transport
-        with self.bus.span("replay", "transport", agent=agent_id,
-                           window=window,
+                f"agent {failure.agent_id} died at window {failure.window} "
+                "and no checkpoint exists (enable checkpoint_every)"
+            ) from failure
+        with self.bus.span("replay", "transport", agent=failure.agent_id,
+                           window=failure.window,
                            from_window=self._snap_window):
-            transport.restore(agent_id, self._snapshots[agent_id],
-                              self._snap_window)
-            # Replay the batched RPCs peers delivered since the snapshot
-            # — their channels accounted them once already, so they go
-            # straight into the restored calendar.
-            log = self._replay_log.get(agent_id, [])
-            if log:
-                transport.accept(agent_id, list(log))
-            # Re-run the windows the cluster executed since the snapshot.
-            # Outboxes are discarded: the peers received those batches in
-            # the original timeline, and re-execution is deterministic.
-            for past in self._windows_since_snap:
-                transport.run_window(agent_id, past)
-        stats = RecoveryStats(
-            agent=agent_id,
-            failed_window=window,
+            self.transport.restore_all(self._snapshot, self._snap_window)
+        self._granted = False
+        self._ran_since_snap = 0
+        self.recoveries.append(RecoveryStats(
+            agent=failure.agent_id,
+            failed_window=failure.window,
             restored_from_window=self._snap_window,
-            windows_replayed=len(self._windows_since_snap),
-            records_replayed=len(log),
-        )
-        self.recoveries.append(stats)
+            windows_replayed=self._reported_since_snap,
+            records_replayed=self._records_since_snap,
+        ))
         self.bus.count("cluster.recoveries")
-        return transport.run_window(agent_id, window)
 
 
 def merge_results(per_agent: List[SimResults], scenario_name: str) -> SimResults:

@@ -1,43 +1,55 @@
-"""Zero-copy shared-memory framing for the process transport (PR 8).
+"""Shared-memory framing for the process transport: pair rings, the
+FINISH frame and the agents' progress board.
 
-The :class:`~repro.cluster.transport.ProcessTransport` used to move
-every window batch, snapshot and restore payload through its command
-pipe pickled.  This module gives it a second lane: named
-``multiprocessing.shared_memory`` segments the coordinator creates at
-launch, into which batches are written as raw ``int64`` column slices
-with a compact struct-packed framing — the pipe then carries only a
-``("shm", seq)`` reference.  Pickle remains the fallback for payloads
-that do not fit a slot (or when shared memory is off), so correctness
-never depends on the fast path.
+Agents of a :class:`~repro.cluster.transport.ProcessTransport` exchange
+window batches *with each other*: one single-writer/single-reader
+:class:`ShmRing` per directed agent pair, created (and unlinked) by the
+coordinator, attached by name in the two workers.  After every window an
+agent publishes exactly one frame into each outbound ring — ``(window,
+advertised_next, records...)``, empty batches included.  That frame *is*
+the FINISH signal of DONS section 4.2: its commit word is written last,
+and the peer's barrier is a wait on that word (:meth:`ShmRing.ready`).
 
-Layout of one *ring* (one direction of one coordinator<->worker pair)::
+Layout of one ring::
 
     [0:8)   slot_bytes          geometry, written once at create
     [8:16)  n_slots
+    [16:24) reader cursor: highest frame seq the reader has consumed —
+            the only word the reader writes; the writer reuses slot
+            ``(seq - 1) % n_slots`` once ``seq - n_slots <= cursor``
     then n_slots slots, each:
       [0:8)   commit word: the frame's sequence number, written LAST —
-              a reader that finds anything but the seq it was told to
-              read caught a torn (half-written) frame
+              a reader that finds anything but the seq it expects caught
+              a torn (half-written) frame or a protocol desync
       [8:32)  frame header <qqq>: kind, count, payload length
       [32:..) payload
 
-A writer may reuse slot ``seq % n_slots`` only once it knows the reader
-consumed ``seq - n_slots`` (ack-by-sequence, inferred from the command
-protocol's reply ordering); when no slot is free — or the payload is
-too large — the caller falls back to the pipe instead of blocking, so
-the ring can never deadlock the window protocol.
+In lock-step a writer is never more than one frame ahead of its reader
+(it needs the peer's frame for window *w* before it can publish
+*w + 1*), so at most two slots are ever in flight; a full ring is a
+protocol violation and raises.  A batch larger than a slot is parked in
+a one-off :func:`write_blob` segment and the frame carries its name.
+
+Every word another process polls (commit words, the reader cursor, the
+board's counters) is read and written as one aligned int64 through a
+``memoryview.cast("q")`` of the segment — a single store.
+``struct.pack_into`` zero-fills its target before packing, so a polled
+word written with it would flicker through 0.
 
 Record framing: one delivery ``(arrival_ps, node, row)`` is exactly
-``2 + len(ROW_FIELDS)`` little-endian int64 words.  Cross-agent accept
-batches are framed as per-channel *sections* ``(src, chan_seq,
-records)``; every channel's ``chan_seq`` is strictly monotone, which is
-what lets the worker-side :class:`ChannelSequencer` reject reordered or
-replayed batches no matter how flushes and acks interleave.
+``2 + len(ROW_FIELDS)`` little-endian int64 words.
 
 ``unpack_records`` is deliberately a module-level hook: the conformance
 suite's planted bug ``inject.torn_shm_read`` swaps it for one that
 truncates multi-record frames — what a reader racing the writer past
 the commit word would observe — and the fuzz loop must catch the loss.
+
+:class:`ProgressBoard` is the control-plane counterpart: one segment in
+which every agent keeps a small single-writer progress record (windows
+completed, a log of recent windows with agent-measured busy and
+barrier-wait seconds, events so far, how its last grant ended).  The
+coordinator only reads it — it learns about finished windows without
+being on any window's critical path.
 """
 
 from __future__ import annotations
@@ -56,38 +68,22 @@ from ..protocols.packet import ROW_FIELDS, Row
 SEGMENT_PREFIX = "dons-shm-"
 
 #: Frame kinds.
-KIND_OUTBOX = 1    #: worker -> coordinator: one window's outbox
-KIND_SECTIONS = 2  #: coordinator -> worker: per-channel accept sections
-KIND_BYTES = 3     #: opaque blob (checkpoint payloads)
-KIND_PICKLE = 4    #: pickled object (non-columnar fallback payload)
+KIND_OUTBOX = 1  #: ``{dst: records}`` as one payload (:func:`pack_outbox`)
+KIND_BATCH = 2   #: one window's frame to one peer, records inline
+KIND_BLOB = 3    #: the same, records parked in a blob segment
 
 #: One record = (arrival_ps, node, *row) as little-endian int64 words.
 WORDS_PER_RECORD = 2 + len(ROW_FIELDS)
 RECORD_BYTES = 8 * WORDS_PER_RECORD
 
-_GEOMETRY = struct.Struct("<qq")     # slot_bytes, n_slots
+_GEOMETRY = struct.Struct("<qqq")    # slot_bytes, n_slots, reader cursor
+_CURSOR = 2                          # word index of the reader cursor
 _COMMIT = struct.Struct("<q")        # sequence number, written last
 _HEADER = struct.Struct("<qqq")      # kind, count, payload_len
-_SLOT_OVERHEAD = _COMMIT.size + _HEADER.size
+_BATCH = struct.Struct("<qq")        # window, advertised next (-1: none)
 
 DEFAULT_SLOT_BYTES = 1 << 20
 DEFAULT_SLOTS = 4
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
-def default_slot_bytes() -> int:
-    return max(4096, _env_int("REPRO_SHM_SLOT_BYTES", DEFAULT_SLOT_BYTES))
-
-
-def default_slots() -> int:
-    return max(2, _env_int("REPRO_SHM_SLOTS", DEFAULT_SLOTS))
 
 
 class TornFrameError(ClusterError):
@@ -96,11 +92,7 @@ class TornFrameError(ClusterError):
 
 
 class SequenceError(ClusterError):
-    """A channel delivered a batch out of sequence (reordered/replayed)."""
-
-
-class RingFull(ClusterError):
-    """No free slot — the caller must take the pipe fallback."""
+    """A peer's frame belongs to another window than the one awaited."""
 
 
 # --- record / batch framing -------------------------------------------------
@@ -131,10 +123,6 @@ def unpack_records(view, count: int) -> List[Tuple[int, int, Row]]:
     return out
 
 
-def records_fit(count: int, capacity: int, extra_words: int = 0) -> bool:
-    return count * RECORD_BYTES + 8 * extra_words <= capacity
-
-
 def pack_outbox(outbox: Dict[int, List[Tuple[int, int, Row]]]) -> bytes:
     """``{dst: records}`` as ``n_dsts, (dst, count, records)*``."""
     parts = [struct.pack("<q", len(outbox))]
@@ -159,63 +147,6 @@ def unpack_outbox(view) -> Dict[int, List[Tuple[int, int, Row]]]:
         out[dst] = unpack_records(memoryview(view)[off:], count)
         off += count * RECORD_BYTES
     return out
-
-
-#: One accept section: (src agent, per-channel batch seq, records).
-Section = Tuple[int, int, List[Tuple[int, int, Row]]]
-
-
-def pack_sections(sections: Sequence[Section]) -> bytes:
-    """Per-channel accept sections, concatenated in ``src`` order."""
-    parts = [struct.pack("<q", len(sections))]
-    for src, chan_seq, records in sections:
-        parts.append(struct.pack("<qqq", src, chan_seq, len(records)))
-        parts.append(pack_records(records))
-    return b"".join(parts)
-
-
-def sections_record_count(sections: Sequence[Section]) -> int:
-    return sum(len(records) for _, _, records in sections)
-
-
-def unpack_sections(view) -> List[Section]:
-    (n_sections,) = struct.unpack_from("<q", view, 0)
-    off = 8
-    out: List[Section] = []
-    for _ in range(n_sections):
-        src, chan_seq, count = struct.unpack_from("<qqq", view, off)
-        off += 24
-        out.append((src, chan_seq,
-                    unpack_records(memoryview(view)[off:], count)))
-        off += count * RECORD_BYTES
-    return out
-
-
-class ChannelSequencer:
-    """Receiver-side monotonicity guard for per-channel batch sequences.
-
-    Every directed channel stamps its drained batches with a strictly
-    increasing sequence number (:meth:`RpcChannel.drain_with_seq`); the
-    receiving agent feeds each section through :meth:`observe`, which
-    raises :class:`SequenceError` on any regression or replay.  A fresh
-    sequencer (a restored agent) accepts any first value per channel —
-    recovery replays arrive as administrative batches (``src == -1``)
-    that bypass the guard.
-    """
-
-    def __init__(self) -> None:
-        self._last: Dict[int, int] = {}
-
-    def observe(self, src: int, chan_seq: int) -> None:
-        if src < 0:
-            return  # administrative replay, outside channel sequencing
-        last = self._last.get(src)
-        if last is not None and chan_seq <= last:
-            raise SequenceError(
-                f"channel {src}: batch seq {chan_seq} after {last} "
-                "(reordered or replayed)"
-            )
-        self._last[src] = chan_seq
 
 
 # --- shared-memory ring -----------------------------------------------------
@@ -265,55 +196,46 @@ def _fresh_name(tag: str) -> str:
 
 
 class ShmRing:
-    """One direction of framed slots inside one shared segment.
+    """Framed slots from one writer to one reader inside one segment.
 
-    The creating side (the coordinator) may act as writer or reader —
-    each process uses only one role per ring.  ``next_seq`` starts at 1;
-    slot for seq ``s`` is ``(s - 1) % n_slots``.
+    Any process may create the ring (the coordinator does, and owns the
+    unlink); each process then uses one role.  Frame sequence numbers
+    start at 1; the slot of seq ``s`` is ``(s - 1) % n_slots``.
     """
 
-    def __init__(self, seg: shared_memory.SharedMemory, slot_bytes: int,
-                 n_slots: int, created: bool) -> None:
+    def __init__(self, seg: shared_memory.SharedMemory, created: bool) -> None:
         self._seg = seg
+        self._words = seg.buf.cast("q")   # see the module doc
         self.name = seg.name
-        self.slot_bytes = slot_bytes
-        self.n_slots = n_slots
+        self.slot_bytes, self.n_slots = self._words[0], self._words[1]
         self._created = created
         self.unlinked = False
-        self._closed = False
-        # writer state
-        self.next_seq = 1
-        self.consumed_floor = 0   # highest seq known consumed by reader
-        # reader state
-        self.last_read = 0
+        self.next_seq = 1   # writer: seq of the next frame published
+        self.read_seq = 1   # reader: seq of the next frame awaited
 
     # -- lifecycle --
 
     @classmethod
     def create(cls, tag: str, slot_bytes: Optional[int] = None,
                n_slots: Optional[int] = None) -> "ShmRing":
-        slot_bytes = slot_bytes or default_slot_bytes()
-        n_slots = n_slots or default_slots()
-        size = _GEOMETRY.size + n_slots * (_COMMIT.size + slot_bytes)
+        slot_bytes = max(4096, slot_bytes or DEFAULT_SLOT_BYTES) & ~7
+        n_slots = max(2, n_slots or DEFAULT_SLOTS)
+        # A fresh segment is zero-filled: cursor 0, no committed frame.
         seg = shared_memory.SharedMemory(
-            create=True, size=size, name=_fresh_name(tag))
-        _GEOMETRY.pack_into(seg.buf, 0, slot_bytes, n_slots)
-        # Zero every commit word so a reader can never mistake leftover
-        # kernel page contents for a committed frame.
-        for k in range(n_slots):
-            _COMMIT.pack_into(seg.buf, cls._slot_off(slot_bytes, k), 0)
-        return cls(seg, slot_bytes, n_slots, created=True)
+            create=True, name=_fresh_name(tag),
+            size=_GEOMETRY.size + n_slots * (_COMMIT.size + slot_bytes))
+        _GEOMETRY.pack_into(seg.buf, 0, slot_bytes, n_slots, 0)
+        return cls(seg, created=True)
 
     @classmethod
     def attach(cls, name: str) -> "ShmRing":
-        seg = _attach_segment(name)
-        slot_bytes, n_slots = _GEOMETRY.unpack_from(seg.buf, 0)
-        return cls(seg, slot_bytes, n_slots, created=False)
+        return cls(_attach_segment(name), created=False)
 
     def close(self) -> None:
-        if self._closed:
+        if self._words is None:
             return
-        self._closed = True
+        self._words.release()
+        self._words = None
         try:
             self._seg.close()
         except BufferError:  # pragma: no cover - a view outlived us
@@ -331,9 +253,10 @@ class ShmRing:
 
     # -- geometry --
 
-    @staticmethod
-    def _slot_off(slot_bytes: int, k: int) -> int:
-        return _GEOMETRY.size + k * (_COMMIT.size + slot_bytes)
+    def _slot_off(self, seq: int) -> int:
+        """Byte offset of the slot (its commit word) of frame ``seq``."""
+        return (_GEOMETRY.size + ((seq - 1) % self.n_slots)
+                * (_COMMIT.size + self.slot_bytes))
 
     @property
     def frame_capacity(self) -> int:
@@ -343,25 +266,23 @@ class ShmRing:
     # -- writer role --
 
     def can_write(self) -> bool:
-        return (self.next_seq - 1) - self.consumed_floor < self.n_slots
-
-    def mark_consumed(self, seq: int) -> None:
-        if seq > self.consumed_floor:
-            self.consumed_floor = seq
+        """Whether the slot of the next frame has been consumed."""
+        return self.next_seq - 1 - self._words[_CURSOR] < self.n_slots
 
     def write_frame(self, kind: int, count: int,
                     parts: Iterable) -> int:
         """Publish one frame; payload is the concatenation of ``parts``
         (bytes-like, copied straight into the slot).  Returns the frame's
-        sequence number; raises :class:`RingFull` when no slot is free —
-        the caller then takes the pipe fallback."""
+        sequence number.  Callers size-check against
+        :attr:`frame_capacity`; a ring whose reader is ``n_slots`` frames
+        behind means the lock-step protocol broke, and raises."""
         if not self.can_write():
-            raise RingFull(
-                f"ring {self.name}: {self.n_slots} slots in flight")
+            raise ClusterError(
+                f"ring {self.name}: reader is {self.n_slots} frames behind")
         seq = self.next_seq
-        base = self._slot_off(self.slot_bytes, (seq - 1) % self.n_slots)
+        base = self._slot_off(seq)
         buf = self._seg.buf
-        _COMMIT.pack_into(buf, base, 0)  # invalidate before overwriting
+        self._words[base >> 3] = 0  # invalidate before overwriting
         off = base + _COMMIT.size + _HEADER.size
         total = 0
         for part in parts:
@@ -375,30 +296,40 @@ class ShmRing:
             off += n
             total += n
         _HEADER.pack_into(buf, base + _COMMIT.size, kind, count, total)
-        _COMMIT.pack_into(buf, base, seq)  # commit: published last
+        self._words[base >> 3] = seq  # commit: published last
         self.next_seq = seq + 1
         return seq
 
     # -- reader role --
 
+    def ready(self) -> bool:
+        """Whether frame ``read_seq`` is published — the barrier flag a
+        waiting peer polls."""
+        seq = self.read_seq
+        return self._words[self._slot_off(seq) >> 3] == seq
+
     def read_frame(self, seq: int):
         """The frame published as ``seq``: ``(kind, count, payload_view)``.
 
-        The returned view aliases the slot — decode before the writer
-        can reuse it (the command protocol guarantees the writer waits
-        for our side's next message).
+        The returned view aliases the slot — decode it, then hand the
+        slot back with :meth:`mark_consumed`.
         """
-        base = self._slot_off(self.slot_bytes, (seq - 1) % self.n_slots)
-        buf = self._seg.buf
-        (commit,) = _COMMIT.unpack_from(buf, base)
+        base = self._slot_off(seq)
+        commit = self._words[base >> 3]
         if commit != seq:
             raise TornFrameError(
                 f"ring {self.name}: slot holds frame {commit}, "
                 f"expected {seq} (torn write or protocol desync)")
+        buf = self._seg.buf
         kind, count, length = _HEADER.unpack_from(buf, base + _COMMIT.size)
         start = base + _COMMIT.size + _HEADER.size
-        self.last_read = max(self.last_read, seq)
-        return kind, count, memoryview(buf)[start:start + length]
+        return kind, count, buf[start:start + length]
+
+    def mark_consumed(self, seq: int) -> None:
+        """Advance the reader cursor: frames up to ``seq`` are decoded
+        and their slots may be overwritten."""
+        if seq > self._words[_CURSOR]:
+            self._words[_CURSOR] = seq
 
 
 # --- one-off blob segments (checkpoint payloads) ----------------------------
@@ -435,6 +366,152 @@ def read_blob(name: str, nbytes: int) -> bytes:
             pass
         seg.close()
     return payload
+
+
+# --- window frames (one per window per directed pair) ------------------------
+
+def publish_batch(ring: ShmRing, window: int, advertised: Optional[int],
+                  records: Sequence[Tuple[int, int, Row]]) -> bool:
+    """Write one window's frame: the batch for this peer (possibly
+    empty), the window it closes and the sender's advertised next
+    window.  Returns True when the records went through a blob."""
+    head = _BATCH.pack(window, -1 if advertised is None else advertised)
+    packed = pack_records(records) if records else b""
+    if _BATCH.size + len(packed) <= ring.frame_capacity:
+        ring.write_frame(KIND_BATCH, len(records), (head, packed))
+        return False
+    name, nbytes = write_blob("batch", [packed])
+    ring.write_frame(KIND_BLOB, len(records),
+                     (head, _COMMIT.pack(nbytes), name.encode()))
+    return True
+
+
+def consume_batch(ring: ShmRing):
+    """Decode frame ``ring.read_seq`` and release its slot; returns
+    ``(window, advertised_next, records)``.  Call once :meth:`ready`."""
+    seq = ring.read_seq
+    kind, count, view = ring.read_frame(seq)
+    window, advertised = _BATCH.unpack_from(view, 0)
+    body = view[_BATCH.size:]
+    if kind == KIND_BLOB:
+        (nbytes,) = _COMMIT.unpack_from(body, 0)
+        body = read_blob(bytes(body[_COMMIT.size:]).decode(), nbytes)
+    elif kind != KIND_BATCH:
+        raise ClusterError(f"ring {ring.name}: unexpected frame kind {kind}")
+    records = unpack_records(body, count) if count else []
+    ring.mark_consumed(seq)
+    ring.read_seq = seq + 1
+    return window, (None if advertised < 0 else advertised), records
+
+
+# --- progress board ----------------------------------------------------------
+
+#: How an agent's last grant ended (``ProgressBoard.outcome``).
+PAUSED, DONE, FAILED = 1, 2, 3
+
+_BOARD_WORDS = 1   # consumed: the only word the coordinator writes
+_AGENT_WORDS = 5   # completed, events, epoch, outcome, pending
+_ENTRY = struct.Struct("<qddq")   # window, busy_s, wait_s, records sent
+
+
+class ProgressBoard:
+    """Per-agent progress records in one segment.
+
+    Agent *i* is the only writer of region *i*; the coordinator reads
+    every region and writes one word, ``consumed`` — how many log
+    entries it has taken, which bounds how far agents may run ahead
+    (:meth:`room`).  Every multi-word update ends with the word the
+    other side polls: a log entry before ``completed``, outcome and
+    pending window before ``epoch``.
+    """
+
+    LOG_SLOTS = 1024
+    _STRIDE = _AGENT_WORDS + LOG_SLOTS * _ENTRY.size // 8   # in words
+
+    def __init__(self, seg: shared_memory.SharedMemory,
+                 created: bool) -> None:
+        self._seg = seg
+        self._words = seg.buf.cast("q")   # see the module doc
+        self.name = seg.name
+        self._created = created
+
+    @classmethod
+    def create(cls, tag: str, n_agents: int) -> "ProgressBoard":
+        seg = shared_memory.SharedMemory(
+            create=True, name=_fresh_name(tag),
+            size=8 * (_BOARD_WORDS + n_agents * cls._STRIDE))
+        board = cls(seg, created=True)
+        for agent in range(n_agents):
+            board.reset(agent, 0)
+        return board
+
+    @classmethod
+    def attach(cls, name: str) -> "ProgressBoard":
+        return cls(_attach_segment(name), created=False)
+
+    def close(self) -> None:
+        self._words.release()
+        self._seg.close()
+
+    def unlink(self) -> None:
+        if self._created:
+            self._created = False
+            self._seg.unlink()
+
+    def _base(self, agent: int) -> int:
+        return _BOARD_WORDS + agent * self._STRIDE
+
+    # -- agent side --
+
+    def reset(self, agent: int, events: int) -> None:
+        """Start a fresh log (launch, or a rollback to a snapshot)."""
+        base = self._base(agent)
+        for k, value in enumerate((0, events, 0, 0, -1)):
+            self._words[base + k] = value
+
+    def room(self, agent: int) -> bool:
+        """Whether the next log entry would overwrite an unread one."""
+        words = self._words
+        return words[self._base(agent)] - words[0] < self.LOG_SLOTS
+
+    def publish(self, agent: int, window: int, busy_s: float, wait_s: float,
+                records: int, events: int) -> None:
+        """Log one completed window (entry first, count last)."""
+        words, base = self._words, self._base(agent)
+        completed = words[base]
+        _ENTRY.pack_into(
+            self._seg.buf, 8 * (base + _AGENT_WORDS)
+            + (completed % self.LOG_SLOTS) * _ENTRY.size,
+            window, busy_s, wait_s, records)
+        words[base + 1] = events
+        words[base] = completed + 1
+
+    def end_grant(self, agent: int, epoch: int, outcome: int,
+                  pending: Optional[int] = None) -> None:
+        """The grant numbered ``epoch`` is over: why, and which agreed
+        window (if any) was left unexecuted."""
+        words, base = self._words, self._base(agent)
+        words[base + 3] = outcome
+        words[base + 4] = -1 if pending is None else pending
+        words[base + 2] = epoch
+
+    # -- coordinator side --
+
+    def status(self, agent: int) -> List[int]:
+        """``[completed, events, epoch, outcome, pending]``.  A count
+        read before the epoch may already be stale when the epoch says
+        the grant is over: read it again."""
+        base = self._base(agent)
+        return self._words[base:base + _AGENT_WORDS].tolist()
+
+    def entry(self, agent: int, k: int) -> Tuple[int, float, float, int]:
+        """Log entry ``k``: ``(window, busy_s, wait_s, records)``."""
+        return _ENTRY.unpack_from(
+            self._seg.buf, 8 * (self._base(agent) + _AGENT_WORDS)
+            + (k % self.LOG_SLOTS) * _ENTRY.size)
+
+    def consume(self, count: int) -> None:
+        self._words[0] = count
 
 
 # --- orphan reaping ---------------------------------------------------------

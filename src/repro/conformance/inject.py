@@ -28,13 +28,12 @@ Six bug classes are plantable:
   window — which is exactly the failure mode of letting a derived index
   drift from the data it summarizes.
 * :func:`torn_shm_read` models a torn shared-memory frame read in the
-  zero-copy transport (:mod:`repro.cluster.shm`): the record decoder
+  process transport (:mod:`repro.cluster.shm`): the record decoder
   loses the last record of any multi-record frame — exactly what a
   reader racing the writer past the commit word would observe.  Only
-  the shm framing path is infected (the pickled pipe fallback and the
-  LocalTransport never decode frames), so catching it requires a fuzz
-  oracle set that runs the shared-memory transport
-  (e.g. ``("ood", "cluster-shm-2")``).
+  the pair rings are infected (the LocalTransport never decodes
+  frames), so catching it requires a fuzz oracle set that runs the
+  process transport (e.g. ``("ood", "cluster-shm-2")``).
 * :func:`skewed_arrival_stream` corrupts the columnar arrival engine's
   first traffic batch: the batch's start times are rebuilt from their
   inter-arrival gaps with the first gap inflated by 7 us — a
@@ -249,17 +248,16 @@ def stale_cache_delta() -> Iterator[None]:
 def torn_shm_read() -> Iterator[None]:
     """Plant a torn-frame read in the shared-memory batch decoder.
 
-    Patches the module-level ``unpack_records`` hook every shm frame
-    decode resolves at call time (coordinator-side outbox unpacking and
-    worker-side accept-section unpacking both route through it): any
+    Patches the module-level ``unpack_records`` hook every frame decode
+    resolves at call time (a worker reading a peer's window frame): any
     multi-record frame silently loses its final record, which is what a
     reader that raced the writer past the commit word would see — the
     header's count published before the payload's tail landed.  Fork-
     started worker processes inherit the live patch, so the whole
-    cluster is infected.  The LocalTransport and the pickled fallback
-    never decode frames and stay truthful references; the lost packet
-    surfaces as a trace divergence (and conservation violations)
-    wherever the reference delivered it.
+    cluster is infected.  The LocalTransport never decodes frames and
+    stays a truthful reference; the lost packet surfaces as a trace
+    divergence (and conservation violations) wherever the reference
+    delivered it.
     """
     original = shm_mod.unpack_records
 

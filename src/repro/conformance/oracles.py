@@ -22,9 +22,10 @@ users actually run:
 * ``dons-numpy-ffwd`` — the NumPy engine with window-signature
   memoization + fast-forwarding forced on (``core/memo.py``); its
   byte-identity against the rest is the fast-forward conformance gate.
-* ``cluster-local-N`` / ``cluster-process-N`` — the cluster runtime over
-  N agents (N in 2/3/4) on the in-process or multiprocessing transport,
-  contiguous partition.
+* ``cluster-local-N`` / ``cluster-shm-N`` — the cluster runtime over
+  N agents (N in 2/3/4), contiguous partition: in-process agents, or
+  worker processes exchanging window frames with each other over
+  shared-memory pair rings.
 * ``checkpoint`` — run a few windows, snapshot, discard the engine,
   resume a fresh one from the checkpoint (the pause/resume path).
 * ``fault-recovery`` — 2-agent cluster with periodic snapshots and a
@@ -170,13 +171,6 @@ ORACLES: Dict[str, Callable[[Scenario], OracleRun]] = {
 for _n in (2, 3, 4):
     ORACLES[f"cluster-local-{_n}"] = (
         lambda sc, n=_n: run_cluster(sc, "local", n, f"cluster-local-{n}"))
-    ORACLES[f"cluster-process-{_n}"] = (
-        lambda sc, n=_n: run_cluster(sc, "process", n,
-                                     f"cluster-process-{n}"))
-    # The zero-copy transport: process workers exchanging batches as
-    # struct-packed frames in shared-memory rings (pickle fallback for
-    # oversize).  Byte-identity against the pickled transports is the
-    # {pickle, shm} x {local, process} acceptance matrix of PR 8.
     ORACLES[f"cluster-shm-{_n}"] = (
         lambda sc, n=_n: run_cluster(sc, "shm", n, f"cluster-shm-{n}"))
 
@@ -184,7 +178,7 @@ for _n in (2, 3, 4):
 #: entry is the reference every other trace is diffed against.
 DEFAULT_ORACLES: Tuple[str, ...] = (
     "ood", "dons", "dons-numpy", "dons-numpy-ffwd", "cluster-local-2",
-    "cluster-local-3", "cluster-process-2", "cluster-shm-2",
+    "cluster-local-3", "cluster-shm-2",
     "checkpoint", "fault-recovery",
 )
 

@@ -35,29 +35,12 @@ def _run_until(scenario, partition, windows, schedule=None):
     agents = [AgentEngine(a, scenario, partition, TraceLevel.FULL)
               for a in range(partition.num_parts)]
     controller = ClusterController(agents, schedule=schedule)
-    for agent in agents:
-        agent.build()
-    current = -1
-    done = 0
-    while done < windows:
-        pending = [a.peek_next_window(current) for a in agents]
-        live = [w for w in pending if w is not None]
-        if not live:
+    engine = controller.engine
+    engine.build()
+    for _ in range(windows):
+        if not engine.advance():
             break
-        window = min(live)
-        controller._maybe_migrate(window)
-        for agent in agents:
-            agent.process_window(window)
-        for agent in agents:
-            for dst, records in sorted(agent.take_outbox().items()):
-                controller.channels[(agent.agent_id, dst)].send_batch(records)
-        for (src, dst), ch in controller.channels.items():
-            records = ch.drain()
-            if records:
-                agents[dst].accept_remote(records)
-        current = window
-        done += 1
-    return controller, current
+    return controller, engine._cursor
 
 
 @pytest.mark.parametrize("stop_after", [3, 25])

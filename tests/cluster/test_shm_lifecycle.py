@@ -1,9 +1,9 @@
 """Shared-memory segment lifecycle: created once, unlinked exactly once.
 
-The shm transport's failure modes are all lifecycle bugs: a segment
+The process transport's failure modes are all lifecycle bugs: a segment
 unlinked twice (resource_tracker KeyError noise), a segment never
-unlinked (``/dev/shm`` fills until the machine wedges), or a dead
-incarnation's rings surviving an agent restart.  This suite pins the
+unlinked (``/dev/shm`` fills until the machine wedges), or the old
+timeline's rings surviving a rollback.  This suite pins the
 contract at three levels: the :class:`ShmRing`/blob primitives, the
 transport's kill/restore segment turnover, and a full run in a fresh
 interpreter whose stderr must stay free of tracker warnings.
@@ -17,10 +17,11 @@ from pathlib import Path
 
 import repro
 from repro.cluster import AgentSpec, ProcessTransport
+from repro.cluster.agent import Horizon
 from repro.cluster import shm as shm_mod
 from repro.cluster.shm import (
-    SEGMENT_PREFIX, ShmRing, list_orphans, read_blob, reap_orphans,
-    write_blob,
+    SEGMENT_PREFIX, ProgressBoard, ShmRing, list_orphans, read_blob,
+    reap_orphans, write_blob,
 )
 from repro.des.partition_types import contiguous_partition
 from repro.metrics import TraceLevel
@@ -58,6 +59,51 @@ class TestRingLifecycle:
             ring.unlink()
             ring.close()
 
+    def test_reader_cursor_frees_slots(self):
+        """Slot reuse is explicit: the reader's cursor word in the ring
+        header, not anything inferred from a reply order."""
+        ring = ShmRing.create("cursor", slot_bytes=4096, n_slots=2)
+        reader = ShmRing.attach(ring.name)
+        try:
+            assert ring.write_frame(1, 0, [b"a"]) == 1
+            assert ring.write_frame(1, 0, [b"b"]) == 2
+            assert not ring.can_write()
+            reader.mark_consumed(1)   # written by the reader's mapping
+            assert ring.can_write()   # ... seen by the writer's
+            assert ring.write_frame(1, 0, [b"c"]) == 3
+            reader.mark_consumed(1)   # the cursor never moves backwards
+            assert not ring.can_write()
+        finally:
+            reader.close()
+            ring.unlink()
+            ring.close()
+
+    def test_progress_board_round_trip(self):
+        board = ProgressBoard.create("board-test", 2)
+        agent = ProgressBoard.attach(board.name)
+        try:
+            assert board.status(1) == [0, 0, 0, 0, -1]
+            agent.publish(1, 17, 0.25, 0.5, 3, 99)
+            assert board.status(1)[:2] == [1, 99]
+            assert board.entry(1, 0) == (17, 0.25, 0.5, 3)
+            assert board.status(0)[0] == 0   # regions are per agent
+            agent.end_grant(1, 4, 1, 23)
+            assert board.status(1)[2:] == [4, 1, 23]
+            # an agent may run LOG_SLOTS windows ahead of the reader
+            for k in range(1, ProgressBoard.LOG_SLOTS):
+                assert agent.room(1)
+                agent.publish(1, 17 + k, 0.0, 0.0, 0, 99)
+            assert not agent.room(1)
+            board.consume(1)
+            assert agent.room(1)
+            agent.reset(1, 5)
+            assert board.status(1) == [0, 5, 0, 0, -1]
+        finally:
+            agent.close()
+            board.unlink()
+            board.close()
+        assert board.name not in _live_segments()
+
     def test_blob_round_trip_unlinks_on_read(self):
         parts = [b"header", bytes(range(200)), b"tail"]
         name, nbytes = write_blob("blob-test", parts)
@@ -80,43 +126,46 @@ class TestRingLifecycle:
 
 
 class TestTransportSegmentTurnover:
-    def test_segments_survive_restart_with_fresh_names(
-            self, fattree4_scenario):
-        """kill() keeps the dead incarnation's rings (frames referenced
-        by in-flight commands stay valid); restore() tears them down and
-        respawns with fresh segments; close() leaves nothing behind."""
-        part = contiguous_partition(fattree4_scenario.topology, 2)
+    def test_rollback_mints_fresh_pair_rings(self, fattree4_scenario):
+        """One ring per directed agent pair plus the progress board;
+        kill() leaves the segments alone; restore_all() replaces every
+        pair ring by a fresh segment (no frame of the old timeline can
+        be read) and respawns the dead worker; close() leaves nothing
+        behind."""
+        part = contiguous_partition(fattree4_scenario.topology, 3)
         specs = [AgentSpec(a, fattree4_scenario, part, TraceLevel.FULL)
-                 for a in range(2)]
-        transport = ProcessTransport(shm=True)
+                 for a in range(3)]
+        transport = ProcessTransport()
         try:
             transport.launch(specs)
             transport.build_all()
-            worker = transport._workers[1]
-            old = {worker.ring_in.name, worker.ring_out.name}
-            assert old <= _live_segments()
-            payload = transport.snapshot_all(2)[1]
+            assert sorted(transport._rings) == [
+                (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+            old = {ring.name for ring in transport._rings.values()}
+            board = transport._board.name
+            assert old | {board} == _live_segments()
+            snapshot = transport.snapshot_all(-1)
 
             transport.kill(1)
-            assert old <= _live_segments(), \
-                "kill must keep the stale-valid rings"
+            assert old | {board} == _live_segments()
 
-            transport.restore(1, payload, 2)
-            worker = transport._workers[1]
-            fresh = {worker.ring_in.name, worker.ring_out.name}
-            assert not (fresh & old), "restore must mint fresh segments"
-            assert fresh <= _live_segments()
-            assert not (old & _live_segments()), \
-                "restore must unlink the dead incarnation's rings"
-            # The restored worker answers over its new rings.
-            assert transport.snapshot_all(2)[1] is not None
+            old_pid = transport._workers[1].process.pid
+            transport.restore_all(snapshot, -1)
+            fresh = {ring.name for ring in transport._rings.values()}
+            assert not (fresh & old), "rollback must mint fresh segments"
+            assert fresh | {board} == _live_segments(), \
+                "rollback must unlink the old timeline's rings"
+            assert transport._workers[1].process.pid != old_pid
+            # The restored cluster runs over its new rings.
+            transport.grant(Horizon(max_windows=3))
+            assert transport.next_window() is not None
         finally:
             transport.close()
         assert _live_segments() == set()
 
 
 def test_full_run_leaves_clean_interpreter_and_shm():
-    """End-to-end shm cluster run in a fresh interpreter: exit 0, no
+    """End-to-end process cluster run in a fresh interpreter: exit 0, no
     resource_tracker warnings or leak notices on stderr (Python prints
     both at interpreter shutdown, which in-process tests cannot see),
     and no segments left in /dev/shm."""

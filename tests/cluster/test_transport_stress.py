@@ -1,27 +1,24 @@
-"""Transport stress suite for the zero-copy shared-memory path (PR 8).
+"""Transport stress suite for the agent-to-agent shared-memory protocol.
 
-Three escalations, each pinned to the LocalTransport reference:
+Escalations, each pinned to the LocalTransport reference:
 
-* **High fan-out** — 4 agents on FatTree4 under dynamic mesh traffic, so
-  every directed agent pair exchanges batches every window; the merged
-  trace must be byte-identical across {local, shm, process}.
-* **Large batches** — accept batches big enough to exercise *both* shm
-  lanes: 10k records fit one ring slot (the zero-copy path), 12k
-  overflow it (the pickled-pipe fallback).  The snapshots taken after —
-  classic pickle from the LocalTransport, protocol-5 out-of-band
-  container from the shm workers — must restore to engines with equal
-  ``window_signature()``.
+* **Fan-out** — 2, 3 and 4 agents on FatTree4 under dynamic mesh
+  traffic, so every directed agent pair exchanges batches; the merged
+  trace, flow completion times, RTT samples and channel accounting must
+  be byte-identical across {local, process}.
+* **Large batches** — a 10k-record batch through a 4 KiB-slot ring (the
+  blob path), and a whole run with 4 KiB slots.  The snapshots taken
+  mid-run — classic pickle from the LocalTransport, protocol-5
+  out-of-band container from the workers — must restore to engines with
+  equal ``window_signature()``.
 * **Back-to-back kill/restore** — two faults on the same agent in one
-  run, each recovered from shared-memory snapshots, trace-identical to
-  the same faults under the LocalTransport.
+  run, each answered by a coordinated rollback, trace-identical to the
+  same faults under the LocalTransport.
 
-Plus a hypothesis property: however flushes, deliveries and acks
-interleave (including ring-full pipe fallbacks), same-channel batches
-are never reordered — the per-channel sequence numbers the receiver
-observes are strictly monotone and payloads arrive intact, in order.
+Plus a hypothesis property of the pair ring: however publishes and
+consumes interleave, frames arrive intact and in order, and the reader
+cursor keeps the writer off every slot that is still unread.
 """
-
-from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,18 +27,20 @@ from repro.cluster import (
     AgentSpec, ClusterEngine, DonsManager, FaultPlan, LocalTransport,
     ProcessTransport,
 )
+from repro.cluster.agent import Horizon
 from repro.cluster.shm import (
-    KIND_SECTIONS, ChannelSequencer, ShmRing, pack_sections, unpack_sections,
+    ShmRing, consume_batch, list_orphans, publish_batch,
 )
 from repro.core.checkpoint import is_oob_payload, restore_snapshot
 from repro.core.instrument import InstrumentationBus
 from repro.des.partition_types import contiguous_partition
+from repro.errors import ClusterError
 from repro.metrics import TraceLevel
 from repro.partition import ClusterSpec
 from repro.protocols.packet import ROW_FIELDS
 from repro.scenario import make_scenario
 from repro.topology import fattree
-from repro.traffic import TINY, full_mesh_dynamic
+from repro.traffic import TINY, Flow, Transport, full_mesh_dynamic
 from repro.units import GBPS, ms, us
 
 
@@ -61,73 +60,107 @@ def _run(scenario, transport, partition):
                        ).run(partition=partition)
 
 
-def test_high_fanout_shm_byte_identical(scenario):
-    """4 agents, every pair exchanging records: the shm transport's
-    merged trace and channel accounting are indistinguishable from the
-    in-process reference (and from the pickled process transport)."""
-    part = contiguous_partition(scenario.topology, 4)
+@pytest.mark.parametrize("agents", [2, 3, 4])
+def test_fanout_byte_identical(scenario, agents):
+    """Every pair exchanging records: the process transport's merged
+    results and channel accounting are indistinguishable from the
+    in-process reference."""
+    part = contiguous_partition(scenario.topology, agents)
     local = _run(scenario, "local", part)
-    shm = _run(scenario, "shm", part)
-    assert local.results.trace.entries == shm.results.trace.entries
-    assert local.results.fcts_ps() == shm.results.fcts_ps()
-    assert local.traffic == shm.traffic
     proc = _run(scenario, "process", part)
-    assert proc.results.trace.entries == shm.results.trace.entries
-    assert proc.traffic == shm.traffic
+    assert local.results.trace.entries == proc.results.trace.entries
+    assert local.results.fcts_ps() == proc.results.fcts_ps()
+    assert local.results.rtt_samples == proc.results.rtt_samples
+    assert local.traffic == proc.traffic
+    windows = proc.traffic.windows
+    assert proc.traffic.finish_signals == windows * agents * (agents - 1)
+    assert proc.bus.counters["transport.shm_frames"] \
+        == proc.traffic.finish_signals
+
+
+ROW_WIDTH = len(ROW_FIELDS)
+
+
+def _records(count):
+    return [(10_000 + k, k % 36, tuple((k + f) % 251 for f in range(ROW_WIDTH)))
+            for k in range(count)]
 
 
 class TestLargeBatches:
-    """>=10k-record deliveries through both shm lanes, snapshot parity."""
+    """Batches that overflow a ring slot travel as blob segments."""
 
-    #: 10k records = 880 KB: fits the default 1 MiB ring slot (zero-copy
-    #: lane).  12k records = 1.056 MB: overflows it (pipe fallback lane).
-    FITS, OVERFLOWS = 10_000, 12_000
+    def test_10k_record_batch_through_the_blob_path(self):
+        ring = ShmRing.create("blob", slot_bytes=4096, n_slots=2)
+        reader = ShmRing.attach(ring.name)
+        try:
+            big, small = _records(10_000), _records(3)
+            assert publish_batch(ring, 7, 9, big) is True
+            assert publish_batch(ring, 8, None, small) is False
+            assert reader.ready()
+            assert consume_batch(reader) == (7, 9, big)
+            assert consume_batch(reader) == (8, None, small)
+            assert not reader.ready()
+            # the reader consumed (and unlinked) the one-off blob
+            assert list_orphans() == [ring.name]
+        finally:
+            reader.close()
+            ring.unlink()
+            ring.close()
 
-    def _records(self, scenario, partition, count, base_window):
-        lookahead = scenario.lookahead_ps
-        nodes = [n for n in range(scenario.topology.num_nodes)
-                 if partition.part_of(n) == 1]
-        width = len(ROW_FIELDS)
-        return [
-            ((base_window + 1) * lookahead + k, nodes[k % len(nodes)],
-             tuple((k + f) % 251 for f in range(width)))
-            for k in range(count)
-        ]
+    def test_run_with_4k_slots_byte_identical(self):
+        """Wide windows (8 us of lookahead) carry ~80 records a batch —
+        more than a 4 KiB slot's 46 — so most frames go through a blob."""
+        topo = fattree(4, rate_bps=10 * GBPS, delay_ps=us(8))
+        hosts = topo.hosts
+        flows = [Flow(i, hosts[i], hosts[(i + 8) % 16], 120_000, 0,
+                      Transport.UDP) for i in range(16)]
+        scenario = make_scenario(topo, flows, buffer_bytes=200_000)
+        part = contiguous_partition(topo, 2)
+        local = _run(scenario, "local", part)
+        blob = _run(scenario, ProcessTransport(slot_bytes=4096), part)
+        assert blob.bus.counters.get("transport.shm_blobs", 0) > 0
+        assert local.results.trace.entries == blob.results.trace.entries
+        assert local.traffic == blob.traffic
 
-    def _fill(self, scenario, partition, specs, transport):
+    def _snapshot_after(self, specs, transport, windows):
         transport.bus = InstrumentationBus()
         transport.launch(specs)
-        transport.build_all()
-        transport.accept(
-            1, self._records(scenario, partition, self.FITS, 2))
-        transport.accept(
-            1, self._records(scenario, partition, self.OVERFLOWS, 9))
-        payloads = transport.snapshot_all(12)
-        transport.close()
-        return payloads, transport.bus.counters
+        try:
+            transport.build_all()
+            transport.grant(Horizon(max_windows=windows))
+            while transport.next_window() is not None:
+                pass
+            assert not transport.done
+            return transport.cursor, transport.snapshot_all(transport.cursor)
+        finally:
+            transport.close()
 
-    def test_both_lanes_snapshot_identical_state(self, scenario):
+    def test_oob_and_pickle_snapshots_restore_identical_state(self, scenario):
         part = contiguous_partition(scenario.topology, 2)
         specs = [AgentSpec(a, scenario, part, TraceLevel.FULL)
                  for a in range(2)]
-        local_payloads, _ = self._fill(scenario, part, specs,
-                                       LocalTransport())
-        shm_payloads, counters = self._fill(scenario, part, specs,
-                                            ProcessTransport(shm=True))
-        # Both lanes actually ran: one batch framed, one fell back.
-        assert counters.get("transport.shm_frames", 0) >= 1
-        assert counters.get("transport.shm_fallbacks", 0) >= 1
-        # The shm snapshot is the out-of-band container, the local one
-        # the classic pickle — and they restore to the same state.
-        assert is_oob_payload(shm_payloads[1])
-        assert not is_oob_payload(local_payloads[1])
+        cursor, (local_payloads, local_acct) = self._snapshot_after(
+            specs, LocalTransport(), 12)
+        cursor_p, (proc_payloads, proc_acct) = self._snapshot_after(
+            specs, ProcessTransport(), 12)
+        assert cursor == cursor_p
+        # same accounting, one shared map versus one map per worker
+        merged = {}
+        for _frames, channels in proc_acct:
+            merged.update(channels)
+        assert merged == local_acct[1]
+        assert sum(frames for frames, _ in proc_acct) == local_acct[0]
         for agent_id in range(2):
+            # The workers' snapshot is the out-of-band container, the
+            # local one the classic pickle — same state either way.
+            assert is_oob_payload(proc_payloads[agent_id])
+            assert not is_oob_payload(local_payloads[agent_id])
             sigs = []
             for payload in (local_payloads[agent_id],
-                            shm_payloads[agent_id]):
+                            proc_payloads[agent_id]):
                 engine = specs[agent_id].make()
                 engine.build()
-                restore_snapshot(engine, payload, 12, scenario.name)
+                restore_snapshot(engine, payload, cursor, scenario.name)
                 sigs.append(engine.window_signature())
             assert sigs[0] == sigs[1], f"agent {agent_id} state diverged"
 
@@ -148,86 +181,51 @@ def _run_with_faults(scenario, transport, kill_windows):
     return results.trace.entries, len(engine.recoveries)
 
 
-def test_back_to_back_kill_restore_under_shm(scenario):
-    """Two kill/restore cycles on the same agent: the shm transport
-    tears down the dead incarnation's segments, respawns with fresh
-    ones, restores from the blob-segment snapshot — twice — and the
+def test_back_to_back_kill_restore(scenario):
+    """Two kill/rollback cycles on the same agent: the process transport
+    respawns the dead worker, swaps every pair ring for a fresh segment,
+    restores everyone from the blob-segment snapshot — twice — and the
     merged trace still matches the LocalTransport running the same
     fault schedule."""
     kills = (3, 6)
     ref, ref_recoveries = _run_with_faults(scenario, "local", kills)
-    got, shm_recoveries = _run_with_faults(scenario, "shm", kills)
-    assert ref_recoveries == shm_recoveries == len(kills)
+    got, proc_recoveries = _run_with_faults(scenario, "process", kills)
+    assert ref_recoveries == proc_recoveries == len(kills)
     assert ref == got
-
-
-ROW_WIDTH = len(ROW_FIELDS)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_randomized_flush_ack_interleavings_keep_channel_order(data):
-    """Property: no interleaving of flushes, deliveries and acks — with
-    the ring saturating into pipe fallbacks — can reorder or drop a
-    channel's batches.  Models the coordinator->worker accept path: a
-    FIFO of commands carrying either a ring frame reference or the raw
-    fallback, a reader that acks by sequence at arbitrary later points,
-    and the receiver-side ChannelSequencer that must never observe a
-    regression."""
-    ring = ShmRing.create("hyp", slot_bytes=1024, n_slots=3)
-    reader = None
+def test_randomized_publish_consume_interleavings_keep_frame_order(data):
+    """Property: no interleaving of publishes and consumes can reorder,
+    drop or tear a frame.  The writer may publish whenever the reader
+    cursor leaves it a slot (``can_write``); a publish beyond that is a
+    protocol violation and raises instead of overwriting."""
+    n_slots = data.draw(st.integers(2, 4), label="slots")
+    ring = ShmRing.create("hyp", slot_bytes=4096, n_slots=n_slots)
+    reader = ShmRing.attach(ring.name)
     try:
-        reader = ShmRing.attach(ring.name)
-        sequencer = ChannelSequencer()
-        pipe = deque()      # the command FIFO: ("shm", seq) | ("raw", sections)
-        unacked = deque()   # ring frames read but not yet acked
-        chan_seq = 0
-        sent = []           # (chan_seq, records) in flush order
-        delivered = []      # (chan_seq, records) in delivery order
-
-        def deliver_next():
-            ref = pipe.popleft()
-            if ref[0] == "shm":
-                kind, _count, view = reader.read_frame(ref[1])
-                assert kind == KIND_SECTIONS
-                sections = unpack_sections(view)
-                unacked.append(ref[1])
-            else:
-                sections = ref[1]
-            for src, seq, records in sections:
-                sequencer.observe(src, seq)  # raises on reorder/replay
-                delivered.append((seq, records))
-
+        sent, delivered = [], []
         for _ in range(data.draw(st.integers(10, 80), label="steps")):
-            action = data.draw(
-                st.sampled_from(("flush", "flush", "deliver", "ack")),
-                label="action")
-            if action == "flush":
-                chan_seq += 1
-                n = data.draw(st.integers(1, 3), label="records")
-                records = [
-                    (chan_seq * 1000 + k, k,
-                     tuple((chan_seq + k + f) % 97 for f in range(ROW_WIDTH)))
-                    for k in range(n)
-                ]
-                sent.append((chan_seq, records))
-                sections = [(0, chan_seq, records)]
-                payload = pack_sections(sections)
-                if (len(payload) <= ring.frame_capacity
-                        and ring.can_write()):
-                    seq = ring.write_frame(KIND_SECTIONS, n, [payload])
-                    pipe.append(("shm", seq))
+            if data.draw(st.booleans(), label="publish"):
+                window = len(sent)
+                records = _records(data.draw(st.integers(0, 3), label="n"))
+                in_flight = len(sent) - len(delivered)
+                assert ring.can_write() == (in_flight < n_slots)
+                if in_flight < n_slots:
+                    publish_batch(ring, window, window + 1, records)
+                    sent.append((window, window + 1, records))
                 else:
-                    pipe.append(("raw", sections))  # ring full: fallback
-            elif action == "deliver" and pipe:
-                deliver_next()
-            elif action == "ack" and unacked:
-                ring.mark_consumed(unacked.popleft())
-        while pipe:  # drain what is still in flight
-            deliver_next()
+                    with pytest.raises(ClusterError, match="frames behind"):
+                        publish_batch(ring, window, window + 1, records)
+            elif reader.ready():
+                delivered.append(consume_batch(reader))
+            else:
+                assert len(delivered) == len(sent)
+        while reader.ready():  # drain what is still in flight
+            delivered.append(consume_batch(reader))
         assert delivered == sent
     finally:
-        if reader is not None:
-            reader.close()
+        reader.close()
         ring.unlink()
         ring.close()

@@ -241,12 +241,12 @@ class TestFuzzLoop:
         assert replay_file(result.artifact, FFWD_ORACLES).ok
 
     def test_planted_torn_shm_read_is_caught_and_shrunk(self, tmp_path):
-        """The zero-copy-transport drill: tear the shared-memory frame
+        """The process-transport drill: tear the shared-memory frame
         decoder so every multi-record frame loses its last record — the
         signature of a reader racing the writer past the commit word.
-        Only the shm framing path is infected, so the fuzz loop must
-        catch the lost packets through the ``cluster-shm-2`` oracle —
-        and shrink the repro small."""
+        Only the pair rings are infected, so the fuzz loop must catch
+        the lost packets through the ``cluster-shm-2`` oracle — and
+        shrink the repro small."""
         with torn_shm_read():
             result = fuzz(0, 25, SHM_ORACLES, do_shrink=True,
                           artifact_dir=tmp_path)
@@ -256,10 +256,10 @@ class TestFuzzLoop:
         div = result.shrunk.divergences[0]
         assert div.window is not None and div.system and div.entity
 
-        # The pickled transports never decode frames: the same fuzz
-        # stream stays clean when the shm transport is not asked for.
+        # In-process agents never decode frames: the same fuzz stream
+        # stays clean when the process transport is not asked for.
         with torn_shm_read():
-            assert fuzz(0, 3, ("ood", "cluster-process-2")).ok
+            assert fuzz(0, 3, ("ood", "cluster-local-2")).ok
 
         # The artifact replays: still failing under the bug, clean after.
         assert result.artifact is not None and result.artifact.exists()

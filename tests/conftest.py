@@ -1,9 +1,11 @@
 """Shared fixtures: small, fast scenarios reused across the suite,
-plus a teardown guard against leaked cluster worker processes."""
+plus a teardown guard against leaked cluster worker processes and a
+time limit that turns a hung cluster barrier into a failure."""
 
 from __future__ import annotations
 
 import multiprocessing
+import signal
 
 import pytest
 
@@ -14,6 +16,15 @@ from repro.units import GBPS, us
 
 #: Seconds to wait for a leaked agent worker to die before escalating.
 _REAP_TIMEOUT_S = 5.0
+
+#: Budget of one test that drives cluster agents (the slowest takes a
+#: few seconds): a barrier that hangs must fail here, in seconds, not
+#: stall the whole tier-1 run.
+_CLUSTER_TEST_TIMEOUT_S = 30.0
+
+
+class ClusterTestTimeout(Exception):
+    """A cluster test outlived its budget (hung barrier, lost worker)."""
 
 
 @pytest.fixture(autouse=True)
@@ -59,6 +70,31 @@ def reap_leaked_agent_workers():
         problems.append(
             f"shared-memory segments: {', '.join(reaped)} (unlinked)")
     pytest.fail("test leaked " + "; ".join(problems))
+
+
+@pytest.fixture(autouse=True)
+def cluster_test_time_limit(request, reap_leaked_agent_workers):
+    """SIGALRM budget for everything under ``tests/cluster`` and
+    ``tests/integration`` (no ``pytest-timeout`` here).  Depends on the
+    reaper so that, after a timeout, the stranded workers and segments
+    are still cleaned up — teardown runs in reverse order."""
+    path = str(request.node.fspath)
+    if ("/tests/cluster/" not in path and "/tests/integration/" not in path
+            or not hasattr(signal, "setitimer")):
+        yield
+        return
+
+    def on_alarm(_signum, _frame):
+        raise ClusterTestTimeout(
+            f"{request.node.nodeid} exceeded {_CLUSTER_TEST_TIMEOUT_S:.0f} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, _CLUSTER_TEST_TIMEOUT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
