@@ -9,6 +9,7 @@ the production engine runs the paper order and nothing else.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Dict
 
 from ..core.engine import DodEngine
@@ -37,18 +38,20 @@ class NaiveOrderEngine(DodEngine):
 
     def process_window(self, index: int) -> WindowContext:
         ctx = self._open_window(index)
-        bus = self.bus
         for iface_id, staged in self._carried_staged.items():
             ctx.staged.setdefault(iface_id, []).extend(staged)
-        with bus.system_timer("send"):
-            run_send_system(self, ctx)
-        with bus.system_timer("forward"):
-            run_forward_system(self, ctx)
-        with bus.system_timer("transmit"):
-            run_transmit_system(self, ctx)
+        t0 = perf_counter()
+        run_send_system(self, ctx)
+        t1 = perf_counter()
+        run_forward_system(self, ctx)
+        t2 = perf_counter()
+        run_transmit_system(self, ctx)
+        t3 = perf_counter()
         before = {k: len(v) for k, v in ctx.staged.items()}
-        with bus.system_timer("ack"):
-            run_ack_system(self, ctx)
+        t4 = perf_counter()
+        run_ack_system(self, ctx)
+        self.bus.window_times(index, ctx.start, perf_counter() - t4,
+                              t1 - t0, t2 - t1, t3 - t2)
         self._carried_staged = {
             k: v[before.get(k, 0):] for k, v in ctx.staged.items()
             if len(v) > before.get(k, 0)

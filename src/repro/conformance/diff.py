@@ -45,8 +45,9 @@ class Divergence:
     cand_entry: Optional[tuple]    # None = candidate trace ends early
 
     def format(self) -> str:
+        what = "results" if self.system == "results" else "trace"
         lines = [
-            f"trace divergence: {self.candidate} vs {self.reference} "
+            f"{what} divergence: {self.candidate} vs {self.reference} "
             f"at op {self.op_index}",
             f"  window : {self.window}",
             f"  system : {self.system}",
@@ -97,6 +98,35 @@ def _attribute(scenario: Scenario, entry: tuple) -> tuple:
     return system, entity
 
 
+def _first_mismatch(ref: list, cand: list) -> Optional[int]:
+    """Index of the first differing element (the shorter length when one
+    list is a strict prefix of the other); ``None`` when equal."""
+    n = min(len(ref), len(cand))
+    index = next((i for i in range(n) if ref[i] != cand[i]), None)
+    if index is None and len(ref) != len(cand):
+        index = n
+    return index
+
+
+def results_divergence(reference: OracleRun,
+                       candidate: OracleRun) -> Optional[Divergence]:
+    """The first named part (see ``oracles.result_parts``) on which a
+    trace-off run leaves the reference; ``None`` when all agree.  A
+    result has no op to localize, so window and time stay empty and the
+    part's name stands in for the entity."""
+    ref, cand = reference.parts or [], candidate.parts or []
+    index = _first_mismatch(ref, cand)
+    if index is None:
+        return None
+    r = ref[index] if index < len(ref) else (None, None)
+    c = cand[index] if index < len(cand) else (None, None)
+    return Divergence(
+        reference=reference.oracle, candidate=candidate.oracle,
+        op_index=index, window=None, time_ps=None, system="results",
+        entity=str(c[0] or r[0]), ref_entry=(r[1],), cand_entry=(c[1],),
+    )
+
+
 def first_divergence(
     scenario: Scenario,
     reference: OracleRun,
@@ -106,12 +136,9 @@ def first_divergence(
     to (window, system, entity); ``None`` when the traces are identical.
     """
     ref, cand = reference.trace, candidate.trace
-    n = min(len(ref), len(cand))
-    index = next((i for i in range(n) if ref[i] != cand[i]), None)
+    index = _first_mismatch(ref, cand)
     if index is None:
-        if len(ref) == len(cand):
-            return None
-        index = n
+        return None
     ref_entry = ref[index] if index < len(ref) else None
     cand_entry = cand[index] if index < len(cand) else None
     anchor = cand_entry or ref_entry

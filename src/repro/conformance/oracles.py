@@ -22,6 +22,12 @@ users actually run:
 * ``dons-numpy-ffwd`` — the NumPy engine with window-signature
   memoization + fast-forwarding forced on (``core/memo.py``); its
   byte-identity against the rest is the fast-forward conformance gate.
+* ``dons-numpy-notrace`` / ``dons-numpy-ffwd-notrace`` — the same two
+  at ``TraceLevel.NONE``, the configuration the benchmark times: with
+  no trace stream the fused pass takes its serial transmit sweep
+  (delivery sinks, the single-arrival shortcut), which no tracing
+  oracle reaches.  There is no trace to diff, so these are held to the
+  reference by :func:`result_parts` instead.
 * ``cluster-local-N`` / ``cluster-shm-N`` — the cluster runtime over
   N agents (N in 2/3/4), contiguous partition: in-process agents, or
   worker processes exchanging window frames with each other over
@@ -34,13 +40,13 @@ users actually run:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import astuple, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cluster import DonsManager, FaultPlan
 from ..core.checkpoint import CheckpointingEngine, take_checkpoint
 from ..core.engine import DodEngine
-from ..des import run_baseline
+from ..des import OodSimulator
 from ..des.partition_types import contiguous_partition
 from ..errors import ReproError
 from ..metrics import SimResults, TraceLevel
@@ -53,18 +59,42 @@ class OracleRun:
     """What one oracle produced for one scenario."""
 
     oracle: str
-    trace: List[tuple]            # canonical (sorted) trace entries
+    #: canonical (sorted) trace entries; ``None`` for a trace-off run
+    trace: Optional[List[tuple]]
     results: SimResults
     counters: Dict[str, int] = field(default_factory=dict)
     lookahead_ps: int = 0
+    #: :func:`result_parts` of the run — what the trace-off oracles are
+    #: compared on; ``None`` for the cluster and recovery oracles, whose
+    #: ports live in their agents.
+    parts: Optional[List[Tuple[str, Any]]] = None
 
     @property
     def n_entries(self) -> int:
-        return len(self.trace)
+        return len(self.trace or ())
+
+
+def result_parts(results: SimResults, ports) -> List[Tuple[str, Any]]:
+    """What a run without a trace must agree on with the reference, as
+    named parts so a mismatch says where: the four event counts with
+    drops, marks and tx_bytes, every flow's start and completion, the
+    RTT samples, and every port's ``PortStats``.  ``end_time_ps`` is
+    left out — the engines legitimately differ there (window end vs
+    last event)."""
+    ev = results.events
+    parts: List[Tuple[str, Any]] = [
+        ("totals", (ev.send, ev.forward, ev.transmit, ev.ack,
+                    results.drops, results.marks, results.tx_bytes))]
+    parts += [(f"flow {flow_id}", (fr.start_ps, fr.complete_ps))
+              for flow_id, fr in sorted(results.flows.items())]
+    parts.append(("rtt samples", tuple(results.rtt_samples)))
+    parts += [(f"iface {port.iface.iface_id}", astuple(port.stats))
+              for port in ports]
+    return parts
 
 
 def _finish(name: str, scenario: Scenario, results: SimResults,
-            counters: Dict[str, int]) -> OracleRun:
+            counters: Dict[str, int], ports=None) -> OracleRun:
     if results.trace is None:
         raise ReproError(f"oracle {name!r} produced no trace")
     return OracleRun(
@@ -73,21 +103,29 @@ def _finish(name: str, scenario: Scenario, results: SimResults,
         results=results,
         counters=dict(counters),
         lookahead_ps=scenario.lookahead_ps,
+        parts=result_parts(results, ports) if ports is not None else None,
     )
 
 
 def run_ood(scenario: Scenario) -> OracleRun:
-    results = run_baseline(scenario, TraceLevel.FULL)
-    return _finish("ood", scenario, results, {})
+    sim = OodSimulator(scenario, TraceLevel.FULL)
+    return _finish("ood", scenario, sim.run(), {}, sim.ports)
 
 
 def run_dod(scenario: Scenario, workers: int = 1, name: str = "dons",
-            backend: Optional[str] = None,
-            ffwd: Optional[bool] = None) -> OracleRun:
-    engine = DodEngine(scenario, TraceLevel.FULL, workers=workers,
-                       backend=backend, ffwd=ffwd)
+            backend: Optional[str] = None, ffwd: Optional[bool] = None,
+            trace: bool = True) -> OracleRun:
+    """``trace=False`` runs the engine as the benchmark does, with no
+    trace recorder; the run then carries only its result parts."""
+    engine = DodEngine(scenario,
+                       TraceLevel.FULL if trace else TraceLevel.NONE,
+                       workers=workers, backend=backend, ffwd=ffwd)
     results = engine.run()
-    return _finish(name, scenario, results, engine.bus.counters)
+    run = _finish(name, scenario, results, engine.bus.counters,
+                  engine.ports)
+    if not trace:
+        run.trace = None
+    return run
 
 
 def run_cluster(scenario: Scenario, transport: str, agents: int,
@@ -162,6 +200,11 @@ ORACLES: Dict[str, Callable[[Scenario], OracleRun]] = {
     # is what certifies fast-forwarded windows (see core/memo.py).
     "dons-numpy-ffwd": lambda sc: run_dod(sc, name="dons-numpy-ffwd",
                                           backend="numpy", ffwd=True),
+    "dons-numpy-notrace": lambda sc: run_dod(
+        sc, name="dons-numpy-notrace", backend="numpy", trace=False),
+    "dons-numpy-ffwd-notrace": lambda sc: run_dod(
+        sc, name="dons-numpy-ffwd-notrace", backend="numpy", ffwd=True,
+        trace=False),
     "cluster-numpy-2": lambda sc: run_cluster(sc, "local", 2,
                                               "cluster-numpy-2",
                                               backend="numpy"),
@@ -177,7 +220,8 @@ for _n in (2, 3, 4):
 #: The acceptance set: every stack the fidelity claim covers.  The first
 #: entry is the reference every other trace is diffed against.
 DEFAULT_ORACLES: Tuple[str, ...] = (
-    "ood", "dons", "dons-numpy", "dons-numpy-ffwd", "cluster-local-2",
+    "ood", "dons", "dons-numpy", "dons-numpy-ffwd", "dons-numpy-notrace",
+    "dons-numpy-ffwd-notrace", "cluster-local-2",
     "cluster-local-3", "cluster-shm-2",
     "checkpoint", "fault-recovery",
 )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .diff import Divergence, first_divergence
+from .diff import Divergence, first_divergence, results_divergence
 from .generator import FORMAT, ScenarioSpec, generate_spec, shrink
 from .invariants import Violation, check_invariants
 from .oracles import DEFAULT_ORACLES, OracleRun, run_oracle
@@ -96,12 +96,21 @@ def check_spec(spec: ScenarioSpec,
         except ReproError as exc:
             report.error = f"oracle {name!r} failed: {exc}"
             break
-        report.entry_counts[run.oracle] = run.n_entries
-        report.violations.extend(check_invariants(scenario, run))
-        if reference is None:
-            reference = run
-            continue
-        div = first_divergence(scenario, reference, run)
+        if run.trace is None:
+            # A trace-off oracle: no trace to check or diff, its results
+            # are held to the reference's part by part.
+            if reference is None or reference.parts is None:
+                report.error = (f"trace-off oracle {name!r} needs a serial "
+                                "traced reference (ood or dons*) before it")
+                break
+            div = results_divergence(reference, run)
+        else:
+            report.entry_counts[run.oracle] = run.n_entries
+            report.violations.extend(check_invariants(scenario, run))
+            if reference is None:
+                reference = run
+                continue
+            div = first_divergence(scenario, reference, run)
         if div is not None:
             report.divergences.append(div)
     report.elapsed_s = time.perf_counter() - started

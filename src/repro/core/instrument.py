@@ -19,7 +19,7 @@ pool, direct ``TraceRecorder`` calls inside the systems) is a
   direct wiring it replaces.
 * **counters and timers** — named counters, per-system task/item
   accounting from the worker pool, and per-window/per-system wall-clock
-  from :meth:`system_timer`.  ``python -m repro profile`` renders these;
+  from :meth:`window_times`.  ``python -m repro profile`` renders these;
   the cost model consumes the event counts as before.
 
 Telemetry (PR 5) adds two more observation kinds behind one master
@@ -49,9 +49,8 @@ no-op context manager — zero allocation, zero records.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .telemetry import MetricsRegistry
 
@@ -141,19 +140,27 @@ class WindowProfile:
         return prof
 
 
+#: The four systems of a window, in :meth:`window_times` argument order.
+SYSTEMS = ("ack", "send", "forward", "transmit")
+
+
 class InstrumentationBus:
     """Counters, timers, and op/trace streams with pluggable subscribers."""
 
     def __init__(self, keep_window_profiles: bool = True) -> None:
         self.counters: Dict[str, int] = {}
         self.keep_window_profiles = keep_window_profiles
-        #: per-window profiles (bounded by window count; the profiler CLI
-        #: and Fig. 13-style breakdowns read these).
-        self.windows: List[WindowProfile] = []
-        self._window_index: Dict[int, WindowProfile] = {}
+        #: one raw row per executed window: ``(index, start_ps, ack_s,
+        #: send_s, forward_s, transmit_s, tasks)`` with ``tasks`` the
+        #: window's ``{system: [items, tasks]}`` pool accounting or
+        #: ``None``.  :attr:`windows` builds the profiles from these.
+        self._window_rows: List[tuple] = []
+        self._window_tasks: Dict[str, List[int]] = {}
+        #: window profiles merged in from child buses, by window index.
+        self._child_windows: Dict[int, WindowProfile] = {}
         #: whole-run aggregate per system.
         self.totals: Dict[str, SystemProfile] = {}
-        self._current: Optional[WindowProfile] = None
+        self._system_totals: Optional[List[SystemProfile]] = None
         self._op_subs: List[OpSubscriber] = []
         self.has_ops = False
         self._trace_subs: List[Any] = []
@@ -308,44 +315,64 @@ class InstrumentationBus:
             total = self.totals[system] = SystemProfile()
         total.tasks += tasks
         total.items += items
-        if self._current is not None:
-            prof = self._current.system(system)
-            prof.tasks += tasks
-            prof.items += items
+        if self.keep_window_profiles:
+            acc = self._window_tasks.get(system)
+            if acc is None:
+                self._window_tasks[system] = [items, tasks]
+            else:
+                acc[0] += items
+                acc[1] += tasks
 
     # --- timers -----------------------------------------------------------
 
-    def window_begin(self, index: int, start_ps: int) -> None:
-        """A new lookahead window starts; subsequent system timers and
-        task batches are attributed to it."""
-        self.count("windows")
-        if self.keep_window_profiles:
-            self._current = WindowProfile(index=index, start_ps=start_ps)
-            self.windows.append(self._current)
-            self._window_index[index] = self._current
+    def window_times(self, index: int, start_ps: int, ack_s: float,
+                     send_s: float, forward_s: float,
+                     transmit_s: float) -> None:
+        """One executed lookahead window and its four system times.
 
-    def system_time(self, system: str, dt: float) -> None:
-        """Attribute ``dt`` seconds to one system in the current window.
-
-        The engine hot path calls this directly (two ``perf_counter``
-        reads per system run) rather than through the context manager,
-        whose generator machinery is measurable at window rates.
+        The engine's only per-window bus call: it counts the window,
+        adds the times to the per-system totals and keeps one raw row
+        (with the task batches dispatched since the previous window);
+        :attr:`windows` turns the rows into profiles when a report asks.
         """
-        total = self.totals.get(system)
-        if total is None:
-            total = self.totals[system] = SystemProfile()
-        total.elapsed_s += dt
-        if self._current is not None:
-            self._current.system(system).elapsed_s += dt
+        counters = self.counters
+        counters["windows"] = counters.get("windows", 0) + 1
+        totals = self._system_totals
+        if totals is None:
+            totals = self._system_totals = [
+                self.totals.setdefault(name, SystemProfile())
+                for name in SYSTEMS]
+        totals[0].elapsed_s += ack_s
+        totals[1].elapsed_s += send_s
+        totals[2].elapsed_s += forward_s
+        totals[3].elapsed_s += transmit_s
+        if self.keep_window_profiles:
+            tasks = self._window_tasks
+            if tasks:
+                self._window_tasks = {}
+            self._window_rows.append((index, start_ps, ack_s, send_s,
+                                      forward_s, transmit_s, tasks or None))
 
-    @contextmanager
-    def system_timer(self, system: str) -> Iterator[None]:
-        """Time one system's run inside the current window."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.system_time(system, time.perf_counter() - t0)
+    @property
+    def windows(self) -> List[WindowProfile]:
+        """Per-window profiles, built on demand (the profiler CLI, the
+        cluster report merge and Fig. 13-style breakdowns read these):
+        this bus's own windows plus merged children, by window index."""
+        by_index: Dict[int, WindowProfile] = {}
+        for index, start_ps, *times, tasks in self._window_rows:
+            win = by_index[index] = WindowProfile(index, start_ps)
+            for name, dt in zip(SYSTEMS, times):
+                win.systems[name] = SystemProfile(elapsed_s=dt)
+            for name, (items, n_tasks) in (tasks or {}).items():
+                prof = win.system(name)
+                prof.items, prof.tasks = items, n_tasks
+        for index, child in self._child_windows.items():
+            mine = by_index.get(index)
+            if mine is None:
+                by_index[index] = child
+            else:  # tagged system names never collide with our own
+                mine.systems.update(child.systems)
+        return sorted(by_index.values(), key=lambda w: w.index)
 
     # --- cluster aggregation ----------------------------------------------
 
@@ -395,15 +422,12 @@ class InstrumentationBus:
         if not self.keep_window_profiles:
             return
         for child in windows:
-            mine = self._window_index.get(child.index)
+            mine = self._child_windows.get(child.index)
             if mine is None:
-                mine = WindowProfile(index=child.index,
-                                     start_ps=child.start_ps)
-                self._window_index[child.index] = mine
-                self.windows.append(mine)
+                mine = self._child_windows[child.index] = WindowProfile(
+                    index=child.index, start_ps=child.start_ps)
             for system, prof in child.systems.items():
                 mine.system(f"{tag}:{system}").add(prof)
-        self.windows.sort(key=lambda w: w.index)
 
     # --- checkpoint support -----------------------------------------------
 
@@ -415,7 +439,7 @@ class InstrumentationBus:
         return {
             "counters": dict(self.counters),
             "totals": self.totals,
-            "windows": self.windows,
+            "window_rows": list(self._window_rows),
             "spans": list(self.spans),
             "metrics": self.metrics.snapshot(),
             "epoch_wall": self.epoch_wall,
@@ -430,8 +454,8 @@ class InstrumentationBus:
         import copy
         self.counters = dict(state["counters"])
         self.totals = copy.deepcopy(state["totals"])
-        self.windows = copy.deepcopy(state["windows"])
-        self._window_index = {w.index: w for w in self.windows}
+        self._system_totals = None
+        self._window_rows = list(state["window_rows"])
         offset = state["epoch_wall"] - self.epoch_wall
         self.spans = [
             (t0 + offset, t1 + offset, name, cat, attrs)

@@ -742,7 +742,7 @@ class WindowMemoCache:
             t0 = bus.now()
         start = probe.start
         base_of = probe.base_of
-        bus.window_begin(win, start)
+        bus.count("windows")
         engine._running_window = win
         engine.events.discard_window(win)
 

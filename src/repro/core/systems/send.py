@@ -22,7 +22,7 @@ Plan → kernel → commit:
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..window import (
     ENTRY_ARRIVAL, ENTRY_FLOW_START, WindowContext,
@@ -263,31 +263,61 @@ def send_kernel(
     return flow_id, out, rtts, wakeup, None, events
 
 
+class FlowLists(NamedTuple):
+    """Per-flow columns as plain-int lists, indexed by flow id."""
+
+    src: List[int]
+    dst: List[int]
+    size: List[int]
+    start: List[int]
+    transport: List[int]
+    nic: List[int]        # iface id of the source host's NIC
+    nic_rate: List[int]   # its line rate, the UDP pacing rate
+
+
+def flow_lists(engine) -> FlowLists:
+    """The engine's :class:`FlowLists`, taken once on first use.
+
+    Columnar traffic converts each column with one ``tolist()``; no
+    ``Flow`` facade is built either way the hot path reads a flow.
+    """
+    fl = engine._flow_lists
+    if fl is None:
+        flows = engine.scenario.flows
+        if hasattr(flows, "columns"):
+            cols = flows.columns()
+            src, dst, size, start, transport = (
+                cols[name].tolist() for name in
+                ("src", "dst", "size_bytes", "start_ps", "transport"))
+        else:
+            src = [f.src for f in flows]
+            dst = [f.dst for f in flows]
+            size = [f.size_bytes for f in flows]
+            start = [f.start_ps for f in flows]
+            transport = [int(f.transport) for f in flows]
+        host_iface = engine.scenario.topology.host_iface
+        nics = {host: host_iface(host) for host in set(src)}
+        fl = engine._flow_lists = FlowLists(
+            src, dst, size, start, transport,
+            [nics[s].iface_id for s in src],
+            [nics[s].rate_bps for s in src])
+    return fl
+
+
 def commit_send(engine, ctx: WindowContext, results) -> None:
     """Stage kernel outputs and register wakeups, in flow-id order."""
     from ..window import ENTRY_TIMER, ENTRY_UDP
-    topo = engine.scenario.topology
     bus = engine.bus
-    flows = engine.scenario.flows
-    nic_of = getattr(engine, "_flow_nic", None)
-    if nic_of is None:
-        src_list = getattr(flows, "src_list", None)
-        host_iface = topo.host_iface
-        if src_list is not None:
-            # Columnar traffic: map sources without Flow facades.
-            nic_of = engine._flow_nic = [
-                host_iface(s).iface_id for s in src_list()]
-        else:
-            nic_of = engine._flow_nic = [
-                host_iface(f.src).iface_id for f in flows]
+    fl = flow_lists(engine)
+    src_of = fl.src
+    nic_of = fl.nic
     staged = ctx.staged
     counts = ctx.counts
     node_events = engine.results.node_events
     rtt_extend = engine.results.rtt_samples.extend
     has_ops = bus.has_ops
     for flow_id, out, rtts, rtx_wakeup, udp_wakeup, events in results:
-        flow = flows[flow_id]
-        src = flow.src
+        src = src_of[flow_id]
         segments = 0
         if has_ops:
             from ...protocols.packet import packet_uid

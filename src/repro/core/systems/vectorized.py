@@ -42,21 +42,23 @@ is planned and dispatched, never in what is committed.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .ack import AckCols, ack_kernel, commit_ack
 from .forward import ForwardWork
-from .send import SENDER_COLS, commit_send, send_kernel
+from .send import (
+    SENDER_COLS, FlowLists, commit_send, flow_lists, send_kernel,
+)
 from .transmit import commit_transmit
 from .. import events as events_mod
 from ..ecs import CommandBuffer, consolidate_grouped
 from ..runtime import chunk_ranges
 from ..window import ENTRY_ARRIVAL, ENTRY_FLOW_START, Staged, WindowContext
-from ...protocols import UdpSchedule
-from ...protocols.aqm import AqmKind, should_mark
-from ...schedulers.disciplines import FifoScheduler
+from ...protocols.aqm import AqmConfig, AqmKind, should_mark
+from ...protocols.egress import TableClassifier
+from ...schedulers.disciplines import FifoScheduler, StrictPriorityScheduler
 from ...protocols.packet import (
     F_DST, F_FLOW, F_ISACK, F_SEQ, F_SIZE, HEADER_BYTES, MSS,
     PRIO_ARRIVAL, PRIO_FLOW_START, Row, data_row, with_ce,
@@ -119,74 +121,95 @@ def _chunked(items: List, workers: int) -> List[List]:
 
 # --- SendSystem ------------------------------------------------------------
 
+#: 8 * PS_PER_S, the serialization-formula constant (see repro.units).
+_PS8 = 8 * PS_PER_S
 
-def _udp_send_kernel(cols, scenario, window_end: int, flow_id: int, k: int):
-    """Vectorized UDP pacing: one flow's window as an array expression.
+#: A UDP flow with at most this many segments left runs the scalar
+#: schedule: building the array expression costs more than a few loop
+#: turns, and short flows (the WAN twin's one-segment starts) dominate
+#: where flow starts are frequent.  Both schedules are bit-identical.
+UDP_SCALAR_SEGS = 8
 
-    The closed form ``t(seq) = start + (seq*wire*8*PS)//rate`` is
-    evaluated over the whole remaining segment range at once.  To stay
-    inside ``int64``, the division is decomposed via
+
+def _udp_send_kernel(cols, fl: FlowLists, window_end: int, flow_id: int,
+                     k: int):
+    """UDP pacing of one flow's window, off the per-flow lists.
+
+    The closed form ``t(seq) = start + (seq*wire*8*PS)//rate`` runs as a
+    scalar loop while only a handful of segments remain, and as one
+    array expression over the whole remaining range otherwise.  To stay
+    inside ``int64`` the array form decomposes the division via
     ``q, r = divmod(wire*8*PS, rate)`` into ``start + seq*q +
     (seq*r)//rate`` — identical floor arithmetic, and for every rate
-    that divides the wire term (all realistic ones) ``r == 0``.  When
+    that divides the wire term (all realistic ones) ``r == 0``; where
     the decomposition could still overflow (degenerate rate/size
-    combinations), the scalar schedule runs instead; either path
-    produces bit-identical timestamps.
+    combinations) the scalar loop runs instead.  Returns the kernel
+    result and whether the array form ran.
     """
-    flow = scenario.flows[flow_id]
-    rate = scenario.topology.host_iface(flow.src).rate_bps
-    sched = UdpSchedule(flow_id, flow.size_bytes, flow.start_ps, rate)
+    src = fl.src[flow_id]
+    dst = fl.dst[flow_id]
+    size = fl.size[flow_id]
+    start = fl.start[flow_id]
+    rate = fl.nic_rate[flow_id]
     udp_col = cols["udp_next_seq"]
     seq = udp_col[k]
-    total = sched.total_segs
+    last = (size + MSS - 1) // MSS - 1   # its payload is the remainder
+    tail = size - MSS * last
+    wire8ps = (MSS + HEADER_BYTES) * _PS8
     out: List[Tuple[int, int, Row]] = []
-    if seq < total:
-        wire8ps = (MSS + HEADER_BYTES) * 8 * PS_PER_S
+    array = False
+    if last - seq >= UDP_SCALAR_SEGS:
         q, r = divmod(wire8ps, rate)
-        # Python-int bound on the largest timestamp the range can reach.
-        t_last = flow.start_ps + ((total - 1) * wire8ps) // rate
-        if t_last < 2 ** 63 and (total - 1) * r < 2 ** 63:
-            seqs = np.arange(seq, total, dtype=np.int64)
-            times = flow.start_ps + seqs * q
-            if r:
-                times += (seqs * r) // rate
-            cut = int(np.searchsorted(times, window_end, side="left"))
-            for s, t in zip(seqs[:cut].tolist(), times[:cut].tolist()):
-                out.append((t, PRIO_FLOW_START,
-                            data_row(flow_id, s, sched.payload(s), t,
-                                     flow.src, flow.dst)))
-            seq += cut
-        else:  # pragma: no cover - degenerate scales, scalar fallback
-            while seq < total:
-                t = sched.enqueue_time(seq)
-                if t >= window_end:
-                    break
-                out.append((t, PRIO_FLOW_START,
-                            data_row(flow_id, seq, sched.payload(seq), t,
-                                     flow.src, flow.dst)))
-                seq += 1
+        # Python-int bounds on the largest values the range can reach.
+        array = (start + (last * wire8ps) // rate < 2 ** 63
+                 and last * r < 2 ** 63)
+    if array:
+        seqs = np.arange(seq, last + 1, dtype=np.int64)
+        times = start + seqs * q
+        if r:
+            times += (seqs * r) // rate
+        cut = int(np.searchsorted(times, window_end, side="left"))
+        for s, t in zip(seqs[:cut].tolist(), times[:cut].tolist()):
+            out.append((t, PRIO_FLOW_START,
+                        data_row(flow_id, s, MSS if s < last else tail, t,
+                                 src, dst)))
+        seq += cut
+    else:
+        while seq <= last:
+            t = start + (seq * wire8ps) // rate
+            if t >= window_end:
+                break
+            out.append((t, PRIO_FLOW_START,
+                        data_row(flow_id, seq, MSS if seq < last else tail,
+                                 t, src, dst)))
+            seq += 1
     udp_col[k] = seq
-    udp_wakeup = sched.enqueue_time(seq) if seq < total else None
-    return flow_id, out, [], None, udp_wakeup, len(out)
+    udp_wakeup = start + (seq * wire8ps) // rate if seq <= last else None
+    return (flow_id, out, [], None, udp_wakeup, len(out)), array
 
 
-def send_batch_kernel(cols, sender_of_flow, scenario, acks_of, starts,
-                      window_end, flow_ids: List[int]):
-    """One worker's slice of the sender sweep, flow by flow in order."""
+def send_batch_kernel(cols, sender_of_flow, scenario, fl: FlowLists, acks_of,
+                      starts, window_end, flow_ids: List[int]):
+    """One worker's slice of the sender sweep, flow by flow in order.
+
+    Returns ``(results, array schedules, scalar schedules)`` — the two
+    counts say which UDP schedule the slice's flows took.
+    """
     out = []
-    flows = scenario.flows
-    tr_at = getattr(flows, "transport_at", None)
+    n_array = n_udp = 0
+    transport = fl.transport
     udp = int(Transport.UDP)
     for flow_id in flow_ids:
-        is_udp = (tr_at(flow_id) == udp if tr_at is not None
-                  else flows[flow_id].transport == Transport.UDP)
-        if is_udp:
-            out.append(_udp_send_kernel(cols, scenario, window_end,
-                                        flow_id, sender_of_flow[flow_id]))
+        if transport[flow_id] == udp:
+            result, array = _udp_send_kernel(cols, fl, window_end, flow_id,
+                                             sender_of_flow[flow_id])
+            out.append(result)
+            n_udp += 1
+            n_array += array
         else:
             out.append(send_kernel(cols, sender_of_flow, scenario, acks_of,
                                    starts, window_end, flow_id))
-    return out
+    return out, n_array, n_udp - n_array
 
 
 # --- ACKSystem -------------------------------------------------------------
@@ -204,41 +227,56 @@ def ack_batch_kernel(cols: AckCols, receiver_of_flow, flows,
 # --- ForwardSystem ---------------------------------------------------------
 
 
-def forward_batch_kernel(fib, iface_id_of, spray: bool,
-                         items: List[ForwardWork],
-                         memo: Optional[Dict] = None):
+def _route(routes: Dict[int, int], sc, node: int, dst: int, flow: int) -> int:
+    """Egress iface id of ``flow`` toward ``dst`` at ``node``, cached.
+
+    Where the FIB holds one candidate port the route is keyed by
+    ``(node, dst)`` alone — every flow shares it, so one-packet flows
+    hit and the cache is bounded by nodes x hosts.  Only a real ECMP
+    fan-out (marked ``-1`` under the destination key) takes a
+    ``(node, dst, flow)`` entry: flow-hashed ECMP is pure in that key.
+    Keys are flat ints packed by exact mixed-radix arithmetic
+    (``dst < n_nodes``, ``flow < n_flows``); flow keys sit above every
+    destination key.  :func:`_forward_serial_np` inlines the hit path.
+    """
+    n_nodes = len(sc.topology.nodes)
+    key = node * n_nodes + dst
+    target = routes.get(key)
+    if target is None:
+        ports = sc.fib.ports(node, dst)
+        target = routes[key] = (sc.topology.iface_id(node, ports[0])
+                                if len(ports) == 1 else -1)
+    if target < 0:
+        key = n_nodes * n_nodes + key * len(sc.flows) + flow
+        target = routes.get(key)
+        if target is None:
+            target = routes[key] = sc.topology.iface_id(
+                node, sc.fib.resolve_port(node, dst, flow))
+    return target
+
+
+def forward_batch_kernel(sc, routes: Optional[Dict[int, int]],
+                         items: List[ForwardWork]):
     """One worker's slice of the switch sweep: all its nodes' arrivals
     routed into private command buffers (one per node, so the commit's
     per-node accounting matches the scalar path).
 
-    ``memo`` caches ``(node, dst, flow) -> egress iface id`` across
-    windows: flow-hashed ECMP is pure in that key, so after a flow's
-    first packet crosses a switch every later packet's route is a dict
-    hit instead of a FIB walk plus hash.  Packet spraying re-salts the
-    hash per segment, so the memo is bypassed (``spray=True`` callers
-    pass ``memo=None``).
+    ``routes`` is the engine's cross-window route cache (:func:`_route`).
+    Packet spraying re-salts the hash per segment, so spraying callers
+    pass ``None`` and every packet walks the FIB.
     """
     out = []
-    if memo is None:
-        for node, arrivals in items:
-            buf: CommandBuffer = CommandBuffer()
-            for t, prio, row in arrivals:
-                salt = row[F_SEQ] if spray else None
-                port = fib.resolve_port(node, row[F_DST], row[F_FLOW], salt)
-                buf.append(iface_id_of(node, port), (t, prio, row))
-            out.append((node, len(arrivals), buf))
-        return out
-    resolve = fib.resolve_port
-    memo_get = memo.get
+    fib = sc.fib
+    iface_id_of = sc.topology.iface_id
     for node, arrivals in items:
-        buf = CommandBuffer()
+        buf: CommandBuffer = CommandBuffer()
         append = buf.append
         for t, prio, row in arrivals:
-            key = (node, row[F_DST], row[F_FLOW])
-            target = memo_get(key)
-            if target is None:
-                target = memo[key] = iface_id_of(
-                    node, resolve(node, key[1], key[2]))
+            if routes is None:
+                target = iface_id_of(node, fib.resolve_port(
+                    node, row[F_DST], row[F_FLOW], row[F_SEQ]))
+            else:
+                target = _route(routes, sc, node, row[F_DST], row[F_FLOW])
             append(target, (t, prio, row))
         out.append((node, len(arrivals), buf))
     return out
@@ -259,8 +297,8 @@ def commit_forward_np(engine, ctx: WindowContext, results) -> None:
     consolidate_grouped(buffers, ctx.staged)
 
 
-def _forward_serial_np(engine, ctx: WindowContext, work, memo,
-                       spray: bool) -> None:
+def _forward_serial_np(engine, ctx: WindowContext, work,
+                       routes: Optional[Dict[int, int]]) -> None:
     """:func:`forward_batch_kernel` fused with its commit for the
     single-worker, probe-off sweep: resolved routes append straight
     into ``ctx.staged`` — no per-node command buffer, no consolidation
@@ -268,31 +306,28 @@ def _forward_serial_np(engine, ctx: WindowContext, work, memo,
     also preserves the global (node, arrival) recording order.
     """
     sc = engine.scenario
-    resolve = sc.fib.resolve_port
-    iface_id_of = sc.topology.iface_id
     staged = ctx.staged
     staged_get = staged.get
     node_events = engine.results.node_events
-    memo_get = memo.get if memo is not None else None
-    # Flat integer memo keys: (node, dst, flow) packed by exact
-    # mixed-radix arithmetic (dst < n_nodes, flow < n_flows), so the
-    # per-packet tuple allocation and tuple hash become one int hash.
+    routes_get = routes.get if routes is not None else None
     n_nodes = len(sc.topology.nodes)
     n_flows = len(sc.flows)
+    fanout = n_nodes * n_nodes
     total = 0
     for node, arrivals in work:
         base = node * n_nodes
         for t, prio, row in arrivals:
-            if memo_get is None:
-                salt = row[F_SEQ] if spray else None
-                target = iface_id_of(
-                    node, resolve(node, row[F_DST], row[F_FLOW], salt))
+            if routes_get is None:
+                target = sc.topology.iface_id(node, sc.fib.resolve_port(
+                    node, row[F_DST], row[F_FLOW], row[F_SEQ]))
             else:
-                key = (base + row[F_DST]) * n_flows + row[F_FLOW]
-                target = memo_get(key)
+                key = base + row[F_DST]
+                target = routes_get(key)
+                if target is not None and target < 0:  # ECMP fan-out
+                    target = routes_get(fanout + key * n_flows + row[F_FLOW])
                 if target is None:
-                    target = memo[key] = iface_id_of(
-                        node, resolve(node, row[F_DST], row[F_FLOW]))
+                    target = _route(routes, sc, node, row[F_DST],
+                                    row[F_FLOW])
             lst = staged_get(target)
             if lst is None:
                 staged[target] = [(t, prio, row)]
@@ -302,16 +337,6 @@ def _forward_serial_np(engine, ctx: WindowContext, work, memo,
         total += n
         node_events[node] = node_events.get(node, 0) + n
     ctx.counts.forward += total
-
-
-def _route_memo(engine, spray: bool) -> Optional[Dict]:
-    """The engine's cross-window route cache (None when spraying)."""
-    if spray:
-        return None
-    memo = getattr(engine, "_fwd_memo", None)
-    if memo is None:
-        memo = engine._fwd_memo = {}
-    return memo
 
 
 # --- TransmitSystem --------------------------------------------------------
@@ -335,66 +360,101 @@ def plan_transmit_np(engine, ctx: WindowContext) -> List[int]:
     return np.flatnonzero(mask).tolist()
 
 
-#: 8 * PS_PER_S, the serialization-formula constant (see repro.units).
-_PS8 = 8 * PS_PER_S
+class PortStatic(NamedTuple):
+    """One port's topology-fixed constants, gathered once per engine."""
+
+    #: How many class queues :func:`replay_window_inline` serves
+    #: lowest-first — 1 for FIFO, N for Strict Priority behind a
+    #: ``TableClassifier`` — or ``None`` where the port stays on the
+    #: reference ``EgressPort.replay_window`` (RR/DRR carry scheduler
+    #: state the inline loop does not model).
+    classes: Optional[int]
+    node: int
+    peer_node: int
+    delay_ps: int
+    rate_bps: int
+    ewma_shift: int
+    buffer_bytes: int
+    ecn_k: Optional[int]         # the DCTCP threshold, else None
+    red: Optional[AqmConfig]     # the RED config, else None
 
 
-def _replay_window_fifo(
+def _port_static(port) -> PortStatic:
+    kind = type(port.sched)
+    if kind is FifoScheduler:
+        classes = 1
+    elif (kind is StrictPriorityScheduler
+          and type(port.classifier) is TableClassifier):
+        classes = port.sched.num_classes
+    else:
+        classes = None
+    iface = port.iface
+    cfg = port.config
+    aqm = cfg.aqm
+    return PortStatic(
+        classes, iface.node, iface.peer_node, iface.delay_ps,
+        iface.rate_bps, aqm.red_weight_shift, cfg.buffer_bytes,
+        aqm.ecn_threshold_bytes
+        if aqm.kind == AqmKind.ECN_THRESHOLD else None,
+        aqm if aqm.kind == AqmKind.RED else None)
+
+
+def _tx_static(engine) -> List[PortStatic]:
+    """Per-port constants, gathered once per engine.  Dynamic state
+    (queue contents, ``free_at``, EWMA) stays on the port objects —
+    migration moves those, never these."""
+    static = engine._tx_static
+    if static is None:
+        static = engine._tx_static = [_port_static(p) for p in engine.ports]
+    return static
+
+
+def replay_window_inline(
     port,
-    arrivals: List[Staged],
+    static: PortStatic,
+    arrivals,
     window_start: int,
     window_end: int,
     emissions: List,
     drops: List[Tuple[int, Row]],
-    enq: Optional[List[Tuple[int, Row]]],
-    consts: Optional[Tuple[int, int, int, int]] = None,
+    enq: Optional[List[Tuple[int, Row]]] = None,
     sink: Optional[Tuple] = None,
 ) -> int:
-    """:meth:`EgressPort.replay_window` specialized for FIFO ports.
+    """:meth:`EgressPort.replay_window` inlined for FIFO and Strict
+    Priority ports (``static.classes`` queues, lowest non-empty wins;
+    FIFO is the one-class case).
 
     Same interleave, same state transitions, statement for statement —
     but every per-packet helper (``arrive``, ``_dequeue``,
-    ``serialization_ps``, the scheduler's single queue, the integer
-    EWMA, the DCTCP threshold test) is inlined over local variables,
-    with port/stats state written back once at exit.  FIFO ignores the
-    classifier (all classes collapse to queue 0, see
-    ``FifoScheduler.enqueue``), so the per-packet classifier call is
-    skipped outright.  This loop runs once per fed-or-active port per
-    window; on the reference workload the dispatch it removes is most
-    of the TransmitSystem's non-automaton cost.  Keep in lockstep with
-    ``EgressPort.replay_window``/``arrive`` and ``Scheduler._pop``; the
-    backend-equivalence suite diffs the backends byte for byte.
+    ``serialization_ps``, ``Scheduler.enqueue``/``_pop``, the
+    ``TableClassifier`` lookup, the integer EWMA, the DCTCP threshold
+    test) runs over local variables, with port/stats state written back
+    once at exit.  Class 0's queue and head live in locals, so a FIFO
+    port never touches the per-class lists; higher classes are scanned
+    only when class 0 is empty.  No arrivals (a busy line draining) and
+    one arrival are the same loop with a shorter input.  Keep in
+    lockstep with ``EgressPort.replay_window``/``arrive`` and
+    ``Scheduler.enqueue``/``_pop``: ``tests/core/test_port_replay.py``
+    drives twin ports through both.
 
-    ``consts`` is the caller's pre-gathered
-    ``(rate, weight_shift, buffer_bytes, ecn_k)`` (threshold-AQM ports
-    only — it skips the per-call attribute walk).  ``sink`` is the
-    caller's ``(buckets, events, register_window, lookahead, floor,
-    peer_node, delay_ps)``; when given, dequeued packets are delivered
+    ``sink`` is the caller's ``(buckets, events, register_window,
+    lookahead, floor)``; when given, dequeued packets are delivered
     straight into the engine's event columns instead of filling
     ``emissions``.  Returns the number of dequeues.
     """
+    (classes, _node, peer, delay, rate, weight_shift, buffer_bytes, ecn_k,
+     red) = static
     sched = port.sched
-    queue = sched.queues[0]
-    head = sched._heads[0]
+    queues = sched.queues
+    heads = sched._heads
+    queue = queues[0]
+    head = heads[0]
     slen = sched._len
+    table = port.classifier.classes if classes > 1 else None
+    top = classes - 1
     stats = port.stats
-    if consts is not None:
-        rate, weight_shift, buffer_bytes, ecn_k = consts
-        aqm = None
-        iface_id = -1  # should_mark is unreachable: ecn_k is not None
-    else:
-        rate = port.iface.rate_bps
-        iface_id = port.iface.iface_id
-        cfg = port.config
-        aqm = cfg.aqm
-        weight_shift = aqm.red_weight_shift
-        buffer_bytes = cfg.buffer_bytes
-        # DCTCP threshold marking (the default) inlines; other AQM
-        # kinds go through the shared decision function.
-        ecn_k = (aqm.ecn_threshold_bytes
-                 if aqm.kind == AqmKind.ECN_THRESHOLD else None)
     if sink is not None:
-        buckets, events, reg, L, floor, peer, delay = sink
+        buckets, events, reg, L, floor = sink
         last_win = -1
         b_nodes = b_payloads = None
     sample_queue = port.sample_queue
@@ -406,74 +466,89 @@ def _replay_window_fifo(
     cursor = window_start
     i = 0
     n = len(arrivals)
+    next_arr = arrivals[0][0] if n else None
     while True:
-        next_arr = arrivals[i][0] if i < n else None
-        start: Optional[int] = None
         if slen > 0:
             start = free_at if free_at > cursor else cursor
-            if start >= window_end:
-                start = None
-        if start is not None and (next_arr is None or start <= next_arr):
-            row = queue[head]            # Scheduler._pop, inlined
-            head += 1
-            if head > 64 and head * 2 >= len(queue):
-                del queue[:head]
-                head = 0
-            slen -= 1
-            size = row[F_SIZE]
-            queued -= size
-            n_deq += 1
-            tx += size
-            end = start + (size * _PS8) // rate
-            free_at = end
-            if sink is None:
-                emissions.append((row, start, end))
-            else:
-                ta = end + delay
-                win = ta // L
-                if win < floor:
-                    win = floor
-                if win != last_win:
-                    bucket = buckets.get(win)
-                    if bucket is None:
-                        bucket = buckets[win] = events_mod._Bucket()
-                        reg(events, win)
-                    last_win = win
-                    b_nodes = bucket.nodes.append
-                    b_payloads = bucket.payloads.append
-                b_nodes(peer)
-                b_payloads((ENTRY_ARRIVAL, ta, PRIO_ARRIVAL, row))
-            cursor = start
-        elif next_arr is not None:
-            t, _prio, row = arrivals[i]
-            i += 1
-            # EgressPort.arrive, inlined (marking sees the queue
-            # occupancy before the packet, per the DCTCP convention)
-            size = row[F_SIZE]
-            avg += (queued - avg) >> weight_shift
-            if queued + size > buffer_bytes:
-                n_drop += 1
-                drops.append((t, row))
-            else:
-                if (queued >= ecn_k and not row[F_ISACK]
-                        if ecn_k is not None
-                        else should_mark(aqm, row, queued, avg, iface_id)):
-                    row = with_ce(row)
-                    n_mark += 1
-                queue.append(row)
-                slen += 1
-                queued += size
-                n_enq += 1
-                if queued > max_q:
-                    max_q = queued
-                if sample_queue:
-                    stats.queue_samples.append((t, queued))
-                if enq is not None:
-                    enq.append((t, row))
-            cursor = t
-        else:
+            if start < window_end and (next_arr is None
+                                       or start <= next_arr):
+                if head < len(queue):    # Scheduler._pop, inlined
+                    row = queue[head]
+                    head += 1
+                    if head > 64 and head * 2 >= len(queue):
+                        del queue[:head]
+                        head = 0
+                else:                    # class 0 empty: next class up
+                    c = 1
+                    while heads[c] >= len(queues[c]):
+                        c += 1
+                    q = queues[c]
+                    h = heads[c]
+                    row = q[h]
+                    h += 1
+                    if h > 64 and h * 2 >= len(q):
+                        del q[:h]
+                        h = 0
+                    heads[c] = h
+                slen -= 1
+                size = row[F_SIZE]
+                queued -= size
+                n_deq += 1
+                tx += size
+                free_at = end = start + (size * _PS8) // rate
+                if sink is None:
+                    emissions.append((row, start, end))
+                else:
+                    ta = end + delay
+                    win = ta // L
+                    if win < floor:
+                        win = floor
+                    if win != last_win:
+                        bucket = buckets.get(win)
+                        if bucket is None:
+                            bucket = buckets[win] = events_mod._Bucket()
+                            reg(events, win)
+                        last_win = win
+                        b_nodes = bucket.nodes.append
+                        b_payloads = bucket.payloads.append
+                    b_nodes(peer)
+                    b_payloads((ENTRY_ARRIVAL, ta, PRIO_ARRIVAL, row))
+                cursor = start
+                continue
+        if next_arr is None:
             break
-    sched._heads[0] = head
+        t, _prio, row = arrivals[i]
+        i += 1
+        next_arr = arrivals[i][0] if i < n else None
+        # EgressPort.arrive, inlined (marking sees the queue occupancy
+        # before the packet, per the DCTCP convention)
+        size = row[F_SIZE]
+        avg += (queued - avg) >> weight_shift
+        if queued + size > buffer_bytes:
+            n_drop += 1
+            drops.append((t, row))
+        else:
+            if (queued >= ecn_k and not row[F_ISACK] if ecn_k is not None
+                    else red is not None and should_mark(
+                        red, row, queued, avg, port.iface.iface_id)):
+                row = with_ce(row)
+                n_mark += 1
+            if table is None:
+                queue.append(row)
+            else:            # Scheduler.enqueue clamps the class id
+                c = table[row[F_FLOW]]
+                queues[0 if c < 0 else top if c > top else c].append(row)
+            slen += 1
+            queued += size
+            n_enq += 1
+            if queued > max_q:
+                max_q = queued
+            if sample_queue:
+                stats.queue_samples.append((t, queued))
+            if enq is not None:
+                enq.append((t, row))
+        cursor = t
+    heads[0] = head
     sched._len = slen
     port.queued_bytes = queued
     port.avg_bytes = avg
@@ -487,175 +562,9 @@ def _replay_window_fifo(
     return n_deq
 
 
-def _replay_one_fifo(port, t: int, row, window_start: int, window_end: int,
-                     emissions: List, drops: List, rate: int, shift: int,
-                     buffer_bytes: int, ecn_k: Optional[int],
-                     sink: Optional[Tuple] = None) -> int:
-    """:func:`_replay_window_fifo` for exactly one arrival onto a busy
-    FIFO line with plain threshold (or no) AQM.
-
-    The interleave splits in two: dequeues whose service start lands at
-    or before ``t`` precede the arrival, then the arrival runs the
-    inlined AQM step, then the line keeps draining to ``window_end``.
-    The caller hands in the port's static constants (rate, EWMA shift,
-    buffer, threshold) from its per-port arrays, so the per-call
-    attribute walk of the general replay disappears.  Transitions match
-    the general loop statement for statement.  ``sink`` (same tuple as
-    :func:`_replay_window_fifo`) delivers dequeues straight to the event
-    columns; returns the number of dequeues.
-    """
-    sched = port.sched
-    queue = sched.queues[0]
-    head = sched._heads[0]
-    slen = sched._len
-    stats = port.stats
-    queued = port.queued_bytes
-    free_at = port.free_at
-    if sink is not None:
-        buckets, events, reg, L, floor, peer, delay = sink
-        last_win = -1
-        b_nodes = b_payloads = None
-    n_deq = tx = 0
-    phase_bound = t  # phase 1: service starts at or before the arrival
-    start = free_at if free_at > window_start else window_start
-    for _phase in (0, 1):
-        while slen > 0 and start < window_end and start <= phase_bound:
-            out = queue[head]            # Scheduler._pop, inlined
-            head += 1
-            if head > 64 and head * 2 >= len(queue):
-                del queue[:head]
-                head = 0
-            slen -= 1
-            size = out[F_SIZE]
-            queued -= size
-            n_deq += 1
-            tx += size
-            end = start + (size * _PS8) // rate
-            free_at = end
-            if sink is None:
-                emissions.append((out, start, end))
-            else:
-                ta = end + delay
-                win = ta // L
-                if win < floor:
-                    win = floor
-                if win != last_win:
-                    bucket = buckets.get(win)
-                    if bucket is None:
-                        bucket = buckets[win] = events_mod._Bucket()
-                        reg(events, win)
-                    last_win = win
-                    b_nodes = bucket.nodes.append
-                    b_payloads = bucket.payloads.append
-                b_nodes(peer)
-                b_payloads((ENTRY_ARRIVAL, ta, PRIO_ARRIVAL, out))
-            start = end
-        if _phase:
-            break
-        # the arrival (marking sees the occupancy before the packet)
-        size = row[F_SIZE]
-        avg = port.avg_bytes
-        port.avg_bytes = avg + ((queued - avg) >> shift)
-        if queued + size > buffer_bytes:
-            stats.dropped += 1
-            drops.append((t, row))
-        else:
-            if ecn_k is not None and queued >= ecn_k and not row[F_ISACK]:
-                row = with_ce(row)
-                stats.marked += 1
-            queue.append(row)
-            slen += 1
-            queued += size
-            stats.enqueued += 1
-            if queued > stats.max_queue_bytes:
-                stats.max_queue_bytes = queued
-            if port.sample_queue:
-                stats.queue_samples.append((t, queued))
-        # phase 2: drain freely to the window edge
-        phase_bound = window_end
-        start = free_at if free_at > t else t
-    sched._heads[0] = head
-    sched._len = slen
-    port.queued_bytes = queued
-    port.free_at = free_at
-    stats.dequeued += n_deq
-    stats.tx_bytes += tx
-    return n_deq
-
-
-def _drain_window_fifo(port, window_start: int, window_end: int,
-                       emissions: List,
-                       rate: Optional[int] = None,
-                       sink: Optional[Tuple] = None) -> int:
-    """:func:`_replay_window_fifo` for the no-arrival case.
-
-    An active port with nothing staged only *dequeues*: no AQM, no
-    EWMA, no drops, no queue growth.  The interleave collapses to
-    ``start_1 = max(free_at, window_start); start_{k+1} = end_k`` until
-    the line crosses ``window_end`` or the queue drains — so all the
-    arrival-side bindings of the full replay are skipped.  Identical
-    emissions and port state, by construction.  Callers holding the
-    per-port static arrays pass ``rate`` to skip the attribute walk.
-    ``sink`` (same tuple as :func:`_replay_window_fifo`) delivers
-    dequeues straight to the event columns; returns the dequeue count.
-    """
-    sched = port.sched
-    queue = sched.queues[0]
-    head = sched._heads[0]
-    slen = sched._len
-    stats = port.stats
-    if rate is None:
-        rate = port.iface.rate_bps
-    if sink is not None:
-        buckets, events, reg, L, floor, peer, delay = sink
-        last_win = -1
-        b_nodes = b_payloads = None
-    queued = port.queued_bytes
-    free_at = port.free_at
-    n_deq = tx = 0
-    start = free_at if free_at > window_start else window_start
-    while slen > 0 and start < window_end:
-        row = queue[head]                # Scheduler._pop, inlined
-        head += 1
-        if head > 64 and head * 2 >= len(queue):
-            del queue[:head]
-            head = 0
-        slen -= 1
-        size = row[F_SIZE]
-        queued -= size
-        n_deq += 1
-        tx += size
-        end = start + (size * _PS8) // rate
-        if sink is None:
-            emissions.append((row, start, end))
-        else:
-            ta = end + delay
-            win = ta // L
-            if win < floor:
-                win = floor
-            if win != last_win:
-                bucket = buckets.get(win)
-                if bucket is None:
-                    bucket = buckets[win] = events_mod._Bucket()
-                    reg(events, win)
-                last_win = win
-                b_nodes = bucket.nodes.append
-                b_payloads = bucket.payloads.append
-            b_nodes(peer)
-            b_payloads((ENTRY_ARRIVAL, ta, PRIO_ARRIVAL, row))
-        free_at = end
-        start = end
-    sched._heads[0] = head
-    sched._len = slen
-    port.queued_bytes = queued
-    port.free_at = free_at
-    stats.dequeued += n_deq
-    stats.tx_bytes += tx
-    return n_deq
-
-
 def transmit_batch_kernel(
     ports,
+    static: List[PortStatic],
     staged: Dict[int, List[Staged]],
     window_start: int,
     window_end: int,
@@ -685,9 +594,10 @@ def transmit_batch_kernel(
         emissions: List = []
         drops: List[Tuple[int, Row]] = []
         enq: Optional[List[Tuple[int, Row]]] = [] if full_trace else None
-        if type(port.sched) is FifoScheduler:
-            _replay_window_fifo(port, arrivals, window_start, window_end,
-                                emissions, drops, enq)
+        if static[iface_id].classes is not None:
+            replay_window_inline(port, static[iface_id], arrivals,
+                                 window_start, window_end, emissions,
+                                 drops, enq)
         else:
             port.replay_window(arrivals, window_start, window_end,
                                emissions, drops, enq)
@@ -704,49 +614,28 @@ def _transmit_serial_np(engine, ctx: WindowContext,
     Fuses :func:`transmit_batch_kernel` with ``commit_transmit`` for the
     single-worker, trace-off case (the measured configuration): no
     intermediate result tuples, scratch emission/drop lists reused
-    across ports, and each port's deliveries land through the engine's
-    bulk :meth:`~repro.core.engine.DodEngine.deliver_emissions` instead
-    of one call chain per packet.  Port order, per-port emission order,
-    stats and active-set updates are exactly the two-phase path's —
-    only the dispatch around them is collapsed.  Trace-on runs keep the
-    two-phase path so per-packet ENQ/DEQ/DROP events interleave exactly
-    as the Python backend emits them.
+    across ports, and with local delivery and no conformance bus the
+    replay takes a delivery sink and appends dequeues straight to the
+    event columns — no emission tuples at all.  Port order, per-port
+    emission order, stats and active-set updates are exactly the
+    two-phase path's — only the dispatch around them is collapsed.
+    Trace-on runs keep the two-phase path so per-packet ENQ/DEQ/DROP
+    events interleave exactly as the Python backend emits them.
     """
     ports = engine.ports
-    static = getattr(engine, "_tx_static", None)
-    if static is None or len(static[0]) != len(ports):
-        # Topology-fixed per-port metadata, gathered once: scheduler
-        # kind, endpoint nodes, link delay/rate, and the inlined AQM
-        # constants (None where the port is not plain DCTCP-threshold).
-        # Dynamic state (sched contents, free_at, EWMA) stays on the
-        # port objects — migration moves those, never these.
-        static = engine._tx_static = (
-            [type(p.sched) is FifoScheduler for p in ports],
-            [p.iface.node for p in ports],
-            [p.iface.peer_node for p in ports],
-            [p.iface.delay_ps for p in ports],
-            [p.iface.rate_bps for p in ports],
-            [p.config.aqm.red_weight_shift for p in ports],
-            [p.config.buffer_bytes for p in ports],
-            [p.config.aqm.ecn_threshold_bytes
-             if p.config.aqm.kind == AqmKind.ECN_THRESHOLD else None
-             for p in ports],
-            [p.config.aqm.kind in (AqmKind.ECN_THRESHOLD, AqmKind.NONE)
-             for p in ports],
-        )
-    (fifo_of, node_of, peer_of, delay_of, rate_of, shift_of, buf_of,
-     ecn_of, simple_of) = static
+    static = _tx_static(engine)
     staged_get = ctx.staged.get
     bus = engine.bus
     has_ops = bus.has_ops
     active = engine.active_ports
-    node_events = engine.results.node_events
     results = engine.results
+    node_events = results.node_events
     sort = transmit_sort  # module attribute: the injectable tie-break
     # Local deliveries append straight to the event columns; the
     # cluster's AgentEngine keeps the bulk-method dispatch (its peers
     # can live on another partition).
     inline = engine.deliveries_local
+    sink = None
     if inline:
         events = engine.events
         buckets = events._buckets
@@ -755,61 +644,47 @@ def _transmit_serial_np(engine, ctx: WindowContext,
         floor = engine._running_window + 1
         last_win = None
         b_nodes = b_payloads = None
-    else:
-        deliver_emissions = engine.deliver_emissions
-    # With local delivery and no conformance bus the FIFO replay
-    # helpers take a delivery sink and append dequeues straight to the
-    # event columns — no intermediate emission tuples at all.
-    use_sink = inline and not has_ops
-    count = 0
+        if not has_ops:
+            sink = (buckets, events, reg, L, floor)
+    deliver_emissions = engine.deliver_emissions
+    count = n_reference = 0
     emissions: List = []
     drops: List[Tuple[int, Row]] = []
     for iface_id in iface_ids:
         port = ports[iface_id]
+        st = static[iface_id]
+        sched = port.sched
         arrivals = staged_get(iface_id)
-        fifo = fifo_of[iface_id]
-        n_sunk = 0
         if arrivals is None:
-            if port.sched._len > 0 if fifo else len(port.sched) > 0:
-                if port.free_at >= window_end:
-                    # Busy line, nothing fed, head packet outlasts the
-                    # window: guaranteed no-op (see
-                    # transmit_batch_kernel).  The port is already in
-                    # the active set — keep it there.
-                    continue
-            if fifo:
-                if use_sink:
-                    n_sunk = _drain_window_fifo(
-                        port, window_start, window_end, emissions,
-                        rate_of[iface_id],
-                        (buckets, events, reg, L, floor,
-                         peer_of[iface_id], delay_of[iface_id]))
-                else:
-                    _drain_window_fifo(port, window_start, window_end,
-                                       emissions, rate_of[iface_id])
-            else:
-                port.replay_window([], window_start, window_end,
-                                   emissions, drops, None)
-        elif (fifo and len(arrivals) == 1 and port.sched._len == 0
-                and simple_of[iface_id]
-                and not port.sample_queue and not has_ops):
-            # Single arrival, empty FIFO queue, threshold or no AQM:
-            # the replay collapses to "maybe mark, then emit when the
-            # line frees" — ~58% of replays on the reference workload
-            # (switch egresses and host NICs alike).  Same transitions
-            # as _replay_window_fifo with queued == 0, including the
-            # EWMA step and the enqueue-or-emit split.
+            if sched._len > 0 and port.free_at >= window_end:
+                # Busy line, nothing fed, head packet outlasts the
+                # window: guaranteed no-op (see transmit_batch_kernel).
+                # The port is already in the active set — keep it there.
+                continue
+            arrivals = ()
+        elif len(arrivals) > 1:  # 0/1 arrivals: nothing to tie-break
+            arrivals = sort(arrivals)
+        elif (arrivals and sched._len == 0 and st.classes is not None
+                and st.red is None and not port.sample_queue
+                and not has_ops):
+            # Single arrival, empty FIFO/SP queues, threshold or no
+            # AQM: the replay collapses to "maybe mark, then emit when
+            # the line frees" — ~58% of replays on the reference
+            # workload (switch egresses and host NICs alike).  Same
+            # transitions as replay_window_inline with queued == 0,
+            # including the EWMA step and the enqueue-or-emit split.
+            (classes, node, peer, delay, rate, shift, buffer_bytes, ecn_k,
+             _red) = st
             t, _prio, row = arrivals[0]
             size = row[F_SIZE]
             stats = port.stats
             avg = port.avg_bytes
-            port.avg_bytes = avg + ((0 - avg) >> shift_of[iface_id])
-            if size > buf_of[iface_id]:
+            port.avg_bytes = avg + ((0 - avg) >> shift)
+            if size > buffer_bytes:
                 stats.dropped += 1
                 results.drops += 1
                 active.discard(iface_id)
                 continue
-            ecn_k = ecn_of[iface_id]
             if ecn_k is not None and 0 >= ecn_k and not row[F_ISACK]:
                 row = with_ce(row)
                 stats.marked += 1
@@ -819,21 +694,23 @@ def _transmit_serial_np(engine, ctx: WindowContext,
             free_at = port.free_at
             start = free_at if free_at > t else t
             if start >= window_end:  # stays queued past the window
-                sched = port.sched
-                sched.queues[0].append(row)
+                c = 0
+                if classes > 1:      # into the packet's class, clamped
+                    c = port.classifier.classes[row[F_FLOW]]
+                    c = 0 if c < 0 else min(c, classes - 1)
+                sched.queues[c].append(row)
                 sched._len += 1
                 port.queued_bytes = size
                 active.add(iface_id)
                 continue
-            end = start + (size * _PS8) // rate_of[iface_id]
+            end = start + (size * _PS8) // rate
             port.free_at = end
             stats.dequeued += 1
             stats.tx_bytes += size
             count += 1
-            node = node_of[iface_id]
             node_events[node] = node_events.get(node, 0) + 1
             if inline:
-                t = end + delay_of[iface_id]
+                t = end + delay
                 win = t // L
                 if win < floor:
                     win = floor
@@ -845,100 +722,40 @@ def _transmit_serial_np(engine, ctx: WindowContext,
                     last_win = win
                     b_nodes = bucket.nodes.append
                     b_payloads = bucket.payloads.append
-                b_nodes(peer_of[iface_id])
+                b_nodes(peer)
                 b_payloads((ENTRY_ARRIVAL, t, PRIO_ARRIVAL, row))
             else:
-                deliver_emissions(peer_of[iface_id], delay_of[iface_id],
-                                  [(row, start, end)])
+                deliver_emissions(peer, delay, [(row, start, end)])
             active.discard(iface_id)
             continue
-        elif fifo and len(arrivals) == 1 and simple_of[iface_id]:
-            # One arrival onto a busy line: two-phase drain around the
-            # inlined AQM step, constants from the per-port arrays.
-            t, _prio, row = arrivals[0]
-            if use_sink:
-                n_sunk = _replay_one_fifo(
-                    port, t, row, window_start, window_end,
-                    emissions, drops, rate_of[iface_id],
-                    shift_of[iface_id], buf_of[iface_id],
-                    ecn_of[iface_id],
-                    (buckets, events, reg, L, floor, peer_of[iface_id],
-                     delay_of[iface_id]))
-            else:
-                _replay_one_fifo(port, t, row, window_start, window_end,
-                                 emissions, drops, rate_of[iface_id],
-                                 shift_of[iface_id], buf_of[iface_id],
-                                 ecn_of[iface_id])
+        if st.classes is None:
+            n_reference += 1
+            port.replay_window(arrivals, window_start, window_end,
+                               emissions, drops, None)
+            n = len(emissions)
         else:
-            if len(arrivals) > 1:  # 0/1 arrivals: nothing to tie-break
-                arrivals = sort(arrivals)
-            if fifo:
-                consts = ((rate_of[iface_id], shift_of[iface_id],
-                           buf_of[iface_id], ecn_of[iface_id])
-                          if ecn_of[iface_id] is not None else None)
-                if use_sink:
-                    n_sunk = _replay_window_fifo(
-                        port, arrivals, window_start, window_end,
-                        emissions, drops, None, consts,
-                        (buckets, events, reg, L, floor,
-                         peer_of[iface_id], delay_of[iface_id]))
-                else:
-                    _replay_window_fifo(port, arrivals, window_start,
-                                        window_end, emissions, drops,
-                                        None, consts)
-            else:
-                port.replay_window(arrivals, window_start, window_end,
-                                   emissions, drops, None)
-        if has_ops and emissions:
-            from ...protocols.packet import packet_uid
-            for row, _s, _e in emissions:
-                bus.op(2, iface_id, packet_uid(row))  # OP_SERVICE
+            n = replay_window_inline(port, st, arrivals, window_start,
+                                     window_end, emissions, drops, None,
+                                     sink)
         if drops:
             results.drops += len(drops)
             drops.clear()
-        if n_sunk:
-            # Deliveries already landed in the event columns inside the
-            # replay helper; only the counters remain.
-            count += n_sunk
-            node = node_of[iface_id]
-            node_events[node] = node_events.get(node, 0) + n_sunk
-            if (port.sched._len if fifo else len(port.sched)) > 0:
-                active.add(iface_id)
-            else:
-                active.discard(iface_id)
-            continue
-        n = len(emissions)
         if n:
             count += n
-            node = node_of[iface_id]
-            node_events[node] = node_events.get(node, 0) + n
-            if inline:
-                peer = peer_of[iface_id]
-                delay = delay_of[iface_id]
-                for row, _start, end in emissions:
-                    t = end + delay
-                    win = t // L
-                    if win < floor:
-                        win = floor
-                    if win != last_win:
-                        bucket = buckets.get(win)
-                        if bucket is None:
-                            bucket = buckets[win] = events_mod._Bucket()
-                        reg(events, win)
-                        last_win = win
-                        b_nodes = bucket.nodes.append
-                        b_payloads = bucket.payloads.append
-                    b_nodes(peer)
-                    b_payloads((ENTRY_ARRIVAL, t, PRIO_ARRIVAL, row))
-            else:
-                deliver_emissions(peer_of[iface_id], delay_of[iface_id],
-                                  emissions)
-            emissions.clear()
-        if (port.sched._len if fifo else len(port.sched)) > 0:
+            node_events[st.node] = node_events.get(st.node, 0) + n
+            if emissions:  # not sunk: ops, then one bulk delivery
+                if has_ops:
+                    from ...protocols.packet import packet_uid
+                    for row, _s, _e in emissions:
+                        bus.op(2, iface_id, packet_uid(row))  # OP_SERVICE
+                deliver_emissions(st.peer_node, st.delay_ps, emissions)
+                emissions.clear()
+        if sched._len > 0:
             active.add(iface_id)
         else:
             active.discard(iface_id)
     ctx.counts.transmit += count
+    bus.count("transmit.reference_replays", n_reference)
 
 
 # --- Fused window pass ------------------------------------------------------
@@ -1067,54 +884,53 @@ def run_window_fused(engine, ctx: WindowContext):
                 bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
         cols = world.senders.resident(SENDER_COLS)
         sender_of_flow = world.sender_of_flow
+        fl = flow_lists(engine)
         if workers > 1 and len(flow_ids) > 1:
             chunks = _chunked(flow_ids, workers)
-            results = pool.map(
+            parts = pool.map(
                 "send",
-                lambda chunk: send_batch_kernel(cols, sender_of_flow, sc,
+                lambda chunk: send_batch_kernel(cols, sender_of_flow, sc, fl,
                                                 acks_of, starts, ctx.end,
                                                 chunk),
                 chunks,
                 sizes=[sum(len(acks_of.get(f, ())) + 1 for f in chunk)
                        for chunk in chunks],
             )
-            results = (results[0] if len(results) == 1
-                       else [r for chunk in results for r in chunk])
+            results = [r for part in parts for r in part[0]]
+            n_array = sum(part[1] for part in parts)
+            n_scalar = sum(part[2] for part in parts)
         else:
-            results = send_batch_kernel(cols, sender_of_flow, sc, acks_of,
-                                        starts, ctx.end, flow_ids)
+            results, n_array, n_scalar = send_batch_kernel(
+                cols, sender_of_flow, sc, fl, acks_of, starts, ctx.end,
+                flow_ids)
         commit_send(engine, ctx, results)
+        # Which UDP schedule the window's flow visits took, one count
+        # each per window (docs/OBSERVABILITY.md, "fused" section).
+        if n_array:
+            bus.count("send.array_schedules", n_array)
+        if n_scalar:
+            bus.count("send.scalar_schedules", n_scalar)
     t2 = clock()
 
     if forward_work:
-        spray = sc.ecmp_mode == "packet"
+        # Packet spraying re-salts the ECMP hash per segment: no cache.
+        routes = None if sc.ecmp_mode == "packet" else engine._routes
         if workers <= 1 and not bus.has_ops:
-            # The serial sweep keeps its own flat-int-keyed memo (the
-            # buffered kernel's memo is tuple-keyed).
-            if spray:
-                memo = None
-            else:
-                memo = getattr(engine, "_fwd_memo_flat", None)
-                if memo is None:
-                    memo = engine._fwd_memo_flat = {}
-            _forward_serial_np(engine, ctx, forward_work, memo, spray)
-        elif workers > 1 and len(forward_work) > 1:
-            memo = _route_memo(engine, spray)
-            chunks = _chunked(forward_work, workers)
-            results = pool.map(
-                "forward",
-                lambda chunk: forward_batch_kernel(
-                    sc.fib, sc.topology.iface_id, spray, chunk, memo),
-                chunks,
-                sizes=[sum(len(w[1]) for w in chunk) for chunk in chunks],
-            )
-            results = (results[0] if len(results) == 1
-                       else [r for chunk in results for r in chunk])
-            commit_forward_np(engine, ctx, results)
+            _forward_serial_np(engine, ctx, forward_work, routes)
         else:
-            results = forward_batch_kernel(sc.fib, sc.topology.iface_id,
-                                           spray, forward_work,
-                                           _route_memo(engine, spray))
+            if workers > 1 and len(forward_work) > 1:
+                chunks = _chunked(forward_work, workers)
+                results = pool.map(
+                    "forward",
+                    lambda chunk: forward_batch_kernel(sc, routes, chunk),
+                    chunks,
+                    sizes=[sum(len(w[1]) for w in chunk)
+                           for chunk in chunks],
+                )
+                results = (results[0] if len(results) == 1
+                           else [r for chunk in results for r in chunk])
+            else:
+                results = forward_batch_kernel(sc, routes, forward_work)
             commit_forward_np(engine, ctx, results)
     t3 = clock()
 
@@ -1127,12 +943,13 @@ def run_window_fused(engine, ctx: WindowContext):
             t4 = clock()
             return t0, t1, t2, t3, t4
         full_trace = bus.trace_level >= 2
+        static = _tx_static(engine)
         if workers > 1 and len(iface_ids) > 1:
             chunks = _chunked(iface_ids, workers)
             results = pool.map(
                 "transmit",
                 lambda chunk: transmit_batch_kernel(
-                    engine.ports, ctx.staged, ctx.start, ctx.end,
+                    engine.ports, static, ctx.staged, ctx.start, ctx.end,
                     full_trace, chunk),
                 chunks,
                 sizes=[sum(len(ctx.staged.get(i, ())) + 1 for i in chunk)
@@ -1141,7 +958,7 @@ def run_window_fused(engine, ctx: WindowContext):
             results = (results[0] if len(results) == 1
                        else [r for chunk in results for r in chunk])
         else:
-            results = transmit_batch_kernel(engine.ports, ctx.staged,
+            results = transmit_batch_kernel(engine.ports, static, ctx.staged,
                                             ctx.start, ctx.end, full_trace,
                                             iface_ids)
         commit_transmit(engine, ctx, results)

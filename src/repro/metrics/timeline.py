@@ -264,6 +264,14 @@ def stats_dict(bus: Any) -> Dict[str, Any]:
             "validate_fail": counters.get("memo.validate_fail", 0),
             "hit_rate": hits / lookups if lookups else 0.0,
         }
+    if "transmit.reference_replays" in counters:
+        # Published by the fused sweep once per window, so present
+        # whenever it ran: why the inline paths did or did not fire.
+        out["fused"] = {
+            "reference_replays": counters["transmit.reference_replays"],
+            "array_schedules": counters.get("send.array_schedules", 0),
+            "scalar_schedules": counters.get("send.scalar_schedules", 0),
+        }
     if any(k.startswith("transport.shm_") for k in counters):
         out["transport_shm"] = {
             "frames": counters.get("transport.shm_frames", 0),
@@ -298,7 +306,7 @@ def stats_csv(bus: Any) -> str:
     for key in ("agent_busy_s", "agent_barrier_wait_s"):
         for agent, value in enumerate(report.get(key, ())):
             writer.writerow(["agent", f"a{agent}", key[6:], value])
-    for section in ("memo", "transport_shm"):
+    for section in ("memo", "fused", "transport_shm"):
         for field_name, value in sorted(report.get(section, {}).items()):
             writer.writerow([section, section, field_name, value])
     return buf.getvalue()

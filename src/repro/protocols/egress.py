@@ -217,10 +217,12 @@ class EgressPort:
         order; at equal timestamps service precedes arrival, matching the
         baseline's PORT_DONE-before-ARRIVAL event priority.
 
-        ``repro.core.systems.vectorized._replay_window_fifo`` inlines
-        this loop (and ``arrive``) for FIFO ports on the NumPy backend —
-        any semantic change here must be mirrored there (the
-        backend-equivalence suite enforces it).
+        ``repro.core.systems.vectorized.replay_window_inline`` inlines
+        this loop (with ``arrive``, ``_dequeue`` and the scheduler's
+        ``enqueue``/``_pop``) for FIFO and Strict Priority ports on the
+        NumPy backend — any semantic change here must be mirrored there
+        (``tests/core/test_port_replay.py`` drives twin ports through
+        both, and the trace-off conformance oracles run it end to end).
         """
         i = 0
         n = len(arrivals)

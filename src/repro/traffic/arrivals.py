@@ -503,16 +503,8 @@ class FlowColumns:
         """flow_id -> class, as plain ints (classifier table fast path)."""
         return self._priority.tolist()
 
-    def src_list(self) -> List[int]:
-        """Per-flow source hosts as plain ints (NIC-map fast path)."""
-        return self._src.tolist()
-
     def priority_at(self, flow_id: int) -> int:
         return int(self._priority[flow_id])
-
-    def transport_at(self, flow_id: int) -> int:
-        """Transport code of one flow, without materializing a facade."""
-        return int(self._transport[flow_id])
 
     @property
     def has_udp(self) -> bool:

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.conformance.diff import first_divergence
+from repro.conformance.diff import first_divergence, results_divergence
 from repro.conformance.generator import (
     ScenarioSpec, generate_spec, shrink, shrink_candidates,
 )
@@ -31,6 +31,9 @@ NUMPY_ORACLES = ("ood", "dons-numpy")
 #: only observable on cache *hits*, so the fuzz stream must contain
 #: steady-traffic specs that actually hit (seed 100 does, early).
 FFWD_ORACLES = ("ood", "dons-numpy-ffwd")
+#: The fused pass's serial transmit sweep runs only without a trace
+#: stream, so only these two oracles reach it.
+NOTRACE_ORACLES = ("ood", "dons-numpy-notrace", "dons-numpy-ffwd-notrace")
 #: The torn-frame drill needs an oracle that decodes shared-memory
 #: frames; the pickled transports never touch the framing code.
 SHM_ORACLES = ("ood", "cluster-shm-2")
@@ -139,11 +142,56 @@ class TestOraclesAndInvariants:
         assert "window" in div.format()
 
 
+    def test_results_divergence_names_the_part(self):
+        ref = run_oracle("ood", SMALL.build())
+        cand = run_oracle("dons-numpy-notrace", SMALL.build())
+        assert cand.trace is None and cand.n_entries == 0
+        assert [name for name, _ in cand.parts] == \
+               [name for name, _ in ref.parts]
+        assert results_divergence(ref, cand) is None
+
+        index = next(i for i, (name, _) in enumerate(cand.parts)
+                     if name.startswith("iface"))
+        name, stats = cand.parts[index]
+        cand.parts[index] = (name, (stats[0] + 1,) + stats[1:])
+        div = results_divergence(ref, cand)
+        assert div is not None and div.op_index == index
+        assert (div.system, div.entity) == ("results", name)
+        assert div.ref_entry == (stats,) and div.window is None
+        assert div.format().startswith("results divergence")
+
+        cand.parts.pop()
+        cand.parts[index] = (name, stats)
+        div = results_divergence(ref, cand)
+        assert div.op_index == len(cand.parts) and div.cand_entry == (None,)
+
+
 class TestFuzzLoop:
     def test_check_spec_passes_on_fast_oracles(self):
         report = check_spec(SMALL, FAST_ORACLES)
         assert report.ok, report.summary()
         assert report.entry_counts["ood"] == report.entry_counts["dons"]
+
+    def test_trace_off_oracles_are_held_to_the_reference(self):
+        """Every scheduler the spec space draws, through the trace-off
+        NumPy engine plain and fast-forwarded: result parts (event
+        totals, flows, RTTs, every port's stats) equal the OOD run's."""
+        seen = set()
+        for index in range(40):
+            spec = generate_spec(11, index)
+            if spec.scheduler in seen:
+                continue
+            seen.add(spec.scheduler)
+            report = check_spec(spec, NOTRACE_ORACLES)
+            assert report.ok, report.summary()
+            assert list(report.entry_counts) == ["ood"]
+        assert seen == {"fifo", "sp", "rr", "drr"}
+
+    def test_trace_off_oracle_cannot_be_the_reference(self):
+        report = check_spec(SMALL, ("dons-numpy-notrace", "ood"))
+        assert not report.ok and "reference" in report.error
+        report = check_spec(SMALL, ("cluster-local-2", "dons-numpy-notrace"))
+        assert not report.ok and "reference" in report.error
 
     def test_planted_ordering_bug_is_caught_and_shrunk(self, tmp_path):
         """The acceptance drill: flip the transmit kernel's tie-break;

@@ -1,0 +1,135 @@
+"""The fused NumPy pass on the WAN-twin small sibling: what the route
+cache may hold, what survives a checkpoint or a migration, and the
+counters that say whether the inline replay and the scalar UDP schedule
+fired (5,000 one-segment UDP flows in two classes on Abilene, run to
+completion at ``TraceLevel.NONE`` — the shape of the benchmark's
+``wan_twin_35k``)."""
+
+import pickle
+from dataclasses import replace
+
+import pytest
+
+pytest.importorskip("numpy")
+
+from repro.bench.workloads import wan_twin_smoke
+from repro.cluster.agent import AgentEngine
+from repro.cluster.manager import ClusterController, merge_results
+from repro.core.checkpoint import CheckpointingEngine, take_checkpoint
+from repro.core.engine import DodEngine
+from repro.des.partition_types import contiguous_partition, random_partition
+from repro.metrics.timeline import stats_csv, stats_dict
+from repro.schedulers import SchedulerKind
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return wan_twin_smoke(5_000, duration_us=60_000, seed=1)
+
+
+@pytest.fixture(scope="module")
+def reference(scenario):
+    engine = DodEngine(scenario, backend="numpy")
+    return engine, engine.run()
+
+
+def route_bounds(scenario):
+    """``(nodes x hosts, ECMP fan-outs the flows cross)`` — the most
+    destination-keyed and flow-keyed entries any cache may hold."""
+    topo, fib = scenario.topology, scenario.fib
+    fanouts = 0
+    for flow in scenario.flows:
+        for node in fib.path(flow.src, flow.dst, flow.flow_id)[1:-1]:
+            fanouts += len(fib.ports(node, flow.dst)) > 1
+    return topo.num_nodes * len(topo.hosts), fanouts
+
+
+def assert_routes_bounded(engine, bounds):
+    first_flow_key = engine.scenario.topology.num_nodes ** 2
+    by_dst = sum(key < first_flow_key for key in engine._routes)
+    assert by_dst <= bounds[0]
+    assert len(engine._routes) - by_dst <= bounds[1]
+
+
+def test_route_cache_stays_bounded(scenario, reference):
+    bounds = route_bounds(scenario)
+    assert 0 < bounds[1] < len(scenario.flows)  # Abilene has real ECMP
+    engine = DodEngine(scenario, backend="numpy")
+    engine.build()
+    windows = 0
+    while engine.advance():
+        windows += 1
+        if windows % 100 == 0:
+            assert_routes_bounded(engine, bounds)
+    results = engine.finalize()
+    assert_routes_bounded(engine, bounds)
+    assert engine._routes and results.events == reference[1].events
+    # Every flow is one packet: a (node, dst, flow) key could never hit.
+    assert len(engine._routes) < results.events.forward // 20
+
+
+def test_route_cache_is_rebuilt_not_checkpointed(scenario, reference):
+    bounds = route_bounds(scenario)
+    engine = DodEngine(scenario, backend="numpy")
+    engine.build()
+    for _ in range(400):
+        assert engine.advance()
+    assert engine._routes
+    checkpoint = take_checkpoint(engine, engine._cursor)
+    state = pickle.loads(checkpoint.payload)
+    assert not any("route" in key or "flow_lists" in key for key in state)
+    engine.pool.close()
+
+    fresh = CheckpointingEngine(scenario, backend="numpy")
+    fresh.build()
+    assert fresh._routes == {} and fresh._flow_lists is None
+    results = fresh.resume_from(checkpoint)
+    assert fresh._routes and fresh._flow_lists is not None
+    assert_routes_bounded(fresh, bounds)
+    assert results.events == reference[1].events
+    assert results.flows == reference[1].flows
+
+
+def test_route_cache_stays_bounded_across_migration(scenario, reference):
+    bounds = route_bounds(scenario)
+    topo = scenario.topology
+    first = contiguous_partition(topo, 2)
+    agents = [AgentEngine(a, scenario, first, backend="numpy")
+              for a in range(2)]
+    controller = ClusterController(
+        agents, schedule=[(300, random_partition(topo, 2, seed=5))])
+    merged = merge_results(controller.run(), scenario.name)
+    assert controller.migrations[0].nodes_moved > 0
+    assert merged.events == reference[1].events
+    for agent in agents:
+        assert agent._routes
+        assert_routes_bounded(agent, bounds)
+
+
+def test_counters_say_which_paths_fired(scenario, reference):
+    engine, results = reference
+    counters = engine.bus.counters
+    # Strict Priority ports take the inline replay; one-segment flows
+    # take the scalar schedule, one visit each.
+    assert counters["transmit.reference_replays"] == 0
+    assert counters["send.scalar_schedules"] == len(scenario.flows)
+    assert "send.array_schedules" not in counters
+
+    report = stats_dict(engine.bus)
+    assert report["fused"] == {"reference_replays": 0, "array_schedules": 0,
+                               "scalar_schedules": len(scenario.flows)}
+    assert f"fused,fused,scalar_schedules,{len(scenario.flows)}" \
+        in stats_csv(engine.bus).splitlines()
+
+    # Deficit Round Robin carries scheduler state the inline replay does
+    # not model: every switch-port replay goes to the reference method.
+    drr = replace(scenario, switch_egress=replace(
+        scenario.switch_egress, scheduler=SchedulerKind.DRR))
+    drr_engine = DodEngine(drr, backend="numpy")
+    drr_results = drr_engine.run()
+    assert drr_engine.bus.counters["transmit.reference_replays"] > 0
+    assert drr_results.events.total > 0
+    # The python backend has no fused sweep and reports no such section.
+    python = DodEngine(scenario, backend="python")
+    python.run()
+    assert "fused" not in stats_dict(python.bus)

@@ -88,7 +88,7 @@ TELEMETRY_GATE = 1.15
 LIVE_GATE = 1.05
 #: Standing gate on the vectorized backend: numpy/python wall-clock on
 #: the smoke scenario.  The columnar pipeline (raw-column plan pass,
-#: fused serial forward, three-tier FIFO replay with inline column
+#: fused serial forward, inline class-aware port replay with column
 #: delivery) measures 0.55–0.68 on the reference machine, best-of-3;
 #: the gate sits at 0.75 to absorb machine noise while still failing
 #: any change that costs the backend its structural advantage.  (The
