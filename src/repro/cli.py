@@ -373,6 +373,10 @@ def cmd_profile(args) -> int:
         print(f"{name:<{width + 4}} {prof.tasks:>6} {prof.items:>8} "
               f"{prof.elapsed_s * 1000:>8.3f}")
     print(f"windows {bus.counters.get('windows', 0):>{width + 5}}")
+    from .metrics.timeline import memo_line
+    memo = memo_line(bus.counters)
+    if memo:
+        print(memo)
     if agent_times is not None:
         print()
         print("per-agent wall-clock (measured T_a):")

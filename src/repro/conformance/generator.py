@@ -169,8 +169,13 @@ class ScenarioSpec:
             # bottleneck this is drop-free and exactly periodic — the
             # regime where the window-signature cache gets hits, which
             # makes the ``dons-numpy-ffwd`` oracle (and the
-            # ``stale_cache_delta`` drill) non-vacuous under fuzz.
-            base = permutation(hosts, size_bytes=max(size, 120_000),
+            # ``stale_cache_delta`` drill) non-vacuous under fuzz.  The
+            # flows grow with the lookahead so the periodic stretch
+            # lasts for windows enough (whatever the delay scale) that
+            # the cache also proves a cycle and jumps over some.
+            base = permutation(hosts,
+                               size_bytes=max(size,
+                                              120_000 * self.delay_scale),
                                transport=Transport.UDP, seed=self.seed)
             flows = [
                 Flow(flow_id=f.flow_id, src=f.src, dst=f.dst,

@@ -242,7 +242,8 @@ class CheckpointStore:
 
 
 class CheckpointingEngine(DodEngine):
-    """A DodEngine that snapshots itself every N windows.
+    """A DodEngine that snapshots itself every N windows (at the first
+    engine step that reaches or passes each multiple of N).
 
     ``run()`` behaves exactly like the base engine (checkpointing is
     observationally transparent); ``resume_from`` continues a previous
@@ -257,16 +258,20 @@ class CheckpointingEngine(DodEngine):
         self.every_windows = max(1, every_windows)
         self.checkpoint_name = name
         self.checkpoints_taken = 0
-        self._windows_done = 0
 
-    def process_window(self, index: int):
-        ctx = super().process_window(index)
-        self._windows_done += 1
-        if self.store is not None and self._windows_done % self.every_windows == 0:
+    def advance(self) -> bool:
+        """One engine step, then a snapshot whenever the windows it
+        advanced — executed, fast-forwarded by the memo, or skipped by a
+        cycle jump — cross a multiple of ``every_windows``."""
+        before = self._windows_run
+        more = super().advance()
+        every = self.every_windows
+        if self.store is not None \
+                and self._windows_run // every > before // every:
             self.store.save(self.checkpoint_name,
-                            take_checkpoint(self, index))
+                            take_checkpoint(self, self._cursor))
             self.checkpoints_taken += 1
-        return ctx
+        return more
 
     def resume_from(self, checkpoint: Checkpoint):
         """Restore state and run the remainder of the simulation."""

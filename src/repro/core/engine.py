@@ -332,9 +332,10 @@ class DodEngine:
         cross-agent traffic must run for real so its outbox fills), no
         queue sampling (samples are absolute-time pairs), no RED and no
         packet-mode ECMP (both hash raw sequence numbers, which the
-        per-flow rebase erases), and at least one UDP flow (the per-window probe only ever
-        memoizes pure-UDP windows, so without UDP flows the cache could
-        never hit).
+        per-flow rebase erases), and at least one UDP flow (the
+        per-window probe only ever memoizes pure-UDP windows, so without
+        UDP flows the cache could never hit).  A run that asked for
+        ``ffwd`` and fails a gate counts ``memo.disabled.<gate>``.
         """
         if not self.ffwd or self._memo is not None:
             return
@@ -343,12 +344,15 @@ class DodEngine:
         has_udp = getattr(sc.flows, "has_udp", None)
         if has_udp is None:
             has_udp = any(f.transport == Transport.UDP for f in sc.flows)
-        if (not self.deliveries_local
-                or self.sample_queues
-                or sc.host_egress.aqm.kind == AqmKind.RED
-                or sc.switch_egress.aqm.kind == AqmKind.RED
-                or sc.ecmp_mode == "packet"
-                or not has_udp):
+        gate = ("remote_deliveries" if not self.deliveries_local
+                else "queue_sampling" if self.sample_queues
+                else "red_aqm" if AqmKind.RED in (sc.host_egress.aqm.kind,
+                                                  sc.switch_egress.aqm.kind)
+                else "packet_spray" if sc.ecmp_mode == "packet"
+                else "no_udp_flow" if not has_udp else None)
+        if gate is not None:
+            # Asked for and statically impossible: say which gate.
+            self.bus.count("memo.disabled." + gate)
             return
         from .memo import WindowMemoCache
         self._memo = WindowMemoCache(self)
@@ -417,8 +421,8 @@ class DodEngine:
         that determines the remainder of the run.  The encoding is
         little-endian int64 streams (see
         :meth:`EventColumns.signature_bytes`), so the digest is stable
-        across ECS backends: the future memoization/fast-forwarding
-        cache keys on it.
+        across ECS backends; the memo tests use it to hold a
+        fast-forwarded engine to an executed one cursor by cursor.
         """
         h = blake2b(digest_size=16)
         h.update(struct.pack("<qq", self._cursor, self.lookahead))
@@ -503,18 +507,19 @@ class DodEngine:
             bus.span_add("send", rel(t1), rel(t2), "system")
             bus.span_add("forward", rel(t2), rel(t3), "system")
             bus.span_add("transmit", rel(t3), rel(t4), "system")
-            self._sample_window_metrics(ctx)
+            self._sample_window_metrics(ctx.end - ctx.start)
             bus.span_add("window", _w0, bus.now(), "window",
                          {"index": index, "start_ps": ctx.start})
         return ctx
 
-    def _sample_window_metrics(self, ctx: WindowContext) -> None:
+    def _sample_window_metrics(self, window_ps: int) -> None:
         """End-of-window metric sampling (telemetry only; read-only).
 
-        Busy ports are sampled for queue depth and per-window link
-        utilization (tx-bytes delta against the last sample, normalized
-        by line rate x window length).  Bounded by the active-port set,
-        not the topology size.
+        Busy ports are sampled for queue depth and link utilization
+        over the ``window_ps`` since the last sample — one window, or
+        the whole span of a memo cycle jump (tx-bytes delta normalized
+        by line rate x span).  Bounded by the active-port set, not the
+        topology size.
         """
         from .telemetry import QUEUE_DEPTH_BUCKETS, UTILIZATION_BUCKETS
         metrics = self.bus.metrics
@@ -522,7 +527,6 @@ class DodEngine:
                                   QUEUE_DEPTH_BUCKETS)
         util = metrics.histogram("link.window_utilization",
                                  UTILIZATION_BUCKETS)
-        window_ps = ctx.end - ctx.start
         tx_prev = self._tx_prev
         for iface_id in self.active_ports:
             port = self.ports[iface_id]
@@ -536,7 +540,10 @@ class DodEngine:
                     util.record(min(1.0, sent * 8.0 / capacity))
 
     def advance(self) -> bool:
-        """Run the next pending lookahead window.
+        """Run the next pending lookahead window — or, under ``ffwd``,
+        let the memo carry the engine over a run of windows it has
+        shown to repeat (a cycle jump moves ``_cursor`` and
+        ``_windows_run`` by the windows it skipped).
 
         Returns ``False`` once no runnable window remains (or duration
         / ``max_windows`` is reached).

@@ -233,21 +233,6 @@ class EventColumns:
 
     # --- delta stage/apply (memoization support) ---------------------------
 
-    def window_entries(
-        self, win: int,
-    ) -> Optional[Tuple[List[int], List[Entry]]]:
-        """Non-consuming raw ``(nodes, payloads)`` columns of one window.
-
-        The memoization probe (:mod:`repro.core.memo`) walks the columns
-        to build the window's execution signature *before* deciding
-        whether to run or fast-forward, so unlike
-        :meth:`pop_window_columns` the bucket stays in place.
-        """
-        bucket = self._buckets.get(win)
-        if bucket is None:
-            return None
-        return bucket.nodes, bucket.payloads
-
     def bucket_sizes(self) -> Dict[int, int]:
         """``{window: entry count}`` over every pending bucket — the
         capture diff's before/after snapshot of staged future events."""
@@ -268,6 +253,18 @@ class EventColumns:
         the delta replaces execution, so the entries are never run; the
         occupancy-index entry was already consumed by ``next_window``)."""
         self._buckets.pop(win, None)
+
+    def translate(self, shift: int,
+                  move: Callable[[Entry], Entry]) -> None:
+        """Move every pending bucket ``shift`` windows later and rewrite
+        each payload with ``move`` — the cycle fast-forward's one-shot
+        translation of the whole pending state (occupancy index
+        included; adding a constant keeps the heap a heap)."""
+        self._buckets = {w + shift: b for w, b in self._buckets.items()}
+        for bucket in self._buckets.values():
+            bucket.payloads = [move(e) for e in bucket.payloads]
+        self._heap = [w + shift for w in self._heap]
+        self._queued = {w + shift for w in self._queued}
 
     def items(self) -> Iterator[Tuple[int, Dict[int, List[Entry]]]]:
         """Iterate ``(window, grouped entries)`` over pending windows."""

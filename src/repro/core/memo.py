@@ -28,6 +28,11 @@ the DOD engine:
   hit is **validated** by re-executing the window and comparing the
   fresh delta against the cached one; a mismatch evicts the entry
   (``memo.validate_fail``) and keeps the executed result.
+* When a hit key recurs, the *whole* rebased pending state is encoded;
+  if it is equal one period later the engine state is periodic under
+  the translation, and :meth:`WindowMemoCache._jump` skips whole cycles
+  up to the next validation point by translating that state once
+  (docs/MEMOIZATION.md, "Cycle jumps").
 
 Soundness rests on a closed-world argument: the signature is only
 attempted when every input the window can read is in the encoded set.
@@ -49,11 +54,12 @@ function of static identifiers and traffic generation happens before
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from . import events as events_mod
-from .events import _Bucket
+from .systems.send import udp_emission_schedule
+from .telemetry import MEMO_APPLY_MS_BUCKETS
 from .window import ENTRY_ARRIVAL, ENTRY_UDP
 from ..protocols.packet import (
     F_DST, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, HEADER_BYTES, MSS, Row,
@@ -164,6 +170,24 @@ class _Probe:
         self.recv_pre: Dict[int, Tuple] = {}
 
 
+class _Entry:
+    """One cached window: its delta and the hit number at which its key
+    last hit (0 = never) — the recurrence cycle detection starts from."""
+
+    __slots__ = ("delta", "seen")
+
+    def __init__(self, delta: WindowDelta) -> None:
+        self.delta = delta
+        self.seen = 0
+
+
+def _tap_op(kind: str):
+    def record(self, *op) -> None:
+        if self.active:
+            self.ops.append((kind,) + op)
+    return record
+
+
 class _TraceTap:
     """Trace-stream subscriber that records raw bus ops during capture.
 
@@ -181,25 +205,8 @@ class _TraceTap:
         self.active = False
         self.ops: List[Tuple] = []
 
-    def enq(self, t, iface, flow, is_ack, seq, marked):
-        if self.active:
-            self.ops.append(("enq", t, iface, flow, is_ack, seq, marked))
-
-    def drop(self, t, iface, flow, is_ack, seq):
-        if self.active:
-            self.ops.append(("drop", t, iface, flow, is_ack, seq))
-
-    def deq(self, t, iface, flow, is_ack, seq):
-        if self.active:
-            self.ops.append(("deq", t, iface, flow, is_ack, seq))
-
-    def deliver(self, t, node, flow, is_ack, seq):
-        if self.active:
-            self.ops.append(("del", t, node, flow, is_ack, seq))
-
-    def flow_done(self, t, node, flow):
-        if self.active:
-            self.ops.append(("fd", t, node, flow))
+    enq, drop, deq = _tap_op("enq"), _tap_op("drop"), _tap_op("deq")
+    deliver, flow_done = _tap_op("del"), _tap_op("fd")
 
 
 class WindowMemoCache:
@@ -216,8 +223,17 @@ class WindowMemoCache:
 
     def __init__(self, engine) -> None:
         self.engine = engine
-        self.cache: Dict[Tuple, WindowDelta] = {}
+        self.cache: Dict[Tuple, _Entry] = {}
         self.hits = 0
+        #: Cycle detection: ``(window, entry)`` of the latest hits since
+        #: a miss / ineligible window (a longer period never fits before
+        #: a validation); the hypothesis ``(window, hit number,
+        #: full-state key, flow cursors, hit number to compare at)``;
+        #: and the hit number before which none is formed (a refuted one
+        #: waits for the next validation point).
+        self._trail: deque = deque(maxlen=VALIDATE_EVERY - 1)
+        self._hyp: Optional[Tuple] = None
+        self._hold = 0
         self._tap = _TraceTap()
         engine.bus.subscribe_trace(self._tap)
         scenario = engine.scenario
@@ -235,31 +251,23 @@ class WindowMemoCache:
         self._routes: Dict[Tuple[int, int, int], int] = {}
         self._is_host = tuple(
             n.is_host for n in scenario.topology.nodes)
-        #: Static per-flow facts filled by :meth:`_sched_of`: segment
-        #: count and (for NIC rates whose per-segment wire time is an
-        #: exact picosecond count — every evaluation rate) the pacing
-        #: interval; ``None`` marks exotic rates that must compute.
+        #: Segment count per flow, filled by :meth:`_sched_of`.
         self._totals: Dict[int, int] = {}
-        self._pace: Dict[int, Optional[int]] = {}
-        #: Rebased ENTRY_UDP encodings keyed on (flow, phase, rem) —
-        #: see :meth:`_udp_entry_enc`; tiny (a handful of phases per
-        #: flow) and saves recomputing the emission schedule on the
-        #: probe hot path every window.
-        self._udp_enc: Dict[Tuple, Tuple] = {}
         #: Static per-port facts: (scheduler kind code, the shared
         #: empty rows tuple) — lets :meth:`_enc_port` skip the per-class
         #: row walk entirely for drained ports (the common steady case).
         self._port_meta: Dict[int, Tuple] = {}
-        #: Prepared apply plans, keyed like :attr:`cache` and evicted
-        #: with it; see the staged-events loop in :meth:`_apply`.
-        self._plans: Dict[Tuple, Tuple] = {}
 
     # --- lifecycle --------------------------------------------------------
 
     def clear(self) -> None:
         """Drop every cached delta (checkpoint restore / migration)."""
         self.cache.clear()
-        self._plans.clear()
+        self._forget_cycle()
+
+    def _forget_cycle(self) -> None:
+        self._trail.clear()
+        self._hyp = None
 
     # --- main entry -------------------------------------------------------
 
@@ -267,59 +275,226 @@ class WindowMemoCache:
         """Try to fast-forward window ``win``.
 
         Returns ``True`` when the window was fully handled here — by a
-        delta apply, or by a capturing / validating execution — and
-        ``False`` when the window is ineligible and the engine must run
-        ``process_window`` itself.
+        delta apply, a capturing / validating execution, or a cycle jump
+        that carried the engine past it — and ``False`` when the window
+        is ineligible and the engine must run ``process_window`` itself.
         """
         probe = self._probe(win)
         bus = self.engine.bus
-        if probe is None:
+        if isinstance(probe, str):
             bus.count("memo.ineligible")
+            bus.count("memo.ineligible." + probe)
+            self._forget_cycle()
             return False
-        cached = self.cache.get(probe.key)
-        if cached is None:
+        entry = self.cache.get(probe.key)
+        if entry is None:
             bus.count("memo.miss")
+            self._forget_cycle()
             delta = self._execute_capture(win, probe)
-            if delta is not None:
-                delta = capture_filter(delta)
-                cache = self.cache
-                if len(cache) >= MAX_ENTRIES:
-                    evicted = next(iter(cache))
-                    cache.pop(evicted)
-                    self._plans.pop(evicted, None)
-                cache[probe.key] = delta
-            else:
+            if isinstance(delta, str):
                 bus.count("memo.uncacheable")
+                bus.count("memo.uncacheable." + delta)
+            else:
+                if len(self.cache) >= MAX_ENTRIES:
+                    self.cache.pop(next(iter(self.cache)))
+                self.cache[probe.key] = _Entry(capture_filter(delta))
             return True
         self.hits += 1
+        if self._cycle_step(win, entry):
+            return True
         if self.hits % VALIDATE_EVERY == 0:
             # Replay-based validation: execute for real and compare the
             # fresh write-set against the cached one.
             bus.count("memo.validate")
-            fresh = self._execute_capture(win, probe)
-            if fresh != cached:
+            if self._execute_capture(win, probe) != entry.delta:
                 del self.cache[probe.key]
-                self._plans.pop(probe.key, None)
                 bus.count("memo.validate_fail")
-            else:
-                bus.count("memo.hit")
-            return True
-        self._apply(win, probe, cached)
+                self._forget_cycle()
+                return True
+        else:
+            self._apply(win, probe, entry)
         bus.count("memo.hit")
+        entry.seen = self.hits
+        self._trail.append((win, entry))
+        return True
+
+    # --- cycles -----------------------------------------------------------
+
+    def _cycle_step(self, win: int, entry: _Entry) -> bool:
+        """Cycle detection on a hit; ``True`` when a jump handled it.
+
+        A key that hit ``period`` hits ago proposes a cycle: the
+        full-state signature (:meth:`_probe` with the cycle) is taken
+        now and again ``period`` hits later, and equality makes the
+        engine state periodic under the translation — whatever proposed
+        it, because that signature is closed under execution.
+        """
+        hyp = self._hyp
+        hits = self.hits
+        if hyp is None:
+            period = hits - entry.seen
+            if period > len(self._trail) or hits < self._hold:
+                return False
+            state = self._probe(win, list(self._trail)[-period:])
+            if isinstance(state, str):
+                self._refuse("state_differs")
+            else:
+                self._hyp = (win, hits, state.key, state.base_of,
+                             hits + period)
+            return False
+        win0, hits0, key0, bases0, at_hits = hyp
+        if hits < at_hits:
+            return False
+        cycle = list(self._trail)[hits0 - hits:]
+        state = self._probe(win, cycle)
+        if isinstance(state, str) or state.key != key0:
+            self._refuse("state_differs")
+            return False
+        return self._jump(state, cycle, win - win0, bases0)
+
+    def _refuse(self, reason: str) -> None:
+        self.engine.bus.count("memo.jump_refused." + reason)
+        if reason == "state_differs":  # propose again after a validation
+            self._hyp = None
+            self._hold = (self.hits // VALIDATE_EVERY + 1) * VALIDATE_EVERY
+
+    def _jump(self, state: _Probe, cycle, p_idx: int,
+              bases0: Dict[int, int]) -> bool:
+        """Skip ``m`` whole cycles from ``state``'s window on.
+
+        The state before this window is the state one cycle ago moved
+        ``p_idx`` windows in time and, per flow, ``adv`` segments in
+        sequence, so the state ``m`` cycles on is this one moved ``m``
+        times: entries, queued rows and busy lines in time and sequence,
+        cursors in sequence, accumulators by ``m`` x the cycle's sum.
+        ``m`` stops short of the next validation hit, of any flow's last
+        segment (the encodings saturate remaining-segment counts; the
+        receiver never leads the sender, so its bound is covered), of
+        the duration cut and of ``max_windows``.
+        """
+        engine = self.engine
+        bus = engine.bus
+        L = engine.lookahead
+        win, bases = state.win, state.base_of
+        p_run = len(cycle)
+        hits = self.hits
+        adv = {f: b - bases0[f] for f, b in bases.items()}
+        bounds = [(-hits % VALIDATE_EVERY // p_run, "validation_due")]
+        for f, a in adv.items():
+            if not a:
+                continue
+            if (a * (MSS + HEADER_BYTES) * 8 * PS_PER_S
+                    != p_idx * L * self._sched_of(f).nic_rate_bps):
+                # a segments do not take exactly the cycle (a rate whose
+                # wire time is not whole picoseconds): pacing won't move
+                bounds.append((0, "state_differs"))
+            bounds.append(((self._totals[f] - bases[f] - 1) // a,
+                           "flow_tail"))
+        duration = engine.scenario.duration_ps
+        if duration is not None:
+            bounds.append((((duration + 1) // L - win) // p_idx,
+                           "duration_cut"))
+        if engine.max_windows is not None:
+            bounds.append(((engine.max_windows - engine._windows_run)
+                           // p_run, "max_windows"))
+        m, reason = min(bounds)
+        if m < 1:
+            self._refuse(reason)
+            if reason != "state_differs":  # still periodic: look again
+                self._hyp = (win, hits, state.key, bases, hits + p_run)
+            return False
+
+        t0 = bus.now()
+        shift, n = m * p_idx, m * p_run
+        dt = shift * L
+        jump_of = {f: m * a for f, a in adv.items()}
+
+        def move(e):
+            if e[0] != ENTRY_ARRIVAL:
+                return e
+            return (e[0], e[1] + dt, e[2], _dec_row(e[3], jump_of, dt))
+        engine.events.translate(shift, move)
+        engine.events.touch(win + shift)  # the index had given it out
+        ports = engine.ports
+        for iface_id, _act, free_enc, *_rest in state.key[1]:
+            port = ports[iface_id]
+            if free_enc[0]:
+                port.free_at += dt
+            sched = port.sched
+            if sched._len:
+                sched.queues = [
+                    [_dec_row(r, jump_of, dt) for r in q[h:]]
+                    for q, h in zip(sched.queues, sched._heads)]
+                sched._heads = [0] * len(sched.queues)
+        world = engine.world
+        next_col = world.senders.column("udp_next_seq")
+        rcols = world.receivers.columns(
+            ("expected", "unique_received", "out_of_order"))
+        for f, k in jump_of.items():
+            if k:
+                next_col[world.sender_of_flow[f]] += k
+                ridx = world.receiver_of_flow[f]
+                rcols["expected"][ridx] += k
+                rcols["unique_received"][ridx] += k
+                ooo = rcols["out_of_order"][ridx]
+                if ooo:
+                    rcols["out_of_order"][ridx] = {x + k for x in ooo}
+
+        # m x the cycle's sums; the per-window rows; and, when someone
+        # listens, the trace ops once per skipped window.
+        res = engine.results
+        listening = self._listening()
+        cur = dict(bases0)
+        rows: List[Tuple] = []
+        for w, entry in cycle:
+            delta = entry.delta
+            self._account(delta, m)
+            for c in range(1, m + 1):
+                at = (w + c * p_idx) * L
+                if any(delta.counts):
+                    rows.append((at,) + delta.counts)
+                if listening:
+                    self._replay(delta.tape, at,
+                                 {f: b + c * adv[f] for f, b in cur.items()})
+            for fid, rel in delta.senders:
+                cur[fid] += rel
+        res.window_breakdown.extend(sorted(rows))
+        last = cycle[-1][0] + shift
+        res.end_time_ps = (last + 1) * L
+
+        engine._cursor = engine._running_window = last
+        engine._windows_run += n - 1
+        self.hits = hits + n - 1
+        bus.count("windows", n)
+        bus.count("memo.hit", n)
+        bus.count("memo.jump")
+        bus.count("memo.jump_windows", n)
+        # The landing state has the same signature: compare again one
+        # cycle after it without re-encoding this end.
+        self._trail.clear()
+        self._hyp = (win + shift, hits + n, state.key,
+                     {f: b + jump_of[f] for f, b in bases.items()},
+                     hits + n + p_run)
+        if bus.telemetry:
+            self._telemetry(t0, win, dt, n)
         return True
 
     # --- probe ------------------------------------------------------------
 
-    def _probe(self, win: int) -> Optional[_Probe]:
-        """Compute the window's execution signature, or ``None`` when
-        any input falls outside the encodable closed world.
+    def _probe(self, win: int, cycle=None):
+        """Compute the window's execution signature, or the reason (a
+        ``memo.ineligible.<reason>`` name) why some input falls outside
+        the encodable closed world.  Membership checks bail out while
+        encoding (mixed workloads mostly reject on the first non-UDP
+        entry, long before any port is touched); pacing cursors come
+        through one bulk column handle (list / ndarray view) per probe.
 
-        One fused pass: closed-world membership checks bail out inline
-        while encoding (mixed workloads mostly reject on the first
-        non-UDP entry, long before any port is touched).  Per-flow
-        pacing cursors come through one bulk column handle per probe —
-        both backends expose ``column`` (list / ndarray view) — and
-        anchor the sequence rebase.
+        With ``cycle`` (the ``(window, entry)`` hits of one proposed
+        period) the same encoders cover the *whole* pending state: every
+        pending bucket under its window offset, the occupancy index, the
+        ports the cycle touched next to the active set, the receiver
+        state of every flow met on the way.  That key is closed under
+        execution — what any later window reads is in it.
         """
         engine = self.engine
         L = engine.lookahead
@@ -327,11 +502,10 @@ class WindowMemoCache:
         end = start + L
         duration = engine.scenario.duration_ps
         if duration is not None and end > duration + 1:
-            return None  # the duration cut truncates this window
+            return "duration_cut"  # the cut truncates this window
         if engine.bus.has_ops:
-            return None
-        got = engine.events.window_entries(win)
-        nodes, payloads = got if got is not None else ((), ())
+            return "ops_subscribed"
+        buckets = engine.events._buckets
 
         udp_flows = self._udp_flows
         probe = _Probe(win, start, end)
@@ -347,43 +521,58 @@ class WindowMemoCache:
         recv_counts: Dict[int, int] = {}
         udp_entry_enc = self._udp_entry_enc
         routes = self._routes
-        for node, e in zip(nodes, payloads):
-            tag = e[0]
-            if tag == ENTRY_UDP:
-                fid = e[1]
-                if fid not in udp_flows:
-                    return None
-                entry_flows.add(fid)
-                b = base_of.get(fid)
-                if b is None:
-                    b = base_of[fid] = int(
-                        next_seq_col[sender_of_flow[fid]])
-                ems_rel, wakeup_rel = udp_entry_enc(fid, b, start, end)
-                entries_enc.append(("u", node, fid, ems_rel, wakeup_rel))
-                if ems_rel:
-                    union.add(self._nic_of(fid))
-            elif tag == ENTRY_ARRIVAL:
-                row = e[3]
-                f, ack, seq, size, ce, ece, ts, src, dst = row
-                if ack or f not in udp_flows:
-                    return None
-                b = base_of.get(f)
-                if b is None:
-                    b = base_of[f] = int(next_seq_col[sender_of_flow[f]])
-                entries_enc.append(
-                    ("a", node, e[1] - start, e[2],
-                     (f, ack, seq - b, size, ce, ece, ts - start,
-                      src, dst)))
-                if is_host[node]:
-                    recv_counts[f] = recv_counts.get(f, 0) + 1
+        for w in (win,) if cycle is None else sorted({win, *buckets}):
+            bucket = buckets.get(w)
+            if cycle is not None:
+                entries_enc.append(w - win)
+            if bucket is None:
+                continue
+            wstart = w * L
+            for node, e in zip(bucket.nodes, bucket.payloads):
+                tag = e[0]
+                if tag == ENTRY_UDP:
+                    fid = e[1]
+                    if fid not in udp_flows:
+                        return "non_udp_entry"
+                    entry_flows.add(fid)
+                    b = base_of.get(fid)
+                    if b is None:
+                        b = base_of[fid] = int(
+                            next_seq_col[sender_of_flow[fid]])
+                    ems_rel, wakeup_rel = udp_entry_enc(
+                        fid, b, wstart, wstart + L)
+                    entries_enc.append(
+                        ("u", node, fid, ems_rel, wakeup_rel))
+                    if ems_rel:
+                        union.add(self._nic_of(fid))
+                elif tag == ENTRY_ARRIVAL:
+                    row = e[3]
+                    f, ack, seq, size, ce, ece, ts, src, dst = row
+                    if ack:
+                        return "ack_row"
+                    if f not in udp_flows:
+                        return "non_udp_entry"
+                    b = base_of.get(f)
+                    if b is None:
+                        b = base_of[f] = int(
+                            next_seq_col[sender_of_flow[f]])
+                    entries_enc.append(
+                        ("a", node, e[1] - start, e[2],
+                         (f, ack, seq - b, size, ce, ece, ts - start,
+                          src, dst)))
+                    if is_host[node]:
+                        recv_counts[f] = recv_counts.get(f, 0) + 1
+                    else:
+                        iface = routes.get((node, dst, f))
+                        if iface is None:
+                            iface = self._route(node, row)
+                        union.add(iface)
                 else:
-                    iface = routes.get((node, dst, f))
-                    if iface is None:
-                        iface = self._route(node, row)
-                    union.add(iface)
-            else:
-                return None  # FLOW_START / TIMER: a CCA flow is live
+                    return "cca_entry"  # FLOW_START / TIMER: a CCA flow
 
+        if cycle is not None:
+            for _w, entry in cycle:
+                union.update(p[0] for p in entry.delta.ports)
         union_sorted = tuple(sorted(union))
         probe.union_ports = union_sorted
         ports_enc: List[Tuple] = []
@@ -395,12 +584,12 @@ class WindowMemoCache:
                                  iface_id in active, base_of, resolve,
                                  start)
             if enc is None:
-                return None  # a queued row fell outside the UDP world
+                return "foreign_queued_row"
             ports_enc.append(enc)
             port_encs[iface_id] = enc
 
         probe.entry_flows = tuple(sorted(entry_flows))
-        recv_flows = tuple(sorted(recv_counts))
+        recv_flows = tuple(sorted(recv_counts if cycle is None else base_of))
         probe.recv_flows = recv_flows
         receivers = engine.world.receivers
         receiver_of_flow = engine.world.receiver_of_flow
@@ -420,12 +609,12 @@ class WindowMemoCache:
             total = self._totals[fid]  # == receiver total_segs (static)
             complete = int(comp_col[ridx])
             ooo = ooo_col[ridx]
-            n_arr = recv_counts[fid]
+            n_arr = recv_counts.get(fid, 0)
             remaining = total - unique
-            # Saturate far-from-complete states: completion can fire in
-            # this window only when remaining <= new uniques <= n_arr,
-            # so any remainder beyond the window's arrival budget is
-            # behaviourally equivalent.
+            # Saturate far-from-complete states: completion can fire
+            # only when remaining <= new uniques <= the arrivals encoded
+            # here, so any remainder beyond that budget is behaviourally
+            # equivalent.
             sat = remaining if remaining <= n_arr else n_arr + 1
             flows_enc.append(
                 (fid, expected - b, unique - b, sat,
@@ -434,6 +623,9 @@ class WindowMemoCache:
             probe.recv_pre[fid] = flows_enc[-1]
 
         probe.key = (tuple(entries_enc), tuple(ports_enc), tuple(flows_enc))
+        if cycle is not None:
+            probe.key += (tuple(sorted(
+                w - win for w in engine.events._queued)),)
         return probe
 
     def _sched_of(self, fid: int) -> UdpSchedule:
@@ -445,44 +637,19 @@ class WindowMemoCache:
                 fid, flow.size_bytes, flow.start_ps,
                 topo.host_iface(flow.src).rate_bps)
             self._totals[fid] = sched.total_segs
-            wire8 = (MSS + HEADER_BYTES) * 8 * PS_PER_S
-            rate = sched.nic_rate_bps
-            self._pace[fid] = wire8 // rate if wire8 % rate == 0 else None
         return sched
 
     def _udp_entry_enc(self, fid: int, b: int, start: int,
                        end: int) -> Tuple[Tuple, int]:
-        """Rebased ``(emissions, wakeup)`` encoding of one ENTRY_UDP.
-
-        For linear pacing (exact per-segment wire time) the rebased
-        schedule is a pure function of the window phase and the capped
-        remaining-segment count at fixed L, so it is served from
-        ``_udp_enc`` instead of walking the schedule every window.
-        """
-        sched = self._sched_of(fid)
-        per = self._pace[fid]
-        total = self._totals[fid]
-        if per is None:
-            ems, _nxt, wakeup = _udp_emissions(sched, b, end)
-            return (tuple((t - start, p) for t, _s, p in ems),
-                    -1 if wakeup is None else wakeup - start)
-        if b >= total:
-            return ((), -1)
-        phase = sched.enqueue_time(b) - start
-        L = end - start
-        n_unb = (L - phase + per - 1) // per if phase < L else 0
-        rem = total - b
-        # Beyond n_unb + 1 the exact remainder is unobservable: every
-        # in-window payload is a full MSS and the wakeup lands at
-        # phase + n_unb * per regardless.
-        key = (fid, phase, rem if rem <= n_unb else n_unb + 1)
-        enc = self._udp_enc.get(key)
-        if enc is None:
-            ems, _nxt, wakeup = _udp_emissions(sched, b, end)
-            enc = self._udp_enc[key] = (
-                tuple((t - start, p) for t, _s, p in ems),
+        """Rebased ``(emissions, wakeup)`` encoding of one ENTRY_UDP:
+        what the flow emits in ``[start, end)`` from cursor ``b`` —
+        times against ``start``, payload sizes (only the last segment's
+        differs, which is what saturates the remaining-segment count),
+        and the wakeup past the window (-1: schedule exhausted)."""
+        ems, _nxt, wakeup = udp_emission_schedule(
+            self._sched_of(fid), b, end)
+        return (tuple((t - start, p) for t, _s, p in ems),
                 -1 if wakeup is None else wakeup - start)
-        return enc
 
     def _enc_port(self, port, iface_id: int, active_flag: bool,
                   base_of: Dict[int, int],
@@ -569,8 +736,7 @@ class WindowMemoCache:
 
     # --- capture ----------------------------------------------------------
 
-    def _execute_capture(self, win: int,
-                         probe: _Probe) -> Optional[WindowDelta]:
+    def _execute_capture(self, win: int, probe: _Probe):
         """Run the window for real and diff its write-set."""
         engine = self.engine
         events = engine.events
@@ -601,52 +767,53 @@ class WindowMemoCache:
                           pre_drops, pre_rtt, ops)
 
     def _diff(self, probe: _Probe, ctx, pre_sizes, pre_node_events,
-              pre_drops: int, pre_rtt: int, ops) -> Optional[WindowDelta]:
+              pre_drops: int, pre_rtt: int, ops):
+        """The write-set, or a ``memo.uncacheable.<reason>`` name."""
         engine = self.engine
         res = engine.results
         if len(res.rtt_samples) != pre_rtt:
-            return None
+            return "rtt_sample"
         union = set(probe.union_ports)
         if not set(ctx.staged) <= union:
-            return None  # the port prediction missed a staging target
+            return "unpredicted_port"  # the prediction missed a target
         base_of = probe.base_of
         start = probe.start
 
         events = engine.events
         post_sizes = events.bucket_sizes()
         if probe.win in post_sizes:
-            return None
+            return "window_refilled"
         staged_enc: List[Tuple] = []
         for w in sorted(post_sizes):
             n = post_sizes[w]
             pre_n = pre_sizes.get(w, 0)
             if n < pre_n:
-                return None
+                return "bucket_shrank"
             if n == pre_n:
                 continue
             got = events.window_slice(w, pre_n)
             if got is None:
-                return None
+                return "bucket_shrank"
             off = w - probe.win
             for node, e in zip(*got):
                 tag = e[0]
                 if tag == ENTRY_UDP:
                     if e[1] not in base_of:
-                        return None
+                        return "foreign_staged_entry"
                     staged_enc.append((off, node, ("u", e[1])))
                 elif tag == ENTRY_ARRIVAL:
                     row = e[3]
                     b = base_of.get(row[F_FLOW])
                     if b is None:
-                        return None
+                        return "foreign_staged_entry"
                     staged_enc.append(
                         (off, node,
                          ("a", e[1] - start, e[2], _enc_row(row, b, start))))
                 else:
-                    return None
+                    return "foreign_staged_entry"
         for w, n in pre_sizes.items():
             if post_sizes.get(w, 0) < n:
-                return None  # a pre-existing bucket shrank
+                return "bucket_shrank"  # a pre-existing bucket vanished
 
         ports = engine.ports
         active = engine.active_ports
@@ -658,7 +825,7 @@ class WindowMemoCache:
             post_enc = self._enc_port(port, iface_id, iface_id in active,
                                       base_of, None, start)
             if post_enc is None:
-                return None
+                return "foreign_queued_row"
             s = port.stats
             p = probe.port_stats_pre[iface_id]
             port_items.append((iface_id, post_enc,
@@ -700,13 +867,13 @@ class WindowMemoCache:
             if kind == "fd":
                 flow = op[3]
                 if flow not in base_of:
-                    return None
+                    return "foreign_trace_op"
                 tape.append(("fd", op[1] - start, op[2], flow))
             else:
                 flow = op[3]
                 b = base_of.get(flow)
                 if b is None:
-                    return None
+                    return "foreign_trace_op"
                 rebased = (kind, op[1] - start, op[2], flow, op[4],
                            op[5] - b)
                 if kind == "enq":
@@ -733,8 +900,9 @@ class WindowMemoCache:
 
     # --- apply ------------------------------------------------------------
 
-    def _apply(self, win: int, probe: _Probe, delta: WindowDelta) -> None:
+    def _apply(self, win: int, probe: _Probe, entry: _Entry) -> None:
         """Fast-forward: scatter the delta into the engine state."""
+        delta = entry.delta
         engine = self.engine
         bus = engine.bus
         telemetry = bus.telemetry
@@ -748,7 +916,7 @@ class WindowMemoCache:
 
         ports = engine.ports
         active = engine.active_ports
-        for iface_id, post_enc, stats_incr in delta.ports:
+        for iface_id, post_enc, _stats_incr in delta.ports:
             port = ports[iface_id]
             pre_enc = probe.port_encs[iface_id]
             if post_enc != pre_enc:
@@ -785,13 +953,6 @@ class WindowMemoCache:
                         active.add(iface_id)
                     else:
                         active.discard(iface_id)
-            if stats_incr != _NO_STATS:
-                s = port.stats
-                s.enqueued += stats_incr[0]
-                s.dequeued += stats_incr[1]
-                s.dropped += stats_incr[2]
-                s.marked += stats_incr[3]
-                s.tx_bytes += stats_incr[4]
 
         # Scatter the entity writes through column handles fetched once
         # per apply (``set`` would re-resolve the column every call).
@@ -822,63 +983,84 @@ class WindowMemoCache:
                 if comp_rel >= 0:
                     comp_col[ridx] = start + comp_rel
 
-        # Staged future events: append straight to the buckets (the
-        # per-entry ``insert`` call chain is measurable at packet rate).
-        # The occupancy hook is still resolved through the events module
-        # so the injectable stale-index bug reaches this path too.
-        # Staged future events: append straight to the buckets (the
-        # per-entry ``insert`` call chain is measurable at packet rate),
-        # driven by a per-cache-entry prepared plan — ENTRY_UDP payloads
-        # prebuilt (they are window-invariant), arrival fields flattened,
-        # entries grouped by target window with in-bucket order kept.
-        # The occupancy hook is still resolved through the events module
-        # so the injectable stale-index bug reaches this path too.
-        events = engine.events
-        buckets = events._buckets
-        register = events_mod.register_window
-        default_hook = register is events_mod._register_window
-        queued = events._queued
-        plan = self._plans.get(probe.key)
-        if plan is None:
-            groups: Dict[int, List] = {}
-            for off, node, enc in delta.staged:
-                if enc[0] == "u":
-                    item = (node, (ENTRY_UDP, enc[1]), None)
-                else:
-                    item = (node, None, (enc[1], enc[2]) + enc[3])
-                groups.setdefault(off, []).append(item)
-            plan = self._plans[probe.key] = tuple(
-                (off, tuple(items)) for off, items in groups.items())
-        for off, items in plan:
-            w = win + off
-            bucket = buckets.get(w)
-            if bucket is None:
-                bucket = buckets[w] = _Bucket()
-            nodes_app = bucket.nodes.append
-            pays_app = bucket.payloads.append
-            for node, pay, fl in items:
-                nodes_app(node)
-                if pay is not None:
-                    pays_app(pay)
-                else:
-                    rt, p, f, ack, sq, sz, ce, ece, ts, s, d = fl
-                    pays_app((ENTRY_ARRIVAL, start + rt, p,
-                              (f, ack, sq + base_of[f], sz, ce, ece,
-                               ts + start, s, d)))
-            if not default_hook or w not in queued:
-                register(events, w)
+        # Staged future events, through ``insert`` so the injectable
+        # stale-index bug (the occupancy hook) reaches this path too.
+        insert = engine.events.insert
+        for off, node, enc in delta.staged:
+            insert(win + off, node,
+                   (ENTRY_UDP, enc[1]) if enc[0] == "u" else
+                   (ENTRY_ARRIVAL, start + enc[1], enc[2],
+                    _dec_row(enc[3], base_of, start)))
 
-        # The tape exists solely to re-publish the window's trace ops.
-        # At trace level 0 every known subscriber shape (the engine's
-        # TraceRecorder, the memo's own inactive capture tap) drops each
-        # op on its level guard, so the whole replay can be skipped;
-        # an unknown subscriber shape forces the replay to stay safe.
-        if bus.trace_level > 0 or any(
-                not isinstance(s, (TraceRecorder, _TraceTap))
-                for s in bus._trace_subs):
-            tape = delta.tape
-        else:
-            tape = ()
+        if self._listening():
+            self._replay(delta.tape, start, base_of)
+
+        res = engine.results
+        for fid, rel in delta.completions:
+            res.flows[fid].complete_ps = start + rel
+        self._account(delta, 1)
+        if any(delta.counts):
+            res.window_breakdown.append((start,) + delta.counts)
+        res.end_time_ps = probe.end
+
+        if telemetry:
+            self._telemetry(t0, win, probe.end - start, 1)
+
+    def _telemetry(self, t0: float, win: int, span_ps: int, n: int) -> None:
+        """One apply or one jump over ``n`` windows: sample the ports
+        over the span, record the cost per window, close one span."""
+        engine = self.engine
+        bus = engine.bus
+        engine._sample_window_metrics(span_ps)
+        t1 = bus.now()
+        bus.metrics.histogram("memo.apply_ms", MEMO_APPLY_MS_BUCKETS) \
+            .record((t1 - t0) * 1e3 / n, n)
+        attrs = {"index": win, "start_ps": win * engine.lookahead,
+                 "memo": True}
+        if n > 1:
+            attrs["windows"] = n
+        bus.span_add("window", t0, t1, "window", attrs)
+
+    def _account(self, delta: WindowDelta, k: int) -> None:
+        """Add ``k`` x one window's increments to the accumulators
+        (port stats, event counts, per-node events, drops)."""
+        engine = self.engine
+        ports = engine.ports
+        for iface_id, _post, incr in delta.ports:
+            if incr != _NO_STATS:
+                s = ports[iface_id].stats
+                s.enqueued += k * incr[0]
+                s.dequeued += k * incr[1]
+                s.dropped += k * incr[2]
+                s.marked += k * incr[3]
+                s.tx_bytes += k * incr[4]
+        res = engine.results
+        ev = res.events
+        a, s_, f, tr = delta.counts
+        ev.ack += k * a
+        ev.send += k * s_
+        ev.forward += k * f
+        ev.transmit += k * tr
+        node_events = res.node_events
+        for node, d in delta.node_incr:
+            node_events[node] = node_events.get(node, 0) + k * d
+        res.drops += k * delta.drops_incr
+
+    def _listening(self) -> bool:
+        """Whether replaying a tape can be observed: at trace level 0
+        every known subscriber shape (TraceRecorder, the memo's own
+        inactive tap) drops each op on its level guard; an unknown
+        shape forces the replay to stay safe."""
+        bus = self.engine.bus
+        return bus.trace_level > 0 or any(
+            not isinstance(s, (TraceRecorder, _TraceTap))
+            for s in bus._trace_subs)
+
+    def _replay(self, tape: Tuple, start: int,
+                base_of: Dict[int, int]) -> None:
+        """Publish one window's rebased trace ops in the frame of the
+        window starting at ``start`` with flow cursors ``base_of``."""
+        bus = self.engine.bus
         bus_enq, bus_deq = bus.enq, bus.deq
         bus_deliver, bus_drop = bus.deliver, bus.drop
         for op in tape:
@@ -896,38 +1078,3 @@ class WindowMemoCache:
                 bus_deliver(t, op[2], op[3], op[4], seq)
             else:
                 bus_drop(t, op[2], op[3], op[4], seq)
-
-        res = engine.results
-        for fid, rel in delta.completions:
-            res.flows[fid].complete_ps = start + rel
-        a, s_, f, tr = delta.counts
-        if a or s_ or f or tr:
-            ev = res.events
-            ev.ack += a
-            ev.send += s_
-            ev.forward += f
-            ev.transmit += tr
-            res.window_breakdown.append((start, a, s_, f, tr))
-        res.end_time_ps = probe.end
-        for node, d in delta.node_incr:
-            res.node_events[node] = res.node_events.get(node, 0) + d
-        res.drops += delta.drops_incr
-
-        if telemetry:
-            from types import SimpleNamespace
-            engine._sample_window_metrics(
-                SimpleNamespace(start=start, end=probe.end))
-            t1 = bus.now()
-            from .telemetry import MEMO_APPLY_MS_BUCKETS
-            bus.metrics.record("memo.apply_ms", (t1 - t0) * 1e3,
-                               MEMO_APPLY_MS_BUCKETS)
-            bus.span_add("window", t0, t1, "window",
-                         {"index": win, "start_ps": start, "memo": True})
-
-
-def _udp_emissions(sched: UdpSchedule, seq: int, window_end: int):
-    """The UDP send write-set as data (shared with ``systems.send``)."""
-    from .systems.send import udp_emission_schedule
-    return udp_emission_schedule(sched, seq, window_end)
-
-

@@ -64,13 +64,16 @@ __all__ = [
 ]
 
 #: Version stamp of the NDJSON progress-record schema (the ``v`` field).
-LIVE_SCHEMA_VERSION = 1
+#: v2: ``memo_jump_windows`` — windows skipped by cycle jumps so far, so
+#: a reader can tell a burst in ``windows`` from execution speed.
+LIVE_SCHEMA_VERSION = 2
 
 #: Every NDJSON record carries exactly this key set (``null`` marks a
 #: field the run cannot measure — e.g. agent series on a serial engine).
 LIVE_RECORD_KEYS = (
     "v", "kind", "wall_s", "windows", "sim_ps", "events", "events_per_s",
-    "done", "memo_hit_rate", "shm_frames", "shm_bytes", "shm_fallbacks",
+    "done", "memo_hit_rate", "memo_jump_windows", "shm_frames", "shm_bytes",
+    "shm_fallbacks",
     "agents_busy_s", "agents_wait_s",
 )
 
@@ -598,6 +601,7 @@ class LivePlane:
             "events_per_s": round(events / wall, 3) if wall > 0 else 0.0,
             "done": p.get("done"),
             "memo_hit_rate": round(hits / lookups, 6) if lookups else None,
+            "memo_jump_windows": counters.get("memo.jump_windows", 0),
             "shm_frames": counters.get("transport.shm_frames", 0),
             "shm_bytes": counters.get("transport.shm_bytes", 0),
             "shm_fallbacks": counters.get("transport.shm_fallbacks", 0),

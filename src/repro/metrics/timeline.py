@@ -39,7 +39,7 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION", "TIMELINE_FORMAT", "MANIFEST_FORMAT",
     "chrome_trace_events", "write_timeline",
     "validate_chrome_trace", "validate_timeline_file",
-    "stats_dict", "stats_csv", "write_stats",
+    "stats_dict", "stats_csv", "write_stats", "memo_line",
     "run_manifest", "write_manifest",
 ]
 
@@ -51,7 +51,11 @@ __all__ = [
 #: ``transport_shm`` (frames/bytes/fallbacks) sections, and the live
 #: observability plane (repro.metrics.live) started stamping its flight
 #: recorder dumps with this version.
-TELEMETRY_SCHEMA_VERSION = 3
+#: v4: the ``memo`` section says why: ``jump`` / ``jump_windows`` and
+#: one ``ineligible.<reason>`` / ``uncacheable.<reason>`` /
+#: ``jump_refused.<reason>`` / ``disabled.<gate>`` field per reason that
+#: occurred.
+TELEMETRY_SCHEMA_VERSION = 4
 TIMELINE_FORMAT = "chrome-trace-events"
 MANIFEST_FORMAT = "repro-run-manifest-v1"
 
@@ -253,17 +257,9 @@ def stats_dict(bus: Any) -> Dict[str, Any]:
         out["agent_busy_s"] = (busy or [0.0] * n)
         out["agent_barrier_wait_s"] = (wait or [0.0] * n)
     counters = bus.counters
-    hits = counters.get("memo.hit", 0)
-    lookups = hits + counters.get("memo.miss", 0)
-    if lookups or any(k.startswith("memo.") for k in counters):
-        out["memo"] = {
-            "hit": hits,
-            "miss": counters.get("memo.miss", 0),
-            "ineligible": counters.get("memo.ineligible", 0),
-            "uncacheable": counters.get("memo.uncacheable", 0),
-            "validate_fail": counters.get("memo.validate_fail", 0),
-            "hit_rate": hits / lookups if lookups else 0.0,
-        }
+    memo = _memo_section(counters)
+    if memo is not None:
+        out["memo"] = memo
     if "transmit.reference_replays" in counters:
         # Published by the fused sweep once per window, so present
         # whenever it ran: why the inline paths did or did not fire.
@@ -279,6 +275,49 @@ def stats_dict(bus: Any) -> Dict[str, Any]:
             "fallbacks": counters.get("transport.shm_fallbacks", 0),
         }
     return out
+
+
+#: Counter families of ``core/memo.py`` that end in a reason name.
+_MEMO_REASONS = ("memo.disabled.", "memo.ineligible.", "memo.uncacheable.",
+                 "memo.jump_refused.")
+
+
+def _memo_section(counters: Dict[str, int]) -> Optional[Dict[str, Any]]:
+    """What the window memo did and why it did not: hits, misses, cycle
+    jumps, and every bail-out — the static gate that kept the cache
+    from being built included — counted by reason (flat
+    ``<family>.<reason>`` fields, present when non-zero)."""
+    if not any(k.startswith("memo.") for k in counters):
+        return None
+    hits = counters.get("memo.hit", 0)
+    lookups = hits + counters.get("memo.miss", 0)
+    section: Dict[str, Any] = {
+        "hit": hits,
+        "miss": counters.get("memo.miss", 0),
+        "ineligible": counters.get("memo.ineligible", 0),
+        "uncacheable": counters.get("memo.uncacheable", 0),
+        "validate_fail": counters.get("memo.validate_fail", 0),
+        "hit_rate": hits / lookups if lookups else 0.0,
+        "jump": counters.get("memo.jump", 0),
+        "jump_windows": counters.get("memo.jump_windows", 0),
+    }
+    section.update((k[len("memo."):], n) for k, n in counters.items()
+                   if k.startswith(_MEMO_REASONS))
+    return section
+
+
+def memo_line(counters: Dict[str, int]) -> Optional[str]:
+    """The memo section as the one line ``python -m repro profile``
+    prints: did it fire, how far did it jump, and if not, why not."""
+    memo = _memo_section(counters)
+    if memo is None:
+        return None
+    reasons = " ".join(f"{k}={n}" for k, n in sorted(memo.items())
+                       if "." in k)
+    return (f"memo: hit={memo['hit']} miss={memo['miss']} "
+            f"ineligible={memo['ineligible']} "
+            f"jumped={memo['jump_windows']} windows in {memo['jump']} jumps"
+            + (f" | {reasons}" if reasons else ""))
 
 
 def stats_csv(bus: Any) -> str:

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.conformance.runner import replay_file
+from repro.conformance.oracles import run_oracle
+from repro.conformance.runner import load_spec_file, replay_file
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
 
@@ -37,3 +38,16 @@ def test_fused_numpy_two_workers_matches_python(path):
     report = replay_file(path, ("dons-python", "dons-numpy-mt2"))
     assert report.ok, report.summary()
     assert len(set(report.entry_counts.values())) == 1
+
+
+@pytest.mark.parametrize("oracle", ["dons-numpy-ffwd",
+                                    "dons-numpy-ffwd-notrace"])
+def test_steady_entry_is_fast_forwarded_by_cycle_jumps(oracle):
+    """The fast-forward oracles are only a gate for cycle jumps if a
+    corpus scenario makes some: the steady entry (lookahead 5 us, P = 6)
+    spends most of its windows inside them, traced and untraced."""
+    path = Path(__file__).parent / "corpus" / "steady-udp-cycle-jump.json"
+    counters = run_oracle(oracle, load_spec_file(path).build()).counters
+    assert counters["memo.jump"] > 0
+    assert 2 * counters["memo.jump_windows"] > counters["windows"]
+    assert counters.get("memo.validate_fail", 0) == 0

@@ -277,6 +277,14 @@ class TestFuzzLoop:
         div = result.shrunk.divergences[0]
         assert div.window is not None and div.system and div.entity
 
+        # Cycle jumps are part of the oracle that caught it: the failing
+        # spec, run clean, is carried over whole cycles by them (under
+        # the bug the first poisoned hit breaks the periodicity, so the
+        # divergence is found before any jump could hide it).
+        clean = run_oracle("dons-numpy-ffwd",
+                           result.failures[0].spec.build())
+        assert clean.counters["memo.jump"] > 0
+
         # Engines without the fast-forward cache never read a poisoned
         # delta: the same fuzz stream stays clean without the oracle.
         with stale_cache_delta():

@@ -14,9 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.checkpoint import (
-    CheckpointingEngine, restore_checkpoint, take_checkpoint,
+    CheckpointingEngine, CheckpointStore, restore_checkpoint,
+    take_checkpoint,
 )
+from repro.conformance.oracles import result_parts
 from repro.core.engine import DodEngine
+from repro.core.memo import VALIDATE_EVERY
 from repro.metrics import TraceLevel
 from repro.scenario import make_scenario
 from repro.topology import dumbbell
@@ -100,12 +103,175 @@ class TestSignatureLockstep:
         engine.finalize()
 
     def test_ffwd_apply_preserves_state_signature(self):
-        """A fast-forwarded window must leave the engine in the same
-        state an executed one would — checked cursor by cursor."""
+        """A fast-forwarded window — and a cycle jump over many — must
+        leave the engine in the same state executing would: checked at
+        every cursor the fast-forwarded run stops at."""
         scenario = steady_scenario()
         plain = _signatures_by_cursor(scenario, "numpy", ffwd=False)
         ffwd = _signatures_by_cursor(scenario, "numpy", ffwd=True)
-        assert ffwd == plain
+        assert ffwd == {cursor: plain[cursor] for cursor in ffwd}
+        assert list(ffwd)[-1] == list(plain)[-1]
+        assert len(ffwd) < len(plain), "no cycle jump on the home regime"
+
+
+@st.composite
+def cycle_scenarios(draw):
+    """Paced UDP whose pending state repeats with some period P: pacing
+    intervals that do and do not divide the window (8/10 Gb/s against
+    1-3 us: P up to 6), flows of unequal length ending mid-run (the
+    tail bound), optionally a duration cut (inside a would-be jump as
+    often as not) and a DCTCP flow starting later (a foreign bucket)."""
+    pairs = draw(st.integers(1, 3))
+    edge = draw(st.sampled_from([8, 10, 12, 24]))
+    delay = us(draw(st.integers(1, 3)))
+    topo = dumbbell(pairs, edge_rate_bps=edge * GBPS,
+                    bottleneck_rate_bps=400 * GBPS, delay_ps=delay)
+    flows = [Flow(i, i, pairs + i,
+                  size_bytes=draw(st.integers(60, 400)) * 1_440,
+                  start_ps=draw(st.integers(0, 4)) * us(1),
+                  transport=Transport.UDP) for i in range(pairs)]
+    if draw(st.booleans()):
+        flows.append(Flow(pairs, 0, pairs, 30_000,
+                          draw(st.integers(20, 200)) * us(1),
+                          Transport.DCTCP))
+    duration = draw(st.one_of(st.none(), st.integers(40, 400)))
+    return make_scenario(
+        topo, flows, name="cycle",
+        duration_ps=None if duration is None else us(duration))
+
+
+def _finish(engine):
+    results = engine.finalize()
+    return (result_parts(results, engine.ports), engine.trace.digest(),
+            results.window_breakdown, dict(results.node_events))
+
+
+class TestCycleJumpLockstep:
+    """A jumping engine against a twin executed window by window."""
+
+    @given(cycle_scenarios(), st.sampled_from(["python", "numpy"]),
+           st.one_of(st.none(), st.integers(20, 300)),
+           st.one_of(st.none(), st.integers(10, 200)))
+    @settings(max_examples=40, deadline=None)
+    def test_jumper_matches_stepped_twin(self, scenario, backend,
+                                         max_windows, restore_after):
+        def make(ffwd):
+            engine = DodEngine(scenario, TraceLevel.FULL, backend=backend,
+                               ffwd=ffwd, max_windows=max_windows)
+            engine.build()
+            return engine
+        jumper, stepped = make(True), make(False)
+        counters = jumper.bus.counters  # of the first engine, if restored
+        more = True
+        while more:
+            more = jumper.advance()
+            while stepped._windows_run < jumper._windows_run:
+                assert stepped.advance() == (
+                    more or stepped._windows_run < jumper._windows_run)
+            assert stepped._cursor == jumper._cursor
+            assert stepped.window_signature() == jumper.window_signature()
+            if restore_after is not None \
+                    and jumper._windows_run >= restore_after:
+                # Snapshot right after whatever advance() just did — a
+                # jump as often as not — and go on in a fresh engine.
+                restore_after = None
+                counters = {}
+                ckpt = take_checkpoint(jumper, jumper._cursor)
+                done = jumper._windows_run
+                jumper.pool.close()
+                jumper = make(True)
+                restore_checkpoint(jumper, ckpt)
+                jumper._windows_run = done
+        c = counters
+        assert (c.get("memo.hit", 0) + c.get("memo.miss", 0)
+                + c.get("memo.ineligible", 0)) == c.get("windows", 0)
+        assert jumper.bus.counters.get("memo.validate_fail", 0) == 0
+        assert _finish(jumper) == _finish(stepped)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("edge,delay,period", [
+        (24, 1, 1), (8, 1, 3), (10, 1, 6), (10, 2, 3)])
+    def test_periods_beyond_one_jump(self, backend, edge, delay, period):
+        """Pacing that does not divide the window repeats every
+        ``period`` windows; whole cycles are skipped all the same."""
+        topo = dumbbell(2, edge_rate_bps=edge * GBPS,
+                        bottleneck_rate_bps=400 * GBPS, delay_ps=us(delay))
+        flows = [Flow(i, i, 2 + i, 600 * 1_440, 0, Transport.UDP)
+                 for i in range(2)]
+        scenario = make_scenario(topo, flows, name=f"period-{period}")
+        runs = {}
+        for ffwd in (False, True):
+            engine = DodEngine(scenario, TraceLevel.FULL, backend=backend,
+                               ffwd=ffwd)
+            engine.build()
+            while engine.advance():
+                pass
+            runs[ffwd] = (_finish(engine), dict(engine.bus.counters))
+        assert runs[True][0] == runs[False][0]
+        c = runs[True][1]
+        assert c["memo.jump"] > 0
+        assert c["memo.jump_windows"] % period == 0
+        assert c["windows"] == runs[False][1]["windows"]
+
+    def test_refusals_are_named(self):
+        """Each bound that leaves no whole cycle to skip says so.  The
+        first comparison of a plain run (P = 6: 10 Gb/s against 1 us
+        windows) gives the window, run count, hit count and cursors at
+        which a bound has to bite; each variant then moves one bound
+        inside that cycle."""
+        topo = dumbbell(2, edge_rate_bps=10 * GBPS,
+                        bottleneck_rate_bps=400 * GBPS, delay_ps=us(1))
+
+        def run(segments=(300, 500), extra=(), hits=0, **kwargs):
+            flows = [Flow(i, i, 2 + i, n * 1_440, 0, Transport.UDP)
+                     for i, n in enumerate(segments)]
+            scenario = make_scenario(
+                topo, flows + list(extra), name="refusals",
+                duration_ps=kwargs.pop("duration_ps", None))
+            engine = DodEngine(scenario, backend="numpy", ffwd=True,
+                               **kwargs)
+            engine.build()
+            memo = engine._memo
+            memo.hits = hits  # only moves the validation phase
+            checks = []
+            jump = memo._jump
+
+            def spy(state, cycle, p_idx, bases0):
+                checks.append((state.win, engine._windows_run, memo.hits,
+                               state.base_of.get(0)))
+                return jump(state, cycle, p_idx, bases0)
+            memo._jump = spy
+            while engine.advance():
+                pass
+            engine.finalize()
+            refused = {k.rsplit(".", 1)[1] for k in engine.bus.counters
+                       if k.startswith("memo.jump_refused.")}
+            return checks, refused
+
+        checks, refused = run()
+        assert not refused
+        win, done, hit, cursor = checks[0]
+        assert "flow_tail" in run(segments=(cursor + 4, 500))[1]
+        assert run(duration_ps=us(win + 3))[1] == {"duration_cut"}
+        assert run(max_windows=done + 3)[1] == {"max_windows"}
+        assert "validation_due" in run(hits=(30 - hit) % 32)[1]
+        late = Flow(2, 0, 2, 30_000, us(win + 60), Transport.DCTCP)
+        assert "state_differs" in run(extra=[late])[1]
+
+
+def test_small_steady_sibling_spends_its_windows_in_jumps():
+    """The count behind ``steady_udp_ffwd`` (no timing): on the
+    benchmark's small sibling at least four windows in five are skipped
+    inside a cycle jump, every validation passes, and the cadence of
+    validations is the per-window memo's."""
+    from repro.bench.scenarios import steady_state_scenario
+    engine = DodEngine(steady_state_scenario(), backend="numpy", ffwd=True)
+    engine.run()
+    c = engine.bus.counters
+    assert c["memo.jump_windows"] >= 0.8 * c["windows"]
+    assert c["memo.hit"] + c["memo.miss"] == c["windows"]
+    assert c["memo.validate"] == c["memo.hit"] // VALIDATE_EVERY
+    assert c.get("memo.validate_fail", 0) == 0
 
 
 class TestDigestIdentity:
@@ -168,20 +334,15 @@ class TestCheckpointInteraction:
         engine = DodEngine(scenario, TraceLevel.FULL, backend="numpy",
                            ffwd=True)
         engine.build()
-        current = -1
         for _ in range(30):
-            nxt = engine._next_window(current)
-            if nxt is None:
-                break
-            current = nxt
-            assert engine._memo.run_window(current) or True
+            engine.advance()
         assert engine._memo.cache, "warm cache expected before snapshot"
-        ckpt = take_checkpoint(engine, current)
+        ckpt = take_checkpoint(engine, engine._cursor)
         restore_checkpoint(engine, ckpt)
         assert engine._memo.cache == {}, "restore must invalidate the cache"
         engine.pool.close()
 
-    def test_resume_with_ffwd_matches_uninterrupted_digest(self):
+    def test_resume_with_ffwd_matches_uninterrupted_digest(self, tmp_path):
         scenario = steady_scenario()
         reference = DodEngine(scenario, TraceLevel.FULL, backend="numpy",
                               ffwd=True)
@@ -206,3 +367,35 @@ class TestCheckpointInteraction:
         assert results.trace is not None
         assert fresh.bus.trace_digest() == reference.bus.trace_digest()
         assert fresh.bus.counters.get("memo.hit", 0) > 0
+
+        # "Every 50 windows" means windows advanced: with > 95 % of them
+        # fast-forwarded or jumped over, counting executed windows
+        # stretched the cadence thirty-fold.  And a snapshot taken right
+        # after a jump resumes to the uninterrupted digest.
+        windows = reference.bus.counters["windows"]
+        store = CheckpointStore([str(tmp_path)])
+        engine = CheckpointingEngine(scenario, TraceLevel.FULL,
+                                     backend="numpy", ffwd=True,
+                                     store=store, every_windows=50)
+        engine.build()
+        after_jump = None
+        while True:
+            jumps = engine.bus.counters.get("memo.jump", 0)
+            taken = engine.checkpoints_taken
+            more = engine.advance()
+            if (after_jump is None and engine.checkpoints_taken > taken
+                    and engine.bus.counters.get("memo.jump", 0) > jumps):
+                after_jump = store.load("run")
+            if not more:
+                break
+        engine.finalize()
+        assert engine.bus.counters["memo.jump_windows"] > windows // 2
+        assert engine.checkpoints_taken == windows // 50
+        assert engine.bus.trace_digest() == reference.bus.trace_digest()
+
+        assert after_jump is not None, "no snapshot fell right after a jump"
+        fresh = CheckpointingEngine(scenario, TraceLevel.FULL,
+                                    backend="numpy", ffwd=True)
+        fresh.resume_from(after_jump)
+        assert fresh.bus.trace_digest() == reference.bus.trace_digest()
+        assert fresh.bus.counters.get("memo.jump", 0) > 0
