@@ -27,7 +27,7 @@ def run_case(buffer_kb: int, scheduler: SchedulerKind):
         scheduler=scheduler,
         buffer_bytes=buffer_kb * 1024,
     )
-    res = run_dons(scenario, workers=2)
+    res = run_dons(scenario)
     fcts = res.fcts_ps()
     return {
         "completed": res.completed(),

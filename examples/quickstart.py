@@ -30,7 +30,7 @@ def main() -> None:
     # 3. One scenario, two engines.
     scenario = make_scenario(topo, flows, name="quickstart")
     baseline = run_baseline(scenario, TraceLevel.FULL)
-    dons = run_dons(scenario, TraceLevel.FULL, workers=2)
+    dons = run_dons(scenario, TraceLevel.FULL)
 
     # 4. Results.
     print("\nflow completion times (us):")

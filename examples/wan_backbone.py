@@ -28,7 +28,7 @@ def main() -> None:
     print(f"traffic: {len(flows)} flows over 1 ms")
 
     scenario = make_scenario(topo, flows, name="abilene-mesh")
-    res = run_dons(scenario, workers=2)
+    res = run_dons(scenario)
 
     fcts = sorted(res.fcts_ps())
     print(f"\ncompleted {res.completed()}/{len(flows)} flows")

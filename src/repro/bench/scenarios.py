@@ -52,7 +52,7 @@ def measure_cmr(model) -> float:
 
 
 def run_dons_probed(scenario: Scenario, probe, trace_level=None,
-                    workers: int = 1, backend=None) -> SimResults:
+                    backend=None) -> SimResults:
     """Run the DOD engine with a machine-model probe on the op stream.
 
     The probe subscribes to the engine's instrumentation bus (what the
@@ -63,7 +63,7 @@ def run_dons_probed(scenario: Scenario, probe, trace_level=None,
     """
     from ..core import DodEngine
     from ..metrics import TraceLevel
-    eng = DodEngine(scenario, trace_level or TraceLevel.NONE, workers,
+    eng = DodEngine(scenario, trace_level or TraceLevel.NONE,
                     backend=backend)
     eng.bus.subscribe_ops(probe)
     return eng.run()

@@ -1,7 +1,7 @@
 """Command-line interface: run, compare, profile, and plan simulations.
 
     python -m repro run --topology fattree:4 --flows mesh:load=0.3 \
-        --engine dons --workers 4
+        --engine dons
     python -m repro compare --topology dumbbell:4 --flows fixed:n=8
     python -m repro profile --topology fattree:4 --flows fixed:n=32
     python -m repro plan --topology isp --machines 8
@@ -260,8 +260,7 @@ def cmd_run(args) -> int:
     scenario = build_scenario(args)
     if args.engine == "dons":
         from .core.engine import run_dons
-        results = run_dons(scenario, workers=args.workers,
-                           backend=args.backend)
+        results = run_dons(scenario, backend=args.backend)
     else:
         from .des import run_baseline
         results = run_baseline(scenario)
@@ -274,8 +273,7 @@ def cmd_compare(args) -> int:
     from .core.engine import run_dons
     from .des import run_baseline
     a = run_baseline(scenario, TraceLevel.FULL)
-    b = run_dons(scenario, TraceLevel.FULL, workers=args.workers,
-                 backend=args.backend)
+    b = run_dons(scenario, TraceLevel.FULL, backend=args.backend)
     same = a.trace.digest() == b.trace.digest()
     print(_summary(b))
     print(f"trace digests   : ood={a.trace.digest()}")
@@ -293,7 +291,7 @@ def cmd_profile(args) -> int:
     cluster bus collected."""
     import json
     scenario = build_scenario(args)
-    telemetry = bool(args.timeline) or None  # None: REPRO_TELEMETRY decides
+    telemetry = bool(args.timeline)
     from .core.engine import DodEngine, resolve_backend
     backend = resolve_backend(args.backend)
     ffwd = False  # cluster agents never fast-forward
@@ -302,10 +300,9 @@ def cmd_profile(args) -> int:
         from .partition import ClusterSpec, measured_machine_times
         from .partition import plan_scenario
         mgr = DonsManager(scenario, ClusterSpec.homogeneous(args.cluster),
-                          workers_per_agent=args.workers,
                           transport=args.transport,
                           backend=backend,
-                          telemetry=bool(telemetry))
+                          telemetry=telemetry)
         engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
         progress = _progress_for(args, engine, scenario)
         live = _live_for(args, engine)
@@ -322,8 +319,7 @@ def cmd_profile(args) -> int:
         agent_times = measured_machine_times(bus, args.cluster)
     else:
         from .core.runner import EngineRunner, chain_hooks
-        eng = DodEngine(scenario, workers=args.workers,
-                        backend=backend, telemetry=telemetry,
+        eng = DodEngine(scenario, backend=backend, telemetry=telemetry,
                         ffwd=args.ffwd)
         ffwd = eng.ffwd
         progress = _progress_for(args, eng, scenario)
@@ -343,7 +339,7 @@ def cmd_profile(args) -> int:
         write_timeline(bus, args.timeline, manifest=dict(
             command="profile", scenario=scenario.name, backend=backend,
             transport=args.transport if args.cluster else None,
-            cluster=args.cluster or None, workers=args.workers, ffwd=ffwd,
+            cluster=args.cluster or None, ffwd=ffwd,
         ))
         print(f"timeline written to {args.timeline}", file=sys.stderr)
     rows = bus.profile_rows()
@@ -399,13 +395,11 @@ def cmd_stats(args) -> int:
         from .cluster import DonsManager
         from .partition import ClusterSpec, plan_scenario
         mgr = DonsManager(scenario, ClusterSpec.homogeneous(args.cluster),
-                          workers_per_agent=args.workers,
                           transport=args.transport,
                           backend=backend, telemetry=True)
         engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
     else:
-        engine = DodEngine(scenario, workers=args.workers,
-                           backend=backend, telemetry=True,
+        engine = DodEngine(scenario, backend=backend, telemetry=True,
                            ffwd=args.ffwd)
     live = _live_for(args, engine)
     try:
@@ -420,7 +414,7 @@ def cmd_stats(args) -> int:
         write_stats(bus, args.out, fmt=args.format, manifest=dict(
             command="stats", scenario=scenario.name, backend=backend,
             transport=args.transport if args.cluster else None,
-            cluster=args.cluster or None, workers=args.workers,
+            cluster=args.cluster or None,
         ))
         print(f"stats written to {args.out}")
     elif args.format == "csv":
@@ -461,8 +455,7 @@ def cmd_viz(args) -> int:
     from .partition.loadest import estimate_scenario_loads
     from .viz import (flow_gantt_svg, link_utilization_svg,
                       window_breakdown_heatmap)
-    results = run_dons(scenario, workers=args.workers,
-                       backend=args.backend)
+    results = run_dons(scenario, backend=args.backend)
     os.makedirs(args.out_dir, exist_ok=True)
     gantt = os.path.join(args.out_dir, "flows.svg")
     with open(gantt, "w") as fh:
@@ -493,7 +486,6 @@ def make_parser() -> argparse.ArgumentParser:
                         choices=[k.value for k in SchedulerKind])
     common.add_argument("--classes", type=int, default=3)
     common.add_argument("--buffer-kb", type=int, default=4096)
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--backend", choices=["python", "numpy"],
                         default=None,
                         help="ECS table/system backend for the DOD engine "

@@ -12,7 +12,7 @@ from .transport import (
 )
 from .fault import FaultPlan, RecoveryStats
 from .runtime import ClusterEngine, merge_results
-from .manager import ClusterController, DistributedRun, DonsManager
+from .manager import DistributedRun, DonsManager
 from .migration import MigrationStats, migrate
 from .checkpoint import (
     ClusterCheckpoint, resume_cluster, take_cluster_checkpoint,
@@ -24,7 +24,7 @@ __all__ = [
     "AgentFailure", "AgentReport", "LocalTransport", "ProcessTransport",
     "Transport", "make_transport",
     "FaultPlan", "RecoveryStats",
-    "ClusterEngine", "ClusterController", "DistributedRun", "DonsManager",
+    "ClusterEngine", "DistributedRun", "DonsManager",
     "merge_results",
     "MigrationStats", "migrate",
     "ClusterCheckpoint", "resume_cluster", "take_cluster_checkpoint",

@@ -38,7 +38,6 @@ class AgentSpec:
     scenario: Scenario
     partition: Partition
     trace_level: TraceLevel = TraceLevel.NONE
-    workers: int = 1
     #: ECS table/system backend ("python" or "numpy"); ``None`` defers to
     #: the engine's own resolution (``REPRO_BACKEND`` env, then "python"),
     #: re-resolved in the worker process a ProcessTransport spawns.
@@ -46,16 +45,11 @@ class AgentSpec:
     #: Span recording + metric sampling on the agent's bus; the spans
     #: come back in the AgentReport and merge into the cluster timeline.
     telemetry: bool = False
-    #: PARSIR-style placement: pin the hosting worker process to this
-    #: CPU at startup (``None`` = leave scheduling to the OS).  Set by
-    #: the ProcessTransport when pinning is enabled; purely an execution
-    #: hint, never part of simulation state.
-    pin_cpu: Optional[int] = None
 
     def make(self) -> "AgentEngine":
         return AgentEngine(self.agent_id, self.scenario, self.partition,
-                           self.trace_level, self.workers, self.backend,
-                           self.telemetry)
+                           self.trace_level, backend=self.backend,
+                           telemetry=self.telemetry)
 
 
 def window_offer(peek: Optional[int], outbox: Dict[int, list],
@@ -107,8 +101,8 @@ class Horizon(NamedTuple):
 def spec_of(engine: "AgentEngine") -> AgentSpec:
     """Recover the construction recipe of an existing agent engine."""
     return AgentSpec(engine.agent_id, engine.scenario, engine.partition,
-                     TraceLevel(engine.trace.level), engine.pool.workers,
-                     engine.backend, engine.bus.telemetry)
+                     TraceLevel(engine.trace.level), engine.backend,
+                     engine.bus.telemetry)
 
 
 class AgentEngine(DodEngine):
@@ -122,14 +116,12 @@ class AgentEngine(DodEngine):
         scenario: Scenario,
         partition: Partition,
         trace_level: TraceLevel = TraceLevel.NONE,
-        workers: int = 1,
+        *,
         backend: Optional[str] = None,
         telemetry: bool = False,
     ) -> None:
-        # ``False`` defers to REPRO_TELEMETRY (like ``backend=None``), so
-        # the env switch reaches worker processes a transport spawns.
-        super().__init__(scenario, trace_level, workers, backend=backend,
-                         telemetry=telemetry or None)
+        super().__init__(scenario, trace_level, backend=backend,
+                         telemetry=telemetry)
         self.agent_id = agent_id
         self.partition = partition
         #: per remote agent: (arrival_ps, node, row) records of this window

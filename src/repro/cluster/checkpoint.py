@@ -8,12 +8,12 @@ agent plus the runtime's cursor, partition and remaining migration
 schedule.  Resuming on fresh agents continues the run and produces the
 uninterrupted trace (tests/cluster/test_cluster_checkpoint.py).
 
-``take_cluster_checkpoint`` accepts anything that exposes ``agents`` /
-``schedule`` — the legacy :class:`ClusterController`
-facade or a :class:`~repro.cluster.runtime.ClusterEngine` on the
-``LocalTransport`` directly.  (The in-run recovery path — kill one agent
-mid-simulation, restore it from its latest snapshot while peers keep
-their state — lives in the runtime; see :mod:`repro.cluster.fault`.)
+``take_cluster_checkpoint`` takes a
+:class:`~repro.cluster.runtime.ClusterEngine` on the ``LocalTransport``
+(it reaches the in-process agents).  (The in-run recovery path — kill
+one agent mid-simulation, restore it from its latest snapshot while
+peers keep their state — lives in the runtime; see
+:mod:`repro.cluster.fault`.)
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .agent import AgentEngine
-from .manager import ClusterController, merge_results
+from .runtime import ClusterEngine, merge_results
 from ..core.checkpoint import FORMAT as ENGINE_FORMAT
 from ..core.checkpoint import restore_checkpoint, take_checkpoint
 from ..des.partition_types import Partition
@@ -46,11 +46,10 @@ class ClusterCheckpoint:
     agent_payloads: List[bytes]
 
 
-def take_cluster_checkpoint(controller,
+def take_cluster_checkpoint(engine: ClusterEngine,
                             current_window: int) -> ClusterCheckpoint:
-    """Snapshot a controller (or local ClusterEngine) paused between
-    windows."""
-    agents = controller.agents
+    """Snapshot a local ClusterEngine paused between windows."""
+    agents = engine.agents
     partition = agents[0].partition
     return ClusterCheckpoint(
         format=FORMAT,
@@ -58,7 +57,7 @@ def take_cluster_checkpoint(controller,
         current_window=current_window,
         partition=partition.assignment,
         num_parts=partition.num_parts,
-        schedule=[(w, p.assignment) for w, p in controller.schedule],
+        schedule=[(w, p.assignment) for w, p in engine.schedule],
         agent_payloads=[
             take_checkpoint(agent, current_window).payload
             for agent in agents
@@ -70,7 +69,7 @@ def resume_cluster(
     scenario: Scenario,
     checkpoint: ClusterCheckpoint,
     trace_level: TraceLevel = TraceLevel.NONE,
-) -> Tuple[SimResults, ClusterController]:
+) -> Tuple[SimResults, ClusterEngine]:
     """Rebuild fresh agents from a checkpoint and run to completion."""
     if checkpoint.format != FORMAT:
         raise ClusterError(f"unknown checkpoint format {checkpoint.format!r}")
@@ -85,7 +84,7 @@ def resume_cluster(
         (w, Partition(assignment, checkpoint.num_parts))
         for w, assignment in checkpoint.schedule
     ]
-    controller = ClusterController(agents, schedule=schedule)
+    engine = ClusterEngine.from_agents(agents, schedule=schedule)
     from ..core.checkpoint import Checkpoint
     for agent, payload in zip(agents, checkpoint.agent_payloads):
         agent.build()
@@ -93,5 +92,5 @@ def resume_cluster(
             ENGINE_FORMAT, scenario.name,
             checkpoint.current_window, payload,
         ))
-    per_agent = controller.run_from(checkpoint.current_window)
-    return merge_results(per_agent, scenario.name), controller
+    per_agent = engine.run_from(checkpoint.current_window)
+    return merge_results(per_agent, scenario.name), engine

@@ -1,4 +1,4 @@
-"""DONS Manager and the legacy Cluster Controller facade (§3.1, §4.2).
+"""DONS Manager (§3.1, §4.2).
 
 The Manager accepts a simulation submission, runs the Load Estimator and
 Partitioner to produce the execution plan, and hands the execution to the
@@ -20,10 +20,6 @@ Correctness: the merged distributed trace equals the single-machine
 trace under *every* transport
 (tests/integration/test_transport_equivalence.py), because RPCs only
 ever carry packets into future windows (link delay >= lookahead).
-
-:class:`ClusterController` remains as a thin facade over
-:class:`ClusterEngine` + ``LocalTransport`` for callers (and tests) that
-hold pre-built agent engines.
 """
 
 from __future__ import annotations
@@ -31,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from .agent import AgentEngine, AgentSpec, spec_of
+from .agent import AgentSpec
 from .channel import ClusterTrafficStats
 from .fault import FaultPlan, RecoveryStats
 from .runtime import ClusterEngine, merge_results
-from .transport import LocalTransport, Transport
+from .transport import Transport
 from ..core.instrument import InstrumentationBus
 from ..core.runner import EngineRunner
 from ..des.partition_types import Partition
@@ -49,9 +45,7 @@ from ..partition import (
 )
 from ..scenario import Scenario
 
-__all__ = [
-    "ClusterController", "DistributedRun", "DonsManager", "merge_results",
-]
+__all__ = ["DistributedRun", "DonsManager", "merge_results"]
 
 
 @dataclass
@@ -69,50 +63,6 @@ class DistributedRun:
     recoveries: List[RecoveryStats] = field(default_factory=list)
 
 
-class ClusterController:
-    """Legacy driver: pre-built agents on the in-process transport.
-
-    Kept as a facade over :class:`ClusterEngine` so existing call sites
-    (checkpoint resume, the migration tests) keep their shape:
-    ``agents``, ``schedule``, ``migrations`` and ``run``/``run_from``
-    all delegate to the engine.
-    """
-
-    def __init__(self, agents: List[AgentEngine],
-                 schedule: Optional[List[Tuple[int, "Partition"]]] = None) -> None:
-        if not agents:
-            raise ClusterError("no agents")
-        self.engine = ClusterEngine(
-            [spec_of(agent) for agent in agents],
-            transport=LocalTransport(engines=agents),
-            schedule=schedule,
-        )
-
-    @property
-    def agents(self) -> List[AgentEngine]:
-        return self.engine.agents
-
-    @property
-    def stats(self) -> ClusterTrafficStats:
-        return self.engine.stats
-
-    @property
-    def schedule(self):
-        return self.engine.schedule
-
-    @property
-    def migrations(self):
-        return self.engine.migrations
-
-    def run(self) -> List[SimResults]:
-        return self.engine.run()
-
-    def run_from(self, current: int) -> List[SimResults]:
-        """Drive already-built (or checkpoint-restored) agents from the
-        given window cursor to completion."""
-        return self.engine.run_from(current)
-
-
 class DonsManager:
     """Accepts a submission, plans it, and orchestrates the cluster."""
 
@@ -121,7 +71,6 @@ class DonsManager:
         scenario: Scenario,
         cluster: ClusterSpec,
         trace_level: TraceLevel = TraceLevel.NONE,
-        workers_per_agent: int = 1,
         transport: Union[str, Transport, None] = "local",
         checkpoint_every: Optional[int] = None,
         fault: Optional[FaultPlan] = None,
@@ -132,7 +81,6 @@ class DonsManager:
         self.scenario = scenario
         self.cluster = cluster
         self.trace_level = trace_level
-        self.workers_per_agent = workers_per_agent
         self.transport = transport
         self.checkpoint_every = checkpoint_every
         self.fault = fault
@@ -143,7 +91,7 @@ class DonsManager:
     def _specs(self, partition: Partition) -> List[AgentSpec]:
         return [
             AgentSpec(a, self.scenario, partition, self.trace_level,
-                      self.workers_per_agent, self.backend, self.telemetry)
+                      backend=self.backend, telemetry=self.telemetry)
             for a in range(partition.num_parts)
         ]
 

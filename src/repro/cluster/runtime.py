@@ -43,13 +43,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .agent import AgentSpec, Horizon
+from .agent import AgentEngine, AgentSpec, Horizon, spec_of
 from .fault import FaultPlan, RecoveryStats
 from .transport import (
     AgentFailure, LocalTransport, Transport, make_transport,
 )
 from ..core.instrument import InstrumentationBus
-from ..core.runtime import env_flag
 from ..core.telemetry import WAIT_MS_BUCKETS
 from ..des.partition_types import Partition
 from ..errors import ClusterError
@@ -86,11 +85,10 @@ class ClusterEngine:
 
         self.bus = InstrumentationBus()
         # Telemetry on the cluster bus follows the agents: any spec with
-        # it on (or the REPRO_TELEMETRY switch) lights up the
-        # coordinator-side spans/metrics too, so one exported timeline
-        # holds both the agent tracks and the barrier-wait slices.
-        if (any(spec.telemetry for spec in self.specs)
-                or env_flag("REPRO_TELEMETRY")):
+        # it on lights up the coordinator-side spans/metrics too, so one
+        # exported timeline holds both the agent tracks and the
+        # barrier-wait slices.
+        if any(spec.telemetry for spec in self.specs):
             self.bus.enable_telemetry()
             self.bus.metrics.histogram("cluster.barrier_wait_ms",
                                        WAIT_MS_BUCKETS)
@@ -106,10 +104,10 @@ class ClusterEngine:
         #: Stall/slowness detector over the same measured window times
         #: (:class:`repro.metrics.live.ClusterWatchdog`).  ``None`` off,
         #: ``True`` forced on, default (``None`` argument) arms it when
-        #: the bus is telemetered or ``$REPRO_WATCHDOG`` is set; an
-        #: instance is adopted as-is.  An armed watchdog makes the
-        #: transport time windows even with telemetry off
-        #: (``track_times``) — window timing without span capture.
+        #: the bus is telemetered; an instance is adopted as-is.  An
+        #: armed watchdog makes the transport time windows even with
+        #: telemetry off (``track_times``) — window timing without span
+        #: capture.
         self.watchdog = self._make_watchdog(watchdog)
         if self.watchdog is not None:
             self.transport.track_times = True
@@ -135,11 +133,24 @@ class ClusterEngine:
         self._records_since_snap = 0
         self._ran_since_snap = 0
 
+    @classmethod
+    def from_agents(
+        cls,
+        agents: Sequence[AgentEngine],
+        schedule: Optional[List[Tuple[int, Partition]]] = None,
+    ) -> "ClusterEngine":
+        """Pre-built agent engines on the in-process transport — how
+        checkpoint resume and the migration tests hand over engines they
+        constructed (and possibly restored) themselves."""
+        return cls([spec_of(agent) for agent in agents],
+                   transport=LocalTransport(engines=agents),
+                   schedule=schedule)
+
     def _make_watchdog(self, arg: Union[bool, None, "object"]):
         if arg is False:
             return None
         if arg is None:
-            if not (self.bus.telemetry or env_flag("REPRO_WATCHDOG")):
+            if not self.bus.telemetry:
                 return None
             arg = True
         if arg is True:

@@ -49,13 +49,11 @@ coordinator died) makes it exit; nobody waits unboundedly on a dead peer.
 Both transports account every batch in a
 :class:`~repro.cluster.channel.ChannelMap` on the sending side, so
 :class:`~repro.cluster.channel.ClusterTrafficStats` cannot tell them
-apart.  ``pin_cpus=True`` / ``REPRO_PIN_CPUS=1`` pins worker *i* to core
-``i % cpu_count``; a no-op where ``sched_setaffinity`` is unavailable.
+apart.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import time
@@ -73,7 +71,6 @@ from ..core.checkpoint import (
     restore_snapshot, state_oob_parts, take_checkpoint,
 )
 from ..core.instrument import SystemProfile, WindowProfile
-from ..core.runtime import env_flag
 from ..errors import ClusterError
 from ..metrics import SimResults
 
@@ -227,8 +224,8 @@ def _report_of(engine: AgentEngine) -> AgentReport:
 class LocalTransport(Transport):
     """All agents in this process; a batch is a mailbox hand-off.
 
-    ``engines`` may be supplied pre-constructed (the legacy
-    ``ClusterController`` path and checkpoint resume); otherwise
+    ``engines`` may be supplied pre-constructed
+    (``ClusterEngine.from_agents`` — checkpoint resume); otherwise
     :meth:`launch` builds them from the specs.  A killed agent's engine
     is dropped on the floor — the crash loses its memory, exactly what
     recovery must survive.
@@ -530,11 +527,6 @@ def _agent_worker(conn, spec: AgentSpec, board_name: str,
     # open no worker would ever see EOF when the coordinator dies.
     for parent_end in inherited:
         parent_end.close()
-    if spec.pin_cpu is not None and hasattr(os, "sched_setaffinity"):
-        try:
-            os.sched_setaffinity(0, {spec.pin_cpu})
-        except OSError:  # pragma: no cover - cpu offline / not permitted
-            pass
     _AgentWorker(conn, spec, board_name).serve()
 
 
@@ -560,15 +552,12 @@ class ProcessTransport(Transport):
     over shared-memory pair rings (see the module doc).  ``slot_bytes``
     sizes a ring slot; a batch that does not fit travels as a blob."""
 
-    def __init__(self, pin_cpus: Optional[bool] = None,
-                 slot_bytes: Optional[int] = None) -> None:
+    def __init__(self, slot_bytes: Optional[int] = None) -> None:
         super().__init__()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
         self._workers: List[_Worker] = []
-        self.pin_cpus = (env_flag("REPRO_PIN_CPUS") if pin_cpus is None
-                         else bool(pin_cpus))
         self._slot_bytes = slot_bytes
         self._rings: Dict[Tuple[int, int], ShmRing] = {}
         self._board: Optional[ProgressBoard] = None
@@ -579,12 +568,6 @@ class ProcessTransport(Transport):
 
     def launch(self, specs: Sequence[AgentSpec]) -> None:
         self.specs = list(specs)
-        if self.pin_cpus:
-            ncpu = os.cpu_count() or 1
-            self.specs = [
-                dataclasses.replace(spec, pin_cpu=spec.agent_id % ncpu)
-                for spec in self.specs
-            ]
         self._board = ProgressBoard.create("board", len(self.specs))
         self._workers = []
         for spec in self.specs:

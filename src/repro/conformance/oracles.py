@@ -14,11 +14,11 @@ CLI and benchmarks use — so what the harness certifies is the code path
 users actually run:
 
 * ``ood`` — the OOD baseline (reference).
-* ``dons`` / ``dons-mt2`` — the DOD engine, serial and 2-worker.
-* ``dons-numpy`` / ``dons-numpy-mt2`` / ``cluster-numpy-2`` — the same
-  engine (serial, 2-worker, and as 2 local-transport cluster agents) on
-  the vectorized NumPy ECS backend; byte-identity against ``ood`` is the
-  backend's conformance gate.
+* ``dons`` — the DOD engine.
+* ``dons-numpy`` / ``cluster-numpy-2`` — the same engine (alone, and as
+  2 local-transport cluster agents) on the vectorized NumPy ECS
+  backend; byte-identity against ``ood`` is the backend's conformance
+  gate.
 * ``dons-numpy-ffwd`` — the NumPy engine with window-signature
   memoization + fast-forwarding forced on (``core/memo.py``); its
   byte-identity against the rest is the fast-forward conformance gate.
@@ -112,14 +112,14 @@ def run_ood(scenario: Scenario) -> OracleRun:
     return _finish("ood", scenario, sim.run(), {}, sim.ports)
 
 
-def run_dod(scenario: Scenario, workers: int = 1, name: str = "dons",
+def run_dod(scenario: Scenario, name: str = "dons",
             backend: Optional[str] = None, ffwd: Optional[bool] = None,
             trace: bool = True) -> OracleRun:
     """``trace=False`` runs the engine as the benchmark does, with no
     trace recorder; the run then carries only its result parts."""
     engine = DodEngine(scenario,
                        TraceLevel.FULL if trace else TraceLevel.NONE,
-                       workers=workers, backend=backend, ffwd=ffwd)
+                       backend=backend, ffwd=ffwd)
     results = engine.run()
     run = _finish(name, scenario, results, engine.bus.counters,
                   engine.ports)
@@ -163,7 +163,6 @@ def run_checkpoint_resume(scenario: Scenario) -> OracleRun:
         current = nxt
         engine.process_window(current)
     ckpt = take_checkpoint(engine, current)
-    engine.pool.close()
     del engine  # the "crash": nothing of the first engine survives
     fresh = CheckpointingEngine(scenario, TraceLevel.FULL)
     results = fresh.resume_from(ckpt)
@@ -187,14 +186,10 @@ def run_fault_recovery(scenario: Scenario) -> OracleRun:
 ORACLES: Dict[str, Callable[[Scenario], OracleRun]] = {
     "ood": run_ood,
     "dons": run_dod,
-    "dons-mt2": lambda sc: run_dod(sc, workers=2, name="dons-mt2"),
     "dons-python": lambda sc: run_dod(sc, name="dons-python",
                                       backend="python"),
     "dons-numpy": lambda sc: run_dod(sc, name="dons-numpy",
                                      backend="numpy"),
-    "dons-numpy-mt2": lambda sc: run_dod(sc, workers=2,
-                                         name="dons-numpy-mt2",
-                                         backend="numpy"),
     # The memoization/fast-forward gate: same engine with the window
     # cache forced on.  Trace byte-identity against every other oracle
     # is what certifies fast-forwarded windows (see core/memo.py).

@@ -1,15 +1,14 @@
 """The DONS core: ECS substrate, batch-based engine, four systems,
-and the unified runtime (instrumentation bus + engine runner)."""
+and the unified run loop (instrumentation bus + engine runner)."""
 
 from .engine import DodEngine, run_dons
 from .instrument import InstrumentationBus, SystemProfile, WindowProfile
 from .runner import Engine, EngineRunner, run_engine
-from .runtime import WorkerPool, chunk_ranges
 from .window import WindowContext
 
 __all__ = [
     "DodEngine", "run_dons",
     "Engine", "EngineRunner", "run_engine",
     "InstrumentationBus", "SystemProfile", "WindowProfile",
-    "WorkerPool", "chunk_ranges", "WindowContext",
+    "WindowContext",
 ]

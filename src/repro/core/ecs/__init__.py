@@ -1,9 +1,7 @@
 """Entity-Component-System substrate used by the DOD engine."""
 
 from .components import CHUNK_ENTITIES, FieldSpec, SoATable
-from .commands import (
-    CommandBuffer, consolidate, consolidate_grouped, merge_buffers,
-)
+from .commands import CommandBuffer, consolidate
 from .entity import (
     BACKENDS, EGRESS_SCHEMA, EntityKind, INGRESS_SCHEMA, RECEIVER_SCHEMA,
     SENDER_SCHEMA, World, make_table,
@@ -11,7 +9,7 @@ from .entity import (
 
 __all__ = [
     "CHUNK_ENTITIES", "FieldSpec", "SoATable", "NumpyTable",
-    "CommandBuffer", "consolidate", "consolidate_grouped", "merge_buffers",
+    "CommandBuffer", "consolidate",
     "BACKENDS", "EntityKind", "World", "make_table",
     "SENDER_SCHEMA", "RECEIVER_SCHEMA", "INGRESS_SCHEMA", "EGRESS_SCHEMA",
 ]

@@ -1,13 +1,13 @@
 """Command buffers: the write-conflict fix of Appendix C.
 
 The ForwardSystem has a many-to-one write conflict: several IngressPorts
-forward into one EgressPort buffer.  Per the paper, each worker records
-its writes in a private command buffer, and the main thread consolidates
-all buffers afterwards — the *command pattern*.
+forward into one EgressPort buffer.  Per the paper, each task records
+its writes in a private command buffer, and all buffers are consolidated
+afterwards — the *command pattern*.
 
-Consolidation happens in ascending worker order, so the result is
-deterministic regardless of thread scheduling; the TransmitSystem's
-merge-sort then establishes the canonical chronological order anyway.
+Consolidation happens in ascending task order, so the result does not
+depend on how the tasks were executed; the TransmitSystem's merge-sort
+then establishes the canonical chronological order anyway.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ T = TypeVar("T")
 
 
 class CommandBuffer(Generic[T]):
-    """Private append-only log of (target, item) writes for one worker."""
+    """Private append-only log of (target, item) writes for one task."""
 
     __slots__ = ("entries",)
 
@@ -48,19 +48,11 @@ class CommandBuffer(Generic[T]):
         return bool(self.entries)
 
 
-def merge_buffers(buffers: Sequence[CommandBuffer[T]]) -> CommandBuffer[T]:
-    """Fold worker buffers into one, in worker order (deterministic)."""
-    out: CommandBuffer[T] = CommandBuffer()
-    for buf in buffers:
-        out.merge(buf)
-    return out
-
-
 def consolidate(
     buffers: Sequence[CommandBuffer[T]],
     sink: Dict[int, List[T]],
 ) -> int:
-    """Merge worker buffers into per-target lists, in worker order.
+    """Merge task buffers into per-target lists, in task order.
 
     Returns the number of consolidated writes (cost-model input).
     """
@@ -70,58 +62,3 @@ def consolidate(
             sink.setdefault(target, []).append(item)
         total += len(buf.entries)
     return total
-
-
-#: Below this many entries the per-entry dict path beats building index
-#: arrays.  Measured on the perf-smoke workload (tuple payloads, ~26
-#: distinct targets): the dict path wins at every batch size the
-#: windowed engine produces, because opaque per-entry payloads must be
-#: moved one at a time either way and CPython's dict-append loop has the
-#: smaller constant.  The threshold is set where the stable argsort
-#: could start to amortize (very large replays / bulk imports); the
-#: grouped path stays semantically identical and property-tested.
-GROUPED_CONSOLIDATE_MIN = 16384
-
-
-def consolidate_grouped(
-    buffers: Sequence[CommandBuffer[T]],
-    sink: Dict[int, List[T]],
-) -> int:
-    """Vectorized :func:`consolidate`: commit whole index arrays at once.
-
-    Concatenates every buffer's entries (worker order), stable-argsorts
-    the target indices, and extends each target's sink list with one
-    contiguous slice — the NumPy backend's command-buffer commit path.
-    The stable sort preserves worker order *within* each target, so the
-    per-target item sequences are exactly what :func:`consolidate`
-    produces; only the dict's key insertion order differs (sorted by
-    target instead of first-write order), which no consumer observes —
-    the TransmitSystem re-sorts its port work list anyway.
-    """
-    n = 0
-    for buf in buffers:
-        n += len(buf.entries)
-    if n < GROUPED_CONSOLIDATE_MIN:
-        return consolidate(buffers, sink)
-    entries: List[Tuple[int, T]] = []
-    for buf in buffers:
-        entries.extend(buf.entries)
-    import numpy as np
-
-    targets = np.fromiter((e[0] for e in entries), np.int64, n)
-    order = np.argsort(targets, kind="stable")
-    sorted_targets = targets[order]
-    # Boundaries of each equal-target run in the sorted order.
-    cuts = np.flatnonzero(sorted_targets[1:] != sorted_targets[:-1]) + 1
-    start = 0
-    bounds = cuts.tolist() + [n]
-    for end in bounds:
-        target = int(sorted_targets[start])
-        items = [entries[k][1] for k in order[start:end].tolist()]
-        bucket = sink.get(target)
-        if bucket is None:
-            sink[target] = items
-        else:
-            bucket.extend(items)
-        start = end
-    return n

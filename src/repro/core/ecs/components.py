@@ -5,8 +5,7 @@ is a separate column holding that field's value for every entity,
 contiguously, indexed by the entity's dense id — the columnar layout of
 paper Fig. 7.  Columns are segmented into fixed-size chunks; chunk
 boundaries do not affect semantics but are the unit the machine model
-uses to reason about page/cache behaviour and the unit the worker pool
-uses to split system execution across threads.
+uses to reason about page/cache behaviour.
 
 In CPython a "column" is a list (the interpreter owns physical layout);
 what this class preserves from Unity DOTS is the *logical* layout — which
@@ -183,10 +182,9 @@ class SoATable:
     def chunk_slices(self, names: Sequence[str]) -> Iterator[Tuple[int, int, Dict[str, List[Any]]]]:
         """Yield ``(start, end, {name: column[start:end]})`` per chunk.
 
-        The per-chunk segments are the work slices the planner hands to
-        kernels on the worker pool: each slice covers one storage chunk,
-        so parallel tasks align with the cache/page geometry the machine
-        model reasons about.
+        Each slice covers one storage chunk, so a sweep over them
+        aligns with the cache/page geometry the machine model reasons
+        about.
         """
         cols = self.columns(names)
         for start, end in self.chunks():
@@ -194,7 +192,7 @@ class SoATable:
                 name: col[start:end] for name, col in cols.items()
             }
 
-    # --- chunk geometry (machine model / worker pool) ----------------------
+    # --- chunk geometry (machine model) ------------------------------------
 
     def chunks(self) -> Iterator[Tuple[int, int]]:
         """Yield ``(start, end)`` entity ranges, one per chunk."""

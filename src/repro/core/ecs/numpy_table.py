@@ -292,7 +292,7 @@ class NumpyTable:
                 name: col[start:end].tolist() for name, col in cols.items()
             }
 
-    # --- chunk geometry (machine model / worker pool) ----------------------
+    # --- chunk geometry (machine model) ------------------------------------
 
     def chunks(self) -> Iterator[Tuple[int, int]]:
         """Yield ``(start, end)`` entity ranges, one per chunk."""

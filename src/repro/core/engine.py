@@ -5,7 +5,7 @@ event heap, simulated time advances in *lookahead windows* whose length
 is the smallest link delay.  Within each window the four systems run in
 the LCC-safe order — ACKSystem, SendSystem, ForwardSystem,
 TransmitSystem — and each system processes *all* entities of its aspect
-together, data-parallel across a worker pool.
+together.
 
 Deliveries, flow starts and timer wakeups are kept in a columnar
 pending-event store (:class:`~repro.core.events.EventColumns`): one
@@ -45,7 +45,6 @@ from .ecs import World
 from .events import EventColumns
 from .instrument import OP_WINDOW, InstrumentationBus
 from .runner import EngineRunner
-from .runtime import WorkerPool, env_flag
 from .systems import (
     run_ack_system, run_forward_system, run_send_system, run_transmit_system,
 )
@@ -68,8 +67,18 @@ def resolve_backend(backend: Optional[str]) -> str:
     return backend
 
 
+def resolve_ffwd(ffwd: Optional[bool]) -> bool:
+    """``ffwd``, or for ``None`` ``$REPRO_FFWD``: anything but unset /
+    empty / ``0`` / ``false`` / ``off`` is on."""
+    if ffwd is None:
+        return os.environ.get("REPRO_FFWD", "") not in ("", "0", "false",
+                                                        "off")
+    return ffwd
+
+
 class DodEngine:
-    """Single-machine DONS: one logical process, many worker threads."""
+    """Single-machine DONS: one logical process on one thread (process
+    agents in :mod:`repro.cluster` are the parallel execution)."""
 
     name = "dons"
 
@@ -77,12 +86,12 @@ class DodEngine:
         self,
         scenario: Scenario,
         trace_level: TraceLevel = TraceLevel.NONE,
-        workers: int = 1,
+        *,
         max_windows: Optional[int] = None,
         lookahead_override: Optional[int] = None,
         sample_queues: bool = False,
         backend: Optional[str] = None,
-        telemetry: Optional[bool] = None,
+        telemetry: bool = False,
         ffwd: Optional[bool] = None,
     ) -> None:
         """``lookahead_override`` shrinks the batch below the minimum
@@ -98,9 +107,9 @@ class DodEngine:
         whole suite under each backend without touching test code.
 
         ``telemetry`` turns on span recording and metric sampling on the
-        engine's bus (``None`` resolves ``REPRO_TELEMETRY``).  Telemetry
-        only reads clocks and port counters — the event trace, and
-        therefore the conformance digest, is identical either way.
+        engine's bus.  Telemetry only reads clocks and port counters —
+        the event trace, and therefore the conformance digest, is
+        identical either way.
 
         ``ffwd`` enables the window-signature memoization +
         fast-forwarding cache (``None`` resolves ``REPRO_FFWD``,
@@ -114,17 +123,14 @@ class DodEngine:
         self.scenario = scenario
         self.backend = resolve_backend(backend)
         self.bus = InstrumentationBus()
-        if telemetry is None:
-            telemetry = env_flag("REPRO_TELEMETRY")
         if telemetry:
             self.bus.enable_telemetry()
         self._tx_prev: Dict[int, int] = {}
         self.trace = self.bus.subscribe_trace(TraceRecorder(trace_level))
-        self.pool = WorkerPool(workers, bus=self.bus)
         self.max_windows = max_windows
         self._running_window = -1
         self.sample_queues = sample_queues
-        self.ffwd = env_flag("REPRO_FFWD") if ffwd is None else ffwd
+        self.ffwd = resolve_ffwd(ffwd)
         self._memo = None
 
         self.lookahead = scenario.lookahead_ps
@@ -587,7 +593,7 @@ class DodEngine:
         return EngineRunner(self).run()
 
     def finalize(self) -> SimResults:
-        """Assemble results and release the worker pool (idempotent)."""
+        """Assemble results (idempotent)."""
         if not self._finalized:
             self._finalized = True
             res = self.results
@@ -598,7 +604,6 @@ class DodEngine:
                 res.tx_bytes += port.stats.tx_bytes
             if self.bus.telemetry:
                 self._final_metrics()
-        self.pool.close()
         return self.results
 
     def _final_metrics(self) -> None:
@@ -629,11 +634,10 @@ class DodEngine:
 def run_dons(
     scenario: Scenario,
     trace_level: TraceLevel = TraceLevel.NONE,
-    workers: int = 1,
     backend: Optional[str] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
     ffwd: Optional[bool] = None,
 ) -> SimResults:
     """Convenience one-shot run of the DOD engine."""
-    return DodEngine(scenario, trace_level, workers, backend=backend,
+    return DodEngine(scenario, trace_level, backend=backend,
                      telemetry=telemetry, ffwd=ffwd).run()

@@ -2,9 +2,8 @@
 
 Every engine owns an :class:`InstrumentationBus` and publishes three
 kinds of observations to it; everything that used to be hand-wired
-(``op_hook`` threading through constructors, ``PoolStats`` on the worker
-pool, direct ``TraceRecorder`` calls inside the systems) is a
-*subscriber* instead:
+(``op_hook`` threading through constructors, direct ``TraceRecorder``
+calls inside the systems) is a *subscriber* instead:
 
 * **op stream** — ``bus.op(code, location, uid)``, one call per
   processed operation in batched processing order.  The machine model's
@@ -18,7 +17,8 @@ pool, direct ``TraceRecorder`` calls inside the systems) is a
   order — and therefore the trace digest — is byte-identical to the
   direct wiring it replaces.
 * **counters and timers** — named counters, per-system task/item
-  accounting from the worker pool, and per-window/per-system wall-clock
+  accounting from the reference systems (the ``pool.tasks`` /
+  ``pool.items`` counters), and per-window/per-system wall-clock
   from :meth:`window_times`.  ``python -m repro profile`` renders these;
   the cost model consumes the event counts as before.
 
@@ -152,7 +152,7 @@ class InstrumentationBus:
         self.keep_window_profiles = keep_window_profiles
         #: one raw row per executed window: ``(index, start_ps, ack_s,
         #: send_s, forward_s, transmit_s, tasks)`` with ``tasks`` the
-        #: window's ``{system: [items, tasks]}`` pool accounting or
+        #: window's ``{system: [items, tasks]}`` task accounting or
         #: ``None``.  :attr:`windows` builds the profiles from these.
         self._window_rows: List[tuple] = []
         self._window_tasks: Dict[str, List[int]] = {}
@@ -302,10 +302,11 @@ class InstrumentationBus:
             h.update(repr(entry).encode())
         return h.hexdigest()
 
-    # --- task accounting (worker pool) ------------------------------------
+    # --- task accounting --------------------------------------------------
 
     def task_batch(self, system: str, sizes: Sequence[int]) -> None:
-        """One pool dispatch: ``len(sizes)`` tasks, ``sizes[i]`` items each."""
+        """One system's work list: ``len(sizes)`` tasks, ``sizes[i]``
+        items each."""
         tasks = len(sizes)
         items = sum(sizes)
         self.count("pool.tasks", tasks)

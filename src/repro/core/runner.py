@@ -1,9 +1,9 @@
 """The unified engine runtime: one drive-and-collect loop for all engines.
 
 Every simulator family used to hand-roll the same outer loop — build the
-scenario state, advance until exhausted, assemble results, tear down the
-worker pool.  :class:`EngineRunner` owns that loop once; an engine only
-has to implement the small :class:`Engine` protocol:
+scenario state, advance until exhausted, assemble results, tear down.
+:class:`EngineRunner` owns that loop once; an engine only has to
+implement the small :class:`Engine` protocol:
 
 * ``build()`` — construct entities/state from the scenario (idempotence
   is the engine's concern; the runner calls it once if ``built`` is
@@ -12,7 +12,7 @@ has to implement the small :class:`Engine` protocol:
   window for the DOD engine, one event for the OOD baseline) and return
   whether more work remains.
 * ``finalize() -> SimResults`` — assemble results and release resources
-  (worker pools, open files).  The runner calls it from a ``finally``
+  (agent processes, open files).  The runner calls it from a ``finally``
   block, so resources are reclaimed even when a run raises.
 
 ``repro.cli``, the benchmarks, and the distributed stack all collect
@@ -20,7 +20,7 @@ results through this path instead of private copies of it: a
 :class:`~repro.cluster.runtime.ClusterEngine` implements the same
 protocol with *one cluster-wide lookahead window* as its ``advance()``
 unit, so ``DonsManager`` runs, ``python -m repro profile --cluster`` and
-checkpoint resume (``ClusterController.run_from`` sets the engine's
+checkpoint resume (``ClusterEngine.run_from`` sets the engine's
 window cursor, then hands it to an ``EngineRunner``) all share this
 loop.  Engines that support resumption expose their position as a
 cursor the caller may reposition *before* ``run()``; the runner itself

@@ -2,9 +2,9 @@
 ACKSystem, SendSystem, ForwardSystem, TransmitSystem (§3.3).
 
 Each system is written in the plan → kernel → commit shape: ``plan_*``
-builds per-chunk work slices on the main thread, ``*_kernel`` is a pure
-function over column slices run on the worker pool, and ``commit_*``
-consolidates the kernel outputs deterministically.
+builds the work list (one task per host, flow, switch or port),
+``*_kernel`` is a pure function over one task's column slice, and
+``commit_*`` consolidates the kernel outputs in task order.
 
 These modules are the Python reference (scalar orchestration over list
 columns), which the engine runs back to back on the ``python`` backend.

@@ -10,17 +10,16 @@ The system is written in the engine's plan → kernel → commit shape
 
 * :func:`plan_ack` runs on the main thread and builds the per-host work
   slices (one task per receiving host, deliveries sorted canonically);
-* :func:`ack_kernel` is the data-parallel stage: it sweeps the receiver
-  component columns for one host's deliveries and returns staged ACKs
-  plus completions.  Hosts own disjoint receiver rows, so kernels never
-  contend — the command-buffer argument of Appendix C;
+* :func:`ack_kernel` sweeps the receiver component columns for one
+  host's deliveries and returns staged ACKs plus completions.  Hosts
+  own disjoint receiver rows, so tasks are independent — the
+  command-buffer argument of Appendix C;
 * :func:`commit_ack` consolidates kernel outputs deterministically on
   the main thread: counters, op/trace stream publishes, staging.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import repeat
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -162,9 +161,8 @@ def run_ack_system(engine, ctx: WindowContext) -> None:
         return
     rec = engine.world.receivers
     cols = AckCols(*(rec.column(name) for name in AckCols._fields))
-    kernel = partial(ack_kernel, cols, engine.world.receiver_of_flow,
-                     engine.scenario.flows)
-    results = engine.pool.map(
-        "ack", kernel, work, sizes=[len(w[1]) for w in work]
-    )
-    commit_ack(engine, ctx, results)
+    receiver_of_flow = engine.world.receiver_of_flow
+    flows = engine.scenario.flows
+    engine.bus.task_batch("ack", [len(w[1]) for w in work])
+    commit_ack(engine, ctx, [ack_kernel(cols, receiver_of_flow, flows, item)
+                             for item in work])

@@ -16,7 +16,6 @@ counters/ops and consolidates the buffers in task order.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import List, Tuple
 
 from ..ecs import CommandBuffer, consolidate
@@ -74,13 +73,10 @@ def run_forward_system(engine, ctx: WindowContext) -> None:
     work = plan_forward(engine, ctx)
     if not work:
         return
-    kernel = partial(
-        forward_kernel,
-        engine.scenario.fib,
-        engine.scenario.topology.iface_id,
-        engine.scenario.ecmp_mode == "packet",
-    )
-    results = engine.pool.map(
-        "forward", kernel, work, sizes=[len(w[1]) for w in work]
-    )
-    commit_forward(engine, ctx, results)
+    sc = engine.scenario
+    fib = sc.fib
+    iface_id_of = sc.topology.iface_id
+    spray = sc.ecmp_mode == "packet"
+    engine.bus.task_batch("forward", [len(w[1]) for w in work])
+    commit_forward(engine, ctx, [forward_kernel(fib, iface_id_of, spray, item)
+                                 for item in work])

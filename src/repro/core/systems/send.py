@@ -10,7 +10,7 @@ Plan → kernel → commit:
 
 * :func:`plan_send` scans the window's calendar entries and produces the
   sorted flow-id work list plus each flow's ACK deliveries;
-* :func:`send_kernel` replays one flow on the worker pool.  Sender state
+* :func:`send_kernel` replays one flow.  Sender state
   lives in the columnar sender table; the kernel reads and writes the
   flow's row through bulk column handles (one indexed access per column
   — the columnar pattern the machine model measures) and returns staged
@@ -21,7 +21,6 @@ Plan → kernel → commit:
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..window import (
@@ -361,10 +360,9 @@ def run_send_system(engine, ctx: WindowContext) -> None:
             bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
 
     cols = engine.world.senders.columns(SENDER_COLS)
-    kernel = partial(send_kernel, cols, engine.world.sender_of_flow,
-                     engine.scenario, acks_of, starts, ctx.end)
-    results = engine.pool.map(
-        "send", kernel, flow_ids,
-        sizes=[len(acks_of.get(f, ())) + 1 for f in flow_ids],
-    )
-    commit_send(engine, ctx, results)
+    sender_of_flow = engine.world.sender_of_flow
+    sc = engine.scenario
+    bus.task_batch("send", [len(acks_of.get(f, ())) + 1 for f in flow_ids])
+    commit_send(engine, ctx, [
+        send_kernel(cols, sender_of_flow, sc, acks_of, starts, ctx.end, f)
+        for f in flow_ids])

@@ -11,14 +11,13 @@ exact queue length every packet saw (the paper's TXhistory mechanism),
 so drops and ECN marks match the event-driven baseline exactly.
 
 Plan → kernel → commit: :func:`plan_transmit` lists the fed or active
-ports; :func:`transmit_kernel` replays one port's window on the pool
-(ports are independent entities); :func:`commit_transmit` publishes
+ports; :func:`transmit_kernel` replays one port's window (ports are
+independent entities); :func:`commit_transmit` publishes
 trace/op events and registers cross-device arrivals, in port order.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..window import Staged, WindowContext
@@ -93,10 +92,9 @@ def run_transmit_system(engine, ctx: WindowContext) -> None:
     if not iface_ids:
         return
     full_trace = engine.bus.trace_level >= 2
-    kernel = partial(transmit_kernel, engine.ports, ctx.staged,
-                     ctx.start, ctx.end, full_trace)
-    results = engine.pool.map(
-        "transmit", kernel, iface_ids,
-        sizes=[len(ctx.staged.get(i, ())) + 1 for i in iface_ids],
-    )
-    commit_transmit(engine, ctx, results)
+    ports, staged = engine.ports, ctx.staged
+    engine.bus.task_batch(
+        "transmit", [len(staged.get(i, ())) + 1 for i in iface_ids])
+    commit_transmit(engine, ctx, [
+        transmit_kernel(ports, staged, ctx.start, ctx.end, full_trace, i)
+        for i in iface_ids])

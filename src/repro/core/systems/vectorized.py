@@ -10,23 +10,17 @@ orchestration around the kernels is columnar:
   ordering-contract sorts go through one stable ``np.lexsort`` over key
   columns instead of a per-element Python key function
   (:func:`sort_contract`).
-* **kernel** dispatch is batched: one pool task per worker sweeping a
-  contiguous slice of the entity axis, instead of one task per entity —
-  the per-task overhead (argument binding, result boxing, per-task
-  commit headers) amortizes over the slice.  Per-window sender/receiver
-  state is *gathered* out of the :class:`~repro.core.ecs.NumpyTable`
-  columns into compact Python-value columns in one fancy-indexed read
-  per component, so the DCTCP/UDP/reassembly state machines run on
-  exactly the value types the Python backend feeds them — which is what
-  keeps the traces byte-identical.
+* **kernel** stages read per-window sender/receiver state *gathered*
+  out of the :class:`~repro.core.ecs.NumpyTable` columns into compact
+  Python-value columns in one fancy-indexed read per component, so the
+  DCTCP/UDP/reassembly state machines run on exactly the value types
+  the Python backend feeds them — which is what keeps the traces
+  byte-identical.
 * **commit** writes back with whole index arrays: one ``scatter`` per
   mutated component column (the resident working set flushes each list
-  column in a single vectorized assignment), and the ForwardSystem's
-  command buffers consolidate through
-  :func:`~repro.core.ecs.consolidate_grouped`, whose stable-argsort
-  path engages for very large batches (below the measured crossover it
-  delegates to the reference dict consolidation — see the threshold
-  note in ``repro.core.ecs.commands``).
+  column in a single vectorized assignment); the ForwardSystem routes
+  straight into the window's staging lists, with no command buffers in
+  between (:func:`_forward_serial_np`).
 
 Integer timestamp arithmetic stays bit-exact: every value that crosses
 from an ndarray into a packet row or trace entry is converted to a
@@ -47,21 +41,18 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .ack import AckCols, ack_kernel, commit_ack
-from .forward import ForwardWork
 from .send import (
     SENDER_COLS, FlowLists, commit_send, flow_lists, send_kernel,
 )
 from .transmit import commit_transmit
 from .. import events as events_mod
-from ..ecs import CommandBuffer, consolidate_grouped
-from ..runtime import chunk_ranges
 from ..window import ENTRY_ARRIVAL, ENTRY_FLOW_START, Staged, WindowContext
 from ...protocols.aqm import AqmConfig, AqmKind, should_mark
 from ...protocols.egress import TableClassifier
 from ...schedulers.disciplines import FifoScheduler, StrictPriorityScheduler
 from ...protocols.packet import (
     F_DST, F_FLOW, F_ISACK, F_SEQ, F_SIZE, HEADER_BYTES, MSS,
-    PRIO_ARRIVAL, PRIO_FLOW_START, Row, data_row, with_ce,
+    PRIO_ARRIVAL, PRIO_FLOW_START, Row, data_row, packet_uid, with_ce,
 )
 from ...traffic import Transport
 from ...units import PS_PER_S
@@ -110,13 +101,6 @@ def sort_contract(entries: List[Tuple[int, int, Row]]) -> List[Tuple[int, int, R
 #: the way `flipped_transmit_order` patches the Python backend's
 #: `transmit_kernel`.
 transmit_sort = sort_contract
-
-
-def _chunked(items: List, workers: int) -> List[List]:
-    """Contiguous near-equal slices of a work list, one per pool task."""
-    if workers <= 1 or len(items) <= 1:
-        return [items]
-    return [items[s:e] for s, e in chunk_ranges(len(items), workers)]
 
 
 # --- SendSystem ------------------------------------------------------------
@@ -190,10 +174,10 @@ def _udp_send_kernel(cols, fl: FlowLists, window_end: int, flow_id: int,
 
 def send_batch_kernel(cols, sender_of_flow, scenario, fl: FlowLists, acks_of,
                       starts, window_end, flow_ids: List[int]):
-    """One worker's slice of the sender sweep, flow by flow in order.
+    """The sender sweep, flow by flow in order.
 
     Returns ``(results, array schedules, scalar schedules)`` — the two
-    counts say which UDP schedule the slice's flows took.
+    counts say which UDP schedule the window's flows took.
     """
     out = []
     n_array = n_udp = 0
@@ -210,18 +194,6 @@ def send_batch_kernel(cols, sender_of_flow, scenario, fl: FlowLists, acks_of,
             out.append(send_kernel(cols, sender_of_flow, scenario, acks_of,
                                    starts, window_end, flow_id))
     return out, n_array, n_udp - n_array
-
-
-# --- ACKSystem -------------------------------------------------------------
-
-
-AckWork = Tuple[int, List[Tuple[int, int, Row]]]
-
-
-def ack_batch_kernel(cols: AckCols, receiver_of_flow, flows,
-                     items: List[AckWork]):
-    """One worker's slice of the receiver sweep, host by host."""
-    return [ack_kernel(cols, receiver_of_flow, flows, item) for item in items]
 
 
 # --- ForwardSystem ---------------------------------------------------------
@@ -255,60 +227,23 @@ def _route(routes: Dict[int, int], sc, node: int, dst: int, flow: int) -> int:
     return target
 
 
-def forward_batch_kernel(sc, routes: Optional[Dict[int, int]],
-                         items: List[ForwardWork]):
-    """One worker's slice of the switch sweep: all its nodes' arrivals
-    routed into private command buffers (one per node, so the commit's
-    per-node accounting matches the scalar path).
+def _forward_serial_np(engine, ctx: WindowContext, work,
+                       routes: Optional[Dict[int, int]]) -> None:
+    """Route every switch's arrivals straight into ``ctx.staged`` — no
+    per-node command buffer, no consolidation pass.  Staging and the
+    ``OP_FORWARD`` stream both run in (node, arrival) order, the order
+    the reference ``commit_forward`` consolidates and publishes in.
 
     ``routes`` is the engine's cross-window route cache (:func:`_route`).
     Packet spraying re-salts the hash per segment, so spraying callers
     pass ``None`` and every packet walks the FIB.
     """
-    out = []
-    fib = sc.fib
-    iface_id_of = sc.topology.iface_id
-    for node, arrivals in items:
-        buf: CommandBuffer = CommandBuffer()
-        append = buf.append
-        for t, prio, row in arrivals:
-            if routes is None:
-                target = iface_id_of(node, fib.resolve_port(
-                    node, row[F_DST], row[F_FLOW], row[F_SEQ]))
-            else:
-                target = _route(routes, sc, node, row[F_DST], row[F_FLOW])
-            append(target, (t, prio, row))
-        out.append((node, len(arrivals), buf))
-    return out
-
-
-def commit_forward_np(engine, ctx: WindowContext, results) -> None:
-    """``commit_forward`` with the grouped array consolidation path."""
-    bus = engine.bus
-    buffers = []
-    for node, n, buf in results:
-        ctx.counts.forward += n
-        engine.bump_node(node, n)
-        if bus.has_ops:
-            from ...protocols.packet import packet_uid
-            for _target, (_t, _prio, row) in buf.entries:
-                bus.op(1, node, packet_uid(row))  # OP_FORWARD
-        buffers.append(buf)
-    consolidate_grouped(buffers, ctx.staged)
-
-
-def _forward_serial_np(engine, ctx: WindowContext, work,
-                       routes: Optional[Dict[int, int]]) -> None:
-    """:func:`forward_batch_kernel` fused with its commit for the
-    single-worker, probe-off sweep: resolved routes append straight
-    into ``ctx.staged`` — no per-node command buffer, no consolidation
-    pass.  Per-target arrival order matches the buffered path, which
-    also preserves the global (node, arrival) recording order.
-    """
     sc = engine.scenario
     staged = ctx.staged
     staged_get = staged.get
     node_events = engine.results.node_events
+    bus = engine.bus
+    has_ops = bus.has_ops
     routes_get = routes.get if routes is not None else None
     n_nodes = len(sc.topology.nodes)
     n_flows = len(sc.flows)
@@ -333,6 +268,9 @@ def _forward_serial_np(engine, ctx: WindowContext, work,
                 staged[target] = [(t, prio, row)]
             else:
                 lst.append((t, prio, row))
+        if has_ops:
+            for _t, _prio, row in arrivals:
+                bus.op(1, node, packet_uid(row))  # OP_FORWARD
         n = len(arrivals)
         total += n
         node_events[node] = node_events.get(node, 0) + n
@@ -571,7 +509,9 @@ def transmit_batch_kernel(
     full_trace: bool,
     iface_ids: List[int],
 ):
-    """One worker's slice of the port axis, replayed port by port."""
+    """The port axis replayed port by port, results left for
+    ``commit_transmit`` (the trace-on path, see
+    :func:`_transmit_serial_np`)."""
     out = []
     sort = transmit_sort  # module attribute: the injectable tie-break
     staged_get = staged.get
@@ -612,7 +552,7 @@ def _transmit_serial_np(engine, ctx: WindowContext,
     """Replay *and* commit the port axis in one serial sweep.
 
     Fuses :func:`transmit_batch_kernel` with ``commit_transmit`` for the
-    single-worker, trace-off case (the measured configuration): no
+    trace-off case (the measured configuration): no
     intermediate result tuples, scratch emission/drop lists reused
     across ports, and with local delivery and no conformance bus the
     replay takes a delivery sink and appends dequeues straight to the
@@ -745,7 +685,6 @@ def _transmit_serial_np(engine, ctx: WindowContext,
             node_events[st.node] = node_events.get(st.node, 0) + n
             if emissions:  # not sunk: ops, then one bulk delivery
                 if has_ops:
-                    from ...protocols.packet import packet_uid
                     for row, _s, _e in emissions:
                         bus.op(2, iface_id, packet_uid(row))  # OP_SERVICE
                 deliver_emissions(st.peer_node, st.delay_ps, emissions)
@@ -834,14 +773,11 @@ def run_window_fused(engine, ctx: WindowContext):
     Semantically identical to the reference backend's four
     ``run_*_system`` calls back to back — same kernels, same shared
     commit helpers, same ordering contract — but the plan traversal
-    happens once, and single-worker runs dispatch kernels directly
-    instead of through the pool's task machinery.  Returns the five
-    ``perf_counter`` phase marks ``(t0..t4)`` so the engine's profiling
-    and telemetry spans stay per-system.
+    happens once and each phase is one sweep over its work list.
+    Returns the five ``perf_counter`` phase marks ``(t0..t4)`` so the
+    engine's profiling and telemetry spans stay per-system.
     """
     clock = perf_counter
-    pool = engine.pool
-    workers = pool.workers
     bus = engine.bus
     world = engine.world
     sc = engine.scenario
@@ -856,21 +792,10 @@ def run_window_fused(engine, ctx: WindowContext):
     if ack_work:
         cols = AckCols(**world.receivers.resident(AckCols._fields))
         receiver_of_flow = world.receiver_of_flow
-        if workers > 1 and len(ack_work) > 1:
-            chunks = _chunked(ack_work, workers)
-            results = pool.map(
-                "ack",
-                lambda chunk: ack_batch_kernel(cols, receiver_of_flow,
-                                               sc.flows, chunk),
-                chunks,
-                sizes=[sum(len(w[1]) for w in chunk) for chunk in chunks],
-            )
-            results = (results[0] if len(results) == 1
-                       else [r for chunk in results for r in chunk])
-        else:
-            results = ack_batch_kernel(cols, receiver_of_flow, sc.flows,
-                                       ack_work)
-        commit_ack(engine, ctx, results)
+        flows = sc.flows
+        commit_ack(engine, ctx, [
+            ack_kernel(cols, receiver_of_flow, flows, item)
+            for item in ack_work])
     t1 = clock()
 
     if send_plan is not None and send_plan[0]:
@@ -882,27 +807,9 @@ def run_window_fused(engine, ctx: WindowContext):
                                d[2][F_SEQ]),
             ):
                 bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
-        cols = world.senders.resident(SENDER_COLS)
-        sender_of_flow = world.sender_of_flow
-        fl = flow_lists(engine)
-        if workers > 1 and len(flow_ids) > 1:
-            chunks = _chunked(flow_ids, workers)
-            parts = pool.map(
-                "send",
-                lambda chunk: send_batch_kernel(cols, sender_of_flow, sc, fl,
-                                                acks_of, starts, ctx.end,
-                                                chunk),
-                chunks,
-                sizes=[sum(len(acks_of.get(f, ())) + 1 for f in chunk)
-                       for chunk in chunks],
-            )
-            results = [r for part in parts for r in part[0]]
-            n_array = sum(part[1] for part in parts)
-            n_scalar = sum(part[2] for part in parts)
-        else:
-            results, n_array, n_scalar = send_batch_kernel(
-                cols, sender_of_flow, sc, fl, acks_of, starts, ctx.end,
-                flow_ids)
+        results, n_array, n_scalar = send_batch_kernel(
+            world.senders.resident(SENDER_COLS), world.sender_of_flow, sc,
+            flow_lists(engine), acks_of, starts, ctx.end, flow_ids)
         commit_send(engine, ctx, results)
         # Which UDP schedule the window's flow visits took, one count
         # each per window (docs/OBSERVABILITY.md, "fused" section).
@@ -914,53 +821,20 @@ def run_window_fused(engine, ctx: WindowContext):
 
     if forward_work:
         # Packet spraying re-salts the ECMP hash per segment: no cache.
-        routes = None if sc.ecmp_mode == "packet" else engine._routes
-        if workers <= 1 and not bus.has_ops:
-            _forward_serial_np(engine, ctx, forward_work, routes)
-        else:
-            if workers > 1 and len(forward_work) > 1:
-                chunks = _chunked(forward_work, workers)
-                results = pool.map(
-                    "forward",
-                    lambda chunk: forward_batch_kernel(sc, routes, chunk),
-                    chunks,
-                    sizes=[sum(len(w[1]) for w in chunk)
-                           for chunk in chunks],
-                )
-                results = (results[0] if len(results) == 1
-                           else [r for chunk in results for r in chunk])
-            else:
-                results = forward_batch_kernel(sc, routes, forward_work)
-            commit_forward_np(engine, ctx, results)
+        _forward_serial_np(
+            engine, ctx, forward_work,
+            None if sc.ecmp_mode == "packet" else engine._routes)
     t3 = clock()
 
     iface_ids = plan_transmit_np(engine, ctx)
     if iface_ids:
-        if workers <= 1 and not bus.trace_level:
-            # Single worker, no trace stream: replay and commit fuse
-            # into one sweep with bulk per-port delivery.
+        if not bus.trace_level:
+            # No trace stream: replay and commit fuse into one sweep
+            # with bulk per-port delivery.
             _transmit_serial_np(engine, ctx, iface_ids, ctx.start, ctx.end)
-            t4 = clock()
-            return t0, t1, t2, t3, t4
-        full_trace = bus.trace_level >= 2
-        static = _tx_static(engine)
-        if workers > 1 and len(iface_ids) > 1:
-            chunks = _chunked(iface_ids, workers)
-            results = pool.map(
-                "transmit",
-                lambda chunk: transmit_batch_kernel(
-                    engine.ports, static, ctx.staged, ctx.start, ctx.end,
-                    full_trace, chunk),
-                chunks,
-                sizes=[sum(len(ctx.staged.get(i, ())) + 1 for i in chunk)
-                       for chunk in chunks],
-            )
-            results = (results[0] if len(results) == 1
-                       else [r for chunk in results for r in chunk])
         else:
-            results = transmit_batch_kernel(engine.ports, static, ctx.staged,
-                                            ctx.start, ctx.end, full_trace,
-                                            iface_ids)
-        commit_transmit(engine, ctx, results)
+            commit_transmit(engine, ctx, transmit_batch_kernel(
+                engine.ports, _tx_static(engine), ctx.staged, ctx.start,
+                ctx.end, bus.trace_level >= 2, iface_ids))
     t4 = clock()
     return t0, t1, t2, t3, t4

@@ -6,7 +6,7 @@ from repro.cluster.agent import AgentEngine
 from repro.cluster.checkpoint import (
     ClusterCheckpoint, resume_cluster, take_cluster_checkpoint,
 )
-from repro.cluster.manager import ClusterController, merge_results
+from repro.cluster import ClusterEngine
 from repro.core.engine import run_dons
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.errors import ClusterError
@@ -34,22 +34,21 @@ def reference(scenario):
 def _run_until(scenario, partition, windows, schedule=None):
     agents = [AgentEngine(a, scenario, partition, TraceLevel.FULL)
               for a in range(partition.num_parts)]
-    controller = ClusterController(agents, schedule=schedule)
-    engine = controller.engine
+    engine = ClusterEngine.from_agents(agents, schedule=schedule)
     engine.build()
     for _ in range(windows):
         if not engine.advance():
             break
-    return controller, engine._cursor
+    return engine, engine._cursor
 
 
 @pytest.mark.parametrize("stop_after", [3, 25])
 def test_cluster_resume_reproduces_trace(scenario, reference, stop_after):
     part = contiguous_partition(scenario.topology, 3)
-    controller, current = _run_until(scenario, part, stop_after)
-    ckpt = take_cluster_checkpoint(controller, current)
+    engine, current = _run_until(scenario, part, stop_after)
+    ckpt = take_cluster_checkpoint(engine, current)
     # The "cluster crash": everything is discarded.
-    del controller
+    del engine
     merged, _fresh = resume_cluster(scenario, ckpt, TraceLevel.FULL)
     assert (sorted(merged.trace.entries)
             == sorted(reference.trace.entries))
@@ -61,9 +60,9 @@ def test_checkpoint_preserves_pending_migrations(scenario, reference):
     part = contiguous_partition(topo, 3)
     later = random_partition(topo, 3, seed=4)
     # Stop before the migration boundary; it must survive the checkpoint.
-    controller, current = _run_until(scenario, part, 5,
+    engine, current = _run_until(scenario, part, 5,
                                      schedule=[(100, later)])
-    ckpt = take_cluster_checkpoint(controller, current)
+    ckpt = take_cluster_checkpoint(engine, current)
     assert ckpt.schedule, "pending migration lost"
     merged, fresh = resume_cluster(scenario, ckpt, TraceLevel.FULL)
     assert fresh.migrations, "migration never executed after resume"
@@ -73,8 +72,8 @@ def test_checkpoint_preserves_pending_migrations(scenario, reference):
 
 def test_scenario_mismatch_rejected(scenario):
     part = contiguous_partition(scenario.topology, 2)
-    controller, current = _run_until(scenario, part, 2)
-    ckpt = take_cluster_checkpoint(controller, current)
+    engine, current = _run_until(scenario, part, 2)
+    ckpt = take_cluster_checkpoint(engine, current)
     import dataclasses
     other = dataclasses.replace(scenario, name="something-else")
     with pytest.raises(ClusterError):
@@ -83,8 +82,8 @@ def test_scenario_mismatch_rejected(scenario):
 
 def test_bad_format_rejected(scenario):
     part = contiguous_partition(scenario.topology, 2)
-    controller, current = _run_until(scenario, part, 2)
-    ckpt = take_cluster_checkpoint(controller, current)
+    engine, current = _run_until(scenario, part, 2)
+    ckpt = take_cluster_checkpoint(engine, current)
     bad = ClusterCheckpoint("v0", ckpt.scenario_name, current,
                             ckpt.partition, ckpt.num_parts, [],
                             ckpt.agent_payloads)

@@ -2,7 +2,7 @@
 no-op schedules, multiple boundaries collapsing into one window gap,
 and migration immediately followed by cross-machine RPC traffic."""
 
-from repro.cluster import ClusterController, merge_results
+from repro.cluster import ClusterEngine, merge_results
 from repro.cluster.agent import AgentEngine
 from repro.core.engine import run_dons
 from repro.des.partition_types import contiguous_partition, random_partition
@@ -25,7 +25,7 @@ def _scenario(start_us=0):
 def _controller(scenario, first, schedule, machines=3):
     agents = [AgentEngine(a, scenario, first, TraceLevel.FULL)
               for a in range(machines)]
-    return ClusterController(agents, schedule=schedule)
+    return ClusterEngine.from_agents(agents, schedule=schedule)
 
 
 def test_noop_migration_is_free():
@@ -75,8 +75,7 @@ def test_migration_immediately_followed_by_rpc():
     topo = sc.topology
     first = contiguous_partition(topo, 3)
     second = random_partition(topo, 3, seed=7)
-    controller = _controller(sc, first, [(3, second)])
-    engine = controller.engine
+    engine = _controller(sc, first, [(3, second)])
     engine.build()
     while not engine.migrations:
         assert engine.advance(), "run ended before the boundary"

@@ -159,14 +159,6 @@ def test_watchdog_defaults(scenario):
     assert _cluster_engine(scenario, watchdog=dog).watchdog is dog
 
 
-def test_watchdog_env_switch(scenario, monkeypatch):
-    monkeypatch.setenv("REPRO_WATCHDOG", "1")
-    engine = _cluster_engine(scenario)
-    assert engine.watchdog is not None
-    monkeypatch.setenv("REPRO_WATCHDOG", "0")
-    assert _cluster_engine(scenario).watchdog is None
-
-
 def test_watchdog_digest_neutral(scenario):
     """The watchdog's counters/gauges never move the simulation trace."""
     from repro.metrics import TraceLevel

@@ -29,17 +29,6 @@ def test_corpus_entry_conforms(path):
     assert len(counts) == 1 and counts.pop() > 0
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
-def test_fused_numpy_two_workers_matches_python(path):
-    """The fused pass is the only NumPy execution, so FULL tracing with
-    two workers (its pooled-kernel, two-phase-commit branches, which the
-    serial trace-off default never takes) is the rest of its contract."""
-    pytest.importorskip("numpy")
-    report = replay_file(path, ("dons-python", "dons-numpy-mt2"))
-    assert report.ok, report.summary()
-    assert len(set(report.entry_counts.values())) == 1
-
-
 @pytest.mark.parametrize("oracle", ["dons-numpy-ffwd",
                                     "dons-numpy-ffwd-notrace"])
 def test_steady_entry_is_fast_forwarded_by_cycle_jumps(oracle):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ecs import CommandBuffer, consolidate, merge_buffers
+from repro.core.ecs import CommandBuffer, consolidate
 from repro.core.ecs.components import CHUNK_ENTITIES, FieldSpec, SoATable
 from repro.errors import ConfigError
 
@@ -113,14 +113,11 @@ class TestCommandBuffers:
         # each worker's recorded order
         assert sink == {7: ["a1", "a2", "b1"], 2: ["b2"]}
 
-    def test_merge_and_merge_buffers(self):
-        a, b, c = CommandBuffer(), CommandBuffer(), CommandBuffer()
+    def test_merge_mutates_and_returns_the_receiver(self):
+        a, b = CommandBuffer(), CommandBuffer()
         a.append(0, 1)
         b.append_many(1, [2, 3])
-        merged = merge_buffers([a, b, c])
-        assert merged.entries == [(0, 1), (1, 2), (1, 3)]
-        # merge() mutates and returns the receiver
-        assert a.merge(b) is a
+        assert a.merge(b).merge(CommandBuffer()) is a
         assert a.entries == [(0, 1), (1, 2), (1, 3)]
 
     def test_merged_consolidation_equals_direct(self):
@@ -132,5 +129,8 @@ class TestCommandBuffers:
             bufs.append(buf)
         direct, via_merge = {}, {}
         consolidate(bufs, direct)
-        consolidate([merge_buffers(bufs)], via_merge)
+        merged = CommandBuffer()
+        for buf in bufs:
+            merged.merge(buf)
+        consolidate([merged], via_merge)
         assert direct == via_merge

@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ecs.commands import CommandBuffer, consolidate, merge_buffers
+from repro.core.ecs.commands import CommandBuffer, consolidate
 from repro.core.ecs.components import CHUNK_ENTITIES, FieldSpec, SoATable
 
 SCHEMA = (FieldSpec("a", 0), FieldSpec("b", -1), FieldSpec("c", 0))
@@ -138,7 +138,9 @@ class TestCommandBufferProperties:
         assert consolidate(buffers, sink) == len(pairs)
         assert sink == expected
 
-        merged = merge_buffers(buffers)
+        merged = CommandBuffer()
+        for buf in buffers:
+            merged.merge(buf)
         assert merged.entries == reference.entries
 
     @given(pairs=writes)

@@ -14,7 +14,7 @@ pytest.importorskip("numpy")
 
 from repro.bench.workloads import wan_twin_smoke
 from repro.cluster.agent import AgentEngine
-from repro.cluster.manager import ClusterController, merge_results
+from repro.cluster import ClusterEngine, merge_results
 from repro.core.checkpoint import CheckpointingEngine, take_checkpoint
 from repro.core.engine import DodEngine
 from repro.des.partition_types import contiguous_partition, random_partition
@@ -78,7 +78,6 @@ def test_route_cache_is_rebuilt_not_checkpointed(scenario, reference):
     checkpoint = take_checkpoint(engine, engine._cursor)
     state = pickle.loads(checkpoint.payload)
     assert not any("route" in key or "flow_lists" in key for key in state)
-    engine.pool.close()
 
     fresh = CheckpointingEngine(scenario, backend="numpy")
     fresh.build()
@@ -96,7 +95,7 @@ def test_route_cache_stays_bounded_across_migration(scenario, reference):
     first = contiguous_partition(topo, 2)
     agents = [AgentEngine(a, scenario, first, backend="numpy")
               for a in range(2)]
-    controller = ClusterController(
+    controller = ClusterEngine.from_agents(
         agents, schedule=[(300, random_partition(topo, 2, seed=5))])
     merged = merge_results(controller.run(), scenario.name)
     assert controller.migrations[0].nodes_moved > 0

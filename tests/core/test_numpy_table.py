@@ -18,9 +18,6 @@ np = pytest.importorskip("numpy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ecs.commands import (
-    CommandBuffer, GROUPED_CONSOLIDATE_MIN, consolidate, consolidate_grouped,
-)
 from repro.core.ecs.components import CHUNK_ENTITIES, FieldSpec, SoATable
 from repro.core.ecs.entity import BACKENDS, make_table
 from repro.core.ecs.numpy_table import _INITIAL_CAPACITY, NumpyTable
@@ -227,36 +224,3 @@ class TestResidentWorkingSet:
         _, cand = make_pair()
         with pytest.raises(ConfigError):
             cand.resident(["missing"])
-
-
-buffer_lists = st.lists(
-    st.lists(st.tuples(st.integers(0, 9), st.integers()), max_size=40),
-    max_size=6,
-)
-
-
-class TestGroupedConsolidate:
-    @given(entry_lists=buffer_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_grouped_equals_reference(self, entry_lists):
-        buffers = []
-        for entries in entry_lists:
-            buf = CommandBuffer()
-            buf.extend(entries)
-            buffers.append(buf)
-        plain, grouped = {}, {}
-        assert consolidate(buffers, plain) == \
-            consolidate_grouped(buffers, grouped)
-        assert plain == grouped
-
-    def test_grouped_straddles_threshold(self):
-        """Identical semantics just below and above the vectorized cut."""
-        for n in (GROUPED_CONSOLIDATE_MIN - 1, GROUPED_CONSOLIDATE_MIN,
-                  GROUPED_CONSOLIDATE_MIN + 1):
-            buf = CommandBuffer()
-            for k in range(n):
-                buf.append(k % 3, ("item", k))
-            plain, grouped = {}, {}
-            assert consolidate([buf], plain) == \
-                consolidate_grouped([buf], grouped) == n
-            assert plain == grouped

@@ -178,7 +178,6 @@ class TestCycleJumpLockstep:
                 counters = {}
                 ckpt = take_checkpoint(jumper, jumper._cursor)
                 done = jumper._windows_run
-                jumper.pool.close()
                 jumper = make(True)
                 restore_checkpoint(jumper, ckpt)
                 jumper._windows_run = done
@@ -340,7 +339,6 @@ class TestCheckpointInteraction:
         ckpt = take_checkpoint(engine, engine._cursor)
         restore_checkpoint(engine, ckpt)
         assert engine._memo.cache == {}, "restore must invalidate the cache"
-        engine.pool.close()
 
     def test_resume_with_ffwd_matches_uninterrupted_digest(self, tmp_path):
         scenario = steady_scenario()
@@ -359,7 +357,6 @@ class TestCheckpointInteraction:
             current = nxt
             engine.process_window(current)
         ckpt = take_checkpoint(engine, current)
-        engine.pool.close()
 
         fresh = CheckpointingEngine(scenario, TraceLevel.FULL,
                                     backend="numpy", ffwd=True)

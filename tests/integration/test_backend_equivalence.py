@@ -2,10 +2,10 @@
 
 The vectorized backend replaces the ECS storage and the four system
 kernels wholesale, so its conformance gate is the strongest one the
-repo has: identical canonical traces — same digests — as the Python
-reference kernels, serial and multi-worker, and when hosting cluster
-agents.  Everything here runs the *same scenario* through both
-backends and diffs the byte-level observables.
+repo has: identical canonical traces — same digests — and the
+identical machine-model op stream as the Python reference kernels,
+alone and when hosting cluster agents.  Everything here runs the *same
+scenario* through both backends and diffs the byte-level observables.
 """
 
 import pytest
@@ -13,6 +13,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.core.engine import DodEngine
+from repro.core.instrument import OP_FORWARD
 from repro.metrics import TraceLevel
 from repro.scenario import make_scenario
 from repro.topology import dumbbell, fattree
@@ -20,16 +21,15 @@ from repro.traffic import Flow, Transport, fixed_flows
 from repro.units import GBPS
 
 
-def run_backend(scenario, backend, workers=1):
-    engine = DodEngine(scenario, TraceLevel.FULL, workers=workers,
-                       backend=backend)
+def run_backend(scenario, backend):
+    engine = DodEngine(scenario, TraceLevel.FULL, backend=backend)
     results = engine.run()
     return results, engine
 
 
-def assert_backends_identical(scenario, workers=1):
+def assert_backends_identical(scenario):
     a, _ = run_backend(scenario, "python")
-    b, eng = run_backend(scenario, "numpy", workers=workers)
+    b, eng = run_backend(scenario, "numpy")
     assert eng.backend == "numpy"
     assert a.trace.digest() == b.trace.digest()
     assert a.trace.sorted_entries() == b.trace.sorted_entries()
@@ -44,8 +44,27 @@ def test_dumbbell_dctcp_serial(dumbbell_scenario):
     assert a.completed() == 4
 
 
-def test_fattree_mixed_transports_mt2(fattree4_scenario):
-    assert_backends_identical(fattree4_scenario, workers=2)
+@pytest.mark.parametrize("trace_level", [TraceLevel.NONE, TraceLevel.FULL],
+                         ids=["untraced", "traced"])
+def test_fattree_op_stream_identical(fattree4_scenario, trace_level):
+    """The machine-model probes read the op stream, so the fused pass
+    must publish what the four reference systems publish: the same
+    ``(code, location, uid)`` sequence, op for op — ``OP_FORWARD`` per
+    switch in arrival order included — next to the same trace.  Probes
+    run untraced (``run_dons_probed``), where the fused pass takes its
+    serial transmit sweep; traced it takes the two-phase commit."""
+    runs = {}
+    for backend in ("python", "numpy"):
+        engine = DodEngine(fattree4_scenario, trace_level, backend=backend)
+        ops = []
+        engine.bus.subscribe_ops(
+            lambda code, location, uid, ops=ops:
+            ops.append((code, location, uid)))
+        engine.run()
+        runs[backend] = ops, engine.bus.trace_digest()
+    ops, _digest = runs["python"]
+    assert sum(op[0] == OP_FORWARD for op in ops) > 1000
+    assert runs["numpy"] == runs["python"]
 
 
 def test_loss_regime_with_retransmissions():
@@ -82,7 +101,7 @@ def test_cluster_agents_on_numpy_backend(fattree4_scenario):
     # and process transports reconstruct agents from their specs).
     from repro.cluster.agent import AgentSpec, spec_of
     spec = AgentSpec(0, fattree4_scenario, partition,
-                     TraceLevel.NONE, 1, "numpy")
+                     TraceLevel.NONE, backend="numpy")
     agent = spec.make()
     assert agent.backend == "numpy"
     assert spec_of(agent).backend == "numpy"

@@ -1,5 +1,5 @@
 """The full engine matrix on one scenario: sequential OOD, parallel OOD,
-single-machine DONS (1 and 4 workers), distributed DONS — five executions,
+single-machine DONS on both backends, distributed DONS — five executions,
 one trace."""
 
 import pytest
@@ -27,8 +27,10 @@ def test_five_engines_one_trace():
     psim = ParallelOodSimulator(sc, random_partition(topo, 3, 4),
                                 TraceLevel.FULL)
     traces["ood-parallel"] = psim.run().trace
-    traces["dons"] = run_dons(sc, TraceLevel.FULL).trace
-    traces["dons-mt"] = run_dons(sc, TraceLevel.FULL, workers=4).trace
+    traces["dons-python"] = run_dons(sc, TraceLevel.FULL,
+                                     backend="python").trace
+    traces["dons-numpy"] = run_dons(sc, TraceLevel.FULL,
+                                    backend="numpy").trace
     traces["dons-cluster"] = DonsManager(
         sc, ClusterSpec.homogeneous(3), TraceLevel.FULL
     ).run().results.trace

@@ -7,8 +7,7 @@ the single-machine trace, byte for byte.
 
 import pytest
 
-from repro.cluster import DonsManager
-from repro.cluster.manager import ClusterController
+from repro.cluster import ClusterEngine, DonsManager
 from repro.cluster.agent import AgentEngine
 from repro.core.engine import run_dons
 from repro.des.partition_types import contiguous_partition, random_partition
@@ -39,7 +38,7 @@ def run_with_schedule(scenario, first, schedule, machines):
         AgentEngine(a, scenario, first, TraceLevel.FULL)
         for a in range(machines)
     ]
-    controller = ClusterController(agents, schedule=schedule)
+    controller = ClusterEngine.from_agents(agents, schedule=schedule)
     per_agent = controller.run()
     from repro.cluster.manager import merge_results
     return merge_results(per_agent, scenario.name), controller

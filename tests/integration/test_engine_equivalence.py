@@ -18,9 +18,9 @@ from repro.traffic import Flow, Transport, full_mesh_dynamic, TINY
 from repro.units import GBPS, ms, us
 
 
-def assert_equivalent(scenario, workers=1):
+def assert_equivalent(scenario):
     a = run_baseline(scenario, TraceLevel.FULL)
-    b = run_dons(scenario, TraceLevel.FULL, workers=workers)
+    b = run_dons(scenario, TraceLevel.FULL)
     assert a.trace.sorted_entries() == b.trace.sorted_entries()
     assert a.rtt_samples == b.rtt_samples
     assert a.fcts_ps() == b.fcts_ps()
@@ -89,10 +89,6 @@ def test_heterogeneous_link_delays():
              Flow(1, hosts[1], hosts[3], 80_000, us(3)),
              Flow(2, hosts[3], hosts[0], 50_000, us(1), Transport.UDP)]
     assert_equivalent(make_scenario(topo, flows))
-
-
-def test_multithreaded_dons_equivalent(fattree4_scenario):
-    assert_equivalent(fattree4_scenario, workers=4)
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47])

@@ -61,17 +61,6 @@ def test_cluster_digest_neutral(scenario, reference_digest, transport):
     assert digests[False] == digests[True] == reference_digest
 
 
-def test_telemetry_env_switch(scenario, reference_digest, monkeypatch):
-    """REPRO_TELEMETRY turns recording on without code changes — and
-    still does not move the digest."""
-    monkeypatch.setenv("REPRO_TELEMETRY", "1")
-    res = run_dons(scenario, TraceLevel.FULL, backend="python")
-    assert _digest(res) == reference_digest
-    monkeypatch.setenv("REPRO_TELEMETRY", "0")
-    from repro.core.engine import DodEngine
-    assert DodEngine(scenario).telemetry is False
-
-
 def test_checkpoints_identical_without_telemetry(scenario):
     """With telemetry off, checkpoint payloads carry no bus state —
     byte-for-byte what they were before the telemetry layer."""

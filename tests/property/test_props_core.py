@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ecs import CommandBuffer, FieldSpec, SoATable, consolidate
-from repro.core.runtime import chunk_ranges
 from repro.protocols.packet import segment_count, segment_payload, MSS
 from repro.rng import ecmp_hash
 from repro.units import GBPS, serialization_time_ps
@@ -36,19 +35,6 @@ def test_ecmp_hash_stable_and_bounded(values):
     h = ecmp_hash(*values)
     assert h == ecmp_hash(*values)
     assert 0 <= h < 2**64
-
-
-@given(st.integers(min_value=0, max_value=5000),
-       st.integers(min_value=1, max_value=64))
-def test_chunk_ranges_partition_exactly(n, parts):
-    out = []
-    for a, b in chunk_ranges(n, parts):
-        assert a < b
-        out.extend(range(a, b))
-    assert out == list(range(n))
-    if n:
-        sizes = [b - a for a, b in chunk_ranges(n, parts)]
-        assert max(sizes) - min(sizes) <= 1
 
 
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 10**6)),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.agent import AgentEngine
-from repro.cluster.manager import ClusterController, merge_results
+from repro.cluster import ClusterEngine, merge_results
 from repro.core.engine import run_dons
 from repro.des.partition_types import random_partition
 from repro.metrics import TraceLevel
@@ -45,7 +45,7 @@ def test_random_migration_schedules_preserve_trace(machines, boundaries,
         AgentEngine(a, _SCENARIO, first, TraceLevel.FULL)
         for a in range(machines)
     ]
-    controller = ClusterController(agents, schedule=schedule)
+    controller = ClusterEngine.from_agents(agents, schedule=schedule)
     merged = merge_results(controller.run(), _SCENARIO.name)
     assert (sorted(merged.trace.entries)
             == sorted(_REFERENCE.trace.entries))
