@@ -26,7 +26,7 @@ class NaiveOrderEngine(DodEngine):
 
     def __init__(self, scenario: Scenario,
                  trace_level: TraceLevel = TraceLevel.NONE) -> None:
-        super().__init__(scenario, trace_level, backend="python", ffwd=False)
+        super().__init__(scenario, trace_level, backend="python")
         #: packets ACKSystem staged after this window's TransmitSystem ran
         self._carried_staged: Dict[int, list] = {}
 

@@ -150,8 +150,9 @@ def steady_state_scenario(
     window's execution signature repeats and the memo cache
     (:mod:`repro.core.memo`) fast-forwards the run; the 400 Gbps
     bottleneck keeps the run drop-free (a drop would perturb the
-    signature stream).  ``tools/perf_smoke.py`` holds the standing
-    ``ratio_ffwd_over_plain`` gate on this scenario.
+    signature stream).  The benchmark's ``steady_udp_ffwd`` is this
+    scenario; ``tools/perf_smoke.py`` holds the standing
+    ``memo.ratio_ffwd_over_plain`` gate on its small sibling.
     """
     topo = dumbbell(n_pairs, edge_rate_bps=edge_rate_bps,
                     bottleneck_rate_bps=400 * GBPS, delay_ps=us(1))

@@ -238,13 +238,12 @@ def _progress_for(args, engine, scenario) -> Optional[_Progress]:
 def _live_for(args, engine):
     """Attach the live observability plane when the invocation asks for
     it: ``profile --live FILE`` / ``stats --watch`` (NDJSON stream),
-    ``--metrics-port`` or ``$REPRO_METRICS_PORT`` (OpenMetrics
-    endpoint).  Returns a started ``LivePlane`` or ``None``."""
+    ``--metrics-port`` (OpenMetrics endpoint).  Returns a started
+    ``LivePlane`` or ``None``."""
     target = getattr(args, "live", None)
     watch = getattr(args, "watch", False)
     port = getattr(args, "metrics_port", None)
-    if (target is None and not watch and port is None
-            and not os.environ.get("REPRO_METRICS_PORT")):
+    if target is None and not watch and port is None:
         return None
     from .metrics.live import LivePlane
     if watch or target == "-":
@@ -294,7 +293,6 @@ def cmd_profile(args) -> int:
     telemetry = bool(args.timeline)
     from .core.engine import DodEngine, resolve_backend
     backend = resolve_backend(args.backend)
-    ffwd = False  # cluster agents never fast-forward
     if args.cluster:
         from .cluster import DonsManager
         from .partition import ClusterSpec, measured_machine_times
@@ -321,7 +319,6 @@ def cmd_profile(args) -> int:
         from .core.runner import EngineRunner, chain_hooks
         eng = DodEngine(scenario, backend=backend, telemetry=telemetry,
                         ffwd=args.ffwd)
-        ffwd = eng.ffwd
         progress = _progress_for(args, eng, scenario)
         live = _live_for(args, eng)
         try:
@@ -339,7 +336,9 @@ def cmd_profile(args) -> int:
         write_timeline(bus, args.timeline, manifest=dict(
             command="profile", scenario=scenario.name, backend=backend,
             transport=args.transport if args.cluster else None,
-            cluster=args.cluster or None, ffwd=ffwd,
+            cluster=args.cluster or None,
+            # cluster agents never fast-forward
+            ffwd=args.ffwd and not args.cluster,
         ))
         print(f"timeline written to {args.timeline}", file=sys.stderr)
     rows = bus.profile_rows()
@@ -523,13 +522,12 @@ def make_parser() -> argparse.ArgumentParser:
     profile.add_argument("--timeline", metavar="FILE",
                          help="enable telemetry and export the run as "
                               "Chrome trace JSON (open in Perfetto)")
-    profile.add_argument("--ffwd", action=argparse.BooleanOptionalAction,
-                         default=None,
+    profile.add_argument("--ffwd", action="store_true",
                          help="window-signature memo fast-forwarding for "
-                              "steady-state traffic (default: $REPRO_FFWD, "
-                              "then off; ignored with --cluster, where the "
-                              "memo is per-agent and auto-disabled while "
-                              "cross-agent traffic is pending)")
+                              "steady-state traffic (ignored with "
+                              "--cluster, where the memo is per-agent and "
+                              "auto-disabled while cross-agent traffic is "
+                              "pending)")
     profile.add_argument("--progress", action="store_true",
                          help="stderr progress/ETA line (TTY only)")
     profile.add_argument("--live", metavar="FILE",
@@ -541,8 +539,7 @@ def make_parser() -> argparse.ArgumentParser:
                          metavar="PORT",
                          help="serve OpenMetrics text at "
                               "http://127.0.0.1:PORT/metrics during the run "
-                              "(0 = ephemeral port, printed to stderr; "
-                              "default: $REPRO_METRICS_PORT)")
+                              "(0 = ephemeral port, printed to stderr)")
     profile.set_defaults(fn=cmd_profile)
 
     stats = sub.add_parser(
@@ -565,14 +562,11 @@ def make_parser() -> argparse.ArgumentParser:
                        metavar="PORT",
                        help="serve OpenMetrics text at "
                             "http://127.0.0.1:PORT/metrics during the run "
-                            "(0 = ephemeral port; default: "
-                            "$REPRO_METRICS_PORT)")
-    stats.add_argument("--ffwd", action=argparse.BooleanOptionalAction,
-                       default=None,
+                            "(0 = ephemeral port)")
+    stats.add_argument("--ffwd", action="store_true",
                        help="window-signature memo fast-forwarding, as in "
                             "profile --ffwd — lets the memo.* counters "
-                            "show up in the exported stats (default: "
-                            "$REPRO_FFWD, then off)")
+                            "show up in the exported stats")
     stats.set_defaults(fn=cmd_stats)
 
     plan = sub.add_parser("plan", parents=[common],

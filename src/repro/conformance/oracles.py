@@ -113,7 +113,7 @@ def run_ood(scenario: Scenario) -> OracleRun:
 
 
 def run_dod(scenario: Scenario, name: str = "dons",
-            backend: Optional[str] = None, ffwd: Optional[bool] = None,
+            backend: Optional[str] = None, ffwd: bool = False,
             trace: bool = True) -> OracleRun:
     """``trace=False`` runs the engine as the benchmark does, with no
     trace recorder; the run then carries only its result parts."""

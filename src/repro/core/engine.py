@@ -67,15 +67,6 @@ def resolve_backend(backend: Optional[str]) -> str:
     return backend
 
 
-def resolve_ffwd(ffwd: Optional[bool]) -> bool:
-    """``ffwd``, or for ``None`` ``$REPRO_FFWD``: anything but unset /
-    empty / ``0`` / ``false`` / ``off`` is on."""
-    if ffwd is None:
-        return os.environ.get("REPRO_FFWD", "") not in ("", "0", "false",
-                                                        "off")
-    return ffwd
-
-
 class DodEngine:
     """Single-machine DONS: one logical process on one thread (process
     agents in :mod:`repro.cluster` are the parallel execution)."""
@@ -92,7 +83,7 @@ class DodEngine:
         sample_queues: bool = False,
         backend: Optional[str] = None,
         telemetry: bool = False,
-        ffwd: Optional[bool] = None,
+        ffwd: bool = False,
     ) -> None:
         """``lookahead_override`` shrinks the batch below the minimum
         link delay (correct but slower — the ablation of the §3.3 design
@@ -112,8 +103,7 @@ class DodEngine:
         identical either way.
 
         ``ffwd`` enables the window-signature memoization +
-        fast-forwarding cache (``None`` resolves ``REPRO_FFWD``,
-        defaulting to off).  The cache only ever activates under the
+        fast-forwarding cache.  The cache only ever activates under the
         static gates checked by :meth:`_maybe_init_memo` — local
         deliveries, no RED / packet spraying / queue sampling, at least
         one UDP flow — and the ``dons-numpy-ffwd`` conformance oracle
@@ -130,7 +120,7 @@ class DodEngine:
         self.max_windows = max_windows
         self._running_window = -1
         self.sample_queues = sample_queues
-        self.ffwd = resolve_ffwd(ffwd)
+        self.ffwd = ffwd
         self._memo = None
 
         self.lookahead = scenario.lookahead_ps
@@ -636,7 +626,7 @@ def run_dons(
     trace_level: TraceLevel = TraceLevel.NONE,
     backend: Optional[str] = None,
     telemetry: bool = False,
-    ffwd: Optional[bool] = None,
+    ffwd: bool = False,
 ) -> SimResults:
     """Convenience one-shot run of the DOD engine."""
     return DodEngine(scenario, trace_level, backend=backend,

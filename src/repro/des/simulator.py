@@ -11,9 +11,9 @@ engine so their traces can be compared timestamp for timestamp.
 
 Its slowness is a feature, not a bug: the heap-per-event architecture
 is the measured reference point of every speedup claim (the
-``ratio_*_over_ood`` gates in ``tools/perf_smoke.py``), so this engine
-must stay faithful to the §2.2 cost model — no batching, no columnar
-storage, no window lookahead.  The fast counterparts live in
+``des.ratio_dons_over_ood`` gates in ``tools/perf_smoke.py``), so this
+engine must stay faithful to the §2.2 cost model — no batching, no
+columnar storage, no window lookahead.  The fast counterparts live in
 ``repro.core`` (:class:`~repro.core.events.EventColumns`, the fused
 window pass, multi-window batching); DESIGN.md's "Backends" section
 maps out which store belongs to which engine.

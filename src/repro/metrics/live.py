@@ -16,11 +16,11 @@ off):
   barrier-wait — to a file or stream, and republishes the same snapshot
   to the metrics endpoint.  ``python -m repro profile --live FILE`` and
   ``python -m repro stats --watch`` are the CLI front ends.
-* :class:`MetricsServer` — a localhost HTTP listener
-  (``$REPRO_METRICS_PORT``; port 0 picks an ephemeral port) serving the
-  latest snapshot at ``/metrics`` in OpenMetrics text exposition format,
-  scrapeable by Prometheus.  The serving thread only ever reads an
-  immutable published string — it never touches live engine state.
+* :class:`MetricsServer` — a localhost HTTP listener (port 0 picks an
+  ephemeral port) serving the latest snapshot at ``/metrics`` in
+  OpenMetrics text exposition format, scrapeable by Prometheus.  The
+  serving thread only ever reads an immutable published string — it
+  never touches live engine state.
 * :class:`FlightRecorder` — a bounded ring buffer over the bus's span
   stream holding the last N windows.  On a crash, a fault-injection
   kill, or ``SIGUSR1`` it dumps a Chrome-trace-compatible artifact
@@ -66,22 +66,20 @@ __all__ = [
 #: Version stamp of the NDJSON progress-record schema (the ``v`` field).
 #: v2: ``memo_jump_windows`` — windows skipped by cycle jumps so far, so
 #: a reader can tell a burst in ``windows`` from execution speed.
-LIVE_SCHEMA_VERSION = 2
+#: v3: the shm fallback count dropped — nothing ever counted one.
+LIVE_SCHEMA_VERSION = 3
 
 #: Every NDJSON record carries exactly this key set (``null`` marks a
 #: field the run cannot measure — e.g. agent series on a serial engine).
 LIVE_RECORD_KEYS = (
     "v", "kind", "wall_s", "windows", "sim_ps", "events", "events_per_s",
     "done", "memo_hit_rate", "memo_jump_windows", "shm_frames", "shm_bytes",
-    "shm_fallbacks",
     "agents_busy_s", "agents_wait_s",
 )
 
 #: Sampler throttle (wall-clock milliseconds between NDJSON records).
 DEFAULT_INTERVAL_MS = 500.0
 ENV_INTERVAL = "REPRO_LIVE_INTERVAL_MS"
-#: OpenMetrics endpoint port; unset disables the listener, 0 = ephemeral.
-ENV_PORT = "REPRO_METRICS_PORT"
 
 OPENMETRICS_CONTENT_TYPE = (
     "application/openmetrics-text; version=1.0.0; charset=utf-8"
@@ -316,9 +314,8 @@ class MetricsServer:
     """
 
     def __init__(self, port: Optional[int] = None) -> None:
-        if port is None:
-            port = int(os.environ.get(ENV_PORT) or 0)
-        self._http = _Server(("127.0.0.1", port), _MetricsHandler)
+        """``port`` ``None`` or 0 binds an ephemeral port."""
+        self._http = _Server(("127.0.0.1", port or 0), _MetricsHandler)
         self.port: int = self._http.server_address[1]
         self.url = f"http://127.0.0.1:{self.port}/metrics"
         self._thread = threading.Thread(
@@ -536,8 +533,6 @@ class LivePlane:
             self._stream = open(path, "w")
             self._owns_stream = True
         self.server: Optional[MetricsServer] = None
-        if metrics_port is None and os.environ.get(ENV_PORT):
-            metrics_port = int(os.environ[ENV_PORT])
         if metrics_port is not None:
             self.server = MetricsServer(metrics_port)
         if flight == "auto":
@@ -604,7 +599,6 @@ class LivePlane:
             "memo_jump_windows": counters.get("memo.jump_windows", 0),
             "shm_frames": counters.get("transport.shm_frames", 0),
             "shm_bytes": counters.get("transport.shm_bytes", 0),
-            "shm_fallbacks": counters.get("transport.shm_fallbacks", 0),
             "agents_busy_s": busy,
             "agents_wait_s": wait,
         }

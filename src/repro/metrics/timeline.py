@@ -44,9 +44,8 @@ __all__ = [
 ]
 
 #: Version stamp shared by every telemetry artifact this layer writes.
-#: v2: perf-smoke reports grew the fast-forward entries (dons_steady_s,
-#: dons_ffwd_s, ratio_ffwd_over_plain, ffwd_hits) and the
-#: counter set gained the memo.* family with the memo.apply_ms histogram.
+#: v2: the counter set gained the memo.* family with the memo.apply_ms
+#: histogram.
 #: v3: stats reports grew the derived ``memo`` (hit/miss/hit_rate) and
 #: ``transport_shm`` (frames/bytes/fallbacks) sections, and the live
 #: observability plane (repro.metrics.live) started stamping its flight
@@ -55,7 +54,8 @@ __all__ = [
 #: one ``ineligible.<reason>`` / ``uncacheable.<reason>`` /
 #: ``jump_refused.<reason>`` / ``disabled.<gate>`` field per reason that
 #: occurred.
-TELEMETRY_SCHEMA_VERSION = 4
+#: v5: ``transport_shm`` lost ``fallbacks`` — nothing ever counted it.
+TELEMETRY_SCHEMA_VERSION = 5
 TIMELINE_FORMAT = "chrome-trace-events"
 MANIFEST_FORMAT = "repro-run-manifest-v1"
 
@@ -272,7 +272,6 @@ def stats_dict(bus: Any) -> Dict[str, Any]:
         out["transport_shm"] = {
             "frames": counters.get("transport.shm_frames", 0),
             "bytes": counters.get("transport.shm_bytes", 0),
-            "fallbacks": counters.get("transport.shm_fallbacks", 0),
         }
     return out
 

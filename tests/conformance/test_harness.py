@@ -42,6 +42,13 @@ SMALL = ScenarioSpec(seed=7, topology="dumbbell", topo_arg=2,
                      traffic="fixed", n_flows=4, flow_kb=30)
 
 
+def caught_with_memo_on(planted_bug, seed):
+    """A memo captures what the kernels emit, so the fast-forwarding
+    engine inherits a planted kernel bug; it must not mask one."""
+    with planted_bug():
+        return not fuzz(seed, 25, FFWD_ORACLES).ok
+
+
 class TestGenerator:
     def test_generation_is_deterministic(self):
         for i in range(8):
@@ -211,6 +218,7 @@ class TestFuzzLoop:
         with flipped_transmit_order():
             assert not replay_file(result.artifact, FAST_ORACLES).ok
         assert replay_file(result.artifact, FAST_ORACLES).ok
+        assert caught_with_memo_on(flipped_transmit_order, 0)
 
     def test_planted_stale_window_index_is_caught_and_shrunk(self, tmp_path):
         """The columnar-store drill: corrupt the window-occupancy index
@@ -231,6 +239,7 @@ class TestFuzzLoop:
         with stale_window_index():
             assert not replay_file(result.artifact, FAST_ORACLES).ok
         assert replay_file(result.artifact, FAST_ORACLES).ok
+        assert caught_with_memo_on(stale_window_index, 0)
 
     def test_planted_unstable_sort_is_caught_and_shrunk(self, tmp_path):
         """The NumPy-backend drill: replace the vectorized ordering-
@@ -256,18 +265,14 @@ class TestFuzzLoop:
         with unstable_transmit_sort():
             assert not replay_file(result.artifact, NUMPY_ORACLES).ok
         assert replay_file(result.artifact, NUMPY_ORACLES).ok
+        assert caught_with_memo_on(unstable_transmit_sort, 0)
 
-    def test_planted_stale_cache_delta_is_caught_and_shrunk(
-            self, tmp_path, monkeypatch):
+    def test_planted_stale_cache_delta_is_caught_and_shrunk(self, tmp_path):
         """The memoization drill: poison each captured window delta so
         cache hits replay a wrong write-set.  Executed windows stay
         byte-correct — only fast-forwarded replays diverge — so the bug
         is invisible to every oracle except ``dons-numpy-ffwd`` on a
         workload whose window signatures repeat."""
-        # The drill's contrast depends on exactly one oracle running the
-        # memo; a CI matrix row exporting REPRO_FFWD=1 would otherwise
-        # fast-forward the "clean" oracles into the poisoned cache too.
-        monkeypatch.delenv("REPRO_FFWD", raising=False)
         with stale_cache_delta():
             result = fuzz(100, 25, FFWD_ORACLES, do_shrink=True,
                           artifact_dir=tmp_path)
@@ -351,6 +356,7 @@ class TestFuzzLoop:
         with skewed_arrival_stream():
             assert not replay_file(result.artifact, NUMPY_ORACLES).ok
         assert replay_file(result.artifact, NUMPY_ORACLES).ok
+        assert caught_with_memo_on(skewed_arrival_stream, 5)
 
     def test_artifact_round_trip(self, tmp_path):
         report = check_spec(SMALL, FAST_ORACLES)
@@ -363,6 +369,6 @@ class TestFuzzLoop:
 def test_fuzz_cli_smoke(capsys):
     from repro.cli import main
     assert main(["fuzz", "--seed", "0", "--runs", "1",
-                 "--oracles", "ood,dons"]) == 0
+                 "--oracles", "ood,dons,dons-numpy-ffwd"]) == 0
     out = capsys.readouterr().out
     assert "byte-identical" in out

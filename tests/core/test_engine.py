@@ -58,11 +58,12 @@ class TestWindowMechanics:
         flows = [Flow(0, 0, 1, 3_000, 0, Transport.UDP),
                  Flow(1, 1, 0, 3_000, us(5_000), Transport.UDP)]
         sc = make_scenario(topo, flows)
-        eng = DodEngine(sc)
-        res = eng.run()
-        busy = len(res.window_breakdown)
-        assert busy < 200, f"engine visited {busy} windows for 2 tiny bursts"
-        assert res.completed() == 2
+        for ffwd in (False, True):
+            res = DodEngine(sc, ffwd=ffwd).run()
+            busy = len(res.window_breakdown)
+            assert busy < 200, (
+                f"engine visited {busy} windows for 2 tiny bursts")
+            assert res.completed() == 2
 
     def test_max_windows_guard(self, dumbbell_scenario):
         eng = DodEngine(dumbbell_scenario, max_windows=5)

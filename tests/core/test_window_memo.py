@@ -8,8 +8,6 @@ ECS backends at every cursor, and ``trace_digest()`` must be identical
 with the memo cache on and off.
 """
 
-import os
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +19,7 @@ from repro.conformance.oracles import result_parts
 from repro.core.engine import DodEngine
 from repro.core.memo import VALIDATE_EVERY
 from repro.metrics import TraceLevel
+from repro.metrics.timeline import stats_dict
 from repro.scenario import make_scenario
 from repro.topology import dumbbell
 from repro.traffic import Flow, Transport
@@ -307,16 +306,9 @@ class TestDigestIdentity:
         assert hist is not None and hist.count == c["memo.hit"] - \
             c.get("memo.validate", 0)
 
-    def test_env_var_enables_ffwd(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FFWD", "1")
-        engine = DodEngine(steady_scenario(), TraceLevel.NONE,
-                           backend="numpy")
-        assert engine.ffwd and os.environ["REPRO_FFWD"] == "1"
-        engine.run()
-        assert engine.bus.counters.get("memo.hit", 0) > 0
-
     def test_ineligible_scenarios_never_build_a_cache(self):
-        """Static gates: no UDP flow -> no memo, zero overhead."""
+        """Static gates: no UDP flow -> no memo, zero overhead, and the
+        run that asked for one says which gate refused it."""
         topo = dumbbell(2, edge_rate_bps=10 * GBPS,
                         bottleneck_rate_bps=2 * GBPS, delay_ps=us(1))
         flows = [Flow(0, 0, 2, 60_000, 0, Transport.DCTCP)]
@@ -325,6 +317,7 @@ class TestDigestIdentity:
         engine.run()
         assert engine._memo is None
         assert "memo.hit" not in engine.bus.counters
+        assert stats_dict(engine.bus)["memo"]["disabled.no_udp_flow"] == 1
 
 
 class TestCheckpointInteraction:

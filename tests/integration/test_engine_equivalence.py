@@ -18,9 +18,9 @@ from repro.traffic import Flow, Transport, full_mesh_dynamic, TINY
 from repro.units import GBPS, ms, us
 
 
-def assert_equivalent(scenario):
+def assert_equivalent(scenario, ffwd=False):
     a = run_baseline(scenario, TraceLevel.FULL)
-    b = run_dons(scenario, TraceLevel.FULL)
+    b = run_dons(scenario, TraceLevel.FULL, ffwd=ffwd)
     assert a.trace.sorted_entries() == b.trace.sorted_entries()
     assert a.rtt_samples == b.rtt_samples
     assert a.fcts_ps() == b.fcts_ps()
@@ -37,6 +37,9 @@ def test_dumbbell_dctcp(dumbbell_scenario):
 
 def test_fattree_ecmp_mixed_transports(fattree4_scenario):
     assert_equivalent(fattree4_scenario)
+    # The UDP flows make the mix memo-eligible: windows probed, captured
+    # and run under the tap must read exactly as the plain ones.
+    assert_equivalent(fattree4_scenario, ffwd=True)
 
 
 def test_drops_and_retransmissions():

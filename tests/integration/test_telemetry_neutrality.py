@@ -45,6 +45,10 @@ def test_single_engine_digest_neutral(request, which, backend):
     assert _digest(on) == reference
     off = run_dons(sc, TraceLevel.FULL, backend=backend, telemetry=False)
     assert _digest(off) == reference
+    # The memo's own spans and histogram ride the same bus.
+    memo = run_dons(sc, TraceLevel.FULL, backend=backend, telemetry=True,
+                    ffwd=True)
+    assert _digest(memo) == reference
 
 
 @pytest.mark.parametrize("transport", ["local", "process"])

@@ -201,22 +201,12 @@ def test_metrics_server_scrape(scenario):
     assert samples[("repro_events_committed", "")] > 0
 
 
-def test_metrics_server_env_port(scenario, monkeypatch):
-    monkeypatch.setenv("REPRO_METRICS_PORT", "0")
-    engine = DodEngine(scenario)
-    plane = LivePlane(engine, stream=io.StringIO(), interval_ms=0)
-    try:
-        assert plane.server is not None
-        # Before any sample the endpoint serves an empty, valid payload.
-        text = urllib.request.urlopen(plane.server.url, timeout=5).read()
-        validate_openmetrics(text.decode("utf-8"))
-    finally:
-        plane.close(final=False)
-
-
 def test_metrics_server_404():
-    server = MetricsServer(port=0)
+    server = MetricsServer()  # no port given: ephemeral
     try:
+        # Before any sample the endpoint serves an empty, valid payload.
+        text = urllib.request.urlopen(server.url, timeout=5).read()
+        validate_openmetrics(text.decode("utf-8"))
         with pytest.raises(urllib.error.HTTPError):
             urllib.request.urlopen(
                 f"http://127.0.0.1:{server.port}/nope", timeout=5)

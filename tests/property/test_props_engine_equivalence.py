@@ -55,6 +55,10 @@ def test_generated_scenarios_trace_equal(scenario):
     assert a.trace.sorted_entries() == b.trace.sorted_entries()
     assert a.rtt_samples == b.rtt_samples
     assert a.fcts_ps() == b.fcts_ps()
+    # Fast-forwarding on whatever part of the draw is memo-eligible.
+    c = run_dons(scenario, TraceLevel.FULL, ffwd=True)
+    assert c.trace.digest() == b.trace.digest()
+    assert c.rtt_samples == b.rtt_samples
     # DCTCP recovers losses; UDP does not, so a dropped UDP segment
     # legitimately leaves its flow incomplete.
     from repro.traffic import Transport

@@ -132,33 +132,22 @@ class TestTelemetryCommands:
         assert rc == 0
         counters = json.loads(capsys.readouterr().out)["counters"]
         assert any(k.startswith("memo.") for k in counters)
-        rc = main(["profile", *udp, "--no-ffwd", "--json"])
+        rc = main(["profile", *udp, "--json"])
         assert rc == 0
         counters = json.loads(capsys.readouterr().out)["counters"]
         assert not any(k.startswith("memo.") for k in counters)
 
-    def test_profile_ffwd_env_default(self, capsys, monkeypatch):
-        import json
-        monkeypatch.setenv("REPRO_FFWD", "1")
-        udp = ["--topology", "dumbbell:2",
-               "--flows", "fixed:n=2,size=60000,transport=udp"]
-        rc = main(["profile", *udp, "--json"])
-        assert rc == 0
-        counters = json.loads(capsys.readouterr().out)["counters"]
-        assert any(k.startswith("memo.") for k in counters)
-
     def test_timeline_manifest_records_resolved_switches(
             self, tmp_path, capsys, monkeypatch):
-        """The manifest reports what the engine actually ran with, not a
-        second parse of the environment: ``REPRO_FFWD=true`` turns the
-        memo on, so the manifest must say so."""
+        """The manifest reports what the engine actually ran with:
+        ``--ffwd`` as given, the backend as ``REPRO_BACKEND`` resolved."""
         import json
-        monkeypatch.setenv("REPRO_FFWD", "true")
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
         udp = ["--topology", "dumbbell:2",
                "--flows", "fixed:n=2,size=60000,transport=udp"]
         out = tmp_path / "timeline.json"
-        rc = main(["profile", *udp, "--timeline", str(out), "--json"])
+        rc = main(["profile", *udp, "--ffwd", "--timeline", str(out),
+                   "--json"])
         assert rc == 0
         counters = json.loads(capsys.readouterr().out)["counters"]
         assert any(k.startswith("memo.") for k in counters)
