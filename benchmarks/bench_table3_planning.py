@@ -37,7 +37,7 @@ PLANNING_FLOWS = 20_000
 def _plan_all():
     topo, flows = isp_scenario(scale="paper", duration_ms=2.0,
                                max_flows=PLANNING_FLOWS)
-    fib = build_fib(topo, workers=4)
+    fib = build_fib(topo)
     cluster = ClusterSpec.homogeneous(MACHINES)
 
     # The DONS Manager's planning = Load Estimator + Partitioner.

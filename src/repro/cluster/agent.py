@@ -38,7 +38,8 @@ class AgentSpec:
     scenario: Scenario
     partition: Partition
     trace_level: TraceLevel = TraceLevel.NONE
-    #: ECS table/system backend ("python" or "numpy"); ``None`` defers to
+    #: Window execution ("python" reference systems or "numpy" fused
+    #: pass, over the same component tables); ``None`` defers to
     #: the engine's own resolution (``REPRO_BACKEND`` env, then "python"),
     #: re-resolved in the worker process a ProcessTransport spawns.
     backend: Optional[str] = None

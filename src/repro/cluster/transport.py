@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -68,7 +69,7 @@ from .shm import (
     ShmRing, consume_batch, publish_batch, read_blob, write_blob,
 )
 from ..core.checkpoint import (
-    restore_snapshot, state_oob_parts, take_checkpoint,
+    Checkpoint, restore_checkpoint, take_checkpoint,
 )
 from ..core.instrument import SystemProfile, WindowProfile
 from ..errors import ClusterError
@@ -188,8 +189,9 @@ class Transport:
         raise NotImplementedError
 
     def snapshot_all(self, window: int) -> Any:
-        """A coordinated snapshot (agents paused between windows):
-        opaque, only good for :meth:`restore_all`."""
+        """A coordinated snapshot (agents paused between windows): one
+        engine :class:`~repro.core.checkpoint.Checkpoint` per agent plus
+        the channel accounting, for :meth:`restore_all`."""
         raise NotImplementedError
 
     def kill(self, agent_id: int) -> None:
@@ -197,7 +199,8 @@ class Transport:
 
     def restore_all(self, snapshot: Any, window: int) -> None:
         """Roll every agent back to ``snapshot`` (taken at ``window``),
-        replacing dead ones; the next grant re-runs from there."""
+        replacing dead ones; the next grant re-runs from there.  A
+        checkpoint of another scenario or format is refused."""
         raise NotImplementedError
 
     def finish_all(self) -> List[AgentReport]:
@@ -320,7 +323,7 @@ class LocalTransport(Transport):
                    for engine in self.engines if engine is not None)
 
     def snapshot_all(self, window: int) -> Any:
-        return ([take_checkpoint(self._engine(a), window).payload
+        return ([take_checkpoint(self._engine(a), window)
                  for a in range(len(self.engines))], self.channels.export())
 
     def kill(self, agent_id: int) -> None:
@@ -328,12 +331,11 @@ class LocalTransport(Transport):
         self.engines[agent_id] = None
 
     def restore_all(self, snapshot: Any, window: int) -> None:
-        payloads, accounting = snapshot
+        checkpoints, accounting = snapshot
         for agent_id, spec in enumerate(self.specs):
             engine = spec.make()
             engine.build()
-            restore_snapshot(engine, payloads[agent_id], window,
-                             spec.scenario.name)
+            restore_checkpoint(engine, checkpoints[agent_id])
             self.engines[agent_id] = engine
         self.channels.merge(accounting, replace=True)
         self._offers, self.cursor, self.done = None, window, False
@@ -359,6 +361,17 @@ _SPINS = 2000
 _YIELDS = 2000
 _NAP_S = 0.0005
 _yield = getattr(os, "sched_yield", None) or (lambda: time.sleep(0))
+
+
+def _checkpoint_blob(tag: str, checkpoint: Checkpoint) -> Tuple[str, int]:
+    """Ship one engine checkpoint — format tag and scenario name
+    included — as a one-off blob segment."""
+    return write_blob(
+        tag, [pickle.dumps(checkpoint, pickle.HIGHEST_PROTOCOL)])
+
+
+def _read_checkpoint(name: str, nbytes: int) -> Checkpoint:
+    return pickle.loads(read_blob(name, nbytes))
 
 
 class _Interrupted(Exception):
@@ -498,18 +511,17 @@ class _AgentWorker:
                       engine.results.events.total)
 
     def _snapshot(self, window: int):
-        """Zero-copy checkpoint: protocol-5 out-of-band container in a
-        one-off blob segment — column data is memcpy'd, never pickled."""
-        name, nbytes = write_blob(f"{self.me}-snap",
-                                  state_oob_parts(self.engine, window))
+        """The engine checkpoint in a blob segment, plus this worker's
+        accounting."""
+        name, nbytes = _checkpoint_blob(
+            f"{self.me}-snap", take_checkpoint(self.engine, window))
         return name, nbytes, self.channels.export()
 
     def _restore(self, blob, window: int, wiring, accounting) -> Optional[int]:
         self._wire(wiring)
         if not self.engine.built:
             self.engine.build()
-        restore_snapshot(self.engine, read_blob(*blob), window,
-                         self.spec.scenario.name)
+        restore_checkpoint(self.engine, _read_checkpoint(*blob))
         self.channels.merge(accounting, replace=True)
         self.board.reset(self.me, self.engine.results.events.total)
         return self.engine.peek_next_window(window)
@@ -700,7 +712,8 @@ class ProcessTransport(Transport):
 
     def snapshot_all(self, window: int) -> Any:
         replies = self._fan_out([("snapshot", window)] * len(self._workers))
-        return ([read_blob(name, nbytes) for name, nbytes, _acct in replies],
+        return ([_read_checkpoint(name, nbytes)
+                 for name, nbytes, _acct in replies],
                 [acct for _name, _nbytes, acct in replies])
 
     def kill(self, agent_id: int) -> None:
@@ -716,13 +729,13 @@ class ProcessTransport(Transport):
         worker.alive = False
 
     def restore_all(self, snapshot: Any, window: int) -> None:
-        payloads, accounting = snapshot
+        checkpoints, accounting = snapshot
         for agent_id in self._dead_workers():
             self._workers[agent_id].conn.close()
             self._workers[agent_id] = self._spawn(self.specs[agent_id])
         self._offers = self._fan_out([
-            ("restore", write_blob(f"{a}-restore", [payloads[a]]), window,
-             wiring, accounting[a])
+            ("restore", _checkpoint_blob(f"{a}-restore", checkpoints[a]),
+             window, wiring, accounting[a])
             for a, wiring in enumerate(self._rewire())])
         self._reported = 0
         self._board.consume(0)

@@ -14,18 +14,21 @@ Restoring into a fresh engine and continuing produces *exactly* the
 trace the uninterrupted run would have produced (asserted in
 tests/core/test_checkpoint.py), because the engine state between two
 windows is a pure function of the windows executed so far.
+
+There is one snapshot format (:data:`FORMAT`), used by the checkpoint
+store and by both cluster transports.  The state holds list columns and
+plain Python scalars only — nothing specific to a window execution — so
+a snapshot taken under ``backend="numpy"`` resumes under ``"python"``
+and the reverse.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
-import io
 import os
 import pickle
-import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .engine import DodEngine
 from ..errors import SimulationError
@@ -73,18 +76,28 @@ def _engine_state(engine: DodEngine, current_window: int) -> dict:
 
 def take_checkpoint(engine: DodEngine, current_window: int) -> Checkpoint:
     """Snapshot a paused engine (between windows)."""
-    state = copy.deepcopy(_engine_state(engine, current_window))
     return Checkpoint(
         format=FORMAT,
         scenario_name=engine.scenario.name,
         current_window=current_window,
-        payload=pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
+        payload=pickle.dumps(_engine_state(engine, current_window),
+                             protocol=pickle.HIGHEST_PROTOCOL),
     )
 
 
-def _install_state(engine: DodEngine, state: dict) -> int:
-    """Adopt a deserialized state dict into a *built* engine; returns
-    the window cursor to resume from."""
+def restore_checkpoint(engine: DodEngine, checkpoint: Checkpoint) -> int:
+    """Load a checkpoint into a *built* engine for the same scenario.
+
+    Returns the window cursor to resume from.
+    """
+    if checkpoint.format != FORMAT:
+        raise SimulationError(f"unknown checkpoint format {checkpoint.format!r}")
+    if checkpoint.scenario_name != engine.scenario.name:
+        raise SimulationError(
+            f"checkpoint is for scenario {checkpoint.scenario_name!r}, "
+            f"engine runs {engine.scenario.name!r}"
+        )
+    state = pickle.loads(checkpoint.payload)
     engine.events = state["events"]
     engine.active_ports = state["active_ports"]
     engine.ports = state["ports"]
@@ -104,95 +117,6 @@ def _install_state(engine: DodEngine, state: dict) -> int:
     if memo is not None:
         memo.clear()
     return state["current_window"]
-
-
-def restore_checkpoint(engine: DodEngine, checkpoint: Checkpoint) -> int:
-    """Load a checkpoint into a *built* engine for the same scenario.
-
-    Returns the window cursor to resume from.
-    """
-    if checkpoint.format != FORMAT:
-        raise SimulationError(f"unknown checkpoint format {checkpoint.format!r}")
-    if checkpoint.scenario_name != engine.scenario.name:
-        raise SimulationError(
-            f"checkpoint is for scenario {checkpoint.scenario_name!r}, "
-            f"engine runs {engine.scenario.name!r}"
-        )
-    return _install_state(engine, pickle.loads(checkpoint.payload))
-
-
-# --- zero-copy (out-of-band) snapshot container -----------------------------
-#
-# The shared-memory transport moves checkpoint payloads as one-off shm
-# segments.  Pickling the engine state at protocol 5 with a
-# ``buffer_callback`` exports every columnar buffer (NumpyTable columns,
-# event-store arrays) as a raw out-of-band block: the container is then
-# the small object-graph pickle plus a length-prefixed run of raw
-# buffers, and the only copy each column pays is the memcpy into the
-# segment.  The classic in-band pickle remains the format everywhere
-# else; ``restore_snapshot`` dispatches on the magic prefix.
-
-OOB_MAGIC = b"DONS-SNP5\x00"
-_OOB_HEAD = struct.Struct("<qq")    # current_window, body_len
-_OOB_COUNT = struct.Struct("<q")
-
-
-def state_oob_parts(engine: DodEngine, current_window: int) -> List:
-    """Snapshot as a list of bytes-like parts (concatenation = payload).
-
-    The raw-buffer parts *alias live engine arrays* — the caller must
-    copy them out (e.g. into a shared segment) before the engine runs
-    another window.
-    """
-    buffers: List[pickle.PickleBuffer] = []
-    body = pickle.dumps(_engine_state(engine, current_window), protocol=5,
-                        buffer_callback=buffers.append)
-    parts = [OOB_MAGIC, _OOB_HEAD.pack(current_window, len(body)), body,
-             _OOB_COUNT.pack(len(buffers))]
-    for buf in buffers:
-        raw = buf.raw()
-        parts.append(_OOB_COUNT.pack(raw.nbytes))
-        parts.append(raw)
-    return parts
-
-
-def is_oob_payload(payload) -> bool:
-    """True if ``payload`` is an out-of-band snapshot container."""
-    return bytes(payload[:len(OOB_MAGIC)]) == OOB_MAGIC
-
-
-def loads_oob_state(payload) -> Tuple[int, dict]:
-    """Decode an out-of-band container: ``(current_window, state dict)``.
-
-    Buffers are materialized as ``bytearray`` copies so the rebuilt
-    arrays are writable (a ``bytes`` buffer would make them readonly).
-    """
-    view = memoryview(payload)
-    off = len(OOB_MAGIC)
-    window, body_len = _OOB_HEAD.unpack_from(view, off)
-    off += _OOB_HEAD.size
-    body = view[off:off + body_len]
-    off += body_len
-    (n_bufs,) = _OOB_COUNT.unpack_from(view, off)
-    off += _OOB_COUNT.size
-    buffers = []
-    for _ in range(n_bufs):
-        (nbytes,) = _OOB_COUNT.unpack_from(view, off)
-        off += _OOB_COUNT.size
-        buffers.append(bytearray(view[off:off + nbytes]))
-        off += nbytes
-    return window, pickle.loads(body, buffers=buffers)
-
-
-def restore_snapshot(engine: DodEngine, payload: bytes, window: int,
-                     scenario_name: str) -> int:
-    """Restore a raw snapshot payload of either format into a *built*
-    engine — the transport-facing twin of :func:`restore_checkpoint`."""
-    if is_oob_payload(payload):
-        _window, state = loads_oob_state(payload)
-        return _install_state(engine, state)
-    return restore_checkpoint(
-        engine, Checkpoint(FORMAT, scenario_name, window, payload))
 
 
 class CheckpointStore:
@@ -227,17 +151,22 @@ class CheckpointStore:
         """Read from the first healthy replica."""
         last_error: Optional[Exception] = None
         for loc in self.locations:
-            path = self._path(loc, name)
             try:
-                with open(path, "rb") as fh:
+                with open(self._path(loc, name), "rb") as fh:
                     ckpt = pickle.loads(fh.read())
-                if ckpt.format != FORMAT:
-                    raise SimulationError("bad checkpoint format")
-                return ckpt
-            except (OSError, pickle.UnpicklingError, SimulationError) as exc:
+            except Exception as exc:
+                # Unpickling a truncated, overwritten or foreign file
+                # can raise nearly anything (EOFError, AttributeError,
+                # ImportError, ...): whatever it is, this replica is
+                # unreadable and the next one gets its turn.
                 last_error = exc
+                continue
+            if isinstance(ckpt, Checkpoint) and ckpt.format == FORMAT:
+                return ckpt
+            last_error = SimulationError(
+                f"{loc!r} holds no {FORMAT} checkpoint")
         raise SimulationError(
-            f"no replica of {name!r} is readable: {last_error}"
+            f"no replica of {name!r} is readable: {last_error!r}"
         )
 
 

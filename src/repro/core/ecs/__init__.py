@@ -1,24 +1,15 @@
 """Entity-Component-System substrate used by the DOD engine."""
 
-from .components import CHUNK_ENTITIES, FieldSpec, SoATable
+from .components import FieldSpec, SoATable
 from .commands import CommandBuffer, consolidate
 from .entity import (
-    BACKENDS, EGRESS_SCHEMA, EntityKind, INGRESS_SCHEMA, RECEIVER_SCHEMA,
-    SENDER_SCHEMA, World, make_table,
+    EGRESS_SCHEMA, EntityKind, INGRESS_SCHEMA, RECEIVER_SCHEMA,
+    SENDER_SCHEMA, World,
 )
 
 __all__ = [
-    "CHUNK_ENTITIES", "FieldSpec", "SoATable", "NumpyTable",
+    "FieldSpec", "SoATable",
     "CommandBuffer", "consolidate",
-    "BACKENDS", "EntityKind", "World", "make_table",
+    "EntityKind", "World",
     "SENDER_SCHEMA", "RECEIVER_SCHEMA", "INGRESS_SCHEMA", "EGRESS_SCHEMA",
 ]
-
-
-def __getattr__(name):
-    # NumpyTable is exported lazily so `import repro.core.ecs` works on
-    # interpreters without numpy (the python backend needs none).
-    if name == "NumpyTable":
-        from .numpy_table import NumpyTable
-        return NumpyTable
-    raise AttributeError(name)

@@ -12,28 +12,6 @@ from enum import IntEnum
 from typing import Dict
 
 from .components import FieldSpec, SoATable
-from ...errors import ConfigError
-
-#: Known table backends.  ``python`` stores columns as lists and sweeps
-#: them in the interpreter; ``numpy`` stores typed ndarrays and executes
-#: each window through the fused pass of
-#: :mod:`repro.core.systems.vectorized`.
-BACKENDS = ("python", "numpy")
-
-
-def make_table(backend: str, kind: str, schema) -> "SoATable":
-    """Construct one component table on the requested backend."""
-    if backend == "python":
-        return SoATable(kind, schema)
-    if backend == "numpy":
-        try:
-            from .numpy_table import NumpyTable
-        except ImportError as exc:  # pragma: no cover - numpy is baked in
-            raise ConfigError(
-                f"backend 'numpy' needs numpy installed: {exc}")
-        return NumpyTable(kind, schema)
-    raise ConfigError(
-        f"unknown table backend {backend!r}; known: {', '.join(BACKENDS)}")
 
 
 class EntityKind(IntEnum):
@@ -105,18 +83,13 @@ EGRESS_SCHEMA = (
 
 
 class World:
-    """The ECS world: four tables plus shared (singleton) components.
+    """The ECS world: four tables plus shared (singleton) components."""
 
-    ``backend`` selects the column substrate for all four tables —
-    ``python`` (list columns) or ``numpy`` (typed ndarray columns).
-    """
-
-    def __init__(self, backend: str = "python") -> None:
-        self.backend = backend
-        self.senders = make_table(backend, "sender", SENDER_SCHEMA)
-        self.receivers = make_table(backend, "receiver", RECEIVER_SCHEMA)
-        self.ingress = make_table(backend, "ingress", INGRESS_SCHEMA)
-        self.egress = make_table(backend, "egress", EGRESS_SCHEMA)
+    def __init__(self) -> None:
+        self.senders = SoATable("sender", SENDER_SCHEMA)
+        self.receivers = SoATable("receiver", RECEIVER_SCHEMA)
+        self.ingress = SoATable("ingress", INGRESS_SCHEMA)
+        self.egress = SoATable("egress", EGRESS_SCHEMA)
         #: flow id -> sender / receiver entity index.
         self.sender_of_flow: Dict[int, int] = {}
         self.receiver_of_flow: Dict[int, int] = {}

@@ -16,9 +16,9 @@ columns (``-1`` where the entry kind carries no timestamp/priority),
 computed on demand from the payload rows: only ``nodes`` and
 ``payloads`` are materialized, so the hot insert paths append twice per
 entry, while the cold consumers (the
-:meth:`EventColumns.signature_bytes` encoding, migration copies, the
-NumPy array views) derive the integer columns when asked.  Columns are
-appended in insertion order, which is exactly the order the scalar calendar
+:meth:`EventColumns.signature_bytes` encoding, migration copies)
+derive the integer columns when asked.  Columns are appended in
+insertion order, which is exactly the order the scalar calendar
 preserved — so grouping a bucket by node reproduces the old
 ``Dict[node, List[Entry]]`` byte-for-byte, and no per-window sort is
 needed (the insert stream *is* the stable order).
@@ -32,11 +32,9 @@ conformance harness can plant a stale-index bug
 (:func:`repro.conformance.inject.stale_window_index`) and prove the
 differential fuzz loop catches exactly this class of corruption.
 
-Both ECS backends share this store: the columns are plain Python lists
-(the ``python`` backend's native column type, cf. ``SoATable``); the
-NumPy backend materializes ndarray views on demand via
-:meth:`EventColumns.as_arrays`.  The byte encoding behind
-``signature_bytes`` is little-endian int64 streams either way, which is
+Both window executions share this store: the columns are plain Python
+lists, like the ``SoATable`` component columns.  The byte encoding
+behind ``signature_bytes`` is little-endian int64 streams, which is
 what makes ``DodEngine.window_signature()`` backend-stable.
 """
 
@@ -226,11 +224,6 @@ class EventColumns:
                 lst.append(payloads[i])
         return out
 
-    def entries_of(self, win: int) -> Dict[int, List[Entry]]:
-        """Non-consuming grouped view of one window (tests, migration)."""
-        bucket = self._buckets.get(win)
-        return self._grouped(bucket) if bucket is not None else {}
-
     # --- delta stage/apply (memoization support) ---------------------------
 
     def bucket_sizes(self) -> Dict[int, int]:
@@ -372,29 +365,14 @@ class EventColumns:
         else:
             del self._buckets[win]
 
-    # --- backend views ----------------------------------------------------
-
-    def as_arrays(self, win: int):
-        """NumPy int64 views of one window's derived columns
-        ``(nodes, tags, times, prios)`` — the vectorized backend's entry
-        point for masked column math.  Raises ``KeyError`` on an
-        unoccupied window."""
-        import numpy as np
-        bucket = self._buckets[win]
-        return (np.asarray(bucket.nodes, dtype=np.int64),
-                np.asarray(bucket.tags, dtype=np.int64),
-                np.asarray(bucket.times, dtype=np.int64),
-                np.asarray(bucket.prios, dtype=np.int64))
-
     # --- signature --------------------------------------------------------
 
     def signature_bytes(self) -> bytes:
         """Canonical byte encoding of the pending-event columns.
 
         Windows ascending; per window the four derived int columns then
-        the payload rows, all as little-endian int64 — ``struct.pack``
-        here and ``ndarray.tobytes()`` on the NumPy side produce the
-        same stream, so the digest built on top is backend-stable.
+        the payload rows, all as little-endian int64, so the digest
+        built on top is backend-stable.
         """
         parts: List[bytes] = []
         for win in sorted(self._buckets):

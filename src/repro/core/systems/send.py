@@ -107,16 +107,6 @@ def store_dctcp_cols(cols: Dict[str, list], idx: int, state: DctcpState) -> None
     cols["done_ps"][idx] = -1 if state.done_ps is None else state.done_ps
 
 
-def load_dctcp(table, idx: int, params) -> DctcpState:
-    """Row-at-a-time compatibility wrapper over :func:`load_dctcp_cols`."""
-    return load_dctcp_cols(table.columns(SENDER_COLS), idx, params)
-
-
-def store_dctcp(table, idx: int, state: DctcpState) -> None:
-    """Row-at-a-time compatibility wrapper over :func:`store_dctcp_cols`."""
-    store_dctcp_cols(table.columns(SENDER_COLS), idx, state)
-
-
 def udp_emission_schedule(
     sched: UdpSchedule, seq: int, window_end: int,
 ) -> Tuple[List[Tuple[int, int, int]], int, Optional[int]]:

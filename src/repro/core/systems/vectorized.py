@@ -1,4 +1,4 @@
-"""The NumPy backend's window execution: one fused pass over the four
+"""The ``numpy`` backend's window execution: one fused pass over the four
 systems (:func:`run_window_fused`) and the batch kernels it dispatches.
 
 Same plan → kernel → commit decomposition as the Python reference, same
@@ -10,15 +10,13 @@ orchestration around the kernels is columnar:
   ordering-contract sorts go through one stable ``np.lexsort`` over key
   columns instead of a per-element Python key function
   (:func:`sort_contract`).
-* **kernel** stages read per-window sender/receiver state *gathered*
-  out of the :class:`~repro.core.ecs.NumpyTable` columns into compact
-  Python-value columns in one fancy-indexed read per component, so the
+* **kernel** stages index the same list columns of the one
+  :class:`~repro.core.ecs.SoATable` the reference systems sweep
+  (``columns(...)`` hands out the live lists), so the
   DCTCP/UDP/reassembly state machines run on exactly the value types
-  the Python backend feeds them — which is what keeps the traces
+  the reference feeds them — which is what keeps the traces
   byte-identical.
-* **commit** writes back with whole index arrays: one ``scatter`` per
-  mutated component column (the resident working set flushes each list
-  column in a single vectorized assignment); the ForwardSystem routes
+* **commit** mutates those columns in place; the ForwardSystem routes
   straight into the window's staging lists, with no command buffers in
   between (:func:`_forward_serial_np`).
 
@@ -790,7 +788,7 @@ def run_window_fused(engine, ctx: WindowContext):
         forward_work = ()
 
     if ack_work:
-        cols = AckCols(**world.receivers.resident(AckCols._fields))
+        cols = AckCols(**world.receivers.columns(AckCols._fields))
         receiver_of_flow = world.receiver_of_flow
         flows = sc.flows
         commit_ack(engine, ctx, [
@@ -808,7 +806,7 @@ def run_window_fused(engine, ctx: WindowContext):
             ):
                 bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
         results, n_array, n_scalar = send_batch_kernel(
-            world.senders.resident(SENDER_COLS), world.sender_of_flow, sc,
+            world.senders.columns(SENDER_COLS), world.sender_of_flow, sc,
             flow_lists(engine), acks_of, starts, ctx.end, flow_ids)
         commit_send(engine, ctx, results)
         # Which UDP schedule the window's flow visits took, one count

@@ -33,12 +33,3 @@ class ClusterError(ReproError):
 
 class ConfigError(ReproError):
     """A scenario or engine configuration is invalid."""
-
-
-class ColumnIndexError(ReproError):
-    """A bulk column access (gather/scatter) used an out-of-range index.
-
-    Raised uniformly by every table backend, so kernels written against
-    the bulk API fail identically whether the columns are Python lists
-    or NumPy arrays (plain ``IndexError`` semantics differ: lists accept
-    negative indices, arrays broadcast them)."""

@@ -2,9 +2,8 @@
 
 The paper's Simulation Builder computes routes for each destination with
 BFS — O(#host x (#node + #link)) — and installs forwarding tables, both
-parallelized over worker threads.  :func:`build_fib` reproduces that,
-including the optional thread pool (which in CPython mostly documents
-structure rather than buying wall-clock, as recorded in DESIGN.md).
+parallelized over worker threads.  :func:`build_fib` reproduces the
+per-destination BFS serially (see its docstring for why).
 
 Routing is hop-count shortest path with all ties kept (the ECMP set).
 """
@@ -12,7 +11,6 @@ Routing is hop-count shortest path with all ties kept (the ECMP set).
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 from .fib import Fib
@@ -50,17 +48,18 @@ def _routes_for_dest(topo: Topology, dest: int) -> List[Tuple[int, Tuple[int, ..
     return entries
 
 
-def build_fib(
-    topo: Topology,
-    dests: Optional[List[int]] = None,
-    workers: int = 1,
-) -> Fib:
+def build_fib(topo: Topology, dests: Optional[List[int]] = None) -> Fib:
     """Build the FIB for all (or the given) destination hosts.
+
+    The paper (Appendix C) runs the per-destination BFS and the table
+    installs on a pool of worker threads.  This reproduction does not:
+    both are pure Python, so under the GIL a thread pool would execute
+    them one at a time and buy no wall-clock (DESIGN.md, "Reproduction
+    strategy and substitutions").
 
     Args:
         topo: A frozen topology.
         dests: Destination host ids; defaults to every host.
-        workers: Size of the builder thread pool (paper Appendix C).
 
     Returns:
         A fully populated :class:`Fib`.
@@ -68,15 +67,7 @@ def build_fib(
     if dests is None:
         dests = topo.hosts
     fib = Fib(topo)
-
-    def install_all(dest: int) -> None:
+    for dest in dests:
         for node, ports in _routes_for_dest(topo, dest):
             fib.install(node, dest, ports)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(install_all, dests))
-    else:
-        for dest in dests:
-            install_all(dest)
     return fib

@@ -96,7 +96,6 @@ def make_scenario(
     dctcp: Optional[DctcpParams] = None,
     duration_ps: Optional[int] = None,
     fib: Optional[Fib] = None,
-    fib_workers: int = 1,
     ecmp_mode: str = "flow",
 ) -> Scenario:
     """Build a Scenario with sensible defaults and a shared FIB.
@@ -109,7 +108,7 @@ def make_scenario(
         aqm: Marking config; defaults to DCTCP threshold marking.
         dctcp: DCTCP constants override.
         duration_ps: Optional hard stop.
-        fib: Pre-built FIB (else built here with ``fib_workers`` threads).
+        fib: Pre-built FIB (else built here).
     """
     if isinstance(flows, FlowColumns):
         # Columnar traffic: vectorized validation, no Flow materialization.
@@ -117,7 +116,7 @@ def make_scenario(
     else:
         flows = validate_flows(flows, topology.hosts)
     if fib is None:
-        fib = build_fib(topology, workers=fib_workers)
+        fib = build_fib(topology)
     if aqm is None:
         aqm = AqmConfig(kind=AqmKind.ECN_THRESHOLD)
     switch_egress = EgressConfig(

@@ -31,10 +31,10 @@ from repro.cluster.agent import Horizon
 from repro.cluster.shm import (
     ShmRing, consume_batch, list_orphans, publish_batch,
 )
-from repro.core.checkpoint import is_oob_payload, restore_snapshot
+from repro.core.checkpoint import restore_checkpoint
 from repro.core.instrument import InstrumentationBus
 from repro.des.partition_types import contiguous_partition
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ReproError
 from repro.metrics import TraceLevel
 from repro.partition import ClusterSpec
 from repro.protocols.packet import ROW_FIELDS
@@ -135,13 +135,13 @@ class TestLargeBatches:
         finally:
             transport.close()
 
-    def test_oob_and_pickle_snapshots_restore_identical_state(self, scenario):
+    def test_both_transports_snapshot_the_same_state(self, scenario):
         part = contiguous_partition(scenario.topology, 2)
         specs = [AgentSpec(a, scenario, part, TraceLevel.FULL)
                  for a in range(2)]
-        cursor, (local_payloads, local_acct) = self._snapshot_after(
+        cursor, (local_ckpts, local_acct) = self._snapshot_after(
             specs, LocalTransport(), 12)
-        cursor_p, (proc_payloads, proc_acct) = self._snapshot_after(
+        cursor_p, (proc_ckpts, proc_acct) = self._snapshot_after(
             specs, ProcessTransport(), 12)
         assert cursor == cursor_p
         # same accounting, one shared map versus one map per worker
@@ -151,18 +151,43 @@ class TestLargeBatches:
         assert merged == local_acct[1]
         assert sum(frames for frames, _ in proc_acct) == local_acct[0]
         for agent_id in range(2):
-            # The workers' snapshot is the out-of-band container, the
-            # local one the classic pickle — same state either way.
-            assert is_oob_payload(proc_payloads[agent_id])
-            assert not is_oob_payload(local_payloads[agent_id])
+            # One checkpoint format on both transports, the same state.
             sigs = []
-            for payload in (local_payloads[agent_id],
-                            proc_payloads[agent_id]):
+            for ckpt in (local_ckpts[agent_id], proc_ckpts[agent_id]):
                 engine = specs[agent_id].make()
                 engine.build()
-                restore_snapshot(engine, payload, cursor, scenario.name)
+                assert restore_checkpoint(engine, ckpt) == cursor
                 sigs.append(engine.window_signature())
             assert sigs[0] == sigs[1], f"agent {agent_id} state diverged"
+
+    @pytest.mark.parametrize("damage", ["scenario", "format"])
+    @pytest.mark.parametrize("transport_cls",
+                             [LocalTransport, ProcessTransport])
+    def test_foreign_snapshot_is_refused(self, scenario, transport_cls,
+                                         damage):
+        """``restore_all`` refuses a snapshot of another scenario, and
+        one with another format tag, on either transport."""
+        part = contiguous_partition(scenario.topology, 2)
+        other = make_scenario(scenario.topology, scenario.flows[:5],
+                              buffer_bytes=50_000)
+        assert other.name != scenario.name
+        source = other if damage == "scenario" else scenario
+        _cursor, (checkpoints, accounting) = self._snapshot_after(
+            [AgentSpec(a, source, part) for a in range(2)],
+            LocalTransport(), 4)
+        if damage == "format":
+            for ckpt in checkpoints:
+                ckpt.format = "dons-checkpoint-v1"
+        transport = transport_cls()
+        transport.launch([AgentSpec(a, scenario, part) for a in range(2)])
+        try:
+            transport.build_all()
+            if transport_cls is ProcessTransport:
+                accounting = [accounting] * 2  # one map per worker
+            with pytest.raises(ReproError, match=damage):
+                transport.restore_all((checkpoints, accounting), 4)
+        finally:
+            transport.close()
 
 
 def _run_with_faults(scenario, transport, kill_windows):

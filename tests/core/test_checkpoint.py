@@ -1,5 +1,7 @@
 """Checkpointing (§8): pause/resume is observationally transparent."""
 
+import pickle
+
 import pytest
 
 from repro.core.checkpoint import (
@@ -11,9 +13,10 @@ from repro.errors import SimulationError
 from repro.metrics import TraceLevel
 
 
-def run_interrupted(scenario, stop_after_windows):
-    """Run to window N, checkpoint, resume in a FRESH engine."""
-    eng = DodEngine(scenario, TraceLevel.FULL)
+def run_interrupted(scenario, stop_after_windows, take=None, resume=None):
+    """Run to window N, checkpoint, resume in a FRESH engine (``take`` /
+    ``resume``: the backend of each half)."""
+    eng = DodEngine(scenario, TraceLevel.FULL, backend=take)
     eng.build()
     current = -1
     done = 0
@@ -27,7 +30,7 @@ def run_interrupted(scenario, stop_after_windows):
     ckpt = take_checkpoint(eng, current)
     # The "crash": the original engine is discarded entirely.
     del eng
-    fresh = CheckpointingEngine(scenario, TraceLevel.FULL)
+    fresh = CheckpointingEngine(scenario, TraceLevel.FULL, backend=resume)
     return fresh.resume_from(ckpt)
 
 
@@ -38,6 +41,18 @@ def test_resume_reproduces_uninterrupted_trace(dumbbell_scenario, stop_after):
     assert resumed.trace.sorted_entries() == reference.trace.sorted_entries()
     assert resumed.fcts_ps() == reference.fcts_ps()
     assert resumed.rtt_samples == reference.rtt_samples
+
+
+@pytest.mark.parametrize("take,resume", [("numpy", "python"),
+                                         ("python", "numpy")])
+def test_snapshot_resumes_under_the_other_backend(dumbbell_scenario,
+                                                  take, resume):
+    """One table, one format: a snapshot holds nothing specific to the
+    window execution that took it."""
+    reference = run_dons(dumbbell_scenario, TraceLevel.FULL)
+    resumed = run_interrupted(dumbbell_scenario, 40, take, resume)
+    assert resumed.trace.digest() == reference.trace.digest()
+    assert resumed.fcts_ps() == reference.fcts_ps()
 
 
 def test_resume_fattree_with_ecmp(fattree4_scenario):
@@ -92,6 +107,27 @@ class TestStore:
             fh.write(b"garbage")
         loaded = store.load("run1")
         assert loaded.digest() == ckpt.digest()
+
+    @pytest.mark.parametrize("damage", [
+        b"",                                   # truncated to nothing
+        pickle.dumps({"format": FORMAT}),      # a pickle, not a Checkpoint
+        b"\x80\x05garbage",                     # undecodable bytes
+    ], ids=["empty", "foreign-pickle", "garbage"])
+    def test_damaged_first_replica_falls_through(self, tmp_path,
+                                                 dumbbell_scenario, damage):
+        store = CheckpointStore([str(tmp_path / "a"), str(tmp_path / "b")])
+        eng = DodEngine(dumbbell_scenario)
+        eng.build()
+        ckpt = take_checkpoint(eng, 0)
+        first, second = store.save("run1", ckpt)
+        with open(first, "wb") as fh:
+            fh.write(damage)
+        assert store.load("run1").digest() == ckpt.digest()
+        # ... and with no healthy replica left, the typed error.
+        with open(second, "wb") as fh:
+            fh.write(damage)
+        with pytest.raises(SimulationError, match="no replica"):
+            store.load("run1")
 
     def test_all_replicas_lost(self, tmp_path):
         store = CheckpointStore([str(tmp_path / "only")])

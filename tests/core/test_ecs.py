@@ -1,10 +1,9 @@
-"""ECS substrate: SoA tables, chunks, command buffers, the world."""
+"""ECS substrate: SoA tables, command buffers, the world."""
 
 import pytest
 
 from repro.core.ecs import (
-    CHUNK_ENTITIES, CommandBuffer, EntityKind, FieldSpec, SoATable, World,
-    consolidate,
+    CommandBuffer, EntityKind, FieldSpec, SoATable, World, consolidate,
 )
 from repro.errors import ConfigError
 
@@ -29,23 +28,22 @@ class TestSoATable:
         t = mk_table()
         for i in range(10):
             t.add(a=i)
-        assert t.col("a") == list(range(10))
+        assert t.column("a") == list(range(10))
 
     def test_add_many(self):
         t = mk_table()
         r = t.add_many(5)
         assert list(r) == [0, 1, 2, 3, 4]
         assert len(t) == 5
-        assert t.col("b") == [1.5] * 5
-
-    def test_row_load_store(self):
-        t = mk_table()
-        i = t.add(a=1, b=2.0)
-        row = t.load_row(i)
-        assert row == {"a": 1, "b": 2.0, "c": None}
-        t.store_row(i, {"a": 9, "c": {3}})
-        assert t.get(i, "a") == 9
-        assert t.get(i, "c") == {3}
+        assert t.column("b") == [1.5] * 5
+        # bulk columns: given fields take the sequences, others default
+        assert list(t.add_many(2, a=[7, 8])) == [5, 6]
+        assert t.column("a")[5:] == [7, 8] and t.column("b")[5:] == [1.5] * 2
+        with pytest.raises(ConfigError):
+            t.add_many(2, a=[1])
+        with pytest.raises(ConfigError):
+            t.add_many(1, zzz=[1])
+        assert len(t) == 7
 
     def test_unknown_field_rejected(self):
         t = mk_table()
@@ -57,14 +55,6 @@ class TestSoATable:
             SoATable("empty", ())
         with pytest.raises(ConfigError):
             SoATable("dup", (FieldSpec("x", 0), FieldSpec("x", 1)))
-
-    def test_chunk_geometry(self):
-        t = mk_table()
-        t.add_many(2 * CHUNK_ENTITIES + 10)
-        chunks = list(t.chunks())
-        assert chunks[0] == (0, CHUNK_ENTITIES)
-        assert chunks[-1] == (2 * CHUNK_ENTITIES, 2 * CHUNK_ENTITIES + 10)
-        assert t.chunk_count() == 3
 
     def test_memory_model(self):
         t = mk_table()
@@ -103,6 +93,13 @@ class TestWorld:
         w = World()
         assert w.table(EntityKind.SENDER) is w.senders
         assert w.table(EntityKind.EGRESS_PORT) is w.egress
+
+    def test_one_table_class_on_either_backend(self, dumbbell_scenario):
+        from repro.core.engine import BACKENDS, DodEngine
+        assert {
+            type(DodEngine(dumbbell_scenario, backend=b).world.table(kind))
+            for b in BACKENDS for kind in EntityKind
+        } == {SoATable}
 
     def test_memory_accounts_all_tables(self):
         w = World()

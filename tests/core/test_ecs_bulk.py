@@ -1,13 +1,13 @@
-"""Bulk columnar APIs: gather/scatter, chunk slices, command buffers."""
+"""Bulk column handles and command buffers."""
 
 import pytest
 
 from repro.core.ecs import CommandBuffer, consolidate
-from repro.core.ecs.components import CHUNK_ENTITIES, FieldSpec, SoATable
+from repro.core.ecs.components import FieldSpec, SoATable
 from repro.errors import ConfigError
 
 
-def make_table(n=0):
+def mk_table(n=0):
     t = SoATable("t", [FieldSpec("a", 0), FieldSpec("b", -1)])
     for i in range(n):
         t.add(a=i, b=10 * i)
@@ -16,70 +16,24 @@ def make_table(n=0):
 
 class TestBulkColumns:
     def test_column_is_the_raw_column(self):
-        t = make_table(3)
+        t = mk_table(3)
         col = t.column("a")
-        assert col is t.col("a")
+        assert col is t.column("a")
         col[1] = 99
         assert t.get(1, "a") == 99
 
     def test_column_unknown_name_raises(self):
-        t = make_table(1)
+        t = mk_table(1)
         with pytest.raises(ConfigError):
             t.column("missing")
         with pytest.raises(ConfigError):
             t.columns(["a", "missing"])
 
     def test_columns_bulk_handles(self):
-        t = make_table(2)
+        t = mk_table(2)
         cols = t.columns(["b", "a"])
         assert set(cols) == {"a", "b"}
-        assert cols["a"] is t.col("a")
-
-    def test_gather_scatter_round_trip(self):
-        t = make_table(8)
-        idxs = [6, 0, 3]
-        got = t.gather(idxs, ["a", "b"])
-        assert got == {"a": [6, 0, 3], "b": [60, 0, 30]}
-        t.scatter(idxs, "a", [-6, -0, -3])
-        assert t.gather(idxs, ["a"])["a"] == [-6, 0, -3]
-        # round-trip: scatter back what gather read
-        t.scatter(idxs, "a", got["a"])
-        assert t.col("a") == list(range(8))
-
-    def test_gather_empty_idxs(self):
-        t = make_table(4)
-        assert t.gather([], ["a"]) == {"a": []}
-
-    def test_scatter_length_mismatch_raises(self):
-        t = make_table(4)
-        with pytest.raises(ConfigError):
-            t.scatter([0, 1], "a", [5])
-
-    def test_slice_is_a_segment(self):
-        t = make_table(10)
-        assert t.slice("a", 3, 6) == [3, 4, 5]
-
-    def test_chunk_slices_cover_boundaries(self):
-        n = CHUNK_ENTITIES + 17
-        t = SoATable("big", [FieldSpec("x", 0)])
-        t.add_many(n)
-        xs = t.col("x")
-        for i in range(n):
-            xs[i] = i
-        pieces = list(t.chunk_slices(["x"]))
-        assert [(s, e) for s, e, _ in pieces] == [
-            (0, CHUNK_ENTITIES), (CHUNK_ENTITIES, n)
-        ]
-        rebuilt = []
-        for start, end, cols in pieces:
-            assert cols["x"] == xs[start:end]
-            rebuilt.extend(cols["x"])
-        assert rebuilt == xs
-
-    def test_chunk_slices_validates_names(self):
-        t = make_table(2)
-        with pytest.raises(ConfigError):
-            list(t.chunk_slices(["nope"]))
+        assert cols["a"] is t.column("a")
 
 
 class TestCommandBuffers:

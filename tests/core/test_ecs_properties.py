@@ -2,9 +2,8 @@
 
 The columnar kernels lean on :class:`SoATable`'s bulk accessors and on
 :class:`CommandBuffer` consolidation; these properties pin the algebra
-the kernels assume: gather/scatter round-trips, chunk slices tile the
-table exactly, bulk handles alias live storage, and consolidation is
-insensitive to how writes were batched into buffers.
+the kernels assume: bulk handles alias live storage, and consolidation
+is insensitive to how writes were batched into buffers.
 """
 
 import pytest
@@ -13,13 +12,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ecs.commands import CommandBuffer, consolidate
-from repro.core.ecs.components import CHUNK_ENTITIES, FieldSpec, SoATable
+from repro.core.ecs.components import FieldSpec, SoATable
 
 SCHEMA = (FieldSpec("a", 0), FieldSpec("b", -1), FieldSpec("c", 0))
 NAMES = tuple(f.name for f in SCHEMA)
 
 
-def make_table(rows):
+def mk_table(rows):
     table = SoATable("test", SCHEMA)
     for a, b, c in rows:
         table.add(a=a, b=b, c=c)
@@ -33,75 +32,26 @@ row_lists = st.lists(
 
 
 class TestSoATableProperties:
-    @given(rows=row_lists, data=st.data())
-    def test_gather_scatter_round_trip(self, rows, data):
-        """scatter(idxs, gather(idxs)) leaves every column unchanged,
-        and gather returns values in idxs order."""
-        table = make_table(rows)
-        idxs = data.draw(st.lists(
-            st.integers(0, len(rows) - 1), max_size=len(rows), unique=True))
-        before = {name: list(table.col(name)) for name in NAMES}
-        gathered = table.gather(idxs, NAMES)
-        for name in NAMES:
-            assert gathered[name] == [before[name][i] for i in idxs]
-            table.scatter(idxs, name, gathered[name])
-            assert table.col(name) == before[name]
-
-    @given(rows=row_lists, data=st.data())
-    def test_scatter_then_gather_reads_back(self, rows, data):
-        table = make_table(rows)
-        idxs = data.draw(st.lists(
-            st.integers(0, len(rows) - 1), max_size=len(rows), unique=True))
-        values = data.draw(st.lists(
-            st.integers(), min_size=len(idxs), max_size=len(idxs)))
-        table.scatter(idxs, "a", values)
-        assert table.gather(idxs, ("a",))["a"] == values
-
-    @given(n=st.integers(0, 3 * CHUNK_ENTITIES + 7))
-    def test_chunk_slices_tile_the_table(self, n):
-        """Chunks are disjoint, in order, cover [0, n) exactly, and the
-        per-chunk segments concatenate back to the whole column."""
-        table = SoATable("test", SCHEMA)
-        table.add_many(n)
-        col = table.col("a")
-        for i in range(n):
-            col[i] = i
-        cursor = 0
-        rebuilt = []
-        for start, end, segs in table.chunk_slices(("a",)):
-            assert start == cursor
-            assert start < end
-            assert end - start <= CHUNK_ENTITIES
-            assert segs["a"] == col[start:end]
-            rebuilt.extend(segs["a"])
-            cursor = end
-        assert cursor == n
-        assert rebuilt == col
-        assert table.chunk_count() == len(list(table.chunks()))
-
     @given(rows=row_lists)
     def test_column_handles_alias_storage(self, rows):
-        """column()/col() return the live column: writes through one
-        handle are visible through the other and via get(); slice() is
-        a copy and never writes back."""
-        table = make_table(rows)
+        """column() returns the live column: writes through the handle
+        are visible via get() and set() writes show in the handle."""
+        table = mk_table(rows)
         handle = table.column("b")
-        raw = table.col("b")
-        assert handle is raw
+        assert handle is table.column("b")
         handle[0] = 12345
         assert table.get(0, "b") == 12345
-        snap = table.slice("b", 0, len(rows))
-        snap[0] = -999
-        assert table.get(0, "b") == 12345
+        table.set(0, "b", -7)
+        assert handle[0] == -7
 
     @given(rows=row_lists, data=st.data())
     def test_columns_bulk_handles(self, rows, data):
-        table = make_table(rows)
+        table = mk_table(rows)
         sub = data.draw(st.lists(st.sampled_from(NAMES), unique=True))
         handles = table.columns(sub)
         assert set(handles) == set(sub)
         for name in sub:
-            assert handles[name] is table.col(name)
+            assert handles[name] is table.column(name)
 
 
 writes = st.lists(st.tuples(st.integers(0, 7), st.integers()), max_size=120)

@@ -7,13 +7,11 @@ structure's observable behavior exactly: grouping order, duration-cut
 filtering, scheduling decisions, structural edits.  These tests drive
 the store and an in-test scalar reference model through the same
 hypothesis-generated operation sequences and assert every observable
-agrees — mirroring ``test_numpy_table.py``'s table lockstep.
+agrees.
 
-The NumPy side is covered twice: :meth:`EventColumns.as_arrays` must
-view the very same column values, and the byte stream behind
-``signature_bytes`` must equal what ``ndarray.tobytes()`` produces for
-the same columns (the property that makes ``window_signature()``
-backend-stable).
+The byte stream behind ``signature_bytes`` must equal what
+``ndarray.tobytes()`` produces for the same columns as int64 (the
+property that makes ``window_signature()`` backend-stable).
 """
 
 import heapq
@@ -174,35 +172,18 @@ class TestLockstep:
 class TestNumpyViews:
     @given(ops=inserts)
     @settings(max_examples=40, deadline=None)
-    def test_as_arrays_views_the_columns(self, ops):
-        np = pytest.importorskip("numpy")
-        _ref, cand = build_pair(ops)
-        for win in cand.windows():
-            nodes, tags, times, prios = cand.as_arrays(win)
-            grouped = cand.entries_of(win)
-            flat = [(n, e) for n, es in grouped.items() for e in es]
-            # column order is insertion order; re-derive per entry
-            assert sorted(zip(nodes.tolist(), tags.tolist())) == \
-                sorted((n, e[0]) for n, e in flat)
-            for arr in (nodes, tags, times, prios):
-                assert arr.dtype == np.int64
-
-    @given(ops=inserts)
-    @settings(max_examples=40, deadline=None)
     def test_signature_matches_ndarray_bytes(self, ops):
         """The struct-packed column streams equal ndarray.tobytes() —
         the exact property that makes the signature backend-stable."""
         np = pytest.importorskip("numpy")
         _ref, cand = build_pair(ops)
         for win in cand.windows():
-            nodes, tags, times, prios = cand.as_arrays(win)
-            n = len(nodes)
-            packed = struct.Struct(f"<{n}q").pack
             bucket = cand._buckets[win]
-            assert packed(*bucket.nodes) == nodes.tobytes()
-            assert packed(*bucket.tags) == tags.tobytes()
-            assert packed(*bucket.times) == times.tobytes()
-            assert packed(*bucket.prios) == prios.tobytes()
+            packed = struct.Struct(f"<{len(bucket.nodes)}q").pack
+            for column in (bucket.nodes, bucket.tags, bucket.times,
+                           bucket.prios):
+                assert packed(*column) == \
+                    np.asarray(column, dtype=np.int64).tobytes()
 
     @given(ops=inserts)
     @settings(max_examples=40, deadline=None)

@@ -56,8 +56,6 @@ def test_soa_table_columns_mirror_inserts(values):
     t = SoATable("x", (FieldSpec("v", 0), FieldSpec("w", -1)))
     for v in values:
         t.add(v=v)
-    assert t.col("v") == values
-    assert t.col("w") == [-1] * len(values)
+    assert t.column("v") == values
+    assert t.column("w") == [-1] * len(values)
     assert len(t) == len(values)
-    total_chunk = sum(b - a for a, b in t.chunks())
-    assert total_chunk == len(values)

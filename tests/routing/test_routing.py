@@ -54,11 +54,6 @@ class TestBuilder:
         # cross-pod: 6 hops
         assert len(fib.path(hosts[0], hosts[8], 1)) == 7
 
-    def test_parallel_builder_matches_serial(self, fattree4):
-        serial = build_fib(fattree4, workers=1)
-        threaded = build_fib(fattree4, workers=4)
-        assert serial.tables == threaded.tables
-
     def test_subset_of_destinations(self, fattree4):
         hosts = fattree4.hosts
         fib = build_fib(fattree4, dests=hosts[:2])
