@@ -4,8 +4,8 @@
 Runs a FatTree scenario with periodic checkpoints into two replica
 directories, simulates a crash by discarding the engine, resumes from
 the surviving replica, and verifies the resumed trace is identical to an
-uninterrupted run.  Finishes by exporting per-flow CSV from the resumed
-results.
+uninterrupted run.  Finishes by printing the first per-flow completion
+times straight off the resumed ``SimResults``.
 
     python examples/fault_tolerant_run.py
 """
@@ -15,9 +15,9 @@ import tempfile
 
 from repro import fattree, full_mesh_dynamic, make_scenario, run_dons
 from repro.core.checkpoint import CheckpointingEngine, CheckpointStore
-from repro.metrics import TraceLevel, flows_csv
+from repro.metrics import TraceLevel
 from repro.traffic import TINY
-from repro.units import GBPS, ms, us
+from repro.units import GBPS, ms, ps_to_us, us
 
 
 def main() -> None:
@@ -54,10 +54,12 @@ def main() -> None:
     print(f"resumed from window {checkpoint.current_window}: trace "
           f"identical to the uninterrupted run")
 
-    csv_text = flows_csv(resumed)
-    print(f"\nper-flow CSV ({len(csv_text.splitlines()) - 1} rows), head:")
-    for line in csv_text.splitlines()[:5]:
-        print("  " + line)
+    print(f"\nper-flow results ({len(resumed.flows)} flows), head:")
+    print("  flow_id  size_bytes  fct_us")
+    for fid in sorted(resumed.flows)[:5]:
+        fr = resumed.flows[fid]
+        fct = f"{ps_to_us(fr.fct_ps):.3f}" if fr.fct_ps is not None else "-"
+        print(f"  {fid:>7}  {fr.size_bytes:>10}  {fct}")
 
 
 if __name__ == "__main__":

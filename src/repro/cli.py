@@ -168,17 +168,15 @@ class _Progress:
     """One-line stderr progress/ETA meter for long runs.
 
     Hangs off :class:`~repro.core.runner.EngineRunner`'s ``on_step``
-    hook; shows windows done, events/s, percent complete with an ETA,
-    and (for a telemetered cluster run) the per-agent lag of the last
-    window.  Suppressed entirely when stderr is not a TTY, so piped and
-    CI output stays clean.
+    hook and formats :func:`repro.metrics.timeline.run_record` — the
+    snapshot the live stream and ``stats`` read: windows done,
+    events/s, percent complete with an ETA, and (for a timed cluster
+    run) the largest cumulative barrier wait.  Suppressed entirely when
+    stderr is not a TTY, so piped and CI output stays clean.
     """
 
-    def __init__(self, engine, duration_ps, lookahead_ps,
-                 stream=None) -> None:
+    def __init__(self, engine, stream=None) -> None:
         self.engine = engine
-        self.duration = duration_ps
-        self.lookahead = lookahead_ps
         self.stream = sys.stderr if stream is None else stream
         isatty = getattr(self.stream, "isatty", None)
         self.enabled = bool(isatty and isatty())
@@ -194,31 +192,18 @@ class _Progress:
             return
         self._last = now
         elapsed = now - self.t0
-        prog = getattr(self.engine, "progress", None)
-        p = prog() if callable(prog) else {}
-        parts = [f"{p.get('windows', steps)} windows"]
-        events = p.get("events")
-        if events is None:
-            ev = getattr(getattr(self.engine, "results", None), "events",
-                         None)
-            events = ev.total if ev is not None else 0
-        if elapsed > 0:
-            parts.append(f"{events / elapsed:,.0f} ev/s")
-        frac = p.get("done")
-        if frac is None and self.duration and self.lookahead:
-            cursor = getattr(self.engine, "_cursor", -1)
-            if cursor > 0:
-                frac = min(1.0, cursor * self.lookahead / self.duration)
-        if frac and elapsed > 0:
+        from .metrics.timeline import run_record
+        r = run_record(self.engine.bus, self.engine, elapsed)
+        parts = [f"{r['windows']} windows", f"{r['events_per_s']:,.0f} ev/s"]
+        frac = r["done"]
+        if frac:
             eta = elapsed * (1.0 - frac) / frac
             parts.append(f"{frac * 100:3.0f}% eta {eta:5.1f}s")
         else:
             # No duration cut to project against: show elapsed instead.
             parts.append(f"t+{elapsed:.1f}s")
-        times = getattr(getattr(self.engine, "transport", None),
-                        "window_times", None)
-        if times:
-            parts.append(f"lag {(max(times) - min(times)) * 1e3:.2f}ms")
+        if r["agents_wait_s"]:
+            parts.append(f"wait {max(r['agents_wait_s']):.2f}s")
         self._wrote = True
         print("\r" + " | ".join(parts) + "\x1b[K", end="",
               file=self.stream, flush=True)
@@ -229,30 +214,41 @@ class _Progress:
             print("\r\x1b[K", end="", file=self.stream, flush=True)
 
 
-def _progress_for(args, engine, scenario) -> Optional[_Progress]:
-    if not getattr(args, "progress", False):
-        return None
-    return _Progress(engine, scenario.duration_ps, scenario.lookahead_ps)
-
-
-def _live_for(args, engine):
-    """Attach the live observability plane when the invocation asks for
-    it: ``profile --live FILE`` / ``stats --watch`` (NDJSON stream),
-    ``--metrics-port`` (OpenMetrics endpoint).  Returns a started
-    ``LivePlane`` or ``None``."""
-    target = getattr(args, "live", None)
-    watch = getattr(args, "watch", False)
-    port = getattr(args, "metrics_port", None)
-    if target is None and not watch and port is None:
-        return None
-    from .metrics.live import LivePlane
-    if watch or target == "-":
-        plane = LivePlane(engine, stream=sys.stderr, metrics_port=port)
+def _run_observed(args, scenario, backend, telemetry):
+    """Build the engine ``profile`` / ``stats`` asked for (serial, or
+    ``--cluster N`` agents), attach what the invocation asked to watch
+    it with — the ``--progress`` meter, the live plane's NDJSON stream
+    (``profile --live FILE`` / ``stats --watch``) — run it to completion
+    and release both.  Returns the finished engine."""
+    from .core.runner import EngineRunner, chain_hooks
+    if args.cluster:
+        from .cluster import DonsManager
+        from .partition import ClusterSpec, plan_scenario
+        mgr = DonsManager(scenario, ClusterSpec.homogeneous(args.cluster),
+                          transport=args.transport, backend=backend,
+                          telemetry=telemetry)
+        engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
     else:
-        plane = LivePlane(engine, path=target, metrics_port=port)
-    if plane.server is not None:
-        print(f"metrics endpoint: {plane.server.url}", file=sys.stderr)
-    return plane
+        from .core.engine import DodEngine
+        engine = DodEngine(scenario, backend=backend, telemetry=telemetry,
+                           ffwd=args.ffwd)
+    progress = _Progress(engine) if getattr(args, "progress", False) else None
+    live = None
+    target = "-" if getattr(args, "watch", False) else getattr(
+        args, "live", None)
+    if target is not None:
+        from .metrics.live import LivePlane
+        live = (LivePlane(engine, stream=sys.stderr) if target == "-"
+                else LivePlane(engine, path=target))
+    try:
+        EngineRunner(engine, on_step=chain_hooks(
+            progress, live.on_step if live else None)).run()
+    finally:
+        if progress:
+            progress.close()
+        if live:
+            live.close()
+    return engine
 
 
 def cmd_run(args) -> int:
@@ -290,47 +286,14 @@ def cmd_profile(args) -> int:
     cluster bus collected."""
     import json
     scenario = build_scenario(args)
-    telemetry = bool(args.timeline)
-    from .core.engine import DodEngine, resolve_backend
+    from .core.engine import resolve_backend
     backend = resolve_backend(args.backend)
+    engine = _run_observed(args, scenario, backend, bool(args.timeline))
+    results, bus = engine.results, engine.bus
+    agent_times = None
     if args.cluster:
-        from .cluster import DonsManager
-        from .partition import ClusterSpec, measured_machine_times
-        from .partition import plan_scenario
-        mgr = DonsManager(scenario, ClusterSpec.homogeneous(args.cluster),
-                          transport=args.transport,
-                          backend=backend,
-                          telemetry=telemetry)
-        engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
-        progress = _progress_for(args, engine, scenario)
-        live = _live_for(args, engine)
-        try:
-            from .core.runner import EngineRunner, chain_hooks
-            EngineRunner(engine, on_step=chain_hooks(
-                progress, live.on_step if live else None)).run()
-        finally:
-            if progress:
-                progress.close()
-            if live:
-                live.close()
-        results, bus = engine.results, engine.bus
+        from .partition import measured_machine_times
         agent_times = measured_machine_times(bus, args.cluster)
-    else:
-        from .core.runner import EngineRunner, chain_hooks
-        eng = DodEngine(scenario, backend=backend, telemetry=telemetry,
-                        ffwd=args.ffwd)
-        progress = _progress_for(args, eng, scenario)
-        live = _live_for(args, eng)
-        try:
-            results = EngineRunner(eng, on_step=chain_hooks(
-                progress, live.on_step if live else None)).run()
-        finally:
-            if progress:
-                progress.close()
-            if live:
-                live.close()
-        bus = eng.bus
-        agent_times = None
     if args.timeline:
         from .metrics.timeline import write_timeline
         write_timeline(bus, args.timeline, manifest=dict(
@@ -369,7 +332,7 @@ def cmd_profile(args) -> int:
               f"{prof.elapsed_s * 1000:>8.3f}")
     print(f"windows {bus.counters.get('windows', 0):>{width + 5}}")
     from .metrics.timeline import memo_line
-    memo = memo_line(bus.counters)
+    memo = memo_line(bus)
     if memo:
         print(memo)
     if agent_times is not None:
@@ -383,41 +346,21 @@ def cmd_profile(args) -> int:
 def cmd_stats(args) -> int:
     """Run one scenario with telemetry on and dump everything the bus
     measured — counters, gauges, histograms, per-system totals, and (for
-    cluster runs) the per-agent busy / barrier-wait series — as JSON or
-    CSV, to stdout or ``--out FILE`` (with a provenance manifest)."""
+    cluster runs) the per-agent busy / barrier-wait series — as JSON, to
+    stdout or ``--out FILE`` (with a provenance manifest)."""
     import json
-    from .core.runner import EngineRunner
     scenario = build_scenario(args)
-    from .core.engine import DodEngine, resolve_backend
+    from .core.engine import resolve_backend
     backend = resolve_backend(args.backend)
-    if args.cluster:
-        from .cluster import DonsManager
-        from .partition import ClusterSpec, plan_scenario
-        mgr = DonsManager(scenario, ClusterSpec.homogeneous(args.cluster),
-                          transport=args.transport,
-                          backend=backend, telemetry=True)
-        engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
-    else:
-        engine = DodEngine(scenario, backend=backend, telemetry=True,
-                           ffwd=args.ffwd)
-    live = _live_for(args, engine)
-    try:
-        EngineRunner(engine,
-                     on_step=live.on_step if live else None).run()
-    finally:
-        if live:
-            live.close()
-    bus = engine.bus
-    from .metrics.timeline import stats_csv, stats_dict, write_stats
+    bus = _run_observed(args, scenario, backend, True).bus
+    from .metrics.timeline import stats_dict, write_stats
     if args.out:
-        write_stats(bus, args.out, fmt=args.format, manifest=dict(
+        write_stats(bus, args.out, manifest=dict(
             command="stats", scenario=scenario.name, backend=backend,
             transport=args.transport if args.cluster else None,
             cluster=args.cluster or None,
         ))
         print(f"stats written to {args.out}")
-    elif args.format == "csv":
-        sys.stdout.write(stats_csv(bus))
     else:
         json.dump(stats_dict(bus), sys.stdout, indent=2, sort_keys=True)
         print()
@@ -487,8 +430,10 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--buffer-kb", type=int, default=4096)
     common.add_argument("--backend", choices=["python", "numpy"],
                         default=None,
-                        help="ECS table/system backend for the DOD engine "
-                             "(default: $REPRO_BACKEND, then python)")
+                        help="window execution of the DOD engine: python = "
+                             "the four reference systems, numpy = the "
+                             "fused pass (default: $REPRO_BACKEND, then "
+                             "python)")
     common.add_argument("--save", metavar="FILE",
                         help="write the scenario JSON before running")
     common.add_argument("--load", metavar="FILE",
@@ -516,7 +461,7 @@ def make_parser() -> argparse.ArgumentParser:
     profile.add_argument("--cluster", type=int, default=0, metavar="N",
                          help="distribute over N agents; rows come from "
                               "the merged cluster bus tagged a<id>:system")
-    profile.add_argument("--transport", choices=["local", "process", "shm"],
+    profile.add_argument("--transport", choices=["local", "shm"],
                          default="local",
                          help="how cluster agents are hosted (with --cluster)")
     profile.add_argument("--timeline", metavar="FILE",
@@ -535,11 +480,6 @@ def make_parser() -> argparse.ArgumentParser:
                               "('-' = stderr) while the run executes; with "
                               "--timeline the flight recorder also arms and "
                               "dumps FILE.flight.json on crash/SIGUSR1")
-    profile.add_argument("--metrics-port", type=int, default=None,
-                         metavar="PORT",
-                         help="serve OpenMetrics text at "
-                              "http://127.0.0.1:PORT/metrics during the run "
-                              "(0 = ephemeral port, printed to stderr)")
     profile.set_defaults(fn=cmd_profile)
 
     stats = sub.add_parser(
@@ -547,22 +487,16 @@ def make_parser() -> argparse.ArgumentParser:
         help="run with telemetry and dump counters / gauges / histograms")
     stats.add_argument("--cluster", type=int, default=0, metavar="N",
                        help="distribute over N agents")
-    stats.add_argument("--transport", choices=["local", "process", "shm"],
+    stats.add_argument("--transport", choices=["local", "shm"],
                        default="local",
                        help="how cluster agents are hosted (with --cluster)")
     stats.add_argument("--out", metavar="FILE",
                        help="write to FILE (plus FILE.manifest.json) "
                             "instead of stdout")
-    stats.add_argument("--format", choices=["json", "csv"], default="json")
     stats.add_argument("--watch", action="store_true",
                        help="stream NDJSON progress records to stderr "
                             "while the run executes (the live plane; "
                             "stdout still gets the final stats)")
-    stats.add_argument("--metrics-port", type=int, default=None,
-                       metavar="PORT",
-                       help="serve OpenMetrics text at "
-                            "http://127.0.0.1:PORT/metrics during the run "
-                            "(0 = ephemeral port)")
     stats.add_argument("--ffwd", action="store_true",
                        help="window-signature memo fast-forwarding, as in "
                             "profile --ffwd — lets the memo.* counters "

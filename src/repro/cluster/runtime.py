@@ -98,9 +98,11 @@ class ClusterEngine:
         #: exported as ``a<i>:busy_s`` / ``a<i>:barrier_wait_s`` gauges
         #: at finalize — the exact series
         #: :func:`repro.partition.refit_cluster_spec` takes as
-        #: ``measured_times``.
-        self._busy_s = [0.0] * len(self.specs)
-        self._wait_s = [0.0] * len(self.specs)
+        #: ``measured_times``.  The one busy / wait accumulator:
+        #: :func:`repro.metrics.timeline.run_record` reads it for the
+        #: live stream, ``stats`` and ``--progress``.
+        self.busy_s = [0.0] * len(self.specs)
+        self.wait_s = [0.0] * len(self.specs)
         #: Stall/slowness detector over the same measured window times
         #: (:class:`repro.metrics.live.ClusterWatchdog`).  ``None`` off,
         #: ``True`` forced on, default (``None`` argument) arms it when
@@ -316,8 +318,8 @@ class ClusterEngine:
         bus = self.bus
         transport = self.transport
         for agent_id, busy in enumerate(transport.window_times):
-            self._busy_s[agent_id] += busy
-            self._wait_s[agent_id] += transport.window_waits[agent_id]
+            self.busy_s[agent_id] += busy
+            self.wait_s[agent_id] += transport.window_waits[agent_id]
         if self.watchdog is not None:
             self.watchdog.observe(window, transport.window_times, bus)
         if not bus.telemetry:
@@ -355,9 +357,9 @@ class ClusterEngine:
                 # refit_cluster_spec loop closes either way.
                 for agent_id in range(len(self.specs)):
                     self.bus.metrics.gauge(f"a{agent_id}:busy_s",
-                                           self._busy_s[agent_id])
+                                           self.busy_s[agent_id])
                     self.bus.metrics.gauge(f"a{agent_id}:barrier_wait_s",
-                                           self._wait_s[agent_id])
+                                           self.wait_s[agent_id])
             self.transport.finalize_stats()
         finally:
             self.transport.close()

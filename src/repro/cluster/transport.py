@@ -771,12 +771,13 @@ class ProcessTransport(Transport):
 
 
 def make_transport(kind: Union[str, Transport, None]) -> Transport:
-    """Resolve a transport argument: an instance, a name, or ``None``
-    (``"process"`` and ``"shm"`` name the same transport)."""
+    """Resolve a transport argument: an instance, a name (``"local"``
+    in-process, ``"shm"`` worker processes over shared-memory rings),
+    or ``None`` (local)."""
     if kind is None or kind == "local":
         return LocalTransport()
     if isinstance(kind, Transport):
         return kind
-    if kind in ("process", "shm"):
+    if kind == "shm":
         return ProcessTransport()
     raise ClusterError(f"unknown transport {kind!r}")

@@ -95,23 +95,6 @@ class Histogram:
                         else self.buckets[-1])
         return self.buckets[-1]
 
-    def cumulative(self) -> List[Tuple[float, int]]:
-        """Cumulative ``(upper_bound, count)`` pairs ending at ``+Inf``.
-
-        The native layout is per-bucket (``counts[i]`` alone holds the
-        samples in bucket *i*); OpenMetrics exposition requires each
-        bucket to include everything below it and a final ``+Inf``
-        bucket equal to the total count — this is that view
-        (:func:`repro.metrics.live.openmetrics_text` emits it).
-        """
-        out: List[Tuple[float, int]] = []
-        cum = 0
-        for bound, n in zip(self.buckets, self.counts):
-            cum += n
-            out.append((bound, cum))
-        out.append((float("inf"), self.count))
-        return out
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "buckets": list(self.buckets),

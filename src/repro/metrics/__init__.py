@@ -3,32 +3,22 @@
 from .trace import Entry, TraceKind, TraceLevel, TraceRecorder
 from .results import EventCounts, FlowResult, SimResults
 from .wasserstein import load_vector_distance, normalized_w1, wasserstein_1d
-from .export import flows_csv, rtt_csv, window_breakdown_csv
-from .traceview import (
-    drops_by_port, flow_timeline, hops, marked_fraction, packet_journey,
-    per_hop_latency, queueing_delays,
-)
+from .traceview import hops, packet_journey
 from .timeline import (
-    chrome_trace_events, run_manifest, stats_csv, stats_dict,
+    chrome_trace_events, run_manifest, run_record, stats_dict,
     validate_chrome_trace, validate_timeline_file, write_manifest,
     write_stats, write_timeline,
 )
-from .live import (
-    ClusterWatchdog, FlightRecorder, LivePlane, MetricsServer,
-    openmetrics_text, validate_openmetrics,
-)
+from .live import ClusterWatchdog, FlightRecorder, LivePlane
 
 __all__ = [
     "Entry", "TraceKind", "TraceLevel", "TraceRecorder",
     "EventCounts", "FlowResult", "SimResults",
     "load_vector_distance", "normalized_w1", "wasserstein_1d",
-    "flows_csv", "rtt_csv", "window_breakdown_csv",
-    "drops_by_port", "flow_timeline", "hops", "marked_fraction",
-    "packet_journey", "per_hop_latency", "queueing_delays",
+    "hops", "packet_journey",
     "chrome_trace_events", "write_timeline",
     "validate_chrome_trace", "validate_timeline_file",
-    "stats_dict", "stats_csv", "write_stats",
+    "run_record", "stats_dict", "write_stats",
     "run_manifest", "write_manifest",
-    "LivePlane", "MetricsServer", "FlightRecorder", "ClusterWatchdog",
-    "openmetrics_text", "validate_openmetrics",
+    "LivePlane", "FlightRecorder", "ClusterWatchdog",
 ]

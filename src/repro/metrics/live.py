@@ -2,7 +2,7 @@
 
 Everything :mod:`repro.metrics.timeline` exports is post-mortem — it
 reads the bus after ``finalize()``.  This module is the in-flight
-counterpart, four pieces reading the same
+counterpart, three pieces reading the same
 :class:`~repro.core.instrument.InstrumentationBus` /
 :class:`~repro.core.telemetry.MetricsRegistry` without perturbing the
 simulation (the trace digest is byte-identical with the plane on or
@@ -10,17 +10,11 @@ off):
 
 * :class:`LivePlane` — a wall-clock-throttled sampler hung off
   :class:`~repro.core.runner.EngineRunner`'s per-window ``on_step``
-  hook.  Every ``$REPRO_LIVE_INTERVAL_MS`` (default 500) it emits one
-  NDJSON progress record — sim time, windows done, events committed,
-  events/s, memo hit rate, shm transport counters, per-agent busy /
-  barrier-wait — to a file or stream, and republishes the same snapshot
-  to the metrics endpoint.  ``python -m repro profile --live FILE`` and
-  ``python -m repro stats --watch`` are the CLI front ends.
-* :class:`MetricsServer` — a localhost HTTP listener (port 0 picks an
-  ephemeral port) serving the latest snapshot at ``/metrics`` in
-  OpenMetrics text exposition format, scrapeable by Prometheus.  The
-  serving thread only ever reads an immutable published string — it
-  never touches live engine state.
+  hook.  Every ``interval_ms`` (default 500) it emits one NDJSON
+  progress record — :func:`repro.metrics.timeline.run_record` stamped
+  with the schema version, kind and wall clock — to a file or stream.
+  ``python -m repro profile --live FILE`` and ``python -m repro stats
+  --watch`` are the CLI front ends.
 * :class:`FlightRecorder` — a bounded ring buffer over the bus's span
   stream holding the last N windows.  On a crash, a fault-injection
   kill, or ``SIGUSR1`` it dumps a Chrome-trace-compatible artifact
@@ -30,11 +24,8 @@ off):
 * :class:`ClusterWatchdog` — coordinator-side stall/slowness detection
   for :class:`~repro.cluster.runtime.ClusterEngine`.  It folds every
   window's measured per-agent reply times into per-agent baselines,
-  flags agents whose current window exceeds the learned threshold,
-  emits ``watchdog.*`` counters and NDJSON events into the live stream,
-  and accumulates the per-agent busy seconds that
-  :func:`repro.partition.refit_cluster_spec` consumes as
-  ``measured_times``.
+  flags agents whose current window exceeds the learned threshold, and
+  emits ``watchdog.*`` counters and NDJSON events into the live stream.
 
 The NDJSON record schema is pinned by ``LIVE_SCHEMA_VERSION`` (and by
 ``tests/metrics/test_live.py``); every record carries the full key set
@@ -46,21 +37,18 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import signal
 import threading
 import time
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..errors import ReproError
+from .timeline import run_record
 
 __all__ = [
     "LIVE_SCHEMA_VERSION", "LIVE_RECORD_KEYS",
-    "LivePlane", "MetricsServer", "FlightRecorder", "ClusterWatchdog",
-    "openmetrics_text", "validate_openmetrics",
+    "LivePlane", "FlightRecorder", "ClusterWatchdog",
 ]
 
 #: Version stamp of the NDJSON progress-record schema (the ``v`` field).
@@ -79,257 +67,6 @@ LIVE_RECORD_KEYS = (
 
 #: Sampler throttle (wall-clock milliseconds between NDJSON records).
 DEFAULT_INTERVAL_MS = 500.0
-ENV_INTERVAL = "REPRO_LIVE_INTERVAL_MS"
-
-OPENMETRICS_CONTENT_TYPE = (
-    "application/openmetrics-text; version=1.0.0; charset=utf-8"
-)
-
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
-_AGENT_RE = re.compile(r"^a(\d+):(.+)$")
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)"
-    r"(?:\{(?P<labels>[^}]*)\})? "
-    r"(?P<value>-?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\+?Inf|NaN))$"
-)
-
-
-def _metric_name(name: str) -> Tuple[str, str]:
-    """Map one bus metric name to ``(family, labels)``.
-
-    ``a<i>:rest`` names (the cluster merge's per-agent tag) become one
-    shared ``repro_agent_<rest>`` family with an ``agent="<i>"`` label;
-    everything else is sanitized under the ``repro_`` prefix.
-    """
-    match = _AGENT_RE.match(name)
-    if match:
-        rest = _NAME_RE.sub("_", match.group(2))
-        return f"repro_agent_{rest}", f'agent="{match.group(1)}"'
-    return "repro_" + _NAME_RE.sub("_", name), ""
-
-
-def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
-#: Progress-record fields republished as gauges on the endpoint.
-_LIVE_GAUGES = (
-    ("windows", "repro_windows_done", "lookahead windows executed"),
-    ("sim_ps", "repro_sim_time_picoseconds", "simulated time reached"),
-    ("events", "repro_events_committed", "simulation events committed"),
-    ("events_per_s", "repro_events_per_second", "throughput (cumulative)"),
-    ("wall_s", "repro_wall_clock_seconds", "wall-clock since attach"),
-    ("done", "repro_run_completion_ratio", "fraction of the duration cut"),
-    ("memo_hit_rate", "repro_memo_hit_rate", "window-memo hit fraction"),
-)
-
-
-def openmetrics_text(record: Dict[str, Any],
-                     counters: Optional[Dict[str, int]] = None,
-                     metrics: Optional[Dict[str, Any]] = None) -> str:
-    """Render one live snapshot as OpenMetrics text exposition format.
-
-    ``record`` is an NDJSON progress record (its numeric fields become
-    gauges), ``counters`` the bus's counter dict (families suffixed
-    ``_total``), ``metrics`` a
-    :meth:`~repro.core.telemetry.MetricsRegistry.snapshot` (gauges pass
-    through, histograms are emitted with the cumulative bucket counts
-    and ``+Inf`` bound the format requires).  Ends with the mandatory
-    ``# EOF`` terminator.
-    """
-    lines: List[str] = []
-    for key, family, help_text in _LIVE_GAUGES:
-        value = record.get(key)
-        if value is None:
-            continue
-        lines.append(f"# TYPE {family} gauge")
-        lines.append(f"# HELP {family} {help_text}")
-        lines.append(f"{family} {_fmt(value)}")
-    for name in sorted(counters or ()):
-        family, labels = _metric_name(name)
-        lines.append(f"# TYPE {family} counter")
-        suffix = f"{{{labels}}}" if labels else ""
-        lines.append(f"{family}_total{suffix} {_fmt(counters[name])}")
-    metrics = metrics or {}
-    # Agent-tagged gauges share one family; group before emitting so the
-    # TYPE line appears exactly once per family.
-    families: Dict[str, List[str]] = {}
-    for name in sorted(metrics.get("counters", ())):
-        family, labels = _metric_name(name)
-        suffix = f"{{{labels}}}" if labels else ""
-        families.setdefault(family + " counter", []).append(
-            f"{family}_total{suffix} {_fmt(metrics['counters'][name])}")
-    for name in sorted(metrics.get("gauges", ())):
-        family, labels = _metric_name(name)
-        suffix = f"{{{labels}}}" if labels else ""
-        families.setdefault(family + " gauge", []).append(
-            f"{family}{suffix} {_fmt(metrics['gauges'][name])}")
-    for key in sorted(families):
-        family, kind = key.rsplit(" ", 1)
-        lines.append(f"# TYPE {family} {kind}")
-        lines.extend(families[key])
-    for name in sorted(metrics.get("histograms", ())):
-        snap = metrics["histograms"][name]
-        family, _labels = _metric_name(name)
-        lines.append(f"# TYPE {family} histogram")
-        cum = 0
-        for bound, count in zip(snap["buckets"], snap["counts"]):
-            cum += count
-            lines.append(f'{family}_bucket{{le="{_fmt(bound)}"}} {cum}')
-        lines.append(f'{family}_bucket{{le="+Inf"}} {snap["count"]}')
-        lines.append(f"{family}_count {snap['count']}")
-        lines.append(f"{family}_sum {_fmt(snap['sum'])}")
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
-
-
-def validate_openmetrics(text: str) -> List[Tuple[str, str, float]]:
-    """Check one exposition payload against the subset we emit.
-
-    Verifies the ``# EOF`` terminator, that every sample belongs to a
-    ``# TYPE``-declared family (with the ``_total`` suffix on counters
-    and cumulative, ``+Inf``-terminated buckets on histograms), and that
-    sample lines parse.  Raises :class:`ReproError` on the first
-    violation; returns the parsed ``(name, labels, value)`` samples.
-    """
-    if not text.endswith("# EOF\n"):
-        raise ReproError("openmetrics: missing '# EOF' terminator")
-    types: Dict[str, str] = {}
-    samples: List[Tuple[str, str, float]] = []
-    hist_state: Dict[str, Dict[str, Any]] = {}
-    for i, line in enumerate(text.splitlines()):
-        if not line:
-            raise ReproError(f"openmetrics: blank line {i}")
-        if line.startswith("#"):
-            parts = line.split(" ", 3)
-            if parts[1] == "EOF":
-                continue
-            if parts[1] not in ("TYPE", "HELP", "UNIT"):
-                raise ReproError(f"openmetrics: bad comment line {i}: "
-                                 f"{line!r}")
-            if parts[1] == "TYPE":
-                if len(parts) != 4 or parts[3] not in (
-                        "counter", "gauge", "histogram", "summary",
-                        "info", "unknown"):
-                    raise ReproError(
-                        f"openmetrics: bad TYPE line {i}: {line!r}")
-                if parts[2] in types:
-                    raise ReproError(
-                        f"openmetrics: duplicate TYPE for {parts[2]!r}")
-                types[parts[2]] = parts[3]
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            raise ReproError(f"openmetrics: unparsable sample line {i}: "
-                             f"{line!r}")
-        name, labels = match.group("name"), match.group("labels") or ""
-        value = float(match.group("value").replace("Inf", "inf"))
-        family = name
-        for suffix in ("_total", "_bucket", "_count", "_sum"):
-            base = name[: -len(suffix)] if name.endswith(suffix) else None
-            if base and base in types:
-                family = base
-                break
-        kind = types.get(family)
-        if kind is None:
-            raise ReproError(
-                f"openmetrics: sample {name!r} has no TYPE metadata")
-        if kind == "counter" and not name.endswith("_total"):
-            raise ReproError(
-                f"openmetrics: counter sample {name!r} lacks _total")
-        if kind == "histogram" and name.endswith("_bucket"):
-            le = dict(
-                pair.split("=", 1) for pair in labels.split(",") if pair
-            ).get("le", "").strip('"')
-            state = hist_state.setdefault(
-                family, {"last_le": None, "last_cum": None})
-            bound = float(le.replace("Inf", "inf"))
-            if state["last_le"] is not None and bound <= state["last_le"]:
-                raise ReproError(
-                    f"openmetrics: {family} buckets not sorted at {le}")
-            if (state["last_cum"] is not None
-                    and value < state["last_cum"]):
-                raise ReproError(
-                    f"openmetrics: {family} buckets not cumulative at {le}")
-            state["last_le"], state["last_cum"] = bound, value
-            if bound == float("inf"):
-                state["inf"] = value
-        if kind == "histogram" and name.endswith("_count"):
-            inf = hist_state.get(family, {}).get("inf")
-            if inf is not None and inf != value:
-                raise ReproError(
-                    f"openmetrics: {family} +Inf bucket {inf} != "
-                    f"count {value}")
-        samples.append((name, labels, value))
-    return samples
-
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        if self.path.rstrip("/") not in ("", "/metrics"):
-            self.send_error(404)
-            return
-        payload = self.server.payload  # type: ignore[attr-defined]
-        body = payload.encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", OPENMETRICS_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *_args: Any) -> None:
-        """Scrapes must not spam the run's stderr."""
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, *args: Any) -> None:
-        super().__init__(*args)
-        self._lock = threading.Lock()
-        self._payload = "# EOF\n"
-
-    @property
-    def payload(self) -> str:
-        with self._lock:
-            return self._payload
-
-    @payload.setter
-    def payload(self, text: str) -> None:
-        with self._lock:
-            self._payload = text
-
-
-class MetricsServer:
-    """Localhost OpenMetrics endpoint serving the last published snapshot.
-
-    The sampler thread *pushes* rendered text with :meth:`publish`; the
-    HTTP thread only ever reads that immutable string, so a Prometheus
-    scrape can never observe (or block on) live engine state.
-    """
-
-    def __init__(self, port: Optional[int] = None) -> None:
-        """``port`` ``None`` or 0 binds an ephemeral port."""
-        self._http = _Server(("127.0.0.1", port or 0), _MetricsHandler)
-        self.port: int = self._http.server_address[1]
-        self.url = f"http://127.0.0.1:{self.port}/metrics"
-        self._thread = threading.Thread(
-            target=self._http.serve_forever, name="repro-metrics",
-            daemon=True)
-        self._thread.start()
-
-    def publish(self, text: str) -> None:
-        self._http.payload = text
-
-    def close(self) -> None:
-        self._http.shutdown()
-        self._http.server_close()
-        self._thread.join(timeout=5)
 
 
 class FlightRecorder:
@@ -422,11 +159,9 @@ class ClusterWatchdog:
     Emissions: ``watchdog.checks`` / ``watchdog.slow`` /
     ``watchdog.stalled`` counters on the cluster bus, plus event dicts
     the live plane drains into the NDJSON stream via
-    :meth:`pop_events`.  The accumulated per-agent busy seconds
-    (:meth:`measured_times`) are the ``measured_times`` sequence
-    :func:`repro.partition.refit_cluster_spec` consumes — the watchdog
-    keeps the measure → repartition loop closed even when full
-    telemetry is off.
+    :meth:`pop_events`.  Busy / barrier-wait totals are not kept here:
+    the engine accumulates them (``ClusterEngine.busy_s`` / ``wait_s``)
+    from the same window times, armed watchdog or telemetry alike.
     """
 
     def __init__(self, num_agents: int, slow_factor: float = 4.0,
@@ -439,9 +174,6 @@ class ClusterWatchdog:
         self.min_stall_s = min_stall_s
         self.warmup = max(1, warmup)
         self.ewma_alpha = ewma_alpha
-        self.busy_s = [0.0] * num_agents
-        self.wait_s = [0.0] * num_agents
-        self.last_reply_wall = [0.0] * num_agents
         self.flags = [0] * num_agents
         self._mean = [0.0] * num_agents
         self._seen = [0] * num_agents
@@ -454,12 +186,7 @@ class ClusterWatchdog:
         if not times:
             return []
         raised: List[Dict[str, Any]] = []
-        t_max = max(times)
-        now = time.time()
         for agent, t in enumerate(times):
-            self.busy_s[agent] += t
-            self.wait_s[agent] += t_max - t
-            self.last_reply_wall[agent] = now
             seen, mean = self._seen[agent], self._mean[agent]
             kind = None
             if seen >= self.warmup:
@@ -495,11 +222,6 @@ class ClusterWatchdog:
         self._events.clear()
         return out
 
-    def measured_times(self) -> List[float]:
-        """Cumulative per-agent busy seconds — the shape
-        ``refit_cluster_spec`` takes as ``measured_times``."""
-        return list(self.busy_s)
-
 
 class LivePlane:
     """The in-flight sampler: one object wiring all live outputs.
@@ -508,33 +230,28 @@ class LivePlane:
     chain it next to the ``--progress`` meter with
     :func:`repro.core.runner.chain_hooks`).  Use as a context manager:
     ``__exit__`` emits a final record, dumps the flight recorder on an
-    exception, and releases the HTTP listener and stream.
+    exception, and releases the stream.
 
-    The sampler only *reads* engine state — counters, the results event
-    totals, the window cursor — and never toggles telemetry, installs
-    subscribers, or touches the event calendar, which is how the
-    trace-digest neutrality invariant holds by construction.
+    The sampler only *reads* engine state — ``progress()``, the bus
+    counters, the cluster's busy / wait totals — and never toggles
+    telemetry, installs subscribers, or touches the event calendar,
+    which is how the trace-digest neutrality invariant holds by
+    construction.
     """
 
     def __init__(self, engine: Any, path: Optional[str] = None,
-                 stream: Any = None, interval_ms: Optional[float] = None,
-                 metrics_port: Optional[int] = None,
+                 stream: Any = None,
+                 interval_ms: float = DEFAULT_INTERVAL_MS,
                  flight: Any = "auto", flight_path: Optional[str] = None,
                  flight_windows: int = 64) -> None:
         self.engine = engine
         bus = engine.bus
-        if interval_ms is None:
-            interval_ms = float(os.environ.get(ENV_INTERVAL)
-                                or DEFAULT_INTERVAL_MS)
         self.interval_s = max(0.0, interval_ms) / 1e3
         self._stream = stream
         self._owns_stream = False
         if stream is None and path is not None:
             self._stream = open(path, "w")
             self._owns_stream = True
-        self.server: Optional[MetricsServer] = None
-        if metrics_port is not None:
-            self.server = MetricsServer(metrics_port)
         if flight == "auto":
             flight = bool(getattr(bus, "telemetry", False))
         self.recorder: Optional[FlightRecorder] = None
@@ -548,7 +265,6 @@ class LivePlane:
         self.records_emitted = 0
         self._t0 = time.perf_counter()
         self._last = 0.0  # first on_step always samples
-        self._steps = 0
         self._recoveries_seen = 0
         self._old_sigusr1: Any = None
         self._closed = False
@@ -560,7 +276,6 @@ class LivePlane:
 
     def on_step(self, steps: int) -> None:
         """Per-window hook: cheap bookkeeping, throttled emission."""
-        self._steps = steps
         if self.recorder is not None:
             self.recorder.poll()
         now = time.perf_counter()
@@ -570,38 +285,10 @@ class LivePlane:
         self.sample(now=now)
 
     def _record(self, kind: str, now: float) -> Dict[str, Any]:
-        engine = self.engine
-        prog = getattr(engine, "progress", None)
-        p = prog() if callable(prog) else {}
-        counters = engine.bus.counters
         wall = now - self._t0
-        events = p.get("events", 0)
-        hits = counters.get("memo.hit", 0)
-        lookups = hits + counters.get("memo.miss", 0)
-        watchdog = getattr(engine, "watchdog", None)
-        busy = wait = None
-        if watchdog is not None:
-            busy = [round(s, 6) for s in watchdog.busy_s]
-            wait = [round(s, 6) for s in watchdog.wait_s]
-        elif getattr(engine, "_busy_s", None):
-            busy = [round(s, 6) for s in engine._busy_s]
-            wait = [round(s, 6) for s in engine._wait_s]
-        return {
-            "v": LIVE_SCHEMA_VERSION,
-            "kind": kind,
-            "wall_s": round(wall, 6),
-            "windows": p.get("windows", self._steps),
-            "sim_ps": p.get("sim_ps", 0),
-            "events": events,
-            "events_per_s": round(events / wall, 3) if wall > 0 else 0.0,
-            "done": p.get("done"),
-            "memo_hit_rate": round(hits / lookups, 6) if lookups else None,
-            "memo_jump_windows": counters.get("memo.jump_windows", 0),
-            "shm_frames": counters.get("transport.shm_frames", 0),
-            "shm_bytes": counters.get("transport.shm_bytes", 0),
-            "agents_busy_s": busy,
-            "agents_wait_s": wait,
-        }
+        return {"v": LIVE_SCHEMA_VERSION, "kind": kind,
+                "wall_s": round(wall, 6),
+                **run_record(self.engine.bus, self.engine, wall)}
 
     def _emit(self, record: Dict[str, Any]) -> None:
         if self._stream is not None:
@@ -612,8 +299,8 @@ class LivePlane:
 
     def sample(self, kind: str = "progress",
                now: Optional[float] = None) -> Dict[str, Any]:
-        """Emit one NDJSON record (plus queued watchdog events) and
-        republish the OpenMetrics snapshot.  Returns the record."""
+        """Emit one NDJSON record (plus queued watchdog events);
+        returns the record."""
         if now is None:
             now = time.perf_counter()
         engine = self.engine
@@ -632,10 +319,6 @@ class LivePlane:
                             "wall_s": record["wall_s"], "path": dumped,
                             "trigger": "fault-recovery"})
         self._emit(record)
-        if self.server is not None:
-            bus = engine.bus
-            self.server.publish(openmetrics_text(
-                record, dict(bus.counters), bus.metrics.snapshot()))
         return record
 
     # --- flight recorder triggers -----------------------------------------
@@ -666,8 +349,6 @@ class LivePlane:
             if self._old_sigusr1 is not None:
                 signal.signal(signal.SIGUSR1, self._old_sigusr1)
                 self._old_sigusr1 = None
-            if self.server is not None:
-                self.server.close()
             if self._owns_stream:
                 self._stream.close()
 

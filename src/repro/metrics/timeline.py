@@ -13,11 +13,13 @@ Three ways out of an :class:`~repro.core.instrument.InstrumentationBus`:
   strictly nested, monotone timestamps — :func:`validate_chrome_trace`
   checks exactly that and is what CI runs against every exported file.
 * :func:`stats_dict` / :func:`write_stats` — counters, gauges,
-  histograms, per-system totals as JSON or CSV.  For cluster buses the
+  histograms, per-system totals as JSON.  For cluster buses the
   coordinator's per-agent busy / barrier-wait gauges are also flattened
   into ``agent_busy_s`` / ``agent_barrier_wait_s`` lists — the exact
   shape :func:`repro.partition.refit_cluster_spec` takes as
-  ``measured_times``, closing the measure → repartition loop.
+  ``measured_times``, closing the measure → repartition loop.  The
+  derived numbers in it come from :func:`run_record`, the one snapshot
+  the live NDJSON stream and the ``--progress`` line also read.
 * :func:`run_manifest` / :func:`write_manifest` — a small provenance
   record (seed, backend, transport, git revision, schema version)
   written next to every artifact as ``<artifact>.manifest.json``.
@@ -25,8 +27,6 @@ Three ways out of an :class:`~repro.core.instrument.InstrumentationBus`:
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import subprocess
@@ -39,7 +39,7 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION", "TIMELINE_FORMAT", "MANIFEST_FORMAT",
     "chrome_trace_events", "write_timeline",
     "validate_chrome_trace", "validate_timeline_file",
-    "stats_dict", "stats_csv", "write_stats", "memo_line",
+    "run_record", "stats_dict", "write_stats", "memo_line",
     "run_manifest", "write_manifest",
 ]
 
@@ -234,6 +234,49 @@ def _agent_series(gauges: Dict[str, float], suffix: str) -> Optional[List[float]
     return [found.get(i, 0.0) for i in range(max(found) + 1)]
 
 
+def run_record(bus: Any, engine: Any = None,
+               wall_s: float = 0.0) -> Dict[str, Any]:
+    """The run record: every derived number a view of a run shows,
+    computed here and nowhere else.
+
+    ``engine.progress()`` gives windows / sim time / events / completion
+    (absent after the fact, when only the bus is at hand), the bus
+    counters give the memo hit rate, jump windows and shm frame / byte
+    totals, and the per-agent busy / barrier-wait seconds are
+    :class:`~repro.cluster.runtime.ClusterEngine`'s accumulator — read
+    off the engine while it runs, off the ``a<i>:busy_s`` /
+    ``a<i>:barrier_wait_s`` gauges its ``finalize()`` exports from it
+    otherwise (``None`` on a serial run).  The live NDJSON record, the
+    ``memo`` / ``transport_shm`` / ``agent_*`` sections of
+    :func:`stats_dict` and the CLI's ``--progress`` line are three views
+    of this dict, so they cannot disagree.
+    """
+    counters = bus.counters
+    p = engine.progress() if engine is not None else {}
+    events = p.get("events", 0)
+    hits = counters.get("memo.hit", 0)
+    lookups = hits + counters.get("memo.miss", 0)
+    if hasattr(engine, "busy_s"):
+        busy, wait = list(engine.busy_s), list(engine.wait_s)
+    else:
+        gauges = bus.metrics.gauges
+        busy = _agent_series(gauges, "busy_s")
+        wait = _agent_series(gauges, "barrier_wait_s")
+    return {
+        "windows": p.get("windows", 0),
+        "sim_ps": p.get("sim_ps", 0),
+        "events": events,
+        "events_per_s": events / wall_s if wall_s > 0 else 0.0,
+        "done": p.get("done"),
+        "memo_hit_rate": hits / lookups if lookups else None,
+        "memo_jump_windows": counters.get("memo.jump_windows", 0),
+        "shm_frames": counters.get("transport.shm_frames", 0),
+        "shm_bytes": counters.get("transport.shm_bytes", 0),
+        "agents_busy_s": busy,
+        "agents_wait_s": wait,
+    }
+
+
 def stats_dict(bus: Any) -> Dict[str, Any]:
     """One JSON-ready report of everything the bus measured: counters,
     the metrics registry snapshot, per-system totals, and (for cluster
@@ -250,14 +293,12 @@ def stats_dict(bus: Any) -> Dict[str, Any]:
         },
         "spans": len(bus.spans),
     }
-    busy = _agent_series(bus.metrics.gauges, "busy_s")
-    wait = _agent_series(bus.metrics.gauges, "barrier_wait_s")
-    if busy is not None or wait is not None:
-        n = max(len(busy or ()), len(wait or ()))
-        out["agent_busy_s"] = (busy or [0.0] * n)
-        out["agent_barrier_wait_s"] = (wait or [0.0] * n)
+    record = run_record(bus)
+    if record["agents_busy_s"] is not None:
+        out["agent_busy_s"] = record["agents_busy_s"]
+        out["agent_barrier_wait_s"] = record["agents_wait_s"]
     counters = bus.counters
-    memo = _memo_section(counters)
+    memo = _memo_section(counters, record)
     if memo is not None:
         out["memo"] = memo
     if "transmit.reference_replays" in counters:
@@ -270,8 +311,8 @@ def stats_dict(bus: Any) -> Dict[str, Any]:
         }
     if any(k.startswith("transport.shm_") for k in counters):
         out["transport_shm"] = {
-            "frames": counters.get("transport.shm_frames", 0),
-            "bytes": counters.get("transport.shm_bytes", 0),
+            "frames": record["shm_frames"],
+            "bytes": record["shm_bytes"],
         }
     return out
 
@@ -281,34 +322,33 @@ _MEMO_REASONS = ("memo.disabled.", "memo.ineligible.", "memo.uncacheable.",
                  "memo.jump_refused.")
 
 
-def _memo_section(counters: Dict[str, int]) -> Optional[Dict[str, Any]]:
+def _memo_section(counters: Dict[str, int],
+                  record: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     """What the window memo did and why it did not: hits, misses, cycle
     jumps, and every bail-out — the static gate that kept the cache
     from being built included — counted by reason (flat
     ``<family>.<reason>`` fields, present when non-zero)."""
     if not any(k.startswith("memo.") for k in counters):
         return None
-    hits = counters.get("memo.hit", 0)
-    lookups = hits + counters.get("memo.miss", 0)
     section: Dict[str, Any] = {
-        "hit": hits,
+        "hit": counters.get("memo.hit", 0),
         "miss": counters.get("memo.miss", 0),
         "ineligible": counters.get("memo.ineligible", 0),
         "uncacheable": counters.get("memo.uncacheable", 0),
         "validate_fail": counters.get("memo.validate_fail", 0),
-        "hit_rate": hits / lookups if lookups else 0.0,
+        "hit_rate": record["memo_hit_rate"] or 0.0,
         "jump": counters.get("memo.jump", 0),
-        "jump_windows": counters.get("memo.jump_windows", 0),
+        "jump_windows": record["memo_jump_windows"],
     }
     section.update((k[len("memo."):], n) for k, n in counters.items()
                    if k.startswith(_MEMO_REASONS))
     return section
 
 
-def memo_line(counters: Dict[str, int]) -> Optional[str]:
+def memo_line(bus: Any) -> Optional[str]:
     """The memo section as the one line ``python -m repro profile``
     prints: did it fire, how far did it jump, and if not, why not."""
-    memo = _memo_section(counters)
+    memo = _memo_section(bus.counters, run_record(bus))
     if memo is None:
         return None
     reasons = " ".join(f"{k}={n}" for k, n in sorted(memo.items())
@@ -319,48 +359,13 @@ def memo_line(counters: Dict[str, int]) -> Optional[str]:
             + (f" | {reasons}" if reasons else ""))
 
 
-def stats_csv(bus: Any) -> str:
-    """The same report flattened to ``kind,name,field,value`` rows."""
-    report = stats_dict(bus)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["kind", "name", "field", "value"])
-    for name, value in sorted(report["counters"].items()):
-        writer.writerow(["counter", name, "count", value])
-    metrics = report["metrics"]
-    for name, value in sorted(metrics["counters"].items()):
-        writer.writerow(["metric_counter", name, "count", value])
-    for name, value in sorted(metrics["gauges"].items()):
-        writer.writerow(["gauge", name, "value", value])
-    for name, snap in sorted(metrics["histograms"].items()):
-        writer.writerow(["histogram", name, "count", snap["count"]])
-        writer.writerow(["histogram", name, "sum", snap["sum"]])
-        bounds = snap["buckets"] + ["inf"]
-        for bound, count in zip(bounds, snap["counts"]):
-            writer.writerow(["histogram", name, f"le_{bound}", count])
-    for name, prof in sorted(report["totals"].items()):
-        for field_name, value in prof.items():
-            writer.writerow(["total", name, field_name, value])
-    for key in ("agent_busy_s", "agent_barrier_wait_s"):
-        for agent, value in enumerate(report.get(key, ())):
-            writer.writerow(["agent", f"a{agent}", key[6:], value])
-    for section in ("memo", "fused", "transport_shm"):
-        for field_name, value in sorted(report.get(section, {}).items()):
-            writer.writerow([section, section, field_name, value])
-    return buf.getvalue()
-
-
-def write_stats(bus: Any, path: str, fmt: str = "json",
+def write_stats(bus: Any, path: str,
                 manifest: Optional[Dict[str, Any]] = None) -> str:
-    if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(stats_dict(bus), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    elif fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write(stats_csv(bus))
-    else:
-        raise ReproError(f"unknown stats format {fmt!r}")
+    """Write :func:`stats_dict` as JSON (plus the provenance manifest
+    when ``manifest`` is given) and return the path."""
+    with open(path, "w") as fh:
+        json.dump(stats_dict(bus), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     if manifest is not None:
         write_manifest(path, **manifest)
     return path

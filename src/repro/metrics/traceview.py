@@ -1,15 +1,11 @@
-"""Trace analysis: query and join the event traces engines record.
+"""Trace analysis: follow one packet through a FULL-level trace.
 
 A FULL-level trace contains every enqueue, service start, drop and
-delivery.  This module turns that flat list into the questions a
-simulation study actually asks:
+delivery.  :func:`packet_journey` is the hop-by-hop life of one packet
+and :func:`hops` its ENQ/DEQ pairs per traversed port — what the
+ECMP-spraying bench and test read to tell which path a packet took.
 
-* :func:`packet_journey` — the hop-by-hop life of one packet;
-* :func:`queueing_delays` — per-packet time spent queued at a port;
-* :func:`per_hop_latency` — serialization+propagation per traversed hop;
-* :func:`drops_by_port` / :func:`flow_timeline` — aggregations.
-
-All functions are pure over the trace entry tuples
+Both are pure over the trace entry tuples
 ``(t, kind, location, flow, is_ack, seq, extra)``.
 """
 
@@ -17,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .trace import Entry, TraceKind, TraceRecorder
 
@@ -64,69 +60,3 @@ def hops(trace: TraceRecorder, flow: int, seq: int,
         elif kind == TraceKind.DEQ and pending[loc]:
             out.append(HopRecord(loc, pending[loc].pop(0), t))
     return sorted(out, key=lambda h: h.enq_ps)
-
-
-def queueing_delays(trace: TraceRecorder) -> Dict[int, List[int]]:
-    """iface id -> queueing delays (ps) of every packet it served."""
-    pending: Dict[Tuple[int, PacketKey], List[int]] = defaultdict(list)
-    out: Dict[int, List[int]] = defaultdict(list)
-    for entry in sorted(trace.entries):
-        t, kind, loc = entry[0], entry[1], entry[2]
-        if kind == TraceKind.ENQ:
-            pending[(loc, _key(entry))].append(t)
-        elif kind == TraceKind.DEQ:
-            stack = pending.get((loc, _key(entry)))
-            if stack:
-                out[loc].append(t - stack.pop(0))
-    return dict(out)
-
-
-def per_hop_latency(trace: TraceRecorder, flow: int, seq: int,
-                    is_ack: int = 0) -> List[Tuple[int, int]]:
-    """(iface_id, deq-to-next-enq latency) along one packet's path —
-    serialization plus propagation per hop."""
-    hop_list = hops(trace, flow, seq, is_ack)
-    out = []
-    for a, b in zip(hop_list, hop_list[1:]):
-        out.append((a.iface_id, b.enq_ps - a.deq_ps))
-    return out
-
-
-def drops_by_port(trace: TraceRecorder) -> Dict[int, int]:
-    """iface id -> tail drops recorded there."""
-    out: Dict[int, int] = defaultdict(int)
-    for entry in trace.entries:
-        if entry[1] == TraceKind.DROP:
-            out[entry[2]] += 1
-    return dict(out)
-
-
-def flow_timeline(trace: TraceRecorder, flow: int) -> Dict[str, int]:
-    """First/last interesting timestamps of one flow."""
-    mine = sorted(e for e in trace.entries if e[3] == flow)
-    if not mine:
-        return {}
-    out = {"first_event_ps": mine[0][0], "last_event_ps": mine[-1][0]}
-    for entry in mine:
-        if entry[1] == TraceKind.FLOW_DONE:
-            out["complete_ps"] = entry[0]
-            break
-    data_deq = [e[0] for e in mine
-                if e[1] == TraceKind.DEQ and e[4] == 0]
-    if data_deq:
-        out["first_data_deq_ps"] = data_deq[0]
-    return out
-
-
-def marked_fraction(trace: TraceRecorder, iface_id: Optional[int] = None) -> float:
-    """Fraction of enqueued data packets that were CE-marked."""
-    total = 0
-    marked = 0
-    for entry in trace.entries:
-        if entry[1] != TraceKind.ENQ or entry[4]:
-            continue
-        if iface_id is not None and entry[2] != iface_id:
-            continue
-        total += 1
-        marked += 1 if entry[6] else 0
-    return marked / total if total else 0.0

@@ -12,9 +12,10 @@ spec, so hand-edited and programmatically-built topologies both survive.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, TextIO, Union
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional, TextIO, Union
 
-from .errors import ConfigError
+from .errors import ConfigError, TopologyError
 from .protocols import AqmConfig, AqmKind, EgressConfig
 from .protocols.dctcp import DctcpParams
 from .scenario import Scenario
@@ -30,6 +31,23 @@ FORMAT = "repro-scenario-v2"
 _READABLE_FORMATS = ("repro-scenario-v1", FORMAT)
 
 
+@contextmanager
+def _reading(where: str) -> Iterator[None]:
+    """Whatever a malformed document raises while ``where`` is being
+    read becomes a :class:`ConfigError` naming it — a hand-edited file
+    fails as ``error: scenario: topology.nodes[3]: missing field or
+    unknown name 'name'``, not as a bare ``KeyError`` traceback (a
+    ``KeyError`` is an absent key or a misspelt enum member)."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"scenario: {where}: missing field or unknown "
+                          f"name {exc.args[0]!r}") from None
+    except (AttributeError, IndexError, TypeError, ValueError,
+            TopologyError) as exc:
+        raise ConfigError(f"scenario: {where} is malformed: {exc}") from None
+
+
 def _topology_to_dict(topo: Topology) -> Dict[str, Any]:
     return {
         "name": topo.name,
@@ -43,16 +61,21 @@ def _topology_to_dict(topo: Topology) -> Dict[str, Any]:
 
 
 def _topology_from_dict(data: Dict[str, Any]) -> Topology:
-    topo = Topology(data["name"])
-    for node in data["nodes"]:
-        if node["kind"] == int(NodeKind.HOST):
-            topo.add_host(node["name"])
-        else:
-            topo.add_switch(node["name"])
-    for link in data["links"]:
-        topo.add_link(link["a"], link["b"], link["rate_bps"],
-                      link["delay_ps"])
-    return topo.freeze()
+    with _reading("topology"):
+        topo = Topology(data["name"])
+        nodes, links = list(data["nodes"]), list(data["links"])
+    for i, node in enumerate(nodes):
+        with _reading(f"topology.nodes[{i}]"):
+            if node["kind"] == int(NodeKind.HOST):
+                topo.add_host(node["name"])
+            else:
+                topo.add_switch(node["name"])
+    for i, link in enumerate(links):
+        with _reading(f"topology.links[{i}]"):
+            topo.add_link(link["a"], link["b"], link["rate_bps"],
+                          link["delay_ps"])
+    with _reading("topology"):
+        return topo.freeze()
 
 
 def _flow_to_dict(flow: Flow) -> Dict[str, Any]:
@@ -153,28 +176,40 @@ def scenario_to_json(scenario: Scenario, out: Optional[TextIO] = None,
 
 
 def scenario_from_json(source: Union[str, TextIO]) -> Scenario:
-    """Rebuild a scenario (FIB included) from its JSON document."""
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        doc = json.loads(source)
+    """Rebuild a scenario (FIB included) from its JSON document.
+
+    Anything wrong with the document — not JSON, a missing or ill-typed
+    field, a link naming a node that does not exist — is a
+    :class:`ConfigError` that says where."""
+    try:
+        doc = (json.load(source) if hasattr(source, "read")
+               else json.loads(source))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"scenario: not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("scenario: the document must be a JSON object, "
+                          f"got {type(doc).__name__}")
     if doc.get("format") not in _READABLE_FORMATS:
         raise ConfigError(f"unknown scenario format {doc.get('format')!r}")
-    topo = _topology_from_dict(doc["topology"])
-    if "flow_columns" in doc:
-        flows = FlowColumns.from_dict(doc["flow_columns"])
-    else:
-        flows = [_flow_from_dict(f) for f in doc["flows"]]
+    with _reading("document"):
+        topo = _topology_from_dict(doc["topology"])
+        if "flow_columns" in doc:
+            with _reading("flow_columns"):
+                flows = FlowColumns.from_dict(doc["flow_columns"])
+        else:
+            flows = []
+            for i, flow in enumerate(doc["flows"]):
+                with _reading(f"flows[{i}]"):
+                    flows.append(_flow_from_dict(flow))
+        fields = {"name": doc["name"], "duration_ps": doc["duration_ps"],
+                  "ecmp_mode": doc.get("ecmp_mode", "flow")}
+        for key, parse in (("switch_egress", _egress_from_dict),
+                           ("host_egress", _egress_from_dict),
+                           ("dctcp", _dctcp_from_dict),
+                           ("reno", _dctcp_from_dict)):
+            section = doc[key]
+            with _reading(key):
+                fields[key] = parse(section)
     from .routing import build_fib
-    return Scenario(
-        name=doc["name"],
-        topology=topo,
-        flows=flows,
-        fib=build_fib(topo),
-        switch_egress=_egress_from_dict(doc["switch_egress"]),
-        host_egress=_egress_from_dict(doc["host_egress"]),
-        dctcp=_dctcp_from_dict(doc["dctcp"]),
-        reno=_dctcp_from_dict(doc["reno"]),
-        duration_ps=doc["duration_ps"],
-        ecmp_mode=doc.get("ecmp_mode", "flow"),
-    )
+    return Scenario(topology=topo, flows=flows, fib=build_fib(topo),
+                    **fields)

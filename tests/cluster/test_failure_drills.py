@@ -67,7 +67,7 @@ def _agents_alive():
 
 
 def test_sigkill_without_checkpoint_fails_fast_and_leaks_nothing(scenario):
-    engine = _engine(scenario, "process")
+    engine = _engine(scenario, "shm")
     t0 = time.monotonic()
     try:
         assert engine.advance()
@@ -89,7 +89,7 @@ def test_sigkill_with_checkpoints_recovers_byte_identical(scenario):
         pass
     expected = reference.finalize()
 
-    engine = _engine(scenario, "process", checkpoint_every=400)
+    engine = _engine(scenario, "shm", checkpoint_every=400)
     t0 = time.monotonic()
     try:
         windows = 0
@@ -123,7 +123,7 @@ flows = fixed_flows(topo.hosts, n_flows=16, size_bytes=200_000,
 sc = make_scenario(topo, flows, buffer_bytes=60_000)
 part = contiguous_partition(topo, 2)
 engine = ClusterEngine([AgentSpec(a, sc, part) for a in range(2)],
-                       transport="process")
+                       transport="shm")
 engine.build()
 assert engine.advance()
 print(*[p.pid for p in multiprocessing.active_children()], flush=True)

@@ -43,7 +43,8 @@ def _run(scenario, transport, checkpoint_every=None, fault=None):
     return mgr.run(partition=part)
 
 
-@pytest.mark.parametrize("transport", ["local", "process"])
+@pytest.mark.parametrize(
+    "transport", ["local", pytest.param("shm", id="process")])
 def test_kill_and_recover_byte_identical(scenario, reference, transport):
     fault = FaultPlan(agent=1, at_window=12)
     run = _run(scenario, transport, checkpoint_every=5, fault=fault)
@@ -94,7 +95,8 @@ def test_fault_without_checkpoints_recovers_from_initial_snapshot(scenario,
             == sorted(reference.trace.entries))
 
 
-@pytest.mark.parametrize("transport", ["local", "process"])
+@pytest.mark.parametrize(
+    "transport", ["local", pytest.param("shm", id="process")])
 def test_recovery_keeps_telemetry_spans(scenario, reference, transport):
     """A kill must not drop the dead agent's telemetry: spans recorded
     before the snapshot ride the checkpoint (bus state is captured when

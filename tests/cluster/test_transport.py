@@ -98,9 +98,10 @@ class TestMakeTransport:
     def test_resolution(self):
         assert isinstance(make_transport(None), LocalTransport)
         assert isinstance(make_transport("local"), LocalTransport)
-        # one process transport, always shared memory, under two names
-        assert isinstance(make_transport("process"), ProcessTransport)
+        # one process transport, always shared memory, under one name
         assert isinstance(make_transport("shm"), ProcessTransport)
+        with pytest.raises(ClusterError, match="unknown transport"):
+            make_transport("process")
         with pytest.raises(TypeError):
             ProcessTransport(shm=True)
         inst = LocalTransport()

@@ -67,7 +67,7 @@ def test_fanout_byte_identical(scenario, agents):
     in-process reference."""
     part = contiguous_partition(scenario.topology, agents)
     local = _run(scenario, "local", part)
-    proc = _run(scenario, "process", part)
+    proc = _run(scenario, "shm", part)
     assert local.results.trace.entries == proc.results.trace.entries
     assert local.results.fcts_ps() == proc.results.fcts_ps()
     assert local.results.rtt_samples == proc.results.rtt_samples
@@ -214,7 +214,7 @@ def test_back_to_back_kill_restore(scenario):
     fault schedule."""
     kills = (3, 6)
     ref, ref_recoveries = _run_with_faults(scenario, "local", kills)
-    got, proc_recoveries = _run_with_faults(scenario, "process", kills)
+    got, proc_recoveries = _run_with_faults(scenario, "shm", kills)
     assert ref_recoveries == proc_recoveries == len(kills)
     assert ref == got
 

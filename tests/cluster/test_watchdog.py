@@ -72,13 +72,22 @@ def test_watchdog_warmup_suppresses_flags():
     assert dog.observe(2, [0.5]) == []
 
 
-def test_watchdog_accumulates_busy_and_wait():
-    dog = ClusterWatchdog(2, warmup=100)
-    dog.observe(0, [0.01, 0.03])
-    dog.observe(1, [0.02, 0.01])
-    assert dog.busy_s == pytest.approx([0.03, 0.04])
-    assert dog.wait_s == pytest.approx([0.02, 0.01])
-    assert dog.measured_times() == pytest.approx([0.03, 0.04])
+def test_watchdog_accumulates_busy_and_wait(scenario):
+    """An armed watchdog makes the transport time windows; the totals
+    live in one place — the engine's accumulator, exported as the
+    ``a<i>:busy_s`` / ``a<i>:barrier_wait_s`` gauges — and the watchdog
+    keeps no second copy."""
+    engine = _cluster_engine(scenario, watchdog=True)
+    assert engine.busy_s == engine.wait_s == [0.0, 0.0]
+    EngineRunner(engine).run()
+    assert all(b > 0 for b in engine.busy_s)
+    assert sum(engine.wait_s) > 0
+    gauges = engine.bus.metrics.gauges
+    assert [gauges["a0:busy_s"], gauges["a1:busy_s"]] == engine.busy_s
+    assert [gauges["a0:barrier_wait_s"],
+            gauges["a1:barrier_wait_s"]] == engine.wait_s
+    for gone in ("busy_s", "wait_s", "measured_times", "last_reply_wall"):
+        assert not hasattr(engine.watchdog, gone)
 
 
 # --- the drill -------------------------------------------------------------
@@ -135,9 +144,8 @@ def test_watchdog_without_telemetry_feeds_refit(scenario, stall_hook):
     gauges = engine.bus.metrics.gauges
     assert gauges["a1:busy_s"] > gauges["a0:busy_s"] > 0
     assert gauges["a0:barrier_wait_s"] > 0
-    measured = engine.watchdog.measured_times()
-    assert measured == pytest.approx(
-        [engine.watchdog.busy_s[0], engine.watchdog.busy_s[1]])
+    measured = engine.busy_s
+    assert measured == [gauges["a0:busy_s"], gauges["a1:busy_s"]]
     from repro.partition.loadest import estimate_scenario_loads
     cluster = ClusterSpec.homogeneous(2)
     loads = estimate_scenario_loads(scenario)

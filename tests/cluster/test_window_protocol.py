@@ -91,7 +91,8 @@ def scenario():
     return make_scenario(topo, flows, buffer_bytes=50_000)
 
 
-@pytest.mark.parametrize("transport", ["local", "process"])
+@pytest.mark.parametrize(
+    "transport", ["local", pytest.param("shm", id="process")])
 def test_live_progress_reports_events_and_reported_windows(scenario,
                                                            transport):
     """A cluster's in-flight ``progress()`` carries the events the
@@ -127,7 +128,7 @@ def test_process_checkpoint_horizons_are_invisible(scenario):
 
     def run(**kwargs):
         return DonsManager(scenario, ClusterSpec.homogeneous(2),
-                           TraceLevel.FULL, transport="process",
+                           TraceLevel.FULL, transport="shm",
                            **kwargs).run(partition=part)
 
     plain, stepped = run(), run(checkpoint_every=7)
@@ -148,7 +149,7 @@ def test_three_agents_on_one_cpu_complete_with_the_reference_digest(scenario):
     os.sched_setaffinity(0, {min(allowed)})
     try:
         run = DonsManager(scenario, ClusterSpec.homogeneous(3),
-                          TraceLevel.FULL, transport="process"
+                          TraceLevel.FULL, transport="shm"
                           ).run(partition=part)
     finally:
         os.sched_setaffinity(0, allowed)

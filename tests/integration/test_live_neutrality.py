@@ -2,7 +2,7 @@
 
 Mirror of test_telemetry_neutrality.py for PR 10's acceptance bar:
 ``trace_digest()`` is byte-identical with the live plane (NDJSON
-sampler + OpenMetrics endpoint + watchdog) attached vs absent, on both
+sampler + watchdog) attached vs absent, on both
 ECS backends, serial and cluster-process-2 — the sampler only ever
 *reads* engine state between windows.
 """
@@ -35,9 +35,8 @@ def reference_digest(scenario):
                     backend="python").trace.digest()
 
 
-def _run_with_plane(engine, metrics_port=0):
-    plane = LivePlane(engine, stream=io.StringIO(), interval_ms=0,
-                      metrics_port=metrics_port)
+def _run_with_plane(engine):
+    plane = LivePlane(engine, stream=io.StringIO(), interval_ms=0)
     try:
         EngineRunner(engine, on_step=plane.on_step).run()
     finally:
@@ -67,7 +66,7 @@ def test_cluster_digest_neutral_with_live_plane(scenario, reference_digest,
     digests = {}
     for live in (False, True):
         mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
-                          TraceLevel.FULL, transport="process",
+                          TraceLevel.FULL, transport="shm",
                           backend=backend)
         engine = mgr._engine(part)
         if live:

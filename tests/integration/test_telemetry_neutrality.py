@@ -51,7 +51,8 @@ def test_single_engine_digest_neutral(request, which, backend):
     assert _digest(memo) == reference
 
 
-@pytest.mark.parametrize("transport", ["local", "process"])
+@pytest.mark.parametrize(
+    "transport", ["local", pytest.param("shm", id="process")])
 def test_cluster_digest_neutral(scenario, reference_digest, transport):
     from repro.cluster import DonsManager
     from repro.partition import ClusterSpec

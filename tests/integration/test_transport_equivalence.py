@@ -48,7 +48,7 @@ def test_local_and_process_byte_identical(scenario, reference,
                                           machines, seed):
     part = random_partition(scenario.topology, machines, seed)
     local = _run(scenario, "local", part)
-    proc = _run(scenario, "process", part)
+    proc = _run(scenario, "shm", part)
     # byte-identical: raw entry lists, not sorted views — the merge
     # order (agent 0, agent 1, ...) is part of the contract
     assert local.results.trace.entries == proc.results.trace.entries
@@ -63,7 +63,7 @@ def test_local_and_process_byte_identical(scenario, reference,
 
 def test_process_transport_matches_single_machine(scenario, reference):
     part = contiguous_partition(scenario.topology, 2)
-    proc = _run(scenario, "process", part)
+    proc = _run(scenario, "shm", part)
     assert (sorted(proc.results.trace.entries)
             == sorted(reference.trace.entries))
     assert proc.results.fcts_ps() == reference.fcts_ps()
@@ -74,7 +74,7 @@ def test_process_transport_merges_bus(scenario):
     bus sees every agent's tagged systems even though the engines lived
     in other address spaces."""
     part = contiguous_partition(scenario.topology, 2)
-    proc = _run(scenario, "process", part)
+    proc = _run(scenario, "shm", part)
     for agent in range(2):
         for system in ("ack", "send", "forward", "transmit"):
             assert f"a{agent}:{system}" in proc.bus.totals

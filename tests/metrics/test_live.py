@@ -1,21 +1,17 @@
-"""Live observability plane: NDJSON schema, OpenMetrics exposition,
-HTTP endpoint, and the flight recorder's bounded ring + dump triggers."""
+"""Live observability plane: NDJSON schema and throttle, and the flight
+recorder's bounded ring + dump triggers."""
 
 import io
 import json
 import os
 import signal
-import urllib.request
 
 import pytest
 
 from repro.core.engine import DodEngine
 from repro.core.runner import EngineRunner, chain_hooks
-from repro.core.telemetry import Histogram, MetricsRegistry
-from repro.errors import ReproError
 from repro.metrics.live import (
     LIVE_RECORD_KEYS, LIVE_SCHEMA_VERSION, FlightRecorder, LivePlane,
-    MetricsServer, openmetrics_text, validate_openmetrics,
 )
 from repro.metrics.timeline import validate_timeline_file
 from repro.scenario import make_scenario
@@ -113,105 +109,6 @@ def test_chain_hooks():
     assert chain_hooks(None, None) is None
     one = seen.append
     assert chain_hooks(None, one) is one
-
-
-# --- OpenMetrics exposition ------------------------------------------------
-
-def _sample_registry():
-    registry = MetricsRegistry()
-    registry.gauge("a0:busy_s", 1.5)
-    registry.gauge("a1:busy_s", 2.5)
-    registry.gauge("cluster.span", 4.0)
-    registry.count("pool.tasks", 7)
-    hist = registry.histogram("cluster.barrier_wait_ms", (1, 5, 10))
-    for value in (0.5, 3, 7, 20):
-        hist.record(value)
-    return registry
-
-
-def test_openmetrics_text_valid():
-    record = {"v": 1, "kind": "progress", "wall_s": 1.0, "windows": 5,
-              "sim_ps": 1000, "events": 42, "events_per_s": 42.0,
-              "done": 0.5, "memo_hit_rate": None}
-    text = openmetrics_text(record, {"windows": 5, "memo.hit": 3},
-                            _sample_registry().snapshot())
-    samples = validate_openmetrics(text)
-    assert text.endswith("# EOF\n")
-    by_name = {(name, labels): value for name, labels, value in samples}
-    assert by_name[("repro_windows_done", "")] == 5
-    assert by_name[("repro_events_committed", "")] == 42
-    # memo_hit_rate is None -> gauge omitted entirely.
-    assert not any(n == "repro_memo_hit_rate" for n, _l, _v in samples)
-    # Counters carry the mandatory _total suffix.
-    assert by_name[("repro_memo_hit_total", "")] == 3
-    assert by_name[("repro_pool_tasks_total", "")] == 7
-    # Agent gauges share one family with agent="<i>" labels.
-    assert by_name[("repro_agent_busy_s", 'agent="0"')] == 1.5
-    assert by_name[("repro_agent_busy_s", 'agent="1"')] == 2.5
-    # Histogram buckets are cumulative and +Inf == _count.
-    buckets = [(labels, value) for name, labels, value in samples
-               if name == "repro_cluster_barrier_wait_ms_bucket"]
-    values = [value for _l, value in buckets]
-    assert values == sorted(values)
-    assert buckets[-1] == ('le="+Inf"', 4.0)
-    assert by_name[("repro_cluster_barrier_wait_ms_count", "")] == 4
-
-
-def test_validate_openmetrics_rejects_bad_payloads():
-    with pytest.raises(ReproError, match="EOF"):
-        validate_openmetrics("repro_x 1\n")
-    with pytest.raises(ReproError, match="no TYPE"):
-        validate_openmetrics("repro_x 1\n# EOF\n")
-    with pytest.raises(ReproError, match="_total"):
-        validate_openmetrics(
-            "# TYPE repro_x counter\nrepro_x 1\n# EOF\n")
-    with pytest.raises(ReproError, match="cumulative"):
-        validate_openmetrics(
-            "# TYPE repro_h histogram\n"
-            'repro_h_bucket{le="1"} 5\n'
-            'repro_h_bucket{le="+Inf"} 3\n'
-            "# EOF\n")
-    with pytest.raises(ReproError, match="unparsable"):
-        validate_openmetrics("# TYPE repro_x gauge\nrepro_x one\n# EOF\n")
-
-
-def test_histogram_cumulative():
-    hist = Histogram((1, 5, 10))
-    for value in (0.5, 3, 7, 20):
-        hist.record(value)
-    assert hist.cumulative() == [(1.0, 1), (5.0, 2), (10.0, 3),
-                                 (float("inf"), 4)]
-
-
-# --- HTTP endpoint ---------------------------------------------------------
-
-def test_metrics_server_scrape(scenario):
-    buf = io.StringIO()
-    engine = DodEngine(scenario)
-    plane = LivePlane(engine, stream=buf, interval_ms=0, metrics_port=0)
-    assert plane.server is not None and plane.server.port > 0
-    try:
-        EngineRunner(engine, on_step=plane.on_step).run()
-        body = urllib.request.urlopen(plane.server.url, timeout=5).read()
-        text = body.decode("utf-8")
-    finally:
-        plane.close()
-    samples = dict(((n, l), v) for n, l, v in validate_openmetrics(text))
-    assert samples[("repro_windows_done", "")] > 0
-    assert samples[("repro_events_committed", "")] > 0
-
-
-def test_metrics_server_404():
-    server = MetricsServer()  # no port given: ephemeral
-    try:
-        # Before any sample the endpoint serves an empty, valid payload.
-        text = urllib.request.urlopen(server.url, timeout=5).read()
-        validate_openmetrics(text.decode("utf-8"))
-        with pytest.raises(urllib.error.HTTPError):
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{server.port}/nope", timeout=5)
-    finally:
-        server.close()
 
 
 # --- flight recorder -------------------------------------------------------

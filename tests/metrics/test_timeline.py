@@ -12,7 +12,6 @@ from repro.metrics.timeline import (
     TELEMETRY_SCHEMA_VERSION,
     chrome_trace_events,
     run_manifest,
-    stats_csv,
     stats_dict,
     validate_chrome_trace,
     validate_timeline_file,
@@ -161,24 +160,17 @@ class TestSingleEngineExport:
         assert hists["flow.completion_time_us"]["count"] == 4
         assert report["spans"] > 0
 
-    def test_stats_csv_parses(self, telemetered_run):
-        rows = stats_csv(telemetered_run.bus).splitlines()
-        assert rows[0] == "kind,name,field,value"
-        kinds = {line.split(",", 1)[0] for line in rows[1:]}
-        assert {"counter", "histogram", "total"} <= kinds
-
     def test_write_stats_json_and_csv(self, telemetered_run, tmp_path):
+        """JSON is the record; the CSV twin (and the ``fmt`` argument
+        that selected it) is gone."""
         jpath = tmp_path / "stats.json"
-        write_stats(telemetered_run.bus, str(jpath), "json",
+        write_stats(telemetered_run.bus, str(jpath),
                     manifest={"command": "test"})
         assert json.loads(jpath.read_text())["schema_version"] \
             == TELEMETRY_SCHEMA_VERSION
         assert (tmp_path / "stats.json.manifest.json").exists()
-        cpath = tmp_path / "stats.csv"
-        write_stats(telemetered_run.bus, str(cpath), "csv")
-        assert cpath.read_text().startswith("kind,name,field,value")
-        with pytest.raises(ReproError):
-            write_stats(telemetered_run.bus, str(tmp_path / "x"), "xml")
+        with pytest.raises(TypeError):
+            write_stats(telemetered_run.bus, str(tmp_path / "x"), fmt="csv")
 
 
 class TestManifest:
@@ -205,7 +197,7 @@ class TestClusterExport:
         from repro.cluster import DonsManager
         from repro.partition import ClusterSpec
         mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
-                          transport="process", telemetry=True)
+                          transport="shm", telemetry=True)
         return mgr.run()
 
     def test_timeline_has_both_agents_and_barrier_waits(self, cluster_run,
@@ -290,14 +282,3 @@ class TestDerivedSections:
         report = stats_dict(bus)
         assert report["transport_shm"] == {
             "frames": 12, "bytes": 4096}
-
-    def test_sections_flatten_to_csv(self, memo_scenario):
-        engine = DodEngine(memo_scenario, telemetry=True, ffwd=True)
-        engine.run()
-        engine.bus.count("transport.shm_frames", 3)
-        rows = stats_csv(engine.bus).splitlines()
-        kinds = {line.split(",", 1)[0] for line in rows[1:]}
-        assert {"memo", "transport_shm"} <= kinds
-        memo_fields = {line.split(",")[2] for line in rows[1:]
-                       if line.startswith("memo,")}
-        assert {"hit", "miss", "hit_rate"} <= memo_fields

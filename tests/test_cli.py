@@ -165,13 +165,18 @@ class TestTelemetryCommands:
         assert report["schema_version"] == TELEMETRY_SCHEMA_VERSION
         assert "flow.completion_time_us" in report["metrics"]["histograms"]
 
-    def test_stats_csv_to_file_with_manifest(self, tmp_path, capsys):
-        out = tmp_path / "stats.csv"
-        rc = main(["stats", *self.ARGS, "--out", str(out),
-                   "--format", "csv"])
+    def test_stats_to_file_with_manifest(self, tmp_path, capsys):
+        """``--out`` writes the JSON record plus its manifest; the CSV
+        twin is gone, so ``--format`` is not an option any more."""
+        import json
+        out = tmp_path / "stats.json"
+        rc = main(["stats", *self.ARGS, "--out", str(out)])
         assert rc == 0
-        assert out.read_text().startswith("kind,name,field,value")
-        assert (tmp_path / "stats.csv.manifest.json").exists()
+        assert "counters" in json.loads(out.read_text())
+        assert (tmp_path / "stats.json.manifest.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", *self.ARGS, "--format", "csv"])
+        assert exc.value.code == 2
 
     def test_stats_cluster_reports_agent_series(self, tmp_path, capsys):
         import json
@@ -189,27 +194,34 @@ class TestTelemetryCommands:
         assert "\r" not in capsys.readouterr().err
 
     def test_progress_meter_renders_on_tty(self):
+        """The meter is a format string over ``run_record`` — the same
+        snapshot the live stream and ``stats`` read."""
         import io
         from repro.cli import _Progress
+        from repro.core.instrument import InstrumentationBus
 
         class Tty(io.StringIO):
             def isatty(self):
                 return True
 
         class FakeEngine:
-            class results:
-                class events:
-                    total = 1000
-            _cursor = 5
+            bus = InstrumentationBus()
+            wait_s = [0.25, 1.5]
+            busy_s = [2.0, 1.0]
+
+            def progress(self):
+                return {"windows": 5, "sim_ps": 5_000, "events": 1000,
+                        "duration_ps": 10_000, "done": 0.5}
 
         stream = Tty()
-        meter = _Progress(FakeEngine(), duration_ps=10_000,
-                          lookahead_ps=1_000, stream=stream)
+        meter = _Progress(FakeEngine(), stream=stream)
         meter._last = -1.0  # defeat throttling
         meter(5)
+        meter(6)            # inside the 5 Hz throttle: not rendered
         meter.close()
         text = stream.getvalue()
+        assert text.count("windows") == 1
         assert "5 windows" in text
         assert "ev/s" in text
-        assert "eta" in text
-
+        assert " 50% eta" in text
+        assert "wait 1.50s" in text

@@ -1,4 +1,4 @@
-"""The environment surface of ``src/repro`` is the three names README
+"""The environment surface of ``src/repro`` is the two names README
 lists, each read once by the module that owns its default, and the
 cluster stack reads no environment at all (agents are configured by the
 ``AgentSpec`` that crosses the transport).  A new switch therefore needs
@@ -16,20 +16,18 @@ def test_repro_env_names_are_the_documented_ones():
     in_code = {name for path in SRC.rglob("*.py")
                for name in NAME.findall(path.read_text())}
     in_readme = set(NAME.findall((ROOT / "README.md").read_text()))
-    assert in_code == in_readme == {
-        "REPRO_BACKEND", "REPRO_LIVE_INTERVAL_MS", "REPRO_BENCH_OUT",
-    }
+    assert in_code == in_readme == {"REPRO_BACKEND", "REPRO_BENCH_OUT"}
 
 
 def test_each_name_has_one_reader():
-    """``REPRO_BACKEND`` in ``resolve_backend``, ``REPRO_LIVE_INTERVAL_MS``
-    in ``LivePlane``, ``REPRO_BENCH_OUT`` in ``bench.tables``: nothing
-    else under ``src/repro`` looks at the environment."""
+    """``REPRO_BACKEND`` in ``resolve_backend``, ``REPRO_BENCH_OUT`` in
+    ``bench.tables``: nothing else under ``src/repro`` looks at the
+    environment."""
     reads = {str(path.relative_to(SRC)):
              len(re.findall(r"os\.environ|getenv", path.read_text()))
              for path in SRC.rglob("*.py")}
     assert {path: n for path, n in reads.items() if n} == {
-        "core/engine.py": 1, "metrics/live.py": 1, "bench/tables.py": 1,
+        "core/engine.py": 1, "bench/tables.py": 1,
     }
 
 

@@ -1,14 +1,10 @@
-"""Library extensions: leaf-spine, queue sampling, CSV export."""
-
-import csv
-import io
+"""Library extensions: leaf-spine, queue sampling."""
 
 import pytest
 
 from repro.core.engine import DodEngine
 from repro.des.simulator import OodSimulator
 from repro.errors import TopologyError
-from repro.metrics import flows_csv, rtt_csv, window_breakdown_csv
 from repro.routing import build_fib
 from repro.scenario import make_scenario
 from repro.topology import leaf_spine
@@ -86,36 +82,3 @@ class TestQueueSampling:
         sim = OodSimulator(dumbbell_scenario)
         sim.run()
         assert all(not p.stats.queue_samples for p in sim.ports)
-
-
-class TestCsvExport:
-    @pytest.fixture(scope="class")
-    def results(self):
-        from repro.core.engine import run_dons
-        from repro.scenario import make_scenario
-        from repro.topology import dumbbell
-        topo = dumbbell(2, edge_rate_bps=10 * GBPS)
-        flows = [Flow(0, 0, 2, 40_000, 0), Flow(1, 1, 3, 40_000, 0)]
-        return run_dons(make_scenario(topo, flows))
-
-    def test_flows_csv(self, results):
-        rows = list(csv.DictReader(io.StringIO(flows_csv(results))))
-        assert len(rows) == 2
-        assert rows[0]["flow_id"] == "0"
-        assert float(rows[0]["fct_us"]) > 0
-
-    def test_rtt_csv(self, results):
-        rows = list(csv.DictReader(io.StringIO(rtt_csv(results))))
-        assert len(rows) == len(results.rtt_samples)
-        assert all(float(r["rtt_us"]) > 0 for r in rows)
-
-    def test_window_breakdown_csv(self, results):
-        rows = list(csv.DictReader(io.StringIO(window_breakdown_csv(results))))
-        assert len(rows) == len(results.window_breakdown)
-        assert {"t_us", "ack", "send", "forward", "transmit"} \
-            == set(rows[0].keys())
-
-    def test_writes_to_stream(self, results):
-        buf = io.StringIO()
-        assert flows_csv(results, out=buf) == ""
-        assert "flow_id" in buf.getvalue()

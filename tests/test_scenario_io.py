@@ -76,3 +76,65 @@ def test_document_is_plain_json(rich_scenario):
     assert doc["format"] == FORMAT
     assert {"topology", "flows", "switch_egress", "host_egress"} <= set(doc)
     assert doc["flows"][2]["transport"] == "reno"
+
+
+def _mutated(scenario, mutate):
+    doc = json.loads(scenario_to_json(scenario))
+    mutate(doc)
+    return json.dumps(doc)
+
+
+MALFORMED = {
+    "not-json": (lambda sc: "{nope", "not JSON"),
+    "top-level-list": (lambda sc: "[1, 2]", "JSON object"),
+    "unknown-format": (
+        lambda sc: _mutated(sc, lambda d: d.update(format="v0")),
+        "format"),
+    "missing-topology": (
+        lambda sc: _mutated(sc, lambda d: d.pop("topology")),
+        "'topology'"),
+    "topology-is-a-list": (
+        lambda sc: _mutated(sc, lambda d: d.update(topology=[1])),
+        "topology is malformed"),
+    "node-without-name": (
+        lambda sc: _mutated(
+            sc, lambda d: d["topology"]["nodes"][1].pop("name")),
+        r"topology\.nodes\[1\].*'name'"),
+    "link-node-out-of-range": (
+        lambda sc: _mutated(
+            sc, lambda d: d["topology"]["links"][0].update(a=10_000)),
+        r"topology\.links\[0\].*10000"),
+    "flow-missing-src": (
+        lambda sc: _mutated(sc, lambda d: d["flows"][1].pop("src")),
+        r"flows\[1\].*'src'"),
+    "flow-unknown-transport": (
+        lambda sc: _mutated(
+            sc, lambda d: d["flows"][0].update(transport="quic")),
+        r"flows\[0\].*'QUIC'"),
+    "egress-missing-aqm": (
+        lambda sc: _mutated(sc, lambda d: d["switch_egress"].pop("aqm")),
+        "switch_egress.*'aqm'"),
+    "dctcp-unknown-parameter": (
+        lambda sc: _mutated(sc, lambda d: d["dctcp"].update(bogus=1)),
+        "dctcp is malformed.*bogus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_are_config_errors(rich_scenario, case):
+    """Every malformed document is a ``ConfigError`` naming what is
+    wrong — never a bare KeyError / AttributeError / JSONDecodeError."""
+    make, match = MALFORMED[case]
+    with pytest.raises(ConfigError, match=match):
+        scenario_from_json(make(rich_scenario))
+
+
+def test_cli_reports_malformed_file_without_traceback(tmp_path, capsys):
+    from repro.cli import main
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format": "%s", "name": "x"}' % FORMAT)
+    assert main(["run", "--load", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario:")
+    assert "'topology'" in err
+    assert "Traceback" not in err
