@@ -23,14 +23,15 @@ from typing import List, Tuple
 
 from .agent import AgentEngine
 from .runtime import ClusterEngine, merge_results
-from ..core.checkpoint import FORMAT as ENGINE_FORMAT
-from ..core.checkpoint import restore_checkpoint, take_checkpoint
+from ..core.checkpoint import Checkpoint, restore_checkpoint, take_checkpoint
 from ..des.partition_types import Partition
 from ..errors import ClusterError
 from ..metrics import SimResults, TraceLevel
 from ..scenario import Scenario
 
-FORMAT = "dons-cluster-checkpoint-v1"
+#: v2: ``agents`` holds whole engine checkpoints — each with its own
+#: format tag and scenario name — where v1 held bare payload bytes.
+FORMAT = "dons-cluster-checkpoint-v2"
 
 
 @dataclass
@@ -43,7 +44,9 @@ class ClusterCheckpoint:
     partition: Tuple[int, ...]
     num_parts: int
     schedule: List[Tuple[int, Tuple[int, ...]]]
-    agent_payloads: List[bytes]
+    #: One engine snapshot per agent; ``restore_checkpoint`` refuses
+    #: one of another engine format or scenario.
+    agents: List[Checkpoint]
 
 
 def take_cluster_checkpoint(engine: ClusterEngine,
@@ -58,10 +61,7 @@ def take_cluster_checkpoint(engine: ClusterEngine,
         partition=partition.assignment,
         num_parts=partition.num_parts,
         schedule=[(w, p.assignment) for w, p in engine.schedule],
-        agent_payloads=[
-            take_checkpoint(agent, current_window).payload
-            for agent in agents
-        ],
+        agents=[take_checkpoint(agent, current_window) for agent in agents],
     )
 
 
@@ -85,12 +85,8 @@ def resume_cluster(
         for w, assignment in checkpoint.schedule
     ]
     engine = ClusterEngine.from_agents(agents, schedule=schedule)
-    from ..core.checkpoint import Checkpoint
-    for agent, payload in zip(agents, checkpoint.agent_payloads):
+    for agent, snapshot in zip(agents, checkpoint.agents):
         agent.build()
-        restore_checkpoint(agent, Checkpoint(
-            ENGINE_FORMAT, scenario.name,
-            checkpoint.current_window, payload,
-        ))
+        restore_checkpoint(agent, snapshot)
     per_agent = engine.run_from(checkpoint.current_window)
     return merge_results(per_agent, scenario.name), engine

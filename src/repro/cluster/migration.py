@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .agent import AgentEngine
-from ..core.ecs import SENDER_SCHEMA, RECEIVER_SCHEMA
+from ..core.ecs import EGRESS_SCHEMA, SENDER_SCHEMA, RECEIVER_SCHEMA
 from ..des.partition_types import Partition
 from ..errors import ClusterError
 
@@ -32,6 +32,7 @@ from ..errors import ClusterError
 ROW_BYTES = 64
 PORT_STATE_BYTES = 256
 
+_EGRESS_FIELDS = tuple(f.name for f in EGRESS_SCHEMA)
 _SENDER_FIELDS = tuple(f.name for f in SENDER_SCHEMA)
 _RECEIVER_FIELDS = tuple(f.name for f in RECEIVER_SCHEMA)
 
@@ -64,9 +65,13 @@ def _move_calendar_node(src: AgentEngine, dst: AgentEngine, node: int,
         stats.calendar_entries_moved += len(entries)
 
 
-def _copy_table_row(src_table, dst_table, idx: int, fields) -> None:
+def _move_table_row(src_table, dst_table, idx: int, fields) -> None:
+    """Trade row ``idx``: the new owner takes the state, the old owner
+    the new owner's untouched row — an egress row owns its queue lists,
+    and its counters are summed per agent at ``finalize()``."""
     for name in fields:
-        dst_table.set(idx, name, src_table.get(idx, name))
+        src, dst = src_table.column(name), dst_table.column(name)
+        src[idx], dst[idx] = dst[idx], src[idx]
 
 
 def migrate(
@@ -94,13 +99,14 @@ def migrate(
         src, dst = agents[src_id], agents[dst_id]
         stats.nodes_moved += 1
 
-        # 1. Egress ports of the node: carry queue/line state over.
+        # 1. Egress rows of the node: carry queue/line state over.
         for port_idx in range(topo.ports_of(node)):
             iface_id = topo.iface_id(node, port_idx)
-            port = src.ports[iface_id]
             stats.ports_moved += 1
-            stats.queued_packets_moved += len(port.sched)
-            dst.ports[iface_id] = port
+            stats.queued_packets_moved += src.world.egress.get(
+                iface_id, "qlen")
+            _move_table_row(src.world.egress, dst.world.egress, iface_id,
+                            _EGRESS_FIELDS)
             if iface_id in src.active_ports:
                 src.active_ports.discard(iface_id)
                 dst.active_ports.add(iface_id)
@@ -115,12 +121,12 @@ def migrate(
             for flow in scenario.flows:
                 if flow.src == node:
                     sidx = src.world.sender_of_flow[flow.flow_id]
-                    _copy_table_row(src.world.senders, dst.world.senders,
+                    _move_table_row(src.world.senders, dst.world.senders,
                                     sidx, _SENDER_FIELDS)
                     stats.sender_rows_moved += 1
                 if flow.dst == node:
                     ridx = src.world.receiver_of_flow[flow.flow_id]
-                    _copy_table_row(src.world.receivers, dst.world.receivers,
+                    _move_table_row(src.world.receivers, dst.world.receivers,
                                     ridx, _RECEIVER_FIELDS)
                     # results bookkeeping follows the receiver
                     dst.results.flows[flow.flow_id] = \

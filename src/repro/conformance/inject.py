@@ -12,8 +12,9 @@ Six bug classes are plantable:
   inside the transmit merge-sort: packets staged at the same
   ``(time, priority)`` on one egress port are replayed in *reversed*
   packet-identity order.  It patches both backends (the Python
-  ``transmit_kernel`` and the vectorized ``transmit_sort`` hook), so
-  whichever engine variant the oracles run is infected.
+  kernel's ``contract_key`` sort key and the vectorized
+  ``transmit_sort`` hook), so whichever engine variant the oracles run
+  is infected.
 * :func:`unstable_transmit_sort` replaces the vectorized backend's
   ordering-contract sort with one that is **unstable** on ties: it
   orders only by ``(time, priority)`` after reversing the staged list,
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import replace as _dc_replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..cluster import shm as shm_mod
 from ..core import events as events_mod
@@ -76,33 +77,11 @@ from ..core.systems import vectorized as vectorized_mod
 from ..traffic import arrivals as arrivals_mod
 from ..units import us
 from ..core.window import Staged
-from ..protocols.egress import Emission, EgressPort
 from ..protocols.packet import F_FLOW, F_ISACK, F_SEQ, Row
 
 
 def _flipped_key(a: Tuple[int, int, Row]):
     return (a[0], a[1], -a[2][F_FLOW], -a[2][F_ISACK], -a[2][F_SEQ])
-
-
-def _flipped_transmit_kernel(
-    ports: List[EgressPort],
-    staged: Dict[int, List[Staged]],
-    window_start: int,
-    window_end: int,
-    full_trace: bool,
-    iface_id: int,
-):
-    """`transmit_kernel` with the packet-identity tie-break reversed."""
-    port = ports[iface_id]
-    arrivals = staged.get(iface_id, [])
-    arrivals.sort(key=_flipped_key)
-    emissions: List[Emission] = []
-    drops: List[Tuple[int, Row]] = []
-    enq: Optional[List[Tuple[int, Row]]] = [] if full_trace else None
-    port.replay_window(arrivals, window_start, window_end,
-                       emissions, drops, enq)
-    still_active = len(port.sched) > 0
-    return iface_id, emissions, drops, enq, still_active, len(arrivals)
 
 
 def _flipped_transmit_sort(entries: List[Staged]) -> List[Staged]:
@@ -130,18 +109,18 @@ def flipped_transmit_order() -> Iterator[None]:
     Affects every in-process DOD engine on either backend (plain,
     checkpoint, cluster agents on the local transport; forked process
     agents inherit the patch too): the Python backend through its
-    ``transmit_kernel``, the NumPy backend through its ``transmit_sort``
-    hook.  The OOD baseline is untouched, so it stays a truthful
-    reference while the patch is live.
+    kernel's ``contract_key``, the NumPy backend through its
+    ``transmit_sort`` hook.  The OOD baseline is untouched, so it stays
+    a truthful reference while the patch is live.
     """
-    original_kernel = transmit_mod.transmit_kernel
+    original_key = transmit_mod.contract_key
     original_sort = vectorized_mod.transmit_sort
-    transmit_mod.transmit_kernel = _flipped_transmit_kernel
+    transmit_mod.contract_key = _flipped_key
     vectorized_mod.transmit_sort = _flipped_transmit_sort
     try:
         yield
     finally:
-        transmit_mod.transmit_kernel = original_kernel
+        transmit_mod.contract_key = original_key
         vectorized_mod.transmit_sort = original_sort
 
 

@@ -74,13 +74,14 @@ class OracleRun:
         return len(self.trace or ())
 
 
-def result_parts(results: SimResults, ports) -> List[Tuple[str, Any]]:
+def result_parts(results: SimResults,
+                 port_stats) -> List[Tuple[str, Any]]:
     """What a run without a trace must agree on with the reference, as
     named parts so a mismatch says where: the four event counts with
     drops, marks and tx_bytes, every flow's start and completion, the
-    RTT samples, and every port's ``PortStats``.  ``end_time_ps`` is
-    left out — the engines legitimately differ there (window end vs
-    last event)."""
+    RTT samples, and every port's ``PortStats`` (``port_stats``, in
+    interface order).  ``end_time_ps`` is left out — the engines
+    legitimately differ there (window end vs last event)."""
     ev = results.events
     parts: List[Tuple[str, Any]] = [
         ("totals", (ev.send, ev.forward, ev.transmit, ev.ack,
@@ -88,13 +89,13 @@ def result_parts(results: SimResults, ports) -> List[Tuple[str, Any]]:
     parts += [(f"flow {flow_id}", (fr.start_ps, fr.complete_ps))
               for flow_id, fr in sorted(results.flows.items())]
     parts.append(("rtt samples", tuple(results.rtt_samples)))
-    parts += [(f"iface {port.iface.iface_id}", astuple(port.stats))
-              for port in ports]
+    parts += [(f"iface {iface_id}", astuple(stats))
+              for iface_id, stats in enumerate(port_stats)]
     return parts
 
 
 def _finish(name: str, scenario: Scenario, results: SimResults,
-            counters: Dict[str, int], ports=None) -> OracleRun:
+            counters: Dict[str, int], port_stats=None) -> OracleRun:
     if results.trace is None:
         raise ReproError(f"oracle {name!r} produced no trace")
     return OracleRun(
@@ -103,13 +104,15 @@ def _finish(name: str, scenario: Scenario, results: SimResults,
         results=results,
         counters=dict(counters),
         lookahead_ps=scenario.lookahead_ps,
-        parts=result_parts(results, ports) if ports is not None else None,
+        parts=(result_parts(results, port_stats)
+               if port_stats is not None else None),
     )
 
 
 def run_ood(scenario: Scenario) -> OracleRun:
     sim = OodSimulator(scenario, TraceLevel.FULL)
-    return _finish("ood", scenario, sim.run(), {}, sim.ports)
+    return _finish("ood", scenario, sim.run(), {},
+                   [port.stats for port in sim.ports])
 
 
 def run_dod(scenario: Scenario, name: str = "dons",
@@ -122,7 +125,8 @@ def run_dod(scenario: Scenario, name: str = "dons",
                        backend=backend, ffwd=ffwd)
     results = engine.run()
     run = _finish(name, scenario, results, engine.bus.counters,
-                  engine.ports)
+                  [engine.port_stats(i)
+                   for i in range(len(engine.world.egress))])
     if not trace:
         run.trace = None
     return run

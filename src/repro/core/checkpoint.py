@@ -8,8 +8,9 @@ multiple locations against single-point failures.
 
 A checkpoint captures everything the batch engine needs to resume —
 the window cursor, the columnar pending-event store (columns plus its
-window-occupancy index), every egress port's queue/line state, the
-component tables, accumulated results — as one pickled blob.
+window-occupancy index), the component tables (every egress port's
+queue/line state is a row of ``world.egress``), accumulated results —
+as one pickled blob.
 Restoring into a fresh engine and continuing produces *exactly* the
 trace the uninterrupted run would have produced (asserted in
 tests/core/test_checkpoint.py), because the engine state between two
@@ -36,7 +37,8 @@ from ..errors import SimulationError
 #: Format tag so stale checkpoints fail loudly instead of misloading.
 #: v2: the scalar ``calendar``/``win_heap``/``win_queued`` triplet was
 #: replaced by the single columnar ``events`` store (EventColumns).
-FORMAT = "dons-checkpoint-v2"
+#: v3: no ``ports`` object graph — egress state is ``world.egress`` rows.
+FORMAT = "dons-checkpoint-v3"
 
 
 @dataclass
@@ -57,7 +59,6 @@ def _engine_state(engine: DodEngine, current_window: int) -> dict:
         "current_window": current_window,
         "events": engine.events,
         "active_ports": engine.active_ports,
-        "ports": engine.ports,
         "world": engine.world,
         "results": engine.results,
         "trace": engine.trace,
@@ -100,7 +101,6 @@ def restore_checkpoint(engine: DodEngine, checkpoint: Checkpoint) -> int:
     state = pickle.loads(checkpoint.payload)
     engine.events = state["events"]
     engine.active_ports = state["active_ports"]
-    engine.ports = state["ports"]
     engine.world = state["world"]
     engine.results = state["results"]
     engine.attach_trace(state["trace"])

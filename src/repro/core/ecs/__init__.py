@@ -3,13 +3,13 @@
 from .components import FieldSpec, SoATable
 from .commands import CommandBuffer, consolidate
 from .entity import (
-    EGRESS_SCHEMA, EntityKind, INGRESS_SCHEMA, RECEIVER_SCHEMA,
+    EGRESS_SCHEMA, EgressCols, EntityKind, INGRESS_SCHEMA, RECEIVER_SCHEMA,
     SENDER_SCHEMA, World,
 )
 
 __all__ = [
     "FieldSpec", "SoATable",
     "CommandBuffer", "consolidate",
-    "EntityKind", "World",
+    "EntityKind", "World", "EgressCols",
     "SENDER_SCHEMA", "RECEIVER_SCHEMA", "INGRESS_SCHEMA", "EGRESS_SCHEMA",
 ]

@@ -2,12 +2,13 @@
 
 An entity is just a dense index into its kind's :class:`SoATable` —
 "usually implemented as a unique identifier", as the paper puts it.
-:class:`World` owns the four tables and the mapping from simulation
-objects (flows, interfaces) to entity indices.
+:class:`World` owns the four tables and the mapping from flows to
+entity indices; a port's entity index is its interface id.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import IntEnum
 from typing import Dict
 
@@ -24,7 +25,8 @@ class EntityKind(IntEnum):
 
 
 #: Component schemas.  Senders carry the DCTCP/UDP state machine fields;
-#: receivers the reassembly state; ports reference their queues/FIB.
+#: receivers the reassembly state; egress ports their line, queue,
+#: counter and discipline state.
 SENDER_SCHEMA = (
     FieldSpec("flow_id", -1),
     FieldSpec("src", -1),
@@ -75,11 +77,37 @@ INGRESS_SCHEMA = (
     # IngressPorts of a device share its forwarding table.
 )
 
+#: One row per directed interface, row index = interface id.  Every
+#: mutable per-port value lives here; what the topology fixes is the
+#: ``PortStatic`` tuple of ``core/systems/transmit.py``.
 EGRESS_SCHEMA = (
-    FieldSpec("iface_id", -1),
-    FieldSpec("node", -1),
-    FieldSpec("port_ref", None, item_bytes=8),  # the EgressPort automaton
+    # Line and AQM state.
+    FieldSpec("free_at", 0),         # time the line becomes free
+    FieldSpec("queued_bytes", 0),
+    FieldSpec("avg_bytes", 0),       # RED's integer EWMA
+    # Class queues: per entity one list per class, popped from ``heads``.
+    FieldSpec("qlen", 0),            # packets queued over all classes
+    FieldSpec("queues", None, item_bytes=16),
+    FieldSpec("heads", None, item_bytes=16),
+    # Counters (the ``PortStats`` of protocols/egress.py).
+    FieldSpec("enqueued", 0),
+    FieldSpec("dequeued", 0),
+    FieldSpec("dropped", 0),
+    FieldSpec("marked", 0),
+    FieldSpec("tx_bytes", 0),
+    FieldSpec("max_queue_bytes", 0),
+    FieldSpec("queue_samples", None, item_bytes=16),  # list per entity
+    # Discipline state: Round Robin's pointer; Deficit Round Robin's
+    # per-class deficits, visited class and quantum-granted flag.
+    FieldSpec("rr_next", 0),
+    FieldSpec("drr_deficit", None, item_bytes=16),
+    FieldSpec("drr_current", 0),
+    FieldSpec("drr_granted", False, item_bytes=1),
 )
+
+#: Bulk handles to the egress columns the TransmitSystem sweeps; its
+#: replay and the fused sweep unpack them by position, in schema order.
+EgressCols = namedtuple("EgressCols", [f.name for f in EGRESS_SCHEMA])
 
 
 class World:
@@ -90,11 +118,14 @@ class World:
         self.receivers = SoATable("receiver", RECEIVER_SCHEMA)
         self.ingress = SoATable("ingress", INGRESS_SCHEMA)
         self.egress = SoATable("egress", EGRESS_SCHEMA)
+        #: The egress column lists, taken once: a table's columns grow
+        #: in place, so the handles live as long as the world does (a
+        #: restored checkpoint brings its own).
+        self.egress_cols = EgressCols(
+            **self.egress.columns(EgressCols._fields))
         #: flow id -> sender / receiver entity index.
         self.sender_of_flow: Dict[int, int] = {}
         self.receiver_of_flow: Dict[int, int] = {}
-        #: interface id -> egress entity index.
-        self.egress_of_iface: Dict[int, int] = {}
 
     def table(self, kind: EntityKind) -> SoATable:
         return (self.senders, self.receivers, self.ingress, self.egress)[kind]

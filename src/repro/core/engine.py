@@ -48,13 +48,14 @@ from .runner import EngineRunner
 from .systems import (
     run_ack_system, run_forward_system, run_send_system, run_transmit_system,
 )
+from .systems.transmit import PortStatic, port_static
 from .window import (
     ENTRY_ARRIVAL, ENTRY_FLOW_START, ENTRY_UDP, Entry, WindowContext,
 )
 from ..errors import ConfigError, SimulationError
 from ..metrics import SimResults, TraceLevel, TraceRecorder
 from ..metrics.results import FlowResult
-from ..protocols import EgressPort
+from ..protocols.egress import PortStats
 from ..protocols.packet import PRIO_ARRIVAL, Row, segment_count
 from ..scenario import Scenario
 from ..traffic import Transport
@@ -145,7 +146,6 @@ class DodEngine:
             raise SimulationError("lookahead must be positive")
 
         self.world = World()
-        self.ports: List[EgressPort] = []
         self.results = SimResults(self.name, scenario.name, 0)
 
         # Columnar pending-event store + window-occupancy index.
@@ -155,13 +155,13 @@ class DodEngine:
         self._finalized = False
         self._cursor = -1
         self._windows_run = 0
+        #: Per-port constants by interface id, gathered at ``build()``.
+        self.port_static: List[PortStatic] = []
         # Caches that are pure functions of the scenario, filled on
         # first use and never checkpointed: the per-flow lists of the
-        # send path, and the fused pass's route cache and per-port
-        # constants.
+        # send path, and the fused pass's route cache.
         self._flow_lists = None
         self._routes: Dict[int, int] = {}
-        self._tx_static = None
 
         # One execution per backend: the reference backend runs the four
         # systems back to back, the vectorized one a single fused pass
@@ -190,23 +190,24 @@ class DodEngine:
     def build(self) -> None:
         """Simulation Builder: entities, ports, and initial flow starts."""
         sc = self.scenario
-        topo = sc.topology
-        from ..protocols.egress import TableClassifier
-        classifier = TableClassifier(sc.classifier_table())
-
-        for iface in topo.interfaces:
-            cfg = (
-                sc.host_egress if topo.nodes[iface.node].is_host
-                else sc.switch_egress
-            )
-            self.ports.append(EgressPort(iface, cfg, classifier,
-                                         sample_queue=self.sample_queues))
-            eidx = self.world.egress.add(
-                iface_id=iface.iface_id, node=iface.node,
-                port_ref=self.ports[-1],
-            )
-            self.world.egress_of_iface[iface.iface_id] = eidx
-            self.world.ingress.add(iface_id=iface.iface_id, node=iface.peer_node)
+        nodes, ifaces = sc.topology.nodes, sc.topology.interfaces
+        n = len(ifaces)
+        table = sc.classifier_table()
+        self.port_static = [
+            port_static(iface, sc.host_egress if nodes[iface.node].is_host
+                        else sc.switch_egress, table, self.sample_queues)
+            for iface in ifaces]
+        classes = [st.classes for st in self.port_static]
+        # One egress row per interface, row index = interface id; every
+        # row owns its class queues, pop indices, sample list, deficits.
+        self.world.egress.add_many(
+            n, queues=[[[] for _ in range(c)] for c in classes],
+            heads=[[0] * c for c in classes],
+            queue_samples=[[] for _ in range(n)],
+            drr_deficit=[[0] * c for c in classes])
+        self.world.ingress.add_many(
+            n, iface_id=[iface.iface_id for iface in ifaces],
+            node=[iface.peer_node for iface in ifaces])
 
         if hasattr(sc.flows, "iter_batches"):
             self._build_flows_columnar(sc)
@@ -513,14 +514,16 @@ class DodEngine:
         util = metrics.histogram("link.window_utilization",
                                  UTILIZATION_BUCKETS)
         tx_prev = self._tx_prev
+        cols = self.world.egress_cols
+        queued_bytes, tx_bytes = cols.queued_bytes, cols.tx_bytes
+        static = self.port_static
         for iface_id in self.active_ports:
-            port = self.ports[iface_id]
-            depth.record(port.queued_bytes)
-            tx = port.stats.tx_bytes
+            depth.record(queued_bytes[iface_id])
+            tx = tx_bytes[iface_id]
             sent = tx - tx_prev.get(iface_id, 0)
             if sent:
                 tx_prev[iface_id] = tx
-                capacity = port.iface.rate_bps * window_ps * 1e-12
+                capacity = static[iface_id].rate_bps * window_ps * 1e-12
                 if capacity > 0:
                     util.record(min(1.0, sent * 8.0 / capacity))
 
@@ -571,6 +574,16 @@ class DodEngine:
         """Run to completion (or duration / max_windows)."""
         return EngineRunner(self).run()
 
+    def port_stats(self, iface_id: int) -> PortStats:
+        """The counters of one egress row, as the result type the OOD
+        baseline's ports carry (built on demand; a copy)."""
+        cols = self.world.egress_cols
+        return PortStats(
+            cols.enqueued[iface_id], cols.dequeued[iface_id],
+            cols.dropped[iface_id], cols.marked[iface_id],
+            cols.tx_bytes[iface_id], cols.max_queue_bytes[iface_id],
+            list(cols.queue_samples[iface_id]))
+
     def finalize(self) -> SimResults:
         """Assemble results (idempotent)."""
         if not self._finalized:
@@ -578,9 +591,9 @@ class DodEngine:
             res = self.results
             res.trace = self.trace
             res.rtt_samples.sort()
-            for port in self.ports:
-                res.marks += port.stats.marked
-                res.tx_bytes += port.stats.tx_bytes
+            cols = self.world.egress_cols
+            res.marks += sum(cols.marked)
+            res.tx_bytes += sum(cols.tx_bytes)
             if self.bus.telemetry:
                 self._final_metrics()
         return self.results
@@ -593,21 +606,13 @@ class DodEngine:
         for flow in self.results.flows.values():
             if flow.complete_ps is not None:
                 fct.record((flow.complete_ps - flow.start_ps) * 1e-6)
-        drops = marks = enq = deq = 0
-        max_depth = 0
-        for port in self.ports:
-            stats = port.stats
-            drops += stats.dropped
-            marks += stats.marked
-            enq += stats.enqueued
-            deq += stats.dequeued
-            if stats.max_queue_bytes > max_depth:
-                max_depth = stats.max_queue_bytes
-        metrics.count("port.drops", drops)
-        metrics.count("port.ecn_marks", marks)
-        metrics.count("port.enqueued", enq)
-        metrics.count("port.dequeued", deq)
-        metrics.gauge("port.max_queue_bytes", float(max_depth))
+        cols = self.world.egress_cols
+        metrics.count("port.drops", sum(cols.dropped))
+        metrics.count("port.ecn_marks", sum(cols.marked))
+        metrics.count("port.enqueued", sum(cols.enqueued))
+        metrics.count("port.dequeued", sum(cols.dequeued))
+        metrics.gauge("port.max_queue_bytes",
+                      float(max(cols.max_queue_bytes, default=0)))
 
 
 def run_dons(

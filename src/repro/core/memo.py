@@ -66,9 +66,6 @@ from ..protocols.packet import (
 )
 from ..metrics.trace import TraceRecorder
 from ..protocols.udp import UdpSchedule
-from ..schedulers.disciplines import (
-    DeficitRoundRobinScheduler, RoundRobinScheduler,
-)
 from ..units import PS_PER_S
 
 __all__ = ["WindowMemoCache", "WindowDelta", "capture_filter"]
@@ -253,10 +250,11 @@ class WindowMemoCache:
             n.is_host for n in scenario.topology.nodes)
         #: Segment count per flow, filled by :meth:`_sched_of`.
         self._totals: Dict[int, int] = {}
-        #: Static per-port facts: (scheduler kind code, the shared
-        #: empty rows tuple) — lets :meth:`_enc_port` skip the per-class
-        #: row walk entirely for drained ports (the common steady case).
-        self._port_meta: Dict[int, Tuple] = {}
+        #: Per port, the shared rows tuple of a drained port — lets
+        #: :meth:`_enc_port` skip the per-class row walk entirely (the
+        #: common steady case).
+        self._empty_rows = [((),) * st.classes
+                            for st in engine.port_static]
 
     # --- lifecycle --------------------------------------------------------
 
@@ -415,18 +413,17 @@ class WindowMemoCache:
             return (e[0], e[1] + dt, e[2], _dec_row(e[3], jump_of, dt))
         engine.events.translate(shift, move)
         engine.events.touch(win + shift)  # the index had given it out
-        ports = engine.ports
-        for iface_id, _act, free_enc, *_rest in state.key[1]:
-            port = ports[iface_id]
-            if free_enc[0]:
-                port.free_at += dt
-            sched = port.sched
-            if sched._len:
-                sched.queues = [
-                    [_dec_row(r, jump_of, dt) for r in q[h:]]
-                    for q, h in zip(sched.queues, sched._heads)]
-                sched._heads = [0] * len(sched.queues)
         world = engine.world
+        cols = world.egress_cols
+        for iface_id, _act, free_enc, *_rest in state.key[1]:
+            if free_enc[0]:
+                cols.free_at[iface_id] += dt
+            if cols.qlen[iface_id]:
+                heads = cols.heads[iface_id]
+                cols.queues[iface_id] = [
+                    [_dec_row(r, jump_of, dt) for r in q[h:]]
+                    for q, h in zip(cols.queues[iface_id], heads)]
+                heads[:] = [0] * len(heads)
         next_col = world.senders.column("udp_next_seq")
         rcols = world.receivers.columns(
             ("expected", "unique_received", "out_of_order"))
@@ -513,7 +510,6 @@ class WindowMemoCache:
         next_seq_col = engine.world.senders.column("udp_next_seq")
         base_of = probe.base_of
         is_host = self._is_host
-        ports = engine.ports
         active = engine.active_ports
         union = set(active)
         entries_enc: List[Tuple] = []
@@ -579,10 +575,10 @@ class WindowMemoCache:
         port_encs = probe.port_encs
         def resolve(f: int) -> int:
             return int(next_seq_col[sender_of_flow[f]])
+        cols = engine.world.egress_cols
         for iface_id in union_sorted:
-            enc = self._enc_port(ports[iface_id], iface_id,
-                                 iface_id in active, base_of, resolve,
-                                 start)
+            enc = self._enc_port(cols, iface_id, iface_id in active,
+                                 base_of, resolve, start)
             if enc is None:
                 return "foreign_queued_row"
             ports_enc.append(enc)
@@ -651,11 +647,11 @@ class WindowMemoCache:
         return (tuple((t - start, p) for t, _s, p in ems),
                 -1 if wakeup is None else wakeup - start)
 
-    def _enc_port(self, port, iface_id: int, active_flag: bool,
+    def _enc_port(self, cols, iface_id: int, active_flag: bool,
                   base_of: Dict[int, int],
                   resolve: Optional[Callable[[int], int]],
                   start: int) -> Optional[Tuple]:
-        """Canonical rebased encoding of one egress port's mutable state.
+        """Canonical rebased encoding of one egress row's mutable state.
 
         Returns ``None`` when a queued row falls outside the UDP closed
         world, or — in strict mode (``resolve=None``, used by the
@@ -667,25 +663,17 @@ class WindowMemoCache:
         an exact absolute write.  Deliberately *excluded*: ``avg_bytes``
         (the RED EWMA converges asymptotically, so it never repeats —
         and RED is one of the memo's static disable gates, making the
-        column write-only whenever the cache is live) and ``in_service``
-        (baseline-only state the windowed path never reads).
+        column write-only whenever the cache is live).  The discipline
+        extras are the ``rr_*`` / ``drr_*`` fields, on ports that pick
+        by them.
         """
-        sched = port.sched
-        meta = self._port_meta.get(iface_id)
-        if meta is None:
-            kind = type(sched)
-            code = (1 if kind is RoundRobinScheduler
-                    else 2 if kind is DeficitRoundRobinScheduler else 0)
-            meta = self._port_meta[iface_id] = (
-                code, ((),) * len(sched.queues))
-        code, empty_rows = meta
-        if sched._len == 0:
-            rows_tuple = empty_rows
+        if cols.qlen[iface_id] == 0:
+            rows_tuple = self._empty_rows[iface_id]
         else:
             udp_flows = self._udp_flows
-            heads = sched._heads
+            heads = cols.heads[iface_id]
             rows_enc = []
-            for cls, q in enumerate(sched.queues):
+            for cls, q in enumerate(cols.queues[iface_id]):
                 cls_rows = []
                 for r in q[heads[cls]:]:
                     f, ack, seq, size, ce, ece, ts, src, dst = r
@@ -700,16 +688,15 @@ class WindowMemoCache:
                                      ts - start, src, dst))
                 rows_enc.append(tuple(cls_rows))
             rows_tuple = tuple(rows_enc)
-        if code == 0:
-            extras: Tuple = ()
-        elif code == 1:
-            extras = (sched._next,)
-        else:
-            extras = (tuple(sched.deficit), sched._current, sched._granted)
-        free_at = port.free_at
+        extras: Tuple = ()
+        if self.engine.port_static[iface_id].kind:
+            extras = (cols.rr_next[iface_id],
+                      tuple(cols.drr_deficit[iface_id]),
+                      cols.drr_current[iface_id], cols.drr_granted[iface_id])
+        free_at = cols.free_at[iface_id]
         free_enc = (1, free_at - start) if free_at > start else (0,)
         return (iface_id, 1 if active_flag else 0, free_enc,
-                port.queued_bytes, port.stats.max_queue_bytes,
+                cols.queued_bytes[iface_id], cols.max_queue_bytes[iface_id],
                 extras, rows_tuple)
 
     def _nic_of(self, fid: int) -> int:
@@ -748,12 +735,11 @@ class WindowMemoCache:
         pre_rtt = len(res.rtt_samples)
         # The stats baseline is only needed by the capture diff, so it
         # is taken here rather than on every (mostly hitting) probe.
-        ports = engine.ports
+        cols = engine.world.egress_cols
         stats_pre = probe.port_stats_pre
-        for iface_id in probe.union_ports:
-            s = ports[iface_id].stats
-            stats_pre[iface_id] = (s.enqueued, s.dequeued, s.dropped,
-                                   s.marked, s.tx_bytes)
+        for i in probe.union_ports:
+            stats_pre[i] = (cols.enqueued[i], cols.dequeued[i],
+                            cols.dropped[i], cols.marked[i], cols.tx_bytes[i])
         tap = self._tap
         tap.ops = []
         tap.active = True
@@ -815,23 +801,23 @@ class WindowMemoCache:
             if post_sizes.get(w, 0) < n:
                 return "bucket_shrank"  # a pre-existing bucket vanished
 
-        ports = engine.ports
+        cols = engine.world.egress_cols
         active = engine.active_ports
         port_items: List[Tuple] = []
-        for iface_id in probe.union_ports:
-            port = ports[iface_id]
+        for i in probe.union_ports:
             # Strict mode: a queued row whose flow escaped the probe's
             # base map cannot be rebased consistently -> uncacheable.
-            post_enc = self._enc_port(port, iface_id, iface_id in active,
-                                      base_of, None, start)
+            post_enc = self._enc_port(cols, i, i in active, base_of, None,
+                                      start)
             if post_enc is None:
                 return "foreign_queued_row"
-            s = port.stats
-            p = probe.port_stats_pre[iface_id]
-            port_items.append((iface_id, post_enc,
-                               (s.enqueued - p[0], s.dequeued - p[1],
-                                s.dropped - p[2], s.marked - p[3],
-                                s.tx_bytes - p[4])))
+            p = probe.port_stats_pre[i]
+            port_items.append((i, post_enc,
+                               (cols.enqueued[i] - p[0],
+                                cols.dequeued[i] - p[1],
+                                cols.dropped[i] - p[2],
+                                cols.marked[i] - p[3],
+                                cols.tx_bytes[i] - p[4])))
 
         senders = engine.world.senders
         sender_of_flow = engine.world.sender_of_flow
@@ -914,40 +900,30 @@ class WindowMemoCache:
         engine._running_window = win
         engine.events.discard_window(win)
 
-        ports = engine.ports
+        cols = engine.world.egress_cols
         active = engine.active_ports
         for iface_id, post_enc, _stats_incr in delta.ports:
-            port = ports[iface_id]
             pre_enc = probe.port_encs[iface_id]
             if post_enc != pre_enc:
                 _, act, free_enc, queued, maxq, extras, rows = post_enc
                 (p_act, p_free, p_queued, p_maxq, p_extras,
                  p_rows) = pre_enc[1:]
                 if free_enc != p_free:
-                    port.free_at = start + free_enc[1]
+                    cols.free_at[iface_id] = start + free_enc[1]
                 if queued != p_queued:
-                    port.queued_bytes = queued
+                    cols.queued_bytes[iface_id] = queued
                 if maxq != p_maxq:
-                    port.stats.max_queue_bytes = maxq
-                sched = port.sched
+                    cols.max_queue_bytes[iface_id] = maxq
                 if rows != p_rows:
-                    queues: List[List[Row]] = []
-                    total = 0
-                    for cls_rows in rows:
-                        lst = [_dec_row(r, base_of, start) for r in cls_rows]
-                        total += len(lst)
-                        queues.append(lst)
-                    sched.queues = queues
-                    sched._heads = [0] * len(queues)
-                    sched._len = total
+                    queues = cols.queues[iface_id] = [
+                        [_dec_row(r, base_of, start) for r in cls_rows]
+                        for cls_rows in rows]
+                    cols.heads[iface_id][:] = [0] * len(queues)
+                    cols.qlen[iface_id] = sum(map(len, queues))
                 if extras != p_extras:
-                    kind = type(sched)
-                    if kind is RoundRobinScheduler:
-                        sched._next = extras[0]
-                    elif kind is DeficitRoundRobinScheduler:
-                        sched.deficit = list(extras[0])
-                        sched._current = extras[1]
-                        sched._granted = extras[2]
+                    (cols.rr_next[iface_id], cols.drr_deficit[iface_id][:],
+                     cols.drr_current[iface_id],
+                     cols.drr_granted[iface_id]) = extras
                 if act != p_act:
                     if act:
                         active.add(iface_id)
@@ -1024,17 +1000,15 @@ class WindowMemoCache:
     def _account(self, delta: WindowDelta, k: int) -> None:
         """Add ``k`` x one window's increments to the accumulators
         (port stats, event counts, per-node events, drops)."""
-        engine = self.engine
-        ports = engine.ports
-        for iface_id, _post, incr in delta.ports:
+        cols = self.engine.world.egress_cols
+        for i, _post, incr in delta.ports:
             if incr != _NO_STATS:
-                s = ports[iface_id].stats
-                s.enqueued += k * incr[0]
-                s.dequeued += k * incr[1]
-                s.dropped += k * incr[2]
-                s.marked += k * incr[3]
-                s.tx_bytes += k * incr[4]
-        res = engine.results
+                cols.enqueued[i] += k * incr[0]
+                cols.dequeued[i] += k * incr[1]
+                cols.dropped[i] += k * incr[2]
+                cols.marked[i] += k * incr[3]
+                cols.tx_bytes[i] += k * incr[4]
+        res = self.engine.results
         ev = res.events
         a, s_, f, tr = delta.counts
         ev.ack += k * a

@@ -20,7 +20,7 @@ from typing import List, Tuple
 
 from ..ecs import CommandBuffer, consolidate
 from ..window import ENTRY_ARRIVAL, WindowContext
-from ...protocols.packet import F_DST, F_FLOW, F_SEQ, Row
+from ...protocols.packet import F_DST, F_FLOW, F_SEQ, Row, packet_uid
 
 #: One task: (switch node, its window arrivals).
 ForwardWork = Tuple[int, List[Tuple[int, int, Row]]]
@@ -61,7 +61,6 @@ def commit_forward(engine, ctx: WindowContext, results) -> None:
         ctx.counts.forward += n
         engine.bump_node(node, n)
         if bus.has_ops:
-            from ...protocols.packet import packet_uid
             for _target, (_t, _prio, row) in buf.entries:
                 bus.op(1, node, packet_uid(row))  # OP_FORWARD
         buffers.append(buf)

@@ -10,6 +10,14 @@ Interleaving arrivals with departures during the replay reconstructs the
 exact queue length every packet saw (the paper's TXhistory mechanism),
 so drops and ECN marks match the event-driven baseline exactly.
 
+A port is one row of ``world.egress`` (its mutable state) plus one
+:class:`PortStatic` (what the topology and the scenario fix), and
+:func:`replay_window` over those is the only windowed replay there is:
+this module's reference kernel and the fused sweep of
+:mod:`~repro.core.systems.vectorized` both call it.  Its lockstep twin
+is the event-by-event ``EgressPort`` automaton of the OOD baseline
+(``tests/core/test_port_replay.py``).
+
 Plan → kernel → commit: :func:`plan_transmit` lists the fed or active
 ports; :func:`transmit_kernel` replays one port's window (ports are
 independent entities); :func:`commit_transmit` publishes
@@ -18,11 +26,300 @@ trace/op events and registers cross-device arrivals, in port order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..window import Staged, WindowContext
-from ...protocols.egress import Emission, EgressPort
-from ...protocols.packet import F_CE, F_FLOW, F_ISACK, F_SEQ, Row
+from .. import events as events_mod
+from ..ecs import EgressCols
+from ..window import ENTRY_ARRIVAL, Staged, WindowContext
+from ...errors import ConfigError
+from ...protocols.aqm import AqmConfig, AqmKind, should_mark
+from ...protocols.packet import (
+    F_CE, F_FLOW, F_ISACK, F_SEQ, F_SIZE, PRIO_ARRIVAL, Row, packet_uid,
+    with_ce,
+)
+from ...schedulers import SchedulerKind
+from ...units import PS_PER_S
+
+#: 8 * PS_PER_S, the serialization-formula constant (see repro.units).
+_PS8 = 8 * PS_PER_S
+
+#: An emission: (row, service_start_ps, service_end_ps).
+Emission = Tuple[Row, int, int]
+
+#: ``PortStatic.kind``: how the next class to serve is picked.
+PICK_LOWEST, PICK_RR, PICK_DRR = 0, 1, 2
+
+
+class PortStatic(NamedTuple):
+    """One port's topology- and scenario-fixed constants, gathered once
+    per engine at ``build()`` (``engine.port_static``, by interface id).
+    Dynamic state stays in ``world.egress`` — migration and checkpoints
+    move that, never these."""
+
+    #: Class queues of the port: 1 for FIFO, N otherwise.
+    classes: int
+    node: int
+    peer_node: int
+    delay_ps: int
+    rate_bps: int
+    ewma_shift: int
+    buffer_bytes: int
+    ecn_k: Optional[int]         # the DCTCP threshold, else None
+    red: Optional[AqmConfig]     # the RED config, else None
+    #: ``PICK_LOWEST`` (FIFO and Strict Priority: the lowest non-empty
+    #: class), ``PICK_RR`` or ``PICK_DRR``.
+    kind: int
+    quantum: int                 # DRR bytes granted per visit
+    #: flow id -> traffic class (clamped into range on enqueue);
+    #: ``None`` on a one-class port.
+    table: Optional[List[int]]
+    sample_queue: bool
+
+
+def port_static(iface, cfg, table: List[int],
+                sample_queue: bool) -> PortStatic:
+    """The constants of one interface under egress config ``cfg``."""
+    aqm = cfg.aqm
+    classes = 1 if cfg.scheduler == SchedulerKind.FIFO else cfg.num_classes
+    if classes < 1:
+        raise ConfigError("need at least one traffic class")
+    if cfg.scheduler == SchedulerKind.DRR and cfg.drr_quantum_bytes < 1:
+        raise ConfigError("DRR quantum must be positive")
+    return PortStatic(
+        classes, iface.node, iface.peer_node, iface.delay_ps,
+        iface.rate_bps, aqm.red_weight_shift, cfg.buffer_bytes,
+        aqm.ecn_threshold_bytes
+        if aqm.kind == AqmKind.ECN_THRESHOLD else None,
+        aqm if aqm.kind == AqmKind.RED else None,
+        PICK_RR if cfg.scheduler == SchedulerKind.RR
+        else PICK_DRR if cfg.scheduler == SchedulerKind.DRR
+        else PICK_LOWEST,
+        cfg.drr_quantum_bytes,
+        table if classes > 1 else None,
+        sample_queue)
+
+
+def contract_key(a: Staged):
+    """The canonical arrival ordering: (t, prio, flow, is_ack, seq).
+
+    Resolved from module globals by :func:`transmit_kernel` at run
+    time, so ``conformance.inject.flipped_transmit_order`` can patch it.
+    """
+    return (a[0], a[1], a[2][F_FLOW], a[2][F_ISACK], a[2][F_SEQ])
+
+
+def _drr_pick(queues, heads, deficit, quantum: int, cls: int,
+              granted: bool) -> int:
+    """Deficit Round Robin's next class, from ``cls`` on: an empty class
+    forfeits its deficit, a visited one is granted ``quantum`` once and
+    keeps the floor while its head fits.  Debits the winner, which the
+    caller pops and stays on (quantum granted).  Needs a non-empty
+    port."""
+    n = len(queues)
+    while True:
+        q = queues[cls]
+        if heads[cls] >= len(q):
+            deficit[cls] = 0
+        else:
+            if not granted:
+                deficit[cls] += quantum
+                granted = True
+            size = q[heads[cls]][F_SIZE]
+            if size <= deficit[cls]:
+                deficit[cls] -= size
+                return cls
+        cls = (cls + 1) % n
+        granted = False
+
+
+def replay_window(
+    cols: EgressCols,
+    static: PortStatic,
+    iface_id: int,
+    arrivals,
+    window_start: int,
+    window_end: int,
+    emissions: List[Emission],
+    drops: List[Tuple[int, Row]],
+    enq: Optional[List[Tuple[int, Row]]] = None,
+    sink: Optional[Tuple] = None,
+) -> int:
+    """Replay one lookahead window of row ``iface_id``'s timeline.
+
+    ``arrivals`` are ``(time, prio, row)`` sorted by the ordering
+    contract, every time in ``[window_start, window_end)``.  Service
+    starts and arrivals interleave in chronological order; at equal
+    timestamps service precedes arrival, matching the baseline's
+    PORT_DONE-before-ARRIVAL event priority.  ``emissions`` takes
+    ``(row, start, end)`` per service started in the window, ``drops``
+    the ``(time, row)`` tail drops, ``enq`` (trace recording) the
+    ``(time, accepted_row)`` pairs with any CE mark applied.
+
+    The transitions are those of the ``EgressPort`` automaton
+    (``arrive`` / ``start_service``, the scheduler's ``enqueue`` /
+    ``dequeue`` with its lazy queue compaction) over local variables,
+    with the row written back once at exit.  Class 0's queue and head
+    live in locals, so a FIFO port never touches the per-class lists
+    and Strict Priority scans higher classes only when class 0 is
+    empty; Round Robin and Deficit Round Robin pick through ``heads``.
+    No arrivals (a busy line draining) and one arrival are the same
+    loop with a shorter input.
+
+    ``sink`` is the caller's ``(buckets, events, register_window,
+    lookahead, floor)``; when given, dequeued packets are delivered
+    straight into the engine's event columns instead of filling
+    ``emissions``.  Returns the number of dequeues.
+    """
+    (classes, _node, peer, delay, rate, weight_shift, buffer_bytes, ecn_k,
+     red, kind, quantum, table, sample_queue) = static
+    (free_col, queued_col, avg_col, qlen_col, queues_col, heads_col,
+     enqueued_col, dequeued_col, dropped_col, marked_col, tx_col, max_q_col,
+     samples_col, rr_next_col, deficit_col, current_col, granted_col) = cols
+    queues = queues_col[iface_id]
+    heads = heads_col[iface_id]
+    queue = queues[0]
+    head = heads[0]
+    slen = qlen_col[iface_id]
+    top = classes - 1
+    if kind == PICK_RR:
+        rr_next = rr_next_col[iface_id]
+    elif kind:
+        deficit = deficit_col[iface_id]
+        drr_current = current_col[iface_id]
+        drr_granted = granted_col[iface_id]
+    if sink is not None:
+        buckets, events, reg, L, floor = sink
+        last_win = -1
+        b_nodes = b_payloads = None
+    queued = queued_col[iface_id]
+    avg = avg_col[iface_id]
+    free_at = free_col[iface_id]
+    max_q = max_q_col[iface_id]
+    n_deq = n_enq = n_drop = n_mark = tx = 0
+    cursor = window_start
+    i = 0
+    n = len(arrivals)
+    next_arr = arrivals[0][0] if n else None
+    while True:
+        if slen > 0:
+            start = free_at if free_at > cursor else cursor
+            if start < window_end and (next_arr is None
+                                       or start <= next_arr):
+                if not kind and head < len(queue):
+                    row = queue[head]    # the scheduler's lazy compaction
+                    head += 1
+                    if head > 64 and head * 2 >= len(queue):
+                        del queue[:head]
+                        head = 0
+                else:
+                    if not kind:         # class 0 empty: next class up
+                        c = 1
+                        while heads[c] >= len(queues[c]):
+                            c += 1
+                    elif kind == PICK_RR:
+                        c = rr_next
+                        while heads[c] >= len(queues[c]):
+                            c = (c + 1) % classes
+                        rr_next = (c + 1) % classes
+                    else:
+                        c = drr_current = _drr_pick(
+                            queues, heads, deficit, quantum, drr_current,
+                            drr_granted)
+                        drr_granted = True
+                        if slen == 1:
+                            # The queue drains: the next burst starts a
+                            # clean round, however many windows later.
+                            deficit[:] = [0] * classes
+                            drr_current = 0
+                            drr_granted = False
+                    q = queues[c]
+                    h = heads[c]
+                    row = q[h]
+                    h += 1
+                    if h > 64 and h * 2 >= len(q):
+                        del q[:h]
+                        h = 0
+                    heads[c] = h
+                slen -= 1
+                size = row[F_SIZE]
+                queued -= size
+                n_deq += 1
+                tx += size
+                free_at = end = start + (size * _PS8) // rate
+                if sink is None:
+                    emissions.append((row, start, end))
+                else:
+                    ta = end + delay
+                    win = ta // L
+                    if win < floor:
+                        win = floor
+                    if win != last_win:
+                        bucket = buckets.get(win)
+                        if bucket is None:
+                            bucket = buckets[win] = events_mod._Bucket()
+                            reg(events, win)
+                        last_win = win
+                        b_nodes = bucket.nodes.append
+                        b_payloads = bucket.payloads.append
+                    b_nodes(peer)
+                    b_payloads((ENTRY_ARRIVAL, ta, PRIO_ARRIVAL, row))
+                cursor = start
+                continue
+        if next_arr is None:
+            break
+        t, _prio, row = arrivals[i]
+        i += 1
+        next_arr = arrivals[i][0] if i < n else None
+        # Marking sees the queue occupancy before the packet, per the
+        # DCTCP convention.
+        size = row[F_SIZE]
+        avg += (queued - avg) >> weight_shift
+        if queued + size > buffer_bytes:
+            n_drop += 1
+            drops.append((t, row))
+        else:
+            if (queued >= ecn_k and not row[F_ISACK] if ecn_k is not None
+                    else red is not None and should_mark(
+                        red, row, queued, avg, iface_id)):
+                row = with_ce(row)
+                n_mark += 1
+            if table is None:
+                queue.append(row)
+            else:
+                c = table[row[F_FLOW]]
+                queues[0 if c < 0 else top if c > top else c].append(row)
+            slen += 1
+            queued += size
+            n_enq += 1
+            if queued > max_q:
+                max_q = queued
+            if sample_queue:
+                samples_col[iface_id].append((t, queued))
+            if enq is not None:
+                enq.append((t, row))
+        cursor = t
+    if not kind:
+        heads[0] = head
+    elif kind == PICK_RR:
+        rr_next_col[iface_id] = rr_next
+    else:
+        current_col[iface_id] = drr_current
+        granted_col[iface_id] = drr_granted
+    qlen_col[iface_id] = slen
+    queued_col[iface_id] = queued
+    avg_col[iface_id] = avg
+    free_col[iface_id] = free_at
+    max_q_col[iface_id] = max_q
+    if n_deq:
+        dequeued_col[iface_id] += n_deq
+        tx_col[iface_id] += tx
+    if n_enq:
+        enqueued_col[iface_id] += n_enq
+    if n_drop:
+        dropped_col[iface_id] += n_drop
+    if n_mark:
+        marked_col[iface_id] += n_mark
+    return n_deq
 
 
 def plan_transmit(engine, ctx: WindowContext) -> List[int]:
@@ -31,7 +328,8 @@ def plan_transmit(engine, ctx: WindowContext) -> List[int]:
 
 
 def transmit_kernel(
-    ports: List[EgressPort],
+    cols: EgressCols,
+    static: List[PortStatic],
     staged: Dict[int, List[Staged]],
     window_start: int,
     window_end: int,
@@ -41,31 +339,29 @@ def transmit_kernel(
     """Replay one egress port's window timeline.
 
     Pure over its port: the merge-sort of its staged arrivals and the
-    port automaton replay touch only this port's state.
+    replay touch only this port's row.
     """
-    port = ports[iface_id]
     arrivals = staged.get(iface_id, [])
-    arrivals.sort(
-        key=lambda a: (a[0], a[1], a[2][F_FLOW], a[2][F_ISACK], a[2][F_SEQ])
-    )
+    arrivals.sort(key=contract_key)
     emissions: List[Emission] = []
     drops: List[Tuple[int, Row]] = []
     enq: Optional[List[Tuple[int, Row]]] = [] if full_trace else None
-    port.replay_window(arrivals, window_start, window_end, emissions, drops, enq)
-    still_active = len(port.sched) > 0
-    return iface_id, emissions, drops, enq, still_active, len(arrivals)
+    replay_window(cols, static[iface_id], iface_id, arrivals, window_start,
+                  window_end, emissions, drops, enq)
+    return (iface_id, emissions, drops, enq, cols.qlen[iface_id] > 0,
+            len(arrivals))
 
 
 def commit_transmit(engine, ctx: WindowContext, results) -> None:
     """Publish events and register arrivals, in port (task) order."""
     bus = engine.bus
     trace_on = bool(bus.trace_level)
+    static = engine.port_static
     for iface_id, emissions, drops, enq, still_active, _n in results:
-        if bus.has_ops and emissions:
-            from ...protocols.packet import packet_uid
+        if bus.has_ops:
             for row, _s, _e in emissions:
                 bus.op(2, iface_id, packet_uid(row))  # OP_SERVICE
-        iface = engine.ports[iface_id].iface
+        st = static[iface_id]
         if enq:
             for t, row in enq:
                 bus.enq(t, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ],
@@ -75,11 +371,11 @@ def commit_transmit(engine, ctx: WindowContext, results) -> None:
                 bus.drop(t, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
             engine.results.drops += 1
         ctx.counts.transmit += len(emissions)
-        engine.bump_node(iface.node, len(emissions))
+        engine.bump_node(st.node, len(emissions))
         for row, start, end in emissions:
             if trace_on:
                 bus.deq(start, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
-            engine.deliver(iface.peer_node, end + iface.delay_ps, row)
+            engine.deliver(st.peer_node, end + st.delay_ps, row)
         if still_active:
             engine.active_ports.add(iface_id)
         else:
@@ -92,9 +388,11 @@ def run_transmit_system(engine, ctx: WindowContext) -> None:
     if not iface_ids:
         return
     full_trace = engine.bus.trace_level >= 2
-    ports, staged = engine.ports, ctx.staged
+    cols, static, staged = (engine.world.egress_cols, engine.port_static,
+                            ctx.staged)
     engine.bus.task_batch(
         "transmit", [len(staged.get(i, ())) + 1 for i in iface_ids])
     commit_transmit(engine, ctx, [
-        transmit_kernel(ports, staged, ctx.start, ctx.end, full_trace, i)
+        transmit_kernel(cols, static, staged, ctx.start, ctx.end,
+                        full_trace, i)
         for i in iface_ids])

@@ -34,7 +34,7 @@ is planned and dispatched, never in what is committed.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,27 +42,22 @@ from .ack import AckCols, ack_kernel, commit_ack
 from .send import (
     SENDER_COLS, FlowLists, commit_send, flow_lists, send_kernel,
 )
-from .transmit import commit_transmit
+from .transmit import (
+    PICK_LOWEST, _PS8, PortStatic, commit_transmit, contract_key,
+    replay_window,
+)
 from .. import events as events_mod
+from ..ecs import EgressCols
 from ..window import ENTRY_ARRIVAL, ENTRY_FLOW_START, Staged, WindowContext
-from ...protocols.aqm import AqmConfig, AqmKind, should_mark
-from ...protocols.egress import TableClassifier
-from ...schedulers.disciplines import FifoScheduler, StrictPriorityScheduler
 from ...protocols.packet import (
     F_DST, F_FLOW, F_ISACK, F_SEQ, F_SIZE, HEADER_BYTES, MSS,
     PRIO_ARRIVAL, PRIO_FLOW_START, Row, data_row, packet_uid, with_ce,
 )
 from ...traffic import Transport
-from ...units import PS_PER_S
 
 #: Below this many entries a Python key-function sort beats building the
 #: key columns; above it the stable lexsort wins.  Order is identical.
 VECTOR_SORT_MIN = 32
-
-
-def _contract_key(a: Tuple[int, int, Row]):
-    """The canonical arrival ordering: (t, prio, flow, is_ack, seq)."""
-    return (a[0], a[1], a[2][F_FLOW], a[2][F_ISACK], a[2][F_SEQ])
 
 
 def sort_contract(entries: List[Tuple[int, int, Row]]) -> List[Tuple[int, int, Row]]:
@@ -77,7 +72,7 @@ def sort_contract(entries: List[Tuple[int, int, Row]]) -> List[Tuple[int, int, R
     n = len(entries)
     if n < VECTOR_SORT_MIN:
         if n > 1:
-            entries.sort(key=_contract_key)
+            entries.sort(key=contract_key)
         return entries
     t = np.empty(n, np.int64)
     prio = np.empty(n, np.int64)
@@ -97,14 +92,11 @@ def sort_contract(entries: List[Tuple[int, int, Row]]) -> List[Tuple[int, int, R
 #: The transmit tie-break hook, resolved from module globals at kernel
 #: run time so `conformance.inject.unstable_transmit_sort` can patch it
 #: the way `flipped_transmit_order` patches the Python backend's
-#: `transmit_kernel`.
+#: `contract_key`.
 transmit_sort = sort_contract
 
 
 # --- SendSystem ------------------------------------------------------------
-
-#: 8 * PS_PER_S, the serialization-formula constant (see repro.units).
-_PS8 = 8 * PS_PER_S
 
 #: A UDP flow with at most this many segments left runs the scalar
 #: schedule: building the array expression costs more than a few loop
@@ -288,7 +280,7 @@ def plan_transmit_np(engine, ctx: WindowContext) -> List[int]:
     active = engine.active_ports
     if len(staged) + len(active) < VECTOR_SORT_MIN:
         return sorted(set(staged) | active)
-    mask = np.zeros(len(engine.ports), dtype=bool)
+    mask = np.zeros(len(engine.world.egress), dtype=bool)
     if staged:
         mask[np.fromiter(staged, np.int64, len(staged))] = True
     if active:
@@ -296,210 +288,8 @@ def plan_transmit_np(engine, ctx: WindowContext) -> List[int]:
     return np.flatnonzero(mask).tolist()
 
 
-class PortStatic(NamedTuple):
-    """One port's topology-fixed constants, gathered once per engine."""
-
-    #: How many class queues :func:`replay_window_inline` serves
-    #: lowest-first — 1 for FIFO, N for Strict Priority behind a
-    #: ``TableClassifier`` — or ``None`` where the port stays on the
-    #: reference ``EgressPort.replay_window`` (RR/DRR carry scheduler
-    #: state the inline loop does not model).
-    classes: Optional[int]
-    node: int
-    peer_node: int
-    delay_ps: int
-    rate_bps: int
-    ewma_shift: int
-    buffer_bytes: int
-    ecn_k: Optional[int]         # the DCTCP threshold, else None
-    red: Optional[AqmConfig]     # the RED config, else None
-
-
-def _port_static(port) -> PortStatic:
-    kind = type(port.sched)
-    if kind is FifoScheduler:
-        classes = 1
-    elif (kind is StrictPriorityScheduler
-          and type(port.classifier) is TableClassifier):
-        classes = port.sched.num_classes
-    else:
-        classes = None
-    iface = port.iface
-    cfg = port.config
-    aqm = cfg.aqm
-    return PortStatic(
-        classes, iface.node, iface.peer_node, iface.delay_ps,
-        iface.rate_bps, aqm.red_weight_shift, cfg.buffer_bytes,
-        aqm.ecn_threshold_bytes
-        if aqm.kind == AqmKind.ECN_THRESHOLD else None,
-        aqm if aqm.kind == AqmKind.RED else None)
-
-
-def _tx_static(engine) -> List[PortStatic]:
-    """Per-port constants, gathered once per engine.  Dynamic state
-    (queue contents, ``free_at``, EWMA) stays on the port objects —
-    migration moves those, never these."""
-    static = engine._tx_static
-    if static is None:
-        static = engine._tx_static = [_port_static(p) for p in engine.ports]
-    return static
-
-
-def replay_window_inline(
-    port,
-    static: PortStatic,
-    arrivals,
-    window_start: int,
-    window_end: int,
-    emissions: List,
-    drops: List[Tuple[int, Row]],
-    enq: Optional[List[Tuple[int, Row]]] = None,
-    sink: Optional[Tuple] = None,
-) -> int:
-    """:meth:`EgressPort.replay_window` inlined for FIFO and Strict
-    Priority ports (``static.classes`` queues, lowest non-empty wins;
-    FIFO is the one-class case).
-
-    Same interleave, same state transitions, statement for statement —
-    but every per-packet helper (``arrive``, ``_dequeue``,
-    ``serialization_ps``, ``Scheduler.enqueue``/``_pop``, the
-    ``TableClassifier`` lookup, the integer EWMA, the DCTCP threshold
-    test) runs over local variables, with port/stats state written back
-    once at exit.  Class 0's queue and head live in locals, so a FIFO
-    port never touches the per-class lists; higher classes are scanned
-    only when class 0 is empty.  No arrivals (a busy line draining) and
-    one arrival are the same loop with a shorter input.  Keep in
-    lockstep with ``EgressPort.replay_window``/``arrive`` and
-    ``Scheduler.enqueue``/``_pop``: ``tests/core/test_port_replay.py``
-    drives twin ports through both.
-
-    ``sink`` is the caller's ``(buckets, events, register_window,
-    lookahead, floor)``; when given, dequeued packets are delivered
-    straight into the engine's event columns instead of filling
-    ``emissions``.  Returns the number of dequeues.
-    """
-    (classes, _node, peer, delay, rate, weight_shift, buffer_bytes, ecn_k,
-     red) = static
-    sched = port.sched
-    queues = sched.queues
-    heads = sched._heads
-    queue = queues[0]
-    head = heads[0]
-    slen = sched._len
-    table = port.classifier.classes if classes > 1 else None
-    top = classes - 1
-    stats = port.stats
-    if sink is not None:
-        buckets, events, reg, L, floor = sink
-        last_win = -1
-        b_nodes = b_payloads = None
-    sample_queue = port.sample_queue
-    queued = port.queued_bytes
-    avg = port.avg_bytes
-    free_at = port.free_at
-    max_q = stats.max_queue_bytes
-    n_deq = n_enq = n_drop = n_mark = tx = 0
-    cursor = window_start
-    i = 0
-    n = len(arrivals)
-    next_arr = arrivals[0][0] if n else None
-    while True:
-        if slen > 0:
-            start = free_at if free_at > cursor else cursor
-            if start < window_end and (next_arr is None
-                                       or start <= next_arr):
-                if head < len(queue):    # Scheduler._pop, inlined
-                    row = queue[head]
-                    head += 1
-                    if head > 64 and head * 2 >= len(queue):
-                        del queue[:head]
-                        head = 0
-                else:                    # class 0 empty: next class up
-                    c = 1
-                    while heads[c] >= len(queues[c]):
-                        c += 1
-                    q = queues[c]
-                    h = heads[c]
-                    row = q[h]
-                    h += 1
-                    if h > 64 and h * 2 >= len(q):
-                        del q[:h]
-                        h = 0
-                    heads[c] = h
-                slen -= 1
-                size = row[F_SIZE]
-                queued -= size
-                n_deq += 1
-                tx += size
-                free_at = end = start + (size * _PS8) // rate
-                if sink is None:
-                    emissions.append((row, start, end))
-                else:
-                    ta = end + delay
-                    win = ta // L
-                    if win < floor:
-                        win = floor
-                    if win != last_win:
-                        bucket = buckets.get(win)
-                        if bucket is None:
-                            bucket = buckets[win] = events_mod._Bucket()
-                            reg(events, win)
-                        last_win = win
-                        b_nodes = bucket.nodes.append
-                        b_payloads = bucket.payloads.append
-                    b_nodes(peer)
-                    b_payloads((ENTRY_ARRIVAL, ta, PRIO_ARRIVAL, row))
-                cursor = start
-                continue
-        if next_arr is None:
-            break
-        t, _prio, row = arrivals[i]
-        i += 1
-        next_arr = arrivals[i][0] if i < n else None
-        # EgressPort.arrive, inlined (marking sees the queue occupancy
-        # before the packet, per the DCTCP convention)
-        size = row[F_SIZE]
-        avg += (queued - avg) >> weight_shift
-        if queued + size > buffer_bytes:
-            n_drop += 1
-            drops.append((t, row))
-        else:
-            if (queued >= ecn_k and not row[F_ISACK] if ecn_k is not None
-                    else red is not None and should_mark(
-                        red, row, queued, avg, port.iface.iface_id)):
-                row = with_ce(row)
-                n_mark += 1
-            if table is None:
-                queue.append(row)
-            else:            # Scheduler.enqueue clamps the class id
-                c = table[row[F_FLOW]]
-                queues[0 if c < 0 else top if c > top else c].append(row)
-            slen += 1
-            queued += size
-            n_enq += 1
-            if queued > max_q:
-                max_q = queued
-            if sample_queue:
-                stats.queue_samples.append((t, queued))
-            if enq is not None:
-                enq.append((t, row))
-        cursor = t
-    heads[0] = head
-    sched._len = slen
-    port.queued_bytes = queued
-    port.avg_bytes = avg
-    port.free_at = free_at
-    stats.dequeued += n_deq
-    stats.enqueued += n_enq
-    stats.dropped += n_drop
-    stats.marked += n_mark
-    stats.tx_bytes += tx
-    stats.max_queue_bytes = max_q
-    return n_deq
-
-
 def transmit_batch_kernel(
-    ports,
+    cols: EgressCols,
     static: List[PortStatic],
     staged: Dict[int, List[Staged]],
     window_start: int,
@@ -514,11 +304,11 @@ def transmit_batch_kernel(
     sort = transmit_sort  # module attribute: the injectable tie-break
     staged_get = staged.get
     append = out.append
+    qlen, free_at = cols.qlen, cols.free_at
     for iface_id in iface_ids:
-        port = ports[iface_id]
         arrivals = staged_get(iface_id)
         if arrivals is None:
-            if len(port.sched) > 0 and port.free_at >= window_end:
+            if qlen[iface_id] > 0 and free_at[iface_id] >= window_end:
                 # Busy line, nothing fed, and the head packet outlasts
                 # the window: the replay is a guaranteed no-op (its
                 # first service start would land at or past window_end).
@@ -532,15 +322,10 @@ def transmit_batch_kernel(
         emissions: List = []
         drops: List[Tuple[int, Row]] = []
         enq: Optional[List[Tuple[int, Row]]] = [] if full_trace else None
-        if static[iface_id].classes is not None:
-            replay_window_inline(port, static[iface_id], arrivals,
-                                 window_start, window_end, emissions,
-                                 drops, enq)
-        else:
-            port.replay_window(arrivals, window_start, window_end,
-                               emissions, drops, enq)
-        append((iface_id, emissions, drops, enq,
-                len(port.sched) > 0, len(arrivals)))
+        replay_window(cols, static[iface_id], iface_id, arrivals,
+                      window_start, window_end, emissions, drops, enq)
+        append((iface_id, emissions, drops, enq, qlen[iface_id] > 0,
+                len(arrivals)))
     return out
 
 
@@ -560,8 +345,11 @@ def _transmit_serial_np(engine, ctx: WindowContext,
     Trace-on runs keep the two-phase path so per-packet ENQ/DEQ/DROP
     events interleave exactly as the Python backend emits them.
     """
-    ports = engine.ports
-    static = _tx_static(engine)
+    cols = engine.world.egress_cols
+    (free_col, queued_col, avg_col, qlen, queues_col, _heads, enqueued_col,
+     dequeued_col, dropped_col, marked_col, tx_col, max_q_col,
+     _samples, _rr_next, _deficit, _current, _granted) = cols
+    static = engine.port_static
     staged_get = ctx.staged.get
     bus = engine.bus
     has_ops = bus.has_ops
@@ -585,16 +373,14 @@ def _transmit_serial_np(engine, ctx: WindowContext,
         if not has_ops:
             sink = (buckets, events, reg, L, floor)
     deliver_emissions = engine.deliver_emissions
-    count = n_reference = 0
+    count = 0
     emissions: List = []
     drops: List[Tuple[int, Row]] = []
     for iface_id in iface_ids:
-        port = ports[iface_id]
         st = static[iface_id]
-        sched = port.sched
         arrivals = staged_get(iface_id)
         if arrivals is None:
-            if sched._len > 0 and port.free_at >= window_end:
+            if qlen[iface_id] > 0 and free_col[iface_id] >= window_end:
                 # Busy line, nothing fed, head packet outlasts the
                 # window: guaranteed no-op (see transmit_batch_kernel).
                 # The port is already in the active set — keep it there.
@@ -602,49 +388,48 @@ def _transmit_serial_np(engine, ctx: WindowContext,
             arrivals = ()
         elif len(arrivals) > 1:  # 0/1 arrivals: nothing to tie-break
             arrivals = sort(arrivals)
-        elif (arrivals and sched._len == 0 and st.classes is not None
-                and st.red is None and not port.sample_queue
+        elif (arrivals and qlen[iface_id] == 0 and st.kind == PICK_LOWEST
+                and st.red is None and not st.sample_queue
                 and not has_ops):
             # Single arrival, empty FIFO/SP queues, threshold or no
             # AQM: the replay collapses to "maybe mark, then emit when
             # the line frees" — ~58% of replays on the reference
             # workload (switch egresses and host NICs alike).  Same
-            # transitions as replay_window_inline with queued == 0,
-            # including the EWMA step and the enqueue-or-emit split.
+            # transitions as replay_window with queued == 0, including
+            # the EWMA step and the enqueue-or-emit split.
             (classes, node, peer, delay, rate, shift, buffer_bytes, ecn_k,
-             _red) = st
+             _red, _kind, _quantum, table, _sample) = st
             t, _prio, row = arrivals[0]
             size = row[F_SIZE]
-            stats = port.stats
-            avg = port.avg_bytes
-            port.avg_bytes = avg + ((0 - avg) >> shift)
+            avg = avg_col[iface_id]
+            avg_col[iface_id] = avg + ((0 - avg) >> shift)
             if size > buffer_bytes:
-                stats.dropped += 1
+                dropped_col[iface_id] += 1
                 results.drops += 1
                 active.discard(iface_id)
                 continue
             if ecn_k is not None and 0 >= ecn_k and not row[F_ISACK]:
                 row = with_ce(row)
-                stats.marked += 1
-            stats.enqueued += 1
-            if size > stats.max_queue_bytes:
-                stats.max_queue_bytes = size
-            free_at = port.free_at
+                marked_col[iface_id] += 1
+            enqueued_col[iface_id] += 1
+            if size > max_q_col[iface_id]:
+                max_q_col[iface_id] = size
+            free_at = free_col[iface_id]
             start = free_at if free_at > t else t
             if start >= window_end:  # stays queued past the window
                 c = 0
-                if classes > 1:      # into the packet's class, clamped
-                    c = port.classifier.classes[row[F_FLOW]]
+                if table is not None:  # the packet's class, clamped
+                    c = table[row[F_FLOW]]
                     c = 0 if c < 0 else min(c, classes - 1)
-                sched.queues[c].append(row)
-                sched._len += 1
-                port.queued_bytes = size
+                queues_col[iface_id][c].append(row)
+                qlen[iface_id] = 1
+                queued_col[iface_id] = size
                 active.add(iface_id)
                 continue
             end = start + (size * _PS8) // rate
-            port.free_at = end
-            stats.dequeued += 1
-            stats.tx_bytes += size
+            free_col[iface_id] = end
+            dequeued_col[iface_id] += 1
+            tx_col[iface_id] += size
             count += 1
             node_events[node] = node_events.get(node, 0) + 1
             if inline:
@@ -666,15 +451,8 @@ def _transmit_serial_np(engine, ctx: WindowContext,
                 deliver_emissions(peer, delay, [(row, start, end)])
             active.discard(iface_id)
             continue
-        if st.classes is None:
-            n_reference += 1
-            port.replay_window(arrivals, window_start, window_end,
-                               emissions, drops, None)
-            n = len(emissions)
-        else:
-            n = replay_window_inline(port, st, arrivals, window_start,
-                                     window_end, emissions, drops, None,
-                                     sink)
+        n = replay_window(cols, st, iface_id, arrivals, window_start,
+                          window_end, emissions, drops, None, sink)
         if drops:
             results.drops += len(drops)
             drops.clear()
@@ -687,12 +465,11 @@ def _transmit_serial_np(engine, ctx: WindowContext,
                         bus.op(2, iface_id, packet_uid(row))  # OP_SERVICE
                 deliver_emissions(st.peer_node, st.delay_ps, emissions)
                 emissions.clear()
-        if sched._len > 0:
+        if qlen[iface_id] > 0:
             active.add(iface_id)
         else:
             active.discard(iface_id)
     ctx.counts.transmit += count
-    bus.count("transmit.reference_replays", n_reference)
 
 
 # --- Fused window pass ------------------------------------------------------
@@ -810,11 +587,10 @@ def run_window_fused(engine, ctx: WindowContext):
             flow_lists(engine), acks_of, starts, ctx.end, flow_ids)
         commit_send(engine, ctx, results)
         # Which UDP schedule the window's flow visits took, one count
-        # each per window (docs/OBSERVABILITY.md, "fused" section).
-        if n_array:
-            bus.count("send.array_schedules", n_array)
-        if n_scalar:
-            bus.count("send.scalar_schedules", n_scalar)
+        # each per window, zero included: their presence is what says
+        # the fused pass ran (docs/OBSERVABILITY.md, "fused" section).
+        bus.count("send.array_schedules", n_array)
+        bus.count("send.scalar_schedules", n_scalar)
     t2 = clock()
 
     if forward_work:
@@ -832,7 +608,7 @@ def run_window_fused(engine, ctx: WindowContext):
             _transmit_serial_np(engine, ctx, iface_ids, ctx.start, ctx.end)
         else:
             commit_transmit(engine, ctx, transmit_batch_kernel(
-                engine.ports, _tx_static(engine), ctx.staged, ctx.start,
-                ctx.end, bus.trace_level >= 2, iface_ids))
+                world.egress_cols, engine.port_static, ctx.staged,
+                ctx.start, ctx.end, bus.trace_level >= 2, iface_ids))
     t4 = clock()
     return t0, t1, t2, t3, t4

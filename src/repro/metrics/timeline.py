@@ -301,13 +301,12 @@ def stats_dict(bus: Any) -> Dict[str, Any]:
     memo = _memo_section(counters, record)
     if memo is not None:
         out["memo"] = memo
-    if "transmit.reference_replays" in counters:
-        # Published by the fused sweep once per window, so present
-        # whenever it ran: why the inline paths did or did not fire.
+    if "send.array_schedules" in counters:
+        # Published by the fused pass every window with sender work, so
+        # present whenever it ran: which UDP schedule flow visits took.
         out["fused"] = {
-            "reference_replays": counters["transmit.reference_replays"],
-            "array_schedules": counters.get("send.array_schedules", 0),
-            "scalar_schedules": counters.get("send.scalar_schedules", 0),
+            "array_schedules": counters["send.array_schedules"],
+            "scalar_schedules": counters["send.scalar_schedules"],
         }
     if any(k.startswith("transport.shm_") for k in counters):
         out["transport_shm"] = {

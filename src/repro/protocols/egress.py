@@ -1,22 +1,21 @@
 """The egress-port automaton: queueing, AQM, scheduling, serialization.
 
-Both engines instantiate one :class:`EgressPort` per directed interface.
-The automaton's observable behaviour is a pure function of the sequence
-of ``arrive``/service actions it sees, so as long as the two engines feed
-it the same chronologically-ordered action sequence (the ordering
-contract in ``repro.protocols.packet``), they transmit identical packets
-at identical times.
+The OOD baseline instantiates one :class:`EgressPort` per directed
+interface and drives it *event by event*: ``arrive`` on packet arrival,
+``start_service``/``complete_service`` around PORT_DONE events.  The
+automaton's observable behaviour is a pure function of the sequence of
+``arrive``/service actions it sees.
 
-The OOD baseline drives the automaton *event by event*:
-``arrive`` on packet arrival, ``start_service``/``complete_service``
-around PORT_DONE events.
-
-The DOD engine drives it *window by window* through
-:meth:`replay_window`, the TransmitSystem inner loop of §3.3/Appendix C:
-arrivals of one lookahead window are merge-sorted and replayed against
-service completions in chronological order, which also reconstructs the
-exact queue length seen by every arriving packet (the paper's TXhistory
-mechanism).
+The DOD engine keeps the same state as one row of ``world.egress`` and
+replays it *window by window*
+(:func:`repro.core.systems.transmit.replay_window`, the TransmitSystem
+inner loop of §3.3/Appendix C): as long as both see the same
+chronologically-ordered action sequence (the ordering contract in
+``repro.protocols.packet``), they transmit identical packets at
+identical times.  This automaton is the reference that replay is held
+to, window by window (``tests/core/test_port_replay.py``) and end to end
+(the conformance oracles); a semantic change here must be mirrored
+there.
 """
 
 from __future__ import annotations
@@ -61,10 +60,6 @@ class PortStats:
     tx_bytes: int = 0
     max_queue_bytes: int = 0
     queue_samples: List[Tuple[int, int]] = field(default_factory=list)
-
-
-#: An emission: (row, service_start_ps, service_end_ps).
-Emission = Tuple[Row, int, int]
 
 
 class TableClassifier:
@@ -189,67 +184,3 @@ class EgressPort:
                 f"iface {self.iface.iface_id}: completion while idle"
             )
         self.in_service = False
-
-    # --- windowed interface (DOD engine, §3.3) ----------------------------
-
-    def replay_window(
-        self,
-        arrivals: List[Tuple[int, int, Row]],
-        window_start: int,
-        window_end: int,
-        emissions: List[Emission],
-        drops: Optional[List[Tuple[int, Row]]] = None,
-        enq: Optional[List[Tuple[int, Row]]] = None,
-    ) -> None:
-        """Replay one lookahead window of this port's timeline.
-
-        Args:
-            arrivals: ``(time, prio, row)`` sorted by the ordering
-                contract; every time lies in ``[window_start, window_end)``.
-            window_start / window_end: The lookahead window.
-            emissions: Output list; ``(row, start, end)`` appended for
-                every service started in this window.
-            drops: Optional output list of ``(time, row)`` tail drops.
-            enq: Optional output list of ``(time, accepted_row)`` for
-                trace recording (the row carries any CE mark applied).
-
-        Service starts and arrivals are interleaved in chronological
-        order; at equal timestamps service precedes arrival, matching the
-        baseline's PORT_DONE-before-ARRIVAL event priority.
-
-        ``repro.core.systems.vectorized.replay_window_inline`` inlines
-        this loop (with ``arrive``, ``_dequeue`` and the scheduler's
-        ``enqueue``/``_pop``) for FIFO and Strict Priority ports on the
-        NumPy backend — any semantic change here must be mirrored there
-        (``tests/core/test_port_replay.py`` drives twin ports through
-        both, and the trace-off conformance oracles run it end to end).
-        """
-        i = 0
-        n = len(arrivals)
-        cursor = window_start
-        while True:
-            next_arr = arrivals[i][0] if i < n else None
-            start: Optional[int] = None
-            if len(self.sched) > 0:
-                start = self.free_at if self.free_at > cursor else cursor
-                if start >= window_end:
-                    start = None
-            if start is not None and (next_arr is None or start <= next_arr):
-                row = self._dequeue()
-                assert row is not None
-                end = start + self.serialization_ps(row)
-                self.free_at = end
-                emissions.append((row, start, end))
-                cursor = start
-            elif next_arr is not None:
-                t, _prio, row = arrivals[i]
-                i += 1
-                accepted = self.arrive(row, t)
-                if accepted is None:
-                    if drops is not None:
-                        drops.append((t, row))
-                elif enq is not None:
-                    enq.append((t, accepted))
-                cursor = t
-            else:
-                break

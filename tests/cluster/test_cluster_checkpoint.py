@@ -7,9 +7,10 @@ from repro.cluster.checkpoint import (
     ClusterCheckpoint, resume_cluster, take_cluster_checkpoint,
 )
 from repro.cluster import ClusterEngine
+from repro.core.checkpoint import FORMAT as ENGINE_FORMAT
 from repro.core.engine import run_dons
 from repro.des.partition_types import contiguous_partition, random_partition
-from repro.errors import ClusterError
+from repro.errors import ClusterError, SimulationError
 from repro.metrics import TraceLevel
 from repro.scenario import make_scenario
 from repro.topology import fattree
@@ -86,6 +87,25 @@ def test_bad_format_rejected(scenario):
     ckpt = take_cluster_checkpoint(engine, current)
     bad = ClusterCheckpoint("v0", ckpt.scenario_name, current,
                             ckpt.partition, ckpt.num_parts, [],
-                            ckpt.agent_payloads)
+                            ckpt.agents)
     with pytest.raises(ClusterError):
         resume_cluster(scenario, bad)
+
+
+@pytest.mark.parametrize("damage", ["format", "scenario"])
+def test_stale_agent_snapshot_refused(scenario, damage):
+    """The cluster envelope stores whole engine checkpoints, so an agent
+    snapshot of another engine format or scenario is refused by the
+    engine's own check instead of being re-tagged as current."""
+    part = contiguous_partition(scenario.topology, 2)
+    engine, current = _run_until(scenario, part, 2)
+    ckpt = take_cluster_checkpoint(engine, current)
+    assert all(snap.format == ENGINE_FORMAT
+               and snap.scenario_name == scenario.name
+               for snap in ckpt.agents)
+    if damage == "format":
+        ckpt.agents[1].format = "dons-checkpoint-v2"
+    else:
+        ckpt.agents[1].scenario_name = "something-else"
+    with pytest.raises(SimulationError, match=damage):
+        resume_cluster(scenario, ckpt)

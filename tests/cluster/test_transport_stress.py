@@ -177,7 +177,7 @@ class TestLargeBatches:
             LocalTransport(), 4)
         if damage == "format":
             for ckpt in checkpoints:
-                ckpt.format = "dons-checkpoint-v1"
+                ckpt.format = "dons-checkpoint-v2"  # the previous one
         transport = transport_cls()
         transport.launch([AgentSpec(a, scenario, part) for a in range(2)])
         try:

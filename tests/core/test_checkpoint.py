@@ -1,6 +1,7 @@
 """Checkpointing (§8): pause/resume is observationally transparent."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core.checkpoint import (
 from repro.core.engine import DodEngine, run_dons
 from repro.errors import SimulationError
 from repro.metrics import TraceLevel
+from repro.schedulers import SchedulerKind
 
 
 def run_interrupted(scenario, stop_after_windows, take=None, resume=None):
@@ -43,12 +45,19 @@ def test_resume_reproduces_uninterrupted_trace(dumbbell_scenario, stop_after):
     assert resumed.rtt_samples == reference.rtt_samples
 
 
-@pytest.mark.parametrize("take,resume", [("numpy", "python"),
-                                         ("python", "numpy")])
+@pytest.mark.parametrize("take,resume,kind", [
+    ("numpy", "python", SchedulerKind.FIFO),
+    ("python", "numpy", SchedulerKind.FIFO),
+    ("numpy", "python", SchedulerKind.DRR),
+], ids=["numpy-python", "python-numpy", "numpy-python-drr"])
 def test_snapshot_resumes_under_the_other_backend(dumbbell_scenario,
-                                                  take, resume):
+                                                  take, resume, kind):
     """One table, one format: a snapshot holds nothing specific to the
-    window execution that took it."""
+    window execution that took it — the DRR round included, which is
+    three columns of the egress rows."""
+    egress = replace(dumbbell_scenario.switch_egress, scheduler=kind,
+                     num_classes=2)
+    dumbbell_scenario = replace(dumbbell_scenario, switch_egress=egress)
     reference = run_dons(dumbbell_scenario, TraceLevel.FULL)
     resumed = run_interrupted(dumbbell_scenario, 40, take, resume)
     assert resumed.trace.digest() == reference.trace.digest()

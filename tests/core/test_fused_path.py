@@ -1,11 +1,12 @@
 """The fused NumPy pass on the WAN-twin small sibling: what the route
-cache may hold, what survives a checkpoint or a migration, and the
-counters that say whether the inline replay and the scalar UDP schedule
-fired (5,000 one-segment UDP flows in two classes on Abilene, run to
+cache may hold, what survives a checkpoint or a migration, the
+counters that say which UDP schedule fired, and a DRR run served by the
+column replay (5,000 one-segment UDP flows in two classes on Abilene, run to
 completion at ``TraceLevel.NONE`` — the shape of the benchmark's
 ``wan_twin_35k``)."""
 
 import pickle
+import sys
 from dataclasses import replace
 
 import pytest
@@ -15,8 +16,10 @@ pytest.importorskip("numpy")
 from repro.bench.workloads import wan_twin_smoke
 from repro.cluster.agent import AgentEngine
 from repro.cluster import ClusterEngine, merge_results
+from repro.conformance.oracles import result_parts
 from repro.core.checkpoint import CheckpointingEngine, take_checkpoint
 from repro.core.engine import DodEngine
+from repro.des import OodSimulator
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.metrics.timeline import stats_dict
 from repro.schedulers import SchedulerKind
@@ -108,25 +111,42 @@ def test_route_cache_stays_bounded_across_migration(scenario, reference):
 def test_counters_say_which_paths_fired(scenario, reference):
     engine, results = reference
     counters = engine.bus.counters
-    # Strict Priority ports take the inline replay; one-segment flows
-    # take the scalar schedule, one visit each.
-    assert counters["transmit.reference_replays"] == 0
+    # One-segment flows take the scalar schedule, one visit each.
     assert counters["send.scalar_schedules"] == len(scenario.flows)
-    assert "send.array_schedules" not in counters
+    assert counters["send.array_schedules"] == 0
 
     report = stats_dict(engine.bus)
-    assert report["fused"] == {"reference_replays": 0, "array_schedules": 0,
+    assert report["fused"] == {"array_schedules": 0,
                                "scalar_schedules": len(scenario.flows)}
-
-    # Deficit Round Robin carries scheduler state the inline replay does
-    # not model: every switch-port replay goes to the reference method.
-    drr = replace(scenario, switch_egress=replace(
-        scenario.switch_egress, scheduler=SchedulerKind.DRR))
-    drr_engine = DodEngine(drr, backend="numpy")
-    drr_results = drr_engine.run()
-    assert drr_engine.bus.counters["transmit.reference_replays"] > 0
-    assert drr_results.events.total > 0
-    # The python backend has no fused sweep and reports no such section.
+    # The python backend has no fused pass and reports no such section.
     python = DodEngine(scenario, backend="python")
     python.run()
     assert "fused" not in stats_dict(python.bus)
+
+
+def test_drr_ports_replay_over_the_columns(scenario):
+    """Deficit Round Robin state is three columns of the egress row: the
+    one replay serves it without entering the scheduler objects of the
+    OOD automaton, and lands on the reference's results."""
+    drr = replace(scenario, switch_egress=replace(
+        scenario.switch_egress, scheduler=SchedulerKind.DRR))
+    scheduler_calls = []
+
+    def profiler(frame, event, _arg):
+        if event == "call" and "/repro/schedulers/" in frame.f_code.co_filename:
+            scheduler_calls.append(frame.f_code.co_name)
+
+    engine = DodEngine(drr, backend="numpy")
+    sys.setprofile(profiler)
+    try:
+        results = engine.run()
+    finally:
+        sys.setprofile(None)
+    assert scheduler_calls == []
+    assert results.events.total > 0
+
+    ood = OodSimulator(drr)
+    ood_results = ood.run()
+    assert (result_parts(results, [engine.port_stats(p.iface.iface_id)
+                                   for p in ood.ports])
+            == result_parts(ood_results, [p.stats for p in ood.ports]))

@@ -141,7 +141,8 @@ def cycle_scenarios(draw):
 
 def _finish(engine):
     results = engine.finalize()
-    return (result_parts(results, engine.ports), engine.trace.digest(),
+    stats = [engine.port_stats(i) for i in range(len(engine.world.egress))]
+    return (result_parts(results, stats), engine.trace.digest(),
             results.window_breakdown, dict(results.node_events))
 
 

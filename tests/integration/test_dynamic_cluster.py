@@ -71,6 +71,10 @@ def test_multiple_migrations_preserve_trace(scenario, reference):
     assert len(controller.migrations) == 3
     assert (sorted(merged.trace.entries)
             == sorted(reference.trace.entries))
+    # An egress row moves, it is not shared: each port's counters are
+    # summed by exactly one agent however often its node changed hands.
+    assert (merged.tx_bytes, merged.marks) == (reference.tx_bytes,
+                                               reference.marks)
 
 
 def test_migration_moves_inflight_state(scenario):

@@ -1,0 +1,96 @@
+"""One egress port two ways, for lockstep tests.
+
+The reference is the OOD baseline's ``EgressPort`` automaton driven
+*event by event* — ``arrive`` on an arrival, ``complete_service`` then
+``start_service`` when the line frees, service before arrival at equal
+times — which shares no code with the engine's windowed replay over a
+``world.egress`` row (``repro.core.systems.transmit.replay_window``).
+Imported by ``tests/core/test_port_replay.py`` and
+``tests/protocols/test_egress.py`` (``tests/`` is on ``sys.path`` through
+the root ``conftest.py``).
+"""
+
+from repro.core.ecs import World
+from repro.core.systems.transmit import port_static
+from repro.protocols.egress import EgressPort, PortStats, TableClassifier
+
+
+def egress_row(iface, config, table, sample_queue=False):
+    """``(cols, static, row)`` of ``iface`` in an egress table built up to
+    it — the row index is the interface id, which RED's hash reads."""
+    static = port_static(iface, config, table, sample_queue)
+    world = World()
+    for _ in range(iface.iface_id + 1):
+        world.egress.add(
+            queues=[[] for _ in range(static.classes)],
+            heads=[0] * static.classes, queue_samples=[],
+            drr_deficit=[0] * static.classes)
+    return world.egress_cols, static, iface.iface_id
+
+
+def automaton(iface, config, table, sample_queue=False):
+    return EgressPort(iface, config, TableClassifier(table), sample_queue)
+
+
+def drive_automaton(port, arrivals, end, emissions, drops, enq=None):
+    """Feed ``port`` the sorted ``(time, prio, row)`` arrivals and every
+    line-free event before ``end``, in the baseline's event order."""
+    def start(now):
+        started = port.start_service(now)
+        if started is not None:
+            emissions.append((started[0], now, started[1]))
+
+    i = 0
+    while True:
+        arrival = arrivals[i][0] if i < len(arrivals) else None
+        done = port.free_at if port.in_service else None
+        if done is not None and done < end and (arrival is None
+                                                or done <= arrival):
+            port.complete_service()
+            start(done)
+        elif arrival is not None:
+            t, _prio, row = arrivals[i]
+            i += 1
+            accepted = port.arrive(row, t)
+            if accepted is None:
+                drops.append((t, row))
+            else:
+                if enq is not None:
+                    enq.append((t, accepted))
+                if not port.in_service:
+                    start(t)
+        else:
+            return
+
+
+def automaton_state(port):
+    """Everything the column row must agree on with ``port``."""
+    sched = port.sched
+    return {
+        "free_at": port.free_at, "queued_bytes": port.queued_bytes,
+        "avg_bytes": port.avg_bytes, "stats": port.stats,
+        "qlen": len(sched), "queues": [list(q) for q in sched.queues],
+        "heads": list(sched._heads),
+        "rr_next": getattr(sched, "_next", 0),
+        "drr_deficit": list(getattr(sched, "deficit",
+                                    [0] * sched.num_classes)),
+        "drr_current": getattr(sched, "_current", 0),
+        "drr_granted": getattr(sched, "_granted", False),
+    }
+
+
+def row_state(cols, i):
+    return {
+        "free_at": cols.free_at[i], "queued_bytes": cols.queued_bytes[i],
+        "avg_bytes": cols.avg_bytes[i],
+        "stats": PortStats(
+            cols.enqueued[i], cols.dequeued[i], cols.dropped[i],
+            cols.marked[i], cols.tx_bytes[i], cols.max_queue_bytes[i],
+            cols.queue_samples[i]),
+        "qlen": cols.qlen[i], "queues": [list(q) for q in cols.queues[i]],
+        "heads": list(cols.heads[i]),
+        "rr_next": cols.rr_next[i],
+        "drr_deficit": list(cols.drr_deficit[i]),
+        "drr_current": cols.drr_current[i],
+        "drr_granted": cols.drr_granted[i],
+    }

@@ -2,16 +2,18 @@
 
 The key test is the incremental-vs-windowed equivalence: driving one
 port event by event (the OOD style) and replaying the same arrivals
-window by window (the DOD style) must transmit identical packets at
-identical times.
+window by window over an egress row (the DOD style) must transmit
+identical packets at identical times.
 """
 
 import pytest
 
+from port_lockstep import drive_automaton, egress_row
+from repro.core.systems.transmit import contract_key, replay_window
 from repro.errors import SimulationError
 from repro.protocols import AqmConfig, AqmKind, EgressConfig, EgressPort
 from repro.protocols.packet import (
-    F_CE, F_FLOW, F_ISACK, F_SEQ, PRIO_ARRIVAL, data_row,
+    F_CE, PRIO_ARRIVAL, data_row,
 )
 from repro.schedulers import SchedulerKind
 from repro.topology import dumbbell
@@ -93,40 +95,17 @@ class TestEventDriven:
 
 class TestWindowedEqualsEventDriven:
     def _drive_event_style(self, iface, arrivals, **port_kw):
-        """Reference: a miniature event loop over one port."""
+        """Reference: the automaton fed every event of the run."""
         port = mk_port(iface, **port_kw)
         emissions = []
-        pending = sorted(arrivals, key=lambda a: (a[0], a[1],
-                                                  a[2][F_FLOW],
-                                                  a[2][F_ISACK],
-                                                  a[2][F_SEQ]))
-        # event loop: (time, kind 0=done 1=arrival)
-        import heapq
-        heap = []
-        for i, (t, prio, r) in enumerate(pending):
-            heapq.heappush(heap, (t, 1, i))
-        busy_end = None
-        while heap:
-            t, kind, i = heapq.heappop(heap)
-            if kind == 0:
-                port.complete_service()
-                res = port.start_service(t)
-                if res:
-                    r2, end = res
-                    emissions.append((r2, end - port.serialization_ps(r2), end))
-                    heapq.heappush(heap, (end, 0, -1))
-            else:
-                accepted = port.arrive(pending[i][2], t)
-                if accepted is not None and not port.in_service:
-                    res = port.start_service(t)
-                    if res:
-                        r2, end = res
-                        emissions.append((r2, end - port.serialization_ps(r2), end))
-                        heapq.heappush(heap, (end, 0, -1))
+        drive_automaton(port, sorted(arrivals, key=contract_key),
+                        float("inf"), emissions, [])
         return emissions
 
     def _drive_windowed(self, iface, arrivals, window_ps, **port_kw):
-        port = mk_port(iface, **port_kw)
+        """The engine's replay over an egress row, window by window."""
+        cols, static, i = egress_row(iface, mk_port(iface, **port_kw).config,
+                                     table=[])
         emissions = []
         horizon = max(a[0] for a in arrivals) + 10 * window_ps
         win = 0
@@ -134,12 +113,11 @@ class TestWindowedEqualsEventDriven:
             start = win * window_ps
             batch = sorted(
                 (a for a in arrivals if start <= a[0] < start + window_ps),
-                key=lambda a: (a[0], a[1], a[2][F_FLOW], a[2][F_ISACK],
-                               a[2][F_SEQ]),
-            )
-            port.replay_window(batch, start, start + window_ps, emissions)
+                key=contract_key)
+            replay_window(cols, static, i, batch, start, start + window_ps,
+                          emissions, [])
             win += 1
-            if start > horizon and len(port.sched) == 0:
+            if start > horizon and cols.qlen[i] == 0:
                 break
         return emissions
 

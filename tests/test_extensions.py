@@ -63,8 +63,10 @@ class TestQueueSampling:
         a.run()
         b = DodEngine(dumbbell_scenario, sample_queues=True)
         b.run()
-        for pa, pb in zip(a.ports, b.ports):
-            assert pa.stats.queue_samples == pb.stats.queue_samples
+        assert any(port.stats.queue_samples for port in a.ports)
+        for port in a.ports:
+            assert (b.port_stats(port.iface.iface_id).queue_samples
+                    == port.stats.queue_samples)
 
     def test_samples_track_occupancy(self, dumbbell_scenario):
         sim = OodSimulator(dumbbell_scenario, sample_queues=True)
