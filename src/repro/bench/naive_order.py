@@ -16,7 +16,7 @@ from ..core.engine import DodEngine
 from ..core.systems import (
     run_ack_system, run_forward_system, run_send_system, run_transmit_system,
 )
-from ..core.window import ENTRY_TIMER, Entry, WindowContext
+from ..core.window import ENTRY_TIMER, Entry, WindowContext, plan_window
 from ..metrics import TraceLevel
 from ..scenario import Scenario
 
@@ -38,18 +38,19 @@ class NaiveOrderEngine(DodEngine):
 
     def process_window(self, index: int) -> WindowContext:
         ctx = self._open_window(index)
+        ack_work, send_plan, forward_work = plan_window(self, ctx)
         for iface_id, staged in self._carried_staged.items():
             ctx.staged.setdefault(iface_id, []).extend(staged)
         t0 = perf_counter()
-        run_send_system(self, ctx)
+        run_send_system(self, ctx, send_plan)
         t1 = perf_counter()
-        run_forward_system(self, ctx)
+        run_forward_system(self, ctx, forward_work)
         t2 = perf_counter()
         run_transmit_system(self, ctx)
         t3 = perf_counter()
         before = {k: len(v) for k, v in ctx.staged.items()}
         t4 = perf_counter()
-        run_ack_system(self, ctx)
+        run_ack_system(self, ctx, ack_work)
         self.bus.window_times(index, ctx.start, perf_counter() - t4,
                               t1 - t0, t2 - t1, t3 - t2)
         self._carried_staged = {

@@ -430,7 +430,7 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--buffer-kb", type=int, default=4096)
     common.add_argument("--backend", choices=["python", "numpy"],
                         default=None,
-                        help="window execution of the DOD engine: python = "
+                        help="kernel set of the DOD engine: python = "
                              "the four reference systems, numpy = the "
                              "fused pass (default: $REPRO_BACKEND, then "
                              "python)")

@@ -18,7 +18,7 @@ windows is a pure function of the windows executed so far.
 
 There is one snapshot format (:data:`FORMAT`), used by the checkpoint
 store and by both cluster transports.  The state holds list columns and
-plain Python scalars only — nothing specific to a window execution — so
+plain Python scalars only — nothing specific to a kernel set — so
 a snapshot taken under ``backend="numpy"`` resumes under ``"python"``
 and the reverse.
 """

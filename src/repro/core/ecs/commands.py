@@ -12,7 +12,7 @@ then establishes the canonical chronological order anyway.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Dict, Generic, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -27,19 +27,6 @@ class CommandBuffer(Generic[T]):
 
     def append(self, target: int, item: T) -> None:
         self.entries.append((target, item))
-
-    def append_many(self, target: int, items: Iterable[T]) -> None:
-        """Bulk append: many items to one target (one kernel, one slice)."""
-        self.entries.extend((target, item) for item in items)
-
-    def extend(self, pairs: Iterable[Tuple[int, T]]) -> None:
-        """Bulk append of pre-paired (target, item) writes."""
-        self.entries.extend(pairs)
-
-    def merge(self, other: "CommandBuffer[T]") -> "CommandBuffer[T]":
-        """Absorb another buffer's entries (in its recorded order)."""
-        self.entries.extend(other.entries)
-        return self
 
     def __len__(self) -> int:
         return len(self.entries)

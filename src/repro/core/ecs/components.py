@@ -8,7 +8,7 @@ paper Fig. 7.
 In CPython a "column" is a list (the interpreter owns physical layout);
 what this class preserves from Unity DOTS is the *logical* layout — which
 fields are stored together and in what order they are swept.  Both
-window executions (the four reference systems and the fused pass) index
+kernel sets (the four reference systems and the fused pass) index
 the same list columns, so kernel arithmetic runs on plain Python scalars
 either way — which is what keeps trace digests byte-identical between
 them.

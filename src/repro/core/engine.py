@@ -16,9 +16,12 @@ invariant here: every entry of window *w* was inserted by a window
 strictly before *w* (link delay >= lookahead), so a window's inputs are
 complete before it runs, and no synchronization is ever needed within a
 machine.  One ``advance()`` runs exactly one such window — the paper's
-"batch length = minimum link delay" — and executes it one way per
-backend: the four reference systems on ``python``, the fused pass on
-``numpy`` (see docs/ARCHITECTURE.md, "Why a batch is exactly one
+"batch length = minimum link delay" — through one pipeline: pop the
+window's columns, classify them once
+(:func:`~repro.core.window.plan_window`), run the four phases over the
+plan, commit.  ``backend`` picks the kernel set that runs the phases —
+the four reference systems on ``python``, the fused pass on ``numpy`` —
+and nothing else (see docs/ARCHITECTURE.md, "Why a batch is exactly one
 lookahead window").
 
 All observation goes through the engine's
@@ -38,19 +41,17 @@ from __future__ import annotations
 import os
 import struct
 from hashlib import blake2b
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Set
 
 from .ecs import World
 from .events import EventColumns
 from .instrument import OP_WINDOW, InstrumentationBus
 from .runner import EngineRunner
-from .systems import (
-    run_ack_system, run_forward_system, run_send_system, run_transmit_system,
-)
+from .systems import run_window_reference
 from .systems.transmit import PortStatic, port_static
 from .window import (
     ENTRY_ARRIVAL, ENTRY_FLOW_START, ENTRY_UDP, Entry, WindowContext,
+    plan_window,
 )
 from ..errors import ConfigError, SimulationError
 from ..metrics import SimResults, TraceLevel, TraceRecorder
@@ -61,8 +62,8 @@ from ..scenario import Scenario
 from ..traffic import Transport
 
 
-#: Known window executions over the one component table: ``python`` runs
-#: the four reference systems back to back (the conformance kernel),
+#: Known kernel sets over the one window pipeline: ``python`` runs the
+#: four reference systems back to back (the conformance kernels),
 #: ``numpy`` the fused pass of :mod:`repro.core.systems.vectorized`.
 BACKENDS = ("python", "numpy")
 
@@ -99,14 +100,15 @@ class DodEngine:
         link delay (correct but slower — the ablation of the §3.3 design
         choice).
 
-        ``backend`` selects the window execution over the one component
-        table: ``"python"`` (the four reference systems run back to back
-        — the conformance kernel every other execution is compared
-        against, not a performance configuration) or ``"numpy"`` (one
-        fused plan/kernel/commit pass, NumPy where it pays).  ``None``
-        resolves the ``REPRO_BACKEND`` environment variable, defaulting
-        to ``"python"`` — which is how the CI backend matrix runs the
-        whole suite under each execution without touching test code.
+        ``backend`` selects the kernels that run a planned window:
+        ``"python"`` (the four reference systems back to back — the
+        conformance kernels every other execution is compared against,
+        not a performance configuration) or ``"numpy"`` (one fused
+        kernel/commit pass, NumPy where it pays).  Pop, plan and context
+        are the same under both.  ``None`` resolves the
+        ``REPRO_BACKEND`` environment variable, defaulting to
+        ``"python"`` — which is how the CI backend matrix runs the whole
+        suite under each kernel set without touching test code.
 
         ``telemetry`` turns on span recording and metric sampling on the
         engine's bus.  Telemetry only reads clocks and port counters —
@@ -157,19 +159,22 @@ class DodEngine:
         self._windows_run = 0
         #: Per-port constants by interface id, gathered at ``build()``.
         self.port_static: List[PortStatic] = []
+        #: ``is_host[node]``, gathered at ``build()`` — what the window
+        #: plan and the memo probe classify an entry's node by.
+        self.is_host: List[bool] = []
         # Caches that are pure functions of the scenario, filled on
         # first use and never checkpointed: the per-flow lists of the
         # send path, and the fused pass's route cache.
         self._flow_lists = None
         self._routes: Dict[int, int] = {}
 
-        # One execution per backend: the reference backend runs the four
-        # systems back to back, the vectorized one a single fused pass
-        # (imported lazily so ``python`` works without numpy installed).
-        self._fused_run = None
+        # The one place the backend is tested: which kernels run a
+        # planned window (imported lazily so ``python`` works without
+        # numpy installed).
+        self._run_window = run_window_reference
         if self.backend == "numpy":
             from .systems.vectorized import run_window_fused
-            self._fused_run = run_window_fused
+            self._run_window = run_window_fused
 
     # --- construction -------------------------------------------------------
 
@@ -192,9 +197,10 @@ class DodEngine:
         sc = self.scenario
         nodes, ifaces = sc.topology.nodes, sc.topology.interfaces
         n = len(ifaces)
+        self.is_host = [node.is_host for node in nodes]
         table = sc.classifier_table()
         self.port_static = [
-            port_static(iface, sc.host_egress if nodes[iface.node].is_host
+            port_static(iface, sc.host_egress if self.is_host[iface.node]
                         else sc.switch_egress, table, self.sample_queues)
             for iface in ifaces]
         classes = [st.classes for st in self.port_static]
@@ -433,18 +439,8 @@ class DodEngine:
             # and re-derive their firing times against ctx.end.
             end = duration + 1
             t_cut = duration
-        if self._fused_run is not None:
-            # The fused plan traverses the raw insert-ordered columns;
-            # no per-node grouping dict is ever built.
-            ctx = WindowContext(
-                index=index, start=start, end=end, node_entries={},
-                columns=self.events.pop_window_columns(index, t_cut),
-            )
-        else:
-            ctx = WindowContext(
-                index=index, start=start, end=end,
-                node_entries=self.events.pop_window(index, t_cut),
-            )
+        ctx = WindowContext(index, start, end,
+                            self.events.pop_window_columns(index, t_cut))
         if self.bus.has_ops:
             self.bus.op(OP_WINDOW, 0, 0)  # buffer arenas recycle
         return ctx
@@ -460,29 +456,17 @@ class DodEngine:
             )
 
     def process_window(self, index: int) -> WindowContext:
-        """Execute one lookahead batch: the four systems in §3.3 order
-        (ACK, Send, Forward, Transmit)."""
+        """Execute one lookahead batch: open, plan, then the four
+        systems in §3.3 order (ACK, Send, Forward, Transmit) on the
+        backend's kernels."""
         bus = self.bus
         telemetry = bus.telemetry
         if telemetry:
             _w0 = bus.now()
         ctx = self._open_window(index)
-        # Timed inline: five clock reads and one bus call per window.
-        # The vectorized backend runs the same four phases through one
-        # fused pass (one plan traversal, shared column handles).
-        if self._fused_run is not None:
-            t0, t1, t2, t3, t4 = self._fused_run(self, ctx)
-        else:
-            clock = perf_counter
-            t0 = clock()
-            run_ack_system(self, ctx)
-            t1 = clock()
-            run_send_system(self, ctx)
-            t2 = clock()
-            run_forward_system(self, ctx)
-            t3 = clock()
-            run_transmit_system(self, ctx)
-            t4 = clock()
+        # Five clock reads (the phase marks) and one bus call per window.
+        t0, t1, t2, t3, t4 = self._run_window(
+            self, ctx, plan_window(self, ctx))
         bus.window_times(index, ctx.start, t1 - t0, t2 - t1, t3 - t2, t4 - t3)
         self._close_window(ctx)
         if telemetry:

@@ -10,8 +10,8 @@ window:
 ``nodes[i] / tags[i] / times[i] / prios[i] / payloads[i]``
 
 ``payloads`` holds the original entry tuples (the payload-ref column),
-so handing a window to the systems is pure grouping — no per-entry
-reconstruction.  ``tags``/``times``/``prios`` are *derived* integer
+so handing a window to the systems is handing over two lists — no
+per-entry reconstruction, no grouping.  ``tags``/``times``/``prios`` are *derived* integer
 columns (``-1`` where the entry kind carries no timestamp/priority),
 computed on demand from the payload rows: only ``nodes`` and
 ``payloads`` are materialized, so the hot insert paths append twice per
@@ -19,9 +19,10 @@ entry, while the cold consumers (the
 :meth:`EventColumns.signature_bytes` encoding, migration copies)
 derive the integer columns when asked.  Columns are appended in
 insertion order, which is exactly the order the scalar calendar
-preserved — so grouping a bucket by node reproduces the old
-``Dict[node, List[Entry]]`` byte-for-byte, and no per-window sort is
-needed (the insert stream *is* the stable order).
+preserved — grouping a bucket by node reproduces the old
+``Dict[node, List[Entry]]`` byte-for-byte (the reference model of
+``tests/core/test_event_columns.py`` still does), and no per-window
+sort is needed (the insert stream *is* the stable order).
 
 Scheduling runs off a window-occupancy index maintained next to the
 buckets: a min-heap of pending window indices plus a membership set.
@@ -32,7 +33,7 @@ conformance harness can plant a stale-index bug
 (:func:`repro.conformance.inject.stale_window_index`) and prove the
 differential fuzz loop catches exactly this class of corruption.
 
-Both window executions share this store: the columns are plain Python
+Both kernel sets share this store: the columns are plain Python
 lists, like the ``SoATable`` component columns.  The byte encoding
 behind ``signature_bytes`` is little-endian int64 streams, which is
 what makes ``DodEngine.window_signature()`` backend-stable.
@@ -42,9 +43,9 @@ from __future__ import annotations
 
 import heapq
 import struct
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .window import ENTRY_ARRIVAL, ENTRY_FLOW_START, Entry
+from .window import ENTRY_ARRIVAL, ENTRY_FLOW_START, NO_ENTRIES, Entry
 from ..protocols.packet import PRIO_ARRIVAL
 
 __all__ = ["EventColumns", "register_window"]
@@ -208,22 +209,6 @@ class EventColumns:
     def __bool__(self) -> bool:
         return bool(self._buckets)
 
-    def _grouped(self, bucket: _Bucket) -> Dict[int, List[Entry]]:
-        """Group one bucket's payload column by node.
-
-        Columns are in insertion order, so the node-key order and each
-        per-node entry order match the scalar calendar exactly.
-        """
-        out: Dict[int, List[Entry]] = {}
-        payloads = bucket.payloads
-        for i, node in enumerate(bucket.nodes):
-            lst = out.get(node)
-            if lst is None:
-                out[node] = [payloads[i]]
-            else:
-                lst.append(payloads[i])
-        return out
-
     # --- delta stage/apply (memoization support) ---------------------------
 
     def bucket_sizes(self) -> Dict[int, int]:
@@ -242,7 +227,7 @@ class EventColumns:
         return bucket.nodes[start:], bucket.payloads[start:]
 
     def discard_window(self, win: int) -> None:
-        """Drop one window's bucket without grouping it (fast-forward:
+        """Drop one window's bucket without running it (fast-forward:
         the delta replaces execution, so the entries are never run; the
         occupancy-index entry was already consumed by ``next_window``)."""
         self._buckets.pop(win, None)
@@ -259,48 +244,21 @@ class EventColumns:
         self._heap = [w + shift for w in self._heap]
         self._queued = {w + shift for w in self._queued}
 
-    def items(self) -> Iterator[Tuple[int, Dict[int, List[Entry]]]]:
-        """Iterate ``(window, grouped entries)`` over pending windows."""
-        for win in sorted(self._buckets):
-            yield win, self._grouped(self._buckets[win])
-
-    def pop_window(self, win: int,
-                   t_cut: Optional[int] = None) -> Dict[int, List[Entry]]:
-        """Remove and return ``win``'s entries grouped by node.
-
-        ``t_cut`` applies the duration cut: timestamped entries
-        (ARRIVAL / FLOW_START) with ``t > t_cut`` are dropped, and nodes
-        whose entries all fall past the cut are omitted — the same
-        filter the engine applied to the scalar calendar.
-        """
-        bucket = self._buckets.pop(win, None)
-        if bucket is None:
-            return {}
-        grouped = self._grouped(bucket)
-        if t_cut is None:
-            return grouped
-        return {
-            node: kept for node, entries in grouped.items()
-            if (kept := [
-                e for e in entries
-                if e[0] > ENTRY_FLOW_START or e[1] <= t_cut
-            ])
-        }
-
     def pop_window_columns(
         self, win: int, t_cut: Optional[int] = None,
-    ) -> Optional[Tuple[List[int], List[Entry]]]:
-        """Remove ``win`` and return its raw ``(nodes, payloads)`` columns.
+    ) -> Tuple[Sequence[int], Sequence[Entry]]:
+        """Remove ``win`` and return its raw ``(nodes, payloads)`` columns
+        — the window's entries in global insertion order, which is all
+        :func:`~repro.core.window.plan_window` needs (no per-node
+        grouping is ever built).
 
-        The fused vectorized plan consumes the columns directly — same
-        entries, same global insertion order — skipping the per-node
-        grouping dict :meth:`pop_window` builds.  ``t_cut`` applies the
-        same duration cut (timestamped entries past the cut drop out).
-        Returns ``None`` when the window holds no entries.
+        ``t_cut`` applies the duration cut: timestamped entries
+        (ARRIVAL / FLOW_START) with ``t > t_cut`` are dropped.  A window
+        that holds no entries yields empty columns.
         """
         bucket = self._buckets.pop(win, None)
         if bucket is None:
-            return None
+            return NO_ENTRIES
         nodes, payloads = bucket.nodes, bucket.payloads
         if t_cut is None:
             return nodes, payloads

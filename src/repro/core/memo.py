@@ -246,8 +246,6 @@ class WindowMemoCache:
         self._scheds: Dict[int, UdpSchedule] = {}
         self._nics: Dict[int, int] = {}
         self._routes: Dict[Tuple[int, int, int], int] = {}
-        self._is_host = tuple(
-            n.is_host for n in scenario.topology.nodes)
         #: Segment count per flow, filled by :meth:`_sched_of`.
         self._totals: Dict[int, int] = {}
         #: Per port, the shared rows tuple of a drained port — lets
@@ -509,7 +507,7 @@ class WindowMemoCache:
         sender_of_flow = engine.world.sender_of_flow
         next_seq_col = engine.world.senders.column("udp_next_seq")
         base_of = probe.base_of
-        is_host = self._is_host
+        is_host = engine.is_host
         active = engine.active_ports
         union = set(active)
         entries_enc: List[Tuple] = []

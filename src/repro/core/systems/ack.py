@@ -8,8 +8,9 @@ receiving host's NIC egress queue at the data packet's arrival time.
 The system is written in the engine's plan → kernel → commit shape
 (paper Fig. 7 made literal):
 
-* :func:`plan_ack` runs on the main thread and builds the per-host work
-  slices (one task per receiving host, deliveries sorted canonically);
+* the work list is the ACK slice of the one window plan
+  (:func:`~repro.core.window.plan_window`): one task per receiving
+  host, whose deliveries :func:`run_ack_system` sorts canonically;
 * :func:`ack_kernel` sweeps the receiver component columns for one
   host's deliveries and returns staged ACKs plus completions.  Hosts
   own disjoint receiver rows, so tasks are independent — the
@@ -23,7 +24,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Dict, List, NamedTuple, Tuple
 
-from ..window import ENTRY_ARRIVAL, WindowContext
+from ..window import NodeWork, WindowContext
 from ...protocols.packet import (
     F_CE,
     F_FLOW,
@@ -33,10 +34,8 @@ from ...protocols.packet import (
     PRIO_ARRIVAL,
     Row,
     ack_row,
+    packet_uid,
 )
-
-#: One task: (host node, canonically sorted data deliveries).
-AckWork = Tuple[int, List[Tuple[int, int, Row]]]
 
 
 class AckCols(NamedTuple):
@@ -50,31 +49,19 @@ class AckCols(NamedTuple):
     needs_ack: list
 
 
-def plan_ack(engine, ctx: WindowContext) -> List[AckWork]:
-    """Build per-host work slices from this window's calendar entries."""
-    work: List[AckWork] = []
-    for node, entries in sorted(ctx.node_entries.items()):
-        if not engine.scenario.topology.nodes[node].is_host:
-            continue
-        data = [
-            (e[1], e[2], e[3])
-            for e in entries
-            if e[0] == ENTRY_ARRIVAL and not e[3][F_ISACK]
-        ]
-        if not data:
-            continue
-        data.sort(key=lambda a: (a[0], a[1], a[2][F_FLOW], a[2][F_ISACK], a[2][F_SEQ]))
-        work.append((node, data))
-    return work
+def _delivery_key(a):
+    # The ordering contract (t, prio, flow, is_ack, seq) — this module's
+    # own copy, so a drill on the transmit tie-break never reorders ACKs.
+    return (a[0], a[1], a[2][F_FLOW], a[2][F_ISACK], a[2][F_SEQ])
 
 
 def ack_kernel(
     cols: AckCols,
     receiver_of_flow: Dict[int, int],
     flows,
-    item: AckWork,
+    item: NodeWork,
 ):
-    """One host's deliveries; returns staged ACKs and completions.
+    """One host's sorted deliveries; returns staged ACKs and completions.
 
     Pure over its column slice: the only writes are to the receiver rows
     of this host's flows, which no other task touches.
@@ -134,7 +121,6 @@ def commit_ack(engine, ctx: WindowContext, results) -> None:
         ctx.counts.ack += n
         engine.bump_node(node, n)
         if bus.has_ops:
-            from ...protocols.packet import packet_uid
             for _t, _prio, row in arrivals:
                 bus.op(3, node, packet_uid(row))  # OP_HOST_RX
         if trace_on:
@@ -154,13 +140,15 @@ def commit_ack(engine, ctx: WindowContext, results) -> None:
                 bus.flow_done(t, engine.scenario.flows[flow_id].dst, flow_id)
 
 
-def run_ack_system(engine, ctx: WindowContext) -> None:
-    """Process all data deliveries of this window (plan → kernel → commit)."""
-    work = plan_ack(engine, ctx)
+def run_ack_system(engine, ctx: WindowContext,
+                   work: List[NodeWork]) -> None:
+    """Process all data deliveries of this window (sort → kernel →
+    commit) — ``work`` is the plan's ACK slice."""
     if not work:
         return
-    rec = engine.world.receivers
-    cols = AckCols(*(rec.column(name) for name in AckCols._fields))
+    for _node, data in work:
+        data.sort(key=_delivery_key)
+    cols = AckCols(**engine.world.receivers.columns(AckCols._fields))
     receiver_of_flow = engine.world.receiver_of_flow
     flows = engine.scenario.flows
     engine.bus.task_batch("ack", [len(w[1]) for w in work])

@@ -8,38 +8,23 @@ the main thread (Appendix C's write-conflict fix); chronological order is
 established later by the TransmitSystem's merge sort, so forwarding
 itself is embarrassingly parallel.
 
-Plan → kernel → commit: :func:`plan_forward` slices the window's switch
-arrivals per node; :func:`forward_kernel` resolves routes into a private
+Plan → kernel → commit: the window plan
+(:func:`~repro.core.window.plan_window`) slices the switch arrivals per
+node; :func:`forward_kernel` resolves routes into a private
 :class:`~repro.core.ecs.CommandBuffer`; :func:`commit_forward` publishes
 counters/ops and consolidates the buffers in task order.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from ..ecs import CommandBuffer, consolidate
-from ..window import ENTRY_ARRIVAL, WindowContext
-from ...protocols.packet import F_DST, F_FLOW, F_SEQ, Row, packet_uid
-
-#: One task: (switch node, its window arrivals).
-ForwardWork = Tuple[int, List[Tuple[int, int, Row]]]
+from ..window import NodeWork, WindowContext
+from ...protocols.packet import F_DST, F_FLOW, F_SEQ, packet_uid
 
 
-def plan_forward(engine, ctx: WindowContext) -> List[ForwardWork]:
-    """Per-switch work slices of this window's arrivals."""
-    topo = engine.scenario.topology
-    work: List[ForwardWork] = []
-    for node, entries in sorted(ctx.node_entries.items()):
-        if topo.nodes[node].is_host:
-            continue
-        arrivals = [(e[1], e[2], e[3]) for e in entries if e[0] == ENTRY_ARRIVAL]
-        if arrivals:
-            work.append((node, arrivals))
-    return work
-
-
-def forward_kernel(fib, iface_id_of, spray: bool, item: ForwardWork):
+def forward_kernel(fib, iface_id_of, spray: bool, item: NodeWork):
     """Route one switch's arrivals into a private command buffer.
 
     Pure: reads the shared (immutable) FIB, writes only its own buffer.
@@ -67,9 +52,10 @@ def commit_forward(engine, ctx: WindowContext, results) -> None:
     consolidate(buffers, ctx.staged)
 
 
-def run_forward_system(engine, ctx: WindowContext) -> None:
-    """Forward all switch arrivals of this window (plan → kernel → commit)."""
-    work = plan_forward(engine, ctx)
+def run_forward_system(engine, ctx: WindowContext,
+                       work: List[NodeWork]) -> None:
+    """Forward all switch arrivals of this window (kernel → commit) —
+    ``work`` is the plan's forward slice."""
     if not work:
         return
     sc = engine.scenario

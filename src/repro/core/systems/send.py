@@ -8,8 +8,9 @@ stages the resulting data segments on the source host's NIC queue.
 
 Plan → kernel → commit:
 
-* :func:`plan_send` scans the window's calendar entries and produces the
-  sorted flow-id work list plus each flow's ACK deliveries;
+* the work list is the send slice of the one window plan
+  (:func:`~repro.core.window.plan_window`): the sorted flow ids plus
+  each flow's ACK deliveries and start;
 * :func:`send_kernel` replays one flow.  Sender state
   lives in the columnar sender table; the kernel reads and writes the
   flow's row through bulk column handles (one indexed access per column
@@ -23,13 +24,12 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..window import (
-    ENTRY_ARRIVAL, ENTRY_FLOW_START, WindowContext,
-)
+from ..window import ENTRY_TIMER, ENTRY_UDP, SendPlan, WindowContext
 from ...protocols import DctcpState, UdpSchedule
 from ...protocols.packet import (
     F_ECE, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, PRIO_ARRIVAL,
-    PRIO_FLOW_START, PRIO_TIMER, Row, data_row, segment_payload,
+    PRIO_FLOW_START, PRIO_TIMER, Row, data_row, packet_uid,
+    segment_payload,
 )
 from ...traffic import Transport
 
@@ -135,40 +135,6 @@ def udp_emission_schedule(
 
 #: Per-flow events inside a window: (time, kind, row-or-None).
 FlowEvent = Tuple[int, int, Optional[Row]]
-
-#: plan output: (flow ids, acks per flow, starts per flow, trace deliveries)
-SendPlan = Tuple[
-    List[int],
-    Dict[int, List[Tuple[int, Row]]],
-    Dict[int, int],
-    List[Tuple[int, int, Row]],
-]
-
-
-def plan_send(engine, ctx: WindowContext) -> SendPlan:
-    """Group this window's host entries by flow, in flow-id order."""
-    topo = engine.scenario.topology
-    acks_of: Dict[int, List[Tuple[int, Row]]] = {}
-    starts: Dict[int, int] = {}
-    visits: List[int] = []
-    deliver_trace: List[Tuple[int, int, Row]] = []
-    for node, entries in ctx.node_entries.items():
-        if not topo.nodes[node].is_host:
-            continue
-        for e in entries:
-            tag = e[0]
-            if tag == ENTRY_ARRIVAL:
-                if e[3][F_ISACK]:
-                    acks_of.setdefault(e[3][F_FLOW], []).append((e[1], e[3]))
-                    deliver_trace.append((e[1], node, e[3]))
-            elif tag == ENTRY_FLOW_START:
-                starts[e[2]] = e[1]
-            else:  # ENTRY_TIMER / ENTRY_UDP wakeups
-                if e[1] >= 0:  # negative ids are bare window wakeups
-                    visits.append(e[1])
-    flow_ids = sorted(set(acks_of) | set(starts) | set(visits))
-    return flow_ids, acks_of, starts, deliver_trace
-
 
 def send_kernel(
     cols: Dict[str, list],
@@ -295,7 +261,6 @@ def flow_lists(engine) -> FlowLists:
 
 def commit_send(engine, ctx: WindowContext, results) -> None:
     """Stage kernel outputs and register wakeups, in flow-id order."""
-    from ..window import ENTRY_TIMER, ENTRY_UDP
     bus = engine.bus
     fl = flow_lists(engine)
     src_of = fl.src
@@ -309,7 +274,6 @@ def commit_send(engine, ctx: WindowContext, results) -> None:
         src = src_of[flow_id]
         segments = 0
         if has_ops:
-            from ...protocols.packet import packet_uid
             for _ in rtts:
                 bus.op(3, src, (flow_id << 25) | (1 << 24))  # ack handled
             for _t, _prio, row in out:
@@ -335,19 +299,26 @@ def commit_send(engine, ctx: WindowContext, results) -> None:
             engine.register_wakeup(udp_wakeup, src, ENTRY_UDP, flow_id)
 
 
-def run_send_system(engine, ctx: WindowContext) -> None:
-    """Visit every sender with window work (plan → kernel → commit)."""
-    flow_ids, acks_of, starts, deliver_trace = plan_send(engine, ctx)
+def trace_ack_deliveries(bus, deliver_trace) -> None:
+    """Publish the window's ACK deliveries in canonical order (trace
+    recording only)."""
+    for t, node, row in sorted(
+        deliver_trace,
+        key=lambda d: (d[0], d[2][F_FLOW], d[2][F_ISACK], d[2][F_SEQ]),
+    ):
+        bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+
+
+def run_send_system(engine, ctx: WindowContext, plan: SendPlan) -> None:
+    """Visit every sender with window work (kernel → commit) — ``plan``
+    is the plan's send slice."""
+    flow_ids, acks_of, starts, deliver_trace = plan
     if not flow_ids:
         return
 
     bus = engine.bus
     if bus.trace_level:
-        for t, node, row in sorted(
-            deliver_trace,
-            key=lambda d: (d[0], d[2][F_FLOW], d[2][F_ISACK], d[2][F_SEQ]),
-        ):
-            bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+        trace_ack_deliveries(bus, deliver_trace)
 
     cols = engine.world.senders.columns(SENDER_COLS)
     sender_of_flow = engine.world.sender_of_flow

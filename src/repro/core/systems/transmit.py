@@ -22,11 +22,14 @@ Plan → kernel → commit: :func:`plan_transmit` lists the fed or active
 ports; :func:`transmit_kernel` replays one port's window (ports are
 independent entities); :func:`commit_transmit` publishes
 trace/op events and registers cross-device arrivals, in port order.
+Those three are the only two-phase transmit there is — the reference
+dispatch below and the fused pass's trace-on path both run them, each
+handing the kernel its own tie-break sort.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .. import events as events_mod
 from ..ecs import EgressCols
@@ -102,10 +105,17 @@ def port_static(iface, cfg, table: List[int],
 def contract_key(a: Staged):
     """The canonical arrival ordering: (t, prio, flow, is_ack, seq).
 
-    Resolved from module globals by :func:`transmit_kernel` at run
+    Resolved from module globals by :func:`contract_sort` at run
     time, so ``conformance.inject.flipped_transmit_order`` can patch it.
     """
     return (a[0], a[1], a[2][F_FLOW], a[2][F_ISACK], a[2][F_SEQ])
+
+
+def contract_sort(arrivals: List[Staged]) -> List[Staged]:
+    """The reference tie-break: a scalar in-place ``list.sort`` by
+    :func:`contract_key`."""
+    arrivals.sort(key=contract_key)
+    return arrivals
 
 
 def _drr_pick(queues, heads, deficit, quantum: int, cls: int,
@@ -323,8 +333,9 @@ def replay_window(
 
 
 def plan_transmit(engine, ctx: WindowContext) -> List[int]:
-    """Every port that was fed this window or is still serializing."""
-    return sorted(set(ctx.staged) | engine.active_ports)
+    """Every port that was fed this window or is still serializing,
+    ascending."""
+    return sorted(engine.active_ports.union(ctx.staged))
 
 
 def transmit_kernel(
@@ -334,15 +345,26 @@ def transmit_kernel(
     window_start: int,
     window_end: int,
     full_trace: bool,
+    sort: Callable[[List[Staged]], List[Staged]],
     iface_id: int,
 ):
     """Replay one egress port's window timeline.
 
-    Pure over its port: the merge-sort of its staged arrivals and the
-    replay touch only this port's row.
+    Pure over its port: the merge-sort of its staged arrivals (``sort``,
+    the caller's ordering-contract tie-break) and the replay touch only
+    this port's row.
     """
-    arrivals = staged.get(iface_id, [])
-    arrivals.sort(key=contract_key)
+    arrivals = staged.get(iface_id)
+    if arrivals is None:
+        if cols.qlen[iface_id] > 0 and cols.free_at[iface_id] >= window_end:
+            # Busy line, nothing fed, and the head packet outlasts the
+            # window: the replay is a guaranteed no-op (its first
+            # service start would land at or past window_end).  Most
+            # active ports in a large fan-in hit this.
+            return iface_id, (), (), [] if full_trace else None, True, 0
+        arrivals = ()
+    elif len(arrivals) > 1:  # 0/1 arrivals: nothing to tie-break
+        arrivals = sort(arrivals)
     emissions: List[Emission] = []
     drops: List[Tuple[int, Row]] = []
     enq: Optional[List[Tuple[int, Row]]] = [] if full_trace else None
@@ -394,5 +416,5 @@ def run_transmit_system(engine, ctx: WindowContext) -> None:
         "transmit", [len(staged.get(i, ())) + 1 for i in iface_ids])
     commit_transmit(engine, ctx, [
         transmit_kernel(cols, static, staged, ctx.start, ctx.end,
-                        full_trace, i)
+                        full_trace, contract_sort, i)
         for i in iface_ids])

@@ -1,25 +1,29 @@
-"""The ``numpy`` backend's window execution: one fused pass over the four
-systems (:func:`run_window_fused`) and the batch kernels it dispatches.
+"""The ``numpy`` kernel set: the fused pass over a planned window
+(:func:`run_window_fused`) and the batch kernels it dispatches.
 
-Same plan → kernel → commit decomposition as the Python reference, same
-pure protocol transitions, same deterministic commit order — but the
-orchestration around the kernels is columnar:
+The window pipeline is the reference's — the same popped columns, the
+same :func:`~repro.core.window.plan_window`, the same pure protocol
+transitions, the same deterministic commit order — and what this module
+swaps in is how each phase runs its slice of the plan:
 
-* **plan** stages operate on per-window index arrays: the transmit work
-  list is a masked selection over the port axis (fed ∪ active), and
-  ordering-contract sorts go through one stable ``np.lexsort`` over key
+* ordering-contract sorts go through one stable ``np.lexsort`` over key
   columns instead of a per-element Python key function
-  (:func:`sort_contract`).
-* **kernel** stages index the same list columns of the one
-  :class:`~repro.core.ecs.SoATable` the reference systems sweep
-  (``columns(...)`` hands out the live lists), so the
-  DCTCP/UDP/reassembly state machines run on exactly the value types
-  the reference feeds them — which is what keeps the traces
-  byte-identical.
-* **commit** mutates those columns in place; the ForwardSystem routes
-  straight into the window's staging lists, with no command buffers in
-  between (:func:`_forward_serial_np`).
+  (:func:`sort_contract`);
+* the UDP schedule of a long flow is one array expression
+  (:func:`_udp_send_kernel`);
+* the ForwardSystem routes straight into the window's staging lists
+  through a cross-window route cache, with no command buffers in
+  between (:func:`_forward_serial_np`);
+* with no trace stream the TransmitSystem replays *and* commits the
+  port axis in one sweep (:func:`_transmit_serial_np`); with one it
+  runs the reference's own two-phase ``transmit_kernel`` +
+  ``commit_transmit``, handing the kernel :data:`transmit_sort`.
 
+Kernels index the same list columns of the one
+:class:`~repro.core.ecs.SoATable` the reference systems sweep
+(``columns(...)`` hands out the live lists), so the
+DCTCP/UDP/reassembly state machines run on exactly the value types the
+reference feeds them — which is what keeps the traces byte-identical.
 Integer timestamp arithmetic stays bit-exact: every value that crosses
 from an ndarray into a packet row or trace entry is converted to a
 Python scalar first, and the vectorized UDP schedule decomposes its
@@ -27,8 +31,8 @@ closed form so ``int64`` cannot overflow (falling back to the scalar
 schedule — same floor divisions — when it could).
 
 The commit helpers (``commit_send``/``commit_ack``/``commit_transmit``)
-are shared with the Python reference: the backends differ in how work
-is planned and dispatched, never in what is committed.
+are shared with the Python reference: the kernel sets differ in how work
+is dispatched, never in what is planned or committed.
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ import numpy as np
 from .ack import AckCols, ack_kernel, commit_ack
 from .send import (
     SENDER_COLS, FlowLists, commit_send, flow_lists, send_kernel,
+    trace_ack_deliveries,
 )
 from .transmit import (
-    PICK_LOWEST, _PS8, PortStatic, commit_transmit, contract_key,
-    replay_window,
+    PICK_LOWEST, _PS8, commit_transmit, contract_key, plan_transmit,
+    replay_window, transmit_kernel,
 )
 from .. import events as events_mod
-from ..ecs import EgressCols
-from ..window import ENTRY_ARRIVAL, ENTRY_FLOW_START, Staged, WindowContext
+from ..window import ENTRY_ARRIVAL, WindowContext, WindowPlan
 from ...protocols.packet import (
     F_DST, F_FLOW, F_ISACK, F_SEQ, F_SIZE, HEADER_BYTES, MSS,
     PRIO_ARRIVAL, PRIO_FLOW_START, Row, data_row, packet_uid, with_ce,
@@ -89,10 +93,9 @@ def sort_contract(entries: List[Tuple[int, int, Row]]) -> List[Tuple[int, int, R
     return [entries[k] for k in order.tolist()]
 
 
-#: The transmit tie-break hook, resolved from module globals at kernel
-#: run time so `conformance.inject.unstable_transmit_sort` can patch it
-#: the way `flipped_transmit_order` patches the Python backend's
-#: `contract_key`.
+#: The transmit tie-break hook, read from module globals each window so
+#: `conformance.inject.unstable_transmit_sort` can patch it the way
+#: `flipped_transmit_order` patches the Python kernels' `contract_key`.
 transmit_sort = sort_contract
 
 
@@ -270,71 +273,12 @@ def _forward_serial_np(engine, ctx: WindowContext, work,
 # --- TransmitSystem --------------------------------------------------------
 
 
-def plan_transmit_np(engine, ctx: WindowContext) -> List[int]:
-    """Masked selection over the port axis: fed ∪ still-serializing.
-
-    ``np.flatnonzero`` of the boolean mask yields ascending iface ids —
-    the same list ``sorted(set(staged) | active)`` produces.
-    """
-    staged = ctx.staged
-    active = engine.active_ports
-    if len(staged) + len(active) < VECTOR_SORT_MIN:
-        return sorted(set(staged) | active)
-    mask = np.zeros(len(engine.world.egress), dtype=bool)
-    if staged:
-        mask[np.fromiter(staged, np.int64, len(staged))] = True
-    if active:
-        mask[np.fromiter(active, np.int64, len(active))] = True
-    return np.flatnonzero(mask).tolist()
-
-
-def transmit_batch_kernel(
-    cols: EgressCols,
-    static: List[PortStatic],
-    staged: Dict[int, List[Staged]],
-    window_start: int,
-    window_end: int,
-    full_trace: bool,
-    iface_ids: List[int],
-):
-    """The port axis replayed port by port, results left for
-    ``commit_transmit`` (the trace-on path, see
-    :func:`_transmit_serial_np`)."""
-    out = []
-    sort = transmit_sort  # module attribute: the injectable tie-break
-    staged_get = staged.get
-    append = out.append
-    qlen, free_at = cols.qlen, cols.free_at
-    for iface_id in iface_ids:
-        arrivals = staged_get(iface_id)
-        if arrivals is None:
-            if qlen[iface_id] > 0 and free_at[iface_id] >= window_end:
-                # Busy line, nothing fed, and the head packet outlasts
-                # the window: the replay is a guaranteed no-op (its
-                # first service start would land at or past window_end).
-                # Most active ports in a large fan-in hit this.
-                append((iface_id, (), (), [] if full_trace else None,
-                        True, 0))
-                continue
-            arrivals = []
-        elif len(arrivals) > 1:  # 0/1 arrivals: nothing to tie-break
-            arrivals = sort(arrivals)
-        emissions: List = []
-        drops: List[Tuple[int, Row]] = []
-        enq: Optional[List[Tuple[int, Row]]] = [] if full_trace else None
-        replay_window(cols, static[iface_id], iface_id, arrivals,
-                      window_start, window_end, emissions, drops, enq)
-        append((iface_id, emissions, drops, enq, qlen[iface_id] > 0,
-                len(arrivals)))
-    return out
-
-
 def _transmit_serial_np(engine, ctx: WindowContext,
                         iface_ids: List[int],
                         window_start: int, window_end: int) -> None:
     """Replay *and* commit the port axis in one serial sweep.
 
-    Fuses :func:`transmit_batch_kernel` with ``commit_transmit`` for the
+    Fuses ``transmit_kernel`` with ``commit_transmit`` for the
     trace-off case (the measured configuration): no
     intermediate result tuples, scratch emission/drop lists reused
     across ports, and with local delivery and no conformance bus the
@@ -382,7 +326,7 @@ def _transmit_serial_np(engine, ctx: WindowContext,
         if arrivals is None:
             if qlen[iface_id] > 0 and free_col[iface_id] >= window_end:
                 # Busy line, nothing fed, head packet outlasts the
-                # window: guaranteed no-op (see transmit_batch_kernel).
+                # window: guaranteed no-op (see transmit_kernel).
                 # The port is already in the active set — keep it there.
                 continue
             arrivals = ()
@@ -475,113 +419,36 @@ def _transmit_serial_np(engine, ctx: WindowContext,
 # --- Fused window pass ------------------------------------------------------
 
 
-def plan_window_np(engine, ctx: WindowContext):
-    """All four systems' plans in one traversal of the window columns.
+def run_window_fused(engine, ctx: WindowContext, plan: WindowPlan):
+    """One fused pass over the planned window: the four phases in paper
+    order over shared column handles.
 
-    The classic path groups the window's entries by node and then walks
-    the grouped dict four times (once per system's plan); this consumes
-    the raw insert-ordered ``ctx.columns`` in one pass, classifying
-    every entry into the ACK, Send and Forward work lists directly.
-    Output order is provably identical: grouping preserves insertion
-    order, so every per-node (and per-flow — a flow's ACKs all land on
-    its one source host) sequence comes out the same whether entries
-    are visited node-by-node or in global insert order, and the
-    order-sensitive outputs are sorted exactly where the classic plans
-    sort them (``plan_ack``/``plan_forward`` sort by node,
-    ``plan_send`` by flow id, ACK slices through the same
-    :func:`sort_contract`).
-    """
-    is_host = getattr(engine, "_is_host", None)
-    if is_host is None:
-        is_host = engine._is_host = [
-            n.is_host for n in engine.scenario.topology.nodes]
-    ack_data: Dict[int, List[Tuple[int, int, Row]]] = {}
-    acks_of: Dict[int, List[Tuple[int, Row]]] = {}
-    starts: Dict[int, int] = {}
-    visits: List[int] = []
-    deliver_trace: List[Tuple[int, int, Row]] = []
-    fwd: Dict[int, List[Tuple[int, int, Row]]] = {}
-    ack_get = ack_data.get
-    acks_get = acks_of.get
-    fwd_get = fwd.get
-    nodes_col, payloads = ctx.columns
-    for i, node in enumerate(nodes_col):
-        e = payloads[i]
-        tag = e[0]
-        if is_host[node]:
-            if tag == ENTRY_ARRIVAL:
-                row = e[3]
-                if row[F_ISACK]:
-                    lst = acks_get(row[F_FLOW])
-                    if lst is None:
-                        acks_of[row[F_FLOW]] = [(e[1], row)]
-                    else:
-                        lst.append((e[1], row))
-                    deliver_trace.append((e[1], node, row))
-                else:
-                    lst = ack_get(node)
-                    if lst is None:
-                        ack_data[node] = [(e[1], e[2], row)]
-                    else:
-                        lst.append((e[1], e[2], row))
-            elif tag == ENTRY_FLOW_START:
-                starts[e[2]] = e[1]
-            elif e[1] >= 0:  # TIMER / UDP; negative = bare wakeup
-                visits.append(e[1])
-        elif tag == ENTRY_ARRIVAL:
-            lst = fwd_get(node)
-            if lst is None:
-                fwd[node] = [(e[1], e[2], e[3])]
-            else:
-                lst.append((e[1], e[2], e[3]))
-    ack_work = [(node, sort_contract(data))
-                for node, data in sorted(ack_data.items())]
-    flow_ids = sorted(set(acks_of) | set(starts) | set(visits))
-    return (ack_work, (flow_ids, acks_of, starts, deliver_trace),
-            sorted(fwd.items()))
-
-
-def run_window_fused(engine, ctx: WindowContext):
-    """One fused pass over the window: plan once, then the four phases
-    in paper order over shared column handles.
-
-    Semantically identical to the reference backend's four
-    ``run_*_system`` calls back to back — same kernels, same shared
-    commit helpers, same ordering contract — but the plan traversal
-    happens once and each phase is one sweep over its work list.
-    Returns the five ``perf_counter`` phase marks ``(t0..t4)`` so the
-    engine's profiling and telemetry spans stay per-system.
+    Semantically identical to ``run_window_reference`` — same plan, same
+    shared commit helpers, same ordering contract — but each phase is
+    one sweep over its work list.  Returns the five ``perf_counter``
+    phase marks ``(t0..t4)`` so the engine's profiling and telemetry
+    spans stay per-system.
     """
     clock = perf_counter
     bus = engine.bus
     world = engine.world
     sc = engine.scenario
+    ack_work, (flow_ids, acks_of, starts, deliver_trace), forward_work = plan
     t0 = clock()
-    if ctx.columns is not None:
-        ack_work, send_plan, forward_work = plan_window_np(engine, ctx)
-    else:
-        ack_work = ()
-        send_plan = None
-        forward_work = ()
 
     if ack_work:
         cols = AckCols(**world.receivers.columns(AckCols._fields))
         receiver_of_flow = world.receiver_of_flow
         flows = sc.flows
         commit_ack(engine, ctx, [
-            ack_kernel(cols, receiver_of_flow, flows, item)
-            for item in ack_work])
+            ack_kernel(cols, receiver_of_flow, flows,
+                       (node, sort_contract(data)))
+            for node, data in ack_work])
     t1 = clock()
 
-    if send_plan is not None and send_plan[0]:
-        flow_ids, acks_of, starts, deliver_trace = send_plan
+    if flow_ids:
         if bus.trace_level:
-            for t, node, row in sorted(
-                deliver_trace,
-                key=lambda d: (d[0], d[2][F_FLOW], d[2][F_ISACK],
-                               d[2][F_SEQ]),
-            ):
-                bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+            trace_ack_deliveries(bus, deliver_trace)
         results, n_array, n_scalar = send_batch_kernel(
             world.senders.columns(SENDER_COLS), world.sender_of_flow, sc,
             flow_lists(engine), acks_of, starts, ctx.end, flow_ids)
@@ -600,15 +467,20 @@ def run_window_fused(engine, ctx: WindowContext):
             None if sc.ecmp_mode == "packet" else engine._routes)
     t3 = clock()
 
-    iface_ids = plan_transmit_np(engine, ctx)
+    iface_ids = plan_transmit(engine, ctx)
     if iface_ids:
         if not bus.trace_level:
             # No trace stream: replay and commit fuse into one sweep
             # with bulk per-port delivery.
             _transmit_serial_np(engine, ctx, iface_ids, ctx.start, ctx.end)
         else:
-            commit_transmit(engine, ctx, transmit_batch_kernel(
-                world.egress_cols, engine.port_static, ctx.staged,
-                ctx.start, ctx.end, bus.trace_level >= 2, iface_ids))
+            cols, static, staged = (world.egress_cols, engine.port_static,
+                                    ctx.staged)
+            full_trace = bus.trace_level >= 2
+            sort = transmit_sort  # module attribute: the injectable tie-break
+            commit_transmit(engine, ctx, [
+                transmit_kernel(cols, static, staged, ctx.start, ctx.end,
+                                full_trace, sort, i)
+                for i in iface_ids])
     t4 = clock()
     return t0, t1, t2, t3, t4

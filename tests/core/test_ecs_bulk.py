@@ -37,13 +37,6 @@ class TestBulkColumns:
 
 
 class TestCommandBuffers:
-    def test_append_many_and_extend(self):
-        buf = CommandBuffer()
-        buf.append_many(3, ["x", "y"])
-        buf.extend([(1, "z"), (3, "w")])
-        assert buf.entries == [(3, "x"), (3, "y"), (1, "z"), (3, "w")]
-        assert len(buf) == 4 and bool(buf)
-
     def test_empty_buffer_is_falsy(self):
         buf = CommandBuffer()
         assert not buf
@@ -66,25 +59,3 @@ class TestCommandBuffers:
         # same egress target fed by two workers: worker order, then
         # each worker's recorded order
         assert sink == {7: ["a1", "a2", "b1"], 2: ["b2"]}
-
-    def test_merge_mutates_and_returns_the_receiver(self):
-        a, b = CommandBuffer(), CommandBuffer()
-        a.append(0, 1)
-        b.append_many(1, [2, 3])
-        assert a.merge(b).merge(CommandBuffer()) is a
-        assert a.entries == [(0, 1), (1, 2), (1, 3)]
-
-    def test_merged_consolidation_equals_direct(self):
-        bufs = []
-        for w in range(3):
-            buf = CommandBuffer()
-            for i in range(4):
-                buf.append(i % 2, (w, i))
-            bufs.append(buf)
-        direct, via_merge = {}, {}
-        consolidate(bufs, direct)
-        merged = CommandBuffer()
-        for buf in bufs:
-            merged.merge(buf)
-        consolidate([merged], via_merge)
-        assert direct == via_merge

@@ -63,7 +63,8 @@ def split_into_buffers(pairs, cuts):
     prev = 0
     for cut in sorted(cuts) + [len(pairs)]:
         buf = CommandBuffer()
-        buf.extend(pairs[prev:cut])
+        for t, item in pairs[prev:cut]:
+            buf.append(t, item)
         buffers.append(buf)
         prev = cut
     return buffers
@@ -72,8 +73,7 @@ def split_into_buffers(pairs, cuts):
 class TestCommandBufferProperties:
     @given(pairs=writes, data=st.data())
     def test_consolidation_ignores_batching(self, pairs, data):
-        """However a write stream is split across workers — and whether
-        each worker used append / append_many / extend — consolidating
+        """However a write stream is split across workers, consolidating
         in worker order yields the same per-target lists."""
         cuts = data.draw(st.lists(st.integers(0, len(pairs)), max_size=5))
         buffers = split_into_buffers(pairs, cuts)
@@ -87,23 +87,3 @@ class TestCommandBufferProperties:
         sink = {}
         assert consolidate(buffers, sink) == len(pairs)
         assert sink == expected
-
-        merged = CommandBuffer()
-        for buf in buffers:
-            merged.merge(buf)
-        assert merged.entries == reference.entries
-
-    @given(pairs=writes)
-    def test_append_many_matches_appends(self, pairs):
-        by_target = {}
-        for t, item in pairs:
-            by_target.setdefault(t, []).append(item)
-        one_by_one = CommandBuffer()
-        bulk = CommandBuffer()
-        for t in sorted(by_target):
-            for item in by_target[t]:
-                one_by_one.append(t, item)
-            bulk.append_many(t, by_target[t])
-        assert bulk.entries == one_by_one.entries
-        assert len(bulk) == len(pairs)
-        assert bool(bulk) == bool(pairs)

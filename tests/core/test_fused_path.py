@@ -3,11 +3,13 @@ cache may hold, what survives a checkpoint or a migration, the
 counters that say which UDP schedule fired, and a DRR run served by the
 column replay (5,000 one-segment UDP flows in two classes on Abilene, run to
 completion at ``TraceLevel.NONE`` — the shape of the benchmark's
-``wan_twin_35k``)."""
+``wan_twin_35k``).  Then what the fused pass shares with the reference
+kernels: the busy-line no-op skip, the two-phase transmit kernel, the
+context shape and the one dispatch."""
 
 import pickle
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -19,10 +21,20 @@ from repro.cluster import ClusterEngine, merge_results
 from repro.conformance.oracles import result_parts
 from repro.core.checkpoint import CheckpointingEngine, take_checkpoint
 from repro.core.engine import DodEngine
+from repro.core.systems import run_window_reference
+from repro.core.systems import transmit as transmit_mod
+from repro.core.systems import vectorized as vectorized_mod
+from repro.core.systems.transmit import replay_window
+from repro.core.window import WindowContext
 from repro.des import OodSimulator
 from repro.des.partition_types import contiguous_partition, random_partition
+from repro.metrics import TraceLevel
 from repro.metrics.timeline import stats_dict
+from repro.scenario import make_scenario
 from repro.schedulers import SchedulerKind
+from repro.topology import dumbbell
+from repro.traffic import Flow
+from repro.units import GBPS
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +162,86 @@ def test_drr_ports_replay_over_the_columns(scenario):
     assert (result_parts(results, [engine.port_stats(p.iface.iface_id)
                                    for p in ood.ports])
             == result_parts(ood_results, [p.stats for p in ood.ports]))
+
+
+# --- one window pipeline: the kernels differ, nothing around them does ------
+
+def slow_nic_engine(backend, trace_level):
+    """One DCTCP flow behind a 1 Gb/s NIC on 1 us windows: the initial
+    window of ten segments queues at the NIC, and each takes ~11.5
+    windows to serialize."""
+    topo = dumbbell(2, edge_rate_bps=1 * GBPS)
+    engine = DodEngine(make_scenario(topo, [Flow(0, 0, 2, 30_000, 0)]),
+                       trace_level, backend=backend)
+    engine.build()
+    return engine, topo.host_iface(0).iface_id
+
+
+@pytest.mark.parametrize("trace_level", [TraceLevel.NONE, TraceLevel.FULL])
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_busy_unfed_port_costs_no_replay(backend, trace_level, monkeypatch):
+    """A port that is busy, was fed nothing and whose head outlasts the
+    window is a provable no-op: neither kernel set replays it."""
+    engine, nic = slow_nic_engine(backend, trace_level)
+    assert engine.advance()  # window 0: ten segments staged, one in service
+    cols = engine.world.egress_cols
+    assert cols.qlen[nic] == 9 and cols.free_at[nic] > 10 * engine.lookahead
+
+    replays = []
+
+    def counting(cols, static, iface_id, *args, **kwargs):
+        replays.append(iface_id)
+        return replay_window(cols, static, iface_id, *args, **kwargs)
+
+    monkeypatch.setattr(transmit_mod, "replay_window", counting)
+    monkeypatch.setattr(vectorized_mod, "replay_window", counting)
+    for _ in range(5):
+        assert engine.advance()
+    assert engine._cursor == 5 and replays == []
+    assert engine.active_ports == {nic} and cols.qlen[nic] == 9
+    while engine._cursor < 12:  # the head finishes inside window 11
+        assert engine.advance()
+    assert replays == [nic] and cols.qlen[nic] == 8
+
+
+def two_phase_calls(backend):
+    """``(code objects, sort arguments)`` of every two-phase transmit
+    kernel call of one traced run."""
+    engine = DodEngine(make_scenario(dumbbell(2), [
+        Flow(0, 0, 2, 30_000, 0), Flow(1, 1, 3, 30_000, 0)]),
+        TraceLevel.FULL, backend=backend)
+    codes, sorts = set(), set()
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name.startswith("transmit_") \
+                and "kernel" in frame.f_code.co_name:
+            codes.add(frame.f_code)
+            sorts.add(frame.f_locals["sort"])
+
+    sys.setprofile(profiler)
+    try:
+        engine.run()
+    finally:
+        sys.setprofile(None)
+    return codes, sorts
+
+
+def test_both_kernel_sets_share_the_two_phase_transmit_kernel():
+    """A python run and a numpy trace-on run replay ports through the
+    same function; each hands it its own tie-break sort."""
+    kernel = {transmit_mod.transmit_kernel.__code__}
+    assert two_phase_calls("python") == (kernel,
+                                         {transmit_mod.contract_sort})
+    assert two_phase_calls("numpy") == (kernel,
+                                        {vectorized_mod.sort_contract})
+
+
+def test_one_context_shape_one_dispatch():
+    assert [f.name for f in fields(WindowContext)] == [
+        "index", "start", "end", "columns", "staged", "counts"]
+    python = slow_nic_engine("python", TraceLevel.NONE)[0]
+    numpy = slow_nic_engine("numpy", TraceLevel.NONE)[0]
+    for engine in (python, numpy):
+        assert not hasattr(engine, "_fused_run")
+    assert python._run_window is run_window_reference
+    assert numpy._run_window is vectorized_mod.run_window_fused

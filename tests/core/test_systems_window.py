@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.engine import DodEngine
 from repro.core.window import (
-    ENTRY_ARRIVAL, ENTRY_FLOW_START, WindowContext,
+    ENTRY_ARRIVAL, ENTRY_FLOW_START, WindowContext, plan_window,
 )
 from repro.core.systems import (
     run_ack_system, run_forward_system, run_send_system, run_transmit_system,
@@ -32,15 +32,21 @@ def engine(small_dumbbell):
 
 
 def mk_ctx(engine, index=0, entries=None):
+    """A context over ``entries`` (``{node: [entry, ...]}``, flattened
+    to columns); returns it with its ``(ack, send, forward)`` plan."""
     L = engine.lookahead
-    return WindowContext(index=index, start=index * L, end=(index + 1) * L,
-                         node_entries=entries or {})
+    pairs = [(node, e) for node, es in (entries or {}).items() for e in es]
+    ctx = WindowContext(index=index, start=index * L, end=(index + 1) * L,
+                        columns=([n for n, _e in pairs],
+                                 [e for _n, e in pairs]))
+    return ctx, plan_window(engine, ctx)
 
 
 class TestSendSystem:
     def test_flow_start_emits_initial_window(self, engine):
-        ctx = mk_ctx(engine, 0, {0: [(ENTRY_FLOW_START, 0, 0)]})
-        run_send_system(engine, ctx)
+        ctx, (_ack, send, _fwd) = mk_ctx(
+            engine, 0, {0: [(ENTRY_FLOW_START, 0, 0)]})
+        run_send_system(engine, ctx, send)
         nic = engine.scenario.topology.host_iface(0).iface_id
         staged = ctx.staged[nic]
         # 30 KB = 21 segments, init cwnd 10 -> 10 staged
@@ -52,13 +58,15 @@ class TestSendSystem:
 
     def test_ack_advances_window(self, engine):
         # start the flow first
-        ctx0 = mk_ctx(engine, 0, {0: [(ENTRY_FLOW_START, 0, 0)]})
-        run_send_system(engine, ctx0)
+        ctx0, (_ack, send, _fwd) = mk_ctx(
+            engine, 0, {0: [(ENTRY_FLOW_START, 0, 0)]})
+        run_send_system(engine, ctx0, send)
         # deliver a cumulative ack for segment 0 at the sender host
         t = engine.lookahead * 3 + 5
         ack = ack_row(0, 1, 0, 0, 4, 0)
-        ctx1 = mk_ctx(engine, 3, {0: [(ENTRY_ARRIVAL, t, PRIO_ARRIVAL, ack)]})
-        run_send_system(engine, ctx1)
+        ctx1, (_ack, send, _fwd) = mk_ctx(
+            engine, 3, {0: [(ENTRY_ARRIVAL, t, PRIO_ARRIVAL, ack)]})
+        run_send_system(engine, ctx1, send)
         nic = engine.scenario.topology.host_iface(0).iface_id
         seqs = [row[F_SEQ] for _t, _p, row in ctx1.staged[nic]]
         # slow start: one ack -> cwnd 11 -> segments 10 and 11 released
@@ -66,11 +74,11 @@ class TestSendSystem:
         assert len(engine.results.rtt_samples) == 1
 
     def test_flows_processed_in_flow_id_order(self, engine):
-        ctx = mk_ctx(engine, 0, {
+        ctx, (_ack, send, _fwd) = mk_ctx(engine, 0, {
             0: [(ENTRY_FLOW_START, 0, 0)],
             1: [(ENTRY_FLOW_START, 0, 1)],
         })
-        run_send_system(engine, ctx)
+        run_send_system(engine, ctx, send)
         assert ctx.counts.send == 20  # both initial windows
 
 
@@ -78,8 +86,9 @@ class TestAckSystem:
     def test_data_delivery_generates_ack(self, engine):
         t = 7
         data = data_row(0, 0, 1400, 2, 0, 4)
-        ctx = mk_ctx(engine, 0, {4: [(ENTRY_ARRIVAL, t, PRIO_ARRIVAL, data)]})
-        run_ack_system(engine, ctx)
+        ctx, (ack, _send, _fwd) = mk_ctx(
+            engine, 0, {4: [(ENTRY_ARRIVAL, t, PRIO_ARRIVAL, data)]})
+        run_ack_system(engine, ctx, ack)
         nic = engine.scenario.topology.host_iface(4).iface_id
         acks = ctx.staged[nic]
         assert len(acks) == 1
@@ -95,8 +104,8 @@ class TestAckSystem:
              data_row(0, s, 1400, 0, 0, 4))
             for s in range(21)
         ]
-        ctx = mk_ctx(engine, 0, {4: entries})
-        run_ack_system(engine, ctx)
+        ctx, (ack, _send, _fwd) = mk_ctx(engine, 0, {4: entries})
+        run_ack_system(engine, ctx, ack)
         assert engine.results.flows[0].complete_ps == 10 + 20
 
 
@@ -105,8 +114,9 @@ class TestForwardSystem:
         topo = engine.scenario.topology
         sw = topo.switches[0]  # swL, node 8
         data = data_row(0, 3, 1400, 0, 0, 4)  # toward host 4 (right side)
-        ctx = mk_ctx(engine, 0, {sw: [(ENTRY_ARRIVAL, 5, PRIO_ARRIVAL, data)]})
-        run_forward_system(engine, ctx)
+        ctx, (_ack, _send, fwd) = mk_ctx(
+            engine, 0, {sw: [(ENTRY_ARRIVAL, 5, PRIO_ARRIVAL, data)]})
+        run_forward_system(engine, ctx, fwd)
         port = engine.scenario.fib.resolve_port(sw, 4, 0)
         expected_iface = topo.iface_id(sw, port)
         assert list(ctx.staged) == [expected_iface]
@@ -114,8 +124,9 @@ class TestForwardSystem:
 
     def test_host_entries_ignored(self, engine):
         data = data_row(0, 3, 1400, 0, 0, 4)
-        ctx = mk_ctx(engine, 0, {4: [(ENTRY_ARRIVAL, 5, PRIO_ARRIVAL, data)]})
-        run_forward_system(engine, ctx)
+        ctx, (_ack, _send, fwd) = mk_ctx(
+            engine, 0, {4: [(ENTRY_ARRIVAL, 5, PRIO_ARRIVAL, data)]})
+        run_forward_system(engine, ctx, fwd)
         assert not ctx.staged
         assert ctx.counts.forward == 0
 
@@ -125,24 +136,22 @@ class TestTransmitSystem:
         topo = engine.scenario.topology
         nic = topo.host_iface(0)
         data = data_row(0, 0, 1400, 0, 0, 4)
-        ctx = mk_ctx(engine, 0)
+        ctx, _plan = mk_ctx(engine, 0)
         ctx.stage(nic.iface_id, 3, PRIO_ARRIVAL, data)
         run_transmit_system(engine, ctx)
         assert ctx.counts.transmit == 1
         # the delivery (an ENTRY_ARRIVAL) landed strictly after window 0
         # (build-time flow starts legitimately sit in window 0)
-        from repro.core.window import ENTRY_ARRIVAL as ARR
         arrival_windows = [
-            win for win, buckets in engine.events.items()
-            for entries in buckets.values()
-            for e in entries if e[0] == ARR
+            win for win, bucket in engine.events._buckets.items()
+            for e in bucket.payloads if e[0] == ENTRY_ARRIVAL
         ]
         assert arrival_windows and min(arrival_windows) >= 1
 
     def test_backlogged_port_stays_active(self, engine):
         topo = engine.scenario.topology
         nic = topo.host_iface(0)
-        ctx = mk_ctx(engine, 0)
+        ctx, _plan = mk_ctx(engine, 0)
         # enough back-to-back packets to outlast one 1 us window at 10G
         for s in range(20):
             ctx.stage(nic.iface_id, 0, PRIO_ARRIVAL,
@@ -150,6 +159,6 @@ class TestTransmitSystem:
         run_transmit_system(engine, ctx)
         assert nic.iface_id in engine.active_ports
         # continuing the next window drains more
-        ctx2 = mk_ctx(engine, 1)
+        ctx2, _plan = mk_ctx(engine, 1)
         run_transmit_system(engine, ctx2)
         assert ctx2.counts.transmit > 0
