@@ -58,15 +58,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .systems.send import udp_emission_schedule
+from .systems.send import WIRE8PS, flow_lists, udp_window
 from .telemetry import MEMO_APPLY_MS_BUCKETS
 from .window import ENTRY_ARRIVAL, ENTRY_UDP
 from ..protocols.packet import (
-    F_DST, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, HEADER_BYTES, MSS, Row,
+    F_DST, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, Row, segment_count,
 )
 from ..metrics.trace import TraceRecorder
-from ..protocols.udp import UdpSchedule
-from ..units import PS_PER_S
 
 __all__ = ["WindowMemoCache", "WindowDelta", "capture_filter"]
 
@@ -243,11 +241,7 @@ class WindowMemoCache:
             self._udp_flows = frozenset(
                 f.flow_id for f in scenario.flows
                 if f.transport == Transport.UDP)
-        self._scheds: Dict[int, UdpSchedule] = {}
-        self._nics: Dict[int, int] = {}
         self._routes: Dict[Tuple[int, int, int], int] = {}
-        #: Segment count per flow, filled by :meth:`_sched_of`.
-        self._totals: Dict[int, int] = {}
         #: Per port, the shared rows tuple of a drained port — lets
         #: :meth:`_enc_port` skip the per-class row walk entirely (the
         #: common steady case).
@@ -375,16 +369,16 @@ class WindowMemoCache:
         p_run = len(cycle)
         hits = self.hits
         adv = {f: b - bases0[f] for f, b in bases.items()}
+        fl = flow_lists(engine)
         bounds = [(-hits % VALIDATE_EVERY // p_run, "validation_due")]
         for f, a in adv.items():
             if not a:
                 continue
-            if (a * (MSS + HEADER_BYTES) * 8 * PS_PER_S
-                    != p_idx * L * self._sched_of(f).nic_rate_bps):
+            if a * WIRE8PS != p_idx * L * fl.nic_rate[f]:
                 # a segments do not take exactly the cycle (a rate whose
                 # wire time is not whole picoseconds): pacing won't move
                 bounds.append((0, "state_differs"))
-            bounds.append(((self._totals[f] - bases[f] - 1) // a,
+            bounds.append(((segment_count(fl.size[f]) - bases[f] - 1) // a,
                            "flow_tail"))
         duration = engine.scenario.duration_ps
         if duration is not None:
@@ -513,7 +507,7 @@ class WindowMemoCache:
         entries_enc: List[Tuple] = []
         entry_flows = set()
         recv_counts: Dict[int, int] = {}
-        udp_entry_enc = self._udp_entry_enc
+        fl = flow_lists(engine)
         routes = self._routes
         for w in (win,) if cycle is None else sorted({win, *buckets}):
             bucket = buckets.get(w)
@@ -533,12 +527,18 @@ class WindowMemoCache:
                     if b is None:
                         b = base_of[fid] = int(
                             next_seq_col[sender_of_flow[fid]])
-                    ems_rel, wakeup_rel = udp_entry_enc(
-                        fid, b, wstart, wstart + L)
+                    # What the flow emits in this window from cursor
+                    # b — times against the window start, payload sizes
+                    # (only the last segment's differs, which is what
+                    # saturates the remaining-segment count) — and the
+                    # wakeup past it (-1: schedule exhausted).
+                    ems, _next, wakeup = udp_window(fl, fid, b, wstart + L)
                     entries_enc.append(
-                        ("u", node, fid, ems_rel, wakeup_rel))
-                    if ems_rel:
-                        union.add(self._nic_of(fid))
+                        ("u", node, fid,
+                         tuple((t - wstart, p) for t, _s, p in ems),
+                         -1 if wakeup is None else wakeup - wstart))
+                    if ems:
+                        union.add(fl.nic[fid])
                 elif tag == ENTRY_ARRIVAL:
                     row = e[3]
                     f, ack, seq, size, ce, ece, ts, src, dst = row
@@ -599,8 +599,7 @@ class WindowMemoCache:
             b = base_of[fid]
             expected = int(exp_col[ridx])
             unique = int(uni_col[ridx])
-            self._sched_of(fid)  # ensure the static facts are cached
-            total = self._totals[fid]  # == receiver total_segs (static)
+            total = segment_count(fl.size[fid])  # receiver total_segs
             complete = int(comp_col[ridx])
             ooo = ooo_col[ridx]
             n_arr = recv_counts.get(fid, 0)
@@ -621,29 +620,6 @@ class WindowMemoCache:
             probe.key += (tuple(sorted(
                 w - win for w in engine.events._queued)),)
         return probe
-
-    def _sched_of(self, fid: int) -> UdpSchedule:
-        sched = self._scheds.get(fid)
-        if sched is None:
-            flow = self.engine.scenario.flows[fid]
-            topo = self.engine.scenario.topology
-            sched = self._scheds[fid] = UdpSchedule(
-                fid, flow.size_bytes, flow.start_ps,
-                topo.host_iface(flow.src).rate_bps)
-            self._totals[fid] = sched.total_segs
-        return sched
-
-    def _udp_entry_enc(self, fid: int, b: int, start: int,
-                       end: int) -> Tuple[Tuple, int]:
-        """Rebased ``(emissions, wakeup)`` encoding of one ENTRY_UDP:
-        what the flow emits in ``[start, end)`` from cursor ``b`` —
-        times against ``start``, payload sizes (only the last segment's
-        differs, which is what saturates the remaining-segment count),
-        and the wakeup past the window (-1: schedule exhausted)."""
-        ems, _nxt, wakeup = udp_emission_schedule(
-            self._sched_of(fid), b, end)
-        return (tuple((t - start, p) for t, _s, p in ems),
-                -1 if wakeup is None else wakeup - start)
 
     def _enc_port(self, cols, iface_id: int, active_flag: bool,
                   base_of: Dict[int, int],
@@ -696,14 +672,6 @@ class WindowMemoCache:
         return (iface_id, 1 if active_flag else 0, free_enc,
                 cols.queued_bytes[iface_id], cols.max_queue_bytes[iface_id],
                 extras, rows_tuple)
-
-    def _nic_of(self, fid: int) -> int:
-        nic = self._nics.get(fid)
-        if nic is None:
-            flow = self.engine.scenario.flows[fid]
-            topo = self.engine.scenario.topology
-            nic = self._nics[fid] = topo.host_iface(flow.src).iface_id
-        return nic
 
     def _route(self, node: int, row: Row) -> int:
         """Predict the ForwardSystem's egress choice (flow-mode ECMP is

@@ -25,13 +25,20 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..window import ENTRY_TIMER, ENTRY_UDP, SendPlan, WindowContext
-from ...protocols import DctcpState, UdpSchedule
+from ...protocols import DctcpState
 from ...protocols.packet import (
-    F_ECE, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, PRIO_ARRIVAL,
-    PRIO_FLOW_START, PRIO_TIMER, Row, data_row, packet_uid,
-    segment_payload,
+    F_ECE, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, HEADER_BYTES, MSS,
+    PRIO_ARRIVAL, PRIO_FLOW_START, PRIO_TIMER, Row, data_row, packet_uid,
+    segment_count, segment_payload,
 )
 from ...traffic import Transport
+from ...units import PS_PER_S
+
+_UDP = int(Transport.UDP)
+
+#: Wire bits x PS_PER_S of one full segment: segment ``i`` of a paced
+#: flow is enqueued ``(i * WIRE8PS) // rate`` after the flow starts.
+WIRE8PS = (MSS + HEADER_BYTES) * 8 * PS_PER_S
 
 #: Sender-table columns mirrored into DctcpState (same names both sides).
 _DCTCP_FIELDS = (
@@ -107,30 +114,35 @@ def store_dctcp_cols(cols: Dict[str, list], idx: int, state: DctcpState) -> None
     cols["done_ps"][idx] = -1 if state.done_ps is None else state.done_ps
 
 
-def udp_emission_schedule(
-    sched: UdpSchedule, seq: int, window_end: int,
-) -> Tuple[List[Tuple[int, int, int]], int, Optional[int]]:
+def udp_window(fl: FlowLists, flow_id: int, seq: int, window_end: int,
+               ) -> Tuple[List[Tuple[int, int, int]], int, Optional[int]]:
     """One UDP flow's window write-set as data.
 
-    Returns ``(emissions, next_seq, wakeup)`` where ``emissions`` is the
-    ``(enqueue time, seq, payload bytes)`` list of segments the flow
-    emits before ``window_end``, ``next_seq`` the advanced pacing
-    cursor, and ``wakeup`` the next enqueue time past the window (or
-    ``None`` when the schedule is exhausted).  Both the send kernel and
-    the memoization probe (:mod:`repro.core.memo`) evaluate the UDP
-    branch through this one function, so a cached window's predicted
-    emissions are the executed ones by construction.
+    Returns ``(emissions, next_seq, wakeup)``: the ``(enqueue time, seq,
+    payload bytes)`` of every segment from cursor ``seq`` on that the
+    flow hands its NIC before ``window_end``, the advanced cursor, and
+    the next enqueue time past the window (``None`` when the schedule
+    is exhausted).  Segment ``i`` starts once segments ``0..i-1`` have
+    serialized at NIC rate — the closed form
+    :class:`~repro.protocols.udp.UdpSchedule` gives the OOD baseline one
+    event at a time — so a visit costs the segments it emits plus the
+    one that ends it, however many the flow has left.  The only UDP
+    pacing schedule under ``repro.core``: both kernel sets and the
+    memoization probe (:mod:`repro.core.memo`) call it, so a cached
+    window's predicted emissions are the executed ones by construction.
     """
+    size = fl.size[flow_id]
+    start = fl.start[flow_id]
+    rate = fl.nic_rate[flow_id]
+    last = segment_count(size) - 1   # its payload is the remainder
     out: List[Tuple[int, int, int]] = []
-    total = sched.total_segs
-    while seq < total:
-        t = sched.enqueue_time(seq)
+    while seq <= last:
+        t = start + (seq * WIRE8PS) // rate
         if t >= window_end:
-            break
-        out.append((t, seq, sched.payload(seq)))
+            return out, seq, t
+        out.append((t, seq, MSS if seq < last else size - MSS * last))
         seq += 1
-    wakeup = sched.enqueue_time(seq) if seq < total else None
-    return out, seq, wakeup
+    return out, seq, None
 
 
 #: Per-flow events inside a window: (time, kind, row-or-None).
@@ -140,6 +152,7 @@ def send_kernel(
     cols: Dict[str, list],
     sender_of_flow: Dict[int, int],
     scenario,
+    fl: FlowLists,
     acks_of: Dict[int, List[Tuple[int, Row]]],
     starts: Dict[int, int],
     window_end: int,
@@ -150,29 +163,28 @@ def send_kernel(
     Pure over the flow's sender row: each flow id maps to exactly one
     row, and a flow appears in at most one task.
     """
-    topo = scenario.topology
-    flow = scenario.flows[flow_id]
     sidx = sender_of_flow[flow_id]
+    src = fl.src[flow_id]
+    dst = fl.dst[flow_id]
     out: List[Tuple[int, int, Row]] = []  # (t, prio, row)
+    if fl.transport[flow_id] == _UDP:
+        udp_col = cols["udp_next_seq"]
+        ems, seq, udp_wakeup = udp_window(fl, flow_id, udp_col[sidx],
+                                          window_end)
+        udp_col[sidx] = seq
+        for t, s, payload in ems:
+            out.append((t, PRIO_FLOW_START,
+                        data_row(flow_id, s, payload, t, src, dst)))
+        return flow_id, out, [], None, udp_wakeup, len(ems)
+
+    size = fl.size[flow_id]
     rtts: List[Tuple[int, int, int]] = []
     wakeup: Optional[int] = None  # rtx deadline to register
     events = 0
 
-    if flow.transport == Transport.UDP:
-        sched = UdpSchedule(flow_id, flow.size_bytes, flow.start_ps,
-                            topo.host_iface(flow.src).rate_bps)
-        udp_col = cols["udp_next_seq"]
-        ems, seq, udp_wakeup = udp_emission_schedule(
-            sched, udp_col[sidx], window_end)
-        for t, s, payload in ems:
-            out.append((t, PRIO_FLOW_START,
-                        data_row(flow_id, s, payload, t,
-                                 flow.src, flow.dst)))
-        udp_col[sidx] = seq
-        return flow_id, out, rtts, None, udp_wakeup, len(ems)
-
     # --- window CCA (DCTCP / RENO): per-flow chronological replay ---
-    state = load_dctcp_cols(cols, sidx, scenario.cca_params(flow.transport))
+    state = load_dctcp_cols(
+        cols, sidx, scenario.cca_params(fl.transport[flow_id]))
     evs: List[FlowEvent] = [
         (t, PRIO_ARRIVAL, row) for t, row in acks_of.get(flow_id, ())
     ]
@@ -182,10 +194,9 @@ def send_kernel(
 
     def emit(seqs: List[int], now: int, prio: int) -> None:
         for seq in seqs:
-            payload = segment_payload(flow.size_bytes, seq)
             out.append((now, prio,
-                        data_row(flow_id, seq, payload, now,
-                                 flow.src, flow.dst)))
+                        data_row(flow_id, seq, segment_payload(size, seq),
+                                 now, src, dst)))
 
     i, n = 0, len(evs)
     while True:
@@ -323,7 +334,8 @@ def run_send_system(engine, ctx: WindowContext, plan: SendPlan) -> None:
     cols = engine.world.senders.columns(SENDER_COLS)
     sender_of_flow = engine.world.sender_of_flow
     sc = engine.scenario
+    fl = flow_lists(engine)
     bus.task_batch("send", [len(acks_of.get(f, ())) + 1 for f in flow_ids])
     commit_send(engine, ctx, [
-        send_kernel(cols, sender_of_flow, sc, acks_of, starts, ctx.end, f)
+        send_kernel(cols, sender_of_flow, sc, fl, acks_of, starts, ctx.end, f)
         for f in flow_ids])

@@ -18,10 +18,11 @@ this module's reference kernel and the fused sweep of
 is the event-by-event ``EgressPort`` automaton of the OOD baseline
 (``tests/core/test_port_replay.py``).
 
-Plan → kernel → commit: :func:`plan_transmit` lists the fed or active
-ports; :func:`transmit_kernel` replays one port's window (ports are
-independent entities); :func:`commit_transmit` publishes
-trace/op events and registers cross-device arrivals, in port order.
+Plan → kernel → commit: :func:`plan_transmit` lists the fed ports and
+the active ones due in the window; :func:`transmit_kernel` replays one
+port's window (ports are independent entities);
+:func:`commit_transmit` publishes trace/op events and registers
+cross-device arrivals, in port order.
 Those three are the only two-phase transmit there is — the reference
 dispatch below and the fused pass's trace-on path both run them, each
 handing the kernel its own tie-break sort.
@@ -333,9 +334,18 @@ def replay_window(
 
 
 def plan_transmit(engine, ctx: WindowContext) -> List[int]:
-    """Every port that was fed this window or is still serializing,
-    ascending."""
-    return sorted(engine.active_ports.union(ctx.staged))
+    """Every port with work in this window, ascending: the ports that
+    were fed, and the active ones whose line frees before the window
+    ends.  An unfed port whose head packet outlasts the window (most
+    active ports in a large fan-in) cannot start a service inside it —
+    the replay would be a no-op — so it is not planned; ``ctx.end`` is
+    already clamped on a duration-cut window, which keeps the test
+    exact."""
+    free_at = engine.world.egress_cols.free_at
+    end = ctx.end
+    due = {p for p in engine.active_ports if free_at[p] < end}
+    due.update(ctx.staged)
+    return sorted(due)
 
 
 def transmit_kernel(
@@ -354,16 +364,8 @@ def transmit_kernel(
     the caller's ordering-contract tie-break) and the replay touch only
     this port's row.
     """
-    arrivals = staged.get(iface_id)
-    if arrivals is None:
-        if cols.qlen[iface_id] > 0 and cols.free_at[iface_id] >= window_end:
-            # Busy line, nothing fed, and the head packet outlasts the
-            # window: the replay is a guaranteed no-op (its first
-            # service start would land at or past window_end).  Most
-            # active ports in a large fan-in hit this.
-            return iface_id, (), (), [] if full_trace else None, True, 0
-        arrivals = ()
-    elif len(arrivals) > 1:  # 0/1 arrivals: nothing to tie-break
+    arrivals = staged.get(iface_id, ())
+    if len(arrivals) > 1:  # 0/1 arrivals: nothing to tie-break
         arrivals = sort(arrivals)
     emissions: List[Emission] = []
     drops: List[Tuple[int, Row]] = []

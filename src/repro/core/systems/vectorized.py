@@ -9,8 +9,6 @@ swaps in is how each phase runs its slice of the plan:
 * ordering-contract sorts go through one stable ``np.lexsort`` over key
   columns instead of a per-element Python key function
   (:func:`sort_contract`);
-* the UDP schedule of a long flow is one array expression
-  (:func:`_udp_send_kernel`);
 * the ForwardSystem routes straight into the window's staging lists
   through a cross-window route cache, with no command buffers in
   between (:func:`_forward_serial_np`);
@@ -24,11 +22,11 @@ Kernels index the same list columns of the one
 (``columns(...)`` hands out the live lists), so the
 DCTCP/UDP/reassembly state machines run on exactly the value types the
 reference feeds them — which is what keeps the traces byte-identical.
-Integer timestamp arithmetic stays bit-exact: every value that crosses
-from an ndarray into a packet row or trace entry is converted to a
-Python scalar first, and the vectorized UDP schedule decomposes its
-closed form so ``int64`` cannot overflow (falling back to the scalar
-schedule — same floor divisions — when it could).
+Integer timestamp arithmetic stays bit-exact: the only ndarrays are the
+sort's key columns, and what leaves them is a permutation of list
+indices.  The SendSystem has no array form — flows run the reference's
+own ``send_kernel`` (a paced UDP visit costs the segments it emits, not
+the segments the flow has left), without the task accounting around it.
 
 The commit helpers (``commit_send``/``commit_ack``/``commit_transmit``)
 are shared with the Python reference: the kernel sets differ in how work
@@ -44,8 +42,7 @@ import numpy as np
 
 from .ack import AckCols, ack_kernel, commit_ack
 from .send import (
-    SENDER_COLS, FlowLists, commit_send, flow_lists, send_kernel,
-    trace_ack_deliveries,
+    SENDER_COLS, commit_send, flow_lists, send_kernel, trace_ack_deliveries,
 )
 from .transmit import (
     PICK_LOWEST, _PS8, commit_transmit, contract_key, plan_transmit,
@@ -54,10 +51,9 @@ from .transmit import (
 from .. import events as events_mod
 from ..window import ENTRY_ARRIVAL, WindowContext, WindowPlan
 from ...protocols.packet import (
-    F_DST, F_FLOW, F_ISACK, F_SEQ, F_SIZE, HEADER_BYTES, MSS,
-    PRIO_ARRIVAL, PRIO_FLOW_START, Row, data_row, packet_uid, with_ce,
+    F_DST, F_FLOW, F_ISACK, F_SEQ, F_SIZE, PRIO_ARRIVAL, Row, packet_uid,
+    with_ce,
 )
-from ...traffic import Transport
 
 #: Below this many entries a Python key-function sort beats building the
 #: key columns; above it the stable lexsort wins.  Order is identical.
@@ -97,96 +93,6 @@ def sort_contract(entries: List[Tuple[int, int, Row]]) -> List[Tuple[int, int, R
 #: `conformance.inject.unstable_transmit_sort` can patch it the way
 #: `flipped_transmit_order` patches the Python kernels' `contract_key`.
 transmit_sort = sort_contract
-
-
-# --- SendSystem ------------------------------------------------------------
-
-#: A UDP flow with at most this many segments left runs the scalar
-#: schedule: building the array expression costs more than a few loop
-#: turns, and short flows (the WAN twin's one-segment starts) dominate
-#: where flow starts are frequent.  Both schedules are bit-identical.
-UDP_SCALAR_SEGS = 8
-
-
-def _udp_send_kernel(cols, fl: FlowLists, window_end: int, flow_id: int,
-                     k: int):
-    """UDP pacing of one flow's window, off the per-flow lists.
-
-    The closed form ``t(seq) = start + (seq*wire*8*PS)//rate`` runs as a
-    scalar loop while only a handful of segments remain, and as one
-    array expression over the whole remaining range otherwise.  To stay
-    inside ``int64`` the array form decomposes the division via
-    ``q, r = divmod(wire*8*PS, rate)`` into ``start + seq*q +
-    (seq*r)//rate`` — identical floor arithmetic, and for every rate
-    that divides the wire term (all realistic ones) ``r == 0``; where
-    the decomposition could still overflow (degenerate rate/size
-    combinations) the scalar loop runs instead.  Returns the kernel
-    result and whether the array form ran.
-    """
-    src = fl.src[flow_id]
-    dst = fl.dst[flow_id]
-    size = fl.size[flow_id]
-    start = fl.start[flow_id]
-    rate = fl.nic_rate[flow_id]
-    udp_col = cols["udp_next_seq"]
-    seq = udp_col[k]
-    last = (size + MSS - 1) // MSS - 1   # its payload is the remainder
-    tail = size - MSS * last
-    wire8ps = (MSS + HEADER_BYTES) * _PS8
-    out: List[Tuple[int, int, Row]] = []
-    array = False
-    if last - seq >= UDP_SCALAR_SEGS:
-        q, r = divmod(wire8ps, rate)
-        # Python-int bounds on the largest values the range can reach.
-        array = (start + (last * wire8ps) // rate < 2 ** 63
-                 and last * r < 2 ** 63)
-    if array:
-        seqs = np.arange(seq, last + 1, dtype=np.int64)
-        times = start + seqs * q
-        if r:
-            times += (seqs * r) // rate
-        cut = int(np.searchsorted(times, window_end, side="left"))
-        for s, t in zip(seqs[:cut].tolist(), times[:cut].tolist()):
-            out.append((t, PRIO_FLOW_START,
-                        data_row(flow_id, s, MSS if s < last else tail, t,
-                                 src, dst)))
-        seq += cut
-    else:
-        while seq <= last:
-            t = start + (seq * wire8ps) // rate
-            if t >= window_end:
-                break
-            out.append((t, PRIO_FLOW_START,
-                        data_row(flow_id, seq, MSS if seq < last else tail,
-                                 t, src, dst)))
-            seq += 1
-    udp_col[k] = seq
-    udp_wakeup = start + (seq * wire8ps) // rate if seq <= last else None
-    return (flow_id, out, [], None, udp_wakeup, len(out)), array
-
-
-def send_batch_kernel(cols, sender_of_flow, scenario, fl: FlowLists, acks_of,
-                      starts, window_end, flow_ids: List[int]):
-    """The sender sweep, flow by flow in order.
-
-    Returns ``(results, array schedules, scalar schedules)`` — the two
-    counts say which UDP schedule the window's flows took.
-    """
-    out = []
-    n_array = n_udp = 0
-    transport = fl.transport
-    udp = int(Transport.UDP)
-    for flow_id in flow_ids:
-        if transport[flow_id] == udp:
-            result, array = _udp_send_kernel(cols, fl, window_end, flow_id,
-                                             sender_of_flow[flow_id])
-            out.append(result)
-            n_udp += 1
-            n_array += array
-        else:
-            out.append(send_kernel(cols, sender_of_flow, scenario, acks_of,
-                                   starts, window_end, flow_id))
-    return out, n_array, n_udp - n_array
 
 
 # --- ForwardSystem ---------------------------------------------------------
@@ -322,15 +228,8 @@ def _transmit_serial_np(engine, ctx: WindowContext,
     drops: List[Tuple[int, Row]] = []
     for iface_id in iface_ids:
         st = static[iface_id]
-        arrivals = staged_get(iface_id)
-        if arrivals is None:
-            if qlen[iface_id] > 0 and free_col[iface_id] >= window_end:
-                # Busy line, nothing fed, head packet outlasts the
-                # window: guaranteed no-op (see transmit_kernel).
-                # The port is already in the active set — keep it there.
-                continue
-            arrivals = ()
-        elif len(arrivals) > 1:  # 0/1 arrivals: nothing to tie-break
+        arrivals = staged_get(iface_id, ())
+        if len(arrivals) > 1:  # 0/1 arrivals: nothing to tie-break
             arrivals = sort(arrivals)
         elif (arrivals and qlen[iface_id] == 0 and st.kind == PICK_LOWEST
                 and st.red is None and not st.sample_queue
@@ -449,15 +348,13 @@ def run_window_fused(engine, ctx: WindowContext, plan: WindowPlan):
     if flow_ids:
         if bus.trace_level:
             trace_ack_deliveries(bus, deliver_trace)
-        results, n_array, n_scalar = send_batch_kernel(
-            world.senders.columns(SENDER_COLS), world.sender_of_flow, sc,
-            flow_lists(engine), acks_of, starts, ctx.end, flow_ids)
-        commit_send(engine, ctx, results)
-        # Which UDP schedule the window's flow visits took, one count
-        # each per window, zero included: their presence is what says
-        # the fused pass ran (docs/OBSERVABILITY.md, "fused" section).
-        bus.count("send.array_schedules", n_array)
-        bus.count("send.scalar_schedules", n_scalar)
+        cols = world.senders.columns(SENDER_COLS)
+        sender_of_flow = world.sender_of_flow
+        fl = flow_lists(engine)
+        end = ctx.end
+        commit_send(engine, ctx, [
+            send_kernel(cols, sender_of_flow, sc, fl, acks_of, starts, end, f)
+            for f in flow_ids])
     t2 = clock()
 
     if forward_work:

@@ -301,13 +301,6 @@ def stats_dict(bus: Any) -> Dict[str, Any]:
     memo = _memo_section(counters, record)
     if memo is not None:
         out["memo"] = memo
-    if "send.array_schedules" in counters:
-        # Published by the fused pass every window with sender work, so
-        # present whenever it ran: which UDP schedule flow visits took.
-        out["fused"] = {
-            "array_schedules": counters["send.array_schedules"],
-            "scalar_schedules": counters["send.scalar_schedules"],
-        }
     if any(k.startswith("transport.shm_") for k in counters):
         out["transport_shm"] = {
             "frames": record["shm_frames"],

@@ -1,14 +1,15 @@
 """The fused NumPy pass on the WAN-twin small sibling: what the route
-cache may hold, what survives a checkpoint or a migration, the
-counters that say which UDP schedule fired, and a DRR run served by the
-column replay (5,000 one-segment UDP flows in two classes on Abilene, run to
+cache may hold, what survives a checkpoint or a migration, that no
+counter is left to say which UDP schedule fired, and a DRR run served by
+the column replay (5,000 one-segment UDP flows in two classes on Abilene, run to
 completion at ``TraceLevel.NONE`` — the shape of the benchmark's
 ``wan_twin_35k``).  Then what the fused pass shares with the reference
-kernels: the busy-line no-op skip, the two-phase transmit kernel, the
-context shape and the one dispatch."""
+kernels: a port plan of due ports only, the two-phase transmit kernel,
+the context shape and the one dispatch."""
 
 import pickle
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
@@ -32,9 +33,9 @@ from repro.metrics import TraceLevel
 from repro.metrics.timeline import stats_dict
 from repro.scenario import make_scenario
 from repro.schedulers import SchedulerKind
-from repro.topology import dumbbell
-from repro.traffic import Flow
-from repro.units import GBPS
+from repro.topology import dumbbell, fattree
+from repro.traffic import Flow, permutation
+from repro.units import GBPS, us
 
 
 @pytest.fixture(scope="module")
@@ -121,19 +122,14 @@ def test_route_cache_stays_bounded_across_migration(scenario, reference):
 
 
 def test_counters_say_which_paths_fired(scenario, reference):
-    engine, results = reference
-    counters = engine.bus.counters
-    # One-segment flows take the scalar schedule, one visit each.
-    assert counters["send.scalar_schedules"] == len(scenario.flows)
-    assert counters["send.array_schedules"] == 0
-
-    report = stats_dict(engine.bus)
-    assert report["fused"] == {"array_schedules": 0,
-                               "scalar_schedules": len(scenario.flows)}
-    # The python backend has no fused pass and reports no such section.
+    """There is one UDP schedule, so no counter says which one ran and
+    `stats` has no section for it — under either kernel set."""
     python = DodEngine(scenario, backend="python")
     python.run()
-    assert "fused" not in stats_dict(python.bus)
+    for engine in (reference[0], python):
+        assert not [name for name in engine.bus.counters
+                    if name.startswith("send.") and "schedules" in name]
+        assert "fused" not in stats_dict(engine.bus)
 
 
 def test_drr_ports_replay_over_the_columns(scenario):
@@ -202,6 +198,72 @@ def test_busy_unfed_port_costs_no_replay(backend, trace_level, monkeypatch):
     while engine._cursor < 12:  # the head finishes inside window 11
         assert engine.advance()
     assert replays == [nic] and cols.qlen[nic] == 8
+
+
+def fattree4_long_lived():
+    """The cluster workload's small sibling (``benchmarks/perf``):
+    FatTree4 at 2.5 Gb/s under 16 permutations of DCTCP flows that
+    outlive the run, cut after 1,500 us — seed 1."""
+    topo = fattree(4, rate_bps=5 * GBPS // 2)
+    flows = []
+    for r in range(16):
+        for flow in permutation(topo.hosts, 50_000_000, seed=64 + r):
+            flows.append(replace(flow, flow_id=len(flows)))
+    return make_scenario(topo, flows, duration_ps=us(1500))
+
+
+@pytest.mark.parametrize("trace_level", [TraceLevel.NONE, TraceLevel.FULL])
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_a_planned_port_is_a_port_with_work(backend, trace_level,
+                                            monkeypatch):
+    """Ports planned == ports that reach a replay: every planned port
+    was fed or starts a service inside the window (its dequeue counter
+    moves), through the duration-cut last window; the two-phase paths
+    make one ``transmit_kernel`` call per ``replay_window`` call.  With
+    busy unfed lines planned too the same run planned 87,603 ports."""
+    engine = DodEngine(fattree4_long_lived(), trace_level, backend=backend)
+    engine.build()
+    dequeued = engine.world.egress_cols.dequeued
+    calls = Counter()
+    plans = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    plan_transmit = transmit_mod.plan_transmit
+
+    def planning(engine, ctx):
+        ports = plan_transmit(engine, ctx)
+        unfed = [p for p in ports if p not in ctx.staged]
+        plans.append((ctx, len(ports), unfed, [dequeued[p] for p in unfed]))
+        return ports
+
+    replay = counting("replay", replay_window)
+    kernel = counting("kernel", transmit_mod.transmit_kernel)
+    for mod in (transmit_mod, vectorized_mod):
+        monkeypatch.setattr(mod, "plan_transmit", planning)
+        monkeypatch.setattr(mod, "replay_window", replay)
+        monkeypatch.setattr(mod, "transmit_kernel", kernel)
+    while engine.advance():
+        _ctx, _n, unfed, before = plans[-1]
+        assert all(dequeued[p] > b for p, b in zip(unfed, before))
+    engine.finalize()
+
+    # The cut leaves a one-picosecond last window: lines are busy, and
+    # only one that frees inside the clamped window would be planned.
+    last, n_last = plans[-1][:2]
+    assert last.end - last.start == 1
+    assert n_last < len(engine.active_ports)
+    planned = sum(n for _ctx, n, _unfed, _before in plans)
+    assert planned == 35_545
+    if backend == "python" or trace_level:
+        assert calls["kernel"] == calls["replay"] == planned
+    else:  # the fused sweep: a lone arrival at an idle port is inlined
+        unfed = sum(len(u) for _ctx, _n, u, _before in plans)
+        assert calls["kernel"] == 0 and unfed <= calls["replay"] < planned
 
 
 def two_phase_calls(backend):

@@ -5,6 +5,7 @@ per-window behaviour of each system in isolation so failures localize.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import DodEngine
 from repro.core.window import (
@@ -13,8 +14,11 @@ from repro.core.window import (
 from repro.core.systems import (
     run_ack_system, run_forward_system, run_send_system, run_transmit_system,
 )
+from repro.core.systems.send import FlowLists, udp_window
+from repro.protocols import UdpSchedule
 from repro.protocols.packet import (
-    F_FLOW, F_ISACK, F_SEQ, PRIO_ARRIVAL, ack_row, data_row,
+    F_FLOW, F_ISACK, F_SEQ, HEADER_BYTES, MSS, PRIO_ARRIVAL, ack_row,
+    data_row,
 )
 from repro.scenario import make_scenario
 from repro.topology import dumbbell
@@ -80,6 +84,91 @@ class TestSendSystem:
         })
         run_send_system(engine, ctx, send)
         assert ctx.counts.send == 20  # both initial windows
+
+
+class CountedRate(int):
+    """A NIC rate that counts the enqueue times evaluated against it
+    (``(seq * wire) // rate`` reflects onto the subclass)."""
+
+    evaluated = 0
+
+    def __rfloordiv__(self, wire):
+        self.evaluated += 1
+        return wire // int(self)
+
+
+def one_udp_flow(size, start, rate):
+    """``FlowLists`` of one UDP flow, its OOD reference schedule, and
+    the counted rate."""
+    rate = CountedRate(rate)
+    return (FlowLists([0], [1], [size], [start], [0], [0], [rate]),
+            UdpSchedule(0, size, start, int(rate)), rate)
+
+
+def reference_window(sched, cursor, end):
+    """What the event-driven baseline enqueues from ``cursor`` on before
+    ``end``, one ``UdpSchedule`` call per segment."""
+    out = []
+    for seq in range(cursor, sched.total_segs):
+        if sched.enqueue_time(seq) >= end:
+            break
+        out.append((sched.enqueue_time(seq), seq, sched.payload(seq)))
+    return out
+
+
+class TestUdpWindow:
+    """The one UDP pacing schedule under ``repro.core`` against
+    ``UdpSchedule``, the OOD baseline's."""
+
+    @given(size=st.integers(1, 40 * MSS), start=st.integers(0, 5 * us(1)),
+           # whole-picosecond wire times and not (7 Gb/s, odd rates)
+           rate=st.one_of(
+               st.sampled_from([1, 7, 10, 24, 100, 400]).map(GBPS.__mul__),
+               st.integers(10 ** 8, 4 * 10 ** 11)),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reference_schedule(self, size, start, rate, data):
+        fl, sched, counted = one_udp_flow(size, start, rate)
+        total = sched.total_segs
+        cursor = data.draw(st.integers(0, total))
+        span = sched.enqueue_time(total) - start + us(1)
+        cut = start + data.draw(st.integers(0, span))
+        end = cut + data.draw(st.integers(0, span))
+
+        ems, nxt, wakeup = udp_window(fl, 0, cursor, end)
+        assert ems == reference_window(sched, cursor, end)
+        assert nxt == cursor + len(ems)
+        assert wakeup == (sched.enqueue_time(nxt) if nxt < total else None)
+        if wakeup is not None:
+            assert wakeup >= end
+        # A visit pays for what it emits plus the segment that ends it.
+        assert counted.evaluated == len(ems) + (wakeup is not None)
+
+        # A window cut anywhere loses and repeats nothing.
+        first, mid, _wake = udp_window(fl, 0, cursor, cut)
+        assert first + udp_window(fl, 0, mid, end)[0] == ems
+
+    def test_exhausted_schedule_registers_no_wakeup(self):
+        fl, sched, counted = one_udp_flow(3 * MSS + 1, 0, 10 * GBPS)
+        assert sched.total_segs == 4
+        assert udp_window(fl, 0, 4, us(1_000)) == ([], 4, None)
+        ems, nxt, wakeup = udp_window(fl, 0, 0, us(1_000))
+        assert (len(ems), nxt, wakeup) == (4, 4, None)
+        assert ems[-1][2] == 1  # the remainder rides the last segment
+
+    def test_petabyte_flow_costs_its_first_window(self):
+        """10^15 bytes at 400 Gb/s: the first 1 us window returns its 34
+        segments after 35 evaluations, and the far end of the schedule —
+        where ``seq x wire bits x 10^12`` is past 2^63 — is plain
+        Python-int arithmetic (no ``int64`` to overflow)."""
+        fl, sched, counted = one_udp_flow(10 ** 15, 0, 400 * GBPS)
+        ems, nxt, wakeup = udp_window(fl, 0, 0, us(1))
+        assert (len(ems), nxt, wakeup) == (34, 34, 34 * 30_000)
+        assert counted.evaluated == 35
+        total = sched.total_segs
+        tail = reference_window(sched, total - 3, 2 ** 80)
+        assert tail[-1][1] * (MSS + HEADER_BYTES) * 8 * 10 ** 12 > 2 ** 63
+        assert udp_window(fl, 0, total - 3, 2 ** 80) == (tail, total, None)
 
 
 class TestAckSystem:

@@ -8,6 +8,9 @@ ECS backends at every cursor, and ``trace_digest()`` must be identical
 with the memo cache on and off.
 """
 
+from hashlib import blake2b
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,7 @@ from repro.core.checkpoint import (
     take_checkpoint,
 )
 from repro.conformance.oracles import result_parts
+from repro.conformance.runner import load_spec_file
 from repro.core.engine import DodEngine
 from repro.core.memo import VALIDATE_EVERY
 from repro.metrics import TraceLevel
@@ -75,6 +79,34 @@ def _signatures_by_cursor(scenario, backend, ffwd=False):
         sigs[engine._cursor] = engine.window_signature()
     engine.finalize()
     return sigs
+
+
+#: Digest of the ``window_signature()`` sequence (every cursor of a
+#: plain run) per corpus scenario, taken before the UDP schedule and the
+#: transmit plan changed hands (PR 24): the pending state a window
+#: leaves behind is what neither may move.
+CORPUS_SIGNATURES = {
+    "dumbbell-dctcp-fixed": "502e806997bd4fce",
+    "dumbbell-incast-drops": "d17e155a2bfd6db5",
+    "dumbbell-rr-ecn-drops": "cb0450f5cb903483",
+    "duration-boundary-cut": "4ca834a847739d63",
+    "hetero-mixed-transports": "7bbf5e805c421d1c",
+    "leafspine-drr-classes": "f1a9e9a3bade42cb",
+    "steady-udp-cycle-jump": "512e1757cd5ef29a",
+    "storage-replica-pipeline": "f71adbc8970a7082",
+    "wan-twin-diffserv-onoff": "ab7bf1e4708aca30",
+}
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("name", sorted(CORPUS_SIGNATURES))
+def test_corpus_signature_sequences_are_pinned(name, backend):
+    corpus = Path(__file__).parents[1] / "conformance" / "corpus"
+    scenario = load_spec_file(corpus / f"{name}.json").build()
+    digest = blake2b(digest_size=8)
+    for signature in _signatures_by_cursor(scenario, backend).values():
+        digest.update(signature.encode())
+    assert digest.hexdigest() == CORPUS_SIGNATURES[name]
 
 
 class TestSignatureLockstep:
@@ -271,6 +303,23 @@ def test_small_steady_sibling_spends_its_windows_in_jumps():
     assert c["memo.hit"] + c["memo.miss"] == c["windows"]
     assert c["memo.validate"] == c["memo.hit"] // VALIDATE_EVERY
     assert c.get("memo.validate_fail", 0) == 0
+
+
+def test_full_size_steady_counters_are_pinned():
+    """``steady_udp_ffwd`` at benchmark size: how the probe computes a
+    flow's emissions may change, the keys it builds from them may not —
+    so hits, misses, validations and skipped windows stay what they
+    were, under either kernel set."""
+    from repro.bench.scenarios import steady_state_scenario
+    scenario = steady_state_scenario(flow_bytes=24_000_000)
+    for backend in ("numpy", "python"):
+        engine = DodEngine(scenario, backend=backend, ffwd=True)
+        engine.run()
+        c = engine.bus.counters
+        assert (c["windows"], c["memo.hit"], c["memo.miss"],
+                c["memo.validate"], c["memo.jump_windows"]) == (
+            8_338, 8_328, 10, 260, 8_066)
+        assert "memo.validate_fail" not in c
 
 
 class TestDigestIdentity:
