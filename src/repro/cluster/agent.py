@@ -154,15 +154,6 @@ class AgentEngine(DodEngine):
 
     deliveries_local = False
 
-    def deliver_emissions(self, node: int, delay_ps: int, emissions) -> None:
-        owner = self.partition.part_of(node)
-        if owner == self.agent_id:
-            super().deliver_emissions(node, delay_ps, emissions)
-        else:
-            out = self.outbox.setdefault(owner, [])
-            for row, _start, end in emissions:
-                out.append((end + delay_ps, node, row))
-
     def accept_remote(self, records: List[Tuple[int, int, Row]]) -> None:
         """Install packets received via RPC into the local calendar."""
         for t, node, row in records:

@@ -367,20 +367,6 @@ class DodEngine:
     #: The cluster AgentEngine clears it (peers can live off-partition).
     deliveries_local = True
 
-    def deliver_emissions(self, node: int, delay_ps: int, emissions) -> None:
-        """Bulk :meth:`deliver`: one port's window emissions at once.
-
-        Every emission of an egress port lands on the same peer after
-        the same link delay, so the delivery loop collapses into one
-        columnar append (:meth:`EventColumns.insert_arrivals`) — same
-        entries, same order, same LCC clamp.  The cluster AgentEngine
-        overrides this to route whole spans to the outbox when the peer
-        lives on another partition.
-        """
-        self.events.insert_arrivals(node, emissions, delay_ps,
-                                    self.lookahead,
-                                    self._running_window + 1)
-
     def register_wakeup(self, t: int, node: int, tag: int, flow_id: int) -> None:
         """SendSystem callback: revisit ``flow_id`` in the window of ``t``."""
         self._insert(t, node, (tag, flow_id))

@@ -146,8 +146,8 @@ class EventColumns:
         window after the running one — the LCC bound).  Appending straight
         to the columns here is byte-equivalent to one :meth:`insert` per
         packet, but hoists the window arithmetic and column lookups out
-        of the per-packet call chain; the vectorized backend's fused
-        transmit commit rides on it.
+        of the per-packet call chain — what the TransmitSystem's delivery
+        sink does inline, port after port.
         """
         buckets = self._buckets
         for row, _start, end in emissions:

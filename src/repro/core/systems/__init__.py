@@ -8,19 +8,21 @@ runs the phases, never another pipeline:
 
 * these modules are the Python reference kernels
   (:func:`run_window_reference`): each system takes its slice of the
-  plan, runs a pure ``*_kernel`` per task (one host, flow, switch or
-  port) and consolidates the outputs in task order through
+  plan.  The ACK system sorts each host's deliveries and sweeps every
+  host in one :func:`ack_window` call that commits in place; Send,
+  Forward and Transmit run a pure ``*_kernel`` per task (one flow,
+  switch or port) and consolidate the outputs in task order through
   ``commit_*``.  The systems stay individually callable in any order
   (``bench/naive_order.py`` runs the rejected one);
 * the ``numpy`` kernels are
   :func:`repro.core.systems.vectorized.run_window_fused` (imported by
-  the engine only when that backend is selected), which share the ACK /
-  send / transmit commit helpers, the two-phase
+  the engine only when that backend is selected), which share
+  :func:`ack_window`, the send / transmit commit helpers, the two-phase
   :func:`transmit_kernel` and ``replay_window`` with the reference."""
 
 from time import perf_counter
 
-from .ack import ack_kernel, commit_ack, run_ack_system
+from .ack import ack_window, run_ack_system
 from .send import commit_send, run_send_system, send_kernel
 from .forward import commit_forward, forward_kernel, run_forward_system
 from .transmit import (
@@ -31,7 +33,7 @@ __all__ = [
     "run_window_reference",
     "run_ack_system", "run_send_system",
     "run_forward_system", "run_transmit_system",
-    "ack_kernel", "commit_ack",
+    "ack_window",
     "send_kernel", "commit_send",
     "forward_kernel", "commit_forward",
     "plan_transmit", "transmit_kernel", "commit_transmit",

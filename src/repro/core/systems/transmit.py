@@ -12,11 +12,11 @@ so drops and ECN marks match the event-driven baseline exactly.
 
 A port is one row of ``world.egress`` (its mutable state) plus one
 :class:`PortStatic` (what the topology and the scenario fix), and
-:func:`replay_window` over those is the only windowed replay there is:
-this module's reference kernel and the fused sweep of
-:mod:`~repro.core.systems.vectorized` both call it.  Its lockstep twin
-is the event-by-event ``EgressPort`` automaton of the OOD baseline
-(``tests/core/test_port_replay.py``).
+:func:`replay_window` over a list of those is the only windowed replay
+there is: this module's reference kernel hands it one port, the fused
+sweep of :mod:`~repro.core.systems.vectorized` the window's whole port
+list.  Its lockstep twin is the event-by-event ``EgressPort``
+automaton of the OOD baseline (``tests/core/test_port_replay.py``).
 
 Plan → kernel → commit: :func:`plan_transmit` lists the fed ports and
 the active ones due in the window; :func:`transmit_kernel` replays one
@@ -24,13 +24,13 @@ port's window (ports are independent entities);
 :func:`commit_transmit` publishes trace/op events and registers
 cross-device arrivals, in port order.
 Those three are the only two-phase transmit there is — the reference
-dispatch below and the fused pass's trace-on path both run them, each
-handing the kernel its own tie-break sort.
+dispatch below and the fused pass's traced, agent and op-probed runs
+all run them, each handing the kernel its own tie-break sort.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import events as events_mod
 from ..ecs import EgressCols
@@ -145,9 +145,10 @@ def _drr_pick(queues, heads, deficit, quantum: int, cls: int,
 
 def replay_window(
     cols: EgressCols,
-    static: PortStatic,
-    iface_id: int,
-    arrivals,
+    static: List[PortStatic],
+    ports: Sequence[int],
+    staged: Dict[int, List[Staged]],
+    sort: Callable[[List[Staged]], List[Staged]],
     window_start: int,
     window_end: int,
     emissions: List[Emission],
@@ -155,182 +156,201 @@ def replay_window(
     enq: Optional[List[Tuple[int, Row]]] = None,
     sink: Optional[Tuple] = None,
 ) -> int:
-    """Replay one lookahead window of row ``iface_id``'s timeline.
+    """Replay one lookahead window of every row in ``ports``, in turn.
 
-    ``arrivals`` are ``(time, prio, row)`` sorted by the ordering
-    contract, every time in ``[window_start, window_end)``.  Service
-    starts and arrivals interleave in chronological order; at equal
-    timestamps service precedes arrival, matching the baseline's
+    A port's arrivals are its ``staged`` list, ordered by ``sort`` (the
+    caller's ordering-contract tie-break; 0/1 arrivals are not sorted),
+    every time in ``[window_start, window_end)``.  Service starts and
+    arrivals interleave in chronological order; at equal timestamps
+    service precedes arrival, matching the baseline's
     PORT_DONE-before-ARRIVAL event priority.  ``emissions`` takes
     ``(row, start, end)`` per service started in the window, ``drops``
     the ``(time, row)`` tail drops, ``enq`` (trace recording) the
-    ``(time, accepted_row)`` pairs with any CE mark applied.
+    ``(time, accepted_row)`` pairs with any CE mark applied — port after
+    port, so a one-port list is one port's window.
 
     The transitions are those of the ``EgressPort`` automaton
     (``arrive`` / ``start_service``, the scheduler's ``enqueue`` /
     ``dequeue`` with its lazy queue compaction) over local variables,
-    with the row written back once at exit.  Class 0's queue and head
-    live in locals, so a FIFO port never touches the per-class lists
-    and Strict Priority scans higher classes only when class 0 is
+    with the row written back once at the port's end.  Class 0's queue
+    and head live in locals, so a FIFO port never touches the per-class
+    lists and Strict Priority scans higher classes only when class 0 is
     empty; Round Robin and Deficit Round Robin pick through ``heads``.
     No arrivals (a busy line draining) and one arrival are the same
     loop with a shorter input.
 
     ``sink`` is the caller's ``(buckets, events, register_window,
-    lookahead, floor)``; when given, dequeued packets are delivered
-    straight into the engine's event columns instead of filling
-    ``emissions``.  Returns the number of dequeues.
+    lookahead, floor, node_events, active)``; when given, dequeued
+    packets are delivered straight into the engine's event columns
+    (the bucket cursor carries across ports) instead of filling
+    ``emissions``, and each port's dequeues and busy/idle state are
+    committed to ``node_events`` and the ``active`` set in place.
+    Returns the number of dequeues.
     """
-    (classes, _node, peer, delay, rate, weight_shift, buffer_bytes, ecn_k,
-     red, kind, quantum, table, sample_queue) = static
     (free_col, queued_col, avg_col, qlen_col, queues_col, heads_col,
      enqueued_col, dequeued_col, dropped_col, marked_col, tx_col, max_q_col,
      samples_col, rr_next_col, deficit_col, current_col, granted_col) = cols
-    queues = queues_col[iface_id]
-    heads = heads_col[iface_id]
-    queue = queues[0]
-    head = heads[0]
-    slen = qlen_col[iface_id]
-    top = classes - 1
-    if kind == PICK_RR:
-        rr_next = rr_next_col[iface_id]
-    elif kind:
-        deficit = deficit_col[iface_id]
-        drr_current = current_col[iface_id]
-        drr_granted = granted_col[iface_id]
     if sink is not None:
-        buckets, events, reg, L, floor = sink
+        buckets, events, reg, L, floor, node_events, active = sink
         last_win = -1
         b_nodes = b_payloads = None
-    queued = queued_col[iface_id]
-    avg = avg_col[iface_id]
-    free_at = free_col[iface_id]
-    max_q = max_q_col[iface_id]
-    n_deq = n_enq = n_drop = n_mark = tx = 0
-    cursor = window_start
-    i = 0
-    n = len(arrivals)
-    next_arr = arrivals[0][0] if n else None
-    while True:
-        if slen > 0:
-            start = free_at if free_at > cursor else cursor
-            if start < window_end and (next_arr is None
-                                       or start <= next_arr):
-                if not kind and head < len(queue):
-                    row = queue[head]    # the scheduler's lazy compaction
-                    head += 1
-                    if head > 64 and head * 2 >= len(queue):
-                        del queue[:head]
-                        head = 0
-                else:
-                    if not kind:         # class 0 empty: next class up
-                        c = 1
-                        while heads[c] >= len(queues[c]):
-                            c += 1
-                    elif kind == PICK_RR:
-                        c = rr_next
-                        while heads[c] >= len(queues[c]):
-                            c = (c + 1) % classes
-                        rr_next = (c + 1) % classes
+    staged_get = staged.get
+    total = 0
+    for iface_id in ports:
+        (classes, node, peer, delay, rate, weight_shift, buffer_bytes,
+         ecn_k, red, kind, quantum, table, sample_queue) = static[iface_id]
+        arrivals = staged_get(iface_id, ())
+        n = len(arrivals)
+        if n > 1:
+            arrivals = sort(arrivals)
+        queues = queues_col[iface_id]
+        heads = heads_col[iface_id]
+        queue = queues[0]
+        head = heads[0]
+        slen = qlen_col[iface_id]
+        top = classes - 1
+        if kind == PICK_RR:
+            rr_next = rr_next_col[iface_id]
+        elif kind:
+            deficit = deficit_col[iface_id]
+            drr_current = current_col[iface_id]
+            drr_granted = granted_col[iface_id]
+        queued = queued_col[iface_id]
+        avg = avg_col[iface_id]
+        free_at = free_col[iface_id]
+        max_q = max_q_col[iface_id]
+        n_deq = n_enq = n_drop = n_mark = tx = 0
+        cursor = window_start
+        i = 0
+        next_arr = arrivals[0][0] if n else None
+        while True:
+            if slen > 0:
+                start = free_at if free_at > cursor else cursor
+                if start < window_end and (next_arr is None
+                                           or start <= next_arr):
+                    if not kind and head < len(queue):
+                        row = queue[head]  # the scheduler's lazy compaction
+                        head += 1
+                        if head > 64 and head * 2 >= len(queue):
+                            del queue[:head]
+                            head = 0
                     else:
-                        c = drr_current = _drr_pick(
-                            queues, heads, deficit, quantum, drr_current,
-                            drr_granted)
-                        drr_granted = True
-                        if slen == 1:
-                            # The queue drains: the next burst starts a
-                            # clean round, however many windows later.
-                            deficit[:] = [0] * classes
-                            drr_current = 0
-                            drr_granted = False
-                    q = queues[c]
-                    h = heads[c]
-                    row = q[h]
-                    h += 1
-                    if h > 64 and h * 2 >= len(q):
-                        del q[:h]
-                        h = 0
-                    heads[c] = h
-                slen -= 1
-                size = row[F_SIZE]
-                queued -= size
-                n_deq += 1
-                tx += size
-                free_at = end = start + (size * _PS8) // rate
-                if sink is None:
-                    emissions.append((row, start, end))
-                else:
-                    ta = end + delay
-                    win = ta // L
-                    if win < floor:
-                        win = floor
-                    if win != last_win:
-                        bucket = buckets.get(win)
-                        if bucket is None:
-                            bucket = buckets[win] = events_mod._Bucket()
-                            reg(events, win)
-                        last_win = win
-                        b_nodes = bucket.nodes.append
-                        b_payloads = bucket.payloads.append
-                    b_nodes(peer)
-                    b_payloads((ENTRY_ARRIVAL, ta, PRIO_ARRIVAL, row))
-                cursor = start
-                continue
-        if next_arr is None:
-            break
-        t, _prio, row = arrivals[i]
-        i += 1
-        next_arr = arrivals[i][0] if i < n else None
-        # Marking sees the queue occupancy before the packet, per the
-        # DCTCP convention.
-        size = row[F_SIZE]
-        avg += (queued - avg) >> weight_shift
-        if queued + size > buffer_bytes:
-            n_drop += 1
-            drops.append((t, row))
-        else:
-            if (queued >= ecn_k and not row[F_ISACK] if ecn_k is not None
-                    else red is not None and should_mark(
-                        red, row, queued, avg, iface_id)):
-                row = with_ce(row)
-                n_mark += 1
-            if table is None:
-                queue.append(row)
+                        if not kind:         # class 0 empty: next class up
+                            c = 1
+                            while heads[c] >= len(queues[c]):
+                                c += 1
+                        elif kind == PICK_RR:
+                            c = rr_next
+                            while heads[c] >= len(queues[c]):
+                                c = (c + 1) % classes
+                            rr_next = (c + 1) % classes
+                        else:
+                            c = drr_current = _drr_pick(
+                                queues, heads, deficit, quantum, drr_current,
+                                drr_granted)
+                            drr_granted = True
+                            if slen == 1:
+                                # The queue drains: the next burst starts a
+                                # clean round, however many windows later.
+                                deficit[:] = [0] * classes
+                                drr_current = 0
+                                drr_granted = False
+                        q = queues[c]
+                        h = heads[c]
+                        row = q[h]
+                        h += 1
+                        if h > 64 and h * 2 >= len(q):
+                            del q[:h]
+                            h = 0
+                        heads[c] = h
+                    slen -= 1
+                    size = row[F_SIZE]
+                    queued -= size
+                    n_deq += 1
+                    tx += size
+                    free_at = end = start + (size * _PS8) // rate
+                    if sink is None:
+                        emissions.append((row, start, end))
+                    else:
+                        ta = end + delay
+                        win = ta // L
+                        if win < floor:
+                            win = floor
+                        if win != last_win:
+                            bucket = buckets.get(win)
+                            if bucket is None:
+                                bucket = buckets[win] = events_mod._Bucket()
+                                reg(events, win)
+                            last_win = win
+                            b_nodes = bucket.nodes.append
+                            b_payloads = bucket.payloads.append
+                        b_nodes(peer)
+                        b_payloads((ENTRY_ARRIVAL, ta, PRIO_ARRIVAL, row))
+                    cursor = start
+                    continue
+            if next_arr is None:
+                break
+            t, _prio, row = arrivals[i]
+            i += 1
+            next_arr = arrivals[i][0] if i < n else None
+            # Marking sees the queue occupancy before the packet, per the
+            # DCTCP convention.
+            size = row[F_SIZE]
+            avg += (queued - avg) >> weight_shift
+            if queued + size > buffer_bytes:
+                n_drop += 1
+                drops.append((t, row))
             else:
-                c = table[row[F_FLOW]]
-                queues[0 if c < 0 else top if c > top else c].append(row)
-            slen += 1
-            queued += size
-            n_enq += 1
-            if queued > max_q:
-                max_q = queued
-            if sample_queue:
-                samples_col[iface_id].append((t, queued))
-            if enq is not None:
-                enq.append((t, row))
-        cursor = t
-    if not kind:
-        heads[0] = head
-    elif kind == PICK_RR:
-        rr_next_col[iface_id] = rr_next
-    else:
-        current_col[iface_id] = drr_current
-        granted_col[iface_id] = drr_granted
-    qlen_col[iface_id] = slen
-    queued_col[iface_id] = queued
-    avg_col[iface_id] = avg
-    free_col[iface_id] = free_at
-    max_q_col[iface_id] = max_q
-    if n_deq:
-        dequeued_col[iface_id] += n_deq
-        tx_col[iface_id] += tx
-    if n_enq:
-        enqueued_col[iface_id] += n_enq
-    if n_drop:
-        dropped_col[iface_id] += n_drop
-    if n_mark:
-        marked_col[iface_id] += n_mark
-    return n_deq
+                if (queued >= ecn_k and not row[F_ISACK] if ecn_k is not None
+                        else red is not None and should_mark(
+                            red, row, queued, avg, iface_id)):
+                    row = with_ce(row)
+                    n_mark += 1
+                if table is None:
+                    queue.append(row)
+                else:
+                    c = table[row[F_FLOW]]
+                    queues[0 if c < 0 else top if c > top else c].append(row)
+                slen += 1
+                queued += size
+                n_enq += 1
+                if queued > max_q:
+                    max_q = queued
+                if sample_queue:
+                    samples_col[iface_id].append((t, queued))
+                if enq is not None:
+                    enq.append((t, row))
+            cursor = t
+        if not kind:
+            heads[0] = head
+        elif kind == PICK_RR:
+            rr_next_col[iface_id] = rr_next
+        else:
+            current_col[iface_id] = drr_current
+            granted_col[iface_id] = drr_granted
+        qlen_col[iface_id] = slen
+        queued_col[iface_id] = queued
+        avg_col[iface_id] = avg
+        free_col[iface_id] = free_at
+        max_q_col[iface_id] = max_q
+        if n_deq:
+            dequeued_col[iface_id] += n_deq
+            tx_col[iface_id] += tx
+        if n_enq:
+            enqueued_col[iface_id] += n_enq
+        if n_drop:
+            dropped_col[iface_id] += n_drop
+        if n_mark:
+            marked_col[iface_id] += n_mark
+        total += n_deq
+        if sink is not None:
+            if n_deq:
+                node_events[node] = node_events.get(node, 0) + n_deq
+            if slen:
+                active.add(iface_id)
+            else:
+                active.discard(iface_id)
+    return total
 
 
 def plan_transmit(engine, ctx: WindowContext) -> List[int]:
@@ -358,22 +378,19 @@ def transmit_kernel(
     sort: Callable[[List[Staged]], List[Staged]],
     iface_id: int,
 ):
-    """Replay one egress port's window timeline.
+    """Replay one egress port's window timeline: :func:`replay_window`
+    over a one-port list, into lists :func:`commit_transmit` publishes.
 
     Pure over its port: the merge-sort of its staged arrivals (``sort``,
     the caller's ordering-contract tie-break) and the replay touch only
     this port's row.
     """
-    arrivals = staged.get(iface_id, ())
-    if len(arrivals) > 1:  # 0/1 arrivals: nothing to tie-break
-        arrivals = sort(arrivals)
     emissions: List[Emission] = []
     drops: List[Tuple[int, Row]] = []
     enq: Optional[List[Tuple[int, Row]]] = [] if full_trace else None
-    replay_window(cols, static[iface_id], iface_id, arrivals, window_start,
+    replay_window(cols, static, (iface_id,), staged, sort, window_start,
                   window_end, emissions, drops, enq)
-    return (iface_id, emissions, drops, enq, cols.qlen[iface_id] > 0,
-            len(arrivals))
+    return iface_id, emissions, drops, enq, cols.qlen[iface_id] > 0
 
 
 def commit_transmit(engine, ctx: WindowContext, results) -> None:
@@ -381,7 +398,7 @@ def commit_transmit(engine, ctx: WindowContext, results) -> None:
     bus = engine.bus
     trace_on = bool(bus.trace_level)
     static = engine.port_static
-    for iface_id, emissions, drops, enq, still_active, _n in results:
+    for iface_id, emissions, drops, enq, still_active in results:
         if bus.has_ops:
             for row, _s, _e in emissions:
                 bus.op(2, iface_id, packet_uid(row))  # OP_SERVICE

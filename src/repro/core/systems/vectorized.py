@@ -12,8 +12,9 @@ swaps in is how each phase runs its slice of the plan:
 * the ForwardSystem routes straight into the window's staging lists
   through a cross-window route cache, with no command buffers in
   between (:func:`_forward_serial_np`);
-* with no trace stream the TransmitSystem replays *and* commits the
-  port axis in one sweep (:func:`_transmit_serial_np`); with one it
+* with no trace stream, no op probe and local deliveries the
+  TransmitSystem replays *and* commits the whole port list in one
+  ``replay_window`` call (:func:`_transmit_serial_np`); otherwise it
   runs the reference's own two-phase ``transmit_kernel`` +
   ``commit_transmit``, handing the kernel :data:`transmit_sort`.
 
@@ -28,9 +29,10 @@ indices.  The SendSystem has no array form — flows run the reference's
 own ``send_kernel`` (a paced UDP visit costs the segments it emits, not
 the segments the flow has left), without the task accounting around it.
 
-The commit helpers (``commit_send``/``commit_ack``/``commit_transmit``)
-are shared with the Python reference: the kernel sets differ in how work
-is dispatched, never in what is planned or committed.
+The ACK sweep (``ack_window``) and the commit helpers
+(``commit_send``/``commit_transmit``) are shared with the Python
+reference: the kernel sets differ in how work is dispatched, never in
+what is planned or committed.
 """
 
 from __future__ import annotations
@@ -40,20 +42,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ack import AckCols, ack_kernel, commit_ack
+from .ack import ack_window
 from .send import (
     SENDER_COLS, commit_send, flow_lists, send_kernel, trace_ack_deliveries,
 )
 from .transmit import (
-    PICK_LOWEST, _PS8, commit_transmit, contract_key, plan_transmit,
-    replay_window, transmit_kernel,
+    commit_transmit, contract_key, plan_transmit, replay_window,
+    transmit_kernel,
 )
 from .. import events as events_mod
-from ..window import ENTRY_ARRIVAL, WindowContext, WindowPlan
-from ...protocols.packet import (
-    F_DST, F_FLOW, F_ISACK, F_SEQ, F_SIZE, PRIO_ARRIVAL, Row, packet_uid,
-    with_ce,
-)
+from ..window import WindowContext, WindowPlan
+from ...protocols.packet import F_DST, F_FLOW, F_ISACK, F_SEQ, Row, packet_uid
 
 #: Below this many entries a Python key-function sort beats building the
 #: key columns; above it the stable lexsort wins.  Order is identical.
@@ -180,139 +179,27 @@ def _forward_serial_np(engine, ctx: WindowContext, work,
 
 
 def _transmit_serial_np(engine, ctx: WindowContext,
-                        iface_ids: List[int],
-                        window_start: int, window_end: int) -> None:
-    """Replay *and* commit the port axis in one serial sweep.
+                        iface_ids: List[int]) -> None:
+    """Replay *and* commit the window's whole port list in one call.
 
-    Fuses ``transmit_kernel`` with ``commit_transmit`` for the
-    trace-off case (the measured configuration): no
-    intermediate result tuples, scratch emission/drop lists reused
-    across ports, and with local delivery and no conformance bus the
-    replay takes a delivery sink and appends dequeues straight to the
-    event columns — no emission tuples at all.  Port order, per-port
-    emission order, stats and active-set updates are exactly the
-    two-phase path's — only the dispatch around them is collapsed.
-    Trace-on runs keep the two-phase path so per-packet ENQ/DEQ/DROP
-    events interleave exactly as the Python backend emits them.
+    The trace-off, local-delivery, probe-free case (the measured
+    configuration): :func:`~repro.core.systems.transmit.replay_window`
+    takes every planned port at once with a delivery sink, so dequeues
+    land straight in the event columns, and node counts and the active
+    set are committed in place — no emission tuples, no result tuples,
+    no per-port call.  Port order, per-port emission order, stats and
+    active-set updates are exactly the two-phase path's.
     """
-    cols = engine.world.egress_cols
-    (free_col, queued_col, avg_col, qlen, queues_col, _heads, enqueued_col,
-     dequeued_col, dropped_col, marked_col, tx_col, max_q_col,
-     _samples, _rr_next, _deficit, _current, _granted) = cols
-    static = engine.port_static
-    staged_get = ctx.staged.get
-    bus = engine.bus
-    has_ops = bus.has_ops
-    active = engine.active_ports
+    events = engine.events
     results = engine.results
-    node_events = results.node_events
-    sort = transmit_sort  # module attribute: the injectable tie-break
-    # Local deliveries append straight to the event columns; the
-    # cluster's AgentEngine keeps the bulk-method dispatch (its peers
-    # can live on another partition).
-    inline = engine.deliveries_local
-    sink = None
-    if inline:
-        events = engine.events
-        buckets = events._buckets
-        reg = events_mod.register_window
-        L = engine.lookahead
-        floor = engine._running_window + 1
-        last_win = None
-        b_nodes = b_payloads = None
-        if not has_ops:
-            sink = (buckets, events, reg, L, floor)
-    deliver_emissions = engine.deliver_emissions
-    count = 0
-    emissions: List = []
     drops: List[Tuple[int, Row]] = []
-    for iface_id in iface_ids:
-        st = static[iface_id]
-        arrivals = staged_get(iface_id, ())
-        if len(arrivals) > 1:  # 0/1 arrivals: nothing to tie-break
-            arrivals = sort(arrivals)
-        elif (arrivals and qlen[iface_id] == 0 and st.kind == PICK_LOWEST
-                and st.red is None and not st.sample_queue
-                and not has_ops):
-            # Single arrival, empty FIFO/SP queues, threshold or no
-            # AQM: the replay collapses to "maybe mark, then emit when
-            # the line frees" — ~58% of replays on the reference
-            # workload (switch egresses and host NICs alike).  Same
-            # transitions as replay_window with queued == 0, including
-            # the EWMA step and the enqueue-or-emit split.
-            (classes, node, peer, delay, rate, shift, buffer_bytes, ecn_k,
-             _red, _kind, _quantum, table, _sample) = st
-            t, _prio, row = arrivals[0]
-            size = row[F_SIZE]
-            avg = avg_col[iface_id]
-            avg_col[iface_id] = avg + ((0 - avg) >> shift)
-            if size > buffer_bytes:
-                dropped_col[iface_id] += 1
-                results.drops += 1
-                active.discard(iface_id)
-                continue
-            if ecn_k is not None and 0 >= ecn_k and not row[F_ISACK]:
-                row = with_ce(row)
-                marked_col[iface_id] += 1
-            enqueued_col[iface_id] += 1
-            if size > max_q_col[iface_id]:
-                max_q_col[iface_id] = size
-            free_at = free_col[iface_id]
-            start = free_at if free_at > t else t
-            if start >= window_end:  # stays queued past the window
-                c = 0
-                if table is not None:  # the packet's class, clamped
-                    c = table[row[F_FLOW]]
-                    c = 0 if c < 0 else min(c, classes - 1)
-                queues_col[iface_id][c].append(row)
-                qlen[iface_id] = 1
-                queued_col[iface_id] = size
-                active.add(iface_id)
-                continue
-            end = start + (size * _PS8) // rate
-            free_col[iface_id] = end
-            dequeued_col[iface_id] += 1
-            tx_col[iface_id] += size
-            count += 1
-            node_events[node] = node_events.get(node, 0) + 1
-            if inline:
-                t = end + delay
-                win = t // L
-                if win < floor:
-                    win = floor
-                if win != last_win:
-                    bucket = buckets.get(win)
-                    if bucket is None:
-                        bucket = buckets[win] = events_mod._Bucket()
-                    reg(events, win)
-                    last_win = win
-                    b_nodes = bucket.nodes.append
-                    b_payloads = bucket.payloads.append
-                b_nodes(peer)
-                b_payloads((ENTRY_ARRIVAL, t, PRIO_ARRIVAL, row))
-            else:
-                deliver_emissions(peer, delay, [(row, start, end)])
-            active.discard(iface_id)
-            continue
-        n = replay_window(cols, st, iface_id, arrivals, window_start,
-                          window_end, emissions, drops, None, sink)
-        if drops:
-            results.drops += len(drops)
-            drops.clear()
-        if n:
-            count += n
-            node_events[st.node] = node_events.get(st.node, 0) + n
-            if emissions:  # not sunk: ops, then one bulk delivery
-                if has_ops:
-                    for row, _s, _e in emissions:
-                        bus.op(2, iface_id, packet_uid(row))  # OP_SERVICE
-                deliver_emissions(st.peer_node, st.delay_ps, emissions)
-                emissions.clear()
-        if qlen[iface_id] > 0:
-            active.add(iface_id)
-        else:
-            active.discard(iface_id)
-    ctx.counts.transmit += count
+    ctx.counts.transmit += replay_window(
+        engine.world.egress_cols, engine.port_static, iface_ids,
+        ctx.staged, transmit_sort, ctx.start, ctx.end, None, drops, None,
+        (events._buckets, events, events_mod.register_window,
+         engine.lookahead, engine._running_window + 1, results.node_events,
+         engine.active_ports))
+    results.drops += len(drops)
 
 
 # --- Fused window pass ------------------------------------------------------
@@ -336,12 +223,8 @@ def run_window_fused(engine, ctx: WindowContext, plan: WindowPlan):
     t0 = clock()
 
     if ack_work:
-        cols = AckCols(**world.receivers.columns(AckCols._fields))
-        receiver_of_flow = world.receiver_of_flow
-        flows = sc.flows
-        commit_ack(engine, ctx, [
-            ack_kernel(cols, receiver_of_flow, flows,
-                       (node, sort_contract(data)))
+        ack_window(engine, ctx, [
+            (node, sort_contract(data) if len(data) > 1 else data)
             for node, data in ack_work])
     t1 = clock()
 
@@ -366,10 +249,10 @@ def run_window_fused(engine, ctx: WindowContext, plan: WindowPlan):
 
     iface_ids = plan_transmit(engine, ctx)
     if iface_ids:
-        if not bus.trace_level:
-            # No trace stream: replay and commit fuse into one sweep
-            # with bulk per-port delivery.
-            _transmit_serial_np(engine, ctx, iface_ids, ctx.start, ctx.end)
+        if not (bus.trace_level or bus.has_ops) and engine.deliveries_local:
+            # Nothing observes a packet and every peer is local: one
+            # replay call over the port list, committed in place.
+            _transmit_serial_np(engine, ctx, iface_ids)
         else:
             cols, static, staged = (world.egress_cols, engine.port_static,
                                     ctx.staged)

@@ -49,26 +49,6 @@ class WindowContext:
     def stage(self, iface_id: int, t: int, prio: int, row: Row) -> None:
         self.staged.setdefault(iface_id, []).append((t, prio, row))
 
-    def stage_batch(self, ifaces, ts, prios, rows) -> None:
-        """Bulk :meth:`stage`: parallel column slices, one staged arrival
-        per index.
-
-        Kernels hand back whole columns instead of issuing row-at-a-time
-        appends; entries are grouped per egress iface in column order,
-        so the result is exactly the equivalent sequence of ``stage``
-        calls.  ``ifaces``/``ts``/``prios``/``rows`` may be any
-        equal-length iterables (``prios`` is commonly
-        ``itertools.repeat(PRIO_ARRIVAL)``); iteration stops at the
-        shortest, matching ``zip``.
-        """
-        staged = self.staged
-        get = staged.get
-        for iface_id, t, prio, row in zip(ifaces, ts, prios, rows):
-            lst = get(iface_id)
-            if lst is None:
-                lst = staged[iface_id] = []
-            lst.append((t, prio, row))
-
 
 #: One host's or switch's window arrivals: (node, [(t, prio, row), ...]).
 NodeWork = Tuple[int, List[Staged]]

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.events import EventColumns
 from repro.core.window import (
-    ENTRY_ARRIVAL, ENTRY_FLOW_START, ENTRY_TIMER, ENTRY_UDP, WindowContext,
+    ENTRY_ARRIVAL, ENTRY_FLOW_START, ENTRY_TIMER, ENTRY_UDP,
 )
 
 # --- strategies -----------------------------------------------------------
@@ -220,46 +220,3 @@ class TestNumpyViews:
         b.insert(13, 0, (ENTRY_TIMER, 0))
         assert a.signature_bytes() != b.signature_bytes()
 
-
-# --- stage_batch ----------------------------------------------------------
-
-staged_cols = st.lists(
-    st.tuples(st.integers(0, 7), st.integers(0, 10 ** 6),
-              st.integers(0, 3), rows),
-    max_size=60,
-)
-
-
-class TestStageBatch:
-    @given(cols=staged_cols)
-    @settings(max_examples=80, deadline=None)
-    def test_stage_batch_equals_stage_sequence(self, cols):
-        """Bulk staging is exactly the equivalent sequence of scalar
-        ``stage`` calls: same iface-key order, same per-iface order."""
-        a = WindowContext(index=0, start=0, end=10)
-        b = WindowContext(index=0, start=0, end=10)
-        for iface, t, prio, row in cols:
-            a.stage(iface, t, prio, row)
-        b.stage_batch([c[0] for c in cols], [c[1] for c in cols],
-                      [c[2] for c in cols], [c[3] for c in cols])
-        assert list(a.staged) == list(b.staged)
-        assert a.staged == b.staged
-
-    @given(cols=staged_cols)
-    @settings(max_examples=40, deadline=None)
-    def test_stage_batch_with_repeat_prio(self, cols):
-        from itertools import repeat
-        a = WindowContext(index=0, start=0, end=10)
-        b = WindowContext(index=0, start=0, end=10)
-        for iface, t, _prio, row in cols:
-            a.stage(iface, t, 2, row)
-        b.stage_batch([c[0] for c in cols], [c[1] for c in cols],
-                      repeat(2), [c[3] for c in cols])
-        assert a.staged == b.staged
-
-    def test_stage_batch_appends_after_existing(self):
-        ctx = WindowContext(index=0, start=0, end=10)
-        ctx.stage(3, 1, 0, ("r",))
-        ctx.stage_batch([3, 5], [2, 2], [0, 0], [("s",), ("u",)])
-        assert ctx.staged[3] == [(1, 0, ("r",)), (2, 0, ("s",))]
-        assert ctx.staged[5] == [(2, 0, ("u",))]

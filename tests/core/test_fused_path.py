@@ -4,8 +4,9 @@ counter is left to say which UDP schedule fired, and a DRR run served by
 the column replay (5,000 one-segment UDP flows in two classes on Abilene, run to
 completion at ``TraceLevel.NONE`` — the shape of the benchmark's
 ``wan_twin_35k``).  Then what the fused pass shares with the reference
-kernels: a port plan of due ports only, the two-phase transmit kernel,
-the context shape and the one dispatch."""
+kernels: a port plan of due ports only, one ACK sweep and (trace-off
+fused) one port replay a window, the two-phase transmit kernel, the
+context shape and the one dispatch."""
 
 import pickle
 import sys
@@ -21,8 +22,10 @@ from repro.cluster.agent import AgentEngine
 from repro.cluster import ClusterEngine, merge_results
 from repro.conformance.oracles import result_parts
 from repro.core.checkpoint import CheckpointingEngine, take_checkpoint
+from repro.core import engine as engine_mod
 from repro.core.engine import DodEngine
 from repro.core.systems import run_window_reference
+from repro.core.systems import ack as ack_mod
 from repro.core.systems import transmit as transmit_mod
 from repro.core.systems import vectorized as vectorized_mod
 from repro.core.systems.transmit import replay_window
@@ -185,9 +188,9 @@ def test_busy_unfed_port_costs_no_replay(backend, trace_level, monkeypatch):
 
     replays = []
 
-    def counting(cols, static, iface_id, *args, **kwargs):
-        replays.append(iface_id)
-        return replay_window(cols, static, iface_id, *args, **kwargs)
+    def counting(cols, static, ports, *args, **kwargs):
+        replays.extend(ports)
+        return replay_window(cols, static, ports, *args, **kwargs)
 
     monkeypatch.setattr(transmit_mod, "replay_window", counting)
     monkeypatch.setattr(vectorized_mod, "replay_window", counting)
@@ -216,20 +219,20 @@ def fattree4_long_lived():
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_a_planned_port_is_a_port_with_work(backend, trace_level,
                                             monkeypatch):
-    """Ports planned == ports that reach a replay: every planned port
+    """Ports planned == ports passed to a replay: every planned port
     was fed or starts a service inside the window (its dequeue counter
     moves), through the duration-cut last window; the two-phase paths
-    make one ``transmit_kernel`` call per ``replay_window`` call.  With
-    busy unfed lines planned too the same run planned 87,603 ports."""
+    make one ``transmit_kernel`` call per port.  With busy unfed lines
+    planned too the same run planned 87,603 ports."""
     engine = DodEngine(fattree4_long_lived(), trace_level, backend=backend)
     engine.build()
     dequeued = engine.world.egress_cols.dequeued
     calls = Counter()
     plans = []
 
-    def counting(name, fn):
+    def counting(name, fn, ports=None):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += 1 if ports is None else len(args[ports])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -241,7 +244,7 @@ def test_a_planned_port_is_a_port_with_work(backend, trace_level,
         plans.append((ctx, len(ports), unfed, [dequeued[p] for p in unfed]))
         return ports
 
-    replay = counting("replay", replay_window)
+    replay = counting("replay", replay_window, ports=2)
     kernel = counting("kernel", transmit_mod.transmit_kernel)
     for mod in (transmit_mod, vectorized_mod):
         monkeypatch.setattr(mod, "plan_transmit", planning)
@@ -259,11 +262,55 @@ def test_a_planned_port_is_a_port_with_work(backend, trace_level,
     assert n_last < len(engine.active_ports)
     planned = sum(n for _ctx, n, _unfed, _before in plans)
     assert planned == 35_545
-    if backend == "python" or trace_level:
-        assert calls["kernel"] == calls["replay"] == planned
-    else:  # the fused sweep: a lone arrival at an idle port is inlined
-        unfed = sum(len(u) for _ctx, _n, u, _before in plans)
-        assert calls["kernel"] == 0 and unfed <= calls["replay"] < planned
+    assert calls["replay"] == planned
+    # The fused trace-off sweep hands the replay whole port lists.
+    assert calls["kernel"] == (planned if backend == "python" or trace_level
+                               else 0)
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_a_system_is_one_call_per_window(backend, monkeypatch):
+    """Both kernel sets sweep a window's receiving hosts in one
+    ``ack_window`` call; the fused trace-off pass replays a window's
+    whole port list in one ``replay_window`` call, where the python
+    kernels make one per port."""
+    engine = DodEngine(fattree4_long_lived(), backend=backend)
+    engine.build()
+    calls, windows = Counter(), Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    plan_window = engine_mod.plan_window
+    plan_transmit = transmit_mod.plan_transmit
+
+    def planning_window(engine, ctx):
+        plan = plan_window(engine, ctx)
+        windows["acks"] += bool(plan[0])
+        return plan
+
+    def planning_ports(engine, ctx):
+        ports = plan_transmit(engine, ctx)
+        windows["ports"] += bool(ports)
+        windows["planned"] += len(ports)
+        return ports
+
+    monkeypatch.setattr(engine_mod, "plan_window", planning_window)
+    ack = counting("ack", ack_mod.ack_window)
+    replay = counting("replay", replay_window)
+    for mod in (ack_mod, vectorized_mod):
+        monkeypatch.setattr(mod, "ack_window", ack)
+    for mod in (transmit_mod, vectorized_mod):
+        monkeypatch.setattr(mod, "replay_window", replay)
+        monkeypatch.setattr(mod, "plan_transmit", planning_ports)
+    engine.run()
+    assert 0 < windows["acks"] == calls["ack"]
+    assert 0 < windows["ports"] < windows["planned"]
+    assert calls["replay"] == (windows["ports"] if backend == "numpy"
+                               else windows["planned"])
 
 
 def two_phase_calls(backend):

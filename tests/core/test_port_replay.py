@@ -23,10 +23,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from port_lockstep import (
-    automaton, automaton_state, drive_automaton, egress_row, row_state,
+    automaton, automaton_state, drive_automaton, egress_row, egress_rows,
+    row_state,
 )
 from repro.core.events import EventColumns, register_window
-from repro.core.systems.transmit import contract_key, replay_window
+from repro.core.systems.transmit import (
+    contract_key, contract_sort, replay_window,
+)
 from repro.protocols import AqmConfig, AqmKind, EgressConfig
 from repro.protocols.packet import PRIO_ARRIVAL, ack_row, data_row
 from repro.schedulers import SchedulerKind
@@ -126,10 +129,12 @@ def test_inline_replay_matches_reference(iface, config, table, drawn,
 
         cand_em, cand_drops = [], []
         cand_enq = [] if trace else None
+        node_events, active = {}, set()
         sink = ((cand_events._buckets, cand_events, register_window,
-                 lookahead, floor) if use_sink else None)
-        n = replay_window(cols, static, i, arrivals, start, end, cand_em,
-                          cand_drops, cand_enq, sink)
+                 lookahead, floor, node_events, active) if use_sink else None)
+        n = replay_window(cols, {i: static}, (i,), {i: arrivals},
+                          contract_sort, start, end, cand_em, cand_drops,
+                          cand_enq, sink)
         assert n == len(ref_em)
         if use_sink:
             assert cand_em == []
@@ -142,6 +147,9 @@ def test_inline_replay_matches_reference(iface, config, table, drawn,
         assert cand_drops == ref_drops
         assert cand_enq == ref_enq
         assert row_state(cols, i) == automaton_state(ref)
+        if use_sink:  # the sink commits the port's count and state
+            assert node_events == ({iface.node: n} if n else {})
+            assert active == ({i} if cols.qlen[i] else set())
 
 
 def test_long_queue_compacts_like_the_scheduler(iface):
@@ -162,8 +170,86 @@ def test_long_queue_compacts_like_the_scheduler(iface):
             arrivals = burst if index == 0 else []
             ref_em, cand_em = [], []
             drive_automaton(ref, arrivals, start + WINDOW, ref_em, [])
-            replay_window(cols, static, i, arrivals, start, start + WINDOW,
-                          cand_em, [])
+            replay_window(cols, {i: static}, (i,), {i: arrivals},
+                          contract_sort, start, start + WINDOW, cand_em, [])
             assert cand_em == ref_em
             assert row_state(cols, i) == automaton_state(ref)
         assert cols.qlen[i] == 0 and cols.dequeued[i] == 200
+
+
+# --- one call over a port list == one call per port -------------------------
+
+#: Four ports of one dumbbell — two switch trunks, a host NIC, a switch
+#: downlink — so deliveries land on different peers of one event store.
+PORT_IDS = (6, 9, 0, 7)
+
+port_lists = st.lists(st.tuples(configs, tables), min_size=2, max_size=4)
+
+#: Per window, per port: the drawn arrivals.
+port_windows = st.lists(st.lists(st.lists(arrival, max_size=8),
+                                 min_size=4, max_size=4),
+                        min_size=2, max_size=4)
+
+
+def _replay_run(topo, ports, drawn, cut, use_sink, sample_queue, one_call):
+    ids = PORT_IDS[:len(ports)]
+    cols, statics = egress_rows(
+        [(topo.interfaces[i], config, table)
+         for i, (config, table) in zip(ids, ports)], sample_queue)
+    events, node_events, active = EventColumns(), {}, set()
+    emissions, drops = [], []
+    lookahead = WINDOW // 2
+    for index, per_port in enumerate(drawn):
+        start = index * WINDOW
+        # The last window may end early, as a duration cut clamps it.
+        end = start + (cut if cut and index == len(drawn) - 1 else WINDOW)
+        staged = {}
+        for i, window in zip(ids, per_port):
+            # Reversed, so the replay's own sort has ties to break.
+            rows = [a for a in _rows(start, window) if a[0] < end][::-1]
+            if rows:
+                staged[i] = rows
+        planned = sorted(set(staged) | {i for i in ids if cols.qlen[i]})
+        sink = ((events._buckets, events, register_window, lookahead,
+                 end // lookahead, node_events, active) if use_sink else None)
+        for port_list in ([planned] if one_call else [[i] for i in planned]):
+            replay_window(cols, statics, port_list, staged, contract_sort,
+                          start, end, emissions, drops, None, sink)
+    return ([row_state(cols, i) for i in ids], _store_state(events),
+            node_events, active, emissions, drops)
+
+
+FIFO_ECN = EgressConfig(buffer_bytes=500, aqm=AqmConfig(
+    kind=AqmKind.ECN_THRESHOLD, ecn_threshold_bytes=0))
+SP, RR, DRR = (EgressConfig(buffer_bytes=10 ** 9, scheduler=kind,
+                            num_classes=2, drr_quantum_bytes=500)
+               for kind in (SchedulerKind.SP, SchedulerKind.RR,
+                            SchedulerKind.DRR))
+#: Three 375-byte packets at once on the FIFO port: the third is dropped.
+BURST = [(0, 0, 0, 3, False), (0, 1, 0, 3, False), (0, 2, 0, 3, False)]
+MIXED = [(1, 0, 1, 12, False), (1, 3, 2, 4, False), (2, 4, 3, 8, True)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(port_lists, port_windows, st.sampled_from([None, 1, GRID, 7 * GRID]),
+       st.booleans(), st.booleans())
+@example(ports=[(FIFO_ECN, [0] * N_FLOWS), (SP, [0, 1] * 3),
+                (RR, [0, 1] * 3), (DRR, [1, 0] * 3)],
+         drawn=[[BURST, MIXED, MIXED, MIXED], [MIXED, [], BURST, MIXED]],
+         cut=5 * GRID, use_sink=True, sample_queue=False)
+@example(ports=[(FIFO_ECN, [0] * N_FLOWS), (SP, [0, 1] * 3),
+                (RR, [0, 1] * 3), (DRR, [1, 0] * 3)],
+         drawn=[[BURST, MIXED, MIXED, MIXED], [MIXED, [], BURST, MIXED]],
+         cut=5 * GRID, use_sink=False, sample_queue=True)
+def test_one_call_over_a_port_list_equals_one_call_per_port(
+        ports, drawn, cut, use_sink, sample_queue):
+    """The fused pass hands the replay a window's whole port list; the
+    python kernels hand it one port at a time.  Every ``world.egress``
+    column, every event bucket (insertion order included), the node
+    counts, the active set, the emissions and the drops must agree."""
+    topo = dumbbell(2, bottleneck_rate_bps=10 * GBPS)
+    args = (topo, ports, drawn, cut, use_sink, sample_queue)
+    one = _replay_run(*args, one_call=True)
+    assert one == _replay_run(*args, one_call=False)
+    if use_sink:
+        assert one[4] == [] and (one[1][0] or not one[2])

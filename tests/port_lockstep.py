@@ -15,17 +15,26 @@ from repro.core.systems.transmit import port_static
 from repro.protocols.egress import EgressPort, PortStats, TableClassifier
 
 
-def egress_row(iface, config, table, sample_queue=False):
-    """``(cols, static, row)`` of ``iface`` in an egress table built up to
-    it — the row index is the interface id, which RED's hash reads."""
-    static = port_static(iface, config, table, sample_queue)
+def egress_rows(ports, sample_queue=False):
+    """``(cols, statics)`` of one egress table with a row for every
+    ``(iface, config, table)`` of ``ports`` — the row index is the
+    interface id, which RED's hash reads; ``statics`` by interface id."""
+    statics = {iface.iface_id: port_static(iface, config, table,
+                                           sample_queue)
+               for iface, config, table in ports}
     world = World()
-    for _ in range(iface.iface_id + 1):
+    for i in range(max(statics) + 1):
+        classes = statics[i].classes if i in statics else 1
         world.egress.add(
-            queues=[[] for _ in range(static.classes)],
-            heads=[0] * static.classes, queue_samples=[],
-            drr_deficit=[0] * static.classes)
-    return world.egress_cols, static, iface.iface_id
+            queues=[[] for _ in range(classes)], heads=[0] * classes,
+            queue_samples=[], drr_deficit=[0] * classes)
+    return world.egress_cols, statics
+
+
+def egress_row(iface, config, table, sample_queue=False):
+    """``(cols, static, row)`` of ``iface`` alone in an egress table."""
+    cols, statics = egress_rows([(iface, config, table)], sample_queue)
+    return cols, statics[iface.iface_id], iface.iface_id
 
 
 def automaton(iface, config, table, sample_queue=False):

@@ -9,7 +9,9 @@ identical packets at identical times.
 import pytest
 
 from port_lockstep import drive_automaton, egress_row
-from repro.core.systems.transmit import contract_key, replay_window
+from repro.core.systems.transmit import (
+    contract_key, contract_sort, replay_window,
+)
 from repro.errors import SimulationError
 from repro.protocols import AqmConfig, AqmKind, EgressConfig, EgressPort
 from repro.protocols.packet import (
@@ -111,11 +113,9 @@ class TestWindowedEqualsEventDriven:
         win = 0
         while True:
             start = win * window_ps
-            batch = sorted(
-                (a for a in arrivals if start <= a[0] < start + window_ps),
-                key=contract_key)
-            replay_window(cols, static, i, batch, start, start + window_ps,
-                          emissions, [])
+            batch = [a for a in arrivals if start <= a[0] < start + window_ps]
+            replay_window(cols, {i: static}, (i,), {i: batch}, contract_sort,
+                          start, start + window_ps, emissions, [])
             win += 1
             if start > horizon and cols.qlen[i] == 0:
                 break
