@@ -22,11 +22,11 @@ from ..scenario import Scenario
 
 
 class NaiveOrderEngine(DodEngine):
-    """:class:`DodEngine` on the reference backend with ACKSystem last."""
+    """:class:`DodEngine` with ACKSystem last."""
 
     def __init__(self, scenario: Scenario,
                  trace_level: TraceLevel = TraceLevel.NONE) -> None:
-        super().__init__(scenario, trace_level, backend="python")
+        super().__init__(scenario, trace_level)
         #: packets ACKSystem staged after this window's TransmitSystem ran
         self._carried_staged: Dict[int, list] = {}
 

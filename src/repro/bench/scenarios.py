@@ -51,20 +51,17 @@ def measure_cmr(model) -> float:
     return model.measure(scaled_l3_config(), warmup=0.5).miss_rate_percent
 
 
-def run_dons_probed(scenario: Scenario, probe, trace_level=None,
-                    backend=None) -> SimResults:
+def run_dons_probed(scenario: Scenario, probe,
+                    trace_level=None) -> SimResults:
     """Run the DOD engine with a machine-model probe on the op stream.
 
     The probe subscribes to the engine's instrumentation bus (what the
     old ``op_hook`` constructor argument wired by hand); the run itself
     goes through the shared :class:`~repro.core.runner.EngineRunner`.
-    ``backend`` selects the ECS table/system backend, as on
-    :class:`~repro.core.engine.DodEngine`.
     """
     from ..core import DodEngine
     from ..metrics import TraceLevel
-    eng = DodEngine(scenario, trace_level or TraceLevel.NONE,
-                    backend=backend)
+    eng = DodEngine(scenario, trace_level or TraceLevel.NONE)
     eng.bus.subscribe_ops(probe)
     return eng.run()
 

@@ -214,7 +214,7 @@ class _Progress:
             print("\r\x1b[K", end="", file=self.stream, flush=True)
 
 
-def _run_observed(args, scenario, backend, telemetry):
+def _run_observed(args, scenario, telemetry):
     """Build the engine ``profile`` / ``stats`` asked for (serial, or
     ``--cluster N`` agents), attach what the invocation asked to watch
     it with — the ``--progress`` meter, the live plane's NDJSON stream
@@ -225,13 +225,11 @@ def _run_observed(args, scenario, backend, telemetry):
         from .cluster import DonsManager
         from .partition import ClusterSpec, plan_scenario
         mgr = DonsManager(scenario, ClusterSpec.homogeneous(args.cluster),
-                          transport=args.transport, backend=backend,
-                          telemetry=telemetry)
+                          transport=args.transport, telemetry=telemetry)
         engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
     else:
         from .core.engine import DodEngine
-        engine = DodEngine(scenario, backend=backend, telemetry=telemetry,
-                           ffwd=args.ffwd)
+        engine = DodEngine(scenario, telemetry=telemetry, ffwd=args.ffwd)
     progress = _Progress(engine) if getattr(args, "progress", False) else None
     live = None
     target = "-" if getattr(args, "watch", False) else getattr(
@@ -255,7 +253,7 @@ def cmd_run(args) -> int:
     scenario = build_scenario(args)
     if args.engine == "dons":
         from .core.engine import run_dons
-        results = run_dons(scenario, backend=args.backend)
+        results = run_dons(scenario)
     else:
         from .des import run_baseline
         results = run_baseline(scenario)
@@ -268,7 +266,7 @@ def cmd_compare(args) -> int:
     from .core.engine import run_dons
     from .des import run_baseline
     a = run_baseline(scenario, TraceLevel.FULL)
-    b = run_dons(scenario, TraceLevel.FULL, backend=args.backend)
+    b = run_dons(scenario, TraceLevel.FULL)
     same = a.trace.digest() == b.trace.digest()
     print(_summary(b))
     print(f"trace digests   : ood={a.trace.digest()}")
@@ -279,16 +277,14 @@ def cmd_compare(args) -> int:
 
 def cmd_profile(args) -> int:
     """Run the DOD engine (or a cluster of agents) and print the
-    instrumentation-bus breakdown: per-window, per-system wall-clock /
-    tasks / items, then totals.  With ``--cluster N`` the run is
+    instrumentation-bus breakdown: per-window, per-system wall-clock,
+    then totals.  With ``--cluster N`` the run is
     distributed over N agents and every row is tagged ``a<id>:<system>``
     — the timings are the *measured* per-agent window costs the merged
     cluster bus collected."""
     import json
     scenario = build_scenario(args)
-    from .core.engine import resolve_backend
-    backend = resolve_backend(args.backend)
-    engine = _run_observed(args, scenario, backend, bool(args.timeline))
+    engine = _run_observed(args, scenario, bool(args.timeline))
     results, bus = engine.results, engine.bus
     agent_times = None
     if args.cluster:
@@ -297,7 +293,7 @@ def cmd_profile(args) -> int:
     if args.timeline:
         from .metrics.timeline import write_timeline
         write_timeline(bus, args.timeline, manifest=dict(
-            command="profile", scenario=scenario.name, backend=backend,
+            command="profile", scenario=scenario.name,
             transport=args.transport if args.cluster else None,
             cluster=args.cluster or None,
             # cluster agents never fast-forward
@@ -314,8 +310,7 @@ def cmd_profile(args) -> int:
     print(_summary(results))
     print()
     width = max([12] + [len(r["system"]) for r in rows])
-    print(f"{'window':>6} {'start_us':>9} {'system':<{width}} "
-          f"{'tasks':>6} {'items':>8} {'ms':>8}")
+    print(f"{'window':>6} {'start_us':>9} {'system':<{width}} {'ms':>8}")
     per_window = 4 * (args.cluster or 1)
     shown = rows if args.all_windows else rows[-per_window * args.tail:]
     if len(shown) < len(rows):
@@ -323,13 +318,11 @@ def cmd_profile(args) -> int:
               f"--all-windows to show)")
     for row in shown:
         print(f"{row['window']:>6} {ps_to_us(row['start_ps']):>9.1f} "
-              f"{row['system']:<{width}} {row['tasks']:>6} {row['items']:>8} "
-              f"{row['elapsed_s'] * 1000:>8.3f}")
+              f"{row['system']:<{width}} {row['elapsed_s'] * 1000:>8.3f}")
     print()
-    print(f"{'totals':<{width + 4}} {'tasks':>6} {'items':>8} {'ms':>8}")
+    print(f"{'totals':<{width + 4}} {'ms':>8}")
     for name, prof in sorted(bus.totals.items()):
-        print(f"{name:<{width + 4}} {prof.tasks:>6} {prof.items:>8} "
-              f"{prof.elapsed_s * 1000:>8.3f}")
+        print(f"{name:<{width + 4}} {prof.elapsed_s * 1000:>8.3f}")
     print(f"windows {bus.counters.get('windows', 0):>{width + 5}}")
     from .metrics.timeline import memo_line
     memo = memo_line(bus)
@@ -350,13 +343,11 @@ def cmd_stats(args) -> int:
     stdout or ``--out FILE`` (with a provenance manifest)."""
     import json
     scenario = build_scenario(args)
-    from .core.engine import resolve_backend
-    backend = resolve_backend(args.backend)
-    bus = _run_observed(args, scenario, backend, True).bus
+    bus = _run_observed(args, scenario, True).bus
     from .metrics.timeline import stats_dict, write_stats
     if args.out:
         write_stats(bus, args.out, manifest=dict(
-            command="stats", scenario=scenario.name, backend=backend,
+            command="stats", scenario=scenario.name,
             transport=args.transport if args.cluster else None,
             cluster=args.cluster or None,
         ))
@@ -397,7 +388,7 @@ def cmd_viz(args) -> int:
     from .partition.loadest import estimate_scenario_loads
     from .viz import (flow_gantt_svg, link_utilization_svg,
                       window_breakdown_heatmap)
-    results = run_dons(scenario, backend=args.backend)
+    results = run_dons(scenario)
     os.makedirs(args.out_dir, exist_ok=True)
     gantt = os.path.join(args.out_dir, "flows.svg")
     with open(gantt, "w") as fh:
@@ -428,12 +419,6 @@ def make_parser() -> argparse.ArgumentParser:
                         choices=[k.value for k in SchedulerKind])
     common.add_argument("--classes", type=int, default=3)
     common.add_argument("--buffer-kb", type=int, default=4096)
-    common.add_argument("--backend", choices=["python", "numpy"],
-                        default=None,
-                        help="kernel set of the DOD engine: python = "
-                             "the four reference systems, numpy = the "
-                             "fused pass (default: $REPRO_BACKEND, then "
-                             "python)")
     common.add_argument("--save", metavar="FILE",
                         help="write the scenario JSON before running")
     common.add_argument("--load", metavar="FILE",

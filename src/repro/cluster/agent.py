@@ -38,10 +38,8 @@ class AgentSpec:
     scenario: Scenario
     partition: Partition
     trace_level: TraceLevel = TraceLevel.NONE
-    #: Window execution ("python" reference systems or "numpy" fused
-    #: pass, over the same component tables); ``None`` defers to
-    #: the engine's own resolution (``REPRO_BACKEND`` env, then "python"),
-    #: re-resolved in the worker process a ProcessTransport spawns.
+    #: Accepted and ignored, like ``DodEngine``'s ``backend`` keyword:
+    #: the benchmark workloads still pass it (ROADMAP item 1).
     backend: Optional[str] = None
     #: Span recording + metric sampling on the agent's bus; the spans
     #: come back in the AgentReport and merge into the cluster timeline.
@@ -49,8 +47,7 @@ class AgentSpec:
 
     def make(self) -> "AgentEngine":
         return AgentEngine(self.agent_id, self.scenario, self.partition,
-                           self.trace_level, backend=self.backend,
-                           telemetry=self.telemetry)
+                           self.trace_level, telemetry=self.telemetry)
 
 
 def window_offer(peek: Optional[int], outbox: Dict[int, list],
@@ -102,8 +99,8 @@ class Horizon(NamedTuple):
 def spec_of(engine: "AgentEngine") -> AgentSpec:
     """Recover the construction recipe of an existing agent engine."""
     return AgentSpec(engine.agent_id, engine.scenario, engine.partition,
-                     TraceLevel(engine.trace.level), engine.backend,
-                     engine.bus.telemetry)
+                     TraceLevel(engine.trace.level),
+                     telemetry=engine.bus.telemetry)
 
 
 class AgentEngine(DodEngine):
@@ -118,11 +115,9 @@ class AgentEngine(DodEngine):
         partition: Partition,
         trace_level: TraceLevel = TraceLevel.NONE,
         *,
-        backend: Optional[str] = None,
         telemetry: bool = False,
     ) -> None:
-        super().__init__(scenario, trace_level, backend=backend,
-                         telemetry=telemetry)
+        super().__init__(scenario, trace_level, telemetry=telemetry)
         self.agent_id = agent_id
         self.partition = partition
         #: per remote agent: (arrival_ps, node, row) records of this window

@@ -74,7 +74,6 @@ class DonsManager:
         transport: Union[str, Transport, None] = "local",
         checkpoint_every: Optional[int] = None,
         fault: Optional[FaultPlan] = None,
-        backend: Optional[str] = None,
         telemetry: bool = False,
         watchdog: Union[bool, None, object] = None,
     ) -> None:
@@ -84,14 +83,13 @@ class DonsManager:
         self.transport = transport
         self.checkpoint_every = checkpoint_every
         self.fault = fault
-        self.backend = backend
         self.telemetry = telemetry
         self.watchdog = watchdog
 
     def _specs(self, partition: Partition) -> List[AgentSpec]:
         return [
             AgentSpec(a, self.scenario, partition, self.trace_level,
-                      backend=self.backend, telemetry=self.telemetry)
+                      telemetry=self.telemetry)
             for a in range(partition.num_parts)
         ]
 

@@ -168,7 +168,7 @@ class ScenarioSpec:
             # staggered starts.  Combined with the boosted dumbbell
             # bottleneck this is drop-free and exactly periodic — the
             # regime where the window-signature cache gets hits, which
-            # makes the ``dons-numpy-ffwd`` oracle (and the
+            # makes the ``dons-ffwd`` oracle (and the
             # ``stale_cache_delta`` drill) non-vacuous under fuzz.  The
             # flows grow with the lookahead so the periodic stretch
             # lasts for windows enough (whatever the delay scale) that

@@ -11,12 +11,12 @@ Six bug classes are plantable:
 * :func:`flipped_transmit_order` flips the deterministic tie-break
   inside the transmit merge-sort: packets staged at the same
   ``(time, priority)`` on one egress port are replayed in *reversed*
-  packet-identity order.  It patches both backends (the Python
-  kernel's ``contract_key`` sort key and the vectorized
-  ``transmit_sort`` hook), so whichever engine variant the oracles run
-  is infected.
-* :func:`unstable_transmit_sort` replaces the vectorized backend's
-  ordering-contract sort with one that is **unstable** on ties: it
+  packet-identity order.  It patches the TransmitSystem's
+  ``transmit_sort`` hook, which both transmit paths (the one-call
+  delivery sink and the two-phase kernel) read, so every DOD engine
+  the oracles run is infected.
+* :func:`unstable_transmit_sort` replaces the same hook with an
+  ordering-contract sort that is **unstable** on ties: it
   orders only by ``(time, priority)`` after reversing the staged list,
   so equal-key packets come out in reversed arrival order — the classic
   symptom of swapping a stable sort for an unstable one (or of trusting
@@ -52,7 +52,7 @@ Six bug classes are plantable:
   fast-forwarded replays diverge.  This is the stale/corrupt-cache-entry
   failure mode the memo's replay-based validation exists for, and
   catching it requires an oracle set that actually runs the
-  fast-forward engine (e.g. ``("ood", "dons-numpy-ffwd")``).
+  fast-forward engine (e.g. ``("ood", "dons-ffwd")``).
 
 Both bugs mirror real failure modes (iterating a hash map / racing
 commit order / unstable sorting instead of the ordering-contract key):
@@ -73,7 +73,6 @@ from ..cluster import shm as shm_mod
 from ..core import events as events_mod
 from ..core import memo as memo_mod
 from ..core.systems import transmit as transmit_mod
-from ..core.systems import vectorized as vectorized_mod
 from ..traffic import arrivals as arrivals_mod
 from ..units import us
 from ..core.window import Staged
@@ -85,7 +84,7 @@ def _flipped_key(a: Tuple[int, int, Row]):
 
 
 def _flipped_transmit_sort(entries: List[Staged]) -> List[Staged]:
-    """The vectorized tie-break hook with packet identity reversed."""
+    """The transmit tie-break with packet identity reversed."""
     entries.sort(key=_flipped_key)
     return entries
 
@@ -106,22 +105,17 @@ def _unstable_sort(entries: List[Staged]) -> List[Staged]:
 def flipped_transmit_order() -> Iterator[None]:
     """Patch the DOD transmit tie-break with the reversed ordering.
 
-    Affects every in-process DOD engine on either backend (plain,
-    checkpoint, cluster agents on the local transport; forked process
-    agents inherit the patch too): the Python backend through its
-    kernel's ``contract_key``, the NumPy backend through its
-    ``transmit_sort`` hook.  The OOD baseline is untouched, so it stays
-    a truthful reference while the patch is live.
+    Affects every in-process DOD engine (plain, checkpoint, cluster
+    agents on the local transport; forked process agents inherit the
+    patch too) through the ``transmit_sort`` hook.  The OOD baseline is
+    untouched, so it stays a truthful reference while the patch is live.
     """
-    original_key = transmit_mod.contract_key
-    original_sort = vectorized_mod.transmit_sort
-    transmit_mod.contract_key = _flipped_key
-    vectorized_mod.transmit_sort = _flipped_transmit_sort
+    original = transmit_mod.transmit_sort
+    transmit_mod.transmit_sort = _flipped_transmit_sort
     try:
         yield
     finally:
-        transmit_mod.contract_key = original_key
-        vectorized_mod.transmit_sort = original_sort
+        transmit_mod.transmit_sort = original
 
 
 def _stale_register_window(events, win: int) -> None:
@@ -146,7 +140,7 @@ def stale_window_index() -> Iterator[None]:
 
     Patches the module-level ``register_window`` hook that
     :meth:`EventColumns.insert` resolves at call time, so every DOD
-    engine on either backend (plain, checkpoint, cluster agents) is
+    engine (plain, checkpoint, cluster agents) is
     infected; the OOD baseline keeps its own heap and stays a truthful
     reference.  Windows whose only pending work is a single entry — a
     lone RTO wakeup, a solitary ACK arrival — vanish from the
@@ -279,7 +273,7 @@ def skewed_arrival_stream() -> Iterator[None]:
     Patches the module-level ``batch_filter`` hook that
     :meth:`~repro.traffic.FlowColumns.iter_batches` resolves at call
     time, so every engine that consumes traffic *columnarly* — the DOD
-    builder's batch path on either backend, and therefore checkpoint
+    builder's batch path, and therefore checkpoint
     and cluster oracles too — sees the first batch's arrivals displaced
     by a 7 us inter-arrival skew.  The OOD baseline materializes flows
     through scalar iteration, which never touches the batch hook, so it
@@ -299,16 +293,15 @@ def skewed_arrival_stream() -> Iterator[None]:
 
 @contextmanager
 def unstable_transmit_sort() -> Iterator[None]:
-    """Patch the vectorized backend's contract sort with an unstable one.
+    """Patch the transmit tie-break hook with an unstable sort.
 
-    Only the NumPy backend is infected — the Python reference kernels
-    keep the true ordering — so catching this bug requires a fuzz
-    oracle set that actually runs the vectorized engine
-    (e.g. ``("ood", "dons-numpy")``).
+    Every DOD engine is infected, traced or not (e.g. ``("ood",
+    "dons")`` or ``("ood", "dons-notrace")`` catch it); the OOD
+    baseline keeps the true ordering and stays a truthful reference.
     """
-    original = vectorized_mod.transmit_sort
-    vectorized_mod.transmit_sort = _unstable_sort
+    original = transmit_mod.transmit_sort
+    transmit_mod.transmit_sort = _unstable_sort
     try:
         yield
     finally:
-        vectorized_mod.transmit_sort = original
+        transmit_mod.transmit_sort = original

@@ -15,19 +15,15 @@ users actually run:
 
 * ``ood`` — the OOD baseline (reference).
 * ``dons`` — the DOD engine.
-* ``dons-numpy`` / ``cluster-numpy-2`` — the same engine (alone, and as
-  2 local-transport cluster agents) on the vectorized NumPy ECS
-  backend; byte-identity against ``ood`` is the backend's conformance
-  gate.
-* ``dons-numpy-ffwd`` — the NumPy engine with window-signature
-  memoization + fast-forwarding forced on (``core/memo.py``); its
-  byte-identity against the rest is the fast-forward conformance gate.
-* ``dons-numpy-notrace`` / ``dons-numpy-ffwd-notrace`` — the same two
-  at ``TraceLevel.NONE``, the configuration the benchmark times: with
-  no trace stream the fused pass takes its serial transmit sweep
-  (delivery sinks, the single-arrival shortcut), which no tracing
-  oracle reaches.  There is no trace to diff, so these are held to the
-  reference by :func:`result_parts` instead.
+* ``dons-ffwd`` — the DOD engine with window-signature memoization +
+  fast-forwarding forced on (``core/memo.py``); its byte-identity
+  against the rest is the fast-forward conformance gate.
+* ``dons-notrace`` / ``dons-ffwd-notrace`` — the same two at
+  ``TraceLevel.NONE``, the configuration the benchmark times: with no
+  trace stream the TransmitSystem replays the window's port list in
+  one call through its delivery sink, which no tracing oracle reaches.
+  There is no trace to diff, so these are held to the reference by
+  :func:`result_parts` instead.
 * ``cluster-local-N`` / ``cluster-shm-N`` — the cluster runtime over
   N agents (N in 2/3/4), contiguous partition: in-process agents, or
   worker processes exchanging window frames with each other over
@@ -115,14 +111,13 @@ def run_ood(scenario: Scenario) -> OracleRun:
                    [port.stats for port in sim.ports])
 
 
-def run_dod(scenario: Scenario, name: str = "dons",
-            backend: Optional[str] = None, ffwd: bool = False,
+def run_dod(scenario: Scenario, name: str = "dons", ffwd: bool = False,
             trace: bool = True) -> OracleRun:
     """``trace=False`` runs the engine as the benchmark does, with no
     trace recorder; the run then carries only its result parts."""
     engine = DodEngine(scenario,
                        TraceLevel.FULL if trace else TraceLevel.NONE,
-                       backend=backend, ffwd=ffwd)
+                       ffwd=ffwd)
     results = engine.run()
     run = _finish(name, scenario, results, engine.bus.counters,
                   [engine.port_stats(i)
@@ -133,11 +128,11 @@ def run_dod(scenario: Scenario, name: str = "dons",
 
 
 def run_cluster(scenario: Scenario, transport: str, agents: int,
-                name: str, backend: Optional[str] = None) -> OracleRun:
+                name: str) -> OracleRun:
     agents = min(agents, scenario.topology.num_nodes)
     partition = contiguous_partition(scenario.topology, agents)
     mgr = DonsManager(scenario, ClusterSpec.homogeneous(agents),
-                      TraceLevel.FULL, transport=transport, backend=backend)
+                      TraceLevel.FULL, transport=transport)
     run = mgr.run(partition=partition)
     return _finish(name, scenario, run.results,
                    run.bus.counters if run.bus else {})
@@ -190,23 +185,14 @@ def run_fault_recovery(scenario: Scenario) -> OracleRun:
 ORACLES: Dict[str, Callable[[Scenario], OracleRun]] = {
     "ood": run_ood,
     "dons": run_dod,
-    "dons-python": lambda sc: run_dod(sc, name="dons-python",
-                                      backend="python"),
-    "dons-numpy": lambda sc: run_dod(sc, name="dons-numpy",
-                                     backend="numpy"),
     # The memoization/fast-forward gate: same engine with the window
     # cache forced on.  Trace byte-identity against every other oracle
     # is what certifies fast-forwarded windows (see core/memo.py).
-    "dons-numpy-ffwd": lambda sc: run_dod(sc, name="dons-numpy-ffwd",
-                                          backend="numpy", ffwd=True),
-    "dons-numpy-notrace": lambda sc: run_dod(
-        sc, name="dons-numpy-notrace", backend="numpy", trace=False),
-    "dons-numpy-ffwd-notrace": lambda sc: run_dod(
-        sc, name="dons-numpy-ffwd-notrace", backend="numpy", ffwd=True,
-        trace=False),
-    "cluster-numpy-2": lambda sc: run_cluster(sc, "local", 2,
-                                              "cluster-numpy-2",
-                                              backend="numpy"),
+    "dons-ffwd": lambda sc: run_dod(sc, name="dons-ffwd", ffwd=True),
+    "dons-notrace": lambda sc: run_dod(sc, name="dons-notrace",
+                                       trace=False),
+    "dons-ffwd-notrace": lambda sc: run_dod(
+        sc, name="dons-ffwd-notrace", ffwd=True, trace=False),
     "checkpoint": run_checkpoint_resume,
     "fault-recovery": run_fault_recovery,
 }
@@ -219,9 +205,8 @@ for _n in (2, 3, 4):
 #: The acceptance set: every stack the fidelity claim covers.  The first
 #: entry is the reference every other trace is diffed against.
 DEFAULT_ORACLES: Tuple[str, ...] = (
-    "ood", "dons", "dons-numpy", "dons-numpy-ffwd", "dons-numpy-notrace",
-    "dons-numpy-ffwd-notrace", "cluster-local-2",
-    "cluster-local-3", "cluster-shm-2",
+    "ood", "dons", "dons-ffwd", "dons-notrace", "dons-ffwd-notrace",
+    "cluster-local-2", "cluster-local-3", "cluster-shm-2",
     "checkpoint", "fault-recovery",
 )
 

@@ -7,11 +7,10 @@ paper Fig. 7.
 
 In CPython a "column" is a list (the interpreter owns physical layout);
 what this class preserves from Unity DOTS is the *logical* layout — which
-fields are stored together and in what order they are swept.  Both
-kernel sets (the four reference systems and the fused pass) index
-the same list columns, so kernel arithmetic runs on plain Python scalars
-either way — which is what keeps trace digests byte-identical between
-them.
+fields are stored together and in what order they are swept.  The
+systems index the list columns directly, so kernel arithmetic runs on
+plain Python scalars — the value types the OOD baseline computes with,
+which is what keeps trace digests byte-identical to it.
 """
 
 from __future__ import annotations

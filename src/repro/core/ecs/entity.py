@@ -106,7 +106,7 @@ EGRESS_SCHEMA = (
 )
 
 #: Bulk handles to the egress columns the TransmitSystem sweeps; its
-#: replay and the fused sweep unpack them by position, in schema order.
+#: replay unpacks them by position, in schema order.
 EgressCols = namedtuple("EgressCols", [f.name for f in EGRESS_SCHEMA])
 
 

@@ -18,11 +18,9 @@ complete before it runs, and no synchronization is ever needed within a
 machine.  One ``advance()`` runs exactly one such window — the paper's
 "batch length = minimum link delay" — through one pipeline: pop the
 window's columns, classify them once
-(:func:`~repro.core.window.plan_window`), run the four phases over the
-plan, commit.  ``backend`` picks the kernel set that runs the phases —
-the four reference systems on ``python``, the fused pass on ``numpy`` —
-and nothing else (see docs/ARCHITECTURE.md, "Why a batch is exactly one
-lookahead window").
+(:func:`~repro.core.window.plan_window`), run the four systems over the
+plan (:func:`~repro.core.systems.run_window`), commit (see
+docs/ARCHITECTURE.md, "Why a batch is exactly one lookahead window").
 
 All observation goes through the engine's
 :class:`~repro.core.instrument.InstrumentationBus`: the trace recorder,
@@ -38,7 +36,6 @@ traces (see ``tests/integration/test_engine_equivalence.py``).
 
 from __future__ import annotations
 
-import os
 import struct
 from hashlib import blake2b
 from typing import Any, Dict, List, Optional, Set
@@ -47,35 +44,19 @@ from .ecs import World
 from .events import EventColumns
 from .instrument import OP_WINDOW, InstrumentationBus
 from .runner import EngineRunner
-from .systems import run_window_reference
+from .systems import run_window
 from .systems.transmit import PortStatic, port_static
 from .window import (
     ENTRY_ARRIVAL, ENTRY_FLOW_START, ENTRY_UDP, Entry, WindowContext,
     plan_window,
 )
-from ..errors import ConfigError, SimulationError
+from ..errors import SimulationError
 from ..metrics import SimResults, TraceLevel, TraceRecorder
 from ..metrics.results import FlowResult
 from ..protocols.egress import PortStats
 from ..protocols.packet import PRIO_ARRIVAL, Row, segment_count
 from ..scenario import Scenario
 from ..traffic import Transport
-
-
-#: Known kernel sets over the one window pipeline: ``python`` runs the
-#: four reference systems back to back (the conformance kernels),
-#: ``numpy`` the fused pass of :mod:`repro.core.systems.vectorized`.
-BACKENDS = ("python", "numpy")
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """``backend``, or for ``None`` ``$REPRO_BACKEND`` (default ``"python"``)."""
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or "python"
-    if backend not in BACKENDS:
-        raise ConfigError(
-            f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}")
-    return backend
 
 
 class DodEngine:
@@ -100,15 +81,10 @@ class DodEngine:
         link delay (correct but slower — the ablation of the §3.3 design
         choice).
 
-        ``backend`` selects the kernels that run a planned window:
-        ``"python"`` (the four reference systems back to back — the
-        conformance kernels every other execution is compared against,
-        not a performance configuration) or ``"numpy"`` (one fused
-        kernel/commit pass, NumPy where it pays).  Pop, plan and context
-        are the same under both.  ``None`` resolves the
-        ``REPRO_BACKEND`` environment variable, defaulting to
-        ``"python"`` — which is how the CI backend matrix runs the whole
-        suite under each kernel set without touching test code.
+        ``backend`` is accepted and ignored: there is one set of
+        systems.  The keyword stays only because the benchmark
+        workloads (``benchmarks/perf/workloads.py``) still pass it; it
+        goes when that directory next changes (ROADMAP item 1).
 
         ``telemetry`` turns on span recording and metric sampling on the
         engine's bus.  Telemetry only reads clocks and port counters —
@@ -119,12 +95,11 @@ class DodEngine:
         fast-forwarding cache.  The cache only ever activates under the
         static gates checked by :meth:`_maybe_init_memo` — local
         deliveries, no RED / packet spraying / queue sampling, at least
-        one UDP flow — and the ``dons-numpy-ffwd`` conformance oracle
+        one UDP flow — and the ``dons-ffwd`` conformance oracle
         holds the trace digest byte-identical with it on or off.  See
         docs/MEMOIZATION.md.
         """
         self.scenario = scenario
-        self.backend = resolve_backend(backend)
         self.bus = InstrumentationBus()
         if telemetry:
             self.bus.enable_telemetry()
@@ -164,17 +139,9 @@ class DodEngine:
         self.is_host: List[bool] = []
         # Caches that are pure functions of the scenario, filled on
         # first use and never checkpointed: the per-flow lists of the
-        # send path, and the fused pass's route cache.
+        # send path, and the ForwardSystem's route cache.
         self._flow_lists = None
         self._routes: Dict[int, int] = {}
-
-        # The one place the backend is tested: which kernels run a
-        # planned window (imported lazily so ``python`` works without
-        # numpy installed).
-        self._run_window = run_window_reference
-        if self.backend == "numpy":
-            from .systems.vectorized import run_window_fused
-            self._run_window = run_window_fused
 
     # --- construction -------------------------------------------------------
 
@@ -363,7 +330,7 @@ class DodEngine:
         self._insert(t, node, (ENTRY_ARRIVAL, t, PRIO_ARRIVAL, row))
 
     #: True when every delivery lands in the local event store — the
-    #: fused transmit sweep may then append to the columns directly.
+    #: TransmitSystem may then append to the columns directly.
     #: The cluster AgentEngine clears it (peers can live off-partition).
     deliveries_local = True
 
@@ -399,7 +366,7 @@ class DodEngine:
         that determines the remainder of the run.  The encoding is
         little-endian int64 streams (see
         :meth:`EventColumns.signature_bytes`), so the digest is stable
-        across backends; the memo tests use it to hold a
+        across platforms; the memo tests use it to hold a
         fast-forwarded engine to an executed one cursor by cursor.
         """
         h = blake2b(digest_size=16)
@@ -443,16 +410,14 @@ class DodEngine:
 
     def process_window(self, index: int) -> WindowContext:
         """Execute one lookahead batch: open, plan, then the four
-        systems in §3.3 order (ACK, Send, Forward, Transmit) on the
-        backend's kernels."""
+        systems in §3.3 order (ACK, Send, Forward, Transmit)."""
         bus = self.bus
         telemetry = bus.telemetry
         if telemetry:
             _w0 = bus.now()
         ctx = self._open_window(index)
         # Five clock reads (the phase marks) and one bus call per window.
-        t0, t1, t2, t3, t4 = self._run_window(
-            self, ctx, plan_window(self, ctx))
+        t0, t1, t2, t3, t4 = run_window(self, ctx, plan_window(self, ctx))
         bus.window_times(index, ctx.start, t1 - t0, t2 - t1, t3 - t2, t4 - t3)
         self._close_window(ctx)
         if telemetry:
@@ -588,10 +553,9 @@ class DodEngine:
 def run_dons(
     scenario: Scenario,
     trace_level: TraceLevel = TraceLevel.NONE,
-    backend: Optional[str] = None,
     telemetry: bool = False,
     ffwd: bool = False,
 ) -> SimResults:
     """Convenience one-shot run of the DOD engine."""
-    return DodEngine(scenario, trace_level, backend=backend,
-                     telemetry=telemetry, ffwd=ffwd).run()
+    return DodEngine(scenario, trace_level, telemetry=telemetry,
+                     ffwd=ffwd).run()

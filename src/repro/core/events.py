@@ -33,10 +33,10 @@ conformance harness can plant a stale-index bug
 (:func:`repro.conformance.inject.stale_window_index`) and prove the
 differential fuzz loop catches exactly this class of corruption.
 
-Both kernel sets share this store: the columns are plain Python
-lists, like the ``SoATable`` component columns.  The byte encoding
-behind ``signature_bytes`` is little-endian int64 streams, which is
-what makes ``DodEngine.window_signature()`` backend-stable.
+The columns are plain Python lists, like the ``SoATable`` component
+columns.  The byte encoding behind ``signature_bytes`` is little-endian
+int64 streams, which is what makes ``DodEngine.window_signature()``
+platform-stable.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def _register_window(events: "EventColumns", win: int) -> None:
 
 #: Injectable occupancy-registration hook.  Resolved at call time by
 #: :meth:`EventColumns.insert`, so the conformance harness can swap in a
-#: corrupted version (see ``inject.stale_window_index``) that both ECS
-#: backends inherit.
+#: corrupted version (see ``inject.stale_window_index``) that every DOD
+#: engine inherits.
 register_window: Callable[["EventColumns", int], None] = _register_window
 
 
@@ -330,7 +330,7 @@ class EventColumns:
 
         Windows ascending; per window the four derived int columns then
         the payload rows, all as little-endian int64, so the digest
-        built on top is backend-stable.
+        built on top is platform-stable.
         """
         parts: List[bytes] = []
         for win in sorted(self._buckets):

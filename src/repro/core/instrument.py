@@ -16,11 +16,9 @@ calls inside the systems) is a *subscriber* instead:
   :meth:`subscribe_trace`; the bus forwards synchronously, so entry
   order — and therefore the trace digest — is byte-identical to the
   direct wiring it replaces.
-* **counters and timers** — named counters, per-system task/item
-  accounting from the reference systems (the ``pool.tasks`` /
-  ``pool.items`` counters), and per-window/per-system wall-clock
-  from :meth:`window_times`.  ``python -m repro profile`` renders these;
-  the cost model consumes the event counts as before.
+* **counters and timers** — named counters and per-window/per-system
+  wall-clock from :meth:`window_times`.  ``python -m repro profile``
+  renders these; the cost model consumes the event counts as before.
 
 Telemetry (PR 5) adds two more observation kinds behind one master
 switch, ``bus.telemetry``:
@@ -113,15 +111,17 @@ class _Span:
 
 @dataclass
 class SystemProfile:
-    """One system's accounting inside one window (or in aggregate)."""
+    """One system's wall-clock inside one window (or in aggregate)."""
 
-    items: int = 0
-    tasks: int = 0
     elapsed_s: float = 0.0
 
+    #: Always 0: nothing counts tasks or items any more.  Kept only
+    #: because ``benchmarks/perf/layers.py`` still reads them; they go
+    #: when that directory next changes (ROADMAP item 1).
+    items = 0
+    tasks = 0
+
     def add(self, other: "SystemProfile") -> None:
-        self.items += other.items
-        self.tasks += other.tasks
         self.elapsed_s += other.elapsed_s
 
 
@@ -151,11 +151,9 @@ class InstrumentationBus:
         self.counters: Dict[str, int] = {}
         self.keep_window_profiles = keep_window_profiles
         #: one raw row per executed window: ``(index, start_ps, ack_s,
-        #: send_s, forward_s, transmit_s, tasks)`` with ``tasks`` the
-        #: window's ``{system: [items, tasks]}`` task accounting or
-        #: ``None``.  :attr:`windows` builds the profiles from these.
+        #: send_s, forward_s, transmit_s)``.  :attr:`windows` builds the
+        #: profiles from these.
         self._window_rows: List[tuple] = []
-        self._window_tasks: Dict[str, List[int]] = {}
         #: window profiles merged in from child buses, by window index.
         self._child_windows: Dict[int, WindowProfile] = {}
         #: whole-run aggregate per system.
@@ -302,28 +300,6 @@ class InstrumentationBus:
             h.update(repr(entry).encode())
         return h.hexdigest()
 
-    # --- task accounting --------------------------------------------------
-
-    def task_batch(self, system: str, sizes: Sequence[int]) -> None:
-        """One system's work list: ``len(sizes)`` tasks, ``sizes[i]``
-        items each."""
-        tasks = len(sizes)
-        items = sum(sizes)
-        self.count("pool.tasks", tasks)
-        self.count("pool.items", items)
-        total = self.totals.get(system)
-        if total is None:
-            total = self.totals[system] = SystemProfile()
-        total.tasks += tasks
-        total.items += items
-        if self.keep_window_profiles:
-            acc = self._window_tasks.get(system)
-            if acc is None:
-                self._window_tasks[system] = [items, tasks]
-            else:
-                acc[0] += items
-                acc[1] += tasks
-
     # --- timers -----------------------------------------------------------
 
     def window_times(self, index: int, start_ps: int, ack_s: float,
@@ -332,8 +308,7 @@ class InstrumentationBus:
         """One executed lookahead window and its four system times.
 
         The engine's only per-window bus call: it counts the window,
-        adds the times to the per-system totals and keeps one raw row
-        (with the task batches dispatched since the previous window);
+        adds the times to the per-system totals and keeps one raw row;
         :attr:`windows` turns the rows into profiles when a report asks.
         """
         counters = self.counters
@@ -348,11 +323,8 @@ class InstrumentationBus:
         totals[2].elapsed_s += forward_s
         totals[3].elapsed_s += transmit_s
         if self.keep_window_profiles:
-            tasks = self._window_tasks
-            if tasks:
-                self._window_tasks = {}
             self._window_rows.append((index, start_ps, ack_s, send_s,
-                                      forward_s, transmit_s, tasks or None))
+                                      forward_s, transmit_s))
 
     @property
     def windows(self) -> List[WindowProfile]:
@@ -360,13 +332,10 @@ class InstrumentationBus:
         cluster report merge and Fig. 13-style breakdowns read these):
         this bus's own windows plus merged children, by window index."""
         by_index: Dict[int, WindowProfile] = {}
-        for index, start_ps, *times, tasks in self._window_rows:
+        for index, start_ps, *times in self._window_rows:
             win = by_index[index] = WindowProfile(index, start_ps)
             for name, dt in zip(SYSTEMS, times):
                 win.systems[name] = SystemProfile(elapsed_s=dt)
-            for name, (items, n_tasks) in (tasks or {}).items():
-                prof = win.system(name)
-                prof.items, prof.tasks = items, n_tasks
         for index, child in self._child_windows.items():
             mine = by_index.get(index)
             if mine is None:
@@ -477,8 +446,6 @@ class InstrumentationBus:
                     "window": win.index,
                     "start_ps": win.start_ps,
                     "system": name,
-                    "items": prof.items,
-                    "tasks": prof.tasks,
                     "elapsed_s": prof.elapsed_s,
                 })
         return rows

@@ -44,7 +44,7 @@ cross-agent deliveries (cluster agents disable the cache entirely), no
 op probes, no duration cut inside the window.  Within those gates every
 engine transition commutes with the (time, sequence) translation, which
 is what makes replaying a rebased delta byte-identical to re-execution —
-the property the ``dons-numpy-ffwd`` conformance oracle and the
+the property the ``dons-ffwd`` conformance oracle and the
 memo-on/off digest tests enforce.
 
 There is no simulation-time RNG to capture: ECMP hashing is a pure

@@ -7,10 +7,9 @@ receiving host's NIC egress queue at the data packet's arrival time.
 
 The work list is the ACK slice of the one window plan
 (:func:`~repro.core.window.plan_window`): each receiving host's
-deliveries, hosts ascending.  Each kernel set sorts every host's slice
-canonically its own way — :func:`run_ack_system` by ``list.sort`` on
-this module's key, the fused pass by ``lexsort`` — and then makes one
-:func:`ack_window` call: a sweep over every host of the window that
+deliveries, hosts ascending.  :func:`run_ack_system` sorts every host's
+slice canonically (``list.sort`` on this module's key) and then makes
+one :func:`ack_window` call: a sweep over every host of the window that
 updates the receiver columns and commits in place, host by host.  Hosts
 own disjoint receiver rows, so the hosts are independent tasks (the
 command-buffer argument of Appendix C) and host order is the commit
@@ -134,5 +133,4 @@ def run_ack_system(engine, ctx: WindowContext,
     for _node, data in work:
         if len(data) > 1:
             data.sort(key=_delivery_key)
-    engine.bus.task_batch("ack", [len(w[1]) for w in work])
     ack_window(engine, ctx, work)

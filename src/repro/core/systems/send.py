@@ -127,7 +127,7 @@ def udp_window(fl: FlowLists, flow_id: int, seq: int, window_end: int,
     :class:`~repro.protocols.udp.UdpSchedule` gives the OOD baseline one
     event at a time — so a visit costs the segments it emits plus the
     one that ends it, however many the flow has left.  The only UDP
-    pacing schedule under ``repro.core``: both kernel sets and the
+    pacing schedule under ``repro.core``: the SendSystem and the
     memoization probe (:mod:`repro.core.memo`) call it, so a cached
     window's predicted emissions are the executed ones by construction.
     """
@@ -335,7 +335,6 @@ def run_send_system(engine, ctx: WindowContext, plan: SendPlan) -> None:
     sender_of_flow = engine.world.sender_of_flow
     sc = engine.scenario
     fl = flow_lists(engine)
-    bus.task_batch("send", [len(acks_of.get(f, ())) + 1 for f in flow_ids])
     commit_send(engine, ctx, [
         send_kernel(cols, sender_of_flow, sc, fl, acks_of, starts, ctx.end, f)
         for f in flow_ids])

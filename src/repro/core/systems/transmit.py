@@ -13,19 +13,18 @@ so drops and ECN marks match the event-driven baseline exactly.
 A port is one row of ``world.egress`` (its mutable state) plus one
 :class:`PortStatic` (what the topology and the scenario fix), and
 :func:`replay_window` over a list of those is the only windowed replay
-there is: this module's reference kernel hands it one port, the fused
-sweep of :mod:`~repro.core.systems.vectorized` the window's whole port
-list.  Its lockstep twin is the event-by-event ``EgressPort``
+there is.  Its lockstep twin is the event-by-event ``EgressPort``
 automaton of the OOD baseline (``tests/core/test_port_replay.py``).
 
-Plan → kernel → commit: :func:`plan_transmit` lists the fed ports and
-the active ones due in the window; :func:`transmit_kernel` replays one
-port's window (ports are independent entities);
-:func:`commit_transmit` publishes trace/op events and registers
-cross-device arrivals, in port order.
-Those three are the only two-phase transmit there is — the reference
-dispatch below and the fused pass's traced, agent and op-probed runs
-all run them, each handing the kernel its own tie-break sort.
+:func:`plan_transmit` lists the fed ports and the active ones due in
+the window, and :func:`run_transmit_system` replays them one of two
+ways.  With no trace stream, no op probe and local deliveries it makes
+one :func:`replay_window` call over the whole port list that commits in
+place (the delivery sink).  Otherwise it runs the two-phase path:
+:func:`transmit_kernel` replays one port's window (ports are
+independent entities) and :func:`commit_transmit` publishes trace/op
+events and registers cross-device arrivals, in port order.  Both paths
+order a port's arrivals with :data:`transmit_sort`.
 """
 
 from __future__ import annotations
@@ -104,19 +103,21 @@ def port_static(iface, cfg, table: List[int],
 
 
 def contract_key(a: Staged):
-    """The canonical arrival ordering: (t, prio, flow, is_ack, seq).
-
-    Resolved from module globals by :func:`contract_sort` at run
-    time, so ``conformance.inject.flipped_transmit_order`` can patch it.
-    """
+    """The canonical arrival ordering: (t, prio, flow, is_ack, seq)."""
     return (a[0], a[1], a[2][F_FLOW], a[2][F_ISACK], a[2][F_SEQ])
 
 
 def contract_sort(arrivals: List[Staged]) -> List[Staged]:
-    """The reference tie-break: a scalar in-place ``list.sort`` by
+    """The ordering-contract tie-break: an in-place ``list.sort`` by
     :func:`contract_key`."""
     arrivals.sort(key=contract_key)
     return arrivals
+
+
+#: The transmit tie-break hook, read from module globals once per window
+#: by both transmit paths, so the ``conformance.inject`` drills
+#: (``flipped_transmit_order``, ``unstable_transmit_sort``) can patch it.
+transmit_sort = contract_sort
 
 
 def _drr_pick(queues, heads, deficit, quantum: int, cls: int,
@@ -424,16 +425,39 @@ def commit_transmit(engine, ctx: WindowContext, results) -> None:
 
 
 def run_transmit_system(engine, ctx: WindowContext) -> None:
-    """Replay every active or newly-fed egress port (plan → kernel → commit)."""
+    """Replay every active or newly-fed egress port of the window.
+
+    When nothing observes a packet (no trace stream, no op probe) and
+    every peer is local, one :func:`replay_window` call takes the whole
+    port list with a delivery sink: dequeues land straight in the event
+    columns, and node counts, the active set and drops are committed in
+    place — no emission tuples, no per-port call.  Traced, op-probed
+    and cluster-agent windows run the two-phase
+    :func:`transmit_kernel` + :func:`commit_transmit`.  Port order,
+    per-port emission order, stats and active-set updates are the same
+    either way.
+    """
     iface_ids = plan_transmit(engine, ctx)
     if not iface_ids:
         return
-    full_trace = engine.bus.trace_level >= 2
+    bus = engine.bus
     cols, static, staged = (engine.world.egress_cols, engine.port_static,
                             ctx.staged)
-    engine.bus.task_batch(
-        "transmit", [len(staged.get(i, ())) + 1 for i in iface_ids])
+    sort = transmit_sort  # module attribute: the injectable tie-break
+    if not (bus.trace_level or bus.has_ops) and engine.deliveries_local:
+        events = engine.events
+        results = engine.results
+        drops: List[Tuple[int, Row]] = []
+        ctx.counts.transmit += replay_window(
+            cols, static, iface_ids, staged, sort, ctx.start, ctx.end, None,
+            drops, None,
+            (events._buckets, events, events_mod.register_window,
+             engine.lookahead, engine._running_window + 1,
+             results.node_events, engine.active_ports))
+        results.drops += len(drops)
+        return
+    full_trace = bus.trace_level >= 2
     commit_transmit(engine, ctx, [
         transmit_kernel(cols, static, staged, ctx.start, ctx.end,
-                        full_trace, contract_sort, i)
+                        full_trace, sort, i)
         for i in iface_ids])

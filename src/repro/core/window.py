@@ -66,7 +66,7 @@ SendPlan = Tuple[
 #: A window's entries classified per system — ``(ack, send, forward)`` —
 #: each slice in the order its system commits in: data deliveries per
 #: receiving host ascending, in insertion order (the ACK phase sorts
-#: them canonically, each backend its way); the :data:`SendPlan`;
+#: them canonically); the :data:`SendPlan`;
 #: arrivals per switch ascending, in insertion order.
 WindowPlan = Tuple[List[NodeWork], SendPlan, List[NodeWork]]
 

@@ -21,7 +21,7 @@ Three ways out of an :class:`~repro.core.instrument.InstrumentationBus`:
   derived numbers in it come from :func:`run_record`, the one snapshot
   the live NDJSON stream and the ``--progress`` line also read.
 * :func:`run_manifest` / :func:`write_manifest` — a small provenance
-  record (seed, backend, transport, git revision, schema version)
+  record (seed, transport, git revision, schema version)
   written next to every artifact as ``<artifact>.manifest.json``.
 """
 
@@ -55,7 +55,10 @@ __all__ = [
 #: ``jump_refused.<reason>`` / ``disabled.<gate>`` field per reason that
 #: occurred.
 #: v5: ``transport_shm`` lost ``fallbacks`` — nothing ever counted it.
-TELEMETRY_SCHEMA_VERSION = 5
+#: v6: the per-system ``totals`` lost ``items`` / ``tasks``, and the
+#: ``pool.tasks`` / ``pool.items`` counters are gone — nothing counts
+#: task batches any more.
+TELEMETRY_SCHEMA_VERSION = 6
 TIMELINE_FORMAT = "chrome-trace-events"
 MANIFEST_FORMAT = "repro-run-manifest-v1"
 
@@ -287,8 +290,7 @@ def stats_dict(bus: Any) -> Dict[str, Any]:
         "counters": dict(bus.counters),
         "metrics": bus.metrics.snapshot(),
         "totals": {
-            name: {"items": prof.items, "tasks": prof.tasks,
-                   "elapsed_s": prof.elapsed_s}
+            name: {"elapsed_s": prof.elapsed_s}
             for name, prof in sorted(bus.totals.items())
         },
         "spans": len(bus.spans),
@@ -380,8 +382,7 @@ def _git_rev() -> Optional[str]:
 
 def run_manifest(**fields: Any) -> Dict[str, Any]:
     """Provenance of one run: schema version, git revision, creation
-    time, plus whatever the caller knows (seed, backend, transport,
-    scenario).  ``None`` values are dropped."""
+    time, plus whatever the caller knows (seed, transport, scenario).  ``None`` values are dropped."""
     manifest: Dict[str, Any] = {
         "format": MANIFEST_FORMAT,
         "schema_version": TELEMETRY_SCHEMA_VERSION,

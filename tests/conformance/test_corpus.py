@@ -29,8 +29,7 @@ def test_corpus_entry_conforms(path):
     assert len(counts) == 1 and counts.pop() > 0
 
 
-@pytest.mark.parametrize("oracle", ["dons-numpy-ffwd",
-                                    "dons-numpy-ffwd-notrace"])
+@pytest.mark.parametrize("oracle", ["dons-ffwd", "dons-ffwd-notrace"])
 def test_steady_entry_is_fast_forwarded_by_cycle_jumps(oracle):
     """The fast-forward oracles are only a gate for cycle jumps if a
     corpus scenario makes some: the steady entry (lookahead 5 us, P = 6)

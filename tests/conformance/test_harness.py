@@ -24,16 +24,13 @@ from repro.conformance.runner import (
 from repro.errors import ReproError
 
 FAST_ORACLES = ("ood", "dons")
-#: The vectorized-backend drill needs an oracle that actually runs the
-#: NumPy engine, whatever REPRO_BACKEND says.
-NUMPY_ORACLES = ("ood", "dons-numpy")
 #: The memo-cache drill needs the fast-forward engine; corruption is
 #: only observable on cache *hits*, so the fuzz stream must contain
 #: steady-traffic specs that actually hit (seed 100 does, early).
-FFWD_ORACLES = ("ood", "dons-numpy-ffwd")
-#: The fused pass's serial transmit sweep runs only without a trace
-#: stream, so only these two oracles reach it.
-NOTRACE_ORACLES = ("ood", "dons-numpy-notrace", "dons-numpy-ffwd-notrace")
+FFWD_ORACLES = ("ood", "dons-ffwd")
+#: The one-call transmit sink runs only without a trace stream, so only
+#: these two oracles reach it.
+NOTRACE_ORACLES = ("ood", "dons-notrace", "dons-ffwd-notrace")
 #: The torn-frame drill needs an oracle that decodes shared-memory
 #: frames; the pickled transports never touch the framing code.
 SHM_ORACLES = ("ood", "cluster-shm-2")
@@ -151,7 +148,7 @@ class TestOraclesAndInvariants:
 
     def test_results_divergence_names_the_part(self):
         ref = run_oracle("ood", SMALL.build())
-        cand = run_oracle("dons-numpy-notrace", SMALL.build())
+        cand = run_oracle("dons-notrace", SMALL.build())
         assert cand.trace is None and cand.n_entries == 0
         assert [name for name, _ in cand.parts] == \
                [name for name, _ in ref.parts]
@@ -181,7 +178,7 @@ class TestFuzzLoop:
 
     def test_trace_off_oracles_are_held_to_the_reference(self):
         """Every scheduler the spec space draws, through the trace-off
-        NumPy engine plain and fast-forwarded: result parts (event
+        engine plain and fast-forwarded: result parts (event
         totals, flows, RTTs, every port's stats) equal the OOD run's."""
         seen = set()
         for index in range(40):
@@ -195,9 +192,9 @@ class TestFuzzLoop:
         assert seen == {"fifo", "sp", "rr", "drr"}
 
     def test_trace_off_oracle_cannot_be_the_reference(self):
-        report = check_spec(SMALL, ("dons-numpy-notrace", "ood"))
+        report = check_spec(SMALL, ("dons-notrace", "ood"))
         assert not report.ok and "reference" in report.error
-        report = check_spec(SMALL, ("cluster-local-2", "dons-numpy-notrace"))
+        report = check_spec(SMALL, ("cluster-local-2", "dons-notrace"))
         assert not report.ok and "reference" in report.error
 
     def test_planted_ordering_bug_is_caught_and_shrunk(self, tmp_path):
@@ -222,9 +219,9 @@ class TestFuzzLoop:
 
     def test_planted_stale_window_index_is_caught_and_shrunk(self, tmp_path):
         """The columnar-store drill: corrupt the window-occupancy index
-        so singleton buckets are invisible to the scheduler.  Both DOD
-        backends share the store, so the plain fast oracles must catch
-        the starved windows — and shrink the repro small."""
+        so singleton buckets are invisible to the scheduler.  The plain
+        fast oracles must catch the starved windows — and shrink the
+        repro small."""
         with stale_window_index():
             result = fuzz(0, 25, FAST_ORACLES, do_shrink=True,
                           artifact_dir=tmp_path)
@@ -242,12 +239,11 @@ class TestFuzzLoop:
         assert caught_with_memo_on(stale_window_index, 0)
 
     def test_planted_unstable_sort_is_caught_and_shrunk(self, tmp_path):
-        """The NumPy-backend drill: replace the vectorized ordering-
-        contract sort with one unstable on (time, prio) ties.  Only the
-        vectorized engine is infected, so the fuzz loop must catch it
-        through the ``dons-numpy`` oracle — and shrink it small."""
+        """The sort drill: replace the transmit ordering-contract sort
+        with one unstable on (time, prio) ties.  The fuzz loop must
+        catch it against the OOD reference — and shrink it small."""
         with unstable_transmit_sort():
-            result = fuzz(0, 25, NUMPY_ORACLES, do_shrink=True,
+            result = fuzz(0, 25, FAST_ORACLES, do_shrink=True,
                           artifact_dir=tmp_path)
         assert not result.ok, "planted bug survived 25 fuzz runs"
         assert result.shrunk is not None
@@ -255,23 +251,24 @@ class TestFuzzLoop:
         div = result.shrunk.divergences[0]
         assert div.window is not None and div.system and div.entity
 
-        # The Python reference kernels are untouched: the same fuzz
-        # stream stays clean when the vectorized engine is not asked for.
+        # Both transmit paths read the one hook: the trace-off sink is
+        # infected too, and its result parts diverge from the reference.
         with unstable_transmit_sort():
-            assert fuzz(0, 3, ("ood", "dons-python")).ok
+            assert not check_spec(result.shrunk.spec,
+                                  ("ood", "dons-notrace")).ok
 
         # The artifact replays: still failing under the bug, clean after.
         assert result.artifact is not None and result.artifact.exists()
         with unstable_transmit_sort():
-            assert not replay_file(result.artifact, NUMPY_ORACLES).ok
-        assert replay_file(result.artifact, NUMPY_ORACLES).ok
+            assert not replay_file(result.artifact, FAST_ORACLES).ok
+        assert replay_file(result.artifact, FAST_ORACLES).ok
         assert caught_with_memo_on(unstable_transmit_sort, 0)
 
     def test_planted_stale_cache_delta_is_caught_and_shrunk(self, tmp_path):
         """The memoization drill: poison each captured window delta so
         cache hits replay a wrong write-set.  Executed windows stay
         byte-correct — only fast-forwarded replays diverge — so the bug
-        is invisible to every oracle except ``dons-numpy-ffwd`` on a
+        is invisible to every oracle except ``dons-ffwd`` on a
         workload whose window signatures repeat."""
         with stale_cache_delta():
             result = fuzz(100, 25, FFWD_ORACLES, do_shrink=True,
@@ -286,14 +283,14 @@ class TestFuzzLoop:
         # spec, run clean, is carried over whole cycles by them (under
         # the bug the first poisoned hit breaks the periodicity, so the
         # divergence is found before any jump could hide it).
-        clean = run_oracle("dons-numpy-ffwd",
+        clean = run_oracle("dons-ffwd",
                            result.failures[0].spec.build())
         assert clean.counters["memo.jump"] > 0
 
         # Engines without the fast-forward cache never read a poisoned
         # delta: the same fuzz stream stays clean without the oracle.
         with stale_cache_delta():
-            assert fuzz(100, 4, NUMPY_ORACLES).ok
+            assert fuzz(100, 4, FAST_ORACLES).ok
 
         # The artifact replays: still failing under the bug, clean after.
         assert result.artifact is not None and result.artifact.exists()
@@ -337,7 +334,7 @@ class TestFuzzLoop:
         a columnar spec (``wan_twin`` / ``storage``), catch the time
         shift as a trace divergence, and shrink it small."""
         with skewed_arrival_stream():
-            result = fuzz(5, 25, NUMPY_ORACLES, do_shrink=True,
+            result = fuzz(5, 25, FAST_ORACLES, do_shrink=True,
                           artifact_dir=tmp_path)
         assert not result.ok, "planted bug survived 25 fuzz runs"
         assert result.shrunk is not None
@@ -354,8 +351,8 @@ class TestFuzzLoop:
         # The artifact replays: still failing under the bug, clean after.
         assert result.artifact is not None and result.artifact.exists()
         with skewed_arrival_stream():
-            assert not replay_file(result.artifact, NUMPY_ORACLES).ok
-        assert replay_file(result.artifact, NUMPY_ORACLES).ok
+            assert not replay_file(result.artifact, FAST_ORACLES).ok
+        assert replay_file(result.artifact, FAST_ORACLES).ok
         assert caught_with_memo_on(skewed_arrival_stream, 5)
 
     def test_artifact_round_trip(self, tmp_path):
@@ -369,6 +366,6 @@ class TestFuzzLoop:
 def test_fuzz_cli_smoke(capsys):
     from repro.cli import main
     assert main(["fuzz", "--seed", "0", "--runs", "1",
-                 "--oracles", "ood,dons,dons-numpy-ffwd"]) == 0
+                 "--oracles", "ood,dons,dons-ffwd"]) == 0
     out = capsys.readouterr().out
     assert "byte-identical" in out

@@ -15,10 +15,9 @@ from repro.metrics import TraceLevel
 from repro.schedulers import SchedulerKind
 
 
-def run_interrupted(scenario, stop_after_windows, take=None, resume=None):
-    """Run to window N, checkpoint, resume in a FRESH engine (``take`` /
-    ``resume``: the backend of each half)."""
-    eng = DodEngine(scenario, TraceLevel.FULL, backend=take)
+def run_interrupted(scenario, stop_after_windows):
+    """Run to window N, checkpoint, resume in a FRESH engine."""
+    eng = DodEngine(scenario, TraceLevel.FULL)
     eng.build()
     current = -1
     done = 0
@@ -32,7 +31,7 @@ def run_interrupted(scenario, stop_after_windows, take=None, resume=None):
     ckpt = take_checkpoint(eng, current)
     # The "crash": the original engine is discarded entirely.
     del eng
-    fresh = CheckpointingEngine(scenario, TraceLevel.FULL, backend=resume)
+    fresh = CheckpointingEngine(scenario, TraceLevel.FULL)
     return fresh.resume_from(ckpt)
 
 
@@ -45,21 +44,14 @@ def test_resume_reproduces_uninterrupted_trace(dumbbell_scenario, stop_after):
     assert resumed.rtt_samples == reference.rtt_samples
 
 
-@pytest.mark.parametrize("take,resume,kind", [
-    ("numpy", "python", SchedulerKind.FIFO),
-    ("python", "numpy", SchedulerKind.FIFO),
-    ("numpy", "python", SchedulerKind.DRR),
-], ids=["numpy-python", "python-numpy", "numpy-python-drr"])
-def test_snapshot_resumes_under_the_other_backend(dumbbell_scenario,
-                                                  take, resume, kind):
-    """One table, one format: a snapshot holds nothing specific to the
-    window execution that took it — the DRR round included, which is
-    three columns of the egress rows."""
-    egress = replace(dumbbell_scenario.switch_egress, scheduler=kind,
-                     num_classes=2)
+def test_snapshot_resumes_mid_drr_round(dumbbell_scenario):
+    """The DRR round is three columns of the egress rows: a snapshot
+    carries it like any other port state."""
+    egress = replace(dumbbell_scenario.switch_egress,
+                     scheduler=SchedulerKind.DRR, num_classes=2)
     dumbbell_scenario = replace(dumbbell_scenario, switch_egress=egress)
     reference = run_dons(dumbbell_scenario, TraceLevel.FULL)
-    resumed = run_interrupted(dumbbell_scenario, 40, take, resume)
+    resumed = run_interrupted(dumbbell_scenario, 40)
     assert resumed.trace.digest() == reference.trace.digest()
     assert resumed.fcts_ps() == reference.fcts_ps()
 

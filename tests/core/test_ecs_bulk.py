@@ -1,8 +1,7 @@
-"""Bulk column handles and command buffers."""
+"""Bulk column handles."""
 
 import pytest
 
-from repro.core.ecs import CommandBuffer, consolidate
 from repro.core.ecs.components import FieldSpec, SoATable
 from repro.errors import ConfigError
 
@@ -35,27 +34,3 @@ class TestBulkColumns:
         assert set(cols) == {"a", "b"}
         assert cols["a"] is t.column("a")
 
-
-class TestCommandBuffers:
-    def test_empty_buffer_is_falsy(self):
-        buf = CommandBuffer()
-        assert not buf
-        assert len(buf) == 0
-
-    def test_consolidate_empty_buffers(self):
-        sink = {}
-        assert consolidate([], sink) == 0
-        assert consolidate([CommandBuffer(), CommandBuffer()], sink) == 0
-        assert sink == {}
-
-    def test_consolidate_duplicate_targets_keeps_worker_order(self):
-        a, b = CommandBuffer(), CommandBuffer()
-        a.append(7, "a1")
-        a.append(7, "a2")
-        b.append(7, "b1")
-        b.append(2, "b2")
-        sink = {}
-        assert consolidate([a, b], sink) == 4
-        # same egress target fed by two workers: worker order, then
-        # each worker's recorded order
-        assert sink == {7: ["a1", "a2", "b1"], 2: ["b2"]}

@@ -1,9 +1,7 @@
 """Property-based tests for the ECS bulk APIs (hypothesis).
 
-The columnar kernels lean on :class:`SoATable`'s bulk accessors and on
-:class:`CommandBuffer` consolidation; these properties pin the algebra
-the kernels assume: bulk handles alias live storage, and consolidation
-is insensitive to how writes were batched into buffers.
+The systems lean on :class:`SoATable`'s bulk accessors; these
+properties pin the algebra they assume: bulk handles alias live storage.
 """
 
 import pytest
@@ -11,7 +9,6 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ecs.commands import CommandBuffer, consolidate
 from repro.core.ecs.components import FieldSpec, SoATable
 
 SCHEMA = (FieldSpec("a", 0), FieldSpec("b", -1), FieldSpec("c", 0))
@@ -53,37 +50,3 @@ class TestSoATableProperties:
         for name in sub:
             assert handles[name] is table.column(name)
 
-
-writes = st.lists(st.tuples(st.integers(0, 7), st.integers()), max_size=120)
-
-
-def split_into_buffers(pairs, cuts):
-    """Partition one write stream into consecutive per-worker buffers."""
-    buffers = []
-    prev = 0
-    for cut in sorted(cuts) + [len(pairs)]:
-        buf = CommandBuffer()
-        for t, item in pairs[prev:cut]:
-            buf.append(t, item)
-        buffers.append(buf)
-        prev = cut
-    return buffers
-
-
-class TestCommandBufferProperties:
-    @given(pairs=writes, data=st.data())
-    def test_consolidation_ignores_batching(self, pairs, data):
-        """However a write stream is split across workers, consolidating
-        in worker order yields the same per-target lists."""
-        cuts = data.draw(st.lists(st.integers(0, len(pairs)), max_size=5))
-        buffers = split_into_buffers(pairs, cuts)
-
-        reference = CommandBuffer()
-        for t, item in pairs:
-            reference.append(t, item)
-        expected = {}
-        consolidate([reference], expected)
-
-        sink = {}
-        assert consolidate(buffers, sink) == len(pairs)
-        assert sink == expected

@@ -44,13 +44,12 @@ class TestSystemOrder:
     @pytest.mark.parametrize("env_backend", ["python", "numpy"])
     def test_naive_order_diverges_but_completes(self, fattree4_scenario,
                                                 monkeypatch, env_backend):
-        """The §3.3 ablation lives in a bench-only subclass that pins
-        the reference backend, whatever $REPRO_BACKEND says."""
+        """The §3.3 ablation lives in a bench-only subclass that runs
+        the engine's own systems in the rejected order; a stale
+        $REPRO_BACKEND export of either old value changes nothing."""
         monkeypatch.setenv("REPRO_BACKEND", env_backend)
         truth = run_baseline(fattree4_scenario, TraceLevel.FULL)
-        engine = NaiveOrderEngine(fattree4_scenario, TraceLevel.FULL)
-        assert engine.backend == "python"
-        res = engine.run()
+        res = NaiveOrderEngine(fattree4_scenario, TraceLevel.FULL).run()
         assert res.trace.digest() != truth.trace.digest()
         assert res.completed() == len(fattree4_scenario.flows)
 
@@ -61,7 +60,7 @@ class TestOneWindowPerAdvance:
         """K-window batching is gone: a stale $REPRO_BATCH_WINDOWS
         export changes nothing — every advance() runs one window."""
         monkeypatch.setenv("REPRO_BATCH_WINDOWS", "8")
-        engine = DodEngine(dumbbell_scenario, backend="numpy")
+        engine = DodEngine(dumbbell_scenario)
         engine.build()
         steps = 0
         while True:

@@ -13,7 +13,7 @@ groups them here (:func:`group`), the way the scalar calendar was keyed.
 
 The byte stream behind ``signature_bytes`` must equal what
 ``ndarray.tobytes()`` produces for the same columns as int64 (the
-property that makes ``window_signature()`` backend-stable).
+property that makes ``window_signature()`` platform-stable).
 """
 
 import heapq
@@ -197,7 +197,7 @@ class TestNumpyViews:
     @settings(max_examples=40, deadline=None)
     def test_signature_matches_ndarray_bytes(self, ops):
         """The struct-packed column streams equal ndarray.tobytes() —
-        the exact property that makes the signature backend-stable."""
+        the exact property that makes the signature platform-stable."""
         np = pytest.importorskip("numpy")
         _ref, cand = build_pair(ops)
         for win in cand.windows():

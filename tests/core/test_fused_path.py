@@ -1,12 +1,12 @@
-"""The fused NumPy pass on the WAN-twin small sibling: what the route
-cache may hold, what survives a checkpoint or a migration, that no
-counter is left to say which UDP schedule fired, and a DRR run served by
-the column replay (5,000 one-segment UDP flows in two classes on Abilene, run to
+"""The window pass on the WAN-twin small sibling: what the route cache
+may hold, what survives a checkpoint or a migration, that no counter is
+left to say which UDP schedule fired, and a DRR run served by the column
+replay (5,000 one-segment UDP flows in two classes on Abilene, run to
 completion at ``TraceLevel.NONE`` — the shape of the benchmark's
-``wan_twin_35k``).  Then what the fused pass shares with the reference
-kernels: a port plan of due ports only, one ACK sweep and (trace-off
-fused) one port replay a window, the two-phase transmit kernel, the
-context shape and the one dispatch."""
+``wan_twin_35k``).  Then what the two transmit paths (the trace-off
+delivery sink and the traced two-phase kernel) share: a port plan of
+due ports only, one ACK sweep and (trace off) one port replay a window,
+the one sort hook, the context shape and the one dispatch."""
 
 import pickle
 import sys
@@ -15,8 +15,6 @@ from dataclasses import fields, replace
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.bench.workloads import wan_twin_smoke
 from repro.cluster.agent import AgentEngine
 from repro.cluster import ClusterEngine, merge_results
@@ -24,10 +22,8 @@ from repro.conformance.oracles import result_parts
 from repro.core.checkpoint import CheckpointingEngine, take_checkpoint
 from repro.core import engine as engine_mod
 from repro.core.engine import DodEngine
-from repro.core.systems import run_window_reference
 from repro.core.systems import ack as ack_mod
 from repro.core.systems import transmit as transmit_mod
-from repro.core.systems import vectorized as vectorized_mod
 from repro.core.systems.transmit import replay_window
 from repro.core.window import WindowContext
 from repro.des import OodSimulator
@@ -48,7 +44,7 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def reference(scenario):
-    engine = DodEngine(scenario, backend="numpy")
+    engine = DodEngine(scenario)
     return engine, engine.run()
 
 
@@ -73,7 +69,7 @@ def assert_routes_bounded(engine, bounds):
 def test_route_cache_stays_bounded(scenario, reference):
     bounds = route_bounds(scenario)
     assert 0 < bounds[1] < len(scenario.flows)  # Abilene has real ECMP
-    engine = DodEngine(scenario, backend="numpy")
+    engine = DodEngine(scenario)
     engine.build()
     windows = 0
     while engine.advance():
@@ -89,7 +85,7 @@ def test_route_cache_stays_bounded(scenario, reference):
 
 def test_route_cache_is_rebuilt_not_checkpointed(scenario, reference):
     bounds = route_bounds(scenario)
-    engine = DodEngine(scenario, backend="numpy")
+    engine = DodEngine(scenario)
     engine.build()
     for _ in range(400):
         assert engine.advance()
@@ -98,7 +94,7 @@ def test_route_cache_is_rebuilt_not_checkpointed(scenario, reference):
     state = pickle.loads(checkpoint.payload)
     assert not any("route" in key or "flow_lists" in key for key in state)
 
-    fresh = CheckpointingEngine(scenario, backend="numpy")
+    fresh = CheckpointingEngine(scenario)
     fresh.build()
     assert fresh._routes == {} and fresh._flow_lists is None
     results = fresh.resume_from(checkpoint)
@@ -112,8 +108,7 @@ def test_route_cache_stays_bounded_across_migration(scenario, reference):
     bounds = route_bounds(scenario)
     topo = scenario.topology
     first = contiguous_partition(topo, 2)
-    agents = [AgentEngine(a, scenario, first, backend="numpy")
-              for a in range(2)]
+    agents = [AgentEngine(a, scenario, first) for a in range(2)]
     controller = ClusterEngine.from_agents(
         agents, schedule=[(300, random_partition(topo, 2, seed=5))])
     merged = merge_results(controller.run(), scenario.name)
@@ -126,13 +121,11 @@ def test_route_cache_stays_bounded_across_migration(scenario, reference):
 
 def test_counters_say_which_paths_fired(scenario, reference):
     """There is one UDP schedule, so no counter says which one ran and
-    `stats` has no section for it — under either kernel set."""
-    python = DodEngine(scenario, backend="python")
-    python.run()
-    for engine in (reference[0], python):
-        assert not [name for name in engine.bus.counters
-                    if name.startswith("send.") and "schedules" in name]
-        assert "fused" not in stats_dict(engine.bus)
+    `stats` has no section for it."""
+    engine = reference[0]
+    assert not [name for name in engine.bus.counters
+                if name.startswith("send.") and "schedules" in name]
+    assert "fused" not in stats_dict(engine.bus)
 
 
 def test_drr_ports_replay_over_the_columns(scenario):
@@ -147,7 +140,7 @@ def test_drr_ports_replay_over_the_columns(scenario):
         if event == "call" and "/repro/schedulers/" in frame.f_code.co_filename:
             scheduler_calls.append(frame.f_code.co_name)
 
-    engine = DodEngine(drr, backend="numpy")
+    engine = DodEngine(drr)
     sys.setprofile(profiler)
     try:
         results = engine.run()
@@ -163,15 +156,15 @@ def test_drr_ports_replay_over_the_columns(scenario):
             == result_parts(ood_results, [p.stats for p in ood.ports]))
 
 
-# --- one window pipeline: the kernels differ, nothing around them does ------
+# --- one window pass: two transmit paths, nothing else differs -------------
 
-def slow_nic_engine(backend, trace_level):
+def slow_nic_engine(trace_level):
     """One DCTCP flow behind a 1 Gb/s NIC on 1 us windows: the initial
     window of ten segments queues at the NIC, and each takes ~11.5
     windows to serialize."""
     topo = dumbbell(2, edge_rate_bps=1 * GBPS)
     engine = DodEngine(make_scenario(topo, [Flow(0, 0, 2, 30_000, 0)]),
-                       trace_level, backend=backend)
+                       trace_level)
     engine.build()
     return engine, topo.host_iface(0).iface_id
 
@@ -180,8 +173,10 @@ def slow_nic_engine(backend, trace_level):
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_busy_unfed_port_costs_no_replay(backend, trace_level, monkeypatch):
     """A port that is busy, was fed nothing and whose head outlasts the
-    window is a provable no-op: neither kernel set replays it."""
-    engine, nic = slow_nic_engine(backend, trace_level)
+    window is a provable no-op: neither transmit path replays it, whatever
+    a stale $REPRO_BACKEND export says."""
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    engine, nic = slow_nic_engine(trace_level)
     assert engine.advance()  # window 0: ten segments staged, one in service
     cols = engine.world.egress_cols
     assert cols.qlen[nic] == 9 and cols.free_at[nic] > 10 * engine.lookahead
@@ -193,7 +188,6 @@ def test_busy_unfed_port_costs_no_replay(backend, trace_level, monkeypatch):
         return replay_window(cols, static, ports, *args, **kwargs)
 
     monkeypatch.setattr(transmit_mod, "replay_window", counting)
-    monkeypatch.setattr(vectorized_mod, "replay_window", counting)
     for _ in range(5):
         assert engine.advance()
     assert engine._cursor == 5 and replays == []
@@ -223,8 +217,10 @@ def test_a_planned_port_is_a_port_with_work(backend, trace_level,
     was fed or starts a service inside the window (its dequeue counter
     moves), through the duration-cut last window; the two-phase paths
     make one ``transmit_kernel`` call per port.  With busy unfed lines
-    planned too the same run planned 87,603 ports."""
-    engine = DodEngine(fattree4_long_lived(), trace_level, backend=backend)
+    planned too the same run planned 87,603 ports.  A stale
+    $REPRO_BACKEND export of either old value changes none of it."""
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    engine = DodEngine(fattree4_long_lived(), trace_level)
     engine.build()
     dequeued = engine.world.egress_cols.dequeued
     calls = Counter()
@@ -246,10 +242,9 @@ def test_a_planned_port_is_a_port_with_work(backend, trace_level,
 
     replay = counting("replay", replay_window, ports=2)
     kernel = counting("kernel", transmit_mod.transmit_kernel)
-    for mod in (transmit_mod, vectorized_mod):
-        monkeypatch.setattr(mod, "plan_transmit", planning)
-        monkeypatch.setattr(mod, "replay_window", replay)
-        monkeypatch.setattr(mod, "transmit_kernel", kernel)
+    monkeypatch.setattr(transmit_mod, "plan_transmit", planning)
+    monkeypatch.setattr(transmit_mod, "replay_window", replay)
+    monkeypatch.setattr(transmit_mod, "transmit_kernel", kernel)
     while engine.advance():
         _ctx, _n, unfed, before = plans[-1]
         assert all(dequeued[p] > b for p, b in zip(unfed, before))
@@ -263,18 +258,18 @@ def test_a_planned_port_is_a_port_with_work(backend, trace_level,
     planned = sum(n for _ctx, n, _unfed, _before in plans)
     assert planned == 35_545
     assert calls["replay"] == planned
-    # The fused trace-off sweep hands the replay whole port lists.
-    assert calls["kernel"] == (planned if backend == "python" or trace_level
-                               else 0)
+    # The trace-off sink hands the replay whole port lists.
+    assert calls["kernel"] == (planned if trace_level else 0)
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_a_system_is_one_call_per_window(backend, monkeypatch):
-    """Both kernel sets sweep a window's receiving hosts in one
-    ``ack_window`` call; the fused trace-off pass replays a window's
-    whole port list in one ``replay_window`` call, where the python
-    kernels make one per port."""
-    engine = DodEngine(fattree4_long_lived(), backend=backend)
+    """A window's receiving hosts are swept in one ``ack_window``
+    call, and (trace off) its whole port list is replayed in one
+    ``replay_window`` call, whatever a stale $REPRO_BACKEND export
+    says."""
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    engine = DodEngine(fattree4_long_lived())
     engine.build()
     calls, windows = Counter(), Counter()
 
@@ -301,56 +296,50 @@ def test_a_system_is_one_call_per_window(backend, monkeypatch):
     monkeypatch.setattr(engine_mod, "plan_window", planning_window)
     ack = counting("ack", ack_mod.ack_window)
     replay = counting("replay", replay_window)
-    for mod in (ack_mod, vectorized_mod):
-        monkeypatch.setattr(mod, "ack_window", ack)
-    for mod in (transmit_mod, vectorized_mod):
-        monkeypatch.setattr(mod, "replay_window", replay)
-        monkeypatch.setattr(mod, "plan_transmit", planning_ports)
+    monkeypatch.setattr(ack_mod, "ack_window", ack)
+    monkeypatch.setattr(transmit_mod, "replay_window", replay)
+    monkeypatch.setattr(transmit_mod, "plan_transmit", planning_ports)
     engine.run()
     assert 0 < windows["acks"] == calls["ack"]
     assert 0 < windows["ports"] < windows["planned"]
-    assert calls["replay"] == (windows["ports"] if backend == "numpy"
-                               else windows["planned"])
+    assert calls["replay"] == windows["ports"]
 
 
-def two_phase_calls(backend):
-    """``(code objects, sort arguments)`` of every two-phase transmit
-    kernel call of one traced run."""
+def transmit_calls(trace_level):
+    """``{function name: sort arguments}`` of every replay and
+    two-phase kernel call of one run."""
     engine = DodEngine(make_scenario(dumbbell(2), [
-        Flow(0, 0, 2, 30_000, 0), Flow(1, 1, 3, 30_000, 0)]),
-        TraceLevel.FULL, backend=backend)
-    codes, sorts = set(), set()
+        Flow(0, 0, 2, 30_000, 0), Flow(1, 1, 3, 30_000, 0)]), trace_level)
+    codes = {transmit_mod.replay_window.__code__,
+             transmit_mod.transmit_kernel.__code__}
+    sorts = {}
 
     def profiler(frame, event, _arg):
-        if event == "call" and frame.f_code.co_name.startswith("transmit_") \
-                and "kernel" in frame.f_code.co_name:
-            codes.add(frame.f_code)
-            sorts.add(frame.f_locals["sort"])
+        if event == "call" and frame.f_code in codes:
+            sorts.setdefault(frame.f_code.co_name, set()).add(
+                frame.f_locals["sort"])
 
     sys.setprofile(profiler)
     try:
         engine.run()
     finally:
         sys.setprofile(None)
-    return codes, sorts
+    return sorts
 
 
-def test_both_kernel_sets_share_the_two_phase_transmit_kernel():
-    """A python run and a numpy trace-on run replay ports through the
-    same function; each hands it its own tie-break sort."""
-    kernel = {transmit_mod.transmit_kernel.__code__}
-    assert two_phase_calls("python") == (kernel,
-                                         {transmit_mod.contract_sort})
-    assert two_phase_calls("numpy") == (kernel,
-                                        {vectorized_mod.sort_contract})
+def test_both_transmit_paths_sort_with_the_one_hook():
+    """A trace-off run replays through the sink alone, a traced run
+    through the two-phase kernel; both hand the replay the module's
+    ``transmit_sort`` hook."""
+    hook = {transmit_mod.transmit_sort}
+    assert transmit_calls(TraceLevel.NONE) == {"replay_window": hook}
+    assert transmit_calls(TraceLevel.FULL) == {"replay_window": hook,
+                                               "transmit_kernel": hook}
 
 
 def test_one_context_shape_one_dispatch():
     assert [f.name for f in fields(WindowContext)] == [
         "index", "start", "end", "columns", "staged", "counts"]
-    python = slow_nic_engine("python", TraceLevel.NONE)[0]
-    numpy = slow_nic_engine("numpy", TraceLevel.NONE)[0]
-    for engine in (python, numpy):
-        assert not hasattr(engine, "_fused_run")
-    assert python._run_window is run_window_reference
-    assert numpy._run_window is vectorized_mod.run_window_fused
+    engine = slow_nic_engine(TraceLevel.NONE)[0]
+    assert not hasattr(engine, "_fused_run")
+    assert not hasattr(engine, "_run_window")

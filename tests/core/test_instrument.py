@@ -12,14 +12,12 @@ from repro.metrics import TraceLevel, TraceRecorder
 
 
 def _child_payload(systems=("ack", "send"), windows=(0, 1)):
-    totals = {name: SystemProfile(items=10, tasks=2, elapsed_s=0.5)
-              for name in systems}
+    totals = {name: SystemProfile(elapsed_s=0.5) for name in systems}
     wins = []
     for index in windows:
         win = WindowProfile(index=index, start_ps=index * 1000)
         for name in systems:
-            prof = win.system(name)
-            prof.items, prof.tasks, prof.elapsed_s = 5, 1, 0.25
+            win.system(name).elapsed_s = 0.25
         wins.append(win)
     return {"ack.count": 3}, totals, wins
 
@@ -61,7 +59,7 @@ class TestMergeChild:
         counters, totals, wins = _child_payload()
         bus.merge_child("a0", counters, totals, wins)
         assert bus.counters["ack.count"] == 3
-        assert bus.totals["a0:ack"].items == 10
+        assert bus.totals["a0:ack"].elapsed_s == 0.5
         assert [w.index for w in bus.windows] == [0, 1]
         assert "a0:send" in bus.windows[0].systems
 
@@ -81,8 +79,8 @@ class TestMergeChild:
             counters, totals, wins = _child_payload(windows=(0,))
             bus.merge_child("a0", counters, totals, wins)
         assert len(bus.windows) == 1
-        assert bus.windows[0].system("a0:ack").items == 10
-        assert bus.totals["a0:ack"].items == 20
+        assert bus.windows[0].system("a0:ack").elapsed_s == 0.5
+        assert bus.totals["a0:ack"].elapsed_s == 1.0
         assert bus.counters["ack.count"] == 6
 
     def test_two_children_interleave_into_sorted_windows(self):
@@ -123,7 +121,7 @@ class TestMergeChild:
         rows = bus.profile_rows()
         assert rows == [{
             "window": 0, "start_ps": 0, "system": "a0:ack",
-            "items": 5, "tasks": 1, "elapsed_s": 0.25,
+            "elapsed_s": 0.25,
         }]
 
 

@@ -3,9 +3,10 @@ with the cache on/off, counter accounting, and checkpoint invalidation.
 
 The fidelity bar is the same as everywhere else in the repository: the
 fast-forward path must be byte-invisible.  ``window_signature()`` (the
-backend-stable state hash the cache design keys on) must agree across
-ECS backends at every cursor, and ``trace_digest()`` must be identical
-with the memo cache on and off.
+state hash the cache design keys on) must agree between the two transmit
+paths — the trace-off delivery sink and the traced two-phase kernel — at
+every cursor, and ``trace_digest()`` must be identical with the memo
+cache on and off.
 """
 
 from hashlib import blake2b
@@ -70,9 +71,10 @@ def memo_scenarios(draw):
     return make_scenario(topo, flows)
 
 
-def _signatures_by_cursor(scenario, backend, ffwd=False):
+def _signatures_by_cursor(scenario, ffwd=False,
+                          trace_level=TraceLevel.NONE):
     """Map of window cursor -> state signature over one full run."""
-    engine = DodEngine(scenario, TraceLevel.NONE, backend=backend, ffwd=ffwd)
+    engine = DodEngine(scenario, trace_level, ffwd=ffwd)
     engine.build()
     sigs = {engine._cursor: engine.window_signature()}
     while engine.advance():
@@ -100,11 +102,14 @@ CORPUS_SIGNATURES = {
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 @pytest.mark.parametrize("name", sorted(CORPUS_SIGNATURES))
-def test_corpus_signature_sequences_are_pinned(name, backend):
+def test_corpus_signature_sequences_are_pinned(name, backend, monkeypatch):
+    """Pinned once; a stale $REPRO_BACKEND export of either old value
+    changes no signature."""
+    monkeypatch.setenv("REPRO_BACKEND", backend)
     corpus = Path(__file__).parents[1] / "conformance" / "corpus"
     scenario = load_spec_file(corpus / f"{name}.json").build()
     digest = blake2b(digest_size=8)
-    for signature in _signatures_by_cursor(scenario, backend).values():
+    for signature in _signatures_by_cursor(scenario).values():
         digest.update(signature.encode())
     assert digest.hexdigest() == CORPUS_SIGNATURES[name]
 
@@ -113,16 +118,20 @@ class TestSignatureLockstep:
     @given(memo_scenarios())
     @settings(max_examples=10, deadline=None)
     def test_signature_identical_across_backends(self, scenario):
-        """The backend-stability contract the memo cache rests on:
-        python and numpy agree at every cursor of the run."""
-        assert (_signatures_by_cursor(scenario, "numpy")
-                == _signatures_by_cursor(scenario, "python"))
+        """The contract the memo cache rests on: the two transmit back
+        ends — the one-call delivery sink (trace off) and the two-phase
+        kernel (trace on) — leave the same pending state at every cursor
+        of the run."""
+        assert (_signatures_by_cursor(scenario)
+                == _signatures_by_cursor(scenario,
+                                         trace_level=TraceLevel.FULL))
 
     def test_signature_identical_on_fattree_mix(self, fattree4_scenario):
         """Nothing here is memo-eligible (DCTCP mix); the signature
         contract must hold regardless."""
-        assert (_signatures_by_cursor(fattree4_scenario, "numpy")
-                == _signatures_by_cursor(fattree4_scenario, "python"))
+        assert (_signatures_by_cursor(fattree4_scenario)
+                == _signatures_by_cursor(fattree4_scenario,
+                                         trace_level=TraceLevel.FULL))
 
     def test_signature_sensitive_to_pending_state(self):
         engine = DodEngine(steady_scenario(), TraceLevel.NONE)
@@ -138,8 +147,8 @@ class TestSignatureLockstep:
         leave the engine in the same state executing would: checked at
         every cursor the fast-forwarded run stops at."""
         scenario = steady_scenario()
-        plain = _signatures_by_cursor(scenario, "numpy", ffwd=False)
-        ffwd = _signatures_by_cursor(scenario, "numpy", ffwd=True)
+        plain = _signatures_by_cursor(scenario, ffwd=False)
+        ffwd = _signatures_by_cursor(scenario, ffwd=True)
         assert ffwd == {cursor: plain[cursor] for cursor in ffwd}
         assert list(ffwd)[-1] == list(plain)[-1]
         assert len(ffwd) < len(plain), "no cycle jump on the home regime"
@@ -181,15 +190,15 @@ def _finish(engine):
 class TestCycleJumpLockstep:
     """A jumping engine against a twin executed window by window."""
 
-    @given(cycle_scenarios(), st.sampled_from(["python", "numpy"]),
+    @given(cycle_scenarios(),
            st.one_of(st.none(), st.integers(20, 300)),
            st.one_of(st.none(), st.integers(10, 200)))
     @settings(max_examples=40, deadline=None)
-    def test_jumper_matches_stepped_twin(self, scenario, backend,
-                                         max_windows, restore_after):
+    def test_jumper_matches_stepped_twin(self, scenario, max_windows,
+                                         restore_after):
         def make(ffwd):
-            engine = DodEngine(scenario, TraceLevel.FULL, backend=backend,
-                               ffwd=ffwd, max_windows=max_windows)
+            engine = DodEngine(scenario, TraceLevel.FULL, ffwd=ffwd,
+                               max_windows=max_windows)
             engine.build()
             return engine
         jumper, stepped = make(True), make(False)
@@ -222,9 +231,12 @@ class TestCycleJumpLockstep:
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("edge,delay,period", [
         (24, 1, 1), (8, 1, 3), (10, 1, 6), (10, 2, 3)])
-    def test_periods_beyond_one_jump(self, backend, edge, delay, period):
+    def test_periods_beyond_one_jump(self, edge, delay, period, backend,
+                                     monkeypatch):
         """Pacing that does not divide the window repeats every
-        ``period`` windows; whole cycles are skipped all the same."""
+        ``period`` windows; whole cycles are skipped all the same, and a
+        stale $REPRO_BACKEND export changes nothing."""
+        monkeypatch.setenv("REPRO_BACKEND", backend)
         topo = dumbbell(2, edge_rate_bps=edge * GBPS,
                         bottleneck_rate_bps=400 * GBPS, delay_ps=us(delay))
         flows = [Flow(i, i, 2 + i, 600 * 1_440, 0, Transport.UDP)
@@ -232,8 +244,7 @@ class TestCycleJumpLockstep:
         scenario = make_scenario(topo, flows, name=f"period-{period}")
         runs = {}
         for ffwd in (False, True):
-            engine = DodEngine(scenario, TraceLevel.FULL, backend=backend,
-                               ffwd=ffwd)
+            engine = DodEngine(scenario, TraceLevel.FULL, ffwd=ffwd)
             engine.build()
             while engine.advance():
                 pass
@@ -259,8 +270,7 @@ class TestCycleJumpLockstep:
             scenario = make_scenario(
                 topo, flows + list(extra), name="refusals",
                 duration_ps=kwargs.pop("duration_ps", None))
-            engine = DodEngine(scenario, backend="numpy", ffwd=True,
-                               **kwargs)
+            engine = DodEngine(scenario, ffwd=True, **kwargs)
             engine.build()
             memo = engine._memo
             memo.hits = hits  # only moves the validation phase
@@ -296,7 +306,7 @@ def test_small_steady_sibling_spends_its_windows_in_jumps():
     inside a cycle jump, every validation passes, and the cadence of
     validations is the per-window memo's."""
     from repro.bench.scenarios import steady_state_scenario
-    engine = DodEngine(steady_state_scenario(), backend="numpy", ffwd=True)
+    engine = DodEngine(steady_state_scenario(), ffwd=True)
     engine.run()
     c = engine.bus.counters
     assert c["memo.jump_windows"] >= 0.8 * c["windows"]
@@ -309,28 +319,27 @@ def test_full_size_steady_counters_are_pinned():
     """``steady_udp_ffwd`` at benchmark size: how the probe computes a
     flow's emissions may change, the keys it builds from them may not —
     so hits, misses, validations and skipped windows stay what they
-    were, under either kernel set."""
+    were."""
     from repro.bench.scenarios import steady_state_scenario
     scenario = steady_state_scenario(flow_bytes=24_000_000)
-    for backend in ("numpy", "python"):
-        engine = DodEngine(scenario, backend=backend, ffwd=True)
-        engine.run()
-        c = engine.bus.counters
-        assert (c["windows"], c["memo.hit"], c["memo.miss"],
-                c["memo.validate"], c["memo.jump_windows"]) == (
-            8_338, 8_328, 10, 260, 8_066)
-        assert "memo.validate_fail" not in c
+    engine = DodEngine(scenario, ffwd=True)
+    engine.run()
+    c = engine.bus.counters
+    assert (c["windows"], c["memo.hit"], c["memo.miss"],
+            c["memo.validate"], c["memo.jump_windows"]) == (
+        8_338, 8_328, 10, 260, 8_066)
+    assert "memo.validate_fail" not in c
 
 
 class TestDigestIdentity:
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_memo_on_off_trace_digest_identical(self, backend):
+    def test_memo_on_off_trace_digest_identical(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
         scenario = steady_scenario()
         digests = {}
         counters = {}
         for ffwd in (False, True):
-            engine = DodEngine(scenario, TraceLevel.FULL, backend=backend,
-                               ffwd=ffwd)
+            engine = DodEngine(scenario, TraceLevel.FULL, ffwd=ffwd)
             engine.run()
             digests[ffwd] = engine.bus.trace_digest()
             counters[ffwd] = dict(engine.bus.counters)
@@ -340,8 +349,8 @@ class TestDigestIdentity:
 
     def test_memo_counters_account_for_every_window(self):
         scenario = steady_scenario()
-        engine = DodEngine(scenario, TraceLevel.NONE, backend="numpy",
-                           ffwd=True, telemetry=True)
+        engine = DodEngine(scenario, TraceLevel.NONE, ffwd=True,
+                           telemetry=True)
         results = engine.run()
         c = engine.bus.counters
         handled = (c.get("memo.hit", 0) + c.get("memo.miss", 0)
@@ -373,8 +382,7 @@ class TestDigestIdentity:
 class TestCheckpointInteraction:
     def test_restore_invalidates_memo_cache(self):
         scenario = steady_scenario()
-        engine = DodEngine(scenario, TraceLevel.FULL, backend="numpy",
-                           ffwd=True)
+        engine = DodEngine(scenario, TraceLevel.FULL, ffwd=True)
         engine.build()
         for _ in range(30):
             engine.advance()
@@ -385,12 +393,10 @@ class TestCheckpointInteraction:
 
     def test_resume_with_ffwd_matches_uninterrupted_digest(self, tmp_path):
         scenario = steady_scenario()
-        reference = DodEngine(scenario, TraceLevel.FULL, backend="numpy",
-                              ffwd=True)
+        reference = DodEngine(scenario, TraceLevel.FULL, ffwd=True)
         reference.run()
 
-        engine = DodEngine(scenario, TraceLevel.FULL, backend="numpy",
-                           ffwd=True)
+        engine = DodEngine(scenario, TraceLevel.FULL, ffwd=True)
         engine.build()
         current = -1
         for _ in range(5):
@@ -401,8 +407,7 @@ class TestCheckpointInteraction:
             engine.process_window(current)
         ckpt = take_checkpoint(engine, current)
 
-        fresh = CheckpointingEngine(scenario, TraceLevel.FULL,
-                                    backend="numpy", ffwd=True)
+        fresh = CheckpointingEngine(scenario, TraceLevel.FULL, ffwd=True)
         results = fresh.resume_from(ckpt)
         assert results.trace is not None
         assert fresh.bus.trace_digest() == reference.bus.trace_digest()
@@ -414,8 +419,7 @@ class TestCheckpointInteraction:
         # after a jump resumes to the uninterrupted digest.
         windows = reference.bus.counters["windows"]
         store = CheckpointStore([str(tmp_path)])
-        engine = CheckpointingEngine(scenario, TraceLevel.FULL,
-                                     backend="numpy", ffwd=True,
+        engine = CheckpointingEngine(scenario, TraceLevel.FULL, ffwd=True,
                                      store=store, every_windows=50)
         engine.build()
         after_jump = None
@@ -434,8 +438,7 @@ class TestCheckpointInteraction:
         assert engine.bus.trace_digest() == reference.bus.trace_digest()
 
         assert after_jump is not None, "no snapshot fell right after a jump"
-        fresh = CheckpointingEngine(scenario, TraceLevel.FULL,
-                                    backend="numpy", ffwd=True)
+        fresh = CheckpointingEngine(scenario, TraceLevel.FULL, ffwd=True)
         fresh.resume_from(after_jump)
         assert fresh.bus.trace_digest() == reference.bus.trace_digest()
         assert fresh.bus.counters.get("memo.jump", 0) > 0

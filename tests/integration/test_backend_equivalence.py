@@ -1,124 +1,105 @@
-"""Backend equivalence: the NumPy columnar engine is byte-identical.
+"""Backend equivalence: the two transmit back ends are byte-identical.
 
-The vectorized backend replaces the ECS storage and the four system
-kernels wholesale, so its conformance gate is the strongest one the
-repo has: identical canonical traces — same digests — and the
-identical machine-model op stream as the Python reference kernels,
-alone and when hosting cluster agents.  Everything here runs the *same
-scenario* through both backends and diffs the byte-level observables.
+There is one kernel set, but the TransmitSystem has two back ends.
+With no trace stream, no op probe and local deliveries it replays a
+window's whole port list in one call that commits in place (the
+delivery sink); traced, op-probed and cluster-agent windows run the
+two-phase kernel + commit.  Everything here runs the *same scenario*
+through both back ends and diffs what both can observe: the result
+parts (event counts, drops, marks, every flow, every port's stats).  A
+probed run's op stream must not depend on the trace level.
 """
+
+from hashlib import blake2b
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
+from repro.conformance.oracles import result_parts
 from repro.core.engine import DodEngine
 from repro.core.instrument import OP_FORWARD
+from repro.des import run_baseline
 from repro.metrics import TraceLevel
 from repro.scenario import make_scenario
-from repro.topology import dumbbell, fattree
+from repro.topology import dumbbell
 from repro.traffic import Flow, Transport, fixed_flows
 from repro.units import GBPS
 
 
-def run_backend(scenario, backend):
-    engine = DodEngine(scenario, TraceLevel.FULL, backend=backend)
+def run_parts(scenario, trace_level):
+    engine = DodEngine(scenario, trace_level)
     results = engine.run()
-    return results, engine
+    stats = [engine.port_stats(i) for i in range(len(engine.world.egress))]
+    return results, result_parts(results, stats)
 
 
-def assert_backends_identical(scenario):
-    a, _ = run_backend(scenario, "python")
-    b, eng = run_backend(scenario, "numpy")
-    assert eng.backend == "numpy"
-    assert a.trace.digest() == b.trace.digest()
-    assert a.trace.sorted_entries() == b.trace.sorted_entries()
-    assert a.fcts_ps() == b.fcts_ps()
-    assert a.drops == b.drops and a.marks == b.marks
-    assert a.events.total == b.events.total
-    return a, b
+def assert_paths_identical(scenario):
+    """The sink (trace off) and the two-phase path (trace on) agree on
+    every result part; the traced run agrees with the OOD baseline."""
+    sink, sink_parts = run_parts(scenario, TraceLevel.NONE)
+    traced, traced_parts = run_parts(scenario, TraceLevel.FULL)
+    assert sink_parts == traced_parts
+    assert traced.trace.digest() == run_baseline(
+        scenario, TraceLevel.FULL).trace.digest()
+    return sink
 
 
 def test_dumbbell_dctcp_serial(dumbbell_scenario):
-    a, _ = assert_backends_identical(dumbbell_scenario)
-    assert a.completed() == 4
+    assert assert_paths_identical(dumbbell_scenario).completed() == 4
+
+
+#: blake2b-8 over the ``repr`` of every ``(code, location, uid)`` op of
+#: a probed ``fattree4_scenario`` run: the same at both trace levels,
+#: and what each of the two former kernel sets published.
+FATTREE4_OP_STREAM = (4_207, "e4cf1923c74190e4")
 
 
 @pytest.mark.parametrize("trace_level", [TraceLevel.NONE, TraceLevel.FULL],
                          ids=["untraced", "traced"])
 def test_fattree_op_stream_identical(fattree4_scenario, trace_level):
-    """The machine-model probes read the op stream, so the fused pass
-    must publish what the four reference systems publish: the same
-    ``(code, location, uid)`` sequence, op for op — ``OP_FORWARD`` per
-    switch in arrival order included — next to the same trace.  Probes
-    run untraced (``run_dons_probed``), where the fused pass takes its
-    serial transmit sweep; traced it takes the two-phase commit."""
-    runs = {}
-    for backend in ("python", "numpy"):
-        engine = DodEngine(fattree4_scenario, trace_level, backend=backend)
-        ops = []
-        engine.bus.subscribe_ops(
-            lambda code, location, uid, ops=ops:
-            ops.append((code, location, uid)))
-        engine.run()
-        runs[backend] = ops, engine.bus.trace_digest()
-    ops, _digest = runs["python"]
+    """The machine-model probes read the op stream, so a probed run
+    publishes the same ``(code, location, uid)`` sequence, op for op —
+    ``OP_FORWARD`` per switch in arrival order included — whether or
+    not a trace is recorded next to it: untraced the sink runs, traced
+    the two-phase commit, and both publish the pinned stream."""
+    engine = DodEngine(fattree4_scenario, trace_level)
+    ops = []
+    engine.bus.subscribe_ops(
+        lambda code, location, uid: ops.append((code, location, uid)))
+    engine.run()
     assert sum(op[0] == OP_FORWARD for op in ops) > 1000
-    assert runs["numpy"] == runs["python"]
+    digest = blake2b(digest_size=8)
+    for op in ops:
+        digest.update(repr(op).encode())
+    assert (len(ops), digest.hexdigest()) == FATTREE4_OP_STREAM
 
 
 def test_loss_regime_with_retransmissions():
     topo = dumbbell(8, edge_rate_bps=10 * GBPS, bottleneck_rate_bps=1 * GBPS)
     flows = [Flow(i, i, 8 + i, 120_000, 0) for i in range(8)]
     sc = make_scenario(topo, flows, buffer_bytes=15_000)
-    a, _ = assert_backends_identical(sc)
-    assert a.drops > 0, "loss regime not exercised"
+    assert assert_paths_identical(sc).drops > 0, "loss regime not exercised"
 
 
 def test_udp_closed_form_schedule():
-    """The vectorized UDP enqueue-time kernel vs the scalar recurrence."""
+    """UDP enqueue times are closed-form in the emitted segments."""
     topo = dumbbell(4)
     flows = fixed_flows(topo.hosts, n_flows=4, size_bytes=80_000,
                         transport=Transport.UDP, seed=3)
-    assert_backends_identical(make_scenario(topo, flows))
+    assert_paths_identical(make_scenario(topo, flows))
 
 
-def test_cluster_agents_on_numpy_backend(fattree4_scenario):
-    """2 local-transport agents hosting NumPy-backed engines equal the
-    single-machine Python engine, byte for byte."""
+def test_cluster_agents_equal_the_serial_sink(fattree4_scenario):
+    """Cluster agents always take the two-phase path (their peers can be
+    remote); 2 local-transport agents equal the serial engine's sink."""
     from repro.cluster import DonsManager
     from repro.des.partition_types import contiguous_partition
     from repro.partition import ClusterSpec
 
-    ref, _ = run_backend(fattree4_scenario, "python")
+    serial, _parts = run_parts(fattree4_scenario, TraceLevel.NONE)
     partition = contiguous_partition(fattree4_scenario.topology, 2)
-    mgr = DonsManager(fattree4_scenario, ClusterSpec.homogeneous(2),
-                      TraceLevel.FULL, transport="local", backend="numpy")
-    run = mgr.run(partition=partition)
-    assert run.results.trace.digest() == ref.trace.digest()
-
-    # The spec round-trips the backend through rebuild (fault recovery
-    # and process transports reconstruct agents from their specs).
-    from repro.cluster.agent import AgentSpec, spec_of
-    spec = AgentSpec(0, fattree4_scenario, partition,
-                     TraceLevel.NONE, backend="numpy")
-    agent = spec.make()
-    assert agent.backend == "numpy"
-    assert spec_of(agent).backend == "numpy"
-
-
-def test_env_var_selects_default_backend(dumbbell_scenario, monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "numpy")
-    eng = DodEngine(dumbbell_scenario)
-    assert eng.backend == "numpy"
-    monkeypatch.setenv("REPRO_BACKEND", "")
-    assert DodEngine(dumbbell_scenario).backend == "python"
-    # An explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_BACKEND", "numpy")
-    assert DodEngine(dumbbell_scenario, backend="python").backend == "python"
-
-
-def test_unknown_backend_raises(dumbbell_scenario):
-    from repro.errors import ConfigError
-    with pytest.raises(ConfigError):
-        DodEngine(dumbbell_scenario, backend="fortran")
+    run = DonsManager(fattree4_scenario, ClusterSpec.homogeneous(2),
+                      transport="local").run(partition=partition)
+    assert run.results.events == serial.events
+    assert (run.results.drops, run.results.marks) == (serial.drops,
+                                                      serial.marks)
+    assert run.results.fcts_ps() == serial.fcts_ps()

@@ -1,8 +1,6 @@
 """The full engine matrix on one scenario: sequential OOD, parallel OOD,
-single-machine DONS on both backends, distributed DONS — five executions,
-one trace."""
-
-import pytest
+single-machine DONS, distributed DONS on in-process and on process
+agents — five executions, one trace."""
 
 from repro.cluster import DonsManager
 from repro.core.engine import run_dons
@@ -27,12 +25,12 @@ def test_five_engines_one_trace():
     psim = ParallelOodSimulator(sc, random_partition(topo, 3, 4),
                                 TraceLevel.FULL)
     traces["ood-parallel"] = psim.run().trace
-    traces["dons-python"] = run_dons(sc, TraceLevel.FULL,
-                                     backend="python").trace
-    traces["dons-numpy"] = run_dons(sc, TraceLevel.FULL,
-                                    backend="numpy").trace
+    traces["dons"] = run_dons(sc, TraceLevel.FULL).trace
     traces["dons-cluster"] = DonsManager(
         sc, ClusterSpec.homogeneous(3), TraceLevel.FULL
+    ).run().results.trace
+    traces["dons-cluster-shm"] = DonsManager(
+        sc, ClusterSpec.homogeneous(2), TraceLevel.FULL, transport="shm"
     ).run().results.trace
 
     reference = sorted(traces["ood"].entries)

@@ -2,8 +2,8 @@
 
 Mirror of test_telemetry_neutrality.py for PR 10's acceptance bar:
 ``trace_digest()`` is byte-identical with the live plane (NDJSON
-sampler + watchdog) attached vs absent, on both
-ECS backends, serial and cluster-process-2 — the sampler only ever
+sampler + watchdog) attached vs absent, serial and cluster-process-2 —
+the sampler only ever
 *reads* engine state between windows.
 """
 
@@ -31,8 +31,7 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def reference_digest(scenario):
-    return run_dons(scenario, TraceLevel.FULL,
-                    backend="python").trace.digest()
+    return run_dons(scenario, TraceLevel.FULL).trace.digest()
 
 
 def _run_with_plane(engine):
@@ -47,27 +46,26 @@ def _run_with_plane(engine):
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_serial_digest_neutral_with_live_plane(scenario, reference_digest,
-                                               backend):
-    if backend == "numpy":
-        pytest.importorskip("numpy")
-    engine = DodEngine(scenario, TraceLevel.FULL, backend=backend)
+                                               backend, monkeypatch):
+    """A stale $REPRO_BACKEND export of either old value changes
+    nothing either."""
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    engine = DodEngine(scenario, TraceLevel.FULL)
     results = _run_with_plane(engine)
     assert results.trace.digest() == reference_digest
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_cluster_digest_neutral_with_live_plane(scenario, reference_digest,
-                                                backend):
-    if backend == "numpy":
-        pytest.importorskip("numpy")
+                                                backend, monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", backend)
     from repro.cluster import DonsManager
     from repro.partition import ClusterSpec
     part = contiguous_partition(scenario.topology, 2)
     digests = {}
     for live in (False, True):
         mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
-                          TraceLevel.FULL, transport="shm",
-                          backend=backend)
+                          TraceLevel.FULL, transport="shm")
         engine = mgr._engine(part)
         if live:
             _run_with_plane(engine)

@@ -1,8 +1,8 @@
 """Telemetry must be observationally invisible to the simulation.
 
 The acceptance bar for the telemetry layer: ``trace_digest()`` is
-identical with recording on and off, on both ECS backends and under
-both cluster transports — spans and metric sampling only ever *read*
+identical with recording on and off, serial and under both cluster
+transports — spans and metric sampling only ever *read*
 clocks and port counters, never perturb event order or RNG state.
 """
 
@@ -30,24 +30,23 @@ def _digest(results):
 
 @pytest.fixture(scope="module")
 def reference_digest(scenario):
-    return _digest(run_dons(scenario, TraceLevel.FULL, backend="python"))
+    return _digest(run_dons(scenario, TraceLevel.FULL))
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 @pytest.mark.parametrize("which", ["scenario", "fattree4_scenario"])
-def test_single_engine_digest_neutral(request, which, backend):
-    if backend == "numpy":
-        pytest.importorskip("numpy")
+def test_single_engine_digest_neutral(request, which, backend, monkeypatch):
+    """Neither telemetry nor a stale $REPRO_BACKEND export of either old
+    value moves the digest."""
     sc = request.getfixturevalue(which)
-    reference = _digest(run_dons(sc, TraceLevel.FULL, backend="python",
-                                 telemetry=False))
-    on = run_dons(sc, TraceLevel.FULL, backend=backend, telemetry=True)
+    reference = _digest(run_dons(sc, TraceLevel.FULL, telemetry=False))
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    on = run_dons(sc, TraceLevel.FULL, telemetry=True)
     assert _digest(on) == reference
-    off = run_dons(sc, TraceLevel.FULL, backend=backend, telemetry=False)
+    off = run_dons(sc, TraceLevel.FULL, telemetry=False)
     assert _digest(off) == reference
     # The memo's own spans and histogram ride the same bus.
-    memo = run_dons(sc, TraceLevel.FULL, backend=backend, telemetry=True,
-                    ffwd=True)
+    memo = run_dons(sc, TraceLevel.FULL, telemetry=True, ffwd=True)
     assert _digest(memo) == reference
 
 

@@ -1,6 +1,6 @@
 """Workload-family acceptance: the DiffServ WAN twin and the storage
-replica-pipeline twin are byte-identical across {python, numpy} x
-{serial, cluster-local-2, ffwd on/off} — and the columnar traffic path
+replica-pipeline twin are byte-identical across serial, fast-forwarded
+and cluster-local-2 execution — and the columnar traffic path
 never materializes more than one batch of Flow facades."""
 
 import gc
@@ -13,23 +13,12 @@ from repro.bench.workloads import (
 from repro.conformance.oracles import run_cluster, run_dod, run_ood
 from repro.traffic import Flow
 
-#: (label, runner) — every cell of the {backend} x {execution} matrix.
+#: (label, runner) — every execution of the matrix.
 MATRIX = [
     ("ood", run_ood),
-    ("python-serial", lambda sc: run_dod(sc, name="python-serial",
-                                         backend="python")),
-    ("numpy-serial", lambda sc: run_dod(sc, name="numpy-serial",
-                                        backend="numpy")),
-    ("python-ffwd", lambda sc: run_dod(sc, name="python-ffwd",
-                                       backend="python", ffwd=True)),
-    ("numpy-ffwd", lambda sc: run_dod(sc, name="numpy-ffwd",
-                                      backend="numpy", ffwd=True)),
-    ("python-cluster2", lambda sc: run_cluster(sc, "local", 2,
-                                               "python-cluster2",
-                                               backend="python")),
-    ("numpy-cluster2", lambda sc: run_cluster(sc, "local", 2,
-                                              "numpy-cluster2",
-                                              backend="numpy")),
+    ("serial", lambda sc: run_dod(sc, name="serial")),
+    ("ffwd", lambda sc: run_dod(sc, name="ffwd", ffwd=True)),
+    ("cluster2", lambda sc: run_cluster(sc, "local", 2, "cluster2")),
 ]
 
 
@@ -68,7 +57,7 @@ def test_smoke_scenario_bounds_flow_materialization():
     sc = wan_twin_smoke(100_000)
     assert len(sc.flows) >= 100_000
     from repro.core.engine import DodEngine
-    engine = DodEngine(sc, backend="numpy")
+    engine = DodEngine(sc)
     del engine
     gc.collect()
     peak = sum(1 for o in gc.get_objects() if isinstance(o, Flow))

@@ -139,7 +139,7 @@ class TestSingleEngineExport:
     def test_timeline_file_roundtrip(self, telemetered_run, tmp_path):
         path = tmp_path / "timeline.json"
         write_timeline(telemetered_run.bus, str(path),
-                       manifest={"seed": 7, "backend": "python"})
+                       manifest={"seed": 7, "transport": "local"})
         events = validate_timeline_file(str(path))
         cats = {e.get("cat") for e in events if e["ph"] == "B"}
         assert {"run", "window", "system"} <= cats
@@ -149,7 +149,7 @@ class TestSingleEngineExport:
             (tmp_path / "timeline.json.manifest.json").read_text())
         assert manifest["format"] == MANIFEST_FORMAT
         assert manifest["seed"] == 7
-        assert manifest["backend"] == "python"
+        assert manifest["transport"] == "local"
 
     def test_stats_dict_has_metric_catalog(self, telemetered_run):
         report = stats_dict(telemetered_run.bus)

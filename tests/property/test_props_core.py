@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ecs import CommandBuffer, FieldSpec, SoATable, consolidate
+from repro.core.ecs import FieldSpec, SoATable
 from repro.protocols.packet import segment_count, segment_payload, MSS
 from repro.rng import ecmp_hash
 from repro.units import GBPS, serialization_time_ps
@@ -35,20 +35,6 @@ def test_ecmp_hash_stable_and_bounded(values):
     h = ecmp_hash(*values)
     assert h == ecmp_hash(*values)
     assert 0 <= h < 2**64
-
-
-@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 10**6)),
-                max_size=200),
-       st.integers(min_value=1, max_value=8))
-def test_command_buffer_consolidation_preserves_everything(entries, workers):
-    buffers = [CommandBuffer() for _ in range(workers)]
-    for i, (target, item) in enumerate(entries):
-        buffers[i % workers].append(target, item)
-    sink = {}
-    n = consolidate(buffers, sink)
-    assert n == len(entries)
-    flat = [(t, i) for t, items in sink.items() for i in items]
-    assert sorted(flat) == sorted(entries)
 
 
 @given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=300))

@@ -1,6 +1,6 @@
-"""The environment surface of ``src/repro`` is the two names README
-lists, each read once by the module that owns its default, and the
-cluster stack reads no environment at all (agents are configured by the
+"""The environment surface of ``src/repro`` is the one name README
+lists, read once by the module that owns its default; the engine and the
+cluster stack read no environment at all (agents are configured by the
 ``AgentSpec`` that crosses the transport).  A new switch therefore needs
 a reviewed diff here and in README."""
 
@@ -16,18 +16,17 @@ def test_repro_env_names_are_the_documented_ones():
     in_code = {name for path in SRC.rglob("*.py")
                for name in NAME.findall(path.read_text())}
     in_readme = set(NAME.findall((ROOT / "README.md").read_text()))
-    assert in_code == in_readme == {"REPRO_BACKEND", "REPRO_BENCH_OUT"}
+    assert in_code == in_readme == {"REPRO_BENCH_OUT"}
 
 
 def test_each_name_has_one_reader():
-    """``REPRO_BACKEND`` in ``resolve_backend``, ``REPRO_BENCH_OUT`` in
-    ``bench.tables``: nothing else under ``src/repro`` looks at the
-    environment."""
+    """``REPRO_BENCH_OUT`` in ``bench.tables``: nothing else under
+    ``src/repro`` looks at the environment."""
     reads = {str(path.relative_to(SRC)):
              len(re.findall(r"os\.environ|getenv", path.read_text()))
              for path in SRC.rglob("*.py")}
     assert {path: n for path, n in reads.items() if n} == {
-        "core/engine.py": 1, "bench/tables.py": 1,
+        "bench/tables.py": 1,
     }
 
 

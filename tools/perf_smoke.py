@@ -13,10 +13,8 @@ A workload with failed operations, or a ratio outside its limit, exits 1.
 Every limit sits outside the range ten runs measured on a 2-vCPU box
 (docs/PERFORMANCE.md, "Standing gates", lists the values).  ``PRINTED``
 ratios cannot be held to a limit at this size — run-to-run noise is
-wider than the margin, the 2-agent cluster is not below 1.0 yet
-(ROADMAP), and numpy/python lost its margin when the python kernels
-took the shared plan and the no-op skip (the three dons/ood rows are
-what gates the fused pass) — so they are reported and never gated.
+wider than the margin and the 2-agent cluster is not below 1.0 yet
+(ROADMAP) — so they are reported and never gated.
 
     python tools/perf_smoke.py
 """
@@ -43,7 +41,6 @@ GATES = (
 
 #: ``(workload, metric)`` reported beside the gates, not gated.
 PRINTED = (
-    ("dcn_fattree8_dctcp", "backend.ratio_numpy_over_python"),
     ("cluster2_shm_fattree4", "cluster.ratio_over_serial"),
     ("cluster2_shm_fattree4", "cluster.ratio_1agent_over_serial"),
     ("dcn_fattree8_dctcp", "trace.overhead_ratio"),
