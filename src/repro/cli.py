@@ -281,15 +281,16 @@ def cmd_profile(args) -> int:
     then totals.  With ``--cluster N`` the run is
     distributed over N agents and every row is tagged ``a<id>:<system>``
     — the timings are the *measured* per-agent window costs the merged
-    cluster bus collected."""
+    cluster bus collected.  ``--json`` prints the run record
+    (:func:`repro.metrics.timeline.run_record`) plus the bus
+    ``counters`` and the per-window ``rows``."""
     import json
+    from .metrics.timeline import memo_line, run_record
     scenario = build_scenario(args)
+    t0 = time.perf_counter()
     engine = _run_observed(args, scenario, bool(args.timeline))
     results, bus = engine.results, engine.bus
-    agent_times = None
-    if args.cluster:
-        from .partition import measured_machine_times
-        agent_times = measured_machine_times(bus, args.cluster)
+    record = run_record(bus, engine, time.perf_counter() - t0)
     if args.timeline:
         from .metrics.timeline import write_timeline
         write_timeline(bus, args.timeline, manifest=dict(
@@ -302,8 +303,7 @@ def cmd_profile(args) -> int:
         print(f"timeline written to {args.timeline}", file=sys.stderr)
     rows = bus.profile_rows()
     if args.json:
-        json.dump({"counters": bus.counters, "rows": rows,
-                   "agent_times_s": agent_times},
+        json.dump({**record, "counters": bus.counters, "rows": rows},
                   sys.stdout, indent=2)
         print()
         return 0
@@ -324,14 +324,13 @@ def cmd_profile(args) -> int:
     for name, prof in sorted(bus.totals.items()):
         print(f"{name:<{width + 4}} {prof.elapsed_s * 1000:>8.3f}")
     print(f"windows {bus.counters.get('windows', 0):>{width + 5}}")
-    from .metrics.timeline import memo_line
     memo = memo_line(bus)
     if memo:
         print(memo)
-    if agent_times is not None:
+    if record["agents_busy_s"] is not None:
         print()
-        print("per-agent wall-clock (measured T_a):")
-        for agent, seconds in enumerate(agent_times):
+        print("per-agent busy (measured T_a):")
+        for agent, seconds in enumerate(record["agents_busy_s"]):
             print(f"  a{agent}: {seconds * 1000:.3f} ms")
     return 0
 

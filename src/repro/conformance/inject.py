@@ -66,7 +66,6 @@ differential oracle can see it.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace as _dc_replace
 from typing import Dict, Iterator, List, Tuple
 
 from ..cluster import shm as shm_mod
@@ -155,40 +154,41 @@ def stale_window_index() -> Iterator[None]:
         events_mod.register_window = original
 
 
+def _bump_seq(row: Row) -> Row:
+    return row[:F_SEQ] + (row[F_SEQ] + 1,) + row[F_SEQ + 1:]
+
+
+def _put(items: Tuple, i: int, item) -> Tuple:
+    return items[:i] + (item,) + items[i + 1:]
+
+
 def _corrupt_delta(delta: "memo_mod.WindowDelta") -> "memo_mod.WindowDelta":
     """Perturb exactly one scatter-write of a freshly captured delta.
 
     Preferred target: the first staged cross-window *arrival* — its
     packet row's sequence number is bumped by one, so a cache hit
     forwards a packet that was never sent.  Windows without staged
-    arrivals fall back to a queued packet row inside a port
-    post-encoding, then to receiver reassembly bookkeeping; a delta with
-    none of the three is left intact (nothing in it can diverge).
+    arrivals fall back to the first queued row of a port's post
+    encoding, then to a receiver's ``expected`` write; a delta with none
+    of the three is left intact (nothing in it can diverge).  Every
+    member is reached by the names ``repro.core.memo`` gives it.
     """
-    staged = list(delta.staged)
-    for i, (off, node, enc) in enumerate(staged):
-        if enc[0] == "a":
-            row = list(enc[3])
-            row[F_SEQ] += 1
-            staged[i] = (off, node, ("a", enc[1], enc[2], tuple(row)))
-            return _dc_replace(delta, staged=tuple(staged))
-    ports = list(delta.ports)
-    for i, (iface, post, incr) in enumerate(ports):
-        classes = post[6]  # per-class tuples of queued row encodings
-        for cls, rows in enumerate(classes):
-            if not rows:
-                continue
-            row = list(rows[0])
-            row[F_SEQ] += 1
-            new_cls = ((tuple(row),) + rows[1:],)
-            new_classes = classes[:cls] + new_cls + classes[cls + 1:]
-            ports[i] = (iface, post[:6] + (new_classes,), incr)
-            return _dc_replace(delta, ports=tuple(ports))
-    recvs = list(delta.receivers)
-    if recvs:
-        fid, expected, unique, ooo, comp = recvs[0]
-        recvs[0] = (fid, expected + 1, unique, ooo, comp)
-        return _dc_replace(delta, receivers=tuple(recvs))
+    for i, staged in enumerate(delta.staged):
+        if staged.row is not None:
+            return delta._replace(staged=_put(
+                delta.staged, i, staged._replace(row=_bump_seq(staged.row))))
+    for i, port in enumerate(delta.ports):
+        queues = port.post.queues
+        for cls, rows in enumerate(queues):
+            if rows:
+                post = port.post._replace(queues=_put(
+                    queues, cls, (_bump_seq(rows[0]),) + rows[1:]))
+                return delta._replace(ports=_put(
+                    delta.ports, i, port._replace(post=post)))
+    for i, write in enumerate(delta.flows):
+        if write.field == "expected":
+            return delta._replace(flows=_put(
+                delta.flows, i, write._replace(value=write.value + 1)))
     return delta
 
 

@@ -1,9 +1,11 @@
-"""Entity model: the four entity kinds of DONS (§3.2).
+"""Entity model: the entity kinds of DONS (§3.2) that carry state.
 
 An entity is just a dense index into its kind's :class:`SoATable` —
 "usually implemented as a unique identifier", as the paper puts it.
-:class:`World` owns the four tables and the mapping from flows to
-entity indices; a port's entity index is its interface id.
+:class:`World` owns the three tables and the mapping from flows to
+entity indices; a port's entity index is its interface id.  The paper's
+fourth kind, the ingress port, holds nothing a system reads: forwarding
+is the FIB, a shared component, so it has no table here.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ from .components import FieldSpec, SoATable
 
 
 class EntityKind(IntEnum):
-    """The paper's four entities."""
+    """The paper's entities that own a table."""
 
     SENDER = 0
     RECEIVER = 1
-    INGRESS_PORT = 2
-    EGRESS_PORT = 3
+    EGRESS_PORT = 2
 
 
 #: Component schemas.  Senders carry the DCTCP/UDP state machine fields;
@@ -69,14 +70,6 @@ RECEIVER_SCHEMA = (
     FieldSpec("out_of_order", None, item_bytes=16),  # set per entity
 )
 
-INGRESS_SCHEMA = (
-    FieldSpec("iface_id", -1),
-    FieldSpec("node", -1),
-    # The FIB is a shared component (one routing state for the world);
-    # per-entity we keep only the owning node, per paper Fig. 6 where
-    # IngressPorts of a device share its forwarding table.
-)
-
 #: One row per directed interface, row index = interface id.  Every
 #: mutable per-port value lives here; what the topology fixes is the
 #: ``PortStatic`` tuple of ``core/systems/transmit.py``.
@@ -111,12 +104,11 @@ EgressCols = namedtuple("EgressCols", [f.name for f in EGRESS_SCHEMA])
 
 
 class World:
-    """The ECS world: four tables plus shared (singleton) components."""
+    """The ECS world: three tables plus shared (singleton) components."""
 
     def __init__(self) -> None:
         self.senders = SoATable("sender", SENDER_SCHEMA)
         self.receivers = SoATable("receiver", RECEIVER_SCHEMA)
-        self.ingress = SoATable("ingress", INGRESS_SCHEMA)
         self.egress = SoATable("egress", EGRESS_SCHEMA)
         #: The egress column lists, taken once: a table's columns grow
         #: in place, so the handles live as long as the world does (a
@@ -128,11 +120,9 @@ class World:
         self.receiver_of_flow: Dict[int, int] = {}
 
     def table(self, kind: EntityKind) -> SoATable:
-        return (self.senders, self.receivers, self.ingress, self.egress)[kind]
+        return (self.senders, self.receivers, self.egress)[kind]
 
     def memory_bytes(self) -> int:
         """Modeled footprint of all component data."""
-        return sum(
-            t.memory_bytes()
-            for t in (self.senders, self.receivers, self.ingress, self.egress)
-        )
+        return sum(t.memory_bytes()
+                   for t in (self.senders, self.receivers, self.egress))

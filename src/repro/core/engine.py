@@ -178,9 +178,6 @@ class DodEngine:
             heads=[[0] * c for c in classes],
             queue_samples=[[] for _ in range(n)],
             drr_deficit=[[0] * c for c in classes])
-        self.world.ingress.add_many(
-            n, iface_id=[iface.iface_id for iface in ifaces],
-            node=[iface.peer_node for iface in ifaces])
 
         if hasattr(sc.flows, "iter_batches"):
             self._build_flows_columnar(sc)

@@ -12,61 +12,56 @@ the DOD engine:
 
 * :class:`WindowMemoCache` computes, per window, a full **execution
   signature**: the pending-event columns of the window plus the mutable
-  slice of state the window will read — the union egress ports' queues,
-  line/credit state and AQM averages, the receivers' reassembly state,
-  and the UDP senders' pacing cursors.  Everything time- or
-  sequence-like is **rebased** (times against the window start, sequence
-  numbers against each flow's pacing cursor), so two windows that are
-  translations of each other in (time x sequence) space hash equal.
-* On a **miss** the window executes normally through
-  ``DodEngine.process_window`` while a trace tap and a state diff
-  capture a :class:`WindowDelta`: port/sender/receiver scatter-writes,
-  staged future events, stats/counter increments, and the trace ops —
-  the window's write-set as data.
-* On a **hit** the delta is applied in O(changed-state) and the engine
-  fast-forwards past the window without running any system.  Every Nth
-  hit is **validated** by re-executing the window and comparing the
-  fresh delta against the cached one; a mismatch evicts the entry
-  (``memo.validate_fail``) and keeps the executed result.
+  slice of state the window will read — the union egress ports'
+  :class:`PortEnc` and the per-flow columns of :data:`FLOW_FIELDS`.
+  Everything time- or sequence-like is **rebased** (times against the
+  window start, sequence numbers against each flow's pacing cursor), so
+  two windows that are translations of each other in (time x sequence)
+  space hash equal.
+* On a **miss** the window executes normally while a trace tap and a
+  state diff capture a :class:`WindowDelta`, the window's write-set as
+  data.  On a **hit** the delta is applied in O(changed-state) without
+  running any system; every Nth hit is **validated** by re-executing
+  the window and comparing the fresh delta against the cached one.
 * When a hit key recurs, the *whole* rebased pending state is encoded;
   if it is equal one period later the engine state is periodic under
   the translation, and :meth:`WindowMemoCache._jump` skips whole cycles
-  up to the next validation point by translating that state once
-  (docs/MEMOIZATION.md, "Cycle jumps").
+  up to the next validation point by translating that state once.
+
+Every state the memo touches is declared once — :data:`FLOW_FIELDS`,
+:data:`PORT_COUNTERS`, :class:`PortEnc` and the one packet-row rebase
+:func:`_move_row` — and the probe, the capture diff, the apply, the
+jump and the accounting loop over those declarations.
 
 Soundness rests on a closed-world argument: the signature is only
 attempted when every input the window can read is in the encoded set.
-The gates (see :meth:`WindowMemoCache.eligible` and
+The gates (:meth:`WindowMemoCache._probe` and
 ``DodEngine._maybe_init_memo``) restrict fast-forwarding to windows
 whose work is pure UDP steady-state — no DCTCP/RENO senders touched, no
-RED (hashes raw sequence numbers), no packet spraying (ditto), no
-cross-agent deliveries (cluster agents disable the cache entirely), no
-op probes, no duration cut inside the window.  Within those gates every
-engine transition commutes with the (time, sequence) translation, which
-is what makes replaying a rebased delta byte-identical to re-execution —
-the property the ``dons-ffwd`` conformance oracle and the
-memo-on/off digest tests enforce.
-
-There is no simulation-time RNG to capture: ECMP hashing is a pure
-function of static identifiers and traffic generation happens before
-``build()`` (see docs/MEMOIZATION.md).
+RED or packet spraying (both hash raw sequence numbers), no cross-agent
+deliveries, no op probes, no duration cut inside the window.  Within
+those gates every engine transition commutes with the (time, sequence)
+translation, which is what makes replaying a rebased delta
+byte-identical to re-execution — the property the ``dons-ffwd``
+conformance oracle and the memo-on/off digest tests enforce.  There is
+no simulation-time RNG to capture (docs/MEMOIZATION.md).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque, namedtuple
+from operator import sub
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .systems.send import WIRE8PS, flow_lists, udp_window
 from .telemetry import MEMO_APPLY_MS_BUCKETS
 from .window import ENTRY_ARRIVAL, ENTRY_UDP
-from ..protocols.packet import (
-    F_DST, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, Row, segment_count,
-)
+from ..protocols.packet import F_DST, F_FLOW, F_ISACK, Row, segment_count
 from ..metrics.trace import TraceRecorder
 
-__all__ = ["WindowMemoCache", "WindowDelta", "capture_filter"]
+__all__ = ["WindowMemoCache", "WindowDelta", "PortEnc", "PortDelta",
+           "FlowWrite", "StagedEntry", "capture_filter", "FLOW_FIELDS",
+           "PORT_COUNTERS", "PORT_FIELDS"]
 
 #: Re-execute and compare every Nth hit (replay-based validation).
 #: Each validation costs one full window execution, so N is a direct
@@ -78,8 +73,58 @@ VALIDATE_EVERY = 32
 #: FIFO capacity bound of the per-engine cache.
 MAX_ENTRIES = 4096
 
-#: Zero stats increment (shared tuple, compared against on apply).
-_NO_STATS = (0, 0, 0, 0, 0)
+#: The per-flow columns a window can read and write, as ``(world table,
+#: column, kind)``: the probe keys them, the capture diffs them, the
+#: apply writes the ones a window changed and a cycle jump moves them
+#: all.  The kind says how a value moves with the window frame:
+#: ``base`` is the pacing cursor every sequence value is rebased
+#: against (so 0 before a window, its advance after); ``seq`` a sequence
+#: number; ``count`` a segment count in step with them that completes
+#: the flow at its total (the probe also keys the saturated remainder);
+#: ``seqs`` a set of sequence numbers; ``done`` the completion time, -1
+#: until set, which the flow's result record mirrors.
+FLOW_FIELDS = (
+    ("senders", "udp_next_seq", "base"),
+    ("receivers", "expected", "seq"),
+    ("receivers", "unique_received", "count"),
+    ("receivers", "out_of_order", "seqs"),
+    ("receivers", "complete_ps", "done"),
+)
+_BASE_FIELD = next(name for _t, name, kind in FLOW_FIELDS if kind == "base")
+_COUNT_AT = [kind for _t, _n, kind in FLOW_FIELDS].index("count")
+
+#: The egress counters a window adds to: the capture takes their
+#: baseline, the diff their increments, and an apply or a jump adds
+#: ``k`` x those increments.
+PORT_COUNTERS = ("enqueued", "dequeued", "dropped", "marked", "tx_bytes")
+_NO_COUNTS = (0,) * len(PORT_COUNTERS)
+#: The window's event counts (``WindowContext.counts`` into
+#: ``results.events``), kept in this order in :attr:`WindowDelta.counts`.
+_EVENT_COUNTS = ("ack", "send", "forward", "transmit")
+
+
+#: One egress row's mutable state in the window frame, by column;
+#: ``active`` is its membership of the engine's active set.
+#: ``free_at`` is the time past the window start the line frees, 0 when
+#: it is free by then (the replay clamps service starts to the window
+#: cursor, so any earlier value behaves the same).  ``queues`` holds per
+#: class the rows from its head on, through :func:`_move_row`.
+#: ``max_queue_bytes`` is here so the delta's post value is an exact
+#: absolute write.  The discipline fields (``rr_next`` on) are ``None``
+#: on ports whose static discipline does not pick by them.
+PortEnc = namedtuple(
+    "PortEnc", "iface active free_at queued_bytes max_queue_bytes queues "
+    "rr_next drr_deficit drr_current drr_granted")
+_NO_DISCIPLINE = (None,) * 4
+
+#: ``_make(NamedType, values)``: a named tuple from a full plain tuple,
+#: without the argument-parsing constructor (a capture makes thousands).
+_make = tuple.__new__
+
+#: Every egress column a port encoding covers: :class:`PortEnc`'s own,
+#: and the pop indices and packet count its ``queues`` are cut by and
+#: rebuilt with.
+PORT_FIELDS = PortEnc._fields[2:] + ("heads", "qlen")
 
 
 def _identity_filter(delta: "WindowDelta") -> "WindowDelta":
@@ -95,74 +140,86 @@ def _identity_filter(delta: "WindowDelta") -> "WindowDelta":
 capture_filter: Callable[["WindowDelta"], "WindowDelta"] = _identity_filter
 
 
-# The unpack encoders below are hot-path; they hard-code the canonical
-# 9-field row layout, so pin it (packet.py defines the truth).
-assert (F_FLOW, F_ISACK, F_SEQ, F_SEND_TS) == (0, 1, 2, 6)
-
-
-def _enc_row(row: Row, base: int, start: int) -> Tuple:
-    """Rebase one packet row into the window's (time, seq) frame."""
+def _move_row(row: Row, dseq: int, dt: int) -> Row:
+    """The one packet-row rebase: ``row`` moved ``dseq`` in sequence and
+    ``dt`` in time.  Into a window's frame is ``(-base, -start)``, out
+    of it ``(base, start)``, a cycle jump ``(m·d_f, m·P·L)``."""
     f, ack, seq, size, ce, ece, ts, src, dst = row
-    return (f, ack, seq - base, size, ce, ece, ts - start, src, dst)
+    return (f, ack, seq + dseq, size, ce, ece, ts + dt, src, dst)
 
 
-def _dec_row(enc: Tuple, base_of: Dict[int, int], start: int) -> Row:
-    """Inverse of :func:`_enc_row` in the applying window's frame."""
-    f, ack, seq, size, ce, ece, ts, src, dst = enc
-    return (f, ack, seq + base_of[f], size, ce, ece, ts + start, src, dst)
+def _move_field(kind: str, v, dseq: int, dt: int):
+    """One per-flow value moved ``dseq`` in sequence and ``dt`` in time
+    (an unset completion time stays unset)."""
+    if kind == "seqs":
+        return {x + dseq for x in v}
+    if kind == "done":
+        return v + dt if v >= 0 else v
+    return v + dseq
 
 
-@dataclass(frozen=True)
-class WindowDelta:
-    """One window's write-set as data (everything execution changed).
-
-    All members are plain nested tuples rebased into the window frame,
-    so two captures of behaviourally identical windows compare equal —
-    that equality is what replay-based validation checks.
-    """
-
-    #: (iface_id, post_port_encoding, stats_increment_5tuple) per
-    #: union port; the post encoding has the probe encoding's shape and
-    #: is applied piecewise against the hit probe's pre encodings.
-    ports: Tuple
-    #: (flow_id, cursor_advance) — UDP pacing cursors moved.
-    senders: Tuple
-    #: (flow_id, expected_rel, unique_rel, ooo_rel, complete_rel|-1).
-    receivers: Tuple
-    #: (flow_id, completion_time_rel) — flows finished in this window.
-    completions: Tuple
-    #: (window_offset, node, entry_encoding) appended to future windows.
-    staged: Tuple
-    #: Rebased trace ops (enq/deq/drop/deliver/flow_done bus calls).
-    tape: Tuple
-    #: (ack, send, forward, transmit) event counts of the window.
-    counts: Tuple
-    #: (node, increment) results.node_events deltas.
-    node_incr: Tuple
-    #: results.drops increment.
-    drops_incr: int
+def _enc_flow(flow_cols: Dict, fid: int, b: int, start: int) -> Tuple:
+    """Every :data:`FLOW_FIELDS` value of ``fid`` in the frame of the
+    window starting at ``start`` with flow base ``b`` — the probe's key
+    and the capture's before and after."""
+    enc = []
+    for col, idx_of, kind in flow_cols.values():
+        v = col[idx_of[fid]]
+        if kind == "seqs":
+            v = tuple(sorted([x - b for x in v])) if v else ()
+        elif kind == "done":
+            v = v - start if v >= 0 else v
+        else:
+            v -= b
+        enc.append(v)
+    return tuple(enc)
 
 
-class _Probe:
+def _put_queues(cols, iface: int, classes, base_of: Dict[int, int],
+                dt: int) -> None:
+    """Write per-class rows back into ``iface``'s queues, each moved by
+    its flow's ``base_of`` entry and ``dt`` (heads reset)."""
+    queues = cols.queues[iface] = [
+        [_move_row(r, base_of[r[F_FLOW]], dt) for r in rows]
+        for rows in classes]
+    cols.heads[iface][:] = [0] * len(queues)
+    cols.qlen[iface] = sum(map(len, queues))
+
+
+#: A window's write to one union port: its ``post`` :class:`PortEnc`
+#: (applied field by field against the hit probe's pre) and its
+#: ``counters`` increments, in :data:`PORT_COUNTERS` order.
+PortDelta = namedtuple("PortDelta", "post counters")
+#: One :data:`FLOW_FIELDS` column of ``flow`` a window changed, with its
+#: ``value`` in the window frame.
+FlowWrite = namedtuple("FlowWrite", "flow field value")
+#: One calendar entry a window appended ``offset`` windows on: an
+#: arrival at ``t`` past the window start with its rebased ``row``, or
+#: (``row`` None) the flow's UDP wakeup.
+StagedEntry = namedtuple("StagedEntry", "offset node flow t prio row")
+#: One window's write-set as data, named tuples all the way down and
+#: rebased into the window frame, so two captures of behaviourally
+#: identical windows compare equal — the equality replay-based
+#: validation checks.  ``ports``: a :class:`PortDelta` per union port;
+#: ``flows``: a :class:`FlowWrite` per per-flow field the window
+#: changed; ``staged``: :class:`StagedEntry` items for later windows;
+#: ``tape``: the trace ops as ``(bus method, t, where, flow, *args)``;
+#: ``counts``: the event counts in ``_EVENT_COUNTS`` order;
+#: ``node_incr``: ``(node, increment)`` of ``results.node_events``;
+#: ``drops_incr``: of ``results.drops``.
+WindowDelta = namedtuple(
+    "WindowDelta", "ports flows staged tape counts node_incr drops_incr")
+
+
+class _Probe(NamedTuple):
     """One eligibility probe: the signature key plus the pre-state the
     capture diff and the hit apply both need."""
 
-    __slots__ = ("win", "start", "end", "key", "union_ports", "port_encs",
-                 "port_stats_pre", "base_of", "entry_flows", "recv_flows",
-                 "recv_pre")
-
-    def __init__(self, win: int, start: int, end: int) -> None:
-        self.win = win
-        self.start = start
-        self.end = end
-        self.key: Tuple = ()
-        self.union_ports: Tuple[int, ...] = ()
-        self.port_encs: Dict[int, Tuple] = {}
-        self.port_stats_pre: Dict[int, Tuple] = {}
-        self.base_of: Dict[int, int] = {}
-        self.entry_flows: Tuple[int, ...] = ()
-        self.recv_flows: Tuple[int, ...] = ()
-        self.recv_pre: Dict[int, Tuple] = {}
+    win: int
+    start: int
+    key: Tuple
+    ports: Dict[int, Tuple]  # union port -> its encoding, iface order
+    base_of: Dict[int, int]
 
 
 class _Entry:
@@ -176,44 +233,33 @@ class _Entry:
         self.seen = 0
 
 
-def _tap_op(kind: str):
+def _tap_op(method: str):
     def record(self, *op) -> None:
-        if self.active:
-            self.ops.append((kind,) + op)
+        self.append((method,) + op)
     return record
 
 
-class _TraceTap:
-    """Trace-stream subscriber that records raw bus ops during capture.
-
-    ``level`` stays 0 so subscribing never raises the bus's trace level
-    (the tap observes only what the run would have published anyway),
-    and there is deliberately no ``entries`` attribute so
-    ``InstrumentationBus.trace_entries`` skips it.
+class _TraceTap(list):
+    """Trace-stream subscriber for one captured window: the raw bus ops,
+    each under the name of the bus method that publishes it again.
+    ``level`` 0 never raises the bus's trace level, and having no
+    ``entries`` attribute, ``InstrumentationBus.trace_entries`` skips it.
     """
 
     level = 0
 
-    __slots__ = ("active", "ops")
-
-    def __init__(self) -> None:
-        self.active = False
-        self.ops: List[Tuple] = []
-
-    enq, drop, deq = _tap_op("enq"), _tap_op("drop"), _tap_op("deq")
-    deliver, flow_done = _tap_op("del"), _tap_op("fd")
+    enq, drop, deq, deliver, flow_done = map(
+        _tap_op, ("enq", "drop", "deq", "deliver", "flow_done"))
 
 
 class WindowMemoCache:
     """Per-engine signature -> delta cache with fast-forward apply.
 
     Constructed by ``DodEngine._maybe_init_memo`` only when the static
-    gates hold (local deliveries, no RED / packet
-    spray / queue sampling, at least one UDP flow).  Never persisted:
-    checkpoints invalidate it on restore (``core.checkpoint``), and
-    cluster agents never build one (``deliveries_local`` is cleared on
-    ``AgentEngine`` — a window with cross-agent traffic pending must
-    run for real so its outbox fills).
+    gates hold.  Never persisted: checkpoints invalidate it on restore
+    (``core.checkpoint``), and cluster agents never build one (a window
+    with cross-agent traffic pending must run for real so its outbox
+    fills).
     """
 
     def __init__(self, engine) -> None:
@@ -229,24 +275,12 @@ class WindowMemoCache:
         self._trail: deque = deque(maxlen=VALIDATE_EVERY - 1)
         self._hyp: Optional[Tuple] = None
         self._hold = 0
-        self._tap = _TraceTap()
-        engine.bus.subscribe_trace(self._tap)
-        scenario = engine.scenario
         from ..traffic import Transport
-        udp_ids = getattr(scenario.flows, "udp_flow_ids", None)
-        if udp_ids is not None:
-            # Columnar traffic: read the transport column directly.
-            self._udp_flows = frozenset(udp_ids())
-        else:
-            self._udp_flows = frozenset(
-                f.flow_id for f in scenario.flows
-                if f.transport == Transport.UDP)
+        self._udp_flows = frozenset(
+            f for f, t in enumerate(flow_lists(engine).transport)
+            if t == Transport.UDP)
         self._routes: Dict[Tuple[int, int, int], int] = {}
-        #: Per port, the shared rows tuple of a drained port — lets
-        #: :meth:`_enc_port` skip the per-class row walk entirely (the
-        #: common steady case).
-        self._empty_rows = [((),) * st.classes
-                            for st in engine.port_static]
+        self._cols_of = self._cols = None
 
     # --- lifecycle --------------------------------------------------------
 
@@ -258,6 +292,20 @@ class WindowMemoCache:
     def _forget_cycle(self) -> None:
         self._trail.clear()
         self._hyp = None
+
+    def _flow_cols(self) -> Dict[str, Tuple]:
+        """Per :data:`FLOW_FIELDS` column: ``(column list, flow -> entity
+        index, kind)``, taken once per world (a restored checkpoint
+        brings its own)."""
+        world = self.engine.world
+        if self._cols_of is not world:
+            index = {"senders": world.sender_of_flow,
+                     "receivers": world.receiver_of_flow}
+            self._cols = {name: (getattr(world, table).column(name),
+                                 index[table], kind)
+                          for table, name, kind in FLOW_FIELDS}
+            self._cols_of = world
+        return self._cols
 
     # --- main entry -------------------------------------------------------
 
@@ -280,7 +328,7 @@ class WindowMemoCache:
         if entry is None:
             bus.count("memo.miss")
             self._forget_cycle()
-            delta = self._execute_capture(win, probe)
+            delta = self._capture(win, probe)
             if isinstance(delta, str):
                 bus.count("memo.uncacheable")
                 bus.count("memo.uncacheable." + delta)
@@ -296,7 +344,7 @@ class WindowMemoCache:
             # Replay-based validation: execute for real and compare the
             # fresh write-set against the cached one.
             bus.count("memo.validate")
-            if self._execute_capture(win, probe) != entry.delta:
+            if self._capture(win, probe) != entry.delta:
                 del self.cache[probe.key]
                 bus.count("memo.validate_fail")
                 self._forget_cycle()
@@ -356,11 +404,9 @@ class WindowMemoCache:
         ``p_idx`` windows in time and, per flow, ``adv`` segments in
         sequence, so the state ``m`` cycles on is this one moved ``m``
         times: entries, queued rows and busy lines in time and sequence,
-        cursors in sequence, accumulators by ``m`` x the cycle's sum.
-        ``m`` stops short of the next validation hit, of any flow's last
-        segment (the encodings saturate remaining-segment counts; the
-        receiver never leads the sender, so its bound is covered), of
-        the duration cut and of ``max_windows``.
+        every :data:`FLOW_FIELDS` column in sequence, accumulators by
+        ``m`` x the cycle's sum.  The bounds on ``m`` are the table in
+        docs/MEMOIZATION.md, "Cycle jumps".
         """
         engine = self.engine
         bus = engine.bus
@@ -402,32 +448,24 @@ class WindowMemoCache:
         def move(e):
             if e[0] != ENTRY_ARRIVAL:
                 return e
-            return (e[0], e[1] + dt, e[2], _dec_row(e[3], jump_of, dt))
+            row = e[3]
+            return (ENTRY_ARRIVAL, e[1] + dt, e[2],
+                    _move_row(row, jump_of[row[F_FLOW]], dt))
         engine.events.translate(shift, move)
         engine.events.touch(win + shift)  # the index had given it out
-        world = engine.world
-        cols = world.egress_cols
-        for iface_id, _act, free_enc, *_rest in state.key[1]:
-            if free_enc[0]:
-                cols.free_at[iface_id] += dt
-            if cols.qlen[iface_id]:
-                heads = cols.heads[iface_id]
-                cols.queues[iface_id] = [
-                    [_dec_row(r, jump_of, dt) for r in q[h:]]
-                    for q, h in zip(cols.queues[iface_id], heads)]
-                heads[:] = [0] * len(heads)
-        next_col = world.senders.column("udp_next_seq")
-        rcols = world.receivers.columns(
-            ("expected", "unique_received", "out_of_order"))
+        cols = engine.world.egress_cols
+        for i in state.ports:
+            if cols.free_at[i] > state.start:  # a busy line
+                cols.free_at[i] += dt
+            if cols.qlen[i]:
+                _put_queues(cols, i, [q[h:] for q, h in zip(
+                    cols.queues[i], cols.heads[i])], jump_of, dt)
+        flow_cols = self._flow_cols()
         for f, k in jump_of.items():
             if k:
-                next_col[world.sender_of_flow[f]] += k
-                ridx = world.receiver_of_flow[f]
-                rcols["expected"][ridx] += k
-                rcols["unique_received"][ridx] += k
-                ooo = rcols["out_of_order"][ridx]
-                if ooo:
-                    rcols["out_of_order"][ridx] = {x + k for x in ooo}
+                for col, idx_of, kind in flow_cols.values():
+                    i = idx_of[f]
+                    col[i] = _move_field(kind, col[i], k, 0)
 
         # m x the cycle's sums; the per-window rows; and, when someone
         # listens, the trace ops once per skipped window.
@@ -445,8 +483,9 @@ class WindowMemoCache:
                 if listening:
                     self._replay(delta.tape, at,
                                  {f: b + c * adv[f] for f, b in cur.items()})
-            for fid, rel in delta.senders:
-                cur[fid] += rel
+            for write in delta.flows:
+                if write.field == _BASE_FIELD:
+                    cur[write.flow] += write.value
         res.window_breakdown.extend(sorted(rows))
         last = cycle[-1][0] + shift
         res.end_time_ps = (last + 1) * L
@@ -475,40 +514,45 @@ class WindowMemoCache:
         ``memo.ineligible.<reason>`` name) why some input falls outside
         the encodable closed world.  Membership checks bail out while
         encoding (mixed workloads mostly reject on the first non-UDP
-        entry, long before any port is touched); pacing cursors come
-        through one bulk column handle (list / ndarray view) per probe.
+        entry, long before any port is touched).
 
         With ``cycle`` (the ``(window, entry)`` hits of one proposed
         period) the same encoders cover the *whole* pending state: every
         pending bucket under its window offset, the occupancy index, the
-        ports the cycle touched next to the active set, the receiver
-        state of every flow met on the way.  That key is closed under
+        ports the cycle touched next to the active set, the per-flow
+        fields of every flow met on the way.  That key is closed under
         execution — what any later window reads is in it.
         """
         engine = self.engine
+        scenario = engine.scenario
         L = engine.lookahead
         start = win * L
-        end = start + L
-        duration = engine.scenario.duration_ps
-        if duration is not None and end > duration + 1:
+        duration = scenario.duration_ps
+        if duration is not None and start + L > duration + 1:
             return "duration_cut"  # the cut truncates this window
         if engine.bus.has_ops:
             return "ops_subscribed"
         buckets = engine.events._buckets
 
         udp_flows = self._udp_flows
-        probe = _Probe(win, start, end)
-        sender_of_flow = engine.world.sender_of_flow
-        next_seq_col = engine.world.senders.column("udp_next_seq")
-        base_of = probe.base_of
+        base_of: Dict[int, int] = {}
+        flow_cols = self._flow_cols()
+        cursor, sender_of, _kind = flow_cols[_BASE_FIELD]
+
+        def base(f: int) -> int:  # queued rows'; the entry loop inlines it
+            b = base_of.get(f)
+            if b is None:
+                b = base_of[f] = cursor[sender_of[f]]
+            return b
+
         is_host = engine.is_host
         active = engine.active_ports
         union = set(active)
-        entries_enc: List[Tuple] = []
-        entry_flows = set()
+        entries_enc: List = []
         recv_counts: Dict[int, int] = {}
         fl = flow_lists(engine)
         routes = self._routes
+        fib, topology = scenario.fib, scenario.topology
         for w in (win,) if cycle is None else sorted({win, *buckets}):
             bucket = buckets.get(w)
             if cycle is not None:
@@ -522,333 +566,213 @@ class WindowMemoCache:
                     fid = e[1]
                     if fid not in udp_flows:
                         return "non_udp_entry"
-                    entry_flows.add(fid)
-                    b = base_of.get(fid)
-                    if b is None:
-                        b = base_of[fid] = int(
-                            next_seq_col[sender_of_flow[fid]])
-                    # What the flow emits in this window from cursor
-                    # b — times against the window start, payload sizes
+                    # What the flow emits in this window from its cursor
+                    # — times against the window start, payload sizes
                     # (only the last segment's differs, which is what
                     # saturates the remaining-segment count) — and the
                     # wakeup past it (-1: schedule exhausted).
+                    b = base_of.get(fid)
+                    if b is None:
+                        b = base_of[fid] = cursor[sender_of[fid]]
                     ems, _next, wakeup = udp_window(fl, fid, b, wstart + L)
                     entries_enc.append(
-                        ("u", node, fid,
+                        (node, tag, fid,
                          tuple((t - wstart, p) for t, _s, p in ems),
                          -1 if wakeup is None else wakeup - wstart))
                     if ems:
                         union.add(fl.nic[fid])
                 elif tag == ENTRY_ARRIVAL:
                     row = e[3]
-                    f, ack, seq, size, ce, ece, ts, src, dst = row
-                    if ack:
+                    if row[F_ISACK]:
                         return "ack_row"
+                    f = row[F_FLOW]
                     if f not in udp_flows:
                         return "non_udp_entry"
                     b = base_of.get(f)
                     if b is None:
-                        b = base_of[f] = int(
-                            next_seq_col[sender_of_flow[f]])
-                    entries_enc.append(
-                        ("a", node, e[1] - start, e[2],
-                         (f, ack, seq - b, size, ce, ece, ts - start,
-                          src, dst)))
+                        b = base_of[f] = cursor[sender_of[f]]
+                    entries_enc.append((node, tag, e[1] - start, e[2],
+                                        _move_row(row, -b, -start)))
                     if is_host[node]:
                         recv_counts[f] = recv_counts.get(f, 0) + 1
-                    else:
-                        iface = routes.get((node, dst, f))
-                        if iface is None:
-                            iface = self._route(node, row)
-                        union.add(iface)
+                        continue
+                    # The ForwardSystem's egress choice: flow-mode ECMP
+                    # is a pure function of static identifiers (the
+                    # packet-spray gate keeps sequence-salted hashing out).
+                    route = (node, row[F_DST], f)
+                    iface = routes.get(route)
+                    if iface is None:
+                        iface = routes[route] = topology.iface_id(
+                            node, fib.resolve_port(*route, None))
+                    union.add(iface)
                 else:
                     return "cca_entry"  # FLOW_START / TIMER: a CCA flow
 
         if cycle is not None:
             for _w, entry in cycle:
-                union.update(p[0] for p in entry.delta.ports)
-        union_sorted = tuple(sorted(union))
-        probe.union_ports = union_sorted
-        ports_enc: List[Tuple] = []
-        port_encs = probe.port_encs
-        def resolve(f: int) -> int:
-            return int(next_seq_col[sender_of_flow[f]])
+                union.update(p.post.iface for p in entry.delta.ports)
         cols = engine.world.egress_cols
-        for iface_id in union_sorted:
-            enc = self._enc_port(cols, iface_id, iface_id in active,
-                                 base_of, resolve, start)
-            if enc is None:
+        ports: Dict[int, Tuple] = {}
+        for iface in sorted(union):
+            port = ports[iface] = self._enc_port(
+                cols, iface, iface in active, base, start)
+            if port is None:
                 return "foreign_queued_row"
-            ports_enc.append(enc)
-            port_encs[iface_id] = enc
 
-        probe.entry_flows = tuple(sorted(entry_flows))
-        recv_flows = tuple(sorted(recv_counts if cycle is None else base_of))
-        probe.recv_flows = recv_flows
-        receivers = engine.world.receivers
-        receiver_of_flow = engine.world.receiver_of_flow
         flows_enc: List[Tuple] = []
-        if recv_flows:
-            rcols = receivers.columns(
-                ("expected", "unique_received", "complete_ps",
-                 "out_of_order"))
-            exp_col, uni_col = rcols["expected"], rcols["unique_received"]
-            comp_col, ooo_col = rcols["complete_ps"], rcols["out_of_order"]
-        for fid in recv_flows:
-            ridx = receiver_of_flow[fid]
+        for fid in sorted(recv_counts if cycle is None else base_of):
             b = base_of[fid]
-            expected = int(exp_col[ridx])
-            unique = int(uni_col[ridx])
-            total = segment_count(fl.size[fid])  # receiver total_segs
-            complete = int(comp_col[ridx])
-            ooo = ooo_col[ridx]
-            n_arr = recv_counts.get(fid, 0)
-            remaining = total - unique
+            enc = _enc_flow(flow_cols, fid, b, start)
             # Saturate far-from-complete states: completion can fire
             # only when remaining <= new uniques <= the arrivals encoded
             # here, so any remainder beyond that budget is behaviourally
             # equivalent.
-            sat = remaining if remaining <= n_arr else n_arr + 1
-            flows_enc.append(
-                (fid, expected - b, unique - b, sat,
-                 0 if complete < 0 else 1,
-                 tuple(sorted(x - b for x in ooo))))
-            probe.recv_pre[fid] = flows_enc[-1]
+            remaining = segment_count(fl.size[fid]) - b - enc[_COUNT_AT]
+            sat = min(remaining, recv_counts.get(fid, 0) + 1)
+            flows_enc.append((fid, sat) + enc)
 
-        probe.key = (tuple(entries_enc), tuple(ports_enc), tuple(flows_enc))
+        key = (tuple(entries_enc), tuple(ports.values()), tuple(flows_enc))
         if cycle is not None:
-            probe.key += (tuple(sorted(
-                w - win for w in engine.events._queued)),)
-        return probe
+            key += (tuple(sorted(w - win for w in engine.events._queued)),)
+        return _Probe(win, start, key, ports, base_of)
 
-    def _enc_port(self, cols, iface_id: int, active_flag: bool,
-                  base_of: Dict[int, int],
-                  resolve: Optional[Callable[[int], int]],
+    def _enc_port(self, cols, iface: int, active: bool,
+                  base: Callable[[int], Optional[int]],
                   start: int) -> Optional[Tuple]:
-        """Canonical rebased encoding of one egress row's mutable state.
+        """Canonical rebased encoding of one egress row's mutable state,
+        a plain tuple in :data:`PortEnc` field order (the probe keys one
+        per union port per window; a delta names its posts).
 
         Returns ``None`` when a queued row falls outside the UDP closed
-        world, or — in strict mode (``resolve=None``, used by the
-        capture diff) — when a row's flow escaped the probe's base map.
-        ``free_at`` collapses to ``(0,)`` whenever the line freed at or
-        before the window start — the replay clamps service starts to
-        the window cursor, so any such value is behaviourally identical.
-        ``max_queue_bytes`` is in the key so the delta's post value is
-        an exact absolute write.  Deliberately *excluded*: ``avg_bytes``
-        (the RED EWMA converges asymptotically, so it never repeats —
-        and RED is one of the memo's static disable gates, making the
-        column write-only whenever the cache is live).  The discipline
-        extras are the ``rr_*`` / ``drr_*`` fields, on ports that pick
-        by them.
+        world, or when ``base`` has no base for a queued row's flow (the
+        capture diff's strict ``base_of.get``: the flow escaped the
+        probe's base map).  Deliberately *excluded*: ``avg_bytes`` (the
+        RED EWMA converges asymptotically, so it never repeats — and RED
+        is one of the memo's static disable gates, making the column
+        write-only whenever the cache is live).
         """
-        if cols.qlen[iface_id] == 0:
-            rows_tuple = self._empty_rows[iface_id]
+        static = self.engine.port_static[iface]
+        if cols.qlen[iface] == 0:
+            queues = ((),) * static.classes  # the common steady case
         else:
             udp_flows = self._udp_flows
-            heads = cols.heads[iface_id]
-            rows_enc = []
-            for cls, q in enumerate(cols.queues[iface_id]):
-                cls_rows = []
+            heads = cols.heads[iface]
+            classes = []
+            for cls, q in enumerate(cols.queues[iface]):
+                rows = []
                 for r in q[heads[cls]:]:
-                    f, ack, seq, size, ce, ece, ts, src, dst = r
-                    if ack or f not in udp_flows:
-                        return None
-                    b = base_of.get(f)
+                    f = r[F_FLOW]
+                    b = None if r[F_ISACK] or f not in udp_flows else base(f)
                     if b is None:
-                        if resolve is None:
-                            return None  # flow escaped the base map
-                        b = base_of[f] = resolve(f)
-                    cls_rows.append((f, ack, seq - b, size, ce, ece,
-                                     ts - start, src, dst))
-                rows_enc.append(tuple(cls_rows))
-            rows_tuple = tuple(rows_enc)
-        extras: Tuple = ()
-        if self.engine.port_static[iface_id].kind:
-            extras = (cols.rr_next[iface_id],
-                      tuple(cols.drr_deficit[iface_id]),
-                      cols.drr_current[iface_id], cols.drr_granted[iface_id])
-        free_at = cols.free_at[iface_id]
-        free_enc = (1, free_at - start) if free_at > start else (0,)
-        return (iface_id, 1 if active_flag else 0, free_enc,
-                cols.queued_bytes[iface_id], cols.max_queue_bytes[iface_id],
-                extras, rows_tuple)
-
-    def _route(self, node: int, row: Row) -> int:
-        """Predict the ForwardSystem's egress choice (flow-mode ECMP is
-        a pure function of static identifiers — the packet-spray gate
-        keeps sequence-salted hashing out)."""
-        key = (node, row[F_DST], row[F_FLOW])
-        iface = self._routes.get(key)
-        if iface is None:
-            scenario = self.engine.scenario
-            port = scenario.fib.resolve_port(
-                node, row[F_DST], row[F_FLOW], None)
-            iface = self._routes[key] = scenario.topology.iface_id(
-                node, port)
-        return iface
+                        return None
+                    rows.append(_move_row(r, -b, -start))
+                classes.append(tuple(rows))
+            queues = tuple(classes)
+        free_at = cols.free_at[iface] - start
+        port = (iface, active, free_at if free_at > 0 else 0,
+                cols.queued_bytes[iface], cols.max_queue_bytes[iface], queues)
+        if not static.kind:
+            return port + _NO_DISCIPLINE
+        return port + (cols.rr_next[iface], tuple(cols.drr_deficit[iface]),
+                       cols.drr_current[iface], cols.drr_granted[iface])
 
     # --- capture ----------------------------------------------------------
 
-    def _execute_capture(self, win: int, probe: _Probe):
-        """Run the window for real and diff its write-set."""
+    def _capture(self, win: int, probe: _Probe):
+        """Run the window for real and diff its write-set: the delta, or
+        a ``memo.uncacheable.<reason>`` name."""
         engine = self.engine
         events = engine.events
         res = engine.results
+        base_of = probe.base_of
+        start = probe.start
         pre_sizes = events.bucket_sizes()
         pre_sizes.pop(win, None)
         pre_node_events = dict(res.node_events)
         pre_drops = res.drops
         pre_rtt = len(res.rtt_samples)
-        # The stats baseline is only needed by the capture diff, so it
-        # is taken here rather than on every (mostly hitting) probe.
+        # Counter and per-flow baselines: taken here, not on every
+        # (mostly hitting) probe.
         cols = engine.world.egress_cols
-        stats_pre = probe.port_stats_pre
-        for i in probe.union_ports:
-            stats_pre[i] = (cols.enqueued[i], cols.dequeued[i],
-                            cols.dropped[i], cols.marked[i], cols.tx_bytes[i])
-        tap = self._tap
-        tap.ops = []
-        tap.active = True
+        counters = [getattr(cols, name) for name in PORT_COUNTERS]
+        counts_pre = list(zip(*counters))  # per port, in one pass
+        flow_cols = self._flow_cols()
+        flows_pre = {f: _enc_flow(flow_cols, f, b, start)
+                     for f, b in base_of.items()}
+        ops = engine.bus.subscribe_trace(_TraceTap())
         try:
             ctx = engine.process_window(win)
         finally:
-            tap.active = False
-        ops = tap.ops
-        tap.ops = []
-        return self._diff(probe, ctx, pre_sizes, pre_node_events,
-                          pre_drops, pre_rtt, ops)
+            engine.bus.unsubscribe_trace(ops)
 
-    def _diff(self, probe: _Probe, ctx, pre_sizes, pre_node_events,
-              pre_drops: int, pre_rtt: int, ops):
-        """The write-set, or a ``memo.uncacheable.<reason>`` name."""
-        engine = self.engine
-        res = engine.results
         if len(res.rtt_samples) != pre_rtt:
             return "rtt_sample"
-        union = set(probe.union_ports)
-        if not set(ctx.staged) <= union:
+        if not set(ctx.staged) <= probe.ports.keys():
             return "unpredicted_port"  # the prediction missed a target
-        base_of = probe.base_of
-        start = probe.start
-
-        events = engine.events
         post_sizes = events.bucket_sizes()
         if probe.win in post_sizes:
             return "window_refilled"
-        staged_enc: List[Tuple] = []
-        for w in sorted(post_sizes):
-            n = post_sizes[w]
-            pre_n = pre_sizes.get(w, 0)
-            if n < pre_n:
-                return "bucket_shrank"
-            if n == pre_n:
-                continue
-            got = events.window_slice(w, pre_n)
-            if got is None:
-                return "bucket_shrank"
-            off = w - probe.win
-            for node, e in zip(*got):
-                tag = e[0]
-                if tag == ENTRY_UDP:
-                    if e[1] not in base_of:
-                        return "foreign_staged_entry"
-                    staged_enc.append((off, node, ("u", e[1])))
-                elif tag == ENTRY_ARRIVAL:
-                    row = e[3]
-                    b = base_of.get(row[F_FLOW])
-                    if b is None:
-                        return "foreign_staged_entry"
-                    staged_enc.append(
-                        (off, node,
-                         ("a", e[1] - start, e[2], _enc_row(row, b, start))))
-                else:
-                    return "foreign_staged_entry"
         for w, n in pre_sizes.items():
             if post_sizes.get(w, 0) < n:
-                return "bucket_shrank"  # a pre-existing bucket vanished
+                return "bucket_shrank"
+        staged: List[StagedEntry] = []
+        for w in sorted(post_sizes):
+            pre_n = pre_sizes.get(w, 0)
+            if post_sizes[w] == pre_n:
+                continue
+            off = w - probe.win
+            for node, e in zip(*events.window_slice(w, pre_n)):
+                if e[0] == ENTRY_UDP and e[1] in base_of:
+                    staged.append(_make(StagedEntry, (
+                        off, node, e[1], None, None, None)))
+                elif e[0] == ENTRY_ARRIVAL and e[3][F_FLOW] in base_of:
+                    f = e[3][F_FLOW]
+                    staged.append(_make(StagedEntry, (
+                        off, node, f, e[1] - start, e[2],
+                        _move_row(e[3], -base_of[f], -start))))
+                else:
+                    return "foreign_staged_entry"
 
-        cols = engine.world.egress_cols
         active = engine.active_ports
-        port_items: List[Tuple] = []
-        for i in probe.union_ports:
+        counts_post = list(zip(*counters))
+        ports: List[PortDelta] = []
+        for i in probe.ports:
             # Strict mode: a queued row whose flow escaped the probe's
             # base map cannot be rebased consistently -> uncacheable.
-            post_enc = self._enc_port(cols, i, i in active, base_of, None,
-                                      start)
-            if post_enc is None:
+            post = self._enc_port(cols, i, i in active, base_of.get, start)
+            if post is None:
                 return "foreign_queued_row"
-            p = probe.port_stats_pre[i]
-            port_items.append((i, post_enc,
-                               (cols.enqueued[i] - p[0],
-                                cols.dequeued[i] - p[1],
-                                cols.dropped[i] - p[2],
-                                cols.marked[i] - p[3],
-                                cols.tx_bytes[i] - p[4])))
+            ports.append(_make(PortDelta, (_make(PortEnc, post), tuple(
+                map(sub, counts_post[i], counts_pre[i])))))
 
-        senders = engine.world.senders
-        sender_of_flow = engine.world.sender_of_flow
-        sender_items: List[Tuple] = []
-        for fid in probe.entry_flows:
-            rel = senders.get(sender_of_flow[fid],
-                              "udp_next_seq") - base_of[fid]
-            if rel:
-                sender_items.append((fid, rel))
+        # Only the per-flow fields the window changed: every other one
+        # a window can read is in the key, so it is the same on a hit.
+        flows: List[FlowWrite] = []
+        for f in sorted(base_of):
+            post = _enc_flow(flow_cols, f, base_of[f], start)
+            for name, v, was in zip(flow_cols, post, flows_pre[f]):
+                if v != was:
+                    flows.append(_make(FlowWrite, (f, name, v)))
 
-        receivers = engine.world.receivers
-        receiver_of_flow = engine.world.receiver_of_flow
-        recv_items: List[Tuple] = []
-        completions: List[Tuple] = []
-        for fid in probe.recv_flows:
-            ridx = receiver_of_flow[fid]
-            b = base_of[fid]
-            expected = receivers.get(ridx, "expected") - b
-            unique = receivers.get(ridx, "unique_received") - b
-            ooo = tuple(sorted(
-                x - b for x in receivers.get(ridx, "out_of_order")))
-            complete = receivers.get(ridx, "complete_ps")
-            pre = probe.recv_pre[fid]
-            comp_rel = -1
-            if pre[4] == 0 and complete >= 0:
-                comp_rel = complete - start
-                completions.append((fid, comp_rel))
-            recv_items.append((fid, expected, unique, ooo, comp_rel))
-
+        # Seq-carrying ops pass (is_ack, seq[, marked]) after the flow.
         tape: List[Tuple] = []
-        for op in ops:
-            kind = op[0]
-            if kind == "fd":
-                flow = op[3]
-                if flow not in base_of:
-                    return "foreign_trace_op"
-                tape.append(("fd", op[1] - start, op[2], flow))
-            else:
-                flow = op[3]
-                b = base_of.get(flow)
-                if b is None:
-                    return "foreign_trace_op"
-                rebased = (kind, op[1] - start, op[2], flow, op[4],
-                           op[5] - b)
-                if kind == "enq":
-                    rebased += (op[6],)
-                tape.append(rebased)
+        for method, t, where, flow, *args in ops:
+            b = base_of.get(flow)
+            if b is None:
+                return "foreign_trace_op"
+            if args:
+                args[1] -= b
+            tape.append((method, t - start, where, flow, *args))
 
-        counts = (ctx.counts.ack, ctx.counts.send,
-                  ctx.counts.forward, ctx.counts.transmit)
+        counts = tuple(getattr(ctx.counts, name) for name in _EVENT_COUNTS)
         node_incr = tuple(sorted(
             (n, c - pre_node_events.get(n, 0))
             for n, c in res.node_events.items()
             if c != pre_node_events.get(n, 0)))
         return WindowDelta(
-            ports=tuple(port_items),
-            senders=tuple(sender_items),
-            receivers=tuple(recv_items),
-            completions=tuple(completions),
-            staged=tuple(staged_enc),
-            tape=tuple(tape),
-            counts=counts,
-            node_incr=node_incr,
-            drops_incr=res.drops - pre_drops,
-        )
+            ports=tuple(ports), flows=tuple(flows), staged=tuple(staged),
+            tape=tuple(tape), counts=counts, node_incr=node_incr,
+            drops_incr=res.drops - pre_drops)
 
     # --- apply ------------------------------------------------------------
 
@@ -866,87 +790,57 @@ class WindowMemoCache:
         engine._running_window = win
         engine.events.discard_window(win)
 
+        # Each port field whose post differs from the hit's pre.
         cols = engine.world.egress_cols
-        active = engine.active_ports
-        for iface_id, post_enc, _stats_incr in delta.ports:
-            pre_enc = probe.port_encs[iface_id]
-            if post_enc != pre_enc:
-                _, act, free_enc, queued, maxq, extras, rows = post_enc
-                (p_act, p_free, p_queued, p_maxq, p_extras,
-                 p_rows) = pre_enc[1:]
-                if free_enc != p_free:
-                    cols.free_at[iface_id] = start + free_enc[1]
-                if queued != p_queued:
-                    cols.queued_bytes[iface_id] = queued
-                if maxq != p_maxq:
-                    cols.max_queue_bytes[iface_id] = maxq
-                if rows != p_rows:
-                    queues = cols.queues[iface_id] = [
-                        [_dec_row(r, base_of, start) for r in cls_rows]
-                        for cls_rows in rows]
-                    cols.heads[iface_id][:] = [0] * len(queues)
-                    cols.qlen[iface_id] = sum(map(len, queues))
-                if extras != p_extras:
-                    (cols.rr_next[iface_id], cols.drr_deficit[iface_id][:],
-                     cols.drr_current[iface_id],
-                     cols.drr_granted[iface_id]) = extras
-                if act != p_act:
-                    if act:
-                        active.add(iface_id)
-                    else:
-                        active.discard(iface_id)
+        for port in delta.ports:
+            post = port.post
+            i = post.iface
+            pre = probe.ports[i]
+            if post == pre:
+                continue
+            for name, value, was in zip(PortEnc._fields, post, pre):
+                if value == was:
+                    continue
+                if name == "active":
+                    (engine.active_ports.add if value
+                     else engine.active_ports.discard)(i)
+                elif name == "free_at":
+                    cols.free_at[i] = start + value
+                elif name == "queues":
+                    _put_queues(cols, i, value, base_of, start)
+                elif name == "drr_deficit":
+                    cols.drr_deficit[i][:] = value
+                else:
+                    getattr(cols, name)[i] = value
 
-        # Scatter the entity writes through column handles fetched once
-        # per apply (``set`` would re-resolve the column every call).
-        sender_of_flow = engine.world.sender_of_flow
-        if delta.senders:
-            next_col = engine.world.senders.column("udp_next_seq")
-            for fid, rel in delta.senders:
-                next_col[sender_of_flow[fid]] = base_of[fid] + rel
-
-        receivers = engine.world.receivers
-        receiver_of_flow = engine.world.receiver_of_flow
-        if delta.receivers:
-            rcols = receivers.columns(
-                ("expected", "unique_received", "out_of_order",
-                 "complete_ps"))
-            exp_col, uni_col = rcols["expected"], rcols["unique_received"]
-            ooo_col, comp_col = rcols["out_of_order"], rcols["complete_ps"]
-            for fid, expected, unique, ooo, comp_rel in delta.receivers:
-                pre = probe.recv_pre[fid]
-                ridx = receiver_of_flow[fid]
-                b = base_of[fid]
-                if expected != pre[1]:
-                    exp_col[ridx] = b + expected
-                if unique != pre[2]:
-                    uni_col[ridx] = b + unique
-                if ooo != pre[5]:
-                    ooo_col[ridx] = {b + x for x in ooo}
-                if comp_rel >= 0:
-                    comp_col[ridx] = start + comp_rel
+        res = engine.results
+        if delta.flows:
+            flow_cols = self._flow_cols()
+            for write in delta.flows:
+                col, idx_of, kind = flow_cols[write.field]
+                v = col[idx_of[write.flow]] = _move_field(
+                    kind, write.value, base_of[write.flow], start)
+                if kind == "done":
+                    res.flows[write.flow].complete_ps = v
 
         # Staged future events, through ``insert`` so the injectable
         # stale-index bug (the occupancy hook) reaches this path too.
         insert = engine.events.insert
-        for off, node, enc in delta.staged:
-            insert(win + off, node,
-                   (ENTRY_UDP, enc[1]) if enc[0] == "u" else
-                   (ENTRY_ARRIVAL, start + enc[1], enc[2],
-                    _dec_row(enc[3], base_of, start)))
+        for s in delta.staged:
+            insert(win + s.offset, s.node,
+                   (ENTRY_UDP, s.flow) if s.row is None else
+                   (ENTRY_ARRIVAL, start + s.t, s.prio,
+                    _move_row(s.row, base_of[s.flow], start)))
 
         if self._listening():
             self._replay(delta.tape, start, base_of)
 
-        res = engine.results
-        for fid, rel in delta.completions:
-            res.flows[fid].complete_ps = start + rel
         self._account(delta, 1)
         if any(delta.counts):
             res.window_breakdown.append((start,) + delta.counts)
-        res.end_time_ps = probe.end
-
+        res.end_time_ps = start + engine.lookahead
         if telemetry:
-            self._telemetry(t0, win, probe.end - start, 1)
+            self._telemetry(t0, win, engine.lookahead, 1)
 
     def _telemetry(self, t0: float, win: int, span_ps: int, n: int) -> None:
         """One apply or one jump over ``n`` windows: sample the ports
@@ -965,56 +859,37 @@ class WindowMemoCache:
 
     def _account(self, delta: WindowDelta, k: int) -> None:
         """Add ``k`` x one window's increments to the accumulators
-        (port stats, event counts, per-node events, drops)."""
+        (port counters, event counts, per-node events, drops)."""
         cols = self.engine.world.egress_cols
-        for i, _post, incr in delta.ports:
-            if incr != _NO_STATS:
-                cols.enqueued[i] += k * incr[0]
-                cols.dequeued[i] += k * incr[1]
-                cols.dropped[i] += k * incr[2]
-                cols.marked[i] += k * incr[3]
-                cols.tx_bytes[i] += k * incr[4]
+        counters = [getattr(cols, name) for name in PORT_COUNTERS]
+        for port in delta.ports:
+            if port.counters != _NO_COUNTS:
+                i = port.post.iface
+                for col, d in zip(counters, port.counters):
+                    col[i] += k * d
         res = self.engine.results
         ev = res.events
-        a, s_, f, tr = delta.counts
-        ev.ack += k * a
-        ev.send += k * s_
-        ev.forward += k * f
-        ev.transmit += k * tr
+        for name, d in zip(_EVENT_COUNTS, delta.counts):
+            setattr(ev, name, getattr(ev, name) + k * d)
         node_events = res.node_events
         for node, d in delta.node_incr:
             node_events[node] = node_events.get(node, 0) + k * d
         res.drops += k * delta.drops_incr
 
     def _listening(self) -> bool:
-        """Whether replaying a tape can be observed: at trace level 0
-        every known subscriber shape (TraceRecorder, the memo's own
-        inactive tap) drops each op on its level guard; an unknown
-        shape forces the replay to stay safe."""
+        """Whether replaying a tape can be observed: at trace level 0 a
+        TraceRecorder drops each op on its level guard; an unknown
+        subscriber shape forces the replay to stay safe."""
         bus = self.engine.bus
         return bus.trace_level > 0 or any(
-            not isinstance(s, (TraceRecorder, _TraceTap))
-            for s in bus._trace_subs)
+            not isinstance(s, TraceRecorder) for s in bus._trace_subs)
 
     def _replay(self, tape: Tuple, start: int,
                 base_of: Dict[int, int]) -> None:
         """Publish one window's rebased trace ops in the frame of the
         window starting at ``start`` with flow cursors ``base_of``."""
         bus = self.engine.bus
-        bus_enq, bus_deq = bus.enq, bus.deq
-        bus_deliver, bus_drop = bus.deliver, bus.drop
-        for op in tape:
-            kind = op[0]
-            if kind == "fd":
-                bus.flow_done(start + op[1], op[2], op[3])
-                continue
-            t = start + op[1]
-            seq = base_of[op[3]] + op[5]
-            if kind == "enq":
-                bus_enq(t, op[2], op[3], op[4], seq, op[6])
-            elif kind == "deq":
-                bus_deq(t, op[2], op[3], op[4], seq)
-            elif kind == "del":
-                bus_deliver(t, op[2], op[3], op[4], seq)
-            else:
-                bus_drop(t, op[2], op[3], op[4], seq)
+        for method, t, where, flow, *args in tape:
+            if args:
+                args[1] += base_of[flow]
+            getattr(bus, method)(start + t, where, flow, *args)

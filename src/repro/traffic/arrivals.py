@@ -510,10 +510,6 @@ class FlowColumns:
     def has_udp(self) -> bool:
         return bool((self._transport == int(Transport.UDP)).any())
 
-    def udp_flow_ids(self) -> List[int]:
-        return np.nonzero(
-            self._transport == int(Transport.UDP))[0].tolist()
-
     def max_start_ps(self) -> int:
         return int(self._start.max()) if len(self) else 0
 

@@ -109,12 +109,20 @@ class TestTelemetryCommands:
         assert {e["pid"] for e in events} == {0, 1, 2}
 
     def test_profile_ffwd_flag(self, capsys):
+        """``--json`` is a view of the run record: its keys besides
+        ``counters`` and ``rows`` are exactly ``run_record``'s."""
         import json
+        from repro.core.instrument import InstrumentationBus
+        from repro.metrics.timeline import run_record
         udp = ["--topology", "dumbbell:2",
                "--flows", "fixed:n=2,size=60000,transport=udp"]
         rc = main(["profile", *udp, "--ffwd", "--json"])
         assert rc == 0
-        counters = json.loads(capsys.readouterr().out)["counters"]
+        report = json.loads(capsys.readouterr().out)
+        counters = report.pop("counters")
+        report.pop("rows")
+        assert set(report) == set(run_record(InstrumentationBus()))
+        assert report["memo_jump_windows"] == counters["memo.jump_windows"]
         assert any(k.startswith("memo.") for k in counters)
         rc = main(["profile", *udp, "--json"])
         assert rc == 0
