@@ -26,7 +26,10 @@ the DOD engine:
 * When a hit key recurs, the *whole* rebased pending state is encoded;
   if it is equal one period later the engine state is periodic under
   the translation, and :meth:`WindowMemoCache._jump` skips whole cycles
-  up to the next validation point by translating that state once.
+  up to the next validation point by translating that state once.  The
+  full-state walk seals the window's own probe on its way and a jump
+  translates the probe of the window it lands on, so a steady
+  validation period pays one encode.
 
 Every state the memo touches is declared once — :data:`FLOW_FIELDS`,
 :data:`PORT_COUNTERS`, :class:`PortEnc` and the one packet-row rebase
@@ -213,7 +216,10 @@ WindowDelta = namedtuple(
 
 class _Probe(NamedTuple):
     """One eligibility probe: the signature key plus the pre-state the
-    capture diff and the hit apply both need."""
+    capture diff and the hit apply both need.  A window's is encoded
+    alone, sealed first by the full-state walk, or moved by ``T^m`` from
+    the window a jump started at: ``start`` by ``dt``, ``base_of`` by
+    ``m·d_f``, the key and the rebased ``ports`` as they are."""
 
     win: int
     start: int
@@ -270,11 +276,13 @@ class WindowMemoCache:
         #: a miss / ineligible window (a longer period never fits before
         #: a validation); the hypothesis ``(window, hit number,
         #: full-state key, flow cursors, hit number to compare at)``;
-        #: and the hit number before which none is formed (a refuted one
-        #: waits for the next validation point).
+        #: the hit number before which none is formed (a refuted one
+        #: waits for the next validation point); and the probe a jump
+        #: translated for the window it lands on.
         self._trail: deque = deque(maxlen=VALIDATE_EVERY - 1)
         self._hyp: Optional[Tuple] = None
         self._hold = 0
+        self._landing: Optional[_Probe] = None
         from ..traffic import Transport
         self._udp_flows = frozenset(
             f for f, t in enumerate(flow_lists(engine).transport)
@@ -291,7 +299,7 @@ class WindowMemoCache:
 
     def _forget_cycle(self) -> None:
         self._trail.clear()
-        self._hyp = None
+        self._hyp = self._landing = None
 
     def _flow_cols(self) -> Dict[str, Tuple]:
         """Per :data:`FLOW_FIELDS` column: ``(column list, flow -> entity
@@ -317,7 +325,7 @@ class WindowMemoCache:
         that carried the engine past it — and ``False`` when the window
         is ineligible and the engine must run ``process_window`` itself.
         """
-        probe = self._probe(win)
+        probe, state = self._probes(win)
         bus = self.engine.bus
         if isinstance(probe, str):
             bus.count("memo.ineligible")
@@ -338,7 +346,7 @@ class WindowMemoCache:
                 self.cache[probe.key] = _Entry(capture_filter(delta))
             return True
         self.hits += 1
-        if self._cycle_step(win, entry):
+        if self._cycle_step(win, entry, probe, state):
             return True
         if self.hits % VALIDATE_EVERY == 0:
             # Replay-based validation: execute for real and compare the
@@ -356,16 +364,31 @@ class WindowMemoCache:
         self._trail.append((win, entry))
         return True
 
+    def _probes(self, win: int) -> Tuple:
+        """The window's probe — a jump's landing translation, the window
+        part of a full-state pass, or a fresh encode — and the full-state
+        one when a hit here would be a cycle comparison (else None)."""
+        landing, self._landing = self._landing, None
+        if landing is not None and landing.win == win:
+            return self._gate(win) or landing, None
+        hyp = self._hyp
+        if hyp is not None and self.hits + 1 >= hyp[4]:
+            return self._probe(
+                win, list(self._trail)[hyp[1] - self.hits - 1:])
+        return self._probe(win), None
+
     # --- cycles -----------------------------------------------------------
 
-    def _cycle_step(self, win: int, entry: _Entry) -> bool:
+    def _cycle_step(self, win: int, entry: _Entry, probe: _Probe,
+                    state) -> bool:
         """Cycle detection on a hit; ``True`` when a jump handled it.
 
         A key that hit ``period`` hits ago proposes a cycle: the
         full-state signature (:meth:`_probe` with the cycle) is taken
         now and again ``period`` hits later, and equality makes the
         engine state periodic under the translation — whatever proposed
-        it, because that signature is closed under execution.
+        it, because that signature is closed under execution.  The later
+        one is ``state``, taken by :meth:`_probes` before the lookup.
         """
         hyp = self._hyp
         hits = self.hits
@@ -373,7 +396,7 @@ class WindowMemoCache:
             period = hits - entry.seen
             if period > len(self._trail) or hits < self._hold:
                 return False
-            state = self._probe(win, list(self._trail)[-period:])
+            state = self._probe(win, list(self._trail)[-period:])[1]
             if isinstance(state, str):
                 self._refuse("state_differs")
             else:
@@ -383,12 +406,11 @@ class WindowMemoCache:
         win0, hits0, key0, bases0, at_hits = hyp
         if hits < at_hits:
             return False
-        cycle = list(self._trail)[hits0 - hits:]
-        state = self._probe(win, cycle)
         if isinstance(state, str) or state.key != key0:
             self._refuse("state_differs")
             return False
-        return self._jump(state, cycle, win - win0, bases0)
+        return self._jump(state, list(self._trail)[hits0 - hits:],
+                          win - win0, bases0, probe)
 
     def _refuse(self, reason: str) -> None:
         self.engine.bus.count("memo.jump_refused." + reason)
@@ -397,7 +419,7 @@ class WindowMemoCache:
             self._hold = (self.hits // VALIDATE_EVERY + 1) * VALIDATE_EVERY
 
     def _jump(self, state: _Probe, cycle, p_idx: int,
-              bases0: Dict[int, int]) -> bool:
+              bases0: Dict[int, int], probe: _Probe) -> bool:
         """Skip ``m`` whole cycles from ``state``'s window on.
 
         The state before this window is the state one cycle ago moved
@@ -498,16 +520,31 @@ class WindowMemoCache:
         bus.count("memo.jump")
         bus.count("memo.jump_windows", n)
         # The landing state has the same signature: compare again one
-        # cycle after it without re-encoding this end.
+        # cycle after it without re-encoding this end.  With slack for
+        # m + 1 cycles a longer jump would skip the landing window, so
+        # its probe is this window's moved by T^m (else a flow's tail
+        # may saturate its encoding differently).
         self._trail.clear()
         self._hyp = (win + shift, hits + n, state.key,
                      {f: b + jump_of[f] for f, b in bases.items()},
                      hits + n + p_run)
+        if min(bounds[1:], default=(m + 1,))[0] > m:
+            self._landing = probe._replace(
+                win=win + shift, start=probe.start + dt,
+                base_of={f: b + jump_of[f] for f, b in probe.base_of.items()})
         if bus.telemetry:
             self._telemetry(t0, win, dt, n)
         return True
 
     # --- probe ------------------------------------------------------------
+
+    def _gate(self, win: int) -> Optional[str]:
+        """The reason a window is ineligible whatever the state."""
+        engine = self.engine
+        cut = engine.scenario.duration_ps
+        if cut is not None and (win + 1) * engine.lookahead > cut + 1:
+            return "duration_cut"  # the cut truncates this window
+        return "ops_subscribed" if engine.bus.has_ops else None
 
     def _probe(self, win: int, cycle=None):
         """Compute the window's execution signature, or the reason (a
@@ -517,23 +554,23 @@ class WindowMemoCache:
         entry, long before any port is touched).
 
         With ``cycle`` (the ``(window, entry)`` hits of one proposed
-        period) the same encoders cover the *whole* pending state: every
-        pending bucket under its window offset, the occupancy index, the
-        ports the cycle touched next to the active set, the per-flow
+        period) the same walk goes on to the *whole* pending state and
+        returns ``(window probe, full-state probe)``, each a
+        :class:`_Probe` or a reason.  The window's own bucket is walked
+        first and its probe sealed there — the ports of the active set
+        and its own targets, its own receive counts; the full state is
+        that plus every other bucket under its window offset, the
+        occupancy index, the ports the cycle touched and the per-flow
         fields of every flow met on the way.  That key is closed under
         execution — what any later window reads is in it.
         """
+        reason = self._gate(win)
+        if reason is not None:
+            return reason if cycle is None else (reason, reason)
         engine = self.engine
-        scenario = engine.scenario
         L = engine.lookahead
         start = win * L
-        duration = scenario.duration_ps
-        if duration is not None and start + L > duration + 1:
-            return "duration_cut"  # the cut truncates this window
-        if engine.bus.has_ops:
-            return "ops_subscribed"
         buckets = engine.events._buckets
-
         udp_flows = self._udp_flows
         base_of: Dict[int, int] = {}
         flow_cols = self._flow_cols()
@@ -548,17 +585,16 @@ class WindowMemoCache:
         is_host = engine.is_host
         active = engine.active_ports
         union = set(active)
-        entries_enc: List = []
         recv_counts: Dict[int, int] = {}
         fl = flow_lists(engine)
         routes = self._routes
-        fib, topology = scenario.fib, scenario.topology
-        for w in (win,) if cycle is None else sorted({win, *buckets}):
+        fib, topology = engine.scenario.fib, engine.scenario.topology
+
+        def walk(w: int, entries_enc: List) -> Optional[str]:
+            """Encode bucket ``w``; note its bases, targets, receives."""
             bucket = buckets.get(w)
-            if cycle is not None:
-                entries_enc.append(w - win)
             if bucket is None:
-                continue
+                return None
             wstart = w * L
             for node, e in zip(bucket.nodes, bucket.payloads):
                 tag = e[0]
@@ -607,34 +643,51 @@ class WindowMemoCache:
                     union.add(iface)
                 else:
                     return "cca_entry"  # FLOW_START / TIMER: a CCA flow
+            return None
 
-        if cycle is not None:
-            for _w, entry in cycle:
-                union.update(p.post.iface for p in entry.delta.ports)
         cols = engine.world.egress_cols
-        ports: Dict[int, Tuple] = {}
-        for iface in sorted(union):
-            port = ports[iface] = self._enc_port(
-                cols, iface, iface in active, base, start)
-            if port is None:
-                return "foreign_queued_row"
+        encs: Dict[int, Tuple] = {}  # each union port encoded once
 
-        flows_enc: List[Tuple] = []
-        for fid in sorted(recv_counts if cycle is None else base_of):
-            b = base_of[fid]
-            enc = _enc_flow(flow_cols, fid, b, start)
-            # Saturate far-from-complete states: completion can fire
-            # only when remaining <= new uniques <= the arrivals encoded
-            # here, so any remainder beyond that budget is behaviourally
-            # equivalent.
-            remaining = segment_count(fl.size[fid]) - b - enc[_COUNT_AT]
-            sat = min(remaining, recv_counts.get(fid, 0) + 1)
-            flows_enc.append((fid, sat) + enc)
+        def seal(entries_enc: List, fids, *extra):
+            """The probe of the walk so far, keyed on flows ``fids``."""
+            ports: Dict[int, Tuple] = {}
+            for iface in sorted(union):
+                port = encs.get(iface)
+                if port is None:
+                    port = encs[iface] = self._enc_port(
+                        cols, iface, iface in active, base, start)
+                    if port is None:
+                        return "foreign_queued_row"
+                ports[iface] = port
+            flows_enc: List[Tuple] = []
+            for fid in sorted(fids):
+                b = base_of[fid]
+                enc = _enc_flow(flow_cols, fid, b, start)
+                # Saturate far-from-complete states: completion fires
+                # only when remaining <= new uniques <= the arrivals
+                # encoded here, so a larger remainder behaves the same.
+                remaining = segment_count(fl.size[fid]) - b - enc[_COUNT_AT]
+                sat = min(remaining, recv_counts.get(fid, 0) + 1)
+                flows_enc.append((fid, sat) + enc)
+            key = (tuple(entries_enc), tuple(ports.values()),
+                   tuple(flows_enc)) + extra
+            return _Probe(win, start, key, ports, dict(base_of))
 
-        key = (tuple(entries_enc), tuple(ports.values()), tuple(flows_enc))
-        if cycle is not None:
-            key += (tuple(sorted(w - win for w in engine.events._queued)),)
-        return _Probe(win, start, key, ports, base_of)
+        entries: List = []
+        window = walk(win, entries) or seal(entries, recv_counts)
+        if cycle is None:
+            return window
+        if isinstance(window, str):
+            return window, window
+        for w in sorted(buckets.keys() - {win}):
+            entries.append(w - win)
+            reason = walk(w, entries)
+            if reason is not None:
+                return window, reason
+        for _w, entry in cycle:
+            union.update(p.post.iface for p in entry.delta.ports)
+        return window, seal(entries, base_of, tuple(
+            sorted(w - win for w in engine.events._queued)))
 
     def _enc_port(self, cols, iface: int, active: bool,
                   base: Callable[[int], Optional[int]],

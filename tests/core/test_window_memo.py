@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.scenarios import steady_state_scenario
 from repro.core.checkpoint import (
     CheckpointingEngine, CheckpointStore, restore_checkpoint,
     take_checkpoint,
@@ -187,8 +188,30 @@ def _finish(engine):
             results.window_breakdown, dict(results.node_events))
 
 
+def _check_reused_probes(engine):
+    """Hold every window probe the memo does not encode afresh — the
+    window part of a full-state pass, a jump's landing translation — to
+    a fresh ``_probe(win)`` at the same state; returns the list the
+    reused windows are appended to."""
+    memo = engine._memo
+    probes = memo._probes
+    reused = []
+
+    def checked(win):
+        landing = memo._landing
+        probe, state = probes(win)
+        if state is not None or (landing is not None
+                                 and landing.win == win):
+            reused.append(win)
+            assert probe == memo._probe(win), f"window {win}"
+        return probe, state
+    memo._probes = checked
+    return reused
+
+
 class TestCycleJumpLockstep:
-    """A jumping engine against a twin executed window by window."""
+    """A jumping engine against a twin executed window by window; every
+    probe the jumper reuses is held to a fresh one on the way."""
 
     @given(cycle_scenarios(),
            st.one_of(st.none(), st.integers(20, 300)),
@@ -200,6 +223,8 @@ class TestCycleJumpLockstep:
             engine = DodEngine(scenario, TraceLevel.FULL, ffwd=ffwd,
                                max_windows=max_windows)
             engine.build()
+            if ffwd:
+                _check_reused_probes(engine)
             return engine
         jumper, stepped = make(True), make(False)
         counters = jumper.bus.counters  # of the first engine, if restored
@@ -277,10 +302,10 @@ class TestCycleJumpLockstep:
             checks = []
             jump = memo._jump
 
-            def spy(state, cycle, p_idx, bases0):
+            def spy(state, *args):
                 checks.append((state.win, engine._windows_run, memo.hits,
                                state.base_of.get(0)))
-                return jump(state, cycle, p_idx, bases0)
+                return jump(state, *args)
             memo._jump = spy
             while engine.advance():
                 pass
@@ -300,35 +325,73 @@ class TestCycleJumpLockstep:
         assert "state_differs" in run(extra=[late])[1]
 
 
+@pytest.mark.parametrize("make", [steady_scenario,
+                                  steady_state_scenario])
+def test_steady_runs_reuse_probes(make):
+    """One encode per validation period: the comparison's window probe
+    comes from its full-state pass and the landing's from the jump, and
+    each equals a fresh one."""
+    engine = DodEngine(make(), ffwd=True)
+    engine.build()
+    reused = _check_reused_probes(engine)
+    while engine.advance():
+        pass
+    assert len(reused) >= 2 * engine.bus.counters["memo.jump"] - 1 > 0
+
+
+def _count_encodes(engine):
+    """``{"window": n, "full": n}`` fresh encodes by the memo's probe."""
+    memo = engine._memo
+    probe = memo._probe
+    counts = {"window": 0, "full": 0}
+
+    def counted(win, cycle=None):
+        counts["window" if cycle is None else "full"] += 1
+        return probe(win, cycle)
+    memo._probe = counted
+    return counts
+
+
 def test_small_steady_sibling_spends_its_windows_in_jumps():
     """The count behind ``steady_udp_ffwd`` (no timing): on the
     benchmark's small sibling at least four windows in five are skipped
-    inside a cycle jump, every validation passes, and the cadence of
-    validations is the per-window memo's."""
-    from repro.bench.scenarios import steady_state_scenario
+    inside a cycle jump, every validation passes, the cadence of
+    validations is the per-window memo's, and a validation period pays
+    one encode — the full-state one the comparison needs: the window
+    probes of the misses and the first two hits are the only fresh
+    ones."""
     engine = DodEngine(steady_state_scenario(), ffwd=True)
+    engine.build()
+    encodes = _count_encodes(engine)
     engine.run()
     c = engine.bus.counters
     assert c["memo.jump_windows"] >= 0.8 * c["windows"]
     assert c["memo.hit"] + c["memo.miss"] == c["windows"]
     assert c["memo.validate"] == c["memo.hit"] // VALIDATE_EVERY
     assert c.get("memo.validate_fail", 0) == 0
+    assert (c["windows"], c["memo.hit"], c["memo.miss"],
+            c["memo.validate"], c["memo.jump"]) == (1_046, 1_036, 10, 32, 33)
+    assert encodes == {"window": c["memo.miss"] + 2, "full": 34}
 
 
 def test_full_size_steady_counters_are_pinned():
     """``steady_udp_ffwd`` at benchmark size: how the probe computes a
     flow's emissions may change, the keys it builds from them may not —
     so hits, misses, validations and skipped windows stay what they
-    were."""
-    from repro.bench.scenarios import steady_state_scenario
+    were.  Encodes: one full-state pass per comparison plus the
+    proposal, and window probes only for the misses and the first two
+    hits."""
     scenario = steady_state_scenario(flow_bytes=24_000_000)
     engine = DodEngine(scenario, ffwd=True)
+    engine.build()
+    encodes = _count_encodes(engine)
     engine.run()
     c = engine.bus.counters
     assert (c["windows"], c["memo.hit"], c["memo.miss"],
-            c["memo.validate"], c["memo.jump_windows"]) == (
-        8_338, 8_328, 10, 260, 8_066)
+            c["memo.validate"], c["memo.jump"], c["memo.jump_windows"]) == (
+        8_338, 8_328, 10, 260, 261, 8_066)
     assert "memo.validate_fail" not in c
+    assert encodes == {"window": 12, "full": 262}
 
 
 class TestDigestIdentity:
