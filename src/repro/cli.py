@@ -454,9 +454,8 @@ def make_parser() -> argparse.ArgumentParser:
     profile.add_argument("--ffwd", action="store_true",
                          help="window-signature memo fast-forwarding for "
                               "steady-state traffic (ignored with "
-                              "--cluster, where the memo is per-agent and "
-                              "auto-disabled while cross-agent traffic is "
-                              "pending)")
+                              "--cluster: cluster agents never "
+                              "fast-forward)")
     profile.add_argument("--progress", action="store_true",
                          help="stderr progress/ETA line (TTY only)")
     profile.add_argument("--live", metavar="FILE",

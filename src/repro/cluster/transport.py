@@ -71,7 +71,7 @@ from .shm import (
 from ..core.checkpoint import (
     Checkpoint, restore_checkpoint, take_checkpoint,
 )
-from ..core.instrument import SystemProfile, WindowProfile
+from ..core.instrument import SystemProfile
 from ..errors import ClusterError
 from ..metrics import SimResults
 
@@ -100,7 +100,8 @@ class AgentReport:
     results: SimResults
     counters: Dict[str, int]
     totals: Dict[str, SystemProfile]
-    windows: List[WindowProfile]
+    #: The agent bus's raw window rows (``InstrumentationBus.window_rows``).
+    windows: List[tuple]
     #: Telemetry streams (PR 5): the agent bus's span buffer, its metric
     #: registry snapshot, and the wall-clock position of its span epoch
     #: — the cluster bus uses the latter to normalize child clocks
@@ -217,7 +218,7 @@ def _report_of(engine: AgentEngine) -> AgentReport:
         results=engine.results,
         counters=dict(bus.counters),
         totals=dict(bus.totals),
-        windows=list(bus.windows),
+        windows=bus.window_rows,
         spans=list(bus.spans),
         metrics=bus.metrics.snapshot() if bus.metrics else {},
         epoch_wall=bus.epoch_wall,

@@ -93,11 +93,11 @@ class DodEngine:
 
         ``ffwd`` enables the window-signature memoization +
         fast-forwarding cache.  The cache only ever activates under the
-        static gates checked by :meth:`_maybe_init_memo` — local
-        deliveries, no RED / packet spraying / queue sampling, at least
-        one UDP flow — and the ``dons-ffwd`` conformance oracle
-        holds the trace digest byte-identical with it on or off.  See
-        docs/MEMOIZATION.md.
+        static gates checked by :meth:`_maybe_init_memo` — no RED /
+        packet spraying / queue sampling, at least one UDP flow — and
+        the ``dons-ffwd`` conformance oracle holds the trace digest
+        byte-identical with it on or off.  Cluster agents never
+        fast-forward.  See docs/MEMOIZATION.md.
         """
         self.scenario = scenario
         self.bus = InstrumentationBus()
@@ -134,6 +134,10 @@ class DodEngine:
         self._windows_run = 0
         #: Per-port constants by interface id, gathered at ``build()``.
         self.port_static: List[PortStatic] = []
+        #: Per interface id: ``None`` when the port's peer node is
+        #: simulated here, else the cluster agent that owns it.
+        self.port_owner: List[Optional[int]] = (
+            [None] * len(scenario.topology.interfaces))
         #: ``is_host[node]``, gathered at ``build()`` — what the window
         #: plan and the memo probe classify an entry's node by.
         self.is_host: List[bool] = []
@@ -283,9 +287,7 @@ class DodEngine:
         static eligibility gates hold.
 
         The gates keep fast-forwarding inside the closed world the
-        signature can encode (see docs/MEMOIZATION.md): local deliveries
-        only (cluster agents clear ``deliveries_local`` — a window with
-        cross-agent traffic must run for real so its outbox fills), no
+        signature can encode (see docs/MEMOIZATION.md): no
         queue sampling (samples are absolute-time pairs), no RED and no
         packet-mode ECMP (both hash raw sequence numbers, which the
         per-flow rebase erases), and at least one UDP flow (the
@@ -300,8 +302,7 @@ class DodEngine:
         has_udp = getattr(sc.flows, "has_udp", None)
         if has_udp is None:
             has_udp = any(f.transport == Transport.UDP for f in sc.flows)
-        gate = ("remote_deliveries" if not self.deliveries_local
-                else "queue_sampling" if self.sample_queues
+        gate = ("queue_sampling" if self.sample_queues
                 else "red_aqm" if AqmKind.RED in (sc.host_egress.aqm.kind,
                                                   sc.switch_egress.aqm.kind)
                 else "packet_spray" if sc.ecmp_mode == "packet"
@@ -326,10 +327,8 @@ class DodEngine:
         """TransmitSystem callback: a packet reaches ``node`` at ``t``."""
         self._insert(t, node, (ENTRY_ARRIVAL, t, PRIO_ARRIVAL, row))
 
-    #: True when every delivery lands in the local event store — the
-    #: TransmitSystem may then append to the columns directly.
-    #: The cluster AgentEngine clears it (peers can live off-partition).
-    deliveries_local = True
+    #: A cluster agent's deliveries to other agents' nodes, by owner.
+    outbox: Optional[Dict[int, list]] = None
 
     def register_wakeup(self, t: int, node: int, tag: int, flow_id: int) -> None:
         """SendSystem callback: revisit ``flow_id`` in the window of ``t``."""

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .telemetry import MetricsRegistry
 
@@ -152,10 +152,10 @@ class InstrumentationBus:
         self.keep_window_profiles = keep_window_profiles
         #: one raw row per executed window: ``(index, start_ps, ack_s,
         #: send_s, forward_s, transmit_s)``.  :attr:`windows` builds the
-        #: profiles from these.
-        self._window_rows: List[tuple] = []
-        #: window profiles merged in from child buses, by window index.
-        self._child_windows: Dict[int, WindowProfile] = {}
+        #: profiles from these; an agent's report ships them as they are.
+        self.window_rows: List[tuple] = []
+        #: ``(tag, rows)`` per child bus merged in, rows as above.
+        self._child_rows: List[Tuple[str, Sequence[tuple]]] = []
         #: whole-run aggregate per system.
         self.totals: Dict[str, SystemProfile] = {}
         self._system_totals: Optional[List[SystemProfile]] = None
@@ -323,25 +323,26 @@ class InstrumentationBus:
         totals[2].elapsed_s += forward_s
         totals[3].elapsed_s += transmit_s
         if self.keep_window_profiles:
-            self._window_rows.append((index, start_ps, ack_s, send_s,
-                                      forward_s, transmit_s))
+            self.window_rows.append((index, start_ps, ack_s, send_s,
+                                     forward_s, transmit_s))
 
     @property
     def windows(self) -> List[WindowProfile]:
         """Per-window profiles, built on demand (the profiler CLI, the
         cluster report merge and Fig. 13-style breakdowns read these):
-        this bus's own windows plus merged children, by window index."""
+        this bus's own windows plus merged children's, tagged
+        ``<tag>:<system>``, by window index.  A window one bus ran twice
+        (a rollback re-run) counts its last row; a child merged twice
+        sums."""
         by_index: Dict[int, WindowProfile] = {}
-        for index, start_ps, *times in self._window_rows:
-            win = by_index[index] = WindowProfile(index, start_ps)
-            for name, dt in zip(SYSTEMS, times):
-                win.systems[name] = SystemProfile(elapsed_s=dt)
-        for index, child in self._child_windows.items():
-            mine = by_index.get(index)
-            if mine is None:
-                by_index[index] = child
-            else:  # tagged system names never collide with our own
-                mine.systems.update(child.systems)
+        for tag, rows in [(None, self.window_rows), *self._child_rows]:
+            names = SYSTEMS if tag is None else [f"{tag}:{n}" for n in SYSTEMS]
+            for index, start_ps, *times in {r[0]: r for r in rows}.values():
+                win = by_index.get(index)
+                if win is None:
+                    win = by_index[index] = WindowProfile(index, start_ps)
+                for name, dt in zip(names, times):
+                    win.system(name).elapsed_s += dt
         return sorted(by_index.values(), key=lambda w: w.index)
 
     # --- cluster aggregation ----------------------------------------------
@@ -351,7 +352,7 @@ class InstrumentationBus:
         tag: str,
         counters: Dict[str, int],
         totals: Dict[str, SystemProfile],
-        windows: Sequence[WindowProfile],
+        windows: Sequence[tuple],
         spans: Optional[Sequence[SpanRecord]] = None,
         metrics: Optional[Dict[str, Any]] = None,
         epoch_wall: Optional[float] = None,
@@ -360,10 +361,12 @@ class InstrumentationBus:
 
         The cluster runtime calls this once per agent at ``finalize``
         with the agent's :class:`AgentReport` streams: counters are
-        *summed* (cluster totals), while per-window and whole-run system
-        profiles are *tagged* ``<tag>:<system>`` so per-agent timings
-        stay distinguishable — ``python -m repro profile --cluster``
-        and :func:`repro.partition.measured_machine_times` read them.
+        *summed* (cluster totals), while whole-run system profiles are
+        *tagged* ``<tag>:<system>`` so per-agent timings stay
+        distinguishable — ``python -m repro profile --cluster`` and
+        :func:`repro.partition.measured_machine_times` read them.
+        ``windows`` are the child's raw :attr:`window_rows`, kept under
+        the tag; :attr:`windows` profiles them on demand.
 
         Telemetry streams ride the same call: ``spans`` are renamed
         ``<tag>:<name>`` and shifted from the child's clock into this
@@ -389,15 +392,8 @@ class InstrumentationBus:
             if total is None:
                 total = self.totals[name] = SystemProfile()
             total.add(prof)
-        if not self.keep_window_profiles:
-            return
-        for child in windows:
-            mine = self._child_windows.get(child.index)
-            if mine is None:
-                mine = self._child_windows[child.index] = WindowProfile(
-                    index=child.index, start_ps=child.start_ps)
-            for system, prof in child.systems.items():
-                mine.system(f"{tag}:{system}").add(prof)
+        if self.keep_window_profiles and windows:
+            self._child_rows.append((tag, windows))
 
     # --- checkpoint support -----------------------------------------------
 
@@ -409,7 +405,7 @@ class InstrumentationBus:
         return {
             "counters": dict(self.counters),
             "totals": self.totals,
-            "window_rows": list(self._window_rows),
+            "window_rows": list(self.window_rows),
             "spans": list(self.spans),
             "metrics": self.metrics.snapshot(),
             "epoch_wall": self.epoch_wall,
@@ -425,7 +421,7 @@ class InstrumentationBus:
         self.counters = dict(state["counters"])
         self.totals = copy.deepcopy(state["totals"])
         self._system_totals = None
-        self._window_rows = list(state["window_rows"])
+        self.window_rows = list(state["window_rows"])
         offset = state["epoch_wall"] - self.epoch_wall
         self.spans = [
             (t0 + offset, t1 + offset, name, cat, attrs)

@@ -13,9 +13,10 @@ that runs it.  Each system is one sweep over its slice of the plan:
 * Forward routes every switch arrival straight into the window's
   staging lists through a cross-window route cache;
 * Transmit replays the window's port list in one ``replay_window``
-  call with an in-place delivery sink, or — traced, op-probed or
-  cluster-agent windows — through the two-phase
-  :func:`transmit_kernel` + :func:`commit_transmit`.
+  call with an in-place delivery sink (on a cluster agent a remote
+  peer's packets go to its owner's outbox), or — traced and op-probed
+  windows — through the two-phase :func:`transmit_kernel` +
+  :func:`commit_transmit`.
 
 The systems stay individually callable in any order
 (``bench/naive_order.py`` runs the rejected one)."""

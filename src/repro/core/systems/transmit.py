@@ -18,9 +18,11 @@ automaton of the OOD baseline (``tests/core/test_port_replay.py``).
 
 :func:`plan_transmit` lists the fed ports and the active ones due in
 the window, and :func:`run_transmit_system` replays them one of two
-ways.  With no trace stream, no op probe and local deliveries it makes
-one :func:`replay_window` call over the whole port list that commits in
-place (the delivery sink).  Otherwise it runs the two-phase path:
+ways.  With no trace stream and no op probe — serial engine or cluster
+agent — it makes one :func:`replay_window` call over the whole port
+list that commits in place (the delivery sink): a port whose peer is
+local appends to the event columns, one whose peer another agent owns
+to that agent's outbox.  Otherwise it runs the two-phase path:
 :func:`transmit_kernel` replays one port's window (ports are
 independent entities) and :func:`commit_transmit` publishes trace/op
 events and registers cross-device arrivals, in port order.  Both paths
@@ -181,25 +183,34 @@ def replay_window(
     loop with a shorter input.
 
     ``sink`` is the caller's ``(buckets, events, register_window,
-    lookahead, floor, node_events, active)``; when given, dequeued
-    packets are delivered straight into the engine's event columns
-    (the bucket cursor carries across ports) instead of filling
+    lookahead, floor, node_events, active, owners, outbox)``; when
+    given, dequeued packets are delivered instead of filling
     ``emissions``, and each port's dequeues and busy/idle state are
     committed to ``node_events`` and the ``active`` set in place.
+    ``owners`` maps an interface to ``None`` when its peer node is
+    simulated here — its packets go straight into the event columns
+    (the bucket cursor carries across ports) — or to the agent that
+    owns the peer, whose ``outbox`` list then takes the port's
+    ``(arrival_ps, peer, row)`` records in emission order.
     Returns the number of dequeues.
     """
     (free_col, queued_col, avg_col, qlen_col, queues_col, heads_col,
      enqueued_col, dequeued_col, dropped_col, marked_col, tx_col, max_q_col,
      samples_col, rr_next_col, deficit_col, current_col, granted_col) = cols
     if sink is not None:
-        buckets, events, reg, L, floor, node_events, active = sink
+        (buckets, events, reg, L, floor, node_events, active, owners,
+         outbox) = sink
         last_win = -1
         b_nodes = b_payloads = None
+    out = emissions
     staged_get = staged.get
     total = 0
     for iface_id in ports:
         (classes, node, peer, delay, rate, weight_shift, buffer_bytes,
          ecn_k, red, kind, quantum, table, sample_queue) = static[iface_id]
+        if sink is not None:
+            owner = owners[iface_id]
+            out = None if owner is None else []
         arrivals = staged_get(iface_id, ())
         n = len(arrivals)
         if n > 1:
@@ -270,8 +281,8 @@ def replay_window(
                     n_deq += 1
                     tx += size
                     free_at = end = start + (size * _PS8) // rate
-                    if sink is None:
-                        emissions.append((row, start, end))
+                    if out is not None:
+                        out.append((row, start, end))
                     else:
                         ta = end + delay
                         win = ta // L
@@ -347,6 +358,9 @@ def replay_window(
         if sink is not None:
             if n_deq:
                 node_events[node] = node_events.get(node, 0) + n_deq
+                if out is not None:
+                    outbox.setdefault(owner, []).extend(
+                        [(e + delay, peer, r) for r, _s, e in out])
             if slen:
                 active.add(iface_id)
             else:
@@ -427,15 +441,15 @@ def commit_transmit(engine, ctx: WindowContext, results) -> None:
 def run_transmit_system(engine, ctx: WindowContext) -> None:
     """Replay every active or newly-fed egress port of the window.
 
-    When nothing observes a packet (no trace stream, no op probe) and
-    every peer is local, one :func:`replay_window` call takes the whole
-    port list with a delivery sink: dequeues land straight in the event
-    columns, and node counts, the active set and drops are committed in
-    place — no emission tuples, no per-port call.  Traced, op-probed
-    and cluster-agent windows run the two-phase
-    :func:`transmit_kernel` + :func:`commit_transmit`.  Port order,
-    per-port emission order, stats and active-set updates are the same
-    either way.
+    When nothing observes a packet (no trace stream, no op probe), one
+    :func:`replay_window` call takes the whole port list with a delivery
+    sink: dequeues land straight in the event columns — or, on a
+    cluster agent, in the outbox of the agent that owns the peer
+    (``engine.port_owner``) — and node counts, the active set and drops
+    are committed in place; no per-port call.  Traced and op-probed
+    windows run the two-phase :func:`transmit_kernel` +
+    :func:`commit_transmit`.  Port order, per-port emission order,
+    stats, outbox order and active-set updates are the same either way.
     """
     iface_ids = plan_transmit(engine, ctx)
     if not iface_ids:
@@ -444,7 +458,7 @@ def run_transmit_system(engine, ctx: WindowContext) -> None:
     cols, static, staged = (engine.world.egress_cols, engine.port_static,
                             ctx.staged)
     sort = transmit_sort  # module attribute: the injectable tie-break
-    if not (bus.trace_level or bus.has_ops) and engine.deliveries_local:
+    if not (bus.trace_level or bus.has_ops):
         events = engine.events
         results = engine.results
         drops: List[Tuple[int, Row]] = []
@@ -453,7 +467,8 @@ def run_transmit_system(engine, ctx: WindowContext) -> None:
             drops, None,
             (events._buckets, events, events_mod.register_window,
              engine.lookahead, engine._running_window + 1,
-             results.node_events, engine.active_ports))
+             results.node_events, engine.active_ports, engine.port_owner,
+             engine.outbox))
         results.drops += len(drops)
         return
     full_trace = bus.trace_level >= 2

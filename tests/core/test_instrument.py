@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.instrument import (
+    SYSTEMS,
     InstrumentationBus,
     SystemProfile,
     WindowProfile,
@@ -12,14 +13,40 @@ from repro.metrics import TraceLevel, TraceRecorder
 
 
 def _child_payload(systems=("ack", "send"), windows=(0, 1)):
+    """An agent report's bus streams: totals, and the raw window rows
+    ``(index, start_ps, ack_s, send_s, forward_s, transmit_s)``."""
     totals = {name: SystemProfile(elapsed_s=0.5) for name in systems}
-    wins = []
-    for index in windows:
-        win = WindowProfile(index=index, start_ps=index * 1000)
-        for name in systems:
-            win.system(name).elapsed_s = 0.25
-        wins.append(win)
-    return {"ack.count": 3}, totals, wins
+    rows = [(index, index * 1000, 0.25, 0.25, 0.25, 0.25)
+            for index in windows]
+    return {"ack.count": 3}, totals, rows
+
+
+def _old_windows(own_rows, children):
+    """The per-window profiles as built before reports shipped raw
+    rows: each child bus materialised its own profiles (last row of a
+    window wins), and the merge added them in under the child's tag."""
+    def profiles(rows):
+        by_index = {}
+        for index, start_ps, *times in rows:
+            win = by_index[index] = WindowProfile(index, start_ps)
+            for name, dt in zip(SYSTEMS, times):
+                win.systems[name] = SystemProfile(elapsed_s=dt)
+        return sorted(by_index.values(), key=lambda w: w.index)
+
+    merged = {}
+    for tag, rows in children:
+        for child in profiles(rows):
+            mine = merged.setdefault(
+                child.index, WindowProfile(child.index, child.start_ps))
+            for system, prof in child.systems.items():
+                mine.system(f"{tag}:{system}").add(prof)
+    by_index = {w.index: w for w in profiles(own_rows)}
+    for index, child in merged.items():
+        if index in by_index:
+            by_index[index].systems.update(child.systems)
+        else:
+            by_index[index] = child
+    return sorted(by_index.values(), key=lambda w: w.index)
 
 
 class TestSpans:
@@ -62,6 +89,7 @@ class TestMergeChild:
         assert bus.totals["a0:ack"].elapsed_s == 0.5
         assert [w.index for w in bus.windows] == [0, 1]
         assert "a0:send" in bus.windows[0].systems
+        assert bus.windows[1].start_ps == 1000
 
     def test_empty_windows_child(self):
         """An agent that ran no windows still merges cleanly."""
@@ -120,9 +148,36 @@ class TestMergeChild:
         bus.merge_child("a0", {}, totals, wins)
         rows = bus.profile_rows()
         assert rows == [{
-            "window": 0, "start_ps": 0, "system": "a0:ack",
+            "window": 0, "start_ps": 0, "system": f"a0:{system}",
             "elapsed_s": 0.25,
-        }]
+        } for system in ("ack", "forward", "send", "transmit")]
+
+    def test_two_agent_merge_equals_the_old_materialisation(self):
+        """Raw rows merged under their tags profile exactly as the
+        shipped ``WindowProfile`` lists did: overlapping and disjoint
+        windows, a window an agent re-ran after a rollback (its last
+        row counts), and the parent's own rows next to the children's."""
+        own = [(2, 2000, 1.0, 2.0, 3.0, 4.0)]
+        children = [
+            ("a0", [(0, 0, .1, .2, .3, .4), (2, 2000, .5, .6, .7, .8),
+                    (5, 5000, .9, 1.1, 1.2, 1.3)]),
+            ("a1", [(2, 2000, 2.1, 2.2, 2.3, 2.4),
+                    (3, 3000, 3.1, 3.2, 3.3, 3.4),
+                    (3, 3000, 4.1, 4.2, 4.3, 4.4),
+                    (0, 0, 5.1, 5.2, 5.3, 5.4)]),
+        ]
+        bus = InstrumentationBus()
+        bus.window_rows = list(own)
+        for tag, rows in children:
+            bus.merge_child(tag, {}, {}, rows)
+        old = _old_windows(own, children)
+        assert bus.windows == old
+        assert [w.index for w in old] == [0, 2, 3, 5]
+        assert old[2].system("a1:ack").elapsed_s == 4.1
+        assert bus.profile_rows() == [
+            {"window": w.index, "start_ps": w.start_ps, "system": name,
+             "elapsed_s": prof.elapsed_s}
+            for w in old for name, prof in sorted(w.systems.items())]
 
 
 class TestTracePlumbing:

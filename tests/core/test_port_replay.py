@@ -9,7 +9,9 @@ window after window, next to an ``EgressPort`` driven *event by event*
 queues, line state, the EWMA and the RR/DRR round carry over, and assert
 that every observable agrees after each window: emissions or sink
 deliveries, drops, ENQ records, every counter and queue sample, the line
-state, the class queues with their heads, and the discipline state.
+state, the class queues with their heads, and the discipline state.  A
+sink port whose peer another agent owns hands that agent's outbox the
+same packets, as ``(arrival_ps, peer, row)`` records.
 
 Times sit on a 100 ns grid and sizes are multiples of 125 bytes (100 ns
 at 10 Gb/s), so simultaneous arrivals and service starts that coincide
@@ -96,7 +98,7 @@ def _store_state(events):
 
 @settings(max_examples=400, deadline=None)
 @given(configs, tables, windows, st.booleans(), st.booleans(),
-       st.booleans())
+       st.booleans(), st.booleans())
 # DRR's rarest transition: class 0 sends one small packet on a large
 # quantum and empties while class 1 is backlogged, so its leftover
 # deficit is forfeited on the next pick and shows in the row state.
@@ -107,9 +109,10 @@ def _store_state(events):
          table=[0, 0, 0, 1, 1, 1],
          drawn=[[(0, 3, 0, 12, False), (1, 0, 0, 1, False),
                  (1, 3, 1, 12, False), (1, 3, 2, 12, False)], []],
-         sample_queue=False, use_sink=False, trace=False)
+         sample_queue=False, use_sink=False, trace=False, remote=False)
 def test_inline_replay_matches_reference(iface, config, table, drawn,
-                                         sample_queue, use_sink, trace):
+                                         sample_queue, use_sink, trace,
+                                         remote):
     ref = automaton(iface, config, table, sample_queue)
     cols, static, i = egress_row(iface, config, table, sample_queue)
     assert static.classes == len(ref.sched.queues)
@@ -129,9 +132,10 @@ def test_inline_replay_matches_reference(iface, config, table, drawn,
 
         cand_em, cand_drops = [], []
         cand_enq = [] if trace else None
-        node_events, active = {}, set()
+        node_events, active, outbox = {}, set(), {}
         sink = ((cand_events._buckets, cand_events, register_window,
-                 lookahead, floor, node_events, active) if use_sink else None)
+                 lookahead, floor, node_events, active,
+                 {i: 1 if remote else None}, outbox) if use_sink else None)
         n = replay_window(cols, {i: static}, (i,), {i: arrivals},
                           contract_sort, start, end, cand_em, cand_drops,
                           cand_enq, sink)
@@ -143,7 +147,13 @@ def test_inline_replay_matches_reference(iface, config, table, drawn,
             cand_events.insert_arrivals(iface.peer_node, cand_em,
                                         iface.delay_ps, lookahead, floor)
 
-        assert _store_state(cand_events) == _store_state(ref_events)
+        if use_sink and remote:  # agent 1 owns the peer
+            assert outbox == ({1: [(e + iface.delay_ps, iface.peer_node, r)
+                                   for r, _s, e in ref_em]} if n else {})
+            assert not cand_events
+        else:
+            assert outbox == {}
+            assert _store_state(cand_events) == _store_state(ref_events)
         assert cand_drops == ref_drops
         assert cand_enq == ref_enq
         assert row_state(cols, i) == automaton_state(ref)
@@ -191,12 +201,17 @@ port_windows = st.lists(st.lists(st.lists(arrival, max_size=8),
                         min_size=2, max_size=4)
 
 
-def _replay_run(topo, ports, drawn, cut, use_sink, sample_queue, one_call):
+def _replay_run(topo, ports, drawn, cut, use_sink, sample_queue, remote,
+                one_call):
     ids = PORT_IDS[:len(ports)]
     cols, statics = egress_rows(
         [(topo.interfaces[i], config, table)
          for i, (config, table) in zip(ids, ports)], sample_queue)
-    events, node_events, active = EventColumns(), {}, set()
+    # With ``remote``, agents 1 and 2 own the peers of the second and
+    # fourth port.
+    owners = {i: (k if remote and k % 2 else None)
+              for k, i in enumerate(ids)}
+    events, node_events, active, outbox = EventColumns(), {}, set(), {}
     emissions, drops = [], []
     lookahead = WINDOW // 2
     for index, per_port in enumerate(drawn):
@@ -211,12 +226,13 @@ def _replay_run(topo, ports, drawn, cut, use_sink, sample_queue, one_call):
                 staged[i] = rows
         planned = sorted(set(staged) | {i for i in ids if cols.qlen[i]})
         sink = ((events._buckets, events, register_window, lookahead,
-                 end // lookahead, node_events, active) if use_sink else None)
+                 end // lookahead, node_events, active, owners, outbox)
+                if use_sink else None)
         for port_list in ([planned] if one_call else [[i] for i in planned]):
             replay_window(cols, statics, port_list, staged, contract_sort,
                           start, end, emissions, drops, None, sink)
     return ([row_state(cols, i) for i in ids], _store_state(events),
-            node_events, active, emissions, drops)
+            node_events, active, emissions, drops, outbox)
 
 
 FIFO_ECN = EgressConfig(buffer_bytes=500, aqm=AqmConfig(
@@ -232,24 +248,28 @@ MIXED = [(1, 0, 1, 12, False), (1, 3, 2, 4, False), (2, 4, 3, 8, True)]
 
 @settings(max_examples=200, deadline=None)
 @given(port_lists, port_windows, st.sampled_from([None, 1, GRID, 7 * GRID]),
-       st.booleans(), st.booleans())
+       st.booleans(), st.booleans(), st.booleans())
 @example(ports=[(FIFO_ECN, [0] * N_FLOWS), (SP, [0, 1] * 3),
                 (RR, [0, 1] * 3), (DRR, [1, 0] * 3)],
          drawn=[[BURST, MIXED, MIXED, MIXED], [MIXED, [], BURST, MIXED]],
-         cut=5 * GRID, use_sink=True, sample_queue=False)
+         cut=5 * GRID, use_sink=True, sample_queue=False, remote=True)
 @example(ports=[(FIFO_ECN, [0] * N_FLOWS), (SP, [0, 1] * 3),
                 (RR, [0, 1] * 3), (DRR, [1, 0] * 3)],
          drawn=[[BURST, MIXED, MIXED, MIXED], [MIXED, [], BURST, MIXED]],
-         cut=5 * GRID, use_sink=False, sample_queue=True)
+         cut=5 * GRID, use_sink=False, sample_queue=True, remote=False)
 def test_one_call_over_a_port_list_equals_one_call_per_port(
-        ports, drawn, cut, use_sink, sample_queue):
-    """The fused pass hands the replay a window's whole port list; the
-    python kernels hand it one port at a time.  Every ``world.egress``
-    column, every event bucket (insertion order included), the node
-    counts, the active set, the emissions and the drops must agree."""
+        ports, drawn, cut, use_sink, sample_queue, remote):
+    """The sink hands the replay a window's whole port list; the
+    two-phase kernel hands it one port at a time.  Every
+    ``world.egress`` column, every event bucket (insertion order
+    included), every outbox list (port order x emission order), the
+    node counts, the active set, the emissions and the drops must
+    agree."""
     topo = dumbbell(2, bottleneck_rate_bps=10 * GBPS)
-    args = (topo, ports, drawn, cut, use_sink, sample_queue)
+    args = (topo, ports, drawn, cut, use_sink, sample_queue, remote)
     one = _replay_run(*args, one_call=True)
     assert one == _replay_run(*args, one_call=False)
     if use_sink:
-        assert one[4] == [] and (one[1][0] or not one[2])
+        assert one[4] == [] and (one[1][0] or one[6] or not one[2])
+    else:
+        assert one[6] == {}

@@ -1,28 +1,36 @@
 """Backend equivalence: the two transmit back ends are byte-identical.
 
 There is one kernel set, but the TransmitSystem has two back ends.
-With no trace stream, no op probe and local deliveries it replays a
-window's whole port list in one call that commits in place (the
-delivery sink); traced, op-probed and cluster-agent windows run the
-two-phase kernel + commit.  Everything here runs the *same scenario*
-through both back ends and diffs what both can observe: the result
-parts (event counts, drops, marks, every flow, every port's stats).  A
-probed run's op stream must not depend on the trace level.
+With no trace stream and no op probe it replays a window's whole port
+list in one call that commits in place (the delivery sink) — on the
+serial engine and on every cluster agent, whose sink hands a remote
+peer's packets to the owner's outbox; traced and op-probed windows run
+the two-phase kernel + commit.  Everything here runs the *same
+scenario* through both back ends, or through the serial engine and a
+trace-off cluster, and diffs what both can observe: the result parts
+(event counts, drops, marks, every flow, the RTT samples, every port's
+stats).  A probed run's op stream must not depend on the trace level.
 """
 
 from hashlib import blake2b
 
 import pytest
 
+from repro.cluster import DonsManager
+from repro.cluster.agent import AgentEngine
 from repro.conformance.oracles import result_parts
+from repro.core.checkpoint import restore_checkpoint
 from repro.core.engine import DodEngine
 from repro.core.instrument import OP_FORWARD
+from repro.core.systems import transmit as transmit_mod
 from repro.des import run_baseline
+from repro.des.partition_types import contiguous_partition, random_partition
 from repro.metrics import TraceLevel
+from repro.partition import ClusterSpec
 from repro.scenario import make_scenario
-from repro.topology import dumbbell
-from repro.traffic import Flow, Transport, fixed_flows
-from repro.units import GBPS
+from repro.topology import dumbbell, fattree
+from repro.traffic import TINY, Flow, Transport, fixed_flows, full_mesh_dynamic
+from repro.units import GBPS, ms, us
 
 
 def run_parts(scenario, trace_level):
@@ -88,18 +96,82 @@ def test_udp_closed_form_schedule():
     assert_paths_identical(make_scenario(topo, flows))
 
 
-def test_cluster_agents_equal_the_serial_sink(fattree4_scenario):
-    """Cluster agents always take the two-phase path (their peers can be
-    remote); 2 local-transport agents equal the serial engine's sink."""
-    from repro.cluster import DonsManager
-    from repro.des.partition_types import contiguous_partition
-    from repro.partition import ClusterSpec
+def cluster_parts(scenario, transport, agents, schedule=()):
+    """A trace-off cluster run's result parts, with every port's stats
+    read off its final owner's egress row.  The agents are snapshotted
+    once the run is over (a worker process's rows never come home
+    otherwise) and each snapshot restored into a fresh engine."""
+    partition = contiguous_partition(scenario.topology, agents)
+    cluster = DonsManager(scenario, ClusterSpec.homogeneous(agents),
+                          transport=transport)._engine(partition,
+                                                        list(schedule))
+    cluster.build()
+    while cluster.advance():
+        pass
+    checkpoints, _accounting = cluster.transport.snapshot_all(
+        cluster.transport.cursor)
+    final = schedule[-1][1] if schedule else partition
+    results = cluster.finalize()
+    engines = []
+    for agent_id, checkpoint in enumerate(checkpoints):
+        engine = AgentEngine(agent_id, scenario, final)
+        engine.build()
+        restore_checkpoint(engine, checkpoint)
+        engines.append(engine)
+    stats = [engines[final.part_of(iface.node)].port_stats(i)
+             for i, iface in enumerate(scenario.topology.interfaces)]
+    return cluster, result_parts(results, stats)
 
-    serial, _parts = run_parts(fattree4_scenario, TraceLevel.NONE)
+
+@pytest.mark.parametrize("agents", [2, 4])
+@pytest.mark.parametrize("transport", ["local", "shm"])
+def test_cluster_agents_equal_the_serial_sink(fattree4_scenario, transport,
+                                              agents):
+    """Trace off, agents commit through the one-call sink like the
+    serial engine — a remote peer's packets go to the owner's outbox —
+    and every result part equals the serial run's: event counts, drops,
+    marks, every flow, the RTT samples and every port's stats."""
+    _serial, serial_parts = run_parts(fattree4_scenario, TraceLevel.NONE)
+    cluster, parts = cluster_parts(fattree4_scenario, transport, agents)
+    assert cluster.stats.rpc_records > 0, "no packet crossed the cut"
+    assert parts == serial_parts
+
+
+@pytest.mark.parametrize("trace_level", [TraceLevel.NONE, TraceLevel.FULL],
+                         ids=["untraced", "traced"])
+def test_agents_go_two_phase_only_when_traced(fattree4_scenario,
+                                              trace_level, monkeypatch):
+    """An untraced agent never calls the two-phase ``transmit_kernel``;
+    a traced one does, and reproduces the OOD trace."""
+    kernel = transmit_mod.transmit_kernel
+    calls = []
+
+    def spy(*args):
+        calls.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(transmit_mod, "transmit_kernel", spy)
     partition = contiguous_partition(fattree4_scenario.topology, 2)
     run = DonsManager(fattree4_scenario, ClusterSpec.homogeneous(2),
-                      transport="local").run(partition=partition)
-    assert run.results.events == serial.events
-    assert (run.results.drops, run.results.marks) == (serial.drops,
-                                                      serial.marks)
-    assert run.results.fcts_ps() == serial.fcts_ps()
+                      trace_level, transport="local").run(partition=partition)
+    assert bool(calls) == bool(trace_level)
+    if trace_level:
+        assert run.results.trace.digest() == run_baseline(
+            fattree4_scenario, TraceLevel.FULL).trace.digest()
+
+
+def test_live_migration_trace_off_equals_the_serial_sink():
+    """Trace off, a migration rebinds every agent's partition between
+    windows, and the sink must route by the new owners: a node that
+    moved makes a local port remote and a remote one local."""
+    topo = fattree(4, rate_bps=10 * GBPS, delay_ps=us(1))
+    flows = full_mesh_dynamic(topo.hosts, ms(0.5), load=0.5,
+                              host_rate_bps=10 * GBPS, sizes=TINY,
+                              seed=17, max_flows=60)
+    scenario = make_scenario(topo, flows, buffer_bytes=60_000)
+    _serial, serial_parts = run_parts(scenario, TraceLevel.NONE)
+    schedule = [(60, random_partition(topo, 3, seed=9))]
+    cluster, parts = cluster_parts(scenario, "local", 3, schedule)
+    assert len(cluster.migrations) == 1
+    assert cluster.migrations[0].queued_packets_moved > 0
+    assert parts == serial_parts

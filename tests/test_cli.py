@@ -129,6 +129,25 @@ class TestTelemetryCommands:
         counters = json.loads(capsys.readouterr().out)["counters"]
         assert not any(k.startswith("memo.") for k in counters)
 
+    def test_profile_cluster_json_rows(self, capsys):
+        """``profile --cluster 2 --json``: agents ship raw window rows,
+        and the merged bus still prints one row per window, agent and
+        system, with the pinned keys, in window order."""
+        import json
+        rc = main(["profile", *self.ARGS, "--cluster", "2", "--json"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        rows = report["rows"]
+        assert rows
+        assert all(list(row) == ["window", "start_ps", "system", "elapsed_s"]
+                   for row in rows)
+        assert {row["system"] for row in rows} == {
+            f"a{a}:{s}" for a in (0, 1)
+            for s in ("ack", "send", "forward", "transmit")}
+        windows = [row["window"] for row in rows]
+        assert windows == sorted(windows)
+        assert report["counters"]["cluster.windows"] == len(set(windows))
+
     def test_timeline_manifest_records_resolved_switches(
             self, tmp_path, capsys):
         """The manifest reports what the engine actually ran with:
