@@ -32,7 +32,9 @@ def _miss_rates(k: int):
     scenario = dcn_scenario(k, duration_ms=0.5, max_flows=75 * k, seed=5)
     topo = scenario.topology
     ood = OodAccessModel(topo.num_nodes, topo.num_interfaces, topo.num_hosts)
-    OodSimulator(scenario, op_hook=ood).run()
+    sim = OodSimulator(scenario)
+    sim.bus.subscribe_ops(ood)
+    sim.run()
     dod = DodAccessModel(topo.num_nodes, topo.num_interfaces,
                          topo.num_hosts, len(scenario.flows))
     run_dons_probed(scenario, dod)

@@ -29,7 +29,9 @@ def test_fig03_bad_partition_slower_than_serial(benchmark):
     def experiment():
         ood = OodAccessModel(topo.num_nodes, topo.num_interfaces,
                              topo.num_hosts)
-        serial = OodSimulator(scenario, op_hook=ood).run()
+        sim = OodSimulator(scenario)
+        sim.bus.subscribe_ops(ood)
+        serial = sim.run()
         from repro.bench import measure_cmr
         cmr = measure_cmr(ood)
         part = random_partition(topo, 2, seed=1)

@@ -43,7 +43,9 @@ def _measure(scenario, scaled_duration_ms, lp_counts):
     """Scaled run -> everything the projection needs."""
     topo = scenario.topology
     ood = OodAccessModel(topo.num_nodes, topo.num_interfaces, topo.num_hosts)
-    serial = OodSimulator(scenario, op_hook=ood).run()
+    sim = OodSimulator(scenario)
+    sim.bus.subscribe_ops(ood)
+    serial = sim.run()
     cmr_ood = cost_cmr(measure_cmr(ood))
 
     dod = DodAccessModel(topo.num_nodes, topo.num_interfaces,

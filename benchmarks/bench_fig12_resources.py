@@ -77,7 +77,9 @@ def test_fig12b_cache_and_fig12c_utilization(benchmark):
             topo = scenario.topology
             ood = OodAccessModel(topo.num_nodes, topo.num_interfaces,
                                  topo.num_hosts)
-            OodSimulator(scenario, op_hook=ood).run()
+            sim = OodSimulator(scenario)
+            sim.bus.subscribe_ops(ood)
+            sim.run()
             dod = DodAccessModel(topo.num_nodes, topo.num_interfaces,
                                  topo.num_hosts, len(scenario.flows))
             dons = run_dons_probed(scenario, dod)

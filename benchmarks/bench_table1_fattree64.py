@@ -46,7 +46,9 @@ def _measure_ratios_and_w1():
     scenario = dcn_scenario(16, duration_ms=0.3, max_flows=1200, seed=5)
     topo = scenario.topology
     ood = OodAccessModel(topo.num_nodes, topo.num_interfaces, topo.num_hosts)
-    serial = OodSimulator(scenario, op_hook=ood).run()
+    sim = OodSimulator(scenario)
+    sim.bus.subscribe_ops(ood)
+    serial = sim.run()
     cmr_ood = cost_cmr(measure_cmr(ood))
     dod = DodAccessModel(topo.num_nodes, topo.num_interfaces,
                          topo.num_hosts, len(scenario.flows))

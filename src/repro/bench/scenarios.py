@@ -55,9 +55,10 @@ def run_dons_probed(scenario: Scenario, probe,
                     trace_level=None) -> SimResults:
     """Run the DOD engine with a machine-model probe on the op stream.
 
-    The probe subscribes to the engine's instrumentation bus (what the
-    old ``op_hook`` constructor argument wired by hand); the run itself
-    goes through the shared :class:`~repro.core.runner.EngineRunner`.
+    The probe subscribes to the engine's instrumentation bus
+    (``eng.bus.subscribe_ops``, as it does on the OOD baseline's
+    ``sim.bus``); the run itself goes through the shared
+    :class:`~repro.core.runner.EngineRunner`.
     """
     from ..core import DodEngine
     from ..metrics import TraceLevel

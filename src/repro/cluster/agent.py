@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from ..core import events as events_mod
 from ..core.engine import DodEngine
-from ..core.window import ENTRY_ARRIVAL
+from ..core.systems.transmit import LOCAL
 from ..des.partition_types import Partition
 from ..metrics import TraceLevel
-from ..protocols.packet import PRIO_ARRIVAL, Row
+from ..protocols.packet import Row
 from ..scenario import Scenario
 
 
@@ -132,11 +131,14 @@ class AgentEngine(DodEngine):
     @partition.setter
     def partition(self, partition: Partition) -> None:
         """Binding a partition (construction, ``migrate()``) re-derives
-        ``port_owner``, which the transmit sink routes deliveries by."""
+        ``port_owner`` and ``port_observed``, which the transmit sink
+        routes deliveries by."""
         self._partition = partition
         owners = map(partition.part_of, (
             iface.peer_node for iface in self.scenario.topology.interfaces))
         self.port_owner = [None if o == self.agent_id else o for o in owners]
+        self.port_observed = [LOCAL if o is None else o
+                              for o in self.port_owner]
 
     # --- builder: local endpoints only ------------------------------------
 
@@ -154,30 +156,6 @@ class AgentEngine(DodEngine):
         self.events.retain_nodes(lambda node: part_of(node) == me)
 
     # --- runner: remote deliveries go to the outbox --------------------------
-
-    def deliver(self, node: int, t: int, row: Row) -> None:
-        """The two-phase (traced / op-probed) transmit path's delivery."""
-        owner = self.partition.part_of(node)
-        if owner == self.agent_id:
-            super().deliver(node, t, row)
-        else:
-            self.outbox.setdefault(owner, []).append((t, node, row))
-
-    def accept_remote(self, records: List[Tuple[int, int, Row]]) -> None:
-        """Install packets received via RPC into the local calendar: one
-        bucket append per record, as the transmit sink does, then the
-        ``register_window`` hook once per window touched — the index
-        state one ``events.insert`` per record would leave."""
-        events, L = self.events, self.lookahead
-        buckets = events._buckets
-        for t, node, row in records:
-            bucket = buckets.get(t // L)
-            if bucket is None:
-                bucket = buckets[t // L] = events_mod._Bucket()
-            bucket.nodes.append(node)
-            bucket.payloads.append((ENTRY_ARRIVAL, t, PRIO_ARRIVAL, row))
-        for win in {t // L for t, _node, _row in records}:
-            events_mod.register_window(events, win)
 
     def run_window(self, window: int, skip_idle: bool = True):
         """One cluster step: execute the agreed window; returns

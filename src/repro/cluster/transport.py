@@ -308,7 +308,7 @@ class LocalTransport(Transport):
             for outbox in outboxes:
                 records = outbox.get(dst)
                 if records:
-                    engine.accept_remote(records)
+                    engine.accept_arrivals(records)
         if self._timed():
             # Serial execution: an agent's busy time is its own wall
             # time, its barrier wait the slack to the slowest agent.
@@ -506,7 +506,7 @@ class _AgentWorker:
                     f"agent {me}: frame of window {got} from agent {src} "
                     f"while closing window {window}")
             if records:
-                engine.accept_remote(records)
+                engine.accept_arrivals(records)
                 count("transport.records_in", len(records))
         board.publish(me, window, clock() - t0 - waited, waited, sent,
                       engine.results.events.total)

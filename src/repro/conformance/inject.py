@@ -12,9 +12,8 @@ Six bug classes are plantable:
   inside the transmit merge-sort: packets staged at the same
   ``(time, priority)`` on one egress port are replayed in *reversed*
   packet-identity order.  It patches the TransmitSystem's
-  ``transmit_sort`` hook, which both transmit paths (the one-call
-  delivery sink and the two-phase kernel) read, so every DOD engine
-  the oracles run is infected.
+  ``transmit_sort`` hook, which the TransmitSystem reads once per
+  window, so every DOD engine the oracles run is infected.
 * :func:`unstable_transmit_sort` replaces the same hook with an
   ordering-contract sort that is **unstable** on ties: it
   orders only by ``(time, priority)`` after reversing the staged list,

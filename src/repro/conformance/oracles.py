@@ -19,11 +19,12 @@ users actually run:
   fast-forwarding forced on (``core/memo.py``); its byte-identity
   against the rest is the fast-forward conformance gate.
 * ``dons-notrace`` / ``dons-ffwd-notrace`` — the same two at
-  ``TraceLevel.NONE``, the configuration the benchmark times: with no
-  trace stream the TransmitSystem replays the window's port list in
-  one call through its delivery sink, which no tracing oracle reaches.
-  There is no trace to diff, so these are held to the reference by
-  :func:`result_parts` instead.
+  ``TraceLevel.NONE``, the configuration the benchmark times: nothing
+  observes the window, so the TransmitSystem's delivery sink takes its
+  unpublished branch (a local peer's packets go straight into the
+  event columns) and a memo hit skips replaying its trace tape —
+  neither of which a tracing oracle reaches.  There is no trace to diff, so these
+  are held to the reference by :func:`result_parts` instead.
 * ``cluster-local-N`` / ``cluster-shm-N`` — the cluster runtime over
   N agents (N in 2/3/4), contiguous partition: in-process agents, or
   worker processes exchanging window frames with each other over

@@ -38,14 +38,15 @@ from __future__ import annotations
 
 import struct
 from hashlib import blake2b
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from . import events as events_mod
 from .ecs import World
 from .events import EventColumns
 from .instrument import OP_WINDOW, InstrumentationBus
 from .runner import EngineRunner
 from .systems import run_window
-from .systems.transmit import PortStatic, port_static
+from .systems.transmit import LOCAL, PortStatic, port_static
 from .window import (
     ENTRY_ARRIVAL, ENTRY_FLOW_START, ENTRY_UDP, Entry, WindowContext,
     plan_window,
@@ -138,6 +139,9 @@ class DodEngine:
         #: simulated here, else the cluster agent that owns it.
         self.port_owner: List[Optional[int]] = (
             [None] * len(scenario.topology.interfaces))
+        #: ``port_owner`` for an observed window, which collects every
+        #: port: a local peer's deliveries under ``LOCAL``.
+        self.port_observed: List[int] = [LOCAL] * len(self.port_owner)
         #: ``is_host[node]``, gathered at ``build()`` — what the window
         #: plan and the memo probe classify an entry's node by.
         self.is_host: List[bool] = []
@@ -323,9 +327,31 @@ class DodEngine:
         # LCC guarantees the target window lies after the running one.
         self.events.insert(self._window_of(t), node, entry)
 
-    def deliver(self, node: int, t: int, row: Row) -> None:
-        """TransmitSystem callback: a packet reaches ``node`` at ``t``."""
-        self._insert(t, node, (ENTRY_ARRIVAL, t, PRIO_ARRIVAL, row))
+    def accept_arrivals(self, records: List[Tuple[int, int, Row]]) -> None:
+        """Install ``(arrival_ps, node, row)`` deliveries — an observed
+        window's local ones, or packets another agent sent — into the
+        calendar: one bucket append per record, in record order, then
+        the ``register_window`` hook once per window touched, the index
+        state one ``events.insert`` per record would leave.  Like the
+        transmit sink, no record lands before the window after the
+        running one (a no-op under LCC; the naive-order ablation
+        breaks LCC)."""
+        events, L = self.events, self.lookahead
+        buckets = events._buckets
+        floor = self._running_window + 1
+        touched = set()
+        for t, node, row in records:
+            win = t // L
+            if win < floor:
+                win = floor
+            touched.add(win)
+            bucket = buckets.get(win)
+            if bucket is None:
+                bucket = buckets[win] = events_mod._Bucket()
+            bucket.nodes.append(node)
+            bucket.payloads.append((ENTRY_ARRIVAL, t, PRIO_ARRIVAL, row))
+        for win in touched:
+            events_mod.register_window(events, win)
 
     #: A cluster agent's deliveries to other agents' nodes, by owner.
     outbox: Optional[Dict[int, list]] = None
@@ -333,12 +359,6 @@ class DodEngine:
     def register_wakeup(self, t: int, node: int, tag: int, flow_id: int) -> None:
         """SendSystem callback: revisit ``flow_id`` in the window of ``t``."""
         self._insert(t, node, (tag, flow_id))
-
-    def bump_node(self, node: int, count: int = 1) -> None:
-        if count:
-            self.results.node_events[node] = (
-                self.results.node_events.get(node, 0) + count
-            )
 
     # --- main loop --------------------------------------------------------------
 

@@ -52,13 +52,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .telemetry import MetricsRegistry
 
-#: Machine-model op codes carried on the op stream (kept in sync with
-#: ``repro.machine.access`` / ``repro.des.simulator``).
+#: Machine-model op codes carried on the op stream — the one table
+#: both engines publish and ``repro.machine.access`` decodes.
 OP_SEND = 0
 OP_FORWARD = 1
 OP_SERVICE = 2
 OP_HOST_RX = 3
-OP_WINDOW = 9
+OP_WINDOW = 9  # DOD engine only: a new lookahead window begins
 
 #: An op-stream subscriber: ``hook(op_code, location, packet_uid)``.
 OpSubscriber = Callable[[int, int, int], None]

@@ -14,9 +14,8 @@ that runs it.  Each system is one sweep over its slice of the plan:
   staging lists through a cross-window route cache;
 * Transmit replays the window's port list in one ``replay_window``
   call with an in-place delivery sink (on a cluster agent a remote
-  peer's packets go to its owner's outbox), or — traced and op-probed
-  windows — through the two-phase :func:`transmit_kernel` +
-  :func:`commit_transmit`.
+  peer's packets go to its owner's outbox), traced or not: an observed
+  window's sink publishes each port's op and trace records after it.
 
 The systems stay individually callable in any order
 (``bench/naive_order.py`` runs the rejected one)."""
@@ -26,9 +25,7 @@ from time import perf_counter
 from .ack import ack_window, run_ack_system
 from .send import commit_send, run_send_system, send_kernel
 from .forward import run_forward_system
-from .transmit import (
-    commit_transmit, plan_transmit, run_transmit_system, transmit_kernel,
-)
+from .transmit import plan_transmit, run_transmit_system
 
 __all__ = [
     "run_window",
@@ -36,7 +33,7 @@ __all__ = [
     "run_forward_system", "run_transmit_system",
     "ack_window",
     "send_kernel", "commit_send",
-    "plan_transmit", "transmit_kernel", "commit_transmit",
+    "plan_transmit",
 ]
 
 

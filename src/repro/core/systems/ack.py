@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import List
 
 from .send import flow_lists
+from ..instrument import OP_HOST_RX
 from ..window import NodeWork, WindowContext
 from ...protocols.packet import (
     F_CE,
@@ -78,7 +79,7 @@ def ack_window(engine, ctx: WindowContext, work: List[NodeWork]) -> None:
         node_events[node] = node_events.get(node, 0) + len(arrivals)
         if has_ops:
             for _t, _prio, row in arrivals:
-                bus.op(3, node, packet_uid(row))  # OP_HOST_RX
+                bus.op(OP_HOST_RX, node, packet_uid(row))
         if trace_on:
             for t, _prio, row in arrivals:
                 bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..instrument import OP_FORWARD
 from ..window import NodeWork, WindowContext
 from ...protocols.packet import F_DST, F_FLOW, F_SEQ, packet_uid
 
@@ -96,7 +97,7 @@ def run_forward_system(engine, ctx: WindowContext,
                 lst.append((t, prio, row))
         if has_ops:
             for _t, _prio, row in arrivals:
-                bus.op(1, node, packet_uid(row))  # OP_FORWARD
+                bus.op(OP_FORWARD, node, packet_uid(row))
         n = len(arrivals)
         total += n
         node_events[node] = node_events.get(node, 0) + n

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from ..instrument import OP_HOST_RX, OP_SEND
 from ..window import ENTRY_TIMER, ENTRY_UDP, SendPlan, WindowContext
 from ...protocols import DctcpState
 from ...protocols.packet import (
@@ -286,9 +287,9 @@ def commit_send(engine, ctx: WindowContext, results) -> None:
         segments = 0
         if has_ops:
             for _ in rtts:
-                bus.op(3, src, (flow_id << 25) | (1 << 24))  # ack handled
+                bus.op(OP_HOST_RX, src, (flow_id << 25) | (1 << 24))  # ack handled
             for _t, _prio, row in out:
-                bus.op(0, src, packet_uid(row))  # OP_SEND
+                bus.op(OP_SEND, src, packet_uid(row))
         if out:
             segments = len(out)
             nic = nic_of[flow_id]

@@ -17,16 +17,15 @@ there is.  Its lockstep twin is the event-by-event ``EgressPort``
 automaton of the OOD baseline (``tests/core/test_port_replay.py``).
 
 :func:`plan_transmit` lists the fed ports and the active ones due in
-the window, and :func:`run_transmit_system` replays them one of two
-ways.  With no trace stream and no op probe — serial engine or cluster
-agent — it makes one :func:`replay_window` call over the whole port
-list that commits in place (the delivery sink): a port whose peer is
-local appends to the event columns, one whose peer another agent owns
-to that agent's outbox.  Otherwise it runs the two-phase path:
-:func:`transmit_kernel` replays one port's window (ports are
-independent entities) and :func:`commit_transmit` publishes trace/op
-events and registers cross-device arrivals, in port order.  Both paths
-order a port's arrivals with :data:`transmit_sort`.
+the window, and :func:`run_transmit_system` replays them in one
+:func:`replay_window` call over the whole port list that commits in
+place (the delivery sink), on the serial engine and on a cluster
+agent, traced or not: a port whose peer is local appends to the event
+columns, one whose peer another agent owns to that agent's outbox.  A
+window something observes (a trace stream or an op probe) collects
+every port's services, publishes the port's op and trace records after
+it, and installs the local deliveries once the call returns.  A port's
+arrivals are ordered with :data:`transmit_sort`.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import events as events_mod
 from ..ecs import EgressCols
+from ..instrument import OP_SERVICE
 from ..window import ENTRY_ARRIVAL, Staged, WindowContext
 from ...errors import ConfigError
 from ...protocols.aqm import AqmConfig, AqmKind, should_mark
@@ -53,6 +53,10 @@ Emission = Tuple[Row, int, int]
 
 #: ``PortStatic.kind``: how the next class to serve is picked.
 PICK_LOWEST, PICK_RR, PICK_DRR = 0, 1, 2
+
+#: The outbox key an observed window collects local deliveries under
+#: (agent ids are >= 0); see ``DodEngine.port_observed``.
+LOCAL = -1
 
 
 class PortStatic(NamedTuple):
@@ -117,7 +121,7 @@ def contract_sort(arrivals: List[Staged]) -> List[Staged]:
 
 
 #: The transmit tie-break hook, read from module globals once per window
-#: by both transmit paths, so the ``conformance.inject`` drills
+#: by :func:`run_transmit_system`, so the ``conformance.inject`` drills
 #: (``flipped_transmit_order``, ``unstable_transmit_sort``) can patch it.
 transmit_sort = contract_sort
 
@@ -146,6 +150,28 @@ def _drr_pick(queues, heads, deficit, quantum: int, cls: int,
         granted = False
 
 
+def _publish(bus, iface_id: int, out: List[Emission],
+             enq: Optional[List[Tuple[int, Row]]],
+             drops: List[Tuple[int, Row]]) -> None:
+    """One observed port's records, after its replay: ``OP_SERVICE``
+    per service (op stream), then ``enq`` per accepted packet, ``drop``
+    per tail drop and ``deq`` per service start (trace stream).
+    Empties ``enq`` for the next port."""
+    if bus.has_ops:
+        for row, _s, _e in out:
+            bus.op(OP_SERVICE, iface_id, packet_uid(row))
+    if bus.trace_level:
+        if enq:
+            for t, row in enq:
+                bus.enq(t, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ],
+                        row[F_CE])
+            enq.clear()
+        for t, row in drops:
+            bus.drop(t, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+        for row, start, _e in out:
+            bus.deq(start, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+
+
 def replay_window(
     cols: EgressCols,
     static: List[PortStatic],
@@ -154,10 +180,8 @@ def replay_window(
     sort: Callable[[List[Staged]], List[Staged]],
     window_start: int,
     window_end: int,
-    emissions: List[Emission],
     drops: List[Tuple[int, Row]],
-    enq: Optional[List[Tuple[int, Row]]] = None,
-    sink: Optional[Tuple] = None,
+    sink: Tuple,
 ) -> int:
     """Replay one lookahead window of every row in ``ports``, in turn.
 
@@ -166,11 +190,8 @@ def replay_window(
     every time in ``[window_start, window_end)``.  Service starts and
     arrivals interleave in chronological order; at equal timestamps
     service precedes arrival, matching the baseline's
-    PORT_DONE-before-ARRIVAL event priority.  ``emissions`` takes
-    ``(row, start, end)`` per service started in the window, ``drops``
-    the ``(time, row)`` tail drops, ``enq`` (trace recording) the
-    ``(time, accepted_row)`` pairs with any CE mark applied — port after
-    port, so a one-port list is one port's window.
+    PORT_DONE-before-ARRIVAL event priority.  ``drops`` takes the
+    ``(time, row)`` tail drops, port after port.
 
     The transitions are those of the ``EgressPort`` automaton
     (``arrive`` / ``start_service``, the scheduler's ``enqueue`` /
@@ -183,34 +204,35 @@ def replay_window(
     loop with a shorter input.
 
     ``sink`` is the caller's ``(buckets, events, register_window,
-    lookahead, floor, node_events, active, owners, outbox)``; when
-    given, dequeued packets are delivered instead of filling
-    ``emissions``, and each port's dequeues and busy/idle state are
-    committed to ``node_events`` and the ``active`` set in place.
-    ``owners`` maps an interface to ``None`` when its peer node is
-    simulated here — its packets go straight into the event columns
-    (the bucket cursor carries across ports) — or to the agent that
-    owns the peer, whose ``outbox`` list then takes the port's
-    ``(arrival_ps, peer, row)`` records in emission order.
-    Returns the number of dequeues.
+    lookahead, floor, node_events, active, owners, outbox, bus)``:
+    dequeued packets are delivered, and each port's dequeues and
+    busy/idle state are committed to ``node_events`` and the ``active``
+    set in place.  ``owners`` maps an interface to ``None`` when its
+    peer node is simulated here — its packets go straight into the
+    event columns (the bucket cursor carries across ports) — or to an
+    ``outbox`` key whose list then takes the port's ``(arrival_ps,
+    peer, row)`` records in emission order: the agent that owns the
+    peer, or :data:`LOCAL`.  ``bus`` is ``None`` when nothing observes
+    the window; otherwise every port must be collected (no ``None``
+    owner), and each port's op and trace records are published after
+    it (:func:`_publish`).  Returns the number of dequeues.
     """
     (free_col, queued_col, avg_col, qlen_col, queues_col, heads_col,
      enqueued_col, dequeued_col, dropped_col, marked_col, tx_col, max_q_col,
      samples_col, rr_next_col, deficit_col, current_col, granted_col) = cols
-    if sink is not None:
-        (buckets, events, reg, L, floor, node_events, active, owners,
-         outbox) = sink
-        last_win = -1
-        b_nodes = b_payloads = None
-    out = emissions
+    (buckets, events, reg, L, floor, node_events, active, owners, outbox,
+     bus) = sink
+    # ENQ records are kept for a full trace only.
+    enq = [] if bus is not None and bus.trace_level >= 2 else None
+    last_win = -1
+    b_nodes = b_payloads = None
     staged_get = staged.get
     total = 0
     for iface_id in ports:
         (classes, node, peer, delay, rate, weight_shift, buffer_bytes,
          ecn_k, red, kind, quantum, table, sample_queue) = static[iface_id]
-        if sink is not None:
-            owner = owners[iface_id]
-            out = None if owner is None else []
+        owner = owners[iface_id]
+        out = None if owner is None else []
         arrivals = staged_get(iface_id, ())
         n = len(arrivals)
         if n > 1:
@@ -355,16 +377,18 @@ def replay_window(
         if n_mark:
             marked_col[iface_id] += n_mark
         total += n_deq
-        if sink is not None:
-            if n_deq:
-                node_events[node] = node_events.get(node, 0) + n_deq
-                if out is not None:
-                    outbox.setdefault(owner, []).extend(
-                        [(e + delay, peer, r) for r, _s, e in out])
-            if slen:
-                active.add(iface_id)
-            else:
-                active.discard(iface_id)
+        if n_deq:
+            node_events[node] = node_events.get(node, 0) + n_deq
+        if out is not None:
+            if bus is not None:
+                _publish(bus, iface_id, out, enq, drops[len(drops) - n_drop:])
+            if out:
+                outbox.setdefault(owner, []).extend(
+                    [(e + delay, peer, r) for r, _s, e in out])
+        if slen:
+            active.add(iface_id)
+        else:
+            active.discard(iface_id)
     return total
 
 
@@ -383,96 +407,42 @@ def plan_transmit(engine, ctx: WindowContext) -> List[int]:
     return sorted(due)
 
 
-def transmit_kernel(
-    cols: EgressCols,
-    static: List[PortStatic],
-    staged: Dict[int, List[Staged]],
-    window_start: int,
-    window_end: int,
-    full_trace: bool,
-    sort: Callable[[List[Staged]], List[Staged]],
-    iface_id: int,
-):
-    """Replay one egress port's window timeline: :func:`replay_window`
-    over a one-port list, into lists :func:`commit_transmit` publishes.
-
-    Pure over its port: the merge-sort of its staged arrivals (``sort``,
-    the caller's ordering-contract tie-break) and the replay touch only
-    this port's row.
-    """
-    emissions: List[Emission] = []
-    drops: List[Tuple[int, Row]] = []
-    enq: Optional[List[Tuple[int, Row]]] = [] if full_trace else None
-    replay_window(cols, static, (iface_id,), staged, sort, window_start,
-                  window_end, emissions, drops, enq)
-    return iface_id, emissions, drops, enq, cols.qlen[iface_id] > 0
-
-
-def commit_transmit(engine, ctx: WindowContext, results) -> None:
-    """Publish events and register arrivals, in port (task) order."""
-    bus = engine.bus
-    trace_on = bool(bus.trace_level)
-    static = engine.port_static
-    for iface_id, emissions, drops, enq, still_active in results:
-        if bus.has_ops:
-            for row, _s, _e in emissions:
-                bus.op(2, iface_id, packet_uid(row))  # OP_SERVICE
-        st = static[iface_id]
-        if enq:
-            for t, row in enq:
-                bus.enq(t, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ],
-                        row[F_CE])
-        for t, row in drops:
-            if trace_on:
-                bus.drop(t, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
-            engine.results.drops += 1
-        ctx.counts.transmit += len(emissions)
-        engine.bump_node(st.node, len(emissions))
-        for row, start, end in emissions:
-            if trace_on:
-                bus.deq(start, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
-            engine.deliver(st.peer_node, end + st.delay_ps, row)
-        if still_active:
-            engine.active_ports.add(iface_id)
-        else:
-            engine.active_ports.discard(iface_id)
-
-
 def run_transmit_system(engine, ctx: WindowContext) -> None:
-    """Replay every active or newly-fed egress port of the window.
+    """Replay every active or newly-fed egress port of the window in one
+    :func:`replay_window` call with the delivery sink.
 
-    When nothing observes a packet (no trace stream, no op probe), one
-    :func:`replay_window` call takes the whole port list with a delivery
-    sink: dequeues land straight in the event columns — or, on a
-    cluster agent, in the outbox of the agent that owns the peer
+    Dequeues land straight in the event columns — or, on a cluster
+    agent, in the outbox of the agent that owns the peer
     (``engine.port_owner``) — and node counts, the active set and drops
-    are committed in place; no per-port call.  Traced and op-probed
-    windows run the two-phase :func:`transmit_kernel` +
-    :func:`commit_transmit`.  Port order, per-port emission order,
-    stats, outbox order and active-set updates are the same either way.
+    are committed in place; no per-port call.  When a trace stream or an
+    op probe observes the window, the sink collects every port
+    (``engine.port_observed``) and publishes its records after it, and
+    the local deliveries it gathered under :data:`LOCAL` are installed
+    by ``engine.accept_arrivals`` — the same bucket order, port by port
+    and emission by emission.
     """
     iface_ids = plan_transmit(engine, ctx)
     if not iface_ids:
         return
     bus = engine.bus
-    cols, static, staged = (engine.world.egress_cols, engine.port_static,
-                            ctx.staged)
-    sort = transmit_sort  # module attribute: the injectable tie-break
-    if not (bus.trace_level or bus.has_ops):
-        events = engine.events
-        results = engine.results
-        drops: List[Tuple[int, Row]] = []
-        ctx.counts.transmit += replay_window(
-            cols, static, iface_ids, staged, sort, ctx.start, ctx.end, None,
-            drops, None,
-            (events._buckets, events, events_mod.register_window,
-             engine.lookahead, engine._running_window + 1,
-             results.node_events, engine.active_ports, engine.port_owner,
-             engine.outbox))
-        results.drops += len(drops)
-        return
-    full_trace = bus.trace_level >= 2
-    commit_transmit(engine, ctx, [
-        transmit_kernel(cols, static, staged, ctx.start, ctx.end,
-                        full_trace, sort, i)
-        for i in iface_ids])
+    owners, outbox = engine.port_owner, engine.outbox
+    if bus.trace_level or bus.has_ops:
+        owners = engine.port_observed
+        if outbox is None:
+            outbox = {}
+    else:
+        bus = None
+    events = engine.events
+    results = engine.results
+    drops: List[Tuple[int, Row]] = []
+    ctx.counts.transmit += replay_window(
+        engine.world.egress_cols, engine.port_static, iface_ids, ctx.staged,
+        transmit_sort, ctx.start, ctx.end, drops,
+        (events._buckets, events, events_mod.register_window,
+         engine.lookahead, engine._running_window + 1, results.node_events,
+         engine.active_ports, owners, outbox, bus))
+    results.drops += len(drops)
+    if bus is not None:
+        local = outbox.pop(LOCAL, None)
+        if local:
+            engine.accept_arrivals(local)

@@ -20,19 +20,20 @@ maps out which store belongs to which engine.
 
 Like the DOD engine, the simulator publishes every observation to an
 :class:`~repro.core.instrument.InstrumentationBus`: machine-model probes
-subscribe to the op stream (``bus.subscribe_ops``) and the trace
-recorder to the trace stream.  The ``op_hook`` constructor argument is
-kept as a convenience and is simply subscribed to the bus.
+subscribe to the op stream (``sim.bus.subscribe_ops``) and the trace
+recorder to the trace stream.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .events import (
     EventQueue, KIND_ARRIVAL, KIND_FLOW_START, KIND_PORT_DONE, KIND_TIMER,
 )
-from ..core.instrument import InstrumentationBus
+from ..core.instrument import (
+    OP_FORWARD, OP_HOST_RX, OP_SEND, OP_SERVICE, InstrumentationBus,
+)
 from ..core.runner import EngineRunner
 from ..errors import SimulationError
 from ..metrics import SimResults, TraceLevel, TraceRecorder
@@ -53,14 +54,6 @@ from ..protocols.packet import (
 from ..scenario import Scenario
 from ..traffic import Transport
 
-# Machine-model op codes (shared with repro.machine.access).
-OP_SEND = 0
-OP_FORWARD = 1
-OP_SERVICE = 2
-OP_HOST_RX = 3
-
-OpHook = Callable[[int, int, int], None]
-
 
 class OodSimulator:
     """Sequential, object-oriented discrete event simulator."""
@@ -71,15 +64,12 @@ class OodSimulator:
         self,
         scenario: Scenario,
         trace_level: TraceLevel = TraceLevel.NONE,
-        op_hook: Optional[OpHook] = None,
         max_events: Optional[int] = None,
         sample_queues: bool = False,
     ) -> None:
         self.scenario = scenario
         self.bus = InstrumentationBus(keep_window_profiles=False)
         self.trace = self.bus.subscribe_trace(TraceRecorder(trace_level))
-        if op_hook is not None:
-            self.bus.subscribe_ops(op_hook)
         self.max_events = max_events
 
         topo = scenario.topology
@@ -353,8 +343,6 @@ class OodSimulator:
 def run_baseline(
     scenario: Scenario,
     trace_level: TraceLevel = TraceLevel.NONE,
-    op_hook: Optional[OpHook] = None,
 ) -> SimResults:
     """Convenience one-shot run of the OOD baseline."""
-    sim = OodSimulator(scenario, trace_level, op_hook)
-    return sim.run()
+    return OodSimulator(scenario, trace_level).run()

@@ -20,7 +20,7 @@ the addresses.  The OOD-vs-DOD miss-rate gap of Fig. 2a / Fig. 12b then
   engine processes one behavioural aspect of *all* devices per window,
   node-batched, so table and column lines are reused while hot.
 
-Op codes are shared with ``repro.des.simulator``.
+The op codes are the one table in ``repro.core.instrument``.
 """
 
 from __future__ import annotations
@@ -29,14 +29,10 @@ from dataclasses import dataclass
 from typing import List
 
 from .cache import CacheConfig, CacheSim, CacheStats
+from ..core.instrument import (
+    OP_FORWARD, OP_HOST_RX, OP_SEND, OP_SERVICE, OP_WINDOW,
+)
 from ..rng import ecmp_hash
-
-# Op codes (kept in sync with repro.des.simulator).
-OP_SEND = 0
-OP_FORWARD = 1
-OP_SERVICE = 2
-OP_HOST_RX = 3
-OP_WINDOW = 9  # DOD engine only: a new lookahead window begins
 
 _LINE = 64
 

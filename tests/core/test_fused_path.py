@@ -3,10 +3,9 @@ may hold, what survives a checkpoint or a migration, that no counter is
 left to say which UDP schedule fired, and a DRR run served by the column
 replay (5,000 one-segment UDP flows in two classes on Abilene, run to
 completion at ``TraceLevel.NONE`` — the shape of the benchmark's
-``wan_twin_35k``).  Then what the two transmit paths (the trace-off
-delivery sink and the traced two-phase kernel) share: a port plan of
-due ports only, one ACK sweep and (trace off) one port replay a window,
-the one sort hook, the context shape and the one dispatch."""
+``wan_twin_35k``).  Then the one transmit path, traced or not: a port
+plan of due ports only, one ACK sweep and one port replay a window, the
+one sort hook, the context shape and the one dispatch."""
 
 import pickle
 import sys
@@ -156,7 +155,7 @@ def test_drr_ports_replay_over_the_columns(scenario):
             == result_parts(ood_results, [p.stats for p in ood.ports]))
 
 
-# --- one window pass: two transmit paths, nothing else differs -------------
+# --- one window pass, one transmit path -----------------------------------
 
 def slow_nic_engine(trace_level):
     """One DCTCP flow behind a 1 Gb/s NIC on 1 us windows: the initial
@@ -173,8 +172,8 @@ def slow_nic_engine(trace_level):
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_busy_unfed_port_costs_no_replay(backend, trace_level, monkeypatch):
     """A port that is busy, was fed nothing and whose head outlasts the
-    window is a provable no-op: neither transmit path replays it, whatever
-    a stale $REPRO_BACKEND export says."""
+    window is a provable no-op: the sink does not replay it, traced or
+    not, whatever a stale $REPRO_BACKEND export says."""
     monkeypatch.setenv("REPRO_BACKEND", backend)
     engine, nic = slow_nic_engine(trace_level)
     assert engine.advance()  # window 0: ten segments staged, one in service
@@ -215,10 +214,11 @@ def test_a_planned_port_is_a_port_with_work(backend, trace_level,
                                             monkeypatch):
     """Ports planned == ports passed to a replay: every planned port
     was fed or starts a service inside the window (its dequeue counter
-    moves), through the duration-cut last window; the two-phase paths
-    make one ``transmit_kernel`` call per port.  With busy unfed lines
-    planned too the same run planned 87,603 ports.  A stale
-    $REPRO_BACKEND export of either old value changes none of it."""
+    moves), through the duration-cut last window, and at either trace
+    level one ``replay_window`` call a window carries them all.  With
+    busy unfed lines planned too the same run planned 87,603 ports.  A
+    stale $REPRO_BACKEND export of either old value changes none of
+    it."""
     monkeypatch.setenv("REPRO_BACKEND", backend)
     engine = DodEngine(fattree4_long_lived(), trace_level)
     engine.build()
@@ -240,11 +240,10 @@ def test_a_planned_port_is_a_port_with_work(backend, trace_level,
         plans.append((ctx, len(ports), unfed, [dequeued[p] for p in unfed]))
         return ports
 
-    replay = counting("replay", replay_window, ports=2)
-    kernel = counting("kernel", transmit_mod.transmit_kernel)
+    replayed = counting("replayed", replay_window, ports=2)
+    replay = counting("replay", replayed)
     monkeypatch.setattr(transmit_mod, "plan_transmit", planning)
     monkeypatch.setattr(transmit_mod, "replay_window", replay)
-    monkeypatch.setattr(transmit_mod, "transmit_kernel", kernel)
     while engine.advance():
         _ctx, _n, unfed, before = plans[-1]
         assert all(dequeued[p] > b for p, b in zip(unfed, before))
@@ -257,17 +256,15 @@ def test_a_planned_port_is_a_port_with_work(backend, trace_level,
     assert n_last < len(engine.active_ports)
     planned = sum(n for _ctx, n, _unfed, _before in plans)
     assert planned == 35_545
-    assert calls["replay"] == planned
-    # The trace-off sink hands the replay whole port lists.
-    assert calls["kernel"] == (planned if trace_level else 0)
+    assert calls["replayed"] == planned
+    assert calls["replay"] == sum(1 for _ctx, n, _u, _b in plans if n)
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_a_system_is_one_call_per_window(backend, monkeypatch):
     """A window's receiving hosts are swept in one ``ack_window``
-    call, and (trace off) its whole port list is replayed in one
-    ``replay_window`` call, whatever a stale $REPRO_BACKEND export
-    says."""
+    call, and its whole port list is replayed in one ``replay_window``
+    call, whatever a stale $REPRO_BACKEND export says."""
     monkeypatch.setenv("REPRO_BACKEND", backend)
     engine = DodEngine(fattree4_long_lived())
     engine.build()
@@ -306,16 +303,15 @@ def test_a_system_is_one_call_per_window(backend, monkeypatch):
 
 
 def transmit_calls(trace_level):
-    """``{function name: sort arguments}`` of every replay and
-    two-phase kernel call of one run."""
+    """``{function name: sort arguments}`` of every call into the
+    transmit module that takes a ``sort`` during one run."""
     engine = DodEngine(make_scenario(dumbbell(2), [
         Flow(0, 0, 2, 30_000, 0), Flow(1, 1, 3, 30_000, 0)]), trace_level)
-    codes = {transmit_mod.replay_window.__code__,
-             transmit_mod.transmit_kernel.__code__}
     sorts = {}
 
     def profiler(frame, event, _arg):
-        if event == "call" and frame.f_code in codes:
+        if (event == "call" and frame.f_code.co_filename
+                == transmit_mod.__file__ and "sort" in frame.f_locals):
             sorts.setdefault(frame.f_code.co_name, set()).add(
                 frame.f_locals["sort"])
 
@@ -327,14 +323,12 @@ def transmit_calls(trace_level):
     return sorts
 
 
-def test_both_transmit_paths_sort_with_the_one_hook():
-    """A trace-off run replays through the sink alone, a traced run
-    through the two-phase kernel; both hand the replay the module's
-    ``transmit_sort`` hook."""
-    hook = {transmit_mod.transmit_sort}
-    assert transmit_calls(TraceLevel.NONE) == {"replay_window": hook}
-    assert transmit_calls(TraceLevel.FULL) == {"replay_window": hook,
-                                               "transmit_kernel": hook}
+@pytest.mark.parametrize("trace_level", [TraceLevel.NONE, TraceLevel.FULL])
+def test_one_transmit_path_sorts_with_the_one_hook(trace_level):
+    """Traced or not, a run replays through the sink alone and hands
+    it the module's ``transmit_sort`` hook."""
+    assert transmit_calls(trace_level) == {
+        "replay_window": {transmit_mod.transmit_sort}}
 
 
 def test_one_context_shape_one_dispatch():

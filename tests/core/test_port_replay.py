@@ -7,11 +7,13 @@ and the four schedulers' ``enqueue`` / ``dequeue``) over one
 window after window, next to an ``EgressPort`` driven *event by event*
 (``tests/port_lockstep.py`` — no code shared with the replay), so
 queues, line state, the EWMA and the RR/DRR round carry over, and assert
-that every observable agrees after each window: emissions or sink
-deliveries, drops, ENQ records, every counter and queue sample, the line
-state, the class queues with their heads, and the discipline state.  A
-sink port whose peer another agent owns hands that agent's outbox the
-same packets, as ``(arrival_ps, peer, row)`` records.
+that every observable agrees after each window: the sink's deliveries,
+drops, every counter and queue sample, the line state, the class queues
+with their heads, and the discipline state.  A port whose peer another
+agent owns — or, in a window a bus observes, any port — hands an outbox
+the same packets, as ``(arrival_ps, peer, row)`` records, and an
+observed port publishes the automaton's ``OP_SERVICE`` ops and ENQ /
+DROP / DEQ records.
 
 Times sit on a 100 ns grid and sizes are multiples of 125 bytes (100 ns
 at 10 Gb/s), so simultaneous arrivals and service starts that coincide
@@ -26,11 +28,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from port_lockstep import (
     automaton, automaton_state, drive_automaton, egress_row, egress_rows,
-    row_state,
+    port_records, replay_emissions, row_state, watching_bus,
 )
 from repro.core.events import EventColumns, register_window
 from repro.core.systems.transmit import (
-    contract_key, contract_sort, replay_window,
+    LOCAL, contract_key, contract_sort, replay_window,
 )
 from repro.protocols import AqmConfig, AqmKind, EgressConfig
 from repro.protocols.packet import PRIO_ARRIVAL, ack_row, data_row
@@ -79,6 +81,9 @@ arrival = st.tuples(
 
 windows = st.lists(st.lists(arrival, max_size=12), min_size=2, max_size=5)
 
+#: What watches the sink: nothing, or ``(op probe?, trace level)``.
+watches = st.sampled_from([None, (True, 0), (False, 1), (True, 2)])
+
 
 def _rows(window_start, drawn):
     out = []
@@ -97,8 +102,7 @@ def _store_state(events):
 
 
 @settings(max_examples=400, deadline=None)
-@given(configs, tables, windows, st.booleans(), st.booleans(),
-       st.booleans(), st.booleans())
+@given(configs, tables, windows, st.booleans(), watches, st.booleans())
 # DRR's rarest transition: class 0 sends one small packet on a large
 # quantum and empties while class 1 is backlogged, so its leftover
 # deficit is forfeited on the next pick and shows in the row state.
@@ -109,57 +113,51 @@ def _store_state(events):
          table=[0, 0, 0, 1, 1, 1],
          drawn=[[(0, 3, 0, 12, False), (1, 0, 0, 1, False),
                  (1, 3, 1, 12, False), (1, 3, 2, 12, False)], []],
-         sample_queue=False, use_sink=False, trace=False, remote=False)
+         sample_queue=False, watch=None, remote=False)
 def test_inline_replay_matches_reference(iface, config, table, drawn,
-                                         sample_queue, use_sink, trace,
-                                         remote):
+                                         sample_queue, watch, remote):
     ref = automaton(iface, config, table, sample_queue)
     cols, static, i = egress_row(iface, config, table, sample_queue)
     assert static.classes == len(ref.sched.queues)
     ref_events, cand_events = EventColumns(), EventColumns()
     lookahead = WINDOW // 2   # deliveries spread over several windows
+    bus, published = watching_bus(*watch) if watch else (None, [])
+    # Agent 1 owns the peer; an observed window collects a local port.
+    owner = 1 if remote else LOCAL if watch else None
     for index, drawn_window in enumerate(drawn):
         start = index * WINDOW
         end = start + WINDOW
         arrivals = _rows(start, drawn_window)
         floor = end // lookahead
 
-        ref_em, ref_drops = [], []
-        ref_enq = [] if trace else None
+        ref_em, ref_drops, ref_enq = [], [], []
         drive_automaton(ref, arrivals, end, ref_em, ref_drops, ref_enq)
         ref_events.insert_arrivals(iface.peer_node, ref_em, iface.delay_ps,
                                    lookahead, floor)
 
-        cand_em, cand_drops = [], []
-        cand_enq = [] if trace else None
+        cand_drops = []
         node_events, active, outbox = {}, set(), {}
-        sink = ((cand_events._buckets, cand_events, register_window,
-                 lookahead, floor, node_events, active,
-                 {i: 1 if remote else None}, outbox) if use_sink else None)
         n = replay_window(cols, {i: static}, (i,), {i: arrivals},
-                          contract_sort, start, end, cand_em, cand_drops,
-                          cand_enq, sink)
+                          contract_sort, start, end, cand_drops,
+                          (cand_events._buckets, cand_events, register_window,
+                           lookahead, floor, node_events, active, {i: owner},
+                           outbox, bus))
         assert n == len(ref_em)
-        if use_sink:
-            assert cand_em == []
-        else:
-            assert cand_em == ref_em
-            cand_events.insert_arrivals(iface.peer_node, cand_em,
-                                        iface.delay_ps, lookahead, floor)
-
-        if use_sink and remote:  # agent 1 owns the peer
-            assert outbox == ({1: [(e + iface.delay_ps, iface.peer_node, r)
-                                   for r, _s, e in ref_em]} if n else {})
-            assert not cand_events
-        else:
+        if owner is None:
             assert outbox == {}
             assert _store_state(cand_events) == _store_state(ref_events)
+        else:
+            assert outbox == ({owner: [(e + iface.delay_ps, iface.peer_node, r)
+                                       for r, _s, e in ref_em]} if n else {})
+            assert not cand_events
+        assert published == (port_records(i, ref_em, ref_drops, ref_enq,
+                                           *watch) if watch else [])
+        published.clear()
         assert cand_drops == ref_drops
-        assert cand_enq == ref_enq
         assert row_state(cols, i) == automaton_state(ref)
-        if use_sink:  # the sink commits the port's count and state
-            assert node_events == ({iface.node: n} if n else {})
-            assert active == ({i} if cols.qlen[i] else set())
+        # The sink commits the port's count and state.
+        assert node_events == ({iface.node: n} if n else {})
+        assert active == ({i} if cols.qlen[i] else set())
 
 
 def test_long_queue_compacts_like_the_scheduler(iface):
@@ -178,11 +176,10 @@ def test_long_queue_compacts_like_the_scheduler(iface):
         for index in range(12):
             start = index * WINDOW
             arrivals = burst if index == 0 else []
-            ref_em, cand_em = [], []
+            ref_em = []
             drive_automaton(ref, arrivals, start + WINDOW, ref_em, [])
-            replay_window(cols, {i: static}, (i,), {i: arrivals},
-                          contract_sort, start, start + WINDOW, cand_em, [])
-            assert cand_em == ref_em
+            assert replay_emissions(cols, {i: static}, (i,), {i: arrivals},
+                                    start, start + WINDOW, []) == ref_em
             assert row_state(cols, i) == automaton_state(ref)
         assert cols.qlen[i] == 0 and cols.dequeued[i] == 200
 
@@ -201,18 +198,19 @@ port_windows = st.lists(st.lists(st.lists(arrival, max_size=8),
                         min_size=2, max_size=4)
 
 
-def _replay_run(topo, ports, drawn, cut, use_sink, sample_queue, remote,
+def _replay_run(topo, ports, drawn, cut, watch, sample_queue, remote,
                 one_call):
     ids = PORT_IDS[:len(ports)]
     cols, statics = egress_rows(
         [(topo.interfaces[i], config, table)
          for i, (config, table) in zip(ids, ports)], sample_queue)
-    # With ``remote``, agents 1 and 2 own the peers of the second and
-    # fourth port.
-    owners = {i: (k if remote and k % 2 else None)
+    # With ``remote``, agents 1 and 3 own the peers of the second and
+    # fourth port; an observed window collects the local ones too.
+    owners = {i: (k if remote and k % 2 else LOCAL if watch else None)
               for k, i in enumerate(ids)}
+    bus, published = watching_bus(*watch) if watch else (None, [])
     events, node_events, active, outbox = EventColumns(), {}, set(), {}
-    emissions, drops = [], []
+    drops = []
     lookahead = WINDOW // 2
     for index, per_port in enumerate(drawn):
         start = index * WINDOW
@@ -225,14 +223,13 @@ def _replay_run(topo, ports, drawn, cut, use_sink, sample_queue, remote,
             if rows:
                 staged[i] = rows
         planned = sorted(set(staged) | {i for i in ids if cols.qlen[i]})
-        sink = ((events._buckets, events, register_window, lookahead,
-                 end // lookahead, node_events, active, owners, outbox)
-                if use_sink else None)
+        sink = (events._buckets, events, register_window, lookahead,
+                end // lookahead, node_events, active, owners, outbox, bus)
         for port_list in ([planned] if one_call else [[i] for i in planned]):
             replay_window(cols, statics, port_list, staged, contract_sort,
-                          start, end, emissions, drops, None, sink)
+                          start, end, drops, sink)
     return ([row_state(cols, i) for i in ids], _store_state(events),
-            node_events, active, emissions, drops, outbox)
+            node_events, active, published, drops, outbox)
 
 
 FIFO_ECN = EgressConfig(buffer_bytes=500, aqm=AqmConfig(
@@ -248,28 +245,26 @@ MIXED = [(1, 0, 1, 12, False), (1, 3, 2, 4, False), (2, 4, 3, 8, True)]
 
 @settings(max_examples=200, deadline=None)
 @given(port_lists, port_windows, st.sampled_from([None, 1, GRID, 7 * GRID]),
-       st.booleans(), st.booleans(), st.booleans())
+       watches, st.booleans(), st.booleans())
 @example(ports=[(FIFO_ECN, [0] * N_FLOWS), (SP, [0, 1] * 3),
                 (RR, [0, 1] * 3), (DRR, [1, 0] * 3)],
          drawn=[[BURST, MIXED, MIXED, MIXED], [MIXED, [], BURST, MIXED]],
-         cut=5 * GRID, use_sink=True, sample_queue=False, remote=True)
+         cut=5 * GRID, watch=None, sample_queue=False, remote=True)
 @example(ports=[(FIFO_ECN, [0] * N_FLOWS), (SP, [0, 1] * 3),
                 (RR, [0, 1] * 3), (DRR, [1, 0] * 3)],
          drawn=[[BURST, MIXED, MIXED, MIXED], [MIXED, [], BURST, MIXED]],
-         cut=5 * GRID, use_sink=False, sample_queue=True, remote=False)
+         cut=5 * GRID, watch=(True, 2), sample_queue=True, remote=False)
 def test_one_call_over_a_port_list_equals_one_call_per_port(
-        ports, drawn, cut, use_sink, sample_queue, remote):
-    """The sink hands the replay a window's whole port list; the
-    two-phase kernel hands it one port at a time.  Every
-    ``world.egress`` column, every event bucket (insertion order
-    included), every outbox list (port order x emission order), the
-    node counts, the active set, the emissions and the drops must
-    agree."""
+        ports, drawn, cut, watch, sample_queue, remote):
+    """The engine hands the replay a window's whole port list; a port
+    at a time must come to the same.  Every ``world.egress`` column,
+    every event bucket (insertion order included), every outbox list
+    (port order x emission order), the node counts, the active set, the
+    published records (port order) and the drops must agree."""
     topo = dumbbell(2, bottleneck_rate_bps=10 * GBPS)
-    args = (topo, ports, drawn, cut, use_sink, sample_queue, remote)
+    args = (topo, ports, drawn, cut, watch, sample_queue, remote)
     one = _replay_run(*args, one_call=True)
     assert one == _replay_run(*args, one_call=False)
-    if use_sink:
-        assert one[4] == [] and (one[1][0] or one[6] or not one[2])
-    else:
-        assert one[6] == {}
+    # Every dequeue is delivered somewhere; only a watched sink publishes.
+    assert one[1][0] or one[6] or not one[2]
+    assert watch or one[4] == []

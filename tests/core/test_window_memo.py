@@ -3,10 +3,10 @@ with the cache on/off, counter accounting, and checkpoint invalidation.
 
 The fidelity bar is the same as everywhere else in the repository: the
 fast-forward path must be byte-invisible.  ``window_signature()`` (the
-state hash the cache design keys on) must agree between the two transmit
-paths — the trace-off delivery sink and the traced two-phase kernel — at
-every cursor, and ``trace_digest()`` must be identical with the memo
-cache on and off.
+state hash the cache design keys on) must agree between a traced run
+and an untraced one — the delivery sink publishing each port's records,
+and the sink publishing nothing — at every cursor, and
+``trace_digest()`` must be identical with the memo cache on and off.
 """
 
 from hashlib import blake2b
@@ -119,10 +119,10 @@ class TestSignatureLockstep:
     @given(memo_scenarios())
     @settings(max_examples=10, deadline=None)
     def test_signature_identical_across_backends(self, scenario):
-        """The contract the memo cache rests on: the two transmit back
-        ends — the one-call delivery sink (trace off) and the two-phase
-        kernel (trace on) — leave the same pending state at every cursor
-        of the run."""
+        """The contract the memo cache rests on: the delivery sink
+        leaves the same pending state at every cursor of the run
+        whether it publishes (trace on: local deliveries installed
+        after the call) or not (trace off: installed in the call)."""
         assert (_signatures_by_cursor(scenario)
                 == _signatures_by_cursor(scenario,
                                          trace_level=TraceLevel.FULL))

@@ -1,15 +1,15 @@
-"""Backend equivalence: the two transmit back ends are byte-identical.
+"""Observation equivalence: watching a run does not change it.
 
-There is one kernel set, but the TransmitSystem has two back ends.
-With no trace stream and no op probe it replays a window's whole port
-list in one call that commits in place (the delivery sink) — on the
-serial engine and on every cluster agent, whose sink hands a remote
-peer's packets to the owner's outbox; traced and op-probed windows run
-the two-phase kernel + commit.  Everything here runs the *same
-scenario* through both back ends, or through the serial engine and a
-trace-off cluster, and diffs what both can observe: the result parts
-(event counts, drops, marks, every flow, the RTT samples, every port's
-stats).  A probed run's op stream must not depend on the trace level.
+There is one kernel set and one transmit path: a window's whole port
+list is replayed in one call that commits in place (the delivery sink)
+— on the serial engine and on every cluster agent, whose sink hands a
+remote peer's packets to the owner's outbox.  A traced or op-probed
+window's sink also collects every port's services and publishes the
+port's records after it.  Everything here runs the *same scenario*
+unobserved and traced, or through the serial engine and a cluster, and
+diffs what both can observe: the result parts (event counts, drops,
+marks, every flow, the RTT samples, every port's stats).  A probed
+run's op stream must not depend on the trace level.
 """
 
 from hashlib import blake2b
@@ -41,8 +41,9 @@ def run_parts(scenario, trace_level):
 
 
 def assert_paths_identical(scenario):
-    """The sink (trace off) and the two-phase path (trace on) agree on
-    every result part; the traced run agrees with the OOD baseline."""
+    """The sink unobserved (trace off) and publishing (trace on) agree
+    on every result part; the traced run agrees with the OOD
+    baseline."""
     sink, sink_parts = run_parts(scenario, TraceLevel.NONE)
     traced, traced_parts = run_parts(scenario, TraceLevel.FULL)
     assert sink_parts == traced_parts
@@ -57,7 +58,8 @@ def test_dumbbell_dctcp_serial(dumbbell_scenario):
 
 #: blake2b-8 over the ``repr`` of every ``(code, location, uid)`` op of
 #: a probed ``fattree4_scenario`` run: the same at both trace levels,
-#: and what each of the two former kernel sets published.
+#: what each of the two former kernel sets and each of the two former
+#: transmit paths published.
 FATTREE4_OP_STREAM = (4_207, "e4cf1923c74190e4")
 
 
@@ -67,8 +69,8 @@ def test_fattree_op_stream_identical(fattree4_scenario, trace_level):
     """The machine-model probes read the op stream, so a probed run
     publishes the same ``(code, location, uid)`` sequence, op for op —
     ``OP_FORWARD`` per switch in arrival order included — whether or
-    not a trace is recorded next to it: untraced the sink runs, traced
-    the two-phase commit, and both publish the pinned stream."""
+    not a trace is recorded next to it: the sink publishes the pinned
+    stream either way."""
     engine = DodEngine(fattree4_scenario, trace_level)
     ops = []
     engine.bus.subscribe_ops(
@@ -137,27 +139,21 @@ def test_cluster_agents_equal_the_serial_sink(fattree4_scenario, transport,
     assert parts == serial_parts
 
 
-@pytest.mark.parametrize("trace_level", [TraceLevel.NONE, TraceLevel.FULL],
-                         ids=["untraced", "traced"])
-def test_agents_go_two_phase_only_when_traced(fattree4_scenario,
-                                              trace_level, monkeypatch):
-    """An untraced agent never calls the two-phase ``transmit_kernel``;
-    a traced one does, and reproduces the OOD trace."""
-    kernel = transmit_mod.transmit_kernel
-    calls = []
-
-    def spy(*args):
-        calls.append(args[-1])
-        return kernel(*args)
-
-    monkeypatch.setattr(transmit_mod, "transmit_kernel", spy)
+def test_traced_agents_commit_through_the_sink(fattree4_scenario):
+    """There is no two-phase path left: no per-port ``transmit_kernel``,
+    no per-packet ``deliver``.  A traced 2-agent run commits through
+    the sink — local deliveries installed after the call, remote ones
+    sent to their owner — and reproduces the OOD trace."""
+    assert not hasattr(transmit_mod, "transmit_kernel")
+    assert not hasattr(AgentEngine, "deliver")
+    assert not hasattr(DodEngine, "deliver")
     partition = contiguous_partition(fattree4_scenario.topology, 2)
     run = DonsManager(fattree4_scenario, ClusterSpec.homogeneous(2),
-                      trace_level, transport="local").run(partition=partition)
-    assert bool(calls) == bool(trace_level)
-    if trace_level:
-        assert run.results.trace.digest() == run_baseline(
-            fattree4_scenario, TraceLevel.FULL).trace.digest()
+                      TraceLevel.FULL,
+                      transport="local").run(partition=partition)
+    assert run.traffic.rpc_records > 0, "no packet crossed the cut"
+    assert run.results.trace.digest() == run_baseline(
+        fattree4_scenario, TraceLevel.FULL).trace.digest()
 
 
 def test_live_migration_trace_off_equals_the_serial_sink():

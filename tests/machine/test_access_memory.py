@@ -9,7 +9,9 @@ from repro.machine import (
     dons_memory_bytes, max_fattree, memory_by_simulator, ns3_memory_bytes,
     omnet_memory_bytes, ood_state_bytes,
 )
-from repro.machine.access import OP_FORWARD, OP_HOST_RX, OP_SEND, OP_SERVICE
+from repro.core.instrument import (
+    OP_FORWARD, OP_HOST_RX, OP_SEND, OP_SERVICE, OP_WINDOW,
+)
 from repro.units import GIB, MIB
 
 
@@ -38,14 +40,16 @@ class TestAccessModels:
         m = DodAccessModel(10, 20, 4, 8)
         m(OP_FORWARD, 4, 1)
         first = m._buffer_cursor
-        m(9, 0, 0)  # OP_WINDOW
+        m(OP_WINDOW, 0, 0)
         assert m._buffer_cursor < first
 
     def test_engine_hooks_fire(self, fattree4_scenario):
         topo = fattree4_scenario.topology
         ood = OodAccessModel(topo.num_nodes, topo.num_interfaces,
                              topo.num_hosts)
-        OodSimulator(fattree4_scenario, op_hook=ood).run()
+        sim = OodSimulator(fattree4_scenario)
+        sim.bus.subscribe_ops(ood)
+        sim.run()
         eng = DodEngine(fattree4_scenario)
         eng.bus.subscribe_ops(dod := DodAccessModel(
             topo.num_nodes, topo.num_interfaces,
@@ -60,7 +64,9 @@ class TestAccessModels:
         topo = fattree4_scenario.topology
         ood = OodAccessModel(topo.num_nodes, topo.num_interfaces,
                              topo.num_hosts)
-        OodSimulator(fattree4_scenario, op_hook=ood).run()
+        sim = OodSimulator(fattree4_scenario)
+        sim.bus.subscribe_ops(ood)
+        sim.run()
         eng = DodEngine(fattree4_scenario)
         eng.bus.subscribe_ops(dod := DodAccessModel(
             topo.num_nodes, topo.num_interfaces,

@@ -8,11 +8,21 @@ times — which shares no code with the engine's windowed replay over a
 Imported by ``tests/core/test_port_replay.py`` and
 ``tests/protocols/test_egress.py`` (``tests/`` is on ``sys.path`` through
 the root ``conftest.py``).
+
+The replay's only output is its delivery sink, so the helpers below
+also watch it the way an engine's bus does (:func:`watching_bus`) and
+read a window's emissions back from what it published
+(:func:`replay_emissions`).
 """
 
 from repro.core.ecs import World
-from repro.core.systems.transmit import port_static
+from repro.core.events import EventColumns, register_window
+from repro.core.instrument import OP_SERVICE, InstrumentationBus
+from repro.core.systems.transmit import (
+    LOCAL, contract_sort, port_static, replay_window,
+)
 from repro.protocols.egress import EgressPort, PortStats, TableClassifier
+from repro.protocols.packet import F_CE, F_FLOW, F_ISACK, F_SEQ, packet_uid
 
 
 def egress_rows(ports, sample_queue=False):
@@ -103,3 +113,64 @@ def row_state(cols, i):
         "drr_current": cols.drr_current[i],
         "drr_granted": cols.drr_granted[i],
     }
+
+
+class Published(list):
+    """Everything an observed sink publishes, in order: op-stream
+    ``(code, location, uid)`` tuples and ``("enq" | "drop" | "deq",
+    t, iface, ...)`` trace records, as a subscriber at ``level``."""
+
+    def __init__(self, level):
+        super().__init__()
+        self.level = level
+
+    def enq(self, *record):
+        self.append(("enq",) + record)
+
+    def drop(self, *record):
+        self.append(("drop",) + record)
+
+    def deq(self, *record):
+        self.append(("deq",) + record)
+
+
+def watching_bus(ops, level):
+    """``(bus, published)``: an op probe when ``ops``, and a trace
+    subscriber at ``level``, both appending to ``published``."""
+    bus = InstrumentationBus()
+    published = bus.subscribe_trace(Published(level))
+    if ops:
+        bus.subscribe_ops(lambda *op: published.append(op))
+    return bus, published
+
+
+def port_records(i, emissions, drops, enq, ops, level):
+    """What an observed sink publishes for port ``i``'s window, from the
+    automaton's ``(row, start, end)`` emissions, ``(t, row)`` drops and
+    ``(t, accepted_row)`` ENQ pairs."""
+    out = ([(OP_SERVICE, i, packet_uid(r)) for r, _s, _e in emissions]
+           if ops else [])
+    if level >= 2:
+        out += [("enq", t, i, r[F_FLOW], r[F_ISACK], r[F_SEQ], r[F_CE])
+                for t, r in enq]
+    if level:
+        out += [("drop", t, i, r[F_FLOW], r[F_ISACK], r[F_SEQ])
+                for t, r in drops]
+        out += [("deq", s, i, r[F_FLOW], r[F_ISACK], r[F_SEQ])
+                for r, s, _e in emissions]
+    return out
+
+
+def replay_emissions(cols, statics, ports, staged, start, end, drops):
+    """``replay_window`` through an observed sink, read back as the
+    automaton's ``(row, start, end)`` emissions: the start from each
+    published ``deq`` record, the end from the matching delivery
+    record's arrival less the port's link delay."""
+    bus, published = watching_bus(False, 1)
+    events, outbox = EventColumns(), {}
+    replay_window(cols, statics, ports, staged, contract_sort, start, end,
+                  drops, (events._buckets, events, register_window, 1, 0, {},
+                          set(), {i: LOCAL for i in ports}, outbox, bus))
+    deqs = [record for record in published if record[0] == "deq"]
+    return [(row, deq[1], t - statics[deq[2]].delay_ps)
+            for deq, (t, _peer, row) in zip(deqs, outbox.get(LOCAL, ()))]

@@ -8,10 +8,8 @@ identical packets at identical times.
 
 import pytest
 
-from port_lockstep import drive_automaton, egress_row
-from repro.core.systems.transmit import (
-    contract_key, contract_sort, replay_window,
-)
+from port_lockstep import drive_automaton, egress_row, replay_emissions
+from repro.core.systems.transmit import contract_key
 from repro.errors import SimulationError
 from repro.protocols import AqmConfig, AqmKind, EgressConfig, EgressPort
 from repro.protocols.packet import (
@@ -114,8 +112,8 @@ class TestWindowedEqualsEventDriven:
         while True:
             start = win * window_ps
             batch = [a for a in arrivals if start <= a[0] < start + window_ps]
-            replay_window(cols, {i: static}, (i,), {i: batch}, contract_sort,
-                          start, start + window_ps, emissions, [])
+            emissions += replay_emissions(cols, {i: static}, (i,), {i: batch},
+                                          start, start + window_ps, [])
             win += 1
             if start > horizon and cols.qlen[i] == 0:
                 break
