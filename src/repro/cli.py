@@ -323,7 +323,7 @@ def cmd_profile(args) -> int:
     print(f"{'totals':<{width + 4}} {'ms':>8}")
     for name, prof in sorted(bus.totals.items()):
         print(f"{name:<{width + 4}} {prof.elapsed_s * 1000:>8.3f}")
-    print(f"windows {bus.counters.get('windows', 0):>{width + 5}}")
+    print(f"windows {record['windows']:>{width + 5}}")
     memo = memo_line(bus)
     if memo:
         print(memo)

@@ -147,9 +147,9 @@ class DonsManager:
         """Appendix A end to end: detect traffic phases, partition each,
         and execute with live state migration at the phase boundaries.
 
-        ``measured_times``/``measured_partition`` feed per-agent
-        wall-clock from a previous run's merged bus
-        (:func:`repro.partition.measured_machine_times`) back into the
+        ``measured_times``/``measured_partition`` feed the per-agent
+        busy seconds of a previous run (``run_record(bus)["agents_busy_s"]``,
+        :func:`repro.metrics.timeline.run_record`) back into the
         planner, refitting the cluster's compute capacities before the
         phases are partitioned.
 

@@ -25,11 +25,12 @@ each agreed window runs.
 Observability: each agent owns its :class:`InstrumentationBus`; at
 ``finalize()`` the per-agent streams come back in the agents'
 :class:`~repro.cluster.transport.AgentReport` and are merged into the
-cluster-level bus — counters summed, per-window / per-system timers
-tagged ``a<id>:<system>`` — so the profiler and the time-cost model
-(:func:`repro.partition.measured_machine_times`) consume *measured*
-per-agent window costs.  Busy and barrier-wait seconds are measured by
-the agents, per window.
+cluster-level bus — counters summed, raw window rows kept under
+``a<id>`` — so the profiler reports *measured* per-agent system times
+``a<id>:<system>``.  Busy and barrier-wait seconds are measured by the
+agents every window, on every transport; their sums are the measured
+T_a the time-cost model refits from
+(:func:`repro.partition.refit_cluster_spec`).
 
 Fault tolerance is coordinated rollback: when the transport reports an
 :class:`~repro.cluster.transport.AgentFailure`, ``_recover`` restores
@@ -94,9 +95,8 @@ class ClusterEngine:
                                        WAIT_MS_BUCKETS)
         self.transport.bus = self.bus
         #: Agent-measured per-agent busy / barrier-wait seconds,
-        #: accumulated per window whenever the transport times windows;
-        #: exported as ``a<i>:busy_s`` / ``a<i>:barrier_wait_s`` gauges
-        #: at finalize — the exact series
+        #: accumulated every window; exported as ``a<i>:busy_s`` /
+        #: ``a<i>:barrier_wait_s`` gauges at finalize — the exact series
         #: :func:`repro.partition.refit_cluster_spec` takes as
         #: ``measured_times``.  The one busy / wait accumulator:
         #: :func:`repro.metrics.timeline.run_record` reads it for the
@@ -106,13 +106,8 @@ class ClusterEngine:
         #: Stall/slowness detector over the same measured window times
         #: (:class:`repro.metrics.live.ClusterWatchdog`).  ``None`` off,
         #: ``True`` forced on, default (``None`` argument) arms it when
-        #: the bus is telemetered; an instance is adopted as-is.  An
-        #: armed watchdog makes the transport time windows even with
-        #: telemetry off (``track_times``) — window timing without span
-        #: capture.
+        #: the bus is telemetered; an instance is adopted as-is.
         self.watchdog = self._make_watchdog(watchdog)
-        if self.watchdog is not None:
-            self.transport.track_times = True
         self.results = SimResults(self.name, self.specs[0].scenario.name, 0)
         self.per_agent: List[SimResults] = []
         self.migrations: List = []
@@ -246,8 +241,7 @@ class ClusterEngine:
         transport = self.transport
         transport.stats.windows += 1
         bus.count("cluster.windows")
-        if transport.window_times:
-            self._observe_window(window, _w0)
+        self._observe_window(window, _w0)
         self._cursor = window
         if self._fault_tolerant:
             self._reported_since_snap += 1
@@ -346,20 +340,17 @@ class ClusterEngine:
             )
             for report in reports:
                 self.bus.merge_child(
-                    f"a{report.agent_id}", report.counters,
-                    report.totals, report.windows,
+                    f"a{report.agent_id}", report.counters, report.windows,
                     spans=report.spans, metrics=report.metrics,
                     epoch_wall=report.epoch_wall,
                 )
-            if self.bus.telemetry or self.watchdog is not None:
-                # Telemetered or watched, the transport timed every
-                # window: export the totals so the measure →
-                # refit_cluster_spec loop closes either way.
-                for agent_id in range(len(self.specs)):
-                    self.bus.metrics.gauge(f"a{agent_id}:busy_s",
-                                           self.busy_s[agent_id])
-                    self.bus.metrics.gauge(f"a{agent_id}:barrier_wait_s",
-                                           self.wait_s[agent_id])
+            # The gauges let a bus alone (``run_record(bus)``) give
+            # the measured T_a that refit_cluster_spec takes.
+            for agent_id in range(len(self.specs)):
+                self.bus.metrics.gauge(f"a{agent_id}:busy_s",
+                                       self.busy_s[agent_id])
+                self.bus.metrics.gauge(f"a{agent_id}:barrier_wait_s",
+                                       self.wait_s[agent_id])
             self.transport.finalize_stats()
         finally:
             self.transport.close()

@@ -71,7 +71,6 @@ from .shm import (
 from ..core.checkpoint import (
     Checkpoint, restore_checkpoint, take_checkpoint,
 )
-from ..core.instrument import SystemProfile
 from ..errors import ClusterError
 from ..metrics import SimResults
 
@@ -94,13 +93,16 @@ class AgentFailure(ClusterError):
 
 @dataclass
 class AgentReport:
-    """What one finished agent hands back across the transport."""
+    """What one finished agent hands back across the transport.
+
+    Its per-system time is ``windows``, the agent bus's raw window rows
+    (``InstrumentationBus.window_rows``); the cluster bus derives the
+    agent's ``a<id>:<system>`` totals and profile rows from them.
+    """
 
     agent_id: int
     results: SimResults
     counters: Dict[str, int]
-    totals: Dict[str, SystemProfile]
-    #: The agent bus's raw window rows (``InstrumentationBus.window_rows``).
     windows: List[tuple]
     #: Telemetry streams (PR 5): the agent bus's span buffer, its metric
     #: registry snapshot, and the wall-clock position of its span epoch
@@ -129,25 +131,17 @@ class Transport:
         #: Cluster bus; the runtime wires it at construction.
         self.bus = None
         #: Of the window :meth:`next_window` returned last: per-agent
-        #: busy and barrier-wait seconds (filled only when timed) and
+        #: busy and barrier-wait seconds, measured every window, and
         #: the records all agents sent in it.
         self.window_times: List[float] = []
         self.window_waits: List[float] = []
         self.window_records = 0
-        #: Force the time measurement even with telemetry off — set by
-        #: the runtime when a cluster watchdog is armed.
-        self.track_times = False
         #: Last window :meth:`next_window` returned.
         self.cursor = -1
         #: The agreed window the last grant stopped in front of.
         self.pending: Optional[int] = None
         #: The agents agreed that nothing is left to run.
         self.done = False
-
-    def _timed(self) -> bool:
-        """Whether ``window_times`` / ``window_waits`` are filled."""
-        return self.track_times or (self.bus is not None
-                                    and self.bus.telemetry)
 
     def _failed_at(self) -> int:
         return self.cursor if self.pending is None else self.pending
@@ -217,7 +211,6 @@ def _report_of(engine: AgentEngine) -> AgentReport:
         agent_id=engine.agent_id,
         results=engine.results,
         counters=dict(bus.counters),
-        totals=dict(bus.totals),
         windows=bus.window_rows,
         spans=list(bus.spans),
         metrics=bus.metrics.snapshot() if bus.metrics else {},
@@ -309,12 +302,11 @@ class LocalTransport(Transport):
                 records = outbox.get(dst)
                 if records:
                     engine.accept_arrivals(records)
-        if self._timed():
-            # Serial execution: an agent's busy time is its own wall
-            # time, its barrier wait the slack to the slowest agent.
-            slowest = max(times)
-            self.window_times = times
-            self.window_waits = [slowest - t for t in times]
+        # Serial execution: an agent's busy time is its own wall time,
+        # its barrier wait the slack to the slowest agent.
+        slowest = max(times)
+        self.window_times = times
+        self.window_waits = [slowest - t for t in times]
         self._ran += 1
         self.cursor, self.pending = window, None
         return window
@@ -683,9 +675,8 @@ class ProcessTransport(Transport):
                     raise ClusterError(
                         f"agents disagree on window {k}: "
                         f"{[entry[0] for entry in entries]}")
-                if self._timed():
-                    self.window_times = [entry[1] for entry in entries]
-                    self.window_waits = [entry[2] for entry in entries]
+                self.window_times = [entry[1] for entry in entries]
+                self.window_waits = [entry[2] for entry in entries]
                 self.window_records = sum(entry[3] for entry in entries)
                 self.cursor, self.pending = window, None
                 return window

@@ -2,13 +2,13 @@
 and the unified run loop (instrumentation bus + engine runner)."""
 
 from .engine import DodEngine, run_dons
-from .instrument import InstrumentationBus, SystemProfile, WindowProfile
+from .instrument import InstrumentationBus, SystemProfile
 from .runner import Engine, EngineRunner, run_engine
 from .window import WindowContext
 
 __all__ = [
     "DodEngine", "run_dons",
     "Engine", "EngineRunner", "run_engine",
-    "InstrumentationBus", "SystemProfile", "WindowProfile",
+    "InstrumentationBus", "SystemProfile",
     "WindowContext",
 ]

@@ -16,9 +16,11 @@ calls inside the systems) is a *subscriber* instead:
   :meth:`subscribe_trace`; the bus forwards synchronously, so entry
   order — and therefore the trace digest — is byte-identical to the
   direct wiring it replaces.
-* **counters and timers** — named counters and per-window/per-system
-  wall-clock from :meth:`window_times`.  ``python -m repro profile``
-  renders these; the cost model consumes the event counts as before.
+* **counters and timers** — named counters and one raw row per executed
+  window from :meth:`window_times`, the only per-window timer an engine
+  writes.  Per-system totals (:attr:`totals`) and the flat per-window
+  rows (:meth:`profile_rows`) are views computed from the rows when
+  read; ``python -m repro profile`` renders them.
 
 Telemetry (PR 5) adds two more observation kinds behind one master
 switch, ``bus.telemetry``:
@@ -47,8 +49,8 @@ no-op context manager — zero allocation, zero records.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .telemetry import MetricsRegistry
 
@@ -111,7 +113,8 @@ class _Span:
 
 @dataclass
 class SystemProfile:
-    """One system's wall-clock inside one window (or in aggregate)."""
+    """One system's whole-run wall-clock, as :attr:`InstrumentationBus.totals`
+    reports it."""
 
     elapsed_s: float = 0.0
 
@@ -121,24 +124,6 @@ class SystemProfile:
     items = 0
     tasks = 0
 
-    def add(self, other: "SystemProfile") -> None:
-        self.elapsed_s += other.elapsed_s
-
-
-@dataclass
-class WindowProfile:
-    """Per-system accounting of one lookahead window."""
-
-    index: int
-    start_ps: int
-    systems: Dict[str, SystemProfile] = field(default_factory=dict)
-
-    def system(self, name: str) -> SystemProfile:
-        prof = self.systems.get(name)
-        if prof is None:
-            prof = self.systems[name] = SystemProfile()
-        return prof
-
 
 #: The four systems of a window, in :meth:`window_times` argument order.
 SYSTEMS = ("ack", "send", "forward", "transmit")
@@ -147,18 +132,15 @@ SYSTEMS = ("ack", "send", "forward", "transmit")
 class InstrumentationBus:
     """Counters, timers, and op/trace streams with pluggable subscribers."""
 
-    def __init__(self, keep_window_profiles: bool = True) -> None:
+    def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self.keep_window_profiles = keep_window_profiles
         #: one raw row per executed window: ``(index, start_ps, ack_s,
-        #: send_s, forward_s, transmit_s)``.  :attr:`windows` builds the
-        #: profiles from these; an agent's report ships them as they are.
+        #: send_s, forward_s, transmit_s)``.  :attr:`totals` and
+        #: :meth:`profile_rows` are computed from these; an agent's
+        #: report ships them as they are.
         self.window_rows: List[tuple] = []
         #: ``(tag, rows)`` per child bus merged in, rows as above.
         self._child_rows: List[Tuple[str, Sequence[tuple]]] = []
-        #: whole-run aggregate per system.
-        self.totals: Dict[str, SystemProfile] = {}
-        self._system_totals: Optional[List[SystemProfile]] = None
         self._op_subs: List[OpSubscriber] = []
         self.has_ops = False
         self._trace_subs: List[Any] = []
@@ -307,43 +289,35 @@ class InstrumentationBus:
                      transmit_s: float) -> None:
         """One executed lookahead window and its four system times.
 
-        The engine's only per-window bus call: it counts the window,
-        adds the times to the per-system totals and keeps one raw row;
-        :attr:`windows` turns the rows into profiles when a report asks.
+        The engine's only per-window bus call: it counts the window and
+        keeps one raw row.  Everything else that reports per-system
+        time (:attr:`totals`, :meth:`profile_rows`) reads the rows.
         """
         counters = self.counters
         counters["windows"] = counters.get("windows", 0) + 1
-        totals = self._system_totals
-        if totals is None:
-            totals = self._system_totals = [
-                self.totals.setdefault(name, SystemProfile())
-                for name in SYSTEMS]
-        totals[0].elapsed_s += ack_s
-        totals[1].elapsed_s += send_s
-        totals[2].elapsed_s += forward_s
-        totals[3].elapsed_s += transmit_s
-        if self.keep_window_profiles:
-            self.window_rows.append((index, start_ps, ack_s, send_s,
-                                     forward_s, transmit_s))
+        self.window_rows.append((index, start_ps, ack_s, send_s,
+                                 forward_s, transmit_s))
+
+    def _tagged_rows(self) -> Iterator[Tuple[Sequence[str], Sequence[tuple]]]:
+        """``(system names, rows)``: this bus's own rows, then each
+        merged child's under ``<tag>:<system>``, in merge order."""
+        yield SYSTEMS, self.window_rows
+        for tag, rows in self._child_rows:
+            yield [f"{tag}:{name}" for name in SYSTEMS], rows
 
     @property
-    def windows(self) -> List[WindowProfile]:
-        """Per-window profiles, built on demand (the profiler CLI, the
-        cluster report merge and Fig. 13-style breakdowns read these):
-        this bus's own windows plus merged children's, tagged
-        ``<tag>:<system>``, by window index.  A window one bus ran twice
-        (a rollback re-run) counts its last row; a child merged twice
-        sums."""
-        by_index: Dict[int, WindowProfile] = {}
-        for tag, rows in [(None, self.window_rows), *self._child_rows]:
-            names = SYSTEMS if tag is None else [f"{tag}:{n}" for n in SYSTEMS]
-            for index, start_ps, *times in {r[0]: r for r in rows}.values():
-                win = by_index.get(index)
-                if win is None:
-                    win = by_index[index] = WindowProfile(index, start_ps)
-                for name, dt in zip(names, times):
-                    win.system(name).elapsed_s += dt
-        return sorted(by_index.values(), key=lambda w: w.index)
+    def totals(self) -> Dict[str, SystemProfile]:
+        """Whole-run wall-clock per system, summed from the window rows
+        when read: this bus's own systems plus each merged child's,
+        tagged ``<tag>:<system>``.  Every row counts, a window re-run
+        after a rollback included; a system with no row is absent."""
+        sums: Dict[str, float] = {}
+        for names, rows in self._tagged_rows():
+            for row in rows:
+                for name, dt in zip(names, row[2:]):
+                    sums[name] = sums.get(name, 0.0) + dt
+        return {name: SystemProfile(elapsed_s)
+                for name, elapsed_s in sums.items()}
 
     # --- cluster aggregation ----------------------------------------------
 
@@ -351,8 +325,7 @@ class InstrumentationBus:
         self,
         tag: str,
         counters: Dict[str, int],
-        totals: Dict[str, SystemProfile],
-        windows: Sequence[tuple],
+        rows: Sequence[tuple],
         spans: Optional[Sequence[SpanRecord]] = None,
         metrics: Optional[Dict[str, Any]] = None,
         epoch_wall: Optional[float] = None,
@@ -361,12 +334,10 @@ class InstrumentationBus:
 
         The cluster runtime calls this once per agent at ``finalize``
         with the agent's :class:`AgentReport` streams: counters are
-        *summed* (cluster totals), while whole-run system profiles are
-        *tagged* ``<tag>:<system>`` so per-agent timings stay
-        distinguishable — ``python -m repro profile --cluster`` and
-        :func:`repro.partition.measured_machine_times` read them.
-        ``windows`` are the child's raw :attr:`window_rows`, kept under
-        the tag; :attr:`windows` profiles them on demand.
+        *summed* (cluster totals), while ``rows`` — the child's raw
+        :attr:`window_rows` — are kept under the tag, so :attr:`totals`
+        and :meth:`profile_rows` report them as ``<tag>:<system>`` and
+        per-agent timings stay distinguishable.
 
         Telemetry streams ride the same call: ``spans`` are renamed
         ``<tag>:<name>`` and shifted from the child's clock into this
@@ -386,14 +357,8 @@ class InstrumentationBus:
                 )
         if metrics:
             self.metrics.merge(metrics, prefix=f"{tag}:")
-        for system, prof in totals.items():
-            name = f"{tag}:{system}"
-            total = self.totals.get(name)
-            if total is None:
-                total = self.totals[name] = SystemProfile()
-            total.add(prof)
-        if self.keep_window_profiles and windows:
-            self._child_rows.append((tag, windows))
+        if rows:
+            self._child_rows.append((tag, rows))
 
     # --- checkpoint support -----------------------------------------------
 
@@ -404,7 +369,6 @@ class InstrumentationBus:
         the fault-recovery timeline-completeness guarantee)."""
         return {
             "counters": dict(self.counters),
-            "totals": self.totals,
             "window_rows": list(self.window_rows),
             "spans": list(self.spans),
             "metrics": self.metrics.snapshot(),
@@ -416,11 +380,10 @@ class InstrumentationBus:
         """Install a checkpointed bus state (restore path).  Restored
         span timestamps are rebased from the dead bus's epoch into this
         bus's timebase, so spans recorded before the crash and spans
-        recorded after the restore share one clock."""
-        import copy
+        recorded after the restore share one clock.  A ``"totals"`` key
+        (written by buses that still kept totals apart from the rows) is
+        ignored: :attr:`totals` is computed from the restored rows."""
         self.counters = dict(state["counters"])
-        self.totals = copy.deepcopy(state["totals"])
-        self._system_totals = None
         self.window_rows = list(state["window_rows"])
         offset = state["epoch_wall"] - self.epoch_wall
         self.spans = [
@@ -434,14 +397,20 @@ class InstrumentationBus:
     # --- reporting --------------------------------------------------------
 
     def profile_rows(self) -> List[Dict[str, Any]]:
-        """Flat per-window/per-system rows for reports and JSON dumps."""
-        rows = []
-        for win in self.windows:
-            for name, prof in sorted(win.systems.items()):
-                rows.append({
-                    "window": win.index,
-                    "start_ps": win.start_ps,
-                    "system": name,
-                    "elapsed_s": prof.elapsed_s,
-                })
-        return rows
+        """Flat per-window/per-system rows for reports and JSON dumps,
+        built from the window rows: this bus's own systems plus merged
+        children's, tagged ``<tag>:<system>``, by window index and then
+        system name.  A window one bus ran twice (a rollback re-run)
+        counts its last row; a child merged twice sums."""
+        by_index: Dict[int, Tuple[int, Dict[str, float]]] = {}
+        for names, rows in self._tagged_rows():
+            for index, start_ps, *times in {r[0]: r for r in rows}.values():
+                systems = by_index.setdefault(index, (start_ps, {}))[1]
+                for name, dt in zip(names, times):
+                    systems[name] = systems.get(name, 0.0) + dt
+        return [
+            {"window": index, "start_ps": start_ps, "system": name,
+             "elapsed_s": elapsed_s}
+            for index, (start_ps, systems) in sorted(by_index.items())
+            for name, elapsed_s in sorted(systems.items())
+        ]

@@ -68,7 +68,7 @@ class OodSimulator:
         sample_queues: bool = False,
     ) -> None:
         self.scenario = scenario
-        self.bus = InstrumentationBus(keep_window_profiles=False)
+        self.bus = InstrumentationBus()
         self.trace = self.bus.subscribe_trace(TraceRecorder(trace_level))
         self.max_events = max_events
 

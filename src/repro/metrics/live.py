@@ -148,9 +148,10 @@ class ClusterWatchdog:
     """Coordinator-side stall/slowness detection over window reply times.
 
     Fed by :meth:`ClusterEngine.advance` with the transport's measured
-    per-agent ``window_times`` (the same series the barrier-wait gauges
-    are built from).  Per agent it keeps an EWMA of normal window cost;
-    once ``warmup`` windows are seen, a window exceeding
+    per-agent ``window_times``, the per-window busy seconds whose sums
+    are ``ClusterEngine.busy_s`` (the measured T_a).  Per agent it
+    keeps an EWMA of normal window cost; once ``warmup`` windows are
+    seen, a window exceeding
     ``slow_factor`` × the learned mean is flagged ``slow`` and one
     exceeding ``stall_factor`` × the mean (and the ``min_stall_s``
     floor) is flagged ``stalled``.  Flagged samples do not update the
@@ -161,7 +162,7 @@ class ClusterWatchdog:
     the live plane drains into the NDJSON stream via
     :meth:`pop_events`.  Busy / barrier-wait totals are not kept here:
     the engine accumulates them (``ClusterEngine.busy_s`` / ``wait_s``)
-    from the same window times, armed watchdog or telemetry alike.
+    from the same window times on every run, watched or not.
     """
 
     def __init__(self, num_agents: int, slow_factor: float = 4.0,

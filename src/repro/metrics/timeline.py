@@ -248,8 +248,11 @@ def run_record(bus: Any, engine: Any = None,
     totals, and the per-agent busy / barrier-wait seconds are
     :class:`~repro.cluster.runtime.ClusterEngine`'s accumulator — read
     off the engine while it runs, off the ``a<i>:busy_s`` /
-    ``a<i>:barrier_wait_s`` gauges its ``finalize()`` exports from it
-    otherwise (``None`` on a serial run).  The live NDJSON record, the
+    ``a<i>:barrier_wait_s`` gauges its ``finalize()`` always exports
+    from it otherwise (``None`` on a serial run).  ``agents_busy_s`` is
+    the measured T_a, the series
+    :func:`repro.partition.refit_cluster_spec` takes as
+    ``measured_times``.  The live NDJSON record, the
     ``memo`` / ``transport_shm`` / ``agent_*`` sections of
     :func:`stats_dict` and the CLI's ``--progress`` line are three views
     of this dict, so they cannot disagree.

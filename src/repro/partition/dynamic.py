@@ -73,9 +73,9 @@ def dynamic_partition_plan(
     """The full Appendix A pipeline: bin loads, detect phase changes,
     partition each phase as a separate simulation task.
 
-    When ``measured_times`` (per-agent wall-clock from a previous run's
-    merged instrumentation bus, see
-    :func:`~repro.partition.timecost.measured_machine_times`) and the
+    When ``measured_times`` (the per-agent busy seconds of a previous
+    cluster run, ``run_record(bus)["agents_busy_s"]`` from
+    :func:`repro.metrics.timeline.run_record`) and the
     ``measured_partition`` it was observed under are given, the cluster
     spec's compute capacities are refitted to the measurement before any
     phase is partitioned — the planner then reasons about the machines

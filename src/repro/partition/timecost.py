@@ -94,25 +94,6 @@ def completion_time(
     return max(machine_times(topo, partition, loads, cluster))
 
 
-def measured_machine_times(bus, num_machines: int) -> List[float]:
-    """Per-machine wall-clock (seconds) from a merged cluster bus.
-
-    A distributed run's :class:`~repro.cluster.runtime.ClusterEngine`
-    merges every agent's per-system timers into its bus tagged
-    ``a<id>:<system>``; summing them per agent yields the *measured*
-    counterpart of Eq. (1)'s estimate T_a — what the planner should
-    trust once a run has actually happened.
-    """
-    times = [0.0] * num_machines
-    for name, prof in bus.totals.items():
-        tag, sep, _system = name.partition(":")
-        if sep and len(tag) > 1 and tag[0] == "a" and tag[1:].isdigit():
-            machine = int(tag[1:])
-            if machine < num_machines:
-                times[machine] += prof.elapsed_s
-    return times
-
-
 def refit_cluster_spec(
     cluster: ClusterSpec,
     topo: Topology,
@@ -123,8 +104,10 @@ def refit_cluster_spec(
     """Refit compute capacities so Eq. (1) reproduces measured times.
 
     Inverting Eq. (1) per machine: P_a = E_a / max(T_a - tau_a*8/B_a,
-    eps), where T_a is the *measured* per-agent window cost of a
-    previous run under ``partition``.  Machines whose measured time is
+    eps), where T_a is the *measured* per-agent busy time of a previous
+    run under ``partition`` — a cluster run's busy series,
+    ``run_record(bus)["agents_busy_s"]``
+    (:func:`repro.metrics.timeline.run_record`).  Machines whose measured time is
     zero (or that hosted no load) keep their configured capacity.  The
     result feeds the next planning round — heterogeneity is now
     observed, not configured.

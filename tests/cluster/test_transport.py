@@ -11,9 +11,10 @@ from repro.cluster import (
 )
 from repro.des.partition_types import contiguous_partition
 from repro.errors import ClusterError, PartitionError
+from repro.core.runner import EngineRunner
+from repro.metrics.timeline import run_record
 from repro.partition import (
-    ClusterSpec, estimate_scenario_loads, machine_times,
-    measured_machine_times, refit_cluster_spec,
+    ClusterSpec, estimate_scenario_loads, machine_times, refit_cluster_spec,
 )
 from repro.scenario import make_scenario
 from repro.topology import dumbbell, fattree
@@ -126,22 +127,38 @@ class TestMergedBus:
         for agent in range(2):
             for system in ("ack", "send", "forward", "transmit"):
                 assert f"a{agent}:{system}" in bus.totals
-        # per-window profiles carry both agents' tagged systems
-        tagged = {name for w in bus.windows for name in w.systems}
+        # per-window rows carry both agents' tagged systems
+        rows = bus.profile_rows()
+        tagged = {row["system"] for row in rows}
         assert any(name.startswith("a0:") for name in tagged)
         assert any(name.startswith("a1:") for name in tagged)
-        assert bus.windows == sorted(bus.windows, key=lambda w: w.index)
+        windows = [row["window"] for row in rows]
+        assert windows == sorted(windows)
 
-    def test_measured_times_from_bus(self):
+    @pytest.mark.parametrize("transport", ["local", "shm"])
+    def test_untelemetered_run_measures_busy(self, transport):
+        """No telemetry, no watchdog: the agents' busy / wait seconds
+        are still measured every window, exported as gauges, and are the
+        measured T_a ``refit_cluster_spec`` fits Eq. (1) to."""
         sc = _scenario()
         part = contiguous_partition(sc.topology, 2)
-        run = DonsManager(sc, ClusterSpec.homogeneous(2)).run(partition=part)
-        times = measured_machine_times(run.bus, 2)
-        assert len(times) == 2
-        assert all(t > 0 for t in times)
-        expected = sum(p.elapsed_s for name, p in run.bus.totals.items()
-                       if name.startswith("a0:"))
-        assert times[0] == pytest.approx(expected)
+        engine = DonsManager(sc, ClusterSpec.homogeneous(2),
+                             transport=transport)._engine(part)
+        assert not engine.bus.telemetry and engine.watchdog is None
+        EngineRunner(engine).run()
+        assert len(engine.busy_s) == 2
+        assert all(b > 0 for b in engine.busy_s)
+        gauges = engine.bus.metrics.gauges
+        assert [gauges["a0:busy_s"], gauges["a1:busy_s"]] == engine.busy_s
+        assert [gauges["a0:barrier_wait_s"],
+                gauges["a1:barrier_wait_s"]] == engine.wait_s
+        busy = run_record(engine.bus)["agents_busy_s"]
+        assert busy == engine.busy_s
+        loads = estimate_scenario_loads(sc)
+        refit = refit_cluster_spec(ClusterSpec.homogeneous(2), sc.topology,
+                                   part, loads, busy)
+        assert machine_times(sc.topology, part, loads, refit) \
+            == pytest.approx(busy)
 
 
 class TestRefitClusterSpec:

@@ -6,47 +6,54 @@ from repro.core.instrument import (
     SYSTEMS,
     InstrumentationBus,
     SystemProfile,
-    WindowProfile,
     _NOOP_SPAN,
 )
 from repro.metrics import TraceLevel, TraceRecorder
 
 
-def _child_payload(systems=("ack", "send"), windows=(0, 1)):
-    """An agent report's bus streams: totals, and the raw window rows
+def _child_payload(windows=(0, 1)):
+    """An agent report's bus streams: counters, and the raw window rows
     ``(index, start_ps, ack_s, send_s, forward_s, transmit_s)``."""
-    totals = {name: SystemProfile(elapsed_s=0.5) for name in systems}
     rows = [(index, index * 1000, 0.25, 0.25, 0.25, 0.25)
             for index in windows]
-    return {"ack.count": 3}, totals, rows
+    return {"ack.count": 3}, rows
 
 
 def _old_windows(own_rows, children):
     """The per-window profiles as built before reports shipped raw
-    rows: each child bus materialised its own profiles (last row of a
-    window wins), and the merge added them in under the child's tag."""
+    rows, as ``[(index, start_ps, {system: elapsed_s})]``: each child
+    bus materialised its own profiles (last row of a window wins), and
+    the merge added them in under the child's tag."""
     def profiles(rows):
         by_index = {}
         for index, start_ps, *times in rows:
-            win = by_index[index] = WindowProfile(index, start_ps)
-            for name, dt in zip(SYSTEMS, times):
-                win.systems[name] = SystemProfile(elapsed_s=dt)
-        return sorted(by_index.values(), key=lambda w: w.index)
+            by_index[index] = (start_ps, dict(zip(SYSTEMS, times)))
+        return by_index
 
     merged = {}
     for tag, rows in children:
-        for child in profiles(rows):
-            mine = merged.setdefault(
-                child.index, WindowProfile(child.index, child.start_ps))
-            for system, prof in child.systems.items():
-                mine.system(f"{tag}:{system}").add(prof)
-    by_index = {w.index: w for w in profiles(own_rows)}
+        for index, (start_ps, systems) in profiles(rows).items():
+            mine = merged.setdefault(index, (start_ps, {}))[1]
+            for system, dt in systems.items():
+                name = f"{tag}:{system}"
+                mine[name] = mine.get(name, 0.0) + dt
+    by_index = profiles(own_rows)
     for index, child in merged.items():
         if index in by_index:
-            by_index[index].systems.update(child.systems)
+            by_index[index][1].update(child[1])
         else:
             by_index[index] = child
-    return sorted(by_index.values(), key=lambda w: w.index)
+    return [(index, *by_index[index]) for index in sorted(by_index)]
+
+
+def _row_sums(rows):
+    """Per-system in-order float sums of raw window rows — what a
+    whole-run total must equal exactly."""
+    sums = dict.fromkeys(SYSTEMS, 0.0)
+    for row in rows:
+        for name, dt in zip(SYSTEMS, row[2:]):
+            sums[name] += dt
+    return sums
 
 
 class TestSpans:
@@ -83,20 +90,22 @@ class TestSpans:
 class TestMergeChild:
     def test_tags_totals_and_windows(self):
         bus = InstrumentationBus()
-        counters, totals, wins = _child_payload()
-        bus.merge_child("a0", counters, totals, wins)
+        counters, rows = _child_payload()
+        bus.merge_child("a0", counters, rows)
         assert bus.counters["ack.count"] == 3
         assert bus.totals["a0:ack"].elapsed_s == 0.5
-        assert [w.index for w in bus.windows] == [0, 1]
-        assert "a0:send" in bus.windows[0].systems
-        assert bus.windows[1].start_ps == 1000
+        profile = bus.profile_rows()
+        assert sorted({r["window"] for r in profile}) == [0, 1]
+        assert {"window": 0, "start_ps": 0, "system": "a0:send",
+                "elapsed_s": 0.25} in profile
+        assert profile[-1]["start_ps"] == 1000
 
     def test_empty_windows_child(self):
         """An agent that ran no windows still merges cleanly."""
         bus = InstrumentationBus()
-        bus.merge_child("a1", {"x": 1}, {}, [])
+        bus.merge_child("a1", {"x": 1}, [])
         assert bus.counters["x"] == 1
-        assert bus.windows == []
+        assert bus.totals == {}
         assert bus.profile_rows() == []
 
     def test_remerged_child_accumulates(self):
@@ -104,27 +113,29 @@ class TestMergeChild:
         sums rather than duplicating window rows."""
         bus = InstrumentationBus()
         for _ in range(2):
-            counters, totals, wins = _child_payload(windows=(0,))
-            bus.merge_child("a0", counters, totals, wins)
-        assert len(bus.windows) == 1
-        assert bus.windows[0].system("a0:ack").elapsed_s == 0.5
-        assert bus.totals["a0:ack"].elapsed_s == 1.0
+            counters, rows = _child_payload(windows=(0,))
+            bus.merge_child("a0", counters, rows)
+        profile = bus.profile_rows()
+        assert len(profile) == len(SYSTEMS)
+        assert profile[0] == {"window": 0, "start_ps": 0,
+                              "system": "a0:ack", "elapsed_s": 0.5}
+        assert bus.totals["a0:ack"].elapsed_s == 0.5
         assert bus.counters["ack.count"] == 6
 
     def test_two_children_interleave_into_sorted_windows(self):
         bus = InstrumentationBus()
-        _, totals, wins = _child_payload(windows=(3,))
-        bus.merge_child("a1", {}, totals, wins)
-        _, totals, wins = _child_payload(windows=(1,))
-        bus.merge_child("a0", {}, totals, wins)
-        assert [w.index for w in bus.windows] == [1, 3]
+        _, rows = _child_payload(windows=(3,))
+        bus.merge_child("a1", {}, rows)
+        _, rows = _child_payload(windows=(1,))
+        bus.merge_child("a0", {}, rows)
+        assert [r["window"] for r in bus.profile_rows()] == [1] * 4 + [3] * 4
 
     def test_spans_are_tagged_and_clock_shifted(self):
         parent = InstrumentationBus()
         child_spans = [(0.5, 0.7, "window", "window", {"index": 0})]
         # child epoch 2 wall-seconds after the parent's: its t=0.5 is
         # the parent's t=2.5
-        parent.merge_child("a2", {}, {}, [], spans=child_spans,
+        parent.merge_child("a2", {}, [], spans=child_spans,
                            epoch_wall=parent.epoch_wall + 2.0)
         t0, t1, name, cat, attrs = parent.spans[0]
         assert t0 == pytest.approx(2.5)
@@ -138,25 +149,25 @@ class TestMergeChild:
         child = MetricsRegistry()
         child.count("port.drops", 2)
         child.gauge("port.max_queue_bytes", 512.0)
-        parent.merge_child("a1", {}, {}, [], metrics=child.snapshot())
+        parent.merge_child("a1", {}, [], metrics=child.snapshot())
         assert parent.metrics.counters["port.drops"] == 2
         assert parent.metrics.gauges["a1:port.max_queue_bytes"] == 512.0
 
     def test_profile_rows_shape(self):
         bus = InstrumentationBus()
-        _, totals, wins = _child_payload(systems=("ack",), windows=(0,))
-        bus.merge_child("a0", {}, totals, wins)
-        rows = bus.profile_rows()
-        assert rows == [{
+        _, rows = _child_payload(windows=(0,))
+        bus.merge_child("a0", {}, rows)
+        assert bus.profile_rows() == [{
             "window": 0, "start_ps": 0, "system": f"a0:{system}",
             "elapsed_s": 0.25,
         } for system in ("ack", "forward", "send", "transmit")]
 
     def test_two_agent_merge_equals_the_old_materialisation(self):
         """Raw rows merged under their tags profile exactly as the
-        shipped ``WindowProfile`` lists did: overlapping and disjoint
+        shipped per-window profiles did: overlapping and disjoint
         windows, a window an agent re-ran after a rollback (its last
-        row counts), and the parent's own rows next to the children's."""
+        row counts), and the parent's own rows next to the children's.
+        The totals, by contrast, count every row."""
         own = [(2, 2000, 1.0, 2.0, 3.0, 4.0)]
         children = [
             ("a0", [(0, 0, .1, .2, .3, .4), (2, 2000, .5, .6, .7, .8),
@@ -169,15 +180,20 @@ class TestMergeChild:
         bus = InstrumentationBus()
         bus.window_rows = list(own)
         for tag, rows in children:
-            bus.merge_child(tag, {}, {}, rows)
+            bus.merge_child(tag, {}, rows)
         old = _old_windows(own, children)
-        assert bus.windows == old
-        assert [w.index for w in old] == [0, 2, 3, 5]
-        assert old[2].system("a1:ack").elapsed_s == 4.1
+        assert [index for index, _start, _systems in old] == [0, 2, 3, 5]
+        assert old[2][2]["a1:ack"] == 4.1
         assert bus.profile_rows() == [
-            {"window": w.index, "start_ps": w.start_ps, "system": name,
-             "elapsed_s": prof.elapsed_s}
-            for w in old for name, prof in sorted(w.systems.items())]
+            {"window": index, "start_ps": start_ps, "system": name,
+             "elapsed_s": elapsed_s}
+            for index, start_ps, systems in old
+            for name, elapsed_s in sorted(systems.items())]
+        totals = bus.totals
+        for tag, rows in [(None, own), *children]:
+            for system, expected in _row_sums(rows).items():
+                name = system if tag is None else f"{tag}:{system}"
+                assert totals[name].elapsed_s == expected
 
 
 class TestTracePlumbing:
@@ -230,3 +246,75 @@ class TestStateExportAdopt:
         t0, t1 = b.spans[0][:2]
         assert t0 == pytest.approx(1.1)
         assert t1 == pytest.approx(1.2)
+
+    def test_parent_shaped_state_with_totals_adopts(self):
+        """A checkpoint whose bus state still carries the ``"totals"``
+        key that buses used to export restores cleanly; the totals are
+        read off the restored rows, not off that key."""
+        a = InstrumentationBus()
+        a.window_times(0, 0, 0.1, 0.2, 0.3, 0.4)
+        state = a.export_state()
+        assert "totals" not in state
+        state["totals"] = {name: SystemProfile(99.0) for name in SYSTEMS}
+        b = InstrumentationBus()
+        b.adopt_state(state)
+        assert b.window_rows == a.window_rows
+        assert {name: p.elapsed_s for name, p in b.totals.items()} == {
+            "ack": 0.1, "send": 0.2, "forward": 0.3, "transmit": 0.4}
+
+
+class TestTotalsAreAView:
+    """``bus.totals`` is computed from the window rows when read: each
+    system's total is exactly the in-order float sum of its rows."""
+
+    @staticmethod
+    def assert_row_sums(totals, rows, tag=None):
+        for system, expected in _row_sums(rows).items():
+            name = system if tag is None else f"{tag}:{system}"
+            assert totals[name].elapsed_s == expected
+
+    def test_serial_engine(self, dumbbell_scenario):
+        from repro.core.engine import DodEngine
+        engine = DodEngine(dumbbell_scenario)
+        engine.run()
+        bus = engine.bus
+        assert set(bus.totals) == set(SYSTEMS)
+        assert len(bus.window_rows) == bus.counters["windows"] > 0
+        self.assert_row_sums(bus.totals, bus.window_rows)
+
+    def test_merged_two_agent_bus(self, dumbbell_scenario):
+        from repro.cluster import DonsManager
+        from repro.core.runner import EngineRunner
+        from repro.partition import ClusterSpec, plan_scenario
+        mgr = DonsManager(dumbbell_scenario, ClusterSpec.homogeneous(2))
+        engine = mgr._engine(
+            plan_scenario(dumbbell_scenario, mgr.cluster).partition)
+        EngineRunner(engine).run()
+        totals = engine.bus.totals
+        assert set(totals) == {f"a{a}:{s}" for a in (0, 1) for s in SYSTEMS}
+        for agent_id, agent in enumerate(engine.transport.engines):
+            assert agent.bus.window_rows
+            self.assert_row_sums(totals, agent.bus.window_rows,
+                                 f"a{agent_id}")
+
+    def test_telemetered_engine_restored_from_checkpoint(
+            self, dumbbell_scenario):
+        """The rows ride the checkpoint, so a restored engine's totals
+        cover the windows run before the snapshot too."""
+        from repro.core.checkpoint import restore_checkpoint, take_checkpoint
+        from repro.core.engine import DodEngine
+        first = DodEngine(dumbbell_scenario, telemetry=True)
+        first.build()
+        current = -1
+        for _ in range(7):
+            current = first._next_window(current)
+            first.process_window(current)
+        before = list(first.bus.window_rows)
+        fresh = DodEngine(dumbbell_scenario, telemetry=True)
+        fresh.build()
+        current = restore_checkpoint(fresh, take_checkpoint(first, current))
+        while (current := fresh._next_window(current)) is not None:
+            fresh.process_window(current)
+        rows = fresh.bus.window_rows
+        assert rows[:len(before)] == before and len(rows) > len(before)
+        self.assert_row_sums(fresh.bus.totals, rows)

@@ -148,6 +148,30 @@ class TestTelemetryCommands:
         assert windows == sorted(windows)
         assert report["counters"]["cluster.windows"] == len(set(windows))
 
+    @pytest.mark.parametrize("transport", ["local", "shm"])
+    def test_profile_cluster_counts_the_run_windows(self, transport, capsys):
+        """On the CLI smoke mesh an untelemetered ``profile --cluster 2``
+        prints the serial run's window count (not the agents' executed
+        windows summed) and a nonzero measured busy time per agent."""
+        import json
+        mesh = ["--topology", "fattree:4",
+                "--flows", "mesh:load=0.3,max=20,seed=7"]
+        cluster = [*mesh, "--cluster", "2", "--transport", transport]
+
+        def windows_line(args):
+            assert main(["profile", *args]) == 0
+            out = capsys.readouterr().out.splitlines()
+            return next(line for line in out if line.startswith("windows "))
+
+        serial = windows_line(mesh)
+        assert serial.split()[1] != "0"
+        assert windows_line(cluster) == serial
+        assert main(["profile", *cluster, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["agents_busy_s"]) == 2
+        assert all(b > 0 for b in report["agents_busy_s"])
+        assert report["windows"] == int(serial.split()[1])
+
     def test_timeline_manifest_records_resolved_switches(
             self, tmp_path, capsys):
         """The manifest reports what the engine actually ran with:
