@@ -29,10 +29,11 @@ from ..scenario import Scenario
 class AgentSpec:
     """Everything needed to (re)construct one agent's engine.
 
-    The spec — not the engine — is what crosses a transport boundary: a
+    A cluster is built from specs, never from engines: the transport
+    makes each engine from its spec (a
     :class:`~repro.cluster.transport.ProcessTransport` pickles it into
-    the worker process, and fault recovery uses it to rebuild a dead
-    agent before restoring the checkpoint payload.
+    the worker process), and a restore uses it to rebuild an agent
+    before loading the checkpoint payload.
     """
 
     agent_id: int
@@ -95,13 +96,6 @@ class Horizon(NamedTuple):
     def reached(self, done: int, window: int) -> bool:
         return ((self.max_windows is not None and done >= self.max_windows)
                 or (self.stop_at is not None and window >= self.stop_at))
-
-
-def spec_of(engine: "AgentEngine") -> AgentSpec:
-    """Recover the construction recipe of an existing agent engine."""
-    return AgentSpec(engine.agent_id, engine.scenario, engine.partition,
-                     TraceLevel(engine.trace.level),
-                     telemetry=engine.bus.telemetry)
 
 
 class AgentEngine(DodEngine):

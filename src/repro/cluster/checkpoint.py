@@ -3,35 +3,40 @@ utilizes checkpointing to periodically preserve the run-time state").
 
 A cluster checkpoint is taken at a window boundary, where the FINISH
 barrier guarantees a clean cut: every batch delivered, every agent
-paused between windows.  It bundles one engine snapshot per
-agent plus the runtime's cursor, partition and remaining migration
-schedule.  Resuming on fresh agents continues the run and produces the
-uninterrupted trace (tests/cluster/test_cluster_checkpoint.py).
+paused between windows.  It holds what
+:meth:`~repro.cluster.transport.Transport.snapshot_all` returns — one
+engine checkpoint per agent plus the channel accounting — with the
+runtime's cursor, the count of windows reported so far, the partition
+and the remaining migration schedule.
 
 ``take_cluster_checkpoint`` takes a
-:class:`~repro.cluster.runtime.ClusterEngine` on the ``LocalTransport``
-(it reaches the in-process agents).  (The in-run recovery path — kill
-one agent mid-simulation, restore it from its latest snapshot while
-peers keep their state — lives in the runtime; see
-:mod:`repro.cluster.fault`.)
+:class:`~repro.cluster.runtime.ClusterEngine` on the ``LocalTransport``;
+the agents of a ``ProcessTransport`` run ahead of the coordinator's
+cursor, so it is refused.  ``resume_cluster`` builds a cluster from the
+checkpoint's partition and restores it through
+:meth:`~repro.cluster.transport.Transport.restore_all` — the call an
+in-run recovery makes (:mod:`repro.cluster.fault`) — so the resumed run
+reports the uninterrupted run's trace, traffic and window count
+(tests/cluster/test_cluster_checkpoint.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
-from .agent import AgentEngine
-from .runtime import ClusterEngine, merge_results
-from ..core.checkpoint import Checkpoint, restore_checkpoint, take_checkpoint
+from .agent import AgentSpec
+from .runtime import ClusterEngine
+from ..core.runner import EngineRunner
 from ..des.partition_types import Partition
 from ..errors import ClusterError
 from ..metrics import SimResults, TraceLevel
 from ..scenario import Scenario
 
-#: v2: ``agents`` holds whole engine checkpoints — each with its own
-#: format tag and scenario name — where v1 held bare payload bytes.
-FORMAT = "dons-cluster-checkpoint-v2"
+#: v3: ``snapshot`` is a :meth:`Transport.snapshot_all` — engine
+#: checkpoints *and* channel accounting — and ``windows`` the windows
+#: reported so far; v2 held the engine checkpoints alone.
+FORMAT = "dons-cluster-checkpoint-v3"
 
 
 @dataclass
@@ -44,24 +49,26 @@ class ClusterCheckpoint:
     partition: Tuple[int, ...]
     num_parts: int
     schedule: List[Tuple[int, Tuple[int, ...]]]
-    #: One engine snapshot per agent; ``restore_checkpoint`` refuses
-    #: one of another engine format or scenario.
-    agents: List[Checkpoint]
+    #: ``(engine checkpoints, channel accounting)``; ``restore_checkpoint``
+    #: refuses an engine checkpoint of another format or scenario.
+    snapshot: Any
+    #: Windows the run had reported when the checkpoint was taken.
+    windows: int
 
 
 def take_cluster_checkpoint(engine: ClusterEngine,
                             current_window: int) -> ClusterCheckpoint:
     """Snapshot a local ClusterEngine paused between windows."""
-    agents = engine.agents
-    partition = agents[0].partition
+    partition = engine.agents[0].partition  # refuses a ProcessTransport
     return ClusterCheckpoint(
         format=FORMAT,
-        scenario_name=agents[0].scenario.name,
+        scenario_name=engine.specs[0].scenario.name,
         current_window=current_window,
         partition=partition.assignment,
         num_parts=partition.num_parts,
         schedule=[(w, p.assignment) for w, p in engine.schedule],
-        agents=[take_checkpoint(agent, current_window) for agent in agents],
+        snapshot=engine.transport.snapshot_all(current_window),
+        windows=engine.progress()["windows"],
     )
 
 
@@ -70,23 +77,20 @@ def resume_cluster(
     checkpoint: ClusterCheckpoint,
     trace_level: TraceLevel = TraceLevel.NONE,
 ) -> Tuple[SimResults, ClusterEngine]:
-    """Rebuild fresh agents from a checkpoint and run to completion."""
+    """Build a cluster from a checkpoint, restore it and run it to
+    completion; returns the merged results and the engine."""
     if checkpoint.format != FORMAT:
         raise ClusterError(f"unknown checkpoint format {checkpoint.format!r}")
     if checkpoint.scenario_name != scenario.name:
         raise ClusterError("checkpoint belongs to a different scenario")
     partition = Partition(checkpoint.partition, checkpoint.num_parts)
-    agents = [
-        AgentEngine(a, scenario, partition, trace_level)
-        for a in range(checkpoint.num_parts)
-    ]
+    specs = [AgentSpec(a, scenario, partition, trace_level)
+             for a in range(checkpoint.num_parts)]
     schedule = [
         (w, Partition(assignment, checkpoint.num_parts))
         for w, assignment in checkpoint.schedule
     ]
-    engine = ClusterEngine.from_agents(agents, schedule=schedule)
-    for agent, snapshot in zip(agents, checkpoint.agents):
-        agent.build()
-        restore_checkpoint(agent, snapshot)
-    per_agent = engine.run_from(checkpoint.current_window)
-    return merge_results(per_agent, scenario.name), engine
+    engine = ClusterEngine(specs, schedule=schedule)
+    engine.resume(checkpoint.snapshot, checkpoint.current_window,
+                  checkpoint.windows)
+    return EngineRunner(engine).run(), engine

@@ -1,9 +1,12 @@
 """Cluster runtime: the distributed run as one :class:`Engine`.
 
-PR 1 unified the single-machine engines behind ``build`` / ``advance``
-/ ``finalize`` and one :class:`~repro.core.runner.EngineRunner` loop.
-:class:`ClusterEngine` brings the distributed stack into the same shape:
-one ``advance()`` reports one cluster-wide lookahead window.
+:class:`ClusterEngine` gives the distributed stack the shape of the
+single-machine engines — ``build`` / ``advance`` / ``finalize`` — so one
+:class:`~repro.core.runner.EngineRunner` drives it and returns the
+merged results: one ``advance()`` reports one cluster-wide lookahead
+window.  Every cluster is built from specs
+(:class:`~repro.cluster.agent.AgentSpec`); the transport makes the agent
+engines from them.
 
 The runtime is the *control plane* only.  The window protocol — agree
 on the window, run it, exchange batches, FINISH barrier — runs among
@@ -38,13 +41,16 @@ Fault tolerance is coordinated rollback: when the transport reports an
 re-runs from the snapshot window; windows already reported are consumed
 silently, so ``advance()`` still returns ``True`` exactly once per
 window and the merged trace stays byte-identical to the fault-free run.
+Resuming an on-disk checkpoint (:mod:`repro.cluster.checkpoint`) is the
+same :meth:`~repro.cluster.transport.Transport.restore_all`, through
+:meth:`ClusterEngine.resume`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .agent import AgentEngine, AgentSpec, Horizon, spec_of
+from .agent import AgentSpec, Horizon
 from .fault import FaultPlan, RecoveryStats
 from .transport import (
     AgentFailure, LocalTransport, Transport, make_transport,
@@ -93,7 +99,6 @@ class ClusterEngine:
             self.bus.enable_telemetry()
             self.bus.metrics.histogram("cluster.barrier_wait_ms",
                                        WAIT_MS_BUCKETS)
-        self.transport.bus = self.bus
         #: Agent-measured per-agent busy / barrier-wait seconds,
         #: accumulated every window; exported as ``a<i>:busy_s`` /
         #: ``a<i>:barrier_wait_s`` gauges at finalize — the exact series
@@ -130,19 +135,6 @@ class ClusterEngine:
         self._records_since_snap = 0
         self._ran_since_snap = 0
 
-    @classmethod
-    def from_agents(
-        cls,
-        agents: Sequence[AgentEngine],
-        schedule: Optional[List[Tuple[int, Partition]]] = None,
-    ) -> "ClusterEngine":
-        """Pre-built agent engines on the in-process transport — how
-        checkpoint resume and the migration tests hand over engines they
-        constructed (and possibly restored) themselves."""
-        return cls([spec_of(agent) for agent in agents],
-                   transport=LocalTransport(engines=agents),
-                   schedule=schedule)
-
     def _make_watchdog(self, arg: Union[bool, None, "object"]):
         if arg is False:
             return None
@@ -172,7 +164,8 @@ class ClusterEngine:
     @property
     def agents(self):
         """The in-process engines (LocalTransport only) — migration and
-        cluster checkpointing reach through this."""
+        cluster checkpointing reach through this; they stay readable
+        after the run."""
         engines = getattr(self.transport, "engines", None)
         if engines is None:
             raise ClusterError(
@@ -238,14 +231,12 @@ class ClusterEngine:
         window = self._next_window()
         if window is None:
             return False
-        transport = self.transport
-        transport.stats.windows += 1
         bus.count("cluster.windows")
         self._observe_window(window, _w0)
         self._cursor = window
         if self._fault_tolerant:
             self._reported_since_snap += 1
-            self._records_since_snap += transport.window_records
+            self._records_since_snap += self.transport.window_records
             if (self.checkpoint_every
                     and self._reported_since_snap >= self.checkpoint_every):
                 self._take_snapshots(window)
@@ -351,24 +342,11 @@ class ClusterEngine:
                                        self.busy_s[agent_id])
                 self.bus.metrics.gauge(f"a{agent_id}:barrier_wait_s",
                                        self.wait_s[agent_id])
-            self.transport.finalize_stats()
+            stats = self.transport.finalize_stats()
+            stats.windows = self.bus.counters.get("cluster.windows", 0)
         finally:
             self.transport.close()
         return self.results
-
-    def run(self) -> List[SimResults]:
-        """Legacy convenience: run to completion, per-agent results."""
-        return self.run_from(-1)
-
-    def run_from(self, current: int) -> List[SimResults]:
-        """Drive already-built (or checkpoint-restored) agents from the
-        given window cursor to completion."""
-        from ..core.runner import EngineRunner
-        if not self._built:
-            self.build()
-        self._cursor = self.transport.cursor = current
-        EngineRunner(self).run()
-        return self.per_agent
 
     # --- migration --------------------------------------------------------
 
@@ -393,6 +371,18 @@ class ClusterEngine:
         self._ran_since_snap = 0
         self.bus.count("cluster.checkpoints")
 
+    def resume(self, snapshot: Any, window: int, windows: int) -> None:
+        """Continue a run from ``snapshot`` (:meth:`Transport.snapshot_all`
+        taken after ``windows`` reported windows, the last one
+        ``window``): the agents are built and then restored by the
+        :meth:`Transport.restore_all` an in-run recovery makes, and the
+        next ``advance()`` reports the window after ``window``."""
+        if not self._built:
+            self.build()
+        self.transport.restore_all(snapshot, window)
+        self._cursor = window
+        self.bus.counters["cluster.windows"] = windows
+
     def _recover(self, failure: AgentFailure) -> None:
         """Coordinated rollback: every agent back to the latest
         snapshot (dead ones replaced); the caller's loop re-runs from
@@ -402,10 +392,13 @@ class ClusterEngine:
                 f"agent {failure.agent_id} died at window {failure.window} "
                 "and no checkpoint exists (enable checkpoint_every)"
             ) from failure
-        with self.bus.span("replay", "transport", agent=failure.agent_id,
-                           window=failure.window,
-                           from_window=self._snap_window):
-            self.transport.restore_all(self._snapshot, self._snap_window)
+        bus = self.bus
+        t0 = bus.now() if bus.telemetry else 0.0
+        self.transport.restore_all(self._snapshot, self._snap_window)
+        if bus.telemetry:
+            bus.span_add("replay", t0, bus.now(), "transport",
+                         {"agent": failure.agent_id, "window": failure.window,
+                          "from_window": self._snap_window})
         self._granted = False
         self._ran_since_snap = 0
         self.recoveries.append(RecoveryStats(

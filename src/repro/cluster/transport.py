@@ -2,11 +2,12 @@
 
 The cluster runtime (:mod:`repro.cluster.runtime`) never talks to an
 :class:`~repro.cluster.agent.AgentEngine` directly; it talks to a
-*transport*, which hosts the agents and runs the window protocol of
-DONS section 4.2 among them.  The runtime only *grants* a horizon
-(:meth:`Transport.grant`) and then collects finished windows one at a
-time (:meth:`Transport.next_window`).  Two implementations of one
-protocol:
+*transport*, which makes the agents from their specs
+(:class:`~repro.cluster.agent.AgentSpec`), hosts them and runs the
+window protocol of DONS section 4.2 among them.  The runtime only
+*grants* a horizon (:meth:`Transport.grant`) and then collects
+finished windows one at a time (:meth:`Transport.next_window`).  Two
+implementations of one protocol:
 
 * :class:`LocalTransport` — every agent is an in-process engine and a
   batch is a mailbox hand-off.  Serial, deterministic, zero
@@ -41,7 +42,9 @@ themselves (run time versus wait time).
 **Failure handling** is coordinated rollback (:mod:`repro.cluster.fault`):
 a dead agent surfaces as :class:`AgentFailure`, and
 :meth:`Transport.restore_all` puts *every* agent back on the latest
-coordinated snapshot over fresh pair rings.  A waiting worker that
+coordinated snapshot over fresh pair rings.  Resuming a checkpoint
+read from disk (:func:`~repro.cluster.checkpoint.resume_cluster`) is
+the same call on a freshly built cluster.  A waiting worker that
 exhausts its spin budget polls its pipe: a pending command
 (``restore``, ``exit``) makes it leave the window loop, EOF (the
 coordinator died) makes it exit; nobody waits unboundedly on a dead peer.
@@ -62,7 +65,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .agent import AgentEngine, AgentSpec, Horizon, agreed_window, spec_of
+from .agent import AgentEngine, AgentSpec, Horizon, agreed_window
 from .channel import ChannelMap, ClusterTrafficStats
 from .shm import (
     DONE, FAILED, PAUSED, RECORD_BYTES, ProgressBoard, SequenceError,
@@ -73,14 +76,6 @@ from ..core.checkpoint import (
 )
 from ..errors import ClusterError
 from ..metrics import SimResults
-
-#: Test hook for the watchdog drill: when set, called as
-#: ``stall_injector(agent_id, window)`` just before a LocalTransport
-#: agent executes a window — a test makes it sleep for a chosen agent to
-#: simulate a stalled machine and assert the watchdog flags it.  Always
-#: ``None`` in production.
-stall_injector = None
-
 
 class AgentFailure(ClusterError):
     """An agent died (or was killed) and cannot serve requests."""
@@ -128,8 +123,6 @@ class Transport:
         #: Sender-side accounting of every batch and FINISH frame.
         self.channels = ChannelMap()
         self.stats = ClusterTrafficStats()
-        #: Cluster bus; the runtime wires it at construction.
-        self.bus = None
         #: Of the window :meth:`next_window` returned last: per-agent
         #: busy and barrier-wait seconds, measured every window, and
         #: the records all agents sent in it.
@@ -221,18 +214,15 @@ def _report_of(engine: AgentEngine) -> AgentReport:
 class LocalTransport(Transport):
     """All agents in this process; a batch is a mailbox hand-off.
 
-    ``engines`` may be supplied pre-constructed
-    (``ClusterEngine.from_agents`` — checkpoint resume); otherwise
-    :meth:`launch` builds them from the specs.  A killed agent's engine
-    is dropped on the floor — the crash loses its memory, exactly what
-    recovery must survive.
+    :meth:`launch` makes the engines from the specs; they stay in
+    ``engines`` after :meth:`close`.  A killed agent's engine is dropped
+    on the floor — the crash loses its memory, exactly what recovery
+    must survive.
     """
 
-    def __init__(self, engines: Optional[Sequence[AgentEngine]] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.engines: List[Optional[AgentEngine]] = list(engines or [])
-        if self.engines:
-            self.specs = [spec_of(e) for e in self.engines]
+        self.engines: List[Optional[AgentEngine]] = []
         self._horizon = Horizon()
         self._ran = 0
         self._offers: Optional[List[Optional[int]]] = None
@@ -242,11 +232,6 @@ class LocalTransport(Transport):
         self.before_window = None
 
     def launch(self, specs: Sequence[AgentSpec]) -> None:
-        if self.engines:
-            if len(self.engines) != len(specs):
-                raise ClusterError("adopted engines do not match the specs")
-            self.specs = [spec_of(e) for e in self.engines]
-            return
         self.specs = list(specs)
         self.engines = [spec.make() for spec in self.specs]
 
@@ -257,10 +242,8 @@ class LocalTransport(Transport):
         return engine
 
     def build_all(self) -> None:
-        for agent_id in range(len(self.engines)):
-            engine = self._engine(agent_id)
-            if not engine.built:
-                engine.build()
+        for engine in self.engines:
+            engine.build()
 
     def grant(self, horizon: Horizon) -> None:
         self._horizon, self._ran = horizon, 0
@@ -286,8 +269,6 @@ class LocalTransport(Transport):
         outboxes, times = [], []
         for agent_id, engine in enumerate(engines):
             t0 = clock()
-            if stall_injector is not None:
-                stall_injector(agent_id, window)
             outbox, self._offers[agent_id] = engine.run_window(
                 window, skip_idle)
             outboxes.append(outbox)

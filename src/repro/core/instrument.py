@@ -27,9 +27,9 @@ switch, ``bus.telemetry``:
 
 * **spans** — begin/end wall-clock intervals (run → window → system →
   kernel/commit phases, plus transport-level serialize / send /
-  barrier-wait slices recorded by the cluster stack).  ``bus.span(name,
-  **attrs)`` is the context-manager API; hot paths that already hold
-  ``perf_counter`` readings call :meth:`span_add` directly.  Span
+  barrier-wait slices recorded by the cluster stack).  A publish site
+  reads :meth:`now` around the work and records the interval with
+  :meth:`span_add`, guarded by ``bus.telemetry``.  Span
   timestamps are seconds relative to the bus *epoch*; the paired
   ``epoch_wall`` (wall-clock at bus creation) is what lets a cluster bus
   normalize child-agent spans recorded on another machine's clock.
@@ -42,8 +42,8 @@ The hot-path contract: with no subscribers, every publish degrades to a
 guarded no-op (``bus.has_ops`` / ``bus.trace_level`` / ``bus.telemetry``
 checks), so an uninstrumented run pays one attribute test per publish
 site, the same price the old ``if self.op_hook:`` / ``if trace.level:``
-guards paid.  With telemetry disabled ``span()`` returns one shared
-no-op context manager — zero allocation, zero records.
+guards paid.  With telemetry disabled no span is recorded and no clock
+is read.
 """
 
 from __future__ import annotations
@@ -70,45 +70,6 @@ OpSubscriber = Callable[[int, int, int], None]
 #: groups spans for the timeline exporter ("run", "window", "system",
 #: "transport", "cluster").
 SpanRecord = tuple
-
-
-class _NoopSpan:
-    """Shared do-nothing context manager for disabled telemetry."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
-class _Span:
-    """A live span: records ``(t0, t1, name, cat, attrs)`` on exit."""
-
-    __slots__ = ("_bus", "_name", "_cat", "_attrs", "_t0")
-
-    def __init__(self, bus: "InstrumentationBus", name: str, cat: str,
-                 attrs: Optional[Dict[str, Any]]) -> None:
-        self._bus = bus
-        self._name = name
-        self._cat = cat
-        self._attrs = attrs
-
-    def __enter__(self) -> "_Span":
-        self._t0 = self._bus.now()
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        bus = self._bus
-        bus.spans.append(
-            (self._t0, bus.now(), self._name, self._cat, self._attrs)
-        )
-        return False
 
 
 @dataclass
@@ -170,13 +131,6 @@ class InstrumentationBus:
     def now(self) -> float:
         """Seconds since the bus epoch (the span timebase)."""
         return time.perf_counter() - self._epoch_perf
-
-    def span(self, name: str, cat: str = "span", **attrs: Any):
-        """Context manager recording one span; a shared no-op when
-        telemetry is disabled (zero allocation on the cold path)."""
-        if not self.telemetry:
-            return _NOOP_SPAN
-        return _Span(self, name, cat, attrs or None)
 
     def span_add(self, name: str, t0: float, t1: float, cat: str = "span",
                  attrs: Optional[Dict[str, Any]] = None) -> None:

@@ -20,16 +20,16 @@ results through this path instead of private copies of it: a
 :class:`~repro.cluster.runtime.ClusterEngine` implements the same
 protocol with *one cluster-wide lookahead window* as its ``advance()``
 unit, so ``DonsManager`` runs, ``python -m repro profile --cluster`` and
-checkpoint resume (``ClusterEngine.run_from`` sets the engine's
-window cursor, then hands it to an ``EngineRunner``) all share this
-loop.  Engines that support resumption expose their position as a
-cursor the caller may reposition *before* ``run()``; the runner itself
-stays cursor-agnostic — ``advance()`` is always "do the next unit".
+checkpoint resume (``resume_cluster`` restores the agents and the
+window cursor through ``ClusterEngine.resume``, then hands the engine
+to an ``EngineRunner``) all share this loop.  The runner itself stays cursor-agnostic — ``advance()`` is
+always "do the next unit" — and runs to exhaustion; a window cap is
+the engine's (``DodEngine(max_windows=)``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters.
     from typing import Protocol, runtime_checkable
@@ -71,10 +71,8 @@ class EngineRunner:
     propagate (it is a driver hook, not a subscriber).
     """
 
-    def __init__(self, engine: "Engine", max_steps: Optional[int] = None,
-                 on_step=None) -> None:
+    def __init__(self, engine: "Engine", on_step=None) -> None:
         self.engine = engine
-        self.max_steps = max_steps
         self.on_step = on_step
         self.steps = 0
 
@@ -96,8 +94,6 @@ class EngineRunner:
                 self.steps += 1
                 if on_step is not None:
                     on_step(self.steps)
-                if self.max_steps is not None and self.steps >= self.max_steps:
-                    break
         finally:
             engine.finalize()
             if record:

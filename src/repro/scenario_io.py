@@ -25,10 +25,8 @@ from .traffic import Flow, FlowColumns, Transport
 
 #: v2 adds columnar traffic: scenarios whose flows are a
 #: :class:`~repro.traffic.FlowColumns` serialize as parallel columns
-#: under ``flow_columns`` instead of one dict per flow.  v1 documents
-#: (per-flow dicts only) still load.
+#: under ``flow_columns`` instead of one dict per flow.  Only v2 loads.
 FORMAT = "repro-scenario-v2"
-_READABLE_FORMATS = ("repro-scenario-v1", FORMAT)
 
 
 @contextmanager
@@ -189,7 +187,7 @@ def scenario_from_json(source: Union[str, TextIO]) -> Scenario:
     if not isinstance(doc, dict):
         raise ConfigError("scenario: the document must be a JSON object, "
                           f"got {type(doc).__name__}")
-    if doc.get("format") not in _READABLE_FORMATS:
+    if doc.get("format") != FORMAT:
         raise ConfigError(f"unknown scenario format {doc.get('format')!r}")
     with _reading("document"):
         topo = _topology_from_dict(doc["topology"])

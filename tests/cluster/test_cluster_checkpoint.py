@@ -2,13 +2,16 @@
 
 import pytest
 
-from repro.cluster.agent import AgentEngine
+import dataclasses
+
+from repro.cluster.agent import AgentSpec
 from repro.cluster.checkpoint import (
-    ClusterCheckpoint, resume_cluster, take_cluster_checkpoint,
+    FORMAT, resume_cluster, take_cluster_checkpoint,
 )
 from repro.cluster import ClusterEngine
 from repro.core.checkpoint import FORMAT as ENGINE_FORMAT
 from repro.core.engine import run_dons
+from repro.core.runner import EngineRunner
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.errors import ClusterError, SimulationError
 from repro.metrics import TraceLevel
@@ -32,10 +35,14 @@ def reference(scenario):
     return run_dons(scenario, TraceLevel.FULL)
 
 
+def _cluster(scenario, partition, schedule=None):
+    specs = [AgentSpec(a, scenario, partition, TraceLevel.FULL)
+             for a in range(partition.num_parts)]
+    return ClusterEngine(specs, schedule=schedule)
+
+
 def _run_until(scenario, partition, windows, schedule=None):
-    agents = [AgentEngine(a, scenario, partition, TraceLevel.FULL)
-              for a in range(partition.num_parts)]
-    engine = ClusterEngine.from_agents(agents, schedule=schedule)
+    engine = _cluster(scenario, partition, schedule)
     engine.build()
     for _ in range(windows):
         if not engine.advance():
@@ -46,14 +53,20 @@ def _run_until(scenario, partition, windows, schedule=None):
 @pytest.mark.parametrize("stop_after", [3, 25])
 def test_cluster_resume_reproduces_trace(scenario, reference, stop_after):
     part = contiguous_partition(scenario.topology, 3)
+    whole = _cluster(scenario, part)
+    EngineRunner(whole).run()
     engine, current = _run_until(scenario, part, stop_after)
     ckpt = take_cluster_checkpoint(engine, current)
     # The "cluster crash": everything is discarded.
     del engine
-    merged, _fresh = resume_cluster(scenario, ckpt, TraceLevel.FULL)
+    merged, fresh = resume_cluster(scenario, ckpt, TraceLevel.FULL)
     assert (sorted(merged.trace.entries)
             == sorted(reference.trace.entries))
     assert merged.fcts_ps() == reference.fcts_ps()
+    # The resumed run accounts the traffic and windows before the
+    # checkpoint too: it reports what the uninterrupted run reports.
+    assert fresh.stats == whole.stats  # egress_bytes included
+    assert fresh.progress()["windows"] == whole.progress()["windows"]
 
 
 def test_checkpoint_preserves_pending_migrations(scenario, reference):
@@ -75,7 +88,6 @@ def test_scenario_mismatch_rejected(scenario):
     part = contiguous_partition(scenario.topology, 2)
     engine, current = _run_until(scenario, part, 2)
     ckpt = take_cluster_checkpoint(engine, current)
-    import dataclasses
     other = dataclasses.replace(scenario, name="something-else")
     with pytest.raises(ClusterError):
         resume_cluster(other, ckpt)
@@ -85,11 +97,26 @@ def test_bad_format_rejected(scenario):
     part = contiguous_partition(scenario.topology, 2)
     engine, current = _run_until(scenario, part, 2)
     ckpt = take_cluster_checkpoint(engine, current)
-    bad = ClusterCheckpoint("v0", ckpt.scenario_name, current,
-                            ckpt.partition, ckpt.num_parts, [],
-                            ckpt.agents)
-    with pytest.raises(ClusterError):
-        resume_cluster(scenario, bad)
+    assert ckpt.format == FORMAT == "dons-cluster-checkpoint-v3"
+    for stale in ("v0", "dons-cluster-checkpoint-v2"):
+        bad = dataclasses.replace(ckpt, format=stale)
+        with pytest.raises(ClusterError, match=stale):
+            resume_cluster(scenario, bad)
+
+
+def test_process_cluster_checkpoint_refused(scenario):
+    """Process agents run ahead of the coordinator's cursor, so a
+    ``ProcessTransport`` cluster is not checkpointed to disk."""
+    part = contiguous_partition(scenario.topology, 2)
+    specs = [AgentSpec(a, scenario, part) for a in range(2)]
+    engine = ClusterEngine(specs, transport="shm")
+    engine.build()
+    try:
+        assert engine.advance()
+        with pytest.raises(ClusterError, match="in-process engines"):
+            take_cluster_checkpoint(engine, engine._cursor)
+    finally:
+        engine.finalize()
 
 
 @pytest.mark.parametrize("damage", ["format", "scenario"])
@@ -100,12 +127,13 @@ def test_stale_agent_snapshot_refused(scenario, damage):
     part = contiguous_partition(scenario.topology, 2)
     engine, current = _run_until(scenario, part, 2)
     ckpt = take_cluster_checkpoint(engine, current)
+    agents, _accounting = ckpt.snapshot
     assert all(snap.format == ENGINE_FORMAT
                and snap.scenario_name == scenario.name
-               for snap in ckpt.agents)
+               for snap in agents)
     if damage == "format":
-        ckpt.agents[1].format = "dons-checkpoint-v2"
+        agents[1].format = "dons-checkpoint-v2"
     else:
-        ckpt.agents[1].scenario_name = "something-else"
+        agents[1].scenario_name = "something-else"
     with pytest.raises(SimulationError, match=damage):
         resume_cluster(scenario, ckpt)

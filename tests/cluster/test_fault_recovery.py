@@ -139,3 +139,23 @@ def test_migration_plus_fault_tolerance_rejected(scenario):
     with pytest.raises(ClusterError, match="migration"):
         ClusterEngine(specs, checkpoint_every=5,
                       schedule=[(5, part)])
+
+
+def test_each_recovery_records_one_replay_span(scenario):
+    """The coordinator times every rollback: one ``replay`` span in the
+    ``transport`` category per recovery, naming the dead agent, the
+    window it died in and the snapshot window it restarted from."""
+    fault = FaultPlan(agent=1, at_window=12)
+    part = contiguous_partition(scenario.topology, 2)
+    mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
+                      transport="local", checkpoint_every=5, fault=fault,
+                      telemetry=True)
+    run = mgr.run(partition=part)
+    replays = [span for span in run.bus.spans
+               if (span[2], span[3]) == ("replay", "transport")]
+    assert len(run.recoveries) == len(replays) == 1
+    t0, t1, _name, _cat, attrs = replays[0]
+    rec = run.recoveries[0]
+    assert 0.0 <= t0 <= t1
+    assert attrs == {"agent": rec.agent, "window": rec.failed_window,
+                     "from_window": rec.restored_from_window}

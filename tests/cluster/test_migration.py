@@ -2,9 +2,10 @@
 no-op schedules, multiple boundaries collapsing into one window gap,
 and migration immediately followed by cross-machine RPC traffic."""
 
-from repro.cluster import ClusterEngine, merge_results
-from repro.cluster.agent import AgentEngine
+from repro.cluster import ClusterEngine
+from repro.cluster.agent import AgentSpec
 from repro.core.engine import run_dons
+from repro.core.runner import EngineRunner
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.metrics import TraceLevel
 from repro.scenario import make_scenario
@@ -23,9 +24,9 @@ def _scenario(start_us=0):
 
 
 def _controller(scenario, first, schedule, machines=3):
-    agents = [AgentEngine(a, scenario, first, TraceLevel.FULL)
-              for a in range(machines)]
-    return ClusterEngine.from_agents(agents, schedule=schedule)
+    specs = [AgentSpec(a, scenario, first, TraceLevel.FULL)
+             for a in range(machines)]
+    return ClusterEngine(specs, schedule=schedule)
 
 
 def test_noop_migration_is_free():
@@ -37,9 +38,8 @@ def test_noop_migration_is_free():
     same = contiguous_partition(sc.topology, 3)
     assert same.assignment == first.assignment and same is not first
     controller = _controller(sc, first, [(10, same)])
-    per_agent = controller.run()
+    merged = EngineRunner(controller).run()
     assert controller.migrations == []
-    merged = merge_results(per_agent, sc.name)
     assert sorted(merged.trace.entries) == sorted(reference.trace.entries)
 
 
@@ -56,13 +56,12 @@ def test_multiple_boundaries_in_one_window_gap():
     assert mid.assignment != first.assignment
     assert last.assignment != mid.assignment
     controller = _controller(sc, first, [(5, mid), (12, last)])
-    per_agent = controller.run()
+    merged = EngineRunner(controller).run()
     # both boundaries sat inside the silent gap before window ~30
     assert len(controller.migrations) == 2
     assert all(m.nodes_moved > 0 for m in controller.migrations)
     for agent in controller.agents:
         assert agent.partition.assignment == last.assignment
-    merged = merge_results(per_agent, sc.name)
     assert sorted(merged.trace.entries) == sorted(reference.trace.entries)
 
 
@@ -89,6 +88,5 @@ def test_migration_immediately_followed_by_rpc():
     assert records_after > records_at_migration
     while engine.advance():
         pass
-    engine.finalize()
-    merged = merge_results(engine.per_agent, sc.name)
+    merged = engine.finalize()
     assert sorted(merged.trace.entries) == sorted(reference.trace.entries)

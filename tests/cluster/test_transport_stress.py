@@ -32,7 +32,6 @@ from repro.cluster.shm import (
     ShmRing, consume_batch, list_orphans, publish_batch,
 )
 from repro.core.checkpoint import restore_checkpoint
-from repro.core.instrument import InstrumentationBus
 from repro.des.partition_types import contiguous_partition
 from repro.errors import ClusterError, ReproError
 from repro.metrics import TraceLevel
@@ -123,7 +122,6 @@ class TestLargeBatches:
         assert local.traffic == blob.traffic
 
     def _snapshot_after(self, specs, transport, windows):
-        transport.bus = InstrumentationBus()
         transport.launch(specs)
         try:
             transport.build_all()

@@ -1,9 +1,8 @@
 """Cluster watchdog: stall/slowness detection over measured reply times.
 
-The drill the issue prescribes: inject a sleep into one agent via the
-transport test hook and assert the watchdog flags it within two
-sampling intervals (here: windows — the watchdog observes every cluster
-window).
+The drill: wrap one agent's ``run_window`` on a built local cluster so
+it sleeps, and assert the watchdog flags it within two sampling
+intervals (here: windows — the watchdog observes every cluster window).
 """
 
 import io
@@ -12,7 +11,6 @@ import time
 
 import pytest
 
-import repro.cluster.transport as transport_mod
 from repro.cluster import DonsManager
 from repro.core.runner import EngineRunner
 from repro.metrics.live import ClusterWatchdog, LivePlane
@@ -30,18 +28,23 @@ def scenario():
     return make_scenario(topo, flows)
 
 
-@pytest.fixture
-def stall_hook():
-    """Install-and-restore for the transport's stall_injector test hook."""
-    def install(fn):
-        transport_mod.stall_injector = fn
-    yield install
-    transport_mod.stall_injector = None
-
-
 def _cluster_engine(scenario, **kwargs):
     mgr = DonsManager(scenario, ClusterSpec.homogeneous(2), **kwargs)
     return mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
+
+
+def _stall(engine, agent_id, stall):
+    """Build the local cluster and make agent ``agent_id`` call
+    ``stall(window)`` before it runs each window."""
+    engine.build()
+    agent = engine.agents[agent_id]
+    run_window = agent.run_window
+
+    def stalled(window, skip_idle=True):
+        stall(window)
+        return run_window(window, skip_idle)
+
+    agent.run_window = stalled
 
 
 # --- unit-level ------------------------------------------------------------
@@ -92,7 +95,7 @@ def test_watchdog_accumulates_busy_and_wait(scenario):
 
 # --- the drill -------------------------------------------------------------
 
-def test_watchdog_drill_detects_stalled_agent(scenario, stall_hook):
+def test_watchdog_drill_detects_stalled_agent(scenario):
     """A deliberately stalled agent (60ms, above the 50ms stall floor)
     is flagged ``stalled`` within 2 sampling intervals of the stall."""
     engine = _cluster_engine(scenario, watchdog=True)
@@ -100,12 +103,12 @@ def test_watchdog_drill_detects_stalled_agent(scenario, stall_hook):
     stall_from = 8
     injected = []
 
-    def inject(agent_id, window):
-        if agent_id == 1 and window >= stall_from and len(injected) < 2:
+    def inject(window):
+        if window >= stall_from and len(injected) < 2:
             injected.append(window)
             time.sleep(0.06)
 
-    stall_hook(inject)
+    _stall(engine, 1, inject)
     buf = io.StringIO()
     plane = LivePlane(engine, stream=buf, interval_ms=0)
     try:
@@ -127,17 +130,13 @@ def test_watchdog_drill_detects_stalled_agent(scenario, stall_hook):
     assert first["window_s"] >= 0.05
 
 
-def test_watchdog_without_telemetry_feeds_refit(scenario, stall_hook):
+def test_watchdog_without_telemetry_feeds_refit(scenario):
     """Telemetry off + watchdog on: the accumulated busy times still
     see a skewed agent and drive refit_cluster_spec."""
     engine = _cluster_engine(scenario, watchdog=True)
     assert engine.bus.telemetry is False
-
-    def inject(agent_id, _window):
-        if agent_id == 1:
-            time.sleep(0.0005)  # skew agent 1 so the refit can see it
-
-    stall_hook(inject)
+    # skew agent 1 so the refit can see it
+    _stall(engine, 1, lambda _window: time.sleep(0.0005))
     EngineRunner(engine).run()
     gauges = engine.bus.metrics.gauges
     assert gauges["a1:busy_s"] > gauges["a0:busy_s"] > 0

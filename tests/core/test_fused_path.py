@@ -15,12 +15,13 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.bench.workloads import wan_twin_smoke
-from repro.cluster.agent import AgentEngine
-from repro.cluster import ClusterEngine, merge_results
+from repro.cluster.agent import AgentSpec
+from repro.cluster import ClusterEngine
 from repro.conformance.oracles import result_parts
 from repro.core.checkpoint import CheckpointingEngine, take_checkpoint
 from repro.core import engine as engine_mod
 from repro.core.engine import DodEngine
+from repro.core.runner import EngineRunner
 from repro.core.systems import ack as ack_mod
 from repro.core.systems import transmit as transmit_mod
 from repro.core.systems.transmit import replay_window
@@ -107,13 +108,13 @@ def test_route_cache_stays_bounded_across_migration(scenario, reference):
     bounds = route_bounds(scenario)
     topo = scenario.topology
     first = contiguous_partition(topo, 2)
-    agents = [AgentEngine(a, scenario, first) for a in range(2)]
-    controller = ClusterEngine.from_agents(
-        agents, schedule=[(300, random_partition(topo, 2, seed=5))])
-    merged = merge_results(controller.run(), scenario.name)
+    specs = [AgentSpec(a, scenario, first) for a in range(2)]
+    controller = ClusterEngine(
+        specs, schedule=[(300, random_partition(topo, 2, seed=5))])
+    merged = EngineRunner(controller).run()
     assert controller.migrations[0].nodes_moved > 0
     assert merged.events == reference[1].events
-    for agent in agents:
+    for agent in controller.agents:
         assert agent._routes
         assert_routes_bounded(agent, bounds)
 

@@ -6,7 +6,6 @@ from repro.core.instrument import (
     SYSTEMS,
     InstrumentationBus,
     SystemProfile,
-    _NOOP_SPAN,
 )
 from repro.metrics import TraceLevel, TraceRecorder
 
@@ -57,23 +56,6 @@ def _row_sums(rows):
 
 
 class TestSpans:
-    def test_disabled_span_is_the_shared_noop(self):
-        bus = InstrumentationBus()
-        assert bus.span("anything") is _NOOP_SPAN
-        with bus.span("anything", "cat", key=1):
-            pass
-        assert bus.spans == []
-
-    def test_enabled_span_records_interval(self):
-        bus = InstrumentationBus()
-        bus.enable_telemetry()
-        with bus.span("work", "system", window=3):
-            pass
-        assert len(bus.spans) == 1
-        t0, t1, name, cat, attrs = bus.spans[0]
-        assert t0 <= t1
-        assert (name, cat, attrs) == ("work", "system", {"window": 3})
-
     def test_span_add_uses_caller_times(self):
         bus = InstrumentationBus()
         bus.enable_telemetry()

@@ -8,8 +8,9 @@ the single-machine trace, byte for byte.
 import pytest
 
 from repro.cluster import ClusterEngine, DonsManager
-from repro.cluster.agent import AgentEngine
+from repro.cluster.agent import AgentSpec
 from repro.core.engine import run_dons
+from repro.core.runner import EngineRunner
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.metrics import TraceLevel
 from repro.partition import ClusterSpec
@@ -34,14 +35,12 @@ def reference(scenario):
 
 
 def run_with_schedule(scenario, first, schedule, machines):
-    agents = [
-        AgentEngine(a, scenario, first, TraceLevel.FULL)
+    specs = [
+        AgentSpec(a, scenario, first, TraceLevel.FULL)
         for a in range(machines)
     ]
-    controller = ClusterEngine.from_agents(agents, schedule=schedule)
-    per_agent = controller.run()
-    from repro.cluster.manager import merge_results
-    return merge_results(per_agent, scenario.name), controller
+    controller = ClusterEngine(specs, schedule=schedule)
+    return EngineRunner(controller).run(), controller
 
 
 @pytest.mark.parametrize("boundary_window", [1, 50, 200])

@@ -8,9 +8,10 @@ migrate, the cluster trace would diverge from the single-machine one.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.agent import AgentEngine
-from repro.cluster import ClusterEngine, merge_results
+from repro.cluster.agent import AgentSpec
+from repro.cluster import ClusterEngine
 from repro.core.engine import run_dons
+from repro.core.runner import EngineRunner
 from repro.des.partition_types import random_partition
 from repro.metrics import TraceLevel
 from repro.scenario import make_scenario
@@ -41,12 +42,11 @@ def test_random_migration_schedules_preserve_trace(machines, boundaries,
         (window, random_partition(_TOPO, machines, seed))
         for window, seed in zip(sorted(boundaries), seeds[1:])
     ]
-    agents = [
-        AgentEngine(a, _SCENARIO, first, TraceLevel.FULL)
+    specs = [
+        AgentSpec(a, _SCENARIO, first, TraceLevel.FULL)
         for a in range(machines)
     ]
-    controller = ClusterEngine.from_agents(agents, schedule=schedule)
-    merged = merge_results(controller.run(), _SCENARIO.name)
+    merged = EngineRunner(ClusterEngine(specs, schedule=schedule)).run()
     assert (sorted(merged.trace.entries)
             == sorted(_REFERENCE.trace.entries))
     assert merged.fcts_ps() == _REFERENCE.fcts_ps()

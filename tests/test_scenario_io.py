@@ -71,6 +71,17 @@ def test_format_guard(rich_scenario):
         scenario_from_json(json.dumps(doc))
 
 
+def test_only_the_current_format_loads(rich_scenario):
+    """A v1 document is refused by name; the v2 one round-trips."""
+    text = scenario_to_json(rich_scenario)
+    doc = json.loads(text)
+    assert doc["format"] == FORMAT == "repro-scenario-v2"
+    assert scenario_from_json(text).flows == rich_scenario.flows
+    doc["format"] = "repro-scenario-v1"
+    with pytest.raises(ConfigError, match="repro-scenario-v1"):
+        scenario_from_json(json.dumps(doc))
+
+
 def test_document_is_plain_json(rich_scenario):
     doc = json.loads(scenario_to_json(rich_scenario))
     assert doc["format"] == FORMAT
