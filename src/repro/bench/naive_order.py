@@ -51,8 +51,7 @@ class NaiveOrderEngine(DodEngine):
         before = {k: len(v) for k, v in ctx.staged.items()}
         t4 = perf_counter()
         run_ack_system(self, ctx, ack_work)
-        self.bus.window_times(index, ctx.start, perf_counter() - t4,
-                              t1 - t0, t2 - t1, t3 - t2)
+        t5 = perf_counter()
         self._carried_staged = {
             k: v[before.get(k, 0):] for k, v in ctx.staged.items()
             if len(v) > before.get(k, 0)
@@ -60,5 +59,5 @@ class NaiveOrderEngine(DodEngine):
         if self._carried_staged:
             # Something is pending: the next window must run.
             self._insert((index + 1) * self.lookahead, 0, (ENTRY_TIMER, -1))
-        self._close_window(ctx)
+        self._close_window(ctx, t5 - t4, t1 - t0, t2 - t1, t3 - t2)
         return ctx

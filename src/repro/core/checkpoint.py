@@ -9,12 +9,13 @@ multiple locations against single-point failures.
 A checkpoint captures everything the batch engine needs to resume —
 the window cursor, the columnar pending-event store (columns plus its
 window-occupancy index), the component tables (every egress port's
-queue/line state is a row of ``world.egress``), accumulated results —
-as one pickled blob.
+queue/line state is a row of ``world.egress``), accumulated results,
+the bus's window rows and counters — as one pickled blob.
 Restoring into a fresh engine and continuing produces *exactly* the
 trace the uninterrupted run would have produced (asserted in
 tests/core/test_checkpoint.py), because the engine state between two
-windows is a pure function of the windows executed so far.
+windows is a pure function of the windows executed so far; it also
+reports the uninterrupted run's window count and window rows.
 
 There is one snapshot format (:data:`FORMAT`), used by the checkpoint
 store and by both cluster transports.  The state holds list columns and
@@ -36,7 +37,8 @@ from ..errors import SimulationError
 #: v2: the scalar ``calendar``/``win_heap``/``win_queued`` triplet was
 #: replaced by the single columnar ``events`` store (EventColumns).
 #: v3: no ``ports`` object graph — egress state is ``world.egress`` rows.
-FORMAT = "dons-checkpoint-v3"
+#: v4: the bus state is always carried, its window rows hold event counts.
+FORMAT = "dons-checkpoint-v4"
 
 
 @dataclass
@@ -53,24 +55,16 @@ class Checkpoint:
 
 
 def _engine_state(engine: DodEngine, current_window: int) -> dict:
-    state = {
+    return {
         "current_window": current_window,
         "events": engine.events,
         "active_ports": engine.active_ports,
         "world": engine.world,
         "results": engine.results,
         "trace": engine.trace,
+        "bus_state": engine.bus.export_state(),
+        "tx_prev": engine._tx_prev,
     }
-    if engine.bus.telemetry:
-        # Telemetry buffers (spans, histograms, counters) must survive a
-        # kill: a restored agent re-runs only the windows since the
-        # snapshot, so everything recorded before it would otherwise be
-        # dropped and recovered runs would report holey timelines.
-        # Gated on the telemetry switch so untelemetered checkpoints
-        # stay byte-for-byte what they were.
-        state["bus_state"] = engine.bus.export_state()
-        state["tx_prev"] = engine._tx_prev
-    return state
 
 
 def take_checkpoint(engine: DodEngine, current_window: int) -> Checkpoint:
@@ -104,10 +98,8 @@ def restore_checkpoint(engine: DodEngine, checkpoint: Checkpoint) -> int:
     engine.attach_trace(state["trace"])
     engine._running_window = state["current_window"]
     engine._cursor = state["current_window"]
-    bus_state = state.get("bus_state")
-    if bus_state is not None:
-        engine.bus.adopt_state(bus_state)
-        engine._tx_prev = state.get("tx_prev", {})
+    engine.bus.adopt_state(state["bus_state"])
+    engine._tx_prev = state["tx_prev"]
     # The memoization cache is never serialized (its deltas are cheap to
     # re-capture); invalidate instead so a restored engine can't apply a
     # delta captured on the pre-restore state timeline.
@@ -189,12 +181,13 @@ class CheckpointingEngine(DodEngine):
     def advance(self) -> bool:
         """One engine step, then a snapshot whenever the windows it
         advanced — executed, fast-forwarded by the memo, or skipped by a
-        cycle jump — cross a multiple of ``every_windows``."""
-        before = self._windows_run
+        cycle jump, as the bus counts them — cross a multiple of
+        ``every_windows``."""
+        before = self.bus.counters.get("windows", 0)
         more = super().advance()
         every = self.every_windows
-        if self.store is not None \
-                and self._windows_run // every > before // every:
+        if self.store is not None and \
+                self.bus.counters["windows"] // every > before // every:
             self.store.save(self.checkpoint_name,
                             take_checkpoint(self, self._cursor))
             self.checkpoints_taken += 1

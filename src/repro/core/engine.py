@@ -132,7 +132,6 @@ class DodEngine:
         self._built = False
         self._finalized = False
         self._cursor = -1
-        self._windows_run = 0
         #: Per-port constants by interface id, gathered at ``build()``.
         self.port_static: List[PortStatic] = []
         #: Per interface id: ``None`` when the port's peer node is
@@ -414,15 +413,17 @@ class DodEngine:
             self.bus.op(OP_WINDOW, 0, 0)  # buffer arenas recycle
         return ctx
 
-    def _close_window(self, ctx: WindowContext) -> None:
-        """Fold the executed window's event counts into the results."""
+    def _close_window(self, ctx: WindowContext, ack_s: float, send_s: float,
+                      forward_s: float, transmit_s: float) -> None:
+        """Write the executed window's bus row and fold its event counts
+        into the results."""
+        counts = ctx.counts
+        self.bus.window_row(ctx.index, ctx.start, ack_s, send_s, forward_s,
+                            transmit_s, counts.ack, counts.send,
+                            counts.forward, counts.transmit)
         self.results.end_time_ps = ctx.end
-        if ctx.counts.total:
-            self.results.events.add(ctx.counts)
-            self.results.window_breakdown.append(
-                (ctx.start, ctx.counts.ack, ctx.counts.send,
-                 ctx.counts.forward, ctx.counts.transmit)
-            )
+        if counts.total:
+            self.results.events.add(counts)
 
     def process_window(self, index: int) -> WindowContext:
         """Execute one lookahead batch: open, plan, then the four
@@ -434,8 +435,7 @@ class DodEngine:
         ctx = self._open_window(index)
         # Five clock reads (the phase marks) and one bus call per window.
         t0, t1, t2, t3, t4 = run_window(self, ctx, plan_window(self, ctx))
-        bus.window_times(index, ctx.start, t1 - t0, t2 - t1, t3 - t2, t4 - t3)
-        self._close_window(ctx)
+        self._close_window(ctx, t1 - t0, t2 - t1, t3 - t2, t4 - t3)
         if telemetry:
             # System spans reuse the timing reads above — the only
             # extra hot-path cost is four list appends.
@@ -481,11 +481,11 @@ class DodEngine:
     def advance(self) -> bool:
         """Run the next pending lookahead window — or, under ``ffwd``,
         let the memo carry the engine over a run of windows it has
-        shown to repeat (a cycle jump moves ``_cursor`` and
-        ``_windows_run`` by the windows it skipped).
+        shown to repeat (a cycle jump moves ``_cursor`` past, and writes
+        a bus row for, each window it skipped).
 
         Returns ``False`` once no runnable window remains (or duration
-        / ``max_windows`` is reached).
+        / ``max_windows`` is reached; windows are counted by the bus).
         """
         nxt = self._next_window(self._cursor)
         if nxt is None:
@@ -497,16 +497,16 @@ class DodEngine:
         memo = self._memo
         if memo is None or not memo.run_window(nxt):
             self.process_window(nxt)
-        self._windows_run += 1
         return (self.max_windows is None
-                or self._windows_run < self.max_windows)
+                or self.bus.counters["windows"] < self.max_windows)
 
     def progress(self) -> Dict[str, Any]:
         """In-flight progress snapshot (read-only; safe mid-run).
 
         The live observability plane (:mod:`repro.metrics.live`) and the
         ``--progress`` meter sample this between ``advance()`` calls:
-        windows executed, simulated time reached, events committed, and
+        windows completed (the bus's rows, memo-served ones included),
+        simulated time reached, events committed, and
         the completed fraction of the duration cut (``None`` when the
         scenario has no cut to measure against).
         """
@@ -514,7 +514,7 @@ class DodEngine:
         sim_ps = (cursor + 1) * self.lookahead if cursor >= 0 else 0
         duration = self.scenario.duration_ps
         return {
-            "windows": self._windows_run,
+            "windows": self.bus.counters.get("windows", 0),
             "sim_ps": sim_ps,
             "duration_ps": duration,
             "events": self.results.events.total,
@@ -536,10 +536,12 @@ class DodEngine:
             list(cols.queue_samples[iface_id]))
 
     def finalize(self) -> SimResults:
-        """Assemble results (idempotent)."""
+        """Assemble results (idempotent).  The results read their
+        ``window_breakdown`` off the bus's window rows, by reference."""
+        res = self.results
+        res.window_rows = self.bus.window_rows
         if not self._finalized:
             self._finalized = True
-            res = self.results
             res.trace = self.trace
             res.rtt_samples.sort()
             cols = self.world.egress_cols

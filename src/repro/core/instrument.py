@@ -16,11 +16,12 @@ calls inside the systems) is a *subscriber* instead:
   :meth:`subscribe_trace`; the bus forwards synchronously, so entry
   order — and therefore the trace digest — is byte-identical to the
   direct wiring it replaces.
-* **counters and timers** — named counters and one raw row per executed
-  window from :meth:`window_times`, the only per-window timer an engine
-  writes.  Per-system totals (:attr:`totals`) and the flat per-window
-  rows (:meth:`profile_rows`) are views computed from the rows when
-  read; ``python -m repro profile`` renders them.
+* **counters and window rows** — named counters and one row per window
+  the engine completes (its four system times and four event counts),
+  written and counted by :meth:`window_row` / :meth:`window_rows_add`
+  alone.  Per-system totals (:attr:`totals`), the flat per-window rows
+  (:meth:`profile_rows`) and ``SimResults.window_breakdown`` are views
+  of the rows; ``python -m repro profile`` renders them.
 
 Telemetry (PR 5) adds two more observation kinds behind one master
 switch, ``bus.telemetry``:
@@ -86,7 +87,7 @@ class SystemProfile:
     tasks = 0
 
 
-#: The four systems of a window, in :meth:`window_times` argument order.
+#: The four systems of a window, in :meth:`window_row` argument order.
 SYSTEMS = ("ack", "send", "forward", "transmit")
 
 
@@ -95,10 +96,10 @@ class InstrumentationBus:
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        #: one raw row per executed window: ``(index, start_ps, ack_s,
-        #: send_s, forward_s, transmit_s)``.  :attr:`totals` and
-        #: :meth:`profile_rows` are computed from these; an agent's
-        #: report ships them as they are.
+        #: one row per completed window: ``(index, start_ps, ack_s,
+        #: send_s, forward_s, transmit_s, ack, send, forward,
+        #: transmit)``, 0.0 s for a memo-served window.  Every per-window
+        #: view reads these; an agent's report ships them as they are.
         self.window_rows: List[tuple] = []
         #: ``(tag, rows)`` per child bus merged in, rows as above.
         self._child_rows: List[Tuple[str, Sequence[tuple]]] = []
@@ -236,21 +237,24 @@ class InstrumentationBus:
             h.update(repr(entry).encode())
         return h.hexdigest()
 
-    # --- timers -----------------------------------------------------------
+    # --- window rows ------------------------------------------------------
 
-    def window_times(self, index: int, start_ps: int, ack_s: float,
-                     send_s: float, forward_s: float,
-                     transmit_s: float) -> None:
-        """One executed lookahead window and its four system times.
-
-        The engine's only per-window bus call: it counts the window and
-        keeps one raw row.  Everything else that reports per-system
-        time (:attr:`totals`, :meth:`profile_rows`) reads the rows.
-        """
+    def window_row(self, index: int, start_ps: int, ack_s: float,
+                   send_s: float, forward_s: float, transmit_s: float,
+                   ack: int, send: int, forward: int,
+                   transmit: int) -> None:
+        """One completed window's row — the engine's only per-window
+        bus call."""
         counters = self.counters
         counters["windows"] = counters.get("windows", 0) + 1
-        self.window_rows.append((index, start_ps, ack_s, send_s,
-                                 forward_s, transmit_s))
+        self.window_rows.append((index, start_ps, ack_s, send_s, forward_s,
+                                 transmit_s, ack, send, forward, transmit))
+
+    def window_rows_add(self, rows: Sequence[tuple]) -> None:
+        """Several windows' rows at once, in window order (a cycle jump)."""
+        counters = self.counters
+        counters["windows"] = counters.get("windows", 0) + len(rows)
+        self.window_rows.extend(rows)
 
     def _tagged_rows(self) -> Iterator[Tuple[Sequence[str], Sequence[tuple]]]:
         """``(system names, rows)``: this bus's own rows, then each
@@ -268,7 +272,7 @@ class InstrumentationBus:
         sums: Dict[str, float] = {}
         for names, rows in self._tagged_rows():
             for row in rows:
-                for name, dt in zip(names, row[2:]):
+                for name, dt in zip(names, row[2:6]):
                     sums[name] = sums.get(name, 0.0) + dt
         return {name: SystemProfile(elapsed_s)
                 for name, elapsed_s in sums.items()}
@@ -318,25 +322,23 @@ class InstrumentationBus:
 
     def export_state(self) -> Dict[str, Any]:
         """Everything a checkpoint must carry so a restored engine's
-        telemetry resumes where the dead engine's left off (spans and
-        histograms recorded before the snapshot must survive the kill —
-        the fault-recovery timeline-completeness guarantee)."""
+        record resumes where the dead engine's left off: window rows,
+        counters, and the spans and histograms recorded before the
+        snapshot (the fault-recovery timeline-completeness guarantee)."""
         return {
             "counters": dict(self.counters),
             "window_rows": list(self.window_rows),
             "spans": list(self.spans),
             "metrics": self.metrics.snapshot(),
             "epoch_wall": self.epoch_wall,
-            "telemetry": self.telemetry,
         }
 
     def adopt_state(self, state: Dict[str, Any]) -> None:
         """Install a checkpointed bus state (restore path).  Restored
         span timestamps are rebased from the dead bus's epoch into this
         bus's timebase, so spans recorded before the crash and spans
-        recorded after the restore share one clock.  A ``"totals"`` key
-        (written by buses that still kept totals apart from the rows) is
-        ignored: :attr:`totals` is computed from the restored rows."""
+        recorded after the restore share one clock.  The telemetry
+        switch stays this bus's own."""
         self.counters = dict(state["counters"])
         self.window_rows = list(state["window_rows"])
         offset = state["epoch_wall"] - self.epoch_wall
@@ -346,7 +348,6 @@ class InstrumentationBus:
         ]
         self.metrics = MetricsRegistry()
         self.metrics.merge(state["metrics"])
-        self.telemetry = bool(state.get("telemetry", self.telemetry))
 
     # --- reporting --------------------------------------------------------
 
@@ -354,13 +355,14 @@ class InstrumentationBus:
         """Flat per-window/per-system rows for reports and JSON dumps,
         built from the window rows: this bus's own systems plus merged
         children's, tagged ``<tag>:<system>``, by window index and then
-        system name.  A window one bus ran twice (a rollback re-run)
-        counts its last row; a child merged twice sums."""
+        system name.  A memo-served window is listed at 0.0 s.  A window
+        one bus ran twice (a rollback re-run) counts its last row; a
+        child merged twice sums."""
         by_index: Dict[int, Tuple[int, Dict[str, float]]] = {}
         for names, rows in self._tagged_rows():
-            for index, start_ps, *times in {r[0]: r for r in rows}.values():
-                systems = by_index.setdefault(index, (start_ps, {}))[1]
-                for name, dt in zip(names, times):
+            for row in {r[0]: r for r in rows}.values():
+                systems = by_index.setdefault(row[0], (row[1], {}))[1]
+                for name, dt in zip(names, row[2:6]):
                     systems[name] = systems.get(name, 0.0) + dt
         return [
             {"window": index, "start_ps": start_ps, "system": name,

@@ -102,7 +102,8 @@ _COUNT_AT = [kind for _t, _n, kind in FLOW_FIELDS].index("count")
 PORT_COUNTERS = ("enqueued", "dequeued", "dropped", "marked", "tx_bytes")
 _NO_COUNTS = (0,) * len(PORT_COUNTERS)
 #: The window's event counts (``WindowContext.counts`` into
-#: ``results.events``), kept in this order in :attr:`WindowDelta.counts`.
+#: ``results.events``), kept in this order in :attr:`WindowDelta.counts`
+#: — the order of a bus window row's counts.
 _EVENT_COUNTS = ("ack", "send", "forward", "transmit")
 
 
@@ -453,7 +454,7 @@ class WindowMemoCache:
             bounds.append((((duration + 1) // L - win) // p_idx,
                            "duration_cut"))
         if engine.max_windows is not None:
-            bounds.append(((engine.max_windows - engine._windows_run)
+            bounds.append(((engine.max_windows - bus.counters["windows"])
                            // p_run, "max_windows"))
         m, reason = min(bounds)
         if m < 1:
@@ -489,33 +490,32 @@ class WindowMemoCache:
                     i = idx_of[f]
                     col[i] = _move_field(kind, col[i], k, 0)
 
-        # m x the cycle's sums; the per-window rows; and, when someone
-        # listens, the trace ops once per skipped window.
-        res = engine.results
+        # m x the cycle's sums; one bus row per skipped window; and, when
+        # someone listens, the trace ops once per skipped window.
         listening = self._listening()
         cur = dict(bases0)
         rows: List[Tuple] = []
         for w, entry in cycle:
             delta = entry.delta
             self._account(delta, m)
+            ack, send, forward, transmit = delta.counts
             for c in range(1, m + 1):
-                at = (w + c * p_idx) * L
-                if any(delta.counts):
-                    rows.append((at,) + delta.counts)
+                index = w + c * p_idx
+                rows.append((index, index * L, 0.0, 0.0, 0.0, 0.0,
+                             ack, send, forward, transmit))
                 if listening:
-                    self._replay(delta.tape, at,
+                    self._replay(delta.tape, index * L,
                                  {f: b + c * adv[f] for f, b in cur.items()})
             for write in delta.flows:
                 if write.field == _BASE_FIELD:
                     cur[write.flow] += write.value
-        res.window_breakdown.extend(sorted(rows))
+        rows.sort()
+        bus.window_rows_add(rows)
         last = cycle[-1][0] + shift
-        res.end_time_ps = (last + 1) * L
+        engine.results.end_time_ps = (last + 1) * L
 
         engine._cursor = engine._running_window = last
-        engine._windows_run += n - 1
         self.hits = hits + n - 1
-        bus.count("windows", n)
         bus.count("memo.hit", n)
         bus.count("memo.jump")
         bus.count("memo.jump_windows", n)
@@ -839,7 +839,6 @@ class WindowMemoCache:
             t0 = bus.now()
         start = probe.start
         base_of = probe.base_of
-        bus.count("windows")
         engine._running_window = win
         engine.events.discard_window(win)
 
@@ -889,8 +888,7 @@ class WindowMemoCache:
             self._replay(delta.tape, start, base_of)
 
         self._account(delta, 1)
-        if any(delta.counts):
-            res.window_breakdown.append((start,) + delta.counts)
+        bus.window_row(win, start, 0.0, 0.0, 0.0, 0.0, *delta.counts)
         res.end_time_ps = start + engine.lookahead
         if telemetry:
             self._telemetry(t0, win, engine.lookahead, 1)

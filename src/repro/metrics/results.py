@@ -7,7 +7,7 @@ Both engines return a :class:`SimResults`; every downstream consumer
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .trace import TraceRecorder
 from ..units import ps_to_s
@@ -70,11 +70,16 @@ class SimResults:
     marks: int = 0
     tx_bytes: int = 0
     trace: Optional[TraceRecorder] = None
-    #: DOD engine only: per lookahead window, events per system
-    #: [(window_start_ps, ack, send, forward, transmit), ...] (Fig. 13).
-    window_breakdown: List[Tuple[int, int, int, int, int]] = field(default_factory=list)
+    #: DOD engine only: its bus's window rows, by reference from finalize().
+    window_rows: Sequence[tuple] = field(default=(), repr=False, compare=False)
 
     # --- summaries -------------------------------------------------------
+
+    @property
+    def window_breakdown(self) -> List[Tuple[int, int, int, int, int]]:
+        """``[(window_start_ps, ack, send, forward, transmit), ...]`` per
+        window with events, in row order (Fig. 13); ``[]`` without rows."""
+        return [(row[1],) + row[6:] for row in self.window_rows if any(row[6:])]
 
     def fcts_ps(self) -> List[int]:
         """Completed flows' FCTs, ordered by flow id."""

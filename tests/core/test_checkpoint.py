@@ -12,7 +12,9 @@ from repro.core.checkpoint import (
 from repro.core.engine import DodEngine, run_dons
 from repro.errors import SimulationError
 from repro.metrics import TraceLevel
+from repro.scenario import make_scenario
 from repro.schedulers import SchedulerKind
+from repro.traffic import Flow, Transport
 
 
 def run_interrupted(scenario, stop_after_windows):
@@ -80,6 +82,54 @@ def test_checkpoint_rejects_bad_format(dumbbell_scenario):
     bad = Checkpoint("v999", ckpt.scenario_name, 0, ckpt.payload)
     with pytest.raises(SimulationError):
         restore_checkpoint(eng, bad)
+
+
+def test_v3_checkpoint_is_refused_by_name(dumbbell_scenario):
+    """v3 window rows carried no event counts: such a snapshot is
+    refused, naming its format, rather than resumed short."""
+    eng = DodEngine(dumbbell_scenario)
+    eng.build()
+    ckpt = replace(take_checkpoint(eng, 0), format="dons-checkpoint-v3")
+    with pytest.raises(SimulationError, match="dons-checkpoint-v3"):
+        restore_checkpoint(eng, ckpt)
+
+
+@pytest.mark.parametrize("telemetry", [False, True],
+                         ids=["telemetry-off", "telemetry-on"])
+def test_resume_reports_the_uninterrupted_window_record(
+        tmp_path, small_dumbbell, telemetry):
+    """A run resumed after 40 windows counts, rows and breaks down every
+    window of the uninterrupted run — the bus rides every checkpoint —
+    and goes on snapshotting at multiples of ``every_windows``."""
+    scenario = make_scenario(small_dumbbell, [
+        Flow(i, i, 4 + i, 200_000, 0, Transport.DCTCP) for i in range(2)])
+    whole = DodEngine(scenario, telemetry=telemetry)
+    reference = whole.run()
+    first = DodEngine(scenario, telemetry=telemetry)
+    first.build()
+    for _ in range(40):
+        first.advance()
+    ckpt = take_checkpoint(first, first._cursor)
+
+    store = CheckpointStore([str(tmp_path)])
+    fresh = CheckpointingEngine(scenario, telemetry=telemetry, store=store,
+                                every_windows=25)
+    saved_at = []
+    save = store.save
+
+    def recording(name, checkpoint):
+        saved_at.append(fresh.progress()["windows"])
+        return save(name, checkpoint)
+    store.save = recording
+    resumed = fresh.resume_from(ckpt)
+
+    windows = whole.progress()["windows"]
+    assert fresh.progress()["windows"] == windows == 619
+    assert (fresh.bus.counters["windows"] == whole.bus.counters["windows"]
+            == len(fresh.bus.window_rows) == len(whole.bus.window_rows))
+    assert fresh.bus.totals.keys() == whole.bus.totals.keys()
+    assert resumed.window_breakdown == reference.window_breakdown
+    assert saved_at == list(range(50, windows + 1, 25))
 
 
 class TestStore:

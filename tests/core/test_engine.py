@@ -70,7 +70,7 @@ class TestWindowMechanics:
         res = eng.run()
         assert len(res.window_breakdown) <= 5
         assert res.completed() < 4
-        assert eng._windows_run == 5
+        assert eng.progress()["windows"] == 5
 
     def test_options_after_trace_level_are_keyword_only(self, dumbbell_scenario):
         """A third positional used to be ``workers``; a stale caller

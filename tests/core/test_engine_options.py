@@ -64,13 +64,13 @@ class TestOneWindowPerAdvance:
         engine.build()
         steps = 0
         while True:
-            before = engine._windows_run
+            before = engine.progress()["windows"]
             more = engine.advance()
-            assert engine._windows_run - before == (1 if more else 0)
+            assert engine.progress()["windows"] - before == (1 if more else 0)
             if not more:
                 break
             steps += 1
-        assert steps == engine._windows_run > 8
+        assert steps == engine.progress()["windows"] > 8
         assert engine.bus.counters["windows"] == steps
 
     def test_batch_windows_argument_is_gone(self, dumbbell_scenario):

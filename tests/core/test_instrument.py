@@ -2,18 +2,15 @@
 
 import pytest
 
-from repro.core.instrument import (
-    SYSTEMS,
-    InstrumentationBus,
-    SystemProfile,
-)
+from repro.core.instrument import SYSTEMS, InstrumentationBus
 from repro.metrics import TraceLevel, TraceRecorder
 
 
 def _child_payload(windows=(0, 1)):
     """An agent report's bus streams: counters, and the raw window rows
-    ``(index, start_ps, ack_s, send_s, forward_s, transmit_s)``."""
-    rows = [(index, index * 1000, 0.25, 0.25, 0.25, 0.25)
+    ``(index, start_ps, ack_s, send_s, forward_s, transmit_s, ack, send,
+    forward, transmit)``."""
+    rows = [(index, index * 1000, 0.25, 0.25, 0.25, 0.25, 1, 2, 3, 4)
             for index in windows]
     return {"ack.count": 3}, rows
 
@@ -26,7 +23,7 @@ def _old_windows(own_rows, children):
     def profiles(rows):
         by_index = {}
         for index, start_ps, *times in rows:
-            by_index[index] = (start_ps, dict(zip(SYSTEMS, times)))
+            by_index[index] = (start_ps, dict(zip(SYSTEMS, times[:4])))
         return by_index
 
     merged = {}
@@ -50,7 +47,7 @@ def _row_sums(rows):
     whole-run total must equal exactly."""
     sums = dict.fromkeys(SYSTEMS, 0.0)
     for row in rows:
-        for name, dt in zip(SYSTEMS, row[2:]):
+        for name, dt in zip(SYSTEMS, row[2:6]):
             sums[name] += dt
     return sums
 
@@ -222,27 +219,12 @@ class TestStateExportAdopt:
         b = InstrumentationBus()
         b.epoch_wall = a.epoch_wall - 1.0  # b's epoch is 1s earlier
         b.adopt_state(state)
-        assert b.telemetry
+        assert not b.telemetry  # the restoring bus keeps its own switch
         assert b.counters["windows"] == 7
         assert b.metrics.counters["port.drops"] == 4
         t0, t1 = b.spans[0][:2]
         assert t0 == pytest.approx(1.1)
         assert t1 == pytest.approx(1.2)
-
-    def test_parent_shaped_state_with_totals_adopts(self):
-        """A checkpoint whose bus state still carries the ``"totals"``
-        key that buses used to export restores cleanly; the totals are
-        read off the restored rows, not off that key."""
-        a = InstrumentationBus()
-        a.window_times(0, 0, 0.1, 0.2, 0.3, 0.4)
-        state = a.export_state()
-        assert "totals" not in state
-        state["totals"] = {name: SystemProfile(99.0) for name in SYSTEMS}
-        b = InstrumentationBus()
-        b.adopt_state(state)
-        assert b.window_rows == a.window_rows
-        assert {name: p.elapsed_s for name, p in b.totals.items()} == {
-            "ack": 0.1, "send": 0.2, "forward": 0.3, "transmit": 0.4}
 
 
 class TestTotalsAreAView:
@@ -261,8 +243,44 @@ class TestTotalsAreAView:
         engine.run()
         bus = engine.bus
         assert set(bus.totals) == set(SYSTEMS)
-        assert len(bus.window_rows) == bus.counters["windows"] > 0
+        assert (len(bus.window_rows) == bus.counters["windows"]
+                == engine.progress()["windows"] > 0)
         self.assert_row_sums(bus.totals, bus.window_rows)
+
+    def test_memo_served_windows_have_rows(self):
+        """Under ``ffwd`` every window is one row too: an applied delta
+        and each window a cycle jump skips write theirs at 0.0 s with
+        the window's event counts, so the breakdown is the plain
+        engine's and ``profile_rows`` lists every window."""
+        from repro.bench.scenarios import steady_state_scenario
+        from repro.core.engine import DodEngine
+        scenario = steady_state_scenario()
+        plain = DodEngine(scenario)
+        expected = plain.run().window_breakdown
+        engine = DodEngine(scenario, ffwd=True)
+        executed = set()
+        process_window = engine.process_window
+
+        def spy(index):
+            executed.add(index)
+            return process_window(index)
+        engine.process_window = spy
+        results = engine.run()
+        bus = engine.bus
+        assert bus.counters["memo.jump_windows"] > 0
+        assert (len(bus.window_rows) == bus.counters["windows"]
+                == engine.progress()["windows"]
+                == plain.progress()["windows"])
+        assert results.window_breakdown == expected
+        self.assert_row_sums(bus.totals, bus.window_rows)
+        profiled = {}
+        for row in bus.profile_rows():
+            profiled.setdefault(row["window"], []).append(row["elapsed_s"])
+        assert profiled.keys() == {row[0] for row in bus.window_rows}
+        served = profiled.keys() - executed
+        assert len(served) > bus.counters["memo.jump_windows"]
+        assert all(profiled[index] == [0.0] * len(SYSTEMS)
+                   for index in served)
 
     def test_merged_two_agent_bus(self, dumbbell_scenario):
         from repro.cluster import DonsManager

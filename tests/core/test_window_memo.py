@@ -227,27 +227,26 @@ class TestCycleJumpLockstep:
                 _check_reused_probes(engine)
             return engine
         jumper, stepped = make(True), make(False)
-        counters = jumper.bus.counters  # of the first engine, if restored
+
+        def windows(engine):
+            return engine.progress()["windows"]
         more = True
         while more:
             more = jumper.advance()
-            while stepped._windows_run < jumper._windows_run:
+            while windows(stepped) < windows(jumper):
                 assert stepped.advance() == (
-                    more or stepped._windows_run < jumper._windows_run)
+                    more or windows(stepped) < windows(jumper))
             assert stepped._cursor == jumper._cursor
             assert stepped.window_signature() == jumper.window_signature()
             if restore_after is not None \
-                    and jumper._windows_run >= restore_after:
+                    and windows(jumper) >= restore_after:
                 # Snapshot right after whatever advance() just did — a
                 # jump as often as not — and go on in a fresh engine.
                 restore_after = None
-                counters = {}
                 ckpt = take_checkpoint(jumper, jumper._cursor)
-                done = jumper._windows_run
                 jumper = make(True)
                 restore_checkpoint(jumper, ckpt)
-                jumper._windows_run = done
-        c = counters
+        c = jumper.bus.counters
         assert (c.get("memo.hit", 0) + c.get("memo.miss", 0)
                 + c.get("memo.ineligible", 0)) == c.get("windows", 0)
         assert jumper.bus.counters.get("memo.validate_fail", 0) == 0
@@ -303,8 +302,8 @@ class TestCycleJumpLockstep:
             jump = memo._jump
 
             def spy(state, *args):
-                checks.append((state.win, engine._windows_run, memo.hits,
-                               state.base_of.get(0)))
+                checks.append((state.win, engine.progress()["windows"],
+                               memo.hits, state.base_of.get(0)))
                 return jump(state, *args)
             memo._jump = spy
             while engine.advance():

@@ -65,17 +65,23 @@ def test_cluster_digest_neutral(scenario, reference_digest, transport):
     assert digests[False] == digests[True] == reference_digest
 
 
-def test_checkpoints_identical_without_telemetry(scenario):
-    """With telemetry off, checkpoint payloads carry no bus state —
-    byte-for-byte what they were before the telemetry layer."""
+def test_checkpoints_carry_the_bus_with_or_without_telemetry(scenario):
+    """Telemetry on or off, a checkpoint carries the bus state (the
+    window rows and counters a resumed run continues from), and
+    restoring it leaves the restoring engine's telemetry switch alone."""
     import pickle
-    from repro.core.checkpoint import take_checkpoint
+    from repro.core.checkpoint import restore_checkpoint, take_checkpoint
     from repro.core.engine import DodEngine
-    engine = DodEngine(scenario)
-    engine.build()
-    state = pickle.loads(take_checkpoint(engine, 0).payload)
-    assert "bus_state" not in state
+    checkpoints = {}
+    for telemetry in (False, True):
+        engine = DodEngine(scenario, telemetry=telemetry)
+        engine.build()
+        engine.advance()
+        checkpoints[telemetry] = take_checkpoint(engine, engine._cursor)
+        state = pickle.loads(checkpoints[telemetry].payload)
+        assert state["bus_state"]["counters"]["windows"] == 1
     telemetered = DodEngine(scenario, telemetry=True)
     telemetered.build()
-    state = pickle.loads(take_checkpoint(telemetered, 0).payload)
-    assert "bus_state" in state
+    restore_checkpoint(telemetered, checkpoints[False])
+    assert telemetered.telemetry
+    assert telemetered.progress()["windows"] == 1
