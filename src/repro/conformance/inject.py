@@ -6,15 +6,18 @@ partition/order-dependent divergence — and the test suite asserts the
 fuzz loop catches it within a bounded number of runs and shrinks it to
 a small repro.
 
-Six bug classes are plantable:
+Every drill patches, for the length of a ``with`` block, the real name
+whose behaviour it corrupts — a module function or a class attribute
+the code resolves at call time — so no production path carries a hook
+that exists only to be patched.  Six bug classes are plantable:
 
 * :func:`flipped_transmit_order` flips the deterministic tie-break
   inside the transmit merge-sort: packets staged at the same
   ``(time, priority)`` on one egress port are replayed in *reversed*
-  packet-identity order.  It patches the TransmitSystem's
-  ``transmit_sort`` hook, which the TransmitSystem reads once per
-  window, so every DOD engine the oracles run is infected.
-* :func:`unstable_transmit_sort` replaces the same hook with an
+  packet-identity order.  It patches ``transmit.contract_sort``, which
+  the TransmitSystem reads from module globals once per window, so
+  every DOD engine the oracles run is infected.
+* :func:`unstable_contract_sort` replaces the same function with an
   ordering-contract sort that is **unstable** on ties: it
   orders only by ``(time, priority)`` after reversing the staged list,
   so equal-key packets come out in reversed arrival order — the classic
@@ -34,24 +37,23 @@ Six bug classes are plantable:
   the pair rings are infected (the LocalTransport never decodes
   frames), so catching it requires a fuzz oracle set that runs the
   process transport (e.g. ``("ood", "cluster-shm-2")``).
-* :func:`skewed_arrival_stream` corrupts the columnar arrival engine's
-  first traffic batch: the batch's start times are rebuilt from their
-  inter-arrival gaps with the first gap inflated by 7 us — a
-  unit-conversion off-by-a-factor in the rate math.  Only consumers of
-  the *batch* iterator are infected (the DOD builder's columnar path);
-  the OOD baseline iterates flows scalar-wise and stays a truthful
-  reference, so catching it requires fuzz specs whose traffic kind is
-  columnar (``wan_twin`` / ``storage``).
+* :func:`skewed_arrival_stream` corrupts the first batch
+  ``FlowColumns.iter_batches`` yields: the batch's start times are
+  rebuilt from their inter-arrival gaps with the first gap inflated by
+  7 us — a unit-conversion off-by-a-factor in the rate math.  Only
+  consumers of the batch iterator are infected (the DOD builder, and
+  every scenario's traffic is a flow table); the OOD baseline reads
+  flows by row and stays a truthful reference.
 * :func:`stale_cache_delta` corrupts the window-signature memoization
-  cache (:mod:`repro.core.memo`): the delta recorded on a cache miss has
-  one scatter-write perturbed (the sequence number of the first staged
-  cross-window arrival is off by one), so every cache *hit* replays a
-  subtly wrong write-set.  The executed windows — including the very
-  window the delta was captured from — are all correct; only the
-  fast-forwarded replays diverge.  This is the stale/corrupt-cache-entry
-  failure mode the memo's replay-based validation exists for, and
-  catching it requires an oracle set that actually runs the
-  fast-forward engine (e.g. ``("ood", "dons-ffwd")``).
+  cache (:mod:`repro.core.memo`): the delta a cache miss stores (its
+  ``_Entry``) has one scatter-write perturbed (the sequence number of
+  the first staged cross-window arrival is off by one), so every cache
+  *hit* replays a subtly wrong write-set.  The executed windows —
+  including the very window the delta was captured from — are all
+  correct; only the fast-forwarded replays diverge.  This is the
+  stale/corrupt-cache-entry failure mode the memo's replay-based
+  validation exists for, and catching it requires an oracle set that
+  actually runs the fast-forward engine (e.g. ``("ood", "dons-ffwd")``).
 
 Both bugs mirror real failure modes (iterating a hash map / racing
 commit order / unstable sorting instead of the ordering-contract key):
@@ -71,7 +73,7 @@ from ..cluster import shm as shm_mod
 from ..core import events as events_mod
 from ..core import memo as memo_mod
 from ..core.systems import transmit as transmit_mod
-from ..traffic import arrivals as arrivals_mod
+from ..traffic import FlowColumns
 from ..units import us
 from ..core.window import Staged
 from ..protocols.packet import F_FLOW, F_ISACK, F_SEQ, Row
@@ -81,7 +83,7 @@ def _flipped_key(a: Tuple[int, int, Row]):
     return (a[0], a[1], -a[2][F_FLOW], -a[2][F_ISACK], -a[2][F_SEQ])
 
 
-def _flipped_transmit_sort(entries: List[Staged]) -> List[Staged]:
+def _flipped_contract_sort(entries: List[Staged]) -> List[Staged]:
     """The transmit tie-break with packet identity reversed."""
     entries.sort(key=_flipped_key)
     return entries
@@ -105,15 +107,15 @@ def flipped_transmit_order() -> Iterator[None]:
 
     Affects every in-process DOD engine (plain, checkpoint, cluster
     agents on the local transport; forked process agents inherit the
-    patch too) through the ``transmit_sort`` hook.  The OOD baseline is
+    patch too) through ``transmit.contract_sort``.  The OOD baseline is
     untouched, so it stays a truthful reference while the patch is live.
     """
-    original = transmit_mod.transmit_sort
-    transmit_mod.transmit_sort = _flipped_transmit_sort
+    original = transmit_mod.contract_sort
+    transmit_mod.contract_sort = _flipped_contract_sort
     try:
         yield
     finally:
-        transmit_mod.transmit_sort = original
+        transmit_mod.contract_sort = original
 
 
 def _stale_register_window(events, win: int) -> None:
@@ -191,15 +193,24 @@ def _corrupt_delta(delta: "memo_mod.WindowDelta") -> "memo_mod.WindowDelta":
     return delta
 
 
+class _PoisonedEntry(memo_mod._Entry):
+    """A memo entry that stores its miss's delta corrupted."""
+
+    __slots__ = ()
+
+    def __init__(self, delta: "memo_mod.WindowDelta") -> None:
+        super().__init__(_corrupt_delta(delta))
+
+
 @contextmanager
 def stale_cache_delta() -> Iterator[None]:
     """Plant a corrupt-cache-entry bug in the window-signature memo.
 
-    Patches the module-level ``capture_filter`` hook that
+    Patches ``memo._Entry``, which
     :meth:`~repro.core.memo.WindowMemoCache.run_window` resolves at call
-    time just before storing a miss's captured delta, so every engine
-    with fast-forwarding enabled records poisoned cache entries while
-    the patch is live.  Executed windows stay byte-correct — only cache
+    time to store a miss's captured delta, so every engine with
+    fast-forwarding enabled records poisoned cache entries while the
+    patch is live.  Executed windows stay byte-correct — only cache
     *hits* replay the corruption — so catching it requires an oracle set
     that runs the fast-forward engine on a workload with repeating
     window signatures (the generator's ``steady`` traffic kind exists
@@ -208,12 +219,12 @@ def stale_cache_delta() -> Iterator[None]:
     already applied have diverged the trace — which the differential
     oracle then reports.
     """
-    original = memo_mod.capture_filter
-    memo_mod.capture_filter = _corrupt_delta
+    original = memo_mod._Entry
+    memo_mod._Entry = _PoisonedEntry
     try:
         yield
     finally:
-        memo_mod.capture_filter = original
+        memo_mod._Entry = original
 
 
 @contextmanager
@@ -267,40 +278,40 @@ def _skewed_batch(start: int, cols: Dict) -> Dict:
 
 @contextmanager
 def skewed_arrival_stream() -> Iterator[None]:
-    """Plant a skewed-interarrival bug in the columnar arrival engine.
+    """Plant a skewed-interarrival bug in the flow table's batch reader.
 
-    Patches the module-level ``batch_filter`` hook that
-    :meth:`~repro.traffic.FlowColumns.iter_batches` resolves at call
-    time, so every engine that consumes traffic *columnarly* — the DOD
-    builder's batch path, and therefore checkpoint
-    and cluster oracles too — sees the first batch's arrivals displaced
-    by a 7 us inter-arrival skew.  The OOD baseline materializes flows
-    through scalar iteration, which never touches the batch hook, so it
-    stays a truthful reference.  Catching the bug requires a fuzz spec
-    whose traffic is columnar (the generator's ``wan_twin`` / ``storage``
-    kinds); per-flow traffic kinds are immune by construction, which is
-    exactly the point — a harness that only ever fuzzes ``Flow`` lists
-    would ship this bug.
+    Patches ``FlowColumns.iter_batches``, which the DOD builder reads
+    every scenario's traffic through, so every DOD engine — plain,
+    checkpoint and cluster oracles too — sees the first batch's
+    arrivals displaced by a 7 us inter-arrival skew.  The OOD baseline
+    reads flows by row and never touches the batch reader, so it stays
+    a truthful reference.  Every traffic kind is infected, generated
+    ``Flow`` lists and synthesized columns alike.
     """
-    original = arrivals_mod.batch_filter
-    arrivals_mod.batch_filter = _skewed_batch
+    original = FlowColumns.iter_batches
+
+    def skewed(self):
+        for start, cols in original(self):
+            yield start, _skewed_batch(start, cols)
+
+    FlowColumns.iter_batches = skewed
     try:
         yield
     finally:
-        arrivals_mod.batch_filter = original
+        FlowColumns.iter_batches = original
 
 
 @contextmanager
-def unstable_transmit_sort() -> Iterator[None]:
-    """Patch the transmit tie-break hook with an unstable sort.
+def unstable_contract_sort() -> Iterator[None]:
+    """Patch ``transmit.contract_sort`` with an unstable sort.
 
     Every DOD engine is infected, traced or not (e.g. ``("ood",
     "dons")`` or ``("ood", "dons-notrace")`` catch it); the OOD
     baseline keeps the true ordering and stays a truthful reference.
     """
-    original = transmit_mod.transmit_sort
-    transmit_mod.transmit_sort = _unstable_sort
+    original = transmit_mod.contract_sort
+    transmit_mod.contract_sort = _unstable_sort
     try:
         yield
     finally:
-        transmit_mod.transmit_sort = original
+        transmit_mod.contract_sort = original

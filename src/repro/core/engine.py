@@ -55,7 +55,7 @@ from ..errors import SimulationError
 from ..metrics import SimResults, TraceLevel, TraceRecorder
 from ..metrics.results import FlowResult
 from ..protocols.egress import PortStats
-from ..protocols.packet import PRIO_ARRIVAL, Row, segment_count
+from ..protocols.packet import PRIO_ARRIVAL, Row
 from ..scenario import Scenario
 from ..traffic import Transport
 
@@ -167,7 +167,11 @@ class DodEngine:
         return recorder
 
     def build(self) -> None:
-        """Simulation Builder: entities, ports, and initial flow starts."""
+        """Simulation Builder: entities, ports, and initial flow starts.
+
+        Ports come from the topology, one egress row per interface; flows
+        from the scenario's one flow table, in column batches
+        (:meth:`_build_flows`)."""
         sc = self.scenario
         nodes, ifaces = sc.topology.nodes, sc.topology.interfaces
         n = len(ifaces)
@@ -186,48 +190,18 @@ class DodEngine:
             queue_samples=[[] for _ in range(n)],
             drr_deficit=[[0] * c for c in classes])
 
-        if hasattr(sc.flows, "iter_batches"):
-            self._build_flows_columnar(sc)
-        else:
-            for flow in sc.flows:
-                total = segment_count(flow.size_bytes)
-                cca = sc.cca_params(flow.transport)
-                sidx = self.world.senders.add(
-                    flow_id=flow.flow_id, src=flow.src, dst=flow.dst,
-                    transport=int(flow.transport), size_bytes=flow.size_bytes,
-                    total_segs=total, start_ps=flow.start_ps,
-                    cwnd=cca.init_cwnd, rto_ps=cca.init_rto_ps,
-                )
-                self.world.sender_of_flow[flow.flow_id] = sidx
-                ridx = self.world.receivers.add(
-                    flow_id=flow.flow_id, host=flow.dst, total_segs=total,
-                    needs_ack=int(flow.transport != Transport.UDP),
-                    out_of_order=set(),
-                )
-                self.world.receiver_of_flow[flow.flow_id] = ridx
-                self.results.flows[flow.flow_id] = FlowResult(
-                    flow.flow_id, flow.start_ps, None, flow.size_bytes
-                )
-                if flow.transport == Transport.UDP:
-                    # UDP pacing is driven by wakeup visits.
-                    self._insert(flow.start_ps, flow.src,
-                                 (ENTRY_UDP, flow.flow_id))
-                else:
-                    self._insert(flow.start_ps, flow.src,
-                                 (ENTRY_FLOW_START, flow.start_ps,
-                                  flow.flow_id))
+        self._build_flows(sc)
         self._built = True
         self._maybe_init_memo()
 
-    def _build_flows_columnar(self, sc: Scenario) -> None:
-        """Bulk sender/receiver construction from columnar traffic.
+    def _build_flows(self, sc: Scenario) -> None:
+        """Bulk sender/receiver construction from the flow table.
 
         Consumes :meth:`~repro.traffic.FlowColumns.iter_batches` — per
         batch, every per-flow quantity (segment totals, CCA initial
         windows, ACK requirements) is computed vectorized and appended
-        with one ``add_many`` per table.  No Flow object
-        is ever materialized; the semantics match the scalar loop in
-        :meth:`build` row for row.
+        with one ``add_many`` per table, and each flow's start is
+        inserted in flow-id order.  No Flow object is materialized.
         """
         import numpy as np
         from ..protocols.packet import MSS
@@ -302,14 +276,11 @@ class DodEngine:
             return
         sc = self.scenario
         from ..protocols.aqm import AqmKind
-        has_udp = getattr(sc.flows, "has_udp", None)
-        if has_udp is None:
-            has_udp = any(f.transport == Transport.UDP for f in sc.flows)
         gate = ("queue_sampling" if self.sample_queues
                 else "red_aqm" if AqmKind.RED in (sc.host_egress.aqm.kind,
                                                   sc.switch_egress.aqm.kind)
                 else "packet_spray" if sc.ecmp_mode == "packet"
-                else "no_udp_flow" if not has_udp else None)
+                else "no_udp_flow" if not sc.flows.has_udp else None)
         if gate is not None:
             # Asked for and statically impossible: say which gate.
             self.bus.count("memo.disabled." + gate)

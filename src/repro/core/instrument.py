@@ -206,37 +206,6 @@ class InstrumentationBus:
         for sub in self._trace_subs:
             sub.flow_done(t, node, flow)
 
-    # --- trace canonicalization -------------------------------------------
-
-    def trace_entries(self) -> List[tuple]:
-        """Raw trace entries from the first recording subscriber.
-
-        Subscribers expose their buffered entries either as an
-        ``entries`` attribute (:class:`~repro.metrics.TraceRecorder`) or
-        via an ``entries()``/``sorted_entries()`` accessor; forwarding
-        shims without a buffer (e.g. cluster agent relays) are skipped.
-        """
-        for sub in self._trace_subs:
-            entries = getattr(sub, "entries", None)
-            if callable(entries):
-                entries = entries()
-            if entries is not None:
-                return list(entries)
-        return []
-
-    def canonical_trace(self) -> List[tuple]:
-        """The canonical (sorted) trace — the unit of the §6.1 fidelity
-        claim.  Two runs are conformant iff these lists are equal."""
-        return sorted(self.trace_entries())
-
-    def trace_digest(self) -> str:
-        """Hex digest of the canonical trace (order-independent)."""
-        import hashlib
-        h = hashlib.sha256()
-        for entry in self.canonical_trace():
-            h.update(repr(entry).encode())
-        return h.hexdigest()
-
     # --- window rows ------------------------------------------------------
 
     def window_row(self, index: int, start_ps: int, ack_s: float,

@@ -63,7 +63,7 @@ from ..protocols.packet import F_DST, F_FLOW, F_ISACK, Row, segment_count
 from ..metrics.trace import TraceRecorder
 
 __all__ = ["WindowMemoCache", "WindowDelta", "PortEnc", "PortDelta",
-           "FlowWrite", "StagedEntry", "capture_filter", "FLOW_FIELDS",
+           "FlowWrite", "StagedEntry", "FLOW_FIELDS",
            "PORT_COUNTERS", "PORT_FIELDS"]
 
 #: Re-execute and compare every Nth hit (replay-based validation).
@@ -129,19 +129,6 @@ _make = tuple.__new__
 #: and the pop indices and packet count its ``queues`` are cut by and
 #: rebuilt with.
 PORT_FIELDS = PortEnc._fields[2:] + ("heads", "qlen")
-
-
-def _identity_filter(delta: "WindowDelta") -> "WindowDelta":
-    return delta
-
-
-#: Injectable capture hook.  Resolved at call time by
-#: :meth:`WindowMemoCache.run_window` just before a freshly captured
-#: delta is stored, so the conformance harness can plant a
-#: stale-cache-delta bug (:func:`repro.conformance.inject.stale_cache_delta`)
-#: and prove the differential fuzz loop catches exactly this class of
-#: corruption.
-capture_filter: Callable[["WindowDelta"], "WindowDelta"] = _identity_filter
 
 
 def _move_row(row: Row, dseq: int, dt: int) -> Row:
@@ -249,8 +236,7 @@ def _tap_op(method: str):
 class _TraceTap(list):
     """Trace-stream subscriber for one captured window: the raw bus ops,
     each under the name of the bus method that publishes it again.
-    ``level`` 0 never raises the bus's trace level, and having no
-    ``entries`` attribute, ``InstrumentationBus.trace_entries`` skips it.
+    ``level`` 0 never raises the bus's trace level.
     """
 
     level = 0
@@ -344,7 +330,7 @@ class WindowMemoCache:
             else:
                 if len(self.cache) >= MAX_ENTRIES:
                     self.cache.pop(next(iter(self.cache)))
-                self.cache[probe.key] = _Entry(capture_filter(delta))
+                self.cache[probe.key] = _Entry(delta)
             return True
         self.hits += 1
         if self._cycle_step(win, entry, probe, state):

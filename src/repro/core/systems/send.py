@@ -243,25 +243,16 @@ class FlowLists(NamedTuple):
 
 
 def flow_lists(engine) -> FlowLists:
-    """The engine's :class:`FlowLists`, taken once on first use.
-
-    Columnar traffic converts each column with one ``tolist()``; no
-    ``Flow`` facade is built either way the hot path reads a flow.
+    """The engine's :class:`FlowLists`, taken once on first use: one
+    ``tolist()`` per flow-table column, so the hot path reads plain ints
+    and never builds a ``Flow`` facade.
     """
     fl = engine._flow_lists
     if fl is None:
-        flows = engine.scenario.flows
-        if hasattr(flows, "columns"):
-            cols = flows.columns()
-            src, dst, size, start, transport = (
-                cols[name].tolist() for name in
-                ("src", "dst", "size_bytes", "start_ps", "transport"))
-        else:
-            src = [f.src for f in flows]
-            dst = [f.dst for f in flows]
-            size = [f.size_bytes for f in flows]
-            start = [f.start_ps for f in flows]
-            transport = [int(f.transport) for f in flows]
+        cols = engine.scenario.flows.columns()
+        src, dst, size, start, transport = (
+            cols[name].tolist() for name in
+            ("src", "dst", "size_bytes", "start_ps", "transport"))
         host_iface = engine.scenario.topology.host_iface
         nics = {host: host_iface(host) for host in set(src)}
         fl = engine._flow_lists = FlowLists(

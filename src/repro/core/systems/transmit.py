@@ -25,7 +25,9 @@ columns, one whose peer another agent owns to that agent's outbox.  A
 window something observes (a trace stream or an op probe) collects
 every port's services, publishes the port's op and trace records after
 it, and installs the local deliveries once the call returns.  A port's
-arrivals are ordered with :data:`transmit_sort`.
+arrivals are ordered with :func:`contract_sort`, read from module
+globals once per window (so the ``conformance.inject`` drills that
+patch it infect every DOD engine).
 """
 
 from __future__ import annotations
@@ -118,12 +120,6 @@ def contract_sort(arrivals: List[Staged]) -> List[Staged]:
     :func:`contract_key`."""
     arrivals.sort(key=contract_key)
     return arrivals
-
-
-#: The transmit tie-break hook, read from module globals once per window
-#: by :func:`run_transmit_system`, so the ``conformance.inject`` drills
-#: (``flipped_transmit_order``, ``unstable_transmit_sort``) can patch it.
-transmit_sort = contract_sort
 
 
 def _drr_pick(queues, heads, deficit, quantum: int, cls: int,
@@ -437,7 +433,7 @@ def run_transmit_system(engine, ctx: WindowContext) -> None:
     drops: List[Tuple[int, Row]] = []
     ctx.counts.transmit += replay_window(
         engine.world.egress_cols, engine.port_static, iface_ids, ctx.staged,
-        transmit_sort, ctx.start, ctx.end, drops,
+        contract_sort, ctx.start, ctx.end, drops,
         (events._buckets, events, events_mod.register_window,
          engine.lookahead, engine._running_window + 1, results.node_events,
          engine.active_ports, owners, outbox, bus))

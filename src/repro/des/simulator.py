@@ -86,6 +86,13 @@ class OodSimulator:
             self.ports.append(EgressPort(iface, cfg, classifier,
                                          sample_queue=sample_queues))
 
+        # What an event reads of its flow, as plain lists taken once:
+        # indexing the flow table would build a ``Flow`` per event.
+        cols = scenario.flows.columns()
+        self._flow_src = cols["src"].tolist()
+        self._flow_dst = cols["dst"].tolist()
+        self._flow_size = cols["size_bytes"].tolist()
+
         # Per-flow endpoint state (OOD: one object per connection).
         self.senders: Dict[int, DctcpState] = {}
         self.udp: Dict[int, UdpSchedule] = {}
@@ -177,15 +184,17 @@ class OodSimulator:
 
     def _send_segments(self, flow_id: int, seqs: List[int], now: int) -> None:
         """Put data segments of ``flow_id`` on the sender's NIC queue."""
-        flow = self.scenario.flows[flow_id]
+        src = self._flow_src[flow_id]
+        dst = self._flow_dst[flow_id]
+        size = self._flow_size[flow_id]
         for seq in seqs:
-            payload = segment_payload(flow.size_bytes, seq)
-            row = data_row(flow_id, seq, payload, now, flow.src, flow.dst)
+            payload = segment_payload(size, seq)
+            row = data_row(flow_id, seq, payload, now, src, dst)
             self.results.events.send += 1
-            self._bump_node(flow.src)
+            self._bump_node(src)
             if self.bus.has_ops:
-                self.bus.op(OP_SEND, flow.src, packet_uid(row))
-            self._enqueue_at_host_nic(flow.src, row, now)
+                self.bus.op(OP_SEND, src, packet_uid(row))
+            self._enqueue_at_host_nic(src, row, now)
 
     def _arm_timer(self, state: DctcpState) -> None:
         if state.rtx_deadline is not None:
@@ -198,7 +207,6 @@ class OodSimulator:
 
     def _on_flow_start(self, now: int, payload: Tuple[int, Optional[int]]) -> None:
         flow_id, udp_seq = payload
-        flow = self.scenario.flows[flow_id]
         if udp_seq is None:
             state = self.senders[flow_id]
             segs = state.on_start(now)
@@ -208,12 +216,14 @@ class OodSimulator:
         # Paced UDP: enqueue this segment, schedule the next.
         sched = self.udp[flow_id]
         payload_bytes = sched.payload(udp_seq)
-        row = data_row(flow_id, udp_seq, payload_bytes, now, flow.src, flow.dst)
+        src = self._flow_src[flow_id]
+        row = data_row(flow_id, udp_seq, payload_bytes, now, src,
+                       self._flow_dst[flow_id])
         self.results.events.send += 1
-        self._bump_node(flow.src)
+        self._bump_node(src)
         if self.bus.has_ops:
-            self.bus.op(OP_SEND, flow.src, packet_uid(row))
-        self._enqueue_at_host_nic(flow.src, row, now)
+            self.bus.op(OP_SEND, src, packet_uid(row))
+        self._enqueue_at_host_nic(src, row, now)
         nxt = udp_seq + 1
         if nxt < sched.total_segs:
             self.queue.push(
@@ -263,9 +273,10 @@ class OodSimulator:
                 self.bus.flow_done(now, row[F_DST], flow_id)
         if ack is not None:
             ack_seq, ece, echo_ts = ack
-            flow = self.scenario.flows[flow_id]
-            out = ack_row(flow_id, ack_seq, ece, echo_ts, flow.dst, flow.src)
-            self._enqueue_at_host_nic(flow.dst, out, now)
+            dst = self._flow_dst[flow_id]
+            out = ack_row(flow_id, ack_seq, ece, echo_ts, dst,
+                          self._flow_src[flow_id])
+            self._enqueue_at_host_nic(dst, out, now)
 
     def _on_ack_at_sender(self, flow_id: int, row: Row, now: int) -> None:
         state = self.senders.get(flow_id)

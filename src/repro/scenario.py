@@ -1,6 +1,6 @@
 """Scenario: the complete, engine-independent description of one run.
 
-A scenario bundles the frozen topology, the flow list, the routing tables
+A scenario bundles the frozen topology, the flow table, the routing tables
 and the per-port configuration.  Every simulator in this repository — the
 OOD baseline, its multi-LP parallel variant, the DOD engine and the
 distributed cluster runtime — consumes the *same* Scenario object, which
@@ -10,7 +10,7 @@ is what makes cross-engine comparisons meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from .errors import ConfigError
 from .protocols import AqmConfig, AqmKind, EgressConfig
@@ -18,7 +18,7 @@ from .routing import Fib, build_fib
 from .schedulers import SchedulerKind
 from .protocols.dctcp import DctcpParams, RENO_ECN_PARAMS
 from .topology import Topology
-from .traffic import Flow, FlowColumns, Transport, validate_flows
+from .traffic import Flow, FlowColumns, Transport
 
 
 #: Hosts get a large FIFO NIC queue: the sender's own congestion control,
@@ -33,7 +33,8 @@ class Scenario:
     Attributes:
         name: Label used in reports.
         topology: Frozen topology.
-        flows: Validated flow list (same object handed to every engine).
+        flows: The validated flow table (same object handed to every
+            engine).
         fib: Forwarding tables (built once, shared).
         switch_egress: Configuration of every switch egress queue.
         host_egress: Configuration of every host NIC queue.
@@ -43,9 +44,7 @@ class Scenario:
 
     name: str
     topology: Topology
-    #: Validated flows: a ``List[Flow]`` or a columnar
-    #: :class:`~repro.traffic.FlowColumns` (same Sequence surface).
-    flows: Sequence[Flow]
+    flows: FlowColumns
     fib: Fib
     switch_egress: EgressConfig
     host_egress: EgressConfig
@@ -67,27 +66,18 @@ class Scenario:
         """The DOD engine's batch length: the smallest link delay (§3.3)."""
         return self.topology.min_link_delay_ps()
 
-    def flow_priority(self, flow_id: int) -> int:
-        flows = self.flows
-        if isinstance(flows, FlowColumns):
-            return flows.priority_at(flow_id)
-        return flows[flow_id].priority
-
     def cca_params(self, transport) -> DctcpParams:
         """Window-CCA constants for a flow's transport (DCTCP or RENO)."""
         return self.dctcp if transport == Transport.DCTCP else self.reno
 
     def classifier_table(self) -> List[int]:
         """flow_id -> traffic class, used by egress-port classifiers."""
-        flows = self.flows
-        if isinstance(flows, FlowColumns):
-            return flows.priority_list()
-        return [f.priority for f in flows]
+        return self.flows.priority_list()
 
 
 def make_scenario(
     topology: Topology,
-    flows: Sequence[Flow],
+    flows: Union[FlowColumns, Sequence[Flow]],
     name: Optional[str] = None,
     scheduler: SchedulerKind = SchedulerKind.FIFO,
     num_classes: int = 1,
@@ -102,7 +92,9 @@ def make_scenario(
 
     Args:
         topology: A frozen topology.
-        flows: The traffic (validated against the topology's hosts).
+        flows: The traffic: a :class:`~repro.traffic.FlowColumns`, or a
+            ``Flow`` list with dense ids ``0..n-1``, columnarized here
+            once.  Either is validated against the topology's hosts.
         scheduler / num_classes: Switch egress discipline.
         buffer_bytes: Switch egress buffer (tail-drop limit).
         aqm: Marking config; defaults to DCTCP threshold marking.
@@ -110,11 +102,9 @@ def make_scenario(
         duration_ps: Optional hard stop.
         fib: Pre-built FIB (else built here).
     """
-    if isinstance(flows, FlowColumns):
-        # Columnar traffic: vectorized validation, no Flow materialization.
-        flows.validate_against(topology.hosts)
-    else:
-        flows = validate_flows(flows, topology.hosts)
+    if isinstance(flows, Sequence):  # a Flow list: columnarize it once
+        flows = FlowColumns.from_flows(flows)
+    flows.validate_against(topology.hosts)
     if fib is None:
         fib = build_fib(topology)
     if aqm is None:
@@ -134,7 +124,7 @@ def make_scenario(
     return Scenario(
         name=name or f"{topology.name}/{len(flows)}flows",
         topology=topology,
-        flows=flows if isinstance(flows, FlowColumns) else list(flows),
+        flows=flows,
         fib=fib,
         switch_egress=switch_egress,
         host_egress=host_egress,

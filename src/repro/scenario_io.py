@@ -21,12 +21,13 @@ from .protocols.dctcp import DctcpParams
 from .scenario import Scenario
 from .schedulers import SchedulerKind
 from .topology import NodeKind, Topology
-from .traffic import Flow, FlowColumns, Transport
+from .traffic import FlowColumns
 
-#: v2 adds columnar traffic: scenarios whose flows are a
-#: :class:`~repro.traffic.FlowColumns` serialize as parallel columns
-#: under ``flow_columns`` instead of one dict per flow.  Only v2 loads.
-FORMAT = "repro-scenario-v2"
+#: v3: a scenario's traffic is always a
+#: :class:`~repro.traffic.FlowColumns`, written as parallel columns under
+#: ``flow_columns`` (v2 could also hold one dict per flow under
+#: ``flows``).  Only v3 loads.
+FORMAT = "repro-scenario-v3"
 
 
 @contextmanager
@@ -74,23 +75,6 @@ def _topology_from_dict(data: Dict[str, Any]) -> Topology:
                           link["delay_ps"])
     with _reading("topology"):
         return topo.freeze()
-
-
-def _flow_to_dict(flow: Flow) -> Dict[str, Any]:
-    return {
-        "id": flow.flow_id, "src": flow.src, "dst": flow.dst,
-        "size": flow.size_bytes, "start_ps": flow.start_ps,
-        "transport": flow.transport.name.lower(),
-        "priority": flow.priority,
-    }
-
-
-def _flow_from_dict(data: Dict[str, Any]) -> Flow:
-    return Flow(
-        data["id"], data["src"], data["dst"], data["size"],
-        data["start_ps"], Transport[data["transport"].upper()],
-        data.get("priority", 0),
-    )
 
 
 def _aqm_to_dict(aqm: AqmConfig) -> Dict[str, Any]:
@@ -162,11 +146,8 @@ def scenario_to_json(scenario: Scenario, out: Optional[TextIO] = None,
         "reno": _dctcp_to_dict(scenario.reno),
         "duration_ps": scenario.duration_ps,
         "ecmp_mode": scenario.ecmp_mode,
+        "flow_columns": scenario.flows.to_dict(),
     }
-    if isinstance(scenario.flows, FlowColumns):
-        doc["flow_columns"] = scenario.flows.to_dict()
-    else:
-        doc["flows"] = [_flow_to_dict(f) for f in scenario.flows]
     text = json.dumps(doc, indent=indent)
     if out is not None:
         out.write(text)
@@ -177,8 +158,8 @@ def scenario_from_json(source: Union[str, TextIO]) -> Scenario:
     """Rebuild a scenario (FIB included) from its JSON document.
 
     Anything wrong with the document — not JSON, a missing or ill-typed
-    field, a link naming a node that does not exist — is a
-    :class:`ConfigError` that says where."""
+    field, a link naming a node that does not exist, a flow whose
+    endpoint is not a host — is a :class:`ConfigError` that says where."""
     try:
         doc = (json.load(source) if hasattr(source, "read")
                else json.loads(source))
@@ -191,14 +172,10 @@ def scenario_from_json(source: Union[str, TextIO]) -> Scenario:
         raise ConfigError(f"unknown scenario format {doc.get('format')!r}")
     with _reading("document"):
         topo = _topology_from_dict(doc["topology"])
-        if "flow_columns" in doc:
-            with _reading("flow_columns"):
-                flows = FlowColumns.from_dict(doc["flow_columns"])
-        else:
-            flows = []
-            for i, flow in enumerate(doc["flows"]):
-                with _reading(f"flows[{i}]"):
-                    flows.append(_flow_from_dict(flow))
+        columns = doc["flow_columns"]
+        with _reading("flow_columns"):
+            flows = FlowColumns.from_dict(columns).validate_against(
+                topo.hosts)
         fields = {"name": doc["name"], "duration_ps": doc["duration_ps"],
                   "ecmp_mode": doc.get("ecmp_mode", "flow")}
         for key, parse in (("switch_egress", _egress_from_dict),

@@ -1,6 +1,6 @@
 """Traffic: flows, size distributions, generators, arrival processes."""
 
-from .flow import Flow, Transport, validate_flows
+from .flow import Flow, Transport
 from .distributions import (
     DISTRIBUTIONS, EmpiricalSize, FB_CACHE, TINY, WEB_SEARCH,
 )
@@ -11,7 +11,7 @@ from .arrivals import (
 )
 
 __all__ = [
-    "Flow", "Transport", "validate_flows",
+    "Flow", "Transport",
     "DISTRIBUTIONS", "EmpiricalSize", "FB_CACHE", "TINY", "WEB_SEARCH",
     "fixed_flows", "full_mesh_dynamic", "incast", "permutation",
     "ARRIVAL_KINDS", "ArrivalProcess", "FlowColumns", "INTERARRIVAL_CDFS",

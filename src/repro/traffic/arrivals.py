@@ -15,13 +15,11 @@ module keeps traffic columnar end to end:
   :class:`FlowColumns`: six parallel ``int64`` NumPy columns (src, dst,
   size, start, transport, priority) sorted by start time, flow id ==
   row index.
-* :class:`FlowColumns` quacks like the flow list every engine already
-  consumes (``len`` / indexing / iteration), but indexing materializes
-  ``Flow`` facades through a bounded cache (at most ``batch_size``
-  instances live) and iteration yields transients — the peak Flow
-  instance count stays bounded by the batch size no matter how many
-  flows the scenario carries.  The DOD engine's builder skips Flow
-  entirely and consumes :meth:`FlowColumns.iter_batches`.
+* :class:`FlowColumns` is the one traffic table every scenario holds,
+  whatever produced it (``make_scenario`` columnarizes a ``Flow`` list
+  once).  Engines read its columns; indexing and iteration build
+  :class:`~repro.traffic.flow.Flow` facades on demand for everything
+  else, so the flow set is never materialized as objects.
 
 Determinism discipline: every random draw comes from per-process,
 per-attribute substreams consumed in arrival order, and inter-arrival
@@ -29,10 +27,6 @@ gaps are quantized to integer picoseconds *before* they accumulate, so
 the synthesized columns are bit-identical regardless of ``chunk`` size
 and equal to a scalar one-draw-at-a-time reference (property-tested in
 ``tests/traffic/test_arrivals.py``).
-
-``batch_filter`` is the module-level hook on the batched column path;
-the conformance drill :func:`repro.conformance.inject.skewed_arrival_stream`
-patches it to corrupt one batch's inter-arrival column.
 """
 
 from __future__ import annotations
@@ -57,8 +51,7 @@ __all__ = [
 #: Supported arrival-process kinds.
 ARRIVAL_KINDS = ("poisson", "onoff", "periodic", "empirical")
 
-#: Default FlowColumns batch size: the bound on live Flow facades and the
-#: unit the engine builder consumes.
+#: Default FlowColumns batch size: the unit the engine builder consumes.
 DEFAULT_BATCH = 4096
 
 #: Empirical inter-arrival CDFs (gap picoseconds, cumulative probability),
@@ -93,16 +86,6 @@ _KEY_GAPS = 0xA0
 _KEY_ENDPOINTS = 0xA1
 _KEY_SIZES = 0xA2
 _KEY_CLASSES = 0xA3
-
-
-def _identity_batch(start: int, cols: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Default batched-column hook: pass the batch through unchanged."""
-    return cols
-
-
-#: Module-level hook on the batched column path (resolved at call time).
-#: The planted-bug drill patches this; everything else leaves it alone.
-batch_filter = _identity_batch
 
 
 @dataclass(frozen=True)
@@ -344,7 +327,7 @@ def synthesize(processes: Sequence[ArrivalProcess], seed: int, *,
     process index, then arrival sequence — fully deterministic); flow id
     equals row index.  ``chunk`` is the synthesis granularity and does
     not affect the output; ``batch_size`` is carried into the resulting
-    columns (the Flow-facade bound and the engine-builder batch unit).
+    columns (the engine-builder batch unit).
     """
     if not processes:
         raise ConfigError("synthesize needs at least one arrival process")
@@ -383,180 +366,140 @@ def synthesize(processes: Sequence[ArrivalProcess], seed: int, *,
     )
 
 
+#: Transport codes are dense from 0, so a range check is membership.
+_MAX_TRANSPORT = max(Transport)
+
+#: The flow table's columns, in block-row order.
+_COLUMNS = ("src", "dst", "size_bytes", "start_ps", "transport", "priority")
+_SRC, _DST, _SIZE, _START, _TRANSPORT, _PRIORITY = range(len(_COLUMNS))
+
+
 class FlowColumns:
-    """Columnar flow storage with a bounded Flow-facade cache.
+    """A scenario's traffic: six ``int64`` columns (src, dst, size_bytes,
+    start_ps, transport, priority), flow id == row index.
 
-    Quacks like the validated flow list engines consume: ``len``,
-    integer indexing (→ :class:`Flow`), iteration (transient Flows in
-    flow-id order), truthiness.  Scalar reads cross the same
-    plain-Python boundary as the NumPy ECS tables (no NumPy scalars
-    escape), so traces stay byte-identical whichever path reads a flow.
-
-    At most ``batch_size`` Flow facades are ever cached (the cache is a
-    generation cache: it clears wholesale when full, keeping eviction
-    GIL-atomic for the worker pool).  The DOD engine builder bypasses
-    Flow entirely via :meth:`iter_batches`.
+    The columns are the rows of one ``(6, n)`` block, so a check or a
+    read over every column is one NumPy call.  Engines read the columns —
+    the DOD builder through :meth:`iter_batches`, the per-flow lists of
+    the send path and of the OOD reference through :meth:`columns`.
+    Everything else reads it as a sequence: ``len``, integer indexing (a
+    :class:`Flow` facade built on demand), iteration (transient facades
+    in flow-id order), truthiness.  Scalar reads cross the same
+    plain-Python boundary as the ECS tables (no NumPy scalars escape),
+    so traces stay byte-identical whichever path reads a flow.
     """
 
-    __slots__ = ("_src", "_dst", "_size", "_start", "_transport",
-                 "_priority", "batch_size", "_cache")
+    __slots__ = ("_block", "batch_size")
 
     def __init__(self, src, dst, size_bytes, start_ps, transport, priority,
                  batch_size: int = DEFAULT_BATCH) -> None:
-        self._src = np.ascontiguousarray(src, dtype=np.int64)
-        self._dst = np.ascontiguousarray(dst, dtype=np.int64)
-        self._size = np.ascontiguousarray(size_bytes, dtype=np.int64)
-        self._start = np.ascontiguousarray(start_ps, dtype=np.int64)
-        self._transport = np.ascontiguousarray(transport, dtype=np.int64)
-        self._priority = np.ascontiguousarray(priority, dtype=np.int64)
-        n = len(self._src)
-        for name in ("_dst", "_size", "_start", "_transport", "_priority"):
-            if len(getattr(self, name)) != n:
-                raise ConfigError("flow columns must have equal length")
+        columns = (src, dst, size_bytes, start_ps, transport, priority)
+        if len({len(c) for c in columns}) != 1:
+            raise ConfigError("flow columns must have equal length")
         if batch_size <= 0:
             raise ConfigError("batch_size must be positive")
+        self._block = block = np.array(columns, dtype=np.int64)
         self.batch_size = int(batch_size)
-        self._cache: Dict[int, Flow] = {}
-        if n:
-            if bool((self._src == self._dst).any()):
+        if block.shape[1]:
+            lo = block.min(axis=1).tolist()
+            if bool((block[_SRC] == block[_DST]).any()):
                 raise ConfigError("flow columns contain src == dst")
-            if bool((self._size <= 0).any()):
+            if lo[_SIZE] <= 0:
                 raise ConfigError("flow columns contain non-positive sizes")
-            if bool((self._start < 0).any()):
+            if lo[_START] < 0:
                 raise ConfigError("flow columns contain negative starts")
-            if not bool(np.isin(self._transport,
-                                [int(t) for t in Transport]).all()):
+            if lo[_TRANSPORT] < 0 or block[_TRANSPORT].max() > _MAX_TRANSPORT:
                 raise ConfigError("flow columns contain unknown transports")
-            if bool((self._priority < 0).any()):
+            if lo[_PRIORITY] < 0:
                 raise ConfigError("flow columns contain negative priorities")
 
     # --- sequence protocol --------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._src)
+        return self._block.shape[1]
 
     def __bool__(self) -> bool:
-        return len(self._src) > 0
+        return self._block.shape[1] > 0
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        n = len(self._src)
+        n = len(self)
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError(f"flow id {i} out of range for {n} flows")
-        cache = self._cache
-        flow = cache.get(i)
-        if flow is None:
-            if len(cache) >= self.batch_size:
-                cache.clear()
-            flow = Flow(
-                flow_id=i, src=int(self._src[i]), dst=int(self._dst[i]),
-                size_bytes=int(self._size[i]), start_ps=int(self._start[i]),
-                transport=Transport(int(self._transport[i])),
-                priority=int(self._priority[i]),
-            )
-            cache[i] = flow
-        return flow
+        src, dst, size, start, transport, priority = (
+            self._block[:, i].tolist())
+        return Flow(i, src, dst, size, start, Transport(transport), priority)
 
     def __iter__(self) -> Iterator[Flow]:
-        # Transient facades: nothing is cached, peak live count stays O(1).
-        src = self._src.tolist()
-        dst = self._dst.tolist()
-        size = self._size.tolist()
-        start = self._start.tolist()
-        transport = self._transport.tolist()
-        priority = self._priority.tolist()
-        for i in range(len(src)):
-            yield Flow(flow_id=i, src=src[i], dst=dst[i],
-                       size_bytes=size[i], start_ps=start[i],
-                       transport=Transport(transport[i]),
-                       priority=priority[i])
+        for i, (src, dst, size, start, transport, priority) in enumerate(
+                zip(*self._block.tolist())):
+            yield Flow(i, src, dst, size, start, Transport(transport),
+                       priority)
 
     def __repr__(self) -> str:
         return (f"FlowColumns(n={len(self)}, batch_size={self.batch_size})")
 
-    # --- columnar fast paths ------------------------------------------------
+    # --- columnar reads -----------------------------------------------------
 
     def iter_batches(self) -> Iterator[Tuple[int, Dict[str, np.ndarray]]]:
         """Yield ``(first_flow_id, columns)`` batches in flow-id order.
 
-        Every batch passes through the module-level :data:`batch_filter`
-        hook (resolved at call time) — the injection point of the
-        skewed-arrival-stream conformance drill.  Consumers must not
-        mutate the yielded arrays.
+        Consumers must not mutate the yielded arrays.
         """
         n = len(self)
         bs = self.batch_size
         for s in range(0, n, bs):
-            e = min(n, s + bs)
-            cols = {
-                "src": self._src[s:e], "dst": self._dst[s:e],
-                "size_bytes": self._size[s:e], "start_ps": self._start[s:e],
-                "transport": self._transport[s:e],
-                "priority": self._priority[s:e],
-            }
-            yield s, batch_filter(s, cols)
+            yield s, dict(zip(_COLUMNS, self._block[:, s:s + bs]))
 
     def priority_list(self) -> List[int]:
-        """flow_id -> class, as plain ints (classifier table fast path)."""
-        return self._priority.tolist()
-
-    def priority_at(self, flow_id: int) -> int:
-        return int(self._priority[flow_id])
+        """flow_id -> class, as plain ints (the classifier table)."""
+        return self._block[_PRIORITY].tolist()
 
     @property
     def has_udp(self) -> bool:
-        return bool((self._transport == int(Transport.UDP)).any())
-
-    def max_start_ps(self) -> int:
-        return int(self._start.max()) if len(self) else 0
-
-    def class_counts(self) -> List[int]:
-        """Flows per DSCP class (exact per-class rate accounting)."""
-        if not len(self):
-            return []
-        return np.bincount(self._priority).tolist()
-
-    def cached_flow_count(self) -> int:
-        """Live Flow facades held by the bounded cache (test probe)."""
-        return len(self._cache)
+        return bool((self._block[_TRANSPORT] == int(Transport.UDP)).any())
 
     def columns(self) -> Dict[str, np.ndarray]:
         """The full column arrays (src/dst/size_bytes/start_ps/transport/
         priority).  Views into internal storage — callers must not mutate;
         copy before editing (workload builders that expand or re-merge
         flows do exactly that)."""
-        return {
-            "src": self._src, "dst": self._dst, "size_bytes": self._size,
-            "start_ps": self._start, "transport": self._transport,
-            "priority": self._priority,
-        }
+        return dict(zip(_COLUMNS, self._block))
 
     # --- validation / serialization ----------------------------------------
 
     def validate_against(self, hosts: Sequence[int]) -> "FlowColumns":
-        """Vectorized endpoint validation (the `validate_flows` analogue).
+        """Check that every flow runs between two of ``hosts``.
 
-        Flow ids are dense row indices, so uniqueness holds by
-        construction; only endpoint membership needs checking.
+        Flow ids are dense row indices, so uniqueness and density hold by
+        construction; only endpoint membership needs checking.  The check
+        is one bounds test (viewed unsigned, a negative id is out of
+        range too) and one indexed is-host mask over both endpoint
+        columns; the first offending flow is named only on failure.
         """
-        host_arr = np.fromiter(hosts, dtype=np.int64)
-        ok = (np.isin(self._src, host_arr) & np.isin(self._dst, host_arr))
-        if not bool(ok.all()):
-            bad = int(np.nonzero(~ok)[0][0])
-            raise ConfigError(
-                f"flow {bad} references non-host endpoints "
-                f"({int(self._src[bad])} -> {int(self._dst[bad])})")
-        return self
+        if not len(self):
+            return self
+        ends = self._block[:_SIZE]
+        is_host = np.zeros(max(hosts, default=-1) + 1, dtype=bool)
+        is_host[list(hosts)] = True
+        if (ends.view(np.uint64).max() < len(is_host)
+                and is_host[ends].all()):
+            return self
+        src, dst = ends
+        ok = np.isin(src, hosts) & np.isin(dst, hosts)
+        bad = int(np.flatnonzero(~ok)[0])
+        raise ConfigError(
+            f"flow {bad} references non-host endpoints "
+            f"({int(src[bad])} -> {int(dst[bad])})")
 
     def to_dict(self) -> Dict[str, Any]:
+        src, dst, size, start, transport, priority = self._block.tolist()
         return {
-            "src": self._src.tolist(), "dst": self._dst.tolist(),
-            "size": self._size.tolist(), "start_ps": self._start.tolist(),
-            "transport": self._transport.tolist(),
-            "priority": self._priority.tolist(),
+            "src": src, "dst": dst, "size": size, "start_ps": start,
+            "transport": transport, "priority": priority,
             "batch_size": self.batch_size,
         }
 
@@ -572,27 +515,16 @@ class FlowColumns:
     @classmethod
     def from_flows(cls, flows: Sequence[Flow],
                    batch_size: int = DEFAULT_BATCH) -> "FlowColumns":
-        """Columnarize a materialized flow list (ids must be dense 0..n-1)."""
-        for i, f in enumerate(flows):
-            if f.flow_id != i:
-                raise ConfigError(
-                    "FlowColumns needs dense flow ids equal to position; "
-                    f"got id {f.flow_id} at position {i}")
-        return cls(
-            src=[f.src for f in flows], dst=[f.dst for f in flows],
-            size_bytes=[f.size_bytes for f in flows],
-            start_ps=[f.start_ps for f in flows],
-            transport=[int(f.transport) for f in flows],
-            priority=[f.priority for f in flows], batch_size=batch_size,
-        )
-
-    # --- pickling (cluster scenario shipping) -------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {name: getattr(self, name)
-                for name in self.__slots__ if name != "_cache"}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_cache", {})
+        """Columnarize a materialized flow list (ids must be dense 0..n-1,
+        so a duplicate id is refused too)."""
+        rows = [(f.flow_id, f.src, f.dst, f.size_bytes, f.start_ps,
+                 f.transport, f.priority) for f in flows]
+        ids, src, dst, size, start, transport, priority = (
+            zip(*rows) if rows else ((),) * 7)
+        if ids != tuple(range(len(ids))):
+            i = next(i for i, fid in enumerate(ids) if fid != i)
+            raise ConfigError(
+                "FlowColumns needs dense flow ids equal to position; "
+                f"got id {ids[i]} at position {i}")
+        return cls(src, dst, size, start, transport, priority,
+                   batch_size=batch_size)

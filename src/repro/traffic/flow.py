@@ -1,16 +1,18 @@
 """Flow descriptions: the unit of traffic every engine consumes.
 
-A scenario's traffic is a plain, immutable list of :class:`Flow` records,
-generated once (seeded) and then handed unchanged to every simulator under
-comparison, so that "same input, compare outputs" holds by construction.
+A :class:`Flow` is one flow as a record: what the generators emit, what
+tests write by hand, and the facade :class:`~repro.traffic.FlowColumns`
+hands out when a flow is read by index.  A scenario stores its traffic
+as one ``FlowColumns`` (``make_scenario`` converts a ``Flow`` list once),
+generated once (seeded) and then handed unchanged to every simulator
+under comparison, so that "same input, compare outputs" holds by
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Sequence
-
 from ..errors import ConfigError
 
 
@@ -56,19 +58,3 @@ class Flow:
             raise ConfigError(f"flow {self.flow_id}: size must be positive")
         if self.start_ps < 0:
             raise ConfigError(f"flow {self.flow_id}: negative start time")
-
-
-def validate_flows(flows: Sequence[Flow], hosts: Sequence[int]) -> List[Flow]:
-    """Check that flows reference existing hosts and ids are unique."""
-    host_set = set(hosts)
-    seen = set()
-    for flow in flows:
-        if flow.flow_id in seen:
-            raise ConfigError(f"duplicate flow id {flow.flow_id}")
-        seen.add(flow.flow_id)
-        if flow.src not in host_set or flow.dst not in host_set:
-            raise ConfigError(
-                f"flow {flow.flow_id} references non-host endpoints "
-                f"({flow.src} -> {flow.dst})"
-            )
-    return list(flows)

@@ -14,7 +14,7 @@ from repro.conformance.generator import (
 )
 from repro.conformance.inject import (
     flipped_transmit_order, skewed_arrival_stream, stale_cache_delta,
-    stale_window_index, torn_shm_read, unstable_transmit_sort,
+    stale_window_index, torn_shm_read, unstable_contract_sort,
 )
 from repro.conformance.invariants import check_invariants
 from repro.conformance.oracles import run_oracle
@@ -242,7 +242,7 @@ class TestFuzzLoop:
         """The sort drill: replace the transmit ordering-contract sort
         with one unstable on (time, prio) ties.  The fuzz loop must
         catch it against the OOD reference — and shrink it small."""
-        with unstable_transmit_sort():
+        with unstable_contract_sort():
             result = fuzz(0, 25, FAST_ORACLES, do_shrink=True,
                           artifact_dir=tmp_path)
         assert not result.ok, "planted bug survived 25 fuzz runs"
@@ -253,16 +253,16 @@ class TestFuzzLoop:
 
         # Both transmit paths read the one hook: the trace-off sink is
         # infected too, and its result parts diverge from the reference.
-        with unstable_transmit_sort():
+        with unstable_contract_sort():
             assert not check_spec(result.shrunk.spec,
                                   ("ood", "dons-notrace")).ok
 
         # The artifact replays: still failing under the bug, clean after.
         assert result.artifact is not None and result.artifact.exists()
-        with unstable_transmit_sort():
+        with unstable_contract_sort():
             assert not replay_file(result.artifact, FAST_ORACLES).ok
         assert replay_file(result.artifact, FAST_ORACLES).ok
-        assert caught_with_memo_on(unstable_transmit_sort, 0)
+        assert caught_with_memo_on(unstable_contract_sort, 0)
 
     def test_planted_stale_cache_delta_is_caught_and_shrunk(self, tmp_path):
         """The memoization drill: poison each captured window delta so
@@ -326,27 +326,25 @@ class TestFuzzLoop:
         assert replay_file(result.artifact, SHM_ORACLES).ok
 
     def test_planted_skewed_arrivals_are_caught_and_shrunk(self, tmp_path):
-        """The columnar-traffic drill: skew the first arrival batch's
-        inter-arrival gaps by 7 us inside the ``batch_filter`` hook.
-        Only consumers of the batch iterator are infected — the DOD
-        builder's columnar path — while the OOD reference materializes
-        flows scalar-wise and stays truthful.  The fuzz loop must reach
-        a columnar spec (``wan_twin`` / ``storage``), catch the time
-        shift as a trace divergence, and shrink it small."""
+        """The flow-table drill: skew the first batch
+        ``FlowColumns.iter_batches`` yields by a 7 us inter-arrival gap.
+        The DOD builder reads every scenario's traffic through it, while
+        the OOD reference reads flows by row and stays truthful.  The
+        fuzz loop must catch the time shift as a trace divergence, and
+        shrink it small."""
         with skewed_arrival_stream():
             result = fuzz(5, 25, FAST_ORACLES, do_shrink=True,
                           artifact_dir=tmp_path)
         assert not result.ok, "planted bug survived 25 fuzz runs"
         assert result.shrunk is not None
-        assert result.shrunk.spec.traffic in ("wan_twin", "storage")
         assert result.shrunk.spec.num_nodes() <= 8
         div = result.shrunk.divergences[0]
         assert div.window is not None and div.system and div.entity
 
-        # Per-flow traffic kinds never touch the batch hook: a fixed
-        # spec stays byte-identical with the bug live.
+        # Generated ``Flow`` lists become a flow table too: a fixed spec
+        # is infected like a synthesized one.
         with skewed_arrival_stream():
-            assert check_spec(SMALL, FAST_ORACLES).ok
+            assert not check_spec(SMALL, FAST_ORACLES).ok
 
         # The artifact replays: still failing under the bug, clean after.
         assert result.artifact is not None and result.artifact.exists()

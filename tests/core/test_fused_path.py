@@ -327,9 +327,9 @@ def transmit_calls(trace_level):
 @pytest.mark.parametrize("trace_level", [TraceLevel.NONE, TraceLevel.FULL])
 def test_one_transmit_path_sorts_with_the_one_hook(trace_level):
     """Traced or not, a run replays through the sink alone and hands
-    it the module's ``transmit_sort`` hook."""
+    it the module's ``contract_sort``."""
     assert transmit_calls(trace_level) == {
-        "replay_window": {transmit_mod.transmit_sort}}
+        "replay_window": {transmit_mod.contract_sort}}
 
 
 def test_one_context_shape_one_dispatch():

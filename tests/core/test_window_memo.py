@@ -6,7 +6,7 @@ fast-forward path must be byte-invisible.  ``window_signature()`` (the
 state hash the cache design keys on) must agree between a traced run
 and an untraced one — the delivery sink publishing each port's records,
 and the sink publishing nothing — at every cursor, and
-``trace_digest()`` must be identical with the memo cache on and off.
+the trace digest must be identical with the memo cache on and off.
 """
 
 from hashlib import blake2b
@@ -403,7 +403,7 @@ class TestDigestIdentity:
         for ffwd in (False, True):
             engine = DodEngine(scenario, TraceLevel.FULL, ffwd=ffwd)
             engine.run()
-            digests[ffwd] = engine.bus.trace_digest()
+            digests[ffwd] = engine.trace.digest()
             counters[ffwd] = dict(engine.bus.counters)
         assert digests[True] == digests[False]
         assert counters[True]["memo.hit"] > 0
@@ -472,7 +472,7 @@ class TestCheckpointInteraction:
         fresh = CheckpointingEngine(scenario, TraceLevel.FULL, ffwd=True)
         results = fresh.resume_from(ckpt)
         assert results.trace is not None
-        assert fresh.bus.trace_digest() == reference.bus.trace_digest()
+        assert fresh.trace.digest() == reference.trace.digest()
         assert fresh.bus.counters.get("memo.hit", 0) > 0
 
         # "Every 50 windows" means windows advanced: with > 95 % of them
@@ -497,10 +497,10 @@ class TestCheckpointInteraction:
         engine.finalize()
         assert engine.bus.counters["memo.jump_windows"] > windows // 2
         assert engine.checkpoints_taken == windows // 50
-        assert engine.bus.trace_digest() == reference.bus.trace_digest()
+        assert engine.trace.digest() == reference.trace.digest()
 
         assert after_jump is not None, "no snapshot fell right after a jump"
         fresh = CheckpointingEngine(scenario, TraceLevel.FULL, ffwd=True)
         fresh.resume_from(after_jump)
-        assert fresh.bus.trace_digest() == reference.bus.trace_digest()
+        assert fresh.trace.digest() == reference.trace.digest()
         assert fresh.bus.counters.get("memo.jump", 0) > 0

@@ -1,7 +1,7 @@
 """The live observability plane must be observationally invisible.
 
 Mirror of test_telemetry_neutrality.py for PR 10's acceptance bar:
-``trace_digest()`` is byte-identical with the live plane (NDJSON
+the trace digest is byte-identical with the live plane (NDJSON
 sampler + watchdog) attached vs absent, serial and cluster-process-2 —
 the sampler only ever
 *reads* engine state between windows.

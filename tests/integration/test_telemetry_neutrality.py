@@ -1,6 +1,6 @@
 """Telemetry must be observationally invisible to the simulation.
 
-The acceptance bar for the telemetry layer: ``trace_digest()`` is
+The acceptance bar for the telemetry layer: the trace digest is
 identical with recording on and off, serial and under both cluster
 transports — spans and metric sampling only ever *read*
 clocks and port counters, never perturb event order or RNG state.

@@ -50,7 +50,6 @@ def test_scheduler_and_classes_plumbed(small_dumbbell):
     assert sc.switch_egress.scheduler == SchedulerKind.SP
     assert sc.switch_egress.num_classes == 3
     assert sc.classifier_table() == [2, 0]
-    assert sc.flow_priority(0) == 2
 
 
 def test_shared_fib_reused(small_dumbbell):

@@ -12,8 +12,8 @@ from repro.protocols import AqmConfig, AqmKind
 from repro.scenario import make_scenario
 from repro.scenario_io import FORMAT, scenario_from_json, scenario_to_json
 from repro.schedulers import SchedulerKind
-from repro.topology import fattree
-from repro.traffic import Flow, Transport
+from repro.topology import NodeKind, fattree
+from repro.traffic import Flow, FlowColumns, Transport
 from repro.units import GBPS, us
 
 
@@ -37,7 +37,8 @@ def test_round_trip_structural(rich_scenario):
     assert loaded.name == rich_scenario.name
     assert loaded.topology.num_nodes == rich_scenario.topology.num_nodes
     assert loaded.topology.num_links == rich_scenario.topology.num_links
-    assert loaded.flows == rich_scenario.flows
+    assert isinstance(loaded.flows, FlowColumns)
+    assert list(loaded.flows) == list(rich_scenario.flows)
     assert loaded.switch_egress == rich_scenario.switch_egress
     assert loaded.host_egress == rich_scenario.host_egress
     assert loaded.dctcp == rich_scenario.dctcp
@@ -61,7 +62,7 @@ def test_stream_io(rich_scenario, tmp_path):
         scenario_to_json(rich_scenario, out=fh)
     with open(path) as fh:
         loaded = scenario_from_json(fh)
-    assert loaded.flows == rich_scenario.flows
+    assert list(loaded.flows) == list(rich_scenario.flows)
 
 
 def test_format_guard(rich_scenario):
@@ -72,27 +73,42 @@ def test_format_guard(rich_scenario):
 
 
 def test_only_the_current_format_loads(rich_scenario):
-    """A v1 document is refused by name; the v2 one round-trips."""
+    """An older document is refused by name; the v3 one round-trips."""
     text = scenario_to_json(rich_scenario)
     doc = json.loads(text)
-    assert doc["format"] == FORMAT == "repro-scenario-v2"
-    assert scenario_from_json(text).flows == rich_scenario.flows
-    doc["format"] = "repro-scenario-v1"
-    with pytest.raises(ConfigError, match="repro-scenario-v1"):
-        scenario_from_json(json.dumps(doc))
+    assert doc["format"] == FORMAT == "repro-scenario-v3"
+    assert list(scenario_from_json(text).flows) == list(rich_scenario.flows)
+    for old in ("repro-scenario-v1", "repro-scenario-v2"):
+        doc["format"] = old
+        with pytest.raises(ConfigError, match=old):
+            scenario_from_json(json.dumps(doc))
 
 
 def test_document_is_plain_json(rich_scenario):
     doc = json.loads(scenario_to_json(rich_scenario))
     assert doc["format"] == FORMAT
-    assert {"topology", "flows", "switch_egress", "host_egress"} <= set(doc)
-    assert doc["flows"][2]["transport"] == "reno"
+    assert {"topology", "flow_columns", "switch_egress",
+            "host_egress"} <= set(doc)
+    assert "flows" not in doc
+    assert doc["flow_columns"]["transport"][2] == int(Transport.RENO)
 
 
 def _mutated(scenario, mutate):
     doc = json.loads(scenario_to_json(scenario))
     mutate(doc)
     return json.dumps(doc)
+
+
+def _set_flow(column, i, value):
+    """A mutation: row ``i`` of flow column ``column`` := ``value(doc)``."""
+    def mutate(doc):
+        doc["flow_columns"][column][i] = value(doc)
+    return mutate
+
+
+def _first_switch(doc):
+    return next(i for i, node in enumerate(doc["topology"]["nodes"])
+                if node["kind"] != int(NodeKind.HOST))
 
 
 MALFORMED = {
@@ -116,12 +132,14 @@ MALFORMED = {
             sc, lambda d: d["topology"]["links"][0].update(a=10_000)),
         r"topology\.links\[0\].*10000"),
     "flow-missing-src": (
-        lambda sc: _mutated(sc, lambda d: d["flows"][1].pop("src")),
-        r"flows\[1\].*'src'"),
+        lambda sc: _mutated(sc, lambda d: d["flow_columns"].pop("src")),
+        r"flow_columns.*'src'"),
     "flow-unknown-transport": (
-        lambda sc: _mutated(
-            sc, lambda d: d["flows"][0].update(transport="quic")),
-        r"flows\[0\].*'QUIC'"),
+        lambda sc: _mutated(sc, _set_flow("transport", 0, lambda d: 9)),
+        "unknown transports"),
+    "flow-to-a-switch": (
+        lambda sc: _mutated(sc, _set_flow("dst", 1, _first_switch)),
+        r"flow 1 references non-host endpoints"),
     "egress-missing-aqm": (
         lambda sc: _mutated(sc, lambda d: d["switch_egress"].pop("aqm")),
         "switch_egress.*'aqm'"),

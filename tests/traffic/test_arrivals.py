@@ -108,9 +108,9 @@ class TestSynthesis:
                          min_size=1, max_size=3))
     @settings(deadline=None, max_examples=20)
     def test_exact_per_class_rate_accounting(self, seed, caps):
-        """One-hot class mixes with binding flow caps: class_counts()
-        must hit each process's cap exactly — arrivals are neither lost
-        nor double-counted across the merge."""
+        """One-hot class mixes with binding flow caps: the per-class
+        flow counts must hit each process's cap exactly — arrivals are
+        neither lost nor double-counted across the merge."""
         horizon_s = HORIZON / PS_PER_S
         procs = [
             ArrivalProcess(
@@ -123,7 +123,7 @@ class TestSynthesis:
             for i, cap in enumerate(caps)
         ]
         cols = synthesize(procs, seed)
-        counts = cols.class_counts()
+        counts = np.bincount(cols.columns()["priority"])
         assert len(cols) == sum(caps)
         for i, cap in enumerate(caps):
             assert counts[i] == cap
@@ -180,17 +180,21 @@ class TestScenarioRoundTrip:
         for k in a:
             assert a[k].tolist() == b[k].tolist(), k
 
-    def test_pickle_round_trip_drops_cache(self):
+    def test_pickle_round_trip_keeps_columns(self):
         cols = self._cols()
-        _ = cols[0]  # populate the facade cache
-        assert cols.cached_flow_count() == 1
         back = pickle.loads(pickle.dumps(cols))
-        assert back.cached_flow_count() == 0
-        assert back.columns()["start_ps"].tolist() == \
-            cols.columns()["start_ps"].tolist()
+        assert back.batch_size == cols.batch_size
+        a, b = cols.columns(), back.columns()
+        for k in a:
+            assert a[k].tolist() == b[k].tolist(), k
 
-    def test_facade_cache_stays_bounded(self):
+    def test_indexing_builds_facades_on_demand(self):
+        """``cols[i]`` is a fresh :class:`Flow` equal to row ``i`` of the
+        iteration; nothing is cached between reads."""
         cols = self._cols()
-        for i in range(len(cols)):
-            _ = cols[i]
-            assert cols.cached_flow_count() <= cols.batch_size
+        flows = list(cols)
+        assert [cols[i] for i in range(len(cols))] == flows
+        assert cols[-1] == flows[-1] and cols[1:3] == flows[1:3]
+        assert cols[0] is not cols[0]
+        with pytest.raises(IndexError):
+            cols[len(cols)]

@@ -1,13 +1,15 @@
-"""Traffic: flow validation, size distributions, workload generators."""
+"""Traffic: flow checks, size distributions, workload generators."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.rng import make_rng
+from repro.scenario import make_scenario
+from repro.topology import dumbbell
 from repro.traffic import (
     FB_CACHE, Flow, TINY, Transport, WEB_SEARCH, fixed_flows,
-    full_mesh_dynamic, incast, permutation, validate_flows,
+    FlowColumns, full_mesh_dynamic, incast, permutation,
 )
 from repro.traffic.distributions import EmpiricalSize
 from repro.traffic.generators import zipf_weights
@@ -25,13 +27,25 @@ class TestFlow:
         with pytest.raises(ConfigError):
             Flow(0, 1, 2, 100, -5)
 
-    def test_validate_flows_checks_hosts_and_ids(self):
-        flows = [Flow(0, 1, 2, 100, 0), Flow(1, 2, 1, 100, 0)]
-        assert validate_flows(flows, [1, 2]) == flows
-        with pytest.raises(ConfigError):
-            validate_flows(flows, [1])  # host 2 missing
-        with pytest.raises(ConfigError):
-            validate_flows([Flow(0, 1, 2, 1, 0), Flow(0, 2, 1, 1, 0)], [1, 2])
+    def test_make_scenario_checks_ids_and_hosts(self):
+        """A ``Flow`` list becomes the scenario's flow table once, at
+        ``make_scenario``: ids must be dense (both engines index flows
+        by position) and every endpoint must be a host."""
+        topo = dumbbell(2)
+        a, b = topo.hosts[0], topo.hosts[-1]
+        flows = [Flow(0, a, b, 100, 0), Flow(1, b, a, 100, 0, Transport.UDP)]
+        sc = make_scenario(topo, flows)
+        assert isinstance(sc.flows, FlowColumns)
+        assert list(sc.flows) == flows
+        with pytest.raises(ConfigError, match="dense flow ids"):  # sparse
+            make_scenario(topo, [Flow(0, a, b, 100, 0),
+                                 Flow(7, b, a, 100, 0, Transport.UDP)])
+        with pytest.raises(ConfigError, match="dense flow ids"):  # duplicate
+            make_scenario(topo, [Flow(0, a, b, 100, 0),
+                                 Flow(0, b, a, 100, 0)])
+        switch = topo.switches[0]
+        with pytest.raises(ConfigError, match="non-host endpoints"):
+            make_scenario(topo, [Flow(0, a, switch, 100, 0)])
 
 
 class TestDistributions:
