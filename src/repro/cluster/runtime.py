@@ -81,6 +81,11 @@ class ClusterEngine:
         self.specs = list(specs)
         self.transport = make_transport(transport)
         self.schedule = sorted(schedule or [], key=lambda s: s[0])
+        if self.schedule and not isinstance(self.transport, LocalTransport):
+            raise ClusterError(
+                "live migration schedules require the LocalTransport "
+                "(state moves between in-process engines)"
+            )
         self.fault = fault
         self.checkpoint_every = checkpoint_every
         self._fault_tolerant = fault is not None or checkpoint_every is not None
@@ -177,19 +182,20 @@ class ClusterEngine:
     # --- Engine protocol --------------------------------------------------
 
     def build(self) -> None:
-        """Launch and build every agent; verify cluster-wide agreement."""
+        """Launch and build every agent; verify cluster-wide agreement.
+        A failed build closes the transport (no agent process or shared
+        segment outlives it) and re-raises."""
         self._check_agreement()
-        self.transport.launch(self.specs)
-        if self.schedule and not isinstance(self.transport, LocalTransport):
-            raise ClusterError(
-                "live migration schedules require the LocalTransport "
-                "(state moves between in-process engines)"
-            )
         if self.schedule:
             self.transport.before_window = self._maybe_migrate
-        self.transport.build_all()
-        if self._fault_tolerant:
-            self._take_snapshots(self._cursor)
+        try:
+            self.transport.launch(self.specs)
+            self.transport.build_all()
+            if self._fault_tolerant:
+                self._take_snapshots(self._cursor)
+        except BaseException:
+            self.transport.close()
+            raise
         self._built = True
 
     def _check_agreement(self) -> None:

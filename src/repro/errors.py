@@ -16,7 +16,7 @@ class TopologyError(ReproError):
 
 
 class RoutingError(ReproError):
-    """No route exists, or a FIB lookup failed."""
+    """No route exists, a FIB lookup failed, or a FIB cannot be built."""
 
 
 class SimulationError(ReproError):

@@ -1,61 +1,34 @@
-"""FIB construction via per-destination BFS (Appendix C of the paper).
-
-The paper's Simulation Builder computes routes for each destination with
-BFS — O(#host x (#node + #link)) — and installs forwarding tables, both
-parallelized over worker threads.  :func:`build_fib` reproduces the
-per-destination BFS serially (see its docstring for why).
+"""FIB construction via one BFS per attachment node (Appendix C of the paper).
 
 Routing is hop-count shortest path with all ties kept (the ECMP set).
+The paper's Simulation Builder runs one BFS per destination host —
+O(#host x (#node + #link)).  ``Topology.freeze()`` guarantees that a
+host ``h`` has exactly one link, to its attachment node ``a``, so every
+path toward ``h`` ends with the hop ``a -> h``: at every node other than
+``a`` and ``h`` the distance to ``h`` is one more than the distance to
+``a``, so the ECMP set toward ``h`` is the set toward ``a``; at ``a`` it
+is the one port to ``h``.  :func:`build_fib` therefore runs one BFS per
+attachment node, O(#attachment nodes x (#node + #link)).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .fib import Fib
+from ..errors import RoutingError
 from ..topology import Topology
-
-
-def _bfs_distances(topo: Topology, source: int) -> List[int]:
-    """Hop distance of every node from ``source`` (-1 if unreachable)."""
-    dist = [-1] * topo.num_nodes
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, _link in topo.neighbors(u):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def _routes_for_dest(topo: Topology, dest: int) -> List[Tuple[int, Tuple[int, ...]]]:
-    """For one destination host: (node, ecmp ports) for every other node."""
-    dist = _bfs_distances(topo, dest)
-    entries: List[Tuple[int, Tuple[int, ...]]] = []
-    for node in range(topo.num_nodes):
-        if node == dest or dist[node] < 0:
-            continue
-        ports = [
-            link.port_a if link.node_a == node else link.port_b
-            for v, link in topo.neighbors(node)
-            if dist[v] == dist[node] - 1
-        ]
-        if ports:
-            entries.append((node, tuple(sorted(ports))))
-    return entries
 
 
 def build_fib(topo: Topology, dests: Optional[List[int]] = None) -> Fib:
     """Build the FIB for all (or the given) destination hosts.
 
-    The paper (Appendix C) runs the per-destination BFS and the table
-    installs on a pool of worker threads.  This reproduction does not:
-    both are pure Python, so under the GIL a thread pool would execute
-    them one at a time and buy no wall-clock (DESIGN.md, "Reproduction
-    strategy and substitutions").
+    One BFS from each attachment node serves all of its destination
+    hosts, which share one route tuple per node (the module doc says
+    why this is exact).  The paper runs its BFS on worker threads; in
+    pure Python under the GIL a thread pool would run them one at a
+    time and buy no wall-clock (DESIGN.md, "Reproduction strategy and
+    substitutions").
 
     Args:
         topo: A frozen topology.
@@ -63,11 +36,38 @@ def build_fib(topo: Topology, dests: Optional[List[int]] = None) -> Fib:
 
     Returns:
         A fully populated :class:`Fib`.
+
+    Raises:
+        RoutingError: ``topo`` is unfrozen, or a destination is no host.
     """
+    if not topo.frozen:
+        raise RoutingError(f"topology {topo.name!r} is not frozen")
     if dests is None:
         dests = topo.hosts
-    fib = Fib(topo)
+    # node -> [(local port, neighbour)] in port order, read once per build.
+    adj = [sorted((link.port_a if link.node_a == u else link.port_b, link.other(u))
+                  for link in topo.links_of(u)) for u in range(topo.num_nodes)]
+    classes: Dict[int, List[int]] = {}
     for dest in dests:
-        for node, ports in _routes_for_dest(topo, dest):
-            fib.install(node, dest, ports)
+        if not (0 <= dest < topo.num_nodes and topo.nodes[dest].is_host):
+            raise RoutingError(f"destination {dest} is not a host")
+        classes.setdefault(topo.iface(dest, 0).peer_node, []).append(dest)
+    fib = Fib(topo)
+    tables = fib.tables
+    for attach, hosts in classes.items():
+        dist = [-1] * topo.num_nodes
+        dist[attach] = 0
+        order = [attach]
+        for u in order:  # BFS: ``order`` grows while it is walked
+            for _port, v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    order.append(v)
+        for v in order[1:]:
+            up = dist[v] - 1
+            tables[v].update(dict.fromkeys(
+                hosts, tuple([port for port, w in adj[v] if dist[w] == up])))
+        for host in hosts:
+            tables[host].pop(host, None)  # the BFS routed it to itself
+            tables[attach][host] = (topo.iface(host, 0).peer_port,)
     return fib

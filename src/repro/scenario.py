@@ -102,6 +102,8 @@ def make_scenario(
         duration_ps: Optional hard stop.
         fib: Pre-built FIB (else built here).
     """
+    if not topology.frozen:  # before the FIB builder refuses it
+        raise ConfigError("scenario needs a frozen topology")
     if isinstance(flows, Sequence):  # a Flow list: columnarize it once
         flows = FlowColumns.from_flows(flows)
     flows.validate_against(topology.hosts)

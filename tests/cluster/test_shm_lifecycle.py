@@ -9,21 +9,26 @@ transport's kill/restore segment turnover, and a full run in a fresh
 interpreter whose stderr must stay free of tracker warnings.
 """
 
+import multiprocessing
 import os
 import subprocess
 import sys
 from multiprocessing import shared_memory
 from pathlib import Path
 
+import pytest
+
 import repro
-from repro.cluster import AgentSpec, ProcessTransport
+from repro.cluster import AgentSpec, ClusterEngine, ProcessTransport
 from repro.cluster.agent import Horizon
 from repro.cluster import shm as shm_mod
 from repro.cluster.shm import (
     SEGMENT_PREFIX, ProgressBoard, ShmRing, list_orphans, read_blob,
     reap_orphans, write_blob,
 )
-from repro.des.partition_types import contiguous_partition
+from repro.core import EngineRunner
+from repro.des.partition_types import Partition, contiguous_partition
+from repro.errors import ClusterError
 from repro.metrics import TraceLevel
 
 
@@ -162,6 +167,38 @@ class TestTransportSegmentTurnover:
         finally:
             transport.close()
         assert _live_segments() == set()
+
+
+class TestFailedBuildLeavesNothing:
+    """A cluster that fails before it runs must not strand agent
+    processes or shared segments: ``EngineRunner.run`` finalizes only a
+    built engine, so a failed build has to close its own transport."""
+
+    @staticmethod
+    def _agents():
+        return [p.name for p in multiprocessing.active_children()
+                if p.name.startswith("dons-agent-")]
+
+    def test_schedule_on_shm_rejected_before_launch(self, dumbbell_scenario):
+        part = contiguous_partition(dumbbell_scenario.topology, 2)
+        specs = [AgentSpec(a, dumbbell_scenario, part) for a in range(2)]
+        before = _live_segments()
+        with pytest.raises(ClusterError, match="LocalTransport"):
+            ClusterEngine(specs, transport="shm", schedule=[(5, part)])
+        assert self._agents() == []
+        assert _live_segments() == before
+
+    def test_agent_build_failure_closes_transport(self, dumbbell_scenario):
+        # Too short for the topology: every worker dies making its engine,
+        # after the board segment exists and both processes were spawned.
+        part = contiguous_partition(dumbbell_scenario.topology, 2)
+        short = Partition(part.assignment[:2], 2)
+        specs = [AgentSpec(a, dumbbell_scenario, short) for a in range(2)]
+        before = _live_segments()
+        with pytest.raises(ClusterError):
+            EngineRunner(ClusterEngine(specs, transport="shm")).run()
+        assert self._agents() == []
+        assert _live_segments() == before
 
 
 def test_full_run_leaves_clean_interpreter_and_shm():
