@@ -2,12 +2,9 @@
 (§3.1, §4.2) and checkpoint-based fault tolerance (§8)."""
 
 from .agent import AgentEngine, AgentSpec
-from .channel import (
-    ChannelMap, ClusterTrafficStats, RpcChannel,
-    RPC_FRAME_BYTES, RPC_RECORD_BYTES,
-)
 from .transport import (
-    AgentFailure, AgentReport, LocalTransport, ProcessTransport, Transport,
+    AgentFailure, AgentReport, ClusterTrafficStats, LocalTransport,
+    ProcessTransport, RPC_FRAME_BYTES, RPC_RECORD_BYTES, Transport,
     make_transport,
 )
 from .fault import FaultPlan, RecoveryStats
@@ -19,8 +16,8 @@ from .checkpoint import (
 )
 
 __all__ = [
-    "AgentEngine", "AgentSpec", "ChannelMap", "ClusterTrafficStats",
-    "RpcChannel", "RPC_FRAME_BYTES", "RPC_RECORD_BYTES",
+    "AgentEngine", "AgentSpec", "ClusterTrafficStats",
+    "RPC_FRAME_BYTES", "RPC_RECORD_BYTES",
     "AgentFailure", "AgentReport", "LocalTransport", "ProcessTransport",
     "Transport", "make_transport",
     "FaultPlan", "RecoveryStats",

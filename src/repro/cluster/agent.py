@@ -156,6 +156,12 @@ class AgentEngine(DodEngine):
         ``(outbox, offer)`` — the batches for the peers and this agent's
         offer for the next agreement (see :func:`agreed_window`).
 
+        The agent's bus is the one record of its traffic (§4.2, tau_a of
+        Eq. 1): per window a FINISH frame to every peer
+        (``cluster.finish_frames``), one RPC per non-empty batch
+        (``cluster.rpc_messages``) and its records
+        (``cluster.rpc_records``).
+
         An agent whose own peek lies beyond the window has nothing
         scheduled — no pending entries, no busy ports — so executing it
         is a provable no-op and is skipped.  ``skip_idle=False`` while a
@@ -167,6 +173,12 @@ class AgentEngine(DodEngine):
         if not skip_idle:
             self.process_window(window)
         outbox, self.outbox = self.outbox, {}
+        count = self.bus.count
+        count("cluster.finish_frames", self._partition.num_parts - 1)
+        batches = [len(records) for records in outbox.values() if records]
+        if batches:
+            count("cluster.rpc_messages", len(batches))
+            count("cluster.rpc_records", sum(batches))
         return outbox, window_offer(self.peek_next_window(window), outbox,
                                     self.lookahead)
 

@@ -5,9 +5,9 @@ A cluster checkpoint is taken at a window boundary, where the FINISH
 barrier guarantees a clean cut: every batch delivered, every agent
 paused between windows.  It holds what
 :meth:`~repro.cluster.transport.Transport.snapshot_all` returns — one
-engine checkpoint per agent plus the channel accounting — with the
-runtime's cursor, the count of windows reported so far, the partition
-and the remaining migration schedule.
+engine checkpoint per agent, whose bus state carries the agent's
+traffic counters — with the runtime's cursor, the count of windows
+reported so far, the partition and the remaining migration schedule.
 
 ``take_cluster_checkpoint`` takes a
 :class:`~repro.cluster.runtime.ClusterEngine` on the ``LocalTransport``;
@@ -23,20 +23,22 @@ reports the uninterrupted run's trace, traffic and window count
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Tuple
+from typing import List, Tuple
 
 from .agent import AgentSpec
 from .runtime import ClusterEngine
+from ..core.checkpoint import Checkpoint
 from ..core.runner import EngineRunner
 from ..des.partition_types import Partition
 from ..errors import ClusterError
 from ..metrics import SimResults, TraceLevel
 from ..scenario import Scenario
 
-#: v3: ``snapshot`` is a :meth:`Transport.snapshot_all` — engine
-#: checkpoints *and* channel accounting — and ``windows`` the windows
-#: reported so far; v2 held the engine checkpoints alone.
-FORMAT = "dons-cluster-checkpoint-v3"
+#: v4: ``snapshot`` is the list of engine checkpoints
+#: :meth:`Transport.snapshot_all` returns, the traffic counters inside
+#: each agent's bus state; v3 paired it with a separate channel
+#: accounting, v2 lacked ``windows``.
+FORMAT = "dons-cluster-checkpoint-v4"
 
 
 @dataclass
@@ -49,9 +51,9 @@ class ClusterCheckpoint:
     partition: Tuple[int, ...]
     num_parts: int
     schedule: List[Tuple[int, Tuple[int, ...]]]
-    #: ``(engine checkpoints, channel accounting)``; ``restore_checkpoint``
-    #: refuses an engine checkpoint of another format or scenario.
-    snapshot: Any
+    #: One engine checkpoint per agent; ``restore_checkpoint`` refuses
+    #: an engine checkpoint of another format or scenario.
+    snapshot: List[Checkpoint]
     #: Windows the run had reported when the checkpoint was taken.
     windows: int
 
@@ -80,7 +82,8 @@ def resume_cluster(
     """Build a cluster from a checkpoint, restore it and run it to
     completion; returns the merged results and the engine."""
     if checkpoint.format != FORMAT:
-        raise ClusterError(f"unknown checkpoint format {checkpoint.format!r}")
+        raise ClusterError(f"cluster checkpoint format {checkpoint.format!r} "
+                           f"is not {FORMAT!r}")
     if checkpoint.scenario_name != scenario.name:
         raise ClusterError("checkpoint belongs to a different scenario")
     partition = Partition(checkpoint.partition, checkpoint.num_parts)

@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from .agent import AgentSpec
-from .channel import ClusterTrafficStats
 from .fault import FaultPlan, RecoveryStats
 from .runtime import ClusterEngine, merge_results
-from .transport import Transport
+from .transport import ClusterTrafficStats, Transport
 from ..core.instrument import InstrumentationBus
 from ..core.runner import EngineRunner
 from ..des.partition_types import Partition
@@ -123,8 +122,6 @@ class DonsManager:
         if partition is None:
             plan = plan_scenario(self.scenario, self.cluster, loads)
             partition = plan.partition
-        if len(partition.assignment) != self.scenario.topology.num_nodes:
-            raise ClusterError("partition does not match topology")
         engine = self._engine(partition)
         EngineRunner(engine, on_step=on_step).run()
         return DistributedRun(

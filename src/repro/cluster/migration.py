@@ -120,14 +120,12 @@ def migrate(
         if topo.nodes[node].is_host:
             for flow in scenario.flows:
                 if flow.src == node:
-                    sidx = src.world.sender_of_flow[flow.flow_id]
                     _move_table_row(src.world.senders, dst.world.senders,
-                                    sidx, _SENDER_FIELDS)
+                                    flow.flow_id, _SENDER_FIELDS)
                     stats.sender_rows_moved += 1
                 if flow.dst == node:
-                    ridx = src.world.receiver_of_flow[flow.flow_id]
                     _move_table_row(src.world.receivers, dst.world.receivers,
-                                    ridx, _RECEIVER_FIELDS)
+                                    flow.flow_id, _RECEIVER_FIELDS)
                     # results bookkeeping follows the receiver
                     dst.results.flows[flow.flow_id] = \
                         src.results.flows[flow.flow_id]

@@ -25,14 +25,16 @@ then takes finished windows off the transport one per ``advance()``:
 Live migration (Appendix A, ``LocalTransport`` only) hooks in before
 each agreed window runs.
 
-Observability: each agent owns its :class:`InstrumentationBus`; at
-``finalize()`` the per-agent streams come back in the agents'
-:class:`~repro.cluster.transport.AgentReport` and are merged into the
+Observability: each agent owns its :class:`InstrumentationBus`, the one
+record of everything it measured, its traffic counters included; at
+``finalize()`` each bus comes back whole in the agent's
+:class:`~repro.cluster.transport.AgentReport` and is merged into the
 cluster-level bus — counters summed, raw window rows kept under
 ``a<id>`` — so the profiler reports *measured* per-agent system times
-``a<id>:<system>``.  Busy and barrier-wait seconds are measured by the
-agents every window, on every transport; their sums are the measured
-T_a the time-cost model refits from
+``a<id>:<system>``, and the transport prices the agents'
+``cluster.rpc_*`` counters into ``stats``.  Busy and barrier-wait
+seconds are measured by the agents every window, on every transport;
+their sums are the measured T_a the time-cost model refits from
 (:func:`repro.partition.refit_cluster_spec`).
 
 Fault tolerance is coordinated rollback: when the transport reports an
@@ -48,13 +50,14 @@ same :meth:`~repro.cluster.transport.Transport.restore_all`, through
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .agent import AgentSpec, Horizon
 from .fault import FaultPlan, RecoveryStats
 from .transport import (
     AgentFailure, LocalTransport, Transport, make_transport,
 )
+from ..core.checkpoint import Checkpoint
 from ..core.instrument import InstrumentationBus
 from ..core.telemetry import WAIT_MS_BUCKETS
 from ..des.partition_types import Partition
@@ -79,8 +82,9 @@ class ClusterEngine:
         if not specs:
             raise ClusterError("no agents")
         self.specs = list(specs)
-        self.transport = make_transport(transport)
         self.schedule = sorted(schedule or [], key=lambda s: s[0])
+        self._check_agreement()
+        self.transport = make_transport(transport)
         if self.schedule and not isinstance(self.transport, LocalTransport):
             raise ClusterError(
                 "live migration schedules require the LocalTransport "
@@ -134,7 +138,7 @@ class ClusterEngine:
         # many windows were reported and records sent since, and how
         # many windows the agents have executed since (fewer right
         # after a rollback).
-        self._snapshot: Any = None
+        self._snapshot: List[Checkpoint] = []
         self._snap_window = -1
         self._reported_since_snap = 0
         self._records_since_snap = 0
@@ -163,10 +167,6 @@ class ClusterEngine:
         return self.transport.stats
 
     @property
-    def channels(self):
-        return self.transport.channels
-
-    @property
     def agents(self):
         """The in-process engines (LocalTransport only) — migration and
         cluster checkpointing reach through this; they stay readable
@@ -182,10 +182,9 @@ class ClusterEngine:
     # --- Engine protocol --------------------------------------------------
 
     def build(self) -> None:
-        """Launch and build every agent; verify cluster-wide agreement.
-        A failed build closes the transport (no agent process or shared
-        segment outlives it) and re-raises."""
-        self._check_agreement()
+        """Launch and build every agent.  A failed build closes the
+        transport (no agent process or shared segment outlives it) and
+        re-raises."""
         if self.schedule:
             self.transport.before_window = self._maybe_migrate
         try:
@@ -199,11 +198,23 @@ class ClusterEngine:
         self._built = True
 
     def _check_agreement(self) -> None:
-        """Every agent must run the same scenario under the same plan —
-        window agreement (§4.2) is meaningless otherwise.  The old
-        controller silently trusted agent 0; mismatches now fail loudly
-        at build time."""
+        """Every agent must run the same scenario under the same plan,
+        one agent per part of a partition that covers the topology —
+        window agreement (§4.2) is meaningless otherwise, and a spare
+        part or agent would stall or idle.  Mismatches fail loudly at
+        construction, before any agent is launched."""
         first = self.specs[0]
+        nodes = first.scenario.topology.num_nodes
+        for partition in [spec.partition for spec in self.specs] + [
+                p for _w, p in self.schedule]:
+            if partition.num_parts != len(self.specs):
+                raise ClusterError(
+                    f"{len(self.specs)} agents for a partition of "
+                    f"{partition.num_parts} parts")
+            if len(partition.assignment) != nodes:
+                raise ClusterError(
+                    f"partition assigns {len(partition.assignment)} nodes, "
+                    f"the topology has {nodes}")
         for spec in self.specs[1:]:
             if spec.scenario.name != first.scenario.name:
                 raise ClusterError(
@@ -325,7 +336,7 @@ class ClusterEngine:
         bus.span_add("window", t_begin, t_done, "cluster", {"index": window})
 
     def finalize(self) -> SimResults:
-        """Collect per-agent results and bus streams, merge, shut down."""
+        """Collect per-agent results and buses, merge, shut down."""
         if self._finalized:
             return self.results
         self._finalized = True
@@ -336,11 +347,7 @@ class ClusterEngine:
                 self.per_agent, self.specs[0].scenario.name
             )
             for report in reports:
-                self.bus.merge_child(
-                    f"a{report.agent_id}", report.counters, report.windows,
-                    spans=report.spans, metrics=report.metrics,
-                    epoch_wall=report.epoch_wall,
-                )
+                self.bus.merge_child(f"a{report.agent_id}", report.bus)
             # The gauges let a bus alone (``run_record(bus)``) give
             # the measured T_a that refit_cluster_spec takes.
             for agent_id in range(len(self.specs)):
@@ -348,7 +355,7 @@ class ClusterEngine:
                                        self.busy_s[agent_id])
                 self.bus.metrics.gauge(f"a{agent_id}:barrier_wait_s",
                                        self.wait_s[agent_id])
-            stats = self.transport.finalize_stats()
+            stats = self.transport.finalize_stats(reports)
             stats.windows = self.bus.counters.get("cluster.windows", 0)
         finally:
             self.transport.close()
@@ -377,7 +384,8 @@ class ClusterEngine:
         self._ran_since_snap = 0
         self.bus.count("cluster.checkpoints")
 
-    def resume(self, snapshot: Any, window: int, windows: int) -> None:
+    def resume(self, snapshot: Sequence[Checkpoint], window: int,
+               windows: int) -> None:
         """Continue a run from ``snapshot`` (:meth:`Transport.snapshot_all`
         taken after ``windows`` reported windows, the last one
         ``window``): the agents are built and then restored by the
@@ -393,7 +401,7 @@ class ClusterEngine:
         """Coordinated rollback: every agent back to the latest
         snapshot (dead ones replaced); the caller's loop re-runs from
         there and skips the windows already reported."""
-        if self._snapshot is None:
+        if not self._snapshot:
             raise ClusterError(
                 f"agent {failure.agent_id} died at window {failure.window} "
                 "and no checkpoint exists (enable checkpoint_every)"

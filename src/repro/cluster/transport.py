@@ -49,10 +49,16 @@ exhausts its spin budget polls its pipe: a pending command
 (``restore``, ``exit``) makes it leave the window loop, EOF (the
 coordinator died) makes it exit; nobody waits unboundedly on a dead peer.
 
-Both transports account every batch in a
-:class:`~repro.cluster.channel.ChannelMap` on the sending side, so
-:class:`~repro.cluster.channel.ClusterTrafficStats` cannot tell them
-apart.
+**Accounting.**  Every agent counts its own traffic on its own bus,
+in :meth:`~repro.cluster.agent.AgentEngine.run_window`, which both
+transports call: ``cluster.finish_frames`` (one per peer per window),
+``cluster.rpc_messages`` (one per non-empty batch) and
+``cluster.rpc_records``.  The counters ride the engine checkpoint, so a
+rollback re-counts nothing, and come home in the :class:`AgentReport`;
+:meth:`Transport.finalize_stats` prices them into
+:class:`ClusterTrafficStats`, which therefore cannot tell the
+transports apart.  What crosses the process boundary is an engine
+checkpoint or an :class:`AgentReport`, nothing else.
 """
 
 from __future__ import annotations
@@ -66,7 +72,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .agent import AgentEngine, AgentSpec, Horizon, agreed_window
-from .channel import ChannelMap, ClusterTrafficStats
 from .shm import (
     DONE, FAILED, PAUSED, RECORD_BYTES, ProgressBoard, SequenceError,
     ShmRing, consume_batch, publish_batch, read_blob, write_blob,
@@ -76,6 +81,26 @@ from ..core.checkpoint import (
 )
 from ..errors import ClusterError
 from ..metrics import SimResults
+
+#: Modeled wire size of one packet record inside a batch RPC.
+RPC_RECORD_BYTES = 64
+#: Modeled framing overhead of one batch RPC (§4.2: "it sends one RPC
+#: to carry the information of a batch of packets").
+RPC_FRAME_BYTES = 256
+
+
+@dataclass
+class ClusterTrafficStats:
+    """Aggregated communication measurements of a distributed run."""
+
+    windows: int = 0
+    finish_signals: int = 0
+    rpc_messages: int = 0
+    rpc_records: int = 0
+    rpc_bytes: int = 0
+    #: bytes leaving each machine (tau_a of Eq. 1)
+    egress_bytes: List[int] = field(default_factory=list)
+
 
 class AgentFailure(ClusterError):
     """An agent died (or was killed) and cannot serve requests."""
@@ -88,30 +113,20 @@ class AgentFailure(ClusterError):
 
 @dataclass
 class AgentReport:
-    """What one finished agent hands back across the transport.
-
-    Its per-system time is ``windows``, the agent bus's raw window rows
-    (``InstrumentationBus.window_rows``); the cluster bus derives the
-    agent's ``a<id>:<system>`` totals and profile rows from them.
-    """
+    """What one finished agent hands back across the transport: its
+    results and its whole bus, as
+    :meth:`~repro.core.instrument.InstrumentationBus.export_state` gives
+    it — the dict an engine checkpoint carries as ``bus_state``, and
+    what :meth:`~repro.core.instrument.InstrumentationBus.merge_child`
+    takes."""
 
     agent_id: int
     results: SimResults
-    counters: Dict[str, int]
-    windows: List[tuple]
-    #: Telemetry streams (PR 5): the agent bus's span buffer, its metric
-    #: registry snapshot, and the wall-clock position of its span epoch
-    #: — the cluster bus uses the latter to normalize child clocks
-    #: before merging the spans under the ``a<id>:`` namespace.
-    spans: List[tuple] = field(default_factory=list)
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    epoch_wall: float = 0.0
-    #: A worker's own channel accounting (:meth:`ChannelMap.export`).
-    channels: tuple = field(default_factory=lambda: (0, {}))
+    bus: Dict[str, Any]
 
 
 class Transport:
-    """Base transport: the hosting API and the shared accounting.
+    """Base transport: the hosting API and the traffic stats.
 
     Subclasses implement ``launch`` / ``build_all`` / ``grant`` /
     ``next_window`` / ``events_so_far`` / ``snapshot_all`` / ``kill`` /
@@ -120,8 +135,6 @@ class Transport:
 
     def __init__(self) -> None:
         self.specs: List[AgentSpec] = []
-        #: Sender-side accounting of every batch and FINISH frame.
-        self.channels = ChannelMap()
         self.stats = ClusterTrafficStats()
         #: Of the window :meth:`next_window` returned last: per-agent
         #: busy and barrier-wait seconds, measured every window, and
@@ -139,19 +152,22 @@ class Transport:
     def _failed_at(self) -> int:
         return self.cursor if self.pending is None else self.pending
 
-    def finalize_stats(self) -> ClusterTrafficStats:
-        """Aggregate the per-channel accounting into the run totals;
-        FINISH signals are the frames the agents actually published."""
-        channels = list(self.channels.values())
-        self.stats.finish_signals = self.channels.frames
-        self.stats.rpc_messages = sum(c.messages for c in channels)
-        self.stats.rpc_records = sum(c.records for c in channels)
-        self.stats.rpc_bytes = sum(c.bytes_sent for c in channels)
-        self.stats.egress_bytes = [
-            sum(c.bytes_sent for c in channels if c.src == a)
-            for a in range(len(self.specs))
-        ]
-        return self.stats
+    def finalize_stats(self, reports: Sequence[AgentReport]
+                       ) -> ClusterTrafficStats:
+        """Price the agents' own traffic counters into the run totals:
+        a machine's egress is a frame per batch RPC plus its records."""
+        counters = [report.bus["counters"] for report in reports]
+        stats = self.stats
+        stats.finish_signals = sum(
+            c.get("cluster.finish_frames", 0) for c in counters)
+        messages = [c.get("cluster.rpc_messages", 0) for c in counters]
+        records = [c.get("cluster.rpc_records", 0) for c in counters]
+        stats.rpc_messages = sum(messages)
+        stats.rpc_records = sum(records)
+        stats.egress_bytes = [RPC_FRAME_BYTES * m + RPC_RECORD_BYTES * r
+                              for m, r in zip(messages, records)]
+        stats.rpc_bytes = sum(stats.egress_bytes)
+        return stats
 
     # --- hosting API (subclass responsibility) ----------------------------
 
@@ -176,16 +192,17 @@ class Transport:
         """Simulated events committed by all agents up to now."""
         raise NotImplementedError
 
-    def snapshot_all(self, window: int) -> Any:
+    def snapshot_all(self, window: int) -> List[Checkpoint]:
         """A coordinated snapshot (agents paused between windows): one
-        engine :class:`~repro.core.checkpoint.Checkpoint` per agent plus
-        the channel accounting, for :meth:`restore_all`."""
+        engine :class:`~repro.core.checkpoint.Checkpoint` per agent, its
+        traffic counters inside, for :meth:`restore_all`."""
         raise NotImplementedError
 
     def kill(self, agent_id: int) -> None:
         raise NotImplementedError
 
-    def restore_all(self, snapshot: Any, window: int) -> None:
+    def restore_all(self, snapshot: Sequence[Checkpoint],
+                    window: int) -> None:
         """Roll every agent back to ``snapshot`` (taken at ``window``),
         replacing dead ones; the next grant re-runs from there.  A
         checkpoint of another scenario or format is refused."""
@@ -199,16 +216,8 @@ class Transport:
 
 
 def _report_of(engine: AgentEngine) -> AgentReport:
-    bus = engine.bus
-    return AgentReport(
-        agent_id=engine.agent_id,
-        results=engine.results,
-        counters=dict(bus.counters),
-        windows=bus.window_rows,
-        spans=list(bus.spans),
-        metrics=bus.metrics.snapshot() if bus.metrics else {},
-        epoch_wall=bus.epoch_wall,
-    )
+    return AgentReport(engine.agent_id, engine.results,
+                       engine.bus.export_state())
 
 
 class LocalTransport(Transport):
@@ -274,8 +283,8 @@ class LocalTransport(Transport):
             outboxes.append(outbox)
             times.append(clock() - t0)
         self.window_records = sum(
-            self.channels.account(src, outbox, n - 1)
-            for src, outbox in enumerate(outboxes))
+            len(records) for outbox in outboxes
+            for records in outbox.values())
         # Delivery: per destination, batches in ascending source order —
         # the order the pair rings of a ProcessTransport are read in.
         for dst, engine in enumerate(engines):
@@ -296,22 +305,21 @@ class LocalTransport(Transport):
         return sum(engine.results.events.total
                    for engine in self.engines if engine is not None)
 
-    def snapshot_all(self, window: int) -> Any:
-        return ([take_checkpoint(self._engine(a), window)
-                 for a in range(len(self.engines))], self.channels.export())
+    def snapshot_all(self, window: int) -> List[Checkpoint]:
+        return [take_checkpoint(self._engine(a), window)
+                for a in range(len(self.engines))]
 
     def kill(self, agent_id: int) -> None:
         """Fault injection: the agent crashes, its in-memory state is gone."""
         self.engines[agent_id] = None
 
-    def restore_all(self, snapshot: Any, window: int) -> None:
-        checkpoints, accounting = snapshot
+    def restore_all(self, snapshot: Sequence[Checkpoint],
+                    window: int) -> None:
         for agent_id, spec in enumerate(self.specs):
             engine = spec.make()
             engine.build()
-            restore_checkpoint(engine, checkpoints[agent_id])
+            restore_checkpoint(engine, snapshot[agent_id])
             self.engines[agent_id] = engine
-        self.channels.merge(accounting, replace=True)
         self._offers, self.cursor, self.done = None, window, False
 
     def finish_all(self) -> List[AgentReport]:
@@ -354,7 +362,7 @@ class _Interrupted(Exception):
 
 
 class _AgentWorker:
-    """One worker process: an agent engine, its outbound accounting, the
+    """One worker process: an agent engine, the
     pair rings to and from every peer, and the window loop."""
 
     def __init__(self, conn, spec: AgentSpec, board_name: str) -> None:
@@ -363,7 +371,6 @@ class _AgentWorker:
         self.me = spec.agent_id
         self.engine = spec.make()
         self.board = ProgressBoard.attach(board_name)
-        self.channels = ChannelMap()
         self.rings_out: Dict[int, ShmRing] = {}
         self.rings_in: Dict[int, ShmRing] = {}
         self.offers: List[Optional[int]] = []
@@ -460,7 +467,7 @@ class _AgentWorker:
         t0 = clock()
         outbox, offer = engine.run_window(window)
         self.offers[me] = offer
-        sent = self.channels.account(me, outbox, len(self.rings_out))
+        sent = sum(len(records) for records in outbox.values())
         for dst, ring in self.rings_out.items():
             if publish_batch(ring, window, offer, outbox.get(dst, ())):
                 count("transport.shm_blobs")
@@ -484,27 +491,22 @@ class _AgentWorker:
         board.publish(me, window, clock() - t0 - waited, waited, sent,
                       engine.results.events.total)
 
-    def _snapshot(self, window: int):
-        """The engine checkpoint in a blob segment, plus this worker's
-        accounting."""
-        name, nbytes = _checkpoint_blob(
-            f"{self.me}-snap", take_checkpoint(self.engine, window))
-        return name, nbytes, self.channels.export()
+    def _snapshot(self, window: int) -> Tuple[str, int]:
+        """The engine checkpoint, in a blob segment."""
+        return _checkpoint_blob(f"{self.me}-snap",
+                                take_checkpoint(self.engine, window))
 
-    def _restore(self, blob, window: int, wiring, accounting) -> Optional[int]:
+    def _restore(self, blob, window: int, wiring) -> Optional[int]:
         self._wire(wiring)
         if not self.engine.built:
             self.engine.build()
         restore_checkpoint(self.engine, _read_checkpoint(*blob))
-        self.channels.merge(accounting, replace=True)
         self.board.reset(self.me, self.engine.results.events.total)
         return self.engine.peek_next_window(window)
 
     def _finish(self) -> AgentReport:
         self.engine.finish()
-        report = _report_of(self.engine)
-        report.channels = self.channels.export()
-        return report
+        return _report_of(self.engine)
 
 
 def _agent_worker(conn, spec: AgentSpec, board_name: str,
@@ -683,11 +685,9 @@ class ProcessTransport(Transport):
         return sum(self._board.status(a)[1]
                    for a in range(len(self._workers)))
 
-    def snapshot_all(self, window: int) -> Any:
+    def snapshot_all(self, window: int) -> List[Checkpoint]:
         replies = self._fan_out([("snapshot", window)] * len(self._workers))
-        return ([_read_checkpoint(name, nbytes)
-                 for name, nbytes, _acct in replies],
-                [acct for _name, _nbytes, acct in replies])
+        return [_read_checkpoint(*blob) for blob in replies]
 
     def kill(self, agent_id: int) -> None:
         """Fault injection: terminate the worker process outright."""
@@ -701,24 +701,21 @@ class ProcessTransport(Transport):
             pass
         worker.alive = False
 
-    def restore_all(self, snapshot: Any, window: int) -> None:
-        checkpoints, accounting = snapshot
+    def restore_all(self, snapshot: Sequence[Checkpoint],
+                    window: int) -> None:
         for agent_id in self._dead_workers():
             self._workers[agent_id].conn.close()
             self._workers[agent_id] = self._spawn(self.specs[agent_id])
         self._offers = self._fan_out([
-            ("restore", _checkpoint_blob(f"{a}-restore", checkpoints[a]),
-             window, wiring, accounting[a])
+            ("restore", _checkpoint_blob(f"{a}-restore", snapshot[a]),
+             window, wiring)
             for a, wiring in enumerate(self._rewire())])
         self._reported = 0
         self._board.consume(0)
         self.cursor, self.done = window, False
 
     def finish_all(self) -> List[AgentReport]:
-        reports = self._fan_out([("finish",)] * len(self._workers))
-        for report in reports:
-            self.channels.merge(report.channels)
-        return reports
+        return self._fan_out([("finish",)] * len(self._workers))
 
     def close(self) -> None:
         for agent_id, worker in enumerate(self._workers):

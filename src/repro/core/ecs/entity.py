@@ -2,17 +2,18 @@
 
 An entity is just a dense index into its kind's :class:`SoATable` —
 "usually implemented as a unique identifier", as the paper puts it.
-:class:`World` owns the three tables and the mapping from flows to
-entity indices; a port's entity index is its interface id.  The paper's
-fourth kind, the ingress port, holds nothing a system reads: forwarding
-is the FIB, a shared component, so it has no table here.
+:class:`World` owns the three tables.  A sender's and a receiver's
+entity index is its flow id (flow ids are dense and each engine builds
+one row of each per flow, in id order); a port's is its interface id.
+The paper's fourth kind, the ingress port, holds nothing a system
+reads: forwarding is the FIB, a shared component, so it has no table
+here.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import IntEnum
-from typing import Dict
 
 from .components import FieldSpec, SoATable
 
@@ -115,9 +116,6 @@ class World:
         #: restored checkpoint brings its own).
         self.egress_cols = EgressCols(
             **self.egress.columns(EgressCols._fields))
-        #: flow id -> sender / receiver entity index.
-        self.sender_of_flow: Dict[int, int] = {}
-        self.receiver_of_flow: Dict[int, int] = {}
 
     def table(self, kind: EntityKind) -> SoATable:
         return (self.senders, self.receivers, self.egress)[kind]

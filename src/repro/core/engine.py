@@ -201,14 +201,14 @@ class DodEngine:
         batch, every per-flow quantity (segment totals, CCA initial
         windows, ACK requirements) is computed vectorized and appended
         with one ``add_many`` per table, and each flow's start is
-        inserted in flow-id order.  No Flow object is materialized.
+        inserted in flow-id order, so a flow's sender and receiver row
+        index is its id.  No Flow object is materialized.
         """
         import numpy as np
         from ..protocols.packet import MSS
         flows = sc.flows
         world = self.world
         senders, receivers = world.senders, world.receivers
-        s_base, r_base = len(senders), len(receivers)
         dctcp, reno = sc.dctcp, sc.reno
         results_flows = self.results.flows
         insert = self._insert
@@ -253,11 +253,6 @@ class DodEngine:
                 k, flow_id=fid_l, host=dst_l, total_segs=total_l,
                 needs_ack=(transport != udp).astype(np.int64).tolist(),
                 out_of_order=out_of_order)
-        n = len(flows)
-        world.sender_of_flow.update(
-            zip(range(n), range(s_base, s_base + n)))
-        world.receiver_of_flow.update(
-            zip(range(n), range(r_base, r_base + n)))
 
     def _maybe_init_memo(self) -> None:
         """Attach a :class:`~repro.core.memo.WindowMemoCache` when the
@@ -531,10 +526,11 @@ class DodEngine:
             if flow.complete_ps is not None:
                 fct.record((flow.complete_ps - flow.start_ps) * 1e-6)
         cols = self.world.egress_cols
-        metrics.count("port.drops", sum(cols.dropped))
-        metrics.count("port.ecn_marks", sum(cols.marked))
-        metrics.count("port.enqueued", sum(cols.enqueued))
-        metrics.count("port.dequeued", sum(cols.dequeued))
+        count = self.bus.count
+        count("port.drops", sum(cols.dropped))
+        count("port.ecn_marks", sum(cols.marked))
+        count("port.enqueued", sum(cols.enqueued))
+        count("port.dequeued", sum(cols.dequeued))
         metrics.gauge("port.max_queue_bytes",
                       float(max(cols.max_queue_bytes, default=0)))
 

@@ -35,9 +35,10 @@ switch, ``bus.telemetry``:
   ``epoch_wall`` (wall-clock at bus creation) is what lets a cluster bus
   normalize child-agent spans recorded on another machine's clock.
 * **metrics** — a :class:`~repro.core.telemetry.MetricsRegistry` of
-  counters, gauges, and fixed-bucket histograms (queue depths, link
-  utilization, FCTs, barrier waits) whose ``snapshot()``/``merge()``
-  rides the same transport report path as the counters.
+  gauges and fixed-bucket histograms (queue depths, link utilization,
+  FCTs, barrier waits) whose ``snapshot()`` rides in
+  :meth:`InstrumentationBus.export_state` with the counters.  Counters
+  live on the bus alone.
 
 The hot-path contract: with no subscribers, every publish degrades to a
 guarded no-op (``bus.has_ops`` / ``bus.trace_level`` / ``bus.telemetry``
@@ -248,44 +249,31 @@ class InstrumentationBus:
 
     # --- cluster aggregation ----------------------------------------------
 
-    def merge_child(
-        self,
-        tag: str,
-        counters: Dict[str, int],
-        rows: Sequence[tuple],
-        spans: Optional[Sequence[SpanRecord]] = None,
-        metrics: Optional[Dict[str, Any]] = None,
-        epoch_wall: Optional[float] = None,
-    ) -> None:
+    def merge_child(self, tag: str, state: Dict[str, Any]) -> None:
         """Fold one child engine's bus into this aggregate bus.
 
-        The cluster runtime calls this once per agent at ``finalize``
-        with the agent's :class:`AgentReport` streams: counters are
-        *summed* (cluster totals), while ``rows`` — the child's raw
-        :attr:`window_rows` — are kept under the tag, so :attr:`totals`
-        and :meth:`profile_rows` report them as ``<tag>:<system>`` and
-        per-agent timings stay distinguishable.
-
-        Telemetry streams ride the same call: ``spans`` are renamed
+        ``state`` is the child's :meth:`export_state` — what an agent's
+        :class:`AgentReport` carries as ``bus`` and an engine checkpoint
+        as ``bus_state``.  The cluster runtime calls this once per agent
+        at ``finalize``: counters are *summed* (cluster totals, the
+        agents' ``cluster.rpc_*`` traffic included), while the child's
+        raw window rows are kept under the tag, so :attr:`totals` and
+        :meth:`profile_rows` report them as ``<tag>:<system>`` and
+        per-agent timings stay distinguishable.  Spans are renamed
         ``<tag>:<name>`` and shifted from the child's clock into this
-        bus's timebase via the wall-clock offset (``epoch_wall`` is the
-        child bus's epoch on the shared wall clock); ``metrics`` is the
-        child registry's snapshot — counters/histograms summed
-        cluster-wide, gauges prefixed ``<tag>:``.
+        bus's timebase via the wall-clock offset of the two epochs;
+        histograms are summed cluster-wide and gauges prefixed
+        ``<tag>:``.
         """
-        for name, n in counters.items():
+        for name, n in state["counters"].items():
             self.count(name, n)
-        if spans:
-            offset = ((epoch_wall - self.epoch_wall)
-                      if epoch_wall is not None else 0.0)
-            for t0, t1, name, cat, attrs in spans:
-                self.spans.append(
-                    (t0 + offset, t1 + offset, f"{tag}:{name}", cat, attrs)
-                )
-        if metrics:
-            self.metrics.merge(metrics, prefix=f"{tag}:")
-        if rows:
-            self._child_rows.append((tag, rows))
+        offset = state["epoch_wall"] - self.epoch_wall
+        self.spans.extend(
+            (t0 + offset, t1 + offset, f"{tag}:{name}", cat, attrs)
+            for t0, t1, name, cat, attrs in state["spans"])
+        self.metrics.merge(state["metrics"], prefix=f"{tag}:")
+        if state["window_rows"]:
+            self._child_rows.append((tag, state["window_rows"]))
 
     # --- checkpoint support -----------------------------------------------
 

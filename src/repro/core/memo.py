@@ -154,8 +154,8 @@ def _enc_flow(flow_cols: Dict, fid: int, b: int, start: int) -> Tuple:
     window starting at ``start`` with flow base ``b`` — the probe's key
     and the capture's before and after."""
     enc = []
-    for col, idx_of, kind in flow_cols.values():
-        v = col[idx_of[fid]]
+    for col, kind in flow_cols.values():
+        v = col[fid]
         if kind == "seqs":
             v = tuple(sorted([x - b for x in v])) if v else ()
         elif kind == "done":
@@ -289,15 +289,12 @@ class WindowMemoCache:
         self._hyp = self._landing = None
 
     def _flow_cols(self) -> Dict[str, Tuple]:
-        """Per :data:`FLOW_FIELDS` column: ``(column list, flow -> entity
-        index, kind)``, taken once per world (a restored checkpoint
-        brings its own)."""
+        """Per :data:`FLOW_FIELDS` column: ``(column list, kind)``, a
+        flow's row being its id; taken once per world (a restored
+        checkpoint brings its own)."""
         world = self.engine.world
         if self._cols_of is not world:
-            index = {"senders": world.sender_of_flow,
-                     "receivers": world.receiver_of_flow}
-            self._cols = {name: (getattr(world, table).column(name),
-                                 index[table], kind)
+            self._cols = {name: (getattr(world, table).column(name), kind)
                           for table, name, kind in FLOW_FIELDS}
             self._cols_of = world
         return self._cols
@@ -472,9 +469,8 @@ class WindowMemoCache:
         flow_cols = self._flow_cols()
         for f, k in jump_of.items():
             if k:
-                for col, idx_of, kind in flow_cols.values():
-                    i = idx_of[f]
-                    col[i] = _move_field(kind, col[i], k, 0)
+                for col, kind in flow_cols.values():
+                    col[f] = _move_field(kind, col[f], k, 0)
 
         # m x the cycle's sums; one bus row per skipped window; and, when
         # someone listens, the trace ops once per skipped window.
@@ -560,12 +556,12 @@ class WindowMemoCache:
         udp_flows = self._udp_flows
         base_of: Dict[int, int] = {}
         flow_cols = self._flow_cols()
-        cursor, sender_of, _kind = flow_cols[_BASE_FIELD]
+        cursor, _kind = flow_cols[_BASE_FIELD]
 
         def base(f: int) -> int:  # queued rows'; the entry loop inlines it
             b = base_of.get(f)
             if b is None:
-                b = base_of[f] = cursor[sender_of[f]]
+                b = base_of[f] = cursor[f]
             return b
 
         is_host = engine.is_host
@@ -595,7 +591,7 @@ class WindowMemoCache:
                     # wakeup past it (-1: schedule exhausted).
                     b = base_of.get(fid)
                     if b is None:
-                        b = base_of[fid] = cursor[sender_of[fid]]
+                        b = base_of[fid] = cursor[fid]
                     ems, _next, wakeup = udp_window(fl, fid, b, wstart + L)
                     entries_enc.append(
                         (node, tag, fid,
@@ -612,7 +608,7 @@ class WindowMemoCache:
                         return "non_udp_entry"
                     b = base_of.get(f)
                     if b is None:
-                        b = base_of[f] = cursor[sender_of[f]]
+                        b = base_of[f] = cursor[f]
                     entries_enc.append((node, tag, e[1] - start, e[2],
                                         _move_row(row, -b, -start)))
                     if is_host[node]:
@@ -855,8 +851,8 @@ class WindowMemoCache:
         if delta.flows:
             flow_cols = self._flow_cols()
             for write in delta.flows:
-                col, idx_of, kind = flow_cols[write.field]
-                v = col[idx_of[write.flow]] = _move_field(
+                col, kind = flow_cols[write.field]
+                v = col[write.flow] = _move_field(
                     kind, write.value, base_of[write.flow], start)
                 if kind == "done":
                     res.flows[write.flow].complete_ps = v

@@ -63,7 +63,6 @@ def ack_window(engine, ctx: WindowContext, work: List[NodeWork]) -> None:
     complete_col = cols["complete_ps"]
     total_col = cols["total_segs"]
     needs_ack_col = cols["needs_ack"]
-    receiver_of_flow = engine.world.receiver_of_flow
     fl = flow_lists(engine)
     src_of, dst_of = fl.src, fl.dst
     host_iface = engine.scenario.topology.host_iface
@@ -86,33 +85,32 @@ def ack_window(engine, ctx: WindowContext, work: List[NodeWork]) -> None:
         acks = None
         for t, _prio, row in arrivals:
             flow_id = row[F_FLOW]
-            ridx = receiver_of_flow[flow_id]
             seq = row[F_SEQ]
-            expected = expected_col[ridx]
+            expected = expected_col[flow_id]
             is_new = False
             if seq == expected:
                 is_new = True
                 expected += 1
-                ooo = ooo_col[ridx]
+                ooo = ooo_col[flow_id]
                 if ooo:
                     while expected in ooo:
                         ooo.remove(expected)
                         expected += 1
-                expected_col[ridx] = expected
+                expected_col[flow_id] = expected
             elif seq > expected:
-                ooo = ooo_col[ridx]
+                ooo = ooo_col[flow_id]
                 if seq not in ooo:
                     is_new = True
                     ooo.add(seq)
             if is_new:
-                unique_col[ridx] += 1
-                if (unique_col[ridx] == total_col[ridx]
-                        and complete_col[ridx] < 0):
-                    complete_col[ridx] = t
+                unique_col[flow_id] += 1
+                if (unique_col[flow_id] == total_col[flow_id]
+                        and complete_col[flow_id] < 0):
+                    complete_col[flow_id] = t
                     flow_results[flow_id].complete_ps = t
                     if trace_on:
                         bus.flow_done(t, dst_of[flow_id], flow_id)
-            if needs_ack_col[ridx]:
+            if needs_ack_col[flow_id]:
                 ack = (t, PRIO_ARRIVAL, ack_row(
                     flow_id, expected, row[F_CE], row[F_SEND_TS],
                     dst_of[flow_id], src_of[flow_id]))

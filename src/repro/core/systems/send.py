@@ -151,7 +151,6 @@ FlowEvent = Tuple[int, int, Optional[Row]]
 
 def send_kernel(
     cols: Dict[str, list],
-    sender_of_flow: Dict[int, int],
     scenario,
     fl: FlowLists,
     acks_of: Dict[int, List[Tuple[int, Row]]],
@@ -161,18 +160,17 @@ def send_kernel(
 ):
     """Replay one flow's window; returns staged segments + stats.
 
-    Pure over the flow's sender row: each flow id maps to exactly one
-    row, and a flow appears in at most one task.
+    Pure over the flow's sender row, whose index is the flow id; a
+    flow appears in at most one task.
     """
-    sidx = sender_of_flow[flow_id]
     src = fl.src[flow_id]
     dst = fl.dst[flow_id]
     out: List[Tuple[int, int, Row]] = []  # (t, prio, row)
     if fl.transport[flow_id] == _UDP:
         udp_col = cols["udp_next_seq"]
-        ems, seq, udp_wakeup = udp_window(fl, flow_id, udp_col[sidx],
+        ems, seq, udp_wakeup = udp_window(fl, flow_id, udp_col[flow_id],
                                           window_end)
-        udp_col[sidx] = seq
+        udp_col[flow_id] = seq
         for t, s, payload in ems:
             out.append((t, PRIO_FLOW_START,
                         data_row(flow_id, s, payload, t, src, dst)))
@@ -185,7 +183,7 @@ def send_kernel(
 
     # --- window CCA (DCTCP / RENO): per-flow chronological replay ---
     state = load_dctcp_cols(
-        cols, sidx, scenario.cca_params(fl.transport[flow_id]))
+        cols, flow_id, scenario.cca_params(fl.transport[flow_id]))
     evs: List[FlowEvent] = [
         (t, PRIO_ARRIVAL, row) for t, row in acks_of.get(flow_id, ())
     ]
@@ -226,7 +224,7 @@ def send_kernel(
 
     if state.rtx_deadline is not None and not state.done:
         wakeup = state.rtx_deadline
-    store_dctcp_cols(cols, sidx, state)
+    store_dctcp_cols(cols, flow_id, state)
     return flow_id, out, rtts, wakeup, None, events
 
 
@@ -324,9 +322,8 @@ def run_send_system(engine, ctx: WindowContext, plan: SendPlan) -> None:
         trace_ack_deliveries(bus, deliver_trace)
 
     cols = engine.world.senders.columns(SENDER_COLS)
-    sender_of_flow = engine.world.sender_of_flow
     sc = engine.scenario
     fl = flow_lists(engine)
     commit_send(engine, ctx, [
-        send_kernel(cols, sender_of_flow, sc, fl, acks_of, starts, ctx.end, f)
+        send_kernel(cols, sc, fl, acks_of, starts, ctx.end, f)
         for f in flow_ids])

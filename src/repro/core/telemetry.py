@@ -1,9 +1,9 @@
-"""Metric primitives of the telemetry layer: counters, gauges, histograms.
+"""Metric primitives of the telemetry layer: gauges and histograms.
 
-The :class:`~repro.core.instrument.InstrumentationBus` always carried
-named counters; this module adds the two shapes a distributed run needs
-on top of them and packages all three behind one
-:class:`MetricsRegistry` with a ``snapshot()``/``merge()`` protocol:
+The :class:`~repro.core.instrument.InstrumentationBus` holds the named
+counters; this module adds the two shapes a distributed run needs on
+top of them and packages both behind one :class:`MetricsRegistry` with
+a ``snapshot()``/``merge()`` protocol:
 
 * **gauges** — last-written values ("agent 1 waited 3.2 ms at the
   barrier this run").  On a cluster merge gauges are *prefixed* with the
@@ -116,19 +116,16 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges, and histograms with snapshot/merge."""
+    """Named gauges and histograms with snapshot/merge; counters live on
+    the :class:`~repro.core.instrument.InstrumentationBus`."""
 
-    __slots__ = ("counters", "gauges", "_hists")
+    __slots__ = ("gauges", "_hists")
 
     def __init__(self) -> None:
-        self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
         self._hists: Dict[str, Histogram] = {}
 
     # --- writers ----------------------------------------------------------
-
-    def count(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
 
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
@@ -154,24 +151,21 @@ class MetricsRegistry:
         return self._hists
 
     def __bool__(self) -> bool:
-        return bool(self.counters or self.gauges or self._hists)
+        return bool(self.gauges or self._hists)
 
     # --- snapshot / merge -------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-data view: picklable across transports, JSON-ready."""
         return {
-            "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "histograms": {n: h.snapshot() for n, h in self._hists.items()},
         }
 
     def merge(self, snap: Dict[str, Any], prefix: str = "") -> None:
-        """Fold a snapshot in: counters and histograms are *summed*
-        under their own names (cluster-wide totals/distributions);
-        gauges are prefixed (per-agent values must stay per-agent)."""
-        for name, n in snap.get("counters", {}).items():
-            self.count(name, n)
+        """Fold a snapshot in: histograms are *summed* under their own
+        names (cluster-wide distributions); gauges are prefixed
+        (per-agent values must stay per-agent)."""
         for name, value in snap.get("gauges", {}).items():
             self.gauge(prefix + name, value)
         for name, hsnap in snap.get("histograms", {}).items():

@@ -58,7 +58,10 @@ __all__ = [
 #: v6: the per-system ``totals`` lost ``items`` / ``tasks``, and the
 #: ``pool.tasks`` / ``pool.items`` counters are gone — nothing counts
 #: task batches any more.
-TELEMETRY_SCHEMA_VERSION = 6
+#: v7: the ``metrics`` snapshot lost ``counters``: the ``port.*``
+#: rollups are bus counters, next to the agents' new ``cluster.rpc_*``
+#: / ``cluster.finish_frames`` traffic counters.
+TELEMETRY_SCHEMA_VERSION = 7
 TIMELINE_FORMAT = "chrome-trace-events"
 MANIFEST_FORMAT = "repro-run-manifest-v1"
 

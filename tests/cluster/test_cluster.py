@@ -1,53 +1,18 @@
-"""Distributed runtime: channels, agents, manager, FINISH accounting."""
+"""Distributed runtime: agents, manager, FINISH accounting."""
 
 import pytest
 
-from repro.cluster import (
-    ChannelMap, DonsManager, RPC_FRAME_BYTES, RPC_RECORD_BYTES, RpcChannel,
-)
+from repro.cluster import DonsManager
 from repro.cluster.manager import merge_results
 from repro.des.partition_types import Partition, random_partition
 from repro.errors import ClusterError, SimulationError
 from repro.metrics import SimResults, TraceLevel
 from repro.metrics.results import FlowResult
 from repro.partition import ClusterSpec
-from repro.protocols.packet import data_row
 from repro.scenario import make_scenario
 from repro.topology import fattree
 from repro.traffic import Flow
 from repro.units import GBPS, us
-
-
-class TestRpcChannel:
-    def test_batch_accounting(self):
-        ch = RpcChannel(0, 1)
-        ch.account(3)
-        assert ch.messages == 1
-        assert ch.records == 3
-        assert ch.bytes_sent == RPC_FRAME_BYTES + 3 * RPC_RECORD_BYTES
-
-    def test_batches_accumulate(self):
-        ch = RpcChannel(0, 1)
-        ch.account(1)
-        ch.account(1)
-        assert (ch.messages, ch.records) == (2, 2)
-
-    def test_map_accounts_a_window_and_rolls_back(self):
-        """Empty batches cost no RPC but still one FINISH frame per
-        peer; an export restores the exact counters."""
-        row = data_row(0, 0, 100, 0, 0, 2)
-        chans = ChannelMap()
-        sent = chans.account(0, {1: [(100, 2, row)] * 3, 2: []}, peers=2)
-        assert sent == 3 and chans.frames == 2 and len(chans) == 1
-        snapshot = chans.export()
-        chans.account(0, {2: [(200, 5, row)]}, peers=2)
-        assert len(chans) == 2 and chans.frames == 4
-        chans.merge(snapshot, replace=True)
-        assert chans.export() == snapshot and len(chans) == 1
-        other = ChannelMap()
-        other.account(1, {0: [(300, 1, row)]}, peers=2)
-        chans.merge(other.export())   # a worker's map joins at finalize
-        assert chans.frames == 4 and chans[1, 0].records == 1
 
 
 class TestDistributedRun:

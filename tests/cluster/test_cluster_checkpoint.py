@@ -97,8 +97,9 @@ def test_bad_format_rejected(scenario):
     part = contiguous_partition(scenario.topology, 2)
     engine, current = _run_until(scenario, part, 2)
     ckpt = take_cluster_checkpoint(engine, current)
-    assert ckpt.format == FORMAT == "dons-cluster-checkpoint-v3"
-    for stale in ("v0", "dons-cluster-checkpoint-v2"):
+    assert ckpt.format == FORMAT == "dons-cluster-checkpoint-v4"
+    for stale in ("v0", "dons-cluster-checkpoint-v2",
+                  "dons-cluster-checkpoint-v3"):
         bad = dataclasses.replace(ckpt, format=stale)
         with pytest.raises(ClusterError, match=stale):
             resume_cluster(scenario, bad)
@@ -127,7 +128,7 @@ def test_stale_agent_snapshot_refused(scenario, damage):
     part = contiguous_partition(scenario.topology, 2)
     engine, current = _run_until(scenario, part, 2)
     ckpt = take_cluster_checkpoint(engine, current)
-    agents, _accounting = ckpt.snapshot
+    agents = ckpt.snapshot
     assert all(snap.format == ENGINE_FORMAT
                and snap.scenario_name == scenario.name
                for snap in agents)

@@ -20,14 +20,14 @@ import pytest
 
 import repro
 from repro.cluster import AgentSpec, ClusterEngine, ProcessTransport
-from repro.cluster.agent import Horizon
+from repro.cluster.agent import AgentEngine, Horizon
 from repro.cluster import shm as shm_mod
 from repro.cluster.shm import (
     SEGMENT_PREFIX, ProgressBoard, ShmRing, list_orphans, read_blob,
     reap_orphans, write_blob,
 )
 from repro.core import EngineRunner
-from repro.des.partition_types import Partition, contiguous_partition
+from repro.des.partition_types import contiguous_partition
 from repro.errors import ClusterError
 from repro.metrics import TraceLevel
 
@@ -188,12 +188,17 @@ class TestFailedBuildLeavesNothing:
         assert self._agents() == []
         assert _live_segments() == before
 
-    def test_agent_build_failure_closes_transport(self, dumbbell_scenario):
-        # Too short for the topology: every worker dies making its engine,
-        # after the board segment exists and both processes were spawned.
+    def test_agent_build_failure_closes_transport(self, dumbbell_scenario,
+                                                  monkeypatch):
+        # Every worker (forked: it inherits the patch) fails building its
+        # engine, after the board segment exists and both processes were
+        # spawned.
+        def broken_build(engine):
+            raise RuntimeError("agent build failed")
+
+        monkeypatch.setattr(AgentEngine, "build", broken_build)
         part = contiguous_partition(dumbbell_scenario.topology, 2)
-        short = Partition(part.assignment[:2], 2)
-        specs = [AgentSpec(a, dumbbell_scenario, short) for a in range(2)]
+        specs = [AgentSpec(a, dumbbell_scenario, part) for a in range(2)]
         before = _live_segments()
         with pytest.raises(ClusterError):
             EngineRunner(ClusterEngine(specs, transport="shm")).run()

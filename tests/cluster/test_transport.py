@@ -1,4 +1,4 @@
-"""Transport layer: lazy channels, build-time agreement, merged bus,
+"""Transport layer: RPC accounting, construction-time agreement, merged bus,
 and the measured time-cost plumbing the merged bus feeds."""
 
 import dataclasses
@@ -6,10 +6,10 @@ import dataclasses
 import pytest
 
 from repro.cluster import (
-    AgentSpec, ChannelMap, ClusterEngine, DonsManager, LocalTransport,
+    AgentSpec, ClusterEngine, DonsManager, LocalTransport,
     make_transport, ProcessTransport, Transport,
 )
-from repro.des.partition_types import contiguous_partition
+from repro.des.partition_types import Partition, contiguous_partition
 from repro.errors import ClusterError, PartitionError
 from repro.core.runner import EngineRunner
 from repro.metrics.timeline import run_record
@@ -18,7 +18,7 @@ from repro.partition import (
 )
 from repro.scenario import make_scenario
 from repro.topology import dumbbell, fattree
-from repro.traffic import Flow
+from repro.traffic import Flow, fixed_flows
 from repro.units import GBPS, us
 
 
@@ -30,24 +30,11 @@ def _scenario(n_flows=6):
     return make_scenario(topo, flows, buffer_bytes=40_000)
 
 
-class TestChannelMap:
-    def test_lazy_creation(self):
-        chans = ChannelMap()
-        assert len(chans) == 0
-        ch = chans[0, 1]
-        assert (ch.src, ch.dst) == (0, 1)
-        assert chans[0, 1] is ch  # memoized
-        assert len(chans) == 1
-
-    def test_self_channel_rejected(self):
-        with pytest.raises(ClusterError):
-            ChannelMap()[2, 2]
-
-    def test_sparse_cut_allocates_few_channels(self):
-        """A linear 4-part cut of a dumbbell only talks along the chain —
-        the lazy map materializes far fewer channels than the eager
-        N*(N-1) allocation did."""
-        from repro.core.runner import EngineRunner
+class TestSparseCut:
+    def test_sparse_cut_sends_few_rpcs(self):
+        """A linear 4-part cut of a dumbbell only talks along the chain:
+        every agent tells every peer FINISH each window, but an empty
+        batch costs no RPC, so far fewer RPCs than frames are sent."""
         topo = dumbbell(8, delay_ps=us(1))
         hosts = topo.hosts
         flows = [Flow(i, hosts[i], hosts[8 + i], 20_000, 0)
@@ -55,11 +42,10 @@ class TestChannelMap:
         sc = make_scenario(topo, flows, buffer_bytes=40_000)
         part = contiguous_partition(topo, 4)
         engine = DonsManager(sc, ClusterSpec.homogeneous(4))._engine(part)
-        assert len(engine.transport.channels) == 0  # nothing up front
         EngineRunner(engine).run()
-        n = part.num_parts
-        assert engine.stats.rpc_messages > 0  # traffic did cross the cut
-        assert 0 < len(engine.transport.channels) < n * (n - 1)
+        n, stats = part.num_parts, engine.stats
+        assert stats.finish_signals == stats.windows * n * (n - 1)
+        assert 0 < stats.rpc_messages < stats.finish_signals // 2
 
 
 class TestAgreement:
@@ -93,6 +79,34 @@ class TestAgreement:
         specs = [AgentSpec(0, sc, part2), AgentSpec(1, sc, other)]
         with pytest.raises(ClusterError, match="different partition"):
             ClusterEngine(specs).build()
+
+    @pytest.mark.parametrize("agents,nodes,parts,later,match", [
+        (2, 36, 3, None, "2 agents .* 3 parts"),
+        (3, 36, 2, None, "3 agents .* 2 parts"),
+        (2, 33, 2, None, "assigns 33 nodes.* 36"),
+        (2, 41, 2, None, "assigns 41 nodes.* 36"),
+        # the same two checks on a scheduled partition
+        (2, 36, 2, (33, 2), "assigns 33 nodes"),
+        (2, 36, 2, (36, 3), "2 agents .* 3 parts"),
+    ])
+    def test_partition_fit_checked_at_construction(self, agents, nodes,
+                                                   parts, later, match):
+        """One agent per part, one entry per topology node — for the
+        first partition and every scheduled one — or the cluster is
+        refused before any agent is launched: unchecked, a spare part
+        stalls the run, a spare agent idles, a short assignment crashes
+        the agents and a long one runs silently."""
+        topo = fattree(4)  # 36 nodes
+        sc = make_scenario(topo, fixed_flows(topo.hosts, 4, 20_000, seed=1))
+
+        def partition(n, k):
+            return Partition(tuple(i % k for i in range(n)), k)
+
+        specs = [AgentSpec(a, sc, partition(nodes, parts))
+                 for a in range(agents)]
+        schedule = [(5, partition(*later))] if later else None
+        with pytest.raises(ClusterError, match=match):
+            ClusterEngine(specs, schedule=schedule)
 
 
 class TestMakeTransport:

@@ -137,26 +137,26 @@ class TestLargeBatches:
         part = contiguous_partition(scenario.topology, 2)
         specs = [AgentSpec(a, scenario, part, TraceLevel.FULL)
                  for a in range(2)]
-        cursor, (local_ckpts, local_acct) = self._snapshot_after(
+        cursor, local_ckpts = self._snapshot_after(
             specs, LocalTransport(), 12)
-        cursor_p, (proc_ckpts, proc_acct) = self._snapshot_after(
+        cursor_p, proc_ckpts = self._snapshot_after(
             specs, ProcessTransport(), 12)
         assert cursor == cursor_p
-        # same accounting, one shared map versus one map per worker
-        merged = {}
-        for _frames, channels in proc_acct:
-            merged.update(channels)
-        assert merged == local_acct[1]
-        assert sum(frames for frames, _ in proc_acct) == local_acct[0]
+        traffic = ("cluster.finish_frames", "cluster.rpc_messages",
+                   "cluster.rpc_records")
         for agent_id in range(2):
-            # One checkpoint format on both transports, the same state.
-            sigs = []
+            # One checkpoint format on both transports, the same state,
+            # the agent's traffic counters included.
+            sigs, counts = [], []
             for ckpt in (local_ckpts[agent_id], proc_ckpts[agent_id]):
                 engine = specs[agent_id].make()
                 engine.build()
                 assert restore_checkpoint(engine, ckpt) == cursor
                 sigs.append(engine.window_signature())
+                counts.append([engine.bus.counters.get(n, 0)
+                               for n in traffic])
             assert sigs[0] == sigs[1], f"agent {agent_id} state diverged"
+            assert counts[0] == counts[1] and counts[0][0] == 12
 
     @pytest.mark.parametrize("damage", ["scenario", "format"])
     @pytest.mark.parametrize("transport_cls",
@@ -170,7 +170,7 @@ class TestLargeBatches:
                               buffer_bytes=50_000)
         assert other.name != scenario.name
         source = other if damage == "scenario" else scenario
-        _cursor, (checkpoints, accounting) = self._snapshot_after(
+        _cursor, checkpoints = self._snapshot_after(
             [AgentSpec(a, source, part) for a in range(2)],
             LocalTransport(), 4)
         if damage == "format":
@@ -180,10 +180,8 @@ class TestLargeBatches:
         transport.launch([AgentSpec(a, scenario, part) for a in range(2)])
         try:
             transport.build_all()
-            if transport_cls is ProcessTransport:
-                accounting = [accounting] * 2  # one map per worker
             with pytest.raises(ReproError, match=damage):
-                transport.restore_all((checkpoints, accounting), 4)
+                transport.restore_all(checkpoints, 4)
         finally:
             transport.close()
 

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import AgentSpec, ClusterEngine, DonsManager
 from repro.cluster.agent import Horizon, agreed_window, window_offer
-from repro.cluster.transport import AgentReport
 from repro.core.engine import run_dons
 from repro.des.partition_types import contiguous_partition
-from repro.metrics import SimResults, TraceLevel
+from repro.metrics import TraceLevel
 from repro.partition import ClusterSpec
 from repro.scenario import make_scenario
 from repro.topology import fattree
@@ -73,13 +72,6 @@ def test_horizon_reached():
     assert not Horizon(max_windows=3).reached(2, 0)
     assert Horizon(stop_at=12).reached(0, 12)
     assert not Horizon(stop_at=12).reached(0, 11)
-
-
-def test_agent_report_stream_defaults_are_containers():
-    report = AgentReport(0, SimResults("dons-agent", "s", 0), {}, {}, [])
-    assert report.spans == [] and report.metrics == {}
-    assert report.spans is not AgentReport(
-        1, SimResults("dons-agent", "s", 0), {}, {}, []).spans
 
 
 @pytest.fixture(scope="module")

@@ -6,13 +6,18 @@ from repro.core.instrument import SYSTEMS, InstrumentationBus
 from repro.metrics import TraceLevel, TraceRecorder
 
 
-def _child_payload(windows=(0, 1)):
-    """An agent report's bus streams: counters, and the raw window rows
-    ``(index, start_ps, ack_s, send_s, forward_s, transmit_s, ack, send,
-    forward, transmit)``."""
-    rows = [(index, index * 1000, 0.25, 0.25, 0.25, 0.25, 1, 2, 3, 4)
-            for index in windows]
-    return {"ack.count": 3}, rows
+def _child_state(windows=(0, 1), counters=None, **fields):
+    """An agent bus's ``export_state()``, the dict an agent report
+    carries: its counters, the raw window rows ``(index, start_ps, ack_s,
+    send_s, forward_s, transmit_s, ack, send, forward, transmit)``, and
+    no spans or metrics unless ``fields`` replaces them."""
+    state = InstrumentationBus().export_state()
+    state["counters"] = {"ack.count": 3} if counters is None else counters
+    state["window_rows"] = [
+        (index, index * 1000, 0.25, 0.25, 0.25, 0.25, 1, 2, 3, 4)
+        for index in windows]
+    state.update(fields)
+    return state
 
 
 def _old_windows(own_rows, children):
@@ -69,8 +74,7 @@ class TestSpans:
 class TestMergeChild:
     def test_tags_totals_and_windows(self):
         bus = InstrumentationBus()
-        counters, rows = _child_payload()
-        bus.merge_child("a0", counters, rows)
+        bus.merge_child("a0", _child_state())
         assert bus.counters["ack.count"] == 3
         assert bus.totals["a0:ack"].elapsed_s == 0.5
         profile = bus.profile_rows()
@@ -82,7 +86,7 @@ class TestMergeChild:
     def test_empty_windows_child(self):
         """An agent that ran no windows still merges cleanly."""
         bus = InstrumentationBus()
-        bus.merge_child("a1", {"x": 1}, [])
+        bus.merge_child("a1", _child_state(windows=(), counters={"x": 1}))
         assert bus.counters["x"] == 1
         assert bus.totals == {}
         assert bus.profile_rows() == []
@@ -92,8 +96,7 @@ class TestMergeChild:
         sums rather than duplicating window rows."""
         bus = InstrumentationBus()
         for _ in range(2):
-            counters, rows = _child_payload(windows=(0,))
-            bus.merge_child("a0", counters, rows)
+            bus.merge_child("a0", _child_state(windows=(0,)))
         profile = bus.profile_rows()
         assert len(profile) == len(SYSTEMS)
         assert profile[0] == {"window": 0, "start_ps": 0,
@@ -103,10 +106,8 @@ class TestMergeChild:
 
     def test_two_children_interleave_into_sorted_windows(self):
         bus = InstrumentationBus()
-        _, rows = _child_payload(windows=(3,))
-        bus.merge_child("a1", {}, rows)
-        _, rows = _child_payload(windows=(1,))
-        bus.merge_child("a0", {}, rows)
+        bus.merge_child("a1", _child_state(windows=(3,)))
+        bus.merge_child("a0", _child_state(windows=(1,)))
         assert [r["window"] for r in bus.profile_rows()] == [1] * 4 + [3] * 4
 
     def test_spans_are_tagged_and_clock_shifted(self):
@@ -114,8 +115,9 @@ class TestMergeChild:
         child_spans = [(0.5, 0.7, "window", "window", {"index": 0})]
         # child epoch 2 wall-seconds after the parent's: its t=0.5 is
         # the parent's t=2.5
-        parent.merge_child("a2", {}, [], spans=child_spans,
-                           epoch_wall=parent.epoch_wall + 2.0)
+        parent.merge_child("a2", _child_state(
+            windows=(), spans=child_spans,
+            epoch_wall=parent.epoch_wall + 2.0))
         t0, t1, name, cat, attrs = parent.spans[0]
         assert t0 == pytest.approx(2.5)
         assert t1 == pytest.approx(2.7)
@@ -123,19 +125,23 @@ class TestMergeChild:
         assert cat == "window"
 
     def test_metrics_merge_rides_along(self):
+        """Counters are summed, gauges kept per agent, histograms
+        summed cluster-wide."""
         parent = InstrumentationBus()
-        from repro.core.telemetry import MetricsRegistry
-        child = MetricsRegistry()
+        child = InstrumentationBus()
         child.count("port.drops", 2)
-        child.gauge("port.max_queue_bytes", 512.0)
-        parent.merge_child("a1", {}, [], metrics=child.snapshot())
-        assert parent.metrics.counters["port.drops"] == 2
+        child.metrics.gauge("port.max_queue_bytes", 512.0)
+        child.metrics.record("flow.completion_time_us", 30.0, (10, 100))
+        for tag in ("a0", "a1"):
+            parent.merge_child(tag, child.export_state())
+        assert parent.counters["port.drops"] == 4
         assert parent.metrics.gauges["a1:port.max_queue_bytes"] == 512.0
+        assert parent.metrics.histograms[
+            "flow.completion_time_us"].count == 2
 
     def test_profile_rows_shape(self):
         bus = InstrumentationBus()
-        _, rows = _child_payload(windows=(0,))
-        bus.merge_child("a0", {}, rows)
+        bus.merge_child("a0", _child_state(windows=(0,)))
         assert bus.profile_rows() == [{
             "window": 0, "start_ps": 0, "system": f"a0:{system}",
             "elapsed_s": 0.25,
@@ -159,7 +165,7 @@ class TestMergeChild:
         bus = InstrumentationBus()
         bus.window_rows = list(own)
         for tag, rows in children:
-            bus.merge_child(tag, {}, rows)
+            bus.merge_child(tag, _child_state(window_rows=rows))
         old = _old_windows(own, children)
         assert [index for index, _start, _systems in old] == [0, 2, 3, 5]
         assert old[2][2]["a1:ack"] == 4.1
@@ -207,14 +213,14 @@ class TestStateExportAdopt:
         a.enable_telemetry()
         a.count("windows", 7)
         a.span_add("window", 0.1, 0.2, "window")
-        a.metrics.count("port.drops", 4)
+        a.metrics.gauge("port.max_queue_bytes", 4.0)
         state = a.export_state()
         b = InstrumentationBus()
         b.epoch_wall = a.epoch_wall - 1.0  # b's epoch is 1s earlier
         b.adopt_state(state)
         assert not b.telemetry  # the restoring bus keeps its own switch
         assert b.counters["windows"] == 7
-        assert b.metrics.counters["port.drops"] == 4
+        assert b.metrics.gauges["port.max_queue_bytes"] == 4.0
         t0, t1 = b.spans[0][:2]
         assert t0 == pytest.approx(1.1)
         assert t1 == pytest.approx(1.2)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.instrument import InstrumentationBus
 from repro.core.telemetry import (
     FCT_US_BUCKETS,
     Histogram,
@@ -63,13 +64,16 @@ class TestHistogram:
 
 class TestMetricsRegistry:
     def test_counters_and_gauges(self):
-        m = MetricsRegistry()
-        m.count("events")
-        m.count("events", 4)
+        """Counters live on the bus alone; the registry keeps gauges."""
+        bus = InstrumentationBus()
+        bus.count("events")
+        bus.count("events", 4)
+        m = bus.metrics
         m.gauge("depth", 7.5)
         m.gauge("depth", 2.5)  # gauges overwrite
-        assert m.counters["events"] == 5
+        assert bus.counters["events"] == 5
         assert m.gauges["depth"] == 2.5
+        assert not hasattr(m, "count") and "counters" not in m.snapshot()
 
     def test_histogram_create_or_get(self):
         m = MetricsRegistry()
@@ -89,28 +93,28 @@ class TestMetricsRegistry:
     def test_bool_reflects_content(self):
         m = MetricsRegistry()
         assert not m
-        m.count("x")
+        m.gauge("x", 1.0)
         assert m
 
     def test_snapshot_merge_sums_counters_and_histograms(self):
-        a = MetricsRegistry()
+        """The registry's snapshot sums histograms; the bus state it
+        rides in sums the counters."""
+        a = InstrumentationBus()
         a.count("drops", 3)
-        a.histogram("depth", (10, 100)).record(50)
-        b = MetricsRegistry()
+        a.metrics.histogram("depth", (10, 100)).record(50)
+        b = InstrumentationBus()
         b.count("drops", 2)
-        b.histogram("depth", (10, 100)).record(5)
-        b.merge(a.snapshot())
+        b.metrics.histogram("depth", (10, 100)).record(5)
+        b.merge_child("a0", a.export_state())
         assert b.counters["drops"] == 5
-        assert b.histograms["depth"].count == 2
+        assert b.metrics.histograms["depth"].count == 2
 
     def test_merge_prefixes_gauges_only(self):
         child = MetricsRegistry()
-        child.count("drops", 1)
         child.gauge("busy_s", 0.25)
         parent = MetricsRegistry()
         parent.merge(child.snapshot(), prefix="a3:")
-        # counters aggregate cluster-wide, gauges stay per-agent
-        assert parent.counters["drops"] == 1
+        # gauges stay per-agent
         assert parent.gauges["a3:busy_s"] == 0.25
         assert "busy_s" not in parent.gauges
 

@@ -110,7 +110,7 @@ def cluster_parts(scenario, transport, agents, schedule=()):
     cluster.build()
     while cluster.advance():
         pass
-    checkpoints, _accounting = cluster.transport.snapshot_all(
+    checkpoints = cluster.transport.snapshot_all(
         cluster.transport.cursor)
     final = schedule[-1][1] if schedule else partition
     results = cluster.finalize()

@@ -9,7 +9,7 @@ simulates.
 
 import pytest
 
-from repro.cluster import DonsManager
+from repro.cluster import DonsManager, RPC_FRAME_BYTES, RPC_RECORD_BYTES
 from repro.core.engine import run_dons
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.metrics import TraceLevel
@@ -54,8 +54,20 @@ def test_local_and_process_byte_identical(scenario, reference,
     assert local.results.trace.entries == proc.results.trace.entries
     assert local.results.fcts_ps() == proc.results.fcts_ps()
     assert local.results.rtt_samples == proc.results.rtt_samples
-    # the channel accounting cannot tell the transports apart either
+    # the traffic accounting cannot tell the transports apart either
     assert local.traffic == proc.traffic
+    # it is priced from the agents' own bus counters: a frame per RPC
+    # plus the records, summed per machine
+    traffic = proc.traffic
+    for run in (local, proc):
+        assert (run.traffic.rpc_records
+                == run.bus.counters["cluster.rpc_records"])
+    assert (sum(traffic.egress_bytes) == traffic.rpc_bytes
+            == RPC_FRAME_BYTES * traffic.rpc_messages
+            + RPC_RECORD_BYTES * traffic.rpc_records)
+    # on shm the agents sent exactly the records their peers received
+    assert (proc.bus.counters["cluster.rpc_records"]
+            == proc.bus.counters["transport.records_in"])
     # and both reproduce the single-machine run
     assert (sorted(local.results.trace.entries)
             == sorted(reference.trace.entries))
