@@ -117,20 +117,11 @@ class AgentEngine(DodEngine):
         self.partition = partition
         #: per remote agent: (arrival_ps, node, row) records of this window
         self.outbox: Dict[int, List[Tuple[int, int, Row]]] = {}
-
-    @property
-    def partition(self) -> Partition:
-        return self._partition
-
-    @partition.setter
-    def partition(self, partition: Partition) -> None:
-        """Binding a partition (construction, ``migrate()``) re-derives
-        ``port_owner`` and ``port_observed``, which the transmit sink
-        routes deliveries by."""
-        self._partition = partition
+        # What the transmit sink routes deliveries by; an agent keeps its
+        # partition for life (a migration restores into a new engine).
         owners = map(partition.part_of, (
-            iface.peer_node for iface in self.scenario.topology.interfaces))
-        self.port_owner = [None if o == self.agent_id else o for o in owners]
+            iface.peer_node for iface in scenario.topology.interfaces))
+        self.port_owner = [None if o == agent_id else o for o in owners]
         self.port_observed = [LOCAL if o is None else o
                               for o in self.port_owner]
 
@@ -151,7 +142,7 @@ class AgentEngine(DodEngine):
 
     # --- runner: remote deliveries go to the outbox --------------------------
 
-    def run_window(self, window: int, skip_idle: bool = True):
+    def run_window(self, window: int):
         """One cluster step: execute the agreed window; returns
         ``(outbox, offer)`` — the batches for the peers and this agent's
         offer for the next agreement (see :func:`agreed_window`).
@@ -164,17 +155,14 @@ class AgentEngine(DodEngine):
 
         An agent whose own peek lies beyond the window has nothing
         scheduled — no pending entries, no busy ports — so executing it
-        is a provable no-op and is skipped.  ``skip_idle=False`` while a
-        migration is scheduled: it rewrites agent state between windows.
+        is a provable no-op and is skipped.
         """
-        if skip_idle:
-            peek = self.peek_next_window(window - 1)
-            skip_idle = peek is None or peek > window
-        if not skip_idle:
+        peek = self.peek_next_window(window - 1)
+        if peek is not None and peek <= window:
             self.process_window(window)
         outbox, self.outbox = self.outbox, {}
         count = self.bus.count
-        count("cluster.finish_frames", self._partition.num_parts - 1)
+        count("cluster.finish_frames", self.partition.num_parts - 1)
         batches = [len(records) for records in outbox.values() if records]
         if batches:
             count("cluster.rpc_messages", len(batches))

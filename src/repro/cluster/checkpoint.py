@@ -12,11 +12,12 @@ reported so far, the partition and the remaining migration schedule.
 ``take_cluster_checkpoint`` takes a
 :class:`~repro.cluster.runtime.ClusterEngine` on the ``LocalTransport``;
 the agents of a ``ProcessTransport`` run ahead of the coordinator's
-cursor, so it is refused.  ``resume_cluster`` builds a cluster from the
+cursor, so it is refused.  The partition stored is the one the agents
+run under now.  ``resume_cluster`` builds a cluster from the
 checkpoint's partition and restores it through
 :meth:`~repro.cluster.transport.Transport.restore_all` — the call an
-in-run recovery makes (:mod:`repro.cluster.fault`) — so the resumed run
-reports the uninterrupted run's trace, traffic and window count
+in-run recovery and a phase boundary make — so the resumed run reports
+the uninterrupted run's trace, traffic and window count
 (tests/cluster/test_cluster_checkpoint.py).
 """
 
@@ -27,6 +28,7 @@ from typing import List, Tuple
 
 from .agent import AgentSpec
 from .runtime import ClusterEngine
+from .transport import ProcessTransport
 from ..core.checkpoint import Checkpoint
 from ..core.runner import EngineRunner
 from ..des.partition_types import Partition
@@ -61,7 +63,11 @@ class ClusterCheckpoint:
 def take_cluster_checkpoint(engine: ClusterEngine,
                             current_window: int) -> ClusterCheckpoint:
     """Snapshot a local ClusterEngine paused between windows."""
-    partition = engine.agents[0].partition  # refuses a ProcessTransport
+    if isinstance(engine.transport, ProcessTransport):
+        raise ClusterError(
+            "cluster checkpoints need in-process engines: the agents of a "
+            "ProcessTransport run ahead of the coordinator's cursor")
+    partition = engine.specs[0].partition
     return ClusterCheckpoint(
         format=FORMAT,
         scenario_name=engine.specs[0].scenario.name,

@@ -15,6 +15,9 @@ layered cluster stack:
   single-machine engines.
 * **fault** (:mod:`repro.cluster.fault`) — checkpoint-based coordinated
   rollback after an agent dies.
+* **migration** (:mod:`repro.cluster.migration`) — the phase boundaries
+  of :meth:`DonsManager.run_dynamic`: a coordinated snapshot, rewritten
+  for the next phase's partition and restored, on either transport.
 
 Correctness: the merged distributed trace equals the single-machine
 trace under *every* transport
@@ -74,7 +77,6 @@ class DonsManager:
         checkpoint_every: Optional[int] = None,
         fault: Optional[FaultPlan] = None,
         telemetry: bool = False,
-        watchdog: Union[bool, None, object] = None,
     ) -> None:
         self.scenario = scenario
         self.cluster = cluster
@@ -83,7 +85,6 @@ class DonsManager:
         self.checkpoint_every = checkpoint_every
         self.fault = fault
         self.telemetry = telemetry
-        self.watchdog = watchdog
 
     def _specs(self, partition: Partition) -> List[AgentSpec]:
         return [
@@ -97,14 +98,28 @@ class DonsManager:
         partition: Partition,
         schedule: Optional[List[Tuple[int, Partition]]] = None,
     ) -> ClusterEngine:
-        from .transport import make_transport
         return ClusterEngine(
             self._specs(partition),
-            transport=make_transport(self.transport),
+            transport=self.transport,
             schedule=schedule,
             checkpoint_every=self.checkpoint_every,
             fault=self.fault,
-            watchdog=self.watchdog,
+        )
+
+    @staticmethod
+    def _execute(engine: ClusterEngine, plan: Optional[PartitionPlan],
+                 on_step=None) -> DistributedRun:
+        """Run ``engine`` to completion; ``partition`` is the one the
+        agents ended under."""
+        EngineRunner(engine, on_step=on_step).run()
+        return DistributedRun(
+            results=engine.results,
+            per_agent=engine.per_agent,
+            traffic=engine.stats,
+            plan=plan,
+            partition=engine.specs[0].partition,
+            bus=engine.bus,
+            recoveries=engine.recoveries,
         )
 
     def run(
@@ -122,17 +137,7 @@ class DonsManager:
         if partition is None:
             plan = plan_scenario(self.scenario, self.cluster, loads)
             partition = plan.partition
-        engine = self._engine(partition)
-        EngineRunner(engine, on_step=on_step).run()
-        return DistributedRun(
-            results=engine.results,
-            per_agent=engine.per_agent,
-            traffic=engine.stats,
-            plan=plan,
-            partition=partition,
-            bus=engine.bus,
-            recoveries=engine.recoveries,
-        )
+        return self._execute(self._engine(partition), plan, on_step)
 
     def run_dynamic(
         self,
@@ -170,18 +175,4 @@ class DonsManager:
             for phase in phases[1:]
         ]
         engine = self._engine(first, schedule=schedule)
-        EngineRunner(engine).run()
-        try:
-            final_partition = engine.agents[0].partition
-        except ClusterError:  # transport without in-process engines
-            final_partition = first
-        run = DistributedRun(
-            results=engine.results,
-            per_agent=engine.per_agent,
-            traffic=engine.stats,
-            plan=phases[0].plan,
-            partition=final_partition,
-            bus=engine.bus,
-            recoveries=engine.recoveries,
-        )
-        return run, engine.migrations
+        return self._execute(engine, phases[0].plan), engine.migrations

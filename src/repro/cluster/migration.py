@@ -1,32 +1,38 @@
-"""Live repartitioning: migrate simulation state between agents.
+"""Live repartitioning: move simulation state between agents.
 
 Appendix A partitions a long simulation into *phases* wherever the
 traffic pattern shifts drastically, each phase with its own partition.
-Executing that requires moving a node's simulation state to its new
-owner at a phase boundary: the node's egress-port queues (packets in
-flight and line state), its pending calendar entries (future deliveries,
-flow starts, timer wakeups), and the transport state of flows whose
+At a phase boundary a node's state moves to its new owner: its
+egress-port rows (queued packets, line state) and active ports, its
+pending calendar entries, and the transport state of flows whose
 endpoint hosts move.
 
-Migration happens *between* lookahead windows, where engine state is a
-pure function of the windows executed so far — so a migrated cluster
-produces exactly the trace an unmigrated one would
-(tests/integration/test_dynamic_cluster.py).
+:func:`migrate` does that to a coordinated snapshot
+(:meth:`~repro.cluster.transport.Transport.snapshot_all`), as a pure
+rewrite of the engine checkpoints; the runtime restores the result
+under the new partition (``restore_all``), on either transport.  Engine
+state between windows is a pure function of the windows executed so
+far, so a migrated cluster produces exactly the trace an unmigrated one
+would (tests/integration/test_dynamic_cluster.py).
 
-Accounting: every migrated object is priced in bytes
-(:class:`MigrationStats`), since a real deployment ships this state over
-the fabric.
+Every migrated object is priced in bytes (:class:`MigrationStats`), as
+a real deployment ships this state over the fabric.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
-from .agent import AgentEngine
+import numpy as np
+
+from ..core.checkpoint import Checkpoint
 from ..core.ecs import EGRESS_SCHEMA, SENDER_SCHEMA, RECEIVER_SCHEMA
 from ..des.partition_types import Partition
 from ..errors import ClusterError
+from ..scenario import Scenario
 
 #: Modeled wire cost of one migrated packet row / component row / port.
 ROW_BYTES = 64
@@ -58,13 +64,6 @@ class MigrationStats:
         )
 
 
-def _move_calendar_node(src: AgentEngine, dst: AgentEngine, node: int,
-                        stats: MigrationStats) -> None:
-    for win, entries in src.events.take_node(node):
-        dst.events.insert_entries(win, node, entries)
-        stats.calendar_entries_moved += len(entries)
-
-
 def _move_table_row(src_table, dst_table, idx: int, fields) -> None:
     """Trade row ``idx``: the new owner takes the state, the old owner
     the new owner's untouched row — an egress row owns its queue lists,
@@ -75,62 +74,63 @@ def _move_table_row(src_table, dst_table, idx: int, fields) -> None:
 
 
 def migrate(
-    agents: Sequence[AgentEngine],
+    snapshot: Sequence[Checkpoint],
     old: Partition,
     new: Partition,
-) -> MigrationStats:
-    """Move state from ``old`` owners to ``new`` owners; rebind agents.
-
-    Agents must be paused between windows.  After the call every agent's
-    ``partition`` is ``new`` and subsequent windows run under it.
-    """
-    if old.num_parts != len(agents) or new.num_parts != len(agents):
+    scenario: Scenario,
+) -> Tuple[List[Checkpoint], MigrationStats]:
+    """Rewrite a coordinated snapshot taken under ``old`` into one for
+    ``new``: every moved node's state goes from its old owner's
+    checkpoint to its new owner's.  Returns the new checkpoints (one per
+    agent, for :meth:`Transport.restore_all`) and what moved."""
+    if old.num_parts != len(snapshot) or new.num_parts != len(snapshot):
         raise ClusterError("partition size does not match agent count")
     if len(old.assignment) != len(new.assignment):
         raise ClusterError("partitions cover different topologies")
+    states = [pickle.loads(checkpoint.payload) for checkpoint in snapshot]
     stats = MigrationStats()
-    scenario = agents[0].scenario
     topo = scenario.topology
-
-    for node in range(topo.num_nodes):
-        src_id, dst_id = old.part_of(node), new.part_of(node)
+    moving = {}   # (old owner, new owner) -> nodes
+    for node, (src_id, dst_id) in enumerate(zip(old.assignment,
+                                                new.assignment)):
         if src_id == dst_id:
             continue
-        src, dst = agents[src_id], agents[dst_id]
+        moving.setdefault((src_id, dst_id), set()).add(node)
+        src, dst = states[src_id], states[dst_id]
         stats.nodes_moved += 1
-
-        # 1. Egress rows of the node: carry queue/line state over.
         for port_idx in range(topo.ports_of(node)):
             iface_id = topo.iface_id(node, port_idx)
             stats.ports_moved += 1
-            stats.queued_packets_moved += src.world.egress.get(
+            stats.queued_packets_moved += src["world"].egress.get(
                 iface_id, "qlen")
-            _move_table_row(src.world.egress, dst.world.egress, iface_id,
-                            _EGRESS_FIELDS)
-            if iface_id in src.active_ports:
-                src.active_ports.discard(iface_id)
-                dst.active_ports.add(iface_id)
-                # the new owner must keep draining the backlog
-                dst.events.touch(dst._running_window + 1)
+            _move_table_row(src["world"].egress, dst["world"].egress,
+                            iface_id, _EGRESS_FIELDS)
+            if iface_id in src["active_ports"]:
+                src["active_ports"].discard(iface_id)
+                dst["active_ports"].add(iface_id)
+    for (src_id, dst_id), nodes in moving.items():
+        stats.calendar_entries_moved += states[dst_id]["events"].merge_nodes(
+            states[src_id]["events"], nodes)
 
-        # 2. Pending calendar entries addressed to the node.
-        _move_calendar_node(src, dst, node, stats)
+    # Transport state of the flows whose endpoint host moved, off the
+    # flow table's src / dst columns in one pass each.
+    before, after = np.asarray(old.assignment), np.asarray(new.assignment)
+    columns = scenario.flows.columns()
+    for end, table, fields, counter in (
+            ("src", "senders", _SENDER_FIELDS, "sender_rows_moved"),
+            ("dst", "receivers", _RECEIVER_FIELDS, "receiver_rows_moved")):
+        was, now = before[columns[end]], after[columns[end]]
+        flow_ids = np.flatnonzero(was != now)
+        for flow_id, src_id, dst_id in zip(flow_ids.tolist(),
+                                           was[flow_ids].tolist(),
+                                           now[flow_ids].tolist()):
+            src, dst = states[src_id], states[dst_id]
+            _move_table_row(getattr(src["world"], table),
+                            getattr(dst["world"], table), flow_id, fields)
+            if end == "dst":  # results bookkeeping follows the receiver
+                dst["results"].flows[flow_id] = src["results"].flows[flow_id]
+        setattr(stats, counter, len(flow_ids))
 
-        # 3. Transport state of flows endpointed at the node.
-        if topo.nodes[node].is_host:
-            for flow in scenario.flows:
-                if flow.src == node:
-                    _move_table_row(src.world.senders, dst.world.senders,
-                                    flow.flow_id, _SENDER_FIELDS)
-                    stats.sender_rows_moved += 1
-                if flow.dst == node:
-                    _move_table_row(src.world.receivers, dst.world.receivers,
-                                    flow.flow_id, _RECEIVER_FIELDS)
-                    # results bookkeeping follows the receiver
-                    dst.results.flows[flow.flow_id] = \
-                        src.results.flows[flow.flow_id]
-                    stats.receiver_rows_moved += 1
-
-    for agent in agents:
-        agent.partition = new
-    return stats
+    return [dataclasses.replace(checkpoint, payload=pickle.dumps(
+        state, pickle.HIGHEST_PROTOCOL))
+        for checkpoint, state in zip(snapshot, states)], stats

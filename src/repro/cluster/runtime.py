@@ -20,10 +20,11 @@ then takes finished windows off the transport one per ``advance()``:
 * with ``checkpoint_every`` a grant covers the windows up to the next
   snapshot, so every agent is paused between windows when it is taken;
 * with a ``fault`` plan a grant stops in front of the first agreed
-  window >= ``fault.at_window``, where the runtime kills the agent.
+  window >= ``fault.at_window``, where the runtime kills the agent;
+* with a migration ``schedule`` a grant stops in front of the next
+  phase boundary (Appendix A), where the runtime moves agent state.
 
-Live migration (Appendix A, ``LocalTransport`` only) hooks in before
-each agreed window runs.
+The earliest stop wins.
 
 Observability: each agent owns its :class:`InstrumentationBus`, the one
 record of everything it measured, its traffic counters included; at
@@ -46,23 +47,29 @@ window and the merged trace stays byte-identical to the fault-free run.
 Resuming an on-disk checkpoint (:mod:`repro.cluster.checkpoint`) is the
 same :meth:`~repro.cluster.transport.Transport.restore_all`, through
 :meth:`ClusterEngine.resume`.
+
+A phase boundary moves state the same way, on either transport: a
+coordinated snapshot is rewritten by
+:func:`~repro.cluster.migration.migrate` and restored under the
+repartitioned specs; under fault tolerance it becomes the latest
+snapshot, so a rollback never crosses a boundary.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .agent import AgentSpec, Horizon
 from .fault import FaultPlan, RecoveryStats
-from .transport import (
-    AgentFailure, LocalTransport, Transport, make_transport,
-)
+from .migration import MigrationStats, migrate
+from .transport import AgentFailure, Transport, make_transport
 from ..core.checkpoint import Checkpoint
 from ..core.instrument import InstrumentationBus
 from ..core.telemetry import WAIT_MS_BUCKETS
 from ..des.partition_types import Partition
 from ..errors import ClusterError
-from ..metrics import SimResults, TraceRecorder
+from ..metrics import ClusterWatchdog, SimResults, TraceRecorder
 
 
 class ClusterEngine:
@@ -77,7 +84,6 @@ class ClusterEngine:
         schedule: Optional[List[Tuple[int, Partition]]] = None,
         checkpoint_every: Optional[int] = None,
         fault: Optional[FaultPlan] = None,
-        watchdog: Union[bool, None, "object"] = None,
     ) -> None:
         if not specs:
             raise ClusterError("no agents")
@@ -85,19 +91,9 @@ class ClusterEngine:
         self.schedule = sorted(schedule or [], key=lambda s: s[0])
         self._check_agreement()
         self.transport = make_transport(transport)
-        if self.schedule and not isinstance(self.transport, LocalTransport):
-            raise ClusterError(
-                "live migration schedules require the LocalTransport "
-                "(state moves between in-process engines)"
-            )
         self.fault = fault
         self.checkpoint_every = checkpoint_every
         self._fault_tolerant = fault is not None or checkpoint_every is not None
-        if self._fault_tolerant and self.schedule:
-            raise ClusterError(
-                "fault tolerance and live migration cannot be combined: "
-                "a restored agent would resume under a stale partition"
-            )
 
         self.bus = InstrumentationBus()
         # Telemetry on the cluster bus follows the agents: any spec with
@@ -117,14 +113,13 @@ class ClusterEngine:
         #: live stream, ``stats`` and ``--progress``.
         self.busy_s = [0.0] * len(self.specs)
         self.wait_s = [0.0] * len(self.specs)
-        #: Stall/slowness detector over the same measured window times
-        #: (:class:`repro.metrics.live.ClusterWatchdog`).  ``None`` off,
-        #: ``True`` forced on, default (``None`` argument) arms it when
-        #: the bus is telemetered; an instance is adopted as-is.
-        self.watchdog = self._make_watchdog(watchdog)
+        #: Stall/slowness detector over the same measured window times,
+        #: armed exactly when the bus is telemetered.
+        self.watchdog = (ClusterWatchdog(len(self.specs))
+                         if self.bus.telemetry else None)
         self.results = SimResults(self.name, self.specs[0].scenario.name, 0)
         self.per_agent: List[SimResults] = []
-        self.migrations: List = []
+        self.migrations: List[MigrationStats] = []
         self.recoveries: List[RecoveryStats] = []
 
         self._lookahead = self.specs[0].scenario.lookahead_ps
@@ -144,18 +139,6 @@ class ClusterEngine:
         self._records_since_snap = 0
         self._ran_since_snap = 0
 
-    def _make_watchdog(self, arg: Union[bool, None, "object"]):
-        if arg is False:
-            return None
-        if arg is None:
-            if not self.bus.telemetry:
-                return None
-            arg = True
-        if arg is True:
-            from ..metrics.live import ClusterWatchdog
-            return ClusterWatchdog(len(self.specs))
-        return arg
-
     # --- convenience views ------------------------------------------------
 
     @property
@@ -166,27 +149,12 @@ class ClusterEngine:
     def stats(self):
         return self.transport.stats
 
-    @property
-    def agents(self):
-        """The in-process engines (LocalTransport only) — migration and
-        cluster checkpointing reach through this; they stay readable
-        after the run."""
-        engines = getattr(self.transport, "engines", None)
-        if engines is None:
-            raise ClusterError(
-                f"{type(self.transport).__name__} does not expose "
-                "in-process engines"
-            )
-        return engines
-
     # --- Engine protocol --------------------------------------------------
 
     def build(self) -> None:
         """Launch and build every agent.  A failed build closes the
         transport (no agent process or shared segment outlives it) and
         re-raises."""
-        if self.schedule:
-            self.transport.before_window = self._maybe_migrate
         try:
             self.transport.launch(self.specs)
             self.transport.build_all()
@@ -281,19 +249,23 @@ class ClusterEngine:
                     return window
 
     def _grant(self) -> None:
-        transport, fault = self.transport, self.fault
-        stop_at = None
+        """Grant the next horizon, after migrating or killing the faulted
+        agent when the last grant stopped in front of a boundary / fault."""
+        transport, fault, schedule = self.transport, self.fault, self.schedule
+        pending = transport.pending
+        if pending is not None and schedule and schedule[0][0] <= pending:
+            self._migrate(pending)
+        stops = [schedule[0][0]] if schedule else []
         if fault is not None and not fault.fired:
-            if (transport.pending is not None
-                    and transport.pending >= fault.at_window):
+            if pending is not None and pending >= fault.at_window:
                 fault.fired = True
                 transport.kill(fault.agent)  # the grant below will notice
             else:
-                stop_at = fault.at_window
+                stops.append(fault.at_window)
         self._granted = True
         transport.grant(Horizon(
             self.checkpoint_every - self._ran_since_snap
-            if self.checkpoint_every else None, stop_at))
+            if self.checkpoint_every else None, min(stops, default=None)))
 
     def progress(self) -> Dict[str, object]:
         """In-flight progress snapshot, same shape as
@@ -363,21 +335,40 @@ class ClusterEngine:
 
     # --- migration --------------------------------------------------------
 
-    def _maybe_migrate(self, window: int) -> None:
-        from .migration import migrate
-        while self.schedule and self.schedule[0][0] <= window:
-            _boundary, new_partition = self.schedule.pop(0)
-            agents = self.agents
-            old_partition = agents[0].partition
-            if new_partition.assignment != old_partition.assignment:
-                self.migrations.append(
-                    migrate(agents, old_partition, new_partition)
-                )
+    def _migrate(self, pending: int) -> None:
+        """Apply every boundary up to ``pending`` to one coordinated
+        snapshot of the paused agents and restore it under the last
+        partition (one that keeps the partition is free).  Nothing is
+        committed before ``restore_all`` returns: a failure on the way
+        rolls back and meets the boundary again."""
+        transport = self.transport
+        due = [part for boundary, part in self.schedule if boundary <= pending]
+        window, snapshot, moves = transport.cursor, None, []
+        partition = self.specs[0].partition
+        for new in due:
+            if new.assignment == partition.assignment:
+                continue
+            if snapshot is None:
+                snapshot = transport.snapshot_all(window)
+            snapshot, stats = migrate(snapshot, partition, new,
+                                      self.specs[0].scenario)
+            moves.append(stats)
+            partition = new
+        if snapshot is not None:
+            specs = [replace(spec, partition=partition)
+                     for spec in self.specs]
+            transport.restore_all(specs, snapshot, window)
+            self.specs = specs
+            self.migrations.extend(moves)
+            if self._fault_tolerant:
+                self._take_snapshots(window, snapshot)
+        del self.schedule[:len(due)]
 
     # --- fault tolerance --------------------------------------------------
 
-    def _take_snapshots(self, window: int) -> None:
-        self._snapshot = self.transport.snapshot_all(window)
+    def _take_snapshots(self, window: int,
+                        snapshot: Optional[List[Checkpoint]] = None) -> None:
+        self._snapshot = snapshot or self.transport.snapshot_all(window)
         self._snap_window = window
         self._reported_since_snap = 0
         self._records_since_snap = 0
@@ -393,7 +384,7 @@ class ClusterEngine:
         next ``advance()`` reports the window after ``window``."""
         if not self._built:
             self.build()
-        self.transport.restore_all(snapshot, window)
+        self.transport.restore_all(self.specs, snapshot, window)
         self._cursor = window
         self.bus.counters["cluster.windows"] = windows
 
@@ -408,7 +399,8 @@ class ClusterEngine:
             ) from failure
         bus = self.bus
         t0 = bus.now() if bus.telemetry else 0.0
-        self.transport.restore_all(self._snapshot, self._snap_window)
+        self.transport.restore_all(self.specs, self._snapshot,
+                                   self._snap_window)
         if bus.telemetry:
             bus.span_add("replay", t0, bus.now(), "transport",
                          {"agent": failure.agent_id, "window": failure.window,

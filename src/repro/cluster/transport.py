@@ -43,10 +43,11 @@ themselves (run time versus wait time).
 a dead agent surfaces as :class:`AgentFailure`, and
 :meth:`Transport.restore_all` puts *every* agent back on the latest
 coordinated snapshot over fresh pair rings.  Resuming a checkpoint
-read from disk (:func:`~repro.cluster.checkpoint.resume_cluster`) is
-the same call on a freshly built cluster.  A waiting worker that
-exhausts its spin budget polls its pipe: a pending command
-(``restore``, ``exit``) makes it leave the window loop, EOF (the
+from disk (:func:`~repro.cluster.checkpoint.resume_cluster`) and a
+phase boundary (:mod:`repro.cluster.migration`) make the same call, a
+worker remaking its engine if ``restore`` carries a new partition.  A
+waiting worker that exhausts its spin budget polls its pipe: a pending
+command (``restore``, ``exit``) makes it leave the window loop, EOF (the
 coordinator died) makes it exit; nobody waits unboundedly on a dead peer.
 
 **Accounting.**  Every agent counts its own traffic on its own bus,
@@ -68,7 +69,7 @@ import os
 import pickle
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .agent import AgentEngine, AgentSpec, Horizon, agreed_window
@@ -79,6 +80,7 @@ from .shm import (
 from ..core.checkpoint import (
     Checkpoint, restore_checkpoint, take_checkpoint,
 )
+from ..des.partition_types import Partition
 from ..errors import ClusterError
 from ..metrics import SimResults
 
@@ -201,11 +203,12 @@ class Transport:
     def kill(self, agent_id: int) -> None:
         raise NotImplementedError
 
-    def restore_all(self, snapshot: Sequence[Checkpoint],
-                    window: int) -> None:
-        """Roll every agent back to ``snapshot`` (taken at ``window``),
-        replacing dead ones; the next grant re-runs from there.  A
-        checkpoint of another scenario or format is refused."""
+    def restore_all(self, specs: Sequence[AgentSpec],
+                    snapshot: Sequence[Checkpoint], window: int) -> None:
+        """The one call that installs agent state: ``snapshot`` (taken
+        at ``window``) under ``specs`` — repartitioned ones at a phase
+        boundary — dead agents replaced.  A checkpoint of another
+        scenario or format is refused."""
         raise NotImplementedError
 
     def finish_all(self) -> List[AgentReport]:
@@ -235,10 +238,6 @@ class LocalTransport(Transport):
         self._horizon = Horizon()
         self._ran = 0
         self._offers: Optional[List[Optional[int]]] = None
-        #: Called with the agreed window before any agent runs it — the
-        #: runtime's live-migration hook.  While set, no agent skips an
-        #: idle window (a migration rewrites state between windows).
-        self.before_window = None
 
     def launch(self, specs: Sequence[AgentSpec]) -> None:
         self.specs = list(specs)
@@ -271,15 +270,11 @@ class LocalTransport(Transport):
         if self._horizon.reached(self._ran, window):
             self.pending = window
             return None
-        if self.before_window is not None:
-            self.before_window(window)
-        skip_idle = self.before_window is None
         clock = time.perf_counter
         outboxes, times = [], []
         for agent_id, engine in enumerate(engines):
             t0 = clock()
-            outbox, self._offers[agent_id] = engine.run_window(
-                window, skip_idle)
+            outbox, self._offers[agent_id] = engine.run_window(window)
             outboxes.append(outbox)
             times.append(clock() - t0)
         self.window_records = sum(
@@ -313,8 +308,9 @@ class LocalTransport(Transport):
         """Fault injection: the agent crashes, its in-memory state is gone."""
         self.engines[agent_id] = None
 
-    def restore_all(self, snapshot: Sequence[Checkpoint],
-                    window: int) -> None:
+    def restore_all(self, specs: Sequence[AgentSpec],
+                    snapshot: Sequence[Checkpoint], window: int) -> None:
+        self.specs = list(specs)
         for agent_id, spec in enumerate(self.specs):
             engine = spec.make()
             engine.build()
@@ -496,8 +492,12 @@ class _AgentWorker:
         return _checkpoint_blob(f"{self.me}-snap",
                                 take_checkpoint(self.engine, window))
 
-    def _restore(self, blob, window: int, wiring) -> Optional[int]:
+    def _restore(self, blob, window: int, wiring,
+                 partition: Partition) -> Optional[int]:
         self._wire(wiring)
+        if partition != self.spec.partition:  # the sink routes by it
+            self.spec = replace(self.spec, partition=partition)
+            self.engine = self.spec.make()
         if not self.engine.built:
             self.engine.build()
         restore_checkpoint(self.engine, _read_checkpoint(*blob))
@@ -701,14 +701,15 @@ class ProcessTransport(Transport):
             pass
         worker.alive = False
 
-    def restore_all(self, snapshot: Sequence[Checkpoint],
-                    window: int) -> None:
+    def restore_all(self, specs: Sequence[AgentSpec],
+                    snapshot: Sequence[Checkpoint], window: int) -> None:
+        self.specs = list(specs)
         for agent_id in self._dead_workers():
             self._workers[agent_id].conn.close()
             self._workers[agent_id] = self._spawn(self.specs[agent_id])
         self._offers = self._fan_out([
             ("restore", _checkpoint_blob(f"{a}-restore", snapshot[a]),
-             window, wiring)
+             window, wiring, self.specs[a].partition)
             for a, wiring in enumerate(self._rewire())])
         self._reported = 0
         self._board.consume(0)

@@ -15,9 +15,9 @@ per-entry reconstruction, no grouping.  ``tags``/``times``/``prios`` are *derive
 columns (``-1`` where the entry kind carries no timestamp/priority),
 computed on demand from the payload rows: only ``nodes`` and
 ``payloads`` are materialized, so the hot insert paths append twice per
-entry, while the cold consumers (the
-:meth:`EventColumns.signature_bytes` encoding, migration copies)
-derive the integer columns when asked.  Columns are appended in
+entry, while the cold consumer (the
+:meth:`EventColumns.signature_bytes` encoding) derives the integer
+columns when asked.  Columns are appended in
 insertion order, which is exactly the order the scalar calendar
 preserved — grouping a bucket by node reproduces the old
 ``Dict[node, List[Entry]]`` byte-for-byte (the reference model of
@@ -60,7 +60,7 @@ class _Bucket:
     columns every hot path appends to.  The derived integer columns
     (``tags``/``times``/``prios``) are pure functions of the payload
     rows, so they are computed on demand by the cold consumers
-    (signature encoding, migration copies, array views) instead of
+    (signature encoding, array views) instead of
     being kept in sync on every insert.
     """
 
@@ -125,15 +125,9 @@ class EventColumns:
         bucket.payloads.append(entry)
         register_window(self, win)
 
-    def insert_entries(self, win: int, node: int,
-                       entries: List[Entry]) -> None:
-        """Bulk append (state migration): all of ``entries`` at ``node``."""
-        for entry in entries:
-            self.insert(win, node, entry)
-
     def touch(self, win: int) -> None:
-        """Register ``win`` as occupied without adding entries (used when
-        a migrated active port must force its owner's next window)."""
+        """Register ``win`` as occupied without adding entries (the memo's
+        cycle jump re-queues the window the index had given out)."""
         register_window(self, win)
 
     def insert_arrivals(self, node: int, emissions, delay_ps: int,
@@ -280,48 +274,30 @@ class EventColumns:
         windows it was built with (and runs them as no-ops), matching
         the scalar engine's pruning semantics.
         """
-        for win in list(self._buckets):
-            bucket = self._buckets[win]
-            if all(keep(n) for n in bucket.nodes):
-                continue
+        for win, bucket in list(self._buckets.items()):
             fresh = _Bucket()
-            for i, node in enumerate(bucket.nodes):
+            for node, entry in zip(bucket.nodes, bucket.payloads):
                 if keep(node):
                     fresh.nodes.append(node)
-                    fresh.payloads.append(bucket.payloads[i])
+                    fresh.payloads.append(entry)
             if fresh.nodes:
                 self._buckets[win] = fresh
             else:
                 del self._buckets[win]
 
-    def take_node(self, node: int) -> List[Tuple[int, List[Entry]]]:
-        """Remove and return all of ``node``'s entries as
-        ``[(window, entries), ...]`` (state migration's unit of work)."""
-        moved: List[Tuple[int, List[Entry]]] = []
-        for win in sorted(self._buckets):
-            bucket = self._buckets[win]
-            if node not in bucket.nodes:
-                continue
-            taken = [bucket.payloads[i]
-                     for i, n in enumerate(bucket.nodes) if n == node]
-            moved.append((win, taken))
-            self.retain_at(win, lambda n: n != node)
+    def merge_nodes(self, other: "EventColumns", nodes: set) -> int:
+        """Move ``other``'s entries at ``nodes`` into this store (state
+        migration) and return how many moved: per window appended in
+        ``other``'s order and registered in the occupancy index.
+        ``other`` keeps its index entries, as after :meth:`retain_nodes`."""
+        moved = 0
+        for win, bucket in other._buckets.items():
+            for node, entry in zip(bucket.nodes, bucket.payloads):
+                if node in nodes:
+                    self.insert(win, node, entry)
+                    moved += 1
+        other.retain_nodes(lambda node: node not in nodes)
         return moved
-
-    def retain_at(self, win: int, keep: Callable[[int], bool]) -> None:
-        """`retain_nodes` restricted to one window."""
-        bucket = self._buckets.get(win)
-        if bucket is None:
-            return
-        fresh = _Bucket()
-        for i, node in enumerate(bucket.nodes):
-            if keep(node):
-                fresh.nodes.append(node)
-                fresh.payloads.append(bucket.payloads[i])
-        if fresh.nodes:
-            self._buckets[win] = fresh
-        else:
-            del self._buckets[win]
 
     # --- signature --------------------------------------------------------
 

@@ -18,7 +18,8 @@ than 1" emerges.
 
 Correctness: conservative synchronization never processes an event
 before its inputs are final, so the merged trace equals the sequential
-baseline's — asserted in tests/integration/test_parallel_baseline.py.
+baseline's — asserted in
+tests/des/test_parallel.py::TestParallelExecution::test_matches_sequential.
 """
 
 from __future__ import annotations

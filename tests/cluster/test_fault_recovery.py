@@ -9,10 +9,10 @@ worker process outright.
 
 import pytest
 
-from repro.cluster import DonsManager, FaultPlan
+from repro.cluster import AgentSpec, ClusterEngine, DonsManager, FaultPlan
 from repro.core.engine import run_dons
-from repro.des.partition_types import contiguous_partition
-from repro.errors import ClusterError
+from repro.core.runner import EngineRunner
+from repro.des.partition_types import contiguous_partition, random_partition
 from repro.metrics import TraceLevel
 from repro.partition import ClusterSpec
 from repro.scenario import make_scenario
@@ -130,15 +130,30 @@ def test_recovery_keeps_telemetry_spans(scenario, reference, transport):
             == sorted(reference.trace.entries))
 
 
-def test_migration_plus_fault_tolerance_rejected(scenario):
-    """A restored agent would resume under a stale partition; the
-    combination fails loudly at construction."""
-    from repro.cluster import AgentSpec, ClusterEngine
-    part = contiguous_partition(scenario.topology, 2)
-    specs = [AgentSpec(a, scenario, part) for a in range(2)]
-    with pytest.raises(ClusterError, match="migration"):
-        ClusterEngine(specs, checkpoint_every=5,
-                      schedule=[(5, part)])
+@pytest.mark.parametrize(
+    "transport", ["local", pytest.param("shm", id="process")])
+def test_migration_with_fault_tolerance_equals_serial(scenario, reference,
+                                                      transport):
+    """A phase boundary and a rollback share one path: the migrated
+    snapshot becomes the latest snapshot, so an agent killed after the
+    boundary is restored under the new partition, and the merged trace
+    and FCTs equal the single machine's."""
+    topo = scenario.topology
+    first = contiguous_partition(topo, 2)
+    second = random_partition(topo, 2, seed=5)
+    specs = [AgentSpec(a, scenario, first, TraceLevel.FULL)
+             for a in range(2)]
+    fault = FaultPlan(agent=1, at_window=40)
+    engine = ClusterEngine(specs, transport=transport, checkpoint_every=7,
+                           fault=fault, schedule=[(20, second)])
+    merged = EngineRunner(engine).run()
+    assert len(engine.migrations) == 1 and fault.fired
+    assert engine.migrations[0].nodes_moved > 0
+    (rec,) = engine.recoveries
+    assert rec.restored_from_window < rec.failed_window
+    assert engine.specs[1].partition == second
+    assert sorted(merged.trace.entries) == sorted(reference.trace.entries)
+    assert merged.fcts_ps() == reference.fcts_ps()
 
 
 def test_each_recovery_records_one_replay_span(scenario):

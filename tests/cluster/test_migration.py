@@ -32,7 +32,7 @@ def _controller(scenario, first, schedule, machines=3):
 def _records_sent(engine):
     """Records the agents have sent so far, off their own buses."""
     return sum(agent.bus.counters.get("cluster.rpc_records", 0)
-               for agent in engine.agents)
+               for agent in engine.transport.engines)
 
 
 def test_noop_migration_is_free():
@@ -66,7 +66,7 @@ def test_multiple_boundaries_in_one_window_gap():
     # both boundaries sat inside the silent gap before window ~30
     assert len(controller.migrations) == 2
     assert all(m.nodes_moved > 0 for m in controller.migrations)
-    for agent in controller.agents:
+    for agent in controller.transport.engines:
         assert agent.partition.assignment == last.assignment
     assert sorted(merged.trace.entries) == sorted(reference.trace.entries)
 

@@ -27,7 +27,8 @@ from repro.cluster.shm import (
     reap_orphans, write_blob,
 )
 from repro.core import EngineRunner
-from repro.des.partition_types import contiguous_partition
+from repro.core.engine import run_dons
+from repro.des.partition_types import contiguous_partition, random_partition
 from repro.errors import ClusterError
 from repro.metrics import TraceLevel
 
@@ -155,7 +156,7 @@ class TestTransportSegmentTurnover:
             assert old | {board} == _live_segments()
 
             old_pid = transport._workers[1].process.pid
-            transport.restore_all(snapshot, -1)
+            transport.restore_all(specs, snapshot, -1)
             fresh = {ring.name for ring in transport._rings.values()}
             assert not (fresh & old), "rollback must mint fresh segments"
             assert fresh | {board} == _live_segments(), \
@@ -179,15 +180,6 @@ class TestFailedBuildLeavesNothing:
         return [p.name for p in multiprocessing.active_children()
                 if p.name.startswith("dons-agent-")]
 
-    def test_schedule_on_shm_rejected_before_launch(self, dumbbell_scenario):
-        part = contiguous_partition(dumbbell_scenario.topology, 2)
-        specs = [AgentSpec(a, dumbbell_scenario, part) for a in range(2)]
-        before = _live_segments()
-        with pytest.raises(ClusterError, match="LocalTransport"):
-            ClusterEngine(specs, transport="shm", schedule=[(5, part)])
-        assert self._agents() == []
-        assert _live_segments() == before
-
     def test_agent_build_failure_closes_transport(self, dumbbell_scenario,
                                                   monkeypatch):
         # Every worker (forked: it inherits the patch) fails building its
@@ -204,6 +196,28 @@ class TestFailedBuildLeavesNothing:
             EngineRunner(ClusterEngine(specs, transport="shm")).run()
         assert self._agents() == []
         assert _live_segments() == before
+
+
+def test_scheduled_migration_on_shm_equals_serial(fattree4_scenario):
+    """A phase boundary on the process transport is a coordinated
+    snapshot, rewritten and restored over fresh rings into workers that
+    remade their engines under the new partition: the merged trace
+    equals the serial one, and no agent or segment outlives the run."""
+    topo = fattree4_scenario.topology
+    first = contiguous_partition(topo, 2)
+    second = random_partition(topo, 2, seed=3)
+    specs = [AgentSpec(a, fattree4_scenario, first, TraceLevel.FULL)
+             for a in range(2)]
+    engine = ClusterEngine(specs, transport="shm", schedule=[(20, second)])
+    merged = EngineRunner(engine).run()
+    assert len(engine.migrations) == 1
+    assert engine.migrations[0].nodes_moved > 0
+    assert engine.specs[0].partition == second
+    reference = run_dons(fattree4_scenario, TraceLevel.FULL)
+    assert merged.trace.digest() == reference.trace.digest()
+    assert merged.fcts_ps() == reference.fcts_ps()
+    assert TestFailedBuildLeavesNothing._agents() == []
+    assert _live_segments() == set()
 
 
 def test_full_run_leaves_clean_interpreter_and_shm():

@@ -176,12 +176,13 @@ class TestLargeBatches:
         if damage == "format":
             for ckpt in checkpoints:
                 ckpt.format = "dons-checkpoint-v2"  # the previous one
+        specs = [AgentSpec(a, scenario, part) for a in range(2)]
         transport = transport_cls()
-        transport.launch([AgentSpec(a, scenario, part) for a in range(2)])
+        transport.launch(specs)
         try:
             transport.build_all()
             with pytest.raises(ReproError, match=damage):
-                transport.restore_all(checkpoints, 4)
+                transport.restore_all(specs, checkpoints, 4)
         finally:
             transport.close()
 

@@ -37,12 +37,12 @@ def _stall(engine, agent_id, stall):
     """Build the local cluster and make agent ``agent_id`` call
     ``stall(window)`` before it runs each window."""
     engine.build()
-    agent = engine.agents[agent_id]
+    agent = engine.transport.engines[agent_id]
     run_window = agent.run_window
 
-    def stalled(window, skip_idle=True):
+    def stalled(window):
         stall(window)
-        return run_window(window, skip_idle)
+        return run_window(window)
 
     agent.run_window = stalled
 
@@ -80,7 +80,7 @@ def test_watchdog_accumulates_busy_and_wait(scenario):
     the engine's accumulator, exported as the ``a<i>:busy_s`` /
     ``a<i>:barrier_wait_s`` gauges — and the watchdog keeps no second
     copy."""
-    engine = _cluster_engine(scenario, watchdog=True)
+    engine = _cluster_engine(scenario, telemetry=True)
     assert engine.busy_s == engine.wait_s == [0.0, 0.0]
     EngineRunner(engine).run()
     assert all(b > 0 for b in engine.busy_s)
@@ -98,7 +98,7 @@ def test_watchdog_accumulates_busy_and_wait(scenario):
 def test_watchdog_drill_detects_stalled_agent(scenario):
     """A deliberately stalled agent (60ms, above the 50ms stall floor)
     is flagged ``stalled`` within 2 sampling intervals of the stall."""
-    engine = _cluster_engine(scenario, watchdog=True)
+    engine = _cluster_engine(scenario, telemetry=True)
     assert engine.watchdog is not None
     stall_from = 8
     injected = []
@@ -131,10 +131,10 @@ def test_watchdog_drill_detects_stalled_agent(scenario):
 
 
 def test_watchdog_without_telemetry_feeds_refit(scenario):
-    """Telemetry off + watchdog on: the accumulated busy times still
+    """Telemetry off, so no watchdog: the accumulated busy times still
     see a skewed agent and drive refit_cluster_spec."""
-    engine = _cluster_engine(scenario, watchdog=True)
-    assert engine.bus.telemetry is False
+    engine = _cluster_engine(scenario)
+    assert engine.bus.telemetry is False and engine.watchdog is None
     # skew agent 1 so the refit can see it
     _stall(engine, 1, lambda _window: time.sleep(0.0005))
     EngineRunner(engine).run()
@@ -153,24 +153,7 @@ def test_watchdog_without_telemetry_feeds_refit(scenario):
 
 
 def test_watchdog_defaults(scenario):
-    # Default: armed iff the bus is telemetered.
+    """Armed exactly when the cluster bus is telemetered."""
     assert _cluster_engine(scenario).watchdog is None
-    assert _cluster_engine(scenario, telemetry=True).watchdog is not None
-    # Explicit off wins even with telemetry.
-    engine = _cluster_engine(scenario, telemetry=True, watchdog=False)
-    assert engine.watchdog is None
-    # An instance is adopted as-is.
-    dog = ClusterWatchdog(2)
-    assert _cluster_engine(scenario, watchdog=dog).watchdog is dog
-
-
-def test_watchdog_digest_neutral(scenario):
-    """The watchdog's counters/gauges never move the simulation trace."""
-    from repro.metrics import TraceLevel
-
-    def run(**kwargs):
-        mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
-                          TraceLevel.FULL, **kwargs)
-        return mgr.run().results.trace.digest()
-
-    assert run(watchdog=False) == run(watchdog=True)
+    assert isinstance(_cluster_engine(scenario, telemetry=True).watchdog,
+                      ClusterWatchdog)

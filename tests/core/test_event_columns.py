@@ -182,14 +182,26 @@ class TestLockstep:
             assert grouped == ref.calendar[win]
         assert sorted(ref.calendar) == cand.windows()
 
-        node = data.draw(st.integers(0, 9))
-        moved = cand.take_node(node)
-        assert moved == [
-            (win, ref.calendar[win][node])
-            for win in sorted(ref.calendar) if node in ref.calendar[win]
-        ]
-        assert all(node not in grouped
-                   for _w, grouped in grouped_windows(cand))
+        # The other half: merge_nodes moves a node set's entries into
+        # another store, as the model moves the per-node lists.
+        nodes = set(data.draw(st.lists(st.integers(0, 9), max_size=4)))
+        ref_dst, dst = build_pair(data.draw(inserts))
+        moved = dst.merge_nodes(cand, nodes)
+        expected = 0
+        for win in sorted(ref.calendar):
+            for node in [n for n in ref.calendar[win] if n in nodes]:
+                for entry in ref.calendar[win].pop(node):
+                    ref_dst.insert(win, node, entry)
+                    expected += 1
+            if not ref.calendar[win]:
+                del ref.calendar[win]
+        assert moved == expected
+        for store, model in ((cand, ref), (dst, ref_dst)):
+            assert store.windows() == sorted(model.calendar)
+            for win, grouped in grouped_windows(store):
+                assert grouped == model.calendar[win]
+        # Every window an entry moved to is in the receiver's index.
+        assert set(dst.windows()) <= dst._queued
 
 
 class TestNumpyViews:

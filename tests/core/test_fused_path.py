@@ -114,7 +114,7 @@ def test_route_cache_stays_bounded_across_migration(scenario, reference):
     merged = EngineRunner(controller).run()
     assert controller.migrations[0].nodes_moved > 0
     assert merged.events == reference[1].events
-    for agent in controller.agents:
+    for agent in controller.transport.engines:
         assert agent._routes
         assert_routes_bounded(agent, bounds)
 

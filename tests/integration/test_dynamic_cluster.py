@@ -34,12 +34,14 @@ def reference(scenario):
     return run_dons(scenario, TraceLevel.FULL)
 
 
-def run_with_schedule(scenario, first, schedule, machines):
+def run_with_schedule(scenario, first, schedule, machines,
+                      transport="local"):
     specs = [
         AgentSpec(a, scenario, first, TraceLevel.FULL)
         for a in range(machines)
     ]
-    controller = ClusterEngine(specs, schedule=schedule)
+    controller = ClusterEngine(specs, transport=transport,
+                               schedule=schedule)
     return EngineRunner(controller).run(), controller
 
 
@@ -59,17 +61,22 @@ def test_single_migration_preserves_trace(scenario, reference,
     assert merged.fcts_ps() == reference.fcts_ps()
 
 
-def test_multiple_migrations_preserve_trace(scenario, reference):
+@pytest.mark.parametrize("transport", ["local", "shm"])
+def test_multiple_migrations_preserve_trace(scenario, reference, transport):
+    """Three boundaries, each a snapshot rewritten and restored, on
+    either transport."""
     topo = scenario.topology
     parts = [contiguous_partition(topo, 3),
              random_partition(topo, 3, seed=1),
              random_partition(topo, 3, seed=2),
              contiguous_partition(topo, 3)]
     schedule = [(40, parts[1]), (120, parts[2]), (260, parts[3])]
-    merged, controller = run_with_schedule(scenario, parts[0], schedule, 3)
+    merged, controller = run_with_schedule(scenario, parts[0], schedule, 3,
+                                           transport)
     assert len(controller.migrations) == 3
     assert (sorted(merged.trace.entries)
             == sorted(reference.trace.entries))
+    assert merged.fcts_ps() == reference.fcts_ps()
     # An egress row moves, it is not shared: each port's counters are
     # summed by exactly one agent however often its node changed hands.
     assert (merged.tx_bytes, merged.marks) == (reference.tx_bytes,
