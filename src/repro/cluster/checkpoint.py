@@ -36,11 +36,12 @@ from ..errors import ClusterError
 from ..metrics import SimResults, TraceLevel
 from ..scenario import Scenario
 
+#: v5: the engine checkpoints inside are ``dons-checkpoint-v5``.
 #: v4: ``snapshot`` is the list of engine checkpoints
 #: :meth:`Transport.snapshot_all` returns, the traffic counters inside
 #: each agent's bus state; v3 paired it with a separate channel
 #: accounting, v2 lacked ``windows``.
-FORMAT = "dons-cluster-checkpoint-v4"
+FORMAT = "dons-cluster-checkpoint-v5"
 
 
 @dataclass

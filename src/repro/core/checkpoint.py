@@ -38,7 +38,8 @@ from ..errors import SimulationError
 #: replaced by the single columnar ``events`` store (EventColumns).
 #: v3: no ``ports`` object graph — egress state is ``world.egress`` rows.
 #: v4: the bus state is always carried, its window rows hold event counts.
-FORMAT = "dons-checkpoint-v4"
+#: v5: sender/receiver rows hold no flow-table column; no gap is ``None``.
+FORMAT = "dons-checkpoint-v5"
 
 
 @dataclass
@@ -84,7 +85,8 @@ def restore_checkpoint(engine: DodEngine, checkpoint: Checkpoint) -> int:
     Returns the window cursor to resume from.
     """
     if checkpoint.format != FORMAT:
-        raise SimulationError(f"unknown checkpoint format {checkpoint.format!r}")
+        raise SimulationError(f"checkpoint format {checkpoint.format!r} "
+                              f"is not {FORMAT!r}")
     if checkpoint.scenario_name != engine.scenario.name:
         raise SimulationError(
             f"checkpoint is for scenario {checkpoint.scenario_name!r}, "

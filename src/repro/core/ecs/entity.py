@@ -5,6 +5,8 @@ An entity is just a dense index into its kind's :class:`SoATable` —
 :class:`World` owns the three tables.  A sender's and a receiver's
 entity index is its flow id (flow ids are dense and each engine builds
 one row of each per flow, in id order); a port's is its interface id.
+The tables hold what the systems write: a flow's endpoints, size,
+start and transport live once, in the engine's ``FlowLists``.
 The paper's fourth kind, the ingress port, holds nothing a system
 reads: forwarding is the FIB, a shared component, so it has no table
 here.
@@ -26,17 +28,12 @@ class EntityKind(IntEnum):
     EGRESS_PORT = 2
 
 
-#: Component schemas.  Senders carry the DCTCP/UDP state machine fields;
+#: Component schemas.  Senders carry the DCTCP/UDP state machine fields
+#: (and the flow's segment total, which the receiver reads too);
 #: receivers the reassembly state; egress ports their line, queue,
 #: counter and discipline state.
 SENDER_SCHEMA = (
-    FieldSpec("flow_id", -1),
-    FieldSpec("src", -1),
-    FieldSpec("dst", -1),
-    FieldSpec("transport", 0),
-    FieldSpec("size_bytes", 0),
     FieldSpec("total_segs", 0),
-    FieldSpec("start_ps", 0),
     # DCTCP machine (mirrors protocols.dctcp.DctcpState).
     FieldSpec("snd_una", 0),
     FieldSpec("next_seq", 0),
@@ -61,14 +58,12 @@ SENDER_SCHEMA = (
 )
 
 RECEIVER_SCHEMA = (
-    FieldSpec("flow_id", -1),
-    FieldSpec("host", -1),
-    FieldSpec("total_segs", 0),
     FieldSpec("needs_ack", 0),
     FieldSpec("expected", 0),
     FieldSpec("unique_received", 0),
     FieldSpec("complete_ps", -1),
-    FieldSpec("out_of_order", None, item_bytes=16),  # set per entity
+    # Segments past a gap: None while there is none, a set until it closes.
+    FieldSpec("out_of_order", None, item_bytes=16),
 )
 
 #: One row per directed interface, row index = interface id.  Every
@@ -111,9 +106,13 @@ class World:
         self.senders = SoATable("sender", SENDER_SCHEMA)
         self.receivers = SoATable("receiver", RECEIVER_SCHEMA)
         self.egress = SoATable("egress", EGRESS_SCHEMA)
-        #: The egress column lists, taken once: a table's columns grow
-        #: in place, so the handles live as long as the world does (a
+        #: The column lists, taken once: a table's columns grow in
+        #: place, so the handles live as long as the world does (a
         #: restored checkpoint brings its own).
+        self.sender_cols = self.senders.columns(
+            [f.name for f in SENDER_SCHEMA])
+        self.receiver_cols = self.receivers.columns(
+            [f.name for f in RECEIVER_SCHEMA])
         self.egress_cols = EgressCols(
             **self.egress.columns(EgressCols._fields))
 

@@ -46,6 +46,7 @@ from .events import EventColumns
 from .instrument import OP_WINDOW, InstrumentationBus
 from .runner import EngineRunner
 from .systems import run_window
+from .systems.send import FlowLists
 from .systems.transmit import LOCAL, PortStatic, port_static
 from .window import (
     ENTRY_ARRIVAL, ENTRY_FLOW_START, ENTRY_UDP, Entry, WindowContext,
@@ -144,10 +145,10 @@ class DodEngine:
         #: ``is_host[node]``, gathered at ``build()`` — what the window
         #: plan and the memo probe classify an entry's node by.
         self.is_host: List[bool] = []
-        # Caches that are pure functions of the scenario, filled on
-        # first use and never checkpointed: the per-flow lists of the
-        # send path, and the ForwardSystem's route cache.
-        self._flow_lists = None
+        #: The flow table as plain-int lists, made once by ``build()``.
+        self.flow_lists: Optional[FlowLists] = None
+        # The ForwardSystem's route cache: a pure function of the
+        # scenario, filled on first use and never checkpointed.
         self._routes: Dict[int, int] = {}
 
     # --- construction -------------------------------------------------------
@@ -197,62 +198,50 @@ class DodEngine:
     def _build_flows(self, sc: Scenario) -> None:
         """Bulk sender/receiver construction from the flow table.
 
-        Consumes :meth:`~repro.traffic.FlowColumns.iter_batches` — per
-        batch, every per-flow quantity (segment totals, CCA initial
-        windows, ACK requirements) is computed vectorized and appended
-        with one ``add_many`` per table, and each flow's start is
-        inserted in flow-id order, so a flow's sender and receiver row
-        index is its id.  No Flow object is materialized.
+        Consumes :meth:`~repro.traffic.FlowColumns.iter_batches`.  One
+        ``tolist()`` per batch column feeds the engine's one
+        :class:`~repro.core.systems.send.FlowLists` (plain Python
+        scalars, which keep traces byte-identical) and the event
+        inserts; the per-flow quantities the tables hold are appended
+        with one ``add_many`` per table.  Each flow's start is inserted
+        in flow-id order, so a flow's sender and receiver row index is
+        its id.  No Flow object is made.
         """
         import numpy as np
         from ..protocols.packet import MSS
-        flows = sc.flows
         world = self.world
-        senders, receivers = world.senders, world.receivers
-        dctcp, reno = sc.dctcp, sc.reno
+        fl = self.flow_lists = FlowLists([], [], [], [], [], [], [])
         results_flows = self.results.flows
         insert = self._insert
         udp = int(Transport.UDP)
-        dctcp_code = int(Transport.DCTCP)
-        for first, cols in flows.iter_batches():
-            size = cols["size_bytes"]
-            transport = cols["transport"]
-            is_dctcp = transport == dctcp_code
-            # One ``tolist()`` per batch column: component columns hold
-            # plain Python scalars (what keeps traces byte-identical),
-            # and the event inserts read the same lists.
-            src_l = cols["src"].tolist()
-            dst_l = cols["dst"].tolist()
-            size_l = size.tolist()
-            start_l = cols["start_ps"].tolist()
-            transport_l = transport.tolist()
-            total_l = ((size + MSS - 1) // MSS).tolist()
-            k = len(src_l)
-            fid_l = list(range(first, first + k))
-            # Results, events and reorder sets before the table columns:
-            # their small allocations keep triggering the cyclic
-            # collector, and a collection walks every long list that is
-            # already there — so the long lists are made last.
-            for f, s_node, st, sz, tr in zip(fid_l, src_l, start_l,
-                                             size_l, transport_l):
+        # The initial CCA values: one object per transport, shared by
+        # every flow's row.
+        cwnd = {int(t): float(sc.cca_params(t).init_cwnd) for t in Transport}
+        rto = {int(t): sc.cca_params(t).init_rto_ps for t in Transport}
+        for first, cols in sc.flows.iter_batches():
+            lists = [cols[name].tolist() for name in
+                     ("src", "dst", "size_bytes", "start_ps", "transport")]
+            src, _dst, size, start, transport = lists
+            for f, s_node, st, sz, tr in zip(
+                    range(first, first + len(src)), src, start, size,
+                    transport):
                 results_flows[f] = FlowResult(f, st, None, sz)
                 if tr == udp:
                     insert(st, s_node, (ENTRY_UDP, f))
                 else:
                     insert(st, s_node, (ENTRY_FLOW_START, st, f))
-            out_of_order = [set() for _ in range(k)]
-            senders.add_many(
-                k, flow_id=fid_l, src=src_l, dst=dst_l,
-                transport=transport_l, size_bytes=size_l,
-                total_segs=total_l, start_ps=start_l,
-                cwnd=np.where(is_dctcp, float(dctcp.init_cwnd),
-                              float(reno.init_cwnd)).tolist(),
-                rto_ps=np.where(is_dctcp, dctcp.init_rto_ps,
-                                reno.init_rto_ps).tolist())
-            receivers.add_many(
-                k, flow_id=fid_l, host=dst_l, total_segs=total_l,
-                needs_ack=(transport != udp).astype(np.int64).tolist(),
-                out_of_order=out_of_order)
+            for column, values in zip(fl, lists):
+                column.extend(values)
+            world.senders.add_many(
+                len(src),
+                total_segs=((cols["size_bytes"] + MSS - 1) // MSS).tolist(),
+                cwnd=[cwnd[t] for t in transport],
+                rto_ps=[rto[t] for t in transport])
+            world.receivers.add_many(len(src), needs_ack=(
+                cols["transport"] != udp).astype(np.int64).tolist())
+        nics = {h: sc.topology.host_iface(h) for h in set(fl.src)}
+        fl.nic.extend([nics[s].iface_id for s in fl.src])
+        fl.nic_rate.extend([nics[s].rate_bps for s in fl.src])
 
     def _maybe_init_memo(self) -> None:
         """Attach a :class:`~repro.core.memo.WindowMemoCache` when the

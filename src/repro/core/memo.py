@@ -56,7 +56,7 @@ from collections import deque, namedtuple
 from operator import sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .systems.send import WIRE8PS, flow_lists, udp_window
+from .systems.send import WIRE8PS, udp_window
 from .telemetry import MEMO_APPLY_MS_BUCKETS
 from .window import ENTRY_ARRIVAL, ENTRY_UDP
 from ..protocols.packet import F_DST, F_FLOW, F_ISACK, Row, segment_count
@@ -84,8 +84,9 @@ MAX_ENTRIES = 4096
 #: against (so 0 before a window, its advance after); ``seq`` a sequence
 #: number; ``count`` a segment count in step with them that completes
 #: the flow at its total (the probe also keys the saturated remainder);
-#: ``seqs`` a set of sequence numbers; ``done`` the completion time, -1
-#: until set, which the flow's result record mirrors.
+#: ``seqs`` a set of sequence numbers, ``None`` when empty (both encode
+#: as ``()``); ``done`` the completion time, -1 until set, which the
+#: flow's result record mirrors.
 FLOW_FIELDS = (
     ("senders", "udp_next_seq", "base"),
     ("receivers", "expected", "seq"),
@@ -141,9 +142,9 @@ def _move_row(row: Row, dseq: int, dt: int) -> Row:
 
 def _move_field(kind: str, v, dseq: int, dt: int):
     """One per-flow value moved ``dseq`` in sequence and ``dt`` in time
-    (an unset completion time stays unset)."""
+    (an unset completion time stays unset, no gap stays ``None``)."""
     if kind == "seqs":
-        return {x + dseq for x in v}
+        return {x + dseq for x in v} if v else None
     if kind == "done":
         return v + dt if v >= 0 else v
     return v + dseq
@@ -272,7 +273,7 @@ class WindowMemoCache:
         self._landing: Optional[_Probe] = None
         from ..traffic import Transport
         self._udp_flows = frozenset(
-            f for f, t in enumerate(flow_lists(engine).transport)
+            f for f, t in enumerate(engine.flow_lists.transport)
             if t == Transport.UDP)
         self._routes: Dict[Tuple[int, int, int], int] = {}
         self._cols_of = self._cols = None
@@ -421,7 +422,7 @@ class WindowMemoCache:
         p_run = len(cycle)
         hits = self.hits
         adv = {f: b - bases0[f] for f, b in bases.items()}
-        fl = flow_lists(engine)
+        fl = engine.flow_lists
         bounds = [(-hits % VALIDATE_EVERY // p_run, "validation_due")]
         for f, a in adv.items():
             if not a:
@@ -568,7 +569,7 @@ class WindowMemoCache:
         active = engine.active_ports
         union = set(active)
         recv_counts: Dict[int, int] = {}
-        fl = flow_lists(engine)
+        fl = engine.flow_lists
         routes = self._routes
         fib, topology = engine.scenario.fib, engine.scenario.topology
 

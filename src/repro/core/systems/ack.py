@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List
 
-from .send import flow_lists
 from ..instrument import OP_HOST_RX
 from ..window import NodeWork, WindowContext
 from ...protocols.packet import (
@@ -33,10 +32,6 @@ from ...protocols.packet import (
     ack_row,
     packet_uid,
 )
-
-#: The receiver columns the sweep reads and writes.
-ACK_COLS = ("expected", "out_of_order", "unique_received", "complete_ps",
-            "total_segs", "needs_ack")
 
 
 def _delivery_key(a):
@@ -51,19 +46,21 @@ def ack_window(engine, ctx: WindowContext, work: List[NodeWork]) -> None:
     Per host, in this order: the ACK count and the node's event count,
     ``OP_HOST_RX`` per delivery (probes only), a trace DELIVER per
     delivery, then the cumulative-reassembly sweep over the receiver
-    columns — each ACK staged on the host's NIC (looked up once per
-    host) at the data packet's arrival time, each completion recorded
-    with its FLOW_DONE.  ACK endpoints are read from
+    columns (a flow's reassembly set is made at its first gap and
+    dropped when the gap closes) — each ACK staged on the host's NIC
+    (looked up once per host) at the data packet's arrival time, each
+    completion recorded with its FLOW_DONE.  ACK endpoints are read from
     :class:`~repro.core.systems.send.FlowLists`, never from a ``Flow``.
     """
-    cols = engine.world.receivers.columns(ACK_COLS)
+    world = engine.world
+    cols = world.receiver_cols
     expected_col = cols["expected"]
     ooo_col = cols["out_of_order"]
     unique_col = cols["unique_received"]
     complete_col = cols["complete_ps"]
-    total_col = cols["total_segs"]
     needs_ack_col = cols["needs_ack"]
-    fl = flow_lists(engine)
+    total_col = world.sender_cols["total_segs"]
+    fl = engine.flow_lists
     src_of, dst_of = fl.src, fl.dst
     host_iface = engine.scenario.topology.host_iface
     staged = ctx.staged
@@ -92,14 +89,19 @@ def ack_window(engine, ctx: WindowContext, work: List[NodeWork]) -> None:
                 is_new = True
                 expected += 1
                 ooo = ooo_col[flow_id]
-                if ooo:
+                if ooo is not None:
                     while expected in ooo:
                         ooo.remove(expected)
                         expected += 1
+                    if not ooo:  # the gap closed
+                        ooo_col[flow_id] = None
                 expected_col[flow_id] = expected
             elif seq > expected:
                 ooo = ooo_col[flow_id]
-                if seq not in ooo:
+                if ooo is None:  # the flow's first gap
+                    is_new = True
+                    ooo_col[flow_id] = {seq}
+                elif seq not in ooo:
                     is_new = True
                     ooo.add(seq)
             if is_new:

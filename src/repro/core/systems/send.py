@@ -41,30 +41,19 @@ _UDP = int(Transport.UDP)
 #: flow is enqueued ``(i * WIRE8PS) // rate`` after the flow starts.
 WIRE8PS = (MSS + HEADER_BYTES) * 8 * PS_PER_S
 
-#: Sender-table columns mirrored into DctcpState (same names both sides).
-_DCTCP_FIELDS = (
-    "snd_una", "next_seq", "cwnd", "ssthresh", "alpha", "acked_win",
-    "marked_win", "alpha_seq", "cut_seq", "dupacks", "srtt_ps",
-    "rttvar_ps", "rto_ps", "backoff", "timer_gen",
-)
-
-#: Every sender column the kernel sweeps.
-SENDER_COLS = _DCTCP_FIELDS + (
-    "flow_id", "total_segs", "rtx_deadline", "done", "done_ps",
-    "udp_next_seq",
-)
-
 
 def load_dctcp_cols(cols: Dict[str, list], idx: int, params) -> DctcpState:
-    """Materialize a flow's sender row from bulk column handles.
+    """Materialize a flow's sender row from bulk column handles (the
+    world's ``sender_cols``); the row index is the flow id.
 
     The field moves are written out long-hand (direct attribute stores,
     no ``setattr`` loop): this pair runs once per flow-task per window
     and is the per-row boundary cost the columnar layout is supposed to
-    amortize.  Keep the field set in lockstep with ``_DCTCP_FIELDS``.
+    amortize.  Every sender column but ``udp_next_seq`` is a field of
+    :class:`DctcpState` of the same name.
     """
     state = DctcpState(
-        flow_id=cols["flow_id"][idx],
+        flow_id=idx,
         total_segs=cols["total_segs"][idx],
         params=params,
     )
@@ -229,7 +218,8 @@ def send_kernel(
 
 
 class FlowLists(NamedTuple):
-    """Per-flow columns as plain-int lists, indexed by flow id."""
+    """The flow table as plain-int lists, indexed by flow id — the one
+    copy of a flow's static values, made by the engine's builder."""
 
     src: List[int]
     dst: List[int]
@@ -240,30 +230,10 @@ class FlowLists(NamedTuple):
     nic_rate: List[int]   # its line rate, the UDP pacing rate
 
 
-def flow_lists(engine) -> FlowLists:
-    """The engine's :class:`FlowLists`, taken once on first use: one
-    ``tolist()`` per flow-table column, so the hot path reads plain ints
-    and never builds a ``Flow`` facade.
-    """
-    fl = engine._flow_lists
-    if fl is None:
-        cols = engine.scenario.flows.columns()
-        src, dst, size, start, transport = (
-            cols[name].tolist() for name in
-            ("src", "dst", "size_bytes", "start_ps", "transport"))
-        host_iface = engine.scenario.topology.host_iface
-        nics = {host: host_iface(host) for host in set(src)}
-        fl = engine._flow_lists = FlowLists(
-            src, dst, size, start, transport,
-            [nics[s].iface_id for s in src],
-            [nics[s].rate_bps for s in src])
-    return fl
-
-
 def commit_send(engine, ctx: WindowContext, results) -> None:
     """Stage kernel outputs and register wakeups, in flow-id order."""
     bus = engine.bus
-    fl = flow_lists(engine)
+    fl = engine.flow_lists
     src_of = fl.src
     nic_of = fl.nic
     staged = ctx.staged
@@ -321,9 +291,9 @@ def run_send_system(engine, ctx: WindowContext, plan: SendPlan) -> None:
     if bus.trace_level:
         trace_ack_deliveries(bus, deliver_trace)
 
-    cols = engine.world.senders.columns(SENDER_COLS)
+    cols = engine.world.sender_cols
     sc = engine.scenario
-    fl = flow_lists(engine)
+    fl = engine.flow_lists
     commit_send(engine, ctx, [
         send_kernel(cols, sc, fl, acks_of, starts, ctx.end, f)
         for f in flow_ids])

@@ -13,14 +13,41 @@ from .trace import TraceRecorder
 from ..units import ps_to_s
 
 
-@dataclass
 class FlowResult:
-    """Per-flow outcome."""
+    """Per-flow outcome.
 
-    flow_id: int
-    start_ps: int
-    complete_ps: Optional[int]  # None if unfinished at sim end
-    size_bytes: int
+    A slotted record with no ``__dict__``: a run keeps one per flow, so
+    its size is the per-flow cost of the results.  Written by hand
+    (``dataclass(slots=True)`` needs Python 3.10); it keeps the
+    dataclass's positional/keyword constructor, field-wise equality,
+    repr and pickling.
+    """
+
+    __slots__ = ("flow_id", "start_ps", "complete_ps", "size_bytes")
+    __hash__ = None  # mutable, compared by value
+
+    def __init__(self, flow_id: int, start_ps: int,
+                 complete_ps: Optional[int], size_bytes: int) -> None:
+        self.flow_id = flow_id
+        self.start_ps = start_ps
+        self.complete_ps = complete_ps  # None if unfinished at sim end
+        self.size_bytes = size_bytes
+
+    def _fields(self) -> Tuple:
+        return (self.flow_id, self.start_ps, self.complete_ps,
+                self.size_bytes)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return ("FlowResult(flow_id={!r}, start_ps={!r}, complete_ps={!r}, "
+                "size_bytes={!r})".format(*self._fields()))
+
+    def __reduce__(self):
+        return FlowResult, self._fields()
 
     @property
     def fct_ps(self) -> Optional[int]:

@@ -122,6 +122,8 @@ class Topology:
         self._ports_per_node: List[int] = []
         self._adjacency: List[List[int]] = []  # node -> list of link ids
         self._frozen = False
+        #: The smallest link delay, taken once by ``freeze()``.
+        self._min_delay_ps: Optional[int] = None
         self.interfaces: List[Interface] = []
         self._iface_index: Dict[Tuple[int, int], int] = {}
 
@@ -186,6 +188,8 @@ class Topology:
                     f"{self._ports_per_node[node.node_id]}"
                 )
         self._build_interfaces()
+        if self.links:
+            self._min_delay_ps = min(link.delay_ps for link in self.links)
         self._frozen = True
         return self
 
@@ -281,7 +285,10 @@ class Topology:
         return self.iface(host_id, 0)
 
     def min_link_delay_ps(self) -> int:
-        """Smallest propagation delay — the lookahead of the DOD engine."""
+        """Smallest propagation delay — the lookahead of the DOD engine
+        (read off ``freeze()``'s one pass once the topology is frozen)."""
+        if self._min_delay_ps is not None:
+            return self._min_delay_ps
         if not self.links:
             raise TopologyError("topology has no links")
         return min(link.delay_ps for link in self.links)

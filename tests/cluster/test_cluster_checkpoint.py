@@ -97,12 +97,31 @@ def test_bad_format_rejected(scenario):
     part = contiguous_partition(scenario.topology, 2)
     engine, current = _run_until(scenario, part, 2)
     ckpt = take_cluster_checkpoint(engine, current)
-    assert ckpt.format == FORMAT == "dons-cluster-checkpoint-v4"
+    assert ckpt.format == FORMAT == "dons-cluster-checkpoint-v5"
     for stale in ("v0", "dons-cluster-checkpoint-v2",
                   "dons-cluster-checkpoint-v3"):
         bad = dataclasses.replace(ckpt, format=stale)
         with pytest.raises(ClusterError, match=stale):
             resume_cluster(scenario, bad)
+
+
+def test_v4_checkpoint_refused_before_any_agent_starts(scenario,
+                                                       monkeypatch):
+    """v4 agent tables carried the flow-table columns: the envelope is
+    refused by name, both formats in the message, before a cluster is
+    made (so before any worker could launch)."""
+    part = contiguous_partition(scenario.topology, 2)
+    engine, current = _run_until(scenario, part, 2)
+    v4 = dataclasses.replace(take_cluster_checkpoint(engine, current),
+                             format="dons-cluster-checkpoint-v4")
+
+    def no_cluster(*args, **kwargs):
+        raise AssertionError("a cluster was built for a refused checkpoint")
+    monkeypatch.setattr("repro.cluster.checkpoint.ClusterEngine", no_cluster)
+    with pytest.raises(ClusterError) as refused:
+        resume_cluster(scenario, v4)
+    assert "dons-cluster-checkpoint-v4" in str(refused.value)
+    assert "dons-cluster-checkpoint-v5" in str(refused.value)
 
 
 def test_process_cluster_checkpoint_refused(scenario):

@@ -84,6 +84,18 @@ def test_checkpoint_rejects_bad_format(dumbbell_scenario):
         restore_checkpoint(eng, bad)
 
 
+def test_v4_checkpoint_is_refused_naming_both_formats(dumbbell_scenario):
+    """v4 sender/receiver tables carried the flow-table columns: such a
+    snapshot is refused with an error naming its format and this one."""
+    eng = DodEngine(dumbbell_scenario)
+    eng.build()
+    ckpt = replace(take_checkpoint(eng, 0), format="dons-checkpoint-v4")
+    with pytest.raises(SimulationError) as refused:
+        restore_checkpoint(eng, ckpt)
+    assert "dons-checkpoint-v4" in str(refused.value)
+    assert FORMAT == "dons-checkpoint-v5" and FORMAT in str(refused.value)
+
+
 def test_v3_checkpoint_is_refused_by_name(dumbbell_scenario):
     """v3 window rows carried no event counts: such a snapshot is
     refused, naming its format, rather than resumed short."""

@@ -80,7 +80,7 @@ class TestWorld:
 
     def test_memory_accounts_all_tables(self):
         w = World()
-        w.senders.add(flow_id=0)
-        w.receivers.add(flow_id=0, out_of_order=set())
+        w.senders.add(total_segs=1)
+        w.receivers.add(needs_ack=1)
         assert w.memory_bytes() == (w.senders.memory_bytes()
                                     + w.receivers.memory_bytes())

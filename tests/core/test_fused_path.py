@@ -93,12 +93,14 @@ def test_route_cache_is_rebuilt_not_checkpointed(scenario, reference):
     checkpoint = take_checkpoint(engine, engine._cursor)
     state = pickle.loads(checkpoint.payload)
     assert not any("route" in key or "flow_lists" in key for key in state)
+    assert b"FlowLists" not in checkpoint.payload
 
     fresh = CheckpointingEngine(scenario)
     fresh.build()
-    assert fresh._routes == {} and fresh._flow_lists is None
+    assert fresh._routes == {}
     results = fresh.resume_from(checkpoint)
-    assert fresh._routes and fresh._flow_lists is not None
+    # The flow lists are the builder's, not the checkpoint's.
+    assert fresh._routes and fresh.flow_lists == engine.flow_lists
     assert_routes_bounded(fresh, bounds)
     assert results.events == reference[1].events
     assert results.flows == reference[1].flows

@@ -22,8 +22,7 @@ STATIC = "static"
 #: ``memo.ineligible.<gate>`` (the window runs for real).
 UNREAD = {
     "senders": {
-        **dict.fromkeys(("flow_id", "src", "dst", "transport", "size_bytes",
-                         "total_segs", "start_ps"), STATIC),
+        "total_segs": STATIC,
         # The DCTCP / RENO machine: only FLOW_START, TIMER and ACK
         # entries drive it, and each makes the window ineligible.
         **dict.fromkeys(("snd_una", "next_seq", "cwnd", "ssthresh", "alpha",
@@ -32,8 +31,7 @@ UNREAD = {
                          "backoff", "rtx_deadline", "timer_gen", "done",
                          "done_ps"), "cca_entry"),
     },
-    "receivers": dict.fromkeys(
-        ("flow_id", "host", "total_segs", "needs_ack"), STATIC),
+    "receivers": {"needs_ack": STATIC},
     "egress": {
         "avg_bytes": "red_aqm",  # RED's EWMA never repeats
         "queue_samples": "queue_sampling",  # absolute-time pairs

@@ -57,6 +57,25 @@ class TestResults:
         assert fr.fct_ps == 300
         assert FlowResult(0, 100, None, 1000).fct_ps is None
 
+    def test_flow_result_is_a_slotted_record(self):
+        """One record per flow, so no ``__dict__``; it still compares,
+        prints and pickles field by field."""
+        import pickle
+        fr = FlowResult(0, 100, 400, 1000)
+        assert not hasattr(fr, "__dict__")
+        with pytest.raises(AttributeError):
+            fr.extra = 1
+        assert fr == FlowResult(flow_id=0, start_ps=100, complete_ps=400,
+                                size_bytes=1000)
+        assert fr != FlowResult(0, 100, None, 1000) and fr != (0, 100, 400)
+        assert repr(fr) == ("FlowResult(flow_id=0, start_ps=100, "
+                            "complete_ps=400, size_bytes=1000)")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(fr, protocol))
+            assert back == fr and back.fct_ps == 300
+        fr.complete_ps = 700
+        assert fr.fct_ps == 600
+
     def test_event_counts_add(self):
         a = EventCounts(1, 2, 3, 4)
         a.add(EventCounts(10, 20, 30, 40))

@@ -20,6 +20,20 @@ def test_defaults(small_dumbbell):
     assert sc.fib.entry_count() > 0
 
 
+def test_lookahead_is_taken_once_when_the_topology_freezes():
+    """Both cluster transports read ``lookahead_ps`` every window, so a
+    read must not walk the links: the frozen topology answers from the
+    minimum ``freeze()`` took."""
+    topo = dumbbell(2, delay_ps=us(3), bottleneck_delay_ps=us(2))
+    sc = make_scenario(topo, [Flow(0, 0, 2, 1000, 0)])
+
+    class Unwalkable(list):
+        def __iter__(self):
+            raise AssertionError("lookahead read walked the links")
+    topo.links = Unwalkable(topo.links)
+    assert [sc.lookahead_ps for _ in range(3)] == [us(2)] * 3
+
+
 def test_flows_validated_against_hosts(small_dumbbell):
     with pytest.raises(ConfigError):
         make_scenario(small_dumbbell, [Flow(0, 0, 8, 1000, 0)])  # 8 = switch
