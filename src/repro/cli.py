@@ -461,8 +461,8 @@ def make_parser() -> argparse.ArgumentParser:
     profile.add_argument("--live", metavar="FILE",
                          help="stream NDJSON progress records to FILE "
                               "('-' = stderr) while the run executes; with "
-                              "--timeline the flight recorder also arms and "
-                              "dumps FILE.flight.json on crash/SIGUSR1")
+                              "--timeline a crash or SIGUSR1 also writes "
+                              "FILE.flight.json, the last 64 windows' spans")
     profile.set_defaults(fn=cmd_profile)
 
     stats = sub.add_parser(

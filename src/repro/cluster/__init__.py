@@ -8,12 +8,13 @@ from .transport import (
     make_transport,
 )
 from .fault import FaultPlan, RecoveryStats
-from .runtime import ClusterEngine, merge_results
+from .runtime import ClusterEngine
 from .manager import DistributedRun, DonsManager
 from .migration import MigrationStats, migrate
 from .checkpoint import (
     ClusterCheckpoint, resume_cluster, take_cluster_checkpoint,
 )
+from ..metrics.results import merge_results
 
 __all__ = [
     "AgentEngine", "AgentSpec", "ClusterTrafficStats",

@@ -8,6 +8,10 @@ paused between windows.  It holds what
 engine checkpoint per agent, whose bus state carries the agent's
 traffic counters — with the runtime's cursor, the count of windows
 reported so far, the partition and the remaining migration schedule.
+It has no format tag or scenario name of its own: each engine
+checkpoint inside carries both, and ``resume_cluster`` checks every one
+with :func:`~repro.core.checkpoint.check_checkpoint` before it builds a
+cluster.
 
 ``take_cluster_checkpoint`` takes a
 :class:`~repro.cluster.runtime.ClusterEngine` on the ``LocalTransport``;
@@ -29,33 +33,23 @@ from typing import List, Tuple
 from .agent import AgentSpec
 from .runtime import ClusterEngine
 from .transport import ProcessTransport
-from ..core.checkpoint import Checkpoint
+from ..core.checkpoint import Checkpoint, check_checkpoint
 from ..core.runner import EngineRunner
 from ..des.partition_types import Partition
 from ..errors import ClusterError
 from ..metrics import SimResults, TraceLevel
 from ..scenario import Scenario
 
-#: v5: the engine checkpoints inside are ``dons-checkpoint-v5``.
-#: v4: ``snapshot`` is the list of engine checkpoints
-#: :meth:`Transport.snapshot_all` returns, the traffic counters inside
-#: each agent's bus state; v3 paired it with a separate channel
-#: accounting, v2 lacked ``windows``.
-FORMAT = "dons-cluster-checkpoint-v5"
-
-
 @dataclass
 class ClusterCheckpoint:
     """Resumable snapshot of a whole distributed run."""
 
-    format: str
-    scenario_name: str
     current_window: int
     partition: Tuple[int, ...]
     num_parts: int
     schedule: List[Tuple[int, Tuple[int, ...]]]
-    #: One engine checkpoint per agent; ``restore_checkpoint`` refuses
-    #: an engine checkpoint of another format or scenario.
+    #: One engine checkpoint per agent, each with its format tag and
+    #: scenario name.
     snapshot: List[Checkpoint]
     #: Windows the run had reported when the checkpoint was taken.
     windows: int
@@ -70,8 +64,6 @@ def take_cluster_checkpoint(engine: ClusterEngine,
             "ProcessTransport run ahead of the coordinator's cursor")
     partition = engine.specs[0].partition
     return ClusterCheckpoint(
-        format=FORMAT,
-        scenario_name=engine.specs[0].scenario.name,
         current_window=current_window,
         partition=partition.assignment,
         num_parts=partition.num_parts,
@@ -87,12 +79,11 @@ def resume_cluster(
     trace_level: TraceLevel = TraceLevel.NONE,
 ) -> Tuple[SimResults, ClusterEngine]:
     """Build a cluster from a checkpoint, restore it and run it to
-    completion; returns the merged results and the engine."""
-    if checkpoint.format != FORMAT:
-        raise ClusterError(f"cluster checkpoint format {checkpoint.format!r} "
-                           f"is not {FORMAT!r}")
-    if checkpoint.scenario_name != scenario.name:
-        raise ClusterError("checkpoint belongs to a different scenario")
+    completion; returns the merged results and the engine.  A
+    checkpoint of another engine format or scenario is refused before
+    any agent is made."""
+    for snapshot in checkpoint.snapshot:
+        check_checkpoint(snapshot, scenario.name)
     partition = Partition(checkpoint.partition, checkpoint.num_parts)
     specs = [AgentSpec(a, scenario, partition, trace_level)
              for a in range(checkpoint.num_parts)]

@@ -32,19 +32,15 @@ from typing import List, Optional, Tuple, Union
 
 from .agent import AgentSpec
 from .fault import FaultPlan, RecoveryStats
-from .runtime import ClusterEngine, merge_results
+from .runtime import ClusterEngine
 from .transport import ClusterTrafficStats, Transport
 from ..core.instrument import InstrumentationBus
 from ..core.runner import EngineRunner
 from ..des.partition_types import Partition
 from ..errors import ClusterError
 from ..metrics import SimResults, TraceLevel
-from ..partition import (
-    ClusterSpec,
-    LoadModel,
-    PartitionPlan,
-    plan_scenario,
-)
+from ..metrics.results import merge_results
+from ..partition import ClusterSpec, PartitionPlan, plan_scenario
 from ..scenario import Scenario
 
 __all__ = ["DistributedRun", "DonsManager", "merge_results"]
@@ -107,11 +103,11 @@ class DonsManager:
         )
 
     @staticmethod
-    def _execute(engine: ClusterEngine, plan: Optional[PartitionPlan],
-                 on_step=None) -> DistributedRun:
+    def _execute(engine: ClusterEngine,
+                 plan: Optional[PartitionPlan]) -> DistributedRun:
         """Run ``engine`` to completion; ``partition`` is the one the
         agents ended under."""
-        EngineRunner(engine, on_step=on_step).run()
+        EngineRunner(engine).run()
         return DistributedRun(
             results=engine.results,
             per_agent=engine.per_agent,
@@ -122,38 +118,26 @@ class DonsManager:
             recoveries=engine.recoveries,
         )
 
-    def run(
-        self,
-        partition: Optional[Partition] = None,
-        loads: Optional[LoadModel] = None,
-        on_step=None,
-    ) -> DistributedRun:
-        """Plan (unless a partition is supplied) and execute.
-
-        ``on_step`` is passed through to the
-        :class:`~repro.core.runner.EngineRunner` (per-window progress
-        callback)."""
+    def run(self, partition: Optional[Partition] = None) -> DistributedRun:
+        """Plan (unless a partition is supplied) and execute."""
         plan = None
         if partition is None:
-            plan = plan_scenario(self.scenario, self.cluster, loads)
+            plan = plan_scenario(self.scenario, self.cluster)
             partition = plan.partition
-        return self._execute(self._engine(partition), plan, on_step)
+        return self._execute(self._engine(partition), plan)
 
     def run_dynamic(
         self,
         bin_ps: int,
         threshold: float = 0.25,
-        measured_times: Optional[List[float]] = None,
-        measured_partition: Optional[Partition] = None,
     ) -> Tuple[DistributedRun, List]:
         """Appendix A end to end: detect traffic phases, partition each,
         and execute with live state migration at the phase boundaries.
 
-        ``measured_times``/``measured_partition`` feed the per-agent
-        busy seconds of a previous run (``run_record(bus)["agents_busy_s"]``,
-        :func:`repro.metrics.timeline.run_record`) back into the
-        planner, refitting the cluster's compute capacities before the
-        phases are partitioned.
+        To plan for the machines as a previous run measured them, refit
+        the cluster first (:func:`repro.partition.refit_cluster_spec`
+        over that run's ``agents_busy_s``) and hand the result in as
+        ``cluster``.
 
         Returns ``(run, migrations)`` where ``migrations`` lists the
         :class:`~repro.cluster.migration.MigrationStats` of each
@@ -163,8 +147,6 @@ class DonsManager:
         phases = dynamic_partition_plan(
             self.scenario.topology, self.scenario.fib, self.scenario.flows,
             bin_ps, self.cluster, threshold,
-            measured_times=measured_times,
-            measured_partition=measured_partition,
         )
         if not phases:
             raise ClusterError("no phases detected")

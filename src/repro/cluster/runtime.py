@@ -69,7 +69,8 @@ from ..core.instrument import InstrumentationBus
 from ..core.telemetry import WAIT_MS_BUCKETS
 from ..des.partition_types import Partition
 from ..errors import ClusterError
-from ..metrics import ClusterWatchdog, SimResults, TraceRecorder
+from ..metrics import ClusterWatchdog, SimResults
+from ..metrics.results import merge_results
 
 
 class ClusterEngine:
@@ -416,28 +417,3 @@ class ClusterEngine:
         ))
         self.bus.count("cluster.recoveries")
 
-
-def merge_results(per_agent: List[SimResults], scenario_name: str) -> SimResults:
-    """Aggregate agent results the way the Cluster Controller reports."""
-    merged = SimResults("dons-cluster", scenario_name, 0)
-    merged.trace = TraceRecorder(
-        per_agent[0].trace.level if per_agent[0].trace else 0
-    )
-    for res in per_agent:
-        merged.end_time_ps = max(merged.end_time_ps, res.end_time_ps)
-        merged.events.add(res.events)
-        merged.drops += res.drops
-        merged.marks += res.marks
-        merged.tx_bytes += res.tx_bytes
-        merged.rtt_samples.extend(res.rtt_samples)
-        for node, count in res.node_events.items():
-            merged.node_events[node] = merged.node_events.get(node, 0) + count
-        for flow_id, fr in res.flows.items():
-            have = merged.flows.get(flow_id)
-            if have is None or (fr.complete_ps is not None
-                                and have.complete_ps is None):
-                merged.flows[flow_id] = fr
-        if res.trace:
-            merged.trace.entries.extend(res.trace.entries)
-    merged.rtt_samples.sort()
-    return merged

@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diff import Divergence, first_divergence, results_divergence
 from .generator import FORMAT, ScenarioSpec, generate_spec, shrink
@@ -126,46 +126,32 @@ def write_artifact(report: CheckReport, directory: Path) -> Path:
     return path
 
 
-def write_failure_timeline(report: CheckReport,
-                           directory: Path) -> Optional[Path]:
+def write_failure_telemetry(
+        report: CheckReport,
+        directory: Path) -> Tuple[Optional[Path], Optional[Path]]:
     """Re-run a failing spec on the DOD engine with telemetry on and
-    archive a Chrome-trace timeline next to the repro artifact — the
-    first thing to open when triaging a nightly failure."""
+    archive, from that one run's bus, a Chrome-trace timeline and the
+    flight dump of its last windows next to the repro artifact — the
+    first things to open when triaging a nightly failure (the flight
+    dump is the quick look when the full timeline is tens of MB).
+    Returns ``(timeline, flight)``, each ``None`` when not written."""
     from ..core.engine import DodEngine
-    from ..metrics.timeline import write_timeline
+    from ..metrics.timeline import write_flight, write_timeline
     directory.mkdir(parents=True, exist_ok=True)
     try:
         engine = DodEngine(report.spec.build(), telemetry=True)
         engine.run()
     except ReproError:  # a failure can make the re-run itself unrunnable
-        return None
-    path = directory / f"{report.spec.scenario_name()}.timeline.json"
-    write_timeline(engine.bus, str(path), manifest=dict(
-        command="fuzz", scenario=report.spec.scenario_name(),
+        return None, None
+    name = report.spec.scenario_name()
+    timeline = directory / f"{name}.timeline.json"
+    write_timeline(engine.bus, str(timeline), manifest=dict(
+        command="fuzz", scenario=name,
     ))
-    return path
-
-
-def write_failure_flight(report: CheckReport,
-                         directory: Path) -> Optional[Path]:
-    """Re-run a failing spec with the flight recorder attached and
-    archive the last-N-windows Chrome-trace dump next to the full
-    timeline — the bounded view a live run would have produced at the
-    moment of failure (and the quickest artifact to eyeball when the
-    full timeline is tens of MB)."""
-    from ..core.engine import DodEngine
-    from ..metrics.live import FlightRecorder
-    directory.mkdir(parents=True, exist_ok=True)
-    try:
-        engine = DodEngine(report.spec.build(), telemetry=True)
-        engine.run()
-    except ReproError:  # a failure can make the re-run itself unrunnable
-        return None
-    path = directory / f"{report.spec.scenario_name()}.flight.json"
-    recorder = FlightRecorder(engine.bus)
-    if recorder.dump(str(path)) is None:
-        return None
-    return path
+    flight = directory / f"{name}.flight.json"
+    if write_flight(engine.bus, str(flight)) is None:
+        flight = None
+    return timeline, flight
 
 
 @dataclass
@@ -227,10 +213,10 @@ def fuzz(
         if artifact_dir is not None:
             result.artifact = write_artifact(final, artifact_dir)
             emit(f"repro artifact: {result.artifact}")
-            result.timeline = write_failure_timeline(final, artifact_dir)
+            result.timeline, result.flight = write_failure_telemetry(
+                final, artifact_dir)
             if result.timeline is not None:
                 emit(f"failure timeline: {result.timeline}")
-            result.flight = write_failure_flight(final, artifact_dir)
             if result.flight is not None:
                 emit(f"failure flight dump: {result.flight}")
         break

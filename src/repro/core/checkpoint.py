@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .engine import DodEngine
-from ..errors import SimulationError
+from ..errors import CheckpointError, SimulationError
 
 #: Format tag so stale checkpoints fail loudly instead of misloading.
 #: v2: the scalar ``calendar``/``win_heap``/``win_queued`` triplet was
@@ -39,7 +39,9 @@ from ..errors import SimulationError
 #: v3: no ``ports`` object graph — egress state is ``world.egress`` rows.
 #: v4: the bus state is always carried, its window rows hold event counts.
 #: v5: sender/receiver rows hold no flow-table column; no gap is ``None``.
-FORMAT = "dons-checkpoint-v5"
+#: v6: egress rows hold no per-port queue-sample list.  A cluster
+#: checkpoint carries one of these per agent and no tag of its own.
+FORMAT = "dons-checkpoint-v6"
 
 
 @dataclass
@@ -79,19 +81,24 @@ def take_checkpoint(engine: DodEngine, current_window: int) -> Checkpoint:
     )
 
 
+def check_checkpoint(checkpoint: Checkpoint, scenario_name: str) -> None:
+    """Refuse a checkpoint of another format or scenario, naming both."""
+    if checkpoint.format != FORMAT:
+        raise CheckpointError(f"checkpoint format {checkpoint.format!r} "
+                              f"is not {FORMAT!r}")
+    if checkpoint.scenario_name != scenario_name:
+        raise CheckpointError(
+            f"checkpoint is for scenario {checkpoint.scenario_name!r}, "
+            f"the run is {scenario_name!r}"
+        )
+
+
 def restore_checkpoint(engine: DodEngine, checkpoint: Checkpoint) -> int:
     """Load a checkpoint into a *built* engine for the same scenario.
 
     Returns the window cursor to resume from.
     """
-    if checkpoint.format != FORMAT:
-        raise SimulationError(f"checkpoint format {checkpoint.format!r} "
-                              f"is not {FORMAT!r}")
-    if checkpoint.scenario_name != engine.scenario.name:
-        raise SimulationError(
-            f"checkpoint is for scenario {checkpoint.scenario_name!r}, "
-            f"engine runs {engine.scenario.name!r}"
-        )
+    check_checkpoint(checkpoint, engine.scenario.name)
     state = pickle.loads(checkpoint.payload)
     engine.events = state["events"]
     engine.active_ports = state["active_ports"]

@@ -85,7 +85,6 @@ EGRESS_SCHEMA = (
     FieldSpec("marked", 0),
     FieldSpec("tx_bytes", 0),
     FieldSpec("max_queue_bytes", 0),
-    FieldSpec("queue_samples", None, item_bytes=16),  # list per entity
     # Discipline state: Round Robin's pointer; Deficit Round Robin's
     # per-class deficits, visited class and quantum-granted flag.
     FieldSpec("rr_next", 0),

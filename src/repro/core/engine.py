@@ -72,9 +72,7 @@ class DodEngine:
         scenario: Scenario,
         trace_level: TraceLevel = TraceLevel.NONE,
         *,
-        max_windows: Optional[int] = None,
         lookahead_override: Optional[int] = None,
-        sample_queues: bool = False,
         backend: Optional[str] = None,
         telemetry: bool = False,
         ffwd: bool = False,
@@ -96,7 +94,7 @@ class DodEngine:
         ``ffwd`` enables the window-signature memoization +
         fast-forwarding cache.  The cache only ever activates under the
         static gates checked by :meth:`_maybe_init_memo` — no RED /
-        packet spraying / queue sampling, at least one UDP flow — and
+        packet spraying, at least one UDP flow — and
         the ``dons-ffwd`` conformance oracle holds the trace digest
         byte-identical with it on or off.  Cluster agents never
         fast-forward.  See docs/MEMOIZATION.md.
@@ -107,9 +105,7 @@ class DodEngine:
             self.bus.enable_telemetry()
         self._tx_prev: Dict[int, int] = {}
         self.trace = self.bus.subscribe_trace(TraceRecorder(trace_level))
-        self.max_windows = max_windows
         self._running_window = -1
-        self.sample_queues = sample_queues
         self.ffwd = ffwd
         self._memo = None
 
@@ -180,15 +176,14 @@ class DodEngine:
         table = sc.classifier_table()
         self.port_static = [
             port_static(iface, sc.host_egress if self.is_host[iface.node]
-                        else sc.switch_egress, table, self.sample_queues)
+                        else sc.switch_egress, table)
             for iface in ifaces]
         classes = [st.classes for st in self.port_static]
         # One egress row per interface, row index = interface id; every
-        # row owns its class queues, pop indices, sample list, deficits.
+        # row owns its class queues, pop indices and deficits.
         self.world.egress.add_many(
             n, queues=[[[] for _ in range(c)] for c in classes],
             heads=[[0] * c for c in classes],
-            queue_samples=[[] for _ in range(n)],
             drr_deficit=[[0] * c for c in classes])
 
         self._build_flows(sc)
@@ -248,8 +243,7 @@ class DodEngine:
         static eligibility gates hold.
 
         The gates keep fast-forwarding inside the closed world the
-        signature can encode (see docs/MEMOIZATION.md): no
-        queue sampling (samples are absolute-time pairs), no RED and no
+        signature can encode (see docs/MEMOIZATION.md): no RED and no
         packet-mode ECMP (both hash raw sequence numbers, which the
         per-flow rebase erases), and at least one UDP flow (the
         per-window probe only ever memoizes pure-UDP windows, so without
@@ -260,9 +254,8 @@ class DodEngine:
             return
         sc = self.scenario
         from ..protocols.aqm import AqmKind
-        gate = ("queue_sampling" if self.sample_queues
-                else "red_aqm" if AqmKind.RED in (sc.host_egress.aqm.kind,
-                                                  sc.switch_egress.aqm.kind)
+        gate = ("red_aqm" if AqmKind.RED in (sc.host_egress.aqm.kind,
+                                             sc.switch_egress.aqm.kind)
                 else "packet_spray" if sc.ecmp_mode == "packet"
                 else "no_udp_flow" if not sc.flows.has_udp else None)
         if gate is not None:
@@ -439,8 +432,8 @@ class DodEngine:
         shown to repeat (a cycle jump moves ``_cursor`` past, and writes
         a bus row for, each window it skipped).
 
-        Returns ``False`` once no runnable window remains (or duration
-        / ``max_windows`` is reached; windows are counted by the bus).
+        Returns ``False`` once no runnable window remains or the
+        duration cut is reached.
         """
         nxt = self._next_window(self._cursor)
         if nxt is None:
@@ -452,8 +445,7 @@ class DodEngine:
         memo = self._memo
         if memo is None or not memo.run_window(nxt):
             self.process_window(nxt)
-        return (self.max_windows is None
-                or self.bus.counters["windows"] < self.max_windows)
+        return True
 
     def progress(self) -> Dict[str, Any]:
         """In-flight progress snapshot (read-only; safe mid-run).
@@ -477,7 +469,7 @@ class DodEngine:
         }
 
     def run(self) -> SimResults:
-        """Run to completion (or duration / max_windows)."""
+        """Run to completion (or to the duration cut)."""
         return EngineRunner(self).run()
 
     def port_stats(self, iface_id: int) -> PortStats:
@@ -487,8 +479,7 @@ class DodEngine:
         return PortStats(
             cols.enqueued[iface_id], cols.dequeued[iface_id],
             cols.dropped[iface_id], cols.marked[iface_id],
-            cols.tx_bytes[iface_id], cols.max_queue_bytes[iface_id],
-            list(cols.queue_samples[iface_id]))
+            cols.tx_bytes[iface_id], cols.max_queue_bytes[iface_id])
 
     def finalize(self) -> SimResults:
         """Assemble results (idempotent).  The results read their

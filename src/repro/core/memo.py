@@ -437,9 +437,6 @@ class WindowMemoCache:
         if duration is not None:
             bounds.append((((duration + 1) // L - win) // p_idx,
                            "duration_cut"))
-        if engine.max_windows is not None:
-            bounds.append(((engine.max_windows - bus.counters["windows"])
-                           // p_run, "max_windows"))
         m, reason = min(bounds)
         if m < 1:
             self._refuse(reason)

@@ -22,9 +22,9 @@ protocol with *one cluster-wide lookahead window* as its ``advance()``
 unit, so ``DonsManager`` runs, ``python -m repro profile --cluster`` and
 checkpoint resume (``resume_cluster`` restores the agents and the
 window cursor through ``ClusterEngine.resume``, then hands the engine
-to an ``EngineRunner``) all share this loop.  The runner itself stays cursor-agnostic — ``advance()`` is
-always "do the next unit" — and runs to exhaustion; a window cap is
-the engine's (``DodEngine(max_windows=)``).
+to an ``EngineRunner``) all share this loop.  The runner itself stays
+cursor-agnostic — ``advance()`` is always "do the next unit" — and
+runs to exhaustion.
 """
 
 from __future__ import annotations

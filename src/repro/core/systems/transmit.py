@@ -84,11 +84,9 @@ class PortStatic(NamedTuple):
     #: flow id -> traffic class (clamped into range on enqueue);
     #: ``None`` on a one-class port.
     table: Optional[List[int]]
-    sample_queue: bool
 
 
-def port_static(iface, cfg, table: List[int],
-                sample_queue: bool) -> PortStatic:
+def port_static(iface, cfg, table: List[int]) -> PortStatic:
     """The constants of one interface under egress config ``cfg``."""
     aqm = cfg.aqm
     classes = 1 if cfg.scheduler == SchedulerKind.FIFO else cfg.num_classes
@@ -106,8 +104,7 @@ def port_static(iface, cfg, table: List[int],
         else PICK_DRR if cfg.scheduler == SchedulerKind.DRR
         else PICK_LOWEST,
         cfg.drr_quantum_bytes,
-        table if classes > 1 else None,
-        sample_queue)
+        table if classes > 1 else None)
 
 
 def contract_key(a: Staged):
@@ -215,7 +212,7 @@ def replay_window(
     """
     (free_col, queued_col, avg_col, qlen_col, queues_col, heads_col,
      enqueued_col, dequeued_col, dropped_col, marked_col, tx_col, max_q_col,
-     samples_col, rr_next_col, deficit_col, current_col, granted_col) = cols
+     rr_next_col, deficit_col, current_col, granted_col) = cols
     (buckets, events, reg, L, floor, node_events, active, owners, outbox,
      bus) = sink
     # ENQ records are kept for a full trace only.
@@ -226,7 +223,7 @@ def replay_window(
     total = 0
     for iface_id in ports:
         (classes, node, peer, delay, rate, weight_shift, buffer_bytes,
-         ecn_k, red, kind, quantum, table, sample_queue) = static[iface_id]
+         ecn_k, red, kind, quantum, table) = static[iface_id]
         owner = owners[iface_id]
         out = None if owner is None else []
         arrivals = staged_get(iface_id, ())
@@ -346,8 +343,6 @@ def replay_window(
                 n_enq += 1
                 if queued > max_q:
                     max_q = queued
-                if sample_queue:
-                    samples_col[iface_id].append((t, queued))
                 if enq is not None:
                     enq.append((t, row))
             cursor = t

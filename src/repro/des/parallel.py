@@ -31,7 +31,8 @@ from .events import KIND_ARRIVAL
 from .partition_types import Partition
 from .simulator import OodSimulator
 from ..errors import SimulationError
-from ..metrics import SimResults, TraceLevel, TraceRecorder
+from ..metrics import SimResults, TraceLevel
+from ..metrics.results import merge_results
 from ..protocols.egress import EgressPort
 from ..protocols.packet import F_FLOW, F_ISACK, F_SEQ, Row
 from ..scenario import Scenario
@@ -211,6 +212,10 @@ class _LpSimulator(OodSimulator):
             ch.send_null(floor + ch.lookahead_ps)
 
 
+#: Synchronization rounds after which a run is taken to be livelocked.
+MAX_ROUNDS = 100_000_000
+
+
 @dataclass
 class ParallelRunStats:
     """Synchronization measurements (cost-model inputs)."""
@@ -233,13 +238,11 @@ class ParallelOodSimulator:
         scenario: Scenario,
         partition: Partition,
         trace_level: TraceLevel = TraceLevel.NONE,
-        max_rounds: int = 100_000_000,
     ) -> None:
         if len(partition.assignment) != scenario.topology.num_nodes:
             raise SimulationError("partition does not match topology")
         self.scenario = scenario
         self.partition = partition
-        self.max_rounds = max_rounds
         self.lps = [
             _LpSimulator(i, scenario, partition, trace_level)
             for i in range(partition.num_parts)
@@ -299,36 +302,15 @@ class ParallelOodSimulator:
                 raise SimulationError(
                     "null-message deadlock (zero lookahead somewhere?)"
                 )
-            if rounds >= self.max_rounds:
+            if rounds >= MAX_ROUNDS:
                 raise SimulationError("exceeded max synchronization rounds")
         self.stats.rounds = rounds
         self.stats.null_messages = sum(ch.null_messages for ch in self.channels)
         self.stats.data_messages = sum(ch.data_messages for ch in self.channels)
         self.stats.lp_events = [lp.results.events.total for lp in self.lps]
-        return self._merge_results()
+        return merge_results([lp.finalize() for lp in self.lps],
+                             self.scenario.name, self.name)
 
-    def _merge_results(self) -> SimResults:
-        merged = SimResults(self.name, self.scenario.name, 0)
-        trace_level = self.lps[0].trace.level
-        merged.trace = TraceRecorder(trace_level)
-        for lp in self.lps:
-            lp.finalize()
-            merged.end_time_ps = max(merged.end_time_ps, lp.results.end_time_ps)
-            merged.events.add(lp.results.events)
-            merged.drops += lp.results.drops
-            merged.marks += lp.results.marks
-            merged.tx_bytes += lp.results.tx_bytes
-            merged.rtt_samples.extend(lp.results.rtt_samples)
-            for node, count in lp.results.node_events.items():
-                merged.node_events[node] = merged.node_events.get(node, 0) + count
-            for flow_id, fr in lp.results.flows.items():
-                if flow_id not in merged.flows:
-                    merged.flows[flow_id] = fr
-                elif fr.complete_ps is not None:
-                    merged.flows[flow_id] = fr
-            merged.trace.entries.extend(lp.trace.entries)
-        merged.rtt_samples.sort()
-        return merged
 
 
 def lp_duplicated_state(scenario: Scenario, num_lps: int) -> Dict[str, int]:

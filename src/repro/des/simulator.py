@@ -64,13 +64,10 @@ class OodSimulator:
         self,
         scenario: Scenario,
         trace_level: TraceLevel = TraceLevel.NONE,
-        max_events: Optional[int] = None,
-        sample_queues: bool = False,
     ) -> None:
         self.scenario = scenario
         self.bus = InstrumentationBus()
         self.trace = self.bus.subscribe_trace(TraceRecorder(trace_level))
-        self.max_events = max_events
 
         topo = scenario.topology
         from ..protocols.egress import TableClassifier
@@ -83,8 +80,7 @@ class OodSimulator:
                 if topo.nodes[iface.node].is_host
                 else scenario.switch_egress
             )
-            self.ports.append(EgressPort(iface, cfg, classifier,
-                                         sample_queue=sample_queues))
+            self.ports.append(EgressPort(iface, cfg, classifier))
 
         # What an event reads of its flow, as plain lists taken once:
         # indexing the flow table would build a ``Flow`` per event.
@@ -101,7 +97,6 @@ class OodSimulator:
         self.queue = EventQueue()
         self._built = False
         self._finalized = False
-        self._handled = 0
 
     # --- construction ----------------------------------------------------
 
@@ -329,13 +324,10 @@ class OodSimulator:
         else:
             raise SimulationError(f"unknown event kind {kind}")
         self.results.end_time_ps = time_ps
-        self._handled += 1
-        if self.max_events is not None and self._handled >= self.max_events:
-            return False
         return True
 
     def run(self) -> SimResults:
-        """Run to completion (or scenario duration / max_events)."""
+        """Run to completion (or to the scenario's duration cut)."""
         return EngineRunner(self).run()
 
     def finalize(self) -> SimResults:

@@ -33,3 +33,9 @@ class ClusterError(ReproError):
 
 class ConfigError(ReproError):
     """A scenario or engine configuration is invalid."""
+
+
+class CheckpointError(SimulationError, ClusterError):
+    """A checkpoint of another format or scenario was offered to resume
+    from.  An engine and a cluster refuse it with the same check, so it
+    is both an engine's and the cluster's error."""

@@ -2,7 +2,7 @@
 
 Everything :mod:`repro.metrics.timeline` exports is post-mortem — it
 reads the bus after ``finalize()``.  This module is the in-flight
-counterpart, three pieces reading the same
+counterpart, two pieces reading the same
 :class:`~repro.core.instrument.InstrumentationBus` /
 :class:`~repro.core.telemetry.MetricsRegistry` without perturbing the
 simulation (the trace digest is byte-identical with the plane on or
@@ -15,12 +15,10 @@ off):
   with the schema version, kind and wall clock — to a file or stream.
   ``python -m repro profile --live FILE`` and ``python -m repro stats
   --watch`` are the CLI front ends.
-* :class:`FlightRecorder` — a bounded ring buffer over the bus's span
-  stream holding the last N windows.  On a crash, a fault-injection
-  kill, or ``SIGUSR1`` it dumps a Chrome-trace-compatible artifact
-  (validated by :func:`repro.metrics.timeline.validate_chrome_trace`,
-  the same gate CI runs on full timelines).  Spans only exist when
-  telemetry is on, so the recorder arms itself only then.
+  On a crash, a fault-injection recovery, or ``SIGUSR1`` it writes the
+  flight dump, :func:`repro.metrics.timeline.write_flight`: the bus's
+  spans of the last 64 windows as a validated Chrome trace.  Spans only
+  exist when telemetry is on, so the plane dumps only then.
 * :class:`ClusterWatchdog` — coordinator-side stall/slowness detection
   for :class:`~repro.cluster.runtime.ClusterEngine`.  It folds every
   window's measured per-agent reply times into per-agent baselines,
@@ -41,14 +39,13 @@ import signal
 import threading
 import time
 from collections import deque
-from types import SimpleNamespace
 from typing import Any, Dict, List, Optional
 
-from .timeline import run_record
+from .timeline import run_record, write_flight
 
 __all__ = [
     "LIVE_SCHEMA_VERSION", "LIVE_RECORD_KEYS",
-    "LivePlane", "FlightRecorder", "ClusterWatchdog",
+    "LivePlane", "ClusterWatchdog",
 ]
 
 #: Version stamp of the NDJSON progress-record schema (the ``v`` field).
@@ -68,80 +65,19 @@ LIVE_RECORD_KEYS = (
 #: Sampler throttle (wall-clock milliseconds between NDJSON records).
 DEFAULT_INTERVAL_MS = 500.0
 
-
-class FlightRecorder:
-    """Bounded ring over the bus's span stream: the last N windows.
-
-    :meth:`poll` (called per window by the live plane) absorbs spans the
-    bus appended since the previous poll and evicts whole windows beyond
-    ``max_windows``, so a multi-hour run holds a constant-size black
-    box.  :meth:`dump` renders the ring through the same
-    :func:`~repro.metrics.timeline.chrome_trace_events` /
-    :func:`~repro.metrics.timeline.validate_chrome_trace` pair CI runs
-    on full timelines — a flight dump is always loadable in Perfetto.
-    """
-
-    def __init__(self, bus: Any, max_windows: int = 64) -> None:
-        self.bus = bus
-        self.max_windows = max(1, max_windows)
-        self._taken = 0
-        self._ring: deque = deque()
-        self._window_t0: deque = deque()
-
-    def poll(self) -> None:
-        """Absorb new spans; evict windows beyond the ring bound."""
-        spans = self.bus.spans
-        n = len(spans)
-        if n == self._taken:
-            return
-        for span in spans[self._taken:n]:
-            self._ring.append(span)
-            if span[2] == "window":
-                self._window_t0.append(span[0])
-        self._taken = n
-        while len(self._window_t0) > self.max_windows:
-            self._window_t0.popleft()
-            horizon = self._window_t0[0]
-            # Span-buffer order is span *end* order; drop everything
-            # that finished before the oldest kept window began.
-            ring = self._ring
-            while ring and ring[0][1] <= horizon:
-                ring.popleft()
-
-    @property
-    def windows(self) -> int:
-        return len(self._window_t0)
-
-    def dump(self, path: str) -> Optional[str]:
-        """Write the ring as a validated Chrome-trace artifact.
-
-        Returns the path, or ``None`` when the ring is empty (telemetry
-        off: there is nothing to record, and an empty artifact would
-        read as a successful dump).
-        """
-        from .timeline import (
-            TELEMETRY_SCHEMA_VERSION, chrome_trace_events,
-            validate_chrome_trace,
-        )
-        self.poll()
-        if not self._ring:
-            return None
-        events = chrome_trace_events(SimpleNamespace(spans=list(self._ring)))
-        validate_chrome_trace(events)
-        data = {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "format": "chrome-trace-events",
-                "schema_version": TELEMETRY_SCHEMA_VERSION,
-                "flight_recorder": {"windows": self.windows,
-                                    "max_windows": self.max_windows},
-            },
-        }
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=1)
-            fh.write("\n")
-        return path
+#: The watchdog: a window longer than ``SLOW_FACTOR`` x an agent's
+#: learned mean (and ``MIN_SLOW_S``) is ``slow``, one longer than
+#: ``STALL_FACTOR`` x the mean (and ``MIN_STALL_S``) ``stalled``; flags
+#: start after ``WARMUP`` healthy windows, the mean is an EWMA with
+#: weight ``EWMA_ALPHA``, and at most ``MAX_EVENTS`` undrained events
+#: are queued.
+SLOW_FACTOR = 4.0
+STALL_FACTOR = 20.0
+MIN_SLOW_S = 1e-3
+MIN_STALL_S = 0.05
+WARMUP = 3
+EWMA_ALPHA = 0.2
+MAX_EVENTS = 256
 
 
 class ClusterWatchdog:
@@ -150,11 +86,11 @@ class ClusterWatchdog:
     Fed by :meth:`ClusterEngine.advance` with the transport's measured
     per-agent ``window_times``, the per-window busy seconds whose sums
     are ``ClusterEngine.busy_s`` (the measured T_a).  Per agent it
-    keeps an EWMA of normal window cost; once ``warmup`` windows are
+    keeps an EWMA of normal window cost; once :data:`WARMUP` windows are
     seen, a window exceeding
-    ``slow_factor`` × the learned mean is flagged ``slow`` and one
-    exceeding ``stall_factor`` × the mean (and the ``min_stall_s``
-    floor) is flagged ``stalled``.  Flagged samples do not update the
+    :data:`SLOW_FACTOR` × the learned mean is flagged ``slow`` and one
+    exceeding :data:`STALL_FACTOR` × the mean (and the
+    :data:`MIN_STALL_S` floor) is flagged ``stalled``.  Flagged samples do not update the
     baseline, so a stall cannot poison the threshold that caught it.
 
     Emissions: ``watchdog.checks`` / ``watchdog.slow`` /
@@ -165,20 +101,11 @@ class ClusterWatchdog:
     from the same window times on every run, watched or not.
     """
 
-    def __init__(self, num_agents: int, slow_factor: float = 4.0,
-                 stall_factor: float = 20.0, min_slow_s: float = 1e-3,
-                 min_stall_s: float = 0.05, warmup: int = 3,
-                 ewma_alpha: float = 0.2, max_events: int = 256) -> None:
-        self.slow_factor = slow_factor
-        self.stall_factor = stall_factor
-        self.min_slow_s = min_slow_s
-        self.min_stall_s = min_stall_s
-        self.warmup = max(1, warmup)
-        self.ewma_alpha = ewma_alpha
+    def __init__(self, num_agents: int) -> None:
         self.flags = [0] * num_agents
         self._mean = [0.0] * num_agents
         self._seen = [0] * num_agents
-        self._events: deque = deque(maxlen=max_events)
+        self._events: deque = deque(maxlen=MAX_EVENTS)
 
     def observe(self, window: int, times: List[float],
                 bus: Any = None) -> List[Dict[str, Any]]:
@@ -190,9 +117,9 @@ class ClusterWatchdog:
         for agent, t in enumerate(times):
             seen, mean = self._seen[agent], self._mean[agent]
             kind = None
-            if seen >= self.warmup:
-                stall_thr = max(self.min_stall_s, self.stall_factor * mean)
-                slow_thr = max(self.min_slow_s, self.slow_factor * mean)
+            if seen >= WARMUP:
+                stall_thr = max(MIN_STALL_S, STALL_FACTOR * mean)
+                slow_thr = max(MIN_SLOW_S, SLOW_FACTOR * mean)
                 if t > stall_thr:
                     kind, threshold = "stalled", stall_thr
                 elif t > slow_thr:
@@ -211,7 +138,7 @@ class ClusterWatchdog:
                 self._seen[agent] = seen + 1
                 self._mean[agent] = (
                     t if seen == 0
-                    else (1.0 - self.ewma_alpha) * mean + self.ewma_alpha * t
+                    else (1.0 - EWMA_ALPHA) * mean + EWMA_ALPHA * t
                 )
         if bus is not None:
             bus.count("watchdog.checks")
@@ -230,8 +157,9 @@ class LivePlane:
     Attach with ``EngineRunner(engine, on_step=plane.on_step)`` (or
     chain it next to the ``--progress`` meter with
     :func:`repro.core.runner.chain_hooks`).  Use as a context manager:
-    ``__exit__`` emits a final record, dumps the flight recorder on an
-    exception, and releases the stream.
+    ``__exit__`` emits a final record, writes the flight dump on an
+    exception, and releases the stream.  The plane dumps if and only if
+    the bus is telemetered: the dump is a view of the bus's spans.
 
     The sampler only *reads* engine state — ``progress()``, the bus
     counters, the cluster's busy / wait totals — and never toggles
@@ -243,21 +171,15 @@ class LivePlane:
     def __init__(self, engine: Any, path: Optional[str] = None,
                  stream: Any = None,
                  interval_ms: float = DEFAULT_INTERVAL_MS,
-                 flight: Any = "auto", flight_path: Optional[str] = None,
-                 flight_windows: int = 64) -> None:
+                 flight_path: Optional[str] = None) -> None:
         self.engine = engine
-        bus = engine.bus
         self.interval_s = max(0.0, interval_ms) / 1e3
         self._stream = stream
         self._owns_stream = False
         if stream is None and path is not None:
             self._stream = open(path, "w")
             self._owns_stream = True
-        if flight == "auto":
-            flight = bool(getattr(bus, "telemetry", False))
-        self.recorder: Optional[FlightRecorder] = None
-        if flight:
-            self.recorder = FlightRecorder(bus, flight_windows)
+        self.flight = engine.bus.telemetry
         if flight_path is None:
             flight_path = (f"{path}.flight.json"
                            if path and path != os.devnull
@@ -269,16 +191,14 @@ class LivePlane:
         self._recoveries_seen = 0
         self._old_sigusr1: Any = None
         self._closed = False
-        if (self.recorder is not None and hasattr(signal, "SIGUSR1")
+        if (self.flight and hasattr(signal, "SIGUSR1")
                 and threading.current_thread() is threading.main_thread()):
             self._old_sigusr1 = signal.signal(signal.SIGUSR1, self._on_sigusr1)
 
     # --- sampling ---------------------------------------------------------
 
     def on_step(self, steps: int) -> None:
-        """Per-window hook: cheap bookkeeping, throttled emission."""
-        if self.recorder is not None:
-            self.recorder.poll()
+        """Per-window hook: throttled emission."""
         now = time.perf_counter()
         if now - self._last < self.interval_s:
             return
@@ -322,12 +242,12 @@ class LivePlane:
         self._emit(record)
         return record
 
-    # --- flight recorder triggers -----------------------------------------
+    # --- flight dump triggers ---------------------------------------------
 
     def dump_flight(self) -> Optional[str]:
-        if self.recorder is None:
+        if not self.flight:
             return None
-        return self.recorder.dump(self.flight_path)
+        return write_flight(self.engine.bus, self.flight_path)
 
     def _on_sigusr1(self, _signum: int, _frame: Any) -> None:
         dumped = self.dump_flight()

@@ -127,3 +127,31 @@ class SimResults:
     def rtts_ps(self) -> List[int]:
         """RTT samples in measurement order (Fig. 10a plots the first 200)."""
         return [rtt for _, rtt, _ in self.rtt_samples]
+
+
+def merge_results(parts: Sequence[SimResults], scenario_name: str,
+                  engine: str = "dons-cluster") -> SimResults:
+    """One run's results from its parts' (cluster agents or the LPs of
+    the parallel baseline): counts, drops, marks and bytes summed, traces
+    in part order, and a flow's completed record kept over the stub of a
+    part that only sent it."""
+    merged = SimResults(engine, scenario_name, 0)
+    merged.trace = TraceRecorder(parts[0].trace.level if parts[0].trace else 0)
+    for res in parts:
+        merged.end_time_ps = max(merged.end_time_ps, res.end_time_ps)
+        merged.events.add(res.events)
+        merged.drops += res.drops
+        merged.marks += res.marks
+        merged.tx_bytes += res.tx_bytes
+        merged.rtt_samples.extend(res.rtt_samples)
+        for node, count in res.node_events.items():
+            merged.node_events[node] = merged.node_events.get(node, 0) + count
+        for flow_id, fr in res.flows.items():
+            have = merged.flows.get(flow_id)
+            if have is None or (fr.complete_ps is not None
+                                and have.complete_ps is None):
+                merged.flows[flow_id] = fr
+        if res.trace:
+            merged.trace.entries.extend(res.trace.entries)
+    merged.rtt_samples.sort()
+    return merged

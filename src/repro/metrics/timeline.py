@@ -12,6 +12,8 @@ Three ways out of an :class:`~repro.core.instrument.InstrumentationBus`:
   Begin/end records are emitted as matched ``B``/``E`` pairs with
   strictly nested, monotone timestamps — :func:`validate_chrome_trace`
   checks exactly that and is what CI runs against every exported file.
+  :func:`write_flight` writes the flight dump, the same format over the
+  spans of the last :data:`FLIGHT_WINDOWS` windows only.
 * :func:`stats_dict` / :func:`write_stats` — counters, gauges,
   histograms, per-system totals as JSON.  For cluster buses the
   coordinator's per-agent busy / barrier-wait gauges are also flattened
@@ -31,13 +33,15 @@ import json
 import os
 import subprocess
 import time
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION", "TIMELINE_FORMAT", "MANIFEST_FORMAT",
-    "chrome_trace_events", "write_timeline",
+    "chrome_trace_events", "write_timeline", "FLIGHT_WINDOWS",
+    "flight_spans", "write_flight",
     "validate_chrome_trace", "validate_timeline_file",
     "run_record", "stats_dict", "write_stats", "memo_line",
     "run_manifest", "write_manifest",
@@ -49,7 +53,7 @@ __all__ = [
 #: v3: stats reports grew the derived ``memo`` (hit/miss/hit_rate) and
 #: ``transport_shm`` (frames/bytes/fallbacks) sections, and the live
 #: observability plane (repro.metrics.live) started stamping its flight
-#: recorder dumps with this version.
+#: dumps with this version.
 #: v4: the ``memo`` section says why: ``jump`` / ``jump_windows`` and
 #: one ``ineligible.<reason>`` / ``uncacheable.<reason>`` /
 #: ``jump_refused.<reason>`` / ``disabled.<gate>`` field per reason that
@@ -61,7 +65,10 @@ __all__ = [
 #: v7: the ``metrics`` snapshot lost ``counters``: the ``port.*``
 #: rollups are bus counters, next to the agents' new ``cluster.rpc_*``
 #: / ``cluster.finish_frames`` traffic counters.
-TELEMETRY_SCHEMA_VERSION = 7
+#: v8: a flight dump's ``otherData`` says ``flight: {windows}`` (was
+#: ``flight_recorder: {windows, max_windows}``): it is always the last
+#: ``FLIGHT_WINDOWS`` windows.
+TELEMETRY_SCHEMA_VERSION = 8
 TIMELINE_FORMAT = "chrome-trace-events"
 MANIFEST_FORMAT = "repro-run-manifest-v1"
 
@@ -143,23 +150,58 @@ def chrome_trace_events(
     return events + body
 
 
+def _write_chrome_trace(events: List[Dict[str, Any]], path: str,
+                        **other: Any) -> None:
+    data = {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"format": TIMELINE_FORMAT,
+                      "schema_version": TELEMETRY_SCHEMA_VERSION, **other},
+    }
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
+
+
 def write_timeline(bus: Any, path: str,
                    process_names: Optional[Dict[int, str]] = None,
                    manifest: Optional[Dict[str, Any]] = None) -> str:
     """Write the bus's spans as a Chrome trace JSON file (plus a
     ``<path>.manifest.json`` provenance record when ``manifest`` is
     given) and return the timeline path."""
-    data = {
-        "traceEvents": chrome_trace_events(bus, process_names),
-        "displayTimeUnit": "ms",
-        "otherData": {"format": TIMELINE_FORMAT,
-                      "schema_version": TELEMETRY_SCHEMA_VERSION},
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+    _write_chrome_trace(chrome_trace_events(bus, process_names), path)
     if manifest is not None:
         write_manifest(path, **manifest)
+    return path
+
+
+#: Windows a flight dump covers, counted back from the last one.
+FLIGHT_WINDOWS = 64
+
+
+def flight_spans(spans: Sequence[tuple]) -> List[tuple]:
+    """The spans of the last :data:`FLIGHT_WINDOWS` ``window`` spans:
+    every span that ends after the earliest of them starts.  The bus
+    appends a span when it ends, so this is a suffix of ``spans``."""
+    starts = [span[0] for span in spans if span[2] == "window"]
+    if len(starts) <= FLIGHT_WINDOWS:
+        return list(spans)
+    horizon = starts[-FLIGHT_WINDOWS]
+    return [span for span in spans if span[1] > horizon]
+
+
+def write_flight(bus: Any, path: str) -> Optional[str]:
+    """Write the flight dump — the bus's last :data:`FLIGHT_WINDOWS`
+    windows as a validated Chrome trace — and return its path, or
+    ``None`` without writing when the bus holds no span (telemetry off:
+    an empty file would read as a successful dump)."""
+    spans = flight_spans(bus.spans)
+    if not spans:
+        return None
+    events = chrome_trace_events(SimpleNamespace(spans=spans))
+    validate_chrome_trace(events)
+    windows = sum(1 for span in spans if span[2] == "window")
+    _write_chrome_trace(events, path, flight={"windows": windows})
     return path
 
 

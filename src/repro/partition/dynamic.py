@@ -16,12 +16,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from typing import Optional
-
 from .loadest import LoadModel, time_binned_loads
 from .partitioner import PartitionPlan, dons_partition
-from .timecost import ClusterSpec, refit_cluster_spec
-from ..des.partition_types import Partition
+from .timecost import ClusterSpec
 from ..metrics.wasserstein import load_vector_distance
 from ..routing import Fib
 from ..topology import Topology
@@ -67,32 +64,17 @@ def dynamic_partition_plan(
     bin_ps: int,
     cluster: ClusterSpec,
     threshold: float = 0.25,
-    measured_times: Optional[Sequence[float]] = None,
-    measured_partition: Optional[Partition] = None,
 ) -> List[Phase]:
     """The full Appendix A pipeline: bin loads, detect phase changes,
     partition each phase as a separate simulation task.
 
-    When ``measured_times`` (the per-agent busy seconds of a previous
-    cluster run, ``run_record(bus)["agents_busy_s"]`` from
-    :func:`repro.metrics.timeline.run_record`) and the
-    ``measured_partition`` it was observed under are given, the cluster
-    spec's compute capacities are refitted to the measurement before any
-    phase is partitioned — the planner then reasons about the machines
-    as they *performed*, not as they were configured.
+    ``cluster`` may be a spec refitted to a previous run's measured
+    per-agent busy seconds (:func:`~repro.partition.refit_cluster_spec`),
+    so the phases are planned for the machines as they performed.
     """
     binned = time_binned_loads(topo, fib, flows, bin_ps)
     if not binned:
         raise ValueError("no load bins")
-    if measured_times is not None:
-        if measured_partition is None:
-            raise ValueError(
-                "measured_times needs the partition it was measured under"
-            )
-        cluster = refit_cluster_spec(
-            cluster, topo, measured_partition, _merge_loads(binned),
-            measured_times,
-        )
     vectors = [m.node_load for m in binned]
     boundaries = detect_phase_boundaries(vectors, threshold)
     edges = [0] + boundaries + [len(binned)]

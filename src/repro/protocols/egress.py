@@ -21,7 +21,7 @@ there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .aqm import AqmConfig, ewma_update, should_mark
 from .packet import F_FLOW, F_SIZE, Row, with_ce
@@ -44,14 +44,7 @@ class EgressConfig:
 
 @dataclass
 class PortStats:
-    """Counters a port accumulates; inputs to the machine and cost models.
-
-    When ``sample_queue`` is enabled on the port, ``queue_samples`` holds
-    ``(time_ps, queued_bytes_after_enqueue)`` — the exact occupancy every
-    arriving packet observed, i.e. the TXhistory view of Appendix C made
-    inspectable.  Identical between engines because sampling lives in the
-    shared ``arrive`` primitive.
-    """
+    """Counters a port accumulates; inputs to the machine and cost models."""
 
     enqueued: int = 0
     dequeued: int = 0
@@ -59,7 +52,6 @@ class PortStats:
     marked: int = 0
     tx_bytes: int = 0
     max_queue_bytes: int = 0
-    queue_samples: List[Tuple[int, int]] = field(default_factory=list)
 
 
 class TableClassifier:
@@ -83,7 +75,7 @@ class EgressPort:
 
     __slots__ = (
         "iface", "config", "classifier", "sched", "queued_bytes",
-        "avg_bytes", "free_at", "in_service", "stats", "sample_queue",
+        "avg_bytes", "free_at", "in_service", "stats",
     )
 
     def __init__(
@@ -91,7 +83,6 @@ class EgressPort:
         iface: Interface,
         config: EgressConfig,
         classifier: Optional[Callable[[Row], int]] = None,
-        sample_queue: bool = False,
     ) -> None:
         self.iface = iface
         self.config = config
@@ -104,7 +95,6 @@ class EgressPort:
         self.free_at = 0          # time the line becomes free
         self.in_service = False   # baseline-engine service flag
         self.stats = PortStats()
-        self.sample_queue = sample_queue
 
     # --- shared primitives ------------------------------------------------
 
@@ -136,8 +126,6 @@ class EgressPort:
         self.stats.enqueued += 1
         if self.queued_bytes > self.stats.max_queue_bytes:
             self.stats.max_queue_bytes = self.queued_bytes
-        if self.sample_queue:
-            self.stats.queue_samples.append((now, self.queued_bytes))
         return row
 
     def _dequeue(self) -> Optional[Row]:

@@ -5,9 +5,7 @@ import pytest
 import dataclasses
 
 from repro.cluster.agent import AgentSpec
-from repro.cluster.checkpoint import (
-    FORMAT, resume_cluster, take_cluster_checkpoint,
-)
+from repro.cluster.checkpoint import resume_cluster, take_cluster_checkpoint
 from repro.cluster import ClusterEngine
 from repro.core.checkpoint import FORMAT as ENGINE_FORMAT
 from repro.core.engine import run_dons
@@ -93,35 +91,42 @@ def test_scenario_mismatch_rejected(scenario):
         resume_cluster(other, ckpt)
 
 
+def _retagged(ckpt, fmt):
+    """``ckpt`` with every agent checkpoint inside tagged ``fmt``."""
+    return dataclasses.replace(ckpt, snapshot=[
+        dataclasses.replace(snap, format=fmt) for snap in ckpt.snapshot])
+
+
 def test_bad_format_rejected(scenario):
+    """The one format tag is the engine checkpoints' own."""
     part = contiguous_partition(scenario.topology, 2)
     engine, current = _run_until(scenario, part, 2)
     ckpt = take_cluster_checkpoint(engine, current)
-    assert ckpt.format == FORMAT == "dons-cluster-checkpoint-v5"
-    for stale in ("v0", "dons-cluster-checkpoint-v2",
-                  "dons-cluster-checkpoint-v3"):
-        bad = dataclasses.replace(ckpt, format=stale)
+    assert not hasattr(ckpt, "format")
+    assert {snap.format for snap in ckpt.snapshot} == {ENGINE_FORMAT}
+    assert ENGINE_FORMAT == "dons-checkpoint-v6"
+    for stale in ("v0", "dons-checkpoint-v4", "dons-checkpoint-v5"):
         with pytest.raises(ClusterError, match=stale):
-            resume_cluster(scenario, bad)
+            resume_cluster(scenario, _retagged(ckpt, stale))
 
 
 def test_v4_checkpoint_refused_before_any_agent_starts(scenario,
                                                        monkeypatch):
-    """v4 agent tables carried the flow-table columns: the envelope is
-    refused by name, both formats in the message, before a cluster is
-    made (so before any worker could launch)."""
+    """v5 egress rows carried a ``queue_samples`` column: the agent
+    checkpoints are refused by name, both formats in the message, before
+    a cluster is made (so before any worker could launch)."""
     part = contiguous_partition(scenario.topology, 2)
     engine, current = _run_until(scenario, part, 2)
-    v4 = dataclasses.replace(take_cluster_checkpoint(engine, current),
-                             format="dons-cluster-checkpoint-v4")
+    v5 = _retagged(take_cluster_checkpoint(engine, current),
+                   "dons-checkpoint-v5")
 
     def no_cluster(*args, **kwargs):
         raise AssertionError("a cluster was built for a refused checkpoint")
     monkeypatch.setattr("repro.cluster.checkpoint.ClusterEngine", no_cluster)
     with pytest.raises(ClusterError) as refused:
-        resume_cluster(scenario, v4)
-    assert "dons-cluster-checkpoint-v4" in str(refused.value)
-    assert "dons-cluster-checkpoint-v5" in str(refused.value)
+        resume_cluster(scenario, v5)
+    assert "dons-checkpoint-v5" in str(refused.value)
+    assert "dons-checkpoint-v6" in str(refused.value)
 
 
 def test_process_cluster_checkpoint_refused(scenario):

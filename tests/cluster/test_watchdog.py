@@ -50,8 +50,7 @@ def _stall(engine, agent_id, stall):
 # --- unit-level ------------------------------------------------------------
 
 def test_watchdog_classifies_slow_and_stalled():
-    dog = ClusterWatchdog(2, slow_factor=4.0, stall_factor=20.0,
-                          min_slow_s=1e-3, min_stall_s=0.05, warmup=2)
+    dog = ClusterWatchdog(2)
     for window in range(4):  # learn a ~10ms baseline
         assert dog.observe(window, [0.01, 0.01]) == []
     slow = dog.observe(4, [0.01, 0.045])
@@ -69,7 +68,7 @@ def test_watchdog_classifies_slow_and_stalled():
 
 
 def test_watchdog_warmup_suppresses_flags():
-    dog = ClusterWatchdog(1, warmup=3)
+    dog = ClusterWatchdog(1)
     assert dog.observe(0, [0.5]) == []
     assert dog.observe(1, [0.5]) == []
     assert dog.observe(2, [0.5]) == []

@@ -22,6 +22,7 @@ from repro.conformance.runner import (
     check_spec, fuzz, load_spec_file, replay_file, write_artifact,
 )
 from repro.errors import ReproError
+from repro.metrics.timeline import validate_timeline_file
 
 FAST_ORACLES = ("ood", "dons")
 #: The memo-cache drill needs the fast-forward engine; corruption is
@@ -216,6 +217,9 @@ class TestFuzzLoop:
             assert not replay_file(result.artifact, FAST_ORACLES).ok
         assert replay_file(result.artifact, FAST_ORACLES).ok
         assert caught_with_memo_on(flipped_transmit_order, 0)
+        # One telemetered re-run wrote the timeline and its flight dump.
+        for view in (result.timeline, result.flight):
+            validate_timeline_file(str(view))
 
     def test_planted_stale_window_index_is_caught_and_shrunk(self, tmp_path):
         """The columnar-store drill: corrupt the window-occupancy index

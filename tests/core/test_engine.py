@@ -65,16 +65,9 @@ class TestWindowMechanics:
                 f"engine visited {busy} windows for 2 tiny bursts")
             assert res.completed() == 2
 
-    def test_max_windows_guard(self, dumbbell_scenario):
-        eng = DodEngine(dumbbell_scenario, max_windows=5)
-        res = eng.run()
-        assert len(res.window_breakdown) <= 5
-        assert res.completed() < 4
-        assert eng.progress()["windows"] == 5
-
     def test_options_after_trace_level_are_keyword_only(self, dumbbell_scenario):
         """A third positional used to be ``workers``; a stale caller
-        must fail, not become ``max_windows=2`` and truncate the run."""
+        must fail, not silently become some other option."""
         from repro.cluster import AgentEngine
         from repro.des.partition_types import contiguous_partition
         with pytest.raises(TypeError):

@@ -32,10 +32,7 @@ UNREAD = {
                          "done_ps"), "cca_entry"),
     },
     "receivers": {"needs_ack": STATIC},
-    "egress": {
-        "avg_bytes": "red_aqm",  # RED's EWMA never repeats
-        "queue_samples": "queue_sampling",  # absolute-time pairs
-    },
+    "egress": {"avg_bytes": "red_aqm"},  # RED's EWMA never repeats
 }
 
 SCHEMAS = {"senders": SENDER_SCHEMA, "receivers": RECEIVER_SCHEMA,

@@ -102,7 +102,7 @@ def _store_state(events):
 
 
 @settings(max_examples=400, deadline=None)
-@given(configs, tables, windows, st.booleans(), watches, st.booleans())
+@given(configs, tables, windows, watches, st.booleans())
 # DRR's rarest transition: class 0 sends one small packet on a large
 # quantum and empties while class 1 is backlogged, so its leftover
 # deficit is forfeited on the next pick and shows in the row state.
@@ -113,11 +113,11 @@ def _store_state(events):
          table=[0, 0, 0, 1, 1, 1],
          drawn=[[(0, 3, 0, 12, False), (1, 0, 0, 1, False),
                  (1, 3, 1, 12, False), (1, 3, 2, 12, False)], []],
-         sample_queue=False, watch=None, remote=False)
+         watch=None, remote=False)
 def test_inline_replay_matches_reference(iface, config, table, drawn,
-                                         sample_queue, watch, remote):
-    ref = automaton(iface, config, table, sample_queue)
-    cols, static, i = egress_row(iface, config, table, sample_queue)
+                                         watch, remote):
+    ref = automaton(iface, config, table)
+    cols, static, i = egress_row(iface, config, table)
     assert static.classes == len(ref.sched.queues)
     ref_events, cand_events = EventColumns(), EventColumns()
     lookahead = WINDOW // 2   # deliveries spread over several windows
@@ -198,12 +198,12 @@ port_windows = st.lists(st.lists(st.lists(arrival, max_size=8),
                         min_size=2, max_size=4)
 
 
-def _replay_run(topo, ports, drawn, cut, watch, sample_queue, remote,
+def _replay_run(topo, ports, drawn, cut, watch, remote,
                 one_call):
     ids = PORT_IDS[:len(ports)]
     cols, statics = egress_rows(
         [(topo.interfaces[i], config, table)
-         for i, (config, table) in zip(ids, ports)], sample_queue)
+         for i, (config, table) in zip(ids, ports)])
     # With ``remote``, agents 1 and 3 own the peers of the second and
     # fourth port; an observed window collects the local ones too.
     owners = {i: (k if remote and k % 2 else LOCAL if watch else None)
@@ -245,24 +245,24 @@ MIXED = [(1, 0, 1, 12, False), (1, 3, 2, 4, False), (2, 4, 3, 8, True)]
 
 @settings(max_examples=200, deadline=None)
 @given(port_lists, port_windows, st.sampled_from([None, 1, GRID, 7 * GRID]),
-       watches, st.booleans(), st.booleans())
+       watches, st.booleans())
 @example(ports=[(FIFO_ECN, [0] * N_FLOWS), (SP, [0, 1] * 3),
                 (RR, [0, 1] * 3), (DRR, [1, 0] * 3)],
          drawn=[[BURST, MIXED, MIXED, MIXED], [MIXED, [], BURST, MIXED]],
-         cut=5 * GRID, watch=None, sample_queue=False, remote=True)
+         cut=5 * GRID, watch=None, remote=True)
 @example(ports=[(FIFO_ECN, [0] * N_FLOWS), (SP, [0, 1] * 3),
                 (RR, [0, 1] * 3), (DRR, [1, 0] * 3)],
          drawn=[[BURST, MIXED, MIXED, MIXED], [MIXED, [], BURST, MIXED]],
-         cut=5 * GRID, watch=(True, 2), sample_queue=True, remote=False)
+         cut=5 * GRID, watch=(True, 2), remote=False)
 def test_one_call_over_a_port_list_equals_one_call_per_port(
-        ports, drawn, cut, watch, sample_queue, remote):
+        ports, drawn, cut, watch, remote):
     """The engine hands the replay a window's whole port list; a port
     at a time must come to the same.  Every ``world.egress`` column,
     every event bucket (insertion order included), every outbox list
     (port order x emission order), the node counts, the active set, the
     published records (port order) and the drops must agree."""
     topo = dumbbell(2, bottleneck_rate_bps=10 * GBPS)
-    args = (topo, ports, drawn, cut, watch, sample_queue, remote)
+    args = (topo, ports, drawn, cut, watch, remote)
     one = _replay_run(*args, one_call=True)
     assert one == _replay_run(*args, one_call=False)
     # Every dequeue is delivered somewhere; only a watched sink publishes.

@@ -214,14 +214,11 @@ class TestCycleJumpLockstep:
     probe the jumper reuses is held to a fresh one on the way."""
 
     @given(cycle_scenarios(),
-           st.one_of(st.none(), st.integers(20, 300)),
            st.one_of(st.none(), st.integers(10, 200)))
     @settings(max_examples=40, deadline=None)
-    def test_jumper_matches_stepped_twin(self, scenario, max_windows,
-                                         restore_after):
+    def test_jumper_matches_stepped_twin(self, scenario, restore_after):
         def make(ffwd):
-            engine = DodEngine(scenario, TraceLevel.FULL, ffwd=ffwd,
-                               max_windows=max_windows)
+            engine = DodEngine(scenario, TraceLevel.FULL, ffwd=ffwd)
             engine.build()
             if ffwd:
                 _check_reused_probes(engine)
@@ -282,19 +279,19 @@ class TestCycleJumpLockstep:
     def test_refusals_are_named(self):
         """Each bound that leaves no whole cycle to skip says so.  The
         first comparison of a plain run (P = 6: 10 Gb/s against 1 us
-        windows) gives the window, run count, hit count and cursors at
-        which a bound has to bite; each variant then moves one bound
+        windows) gives the window, hit count and cursors at which a
+        bound has to bite; each variant then moves one bound
         inside that cycle."""
         topo = dumbbell(2, edge_rate_bps=10 * GBPS,
                         bottleneck_rate_bps=400 * GBPS, delay_ps=us(1))
 
-        def run(segments=(300, 500), extra=(), hits=0, **kwargs):
+        def run(segments=(300, 500), extra=(), hits=0, duration_ps=None):
             flows = [Flow(i, i, 2 + i, n * 1_440, 0, Transport.UDP)
                      for i, n in enumerate(segments)]
             scenario = make_scenario(
                 topo, flows + list(extra), name="refusals",
-                duration_ps=kwargs.pop("duration_ps", None))
-            engine = DodEngine(scenario, ffwd=True, **kwargs)
+                duration_ps=duration_ps)
+            engine = DodEngine(scenario, ffwd=True)
             engine.build()
             memo = engine._memo
             memo.hits = hits  # only moves the validation phase
@@ -302,8 +299,7 @@ class TestCycleJumpLockstep:
             jump = memo._jump
 
             def spy(state, *args):
-                checks.append((state.win, engine.progress()["windows"],
-                               memo.hits, state.base_of.get(0)))
+                checks.append((state.win, memo.hits, state.base_of.get(0)))
                 return jump(state, *args)
             memo._jump = spy
             while engine.advance():
@@ -315,10 +311,9 @@ class TestCycleJumpLockstep:
 
         checks, refused = run()
         assert not refused
-        win, done, hit, cursor = checks[0]
+        win, hit, cursor = checks[0]
         assert "flow_tail" in run(segments=(cursor + 4, 500))[1]
         assert run(duration_ps=us(win + 3))[1] == {"duration_cut"}
-        assert run(max_windows=done + 3)[1] == {"max_windows"}
         assert "validation_due" in run(hits=(30 - hit) % 32)[1]
         late = Flow(2, 0, 2, 30_000, us(win + 60), Transport.DCTCP)
         assert "state_differs" in run(extra=[late])[1]

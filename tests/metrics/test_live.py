@@ -1,5 +1,5 @@
 """Live observability plane: NDJSON schema and throttle, and the flight
-recorder's bounded ring + dump triggers."""
+dump — a view of the bus's last 64 windows — and its triggers."""
 
 import io
 import json
@@ -11,9 +11,11 @@ import pytest
 from repro.core.engine import DodEngine
 from repro.core.runner import EngineRunner, chain_hooks
 from repro.metrics.live import (
-    LIVE_RECORD_KEYS, LIVE_SCHEMA_VERSION, FlightRecorder, LivePlane,
+    LIVE_RECORD_KEYS, LIVE_SCHEMA_VERSION, LivePlane,
 )
-from repro.metrics.timeline import validate_timeline_file
+from repro.metrics.timeline import (
+    FLIGHT_WINDOWS, flight_spans, validate_timeline_file, write_flight,
+)
 from repro.scenario import make_scenario
 from repro.topology import dumbbell
 from repro.traffic import Transport, fixed_flows
@@ -111,32 +113,36 @@ def test_chain_hooks():
     assert chain_hooks(None, one) is one
 
 
-# --- flight recorder -------------------------------------------------------
+# --- flight dump -----------------------------------------------------------
 
-def test_flight_recorder_bounded_ring(scenario, tmp_path):
+def test_flight_view_is_the_last_64_windows(scenario, tmp_path):
+    """The flight dump is a view of ``bus.spans``: every span that ends
+    after the 64th-last ``window`` span starts, so exactly the last 64
+    windows."""
     engine = DodEngine(scenario, telemetry=True)
-    recorder = FlightRecorder(engine.bus, max_windows=8)
-    runner = EngineRunner(engine, on_step=lambda _s: recorder.poll())
-    runner.run()
-    recorder.poll()
-    assert recorder.windows <= 8
-    total_windows = sum(1 for s in engine.bus.spans if s[2] == "window")
-    assert total_windows > 8, "scenario too small to exercise eviction"
+    engine.run()
+    spans = engine.bus.spans
+    windows = [s for s in spans if s[2] == "window"]
+    assert len(windows) > FLIGHT_WINDOWS == 64, "scenario too small"
+    horizon = windows[-64][0]
+    assert flight_spans(spans) == [s for s in spans if s[1] > horizon]
     path = tmp_path / "flight.json"
-    assert recorder.dump(str(path)) == str(path)
+    assert write_flight(engine.bus, str(path)) == str(path)
     events = validate_timeline_file(str(path))
-    dumped_windows = sum(1 for e in events
-                         if e.get("ph") == "B" and e["name"] == "window")
-    assert 0 < dumped_windows <= 8
+    dumped = [e["args"]["index"] for e in events
+              if e.get("ph") == "B" and e["name"] == "window"]
+    assert dumped == [s[4]["index"] for s in windows[-64:]]
     data = json.loads(path.read_text())
-    assert data["otherData"]["flight_recorder"]["max_windows"] == 8
+    assert data["otherData"]["flight"] == {"windows": 64}
 
 
 def test_flight_recorder_empty_without_telemetry(scenario, tmp_path):
     engine = DodEngine(scenario)  # telemetry off: no spans
     engine.run()
-    recorder = FlightRecorder(engine.bus)
-    assert recorder.dump(str(tmp_path / "flight.json")) is None
+    path = tmp_path / "flight.json"
+    assert write_flight(engine.bus, str(path)) is None
+    assert not path.exists()
+    assert not LivePlane(engine, stream=io.StringIO()).flight
 
 
 def test_flight_dump_on_crash(scenario, tmp_path):
@@ -144,7 +150,7 @@ def test_flight_dump_on_crash(scenario, tmp_path):
     engine = DodEngine(scenario, telemetry=True)
     plane = LivePlane(engine, stream=io.StringIO(), interval_ms=0,
                       flight_path=str(flight))
-    assert plane.recorder is not None, "telemetry on must arm the recorder"
+    assert plane.flight, "telemetry on must arm the flight dump"
 
     def boom(steps):
         plane.on_step(steps)

@@ -25,30 +25,29 @@ from repro.protocols.egress import EgressPort, PortStats, TableClassifier
 from repro.protocols.packet import F_CE, F_FLOW, F_ISACK, F_SEQ, packet_uid
 
 
-def egress_rows(ports, sample_queue=False):
+def egress_rows(ports):
     """``(cols, statics)`` of one egress table with a row for every
     ``(iface, config, table)`` of ``ports`` — the row index is the
     interface id, which RED's hash reads; ``statics`` by interface id."""
-    statics = {iface.iface_id: port_static(iface, config, table,
-                                           sample_queue)
+    statics = {iface.iface_id: port_static(iface, config, table)
                for iface, config, table in ports}
     world = World()
     for i in range(max(statics) + 1):
         classes = statics[i].classes if i in statics else 1
         world.egress.add(
             queues=[[] for _ in range(classes)], heads=[0] * classes,
-            queue_samples=[], drr_deficit=[0] * classes)
+            drr_deficit=[0] * classes)
     return world.egress_cols, statics
 
 
-def egress_row(iface, config, table, sample_queue=False):
+def egress_row(iface, config, table):
     """``(cols, static, row)`` of ``iface`` alone in an egress table."""
-    cols, statics = egress_rows([(iface, config, table)], sample_queue)
+    cols, statics = egress_rows([(iface, config, table)])
     return cols, statics[iface.iface_id], iface.iface_id
 
 
-def automaton(iface, config, table, sample_queue=False):
-    return EgressPort(iface, config, TableClassifier(table), sample_queue)
+def automaton(iface, config, table):
+    return EgressPort(iface, config, TableClassifier(table))
 
 
 def drive_automaton(port, arrivals, end, emissions, drops, enq=None):
@@ -104,8 +103,7 @@ def row_state(cols, i):
         "avg_bytes": cols.avg_bytes[i],
         "stats": PortStats(
             cols.enqueued[i], cols.dequeued[i], cols.dropped[i],
-            cols.marked[i], cols.tx_bytes[i], cols.max_queue_bytes[i],
-            cols.queue_samples[i]),
+            cols.marked[i], cols.tx_bytes[i], cols.max_queue_bytes[i]),
         "qlen": cols.qlen[i], "queues": [list(q) for q in cols.queues[i]],
         "heads": list(cols.heads[i]),
         "rr_next": cols.rr_next[i],

@@ -1,10 +1,11 @@
-"""Library extensions: leaf-spine, queue sampling."""
+"""Library extensions: leaf-spine, queue occupancy."""
 
 import pytest
 
-from repro.core.engine import DodEngine
-from repro.des.simulator import OodSimulator
+from repro.core.engine import DodEngine, run_dons
+from repro.des import run_baseline
 from repro.errors import TopologyError
+from repro.metrics import TraceKind, TraceLevel
 from repro.routing import build_fib
 from repro.scenario import make_scenario
 from repro.topology import leaf_spine
@@ -58,29 +59,30 @@ class TestLeafSpine:
 
 
 class TestQueueSampling:
+    """Queue occupancy stays visible two ways, neither an engine mode of
+    its own: a FULL trace's ENQ records and telemetry's
+    ``port.queue_depth_bytes`` histogram."""
+
     def test_samples_identical_across_engines(self, dumbbell_scenario):
-        a = OodSimulator(dumbbell_scenario, sample_queues=True)
-        a.run()
-        b = DodEngine(dumbbell_scenario, sample_queues=True)
-        b.run()
-        assert any(port.stats.queue_samples for port in a.ports)
-        for port in a.ports:
-            assert (b.port_stats(port.iface.iface_id).queue_samples
-                    == port.stats.queue_samples)
+        """Every enqueue — where and when a packet joined a queue — is
+        recorded alike by both engines."""
+        def enqueues(results):
+            return sorted(e for e in results.trace.entries
+                          if e[1] == TraceKind.ENQ)
+        ood = enqueues(run_baseline(dumbbell_scenario, TraceLevel.FULL))
+        assert ood
+        assert enqueues(run_dons(dumbbell_scenario, TraceLevel.FULL)) == ood
 
     def test_samples_track_occupancy(self, dumbbell_scenario):
-        sim = OodSimulator(dumbbell_scenario, sample_queues=True)
-        sim.run()
-        bottleneck = [p for p in sim.ports
-                      if p.stats.max_queue_bytes > 0]
-        assert bottleneck, "nothing queued anywhere?"
-        port = max(bottleneck, key=lambda p: p.stats.max_queue_bytes)
-        times = [t for t, _q in port.stats.queue_samples]
-        assert times == sorted(times)
-        assert max(q for _t, q in port.stats.queue_samples) \
-            == port.stats.max_queue_bytes
+        """The histogram samples the busy ports' queues each window, and
+        no sample exceeds the deepest queue the run reached."""
+        engine = DodEngine(dumbbell_scenario, telemetry=True)
+        engine.run()
+        depth = engine.bus.metrics.histograms["port.queue_depth_bytes"]
+        deepest = max(engine.world.egress_cols.max_queue_bytes)
+        assert depth.count > 0 and 0 < depth.sum <= depth.count * deepest
 
     def test_disabled_by_default(self, dumbbell_scenario):
-        sim = OodSimulator(dumbbell_scenario)
-        sim.run()
-        assert all(not p.stats.queue_samples for p in sim.ports)
+        engine = DodEngine(dumbbell_scenario)
+        engine.run()
+        assert "port.queue_depth_bytes" not in engine.bus.metrics.histograms
