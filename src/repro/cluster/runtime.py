@@ -107,13 +107,15 @@ class ClusterEngine:
                                        WAIT_MS_BUCKETS)
         #: Agent-measured per-agent busy / barrier-wait seconds,
         #: accumulated every window; exported as ``a<i>:busy_s`` /
-        #: ``a<i>:barrier_wait_s`` gauges at finalize — the exact series
+        #: ``a<i>:barrier_wait_s`` gauges at finalize (with the busy
+        #: CPU seconds, ``a<i>:cpu_s``, beside them) — the exact series
         #: :func:`repro.partition.refit_cluster_spec` takes as
         #: ``measured_times``.  The one busy / wait accumulator:
         #: :func:`repro.metrics.timeline.run_record` reads it for the
         #: live stream, ``stats`` and ``--progress``.
         self.busy_s = [0.0] * len(self.specs)
         self.wait_s = [0.0] * len(self.specs)
+        self.cpu_s = [0.0] * len(self.specs)
         #: Stall/slowness detector over the same measured window times,
         #: armed exactly when the bus is telemetered.
         self.watchdog = (ClusterWatchdog(len(self.specs))
@@ -295,6 +297,7 @@ class ClusterEngine:
         for agent_id, busy in enumerate(transport.window_times):
             self.busy_s[agent_id] += busy
             self.wait_s[agent_id] += transport.window_waits[agent_id]
+            self.cpu_s[agent_id] += transport.window_cpus[agent_id]
         if self.watchdog is not None:
             self.watchdog.observe(window, transport.window_times, bus)
         if not bus.telemetry:
@@ -328,6 +331,8 @@ class ClusterEngine:
                                        self.busy_s[agent_id])
                 self.bus.metrics.gauge(f"a{agent_id}:barrier_wait_s",
                                        self.wait_s[agent_id])
+                self.bus.metrics.gauge(f"a{agent_id}:cpu_s",
+                                       self.cpu_s[agent_id])
             stats = self.transport.finalize_stats(reports)
             stats.windows = self.bus.counters.get("cluster.windows", 0)
         finally:

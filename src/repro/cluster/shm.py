@@ -46,8 +46,8 @@ the commit word would observe — and the fuzz loop must catch the loss.
 
 :class:`ProgressBoard` is the control-plane counterpart: one segment in
 which every agent keeps a small single-writer progress record (windows
-completed, a log of recent windows with agent-measured busy and
-barrier-wait seconds, events so far, how its last grant ended).  The
+completed, a log of recent windows with agent-measured busy, busy-CPU
+and barrier-wait seconds, events so far, how its last grant ended).  The
 coordinator only reads it — it learns about finished windows without
 being on any window's critical path.
 """
@@ -411,7 +411,7 @@ PAUSED, DONE, FAILED = 1, 2, 3
 
 _BOARD_WORDS = 1   # consumed: the only word the coordinator writes
 _AGENT_WORDS = 5   # completed, events, epoch, outcome, pending
-_ENTRY = struct.Struct("<qddq")   # window, busy_s, wait_s, records sent
+_ENTRY = struct.Struct("<qdddq")  # window, busy_s, cpu_s, wait_s, records
 
 
 class ProgressBoard:
@@ -474,15 +474,15 @@ class ProgressBoard:
         words = self._words
         return words[self._base(agent)] - words[0] < self.LOG_SLOTS
 
-    def publish(self, agent: int, window: int, busy_s: float, wait_s: float,
-                records: int, events: int) -> None:
+    def publish(self, agent: int, window: int, busy_s: float, cpu_s: float,
+                wait_s: float, records: int, events: int) -> None:
         """Log one completed window (entry first, count last)."""
         words, base = self._words, self._base(agent)
         completed = words[base]
         _ENTRY.pack_into(
             self._seg.buf, 8 * (base + _AGENT_WORDS)
             + (completed % self.LOG_SLOTS) * _ENTRY.size,
-            window, busy_s, wait_s, records)
+            window, busy_s, cpu_s, wait_s, records)
         words[base + 1] = events
         words[base] = completed + 1
 
@@ -504,8 +504,9 @@ class ProgressBoard:
         base = self._base(agent)
         return self._words[base:base + _AGENT_WORDS].tolist()
 
-    def entry(self, agent: int, k: int) -> Tuple[int, float, float, int]:
-        """Log entry ``k``: ``(window, busy_s, wait_s, records)``."""
+    def entry(self, agent: int, k: int) -> Tuple[int, float, float, float,
+                                                 int]:
+        """Log entry ``k``: ``(window, busy_s, cpu_s, wait_s, records)``."""
         return _ENTRY.unpack_from(
             self._seg.buf, 8 * (self._base(agent) + _AGENT_WORDS)
             + (k % self.LOG_SLOTS) * _ENTRY.size)

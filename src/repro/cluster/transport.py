@@ -37,7 +37,9 @@ worker, carrying ``build`` / ``run`` / ``snapshot`` / ``restore`` /
 for the coordinator, which follows their
 :class:`~repro.cluster.shm.ProgressBoard` records and sleeps when it has
 caught up.  Busy and barrier-wait seconds are measured by the agents
-themselves (run time versus wait time).
+themselves (run time versus wait time), and so is busy CPU time
+(``time.thread_time()`` over the run time), which a preempted agent on
+an oversubscribed box does not accrue.
 
 **Failure handling** is coordinated rollback (:mod:`repro.cluster.fault`):
 a dead agent surfaces as :class:`AgentFailure`, and
@@ -139,9 +141,10 @@ class Transport:
         self.specs: List[AgentSpec] = []
         self.stats = ClusterTrafficStats()
         #: Of the window :meth:`next_window` returned last: per-agent
-        #: busy and barrier-wait seconds, measured every window, and
-        #: the records all agents sent in it.
+        #: busy, busy-CPU and barrier-wait seconds, measured every
+        #: window, and the records all agents sent in it.
         self.window_times: List[float] = []
+        self.window_cpus: List[float] = []
         self.window_waits: List[float] = []
         self.window_records = 0
         #: Last window :meth:`next_window` returned.
@@ -270,13 +273,14 @@ class LocalTransport(Transport):
         if self._horizon.reached(self._ran, window):
             self.pending = window
             return None
-        clock = time.perf_counter
-        outboxes, times = [], []
+        clock, cpu = time.perf_counter, time.thread_time
+        outboxes, times, cpus = [], [], []
         for agent_id, engine in enumerate(engines):
-            t0 = clock()
+            t0, c0 = clock(), cpu()
             outbox, self._offers[agent_id] = engine.run_window(window)
             outboxes.append(outbox)
             times.append(clock() - t0)
+            cpus.append(cpu() - c0)
         self.window_records = sum(
             len(records) for outbox in outboxes
             for records in outbox.values())
@@ -290,7 +294,7 @@ class LocalTransport(Transport):
         # Serial execution: an agent's busy time is its own wall time,
         # its barrier wait the slack to the slowest agent.
         slowest = max(times)
-        self.window_times = times
+        self.window_times, self.window_cpus = times, cpus
         self.window_waits = [slowest - t for t in times]
         self._ran += 1
         self.cursor, self.pending = window, None
@@ -457,10 +461,10 @@ class _AgentWorker:
     def _window(self, window: int) -> None:
         engine, board, me = self.engine, self.board, self.me
         count = engine.bus.count
-        clock = time.perf_counter
+        clock, cpu = time.perf_counter, time.thread_time
         if not board.room(me):
             self._await(lambda: board.room(me))
-        t0 = clock()
+        t0, c0 = clock(), cpu()
         outbox, offer = engine.run_window(window)
         self.offers[me] = offer
         sent = sum(len(records) for records in outbox.values())
@@ -470,12 +474,13 @@ class _AgentWorker:
         if self.rings_out:
             count("transport.shm_frames", len(self.rings_out))
             count("transport.shm_bytes", sent * RECORD_BYTES)
-        waited = 0.0
+        waited = wait_cpu = 0.0
         for src, ring in self.rings_in.items():
             if not ring.ready():
-                w0 = clock()
+                w0, v0 = clock(), cpu()
                 self._await(ring.ready)
                 waited += clock() - w0
+                wait_cpu += cpu() - v0
             got, self.offers[src], records = consume_batch(ring)
             if got != window:
                 raise SequenceError(
@@ -484,7 +489,8 @@ class _AgentWorker:
             if records:
                 engine.accept_arrivals(records)
                 count("transport.records_in", len(records))
-        board.publish(me, window, clock() - t0 - waited, waited, sent,
+        board.publish(me, window, clock() - t0 - waited,
+                      cpu() - c0 - wait_cpu, waited, sent,
                       engine.results.events.total)
 
     def _snapshot(self, window: int) -> Tuple[str, int]:
@@ -659,8 +665,9 @@ class ProcessTransport(Transport):
                         f"agents disagree on window {k}: "
                         f"{[entry[0] for entry in entries]}")
                 self.window_times = [entry[1] for entry in entries]
-                self.window_waits = [entry[2] for entry in entries]
-                self.window_records = sum(entry[3] for entry in entries)
+                self.window_cpus = [entry[2] for entry in entries]
+                self.window_waits = [entry[3] for entry in entries]
+                self.window_records = sum(entry[4] for entry in entries)
                 self.cursor, self.pending = window, None
                 return window
             ended = [a for a in agents if status[a][2] == self._epoch]

@@ -141,6 +141,9 @@ class DodEngine:
         #: ``is_host[node]``, gathered at ``build()`` — what the window
         #: plan and the memo probe classify an entry's node by.
         self.is_host: List[bool] = []
+        #: ``host_nic[node]``: a host's NIC interface id (-1 at a
+        #: switch), gathered at ``build()`` — where the AckSystem stages.
+        self.host_nic: List[int] = []
         #: The flow table as plain-int lists, made once by ``build()``.
         self.flow_lists: Optional[FlowLists] = None
         # The ForwardSystem's route cache: a pure function of the
@@ -173,6 +176,10 @@ class DodEngine:
         nodes, ifaces = sc.topology.nodes, sc.topology.interfaces
         n = len(ifaces)
         self.is_host = [node.is_host for node in nodes]
+        self.host_nic = [-1] * len(nodes)
+        for iface in ifaces:
+            if self.is_host[iface.node]:
+                self.host_nic[iface.node] = iface.iface_id
         table = sc.classifier_table()
         self.port_static = [
             port_static(iface, sc.host_egress if self.is_host[iface.node]

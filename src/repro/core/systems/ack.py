@@ -62,7 +62,7 @@ def ack_window(engine, ctx: WindowContext, work: List[NodeWork]) -> None:
     total_col = world.sender_cols["total_segs"]
     fl = engine.flow_lists
     src_of, dst_of = fl.src, fl.dst
-    host_iface = engine.scenario.topology.host_iface
+    host_nic = engine.host_nic
     staged = ctx.staged
     node_events = engine.results.node_events
     flow_results = engine.results.flows
@@ -117,7 +117,7 @@ def ack_window(engine, ctx: WindowContext, work: List[NodeWork]) -> None:
                     flow_id, expected, row[F_CE], row[F_SEND_TS],
                     dst_of[flow_id], src_of[flow_id]))
                 if acks is None:
-                    nic = host_iface(node).iface_id
+                    nic = host_nic[node]
                     acks = staged.get(nic)
                     if acks is None:
                         acks = staged[nic] = []

@@ -151,9 +151,9 @@ class TestMergedBus:
 
     @pytest.mark.parametrize("transport", ["local", "shm"])
     def test_untelemetered_run_measures_busy(self, transport):
-        """No telemetry, no watchdog: the agents' busy / wait seconds
-        are still measured every window, exported as gauges, and are the
-        measured T_a ``refit_cluster_spec`` fits Eq. (1) to."""
+        """No telemetry, no watchdog: the agents' busy / CPU / wait
+        seconds are still measured every window and exported as gauges;
+        busy is the measured T_a ``refit_cluster_spec`` fits Eq. (1) to."""
         sc = _scenario()
         part = contiguous_partition(sc.topology, 2)
         engine = DonsManager(sc, ClusterSpec.homogeneous(2),
@@ -166,6 +166,8 @@ class TestMergedBus:
         assert [gauges["a0:busy_s"], gauges["a1:busy_s"]] == engine.busy_s
         assert [gauges["a0:barrier_wait_s"],
                 gauges["a1:barrier_wait_s"]] == engine.wait_s
+        assert [gauges["a0:cpu_s"], gauges["a1:cpu_s"]] == engine.cpu_s
+        assert all(c > 0 for c in engine.cpu_s)
         busy = run_record(engine.bus)["agents_busy_s"]
         assert busy == engine.busy_s
         loads = estimate_scenario_loads(sc)

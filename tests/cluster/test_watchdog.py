@@ -156,3 +156,19 @@ def test_watchdog_defaults(scenario):
     assert _cluster_engine(scenario).watchdog is None
     assert isinstance(_cluster_engine(scenario, telemetry=True).watchdog,
                       ClusterWatchdog)
+
+
+def test_stalled_agent_is_busy_but_not_on_cpu(scenario):
+    """Busy means CPU: a sleep wrapped around an agent's window inflates
+    its measured busy seconds, never its busy CPU seconds, exported as
+    the ``a<i>:cpu_s`` gauge beside ``a<i>:busy_s``."""
+    nap = 0.002
+    engine = _cluster_engine(scenario)
+    _stall(engine, 1, lambda window: time.sleep(nap))
+    EngineRunner(engine).run()
+    slept = nap * engine.bus.counters["cluster.windows"]
+    gauges = engine.bus.metrics.gauges
+    assert [gauges["a0:cpu_s"], gauges["a1:cpu_s"]] == engine.cpu_s
+    assert all(c > 0 for c in engine.cpu_s)
+    assert engine.busy_s[1] >= slept
+    assert engine.cpu_s[1] < engine.busy_s[1] - 0.9 * slept

@@ -176,11 +176,27 @@ def topologies_and_dests(draw):
     return topo, dests
 
 
+def assert_lookups_match(topo, dests=None):
+    """Every (node, dest) lookup equals the per-destination reference:
+    the same ports, and ``RoutingError`` exactly where it has no route;
+    ``entry_count()`` counts the routes the reference stores."""
+    fib = build_fib(topo, dests)
+    reference = reference_tables(topo, dests)
+    for node in range(topo.num_nodes):
+        for dest in range(topo.num_nodes):
+            want = reference[node].get(dest)
+            if want is None:
+                with pytest.raises(RoutingError):
+                    fib.ports(node, dest)
+            else:
+                assert fib.ports(node, dest) == want, (node, dest)
+    assert fib.entry_count() == sum(len(t) for t in reference)
+
+
 @given(topologies_and_dests())
 @settings(max_examples=150, deadline=None)
 def test_builder_matches_per_destination_bfs(case):
-    topo, dests = case
-    assert build_fib(topo, dests).tables == reference_tables(topo, dests)
+    assert_lookups_match(*case)
 
 
 GENERATORS = {
@@ -193,6 +209,19 @@ GENERATORS = {
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_builder_matches_per_destination_bfs_on_generators(name):
     topo = GENERATORS[name]()
-    assert build_fib(topo).tables == reference_tables(topo)
-    some = topo.hosts[::3]
-    assert build_fib(topo, some).tables == reference_tables(topo, some)
+    assert_lookups_match(topo)
+    assert_lookups_match(topo, topo.hosts[::3])
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_storage_is_per_attachment_class(name):
+    """No host holds a table; a switch holds at most one route per
+    attachment class plus one per host attached to it."""
+    topo = GENERATORS[name]()
+    fib = build_fib(topo)
+    classes = set(fib.class_of.values())
+    for node in topo.hosts:
+        assert fib.tables[node] == {}, node
+    for node in topo.switches:
+        attached = {h for h, key in fib.class_of.items() if key == ~node}
+        assert set(fib.tables[node]) <= classes - {~node} | attached, node

@@ -63,3 +63,39 @@ def test_every_gated_name_is_a_benchmark_name():
     for workload, metric in named:
         assert workload in WORKLOADS, workload
         assert metric in metrics, metric
+
+
+def _result(attempted, failed, metrics):
+    return {"correct": failed == 0, "attempted": attempted,
+            "failed": failed,
+            "metrics": {name: {"value": v, "unit": "u"}
+                        for name, v in metrics.items()}}
+
+
+def test_history_rows_append_to_a_json_list(tmp_path):
+    """The trajectory writer on fabricated results: one row per
+    workload, appended, never rewriting an earlier row."""
+    env = {"rev": "abc123", "cpus": 2, "python": "3.12.0", "numpy": "2.0"}
+    e2e = _result(5, 0, {"cal_events_per_s": 4.5e5, "setup_s": 0.012,
+                         "peak_rss_mb": 60.0})
+    layers = _result(1, 1, {"engine.windows": 90})
+    row = perf_smoke.history_row(env, WORKLOADS[0], e2e, layers)
+    assert row == dict(
+        env, workload=WORKLOADS[0], seed=perf_smoke.SEED, small=True,
+        attempted=6, failed=1, end_to_end=e2e["metrics"],
+        per_layer=layers["metrics"])
+    path = str(tmp_path / "history.json")
+    perf_smoke.append_history(path, [row])
+    perf_smoke.append_history(path, [dict(row, rev="def456"), row])
+    with open(path) as fh:
+        text = fh.read()
+    history = json.loads(text)
+    assert [r["rev"] for r in history] == ["abc123", "def456", "abc123"]
+    assert history[0] == row
+    assert len(text.splitlines()) == 2 + len(history)  # a row a line
+
+
+def test_environment_names_the_code_and_the_box():
+    env = perf_smoke.environment()
+    assert set(env) == {"rev", "cpus", "python", "numpy"}
+    assert env["cpus"] >= 1

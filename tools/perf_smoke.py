@@ -3,12 +3,18 @@
 
 For each ``BENCHMARK.json`` workload this runs
 
-    python benchmarks/perf/run.py --workload W --small --trace 1 --seconds 2
+    python benchmarks/perf/run.py --workload W --small --trace T --seconds 2 --seed 1
 
-(one traced run; every repeat is checked against the OOD fingerprint and
-``run.py`` strips ``REPRO_*`` and sets ``PYTHONPATH`` itself), reads the
-JSON object on its last line, and holds the per-layer ratios to ``GATES``.
-A workload with failed operations, or a ratio outside its limit, exits 1.
+once untraced (``T`` = 0, the end-to-end metrics) and once traced (1,
+the per-layer metrics); every repeat is checked against the OOD
+fingerprint, and ``run.py`` strips ``REPRO_*`` and sets ``PYTHONPATH``
+itself.  It reads the JSON object on each run's last line and holds the
+per-layer ratios to ``GATES``.  A workload with failed operations, or a
+ratio outside its limit, exits 1.
+
+Every run also appends one row per workload to ``BENCH_history.json``
+at the repo root, the append-only perf trajectory (``history_row``
+gives the schema); the file is a JSON list, one row per line.
 
 Every limit sits outside the range ten runs measured on a 2-vCPU box
 (docs/PERFORMANCE.md, "Standing gates", lists the values).  ``PRINTED``
@@ -23,11 +29,16 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import sys
-from typing import Any, Dict, List
+from importlib import metadata
+from typing import Any, Dict, List, Optional
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HISTORY = os.path.join(REPO, "BENCH_history.json")
+#: The traffic seed of every smoke run.
+SEED = 1
 
 #: ``(workload, metric, op, limit)``: the metric's value must be
 #: ``op`` (``"<"`` or ``">"``) the limit.
@@ -71,27 +82,82 @@ def check(results: Dict[str, Dict[str, Any]]) -> List[str]:
     return failures
 
 
-def run_small(workload: str) -> Dict[str, Any]:
-    """One traced run of ``workload``'s small sibling; its result object."""
+def run_small(workload: str, trace: int) -> Dict[str, Any]:
+    """One run of ``workload``'s small sibling; its result object."""
     proc = subprocess.run(
         [sys.executable, os.path.join(REPO, "benchmarks", "perf", "run.py"),
-         "--workload", workload, "--small", "--trace", "1", "--seconds", "2"],
+         "--workload", workload, "--small", "--trace", str(trace),
+         "--seconds", "2", "--seed", str(SEED)],
         stdout=subprocess.PIPE, text=True, cwd=REPO)
     if proc.returncode != 0:
         raise SystemExit(f"FAIL: {workload}: run.py exited {proc.returncode}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _git(*args: str) -> Optional[str]:
+    try:
+        proc = subprocess.run(["git", *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True, cwd=REPO)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def environment() -> Dict[str, Any]:
+    """What a history row says about the code and the box: the git rev
+    (``-dirty`` when tracked files other than the history differ from
+    it), usable cpus, and the python and numpy versions."""
+    rev = _git("rev-parse", "HEAD")
+    if rev and _git("status", "--porcelain", "--untracked-files=no", "--",
+                    ".", ":(exclude)BENCH_history.json"):
+        rev += "-dirty"
+    return {
+        "rev": rev,
+        "cpus": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+    }
+
+
+def history_row(env: Dict[str, Any], workload: str, e2e: Dict[str, Any],
+                layers: Dict[str, Any]) -> Dict[str, Any]:
+    """One workload's row: ``env``, the workload and seed, the
+    end-to-end and per-layer metric maps exactly as ``run.py`` names
+    them (``{name: {"value", "unit"}}``), and both runs' operations."""
+    return dict(env, workload=workload, seed=SEED, small=True,
+                attempted=e2e["attempted"] + layers["attempted"],
+                failed=e2e["failed"] + layers["failed"],
+                end_to_end=e2e["metrics"], per_layer=layers["metrics"])
+
+
+def append_history(path: str, rows: List[Dict[str, Any]]) -> None:
+    """Append ``rows`` to the JSON list at ``path`` (made if missing)."""
+    history: List[Dict[str, Any]] = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            history = json.load(fh)
+    history += rows
+    with open(path, "w") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(row, sort_keys=True)
+                                     for row in history) + "\n]\n")
+
+
 def main() -> int:
     with open(os.path.join(REPO, "BENCHMARK.json")) as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
-    results = {workload: run_small(workload) for workload in workloads}
+    e2e = {workload: run_small(workload, 0) for workload in workloads}
+    results = {workload: run_small(workload, 1) for workload in workloads}
+    env = environment()
+    append_history(HISTORY, [history_row(env, w, e2e[w], results[w])
+                             for w in workloads])
     rows = ([(w, m, f"gate {op} {limit}") for w, m, op, limit in GATES]
             + [(w, m, "not gated") for w, m in PRINTED])
     for workload, metric, note in rows:
         print(f"{workload:<24}{metric:<36}"
               f"{value(results, workload, metric):>10.4g}  {note}")
-    failures = check(results)
+    failures = check(results) + [
+        f"{w} untraced: {r['failed']} of {r['attempted']} operations failed"
+        for w, r in e2e.items() if r["failed"]]
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
