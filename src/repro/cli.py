@@ -24,7 +24,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .errors import ConfigError, ReproError
 from .metrics import TraceLevel
@@ -45,7 +45,17 @@ _TRANSPORTS = {"dctcp": Transport.DCTCP, "udp": Transport.UDP,
                "reno": Transport.RENO}
 
 
-def _parse_kv(spec: str) -> Dict[str, str]:
+#: The keys each flow generator reads; any other key is refused.
+_FLOW_KEYS = {
+    "mesh": ("load", "seed", "max", "duration_ms", "sizes"),
+    "fixed": ("n", "size", "transport", "seed"),
+    "wan_twin": ("seed", "duration_ms", "max", "classes", "load",
+                 "arrival"),
+    "storage": ("seed", "duration_ms", "blocks", "block_kb", "arrival"),
+}
+
+
+def _parse_kv(spec: str, keys: Sequence[str]) -> Dict[str, str]:
     if not spec:
         return {}
     out = {}
@@ -55,72 +65,96 @@ def _parse_kv(spec: str) -> Dict[str, str]:
         if "=" not in part:
             raise ConfigError(f"expected key=value, got {part!r}")
         key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in keys:
+            raise ConfigError(
+                f"unknown key {key!r}; expected one of {', '.join(keys)}")
+        out[key] = value.strip()
     return out
+
+
+def _read(kv: Dict[str, str], key: str, default, kind=int):
+    """``kv[key]`` read by ``kind`` (``default`` when absent); a value
+    ``kind`` refuses is a ``ConfigError`` naming it."""
+    if key not in kv:
+        return default
+    try:
+        return kind(kv[key])
+    except (KeyError, ValueError):
+        raise ConfigError(f"bad value for {key}: {kv[key]!r}") from None
+
+
+def _sizes(name: str):
+    return DISTRIBUTIONS[_SIZE_ALIASES.get(name, name)]
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:  # NumPy's generators take only non-negative seeds
+        raise ValueError(text)
+    return seed
 
 
 def build_topology(spec: str) -> Topology:
     """Parse a topology spec string."""
     name, _, arg = spec.partition(":")
-    if name == "fattree":
-        return fattree(int(arg or 4), rate_bps=10 * GBPS)
-    if name == "dumbbell":
-        return dumbbell(int(arg or 4))
     if name == "abilene":
         return abilene()
     if name == "geant":
         return geant()
-    if name == "isp":
-        return isp_wan(seed=int(arg or 2023))
-    raise ConfigError(f"unknown topology {name!r}")
+    sized = {"fattree": (4, int, lambda k: fattree(k, rate_bps=10 * GBPS)),
+             "dumbbell": (4, int, dumbbell),
+             "isp": (2023, _seed, lambda seed: isp_wan(seed=seed))}
+    if name not in sized:
+        raise ConfigError(f"unknown topology {name!r}")
+    default, kind, make = sized[name]
+    return make(_read({name: arg} if arg else {}, name, default, kind))
 
 
 def build_flows(spec: str, topo: Topology) -> List[Flow]:
     """Parse a flow-generator spec string."""
     name, _, arg = spec.partition(":")
-    kv = _parse_kv(arg)
+    if name not in _FLOW_KEYS:
+        raise ConfigError(f"unknown flow generator {name!r}")
+    kv = _parse_kv(arg, _FLOW_KEYS[name])
     hosts = topo.hosts
     if name == "mesh":
-        sizes = DISTRIBUTIONS[_SIZE_ALIASES.get(kv.get("sizes", "tiny"),
-                                                kv.get("sizes", "tiny"))]
         return full_mesh_dynamic(
             hosts,
-            duration_ps=ms(float(kv.get("duration_ms", 1.0))),
-            load=float(kv.get("load", 0.3)),
+            duration_ps=ms(_read(kv, "duration_ms", 1.0, float)),
+            load=_read(kv, "load", 0.3, float),
             host_rate_bps=10 * GBPS,
-            sizes=sizes,
-            seed=int(kv.get("seed", 1)),
-            max_flows=int(kv["max"]) if "max" in kv else 500,
+            sizes=_read(kv, "sizes", _sizes("tiny"), _sizes),
+            seed=_read(kv, "seed", 1, _seed),
+            max_flows=_read(kv, "max", 500),
         )
     if name == "fixed":
-        transport = _TRANSPORTS[kv.get("transport", "dctcp")]
         return fixed_flows(
             hosts,
-            n_flows=int(kv.get("n", 16)),
-            size_bytes=int(kv.get("size", 100_000)),
-            transport=transport,
-            seed=int(kv.get("seed", 1)),
+            n_flows=_read(kv, "n", 16),
+            size_bytes=_read(kv, "size", 100_000),
+            transport=_read(kv, "transport", Transport.DCTCP,
+                            _TRANSPORTS.__getitem__),
+            seed=_read(kv, "seed", 1, _seed),
         )
     if name == "wan_twin":
         from .bench.workloads import wan_twin_flow_columns
         return wan_twin_flow_columns(
-            hosts, int(kv.get("seed", 1)),
-            horizon_ps=ms(float(kv.get("duration_ms", 0.5))),
-            n_flows=int(kv["max"]) if "max" in kv else 500,
-            classes=int(kv.get("classes", 3)),
-            load=float(kv.get("load", 0.3)),
+            hosts, _read(kv, "seed", 1, _seed),
+            horizon_ps=ms(_read(kv, "duration_ms", 0.5, float)),
+            n_flows=_read(kv, "max", 500),
+            classes=_read(kv, "classes", 3),
+            load=_read(kv, "load", 0.3, float),
             arrival=kv.get("arrival", "onoff"),
         )
-    if name == "storage":
-        from .bench.workloads import storage_flow_columns
-        return storage_flow_columns(
-            hosts, int(kv.get("seed", 1)),
-            horizon_ps=ms(float(kv.get("duration_ms", 0.5))),
-            blocks=int(kv.get("blocks", 64)),
-            block_bytes=int(kv.get("block_kb", 256)) * 1024,
-            arrival=kv.get("arrival", "poisson"),
-        )
-    raise ConfigError(f"unknown flow generator {name!r}")
+    from .bench.workloads import storage_flow_columns
+    return storage_flow_columns(
+        hosts, _read(kv, "seed", 1, _seed),
+        horizon_ps=ms(_read(kv, "duration_ms", 0.5, float)),
+        blocks=_read(kv, "blocks", 64),
+        block_bytes=_read(kv, "block_kb", 256) * 1024,
+        arrival=kv.get("arrival", "poisson"),
+    )
 
 
 def build_scenario(args) -> Scenario:

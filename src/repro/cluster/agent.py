@@ -99,7 +99,14 @@ class Horizon(NamedTuple):
 
 
 class AgentEngine(DodEngine):
-    """The DOD engine of one cluster machine."""
+    """The DOD engine of one cluster machine.
+
+    It is built by the serial builder under :attr:`DodEngine.owns`: it
+    schedules the starts of the flows its hosts send and keeps the
+    :class:`~repro.metrics.results.FlowResult` of the flows its hosts
+    receive, so each flow's record lives on exactly one agent.  The
+    sender and receiver tables stay dense; a foreign flow's rows are
+    never visited."""
 
     name = "dons-agent"
 
@@ -117,28 +124,14 @@ class AgentEngine(DodEngine):
         self.partition = partition
         #: per remote agent: (arrival_ps, node, row) records of this window
         self.outbox: Dict[int, List[Tuple[int, int, Row]]] = {}
-        # What the transmit sink routes deliveries by; an agent keeps its
+        # What the builder and the transmit sink read; an agent keeps its
         # partition for life (a migration restores into a new engine).
+        self.owns = [part == agent_id for part in partition.assignment]
         owners = map(partition.part_of, (
             iface.peer_node for iface in scenario.topology.interfaces))
         self.port_owner = [None if o == agent_id else o for o in owners]
         self.port_observed = [LOCAL if o is None else o
                               for o in self.port_owner]
-
-    # --- builder: local endpoints only ------------------------------------
-
-    def build(self) -> None:
-        super().build()
-        # Drop the flow starts that belong to other machines: the base
-        # builder registered every flow; non-local starts must not fire
-        # here.  (Sender/receiver tables stay fully allocated — component
-        # tables are dense — but remote rows are never visited.  The
-        # occupancy index deliberately keeps the emptied windows: the
-        # agent still schedules them, as no-ops, in step with the
-        # cluster.)
-        part_of = self.partition.part_of
-        me = self.agent_id
-        self.events.retain_nodes(lambda node: part_of(node) == me)
 
     # --- runner: remote deliveries go to the outbox --------------------------
 

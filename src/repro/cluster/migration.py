@@ -127,8 +127,9 @@ def migrate(
             src, dst = states[src_id], states[dst_id]
             _move_table_row(getattr(src["world"], table),
                             getattr(dst["world"], table), flow_id, fields)
-            if end == "dst":  # results bookkeeping follows the receiver
-                dst["results"].flows[flow_id] = src["results"].flows[flow_id]
+            if end == "dst":  # the flow's one record follows the receiver
+                dst["results"].flows[flow_id] = src["results"].flows.pop(
+                    flow_id)
         setattr(stats, counter, len(flow_ids))
 
     return [dataclasses.replace(checkpoint, payload=pickle.dumps(

@@ -39,9 +39,11 @@ from ..errors import CheckpointError, SimulationError
 #: v3: no ``ports`` object graph — egress state is ``world.egress`` rows.
 #: v4: the bus state is always carried, its window rows hold event counts.
 #: v5: sender/receiver rows hold no flow-table column; no gap is ``None``.
-#: v6: egress rows hold no per-port queue-sample list.  A cluster
-#: checkpoint carries one of these per agent and no tag of its own.
-FORMAT = "dons-checkpoint-v6"
+#: v6: egress rows hold no per-port queue-sample list.
+#: v7: an agent's results hold only the flows whose destination it owns
+#: (a v6 agent held a record for every flow).  A cluster checkpoint
+#: carries one of these per agent and no tag of its own.
+FORMAT = "dons-checkpoint-v7"
 
 
 @dataclass

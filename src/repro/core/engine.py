@@ -205,9 +205,11 @@ class DodEngine:
         :class:`~repro.core.systems.send.FlowLists` (plain Python
         scalars, which keep traces byte-identical) and the event
         inserts; the per-flow quantities the tables hold are appended
-        with one ``add_many`` per table.  Each flow's start is inserted
-        in flow-id order, so a flow's sender and receiver row index is
-        its id.  No Flow object is made.
+        with one ``add_many`` per table, so a flow's sender and receiver
+        row index is its id.  Under :attr:`owns` a flow's start is
+        inserted only where its source is owned and its
+        :class:`~repro.metrics.results.FlowResult` made only where its
+        destination is; the rows stay dense.  No Flow object is made.
         """
         import numpy as np
         from ..protocols.packet import MSS
@@ -215,6 +217,7 @@ class DodEngine:
         fl = self.flow_lists = FlowLists([], [], [], [], [], [], [])
         results_flows = self.results.flows
         insert = self._insert
+        owns = self.owns
         udp = int(Transport.UDP)
         # The initial CCA values: one object per transport, shared by
         # every flow's row.
@@ -223,11 +226,14 @@ class DodEngine:
         for first, cols in sc.flows.iter_batches():
             lists = [cols[name].tolist() for name in
                      ("src", "dst", "size_bytes", "start_ps", "transport")]
-            src, _dst, size, start, transport = lists
-            for f, s_node, st, sz, tr in zip(
-                    range(first, first + len(src)), src, start, size,
+            src, dst, size, start, transport = lists
+            for f, s_node, d_node, st, sz, tr in zip(
+                    range(first, first + len(src)), src, dst, start, size,
                     transport):
-                results_flows[f] = FlowResult(f, st, None, sz)
+                if owns is None or owns[d_node]:
+                    results_flows[f] = FlowResult(f, st, None, sz)
+                if owns is not None and not owns[s_node]:
+                    continue
                 if tr == udp:
                     insert(st, s_node, (ENTRY_UDP, f))
                 else:
@@ -309,6 +315,9 @@ class DodEngine:
 
     #: A cluster agent's deliveries to other agents' nodes, by owner.
     outbox: Optional[Dict[int, list]] = None
+    #: ``owns[node]``: whether this engine simulates ``node`` (``None``:
+    #: every node, a serial run).  A cluster agent's builder reads it.
+    owns: Optional[List[bool]] = None
 
     def register_wakeup(self, t: int, node: int, tag: int, flow_id: int) -> None:
         """SendSystem callback: revisit ``flow_id`` in the window of ``t``."""

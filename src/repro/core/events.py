@@ -105,7 +105,12 @@ register_window: Callable[["EventColumns", int], None] = _register_window
 
 
 class EventColumns:
-    """Pending events as per-window parallel columns + occupancy index."""
+    """Pending events as per-window parallel columns + occupancy index.
+
+    Only the engine's own nodes' entries are ever inserted (a cluster
+    agent builds just its own flow starts), so an indexed window ahead
+    of the cursor holds work; :meth:`merge_nodes`, which moves entries
+    out, de-indexes a window it empties."""
 
     __slots__ = ("_buckets", "_heap", "_queued")
 
@@ -264,39 +269,30 @@ class EventColumns:
                 keep_p.append(e)
         return keep_n, keep_p
 
-    # --- structural edits (cluster build / migration) ---------------------
-
-    def retain_nodes(self, keep: Callable[[int], bool]) -> None:
-        """Drop every entry whose node fails ``keep``.
-
-        Emptied buckets are removed but their occupancy-index entries
-        are deliberately left behind: an agent still *schedules* the
-        windows it was built with (and runs them as no-ops), matching
-        the scalar engine's pruning semantics.
-        """
-        for win, bucket in list(self._buckets.items()):
-            fresh = _Bucket()
-            for node, entry in zip(bucket.nodes, bucket.payloads):
-                if keep(node):
-                    fresh.nodes.append(node)
-                    fresh.payloads.append(entry)
-            if fresh.nodes:
-                self._buckets[win] = fresh
-            else:
-                del self._buckets[win]
+    # --- structural edit (state migration) --------------------------------
 
     def merge_nodes(self, other: "EventColumns", nodes: set) -> int:
-        """Move ``other``'s entries at ``nodes`` into this store (state
-        migration) and return how many moved: per window appended in
-        ``other``'s order and registered in the occupancy index.
-        ``other`` keeps its index entries, as after :meth:`retain_nodes`."""
+        """Move ``other``'s entries at ``nodes`` into this store and
+        return how many moved: per window appended in ``other``'s order
+        and registered in this occupancy index.  A window left empty in
+        ``other`` leaves its index too."""
         moved = 0
-        for win, bucket in other._buckets.items():
+        for win, bucket in list(other._buckets.items()):
+            keep = _Bucket()
             for node, entry in zip(bucket.nodes, bucket.payloads):
                 if node in nodes:
                     self.insert(win, node, entry)
                     moved += 1
-        other.retain_nodes(lambda node: node not in nodes)
+                else:
+                    keep.nodes.append(node)
+                    keep.payloads.append(entry)
+            if keep.nodes:
+                other._buckets[win] = keep
+            else:
+                del other._buckets[win]
+                other._queued.discard(win)
+        # A sorted list is a heap.
+        other._heap = sorted(other._queued)
         return moved
 
     # --- signature --------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .events import KIND_ARRIVAL
+from .events import KIND_ARRIVAL, KIND_PORT_DONE
 from .partition_types import Partition
 from .simulator import OodSimulator
 from ..errors import SimulationError
@@ -71,54 +71,19 @@ class Channel:
 
 
 class _LpSimulator(OodSimulator):
-    """One LP: the sequential engine restricted to its sub-graph."""
+    """One LP: the sequential engine restricted to its sub-graph.
+
+    The sequential builder runs under :attr:`OodSimulator.owns`: an LP
+    holds the sender state of flows starting in its sub-graph and the
+    receiver state of flows terminating there (and still duplicates
+    topology + FIB, which is exactly the paper's P2 memory problem)."""
 
     def __init__(self, lp_id: int, scenario: Scenario, partition: Partition,
                  trace_level: TraceLevel) -> None:
         super().__init__(scenario, trace_level)
-        self.lp_id = lp_id
-        self.partition = partition
+        self.owns = [part == lp_id for part in partition.assignment]
         self.out_channels: Dict[int, Channel] = {}  # by egress iface id
         self.in_channels: List[Channel] = []
-        self.clock = 0
-
-    def build(self) -> None:
-        """Like the sequential build, but an LP only owns the sender state
-        of flows starting in its sub-graph and the receiver state of flows
-        terminating there (each LP still duplicates topology + FIB, which
-        is exactly the paper's P2 memory problem)."""
-        from ..protocols import DctcpState, ReceiverState, UdpSchedule
-        from ..protocols.packet import segment_count
-        from ..metrics.results import FlowResult
-        from ..traffic import Transport
-        from .events import KIND_FLOW_START
-
-        sc = self.scenario
-        for flow in sc.flows:
-            total = segment_count(flow.size_bytes)
-            if self.partition.part_of(flow.dst) == self.lp_id:
-                self.receivers[flow.flow_id] = ReceiverState(
-                    flow.flow_id, total, flow.transport != Transport.UDP
-                )
-                self.results.flows[flow.flow_id] = FlowResult(
-                    flow.flow_id, flow.start_ps, None, flow.size_bytes
-                )
-            if self.partition.part_of(flow.src) != self.lp_id:
-                continue
-            if flow.transport != Transport.UDP:
-                self.senders[flow.flow_id] = DctcpState(
-                    flow.flow_id, total, sc.cca_params(flow.transport)
-                )
-                self.queue.push(flow.start_ps, KIND_FLOW_START,
-                                flow.flow_id, 0, 0, (flow.flow_id, None))
-            else:
-                nic_rate = sc.topology.host_iface(flow.src).rate_bps
-                self.udp[flow.flow_id] = UdpSchedule(
-                    flow.flow_id, flow.size_bytes, flow.start_ps, nic_rate
-                )
-                self.queue.push(flow.start_ps, KIND_FLOW_START,
-                                flow.flow_id, 0, 0, (flow.flow_id, 0))
-        self._built = True
 
     def _emit(self, port: EgressPort, row: Row, start: int, end: int) -> None:
         """Cross-LP emissions go to a channel instead of the local heap."""
@@ -133,7 +98,6 @@ class _LpSimulator(OodSimulator):
                          row[F_ISACK], row[F_SEQ])
         self.results.events.transmit += 1
         self._bump_node(iface.node)
-        from .events import KIND_PORT_DONE
         self.queue.push(end, KIND_PORT_DONE, iface.iface_id, 0, 0,
                         iface.iface_id)
         channel.send(end + iface.delay_ps, row, iface.peer_node)
@@ -149,48 +113,32 @@ class _LpSimulator(OodSimulator):
     def drain_channels(self) -> None:
         """Move committed channel messages into the local event heap."""
         for ch in self.in_channels:
-            if ch.dst_lp != self.lp_id:
-                continue
             for t, row, node in ch.queue:
                 self.queue.push(t, KIND_ARRIVAL, row[F_FLOW],
                                 row[F_ISACK], row[F_SEQ], (node, row))
             ch.queue.clear()
 
-    def step(self, limit: Optional[int] = None) -> int:
-        """Process all safe events; returns how many were handled."""
+    def step(self) -> int:
+        """Process every event before the safe bound through the
+        sequential :meth:`~OodSimulator.advance`; returns how many were
+        handled.  No input channel moves while this LP runs, so the
+        bound holds for the whole step."""
         self.drain_channels()
         bound = self.safe_bound()
-        duration = self.scenario.duration_ps
         handled = 0
-        while self.queue:
-            t = self.queue.peek_time()
-            if t >= bound:
-                break
-            if duration is not None and t > duration:
-                break
-            time_ps, kind, _a, _b, _c, payload = self.queue.pop()
-            self.clock = time_ps
-            from .events import KIND_FLOW_START, KIND_PORT_DONE
-            if kind == KIND_PORT_DONE:
-                self._on_port_done(time_ps, payload)
-            elif kind == KIND_ARRIVAL:
-                self._on_arrival(time_ps, payload)
-            elif kind == KIND_FLOW_START:
-                self._on_flow_start(time_ps, payload)
-            else:
-                self._on_timer(time_ps, payload)
-            self.results.end_time_ps = time_ps
+        while (self.queue and self.queue.peek_time() < bound
+               and self.advance()):
             handled += 1
-            if limit is not None and handled >= limit:
-                break
-            # New channel input may raise the safe bound mid-step.
-            if not self.queue or self.queue.peek_time() >= bound:
-                self.drain_channels()
-                bound = self.safe_bound()
         return handled
 
     def next_local_time(self) -> Optional[int]:
-        return self.queue.peek_time() if self.queue else None
+        """The head event's time; ``None`` when no event is left before
+        the duration cut (this LP is done)."""
+        if not self.queue:
+            return None
+        t = self.queue.peek_time()
+        duration = self.scenario.duration_ps
+        return None if duration is not None and t > duration else t
 
     def advertise(self) -> None:
         """Send null messages (CMB): promise no output earlier than the
@@ -207,7 +155,7 @@ class _LpSimulator(OodSimulator):
         earliest = self.safe_bound()
         if nxt is not None and nxt < earliest:
             earliest = nxt
-        floor = max(self.clock, min(earliest, 1 << 62))
+        floor = max(self.results.end_time_ps, min(earliest, 1 << 62))
         for ch in self.out_channels.values():
             ch.send_null(floor + ch.lookahead_ps)
 
@@ -271,10 +219,11 @@ class ParallelOodSimulator:
             progressed = 0
             for lp in self.lps:
                 handled = lp.step()
-                if handled == 0 and lp.queue:
+                if handled == 0 and lp.next_local_time() is not None:
                     self.stats.blocked_lp_rounds += 1
                 progressed += handled
-            if progressed == 0 and all(not lp.queue for lp in self.lps) and all(
+            if progressed == 0 and all(
+                lp.next_local_time() is None for lp in self.lps) and all(
                 not ch.queue for ch in self.channels
             ):
                 rounds += 1

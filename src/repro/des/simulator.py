@@ -100,18 +100,28 @@ class OodSimulator:
 
     # --- construction ----------------------------------------------------
 
+    #: ``owns[node]``: whether this simulator runs ``node`` (``None``:
+    #: every node, a sequential run).  A parallel LP's builder reads it.
+    owns: Optional[List[bool]] = None
+
     def build(self) -> None:
-        """Create endpoint state and schedule flow starts."""
+        """Create endpoint state and schedule flow starts: under
+        :attr:`owns`, a flow's receiver state and result where its
+        destination is owned, its sender state and start where its
+        source is."""
         sc = self.scenario
+        owns = self.owns
         for flow in sc.flows:
             total = segment_count(flow.size_bytes)
-            needs_ack = flow.transport != Transport.UDP
-            self.receivers[flow.flow_id] = ReceiverState(
-                flow.flow_id, total, needs_ack
-            )
-            self.results.flows[flow.flow_id] = FlowResult(
-                flow.flow_id, flow.start_ps, None, flow.size_bytes
-            )
+            if owns is None or owns[flow.dst]:
+                self.receivers[flow.flow_id] = ReceiverState(
+                    flow.flow_id, total, flow.transport != Transport.UDP
+                )
+                self.results.flows[flow.flow_id] = FlowResult(
+                    flow.flow_id, flow.start_ps, None, flow.size_bytes
+                )
+            if owns is not None and not owns[flow.src]:
+                continue
             if flow.transport != Transport.UDP:
                 self.senders[flow.flow_id] = DctcpState(
                     flow.flow_id, total, sc.cca_params(flow.transport)

@@ -133,10 +133,11 @@ def merge_results(parts: Sequence[SimResults], scenario_name: str,
                   engine: str = "dons-cluster") -> SimResults:
     """One run's results from its parts' (cluster agents or the LPs of
     the parallel baseline): counts, drops, marks and bytes summed, traces
-    in part order, and a flow's completed record kept over the stub of a
-    part that only sent it."""
+    in part order, and the flow records united in flow-id order — a
+    flow's one record lives in the part that owns its destination."""
     merged = SimResults(engine, scenario_name, 0)
     merged.trace = TraceRecorder(parts[0].trace.level if parts[0].trace else 0)
+    flows: Dict[int, FlowResult] = {}
     for res in parts:
         merged.end_time_ps = max(merged.end_time_ps, res.end_time_ps)
         merged.events.add(res.events)
@@ -146,12 +147,9 @@ def merge_results(parts: Sequence[SimResults], scenario_name: str,
         merged.rtt_samples.extend(res.rtt_samples)
         for node, count in res.node_events.items():
             merged.node_events[node] = merged.node_events.get(node, 0) + count
-        for flow_id, fr in res.flows.items():
-            have = merged.flows.get(flow_id)
-            if have is None or (fr.complete_ps is not None
-                                and have.complete_ps is None):
-                merged.flows[flow_id] = fr
+        flows.update(res.flows)
         if res.trace:
             merged.trace.entries.extend(res.trace.entries)
+    merged.flows = dict(sorted(flows.items()))
     merged.rtt_samples.sort()
     return merged

@@ -54,14 +54,19 @@ class TestDistributedRun:
 
 
 class TestMergeResults:
-    def test_flow_completion_wins_over_placeholder(self):
+    def test_flow_records_unite_in_flow_id_order(self):
+        """Each flow's record lives in one part (its destination's
+        owner); the merge is their union, keyed in flow-id order."""
         a = SimResults("agent", "s", 10)
-        a.flows[0] = FlowResult(0, 0, None, 100)       # sender-side stub
+        a.flows[2] = FlowResult(2, 0, 700, 100)
+        a.flows[0] = FlowResult(0, 0, None, 100)
         b = SimResults("agent", "s", 20)
-        b.flows[0] = FlowResult(0, 0, 500, 100)        # receiver side
+        b.flows[1] = FlowResult(1, 0, 500, 100)
         from repro.metrics import TraceRecorder
         a.trace = TraceRecorder(0)
         b.trace = TraceRecorder(0)
         merged = merge_results([a, b], "s")
-        assert merged.flows[0].complete_ps == 500
+        assert list(merged.flows) == [0, 1, 2]
+        assert merged.flows[1] is b.flows[1]
+        assert merged.completed() == 2
         assert merged.end_time_ps == 20

@@ -11,7 +11,7 @@ from repro.core.checkpoint import FORMAT as ENGINE_FORMAT
 from repro.core.engine import run_dons
 from repro.core.runner import EngineRunner
 from repro.des.partition_types import contiguous_partition, random_partition
-from repro.errors import ClusterError, SimulationError
+from repro.errors import CheckpointError, ClusterError, SimulationError
 from repro.metrics import TraceLevel
 from repro.scenario import make_scenario
 from repro.topology import fattree
@@ -104,29 +104,30 @@ def test_bad_format_rejected(scenario):
     ckpt = take_cluster_checkpoint(engine, current)
     assert not hasattr(ckpt, "format")
     assert {snap.format for snap in ckpt.snapshot} == {ENGINE_FORMAT}
-    assert ENGINE_FORMAT == "dons-checkpoint-v6"
-    for stale in ("v0", "dons-checkpoint-v4", "dons-checkpoint-v5"):
+    assert ENGINE_FORMAT == "dons-checkpoint-v7"
+    for stale in ("v0", "dons-checkpoint-v5", "dons-checkpoint-v6"):
         with pytest.raises(ClusterError, match=stale):
             resume_cluster(scenario, _retagged(ckpt, stale))
 
 
 def test_v4_checkpoint_refused_before_any_agent_starts(scenario,
                                                        monkeypatch):
-    """v5 egress rows carried a ``queue_samples`` column: the agent
-    checkpoints are refused by name, both formats in the message, before
-    a cluster is made (so before any worker could launch)."""
+    """v6 agents held a record for every flow, which the results merge
+    no longer expects: the agent checkpoints are refused by name, both
+    formats in the message, before a cluster is made (so before any
+    worker could launch)."""
     part = contiguous_partition(scenario.topology, 2)
     engine, current = _run_until(scenario, part, 2)
-    v5 = _retagged(take_cluster_checkpoint(engine, current),
-                   "dons-checkpoint-v5")
+    v6 = _retagged(take_cluster_checkpoint(engine, current),
+                   "dons-checkpoint-v6")
 
     def no_cluster(*args, **kwargs):
         raise AssertionError("a cluster was built for a refused checkpoint")
     monkeypatch.setattr("repro.cluster.checkpoint.ClusterEngine", no_cluster)
-    with pytest.raises(ClusterError) as refused:
-        resume_cluster(scenario, v5)
-    assert "dons-checkpoint-v5" in str(refused.value)
+    with pytest.raises(CheckpointError) as refused:
+        resume_cluster(scenario, v6)
     assert "dons-checkpoint-v6" in str(refused.value)
+    assert "dons-checkpoint-v7" in str(refused.value)
 
 
 def test_process_cluster_checkpoint_refused(scenario):

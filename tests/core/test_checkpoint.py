@@ -93,7 +93,7 @@ def test_v4_checkpoint_is_refused_naming_both_formats(dumbbell_scenario):
     with pytest.raises(SimulationError) as refused:
         restore_checkpoint(eng, ckpt)
     assert "dons-checkpoint-v4" in str(refused.value)
-    assert FORMAT == "dons-checkpoint-v6" and FORMAT in str(refused.value)
+    assert FORMAT == "dons-checkpoint-v7" and FORMAT in str(refused.value)
 
 
 def test_v3_checkpoint_is_refused_by_name(dumbbell_scenario):

@@ -39,6 +39,38 @@ class TestSpecs:
             build_flows("mesh:oops", topo)
 
 
+BAD_SPECS = [
+    ("--flows", "fixed:n=abc", "n"),
+    ("--flows", "fixed:n=8,size=", "size"),
+    ("--flows", "fixed:transport=quic", "transport"),
+    ("--flows", "fixed:n=8,bogus=1", "bogus"),
+    ("--flows", "mesh:sizes=nosuch", "sizes"),
+    ("--flows", "mesh:seed=-1", "seed"),
+    ("--topology", "dumbbell:x", "dumbbell"),
+    ("--topology", "isp:abc", "isp"),
+    ("--topology", "isp:-5", "isp"),
+    ("--topology", "fattree:k=3", "fattree"),
+]
+
+
+@pytest.mark.parametrize("flag,spec,key", BAD_SPECS,
+                         ids=[spec for _, spec, _ in BAD_SPECS])
+def test_bad_spec_exits_2_with_typed_error(flag, spec, key, capsys):
+    """A malformed spec string is a ``ConfigError`` naming the bad key,
+    which the CLI reports as ``error: ...`` with exit 2 (no traceback)."""
+    args = {"--topology": "dumbbell:2", "--flows": "fixed:n=2"}
+    args[flag] = spec
+    with pytest.raises(ConfigError, match=key):
+        if flag == "--topology":
+            build_topology(spec)
+        else:
+            build_flows(spec, build_topology("dumbbell:2"))
+    assert main(["run", "--topology", args["--topology"],
+                 "--flows", args["--flows"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 class TestCommands:
     def test_run_dons(self, capsys):
         rc = main(["run", "--topology", "dumbbell:2",
