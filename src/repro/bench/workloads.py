@@ -126,6 +126,8 @@ def wan_twin_processes(
     hosts = tuple(hosts)
     if len(hosts) < 2:
         raise ConfigError("wan twin needs at least two hosts")
+    if n_flows is not None and n_flows < 1:
+        raise ConfigError(f"n_flows must be at least 1, got {n_flows}")
     rows = _pick_classes(classes, table or WAN_CLASS_TABLE)
     horizon_s = horizon_ps / PS_PER_S
     agg_bps = load * host_rate_bps * len(hosts)

@@ -158,7 +158,7 @@ def build_flows(spec: str, topo: Topology) -> List[Flow]:
 
 
 def build_scenario(args) -> Scenario:
-    if getattr(args, "load", None):
+    if args.load:
         from .scenario_io import scenario_from_json
         with open(args.load) as fh:
             scenario = scenario_from_json(fh)
@@ -171,7 +171,7 @@ def build_scenario(args) -> Scenario:
             num_classes=args.classes,
             buffer_bytes=args.buffer_kb * 1024,
         )
-    if getattr(args, "save", None):
+    if args.save:
         from .scenario_io import scenario_to_json
         with open(args.save, "w") as fh:
             scenario_to_json(scenario, out=fh)
@@ -203,7 +203,7 @@ class _Progress:
 
     Hangs off :class:`~repro.core.runner.EngineRunner`'s ``on_step``
     hook and formats :func:`repro.metrics.timeline.run_record` — the
-    snapshot the live stream and ``stats`` read: windows done,
+    snapshot the live stream and the run report read: windows done,
     events/s, percent complete with an ETA, and (for a timed cluster
     run) the largest cumulative barrier wait.  Suppressed entirely when
     stderr is not a TTY, so piped and CI output stays clean.
@@ -249,12 +249,19 @@ class _Progress:
 
 
 def _run_observed(args, scenario, telemetry):
-    """Build the engine ``profile`` / ``stats`` asked for (serial, or
-    ``--cluster N`` agents), attach what the invocation asked to watch
-    it with — the ``--progress`` meter, the live plane's NDJSON stream
-    (``profile --live FILE`` / ``stats --watch``) — run it to completion
-    and release both.  Returns the finished engine."""
+    """Build the engine ``profile`` asked for (serial, or ``--cluster N``
+    agents), attach what the invocation asked to watch it with — the
+    ``--progress`` meter, the live plane's NDJSON stream (``--live``) —
+    run it to completion and release both.  Returns the finished engine
+    and the run's manifest fields, resolved once from the flags for
+    every artifact the run writes."""
     from .core.runner import EngineRunner, chain_hooks
+    manifest = dict(
+        command=args.command, scenario=scenario.name,
+        cluster=args.cluster or None,
+        transport=args.transport if args.cluster else None,
+        ffwd=args.ffwd and not args.cluster,  # agents never fast-forward
+    )
     if args.cluster:
         from .cluster import DonsManager
         from .partition import ClusterSpec, plan_scenario
@@ -264,14 +271,11 @@ def _run_observed(args, scenario, telemetry):
     else:
         from .core.engine import DodEngine
         engine = DodEngine(scenario, telemetry=telemetry, ffwd=args.ffwd)
-    progress = _Progress(engine) if getattr(args, "progress", False) else None
+    progress = _Progress(engine) if args.progress else None
     live = None
-    target = "-" if getattr(args, "watch", False) else getattr(
-        args, "live", None)
-    if target is not None:
+    if args.live is not None:
         from .metrics.live import LivePlane
-        live = (LivePlane(engine, stream=sys.stderr) if target == "-"
-                else LivePlane(engine, path=target))
+        live = LivePlane(engine, path=args.live)
     try:
         EngineRunner(engine, on_step=chain_hooks(
             progress, live.on_step if live else None)).run()
@@ -280,7 +284,7 @@ def _run_observed(args, scenario, telemetry):
             progress.close()
         if live:
             live.close()
-    return engine
+    return engine, manifest
 
 
 def cmd_run(args) -> int:
@@ -315,33 +319,33 @@ def cmd_profile(args) -> int:
     then totals.  With ``--cluster N`` the run is
     distributed over N agents and every row is tagged ``a<id>:<system>``
     — the timings are the *measured* per-agent window costs the merged
-    cluster bus collected.  ``--json`` prints the run record
-    (:func:`repro.metrics.timeline.run_record`) plus the bus
-    ``counters`` and the per-window ``rows``."""
+    cluster bus collected.  ``--json`` prints the run report
+    (:func:`repro.metrics.timeline.run_report`) instead, ``--out FILE``
+    writes it with its manifest; either turns telemetry on."""
     import json
-    from .metrics.timeline import memo_line, run_record
+    from .metrics.timeline import memo_line, run_report, write_manifest
     scenario = build_scenario(args)
     t0 = time.perf_counter()
-    engine = _run_observed(args, scenario, bool(args.timeline))
-    results, bus = engine.results, engine.bus
-    record = run_record(bus, engine, time.perf_counter() - t0)
+    engine, manifest = _run_observed(
+        args, scenario, bool(args.timeline or args.json or args.out))
+    bus = engine.bus
+    report = run_report(bus, engine, time.perf_counter() - t0)
     if args.timeline:
         from .metrics.timeline import write_timeline
-        write_timeline(bus, args.timeline, manifest=dict(
-            command="profile", scenario=scenario.name,
-            transport=args.transport if args.cluster else None,
-            cluster=args.cluster or None,
-            # cluster agents never fast-forward
-            ffwd=args.ffwd and not args.cluster,
-        ))
+        write_timeline(bus, args.timeline, manifest=manifest)
         print(f"timeline written to {args.timeline}", file=sys.stderr)
-    rows = bus.profile_rows()
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        write_manifest(args.out, **manifest)
+        print(f"report written to {args.out}", file=sys.stderr)
     if args.json:
-        json.dump({**record, "counters": bus.counters, "rows": rows},
-                  sys.stdout, indent=2)
+        json.dump(report, sys.stdout, indent=2)
         print()
         return 0
-    print(_summary(results))
+    rows = report["rows"]
+    print(_summary(engine.results))
     print()
     width = max([12] + [len(r["system"]) for r in rows])
     print(f"{'window':>6} {'start_us':>9} {'system':<{width}} {'ms':>8}")
@@ -355,39 +359,17 @@ def cmd_profile(args) -> int:
               f"{row['system']:<{width}} {row['elapsed_s'] * 1000:>8.3f}")
     print()
     print(f"{'totals':<{width + 4}} {'ms':>8}")
-    for name, prof in sorted(bus.totals.items()):
-        print(f"{name:<{width + 4}} {prof.elapsed_s * 1000:>8.3f}")
-    print(f"windows {record['windows']:>{width + 5}}")
-    memo = memo_line(bus)
+    for name, total in report["totals"].items():
+        print(f"{name:<{width + 4}} {total['elapsed_s'] * 1000:>8.3f}")
+    print(f"windows {report['windows']:>{width + 5}}")
+    memo = memo_line(report)
     if memo:
         print(memo)
-    if record["agents_busy_s"] is not None:
+    if report["agents_busy_s"] is not None:
         print()
         print("per-agent busy (measured T_a):")
-        for agent, seconds in enumerate(record["agents_busy_s"]):
+        for agent, seconds in enumerate(report["agents_busy_s"]):
             print(f"  a{agent}: {seconds * 1000:.3f} ms")
-    return 0
-
-
-def cmd_stats(args) -> int:
-    """Run one scenario with telemetry on and dump everything the bus
-    measured — counters, gauges, histograms, per-system totals, and (for
-    cluster runs) the per-agent busy / barrier-wait series — as JSON, to
-    stdout or ``--out FILE`` (with a provenance manifest)."""
-    import json
-    scenario = build_scenario(args)
-    bus = _run_observed(args, scenario, True).bus
-    from .metrics.timeline import stats_dict, write_stats
-    if args.out:
-        write_stats(bus, args.out, manifest=dict(
-            command="stats", scenario=scenario.name,
-            transport=args.transport if args.cluster else None,
-            cluster=args.cluster or None,
-        ))
-        print(f"stats written to {args.out}")
-    else:
-        json.dump(stats_dict(bus), sys.stdout, indent=2, sort_keys=True)
-        print()
     return 0
 
 
@@ -471,7 +453,11 @@ def make_parser() -> argparse.ArgumentParser:
         help="run the DOD engine (or --cluster N agents), print "
              "per-window per-system breakdown")
     profile.add_argument("--json", action="store_true",
-                         help="dump counters and rows as JSON")
+                         help="print the run report as JSON (turns "
+                              "telemetry on)")
+    profile.add_argument("--out", metavar="FILE",
+                         help="write the run report to FILE, plus "
+                              "FILE.manifest.json (turns telemetry on)")
     profile.add_argument("--all-windows", action="store_true",
                          help="print every window (default: the last few)")
     profile.add_argument("--tail", type=int, default=5,
@@ -498,27 +484,6 @@ def make_parser() -> argparse.ArgumentParser:
                               "--timeline a crash or SIGUSR1 also writes "
                               "FILE.flight.json, the last 64 windows' spans")
     profile.set_defaults(fn=cmd_profile)
-
-    stats = sub.add_parser(
-        "stats", parents=[common],
-        help="run with telemetry and dump counters / gauges / histograms")
-    stats.add_argument("--cluster", type=int, default=0, metavar="N",
-                       help="distribute over N agents")
-    stats.add_argument("--transport", choices=["local", "shm"],
-                       default="local",
-                       help="how cluster agents are hosted (with --cluster)")
-    stats.add_argument("--out", metavar="FILE",
-                       help="write to FILE (plus FILE.manifest.json) "
-                            "instead of stdout")
-    stats.add_argument("--watch", action="store_true",
-                       help="stream NDJSON progress records to stderr "
-                            "while the run executes (the live plane; "
-                            "stdout still gets the final stats)")
-    stats.add_argument("--ffwd", action="store_true",
-                       help="window-signature memo fast-forwarding, as in "
-                            "profile --ffwd — lets the memo.* counters "
-                            "show up in the exported stats")
-    stats.set_defaults(fn=cmd_stats)
 
     plan = sub.add_parser("plan", parents=[common],
                           help="plan distributed execution")

@@ -112,7 +112,7 @@ class ClusterEngine:
         #: :func:`repro.partition.refit_cluster_spec` takes as
         #: ``measured_times``.  The one busy / wait accumulator:
         #: :func:`repro.metrics.timeline.run_record` reads it for the
-        #: live stream, ``stats`` and ``--progress``.
+        #: live stream, the run report and ``--progress``.
         self.busy_s = [0.0] * len(self.specs)
         self.wait_s = [0.0] * len(self.specs)
         self.cpu_s = [0.0] * len(self.specs)

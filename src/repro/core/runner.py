@@ -29,15 +29,7 @@ runs to exhaustion.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:
     from .instrument import InstrumentationBus

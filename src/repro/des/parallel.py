@@ -27,15 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .events import KIND_ARRIVAL, KIND_PORT_DONE
+from .events import KIND_ARRIVAL
 from .partition_types import Partition
 from .simulator import OodSimulator
 from ..errors import SimulationError
 from ..metrics import SimResults, TraceLevel
 from ..metrics.results import merge_results
-from ..protocols.egress import EgressPort
 from ..protocols.packet import F_FLOW, F_ISACK, F_SEQ, Row
 from ..scenario import Scenario
+from ..topology import Interface
 
 
 @dataclass
@@ -85,22 +85,14 @@ class _LpSimulator(OodSimulator):
         self.out_channels: Dict[int, Channel] = {}  # by egress iface id
         self.in_channels: List[Channel] = []
 
-    def _emit(self, port: EgressPort, row: Row, start: int, end: int) -> None:
-        """Cross-LP emissions go to a channel instead of the local heap."""
-        iface = port.iface
+    def _deliver(self, iface: Interface, row: Row, arrive: int) -> None:
+        """A cut link's far end belongs to another LP: the arrival goes
+        to that link's channel instead of the local heap."""
         channel = self.out_channels.get(iface.iface_id)
         if channel is None:
-            super()._emit(port, row, start, end)
-            return
-        # Local bookkeeping identical to the sequential engine.
-        if self.bus.trace_level:
-            self.bus.deq(start, iface.iface_id, row[F_FLOW],
-                         row[F_ISACK], row[F_SEQ])
-        self.results.events.transmit += 1
-        self._bump_node(iface.node)
-        self.queue.push(end, KIND_PORT_DONE, iface.iface_id, 0, 0,
-                        iface.iface_id)
-        channel.send(end + iface.delay_ps, row, iface.peer_node)
+            super()._deliver(iface, row, arrive)
+        else:
+            channel.send(arrive, row, iface.peer_node)
 
     # --- conservative execution ------------------------------------------
 

@@ -52,6 +52,7 @@ from ..protocols.packet import (
     F_CE, F_DST, F_ECE, F_FLOW, F_ISACK, F_SEND_TS, F_SEQ, Row, packet_uid,
 )
 from ..scenario import Scenario
+from ..topology import Interface
 from ..traffic import Transport
 
 
@@ -151,9 +152,13 @@ class OodSimulator:
         if self.bus.has_ops:
             self.bus.op(OP_SERVICE, iface.iface_id, packet_uid(row))
         self.results.events.transmit += 1
-        self._bump_node(iface.node)
+        node_events = self.results.node_events
+        node_events[iface.node] = node_events.get(iface.node, 0) + 1
         self.queue.push(end, KIND_PORT_DONE, iface.iface_id, 0, 0, iface.iface_id)
-        arrive = end + iface.delay_ps
+        self._deliver(iface, row, end + iface.delay_ps)
+
+    def _deliver(self, iface: Interface, row: Row, arrive: int) -> None:
+        """Schedule a serviced packet's arrival at the link's far end."""
         self.queue.push(
             arrive, KIND_ARRIVAL, row[F_FLOW], row[F_ISACK], row[F_SEQ],
             (iface.peer_node, row),

@@ -10,11 +10,10 @@ off):
 
 * :class:`LivePlane` — a wall-clock-throttled sampler hung off
   :class:`~repro.core.runner.EngineRunner`'s per-window ``on_step``
-  hook.  Every ``interval_ms`` (default 500) it emits one NDJSON
-  progress record — :func:`repro.metrics.timeline.run_record` stamped
-  with the schema version, kind and wall clock — to a file or stream.
-  ``python -m repro profile --live FILE`` and ``python -m repro stats
-  --watch`` are the CLI front ends.
+  hook.  Every :data:`INTERVAL_MS` it emits one NDJSON progress record
+  — :func:`repro.metrics.timeline.run_record` stamped with the schema
+  version, kind and wall clock — to a file, or to stderr for ``-``.
+  ``python -m repro profile --live FILE`` is the CLI front end.
   On a crash, a fault-injection recovery, or ``SIGUSR1`` it writes the
   flight dump, :func:`repro.metrics.timeline.write_flight`: the bus's
   spans of the last 64 windows as a validated Chrome trace.  Spans only
@@ -25,10 +24,11 @@ off):
   flags agents whose current window exceeds the learned threshold, and
   emits ``watchdog.*`` counters and NDJSON events into the live stream.
 
-The NDJSON record schema is pinned by ``LIVE_SCHEMA_VERSION`` (and by
-``tests/metrics/test_live.py``); every record carries the full key set
-with ``null`` for not-applicable fields, so consumers never branch on
-key presence.
+Every record's ``v`` is
+:data:`~repro.metrics.timeline.TELEMETRY_SCHEMA_VERSION`, the one
+version stamp of the telemetry artifacts; every progress record carries
+the full :data:`LIVE_RECORD_KEYS` set with ``null`` for not-applicable
+fields, so consumers never branch on key presence.
 """
 
 from __future__ import annotations
@@ -36,23 +36,15 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sys
 import threading
 import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-from .timeline import run_record, write_flight
+from .timeline import TELEMETRY_SCHEMA_VERSION, run_record, write_flight
 
-__all__ = [
-    "LIVE_SCHEMA_VERSION", "LIVE_RECORD_KEYS",
-    "LivePlane", "ClusterWatchdog",
-]
-
-#: Version stamp of the NDJSON progress-record schema (the ``v`` field).
-#: v2: ``memo_jump_windows`` — windows skipped by cycle jumps so far, so
-#: a reader can tell a burst in ``windows`` from execution speed.
-#: v3: the shm fallback count dropped — nothing ever counted one.
-LIVE_SCHEMA_VERSION = 3
+__all__ = ["LIVE_RECORD_KEYS", "LivePlane", "ClusterWatchdog"]
 
 #: Every NDJSON record carries exactly this key set (``null`` marks a
 #: field the run cannot measure — e.g. agent series on a serial engine).
@@ -62,8 +54,9 @@ LIVE_RECORD_KEYS = (
     "agents_busy_s", "agents_wait_s",
 )
 
-#: Sampler throttle (wall-clock milliseconds between NDJSON records).
-DEFAULT_INTERVAL_MS = 500.0
+#: Sampler throttle (wall-clock milliseconds between NDJSON records),
+#: read when a plane is constructed.
+INTERVAL_MS = 500.0
 
 #: The watchdog: a window longer than ``SLOW_FACTOR`` x an agent's
 #: learned mean (and ``MIN_SLOW_S``) is ``slow``, one longer than
@@ -166,25 +159,22 @@ class LivePlane:
     telemetry, installs subscribers, or touches the event calendar,
     which is how the trace-digest neutrality invariant holds by
     construction.
+
+    Records go to ``path`` (``"-"``: stderr; ``None``: nowhere), the
+    flight dump to ``<path>.flight.json`` (``repro-flight.json`` when
+    the records have no file of their own).
     """
 
-    def __init__(self, engine: Any, path: Optional[str] = None,
-                 stream: Any = None,
-                 interval_ms: float = DEFAULT_INTERVAL_MS,
-                 flight_path: Optional[str] = None) -> None:
+    def __init__(self, engine: Any, path: Optional[str] = None) -> None:
         self.engine = engine
-        self.interval_s = max(0.0, interval_ms) / 1e3
-        self._stream = stream
-        self._owns_stream = False
-        if stream is None and path is not None:
-            self._stream = open(path, "w")
-            self._owns_stream = True
+        self.interval_s = INTERVAL_MS / 1e3
+        self._owns_stream = path not in (None, "-")
+        self._stream = (open(path, "w") if self._owns_stream
+                        else sys.stderr if path == "-" else None)
         self.flight = engine.bus.telemetry
-        if flight_path is None:
-            flight_path = (f"{path}.flight.json"
-                           if path and path != os.devnull
-                           else "repro-flight.json")
-        self.flight_path = flight_path
+        self.flight_path = (f"{path}.flight.json"
+                            if self._owns_stream and path != os.devnull
+                            else "repro-flight.json")
         self.records_emitted = 0
         self._t0 = time.perf_counter()
         self._last = 0.0  # first on_step always samples
@@ -207,7 +197,7 @@ class LivePlane:
 
     def _record(self, kind: str, now: float) -> Dict[str, Any]:
         wall = now - self._t0
-        return {"v": LIVE_SCHEMA_VERSION, "kind": kind,
+        return {"v": TELEMETRY_SCHEMA_VERSION, "kind": kind,
                 "wall_s": round(wall, 6),
                 **run_record(self.engine.bus, self.engine, wall)}
 
@@ -229,14 +219,14 @@ class LivePlane:
         watchdog = getattr(engine, "watchdog", None)
         if watchdog is not None:
             for event in watchdog.pop_events():
-                self._emit({"v": LIVE_SCHEMA_VERSION, "kind": "watchdog",
+                self._emit({"v": TELEMETRY_SCHEMA_VERSION, "kind": "watchdog",
                             "wall_s": record["wall_s"], **event})
         recoveries = getattr(engine, "recoveries", None)
         if recoveries is not None and len(recoveries) > self._recoveries_seen:
             self._recoveries_seen = len(recoveries)
             dumped = self.dump_flight()
             if dumped:
-                self._emit({"v": LIVE_SCHEMA_VERSION, "kind": "flight",
+                self._emit({"v": TELEMETRY_SCHEMA_VERSION, "kind": "flight",
                             "wall_s": record["wall_s"], "path": dumped,
                             "trigger": "fault-recovery"})
         self._emit(record)
@@ -252,7 +242,7 @@ class LivePlane:
     def _on_sigusr1(self, _signum: int, _frame: Any) -> None:
         dumped = self.dump_flight()
         if dumped:
-            self._emit({"v": LIVE_SCHEMA_VERSION, "kind": "flight",
+            self._emit({"v": TELEMETRY_SCHEMA_VERSION, "kind": "flight",
                         "wall_s": round(time.perf_counter() - self._t0, 6),
                         "path": dumped, "trigger": "sigusr1"})
 

@@ -14,14 +14,13 @@ Three ways out of an :class:`~repro.core.instrument.InstrumentationBus`:
   checks exactly that and is what CI runs against every exported file.
   :func:`write_flight` writes the flight dump, the same format over the
   spans of the last :data:`FLIGHT_WINDOWS` windows only.
-* :func:`stats_dict` / :func:`write_stats` — counters, gauges,
-  histograms, per-system totals as JSON.  For cluster buses the
-  coordinator's per-agent busy / barrier-wait gauges are also flattened
-  into ``agent_busy_s`` / ``agent_barrier_wait_s`` lists — the exact
-  shape :func:`repro.partition.refit_cluster_spec` takes as
-  ``measured_times``, closing the measure → repartition loop.  The
-  derived numbers in it come from :func:`run_record`, the one snapshot
-  the live NDJSON stream and the ``--progress`` line also read.
+* :func:`run_report` — the one report of an observed run (``python -m
+  repro profile --json`` / ``--out FILE``): the :func:`run_record`
+  keys, the bus counters, the metrics registry snapshot, per-system
+  totals, the per-window rows and the window memo's reasons.  On a
+  cluster run its ``agents_busy_s`` is the series
+  :func:`repro.partition.refit_cluster_spec` takes as
+  ``measured_times``, closing the measure → repartition loop.
 * :func:`run_manifest` / :func:`write_manifest` — a small provenance
   record (seed, transport, git revision, schema version)
   written next to every artifact as ``<artifact>.manifest.json``.
@@ -43,7 +42,7 @@ __all__ = [
     "chrome_trace_events", "write_timeline", "FLIGHT_WINDOWS",
     "flight_spans", "write_flight",
     "validate_chrome_trace", "validate_timeline_file",
-    "run_record", "stats_dict", "write_stats", "memo_line",
+    "run_record", "run_report", "memo_line",
     "run_manifest", "write_manifest",
 ]
 
@@ -68,7 +67,12 @@ __all__ = [
 #: v8: a flight dump's ``otherData`` says ``flight: {windows}`` (was
 #: ``flight_recorder: {windows, max_windows}``): it is always the last
 #: ``FLIGHT_WINDOWS`` windows.
-TELEMETRY_SCHEMA_VERSION = 8
+#: v9: one report per run (``run_report``): the ``run_record`` keys at
+#: the top level, plus ``rows``; the ``memo`` section lost ``hit_rate``
+#: / ``jump_windows`` (``memo_hit_rate`` / ``memo_jump_windows``), and
+#: the ``transport_shm`` / ``agent_*`` sections are gone (``shm_*`` /
+#: ``agents_*``).  Live NDJSON records carry this version as ``v``.
+TELEMETRY_SCHEMA_VERSION = 9
 TIMELINE_FORMAT = "chrome-trace-events"
 MANIFEST_FORMAT = "repro-run-manifest-v1"
 
@@ -297,10 +301,9 @@ def run_record(bus: Any, engine: Any = None,
     from it otherwise (``None`` on a serial run).  ``agents_busy_s`` is
     the measured T_a, the series
     :func:`repro.partition.refit_cluster_spec` takes as
-    ``measured_times``.  The live NDJSON record, the
-    ``memo`` / ``transport_shm`` / ``agent_*`` sections of
-    :func:`stats_dict` and the CLI's ``--progress`` line are three views
-    of this dict, so they cannot disagree.
+    ``measured_times``.  The live NDJSON record, :func:`run_report` and
+    the CLI's ``--progress`` line are three views of this dict, so they
+    cannot disagree.
     """
     counters = bus.counters
     p = engine.progress() if engine is not None else {}
@@ -328,89 +331,58 @@ def run_record(bus: Any, engine: Any = None,
     }
 
 
-def stats_dict(bus: Any) -> Dict[str, Any]:
-    """One JSON-ready report of everything the bus measured: counters,
-    the metrics registry snapshot, per-system totals, and (for cluster
-    buses) the per-agent busy / barrier-wait series in the shape
-    ``refit_cluster_spec`` consumes as ``measured_times``."""
-    out: Dict[str, Any] = {
-        "schema_version": TELEMETRY_SCHEMA_VERSION,
-        "counters": dict(bus.counters),
-        "metrics": bus.metrics.snapshot(),
-        "totals": {
-            name: {"elapsed_s": prof.elapsed_s}
-            for name, prof in sorted(bus.totals.items())
-        },
-        "spans": len(bus.spans),
-    }
-    record = run_record(bus)
-    if record["agents_busy_s"] is not None:
-        out["agent_busy_s"] = record["agents_busy_s"]
-        out["agent_barrier_wait_s"] = record["agents_wait_s"]
-    counters = bus.counters
-    memo = _memo_section(counters, record)
-    if memo is not None:
-        out["memo"] = memo
-    if any(k.startswith("transport.shm_") for k in counters):
-        out["transport_shm"] = {
-            "frames": record["shm_frames"],
-            "bytes": record["shm_bytes"],
-        }
-    return out
-
-
 #: Counter families of ``core/memo.py`` that end in a reason name.
 _MEMO_REASONS = ("memo.disabled.", "memo.ineligible.", "memo.uncacheable.",
                  "memo.jump_refused.")
 
 
-def _memo_section(counters: Dict[str, int],
-                  record: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """What the window memo did and why it did not: hits, misses, cycle
-    jumps, and every bail-out — the static gate that kept the cache
-    from being built included — counted by reason (flat
-    ``<family>.<reason>`` fields, present when non-zero)."""
-    if not any(k.startswith("memo.") for k in counters):
-        return None
-    section: Dict[str, Any] = {
-        "hit": counters.get("memo.hit", 0),
-        "miss": counters.get("memo.miss", 0),
-        "ineligible": counters.get("memo.ineligible", 0),
-        "uncacheable": counters.get("memo.uncacheable", 0),
-        "validate_fail": counters.get("memo.validate_fail", 0),
-        "hit_rate": record["memo_hit_rate"] or 0.0,
-        "jump": counters.get("memo.jump", 0),
-        "jump_windows": record["memo_jump_windows"],
+def run_report(bus: Any, engine: Any = None,
+               wall_s: float = 0.0) -> Dict[str, Any]:
+    """The one JSON-ready report of an observed run: the schema version,
+    every :func:`run_record` key, the bus counters, the metrics registry
+    snapshot, per-system totals, the per-window profile rows and the
+    span count.  When the window memo ran, the ``memo`` section says
+    what it did and why it did not: hits, misses, cycle jumps, and
+    every bail-out — the static gate that kept the cache from being
+    built included — counted by reason (flat ``<family>.<reason>``
+    fields, present when non-zero)."""
+    counters = bus.counters
+    report: Dict[str, Any] = {
+        "schema_version": TELEMETRY_SCHEMA_VERSION,
+        **run_record(bus, engine, wall_s),
+        "counters": dict(counters),
+        "metrics": bus.metrics.snapshot(),
+        "totals": {
+            name: {"elapsed_s": prof.elapsed_s}
+            for name, prof in sorted(bus.totals.items())
+        },
+        "rows": bus.profile_rows(),
+        "spans": len(bus.spans),
     }
-    section.update((k[len("memo."):], n) for k, n in counters.items()
-                   if k.startswith(_MEMO_REASONS))
-    return section
+    if any(k.startswith("memo.") for k in counters):
+        memo = {name: counters.get("memo." + name, 0)
+                for name in ("hit", "miss", "ineligible", "uncacheable",
+                             "validate_fail", "jump")}
+        memo.update((k[len("memo."):], n) for k, n in counters.items()
+                    if k.startswith(_MEMO_REASONS))
+        report["memo"] = memo
+    return report
 
 
-def memo_line(bus: Any) -> Optional[str]:
-    """The memo section as the one line ``python -m repro profile``
-    prints: did it fire, how far did it jump, and if not, why not."""
-    memo = _memo_section(bus.counters, run_record(bus))
+def memo_line(report: Dict[str, Any]) -> Optional[str]:
+    """The report's memo section as the one line ``python -m repro
+    profile`` prints: did it fire, how far did it jump, and if not, why
+    not."""
+    memo = report.get("memo")
     if memo is None:
         return None
     reasons = " ".join(f"{k}={n}" for k, n in sorted(memo.items())
                        if "." in k)
     return (f"memo: hit={memo['hit']} miss={memo['miss']} "
             f"ineligible={memo['ineligible']} "
-            f"jumped={memo['jump_windows']} windows in {memo['jump']} jumps"
+            f"jumped={report['memo_jump_windows']} windows in "
+            f"{memo['jump']} jumps"
             + (f" | {reasons}" if reasons else ""))
-
-
-def write_stats(bus: Any, path: str,
-                manifest: Optional[Dict[str, Any]] = None) -> str:
-    """Write :func:`stats_dict` as JSON (plus the provenance manifest
-    when ``manifest`` is given) and return the path."""
-    with open(path, "w") as fh:
-        json.dump(stats_dict(bus), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if manifest is not None:
-        write_manifest(path, **manifest)
-    return path
 
 
 # --- run manifests ---------------------------------------------------------

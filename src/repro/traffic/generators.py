@@ -74,6 +74,8 @@ def full_mesh_dynamic(
         raise ConfigError("load must be positive")
     if len(hosts) < 2:
         raise ConfigError("full mesh needs at least two hosts")
+    if max_flows is not None and max_flows < 1:
+        raise ConfigError(f"max_flows must be at least 1, got {max_flows}")
     rng = substream(seed, 0xF1)
     mean_size_bits = sizes.mean() * 8.0
     lam_per_s = load * host_rate_bps * len(hosts) / mean_size_bits

@@ -5,7 +5,6 @@ it sleeps, and assert the watchdog flags it within two sampling
 intervals (here: windows — the watchdog observes every cluster window).
 """
 
-import io
 import json
 import time
 
@@ -13,6 +12,7 @@ import pytest
 
 from repro.cluster import DonsManager
 from repro.core.runner import EngineRunner
+from repro.metrics import live
 from repro.metrics.live import ClusterWatchdog, LivePlane
 from repro.partition import ClusterSpec, plan_scenario, refit_cluster_spec
 from repro.scenario import make_scenario
@@ -94,7 +94,8 @@ def test_watchdog_accumulates_busy_and_wait(scenario):
 
 # --- the drill -------------------------------------------------------------
 
-def test_watchdog_drill_detects_stalled_agent(scenario):
+def test_watchdog_drill_detects_stalled_agent(scenario, tmp_path,
+                                              monkeypatch):
     """A deliberately stalled agent (60ms, above the 50ms stall floor)
     is flagged ``stalled`` within 2 sampling intervals of the stall."""
     engine = _cluster_engine(scenario, telemetry=True)
@@ -108,8 +109,9 @@ def test_watchdog_drill_detects_stalled_agent(scenario):
             time.sleep(0.06)
 
     _stall(engine, 1, inject)
-    buf = io.StringIO()
-    plane = LivePlane(engine, stream=buf, interval_ms=0)
+    monkeypatch.setattr(live, "INTERVAL_MS", 0.0)
+    path = tmp_path / "live.ndjson"
+    plane = LivePlane(engine, path=str(path))
     try:
         EngineRunner(engine, on_step=plane.on_step).run()
     finally:
@@ -118,8 +120,8 @@ def test_watchdog_drill_detects_stalled_agent(scenario):
     counters = engine.bus.counters
     assert counters.get("watchdog.stalled", 0) >= 1
     assert counters.get("watchdog.checks", 0) > 0
-    stalled = [json.loads(line) for line in buf.getvalue().splitlines()
-               if json.loads(line).get("event") == "stalled"]
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    stalled = [r for r in records if r.get("event") == "stalled"]
     assert stalled, "no stalled event reached the live stream"
     first = stalled[0]
     assert first["kind"] == "watchdog"

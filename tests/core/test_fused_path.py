@@ -29,7 +29,7 @@ from repro.core.window import WindowContext
 from repro.des import OodSimulator
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.metrics import TraceLevel
-from repro.metrics.timeline import stats_dict
+from repro.metrics.timeline import run_report
 from repro.scenario import make_scenario
 from repro.schedulers import SchedulerKind
 from repro.topology import dumbbell, fattree
@@ -123,11 +123,11 @@ def test_route_cache_stays_bounded_across_migration(scenario, reference):
 
 def test_counters_say_which_paths_fired(scenario, reference):
     """There is one UDP schedule, so no counter says which one ran and
-    `stats` has no section for it."""
+    the run report has no section for it."""
     engine = reference[0]
     assert not [name for name in engine.bus.counters
                 if name.startswith("send.") and "schedules" in name]
-    assert "fused" not in stats_dict(engine.bus)
+    assert "fused" not in run_report(engine.bus)
 
 
 def test_drr_ports_replay_over_the_columns(scenario):

@@ -25,7 +25,7 @@ from repro.conformance.runner import load_spec_file
 from repro.core.engine import DodEngine
 from repro.core.memo import VALIDATE_EVERY
 from repro.metrics import TraceLevel
-from repro.metrics.timeline import stats_dict
+from repro.metrics.timeline import run_report
 from repro.scenario import make_scenario
 from repro.topology import dumbbell
 from repro.traffic import Flow, Transport
@@ -433,7 +433,7 @@ class TestDigestIdentity:
         engine.run()
         assert engine._memo is None
         assert "memo.hit" not in engine.bus.counters
-        assert stats_dict(engine.bus)["memo"]["disabled.no_udp_flow"] == 1
+        assert run_report(engine.bus)["memo"]["disabled.no_udp_flow"] == 1
 
 
 class TestCheckpointInteraction:

@@ -1,10 +1,14 @@
 """Multi-LP parallel baseline: partitions, channels, null messages."""
 
+from collections import Counter
+
 import pytest
 
+from repro.bench.scenarios import dcn_scenario
+from repro.core.instrument import OP_SERVICE
 from repro.des import (
-    ParallelOodSimulator, Partition, contiguous_partition, random_partition,
-    run_baseline, single_partition,
+    OodSimulator, ParallelOodSimulator, Partition, contiguous_partition,
+    random_partition, run_baseline, single_partition,
 )
 from repro.des.parallel import lp_duplicated_state
 from repro.errors import PartitionError, SimulationError
@@ -86,6 +90,26 @@ class TestParallelExecution:
         cont = ParallelOodSimulator(sc, contiguous_partition(sc.topology, 2))
         cont.run()
         assert rand.stats.data_messages >= cont.stats.data_messages
+
+    def test_lp_ops_add_up_to_the_sequential_runs(self):
+        """Per op code, the LPs' published ops add up to the sequential
+        engine's: a service whose arrival crosses the cut is an
+        ``OP_SERVICE`` like any other."""
+        sc = dcn_scenario(4, 0.2, max_flows=40, seed=5)
+
+        def counted(bus):
+            counts = Counter()
+            bus.subscribe_ops(lambda code, _where, _uid: counts.update((code,)))
+            return counts
+
+        seq = OodSimulator(sc)
+        expected = counted(seq.bus)
+        seq.run()
+        psim = ParallelOodSimulator(sc, random_partition(sc.topology, 2, 1))
+        per_lp = [counted(lp.bus) for lp in psim.lps]
+        psim.run()
+        assert expected[OP_SERVICE] > 0
+        assert sum(per_lp, Counter()) == expected
 
     def test_partition_size_mismatch_raises(self, dumbbell_scenario):
         bad = Partition(tuple([0] * 3), 1)

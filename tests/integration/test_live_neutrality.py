@@ -7,14 +7,13 @@ the sampler only ever
 *reads* engine state between windows.
 """
 
-import io
-
 import pytest
 
 from repro.core.engine import DodEngine, run_dons
 from repro.core.runner import EngineRunner
 from repro.des.partition_types import contiguous_partition
 from repro.metrics import TraceLevel
+from repro.metrics import live
 from repro.metrics.live import LivePlane
 from repro.scenario import make_scenario
 from repro.topology import dumbbell
@@ -34,8 +33,14 @@ def reference_digest(scenario):
     return run_dons(scenario, TraceLevel.FULL).trace.digest()
 
 
+@pytest.fixture(autouse=True)
+def every_window(monkeypatch):
+    """The plane samples every window."""
+    monkeypatch.setattr(live, "INTERVAL_MS", 0.0)
+
+
 def _run_with_plane(engine):
-    plane = LivePlane(engine, stream=io.StringIO(), interval_ms=0)
+    plane = LivePlane(engine)
     try:
         EngineRunner(engine, on_step=plane.on_step).run()
     finally:
@@ -63,15 +68,15 @@ def test_cluster_digest_neutral_with_live_plane(scenario, reference_digest,
     from repro.partition import ClusterSpec
     part = contiguous_partition(scenario.topology, 2)
     digests = {}
-    for live in (False, True):
+    for watched in (False, True):
         mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
                           TraceLevel.FULL, transport="shm")
         engine = mgr._engine(part)
-        if live:
+        if watched:
             _run_with_plane(engine)
         else:
             EngineRunner(engine).run()
-        digests[live] = engine.results.trace.digest()
+        digests[watched] = engine.results.trace.digest()
     assert digests[False] == digests[True] == reference_digest
 
 
@@ -79,9 +84,9 @@ def test_serial_results_identical_with_live_plane(scenario):
     """Beyond the digest: event counts and flow outcomes are untouched."""
     plain = DodEngine(scenario)
     EngineRunner(plain).run()
-    live = DodEngine(scenario)
-    _run_with_plane(live)
-    assert live.results.events.total == plain.results.events.total
-    assert live.results.drops == plain.results.drops
-    assert ({f: r.complete_ps for f, r in live.results.flows.items()}
+    watched = DodEngine(scenario)
+    _run_with_plane(watched)
+    assert watched.results.events.total == plain.results.events.total
+    assert watched.results.drops == plain.results.drops
+    assert ({f: r.complete_ps for f, r in watched.results.flows.items()}
             == {f: r.complete_ps for f, r in plain.results.flows.items()})

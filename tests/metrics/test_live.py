@@ -1,7 +1,6 @@
 """Live observability plane: NDJSON schema and throttle, and the flight
 dump — a view of the bus's last 64 windows — and its triggers."""
 
-import io
 import json
 import os
 import signal
@@ -10,11 +9,11 @@ import pytest
 
 from repro.core.engine import DodEngine
 from repro.core.runner import EngineRunner, chain_hooks
-from repro.metrics.live import (
-    LIVE_RECORD_KEYS, LIVE_SCHEMA_VERSION, LivePlane,
-)
+from repro.metrics import live
+from repro.metrics.live import LIVE_RECORD_KEYS, LivePlane
 from repro.metrics.timeline import (
-    FLIGHT_WINDOWS, flight_spans, validate_timeline_file, write_flight,
+    FLIGHT_WINDOWS, TELEMETRY_SCHEMA_VERSION, flight_spans,
+    validate_timeline_file, write_flight,
 )
 from repro.scenario import make_scenario
 from repro.topology import dumbbell
@@ -29,9 +28,19 @@ def scenario():
     return make_scenario(topo, flows)
 
 
-def _run_live(scenario, stream, telemetry=False, **kwargs):
-    engine = DodEngine(scenario, telemetry=telemetry)
-    plane = LivePlane(engine, stream=stream, interval_ms=0, **kwargs)
+@pytest.fixture
+def every_window(monkeypatch):
+    """Planes built under this fixture sample every window."""
+    monkeypatch.setattr(live, "INTERVAL_MS", 0.0)
+
+
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _run_live(scenario, path):
+    engine = DodEngine(scenario)
+    plane = LivePlane(engine, path=str(path))
     try:
         EngineRunner(engine, on_step=plane.on_step).run()
     finally:
@@ -41,16 +50,17 @@ def _run_live(scenario, stream, telemetry=False, **kwargs):
 
 # --- NDJSON schema ---------------------------------------------------------
 
-def test_ndjson_schema_pinned(scenario):
+def test_ndjson_schema_pinned(scenario, tmp_path, every_window):
     """Every progress/final record carries exactly the pinned key set —
-    consumers never branch on key presence."""
-    buf = io.StringIO()
-    engine, plane = _run_live(scenario, buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+    consumers never branch on key presence — and the telemetry schema
+    version."""
+    path = tmp_path / "live.ndjson"
+    engine, plane = _run_live(scenario, path)
+    lines = _records(path)
     assert lines, "no records emitted"
     assert plane.records_emitted == len(lines)
     for record in lines:
-        assert record["v"] == LIVE_SCHEMA_VERSION
+        assert record["v"] == TELEMETRY_SCHEMA_VERSION
         if record["kind"] in ("progress", "final"):
             assert set(record) == set(LIVE_RECORD_KEYS)
     kinds = [r["kind"] for r in lines]
@@ -65,11 +75,11 @@ def test_ndjson_schema_pinned(scenario):
     assert final["shm_frames"] == 0
 
 
-def test_ndjson_monotone_progress(scenario):
-    buf = io.StringIO()
-    _run_live(scenario, buf)
-    records = [json.loads(line) for line in buf.getvalue().splitlines()
-               if json.loads(line)["kind"] in ("progress", "final")]
+def test_ndjson_monotone_progress(scenario, tmp_path, every_window):
+    path = tmp_path / "live.ndjson"
+    _run_live(scenario, path)
+    records = [r for r in _records(path)
+               if r["kind"] in ("progress", "final")]
     for a, b in zip(records, records[1:]):
         assert b["windows"] >= a["windows"]
         assert b["sim_ps"] >= a["sim_ps"]
@@ -77,18 +87,30 @@ def test_ndjson_monotone_progress(scenario):
         assert b["wall_s"] >= a["wall_s"]
 
 
-def test_throttle_limits_record_rate(scenario):
+def test_throttle_limits_record_rate(scenario, tmp_path, monkeypatch):
     """A huge interval means only the forced final record is emitted."""
-    buf = io.StringIO()
+    monkeypatch.setattr(live, "INTERVAL_MS", 3_600_000.0)
+    path = tmp_path / "live.ndjson"
     engine = DodEngine(scenario)
-    plane = LivePlane(engine, stream=buf, interval_ms=3_600_000)
+    plane = LivePlane(engine, path=str(path))
     plane._last = plane._t0  # arm the throttle as if one sample just fired
     try:
         EngineRunner(engine, on_step=plane.on_step).run()
     finally:
         plane.close()
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert [r["kind"] for r in lines] == ["final"]
+    assert [r["kind"] for r in _records(path)] == ["final"]
+
+
+def test_dash_streams_to_stderr(scenario, capsys):
+    """``path="-"`` writes the records to stderr and stdout stays
+    clean."""
+    engine = DodEngine(scenario)
+    plane = LivePlane(engine, path="-")
+    EngineRunner(engine, on_step=plane.on_step).run()
+    plane.close()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["kind"] == "final"
 
 
 def test_progress_api(scenario):
@@ -142,14 +164,13 @@ def test_flight_recorder_empty_without_telemetry(scenario, tmp_path):
     path = tmp_path / "flight.json"
     assert write_flight(engine.bus, str(path)) is None
     assert not path.exists()
-    assert not LivePlane(engine, stream=io.StringIO()).flight
+    assert not LivePlane(engine).flight
 
 
-def test_flight_dump_on_crash(scenario, tmp_path):
-    flight = tmp_path / "crash.flight.json"
+def test_flight_dump_on_crash(scenario, tmp_path, every_window):
+    flight = tmp_path / "crash.ndjson.flight.json"
     engine = DodEngine(scenario, telemetry=True)
-    plane = LivePlane(engine, stream=io.StringIO(), interval_ms=0,
-                      flight_path=str(flight))
+    plane = LivePlane(engine, path=str(tmp_path / "crash.ndjson"))
     assert plane.flight, "telemetry on must arm the flight dump"
 
     def boom(steps):
@@ -165,12 +186,11 @@ def test_flight_dump_on_crash(scenario, tmp_path):
 
 @pytest.mark.skipif(not hasattr(signal, "SIGUSR1"),
                     reason="platform has no SIGUSR1")
-def test_flight_dump_on_sigusr1(scenario, tmp_path):
-    flight = tmp_path / "usr1.flight.json"
-    buf = io.StringIO()
+def test_flight_dump_on_sigusr1(scenario, tmp_path, every_window):
+    path = tmp_path / "usr1.ndjson"
+    flight = tmp_path / "usr1.ndjson.flight.json"
     engine = DodEngine(scenario, telemetry=True)
-    plane = LivePlane(engine, stream=buf, interval_ms=0,
-                      flight_path=str(flight))
+    plane = LivePlane(engine, path=str(path))
     fired = {"done": False}
 
     def kick(steps):
@@ -184,7 +204,7 @@ def test_flight_dump_on_sigusr1(scenario, tmp_path):
     finally:
         plane.close()
     validate_timeline_file(str(flight))
-    kinds = [json.loads(line)["kind"] for line in buf.getvalue().splitlines()]
+    kinds = [r["kind"] for r in _records(path)]
     assert "flight" in kinds
     # The prior handler is restored at close.
     assert signal.getsignal(signal.SIGUSR1) is not plane._on_sigusr1

@@ -1,4 +1,4 @@
-"""Telemetry exporters: Chrome-trace timelines, stats dumps, manifests."""
+"""Telemetry exporters: Chrome-trace timelines, the run report, manifests."""
 
 import json
 
@@ -12,11 +12,11 @@ from repro.metrics.timeline import (
     TELEMETRY_SCHEMA_VERSION,
     chrome_trace_events,
     run_manifest,
-    stats_dict,
+    run_record,
+    run_report,
     validate_chrome_trace,
     validate_timeline_file,
     write_manifest,
-    write_stats,
     write_timeline,
 )
 from repro.scenario import make_scenario
@@ -151,26 +151,21 @@ class TestSingleEngineExport:
         assert manifest["seed"] == 7
         assert manifest["transport"] == "local"
 
-    def test_stats_dict_has_metric_catalog(self, telemetered_run):
-        report = stats_dict(telemetered_run.bus)
-        assert report["schema_version"] == TELEMETRY_SCHEMA_VERSION
+    def test_run_report_has_metric_catalog(self, telemetered_run):
+        """One versioned document: every ``run_record`` key once, next
+        to the bus's counters, metrics, totals, rows and span count."""
+        report = run_report(telemetered_run.bus)
+        assert report["schema_version"] == TELEMETRY_SCHEMA_VERSION == 9
+        assert set(report) == {*run_record(telemetered_run.bus),
+                               "schema_version", "counters", "metrics",
+                               "totals", "rows", "spans"}
         hists = report["metrics"]["histograms"]
         assert "port.queue_depth_bytes" in hists
         assert "flow.completion_time_us" in hists
         assert hists["flow.completion_time_us"]["count"] == 4
         assert report["spans"] > 0
-
-    def test_write_stats_json_and_csv(self, telemetered_run, tmp_path):
-        """JSON is the record; the CSV twin (and the ``fmt`` argument
-        that selected it) is gone."""
-        jpath = tmp_path / "stats.json"
-        write_stats(telemetered_run.bus, str(jpath),
-                    manifest={"command": "test"})
-        assert json.loads(jpath.read_text())["schema_version"] \
-            == TELEMETRY_SCHEMA_VERSION
-        assert (tmp_path / "stats.json.manifest.json").exists()
-        with pytest.raises(TypeError):
-            write_stats(telemetered_run.bus, str(tmp_path / "x"), fmt="csv")
+        assert report["rows"] == telemetered_run.bus.profile_rows()
+        json.dumps(report)  # JSON-ready as built
 
 
 class TestManifest:
@@ -190,7 +185,7 @@ class TestManifest:
 class TestClusterExport:
     """The acceptance scenario: a 2-agent process-transport run exports
     a valid timeline with both agents' tracks and the coordinator's
-    barrier-wait slices, and the stats dump feeds refit_cluster_spec."""
+    barrier-wait slices, and the run report feeds refit_cluster_spec."""
 
     @pytest.fixture(scope="class")
     def cluster_run(self, scenario):
@@ -221,9 +216,9 @@ class TestClusterExport:
     def test_stats_feed_refit_cluster_spec(self, cluster_run, scenario):
         from repro.partition import ClusterSpec, refit_cluster_spec
         from repro.partition.loadest import estimate_scenario_loads
-        report = stats_dict(cluster_run.bus)
-        busy = report["agent_busy_s"]
-        wait = report["agent_barrier_wait_s"]
+        report = run_report(cluster_run.bus)
+        busy = report["agents_busy_s"]
+        wait = report["agents_wait_s"]
         assert len(busy) == len(wait) == 2
         assert all(b > 0 for b in busy)
         refit = refit_cluster_spec(
@@ -243,9 +238,9 @@ class TestClusterExport:
 
 
 class TestDerivedSections:
-    """PR 10 satellite: memo.* and transport.shm_* counters surface as
-    derived ``memo`` / ``transport_shm`` stats sections instead of
-    staying bus-only."""
+    """memo.* counters surface as the report's ``memo`` section (its
+    rate and jump windows, like the transport.shm_* totals, are
+    ``run_record`` keys) instead of staying bus-only."""
 
     @pytest.fixture(scope="class")
     def memo_scenario(self):
@@ -263,22 +258,23 @@ class TestDerivedSections:
     def test_memo_section_from_ffwd_run(self, memo_scenario):
         engine = DodEngine(memo_scenario, telemetry=True, ffwd=True)
         engine.run()
-        report = stats_dict(engine.bus)
+        report = run_report(engine.bus)
         memo = report["memo"]
         lookups = memo["hit"] + memo["miss"]
         assert lookups > 0
-        assert memo["hit_rate"] == pytest.approx(memo["hit"] / lookups)
+        assert report["memo_hit_rate"] == pytest.approx(memo["hit"] / lookups)
+        assert not {"hit_rate", "jump_windows"} & set(memo)
 
     def test_sections_absent_without_counters(self, telemetered_run):
-        report = stats_dict(telemetered_run.bus)
+        report = run_report(telemetered_run.bus)
         assert "memo" not in report
-        assert "transport_shm" not in report
+        assert report["shm_frames"] == report["shm_bytes"] == 0
 
     def test_shm_section_from_counters(self):
         from repro.core.instrument import InstrumentationBus
         bus = InstrumentationBus()
         bus.count("transport.shm_frames", 12)
         bus.count("transport.shm_bytes", 4096)
-        report = stats_dict(bus)
-        assert report["transport_shm"] == {
-            "frames": 12, "bytes": 4096}
+        report = run_report(bus)
+        assert (report["shm_frames"], report["shm_bytes"]) == (12, 4096)
+        assert "transport_shm" not in report

@@ -46,6 +46,9 @@ BAD_SPECS = [
     ("--flows", "fixed:n=8,bogus=1", "bogus"),
     ("--flows", "mesh:sizes=nosuch", "sizes"),
     ("--flows", "mesh:seed=-1", "seed"),
+    ("--flows", "mesh:max=0", "max_flows"),
+    ("--flows", "mesh:max=-3", "max_flows"),
+    ("--flows", "wan_twin:max=0", "n_flows"),
     ("--topology", "dumbbell:x", "dumbbell"),
     ("--topology", "isp:abc", "isp"),
     ("--topology", "isp:-5", "isp"),
@@ -87,7 +90,7 @@ class TestCommands:
     def test_bad_backend_is_a_parse_error(self):
         """Every ``--backend`` is bad: there is one set of systems, and
         no subcommand selects one."""
-        for command in ("run", "compare", "profile", "stats", "viz"):
+        for command in ("run", "compare", "profile", "viz"):
             with pytest.raises(SystemExit):
                 make_parser().parse_args([command, "--backend", "numpy"])
 
@@ -141,21 +144,24 @@ class TestTelemetryCommands:
         assert {e["pid"] for e in events} == {0, 1, 2}
 
     def test_profile_ffwd_flag(self, capsys):
-        """``--json`` is a view of the run record: its keys besides
-        ``counters`` and ``rows`` are exactly ``run_record``'s."""
+        """``--json`` prints the run report: the ``run_record`` keys,
+        the bus sections and the memo section with its reasons."""
         import json
         from repro.core.instrument import InstrumentationBus
-        from repro.metrics.timeline import run_record
+        from repro.metrics.timeline import TELEMETRY_SCHEMA_VERSION, run_record
         udp = ["--topology", "dumbbell:2",
                "--flows", "fixed:n=2,size=60000,transport=udp"]
         rc = main(["profile", *udp, "--ffwd", "--json"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        counters = report.pop("counters")
-        report.pop("rows")
-        assert set(report) == set(run_record(InstrumentationBus()))
+        assert report["schema_version"] == TELEMETRY_SCHEMA_VERSION
+        counters = report["counters"]
+        assert set(report) == {*run_record(InstrumentationBus()),
+                               "schema_version", "counters", "metrics",
+                               "totals", "rows", "spans", "memo"}
         assert report["memo_jump_windows"] == counters["memo.jump_windows"]
-        assert any(k.startswith("memo.") for k in counters)
+        assert report["memo"]["hit"] == counters["memo.hit"]
+        assert report["memo"]["jump_refused.flow_tail"] == 1
         rc = main(["profile", *udp, "--json"])
         assert rc == 0
         counters = json.loads(capsys.readouterr().out)["counters"]
@@ -223,36 +229,63 @@ class TestTelemetryCommands:
         assert "backend" not in manifest
 
     def test_stats_json_stdout(self, capsys):
+        """The run's statistics are ``profile --json``, telemetered;
+        the ``stats`` subcommand is gone."""
         import json
-        rc = main(["stats", *self.ARGS])
+        from repro.metrics.timeline import TELEMETRY_SCHEMA_VERSION
+        rc = main(["profile", *self.ARGS, "--json"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        from repro.metrics.timeline import TELEMETRY_SCHEMA_VERSION
         assert report["schema_version"] == TELEMETRY_SCHEMA_VERSION
         assert "flow.completion_time_us" in report["metrics"]["histograms"]
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", *self.ARGS])
+        assert exc.value.code == 2
 
     def test_stats_to_file_with_manifest(self, tmp_path, capsys):
-        """``--out`` writes the JSON record plus its manifest; the CSV
-        twin is gone, so ``--format`` is not an option any more."""
+        """``--out`` writes the report plus its manifest, and
+        ``--timeline`` writes the same manifest fields; there is no
+        ``--format``."""
         import json
-        out = tmp_path / "stats.json"
-        rc = main(["stats", *self.ARGS, "--out", str(out)])
+        from repro.metrics.timeline import TELEMETRY_SCHEMA_VERSION
+        udp = ["--topology", "dumbbell:2",
+               "--flows", "fixed:n=2,size=60000,transport=udp"]
+        out = tmp_path / "report.json"
+        timeline = tmp_path / "timeline.json"
+        rc = main(["profile", *udp, "--ffwd", "--out", str(out),
+                   "--timeline", str(timeline)])
         assert rc == 0
-        assert "counters" in json.loads(out.read_text())
-        assert (tmp_path / "stats.json.manifest.json").exists()
+        report = json.loads(out.read_text())
+        assert report["schema_version"] == TELEMETRY_SCHEMA_VERSION
+        assert report["memo"]["hit"] > 0
+        assert capsys.readouterr().out.startswith("engine ")
+
+        def fields(path):
+            manifest = json.loads(
+                (tmp_path / f"{path.name}.manifest.json").read_text())
+            manifest.pop("created_unix")
+            return manifest
+
+        assert fields(out) == fields(timeline)
+        assert fields(out)["ffwd"] is True
+        assert fields(out)["command"] == "profile"
         with pytest.raises(SystemExit) as exc:
-            main(["stats", *self.ARGS, "--format", "csv"])
+            main(["profile", *self.ARGS, "--format", "csv"])
         assert exc.value.code == 2
 
     def test_stats_cluster_reports_agent_series(self, tmp_path, capsys):
         import json
-        out = tmp_path / "stats.json"
-        rc = main(["stats", *self.ARGS, "--cluster", "2",
-                   "--out", str(out)])
+        out = tmp_path / "report.json"
+        rc = main(["profile", *self.ARGS, "--cluster", "2",
+                   "--transport", "shm", "--out", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
-        assert len(report["agent_busy_s"]) == 2
-        assert len(report["agent_barrier_wait_s"]) == 2
+        assert len(report["agents_busy_s"]) == 2
+        assert len(report["agents_wait_s"]) == 2
+        assert report["shm_frames"] > 0
+        manifest = json.loads(
+            (tmp_path / "report.json.manifest.json").read_text())
+        assert (manifest["cluster"], manifest["transport"]) == (2, "shm")
 
     def test_progress_suppressed_off_tty(self, capsys):
         rc = main(["profile", *self.ARGS, "--progress"])
@@ -261,7 +294,7 @@ class TestTelemetryCommands:
 
     def test_progress_meter_renders_on_tty(self):
         """The meter is a format string over ``run_record`` — the same
-        snapshot the live stream and ``stats`` read."""
+        snapshot the live stream and the run report read."""
         import io
         from repro.cli import _Progress
         from repro.core.instrument import InstrumentationBus

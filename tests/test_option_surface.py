@@ -1,14 +1,17 @@
-"""The settable values of the public entry points, pinned.
+"""The settable values of the public entry points, and the CLI's
+subcommands and flags, pinned.
 
 Every optional parameter of an engine, the cluster stack or the live
-plane is listed here with its entry point, so adding a knob — or
-keeping one that only a test sets — is a reviewed diff of this file.
-An option earns its place by a caller outside ``tests/``: a workload, a
-bench, an example or the CLI.
+plane is listed here with its entry point, and every flag with its
+subcommand, so adding a knob — or keeping one that only a test sets —
+is a reviewed diff of this file.  An option earns its place by a caller
+outside ``tests/``: a workload, a bench, an example or the CLI.
 """
 
+import argparse
 import inspect
 
+from repro.cli import make_parser
 from repro.cluster import (
     AgentSpec, ClusterEngine, DonsManager, ProcessTransport,
 )
@@ -34,8 +37,25 @@ OPTIONS = {
     EngineRunner: ["on_step"],
     CheckpointingEngine: ["store", "every_windows", "name"],
     ProcessTransport: ["slot_bytes"],
-    LivePlane: ["path", "stream", "interval_ms", "flight_path"],
+    LivePlane: ["path"],
     ClusterWatchdog: [],
+}
+
+#: The flags of every subcommand that builds a scenario.
+SCENARIO_FLAGS = ["--topology", "--flows", "--scheduler", "--classes",
+                  "--buffer-kb", "--save", "--load"]
+
+#: CLI subcommand -> its flags, in parser order.
+COMMANDS = {
+    "run": [*SCENARIO_FLAGS, "--engine"],
+    "compare": SCENARIO_FLAGS,
+    "profile": [*SCENARIO_FLAGS, "--json", "--out", "--all-windows",
+                "--tail", "--cluster", "--transport", "--timeline",
+                "--ffwd", "--progress", "--live"],
+    "plan": [*SCENARIO_FLAGS, "--machines"],
+    "viz": [*SCENARIO_FLAGS, "--out-dir"],
+    "fuzz": ["--seed", "--runs", "--shrink", "--oracles", "--artifact-dir",
+             "--replay", "--progress"],
 }
 
 
@@ -48,5 +68,13 @@ def test_each_entry_point_has_the_pinned_options():
     assert {entry: optional(entry) for entry in OPTIONS} == OPTIONS
 
 
-def test_at_most_thirty_settable_values():
-    assert sum(map(len, OPTIONS.values())) <= 30
+def test_at_most_27_settable_values():
+    assert sum(map(len, OPTIONS.values())) <= 27
+
+
+def test_each_subcommand_has_the_pinned_flags():
+    sub = next(action for action in make_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert {name: [a.option_strings[-1] for a in parser._actions
+                   if a.option_strings and a.dest != "help"]
+            for name, parser in sub.choices.items()} == COMMANDS
