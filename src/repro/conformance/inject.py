@@ -46,11 +46,11 @@ that exists only to be patched.  Six bug classes are plantable:
   flows by row and stays a truthful reference.
 * :func:`stale_cache_delta` corrupts the window-signature memoization
   cache (:mod:`repro.core.memo`): the delta a cache miss stores (its
-  ``_Entry``) has one scatter-write perturbed (the sequence number of
-  the first staged cross-window arrival is off by one), so every cache
-  *hit* replays a subtly wrong write-set.  The executed windows —
-  including the very window the delta was captured from — are all
-  correct; only the fast-forwarded replays diverge.  This is the
+  ``_Entry``) has one value a cycle jump reads perturbed (the sequence
+  number of the first trace op that carries one is off by one), so
+  every window a jump skips replays a subtly wrong tape.  The executed
+  windows — including the very window the delta was captured from —
+  are all correct; only the jumped-over windows diverge.  This is the
   stale/corrupt-cache-entry failure mode the memo's replay-based
   validation exists for, and catching it requires an oracle set that
   actually runs the fast-forward engine (e.g. ``("ood", "dons-ffwd")``).
@@ -155,42 +155,29 @@ def stale_window_index() -> Iterator[None]:
         events_mod.register_window = original
 
 
-def _bump_seq(row: Row) -> Row:
-    return row[:F_SEQ] + (row[F_SEQ] + 1,) + row[F_SEQ + 1:]
-
-
-def _put(items: Tuple, i: int, item) -> Tuple:
-    return items[:i] + (item,) + items[i + 1:]
+#: Where a tape op ``(method, t, where, flow, is_ack, seq, ...)`` holds
+#: its sequence number.
+_TAPE_SEQ = 5
 
 
 def _corrupt_delta(delta: "memo_mod.WindowDelta") -> "memo_mod.WindowDelta":
-    """Perturb exactly one scatter-write of a freshly captured delta.
+    """Perturb exactly one value of a freshly captured delta that a
+    cycle jump reads.
 
-    Preferred target: the first staged cross-window *arrival* — its
-    packet row's sequence number is bumped by one, so a cache hit
-    forwards a packet that was never sent.  Windows without staged
-    arrivals fall back to the first queued row of a port's post
-    encoding, then to a receiver's ``expected`` write; a delta with none
-    of the three is left intact (nothing in it can diverge).  Every
-    member is reached by the names ``repro.core.memo`` gives it.
+    Preferred target: the sequence number of the first tape op that
+    carries one, bumped by one, so every window a jump skips publishes
+    a packet that was never sent.  A tape without such an op falls back
+    to the delta's transmit count, which a jump adds once per skipped
+    window.  Every member is reached by the names ``repro.core.memo``
+    gives it.
     """
-    for i, staged in enumerate(delta.staged):
-        if staged.row is not None:
-            return delta._replace(staged=_put(
-                delta.staged, i, staged._replace(row=_bump_seq(staged.row))))
-    for i, port in enumerate(delta.ports):
-        queues = port.post.queues
-        for cls, rows in enumerate(queues):
-            if rows:
-                post = port.post._replace(queues=_put(
-                    queues, cls, (_bump_seq(rows[0]),) + rows[1:]))
-                return delta._replace(ports=_put(
-                    delta.ports, i, port._replace(post=post)))
-    for i, write in enumerate(delta.flows):
-        if write.field == "expected":
-            return delta._replace(flows=_put(
-                delta.flows, i, write._replace(value=write.value + 1)))
-    return delta
+    tape = delta.tape
+    for i, op in enumerate(tape):
+        if len(op) > _TAPE_SEQ:
+            op = op[:_TAPE_SEQ] + (op[_TAPE_SEQ] + 1,) + op[_TAPE_SEQ + 1:]
+            return delta._replace(tape=tape[:i] + (op,) + tape[i + 1:])
+    ack, send, forward, transmit = delta.counts
+    return delta._replace(counts=(ack, send, forward, transmit + 1))
 
 
 class _PoisonedEntry(memo_mod._Entry):
@@ -210,13 +197,14 @@ def stale_cache_delta() -> Iterator[None]:
     :meth:`~repro.core.memo.WindowMemoCache.run_window` resolves at call
     time to store a miss's captured delta, so every engine with
     fast-forwarding enabled records poisoned cache entries while the
-    patch is live.  Executed windows stay byte-correct — only cache
-    *hits* replay the corruption — so catching it requires an oracle set
+    patch is live.  Executed windows stay byte-correct — a hit that is
+    not jumped runs as an ordinary window, and only a cycle jump replays
+    the cached tape and counts — so catching it requires an oracle set
     that runs the fast-forward engine on a workload with repeating
     window signatures (the generator's ``steady`` traffic kind exists
     for exactly this).  The memo's own replay-based validation detects
-    the poisoned entry on the Nth hit and evicts it, but the hits
-    already applied have diverged the trace — which the differential
+    the poisoned entry on the Nth hit and evicts it, but the windows
+    already jumped over have diverged the trace — which the differential
     oracle then reports.
     """
     original = memo_mod._Entry

@@ -208,7 +208,7 @@ class EventColumns:
     def __bool__(self) -> bool:
         return bool(self._buckets)
 
-    # --- delta stage/apply (memoization support) ---------------------------
+    # --- capture diff and cycle jump (memoization support) ----------------
 
     def bucket_sizes(self) -> Dict[int, int]:
         """``{window: entry count}`` over every pending bucket — the
@@ -224,12 +224,6 @@ class EventColumns:
         if bucket is None:
             return None
         return bucket.nodes[start:], bucket.payloads[start:]
-
-    def discard_window(self, win: int) -> None:
-        """Drop one window's bucket without running it (fast-forward:
-        the delta replaces execution, so the entries are never run; the
-        occupancy-index entry was already consumed by ``next_window``)."""
-        self._buckets.pop(win, None)
 
     def translate(self, shift: int,
                   move: Callable[[Entry], Entry]) -> None:

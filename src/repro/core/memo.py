@@ -20,21 +20,23 @@ the DOD engine:
   space hash equal.
 * On a **miss** the window executes normally while a trace tap and a
   state diff capture a :class:`WindowDelta`, the window's write-set as
-  data.  On a **hit** the delta is applied in O(changed-state) without
-  running any system; every Nth hit is **validated** by re-executing
-  the window and comparing the fresh delta against the cached one.
+  data.  A **hit** counts and feeds cycle detection; the window then
+  runs as an ordinary one, except every Nth hit, which is **validated**
+  by re-executing the window and comparing the fresh delta against the
+  cached one.
 * When a hit key recurs, the *whole* rebased pending state is encoded;
   if it is equal one period later the engine state is periodic under
   the translation, and :meth:`WindowMemoCache._jump` skips whole cycles
-  up to the next validation point by translating that state once.  The
-  full-state walk seals the window's own probe on its way and a jump
-  translates the probe of the window it lands on, so a steady
-  validation period pays one encode.
+  up to the next validation point by translating that state once and
+  adding ``m`` x each cached delta's increments.  This is the only way
+  the memo skips a window.  The full-state walk seals the window's own
+  probe on its way and a jump translates the probe of the window it
+  lands on, so a steady validation period pays one encode.
 
 Every state the memo touches is declared once — :data:`FLOW_FIELDS`,
 :data:`PORT_COUNTERS`, :class:`PortEnc` and the one packet-row rebase
-:func:`_move_row` — and the probe, the capture diff, the apply, the
-jump and the accounting loop over those declarations.
+:func:`_move_row` — and the probe, the capture diff, the jump and the
+accounting loop over those declarations.
 
 Soundness rests on a closed-world argument: the signature is only
 attempted when every input the window can read is in the encoded set.
@@ -44,10 +46,11 @@ whose work is pure UDP steady-state — no DCTCP/RENO senders touched, no
 RED or packet spraying (both hash raw sequence numbers), no cross-agent
 deliveries, no op probes, no duration cut inside the window.  Within
 those gates every engine transition commutes with the (time, sequence)
-translation, which is what makes replaying a rebased delta
-byte-identical to re-execution — the property the ``dons-ffwd``
-conformance oracle and the memo-on/off digest tests enforce.  There is
-no simulation-time RNG to capture (docs/MEMOIZATION.md).
+translation, which is what makes a jump's translated state and
+replayed tapes byte-identical to re-execution — the property the
+``dons-ffwd`` conformance oracle and the memo-on/off digest tests
+enforce.  There is no simulation-time RNG to capture
+(docs/MEMOIZATION.md).
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from collections import deque, namedtuple
 from operator import sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from .systems.forward import _route
 from .systems.send import WIRE8PS, udp_window
 from .telemetry import MEMO_APPLY_MS_BUCKETS
 from .window import ENTRY_ARRIVAL, ENTRY_UDP
@@ -77,16 +81,15 @@ VALIDATE_EVERY = 32
 MAX_ENTRIES = 4096
 
 #: The per-flow columns a window can read and write, as ``(world table,
-#: column, kind)``: the probe keys them, the capture diffs them, the
-#: apply writes the ones a window changed and a cycle jump moves them
-#: all.  The kind says how a value moves with the window frame:
-#: ``base`` is the pacing cursor every sequence value is rebased
-#: against (so 0 before a window, its advance after); ``seq`` a sequence
-#: number; ``count`` a segment count in step with them that completes
-#: the flow at its total (the probe also keys the saturated remainder);
-#: ``seqs`` a set of sequence numbers, ``None`` when empty (both encode
-#: as ``()``); ``done`` the completion time, -1 until set, which the
-#: flow's result record mirrors.
+#: column, kind)``: the probe keys them, the capture diffs them and a
+#: cycle jump moves them all.  The kind says how a value moves with
+#: the window frame: ``base`` is the pacing cursor every sequence value
+#: is rebased against (so 0 before a window, its advance after); ``seq``
+#: a sequence number; ``count`` a segment count in step with them that
+#: completes the flow at its total (the probe also keys the saturated
+#: remainder); ``seqs`` a set of sequence numbers, ``None`` when empty
+#: (both encode as ``()``); ``done`` the completion time, -1 until set,
+#: which the flow's result record mirrors.
 FLOW_FIELDS = (
     ("senders", "udp_next_seq", "base"),
     ("receivers", "expected", "seq"),
@@ -98,8 +101,8 @@ _BASE_FIELD = next(name for _t, name, kind in FLOW_FIELDS if kind == "base")
 _COUNT_AT = [kind for _t, _n, kind in FLOW_FIELDS].index("count")
 
 #: The egress counters a window adds to: the capture takes their
-#: baseline, the diff their increments, and an apply or a jump adds
-#: ``k`` x those increments.
+#: baseline, the diff their increments, and a jump adds ``m`` x those
+#: increments.
 PORT_COUNTERS = ("enqueued", "dequeued", "dropped", "marked", "tx_bytes")
 _NO_COUNTS = (0,) * len(PORT_COUNTERS)
 #: The window's event counts (``WindowContext.counts`` into
@@ -134,20 +137,19 @@ PORT_FIELDS = PortEnc._fields[2:] + ("heads", "qlen")
 
 def _move_row(row: Row, dseq: int, dt: int) -> Row:
     """The one packet-row rebase: ``row`` moved ``dseq`` in sequence and
-    ``dt`` in time.  Into a window's frame is ``(-base, -start)``, out
-    of it ``(base, start)``, a cycle jump ``(m·d_f, m·P·L)``."""
+    ``dt`` in time.  Into a window's frame is ``(-base, -start)``, a
+    cycle jump ``(m·d_f, m·P·L)``."""
     f, ack, seq, size, ce, ece, ts, src, dst = row
     return (f, ack, seq + dseq, size, ce, ece, ts + dt, src, dst)
 
 
-def _move_field(kind: str, v, dseq: int, dt: int):
-    """One per-flow value moved ``dseq`` in sequence and ``dt`` in time
-    (an unset completion time stays unset, no gap stays ``None``)."""
+def _move_field(kind: str, v, dseq: int):
+    """One per-flow value moved ``dseq`` in sequence (no gap stays
+    ``None``).  A completion time stays: a jump ends before any flow's
+    tail, so the flows it moves are unfinished."""
     if kind == "seqs":
         return {x + dseq for x in v} if v else None
-    if kind == "done":
-        return v + dt if v >= 0 else v
-    return v + dseq
+    return v if kind == "done" else v + dseq
 
 
 def _enc_flow(flow_cols: Dict, fid: int, b: int, start: int) -> Tuple:
@@ -179,8 +181,7 @@ def _put_queues(cols, iface: int, classes, base_of: Dict[int, int],
 
 
 #: A window's write to one union port: its ``post`` :class:`PortEnc`
-#: (applied field by field against the hit probe's pre) and its
-#: ``counters`` increments, in :data:`PORT_COUNTERS` order.
+#: and its ``counters`` increments, in :data:`PORT_COUNTERS` order.
 PortDelta = namedtuple("PortDelta", "post counters")
 #: One :data:`FLOW_FIELDS` column of ``flow`` a window changed, with its
 #: ``value`` in the window frame.
@@ -205,10 +206,10 @@ WindowDelta = namedtuple(
 
 class _Probe(NamedTuple):
     """One eligibility probe: the signature key plus the pre-state the
-    capture diff and the hit apply both need.  A window's is encoded
-    alone, sealed first by the full-state walk, or moved by ``T^m`` from
-    the window a jump started at: ``start`` by ``dt``, ``base_of`` by
-    ``m·d_f``, the key and the rebased ``ports`` as they are."""
+    capture diff and a jump need.  A window's is encoded alone, sealed
+    first by the full-state walk, or moved by ``T^m`` from the window a
+    jump started at: ``start`` by ``dt``, ``base_of`` by ``m·d_f``, the
+    key and the rebased ``ports`` as they are."""
 
     win: int
     start: int
@@ -247,7 +248,7 @@ class _TraceTap(list):
 
 
 class WindowMemoCache:
-    """Per-engine signature -> delta cache with fast-forward apply.
+    """Per-engine signature -> delta cache with cycle fast-forward.
 
     Constructed by ``DodEngine._maybe_init_memo`` only when the static
     gates hold.  Never persisted: checkpoints invalidate it on restore
@@ -275,7 +276,6 @@ class WindowMemoCache:
         self._udp_flows = frozenset(
             f for f, t in enumerate(engine.flow_lists.transport)
             if t == Transport.UDP)
-        self._routes: Dict[Tuple[int, int, int], int] = {}
         self._cols_of = self._cols = None
 
     # --- lifecycle --------------------------------------------------------
@@ -306,9 +306,11 @@ class WindowMemoCache:
         """Try to fast-forward window ``win``.
 
         Returns ``True`` when the window was fully handled here — by a
-        delta apply, a capturing / validating execution, or a cycle jump
-        that carried the engine past it — and ``False`` when the window
-        is ineligible and the engine must run ``process_window`` itself.
+        capturing / validating execution, or a cycle jump that carried
+        the engine past it — and ``False`` when the engine must run
+        ``process_window`` itself: the window is ineligible, or it hit
+        without being jumped or due for validation (the hit is counted
+        and noted for cycle detection first).
         """
         probe, state = self._probes(win)
         bus = self.engine.bus
@@ -333,7 +335,8 @@ class WindowMemoCache:
         self.hits += 1
         if self._cycle_step(win, entry, probe, state):
             return True
-        if self.hits % VALIDATE_EVERY == 0:
+        validate = self.hits % VALIDATE_EVERY == 0
+        if validate:
             # Replay-based validation: execute for real and compare the
             # fresh write-set against the cached one.
             bus.count("memo.validate")
@@ -342,12 +345,10 @@ class WindowMemoCache:
                 bus.count("memo.validate_fail")
                 self._forget_cycle()
                 return True
-        else:
-            self._apply(win, probe, entry)
         bus.count("memo.hit")
         entry.seen = self.hits
         self._trail.append((win, entry))
-        return True
+        return validate
 
     def _probes(self, win: int) -> Tuple:
         """The window's probe — a jump's landing translation, the window
@@ -468,7 +469,7 @@ class WindowMemoCache:
         for f, k in jump_of.items():
             if k:
                 for col, kind in flow_cols.values():
-                    col[f] = _move_field(kind, col[f], k, 0)
+                    col[f] = _move_field(kind, col[f], k)
 
         # m x the cycle's sums; one bus row per skipped window; and, when
         # someone listens, the trace ops once per skipped window.
@@ -567,8 +568,7 @@ class WindowMemoCache:
         union = set(active)
         recv_counts: Dict[int, int] = {}
         fl = engine.flow_lists
-        routes = self._routes
-        fib, topology = engine.scenario.fib, engine.scenario.topology
+        routes, sc = engine._routes, engine.scenario
 
         def walk(w: int, entries_enc: List) -> Optional[str]:
             """Encode bucket ``w``; note its bases, targets, receives."""
@@ -612,15 +612,11 @@ class WindowMemoCache:
                     if is_host[node]:
                         recv_counts[f] = recv_counts.get(f, 0) + 1
                         continue
-                    # The ForwardSystem's egress choice: flow-mode ECMP
-                    # is a pure function of static identifiers (the
-                    # packet-spray gate keeps sequence-salted hashing out).
-                    route = (node, row[F_DST], f)
-                    iface = routes.get(route)
-                    if iface is None:
-                        iface = routes[route] = topology.iface_id(
-                            node, fib.resolve_port(*route, None))
-                    union.add(iface)
+                    # The ForwardSystem's egress choice, from its route
+                    # cache: flow-mode ECMP is a pure function of static
+                    # identifiers (the packet-spray gate keeps
+                    # sequence-salted hashing out).
+                    union.add(_route(routes, sc, node, row[F_DST], f))
                 else:
                     return "cca_entry"  # FLOW_START / TIMER: a CCA flow
             return None
@@ -807,75 +803,11 @@ class WindowMemoCache:
             tape=tuple(tape), counts=counts, node_incr=node_incr,
             drops_incr=res.drops - pre_drops)
 
-    # --- apply ------------------------------------------------------------
-
-    def _apply(self, win: int, probe: _Probe, entry: _Entry) -> None:
-        """Fast-forward: scatter the delta into the engine state."""
-        delta = entry.delta
-        engine = self.engine
-        bus = engine.bus
-        telemetry = bus.telemetry
-        if telemetry:
-            t0 = bus.now()
-        start = probe.start
-        base_of = probe.base_of
-        engine._running_window = win
-        engine.events.discard_window(win)
-
-        # Each port field whose post differs from the hit's pre.
-        cols = engine.world.egress_cols
-        for port in delta.ports:
-            post = port.post
-            i = post.iface
-            pre = probe.ports[i]
-            if post == pre:
-                continue
-            for name, value, was in zip(PortEnc._fields, post, pre):
-                if value == was:
-                    continue
-                if name == "active":
-                    (engine.active_ports.add if value
-                     else engine.active_ports.discard)(i)
-                elif name == "free_at":
-                    cols.free_at[i] = start + value
-                elif name == "queues":
-                    _put_queues(cols, i, value, base_of, start)
-                elif name == "drr_deficit":
-                    cols.drr_deficit[i][:] = value
-                else:
-                    getattr(cols, name)[i] = value
-
-        res = engine.results
-        if delta.flows:
-            flow_cols = self._flow_cols()
-            for write in delta.flows:
-                col, kind = flow_cols[write.field]
-                v = col[write.flow] = _move_field(
-                    kind, write.value, base_of[write.flow], start)
-                if kind == "done":
-                    res.flows[write.flow].complete_ps = v
-
-        # Staged future events, through ``insert`` so the injectable
-        # stale-index bug (the occupancy hook) reaches this path too.
-        insert = engine.events.insert
-        for s in delta.staged:
-            insert(win + s.offset, s.node,
-                   (ENTRY_UDP, s.flow) if s.row is None else
-                   (ENTRY_ARRIVAL, start + s.t, s.prio,
-                    _move_row(s.row, base_of[s.flow], start)))
-
-        if self._listening():
-            self._replay(delta.tape, start, base_of)
-
-        self._account(delta, 1)
-        bus.window_row(win, start, 0.0, 0.0, 0.0, 0.0, *delta.counts)
-        res.end_time_ps = start + engine.lookahead
-        if telemetry:
-            self._telemetry(t0, win, engine.lookahead, 1)
+    # --- jump accounting --------------------------------------------------
 
     def _telemetry(self, t0: float, win: int, span_ps: int, n: int) -> None:
-        """One apply or one jump over ``n`` windows: sample the ports
-        over the span, record the cost per window, close one span."""
+        """One jump over ``n`` windows: sample the ports over the span,
+        record the cost per window, close one span."""
         engine = self.engine
         bus = engine.bus
         engine._sample_window_metrics(span_ps)

@@ -50,8 +50,8 @@ FCT_US_BUCKETS: Tuple[float, ...] = (
 WAIT_MS_BUCKETS: Tuple[float, ...] = (
     0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000,
 )
-#: Wall-clock of one memoized-window delta apply, milliseconds — the
-#: fast-forward path's cost; compare against the ``window`` spans of
+#: Wall-clock of a memo cycle jump per skipped window, milliseconds —
+#: the fast-forward path's cost; compare against the ``window`` spans of
 #: executed windows to see the speedup (docs/MEMOIZATION.md).
 MEMO_APPLY_MS_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10,

@@ -3,7 +3,7 @@
 from .events import EventQueue
 from .simulator import OodSimulator, run_baseline
 from .parallel import (
-    Channel, ParallelOodSimulator, ParallelRunStats, lp_duplicated_state,
+    Channel, ParallelOodSimulator, ParallelRunStats,
 )
 from .partition_types import (
     Partition, contiguous_partition, random_partition, single_partition,
@@ -12,7 +12,6 @@ from .partition_types import (
 __all__ = [
     "EventQueue", "OodSimulator", "run_baseline",
     "Channel", "ParallelOodSimulator", "ParallelRunStats",
-    "lp_duplicated_state",
     "Partition", "contiguous_partition", "random_partition",
     "single_partition",
 ]

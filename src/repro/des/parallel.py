@@ -5,8 +5,7 @@ partitioned into sub-graphs, each simulated by a Logical Process (LP)
 with its own event queue, synchronized conservatively with the
 Chandy-Misra-Bryant null-message algorithm [8, 10, 16].  Each LP
 duplicates the full topology and routing state — the memory blow-up of
-paper Fig. 2b — which :func:`lp_duplicated_state` quantifies for the
-memory model.
+paper Fig. 2b.
 
 The LPs here run cooperatively in one OS process (CPython cannot give
 them real parallelism anyway; DESIGN.md); what is executed for real is
@@ -251,18 +250,3 @@ class ParallelOodSimulator:
         self.stats.lp_events = [lp.results.events.total for lp in self.lps]
         return merge_results([lp.finalize() for lp in self.lps],
                              self.scenario.name, self.name)
-
-
-
-def lp_duplicated_state(scenario: Scenario, num_lps: int) -> Dict[str, int]:
-    """What each LP duplicates (paper P2): topology objects + full FIB.
-
-    Returns structural counts; the memory model prices them in bytes.
-    """
-    topo = scenario.topology
-    return {
-        "lps": num_lps,
-        "nodes_per_lp": topo.num_nodes,
-        "links_per_lp": topo.num_links,
-        "fib_entries_per_lp": scenario.fib.entry_count(),
-    }

@@ -270,9 +270,10 @@ class TestFuzzLoop:
 
     def test_planted_stale_cache_delta_is_caught_and_shrunk(self, tmp_path):
         """The memoization drill: poison each captured window delta so
-        cache hits replay a wrong write-set.  Executed windows stay
-        byte-correct — only fast-forwarded replays diverge — so the bug
-        is invisible to every oracle except ``dons-ffwd`` on a
+        a cycle jump replays a wrong tape for every window it skips.
+        A hit that is not jumped over executes, so executed windows
+        stay byte-correct and only jumped-over windows diverge: the
+        bug is invisible to every oracle except ``dons-ffwd`` on a
         workload whose window signatures repeat."""
         with stale_cache_delta():
             result = fuzz(100, 25, FFWD_ORACLES, do_shrink=True,
@@ -283,10 +284,8 @@ class TestFuzzLoop:
         div = result.shrunk.divergences[0]
         assert div.window is not None and div.system and div.entity
 
-        # Cycle jumps are part of the oracle that caught it: the failing
-        # spec, run clean, is carried over whole cycles by them (under
-        # the bug the first poisoned hit breaks the periodicity, so the
-        # divergence is found before any jump could hide it).
+        # Cycle jumps are the path that carries the poison: the failing
+        # spec, run clean, is carried over whole cycles by them.
         clean = run_oracle("dons-ffwd",
                            result.failures[0].spec.build())
         assert clean.counters["memo.jump"] > 0

@@ -66,17 +66,11 @@ class TestWorld:
         assert w.table(EntityKind.SENDER) is w.senders
         assert w.table(EntityKind.EGRESS_PORT) is w.egress
 
-    def test_one_table_class_on_either_backend(self, dumbbell_scenario,
-                                               monkeypatch):
-        """One table class, whatever a stale $REPRO_BACKEND export of
-        either old value says."""
+    def test_one_table_class_on_either_backend(self, dumbbell_scenario):
+        """One table class for every entity kind."""
         from repro.core.engine import DodEngine
-        tables = set()
-        for backend in ("python", "numpy"):
-            monkeypatch.setenv("REPRO_BACKEND", backend)
-            world = DodEngine(dumbbell_scenario).world
-            tables |= {type(world.table(kind)) for kind in EntityKind}
-        assert tables == {SoATable}
+        world = DodEngine(dumbbell_scenario).world
+        assert {type(world.table(kind)) for kind in EntityKind} == {SoATable}
 
     def test_memory_accounts_all_tables(self):
         w = World()

@@ -10,7 +10,6 @@ from repro.des import (
     OodSimulator, ParallelOodSimulator, Partition, contiguous_partition,
     random_partition, run_baseline, single_partition,
 )
-from repro.des.parallel import lp_duplicated_state
 from repro.errors import PartitionError, SimulationError
 from repro.metrics import TraceLevel
 from repro.scenario import make_scenario
@@ -115,9 +114,3 @@ class TestParallelExecution:
         bad = Partition(tuple([0] * 3), 1)
         with pytest.raises(SimulationError):
             ParallelOodSimulator(dumbbell_scenario, bad)
-
-    def test_lp_duplicated_state(self, fattree4_scenario):
-        dup = lp_duplicated_state(fattree4_scenario, 8)
-        assert dup["lps"] == 8
-        assert dup["nodes_per_lp"] == fattree4_scenario.topology.num_nodes
-        assert dup["fib_entries_per_lp"] == fattree4_scenario.fib.entry_count()

@@ -123,7 +123,7 @@ def test_memo_encodes_no_gap_one_way():
     for empty in (None, set()):
         cols = {"out_of_order": ([empty], "seqs")}
         assert _enc_flow(cols, 0, 5, 0) == ((),)
-        assert _move_field("seqs", empty, 3, 0) is None
-        assert _move_field("seqs", (), 3, 0) is None
-    assert _move_field("seqs", (2, 4), 3, 0) == {5, 7}
+        assert _move_field("seqs", empty, 3) is None
+        assert _move_field("seqs", (), 3) is None
+    assert _move_field("seqs", (2, 4), 3) == {5, 7}
     assert _enc_flow({"g": ([{7, 9}], "seqs")}, 0, 5, 0) == ((2, 4),)
