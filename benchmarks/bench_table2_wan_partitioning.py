@@ -66,8 +66,8 @@ def _distributed_measurements():
         ]
         out[method] = {
             "part_events": part_events,
-            "egress": run.traffic.egress_bytes,
-            "windows": run.traffic.windows,
+            "egress": run.stats.egress_bytes,
+            "windows": run.stats.windows,
         }
     return out
 

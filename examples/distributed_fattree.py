@@ -41,15 +41,15 @@ def main() -> None:
           f"estimated T = {plan.estimated_time_s:.4f} load-units")
     print(f"machine loads (events): "
           f"{[r.events.total for r in planned.per_agent]}")
-    print(f"windows: {planned.traffic.windows}   "
-          f"RPCs: {planned.traffic.rpc_messages}   "
-          f"RPC bytes: {planned.traffic.rpc_bytes}   "
-          f"FINISH signals: {planned.traffic.finish_signals}")
+    print(f"windows: {planned.stats.windows}   "
+          f"RPCs: {planned.stats.rpc_messages}   "
+          f"RPC bytes: {planned.stats.rpc_bytes}   "
+          f"FINISH signals: {planned.stats.finish_signals}")
 
     # Same scenario under a random partition: same results, more traffic.
     rand = manager.run(partition=random_partition(topo, 4, seed=3))
-    print(f"\nrandom partition RPC bytes: {rand.traffic.rpc_bytes} "
-          f"({rand.traffic.rpc_bytes / max(planned.traffic.rpc_bytes, 1):.1f}x "
+    print(f"\nrandom partition RPC bytes: {rand.stats.rpc_bytes} "
+          f"({rand.stats.rpc_bytes / max(planned.stats.rpc_bytes, 1):.1f}x "
           f"the planned partition)")
 
     assert single.trace.digest() == planned.results.trace.digest()

@@ -41,9 +41,7 @@ from ..scenario import Scenario, make_scenario
 from ..schedulers import SchedulerKind
 from ..topology import abilene, geant, leaf_spine
 from ..traffic import Transport
-from ..traffic.arrivals import (
-    DEFAULT_BATCH, ArrivalProcess, FlowColumns, synthesize,
-)
+from ..traffic.arrivals import ArrivalProcess, FlowColumns, synthesize
 from ..traffic.distributions import DISTRIBUTIONS
 from ..units import GBPS, PS_PER_S, ms, us
 
@@ -184,7 +182,6 @@ def wan_twin_flow_columns(
     load: float = 0.3,
     arrival: str = "onoff",
     host_rate_bps: int = 10 * GBPS,
-    batch_size: int = DEFAULT_BATCH,
     table: Optional[Tuple[Tuple[str, Transport, str, int, float], ...]] = None,
 ) -> FlowColumns:
     """Synthesized WAN-twin traffic with an exact total flow budget."""
@@ -192,7 +189,7 @@ def wan_twin_flow_columns(
         hosts, horizon_ps=horizon_ps, classes=classes, load=load,
         host_rate_bps=host_rate_bps, arrival=arrival, n_flows=n_flows,
         table=table)
-    return synthesize(procs, seed, batch_size=batch_size)
+    return synthesize(procs, seed)
 
 
 def wan_twin_scenario(
@@ -205,7 +202,6 @@ def wan_twin_scenario(
     scheduler: str = "sp",
     arrival: str = "onoff",
     max_flows: int = 2000,
-    batch_size: int = DEFAULT_BATCH,
 ) -> Scenario:
     """DiffServ WAN digital twin on a real backbone topology.
 
@@ -226,8 +222,7 @@ def wan_twin_scenario(
     horizon = ms(duration_ms)
     flows = wan_twin_flow_columns(
         topo.hosts, seed, horizon_ps=horizon, n_flows=max_flows,
-        classes=classes, load=load, arrival=arrival,
-        batch_size=batch_size)
+        classes=classes, load=load, arrival=arrival)
     return make_scenario(
         topo, flows, name=f"wan-twin-{which}-{scheduler}{classes}",
         scheduler=kinds[scheduler], num_classes=classes,
@@ -239,13 +234,12 @@ def wan_twin_smoke(
     *,
     duration_us: float = 60.0,
     seed: int = 2023,
-    batch_size: int = DEFAULT_BATCH,
 ) -> Scenario:
     """WAN-twin perf-smoke scenario: >= ``n_flows`` synthesized flows.
 
     Two UDP classes (paced EF + bursty BE) on Abilene under strict
     priority.  All 100k flows are synthesized columnar — peak live
-    ``Flow`` count stays bounded by ``batch_size`` — while the
+    ``Flow`` count stays bounded by one builder batch — while the
     simulated duration cut keeps the executed event count tractable
     for a smoke gate.
     """
@@ -270,7 +264,7 @@ def wan_twin_smoke(
             priority_mix=(0.0, 1.0), max_flows=be_cap,
             src_alpha=1.1, dst_alpha=0.8, label="smoke-be"),
     ]
-    flows = synthesize(procs, seed, batch_size=batch_size)
+    flows = synthesize(procs, seed)
     return make_scenario(
         topo, flows, name="wan-twin-smoke", scheduler=SchedulerKind.SP,
         num_classes=2, duration_ps=us(duration_us))
@@ -309,7 +303,6 @@ def storage_flow_columns(
     heartbeat_period_ps: int = us(200),
     report_period_ps: int = us(1000),
     report_bytes: int = 16 * 1024,
-    batch_size: int = DEFAULT_BATCH,
 ) -> FlowColumns:
     """HDFS-like storage traffic over ``hosts`` (hosts[0] = namenode).
 
@@ -354,7 +347,7 @@ def storage_flow_columns(
         raise ConfigError(
             f"storage arrival must be poisson/onoff/periodic, "
             f"got {arrival!r}")
-    base = synthesize([write_proc], seed, batch_size=batch_size).columns()
+    base = synthesize([write_proc], seed).columns()
     n = len(base["src"])
 
     # 2. Extend each chain with replicas 2..k, drawn from a dedicated
@@ -395,7 +388,7 @@ def storage_flow_columns(
                 start_ps=(i * report_period_ps) // len(dns),
                 size_bytes=report_bytes, transport=Transport.DCTCP,
                 priority_mix=(1.0, 0.0), label="block-report"))
-    parts.append(synthesize(control, seed, batch_size=batch_size).columns())
+    parts.append(synthesize(control, seed).columns())
 
     # 5. Deterministic merge: (start, part index, row-within-part) — the
     #    same total order the arrival engine itself uses.
@@ -412,7 +405,7 @@ def storage_flow_columns(
         size_bytes=merged["size_bytes"][order],
         start_ps=merged["start_ps"][order],
         transport=merged["transport"][order],
-        priority=merged["priority"][order], batch_size=batch_size)
+        priority=merged["priority"][order])
 
 
 def storage_scenario(
@@ -423,7 +416,6 @@ def storage_scenario(
     seed: int = 2023,
     arrival: str = "poisson",
     block_bytes: int = 256 * 1024,
-    batch_size: int = DEFAULT_BATCH,
 ) -> Scenario:
     """HDFS-like storage digital twin on a leaf-spine fabric.
 
@@ -439,8 +431,7 @@ def storage_scenario(
     horizon = ms(duration_ms)
     flows = storage_flow_columns(
         topo.hosts[:datanodes + 1], seed, horizon_ps=horizon,
-        blocks=blocks, block_bytes=block_bytes, arrival=arrival,
-        batch_size=batch_size)
+        blocks=blocks, block_bytes=block_bytes, arrival=arrival)
     return make_scenario(
         topo, flows, name=f"storage-{datanodes}dn",
         scheduler=SchedulerKind.SP, num_classes=2, duration_ps=horizon)

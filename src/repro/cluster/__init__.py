@@ -9,7 +9,7 @@ from .transport import (
 )
 from .fault import FaultPlan, RecoveryStats
 from .runtime import ClusterEngine
-from .manager import DistributedRun, DonsManager
+from .manager import DonsManager
 from .migration import MigrationStats, migrate
 from .checkpoint import (
     ClusterCheckpoint, resume_cluster, take_cluster_checkpoint,
@@ -22,7 +22,7 @@ __all__ = [
     "AgentFailure", "AgentReport", "LocalTransport", "ProcessTransport",
     "Transport", "make_transport",
     "FaultPlan", "RecoveryStats",
-    "ClusterEngine", "DistributedRun", "DonsManager",
+    "ClusterEngine", "DonsManager",
     "merge_results",
     "MigrationStats", "migrate",
     "ClusterCheckpoint", "resume_cluster", "take_cluster_checkpoint",

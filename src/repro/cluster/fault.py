@@ -13,8 +13,7 @@ types the stack shares:
   ``terminate()``-d; a ``LocalTransport`` engine is dropped), so the
   recovery path under test is the real one.
 * :class:`RecoveryStats` — what one recovery cost: which snapshot it
-  restored, how many already-reported windows were re-executed and how
-  many records the agents re-sent in them.
+  restored and how many already-reported windows were re-executed.
 
 Recovery itself is *coordinated rollback*
 (``ClusterEngine._recover`` → ``Transport.restore_all``): every agent —
@@ -55,4 +54,3 @@ class RecoveryStats:
     failed_window: int
     restored_from_window: int
     windows_replayed: int = 0
-    records_replayed: int = 0

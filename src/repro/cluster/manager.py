@@ -12,7 +12,10 @@ layered cluster stack:
 * **runtime** (:mod:`repro.cluster.runtime`) — :class:`ClusterEngine`,
   the distributed run as an ``Engine`` (one window per ``advance``),
   driven by the same :class:`~repro.core.runner.EngineRunner` as the
-  single-machine engines.
+  single-machine engines.  A finished engine is what a run returns:
+  merged and per-agent results, traffic ``stats``, the cluster bus,
+  recoveries, migrations, the ``plan`` and the ``partition`` the agents
+  ended under.
 * **fault** (:mod:`repro.cluster.fault`) — checkpoint-based coordinated
   rollback after an agent dies.
 * **migration** (:mod:`repro.cluster.migration`) — the phase boundaries
@@ -27,38 +30,21 @@ ever carry packets into future windows (link delay >= lookahead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from .agent import AgentSpec
-from .fault import FaultPlan, RecoveryStats
+from .fault import FaultPlan
 from .runtime import ClusterEngine
-from .transport import ClusterTrafficStats, Transport
-from ..core.instrument import InstrumentationBus
+from .transport import Transport
 from ..core.runner import EngineRunner
 from ..des.partition_types import Partition
 from ..errors import ClusterError
-from ..metrics import SimResults, TraceLevel
+from ..metrics import TraceLevel
 from ..metrics.results import merge_results
-from ..partition import ClusterSpec, PartitionPlan, plan_scenario
+from ..partition import ClusterSpec, plan_scenario
 from ..scenario import Scenario
 
-__all__ = ["DistributedRun", "DonsManager", "merge_results"]
-
-
-@dataclass
-class DistributedRun:
-    """Everything a distributed execution produced."""
-
-    results: SimResults
-    per_agent: List[SimResults]
-    traffic: ClusterTrafficStats
-    plan: Optional[PartitionPlan]
-    partition: Partition
-    #: merged cluster-level instrumentation (per-agent timers tagged a<id>:)
-    bus: Optional[InstrumentationBus] = None
-    #: one entry per recovered agent failure
-    recoveries: List[RecoveryStats] = field(default_factory=list)
+__all__ = ["DonsManager", "merge_results"]
 
 
 class DonsManager:
@@ -102,35 +88,23 @@ class DonsManager:
             fault=self.fault,
         )
 
-    @staticmethod
-    def _execute(engine: ClusterEngine,
-                 plan: Optional[PartitionPlan]) -> DistributedRun:
-        """Run ``engine`` to completion; ``partition`` is the one the
-        agents ended under."""
-        EngineRunner(engine).run()
-        return DistributedRun(
-            results=engine.results,
-            per_agent=engine.per_agent,
-            traffic=engine.stats,
-            plan=plan,
-            partition=engine.specs[0].partition,
-            bus=engine.bus,
-            recoveries=engine.recoveries,
-        )
-
-    def run(self, partition: Optional[Partition] = None) -> DistributedRun:
-        """Plan (unless a partition is supplied) and execute."""
+    def run(self, partition: Optional[Partition] = None) -> ClusterEngine:
+        """Plan (unless a partition is supplied), execute, and return
+        the finished engine."""
         plan = None
         if partition is None:
             plan = plan_scenario(self.scenario, self.cluster)
             partition = plan.partition
-        return self._execute(self._engine(partition), plan)
+        engine = self._engine(partition)
+        engine.plan = plan
+        EngineRunner(engine).run()
+        return engine
 
     def run_dynamic(
         self,
         bin_ps: int,
         threshold: float = 0.25,
-    ) -> Tuple[DistributedRun, List]:
+    ) -> ClusterEngine:
         """Appendix A end to end: detect traffic phases, partition each,
         and execute with live state migration at the phase boundaries.
 
@@ -139,8 +113,9 @@ class DonsManager:
         over that run's ``agents_busy_s``) and hand the result in as
         ``cluster``.
 
-        Returns ``(run, migrations)`` where ``migrations`` lists the
-        :class:`~repro.cluster.migration.MigrationStats` of each
+        Returns the finished engine: its ``plan`` is the first phase's,
+        its ``partition`` the last phase's, and its ``migrations`` list
+        the :class:`~repro.cluster.migration.MigrationStats` of each
         repartitioning event.
         """
         from ..partition import dynamic_partition_plan
@@ -157,4 +132,6 @@ class DonsManager:
             for phase in phases[1:]
         ]
         engine = self._engine(first, schedule=schedule)
-        return self._execute(engine, phases[0].plan), engine.migrations
+        engine.plan = phases[0].plan
+        EngineRunner(engine).run()
+        return engine

@@ -33,9 +33,11 @@ record of everything it measured, its traffic counters included; at
 cluster-level bus — counters summed, raw window rows kept under
 ``a<id>`` — so the profiler reports *measured* per-agent system times
 ``a<id>:<system>``, and the transport prices the agents'
-``cluster.rpc_*`` counters into ``stats``.  Busy and barrier-wait
-seconds are measured by the agents every window, on every transport;
-their sums are the measured T_a the time-cost model refits from
+``cluster.rpc_*`` counters into ``stats``.  Busy, busy-CPU and
+barrier-wait seconds are measured by the agents every window, on every
+transport, and added into the ``a<i>:busy_s`` / ``a<i>:cpu_s`` /
+``a<i>:barrier_wait_s`` gauges of the cluster bus, their one home: the
+busy sums are the measured T_a the time-cost model refits from
 (:func:`repro.partition.refit_cluster_spec`).
 
 Fault tolerance is coordinated rollback: when the transport reports an
@@ -77,6 +79,10 @@ class ClusterEngine:
     """N agents, one window per ``advance()``, any transport."""
 
     name = "dons-cluster"
+    #: The Manager's execution plan, when :class:`DonsManager` planned
+    #: this run (``None`` for a supplied partition or a hand-built
+    #: cluster).
+    plan = None
 
     def __init__(
         self,
@@ -105,17 +111,15 @@ class ClusterEngine:
             self.bus.enable_telemetry()
             self.bus.metrics.histogram("cluster.barrier_wait_ms",
                                        WAIT_MS_BUCKETS)
-        #: Agent-measured per-agent busy / barrier-wait seconds,
-        #: accumulated every window; exported as ``a<i>:busy_s`` /
-        #: ``a<i>:barrier_wait_s`` gauges at finalize (with the busy
-        #: CPU seconds, ``a<i>:cpu_s``, beside them) — the exact series
-        #: :func:`repro.partition.refit_cluster_spec` takes as
-        #: ``measured_times``.  The one busy / wait accumulator:
-        #: :func:`repro.metrics.timeline.run_record` reads it for the
-        #: live stream, the run report and ``--progress``.
-        self.busy_s = [0.0] * len(self.specs)
-        self.wait_s = [0.0] * len(self.specs)
-        self.cpu_s = [0.0] * len(self.specs)
+        #: Agent-measured per-agent busy / barrier-wait / busy-CPU
+        #: seconds, added in every window: the ``a<i>:*`` gauges are the
+        #: one accumulator, so the bus alone (``run_record(bus)``) gives
+        #: the measured T_a that :func:`repro.partition.refit_cluster_spec`
+        #: takes as ``measured_times``, mid-run or after the fact.
+        self._series = [(f"a{a}:busy_s", f"a{a}:barrier_wait_s",
+                         f"a{a}:cpu_s") for a in range(len(self.specs))]
+        for names in self._series:
+            self.bus.metrics.gauges.update(dict.fromkeys(names, 0.0))
         #: Stall/slowness detector over the same measured window times,
         #: armed exactly when the bus is telemetered.
         self.watchdog = (ClusterWatchdog(len(self.specs))
@@ -133,13 +137,11 @@ class ClusterEngine:
         #: Whether the agents hold a grant (see the module doc).
         self._granted = False
         # Fault-tolerance state: the latest coordinated snapshot, how
-        # many windows were reported and records sent since, and how
-        # many windows the agents have executed since (fewer right
-        # after a rollback).
+        # many windows were reported since, and how many windows the
+        # agents have executed since (fewer right after a rollback).
         self._snapshot: List[Checkpoint] = []
         self._snap_window = -1
         self._reported_since_snap = 0
-        self._records_since_snap = 0
         self._ran_since_snap = 0
 
     # --- convenience views ------------------------------------------------
@@ -151,6 +153,11 @@ class ClusterEngine:
     @property
     def stats(self):
         return self.transport.stats
+
+    @property
+    def partition(self) -> Partition:
+        """The partition the agents run (end) under."""
+        return self.specs[0].partition
 
     # --- Engine protocol --------------------------------------------------
 
@@ -224,7 +231,6 @@ class ClusterEngine:
         self._cursor = window
         if self._fault_tolerant:
             self._reported_since_snap += 1
-            self._records_since_snap += self.transport.window_records
             if (self.checkpoint_every
                     and self._reported_since_snap >= self.checkpoint_every):
                 self._take_snapshots(window)
@@ -288,16 +294,19 @@ class ClusterEngine:
         }
 
     def _observe_window(self, window: int, t_begin: float) -> None:
-        """Fold the agent-measured busy / barrier-wait seconds of the
-        window just reported into the running totals, the watchdog and
-        — telemetered — the ``a<i>:barrier-wait`` slices, the wait
-        histogram and the coordinator's ``window`` span."""
+        """Add the agent-measured busy / barrier-wait / busy-CPU seconds
+        of the window just reported into the ``a<i>:*`` gauges, feed the
+        watchdog and — telemetered — the ``a<i>:barrier-wait`` slices,
+        the wait histogram and the coordinator's ``window`` span."""
         bus = self.bus
         transport = self.transport
-        for agent_id, busy in enumerate(transport.window_times):
-            self.busy_s[agent_id] += busy
-            self.wait_s[agent_id] += transport.window_waits[agent_id]
-            self.cpu_s[agent_id] += transport.window_cpus[agent_id]
+        gauges = bus.metrics.gauges
+        for (busy_name, wait_name, cpu_name), busy, wait, cpu in zip(
+                self._series, transport.window_times,
+                transport.window_waits, transport.window_cpus):
+            gauges[busy_name] += busy
+            gauges[wait_name] += wait
+            gauges[cpu_name] += cpu
         if self.watchdog is not None:
             self.watchdog.observe(window, transport.window_times, bus)
         if not bus.telemetry:
@@ -324,15 +333,6 @@ class ClusterEngine:
             )
             for report in reports:
                 self.bus.merge_child(f"a{report.agent_id}", report.bus)
-            # The gauges let a bus alone (``run_record(bus)``) give
-            # the measured T_a that refit_cluster_spec takes.
-            for agent_id in range(len(self.specs)):
-                self.bus.metrics.gauge(f"a{agent_id}:busy_s",
-                                       self.busy_s[agent_id])
-                self.bus.metrics.gauge(f"a{agent_id}:barrier_wait_s",
-                                       self.wait_s[agent_id])
-                self.bus.metrics.gauge(f"a{agent_id}:cpu_s",
-                                       self.cpu_s[agent_id])
             stats = self.transport.finalize_stats(reports)
             stats.windows = self.bus.counters.get("cluster.windows", 0)
         finally:
@@ -377,7 +377,6 @@ class ClusterEngine:
         self._snapshot = snapshot or self.transport.snapshot_all(window)
         self._snap_window = window
         self._reported_since_snap = 0
-        self._records_since_snap = 0
         self._ran_since_snap = 0
         self.bus.count("cluster.checkpoints")
 
@@ -418,7 +417,6 @@ class ClusterEngine:
             failed_window=failure.window,
             restored_from_window=self._snap_window,
             windows_replayed=self._reported_since_snap,
-            records_replayed=self._records_since_snap,
         ))
         self.bus.count("cluster.recoveries")
 

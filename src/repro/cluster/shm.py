@@ -411,7 +411,7 @@ PAUSED, DONE, FAILED = 1, 2, 3
 
 _BOARD_WORDS = 1   # consumed: the only word the coordinator writes
 _AGENT_WORDS = 5   # completed, events, epoch, outcome, pending
-_ENTRY = struct.Struct("<qdddq")  # window, busy_s, cpu_s, wait_s, records
+_ENTRY = struct.Struct("<qddd")  # window, busy_s, cpu_s, wait_s
 
 
 class ProgressBoard:
@@ -475,14 +475,14 @@ class ProgressBoard:
         return words[self._base(agent)] - words[0] < self.LOG_SLOTS
 
     def publish(self, agent: int, window: int, busy_s: float, cpu_s: float,
-                wait_s: float, records: int, events: int) -> None:
+                wait_s: float, events: int) -> None:
         """Log one completed window (entry first, count last)."""
         words, base = self._words, self._base(agent)
         completed = words[base]
         _ENTRY.pack_into(
             self._seg.buf, 8 * (base + _AGENT_WORDS)
             + (completed % self.LOG_SLOTS) * _ENTRY.size,
-            window, busy_s, cpu_s, wait_s, records)
+            window, busy_s, cpu_s, wait_s)
         words[base + 1] = events
         words[base] = completed + 1
 
@@ -504,9 +504,8 @@ class ProgressBoard:
         base = self._base(agent)
         return self._words[base:base + _AGENT_WORDS].tolist()
 
-    def entry(self, agent: int, k: int) -> Tuple[int, float, float, float,
-                                                 int]:
-        """Log entry ``k``: ``(window, busy_s, cpu_s, wait_s, records)``."""
+    def entry(self, agent: int, k: int) -> Tuple[int, float, float, float]:
+        """Log entry ``k``: ``(window, busy_s, cpu_s, wait_s)``."""
         return _ENTRY.unpack_from(
             self._seg.buf, 8 * (self._base(agent) + _AGENT_WORDS)
             + (k % self.LOG_SLOTS) * _ENTRY.size)

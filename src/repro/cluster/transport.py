@@ -142,11 +142,10 @@ class Transport:
         self.stats = ClusterTrafficStats()
         #: Of the window :meth:`next_window` returned last: per-agent
         #: busy, busy-CPU and barrier-wait seconds, measured every
-        #: window, and the records all agents sent in it.
+        #: window.
         self.window_times: List[float] = []
         self.window_cpus: List[float] = []
         self.window_waits: List[float] = []
-        self.window_records = 0
         #: Last window :meth:`next_window` returned.
         self.cursor = -1
         #: The agreed window the last grant stopped in front of.
@@ -281,9 +280,6 @@ class LocalTransport(Transport):
             outboxes.append(outbox)
             times.append(clock() - t0)
             cpus.append(cpu() - c0)
-        self.window_records = sum(
-            len(records) for outbox in outboxes
-            for records in outbox.values())
         # Delivery: per destination, batches in ascending source order —
         # the order the pair rings of a ProcessTransport are read in.
         for dst, engine in enumerate(engines):
@@ -490,7 +486,7 @@ class _AgentWorker:
                 engine.accept_arrivals(records)
                 count("transport.records_in", len(records))
         board.publish(me, window, clock() - t0 - waited,
-                      cpu() - c0 - wait_cpu, waited, sent,
+                      cpu() - c0 - wait_cpu, waited,
                       engine.results.events.total)
 
     def _snapshot(self, window: int) -> Tuple[str, int]:
@@ -543,16 +539,16 @@ class _Worker:
 
 class ProcessTransport(Transport):
     """One worker process per agent, exchanging frames with each other
-    over shared-memory pair rings (see the module doc).  ``slot_bytes``
-    sizes a ring slot; a batch that does not fit travels as a blob."""
+    over shared-memory pair rings (see the module doc).  A ring slot is
+    :data:`~repro.cluster.shm.DEFAULT_SLOT_BYTES`; a batch that does not
+    fit travels as a blob."""
 
-    def __init__(self, slot_bytes: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
         self._workers: List[_Worker] = []
-        self._slot_bytes = slot_bytes
         self._rings: Dict[Tuple[int, int], ShmRing] = {}
         self._board: Optional[ProgressBoard] = None
         #: Initial offers (build / restore replies) for the next grant.
@@ -585,7 +581,7 @@ class ProcessTransport(Transport):
         self._drop_rings()
         agents = range(len(self.specs))
         self._rings = {
-            (src, dst): ShmRing.create(f"{src}to{dst}", self._slot_bytes)
+            (src, dst): ShmRing.create(f"{src}to{dst}")
             for src in agents for dst in agents if src != dst
         }
         return [({d: self._rings[a, d].name for d in agents if d != a},
@@ -667,7 +663,6 @@ class ProcessTransport(Transport):
                 self.window_times = [entry[1] for entry in entries]
                 self.window_cpus = [entry[2] for entry in entries]
                 self.window_waits = [entry[3] for entry in entries]
-                self.window_records = sum(entry[4] for entry in entries)
                 self.cursor, self.pending = window, None
                 return window
             ended = [a for a in agents if status[a][2] == self._epoch]

@@ -135,8 +135,7 @@ def run_cluster(scenario: Scenario, transport: str, agents: int,
     mgr = DonsManager(scenario, ClusterSpec.homogeneous(agents),
                       TraceLevel.FULL, transport=transport)
     run = mgr.run(partition=partition)
-    return _finish(name, scenario, run.results,
-                   run.bus.counters if run.bus else {})
+    return _finish(name, scenario, run.results, run.bus.counters)
 
 
 #: Checkpoint cadence / fault window of the recovery oracles.  Small on
@@ -152,17 +151,10 @@ def run_checkpoint_resume(scenario: Scenario) -> OracleRun:
     """Run a few windows, snapshot, discard the engine, resume fresh."""
     engine = DodEngine(scenario, TraceLevel.FULL)
     engine.build()
-    current = -1
     for _ in range(CHECKPOINT_AFTER_WINDOWS):
-        nxt = engine._next_window(current)
-        if nxt is None:
+        if not engine.advance():
             break
-        duration = scenario.duration_ps
-        if duration is not None and nxt * engine.lookahead > duration:
-            break
-        current = nxt
-        engine.process_window(current)
-    ckpt = take_checkpoint(engine, current)
+    ckpt = take_checkpoint(engine, engine._cursor)
     del engine  # the "crash": nothing of the first engine survives
     fresh = CheckpointingEngine(scenario, TraceLevel.FULL)
     results = fresh.resume_from(ckpt)
@@ -179,7 +171,7 @@ def run_fault_recovery(scenario: Scenario) -> OracleRun:
                       checkpoint_every=FAULT_CHECKPOINT_EVERY, fault=fault)
     run = mgr.run(partition=partition)
     return _finish("fault-recovery", scenario, run.results,
-                   run.bus.counters if run.bus else {})
+                   run.bus.counters)
 
 
 #: Oracle registry: name -> callable(scenario) -> OracleRun.

@@ -78,7 +78,7 @@ class ClusterWatchdog:
 
     Fed by :meth:`ClusterEngine.advance` with the transport's measured
     per-agent ``window_times``, the per-window busy seconds whose sums
-    are ``ClusterEngine.busy_s`` (the measured T_a).  Per agent it
+    are the ``a<i>:busy_s`` gauges (the measured T_a).  Per agent it
     keeps an EWMA of normal window cost; once :data:`WARMUP` windows are
     seen, a window exceeding
     :data:`SLOW_FACTOR` × the learned mean is flagged ``slow`` and one
@@ -90,8 +90,8 @@ class ClusterWatchdog:
     ``watchdog.stalled`` counters on the cluster bus, plus event dicts
     the live plane drains into the NDJSON stream via
     :meth:`pop_events`.  Busy / barrier-wait totals are not kept here:
-    the engine accumulates them (``ClusterEngine.busy_s`` / ``wait_s``)
-    from the same window times on every run, watched or not.
+    the engine adds the same window times into its bus's ``a<i>:busy_s``
+    / ``a<i>:barrier_wait_s`` gauges on every run, watched or not.
     """
 
     def __init__(self, num_agents: int) -> None:
@@ -155,7 +155,7 @@ class LivePlane:
     the bus is telemetered: the dump is a view of the bus's spans.
 
     The sampler only *reads* engine state — ``progress()``, the bus
-    counters, the cluster's busy / wait totals — and never toggles
+    counters and gauges (a cluster's busy / wait totals) — and never toggles
     telemetry, installs subscribers, or touches the event calendar,
     which is how the trace-digest neutrality invariant holds by
     construction.

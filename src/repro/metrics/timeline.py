@@ -294,12 +294,11 @@ def run_record(bus: Any, engine: Any = None,
     ``engine.progress()`` gives windows / sim time / events / completion
     (absent after the fact, when only the bus is at hand), the bus
     counters give the memo hit rate, jump windows and shm frame / byte
-    totals, and the per-agent busy / barrier-wait seconds are
-    :class:`~repro.cluster.runtime.ClusterEngine`'s accumulator — read
-    off the engine while it runs, off the ``a<i>:busy_s`` /
-    ``a<i>:barrier_wait_s`` gauges its ``finalize()`` always exports
-    from it otherwise (``None`` on a serial run).  ``agents_busy_s`` is
-    the measured T_a, the series
+    totals, and the bus gauges give the per-agent busy / barrier-wait
+    seconds: the ``a<i>:busy_s`` / ``a<i>:barrier_wait_s`` gauges
+    :class:`~repro.cluster.runtime.ClusterEngine` adds every window
+    into, mid-run and after the fact alike (``None`` on a serial run).
+    ``agents_busy_s`` is the measured T_a, the series
     :func:`repro.partition.refit_cluster_spec` takes as
     ``measured_times``.  The live NDJSON record, :func:`run_report` and
     the CLI's ``--progress`` line are three views of this dict, so they
@@ -310,12 +309,7 @@ def run_record(bus: Any, engine: Any = None,
     events = p.get("events", 0)
     hits = counters.get("memo.hit", 0)
     lookups = hits + counters.get("memo.miss", 0)
-    if hasattr(engine, "busy_s"):
-        busy, wait = list(engine.busy_s), list(engine.wait_s)
-    else:
-        gauges = bus.metrics.gauges
-        busy = _agent_series(gauges, "busy_s")
-        wait = _agent_series(gauges, "barrier_wait_s")
+    gauges = bus.metrics.gauges
     return {
         "windows": p.get("windows", 0),
         "sim_ps": p.get("sim_ps", 0),
@@ -326,8 +320,8 @@ def run_record(bus: Any, engine: Any = None,
         "memo_jump_windows": counters.get("memo.jump_windows", 0),
         "shm_frames": counters.get("transport.shm_frames", 0),
         "shm_bytes": counters.get("transport.shm_bytes", 0),
-        "agents_busy_s": busy,
-        "agents_wait_s": wait,
+        "agents_busy_s": _agent_series(gauges, "busy_s"),
+        "agents_wait_s": _agent_series(gauges, "barrier_wait_s"),
     }
 
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 from .errors import ConfigError
-from .protocols import AqmConfig, AqmKind, EgressConfig
+from .protocols import MSS, AqmConfig, AqmKind, EgressConfig
 from .routing import Fib, build_fib
 from .schedulers import SchedulerKind
 from .protocols.dctcp import DctcpParams, RENO_ECN_PARAMS
 from .topology import Topology
 from .traffic import Flow, FlowColumns, Transport
+from .units import HEADER_BYTES
 
 
 #: Hosts get a large FIFO NIC queue: the sender's own congestion control,
@@ -60,6 +61,14 @@ class Scenario:
             raise ConfigError("scenario needs a frozen topology")
         if not self.flows:
             raise ConfigError("scenario has no flows")
+        # A queue that cannot hold one full-size segment tail-drops
+        # every one of them, and the sender retransmits it forever.
+        for key in ("switch_egress", "host_egress"):
+            buffer_bytes = getattr(self, key).buffer_bytes
+            if buffer_bytes < MSS + HEADER_BYTES:
+                raise ConfigError(
+                    f"{key}: buffer_bytes={buffer_bytes} cannot hold one "
+                    f"full-size packet ({MSS + HEADER_BYTES} bytes)")
 
     @property
     def lookahead_ps(self) -> int:
@@ -96,7 +105,8 @@ def make_scenario(
             ``Flow`` list with dense ids ``0..n-1``, columnarized here
             once.  Either is validated against the topology's hosts.
         scheduler / num_classes: Switch egress discipline.
-        buffer_bytes: Switch egress buffer (tail-drop limit).
+        buffer_bytes: Switch egress buffer (tail-drop limit); at least
+            one full-size packet (``MSS + HEADER_BYTES``).
         aqm: Marking config; defaults to DCTCP threshold marking.
         dctcp: DCTCP constants override.
         duration_ps: Optional hard stop.

@@ -51,7 +51,8 @@ __all__ = [
 #: Supported arrival-process kinds.
 ARRIVAL_KINDS = ("poisson", "onoff", "periodic", "empirical")
 
-#: Default FlowColumns batch size: the unit the engine builder consumes.
+#: The flow table's batch size: the unit the engine builder consumes
+#: (:meth:`FlowColumns.iter_batches`).
 DEFAULT_BATCH = 4096
 
 #: Empirical inter-arrival CDFs (gap picoseconds, cumulative probability),
@@ -319,15 +320,13 @@ def _classes(proc: ArrivalProcess, rng: np.random.Generator, n: int) -> np.ndarr
 
 
 def synthesize(processes: Sequence[ArrivalProcess], seed: int, *,
-               chunk: int = 8192,
-               batch_size: int = DEFAULT_BATCH) -> "FlowColumns":
+               chunk: int = 8192) -> "FlowColumns":
     """Expand arrival processes into a :class:`FlowColumns`.
 
     Flows from all processes merge in start-time order (ties broken by
     process index, then arrival sequence — fully deterministic); flow id
     equals row index.  ``chunk`` is the synthesis granularity and does
-    not affect the output; ``batch_size`` is carried into the resulting
-    columns (the engine-builder batch unit).
+    not affect the output.
     """
     if not processes:
         raise ConfigError("synthesize needs at least one arrival process")
@@ -362,7 +361,7 @@ def synthesize(processes: Sequence[ArrivalProcess], seed: int, *,
     return FlowColumns(
         src=src[order], dst=dst[order], size_bytes=size[order],
         start_ps=start[order], transport=transport[order],
-        priority=prio[order], batch_size=batch_size,
+        priority=prio[order],
     )
 
 
@@ -389,17 +388,14 @@ class FlowColumns:
     so traces stay byte-identical whichever path reads a flow.
     """
 
-    __slots__ = ("_block", "batch_size")
+    __slots__ = ("_block",)
 
-    def __init__(self, src, dst, size_bytes, start_ps, transport, priority,
-                 batch_size: int = DEFAULT_BATCH) -> None:
+    def __init__(self, src, dst, size_bytes, start_ps, transport,
+                 priority) -> None:
         columns = (src, dst, size_bytes, start_ps, transport, priority)
         if len({len(c) for c in columns}) != 1:
             raise ConfigError("flow columns must have equal length")
-        if batch_size <= 0:
-            raise ConfigError("batch_size must be positive")
         self._block = block = np.array(columns, dtype=np.int64)
-        self.batch_size = int(batch_size)
         if block.shape[1]:
             lo = block.min(axis=1).tolist()
             if bool((block[_SRC] == block[_DST]).any()):
@@ -440,17 +436,18 @@ class FlowColumns:
                        priority)
 
     def __repr__(self) -> str:
-        return (f"FlowColumns(n={len(self)}, batch_size={self.batch_size})")
+        return f"FlowColumns(n={len(self)})"
 
     # --- columnar reads -----------------------------------------------------
 
     def iter_batches(self) -> Iterator[Tuple[int, Dict[str, np.ndarray]]]:
-        """Yield ``(first_flow_id, columns)`` batches in flow-id order.
+        """Yield ``(first_flow_id, columns)`` batches of
+        :data:`DEFAULT_BATCH` flows in flow-id order.
 
         Consumers must not mutate the yielded arrays.
         """
         n = len(self)
-        bs = self.batch_size
+        bs = DEFAULT_BATCH
         for s in range(0, n, bs):
             yield s, dict(zip(_COLUMNS, self._block[:, s:s + bs]))
 
@@ -500,21 +497,20 @@ class FlowColumns:
         return {
             "src": src, "dst": dst, "size": size, "start_ps": start,
             "transport": transport, "priority": priority,
-            "batch_size": self.batch_size,
         }
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "FlowColumns":
+        """The inverse of :meth:`to_dict`; a ``batch_size`` field, which
+        older documents carry, is ignored."""
         return cls(
             src=doc["src"], dst=doc["dst"], size_bytes=doc["size"],
             start_ps=doc["start_ps"], transport=doc["transport"],
             priority=doc["priority"],
-            batch_size=doc.get("batch_size", DEFAULT_BATCH),
         )
 
     @classmethod
-    def from_flows(cls, flows: Sequence[Flow],
-                   batch_size: int = DEFAULT_BATCH) -> "FlowColumns":
+    def from_flows(cls, flows: Sequence[Flow]) -> "FlowColumns":
         """Columnarize a materialized flow list (ids must be dense 0..n-1,
         so a duplicate id is refused too)."""
         rows = [(f.flow_id, f.src, f.dst, f.size_bytes, f.start_ps,
@@ -526,5 +522,4 @@ class FlowColumns:
             raise ConfigError(
                 "FlowColumns needs dense flow ids equal to position; "
                 f"got id {ids[i]} at position {i}")
-        return cls(src, dst, size, start, transport, priority,
-                   batch_size=batch_size)
+        return cls(src, dst, size, start, transport, priority)

@@ -28,9 +28,9 @@ class TestDistributedRun:
         run = DonsManager(sc, ClusterSpec.homogeneous(4)).run()
         assert run.plan is not None
         assert run.results.completed() == 6
-        assert run.traffic.windows > 0
+        assert run.stats.windows > 0
         n = run.partition.num_parts
-        assert run.traffic.finish_signals == run.traffic.windows * n * (n - 1)
+        assert run.stats.finish_signals == run.stats.windows * n * (n - 1)
 
     def test_explicit_partition_used(self):
         sc = self._scenario()
@@ -48,9 +48,9 @@ class TestDistributedRun:
     def test_egress_accounting_per_machine(self):
         sc = self._scenario()
         run = DonsManager(sc, ClusterSpec.homogeneous(4)).run()
-        assert len(run.traffic.egress_bytes) == 4
-        assert sum(run.traffic.egress_bytes) == run.traffic.rpc_bytes
-        assert run.traffic.rpc_records > 0
+        assert len(run.stats.egress_bytes) == 4
+        assert sum(run.stats.egress_bytes) == run.stats.rpc_bytes
+        assert run.stats.rpc_records > 0
 
 
 class TestMergeResults:

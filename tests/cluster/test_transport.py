@@ -136,7 +136,7 @@ class TestMergedBus:
         run = DonsManager(sc, ClusterSpec.homogeneous(2)).run(partition=part)
         bus = run.bus
         assert bus is not None
-        assert bus.counters["cluster.windows"] == run.traffic.windows
+        assert bus.counters["cluster.windows"] == run.stats.windows
         # per-agent per-system totals, tagged a<id>:<system>
         for agent in range(2):
             for system in ("ack", "send", "forward", "transmit"):
@@ -160,16 +160,16 @@ class TestMergedBus:
                              transport=transport)._engine(part)
         assert not engine.bus.telemetry and engine.watchdog is None
         EngineRunner(engine).run()
-        assert len(engine.busy_s) == 2
-        assert all(b > 0 for b in engine.busy_s)
+        record = run_record(engine.bus)
+        busy = record["agents_busy_s"]
+        assert len(busy) == 2
+        assert all(b > 0 for b in busy)
         gauges = engine.bus.metrics.gauges
-        assert [gauges["a0:busy_s"], gauges["a1:busy_s"]] == engine.busy_s
+        assert [gauges["a0:busy_s"], gauges["a1:busy_s"]] == busy
         assert [gauges["a0:barrier_wait_s"],
-                gauges["a1:barrier_wait_s"]] == engine.wait_s
-        assert [gauges["a0:cpu_s"], gauges["a1:cpu_s"]] == engine.cpu_s
-        assert all(c > 0 for c in engine.cpu_s)
-        busy = run_record(engine.bus)["agents_busy_s"]
-        assert busy == engine.busy_s
+                gauges["a1:barrier_wait_s"]] == record["agents_wait_s"]
+        assert all(gauges[f"a{a}:cpu_s"] > 0 for a in range(2))
+        assert busy == run_record(engine.bus, engine)["agents_busy_s"]
         loads = estimate_scenario_loads(sc)
         refit = refit_cluster_spec(ClusterSpec.homogeneous(2), sc.topology,
                                    part, loads, busy)

@@ -27,6 +27,7 @@ from repro.cluster import (
     AgentSpec, ClusterEngine, DonsManager, FaultPlan, LocalTransport,
     ProcessTransport,
 )
+from repro.cluster import shm
 from repro.cluster.agent import Horizon
 from repro.cluster.shm import (
     ShmRing, consume_batch, list_orphans, publish_batch,
@@ -70,11 +71,11 @@ def test_fanout_byte_identical(scenario, agents):
     assert local.results.trace.entries == proc.results.trace.entries
     assert local.results.fcts_ps() == proc.results.fcts_ps()
     assert local.results.rtt_samples == proc.results.rtt_samples
-    assert local.traffic == proc.traffic
-    windows = proc.traffic.windows
-    assert proc.traffic.finish_signals == windows * agents * (agents - 1)
+    assert local.stats == proc.stats
+    windows = proc.stats.windows
+    assert proc.stats.finish_signals == windows * agents * (agents - 1)
     assert proc.bus.counters["transport.shm_frames"] \
-        == proc.traffic.finish_signals
+        == proc.stats.finish_signals
 
 
 ROW_WIDTH = len(ROW_FIELDS)
@@ -106,7 +107,7 @@ class TestLargeBatches:
             ring.unlink()
             ring.close()
 
-    def test_run_with_4k_slots_byte_identical(self):
+    def test_run_with_4k_slots_byte_identical(self, monkeypatch):
         """Wide windows (8 us of lookahead) carry ~80 records a batch —
         more than a 4 KiB slot's 46 — so most frames go through a blob."""
         topo = fattree(4, rate_bps=10 * GBPS, delay_ps=us(8))
@@ -116,10 +117,11 @@ class TestLargeBatches:
         scenario = make_scenario(topo, flows, buffer_bytes=200_000)
         part = contiguous_partition(topo, 2)
         local = _run(scenario, "local", part)
-        blob = _run(scenario, ProcessTransport(slot_bytes=4096), part)
+        monkeypatch.setattr(shm, "DEFAULT_SLOT_BYTES", 4096)
+        blob = _run(scenario, "shm", part)
         assert blob.bus.counters.get("transport.shm_blobs", 0) > 0
         assert local.results.trace.entries == blob.results.trace.entries
-        assert local.traffic == blob.traffic
+        assert local.stats == blob.stats
 
     def _snapshot_after(self, specs, transport, windows):
         transport.launch(specs)

@@ -14,6 +14,7 @@ from repro.cluster import DonsManager
 from repro.core.runner import EngineRunner
 from repro.metrics import live
 from repro.metrics.live import ClusterWatchdog, LivePlane
+from repro.metrics.timeline import run_record
 from repro.partition import ClusterSpec, plan_scenario, refit_cluster_spec
 from repro.scenario import make_scenario
 from repro.topology import dumbbell
@@ -76,18 +77,23 @@ def test_watchdog_warmup_suppresses_flags():
 
 def test_watchdog_accumulates_busy_and_wait(scenario):
     """The totals of the measured window times live in one place —
-    the engine's accumulator, exported as the ``a<i>:busy_s`` /
-    ``a<i>:barrier_wait_s`` gauges — and the watchdog keeps no second
+    the ``a<i>:busy_s`` / ``a<i>:barrier_wait_s`` gauges of the cluster
+    bus — and neither the engine nor the watchdog keeps a second
     copy."""
     engine = _cluster_engine(scenario, telemetry=True)
-    assert engine.busy_s == engine.wait_s == [0.0, 0.0]
+    before = run_record(engine.bus)
+    assert before["agents_busy_s"] == before["agents_wait_s"] == [0.0, 0.0]
     EngineRunner(engine).run()
-    assert all(b > 0 for b in engine.busy_s)
-    assert sum(engine.wait_s) > 0
+    record = run_record(engine.bus)
+    busy, wait = record["agents_busy_s"], record["agents_wait_s"]
+    assert all(b > 0 for b in busy)
+    assert sum(wait) > 0
     gauges = engine.bus.metrics.gauges
-    assert [gauges["a0:busy_s"], gauges["a1:busy_s"]] == engine.busy_s
+    assert [gauges["a0:busy_s"], gauges["a1:busy_s"]] == busy
     assert [gauges["a0:barrier_wait_s"],
-            gauges["a1:barrier_wait_s"]] == engine.wait_s
+            gauges["a1:barrier_wait_s"]] == wait
+    for gone in ("busy_s", "wait_s", "cpu_s"):
+        assert not hasattr(engine, gone)
     for gone in ("busy_s", "wait_s", "measured_times", "last_reply_wall"):
         assert not hasattr(engine.watchdog, gone)
 
@@ -142,7 +148,7 @@ def test_watchdog_without_telemetry_feeds_refit(scenario):
     gauges = engine.bus.metrics.gauges
     assert gauges["a1:busy_s"] > gauges["a0:busy_s"] > 0
     assert gauges["a0:barrier_wait_s"] > 0
-    measured = engine.busy_s
+    measured = run_record(engine.bus)["agents_busy_s"]
     assert measured == [gauges["a0:busy_s"], gauges["a1:busy_s"]]
     from repro.partition.loadest import estimate_scenario_loads
     cluster = ClusterSpec.homogeneous(2)
@@ -170,7 +176,8 @@ def test_stalled_agent_is_busy_but_not_on_cpu(scenario):
     EngineRunner(engine).run()
     slept = nap * engine.bus.counters["cluster.windows"]
     gauges = engine.bus.metrics.gauges
-    assert [gauges["a0:cpu_s"], gauges["a1:cpu_s"]] == engine.cpu_s
-    assert all(c > 0 for c in engine.cpu_s)
-    assert engine.busy_s[1] >= slept
-    assert engine.cpu_s[1] < engine.busy_s[1] - 0.9 * slept
+    cpu = [gauges["a0:cpu_s"], gauges["a1:cpu_s"]]
+    busy = run_record(engine.bus)["agents_busy_s"]
+    assert all(c > 0 for c in cpu)
+    assert busy[1] >= slept
+    assert cpu[1] < busy[1] - 0.9 * slept

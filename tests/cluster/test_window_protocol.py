@@ -126,7 +126,7 @@ def test_process_checkpoint_horizons_are_invisible(scenario):
     plain, stepped = run(), run(checkpoint_every=7)
     assert stepped.bus.counters["cluster.checkpoints"] > 2
     assert plain.results.trace.entries == stepped.results.trace.entries
-    assert plain.traffic == stepped.traffic
+    assert plain.stats == stepped.stats
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

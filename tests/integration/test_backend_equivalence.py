@@ -151,7 +151,7 @@ def test_traced_agents_commit_through_the_sink(fattree4_scenario):
     run = DonsManager(fattree4_scenario, ClusterSpec.homogeneous(2),
                       TraceLevel.FULL,
                       transport="local").run(partition=partition)
-    assert run.traffic.rpc_records > 0, "no packet crossed the cut"
+    assert run.stats.rpc_records > 0, "no packet crossed the cut"
     assert run.results.trace.digest() == run_baseline(
         fattree4_scenario, TraceLevel.FULL).trace.digest()
 

@@ -53,7 +53,7 @@ def test_planned_partition_moves_less_traffic(scenario):
     planned = DonsManager(scenario, cluster).run()
     rand = DonsManager(scenario, cluster).run(
         partition=random_partition(scenario.topology, 4, 3))
-    assert planned.traffic.rpc_bytes < rand.traffic.rpc_bytes
+    assert planned.stats.rpc_bytes < rand.stats.rpc_bytes
 
 
 def test_wan_distributed_equivalence():

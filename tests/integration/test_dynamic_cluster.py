@@ -116,7 +116,8 @@ def test_run_dynamic_end_to_end():
     reference = run_dons(sc, TraceLevel.FULL)
 
     mgr = DonsManager(sc, ClusterSpec.homogeneous(3), TraceLevel.FULL)
-    run, migrations = mgr.run_dynamic(bin_ps=ms(1), threshold=0.2)
+    run = mgr.run_dynamic(bin_ps=ms(1), threshold=0.2)
+    migrations = run.migrations
     assert (sorted(run.results.trace.entries)
             == sorted(reference.trace.entries))
     assert run.results.fcts_ps() == reference.fcts_ps()

@@ -19,7 +19,7 @@ from repro.core.engine import DodEngine
 from repro.core.runner import EngineRunner
 from repro.metrics import live
 from repro.metrics.live import LivePlane
-from repro.metrics.timeline import run_report
+from repro.metrics.timeline import run_record, run_report
 from repro.partition import ClusterSpec, plan_scenario
 from repro.scenario import make_scenario
 from repro.topology import dumbbell
@@ -78,3 +78,30 @@ def test_cluster_shm_final_record_matches_stats(tmp_path, monkeypatch):
     assert final["memo_hit_rate"] is None and "memo" not in report
     _assert_same_record(final, report)
     _assert_same_progress(final, engine)
+
+
+def test_cluster_bus_alone_gives_busy_and_wait_at_every_step():
+    """The ``a<i>:busy_s`` / ``a<i>:barrier_wait_s`` gauges are the one
+    busy / wait accumulator: at every step of a running 2-agent local
+    cluster, the record read off the bus alone carries the same
+    per-agent series as the one read with the engine at hand."""
+    topo = dumbbell(3)
+    flows = fixed_flows(topo.hosts, n_flows=6, size_bytes=40_000,
+                        transport=Transport.DCTCP, seed=5)
+    scenario = make_scenario(topo, flows)
+    mgr = DonsManager(scenario, ClusterSpec.homogeneous(2))
+    engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
+    seen = []
+
+    def on_step(_steps):
+        alone = run_record(engine.bus)
+        with_engine = run_record(engine.bus, engine)
+        for key in ("agents_busy_s", "agents_wait_s"):
+            assert alone[key] == with_engine[key], key
+        seen.append(alone["agents_busy_s"])
+
+    EngineRunner(engine, on_step=on_step).run()
+    assert len(seen) == engine.stats.windows > 1
+    assert all(len(busy) == 2 for busy in seen)
+    assert all(b > 0 for b in seen[-1])
+    assert run_record(engine.bus)["agents_busy_s"] == seen[-1]

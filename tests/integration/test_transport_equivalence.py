@@ -55,12 +55,12 @@ def test_local_and_process_byte_identical(scenario, reference,
     assert local.results.fcts_ps() == proc.results.fcts_ps()
     assert local.results.rtt_samples == proc.results.rtt_samples
     # the traffic accounting cannot tell the transports apart either
-    assert local.traffic == proc.traffic
+    assert local.stats == proc.stats
     # it is priced from the agents' own bus counters: a frame per RPC
     # plus the records, summed per machine
-    traffic = proc.traffic
+    traffic = proc.stats
     for run in (local, proc):
-        assert (run.traffic.rpc_records
+        assert (run.stats.rpc_records
                 == run.bus.counters["cluster.rpc_records"])
     assert (sum(traffic.egress_bytes) == traffic.rpc_bytes
             == RPC_FRAME_BYTES * traffic.rpc_messages
@@ -90,4 +90,4 @@ def test_process_transport_merges_bus(scenario):
     for agent in range(2):
         for system in ("ack", "send", "forward", "transmit"):
             assert f"a{agent}:{system}" in proc.bus.totals
-    assert proc.bus.counters["cluster.windows"] == proc.traffic.windows
+    assert proc.bus.counters["cluster.windows"] == proc.stats.windows

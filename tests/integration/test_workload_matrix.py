@@ -12,6 +12,7 @@ from repro.bench.workloads import (
 )
 from repro.conformance.oracles import run_cluster, run_dod, run_ood
 from repro.traffic import Flow
+from repro.traffic.arrivals import DEFAULT_BATCH
 
 #: (label, runner) — every execution of the matrix.
 MATRIX = [
@@ -61,6 +62,6 @@ def test_smoke_scenario_bounds_flow_materialization():
     del engine
     gc.collect()
     peak = sum(1 for o in gc.get_objects() if isinstance(o, Flow))
-    assert peak - ambient <= sc.flows.batch_size + 16, (
+    assert peak - ambient <= DEFAULT_BATCH + 16, (
         f"{peak - ambient} Flow objects survive a 100k-flow build; "
         "the columnar path must not materialize the flow set")

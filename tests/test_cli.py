@@ -74,6 +74,19 @@ def test_bad_spec_exits_2_with_typed_error(flag, spec, key, capsys):
     assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize("engine,kb", [("dons", "1"), ("dons", "-1"),
+                                       ("ood", "0")])
+def test_buffer_below_one_packet_exits_2(engine, kb, capsys):
+    """``--buffer-kb`` below one full-size packet would hang the run (every
+    full-size segment dropped and retransmitted forever); it is an
+    ``error: ...`` naming the value, exit 2, on either engine."""
+    assert main(["run", "--engine", engine, "--topology", "dumbbell:2",
+                 "--flows", "fixed:n=2", "--buffer-kb", kb]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"buffer_bytes={int(kb) * 1024} " in err
+
+
 class TestCommands:
     def test_run_dons(self, capsys):
         rc = main(["run", "--topology", "dumbbell:2",
@@ -305,8 +318,9 @@ class TestTelemetryCommands:
 
         class FakeEngine:
             bus = InstrumentationBus()
-            wait_s = [0.25, 1.5]
-            busy_s = [2.0, 1.0]
+            bus.metrics.gauges.update({
+                "a0:busy_s": 2.0, "a0:barrier_wait_s": 0.25,
+                "a1:busy_s": 1.0, "a1:barrier_wait_s": 1.5})
 
             def progress(self):
                 return {"windows": 5, "sim_ps": 5_000, "events": 1000,

@@ -36,7 +36,7 @@ OPTIONS = {
     DonsManager.run_dynamic: ["threshold"],
     EngineRunner: ["on_step"],
     CheckpointingEngine: ["store", "every_windows", "name"],
-    ProcessTransport: ["slot_bytes"],
+    ProcessTransport: [],
     LivePlane: ["path"],
     ClusterWatchdog: [],
 }
@@ -69,7 +69,7 @@ def test_each_entry_point_has_the_pinned_options():
 
 
 def test_at_most_27_settable_values():
-    assert sum(map(len, OPTIONS.values())) <= 27
+    assert sum(map(len, OPTIONS.values())) <= 26
 
 
 def test_each_subcommand_has_the_pinned_flags():

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.protocols import AqmConfig, AqmKind
+from repro.protocols import MSS, AqmConfig, AqmKind
 from repro.scenario import HOST_BUFFER_BYTES, make_scenario
 from repro.schedulers import SchedulerKind
 from repro.topology import Topology, dumbbell
 from repro.traffic import Flow
-from repro.units import GBPS, us
+from repro.units import GBPS, HEADER_BYTES, us
 
 
 def test_defaults(small_dumbbell):
@@ -32,6 +32,19 @@ def test_lookahead_is_taken_once_when_the_topology_freezes():
             raise AssertionError("lookahead read walked the links")
     topo.links = Unwalkable(topo.links)
     assert [sc.lookahead_ps for _ in range(3)] == [us(2)] * 3
+
+
+@pytest.mark.parametrize("buffer_bytes", [1_499, 1_024, 0, -1_024])
+def test_buffer_below_one_full_size_packet_refused(small_dumbbell,
+                                                   buffer_bytes):
+    """A switch queue that cannot hold one full-size segment tail-drops
+    every one of them, and DCTCP retransmits it forever: refused where
+    the scenario is made, with the value named."""
+    flows = [Flow(0, 0, 4, 100_000, 0)]
+    with pytest.raises(ConfigError, match=f"buffer_bytes={buffer_bytes} "):
+        make_scenario(small_dumbbell, flows, buffer_bytes=buffer_bytes)
+    sc = make_scenario(small_dumbbell, flows, buffer_bytes=MSS + HEADER_BYTES)
+    assert sc.switch_egress.buffer_bytes == 1_500
 
 
 def test_flows_validated_against_hosts(small_dumbbell):

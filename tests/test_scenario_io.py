@@ -143,6 +143,10 @@ MALFORMED = {
     "egress-missing-aqm": (
         lambda sc: _mutated(sc, lambda d: d["switch_egress"].pop("aqm")),
         "switch_egress.*'aqm'"),
+    "switch-buffer-below-one-packet": (
+        lambda sc: _mutated(
+            sc, lambda d: d["switch_egress"].update(buffer_bytes=1_024)),
+        "switch_egress: buffer_bytes=1024 "),
     "dctcp-unknown-parameter": (
         lambda sc: _mutated(sc, lambda d: d["dctcp"].update(bogus=1)),
         "dctcp is malformed.*bogus"),

@@ -1,7 +1,9 @@
 """Columnar arrival engine: batch/scalar equivalence, chunk-invariant
 determinism, exact per-class accounting, degenerate mixes, round trips."""
 
+import json
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from repro.errors import ConfigError
 from repro.scenario import make_scenario
 from repro.scenario_io import scenario_from_json, scenario_to_json
 from repro.topology import dumbbell
-from repro.traffic import Flow, Transport
+from repro.traffic import Flow, Transport, arrivals
 from repro.traffic.arrivals import (
-    ARRIVAL_KINDS, DEFAULT_BATCH, ArrivalProcess, FlowColumns,
+    ARRIVAL_KINDS, ArrivalProcess, FlowColumns,
     INTERARRIVAL_CDFS, synthesize,
 )
 from repro.units import GBPS, PS_PER_S, us
@@ -67,12 +69,14 @@ class TestSynthesis:
     def test_batch_vs_scalar_equivalence(self, procs, seed):
         """The batch iterator, scalar iterator, indexing, and raw columns
         all describe the same flows."""
-        cols = synthesize(procs, seed, batch_size=7)
+        cols = synthesize(procs, seed)
         scalar = list(cols)
         assert len(scalar) == len(cols)
         raw = cols.columns()
         rebuilt = {k: [] for k in raw}
-        for s, batch in cols.iter_batches():
+        with mock.patch.object(arrivals, "DEFAULT_BATCH", 7):
+            batches = list(cols.iter_batches())
+        for s, batch in batches:
             assert s % 7 == 0
             for k in rebuilt:
                 rebuilt[k].append(batch[k])
@@ -168,22 +172,28 @@ class TestScenarioRoundTrip:
         return synthesize([ArrivalProcess(
             kind="poisson", src_hosts=HOSTS[:4], dst_hosts=HOSTS[:4],
             horizon_ps=HORIZON, rate_per_s=3e5, size_bytes=40_000,
-            priority_mix=(0.5, 0.5), max_flows=20)], seed, batch_size=6)
+            priority_mix=(0.5, 0.5), max_flows=20)], seed)
 
     def test_scenario_io_round_trip_keeps_columns(self):
         topo = dumbbell(2, edge_rate_bps=10 * GBPS)
         sc = make_scenario(topo, self._cols(), num_classes=2)
         back = scenario_from_json(scenario_to_json(sc))
         assert isinstance(back.flows, FlowColumns)
-        assert back.flows.batch_size == 6
         a, b = sc.flows.columns(), back.flows.columns()
         for k in a:
             assert a[k].tolist() == b[k].tolist(), k
+        # A document saved with the flow table's old ``batch_size``
+        # field still loads, to the same columns.
+        doc = json.loads(scenario_to_json(sc))
+        assert "batch_size" not in doc["flow_columns"]
+        doc["flow_columns"]["batch_size"] = 6
+        old = scenario_from_json(json.dumps(doc)).flows.columns()
+        for k in a:
+            assert a[k].tolist() == old[k].tolist(), k
 
     def test_pickle_round_trip_keeps_columns(self):
         cols = self._cols()
         back = pickle.loads(pickle.dumps(cols))
-        assert back.batch_size == cols.batch_size
         a, b = cols.columns(), back.columns()
         for k in a:
             assert a[k].tolist() == b[k].tolist(), k
