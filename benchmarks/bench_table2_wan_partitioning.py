@@ -20,7 +20,8 @@ import pytest
 from conftest import once
 from repro.bench import emit, format_table, windows_at_paper_scale
 from repro.bench.scenarios import isp_scenario
-from repro.cluster import DonsManager
+from repro.cluster import AgentSpec, ClusterEngine
+from repro.core import EngineRunner
 from repro.des.partition_types import Partition
 from repro.machine import cluster_time_s, format_duration, omnet_cluster_time_s
 from repro.partition import (
@@ -53,7 +54,9 @@ def _distributed_measurements():
     out = {}
     reference = None
     for method, partition in partitions.items():
-        run = DonsManager(scenario, cluster).run(partition=partition)
+        run = ClusterEngine([AgentSpec(a, scenario, partition)
+                             for a in range(MACHINES)])
+        EngineRunner(run).run()
         fcts = run.results.fcts_ps()
         if reference is None:
             reference = fcts

@@ -1,22 +1,32 @@
 #!/usr/bin/env python
-"""Distributed simulation: the DONS Manager end to end (paper §3.1, §4).
+"""Distributed simulation end to end (paper §3.1, §4).
 
-Submits a FatTree8 full-mesh scenario to the Manager with a 4-machine
-cluster: the Load Estimator profiles the traffic, the Partitioner runs
-Algorithm 1 against the time-cost model, the Agents execute their
-sub-graphs in lockstep lookahead windows with FINISH-signal sync — and
-the merged result is bit-identical to a single-machine run.
+Plans a FatTree8 full-mesh scenario for a 4-machine cluster — the
+Manager's job: the Load Estimator profiles the traffic and the
+Partitioner runs Algorithm 1 against the time-cost model — then builds
+one Agent per part; the Agents execute their sub-graphs in lockstep
+lookahead windows with FINISH-signal sync, and the merged result is
+bit-identical to a single-machine run.
 
     python examples/distributed_fattree.py
 """
 
 from repro import fattree, full_mesh_dynamic, make_scenario, run_dons
-from repro.cluster import DonsManager
+from repro.cluster import AgentSpec, ClusterEngine
+from repro.core import EngineRunner
 from repro.des.partition_types import random_partition
 from repro.metrics import TraceLevel
-from repro.partition import ClusterSpec
+from repro.partition import ClusterSpec, plan_scenario
 from repro.traffic import TINY
 from repro.units import GBPS, ms, us
+
+
+def run_cluster(scenario, partition) -> ClusterEngine:
+    """One agent per part, in-process; returns the finished engine."""
+    engine = ClusterEngine([AgentSpec(a, scenario, partition, TraceLevel.PORTS)
+                            for a in range(partition.num_parts)])
+    EngineRunner(engine).run()
+    return engine
 
 
 def main() -> None:
@@ -31,11 +41,9 @@ def main() -> None:
     # Ground truth: one machine.
     single = run_dons(scenario, TraceLevel.PORTS)
 
-    # The Manager plans and runs on 4 machines.
-    manager = DonsManager(scenario, ClusterSpec.homogeneous(4),
-                          TraceLevel.PORTS)
-    planned = manager.run()
-    plan = planned.plan
+    # Plan for 4 machines, then run one agent per part.
+    plan = plan_scenario(scenario, ClusterSpec.homogeneous(4))
+    planned = run_cluster(scenario, plan.partition)
     print(f"\nPartitioner: {plan.bisections} bisections, "
           f"{plan.planning_time_s * 1000:.1f} ms planning, "
           f"estimated T = {plan.estimated_time_s:.4f} load-units")
@@ -47,7 +55,7 @@ def main() -> None:
           f"FINISH signals: {planned.stats.finish_signals}")
 
     # Same scenario under a random partition: same results, more traffic.
-    rand = manager.run(partition=random_partition(topo, 4, seed=3))
+    rand = run_cluster(scenario, random_partition(topo, 4, seed=3))
     print(f"\nrandom partition RPC bytes: {rand.stats.rpc_bytes} "
           f"({rand.stats.rpc_bytes / max(planned.stats.rpc_bytes, 1):.1f}x "
           f"the planned partition)")

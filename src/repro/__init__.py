@@ -36,7 +36,7 @@ from .des import (
 )
 from .core import DodEngine, run_dons
 from .cts import FluidSimulator, run_fluid
-from .cluster import DonsManager
+from .cluster import ClusterEngine
 from .partition import ClusterSpec, dons_partition, plan_scenario
 from .metrics import SimResults, TraceLevel, normalized_w1, wasserstein_1d
 
@@ -53,7 +53,7 @@ __all__ = [
     "random_partition", "run_baseline",
     "DodEngine", "run_dons",
     "FluidSimulator", "run_fluid",
-    "DonsManager",
+    "ClusterEngine",
     "ClusterSpec", "dons_partition", "plan_scenario",
     "SimResults", "TraceLevel", "normalized_w1", "wasserstein_1d",
     "__version__",

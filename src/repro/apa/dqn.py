@@ -26,7 +26,6 @@ from .features import baseline_rtt_ps, flow_features
 from .model import Ridge, standardize
 from ..errors import ConfigError
 from ..metrics import SimResults
-from ..metrics.results import FlowResult
 from ..protocols.packet import segment_count
 from ..scenario import Scenario
 
@@ -38,20 +37,6 @@ class ApaPrediction:
     rtt_samples_ps: np.ndarray           # predicted RTT distribution
     fct_ps: np.ndarray                   # per-flow FCT, flow-id order
     packets_scored: int
-
-    def as_results(self, scenario: Scenario) -> SimResults:
-        """Wrap predictions in the common results container."""
-        res = SimResults("dqn-apa", scenario.name, int(self.fct_ps.max()))
-        for flow in scenario.flows:
-            fct = int(self.fct_ps[flow.flow_id])
-            res.flows[flow.flow_id] = FlowResult(
-                flow.flow_id, flow.start_ps, flow.start_ps + fct,
-                flow.size_bytes,
-            )
-        res.rtt_samples = [
-            (0, int(r), -1) for r in np.sort(self.rtt_samples_ps)
-        ]
-        return res
 
 
 class DeepQueueNetLike:

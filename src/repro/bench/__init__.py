@@ -1,7 +1,7 @@
 """Benchmark harness: scenario builders, scaling helpers, table output."""
 
 from .naive_order import NaiveOrderEngine
-from .tables import emit, format_table, out_dir, ratio_str
+from .tables import emit, format_table, out_dir
 from .scenarios import (
     EventRatios, LOOKAHEAD_S, PAPER_DURATION_S, PAPER_LOAD, PAPER_RATE,
     dcn_scenario, fattree_full_events, full_mesh_packets, isp_scenario,
@@ -13,7 +13,7 @@ from .workloads import (
 )
 
 __all__ = [
-    "emit", "format_table", "out_dir", "ratio_str", "NaiveOrderEngine",
+    "emit", "format_table", "out_dir", "NaiveOrderEngine",
     "EventRatios", "LOOKAHEAD_S", "PAPER_DURATION_S", "PAPER_LOAD",
     "PAPER_RATE", "dcn_scenario", "fattree_full_events",
     "full_mesh_packets", "isp_scenario", "measure_cmr",

@@ -57,6 +57,3 @@ def emit(name: str, text: str) -> str:
         fh.write(text + "\n")
     return path
 
-
-def ratio_str(value: float) -> str:
-    return f"{value:.1f}x"

@@ -263,11 +263,13 @@ def _run_observed(args, scenario, telemetry):
         ffwd=args.ffwd and not args.cluster,  # agents never fast-forward
     )
     if args.cluster:
-        from .cluster import DonsManager
+        from .cluster import AgentSpec, ClusterEngine
         from .partition import ClusterSpec, plan_scenario
-        mgr = DonsManager(scenario, ClusterSpec.homogeneous(args.cluster),
-                          transport=args.transport, telemetry=telemetry)
-        engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
+        part = plan_scenario(scenario,
+                             ClusterSpec.homogeneous(args.cluster)).partition
+        engine = ClusterEngine(
+            [AgentSpec(a, scenario, part, telemetry=telemetry)
+             for a in range(part.num_parts)], transport=args.transport)
     else:
         from .core.engine import DodEngine
         engine = DodEngine(scenario, telemetry=telemetry, ffwd=args.ffwd)

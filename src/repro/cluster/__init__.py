@@ -1,5 +1,17 @@
-"""Distributed execution: Manager, Agents, transports, cluster runtime
-(§3.1, §4.2) and checkpoint-based fault tolerance (§8)."""
+"""Distributed execution (§3.1, §4.2): agents, transports, the cluster
+runtime, phase-boundary migration and checkpoint-based fault tolerance
+(§8).
+
+The Manager's job — Load Estimator plus Partitioner — is
+:func:`repro.partition.plan_scenario`; execution has one constructor::
+
+    plan = plan_scenario(scenario, cluster)
+    engine = ClusterEngine(
+        [AgentSpec(a, scenario, plan.partition, trace_level)
+         for a in range(plan.partition.num_parts)],
+        transport="shm")
+    results = EngineRunner(engine).run()
+"""
 
 from .agent import AgentEngine, AgentSpec
 from .transport import (
@@ -9,11 +21,7 @@ from .transport import (
 )
 from .fault import FaultPlan, RecoveryStats
 from .runtime import ClusterEngine
-from .manager import DonsManager
 from .migration import MigrationStats, migrate
-from .checkpoint import (
-    ClusterCheckpoint, resume_cluster, take_cluster_checkpoint,
-)
 from ..metrics.results import merge_results
 
 __all__ = [
@@ -22,8 +30,7 @@ __all__ = [
     "AgentFailure", "AgentReport", "LocalTransport", "ProcessTransport",
     "Transport", "make_transport",
     "FaultPlan", "RecoveryStats",
-    "ClusterEngine", "DonsManager",
+    "ClusterEngine",
     "merge_results",
     "MigrationStats", "migrate",
-    "ClusterCheckpoint", "resume_cluster", "take_cluster_checkpoint",
 ]

@@ -46,9 +46,6 @@ Fault tolerance is coordinated rollback: when the transport reports an
 re-runs from the snapshot window; windows already reported are consumed
 silently, so ``advance()`` still returns ``True`` exactly once per
 window and the merged trace stays byte-identical to the fault-free run.
-Resuming an on-disk checkpoint (:mod:`repro.cluster.checkpoint`) is the
-same :meth:`~repro.cluster.transport.Transport.restore_all`, through
-:meth:`ClusterEngine.resume`.
 
 A phase boundary moves state the same way, on either transport: a
 coordinated snapshot is rewritten by
@@ -79,10 +76,6 @@ class ClusterEngine:
     """N agents, one window per ``advance()``, any transport."""
 
     name = "dons-cluster"
-    #: The Manager's execution plan, when :class:`DonsManager` planned
-    #: this run (``None`` for a supplied partition or a hand-built
-    #: cluster).
-    plan = None
 
     def __init__(
         self,
@@ -379,19 +372,6 @@ class ClusterEngine:
         self._reported_since_snap = 0
         self._ran_since_snap = 0
         self.bus.count("cluster.checkpoints")
-
-    def resume(self, snapshot: Sequence[Checkpoint], window: int,
-               windows: int) -> None:
-        """Continue a run from ``snapshot`` (:meth:`Transport.snapshot_all`
-        taken after ``windows`` reported windows, the last one
-        ``window``): the agents are built and then restored by the
-        :meth:`Transport.restore_all` an in-run recovery makes, and the
-        next ``advance()`` reports the window after ``window``."""
-        if not self._built:
-            self.build()
-        self.transport.restore_all(self.specs, snapshot, window)
-        self._cursor = window
-        self.bus.counters["cluster.windows"] = windows
 
     def _recover(self, failure: AgentFailure) -> None:
         """Coordinated rollback: every agent back to the latest

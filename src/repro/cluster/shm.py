@@ -216,10 +216,8 @@ class ShmRing:
     # -- lifecycle --
 
     @classmethod
-    def create(cls, tag: str, slot_bytes: Optional[int] = None,
-               n_slots: Optional[int] = None) -> "ShmRing":
-        slot_bytes = max(4096, slot_bytes or DEFAULT_SLOT_BYTES) & ~7
-        n_slots = max(2, n_slots or DEFAULT_SLOTS)
+    def create(cls, tag: str) -> "ShmRing":
+        slot_bytes, n_slots = DEFAULT_SLOT_BYTES, DEFAULT_SLOTS
         # A fresh segment is zero-filled: cursor 0, no committed frame.
         seg = shared_memory.SharedMemory(
             create=True, name=_fresh_name(tag),

@@ -44,10 +44,9 @@ an oversubscribed box does not accrue.
 **Failure handling** is coordinated rollback (:mod:`repro.cluster.fault`):
 a dead agent surfaces as :class:`AgentFailure`, and
 :meth:`Transport.restore_all` puts *every* agent back on the latest
-coordinated snapshot over fresh pair rings.  Resuming a checkpoint
-from disk (:func:`~repro.cluster.checkpoint.resume_cluster`) and a
-phase boundary (:mod:`repro.cluster.migration`) make the same call, a
-worker remaking its engine if ``restore`` carries a new partition.  A
+coordinated snapshot over fresh pair rings.  A phase boundary
+(:mod:`repro.cluster.migration`) makes the same call, a worker
+remaking its engine if ``restore`` carries a new partition.  A
 waiting worker that exhausts its spin budget polls its pipe: a pending
 command (``restore``, ``exit``) makes it leave the window loop, EOF (the
 coordinator died) makes it exit; nobody waits unboundedly on a dead peer.
@@ -245,7 +244,7 @@ class LocalTransport(Transport):
         self.specs = list(specs)
         self.engines = [spec.make() for spec in self.specs]
 
-    def _engine(self, agent_id: int) -> AgentEngine:
+    def _alive(self, agent_id: int) -> AgentEngine:
         engine = self.engines[agent_id]
         if engine is None:
             raise AgentFailure(agent_id, self._failed_at())
@@ -260,7 +259,7 @@ class LocalTransport(Transport):
 
     def next_window(self) -> Optional[int]:
         n = len(self.engines)
-        engines = [self._engine(a) for a in range(n)]
+        engines = [self._alive(a) for a in range(n)]
         if self._offers is None:
             self._offers = [e.peek_next_window(self.cursor) for e in engines]
         scenario = self.specs[0].scenario
@@ -301,7 +300,7 @@ class LocalTransport(Transport):
                    for engine in self.engines if engine is not None)
 
     def snapshot_all(self, window: int) -> List[Checkpoint]:
-        return [take_checkpoint(self._engine(a), window)
+        return [take_checkpoint(self._alive(a), window)
                 for a in range(len(self.engines))]
 
     def kill(self, agent_id: int) -> None:
@@ -321,7 +320,7 @@ class LocalTransport(Transport):
     def finish_all(self) -> List[AgentReport]:
         reports = []
         for agent_id in range(len(self.engines)):
-            engine = self._engine(agent_id)
+            engine = self._alive(agent_id)
             engine.finish()
             reports.append(_report_of(engine))
         return reports

@@ -40,14 +40,14 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..cluster import DonsManager, FaultPlan
+from ..cluster import AgentSpec, ClusterEngine, FaultPlan
 from ..core.checkpoint import CheckpointingEngine, take_checkpoint
 from ..core.engine import DodEngine
+from ..core.runner import EngineRunner
 from ..des import OodSimulator
 from ..des.partition_types import contiguous_partition
 from ..errors import ReproError
 from ..metrics import SimResults, TraceLevel
-from ..partition import ClusterSpec
 from ..scenario import Scenario
 
 
@@ -132,9 +132,9 @@ def run_cluster(scenario: Scenario, transport: str, agents: int,
                 name: str) -> OracleRun:
     agents = min(agents, scenario.topology.num_nodes)
     partition = contiguous_partition(scenario.topology, agents)
-    mgr = DonsManager(scenario, ClusterSpec.homogeneous(agents),
-                      TraceLevel.FULL, transport=transport)
-    run = mgr.run(partition=partition)
+    run = ClusterEngine([AgentSpec(a, scenario, partition, TraceLevel.FULL)
+                         for a in range(agents)], transport=transport)
+    EngineRunner(run).run()
     return _finish(name, scenario, run.results, run.bus.counters)
 
 
@@ -163,13 +163,12 @@ def run_checkpoint_resume(scenario: Scenario) -> OracleRun:
 
 def run_fault_recovery(scenario: Scenario) -> OracleRun:
     """2-agent cluster, periodic snapshots, one agent killed mid-run."""
-    agents = min(2, scenario.topology.num_nodes)
-    partition = contiguous_partition(scenario.topology, agents)
-    fault = FaultPlan(agent=agents - 1, at_window=FAULT_AT_WINDOW)
-    mgr = DonsManager(scenario, ClusterSpec.homogeneous(agents),
-                      TraceLevel.FULL, transport="local",
-                      checkpoint_every=FAULT_CHECKPOINT_EVERY, fault=fault)
-    run = mgr.run(partition=partition)
+    partition = contiguous_partition(scenario.topology, 2)
+    fault = FaultPlan(agent=1, at_window=FAULT_AT_WINDOW)
+    run = ClusterEngine([AgentSpec(a, scenario, partition, TraceLevel.FULL)
+                         for a in range(2)], transport="local",
+                        checkpoint_every=FAULT_CHECKPOINT_EVERY, fault=fault)
+    EngineRunner(run).run()
     return _finish("fault-recovery", scenario, run.results,
                    run.bus.counters)
 

@@ -3,12 +3,12 @@ and the unified run loop (instrumentation bus + engine runner)."""
 
 from .engine import DodEngine, run_dons
 from .instrument import InstrumentationBus, SystemProfile
-from .runner import Engine, EngineRunner, run_engine
+from .runner import Engine, EngineRunner
 from .window import WindowContext
 
 __all__ = [
     "DodEngine", "run_dons",
-    "Engine", "EngineRunner", "run_engine",
+    "Engine", "EngineRunner",
     "InstrumentationBus", "SystemProfile",
     "WindowContext",
 ]

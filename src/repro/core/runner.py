@@ -19,12 +19,9 @@ implement the small :class:`Engine` protocol:
 results through this path instead of private copies of it: a
 :class:`~repro.cluster.runtime.ClusterEngine` implements the same
 protocol with *one cluster-wide lookahead window* as its ``advance()``
-unit, so ``DonsManager`` runs, ``python -m repro profile --cluster`` and
-checkpoint resume (``resume_cluster`` restores the agents and the
-window cursor through ``ClusterEngine.resume``, then hands the engine
-to an ``EngineRunner``) all share this loop.  The runner itself stays
-cursor-agnostic — ``advance()`` is always "do the next unit" — and
-runs to exhaustion.
+unit, so a distributed run — ``python -m repro profile --cluster``
+included — shares this loop.  The runner itself stays cursor-agnostic
+— ``advance()`` is always "do the next unit" — and runs to exhaustion.
 """
 
 from __future__ import annotations
@@ -114,7 +111,3 @@ def chain_hooks(*hooks):
 
     return chained
 
-
-def run_engine(engine: "Engine") -> "SimResults":
-    """One-shot convenience: ``EngineRunner(engine).run()``."""
-    return EngineRunner(engine).run()

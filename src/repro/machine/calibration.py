@@ -112,9 +112,6 @@ class MachineSpec:
     #: relative per-core speed (1.0 = evaluation Xeon core)
     core_speed: float = 1.0
 
-    @property
-    def events_per_core_per_s(self) -> float:
-        return self.core_speed * 1e9 / BASE_EVENT_NS
 
 
 #: The paper's two platforms.

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .trace import TraceRecorder
-from ..units import ps_to_s
 
 
 class FlowResult:
@@ -117,12 +116,6 @@ class SimResults:
 
     def completed(self) -> int:
         return sum(1 for fr in self.flows.values() if fr.complete_ps is not None)
-
-    def mean_fct_s(self) -> Optional[float]:
-        fcts = self.fcts_ps()
-        if not fcts:
-            return None
-        return ps_to_s(sum(fcts)) / len(fcts)
 
     def rtts_ps(self) -> List[int]:
         """RTT samples in measurement order (Fig. 10a plots the first 200)."""

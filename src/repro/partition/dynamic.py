@@ -5,8 +5,8 @@ then goes stale.  Appendix A's scheme: record the normalized average
 device load per period as a vector; when the Wasserstein distance
 between consecutive vectors exceeds a threshold, the traffic pattern has
 changed and a new simulation phase begins.  Each phase is partitioned
-independently and the resulting plans form the overall execution
-configuration the DONS Manager orchestrates.
+independently, and the phases after the first become a
+:class:`~repro.cluster.runtime.ClusterEngine` migration ``schedule``.
 """
 
 from __future__ import annotations

@@ -1,17 +1,14 @@
 """UDP sender: open-loop, NIC-rate-paced transmission.
 
 A UDP flow simply puts all its segments on the wire paced at the host
-NIC's line rate, with no feedback.  Enqueue times are closed-form, so the
-windowed DOD engine can generate exactly the segments whose enqueue time
-falls inside a lookahead window without simulating the whole schedule —
-and the event-driven baseline computes the same times one event at a time.
+NIC's line rate, with no feedback.  Enqueue times are closed-form: the
+event-driven baseline computes them one event at a time, and the DOD
+engine's SendSystem uses the same closed form for a whole window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
-
 from .packet import HEADER_BYTES, MSS, segment_count, segment_payload
 from ..units import serialization_time_ps
 
@@ -40,25 +37,6 @@ class UdpSchedule:
             return self.start_ps
         wire_before = seq * (MSS + HEADER_BYTES)  # all non-final segs are MSS
         return self.start_ps + serialization_time_ps(wire_before, self.nic_rate_bps)
-
-    def segments_in(self, window_start: int, window_end: int) -> Iterator[Tuple[int, int]]:
-        """Yield ``(seq, enqueue_ps)`` for segments starting in the window."""
-        total = self.total_segs
-        # First candidate by inverting the linear schedule, then scan.
-        if window_start <= self.start_ps:
-            seq = 0
-        else:
-            elapsed = window_start - self.start_ps
-            per_seg = serialization_time_ps(MSS + HEADER_BYTES, self.nic_rate_bps)
-            seq = max(0, (elapsed // max(per_seg, 1)) - 1) if per_seg else 0
-            while seq < total and self.enqueue_time(seq) < window_start:
-                seq += 1
-        while seq < total:
-            t = self.enqueue_time(seq)
-            if t >= window_end:
-                break
-            yield seq, t
-            seq += 1
 
     def payload(self, seq: int) -> int:
         return segment_payload(self.size_bytes, seq)

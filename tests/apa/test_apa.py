@@ -98,12 +98,6 @@ class TestDqnLike:
         truth_mean = np.mean(truth.fcts_ps())
         assert 0.2 < np.mean(pred.fct_ps) / truth_mean < 5.0
 
-    def test_as_results_container(self, dumbbell_scenario):
-        apa = self._trained()
-        res = apa.predict(dumbbell_scenario).as_results(dumbbell_scenario)
-        assert res.engine == "dqn-apa"
-        assert res.completed() == 4
-
     def test_empty_training_rejected(self):
         with pytest.raises(ConfigError):
             DeepQueueNetLike().fit([])

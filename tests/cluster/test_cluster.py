@@ -1,18 +1,25 @@
-"""Distributed runtime: agents, manager, FINISH accounting."""
+"""Distributed runtime: agents, planned runs, FINISH accounting."""
 
 import pytest
 
-from repro.cluster import DonsManager
-from repro.cluster.manager import merge_results
+from repro.cluster import AgentSpec, ClusterEngine, merge_results
+from repro.core import EngineRunner
 from repro.des.partition_types import Partition, random_partition
-from repro.errors import ClusterError, SimulationError
-from repro.metrics import SimResults, TraceLevel
+from repro.errors import ClusterError
+from repro.metrics import SimResults
 from repro.metrics.results import FlowResult
-from repro.partition import ClusterSpec
+from repro.partition import ClusterSpec, plan_scenario
 from repro.scenario import make_scenario
 from repro.topology import fattree
 from repro.traffic import Flow
 from repro.units import GBPS, us
+
+
+def _run(scenario, partition):
+    engine = ClusterEngine([AgentSpec(a, scenario, partition)
+                            for a in range(partition.num_parts)])
+    EngineRunner(engine).run()
+    return engine
 
 
 class TestDistributedRun:
@@ -25,8 +32,8 @@ class TestDistributedRun:
 
     def test_manager_plans_and_runs(self):
         sc = self._scenario()
-        run = DonsManager(sc, ClusterSpec.homogeneous(4)).run()
-        assert run.plan is not None
+        plan = plan_scenario(sc, ClusterSpec.homogeneous(4))
+        run = _run(sc, plan.partition)
         assert run.results.completed() == 6
         assert run.stats.windows > 0
         n = run.partition.num_parts
@@ -35,19 +42,17 @@ class TestDistributedRun:
     def test_explicit_partition_used(self):
         sc = self._scenario()
         part = random_partition(sc.topology, 3, 5)
-        run = DonsManager(sc, ClusterSpec.homogeneous(3)).run(partition=part)
-        assert run.plan is None
-        assert run.partition is part
+        assert _run(sc, part).partition is part
 
     def test_partition_mismatch_rejected(self):
         sc = self._scenario()
         bad = Partition((0, 1), 2)
-        with pytest.raises(ClusterError):
-            DonsManager(sc, ClusterSpec.homogeneous(2)).run(partition=bad)
+        with pytest.raises(ClusterError, match="partition assigns 2 nodes"):
+            ClusterEngine([AgentSpec(a, sc, bad) for a in range(2)])
 
     def test_egress_accounting_per_machine(self):
         sc = self._scenario()
-        run = DonsManager(sc, ClusterSpec.homogeneous(4)).run()
+        run = _run(sc, plan_scenario(sc, ClusterSpec.homogeneous(4)).partition)
         assert len(run.stats.egress_bytes) == 4
         assert sum(run.stats.egress_bytes) == run.stats.rpc_bytes
         assert run.stats.rpc_records > 0

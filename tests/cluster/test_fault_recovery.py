@@ -9,12 +9,11 @@ worker process outright.
 
 import pytest
 
-from repro.cluster import AgentSpec, ClusterEngine, DonsManager, FaultPlan
+from repro.cluster import AgentSpec, ClusterEngine, FaultPlan
 from repro.core.engine import run_dons
 from repro.core.runner import EngineRunner
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.metrics import TraceLevel
-from repro.partition import ClusterSpec
 from repro.scenario import make_scenario
 from repro.topology import fattree
 from repro.traffic import full_mesh_dynamic, TINY
@@ -35,12 +34,15 @@ def reference(scenario):
     return run_dons(scenario, TraceLevel.FULL)
 
 
-def _run(scenario, transport, checkpoint_every=None, fault=None):
+def _run(scenario, transport, checkpoint_every=None, fault=None,
+         telemetry=False):
     part = contiguous_partition(scenario.topology, 2)
-    mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
-                      TraceLevel.FULL, transport=transport,
-                      checkpoint_every=checkpoint_every, fault=fault)
-    return mgr.run(partition=part)
+    engine = ClusterEngine(
+        [AgentSpec(a, scenario, part, TraceLevel.FULL, telemetry=telemetry)
+         for a in range(2)],
+        transport=transport, checkpoint_every=checkpoint_every, fault=fault)
+    EngineRunner(engine).run()
+    return engine
 
 
 @pytest.mark.parametrize(
@@ -102,11 +104,8 @@ def test_recovery_keeps_telemetry_spans(scenario, reference, transport):
     telemetry is on) and the replay re-records the windows since, so the
     merged timeline has no holes."""
     fault = FaultPlan(agent=1, at_window=12)
-    part = contiguous_partition(scenario.topology, 2)
-    mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
-                      TraceLevel.FULL, transport=transport,
-                      checkpoint_every=5, fault=fault, telemetry=True)
-    run = mgr.run(partition=part)
+    run = _run(scenario, transport, checkpoint_every=5, fault=fault,
+               telemetry=True)
     assert fault.fired and len(run.recoveries) == 1
 
     def window_indices(tag):
@@ -160,11 +159,8 @@ def test_each_recovery_records_one_replay_span(scenario):
     ``transport`` category per recovery, naming the dead agent, the
     window it died in and the snapshot window it restarted from."""
     fault = FaultPlan(agent=1, at_window=12)
-    part = contiguous_partition(scenario.topology, 2)
-    mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
-                      transport="local", checkpoint_every=5, fault=fault,
-                      telemetry=True)
-    run = mgr.run(partition=part)
+    run = _run(scenario, "local", checkpoint_every=5, fault=fault,
+               telemetry=True)
     replays = [span for span in run.bus.spans
                if (span[2], span[3]) == ("replay", "transport")]
     assert len(run.recoveries) == len(replays) == 1

@@ -39,7 +39,7 @@ def _live_segments():
 
 class TestRingLifecycle:
     def test_create_unlink_exactly_once(self):
-        ring = ShmRing.create("life", slot_bytes=4096, n_slots=2)
+        ring = ShmRing.create("life")
         assert ring.name in _live_segments()
         reader = ShmRing.attach(ring.name)
         # An attacher never owns the segment: its unlink is a no-op.
@@ -53,8 +53,10 @@ class TestRingLifecycle:
         ring.close()
         ring.close()  # close is idempotent too
 
-    def test_attach_sees_creator_geometry(self):
-        ring = ShmRing.create("geom", slot_bytes=8192, n_slots=3)
+    def test_attach_sees_creator_geometry(self, monkeypatch):
+        monkeypatch.setattr(shm_mod, "DEFAULT_SLOT_BYTES", 8192)
+        monkeypatch.setattr(shm_mod, "DEFAULT_SLOTS", 3)
+        ring = ShmRing.create("geom")
         try:
             reader = ShmRing.attach(ring.name)
             assert reader.slot_bytes == 8192
@@ -65,10 +67,11 @@ class TestRingLifecycle:
             ring.unlink()
             ring.close()
 
-    def test_reader_cursor_frees_slots(self):
+    def test_reader_cursor_frees_slots(self, monkeypatch):
         """Slot reuse is explicit: the reader's cursor word in the ring
         header, not anything inferred from a reply order."""
-        ring = ShmRing.create("cursor", slot_bytes=4096, n_slots=2)
+        monkeypatch.setattr(shm_mod, "DEFAULT_SLOTS", 2)
+        ring = ShmRing.create("cursor")
         reader = ShmRing.attach(ring.name)
         try:
             assert ring.write_frame(1, 0, [b"a"]) == 1
@@ -226,10 +229,10 @@ def test_full_run_leaves_clean_interpreter_and_shm():
     both at interpreter shutdown, which in-process tests cannot see),
     and no segments left in /dev/shm."""
     code = (
-        "from repro.cluster import DonsManager\n"
+        "from repro.cluster import AgentSpec, ClusterEngine\n"
+        "from repro.core import EngineRunner\n"
         "from repro.des.partition_types import contiguous_partition\n"
         "from repro.metrics import TraceLevel\n"
-        "from repro.partition import ClusterSpec\n"
         "from repro.scenario import make_scenario\n"
         "from repro.topology import dumbbell\n"
         "from repro.traffic import Flow, Transport\n"
@@ -240,9 +243,9 @@ def test_full_run_leaves_clean_interpreter_and_shm():
         "         for i in range(4)]\n"
         "sc = make_scenario(topo, flows)\n"
         "part = contiguous_partition(topo, 2)\n"
-        "run = DonsManager(sc, ClusterSpec.homogeneous(2), TraceLevel.FULL,\n"
-        "                  transport='shm').run(partition=part)\n"
-        "print(len(run.results.trace.entries))\n"
+        "specs = [AgentSpec(a, sc, part, TraceLevel.FULL) for a in range(2)]\n"
+        "results = EngineRunner(ClusterEngine(specs, transport='shm')).run()\n"
+        "print(len(results.trace.entries))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from repro.cluster import (
-    AgentSpec, ClusterEngine, DonsManager, LocalTransport,
+    AgentSpec, ClusterEngine, LocalTransport,
     make_transport, ProcessTransport, Transport,
 )
 from repro.des.partition_types import Partition, contiguous_partition
@@ -41,7 +41,7 @@ class TestSparseCut:
                  for i in range(4)]
         sc = make_scenario(topo, flows, buffer_bytes=40_000)
         part = contiguous_partition(topo, 4)
-        engine = DonsManager(sc, ClusterSpec.homogeneous(4))._engine(part)
+        engine = ClusterEngine([AgentSpec(a, sc, part) for a in range(4)])
         EngineRunner(engine).run()
         n, stats = part.num_parts, engine.stats
         assert stats.finish_signals == stats.windows * n * (n - 1)
@@ -133,7 +133,8 @@ class TestMergedBus:
     def test_counters_and_tagged_totals(self):
         sc = _scenario()
         part = contiguous_partition(sc.topology, 2)
-        run = DonsManager(sc, ClusterSpec.homogeneous(2)).run(partition=part)
+        run = ClusterEngine([AgentSpec(a, sc, part) for a in range(2)])
+        EngineRunner(run).run()
         bus = run.bus
         assert bus is not None
         assert bus.counters["cluster.windows"] == run.stats.windows
@@ -156,8 +157,8 @@ class TestMergedBus:
         busy is the measured T_a ``refit_cluster_spec`` fits Eq. (1) to."""
         sc = _scenario()
         part = contiguous_partition(sc.topology, 2)
-        engine = DonsManager(sc, ClusterSpec.homogeneous(2),
-                             transport=transport)._engine(part)
+        engine = ClusterEngine([AgentSpec(a, sc, part) for a in range(2)],
+                               transport=transport)
         assert not engine.bus.telemetry and engine.watchdog is None
         EngineRunner(engine).run()
         record = run_record(engine.bus)

@@ -20,23 +20,24 @@ consumes interleave, frames arrive intact and in order, and the reader
 cursor keeps the writer off every slot that is still unread.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
-    AgentSpec, ClusterEngine, DonsManager, FaultPlan, LocalTransport,
-    ProcessTransport,
+    AgentSpec, ClusterEngine, FaultPlan, LocalTransport, ProcessTransport,
 )
 from repro.cluster import shm
 from repro.cluster.agent import Horizon
 from repro.cluster.shm import (
     ShmRing, consume_batch, list_orphans, publish_batch,
 )
+from repro.core import EngineRunner
 from repro.core.checkpoint import restore_checkpoint
 from repro.des.partition_types import contiguous_partition
 from repro.errors import ClusterError, ReproError
 from repro.metrics import TraceLevel
-from repro.partition import ClusterSpec
 from repro.protocols.packet import ROW_FIELDS
 from repro.scenario import make_scenario
 from repro.topology import fattree
@@ -54,10 +55,11 @@ def scenario():
 
 
 def _run(scenario, transport, partition):
-    n = partition.num_parts
-    return DonsManager(scenario, ClusterSpec.homogeneous(n),
-                       TraceLevel.FULL, transport=transport
-                       ).run(partition=partition)
+    engine = ClusterEngine([AgentSpec(a, scenario, partition, TraceLevel.FULL)
+                            for a in range(partition.num_parts)],
+                           transport=transport)
+    EngineRunner(engine).run()
+    return engine
 
 
 @pytest.mark.parametrize("agents", [2, 3, 4])
@@ -89,8 +91,9 @@ def _records(count):
 class TestLargeBatches:
     """Batches that overflow a ring slot travel as blob segments."""
 
-    def test_10k_record_batch_through_the_blob_path(self):
-        ring = ShmRing.create("blob", slot_bytes=4096, n_slots=2)
+    def test_10k_record_batch_through_the_blob_path(self, monkeypatch):
+        monkeypatch.setattr(shm, "DEFAULT_SLOT_BYTES", 4096)
+        ring = ShmRing.create("blob")
         reader = ShmRing.attach(ring.name)
         try:
             big, small = _records(10_000), _records(3)
@@ -226,7 +229,9 @@ def test_randomized_publish_consume_interleavings_keep_frame_order(data):
     cursor leaves it a slot (``can_write``); a publish beyond that is a
     protocol violation and raises instead of overwriting."""
     n_slots = data.draw(st.integers(2, 4), label="slots")
-    ring = ShmRing.create("hyp", slot_bytes=4096, n_slots=n_slots)
+    with mock.patch.multiple(shm, DEFAULT_SLOT_BYTES=4096,
+                             DEFAULT_SLOTS=n_slots):
+        ring = ShmRing.create("hyp")
     reader = ShmRing.attach(ring.name)
     try:
         sent, delivered = [], []

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.cluster import DonsManager
+from repro.cluster import AgentSpec, ClusterEngine
 from repro.core.runner import EngineRunner
 from repro.metrics import live
 from repro.metrics.live import ClusterWatchdog, LivePlane
@@ -29,9 +29,10 @@ def scenario():
     return make_scenario(topo, flows)
 
 
-def _cluster_engine(scenario, **kwargs):
-    mgr = DonsManager(scenario, ClusterSpec.homogeneous(2), **kwargs)
-    return mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
+def _cluster_engine(scenario, telemetry=False):
+    part = plan_scenario(scenario, ClusterSpec.homogeneous(2)).partition
+    return ClusterEngine([AgentSpec(a, scenario, part, telemetry=telemetry)
+                          for a in range(part.num_parts)])
 
 
 def _stall(engine, agent_id, stall):

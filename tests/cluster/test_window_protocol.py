@@ -6,12 +6,12 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import AgentSpec, ClusterEngine, DonsManager
+from repro.cluster import AgentSpec, ClusterEngine
 from repro.cluster.agent import Horizon, agreed_window, window_offer
+from repro.core import EngineRunner
 from repro.core.engine import run_dons
 from repro.des.partition_types import contiguous_partition
 from repro.metrics import TraceLevel
-from repro.partition import ClusterSpec
 from repro.scenario import make_scenario
 from repro.topology import fattree
 from repro.traffic import TINY, full_mesh_dynamic
@@ -119,9 +119,10 @@ def test_process_checkpoint_horizons_are_invisible(scenario):
     part = contiguous_partition(scenario.topology, 2)
 
     def run(**kwargs):
-        return DonsManager(scenario, ClusterSpec.homogeneous(2),
-                           TraceLevel.FULL, transport="shm",
-                           **kwargs).run(partition=part)
+        engine = ClusterEngine([AgentSpec(a, scenario, part, TraceLevel.FULL)
+                                for a in range(2)], transport="shm", **kwargs)
+        EngineRunner(engine).run()
+        return engine
 
     plain, stepped = run(), run(checkpoint_every=7)
     assert stepped.bus.counters["cluster.checkpoints"] > 2
@@ -140,11 +141,10 @@ def test_three_agents_on_one_cpu_complete_with_the_reference_digest(scenario):
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(allowed)})
     try:
-        run = DonsManager(scenario, ClusterSpec.homogeneous(3),
-                          TraceLevel.FULL, transport="shm"
-                          ).run(partition=part)
+        results = EngineRunner(ClusterEngine(
+            [AgentSpec(a, scenario, part, TraceLevel.FULL) for a in range(3)],
+            transport="shm")).run()
     finally:
         os.sched_setaffinity(0, allowed)
-    assert (sorted(run.results.trace.entries)
-            == sorted(reference.trace.entries))
-    assert run.results.trace.digest() == reference.trace.digest()
+    assert sorted(results.trace.entries) == sorted(reference.trace.entries)
+    assert results.trace.digest() == reference.trace.digest()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import NaiveOrderEngine
-from repro.cluster import ClusterEngine, DonsManager
+from repro.cluster import ClusterEngine
 from repro.core.engine import DodEngine, run_dons
 from repro.des import run_baseline
 from repro.errors import SimulationError
@@ -74,16 +74,12 @@ class TestOneWindowPerAdvance:
         assert engine.bus.counters["windows"] == steps
 
     def test_batch_windows_argument_is_gone(self, dumbbell_scenario):
-        from repro.partition import ClusterSpec
         with pytest.raises(TypeError):
             DodEngine(dumbbell_scenario, batch_windows=8)
         with pytest.raises(TypeError):
             run_dons(dumbbell_scenario, batch_windows=8)
         with pytest.raises(TypeError):
             ClusterEngine([], batch_windows=8)
-        with pytest.raises(TypeError):
-            DonsManager(dumbbell_scenario, ClusterSpec.homogeneous(2),
-                        batch_windows=8)
 
 
 class TestRenoTransport:

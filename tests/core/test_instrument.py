@@ -283,12 +283,13 @@ class TestTotalsAreAView:
                    for index in served)
 
     def test_merged_two_agent_bus(self, dumbbell_scenario):
-        from repro.cluster import DonsManager
+        from repro.cluster import AgentSpec, ClusterEngine
         from repro.core.runner import EngineRunner
         from repro.partition import ClusterSpec, plan_scenario
-        mgr = DonsManager(dumbbell_scenario, ClusterSpec.homogeneous(2))
-        engine = mgr._engine(
-            plan_scenario(dumbbell_scenario, mgr.cluster).partition)
+        part = plan_scenario(dumbbell_scenario,
+                             ClusterSpec.homogeneous(2)).partition
+        engine = ClusterEngine([AgentSpec(a, dumbbell_scenario, part)
+                                for a in range(2)])
         EngineRunner(engine).run()
         totals = engine.bus.totals
         assert set(totals) == {f"a{a}:{s}" for a in (0, 1) for s in SYSTEMS}

@@ -16,9 +16,10 @@ from hashlib import blake2b
 
 import pytest
 
-from repro.cluster import DonsManager
+from repro.cluster import AgentSpec, ClusterEngine
 from repro.cluster.agent import AgentEngine
 from repro.conformance.oracles import result_parts
+from repro.core import EngineRunner
 from repro.core.checkpoint import restore_checkpoint
 from repro.core.engine import DodEngine
 from repro.core.instrument import OP_FORWARD
@@ -26,7 +27,6 @@ from repro.core.systems import transmit as transmit_mod
 from repro.des import run_baseline
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.metrics import TraceLevel
-from repro.partition import ClusterSpec
 from repro.scenario import make_scenario
 from repro.topology import dumbbell, fattree
 from repro.traffic import TINY, Flow, Transport, fixed_flows, full_mesh_dynamic
@@ -104,9 +104,9 @@ def cluster_parts(scenario, transport, agents, schedule=()):
     once the run is over (a worker process's rows never come home
     otherwise) and each snapshot restored into a fresh engine."""
     partition = contiguous_partition(scenario.topology, agents)
-    cluster = DonsManager(scenario, ClusterSpec.homogeneous(agents),
-                          transport=transport)._engine(partition,
-                                                        list(schedule))
+    cluster = ClusterEngine([AgentSpec(a, scenario, partition)
+                             for a in range(agents)],
+                            transport=transport, schedule=list(schedule))
     cluster.build()
     while cluster.advance():
         pass
@@ -148,9 +148,10 @@ def test_traced_agents_commit_through_the_sink(fattree4_scenario):
     assert not hasattr(AgentEngine, "deliver")
     assert not hasattr(DodEngine, "deliver")
     partition = contiguous_partition(fattree4_scenario.topology, 2)
-    run = DonsManager(fattree4_scenario, ClusterSpec.homogeneous(2),
-                      TraceLevel.FULL,
-                      transport="local").run(partition=partition)
+    run = ClusterEngine([AgentSpec(a, fattree4_scenario, partition,
+                                   TraceLevel.FULL) for a in range(2)],
+                        transport="local")
+    EngineRunner(run).run()
     assert run.stats.rpc_records > 0, "no packet crossed the cut"
     assert run.results.trace.digest() == run_baseline(
         fattree4_scenario, TraceLevel.FULL).trace.digest()

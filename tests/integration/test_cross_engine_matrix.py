@@ -2,11 +2,12 @@
 single-machine DONS, distributed DONS on in-process and on process
 agents — five executions, one trace."""
 
-from repro.cluster import DonsManager
+from repro.cluster import AgentSpec, ClusterEngine
+from repro.core import EngineRunner
 from repro.core.engine import run_dons
 from repro.des import ParallelOodSimulator, random_partition, run_baseline
 from repro.metrics import TraceLevel
-from repro.partition import ClusterSpec
+from repro.partition import ClusterSpec, plan_scenario
 from repro.scenario import make_scenario
 from repro.topology import fattree
 from repro.traffic import full_mesh_dynamic, TINY
@@ -26,12 +27,12 @@ def test_five_engines_one_trace():
                                 TraceLevel.FULL)
     traces["ood-parallel"] = psim.run().trace
     traces["dons"] = run_dons(sc, TraceLevel.FULL).trace
-    traces["dons-cluster"] = DonsManager(
-        sc, ClusterSpec.homogeneous(3), TraceLevel.FULL
-    ).run().results.trace
-    traces["dons-cluster-shm"] = DonsManager(
-        sc, ClusterSpec.homogeneous(2), TraceLevel.FULL, transport="shm"
-    ).run().results.trace
+    for name, agents, transport in (("dons-cluster", 3, "local"),
+                                    ("dons-cluster-shm", 2, "shm")):
+        part = plan_scenario(sc, ClusterSpec.homogeneous(agents)).partition
+        traces[name] = EngineRunner(ClusterEngine(
+            [AgentSpec(a, sc, part, TraceLevel.FULL) for a in range(agents)],
+            transport=transport)).run().trace
 
     reference = sorted(traces["ood"].entries)
     assert len(reference) > 1000

@@ -3,13 +3,14 @@ single-machine trace for *every* partition (§4.2's conservative sync)."""
 
 import pytest
 
-from repro.cluster import DonsManager
+from repro.cluster import AgentSpec, ClusterEngine
+from repro.core import EngineRunner
 from repro.core.engine import run_dons
 from repro.des.partition_types import (
     contiguous_partition, random_partition,
 )
 from repro.metrics import TraceLevel
-from repro.partition import ClusterSpec
+from repro.partition import ClusterSpec, plan_scenario
 from repro.scenario import make_scenario
 from repro.topology import fattree, isp_wan
 from repro.traffic import Flow, full_mesh_dynamic, TINY
@@ -30,11 +31,21 @@ def reference(scenario):
     return run_dons(scenario, TraceLevel.FULL)
 
 
+def _run(scenario, partition, trace_level=TraceLevel.FULL):
+    engine = ClusterEngine([AgentSpec(a, scenario, partition, trace_level)
+                            for a in range(partition.num_parts)])
+    EngineRunner(engine).run()
+    return engine
+
+
+def _planned(scenario, machines):
+    return plan_scenario(scenario, ClusterSpec.homogeneous(machines)).partition
+
+
 @pytest.mark.parametrize("machines,seed", [(2, 1), (3, 9), (4, 2), (6, 5)])
 def test_random_partitions_equivalent(scenario, reference, machines, seed):
     part = random_partition(scenario.topology, machines, seed)
-    run = DonsManager(scenario, ClusterSpec.homogeneous(machines),
-                      TraceLevel.FULL).run(partition=part)
+    run = _run(scenario, part)
     assert (sorted(run.results.trace.entries)
             == sorted(reference.trace.entries))
     assert run.results.fcts_ps() == reference.fcts_ps()
@@ -42,17 +53,15 @@ def test_random_partitions_equivalent(scenario, reference, machines, seed):
 
 
 def test_planned_partition_equivalent(scenario, reference):
-    run = DonsManager(scenario, ClusterSpec.homogeneous(4),
-                      TraceLevel.FULL).run()
+    run = _run(scenario, _planned(scenario, 4))
     assert (sorted(run.results.trace.entries)
             == sorted(reference.trace.entries))
 
 
 def test_planned_partition_moves_less_traffic(scenario):
-    cluster = ClusterSpec.homogeneous(4)
-    planned = DonsManager(scenario, cluster).run()
-    rand = DonsManager(scenario, cluster).run(
-        partition=random_partition(scenario.topology, 4, 3))
+    planned = _run(scenario, _planned(scenario, 4), TraceLevel.NONE)
+    rand = _run(scenario, random_partition(scenario.topology, 4, 3),
+                TraceLevel.NONE)
     assert planned.stats.rpc_bytes < rand.stats.rpc_bytes
 
 
@@ -64,6 +73,5 @@ def test_wan_distributed_equivalence():
                               seed=5, max_flows=50)
     sc = make_scenario(topo, flows)
     ref = run_dons(sc, TraceLevel.FULL)
-    run = DonsManager(sc, ClusterSpec.homogeneous(3), TraceLevel.FULL).run(
-        partition=contiguous_partition(topo, 3))
+    run = _run(sc, contiguous_partition(topo, 3))
     assert sorted(run.results.trace.entries) == sorted(ref.trace.entries)

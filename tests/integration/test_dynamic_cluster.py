@@ -7,13 +7,13 @@ the single-machine trace, byte for byte.
 
 import pytest
 
-from repro.cluster import ClusterEngine, DonsManager
+from repro.cluster import ClusterEngine
 from repro.cluster.agent import AgentSpec
 from repro.core.engine import run_dons
 from repro.core.runner import EngineRunner
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.metrics import TraceLevel
-from repro.partition import ClusterSpec
+from repro.partition import ClusterSpec, dynamic_partition_plan
 from repro.scenario import make_scenario
 from repro.topology import fattree, isp_wan
 from repro.traffic import Flow, full_mesh_dynamic, TINY
@@ -96,7 +96,8 @@ def test_migration_moves_inflight_state(scenario):
 
 
 def test_run_dynamic_end_to_end():
-    """Manager-level Appendix A: shifting hotspot, detected and executed."""
+    """Appendix A end to end: shifting hotspot, detected, partitioned
+    per phase and executed with a migration at each phase boundary."""
     topo = isp_wan(backbone_routers=8, provinces=2, provincial_routers=5,
                    metros_per_province=2, metro_routers=3,
                    servers_per_metro=2, seed=3)
@@ -115,11 +116,15 @@ def test_run_dynamic_end_to_end():
     sc = make_scenario(topo, flows)
     reference = run_dons(sc, TraceLevel.FULL)
 
-    mgr = DonsManager(sc, ClusterSpec.homogeneous(3), TraceLevel.FULL)
-    run = mgr.run_dynamic(bin_ps=ms(1), threshold=0.2)
+    bin_ps = ms(1)
+    phases = dynamic_partition_plan(sc.topology, sc.fib, sc.flows, bin_ps,
+                                    ClusterSpec.homogeneous(3), 0.2)
+    schedule = [(phase.start_bin * bin_ps // sc.lookahead_ps,
+                 phase.plan.partition) for phase in phases[1:]]
+    merged, run = run_with_schedule(sc, phases[0].plan.partition, schedule,
+                                    machines=3)
     migrations = run.migrations
-    assert (sorted(run.results.trace.entries)
-            == sorted(reference.trace.entries))
-    assert run.results.fcts_ps() == reference.fcts_ps()
+    assert sorted(merged.trace.entries) == sorted(reference.trace.entries)
+    assert merged.fcts_ps() == reference.fcts_ps()
     # The hotspot shift produced at least one real migration.
     assert migrations and migrations[0].nodes_moved > 0

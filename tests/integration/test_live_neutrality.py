@@ -64,14 +64,12 @@ def test_serial_digest_neutral_with_live_plane(scenario, reference_digest,
 def test_cluster_digest_neutral_with_live_plane(scenario, reference_digest,
                                                 backend, monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", backend)
-    from repro.cluster import DonsManager
-    from repro.partition import ClusterSpec
+    from repro.cluster import AgentSpec, ClusterEngine
     part = contiguous_partition(scenario.topology, 2)
     digests = {}
     for watched in (False, True):
-        mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
-                          TraceLevel.FULL, transport="shm")
-        engine = mgr._engine(part)
+        engine = ClusterEngine([AgentSpec(a, scenario, part, TraceLevel.FULL)
+                                for a in range(2)], transport="shm")
         if watched:
             _run_with_plane(engine)
         else:

@@ -14,7 +14,7 @@ transport-measured barrier wait.)
 import json
 
 from repro.bench.scenarios import steady_state_scenario
-from repro.cluster import DonsManager
+from repro.cluster import AgentSpec, ClusterEngine
 from repro.core.engine import DodEngine
 from repro.core.runner import EngineRunner
 from repro.metrics import live
@@ -24,6 +24,17 @@ from repro.partition import ClusterSpec, plan_scenario
 from repro.scenario import make_scenario
 from repro.topology import dumbbell
 from repro.traffic import Transport, fixed_flows
+
+
+def _planned_cluster(transport="local", telemetry=False):
+    """A 2-agent cluster on ``plan_scenario``'s cut of a small dumbbell."""
+    topo = dumbbell(3)
+    flows = fixed_flows(topo.hosts, n_flows=6, size_bytes=40_000,
+                        transport=Transport.DCTCP, seed=5)
+    scenario = make_scenario(topo, flows)
+    part = plan_scenario(scenario, ClusterSpec.homogeneous(2)).partition
+    return ClusterEngine([AgentSpec(a, scenario, part, telemetry=telemetry)
+                          for a in range(2)], transport=transport)
 
 
 def _final_record(engine, path, monkeypatch):
@@ -64,13 +75,7 @@ def test_serial_ffwd_final_record_matches_stats(tmp_path, monkeypatch):
 
 
 def test_cluster_shm_final_record_matches_stats(tmp_path, monkeypatch):
-    topo = dumbbell(3)
-    flows = fixed_flows(topo.hosts, n_flows=6, size_bytes=40_000,
-                        transport=Transport.DCTCP, seed=5)
-    scenario = make_scenario(topo, flows)
-    mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
-                      transport="shm", telemetry=True)
-    engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
+    engine = _planned_cluster(transport="shm", telemetry=True)
     final = _final_record(engine, tmp_path / "live.ndjson", monkeypatch)
     report = run_report(engine.bus)
     assert final["shm_frames"] > 0 and final["shm_bytes"] > 0
@@ -85,12 +90,7 @@ def test_cluster_bus_alone_gives_busy_and_wait_at_every_step():
     busy / wait accumulator: at every step of a running 2-agent local
     cluster, the record read off the bus alone carries the same
     per-agent series as the one read with the engine at hand."""
-    topo = dumbbell(3)
-    flows = fixed_flows(topo.hosts, n_flows=6, size_bytes=40_000,
-                        transport=Transport.DCTCP, seed=5)
-    scenario = make_scenario(topo, flows)
-    mgr = DonsManager(scenario, ClusterSpec.homogeneous(2))
-    engine = mgr._engine(plan_scenario(scenario, mgr.cluster).partition)
+    engine = _planned_cluster()
     seen = []
 
     def on_step(_steps):

@@ -53,15 +53,16 @@ def test_single_engine_digest_neutral(request, which, backend, monkeypatch):
 @pytest.mark.parametrize(
     "transport", ["local", pytest.param("shm", id="process")])
 def test_cluster_digest_neutral(scenario, reference_digest, transport):
-    from repro.cluster import DonsManager
-    from repro.partition import ClusterSpec
+    from repro.cluster import AgentSpec, ClusterEngine
+    from repro.core import EngineRunner
     part = contiguous_partition(scenario.topology, 2)
     digests = {}
     for telemetry in (False, True):
-        run = DonsManager(scenario, ClusterSpec.homogeneous(2),
-                          TraceLevel.FULL, transport=transport,
-                          telemetry=telemetry).run(partition=part)
-        digests[telemetry] = run.results.trace.digest()
+        results = EngineRunner(ClusterEngine(
+            [AgentSpec(a, scenario, part, TraceLevel.FULL,
+                       telemetry=telemetry) for a in range(2)],
+            transport=transport)).run()
+        digests[telemetry] = results.trace.digest()
     assert digests[False] == digests[True] == reference_digest
 
 

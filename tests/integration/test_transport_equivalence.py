@@ -9,11 +9,13 @@ simulates.
 
 import pytest
 
-from repro.cluster import DonsManager, RPC_FRAME_BYTES, RPC_RECORD_BYTES
+from repro.cluster import (
+    AgentSpec, ClusterEngine, RPC_FRAME_BYTES, RPC_RECORD_BYTES,
+)
+from repro.core import EngineRunner
 from repro.core.engine import run_dons
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.metrics import TraceLevel
-from repro.partition import ClusterSpec
 from repro.scenario import make_scenario
 from repro.topology import fattree
 from repro.traffic import full_mesh_dynamic, TINY
@@ -37,10 +39,11 @@ def reference(scenario):
 
 
 def _run(scenario, transport, partition):
-    n = partition.num_parts
-    return DonsManager(scenario, ClusterSpec.homogeneous(n),
-                       TraceLevel.FULL, transport=transport
-                       ).run(partition=partition)
+    engine = ClusterEngine([AgentSpec(a, scenario, partition, TraceLevel.FULL)
+                            for a in range(partition.num_parts)],
+                           transport=transport)
+    EngineRunner(engine).run()
+    return engine
 
 
 @pytest.mark.parametrize("machines,seed", [(2, 3), (3, 8)])

@@ -89,10 +89,6 @@ class TestResults:
         res.flows[2] = FlowResult(2, 0, None, 10)
         assert res.fcts_ps() == [200, 500]  # flow-id order, finished only
         assert res.completed() == 2
-        assert res.mean_fct_s() == pytest.approx(350e-12)
-
-    def test_empty_mean_fct(self):
-        assert SimResults("e", "s", 0).mean_fct_s() is None
 
 
 class TestWasserstein:

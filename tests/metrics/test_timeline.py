@@ -189,11 +189,14 @@ class TestClusterExport:
 
     @pytest.fixture(scope="class")
     def cluster_run(self, scenario):
-        from repro.cluster import DonsManager
-        from repro.partition import ClusterSpec
-        mgr = DonsManager(scenario, ClusterSpec.homogeneous(2),
-                          transport="shm", telemetry=True)
-        return mgr.run()
+        from repro.cluster import AgentSpec, ClusterEngine
+        from repro.core import EngineRunner
+        from repro.partition import ClusterSpec, plan_scenario
+        part = plan_scenario(scenario, ClusterSpec.homogeneous(2)).partition
+        engine = ClusterEngine([AgentSpec(a, scenario, part, telemetry=True)
+                                for a in range(2)], transport="shm")
+        EngineRunner(engine).run()
+        return engine
 
     def test_timeline_has_both_agents_and_barrier_waits(self, cluster_run,
                                                         tmp_path):

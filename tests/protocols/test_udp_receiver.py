@@ -1,10 +1,8 @@
 """UDP pacing schedule and receiver reassembly."""
 
-import pytest
-
 from repro.protocols import ReceiverState, UdpSchedule
 from repro.protocols.packet import HEADER_BYTES, MSS
-from repro.units import GBPS, serialization_time_ps, us
+from repro.units import GBPS, serialization_time_ps
 
 
 class TestUdpSchedule:
@@ -14,32 +12,6 @@ class TestUdpSchedule:
         per_seg = serialization_time_ps(MSS + HEADER_BYTES, 10 * GBPS)
         for seq in range(10):
             assert sched.enqueue_time(seq) == 1000 + seq * per_seg
-
-    def test_segments_in_window_cover_schedule(self):
-        sched = UdpSchedule(0, 50 * MSS, start_ps=0,
-                            nic_rate_bps=10 * GBPS)
-        window = us(1)
-        collected = []
-        w = 0
-        while len(collected) < sched.total_segs:
-            collected.extend(
-                sched.segments_in(w * window, (w + 1) * window))
-            w += 1
-            assert w < 10_000
-        assert [s for s, _t in collected] == list(range(50))
-        # times match the closed form
-        for seq, t in collected:
-            assert t == sched.enqueue_time(seq)
-
-    def test_window_slicing_no_duplicates_or_gaps(self):
-        sched = UdpSchedule(0, 23 * MSS + 17, start_ps=123_456,
-                            nic_rate_bps=40 * GBPS)
-        window = us(3)
-        seen = []
-        for w in range(0, 300):
-            seen.extend(s for s, _ in sched.segments_in(w * window,
-                                                        (w + 1) * window))
-        assert seen == list(range(sched.total_segs))
 
     def test_last_segment_payload(self):
         sched = UdpSchedule(0, 2 * MSS + 100, 0, 10 * GBPS)

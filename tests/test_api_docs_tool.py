@@ -26,7 +26,7 @@ def test_generator_runs_and_covers_public_modules(tmp_path):
                     "## `repro.machine`", "## `repro.partition`"):
         assert section in text
     # Key public entry points documented.
-    for name in ("run_dons", "run_baseline", "DonsManager", "make_scenario",
+    for name in ("run_dons", "run_baseline", "ClusterEngine", "make_scenario",
                  "mbc_bisect", "wasserstein_1d"):
         assert name in text, f"{name} missing from API.md"
 

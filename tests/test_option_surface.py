@@ -12,9 +12,7 @@ import argparse
 import inspect
 
 from repro.cli import make_parser
-from repro.cluster import (
-    AgentSpec, ClusterEngine, DonsManager, ProcessTransport,
-)
+from repro.cluster import AgentSpec, ClusterEngine, ProcessTransport
 from repro.core import EngineRunner
 from repro.core.checkpoint import CheckpointingEngine
 from repro.core.engine import DodEngine
@@ -30,10 +28,6 @@ OPTIONS = {
     ParallelOodSimulator: ["trace_level"],
     AgentSpec: ["trace_level", "backend", "telemetry"],
     ClusterEngine: ["transport", "schedule", "checkpoint_every", "fault"],
-    DonsManager: ["trace_level", "transport", "checkpoint_every", "fault",
-                  "telemetry"],
-    DonsManager.run: ["partition"],
-    DonsManager.run_dynamic: ["threshold"],
     EngineRunner: ["on_step"],
     CheckpointingEngine: ["store", "every_windows", "name"],
     ProcessTransport: [],
@@ -68,8 +62,8 @@ def test_each_entry_point_has_the_pinned_options():
     assert {entry: optional(entry) for entry in OPTIONS} == OPTIONS
 
 
-def test_at_most_27_settable_values():
-    assert sum(map(len, OPTIONS.values())) <= 26
+def test_settable_value_count_is_bounded():
+    assert sum(map(len, OPTIONS.values())) <= 19
 
 
 def test_each_subcommand_has_the_pinned_flags():
