@@ -23,7 +23,7 @@ from repro.units import GBPS, ms, us
 
 def run_cluster(scenario, partition) -> ClusterEngine:
     """One agent per part, in-process; returns the finished engine."""
-    engine = ClusterEngine([AgentSpec(a, scenario, partition, TraceLevel.PORTS)
+    engine = ClusterEngine([AgentSpec(a, scenario, partition, TraceLevel.FULL)
                             for a in range(partition.num_parts)])
     EngineRunner(engine).run()
     return engine
@@ -39,7 +39,7 @@ def main() -> None:
     print(f"scenario: {topo}, {len(flows)} flows")
 
     # Ground truth: one machine.
-    single = run_dons(scenario, TraceLevel.PORTS)
+    single = run_dons(scenario, TraceLevel.FULL)
 
     # Plan for 4 machines, then run one agent per part.
     plan = plan_scenario(scenario, ClusterSpec.homogeneous(4))

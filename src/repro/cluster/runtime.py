@@ -33,12 +33,12 @@ record of everything it measured, its traffic counters included; at
 cluster-level bus — counters summed, raw window rows kept under
 ``a<id>`` — so the profiler reports *measured* per-agent system times
 ``a<id>:<system>``, and the transport prices the agents'
-``cluster.rpc_*`` counters into ``stats``.  Busy, busy-CPU and
-barrier-wait seconds are measured by the agents every window, on every
-transport, and added into the ``a<i>:busy_s`` / ``a<i>:cpu_s`` /
-``a<i>:barrier_wait_s`` gauges of the cluster bus, their one home: the
-busy sums are the measured T_a the time-cost model refits from
-(:func:`repro.partition.refit_cluster_spec`).
+``cluster.rpc_*`` counters into ``stats``.  Busy seconds (CPU time
+outside barrier waits) and barrier-wait seconds (wall time) are measured
+by the agents every window, on every transport, and added into the
+``a<i>:busy_s`` / ``a<i>:barrier_wait_s`` gauges of the cluster bus,
+their one home: the busy sums are the measured T_a the time-cost model
+refits from (:func:`repro.partition.refit_cluster_spec`).
 
 Fault tolerance is coordinated rollback: when the transport reports an
 :class:`~repro.cluster.transport.AgentFailure`, ``_recover`` restores
@@ -104,13 +104,13 @@ class ClusterEngine:
             self.bus.enable_telemetry()
             self.bus.metrics.histogram("cluster.barrier_wait_ms",
                                        WAIT_MS_BUCKETS)
-        #: Agent-measured per-agent busy / barrier-wait / busy-CPU
-        #: seconds, added in every window: the ``a<i>:*`` gauges are the
-        #: one accumulator, so the bus alone (``run_record(bus)``) gives
-        #: the measured T_a that :func:`repro.partition.refit_cluster_spec`
+        #: Agent-measured per-agent busy / barrier-wait seconds, added
+        #: in every window: the ``a<i>:*`` gauges are the one
+        #: accumulator, so the bus alone (``run_record(bus)``) gives the
+        #: measured T_a that :func:`repro.partition.refit_cluster_spec`
         #: takes as ``measured_times``, mid-run or after the fact.
-        self._series = [(f"a{a}:busy_s", f"a{a}:barrier_wait_s",
-                         f"a{a}:cpu_s") for a in range(len(self.specs))]
+        self._series = [(f"a{a}:busy_s", f"a{a}:barrier_wait_s")
+                        for a in range(len(self.specs))]
         for names in self._series:
             self.bus.metrics.gauges.update(dict.fromkeys(names, 0.0))
         #: Stall/slowness detector over the same measured window times,
@@ -287,19 +287,18 @@ class ClusterEngine:
         }
 
     def _observe_window(self, window: int, t_begin: float) -> None:
-        """Add the agent-measured busy / barrier-wait / busy-CPU seconds
-        of the window just reported into the ``a<i>:*`` gauges, feed the
+        """Add the agent-measured busy / barrier-wait seconds of the
+        window just reported into the ``a<i>:*`` gauges, feed the
         watchdog and — telemetered — the ``a<i>:barrier-wait`` slices,
         the wait histogram and the coordinator's ``window`` span."""
         bus = self.bus
         transport = self.transport
         gauges = bus.metrics.gauges
-        for (busy_name, wait_name, cpu_name), busy, wait, cpu in zip(
+        for (busy_name, wait_name), busy, wait in zip(
                 self._series, transport.window_times,
-                transport.window_waits, transport.window_cpus):
+                transport.window_waits):
             gauges[busy_name] += busy
             gauges[wait_name] += wait
-            gauges[cpu_name] += cpu
         if self.watchdog is not None:
             self.watchdog.observe(window, transport.window_times, bus)
         if not bus.telemetry:

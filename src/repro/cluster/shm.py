@@ -46,8 +46,8 @@ the commit word would observe — and the fuzz loop must catch the loss.
 
 :class:`ProgressBoard` is the control-plane counterpart: one segment in
 which every agent keeps a small single-writer progress record (windows
-completed, a log of recent windows with agent-measured busy, busy-CPU
-and barrier-wait seconds, events so far, how its last grant ended).  The
+completed, a log of recent windows with agent-measured busy CPU and
+barrier-wait seconds, events so far, how its last grant ended).  The
 coordinator only reads it — it learns about finished windows without
 being on any window's critical path.
 """
@@ -409,7 +409,7 @@ PAUSED, DONE, FAILED = 1, 2, 3
 
 _BOARD_WORDS = 1   # consumed: the only word the coordinator writes
 _AGENT_WORDS = 5   # completed, events, epoch, outcome, pending
-_ENTRY = struct.Struct("<qddd")  # window, busy_s, cpu_s, wait_s
+_ENTRY = struct.Struct("<qdd")  # window, busy_s, wait_s
 
 
 class ProgressBoard:
@@ -472,7 +472,7 @@ class ProgressBoard:
         words = self._words
         return words[self._base(agent)] - words[0] < self.LOG_SLOTS
 
-    def publish(self, agent: int, window: int, busy_s: float, cpu_s: float,
+    def publish(self, agent: int, window: int, busy_s: float,
                 wait_s: float, events: int) -> None:
         """Log one completed window (entry first, count last)."""
         words, base = self._words, self._base(agent)
@@ -480,7 +480,7 @@ class ProgressBoard:
         _ENTRY.pack_into(
             self._seg.buf, 8 * (base + _AGENT_WORDS)
             + (completed % self.LOG_SLOTS) * _ENTRY.size,
-            window, busy_s, cpu_s, wait_s)
+            window, busy_s, wait_s)
         words[base + 1] = events
         words[base] = completed + 1
 
@@ -502,8 +502,8 @@ class ProgressBoard:
         base = self._base(agent)
         return self._words[base:base + _AGENT_WORDS].tolist()
 
-    def entry(self, agent: int, k: int) -> Tuple[int, float, float, float]:
-        """Log entry ``k``: ``(window, busy_s, cpu_s, wait_s)``."""
+    def entry(self, agent: int, k: int) -> Tuple[int, float, float]:
+        """Log entry ``k``: ``(window, busy_s, wait_s)``."""
         return _ENTRY.unpack_from(
             self._seg.buf, 8 * (self._base(agent) + _AGENT_WORDS)
             + (k % self.LOG_SLOTS) * _ENTRY.size)

@@ -37,9 +37,10 @@ worker, carrying ``build`` / ``run`` / ``snapshot`` / ``restore`` /
 for the coordinator, which follows their
 :class:`~repro.cluster.shm.ProgressBoard` records and sleeps when it has
 caught up.  Busy and barrier-wait seconds are measured by the agents
-themselves (run time versus wait time), and so is busy CPU time
-(``time.thread_time()`` over the run time), which a preempted agent on
-an oversubscribed box does not accrue.
+themselves, every window, on both transports.  Busy is CPU time
+(``time.thread_time()``) spent on the window outside barrier waits —
+running it, publishing its frames, installing the peers' — which a
+preempted or sleeping agent does not accrue; barrier wait is wall time.
 
 **Failure handling** is coordinated rollback (:mod:`repro.cluster.fault`):
 a dead agent surfaces as :class:`AgentFailure`, and
@@ -140,10 +141,8 @@ class Transport:
         self.specs: List[AgentSpec] = []
         self.stats = ClusterTrafficStats()
         #: Of the window :meth:`next_window` returned last: per-agent
-        #: busy, busy-CPU and barrier-wait seconds, measured every
-        #: window.
+        #: busy CPU and barrier-wait seconds, measured every window.
         self.window_times: List[float] = []
-        self.window_cpus: List[float] = []
         self.window_waits: List[float] = []
         #: Last window :meth:`next_window` returned.
         self.cursor = -1
@@ -271,14 +270,12 @@ class LocalTransport(Transport):
         if self._horizon.reached(self._ran, window):
             self.pending = window
             return None
-        clock, cpu = time.perf_counter, time.thread_time
-        outboxes, times, cpus = [], [], []
+        outboxes, times = [], []
         for agent_id, engine in enumerate(engines):
-            t0, c0 = clock(), cpu()
+            c0 = time.thread_time()
             outbox, self._offers[agent_id] = engine.run_window(window)
             outboxes.append(outbox)
-            times.append(clock() - t0)
-            cpus.append(cpu() - c0)
+            times.append(time.thread_time() - c0)
         # Delivery: per destination, batches in ascending source order —
         # the order the pair rings of a ProcessTransport are read in.
         for dst, engine in enumerate(engines):
@@ -286,10 +283,10 @@ class LocalTransport(Transport):
                 records = outbox.get(dst)
                 if records:
                     engine.accept_arrivals(records)
-        # Serial execution: an agent's busy time is its own wall time,
-        # its barrier wait the slack to the slowest agent.
+        # Serial execution: an agent's barrier wait is the slack to the
+        # slowest agent.
         slowest = max(times)
-        self.window_times, self.window_cpus = times, cpus
+        self.window_times = times
         self.window_waits = [slowest - t for t in times]
         self._ran += 1
         self.cursor, self.pending = window, None
@@ -459,7 +456,7 @@ class _AgentWorker:
         clock, cpu = time.perf_counter, time.thread_time
         if not board.room(me):
             self._await(lambda: board.room(me))
-        t0, c0 = clock(), cpu()
+        c0 = cpu()
         outbox, offer = engine.run_window(window)
         self.offers[me] = offer
         sent = sum(len(records) for records in outbox.values())
@@ -484,8 +481,7 @@ class _AgentWorker:
             if records:
                 engine.accept_arrivals(records)
                 count("transport.records_in", len(records))
-        board.publish(me, window, clock() - t0 - waited,
-                      cpu() - c0 - wait_cpu, waited,
+        board.publish(me, window, cpu() - c0 - wait_cpu, waited,
                       engine.results.events.total)
 
     def _snapshot(self, window: int) -> Tuple[str, int]:
@@ -660,8 +656,7 @@ class ProcessTransport(Transport):
                         f"agents disagree on window {k}: "
                         f"{[entry[0] for entry in entries]}")
                 self.window_times = [entry[1] for entry in entries]
-                self.window_cpus = [entry[2] for entry in entries]
-                self.window_waits = [entry[3] for entry in entries]
+                self.window_waits = [entry[2] for entry in entries]
                 self.cursor, self.pending = window, None
                 return window
             ended = [a for a in agents if status[a][2] == self._epoch]

@@ -215,8 +215,8 @@ def replay_window(
      rr_next_col, deficit_col, current_col, granted_col) = cols
     (buckets, events, reg, L, floor, node_events, active, owners, outbox,
      bus) = sink
-    # ENQ records are kept for a full trace only.
-    enq = [] if bus is not None and bus.trace_level >= 2 else None
+    # ENQ records are kept for a trace only.
+    enq = [] if bus is not None and bus.trace_level else None
     last_win = -1
     b_nodes = b_payloads = None
     staged_get = staged.get

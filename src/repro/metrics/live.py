@@ -77,7 +77,7 @@ class ClusterWatchdog:
     """Coordinator-side stall/slowness detection over window reply times.
 
     Fed by :meth:`ClusterEngine.advance` with the transport's measured
-    per-agent ``window_times``, the per-window busy seconds whose sums
+    per-agent ``window_times``, the per-window busy CPU seconds whose sums
     are the ``a<i>:busy_s`` gauges (the measured T_a).  Per agent it
     keeps an EWMA of normal window cost; once :data:`WARMUP` windows are
     seen, a window exceeding

@@ -72,7 +72,10 @@ __all__ = [
 #: / ``jump_windows`` (``memo_hit_rate`` / ``memo_jump_windows``), and
 #: the ``transport_shm`` / ``agent_*`` sections are gone (``shm_*`` /
 #: ``agents_*``).  Live NDJSON records carry this version as ``v``.
-TELEMETRY_SCHEMA_VERSION = 9
+#: v10: the separate per-agent CPU gauge is gone; ``a<i>:busy_s`` and
+#: ``agents_busy_s`` are CPU seconds (``time.thread_time()`` outside
+#: barrier waits), no longer wall seconds.
+TELEMETRY_SCHEMA_VERSION = 10
 TIMELINE_FORMAT = "chrome-trace-events"
 MANIFEST_FORMAT = "repro-run-manifest-v1"
 
@@ -294,7 +297,7 @@ def run_record(bus: Any, engine: Any = None,
     ``engine.progress()`` gives windows / sim time / events / completion
     (absent after the fact, when only the bus is at hand), the bus
     counters give the memo hit rate, jump windows and shm frame / byte
-    totals, and the bus gauges give the per-agent busy / barrier-wait
+    totals, and the bus gauges give the per-agent busy CPU / barrier-wait
     seconds: the ``a<i>:busy_s`` / ``a<i>:barrier_wait_s`` gauges
     :class:`~repro.cluster.runtime.ClusterEngine` adds every window
     into, mid-run and after the fact alike (``None`` on a serial run).

@@ -23,11 +23,10 @@ from typing import List, Tuple
 
 
 class TraceLevel(IntEnum):
-    """How much a run records."""
+    """Whether a run records its trace."""
 
     NONE = 0      # results only, no per-event trace
-    PORTS = 1     # service starts + drops (cheap, catches ordering bugs)
-    FULL = 2      # everything
+    FULL = 2      # every trace entry
 
 
 class TraceKind(IntEnum):
@@ -54,28 +53,24 @@ class TraceRecorder:
         self.level = level
         self.entries: List[Entry] = []
 
-    # Hot-path guard: engines check ``if trace.level`` before calling.
+    # Hot-path guard: engines check ``bus.trace_level`` before calling,
+    # so a recorder records every entry it is given.
 
     def enq(self, t: int, iface: int, flow: int, is_ack: int, seq: int,
             marked: int) -> None:
-        if self.level >= TraceLevel.FULL:
-            self.entries.append((t, TraceKind.ENQ, iface, flow, is_ack, seq, marked))
+        self.entries.append((t, TraceKind.ENQ, iface, flow, is_ack, seq, marked))
 
     def drop(self, t: int, iface: int, flow: int, is_ack: int, seq: int) -> None:
-        if self.level >= TraceLevel.PORTS:
-            self.entries.append((t, TraceKind.DROP, iface, flow, is_ack, seq, 0))
+        self.entries.append((t, TraceKind.DROP, iface, flow, is_ack, seq, 0))
 
     def deq(self, t: int, iface: int, flow: int, is_ack: int, seq: int) -> None:
-        if self.level >= TraceLevel.PORTS:
-            self.entries.append((t, TraceKind.DEQ, iface, flow, is_ack, seq, 0))
+        self.entries.append((t, TraceKind.DEQ, iface, flow, is_ack, seq, 0))
 
     def deliver(self, t: int, node: int, flow: int, is_ack: int, seq: int) -> None:
-        if self.level >= TraceLevel.FULL:
-            self.entries.append((t, TraceKind.DELIVER, node, flow, is_ack, seq, 0))
+        self.entries.append((t, TraceKind.DELIVER, node, flow, is_ack, seq, 0))
 
     def flow_done(self, t: int, node: int, flow: int) -> None:
-        if self.level >= TraceLevel.PORTS:
-            self.entries.append((t, TraceKind.FLOW_DONE, node, flow, 0, 0, 0))
+        self.entries.append((t, TraceKind.FLOW_DONE, node, flow, 0, 0, 0))
 
     # --- comparison -----------------------------------------------------
 

@@ -107,10 +107,10 @@ def refit_cluster_spec(
     eps), where T_a is the *measured* per-agent busy time of a previous
     run under ``partition`` — a cluster run's busy series,
     ``run_record(bus)["agents_busy_s"]``
-    (:func:`repro.metrics.timeline.run_record`).  Machines whose measured time is
-    zero (or that hosted no load) keep their configured capacity.  The
-    result feeds the next planning round — heterogeneity is now
-    observed, not configured.
+    (:func:`repro.metrics.timeline.run_record`), CPU seconds outside
+    barrier waits.  Machines whose measured time is zero (or that hosted
+    no load) keep their configured capacity.  The result feeds the next
+    planning round — heterogeneity is now observed, not configured.
     """
     if len(measured_times) < partition.num_parts:
         raise PartitionError(

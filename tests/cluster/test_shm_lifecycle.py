@@ -92,16 +92,16 @@ class TestRingLifecycle:
         agent = ProgressBoard.attach(board.name)
         try:
             assert board.status(1) == [0, 0, 0, 0, -1]
-            agent.publish(1, 17, 0.25, 0.125, 0.5, 99)
+            agent.publish(1, 17, 0.25, 0.5, 99)
             assert board.status(1)[:2] == [1, 99]
-            assert board.entry(1, 0) == (17, 0.25, 0.125, 0.5)
+            assert board.entry(1, 0) == (17, 0.25, 0.5)
             assert board.status(0)[0] == 0   # regions are per agent
             agent.end_grant(1, 4, 1, 23)
             assert board.status(1)[2:] == [4, 1, 23]
             # an agent may run LOG_SLOTS windows ahead of the reader
             for k in range(1, ProgressBoard.LOG_SLOTS):
                 assert agent.room(1)
-                agent.publish(1, 17 + k, 0.0, 0.0, 0.0, 99)
+                agent.publish(1, 17 + k, 0.0, 0.0, 99)
             assert not agent.room(1)
             board.consume(1)
             assert agent.room(1)

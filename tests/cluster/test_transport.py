@@ -2,11 +2,13 @@
 and the measured time-cost plumbing the merged bus feeds."""
 
 import dataclasses
+import multiprocessing
+import time
 
 import pytest
 
 from repro.cluster import (
-    AgentSpec, ClusterEngine, LocalTransport,
+    AgentEngine, AgentSpec, ClusterEngine, LocalTransport,
     make_transport, ProcessTransport, Transport,
 )
 from repro.des.partition_types import Partition, contiguous_partition
@@ -152,7 +154,7 @@ class TestMergedBus:
 
     @pytest.mark.parametrize("transport", ["local", "shm"])
     def test_untelemetered_run_measures_busy(self, transport):
-        """No telemetry, no watchdog: the agents' busy / CPU / wait
+        """No telemetry, no watchdog: the agents' busy CPU / wait
         seconds are still measured every window and exported as gauges;
         busy is the measured T_a ``refit_cluster_spec`` fits Eq. (1) to."""
         sc = _scenario()
@@ -169,13 +171,42 @@ class TestMergedBus:
         assert [gauges["a0:busy_s"], gauges["a1:busy_s"]] == busy
         assert [gauges["a0:barrier_wait_s"],
                 gauges["a1:barrier_wait_s"]] == record["agents_wait_s"]
-        assert all(gauges[f"a{a}:cpu_s"] > 0 for a in range(2))
+        assert all(gauges[f"a{a}:busy_s"] > 0 for a in range(2))
         assert busy == run_record(engine.bus, engine)["agents_busy_s"]
         loads = estimate_scenario_loads(sc)
         refit = refit_cluster_spec(ClusterSpec.homogeneous(2), sc.topology,
                                    part, loads, busy)
         assert machine_times(sc.topology, part, loads, refit) \
             == pytest.approx(busy)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched run_window reaches the agents by fork")
+    def test_spinning_wait_is_not_busy(self, monkeypatch):
+        """On shm agents busy is CPU outside barrier waits: agent 1
+        computing ~2 ms more a window shows in its own busy seconds
+        only, and agent 0, which waits for it — spinning, yielding or
+        napping — books that time as barrier wait, not busy."""
+        spin = 0.002
+        run_window = AgentEngine.run_window
+
+        def heavier(agent, window):
+            if agent.agent_id == 1:
+                end = time.thread_time() + spin
+                while time.thread_time() < end:
+                    pass
+            return run_window(agent, window)
+
+        monkeypatch.setattr(AgentEngine, "run_window", heavier)
+        sc = _scenario()
+        part = contiguous_partition(sc.topology, 2)
+        engine = ClusterEngine([AgentSpec(a, sc, part) for a in range(2)],
+                               transport="shm")
+        EngineRunner(engine).run()
+        injected = spin * engine.bus.counters["cluster.windows"]
+        gauges = engine.bus.metrics.gauges
+        assert gauges["a1:busy_s"] - gauges["a0:busy_s"] >= 0.9 * injected
+        assert gauges["a0:barrier_wait_s"] >= 0.5 * injected
 
 
 class TestRefitClusterSpec:

@@ -41,13 +41,9 @@ class TestSystemOrder:
         res = DodEngine(fattree4_scenario, TraceLevel.FULL).run()
         assert res.trace.digest() == truth.trace.digest()
 
-    @pytest.mark.parametrize("env_backend", ["python", "numpy"])
-    def test_naive_order_diverges_but_completes(self, fattree4_scenario,
-                                                monkeypatch, env_backend):
+    def test_naive_order_diverges_but_completes(self, fattree4_scenario):
         """The §3.3 ablation lives in a bench-only subclass that runs
-        the engine's own systems in the rejected order; a stale
-        $REPRO_BACKEND export of either old value changes nothing."""
-        monkeypatch.setenv("REPRO_BACKEND", env_backend)
+        the engine's own systems in the rejected order."""
         truth = run_baseline(fattree4_scenario, TraceLevel.FULL)
         res = NaiveOrderEngine(fattree4_scenario, TraceLevel.FULL).run()
         assert res.trace.digest() != truth.trace.digest()

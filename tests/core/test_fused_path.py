@@ -172,12 +172,10 @@ def slow_nic_engine(trace_level):
 
 
 @pytest.mark.parametrize("trace_level", [TraceLevel.NONE, TraceLevel.FULL])
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_busy_unfed_port_costs_no_replay(backend, trace_level, monkeypatch):
+def test_busy_unfed_port_costs_no_replay(trace_level, monkeypatch):
     """A port that is busy, was fed nothing and whose head outlasts the
     window is a provable no-op: the sink does not replay it, traced or
-    not, whatever a stale $REPRO_BACKEND export says."""
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+    not."""
     engine, nic = slow_nic_engine(trace_level)
     assert engine.advance()  # window 0: ten segments staged, one in service
     cols = engine.world.egress_cols
@@ -212,17 +210,12 @@ def fattree4_long_lived():
 
 
 @pytest.mark.parametrize("trace_level", [TraceLevel.NONE, TraceLevel.FULL])
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_a_planned_port_is_a_port_with_work(backend, trace_level,
-                                            monkeypatch):
+def test_a_planned_port_is_a_port_with_work(trace_level, monkeypatch):
     """Ports planned == ports passed to a replay: every planned port
     was fed or starts a service inside the window (its dequeue counter
     moves), through the duration-cut last window, and at either trace
     level one ``replay_window`` call a window carries them all.  With
-    busy unfed lines planned too the same run planned 87,603 ports.  A
-    stale $REPRO_BACKEND export of either old value changes none of
-    it."""
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+    busy unfed lines planned too the same run planned 87,603 ports."""
     engine = DodEngine(fattree4_long_lived(), trace_level)
     engine.build()
     dequeued = engine.world.egress_cols.dequeued
@@ -263,12 +256,10 @@ def test_a_planned_port_is_a_port_with_work(backend, trace_level,
     assert calls["replay"] == sum(1 for _ctx, n, _u, _b in plans if n)
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_a_system_is_one_call_per_window(backend, monkeypatch):
+def test_a_system_is_one_call_per_window(monkeypatch):
     """A window's receiving hosts are swept in one ``ack_window``
     call, and its whole port list is replayed in one ``replay_window``
-    call, whatever a stale $REPRO_BACKEND export says."""
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+    call."""
     engine = DodEngine(fattree4_long_lived())
     engine.build()
     calls, windows = Counter(), Counter()

@@ -188,11 +188,11 @@ class TestTracePlumbing:
 
     def test_replace_trace_swaps_subscriber_and_level(self):
         bus = InstrumentationBus()
-        old = bus.subscribe_trace(TraceRecorder(TraceLevel.FULL))
-        assert bus.trace_level == int(TraceLevel.FULL)
-        new = TraceRecorder(TraceLevel.PORTS)
+        old = bus.subscribe_trace(TraceRecorder(TraceLevel.NONE))
+        assert bus.trace_level == int(TraceLevel.NONE)
+        new = TraceRecorder(TraceLevel.FULL)
         bus.replace_trace(old, new)
-        assert bus.trace_level == int(TraceLevel.PORTS)
+        assert bus.trace_level == int(TraceLevel.FULL)
         bus.drop(5, 1, 2, 0, 7)
         assert new.entries and not old.entries
 

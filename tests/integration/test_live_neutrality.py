@@ -49,21 +49,13 @@ def _run_with_plane(engine):
     return engine.results
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_serial_digest_neutral_with_live_plane(scenario, reference_digest,
-                                               backend, monkeypatch):
-    """A stale $REPRO_BACKEND export of either old value changes
-    nothing either."""
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+def test_serial_digest_neutral_with_live_plane(scenario, reference_digest):
     engine = DodEngine(scenario, TraceLevel.FULL)
     results = _run_with_plane(engine)
     assert results.trace.digest() == reference_digest
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_cluster_digest_neutral_with_live_plane(scenario, reference_digest,
-                                                backend, monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+def test_cluster_digest_neutral_with_live_plane(scenario, reference_digest):
     from repro.cluster import AgentSpec, ClusterEngine
     part = contiguous_partition(scenario.topology, 2)
     digests = {}

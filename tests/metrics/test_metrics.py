@@ -10,22 +10,6 @@ from repro.metrics import (
 
 
 class TestTraceRecorder:
-    def test_levels_gate_recording(self):
-        none = TraceRecorder(TraceLevel.NONE)
-        none.deq(1, 2, 3, 0, 4)
-        assert len(none) == 0
-
-        ports = TraceRecorder(TraceLevel.PORTS)
-        ports.deq(1, 2, 3, 0, 4)
-        ports.enq(1, 2, 3, 0, 4, 0)  # FULL-only
-        assert len(ports) == 1
-
-        full = TraceRecorder(TraceLevel.FULL)
-        full.deq(1, 2, 3, 0, 4)
-        full.enq(1, 2, 3, 0, 4, 1)
-        full.deliver(2, 9, 3, 0, 4)
-        assert len(full) == 3
-
     def test_sorted_entries_and_digest_stable(self):
         a = TraceRecorder(TraceLevel.FULL)
         b = TraceRecorder(TraceLevel.FULL)
@@ -44,7 +28,7 @@ class TestTraceRecorder:
         assert a.digest() != b.digest()
 
     def test_drop_and_flow_done_kinds(self):
-        t = TraceRecorder(TraceLevel.PORTS)
+        t = TraceRecorder(TraceLevel.FULL)
         t.drop(1, 2, 3, 0, 4)
         t.flow_done(9, 7, 3)
         kinds = [e[1] for e in t.entries]

@@ -155,7 +155,7 @@ class TestSingleEngineExport:
         """One versioned document: every ``run_record`` key once, next
         to the bus's counters, metrics, totals, rows and span count."""
         report = run_report(telemetered_run.bus)
-        assert report["schema_version"] == TELEMETRY_SCHEMA_VERSION == 9
+        assert report["schema_version"] == TELEMETRY_SCHEMA_VERSION == 10
         assert set(report) == {*run_record(telemetered_run.bus),
                                "schema_version", "counters", "metrics",
                                "totals", "rows", "spans"}

@@ -148,10 +148,9 @@ def port_records(i, emissions, drops, enq, ops, level):
     ``(t, accepted_row)`` ENQ pairs."""
     out = ([(OP_SERVICE, i, packet_uid(r)) for r, _s, _e in emissions]
            if ops else [])
-    if level >= 2:
+    if level:
         out += [("enq", t, i, r[F_FLOW], r[F_ISACK], r[F_SEQ], r[F_CE])
                 for t, r in enq]
-    if level:
         out += [("drop", t, i, r[F_FLOW], r[F_ISACK], r[F_SEQ])
                 for t, r in drops]
         out += [("deq", s, i, r[F_FLOW], r[F_ISACK], r[F_SEQ])
@@ -164,7 +163,7 @@ def replay_emissions(cols, statics, ports, staged, start, end, drops):
     automaton's ``(row, start, end)`` emissions: the start from each
     published ``deq`` record, the end from the matching delivery
     record's arrival less the port's link delay."""
-    bus, published = watching_bus(False, 1)
+    bus, published = watching_bus(False, 2)
     events, outbox = EventColumns(), {}
     replay_window(cols, statics, ports, staged, contract_sort, start, end,
                   drops, (events._buckets, events, register_window, 1, 0, {},

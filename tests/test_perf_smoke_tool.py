@@ -72,6 +72,18 @@ def _result(attempted, failed, metrics):
                         for name, v in metrics.items()}}
 
 
+def test_median_run_stands_for_three():
+    """The median run of the named metric is kept whole — its other
+    metrics too — and its operation counts are all three runs'."""
+    runs = [_result(8, f, {"memo.ratio_ffwd_over_plain": v, "memo.hit": h})
+            for f, v, h in ((0, 0.2353, 1), (1, 0.1279, 2), (0, 0.1417, 3))]
+    median = perf_smoke.median_run(runs, "memo.ratio_ffwd_over_plain")
+    assert median["metrics"] == runs[2]["metrics"]
+    assert (median["attempted"], median["failed"]) == (24, 1)
+    assert set(perf_smoke.MEDIAN_OF.items()) <= {
+        pair[:2] for pair in perf_smoke.GATES}
+
+
 def test_history_rows_append_to_a_json_list(tmp_path):
     """The trajectory writer on fabricated results: one row per
     workload, appended, never rewriting an earlier row."""
