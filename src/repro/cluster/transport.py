@@ -278,11 +278,14 @@ class LocalTransport(Transport):
             times.append(time.thread_time() - c0)
         # Delivery: per destination, batches in ascending source order —
         # the order the pair rings of a ProcessTransport are read in.
+        # Installing them is the destination's busy time, as on shm.
         for dst, engine in enumerate(engines):
+            c0 = time.thread_time()
             for outbox in outboxes:
                 records = outbox.get(dst)
                 if records:
                     engine.accept_arrivals(records)
+            times[dst] += time.thread_time() - c0
         # Serial execution: an agent's barrier wait is the slack to the
         # slowest agent.
         slowest = max(times)

@@ -208,22 +208,13 @@ class EventColumns:
     def __bool__(self) -> bool:
         return bool(self._buckets)
 
-    # --- capture diff and cycle jump (memoization support) ----------------
+    # --- capture and cycle jump (memoization support) ---------------------
 
     def bucket_sizes(self) -> Dict[int, int]:
         """``{window: entry count}`` over every pending bucket — the
-        capture diff's before/after snapshot of staged future events."""
+        capture's before/after check that a window only adds to later
+        buckets."""
         return {win: len(b) for win, b in self._buckets.items()}
-
-    def window_slice(
-        self, win: int, start: int,
-    ) -> Optional[Tuple[List[int], List[Entry]]]:
-        """Columns of ``win`` from position ``start`` on (the entries a
-        captured window appended to a pre-existing bucket)."""
-        bucket = self._buckets.get(win)
-        if bucket is None:
-            return None
-        return bucket.nodes[start:], bucket.payloads[start:]
 
     def translate(self, shift: int,
                   move: Callable[[Entry], Entry]) -> None:

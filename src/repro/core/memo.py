@@ -18,24 +18,27 @@ the DOD engine:
   window start, sequence numbers against each flow's pacing cursor), so
   two windows that are translations of each other in (time x sequence)
   space hash equal.
-* On a **miss** the window executes normally while a trace tap and a
-  state diff capture a :class:`WindowDelta`, the window's write-set as
-  data.  A **hit** counts and feeds cycle detection; the window then
-  runs as an ordinary one, except every Nth hit, which is **validated**
-  by re-executing the window and comparing the fresh delta against the
-  cached one.
+* On a **miss** the window executes normally while a trace tap and the
+  counter baselines capture a :class:`WindowDelta`: exactly what a cycle
+  jump replays of the window — its increments, its flows' cursor
+  advances and its trace tape, never the state it leaves.  A **hit**
+  counts and feeds cycle detection; the window then runs as an ordinary
+  one, except every Nth hit, which is **validated** by re-executing the
+  window and comparing the fresh delta against the cached one.
 * When a hit key recurs, the *whole* rebased pending state is encoded;
   if it is equal one period later the engine state is periodic under
   the translation, and :meth:`WindowMemoCache._jump` skips whole cycles
   up to the next validation point by translating that state once and
-  adding ``m`` x each cached delta's increments.  This is the only way
-  the memo skips a window.  The full-state walk seals the window's own
-  probe on its way and a jump translates the probe of the window it
-  lands on, so a steady validation period pays one encode.
+  adding ``m`` x each cached delta's increments.  The state a jump
+  writes is that proven translation, so no delta carries it.  This is
+  the only way the memo skips a window.  The full-state walk seals the
+  window's own probe on its way and a jump translates the probe of the
+  window it lands on (and reuses its cache entry), so a steady
+  validation period pays one encode.
 
 Every state the memo touches is declared once — :data:`FLOW_FIELDS`,
 :data:`PORT_COUNTERS`, :class:`PortEnc` and the one packet-row rebase
-:func:`_move_row` — and the probe, the capture diff, the jump and the
+:func:`_move_row` — and the probe, the capture, the jump and the
 accounting loop over those declarations.
 
 Soundness rests on a closed-world argument: the signature is only
@@ -67,8 +70,7 @@ from ..protocols.packet import F_DST, F_FLOW, F_ISACK, Row, segment_count
 from ..metrics.trace import TraceRecorder
 
 __all__ = ["WindowMemoCache", "WindowDelta", "PortEnc", "PortDelta",
-           "FlowWrite", "StagedEntry", "FLOW_FIELDS",
-           "PORT_COUNTERS", "PORT_FIELDS"]
+           "FLOW_FIELDS", "PORT_COUNTERS", "PORT_FIELDS"]
 
 #: Re-execute and compare every Nth hit (replay-based validation).
 #: Each validation costs one full window execution, so N is a direct
@@ -81,15 +83,16 @@ VALIDATE_EVERY = 32
 MAX_ENTRIES = 4096
 
 #: The per-flow columns a window can read and write, as ``(world table,
-#: column, kind)``: the probe keys them, the capture diffs them and a
-#: cycle jump moves them all.  The kind says how a value moves with
-#: the window frame: ``base`` is the pacing cursor every sequence value
-#: is rebased against (so 0 before a window, its advance after); ``seq``
-#: a sequence number; ``count`` a segment count in step with them that
-#: completes the flow at its total (the probe also keys the saturated
-#: remainder); ``seqs`` a set of sequence numbers, ``None`` when empty
-#: (both encode as ``()``); ``done`` the completion time, -1 until set,
-#: which the flow's result record mirrors.
+#: column, kind)``: the probe keys them and a cycle jump moves them all
+#: (the capture reads only the base's advance).  The kind says how a
+#: value moves with the window frame: ``base`` is the pacing cursor
+#: every sequence value is rebased against (so 0 before a window, its
+#: advance after); ``seq`` a sequence number; ``count`` a segment count
+#: in step with them that completes the flow at its total (the probe
+#: also keys the saturated remainder); ``seqs`` a set of sequence
+#: numbers, ``None`` when empty (both encode as ``()``); ``done`` the
+#: completion time, -1 until set, which the flow's result record
+#: mirrors.
 FLOW_FIELDS = (
     ("senders", "udp_next_seq", "base"),
     ("receivers", "expected", "seq"),
@@ -101,8 +104,7 @@ _BASE_FIELD = next(name for _t, name, kind in FLOW_FIELDS if kind == "base")
 _COUNT_AT = [kind for _t, _n, kind in FLOW_FIELDS].index("count")
 
 #: The egress counters a window adds to: the capture takes their
-#: baseline, the diff their increments, and a jump adds ``m`` x those
-#: increments.
+#: increments over the probe's ports, and a jump adds ``m`` x those.
 PORT_COUNTERS = ("enqueued", "dequeued", "dropped", "marked", "tx_bytes")
 _NO_COUNTS = (0,) * len(PORT_COUNTERS)
 #: The window's event counts (``WindowContext.counts`` into
@@ -117,17 +119,14 @@ _EVENT_COUNTS = ("ack", "send", "forward", "transmit")
 #: it is free by then (the replay clamps service starts to the window
 #: cursor, so any earlier value behaves the same).  ``queues`` holds per
 #: class the rows from its head on, through :func:`_move_row`.
-#: ``max_queue_bytes`` is here so the delta's post value is an exact
-#: absolute write.  The discipline fields (``rr_next`` on) are ``None``
+#: ``max_queue_bytes`` is here so a jump, which leaves it as it is,
+#: needs no other proof that the skipped windows never raise it.  The
+#: discipline fields (``rr_next`` on) are ``None``
 #: on ports whose static discipline does not pick by them.
 PortEnc = namedtuple(
     "PortEnc", "iface active free_at queued_bytes max_queue_bytes queues "
     "rr_next drr_deficit drr_current drr_granted")
 _NO_DISCIPLINE = (None,) * 4
-
-#: ``_make(NamedType, values)``: a named tuple from a full plain tuple,
-#: without the argument-parsing constructor (a capture makes thousands).
-_make = tuple.__new__
 
 #: Every egress column a port encoding covers: :class:`PortEnc`'s own,
 #: and the pop indices and packet count its ``queues`` are cut by and
@@ -154,8 +153,8 @@ def _move_field(kind: str, v, dseq: int):
 
 def _enc_flow(flow_cols: Dict, fid: int, b: int, start: int) -> Tuple:
     """Every :data:`FLOW_FIELDS` value of ``fid`` in the frame of the
-    window starting at ``start`` with flow base ``b`` — the probe's key
-    and the capture's before and after."""
+    window starting at ``start`` with flow base ``b``, as the probe keys
+    it."""
     enc = []
     for col, kind in flow_cols.values():
         v = col[fid]
@@ -180,33 +179,26 @@ def _put_queues(cols, iface: int, classes, base_of: Dict[int, int],
     cols.qlen[iface] = sum(map(len, queues))
 
 
-#: A window's write to one union port: its ``post`` :class:`PortEnc`
-#: and its ``counters`` increments, in :data:`PORT_COUNTERS` order.
-PortDelta = namedtuple("PortDelta", "post counters")
-#: One :data:`FLOW_FIELDS` column of ``flow`` a window changed, with its
-#: ``value`` in the window frame.
-FlowWrite = namedtuple("FlowWrite", "flow field value")
-#: One calendar entry a window appended ``offset`` windows on: an
-#: arrival at ``t`` past the window start with its rebased ``row``, or
-#: (``row`` None) the flow's UDP wakeup.
-StagedEntry = namedtuple("StagedEntry", "offset node flow t prio row")
-#: One window's write-set as data, named tuples all the way down and
-#: rebased into the window frame, so two captures of behaviourally
-#: identical windows compare equal — the equality replay-based
-#: validation checks.  ``ports``: a :class:`PortDelta` per union port;
-#: ``flows``: a :class:`FlowWrite` per per-flow field the window
-#: changed; ``staged``: :class:`StagedEntry` items for later windows;
-#: ``tape``: the trace ops as ``(bus method, t, where, flow, *args)``;
-#: ``counts``: the event counts in ``_EVENT_COUNTS`` order;
-#: ``node_incr``: ``(node, increment)`` of ``results.node_events``;
-#: ``drops_incr``: of ``results.drops``.
+#: A window's increments of one probe port's :data:`PORT_COUNTERS`, in
+#: that order; ``iface`` also puts the port in a full-state probe's union.
+PortDelta = namedtuple("PortDelta", "iface counters")
+#: What a cycle jump replays of one window, rebased into the window
+#: frame so two captures of behaviourally identical windows compare
+#: equal — the equality replay-based validation checks.  ``ports``: a
+#: :class:`PortDelta` per probe port; ``advance``: ``(flow, segments)``
+#: per flow whose pacing cursor moved; ``tape``: the trace ops as
+#: ``(bus method, t, where, flow, *args)``; ``counts``: the event counts
+#: in ``_EVENT_COUNTS`` order; ``node_incr``: ``(node, increment)`` of
+#: ``results.node_events``; ``drops_incr``: of ``results.drops``.  The
+#: state a jump writes is not here: it is the translation the
+#: full-state key proves.
 WindowDelta = namedtuple(
-    "WindowDelta", "ports flows staged tape counts node_incr drops_incr")
+    "WindowDelta", "ports advance tape counts node_incr drops_incr")
 
 
 class _Probe(NamedTuple):
     """One eligibility probe: the signature key plus the pre-state the
-    capture diff and a jump need.  A window's is encoded alone, sealed
+    capture and a jump need.  A window's is encoded alone, sealed
     first by the full-state walk, or moved by ``T^m`` from the window a
     jump started at: ``start`` by ``dt``, ``base_of`` by ``m·d_f``, the
     key and the rebased ``ports`` as they are."""
@@ -267,11 +259,11 @@ class WindowMemoCache:
         #: full-state key, flow cursors, hit number to compare at)``;
         #: the hit number before which none is formed (a refuted one
         #: waits for the next validation point); and the probe a jump
-        #: translated for the window it lands on.
+        #: translated for the window it lands on, with the entry it hits.
         self._trail: deque = deque(maxlen=VALIDATE_EVERY - 1)
         self._hyp: Optional[Tuple] = None
         self._hold = 0
-        self._landing: Optional[_Probe] = None
+        self._landing: Optional[Tuple[_Probe, _Entry]] = None
         from ..traffic import Transport
         self._udp_flows = frozenset(
             f for f, t in enumerate(engine.flow_lists.transport)
@@ -312,14 +304,15 @@ class WindowMemoCache:
         without being jumped or due for validation (the hit is counted
         and noted for cycle detection first).
         """
-        probe, state = self._probes(win)
+        probe, state, entry = self._probes(win)
         bus = self.engine.bus
         if isinstance(probe, str):
             bus.count("memo.ineligible")
             bus.count("memo.ineligible." + probe)
             self._forget_cycle()
             return False
-        entry = self.cache.get(probe.key)
+        if entry is None:
+            entry = self.cache.get(probe.key)
         if entry is None:
             bus.count("memo.miss")
             self._forget_cycle()
@@ -338,7 +331,7 @@ class WindowMemoCache:
         validate = self.hits % VALIDATE_EVERY == 0
         if validate:
             # Replay-based validation: execute for real and compare the
-            # fresh write-set against the cached one.
+            # fresh delta against the cached one.
             bus.count("memo.validate")
             if self._capture(win, probe) != entry.delta:
                 del self.cache[probe.key]
@@ -352,16 +345,18 @@ class WindowMemoCache:
 
     def _probes(self, win: int) -> Tuple:
         """The window's probe — a jump's landing translation, the window
-        part of a full-state pass, or a fresh encode — and the full-state
-        one when a hit here would be a cycle comparison (else None)."""
+        part of a full-state pass, or a fresh encode — the full-state
+        one when a hit here would be a cycle comparison, and the entry a
+        landing probe hits (each else None)."""
         landing, self._landing = self._landing, None
-        if landing is not None and landing.win == win:
-            return self._gate(win) or landing, None
+        if landing is not None and landing[0].win == win:
+            return self._gate(win) or landing[0], None, landing[1]
         hyp = self._hyp
         if hyp is not None and self.hits + 1 >= hyp[4]:
-            return self._probe(
+            window, state = self._probe(
                 win, list(self._trail)[hyp[1] - self.hits - 1:])
-        return self._probe(win), None
+            return window, state, None
+        return self._probe(win), None, None
 
     # --- cycles -----------------------------------------------------------
 
@@ -396,7 +391,7 @@ class WindowMemoCache:
             self._refuse("state_differs")
             return False
         return self._jump(state, list(self._trail)[hits0 - hits:],
-                          win - win0, bases0, probe)
+                          win - win0, bases0, probe, entry)
 
     def _refuse(self, reason: str) -> None:
         self.engine.bus.count("memo.jump_refused." + reason)
@@ -405,7 +400,7 @@ class WindowMemoCache:
             self._hold = (self.hits // VALIDATE_EVERY + 1) * VALIDATE_EVERY
 
     def _jump(self, state: _Probe, cycle, p_idx: int,
-              bases0: Dict[int, int], probe: _Probe) -> bool:
+              bases0: Dict[int, int], probe: _Probe, entry: _Entry) -> bool:
         """Skip ``m`` whole cycles from ``state``'s window on.
 
         The state before this window is the state one cycle ago moved
@@ -414,7 +409,8 @@ class WindowMemoCache:
         times: entries, queued rows and busy lines in time and sequence,
         every :data:`FLOW_FIELDS` column in sequence, accumulators by
         ``m`` x the cycle's sum.  The bounds on ``m`` are the table in
-        docs/MEMOIZATION.md, "Cycle jumps".
+        docs/MEMOIZATION.md, "Cycle jumps".  ``probe`` and ``entry`` are
+        this window's, which the landing window's lookup reuses.
         """
         engine = self.engine
         bus = engine.bus
@@ -471,26 +467,27 @@ class WindowMemoCache:
                 for col, kind in flow_cols.values():
                     col[f] = _move_field(kind, col[f], k)
 
-        # m x the cycle's sums; one bus row per skipped window; and, when
-        # someone listens, the trace ops once per skipped window.
+        # m x the cycle's sums; then, skipped window by skipped window
+        # (the cycle's windows lie within one period, so this is window
+        # order), a bus row and, when someone listens, the trace ops.
         listening = self._listening()
         cur = dict(bases0)
-        rows: List[Tuple] = []
-        for w, entry in cycle:
-            delta = entry.delta
+        steps = []  # (window, delta, flow cursors before it)
+        for w, cached in cycle:
+            delta = cached.delta
             self._account(delta, m)
-            ack, send, forward, transmit = delta.counts
-            for c in range(1, m + 1):
+            steps.append((w, delta, dict(cur)))
+            for f, a in delta.advance:
+                cur[f] += a
+        rows: List[Tuple] = []
+        for c in range(1, m + 1):
+            for w, delta, before in steps:
                 index = w + c * p_idx
-                rows.append((index, index * L, 0.0, 0.0, 0.0, 0.0,
-                             ack, send, forward, transmit))
+                rows.append((index, index * L, 0.0, 0.0, 0.0, 0.0)
+                            + delta.counts)
                 if listening:
-                    self._replay(delta.tape, index * L,
-                                 {f: b + c * adv[f] for f, b in cur.items()})
-            for write in delta.flows:
-                if write.field == _BASE_FIELD:
-                    cur[write.flow] += write.value
-        rows.sort()
+                    self._replay(delta.tape, index * L, {
+                        f: b + c * adv[f] for f, b in before.items()})
         bus.window_rows_add(rows)
         last = cycle[-1][0] + shift
         engine.results.end_time_ps = (last + 1) * L
@@ -512,7 +509,8 @@ class WindowMemoCache:
         if min(bounds[1:], default=(m + 1,))[0] > m:
             self._landing = probe._replace(
                 win=win + shift, start=probe.start + dt,
-                base_of={f: b + jump_of[f] for f, b in probe.base_of.items()})
+                base_of={f: b + jump_of[f] for f, b in probe.base_of.items()}
+            ), entry
         if bus.telemetry:
             self._telemetry(t0, win, dt, n)
         return True
@@ -661,21 +659,18 @@ class WindowMemoCache:
             if reason is not None:
                 return window, reason
         for _w, entry in cycle:
-            union.update(p.post.iface for p in entry.delta.ports)
+            union.update(p.iface for p in entry.delta.ports)
         return window, seal(entries, base_of, tuple(
             sorted(w - win for w in engine.events._queued)))
 
     def _enc_port(self, cols, iface: int, active: bool,
-                  base: Callable[[int], Optional[int]],
-                  start: int) -> Optional[Tuple]:
+                  base: Callable[[int], int], start: int) -> Optional[Tuple]:
         """Canonical rebased encoding of one egress row's mutable state,
         a plain tuple in :data:`PortEnc` field order (the probe keys one
-        per union port per window; a delta names its posts).
+        per union port).
 
         Returns ``None`` when a queued row falls outside the UDP closed
-        world, or when ``base`` has no base for a queued row's flow (the
-        capture diff's strict ``base_of.get``: the flow escaped the
-        probe's base map).  Deliberately *excluded*: ``avg_bytes`` (the
+        world.  Deliberately *excluded*: ``avg_bytes`` (the
         RED EWMA converges asymptotically, so it never repeats — and RED
         is one of the memo's static disable gates, making the column
         write-only whenever the cache is live).
@@ -691,10 +686,9 @@ class WindowMemoCache:
                 rows = []
                 for r in q[heads[cls]:]:
                     f = r[F_FLOW]
-                    b = None if r[F_ISACK] or f not in udp_flows else base(f)
-                    if b is None:
+                    if r[F_ISACK] or f not in udp_flows:
                         return None
-                    rows.append(_move_row(r, -b, -start))
+                    rows.append(_move_row(r, -base(f), -start))
                 classes.append(tuple(rows))
             queues = tuple(classes)
         free_at = cols.free_at[iface] - start
@@ -708,8 +702,8 @@ class WindowMemoCache:
     # --- capture ----------------------------------------------------------
 
     def _capture(self, win: int, probe: _Probe):
-        """Run the window for real and diff its write-set: the delta, or
-        a ``memo.uncacheable.<reason>`` name."""
+        """Run the window for real and take what a cycle jump replays of
+        it: the delta, or a ``memo.uncacheable.<reason>`` name."""
         engine = self.engine
         events = engine.events
         res = engine.results
@@ -720,14 +714,12 @@ class WindowMemoCache:
         pre_node_events = dict(res.node_events)
         pre_drops = res.drops
         pre_rtt = len(res.rtt_samples)
-        # Counter and per-flow baselines: taken here, not on every
-        # (mostly hitting) probe.
+        # Counter baselines, by column: taken here, not on every (mostly
+        # hitting) probe.
         cols = engine.world.egress_cols
         counters = [getattr(cols, name) for name in PORT_COUNTERS]
-        counts_pre = list(zip(*counters))  # per port, in one pass
-        flow_cols = self._flow_cols()
-        flows_pre = {f: _enc_flow(flow_cols, f, b, start)
-                     for f, b in base_of.items()}
+        ifaces = list(probe.ports)
+        counts_pre = [[col[i] for i in ifaces] for col in counters]
         ops = engine.bus.subscribe_trace(_TraceTap())
         try:
             ctx = engine.process_window(win)
@@ -744,44 +736,6 @@ class WindowMemoCache:
         for w, n in pre_sizes.items():
             if post_sizes.get(w, 0) < n:
                 return "bucket_shrank"
-        staged: List[StagedEntry] = []
-        for w in sorted(post_sizes):
-            pre_n = pre_sizes.get(w, 0)
-            if post_sizes[w] == pre_n:
-                continue
-            off = w - probe.win
-            for node, e in zip(*events.window_slice(w, pre_n)):
-                if e[0] == ENTRY_UDP and e[1] in base_of:
-                    staged.append(_make(StagedEntry, (
-                        off, node, e[1], None, None, None)))
-                elif e[0] == ENTRY_ARRIVAL and e[3][F_FLOW] in base_of:
-                    f = e[3][F_FLOW]
-                    staged.append(_make(StagedEntry, (
-                        off, node, f, e[1] - start, e[2],
-                        _move_row(e[3], -base_of[f], -start))))
-                else:
-                    return "foreign_staged_entry"
-
-        active = engine.active_ports
-        counts_post = list(zip(*counters))
-        ports: List[PortDelta] = []
-        for i in probe.ports:
-            # Strict mode: a queued row whose flow escaped the probe's
-            # base map cannot be rebased consistently -> uncacheable.
-            post = self._enc_port(cols, i, i in active, base_of.get, start)
-            if post is None:
-                return "foreign_queued_row"
-            ports.append(_make(PortDelta, (_make(PortEnc, post), tuple(
-                map(sub, counts_post[i], counts_pre[i])))))
-
-        # Only the per-flow fields the window changed: every other one
-        # a window can read is in the key, so it is the same on a hit.
-        flows: List[FlowWrite] = []
-        for f in sorted(base_of):
-            post = _enc_flow(flow_cols, f, base_of[f], start)
-            for name, v, was in zip(flow_cols, post, flows_pre[f]):
-                if v != was:
-                    flows.append(_make(FlowWrite, (f, name, v)))
 
         # Seq-carrying ops pass (is_ack, seq[, marked]) after the flow.
         tape: List[Tuple] = []
@@ -793,15 +747,21 @@ class WindowMemoCache:
                 args[1] -= b
             tape.append((method, t - start, where, flow, *args))
 
+        # Per column the increments; transposed, per port.
+        diffs = [map(sub, [col[i] for i in ifaces], pre)
+                 for col, pre in zip(counters, counts_pre)]
+        ports = tuple(map(PortDelta._make, zip(ifaces, zip(*diffs))))
+        cursor, _kind = self._flow_cols()[_BASE_FIELD]
+        advance = tuple((f, cursor[f] - b) for f, b in sorted(base_of.items())
+                        if cursor[f] != b)
         counts = tuple(getattr(ctx.counts, name) for name in _EVENT_COUNTS)
         node_incr = tuple(sorted(
             (n, c - pre_node_events.get(n, 0))
             for n, c in res.node_events.items()
             if c != pre_node_events.get(n, 0)))
         return WindowDelta(
-            ports=tuple(ports), flows=tuple(flows), staged=tuple(staged),
-            tape=tuple(tape), counts=counts, node_incr=node_incr,
-            drops_incr=res.drops - pre_drops)
+            ports=ports, advance=advance, tape=tuple(tape), counts=counts,
+            node_incr=node_incr, drops_incr=res.drops - pre_drops)
 
     # --- jump accounting --------------------------------------------------
 
@@ -827,7 +787,7 @@ class WindowMemoCache:
         counters = [getattr(cols, name) for name in PORT_COUNTERS]
         for port in delta.ports:
             if port.counters != _NO_COUNTS:
-                i = port.post.iface
+                i = port.iface
                 for col, d in zip(counters, port.counters):
                     col[i] += k * d
         res = self.engine.results

@@ -208,6 +208,42 @@ class TestMergedBus:
         assert gauges["a1:busy_s"] - gauges["a0:busy_s"] >= 0.9 * injected
         assert gauges["a0:barrier_wait_s"] >= 0.5 * injected
 
+    def test_local_install_is_the_receivers_busy(self, monkeypatch):
+        """On LocalTransport installing a peer's batch is the receiving
+        agent's busy time, as on shm: agent 1 spending ~1 ms of CPU per
+        batch it accepts raises its own busy seconds by that much and
+        agent 0's hardly at all."""
+        spin = 0.001
+
+        def busy():
+            sc = _scenario()
+            part = contiguous_partition(sc.topology, 2)
+            engine = ClusterEngine(
+                [AgentSpec(a, sc, part) for a in range(2)],
+                transport="local")
+            EngineRunner(engine).run()
+            gauges = engine.bus.metrics.gauges
+            return gauges["a0:busy_s"], gauges["a1:busy_s"]
+
+        base = busy()
+        accept = AgentEngine.accept_arrivals
+        batches = []
+
+        def slower(agent, records):
+            if agent.agent_id == 1 and records:
+                batches.append(len(records))
+                end = time.thread_time() + spin
+                while time.thread_time() < end:
+                    pass
+            return accept(agent, records)
+
+        monkeypatch.setattr(AgentEngine, "accept_arrivals", slower)
+        a0, a1 = busy()
+        injected = spin * len(batches)
+        assert injected > 0
+        assert a1 - base[1] >= 0.9 * injected
+        assert a0 - base[0] < 0.1 * injected
+
 
 class TestRefitClusterSpec:
     def test_refit_reproduces_measurement(self):

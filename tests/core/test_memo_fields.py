@@ -1,8 +1,8 @@
 """The window memo's closed world, column by column.
 
 Every column of the sender, receiver and egress tables is either in one
-of the memo's field tables — encoded in the signature, diffed by the
-capture, written by an apply and moved by a cycle jump — or named here
+of the memo's field tables — encoded in the signature and moved by a
+cycle jump, or, for a counter, added to by one — or named here
 with the gate that keeps a memoized window from ever reading it.  A new
 column fails this test until it is put on one side, which is what keeps
 adding one to the memo a one-line table edit.

@@ -191,20 +191,23 @@ def _finish(engine):
 def _check_reused_probes(engine):
     """Hold every window probe the memo does not encode afresh — the
     window part of a full-state pass, a jump's landing translation — to
-    a fresh ``_probe(win)`` at the same state; returns the list the
-    reused windows are appended to."""
+    a fresh ``_probe(win)`` at the same state, and the entry a landing
+    reuses to a fresh lookup; returns the list the reused windows are
+    appended to."""
     memo = engine._memo
     probes = memo._probes
     reused = []
 
     def checked(win):
         landing = memo._landing
-        probe, state = probes(win)
+        probe, state, entry = probes(win)
         if state is not None or (landing is not None
-                                 and landing.win == win):
+                                 and landing[0].win == win):
             reused.append(win)
             assert probe == memo._probe(win), f"window {win}"
-        return probe, state
+        if entry is not None:
+            assert memo.cache.get(probe.key) is entry, f"window {win}"
+        return probe, state, entry
     memo._probes = checked
     return reused
 
@@ -249,15 +252,13 @@ class TestCycleJumpLockstep:
         assert jumper.bus.counters.get("memo.validate_fail", 0) == 0
         assert _finish(jumper) == _finish(stepped)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("edge,delay,period", [
         (24, 1, 1), (8, 1, 3), (10, 1, 6), (10, 2, 3)])
-    def test_periods_beyond_one_jump(self, edge, delay, period, backend,
-                                     monkeypatch):
+    def test_periods_beyond_one_jump(self, edge, delay, period):
         """Pacing that does not divide the window repeats every
-        ``period`` windows; whole cycles are skipped all the same, and a
-        stale $REPRO_BACKEND export changes nothing."""
-        monkeypatch.setenv("REPRO_BACKEND", backend)
+        ``period`` windows; whole cycles are skipped all the same, and
+        a jump publishes the skipped windows' trace in the order the
+        stepped run does, window by window."""
         topo = dumbbell(2, edge_rate_bps=edge * GBPS,
                         bottleneck_rate_bps=400 * GBPS, delay_ps=us(delay))
         flows = [Flow(i, i, 2 + i, 600 * 1_440, 0, Transport.UDP)
@@ -269,8 +270,10 @@ class TestCycleJumpLockstep:
             engine.build()
             while engine.advance():
                 pass
-            runs[ffwd] = (_finish(engine), dict(engine.bus.counters))
+            runs[ffwd] = (_finish(engine), dict(engine.bus.counters),
+                          engine.trace.entries)
         assert runs[True][0] == runs[False][0]
+        assert runs[True][2] == runs[False][2]
         c = runs[True][1]
         assert c["memo.jump"] > 0
         assert c["memo.jump_windows"] % period == 0
@@ -388,10 +391,66 @@ def test_full_size_steady_counters_are_pinned():
     assert encodes == {"window": 12, "full": 262}
 
 
+def _bump_expected(engine, win, probe):
+    """A :data:`FLOW_FIELDS` value: a receiver's ``expected`` + 1.  Every
+    steady flow delivers each window, so the next window's own key
+    holds it too."""
+    engine.world.receivers.column("expected")[min(probe.base_of)] += 1
+
+
+def _delay_later_arrival(engine, win, probe):
+    """A pending arrival two windows on, 1 ps later: the staged state
+    the delta no longer records, outside the next window's key and
+    inside the full state."""
+    payloads = engine.events._buckets[win + 2].payloads
+    tag, t, prio, row = payloads[0]
+    payloads[0] = (tag, t + 1, prio, row)
+
+
+@pytest.mark.parametrize("perturb,noticed", [
+    (_bump_expected, "memo.miss"),
+    (_delay_later_arrival, "memo.jump_refused.state_differs")],
+    ids=["flow_field", "later_arrival"])
+def test_perturbed_state_refuses_the_next_jump(perturb, noticed):
+    """State is proven by the full-state key, not by a delta: a write
+    that no cached delta holds and validation does not compare, made
+    right after a validated window, stops the next jump — the next
+    window misses, or its comparison is refused — and no jump rests on
+    a proof taken across the perturbed window."""
+    engine = DodEngine(steady_scenario(), ffwd=True)
+    engine.build()
+    memo = engine._memo
+    capture, jump = memo._capture, memo._jump
+    counters = engine.bus.counters
+    perturbed, jumps = [], []
+
+    def perturbing(win, probe):
+        delta = capture(win, probe)
+        validated = probe.key in memo.cache and not isinstance(delta, str)
+        if validated and memo._hyp is not None and not perturbed:
+            perturb(engine, win, probe)
+            perturbed.append((win, counters.get(noticed, 0)))
+        return delta
+
+    def spied(state, *args):
+        proposed_at = memo._hyp[0]
+        jumped = jump(state, *args)
+        if jumped:
+            jumps.append((proposed_at, state.win, counters.get(noticed, 0)))
+        return jumped
+
+    memo._capture, memo._jump = perturbing, spied
+    while engine.advance():
+        pass
+    [(at, before)] = perturbed
+    assert any(win < at for _w0, win, _n in jumps), "no jump before it"
+    assert not [(w0, win) for w0, win, _n in jumps if w0 <= at < win]
+    first_after = min(n for _w0, win, n in jumps if win > at)
+    assert first_after > before
+
+
 class TestDigestIdentity:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_memo_on_off_trace_digest_identical(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", backend)
+    def test_memo_on_off_trace_digest_identical(self):
         scenario = steady_scenario()
         digests = {}
         counters = {}
