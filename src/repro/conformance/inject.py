@@ -47,7 +47,7 @@ that exists only to be patched.  Six bug classes are plantable:
 * :func:`stale_cache_delta` corrupts the window-signature memoization
   cache (:mod:`repro.core.memo`): the delta a cache miss stores (its
   ``_Entry``) has one value a cycle jump reads perturbed (the sequence
-  number of the first trace op that carries one is off by one), so
+  number of the first trace entry that carries one is off by one), so
   every window a jump skips replays a subtly wrong tape.  The executed
   windows — including the very window the delta was captured from —
   are all correct; only the jumped-over windows diverge.  This is the
@@ -76,6 +76,7 @@ from ..core.systems import transmit as transmit_mod
 from ..traffic import FlowColumns
 from ..units import us
 from ..core.window import Staged
+from ..metrics.trace import TraceKind
 from ..protocols.packet import F_FLOW, F_ISACK, F_SEQ, Row
 
 
@@ -155,25 +156,25 @@ def stale_window_index() -> Iterator[None]:
         events_mod.register_window = original
 
 
-#: Where a tape op ``(method, t, where, flow, is_ack, seq, ...)`` holds
-#: its sequence number.
-_TAPE_SEQ = 5
+#: Where a tape entry ``(t, kind, where, flow, is_ack, seq, extra)``
+#: holds its kind and its sequence number.
+_TAPE_KIND, _TAPE_SEQ = 1, 5
 
 
 def _corrupt_delta(delta: "memo_mod.WindowDelta") -> "memo_mod.WindowDelta":
     """Perturb exactly one value of a freshly captured delta that a
     cycle jump reads.
 
-    Preferred target: the sequence number of the first tape op that
-    carries one, bumped by one, so every window a jump skips publishes
-    a packet that was never sent.  A tape without such an op falls back
-    to the delta's transmit count, which a jump adds once per skipped
-    window.  Every member is reached by the names ``repro.core.memo``
-    gives it.
+    Preferred target: the sequence number of the first tape entry that
+    carries one (any but a flow completion), bumped by one, so every
+    window a jump skips records a packet that was never sent.  A tape
+    without such an entry falls back to the delta's transmit count,
+    which a jump adds once per skipped window.  Every member is reached
+    by the names ``repro.core.memo`` gives it.
     """
     tape = delta.tape
     for i, op in enumerate(tape):
-        if len(op) > _TAPE_SEQ:
+        if op[_TAPE_KIND] != TraceKind.FLOW_DONE:
             op = op[:_TAPE_SEQ] + (op[_TAPE_SEQ] + 1,) + op[_TAPE_SEQ + 1:]
             return delta._replace(tape=tape[:i] + (op,) + tape[i + 1:])
     ack, send, forward, transmit = delta.counts

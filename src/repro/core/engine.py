@@ -23,11 +23,11 @@ plan (:func:`~repro.core.systems.run_window`), commit (see
 docs/ARCHITECTURE.md, "Why a batch is exactly one lookahead window").
 
 All observation goes through the engine's
-:class:`~repro.core.instrument.InstrumentationBus`: the trace recorder,
-machine-model access probes, and the profiler subscribe to it instead of
-being threaded through constructors.  The outer drive loop lives in
-:class:`~repro.core.runner.EngineRunner`; the engine implements the
-``build``/``advance``/``finalize`` protocol.
+:class:`~repro.core.instrument.InstrumentationBus`: the trace recorder
+is its one trace sink, and machine-model access probes and the profiler
+subscribe to it, instead of being threaded through constructors.  The
+outer drive loop lives in :class:`~repro.core.runner.EngineRunner`; the
+engine implements the ``build``/``advance``/``finalize`` protocol.
 
 The engine produces the same :class:`~repro.metrics.SimResults` as the
 OOD baseline, and — the headline fidelity claim — byte-identical event
@@ -104,7 +104,7 @@ class DodEngine:
         if telemetry:
             self.bus.enable_telemetry()
         self._tx_prev: Dict[int, int] = {}
-        self.trace = self.bus.subscribe_trace(TraceRecorder(trace_level))
+        self.trace = self.bus.set_trace(TraceRecorder(trace_level))
         self._running_window = -1
         self.ffwd = ffwd
         self._memo = None
@@ -161,9 +161,9 @@ class DodEngine:
         return self.bus.telemetry
 
     def attach_trace(self, recorder: TraceRecorder) -> TraceRecorder:
-        """Swap in a different trace recorder (checkpoint restore path)."""
-        self.bus.replace_trace(self.trace, recorder)
-        self.trace = recorder
+        """Make ``recorder`` the engine's trace and the bus's trace sink
+        (checkpoint restore path)."""
+        self.trace = self.bus.set_trace(recorder)
         return recorder
 
     def build(self) -> None:

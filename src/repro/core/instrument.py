@@ -1,9 +1,7 @@
 """Instrumentation bus: one structured observation channel per engine.
 
 Every engine owns an :class:`InstrumentationBus` and publishes three
-kinds of observations to it; everything that used to be hand-wired
-(``op_hook`` threading through constructors, direct ``TraceRecorder``
-calls inside the systems) is a *subscriber* instead:
+kinds of observations to it:
 
 * **op stream** — ``bus.op(code, location, uid)``, one call per
   processed operation in batched processing order.  The machine model's
@@ -11,11 +9,13 @@ calls inside the systems) is a *subscriber* instead:
   :meth:`InstrumentationBus.subscribe_ops` and turn the stream into
   address traces for the cache simulator.
 * **trace stream** — the packet-visible events of §6.1's fidelity claim
-  (enqueue, drop, service start, delivery, flow completion).  A
-  :class:`~repro.metrics.TraceRecorder` subscribes with
-  :meth:`subscribe_trace`; the bus forwards synchronously, so entry
-  order — and therefore the trace digest — is byte-identical to the
-  direct wiring it replaces.
+  (enqueue, drop, service start, delivery, flow completion).  The bus
+  holds one sink, ``bus.trace``: the engine's
+  :class:`~repro.metrics.TraceRecorder`, or any object with its five
+  methods (``enq`` / ``drop`` / ``deq`` / ``deliver`` / ``flow_done``)
+  and a ``level``, installed with :meth:`InstrumentationBus.set_trace`.
+  A publish site checks ``bus.trace_level`` (the sink's level) and calls
+  the sink directly, so entries land in processing order.
 * **counters and window rows** — named counters and one row per window
   the engine completes (its four system times and four event counts),
   written and counted by :meth:`window_row` / :meth:`window_rows_add`
@@ -40,12 +40,12 @@ switch, ``bus.telemetry``:
   :meth:`InstrumentationBus.export_state` with the counters.  Counters
   live on the bus alone.
 
-The hot-path contract: with no subscribers, every publish degrades to a
-guarded no-op (``bus.has_ops`` / ``bus.trace_level`` / ``bus.telemetry``
-checks), so an uninstrumented run pays one attribute test per publish
-site, the same price the old ``if self.op_hook:`` / ``if trace.level:``
-guards paid.  With telemetry disabled no span is recorded and no clock
-is read.
+The hot-path contract: with no op subscriber and trace level 0, every
+publish degrades to a guarded no-op (``bus.has_ops`` /
+``bus.trace_level`` / ``bus.telemetry`` checks), so an uninstrumented
+run pays one attribute test per publish site, the same price the old
+``if self.op_hook:`` / ``if trace.level:`` guards paid.  With telemetry
+disabled no span is recorded and no clock is read.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ SYSTEMS = ("ack", "send", "forward", "transmit")
 
 
 class InstrumentationBus:
-    """Counters, timers, and op/trace streams with pluggable subscribers."""
+    """Counters, timers, op-stream subscribers and the one trace sink."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
@@ -106,7 +106,9 @@ class InstrumentationBus:
         self._child_rows: List[Tuple[str, Sequence[tuple]]] = []
         self._op_subs: List[OpSubscriber] = []
         self.has_ops = False
-        self._trace_subs: List[Any] = []
+        #: The trace sink (see :meth:`set_trace`); ``None`` until one is
+        #: set, which trace level 0 keeps every publish site from calling.
+        self.trace: Any = None
         self.trace_level = 0
         #: Master telemetry switch: spans + metric sampling.  Off by
         #: default; every telemetry publish site guards on it.
@@ -160,52 +162,12 @@ class InstrumentationBus:
 
     # --- trace stream -----------------------------------------------------
 
-    def subscribe_trace(self, recorder: Any) -> Any:
-        """Register a TraceRecorder-shaped subscriber (``enq``/``drop``/
-        ``deq``/``deliver``/``flow_done`` methods plus a ``level``)."""
-        self._trace_subs.append(recorder)
-        self.trace_level = max(self.trace_level,
-                               int(getattr(recorder, "level", 0)))
-        return recorder
-
-    def unsubscribe_trace(self, old: Any) -> None:
-        """Remove one trace subscriber and recompute the trace level
-        (memoization teardown; inverse of :meth:`subscribe_trace`)."""
-        self._trace_subs = [s for s in self._trace_subs if s is not old]
-        self.trace_level = max(
-            (int(getattr(s, "level", 0)) for s in self._trace_subs),
-            default=0,
-        )
-
-    def replace_trace(self, old: Any, new: Any) -> Any:
-        """Swap one trace subscriber for another (checkpoint restore)."""
-        self._trace_subs = [s for s in self._trace_subs if s is not old]
-        self.trace_level = max(
-            (int(getattr(s, "level", 0)) for s in self._trace_subs),
-            default=0,
-        )
-        return self.subscribe_trace(new)
-
-    def enq(self, t: int, iface: int, flow: int, is_ack: int, seq: int,
-            marked: int) -> None:
-        for sub in self._trace_subs:
-            sub.enq(t, iface, flow, is_ack, seq, marked)
-
-    def drop(self, t: int, iface: int, flow: int, is_ack: int, seq: int) -> None:
-        for sub in self._trace_subs:
-            sub.drop(t, iface, flow, is_ack, seq)
-
-    def deq(self, t: int, iface: int, flow: int, is_ack: int, seq: int) -> None:
-        for sub in self._trace_subs:
-            sub.deq(t, iface, flow, is_ack, seq)
-
-    def deliver(self, t: int, node: int, flow: int, is_ack: int, seq: int) -> None:
-        for sub in self._trace_subs:
-            sub.deliver(t, node, flow, is_ack, seq)
-
-    def flow_done(self, t: int, node: int, flow: int) -> None:
-        for sub in self._trace_subs:
-            sub.flow_done(t, node, flow)
+    def set_trace(self, sink: Any) -> Any:
+        """Make ``sink`` the one trace sink, at its own ``level``;
+        returns it."""
+        self.trace = sink
+        self.trace_level = int(sink.level)
+        return sink
 
     # --- window rows ------------------------------------------------------
 

@@ -18,13 +18,14 @@ the DOD engine:
   window start, sequence numbers against each flow's pacing cursor), so
   two windows that are translations of each other in (time x sequence)
   space hash equal.
-* On a **miss** the window executes normally while a trace tap and the
-  counter baselines capture a :class:`WindowDelta`: exactly what a cycle
-  jump replays of the window — its increments, its flows' cursor
-  advances and its trace tape, never the state it leaves.  A **hit**
-  counts and feeds cycle detection; the window then runs as an ordinary
-  one, except every Nth hit, which is **validated** by re-executing the
-  window and comparing the fresh delta against the cached one.
+* On a **miss** the window executes normally, and the counter
+  baselines and the trace entries it appended make a
+  :class:`WindowDelta`: exactly what a cycle jump replays of the window
+  — its increments, its flows' cursor advances and its trace tape,
+  never the state it leaves.  A **hit** counts and feeds cycle
+  detection; the window then runs as an ordinary one, except every Nth
+  hit, which is **validated** by re-executing the window and comparing
+  the fresh delta against the cached one.
 * When a hit key recurs, the *whole* rebased pending state is encoded;
   if it is equal one period later the engine state is periodic under
   the translation, and :meth:`WindowMemoCache._jump` skips whole cycles
@@ -67,7 +68,7 @@ from .systems.send import WIRE8PS, udp_window
 from .telemetry import MEMO_APPLY_MS_BUCKETS
 from .window import ENTRY_ARRIVAL, ENTRY_UDP
 from ..protocols.packet import F_DST, F_FLOW, F_ISACK, Row, segment_count
-from ..metrics.trace import TraceRecorder
+from ..metrics.trace import TraceKind
 
 __all__ = ["WindowMemoCache", "WindowDelta", "PortEnc", "PortDelta",
            "FLOW_FIELDS", "PORT_COUNTERS", "PORT_FIELDS"]
@@ -186,12 +187,12 @@ PortDelta = namedtuple("PortDelta", "iface counters")
 #: frame so two captures of behaviourally identical windows compare
 #: equal — the equality replay-based validation checks.  ``ports``: a
 #: :class:`PortDelta` per probe port; ``advance``: ``(flow, segments)``
-#: per flow whose pacing cursor moved; ``tape``: the trace ops as
-#: ``(bus method, t, where, flow, *args)``; ``counts``: the event counts
-#: in ``_EVENT_COUNTS`` order; ``node_incr``: ``(node, increment)`` of
-#: ``results.node_events``; ``drops_incr``: of ``results.drops``.  The
-#: state a jump writes is not here: it is the translation the
-#: full-state key proves.
+#: per flow whose pacing cursor moved; ``tape``: the trace entries the
+#: window appended, time and sequence rebased; ``counts``: the event
+#: counts in ``_EVENT_COUNTS`` order; ``node_incr``: ``(node,
+#: increment)`` of ``results.node_events``; ``drops_incr``: of
+#: ``results.drops``.  The state a jump writes is not here: it is the
+#: translation the full-state key proves.
 WindowDelta = namedtuple(
     "WindowDelta", "ports advance tape counts node_incr drops_incr")
 
@@ -219,24 +220,6 @@ class _Entry:
     def __init__(self, delta: WindowDelta) -> None:
         self.delta = delta
         self.seen = 0
-
-
-def _tap_op(method: str):
-    def record(self, *op) -> None:
-        self.append((method,) + op)
-    return record
-
-
-class _TraceTap(list):
-    """Trace-stream subscriber for one captured window: the raw bus ops,
-    each under the name of the bus method that publishes it again.
-    ``level`` 0 never raises the bus's trace level.
-    """
-
-    level = 0
-
-    enq, drop, deq, deliver, flow_done = map(
-        _tap_op, ("enq", "drop", "deq", "deliver", "flow_done"))
 
 
 class WindowMemoCache:
@@ -469,8 +452,8 @@ class WindowMemoCache:
 
         # m x the cycle's sums; then, skipped window by skipped window
         # (the cycle's windows lie within one period, so this is window
-        # order), a bus row and, when someone listens, the trace ops.
-        listening = self._listening()
+        # order), a bus row and, on a traced run, the trace entries.
+        traced = bus.trace_level
         cur = dict(bases0)
         steps = []  # (window, delta, flow cursors before it)
         for w, cached in cycle:
@@ -485,7 +468,7 @@ class WindowMemoCache:
                 index = w + c * p_idx
                 rows.append((index, index * L, 0.0, 0.0, 0.0, 0.0)
                             + delta.counts)
-                if listening:
+                if traced:
                     self._replay(delta.tape, index * L, {
                         f: b + c * adv[f] for f, b in before.items()})
         bus.window_rows_add(rows)
@@ -720,11 +703,9 @@ class WindowMemoCache:
         counters = [getattr(cols, name) for name in PORT_COUNTERS]
         ifaces = list(probe.ports)
         counts_pre = [[col[i] for i in ifaces] for col in counters]
-        ops = engine.bus.subscribe_trace(_TraceTap())
-        try:
-            ctx = engine.process_window(win)
-        finally:
-            engine.bus.unsubscribe_trace(ops)
+        trace = engine.trace.entries
+        mark = len(trace)
+        ctx = engine.process_window(win)
 
         if len(res.rtt_samples) != pre_rtt:
             return "rtt_sample"
@@ -737,15 +718,14 @@ class WindowMemoCache:
             if post_sizes.get(w, 0) < n:
                 return "bucket_shrank"
 
-        # Seq-carrying ops pass (is_ack, seq[, marked]) after the flow.
         tape: List[Tuple] = []
-        for method, t, where, flow, *args in ops:
+        for t, kind, where, flow, is_ack, seq, extra in trace[mark:]:
             b = base_of.get(flow)
             if b is None:
                 return "foreign_trace_op"
-            if args:
-                args[1] -= b
-            tape.append((method, t - start, where, flow, *args))
+            if kind != TraceKind.FLOW_DONE:  # a completion has no seq
+                seq -= b
+            tape.append((t - start, kind, where, flow, is_ack, seq, extra))
 
         # Per column the increments; transposed, per port.
         diffs = [map(sub, [col[i] for i in ifaces], pre)
@@ -799,20 +779,13 @@ class WindowMemoCache:
             node_events[node] = node_events.get(node, 0) + k * d
         res.drops += k * delta.drops_incr
 
-    def _listening(self) -> bool:
-        """Whether replaying a tape can be observed: at trace level 0 a
-        TraceRecorder drops each op on its level guard; an unknown
-        subscriber shape forces the replay to stay safe."""
-        bus = self.engine.bus
-        return bus.trace_level > 0 or any(
-            not isinstance(s, TraceRecorder) for s in bus._trace_subs)
-
     def _replay(self, tape: Tuple, start: int,
                 base_of: Dict[int, int]) -> None:
-        """Publish one window's rebased trace ops in the frame of the
-        window starting at ``start`` with flow cursors ``base_of``."""
-        bus = self.engine.bus
-        for method, t, where, flow, *args in tape:
-            if args:
-                args[1] += base_of[flow]
-            getattr(bus, method)(start + t, where, flow, *args)
+        """Append one window's rebased trace entries to the trace in the
+        frame of the window starting at ``start`` with flow cursors
+        ``base_of``."""
+        append = self.engine.trace.entries.append
+        for t, kind, where, flow, is_ack, seq, extra in tape:
+            if kind != TraceKind.FLOW_DONE:
+                seq += base_of[flow]
+            append((start + t, kind, where, flow, is_ack, seq, extra))

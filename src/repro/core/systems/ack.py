@@ -78,7 +78,7 @@ def ack_window(engine, ctx: WindowContext, work: List[NodeWork]) -> None:
                 bus.op(OP_HOST_RX, node, packet_uid(row))
         if trace_on:
             for t, _prio, row in arrivals:
-                bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+                bus.trace.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
         acks = None
         for t, _prio, row in arrivals:
             flow_id = row[F_FLOW]
@@ -111,7 +111,7 @@ def ack_window(engine, ctx: WindowContext, work: List[NodeWork]) -> None:
                     complete_col[flow_id] = t
                     flow_results[flow_id].complete_ps = t
                     if trace_on:
-                        bus.flow_done(t, dst_of[flow_id], flow_id)
+                        bus.trace.flow_done(t, dst_of[flow_id], flow_id)
             if needs_ack_col[flow_id]:
                 ack = (t, PRIO_ARRIVAL, ack_row(
                     flow_id, expected, row[F_CE], row[F_SEND_TS],

@@ -277,7 +277,7 @@ def trace_ack_deliveries(bus, deliver_trace) -> None:
         deliver_trace,
         key=lambda d: (d[0], d[2][F_FLOW], d[2][F_ISACK], d[2][F_SEQ]),
     ):
-        bus.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+        bus.trace.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
 
 
 def run_send_system(engine, ctx: WindowContext, plan: SendPlan) -> None:

@@ -154,15 +154,16 @@ def _publish(bus, iface_id: int, out: List[Emission],
         for row, _s, _e in out:
             bus.op(OP_SERVICE, iface_id, packet_uid(row))
     if bus.trace_level:
+        trace = bus.trace
         if enq:
             for t, row in enq:
-                bus.enq(t, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ],
-                        row[F_CE])
+                trace.enq(t, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ],
+                          row[F_CE])
             enq.clear()
         for t, row in drops:
-            bus.drop(t, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+            trace.drop(t, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
         for row, start, _e in out:
-            bus.deq(start, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+            trace.deq(start, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
 
 
 def replay_window(

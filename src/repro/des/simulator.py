@@ -20,8 +20,9 @@ maps out which store belongs to which engine.
 
 Like the DOD engine, the simulator publishes every observation to an
 :class:`~repro.core.instrument.InstrumentationBus`: machine-model probes
-subscribe to the op stream (``sim.bus.subscribe_ops``) and the trace
-recorder to the trace stream.
+subscribe to the op stream (``sim.bus.subscribe_ops``), and its trace
+recorder is the bus's one trace sink (``bus.trace``), which each publish
+site calls directly behind a ``bus.trace_level`` check.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class OodSimulator:
     ) -> None:
         self.scenario = scenario
         self.bus = InstrumentationBus()
-        self.trace = self.bus.subscribe_trace(TraceRecorder(trace_level))
+        self.trace = self.bus.set_trace(TraceRecorder(trace_level))
 
         topo = scenario.topology
         from ..protocols.egress import TableClassifier
@@ -148,7 +149,7 @@ class OodSimulator:
         """A service started: schedule completion and far-end arrival."""
         iface = port.iface
         if self.bus.trace_level:
-            self.bus.deq(start, iface.iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+            self.bus.trace.deq(start, iface.iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
         if self.bus.has_ops:
             self.bus.op(OP_SERVICE, iface.iface_id, packet_uid(row))
         self.results.events.transmit += 1
@@ -177,12 +178,12 @@ class OodSimulator:
         accepted = port.arrive(row, now)
         if accepted is None:
             if self.bus.trace_level:
-                self.bus.drop(now, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+                self.bus.trace.drop(now, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
             self.results.drops += 1
             return
         if self.bus.trace_level:
-            self.bus.enq(now, iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ],
-                         accepted[F_CE])
+            self.bus.trace.enq(now, iface_id, row[F_FLOW], row[F_ISACK],
+                               row[F_SEQ], accepted[F_CE])
         self._try_start(port, now)
 
     def _enqueue_at_host_nic(self, host: int, row: Row, now: int) -> None:
@@ -266,7 +267,7 @@ class OodSimulator:
         if self.bus.has_ops:
             self.bus.op(OP_HOST_RX, node, packet_uid(row))
         if self.bus.trace_level:
-            self.bus.deliver(now, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
+            self.bus.trace.deliver(now, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
         flow_id = row[F_FLOW]
         if row[F_ISACK]:
             self._on_ack_at_sender(flow_id, row, now)
@@ -280,7 +281,7 @@ class OodSimulator:
         if rec.complete and not was_complete:
             self.results.flows[flow_id].complete_ps = now
             if self.bus.trace_level:
-                self.bus.flow_done(now, row[F_DST], flow_id)
+                self.bus.trace.flow_done(now, row[F_DST], flow_id)
         if ack is not None:
             ack_seq, ece, echo_ts = ack
             dst = self._flow_dst[flow_id]

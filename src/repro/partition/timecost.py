@@ -13,7 +13,7 @@ both the *traffic pattern* (through the Load Estimator) and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +54,28 @@ class ClusterSpec:
         return cls([compute] * n, [bandwidth_bps] * n)
 
 
+def _part_loads(
+    topo: Topology,
+    partition: Partition,
+    loads: LoadModel,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. (1)'s per-machine sums ``(E_a, tau_a)``: each part's node
+    loads and the load of its cut links.  The one copy both
+    :func:`machine_times` and :func:`refit_cluster_spec` read."""
+    compute = np.zeros(partition.num_parts)
+    egress = np.zeros(partition.num_parts)
+    for node in range(topo.num_nodes):
+        compute[partition.part_of(node)] += loads.node_load[node]
+    for link in topo.links:
+        pa = partition.part_of(link.node_a)
+        pb = partition.part_of(link.node_b)
+        if pa != pb:
+            # Full-duplex traffic leaves both machines.
+            egress[pa] += loads.link_load[link.link_id]
+            egress[pb] += loads.link_load[link.link_id]
+    return compute, egress
+
+
 def machine_times(
     topo: Topology,
     partition: Partition,
@@ -66,17 +88,7 @@ def machine_times(
             f"{partition.num_parts} parts but only "
             f"{cluster.num_machines} machines"
         )
-    compute = np.zeros(partition.num_parts)
-    egress = np.zeros(partition.num_parts)
-    for node in range(topo.num_nodes):
-        compute[partition.part_of(node)] += loads.node_load[node]
-    for link in topo.links:
-        pa = partition.part_of(link.node_a)
-        pb = partition.part_of(link.node_b)
-        if pa != pb:
-            # Full-duplex traffic leaves both machines.
-            egress[pa] += loads.link_load[link.link_id]
-            egress[pb] += loads.link_load[link.link_id]
+    compute, egress = _part_loads(topo, partition, loads)
     return [
         compute[a] / cluster.compute[a]
         + egress[a] * 8.0 / cluster.bandwidth_bps[a]
@@ -117,16 +129,7 @@ def refit_cluster_spec(
             f"{partition.num_parts} parts but only "
             f"{len(measured_times)} measured times"
         )
-    compute = np.zeros(partition.num_parts)
-    egress = np.zeros(partition.num_parts)
-    for node in range(topo.num_nodes):
-        compute[partition.part_of(node)] += loads.node_load[node]
-    for link in topo.links:
-        pa = partition.part_of(link.node_a)
-        pb = partition.part_of(link.node_b)
-        if pa != pb:
-            egress[pa] += loads.link_load[link.link_id]
-            egress[pb] += loads.link_load[link.link_id]
+    compute, egress = _part_loads(topo, partition, loads)
     new_compute = list(cluster.compute)
     for a in range(partition.num_parts):
         comm_s = egress[a] * 8.0 / cluster.bandwidth_bps[a]
@@ -145,7 +148,9 @@ def subnet_time(
     external_links: Sequence[int] = (),
 ) -> float:
     """Eq. (1) for a candidate sub-graph on one machine — what
-    Algorithm 1 compares at each recursion step."""
+    Algorithm 1 compares at each recursion step.  It sums the same terms
+    as :func:`_part_loads` for one candidate, so a change to Eq. (1)'s
+    accumulation (ROADMAP item 2) must change both in step."""
     e = float(sum(loads.node_load[n] for n in nodes))
     tau = float(sum(loads.link_load[l] for l in external_links))
     return e / compute + tau * 8.0 / bandwidth_bps

@@ -1,4 +1,4 @@
-"""InstrumentationBus: spans, merge_child, trace plumbing edge cases."""
+"""InstrumentationBus: spans, merge_child, the trace sink."""
 
 import pytest
 
@@ -182,29 +182,20 @@ class TestMergeChild:
 
 
 class TestTracePlumbing:
-    def test_unsubscribed_trace_is_empty_not_an_error(self):
-        bus = InstrumentationBus()
-        bus.enq(1, 2, 3, 0, 4, 0)  # no subscribers: silently dropped
-
-    def test_replace_trace_swaps_subscriber_and_level(self):
-        bus = InstrumentationBus()
-        old = bus.subscribe_trace(TraceRecorder(TraceLevel.NONE))
-        assert bus.trace_level == int(TraceLevel.NONE)
+    def test_attach_trace_makes_the_recorder_the_sink(self,
+                                                      dumbbell_scenario):
+        """Checkpoint restore on a fresh engine: the attached recorder
+        becomes the bus's one trace sink, at its own level, and the
+        run's trace lands in it."""
+        from repro.core.engine import DodEngine
+        engine = DodEngine(dumbbell_scenario)
+        assert engine.bus.trace_level == int(TraceLevel.NONE)
         new = TraceRecorder(TraceLevel.FULL)
-        bus.replace_trace(old, new)
-        assert bus.trace_level == int(TraceLevel.FULL)
-        bus.drop(5, 1, 2, 0, 7)
-        assert new.entries and not old.entries
-
-    def test_replace_trace_with_unsubscribed_old_still_subscribes_new(self):
-        """Replacing a recorder that was never subscribed must not
-        corrupt the subscriber list (checkpoint restore on a fresh
-        engine hits this)."""
-        bus = InstrumentationBus()
-        never = TraceRecorder(TraceLevel.FULL)
-        new = bus.replace_trace(never, TraceRecorder(TraceLevel.FULL))
-        bus.flow_done(1, 2, 3)
-        assert len(new.entries) == 1
+        assert engine.attach_trace(new) is new
+        assert engine.trace is new and engine.bus.trace is new
+        assert engine.bus.trace_level == int(TraceLevel.FULL)
+        engine.run()
+        assert new.entries
 
 
 class TestStateExportAdopt:

@@ -116,7 +116,7 @@ def row_state(cols, i):
 class Published(list):
     """Everything an observed sink publishes, in order: op-stream
     ``(code, location, uid)`` tuples and ``("enq" | "drop" | "deq",
-    t, iface, ...)`` trace records, as a subscriber at ``level``."""
+    t, iface, ...)`` trace records, as the trace sink at ``level``."""
 
     def __init__(self, level):
         super().__init__()
@@ -133,10 +133,10 @@ class Published(list):
 
 
 def watching_bus(ops, level):
-    """``(bus, published)``: an op probe when ``ops``, and a trace
-    subscriber at ``level``, both appending to ``published``."""
+    """``(bus, published)``: an op probe when ``ops``, and the trace
+    sink at ``level``, both appending to ``published``."""
     bus = InstrumentationBus()
-    published = bus.subscribe_trace(Published(level))
+    published = bus.set_trace(Published(level))
     if ops:
         bus.subscribe_ops(lambda *op: published.append(op))
     return bus, published
