@@ -33,7 +33,7 @@ def _miss_rates(k: int):
     topo = scenario.topology
     ood = OodAccessModel(topo.num_nodes, topo.num_interfaces, topo.num_hosts)
     sim = OodSimulator(scenario)
-    sim.bus.subscribe_ops(ood)
+    sim.bus.ops = ood
     sim.run()
     dod = DodAccessModel(topo.num_nodes, topo.num_interfaces,
                          topo.num_hosts, len(scenario.flows))

@@ -30,7 +30,7 @@ def test_fig03_bad_partition_slower_than_serial(benchmark):
         ood = OodAccessModel(topo.num_nodes, topo.num_interfaces,
                              topo.num_hosts)
         sim = OodSimulator(scenario)
-        sim.bus.subscribe_ops(ood)
+        sim.bus.ops = ood
         serial = sim.run()
         from repro.bench import measure_cmr
         cmr = measure_cmr(ood)

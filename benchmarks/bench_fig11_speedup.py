@@ -44,7 +44,7 @@ def _measure(scenario, scaled_duration_ms, lp_counts):
     topo = scenario.topology
     ood = OodAccessModel(topo.num_nodes, topo.num_interfaces, topo.num_hosts)
     sim = OodSimulator(scenario)
-    sim.bus.subscribe_ops(ood)
+    sim.bus.ops = ood
     serial = sim.run()
     cmr_ood = cost_cmr(measure_cmr(ood))
 

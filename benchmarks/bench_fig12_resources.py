@@ -78,7 +78,7 @@ def test_fig12b_cache_and_fig12c_utilization(benchmark):
             ood = OodAccessModel(topo.num_nodes, topo.num_interfaces,
                                  topo.num_hosts)
             sim = OodSimulator(scenario)
-            sim.bus.subscribe_ops(ood)
+            sim.bus.ops = ood
             sim.run()
             dod = DodAccessModel(topo.num_nodes, topo.num_interfaces,
                                  topo.num_hosts, len(scenario.flows))

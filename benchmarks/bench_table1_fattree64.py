@@ -47,7 +47,7 @@ def _measure_ratios_and_w1():
     topo = scenario.topology
     ood = OodAccessModel(topo.num_nodes, topo.num_interfaces, topo.num_hosts)
     sim = OodSimulator(scenario)
-    sim.bus.subscribe_ops(ood)
+    sim.bus.ops = ood
     serial = sim.run()
     cmr_ood = cost_cmr(measure_cmr(ood))
     dod = DodAccessModel(topo.num_nodes, topo.num_interfaces,

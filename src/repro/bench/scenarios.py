@@ -55,15 +55,14 @@ def run_dons_probed(scenario: Scenario, probe,
                     trace_level=None) -> SimResults:
     """Run the DOD engine with a machine-model probe on the op stream.
 
-    The probe subscribes to the engine's instrumentation bus
-    (``eng.bus.subscribe_ops``, as it does on the OOD baseline's
-    ``sim.bus``); the run itself goes through the shared
-    :class:`~repro.core.runner.EngineRunner`.
+    The probe is the engine's one op sink (``eng.bus.ops``, as it is
+    on the OOD baseline's ``sim.bus``); the run itself goes through the
+    shared :class:`~repro.core.runner.EngineRunner`.
     """
     from ..core import DodEngine
     from ..metrics import TraceLevel
     eng = DodEngine(scenario, trace_level or TraceLevel.NONE)
-    eng.bus.subscribe_ops(probe)
+    eng.bus.ops = probe
     return eng.run()
 
 

@@ -160,8 +160,13 @@ def build_flows(spec: str, topo: Topology) -> List[Flow]:
 def build_scenario(args) -> Scenario:
     if args.load:
         from .scenario_io import scenario_from_json
-        with open(args.load) as fh:
-            scenario = scenario_from_json(fh)
+        try:
+            with open(args.load) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(
+                f"{args.load}: cannot read: {exc.strerror}") from None
+        scenario = scenario_from_json(text)
     else:
         topo = build_topology(args.topology)
         flows = build_flows(args.flows, topo)

@@ -101,7 +101,7 @@ class ClusterEngine:
         # exported timeline holds both the agent tracks and the
         # barrier-wait slices.
         if any(spec.telemetry for spec in self.specs):
-            self.bus.enable_telemetry()
+            self.bus.telemetry = True
             self.bus.metrics.histogram("cluster.barrier_wait_ms",
                                        WAIT_MS_BUCKETS)
         #: Agent-measured per-agent busy / barrier-wait seconds, added

@@ -20,8 +20,10 @@ topologies should be reported on the smallest one that shows them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, get_type_hints,
+)
 
 from ..errors import ConfigError
 from ..protocols import AqmConfig, AqmKind
@@ -241,6 +243,12 @@ class ScenarioSpec:
 
     def build(self) -> Scenario:
         """Materialize the scenario this spec describes (deterministic)."""
+        if self.scheduler not in SCHEDULERS:
+            raise ConfigError(f"unknown scheduler {self.scheduler!r}")
+        if self.aqm not in AQMS:
+            raise ConfigError(f"unknown aqm {self.aqm!r}")
+        if self.transport not in TRANSPORT_MIXES:
+            raise ConfigError(f"unknown transport mix {self.transport!r}")
         topo = self.build_topology()
         flows = self.build_flows(topo)
         return make_scenario(
@@ -264,12 +272,39 @@ class ScenarioSpec:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: Dict) -> "ScenarioSpec":
+    def from_dict(cls, doc: Any) -> "ScenarioSpec":
+        """The spec a JSON object describes; a non-object, an unknown
+        or missing key, or a value of the wrong JSON type is a
+        :class:`ConfigError` naming it."""
+        if not isinstance(doc, dict):
+            raise ConfigError("conformance spec must be a JSON object, "
+                              f"got {type(doc).__name__}")
         doc = dict(doc)
         fmt = doc.pop("format", FORMAT)
         if fmt != FORMAT:
             raise ConfigError(f"unknown conformance spec format {fmt!r}")
+        hints = get_type_hints(cls)
+        unknown = sorted(set(doc) - set(hints))
+        if unknown:
+            raise ConfigError(f"conformance spec: unknown keys {unknown}")
+        for f in fields(cls):
+            if f.name not in doc:
+                if f.default is MISSING:
+                    raise ConfigError(
+                        f"conformance spec: missing key {f.name!r}")
+                continue
+            value = doc[f.name]
+            accepted, what = _JSON_TYPES[hints[f.name]]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(
+                    f"conformance spec: {f.name}={value!r} is not {what}")
         return cls(**doc)
+
+
+#: Per annotated spec field type: the JSON values it accepts, and how
+#: an error names them.
+_JSON_TYPES = {int: (int, "an integer"), str: (str, "a string"),
+               Optional[int]: ((int, type(None)), "an integer or null")}
 
 
 def generate_spec(seed: int, index: int) -> ScenarioSpec:

@@ -224,10 +224,23 @@ def fuzz(
 
 
 def load_spec_file(path: Path) -> ScenarioSpec:
-    """Load a spec from a corpus entry, repro artifact, or bare spec."""
-    data = json.loads(Path(path).read_text())
+    """Load a spec from a corpus entry, repro artifact, or bare spec.
+    An unreadable file, non-JSON text or a non-object document is a
+    :class:`ConfigError` naming the file."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: the document must be a JSON object, "
+                          f"got {type(data).__name__}")
     if data.get("format") == ARTIFACT_FORMAT:
-        data = data["spec"]
+        data = data.get("spec")
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: the artifact's spec must be a "
+                              "JSON object")
     if data.get("format") not in (None, FORMAT):
         raise ConfigError(
             f"{path}: unknown conformance file format {data.get('format')!r}")

@@ -24,10 +24,11 @@ docs/ARCHITECTURE.md, "Why a batch is exactly one lookahead window").
 
 All observation goes through the engine's
 :class:`~repro.core.instrument.InstrumentationBus`: the trace recorder
-is its one trace sink, and machine-model access probes and the profiler
-subscribe to it, instead of being threaded through constructors.  The
-outer drive loop lives in :class:`~repro.core.runner.EngineRunner`; the
-engine implements the ``build``/``advance``/``finalize`` protocol.
+is its one trace sink, a machine-model access probe its one op sink,
+and the profiler reads its window rows, instead of being threaded
+through constructors.  The outer drive loop lives in
+:class:`~repro.core.runner.EngineRunner`; the engine implements the
+``build``/``advance``/``finalize`` protocol.
 
 The engine produces the same :class:`~repro.metrics.SimResults` as the
 OOD baseline, and — the headline fidelity claim — byte-identical event
@@ -101,8 +102,7 @@ class DodEngine:
         """
         self.scenario = scenario
         self.bus = InstrumentationBus()
-        if telemetry:
-            self.bus.enable_telemetry()
+        self.bus.telemetry = bool(telemetry)
         self._tx_prev: Dict[int, int] = {}
         self.trace = self.bus.set_trace(TraceRecorder(trace_level))
         self._running_window = -1
@@ -155,10 +155,6 @@ class DodEngine:
     @property
     def built(self) -> bool:
         return self._built
-
-    @property
-    def telemetry(self) -> bool:
-        return self.bus.telemetry
 
     def attach_trace(self, recorder: TraceRecorder) -> TraceRecorder:
         """Make ``recorder`` the engine's trace and the bus's trace sink
@@ -373,8 +369,8 @@ class DodEngine:
             t_cut = duration
         ctx = WindowContext(index, start, end,
                             self.events.pop_window_columns(index, t_cut))
-        if self.bus.has_ops:
-            self.bus.op(OP_WINDOW, 0, 0)  # buffer arenas recycle
+        if self.bus.ops is not None:
+            self.bus.ops(OP_WINDOW, 0, 0)  # buffer arenas recycle
         return ctx
 
     def _close_window(self, ctx: WindowContext, ack_s: float, send_s: float,

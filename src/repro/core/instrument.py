@@ -3,11 +3,14 @@
 Every engine owns an :class:`InstrumentationBus` and publishes three
 kinds of observations to it:
 
-* **op stream** — ``bus.op(code, location, uid)``, one call per
-  processed operation in batched processing order.  The machine model's
-  access recorders (:mod:`repro.machine.access`) subscribe with
-  :meth:`InstrumentationBus.subscribe_ops` and turn the stream into
-  address traces for the cache simulator.
+* **op stream** — one call ``bus.ops(code, location, uid)`` per
+  processed operation, in batched processing order.  The bus holds one
+  op sink, ``bus.ops``: ``None``, or a callable such as one of the
+  machine model's access recorders (:mod:`repro.machine.access`), which
+  turn the stream into address traces for the cache simulator.  It is
+  set by plain assignment (a second assignment replaces the first), and
+  a publish site calls it directly behind a ``bus.ops is not None``
+  check.
 * **trace stream** — the packet-visible events of §6.1's fidelity claim
   (enqueue, drop, service start, delivery, flow completion).  The bus
   holds one sink, ``bus.trace``: the engine's
@@ -40,8 +43,8 @@ switch, ``bus.telemetry``:
   :meth:`InstrumentationBus.export_state` with the counters.  Counters
   live on the bus alone.
 
-The hot-path contract: with no op subscriber and trace level 0, every
-publish degrades to a guarded no-op (``bus.has_ops`` /
+The hot-path contract: with no op sink and trace level 0, every
+publish degrades to a guarded no-op (``bus.ops`` /
 ``bus.trace_level`` / ``bus.telemetry`` checks), so an uninstrumented
 run pays one attribute test per publish site, the same price the old
 ``if self.op_hook:`` / ``if trace.level:`` guards paid.  With telemetry
@@ -64,8 +67,8 @@ OP_SERVICE = 2
 OP_HOST_RX = 3
 OP_WINDOW = 9  # DOD engine only: a new lookahead window begins
 
-#: An op-stream subscriber: ``hook(op_code, location, packet_uid)``.
-OpSubscriber = Callable[[int, int, int], None]
+#: An op sink: ``sink(op_code, location, packet_uid)``.
+OpSink = Callable[[int, int, int], None]
 
 #: One recorded span: ``(t0_s, t1_s, name, category, attrs-or-None)``.
 #: Times are seconds relative to the owning bus's epoch; ``category``
@@ -93,7 +96,7 @@ SYSTEMS = ("ack", "send", "forward", "transmit")
 
 
 class InstrumentationBus:
-    """Counters, timers, op-stream subscribers and the one trace sink."""
+    """Counters, timers, the one op sink and the one trace sink."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
@@ -104,8 +107,9 @@ class InstrumentationBus:
         self.window_rows: List[tuple] = []
         #: ``(tag, rows)`` per child bus merged in, rows as above.
         self._child_rows: List[Tuple[str, Sequence[tuple]]] = []
-        self._op_subs: List[OpSubscriber] = []
-        self.has_ops = False
+        #: The op sink, called once per processed operation; ``None``
+        #: keeps every op publish site from calling.
+        self.ops: Optional[OpSink] = None
         #: The trace sink (see :meth:`set_trace`); ``None`` until one is
         #: set, which trace level 0 keeps every publish site from calling.
         self.trace: Any = None
@@ -128,10 +132,6 @@ class InstrumentationBus:
 
     # --- telemetry: spans -------------------------------------------------
 
-    def enable_telemetry(self, on: bool = True) -> None:
-        """Turn span recording and metric sampling on (or off)."""
-        self.telemetry = on
-
     def now(self) -> float:
         """Seconds since the bus epoch (the span timebase)."""
         return time.perf_counter() - self._epoch_perf
@@ -146,19 +146,6 @@ class InstrumentationBus:
     def rel(self, perf_t: float) -> float:
         """Convert a raw ``time.perf_counter()`` reading to span time."""
         return perf_t - self._epoch_perf
-
-    # --- op stream --------------------------------------------------------
-
-    def subscribe_ops(self, hook: OpSubscriber) -> OpSubscriber:
-        """Register a machine-model probe; returns it for chaining."""
-        self._op_subs.append(hook)
-        self.has_ops = True
-        return hook
-
-    def op(self, code: int, location: int, uid: int) -> None:
-        """Publish one operation (callers guard with ``bus.has_ops``)."""
-        for sub in self._op_subs:
-            sub(code, location, uid)
 
     # --- trace stream -----------------------------------------------------
 

@@ -506,7 +506,7 @@ class WindowMemoCache:
         cut = engine.scenario.duration_ps
         if cut is not None and (win + 1) * engine.lookahead > cut + 1:
             return "duration_cut"  # the cut truncates this window
-        return "ops_subscribed" if engine.bus.has_ops else None
+        return "ops_subscribed" if engine.bus.ops is not None else None
 
     def _probe(self, win: int, cycle=None):
         """Compute the window's execution signature, or the reason (a

@@ -67,15 +67,15 @@ def ack_window(engine, ctx: WindowContext, work: List[NodeWork]) -> None:
     node_events = engine.results.node_events
     flow_results = engine.results.flows
     bus = engine.bus
-    has_ops = bus.has_ops
+    ops = bus.ops
     trace_on = bool(bus.trace_level)
     n_acked = 0
     for node, arrivals in work:
         n_acked += len(arrivals)
         node_events[node] = node_events.get(node, 0) + len(arrivals)
-        if has_ops:
+        if ops is not None:
             for _t, _prio, row in arrivals:
-                bus.op(OP_HOST_RX, node, packet_uid(row))
+                ops(OP_HOST_RX, node, packet_uid(row))
         if trace_on:
             for t, _prio, row in arrivals:
                 bus.trace.deliver(t, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])

@@ -70,8 +70,7 @@ def run_forward_system(engine, ctx: WindowContext,
     staged = ctx.staged
     staged_get = staged.get
     node_events = engine.results.node_events
-    bus = engine.bus
-    has_ops = bus.has_ops
+    ops = engine.bus.ops
     n_nodes = len(sc.topology.nodes)
     n_flows = len(sc.flows)
     fanout = n_nodes * n_nodes
@@ -95,9 +94,9 @@ def run_forward_system(engine, ctx: WindowContext,
                 staged[target] = [(t, prio, row)]
             else:
                 lst.append((t, prio, row))
-        if has_ops:
+        if ops is not None:
             for _t, _prio, row in arrivals:
-                bus.op(OP_FORWARD, node, packet_uid(row))
+                ops(OP_FORWARD, node, packet_uid(row))
         n = len(arrivals)
         total += n
         node_events[node] = node_events.get(node, 0) + n

@@ -232,7 +232,6 @@ class FlowLists(NamedTuple):
 
 def commit_send(engine, ctx: WindowContext, results) -> None:
     """Stage kernel outputs and register wakeups, in flow-id order."""
-    bus = engine.bus
     fl = engine.flow_lists
     src_of = fl.src
     nic_of = fl.nic
@@ -240,15 +239,15 @@ def commit_send(engine, ctx: WindowContext, results) -> None:
     counts = ctx.counts
     node_events = engine.results.node_events
     rtt_extend = engine.results.rtt_samples.extend
-    has_ops = bus.has_ops
+    ops = engine.bus.ops
     for flow_id, out, rtts, rtx_wakeup, udp_wakeup, events in results:
         src = src_of[flow_id]
         segments = 0
-        if has_ops:
+        if ops is not None:
             for _ in rtts:
-                bus.op(OP_HOST_RX, src, (flow_id << 25) | (1 << 24))  # ack handled
+                ops(OP_HOST_RX, src, (flow_id << 25) | (1 << 24))  # ack handled
             for _t, _prio, row in out:
-                bus.op(OP_SEND, src, packet_uid(row))
+                ops(OP_SEND, src, packet_uid(row))
         if out:
             segments = len(out)
             nic = nic_of[flow_id]

@@ -150,9 +150,10 @@ def _publish(bus, iface_id: int, out: List[Emission],
     per service (op stream), then ``enq`` per accepted packet, ``drop``
     per tail drop and ``deq`` per service start (trace stream).
     Empties ``enq`` for the next port."""
-    if bus.has_ops:
+    ops = bus.ops
+    if ops is not None:
         for row, _s, _e in out:
-            bus.op(OP_SERVICE, iface_id, packet_uid(row))
+            ops(OP_SERVICE, iface_id, packet_uid(row))
     if bus.trace_level:
         trace = bus.trace
         if enq:
@@ -418,7 +419,7 @@ def run_transmit_system(engine, ctx: WindowContext) -> None:
         return
     bus = engine.bus
     owners, outbox = engine.port_owner, engine.outbox
-    if bus.trace_level or bus.has_ops:
+    if bus.trace_level or bus.ops is not None:
         owners = engine.port_observed
         if outbox is None:
             outbox = {}

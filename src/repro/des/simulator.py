@@ -20,9 +20,10 @@ maps out which store belongs to which engine.
 
 Like the DOD engine, the simulator publishes every observation to an
 :class:`~repro.core.instrument.InstrumentationBus`: machine-model probes
-subscribe to the op stream (``sim.bus.subscribe_ops``), and its trace
-recorder is the bus's one trace sink (``bus.trace``), which each publish
-site calls directly behind a ``bus.trace_level`` check.
+a machine-model probe is the bus's one op sink (``sim.bus.ops``), and
+its trace recorder is the bus's one trace sink (``bus.trace``); each
+publish site calls its sink directly, behind a ``bus.ops is not None``
+or ``bus.trace_level`` check.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ class OodSimulator:
         iface = port.iface
         if self.bus.trace_level:
             self.bus.trace.deq(start, iface.iface_id, row[F_FLOW], row[F_ISACK], row[F_SEQ])
-        if self.bus.has_ops:
-            self.bus.op(OP_SERVICE, iface.iface_id, packet_uid(row))
+        if self.bus.ops is not None:
+            self.bus.ops(OP_SERVICE, iface.iface_id, packet_uid(row))
         self.results.events.transmit += 1
         node_events = self.results.node_events
         node_events[iface.node] = node_events.get(iface.node, 0) + 1
@@ -203,8 +204,8 @@ class OodSimulator:
             row = data_row(flow_id, seq, payload, now, src, dst)
             self.results.events.send += 1
             self._bump_node(src)
-            if self.bus.has_ops:
-                self.bus.op(OP_SEND, src, packet_uid(row))
+            if self.bus.ops is not None:
+                self.bus.ops(OP_SEND, src, packet_uid(row))
             self._enqueue_at_host_nic(src, row, now)
 
     def _arm_timer(self, state: DctcpState) -> None:
@@ -232,8 +233,8 @@ class OodSimulator:
                        self._flow_dst[flow_id])
         self.results.events.send += 1
         self._bump_node(src)
-        if self.bus.has_ops:
-            self.bus.op(OP_SEND, src, packet_uid(row))
+        if self.bus.ops is not None:
+            self.bus.ops(OP_SEND, src, packet_uid(row))
         self._enqueue_at_host_nic(src, row, now)
         nxt = udp_seq + 1
         if nxt < sched.total_segs:
@@ -249,8 +250,8 @@ class OodSimulator:
             # Switch: FIB lookup + move to the chosen egress (ForwardSystem).
             self.results.events.forward += 1
             self._bump_node(node)
-            if self.bus.has_ops:
-                self.bus.op(OP_FORWARD, node, packet_uid(row))
+            if self.bus.ops is not None:
+                self.bus.ops(OP_FORWARD, node, packet_uid(row))
             salt = row[F_SEQ] if self.scenario.ecmp_mode == "packet" else None
             port = self.scenario.fib.resolve_port(node, row[F_DST],
                                                   row[F_FLOW], salt)
@@ -264,8 +265,8 @@ class OodSimulator:
             )
         self.results.events.ack += 1
         self._bump_node(node)
-        if self.bus.has_ops:
-            self.bus.op(OP_HOST_RX, node, packet_uid(row))
+        if self.bus.ops is not None:
+            self.bus.ops(OP_HOST_RX, node, packet_uid(row))
         if self.bus.trace_level:
             self.bus.trace.deliver(now, node, row[F_FLOW], row[F_ISACK], row[F_SEQ])
         flow_id = row[F_FLOW]

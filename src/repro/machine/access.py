@@ -1,8 +1,9 @@
 """Memory-access models: how each engine's data layout touches memory.
 
 Both engines publish one op per processed operation, in actual
-processing order, on their instrumentation bus; the recorders below
-subscribe via ``engine.bus.subscribe_ops(recorder)`` and are called as
+processing order, on their instrumentation bus; a recorder below is
+made the bus's one op sink (``engine.bus.ops = recorder``) and is
+called as
 
     recorder(op_code, location, packet_uid)
 

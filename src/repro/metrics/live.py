@@ -156,7 +156,7 @@ class LivePlane:
 
     The sampler only *reads* engine state — ``progress()``, the bus
     counters and gauges (a cluster's busy / wait totals) — and never toggles
-    telemetry, installs subscribers, or touches the event calendar,
+    telemetry, installs a sink, or touches the event calendar,
     which is how the trace-digest neutrality invariant holds by
     construction.
 

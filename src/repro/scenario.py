@@ -10,6 +10,7 @@ is what makes cross-engine comparisons meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import List, Optional, Sequence, Union
 
 from .errors import ConfigError
@@ -40,7 +41,8 @@ class Scenario:
         switch_egress: Configuration of every switch egress queue.
         host_egress: Configuration of every host NIC queue.
         dctcp: DCTCP protocol constants.
-        duration_ps: Optional hard stop; ``None`` runs to completion.
+        duration_ps: Optional hard stop, at least 0; ``None`` runs to
+            completion.
     """
 
     name: str
@@ -61,6 +63,15 @@ class Scenario:
             raise ConfigError("scenario needs a frozen topology")
         if not self.flows:
             raise ConfigError("scenario has no flows")
+        if self.duration_ps is not None and not (
+                isinstance(self.duration_ps, Integral)
+                and self.duration_ps >= 0):
+            raise ConfigError(
+                f"duration_ps={self.duration_ps!r}: a hard stop is an "
+                "integer of at least 0 ps, or None")
+        if self.ecmp_mode not in ("flow", "packet"):
+            raise ConfigError(f"ecmp_mode={self.ecmp_mode!r}: "
+                              "must be 'flow' or 'packet'")
         # A queue that cannot hold one full-size segment tail-drops
         # every one of them, and the sender retransmits it forever.
         for key in ("switch_egress", "host_egress"):

@@ -19,9 +19,10 @@ from repro.conformance.inject import (
 from repro.conformance.invariants import check_invariants
 from repro.conformance.oracles import run_oracle
 from repro.conformance.runner import (
-    check_spec, fuzz, load_spec_file, replay_file, write_artifact,
+    ARTIFACT_FORMAT, check_spec, fuzz, load_spec_file, replay_file,
+    write_artifact,
 )
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.metrics.timeline import validate_timeline_file
 
 FAST_ORACLES = ("ood", "dons")
@@ -370,3 +371,60 @@ def test_fuzz_cli_smoke(capsys):
                  "--oracles", "ood,dons,dons-ffwd"]) == 0
     out = capsys.readouterr().out
     assert "byte-identical" in out
+
+
+#: Spec files that used to end in a raw traceback: ``(file text, the
+#: words of the one-line error)``.
+_GOOD_SPEC = dict(SMALL.to_dict())
+BAD_SPEC_FILES = {
+    "unknown-key": (json.dumps({**_GOOD_SPEC, "colour": "red"}),
+                    "unknown keys"),
+    "missing-seed": (json.dumps({k: v for k, v in _GOOD_SPEC.items()
+                                 if k != "seed"}), "missing key 'seed'"),
+    "top-level-list": (json.dumps([_GOOD_SPEC]), "JSON object"),
+    "topo-arg-string": (json.dumps({**_GOOD_SPEC, "topo_arg": "2"}),
+                        "topo_arg='2' is not an integer"),
+    "seed-string": (json.dumps({**_GOOD_SPEC, "seed": "x"}),
+                    "seed='x' is not an integer"),
+    "duration-float": (json.dumps({**_GOOD_SPEC, "duration_us": 1.5}),
+                       "duration_us=1.5"),
+    "not-json": ("{nope", "not JSON"),
+    "artifact-without-spec": (json.dumps({"format": ARTIFACT_FORMAT}),
+                              "artifact's spec"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPEC_FILES) + ["missing-file"])
+def test_malformed_spec_files_are_config_errors(tmp_path, capsys, case):
+    """A spec file that cannot be a spec is a ``ConfigError`` naming
+    what is wrong, and ``fuzz --replay`` prints it as one ``error:``
+    line with exit 2 — never a TypeError or JSONDecodeError traceback."""
+    from repro.cli import main
+    path = tmp_path / "spec.json"
+    if case == "missing-file":
+        match = "cannot read"
+    else:
+        text, match = BAD_SPEC_FILES[case]
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        load_spec_file(path)
+    assert main(["fuzz", "--replay", str(path), "--oracles", "ood"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field,value", [
+    ("scheduler", "wfq"), ("aqm", "codel"), ("transport", "quic"),
+    ("duration_us", -3),
+])
+def test_unbuildable_spec_values_are_config_errors(field, value):
+    """An unknown scheduler, AQM or transport-mix name, or a negative
+    duration, does not build: a ``ConfigError`` from ``build``, which a
+    check reports as "spec does not build" (a negative duration ran 0
+    events, an unknown transport mix ran DCTCP)."""
+    spec = dataclasses.replace(SMALL, **{field: value})
+    with pytest.raises(ConfigError):
+        spec.build()
+    report = check_spec(spec, FAST_ORACLES)
+    assert not report.ok
+    assert report.error.startswith("spec does not build")

@@ -60,7 +60,7 @@ def _row_sums(rows):
 class TestSpans:
     def test_span_add_uses_caller_times(self):
         bus = InstrumentationBus()
-        bus.enable_telemetry()
+        bus.telemetry = True
         bus.span_add("w", 1.0, 2.0, "window")
         assert bus.spans[0][:2] == (1.0, 2.0)
 
@@ -201,7 +201,7 @@ class TestTracePlumbing:
 class TestStateExportAdopt:
     def test_roundtrip_rebases_spans(self):
         a = InstrumentationBus()
-        a.enable_telemetry()
+        a.telemetry = True
         a.count("windows", 7)
         a.span_add("window", 0.1, 0.2, "window")
         a.metrics.gauge("port.max_queue_bytes", 4.0)

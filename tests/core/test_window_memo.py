@@ -463,6 +463,27 @@ class TestDigestIdentity:
         assert counters[True]["memo.hit"] > 0
         assert "memo.hit" not in counters[False]
 
+    def test_op_sink_makes_every_window_ineligible(self):
+        """An op sink sees every processed op, which a jump would skip,
+        so a probed run serves no window from the memo: its op stream
+        and trace are those of the probed run without one."""
+        scenario = steady_scenario()
+        streams, digests = {}, {}
+        for ffwd in (False, True):
+            engine = DodEngine(scenario, TraceLevel.FULL, ffwd=ffwd)
+            ops = []
+            engine.bus.ops = lambda *op: ops.append(op)
+            engine.run()
+            streams[ffwd], digests[ffwd] = ops, engine.trace.digest()
+        c = engine.bus.counters
+        assert c.get("memo.ineligible", 0) == c["windows"]
+        assert (c.get("memo.ineligible.ops_subscribed", 0)
+                + c.get("memo.ineligible.duration_cut", 0)) == c["windows"]
+        assert c.get("memo.hit", 0) == c.get("memo.jump_windows", 0) == 0
+        assert len(streams[True]) > c["windows"]
+        assert streams[True] == streams[False]
+        assert digests[True] == digests[False]
+
     def test_memo_counters_account_for_every_window(self):
         scenario = steady_scenario()
         engine = DodEngine(scenario, TraceLevel.NONE, ffwd=True,

@@ -98,7 +98,7 @@ class TestParallelExecution:
 
         def counted(bus):
             counts = Counter()
-            bus.subscribe_ops(lambda code, _where, _uid: counts.update((code,)))
+            bus.ops = lambda code, _where, _uid: counts.update((code,))
             return counts
 
         seq = OodSimulator(sc)

@@ -73,8 +73,8 @@ def test_fattree_op_stream_identical(fattree4_scenario, trace_level):
     stream either way."""
     engine = DodEngine(fattree4_scenario, trace_level)
     ops = []
-    engine.bus.subscribe_ops(
-        lambda code, location, uid: ops.append((code, location, uid)))
+    engine.bus.ops = lambda code, location, uid: ops.append(
+        (code, location, uid))
     engine.run()
     assert sum(op[0] == OP_FORWARD for op in ops) > 1000
     digest = blake2b(digest_size=8)

@@ -81,5 +81,5 @@ def test_checkpoints_carry_the_bus_with_or_without_telemetry(scenario):
     telemetered = DodEngine(scenario, telemetry=True)
     telemetered.build()
     restore_checkpoint(telemetered, checkpoints[False])
-    assert telemetered.telemetry
+    assert telemetered.bus.telemetry
     assert telemetered.progress()["windows"] == 1

@@ -48,12 +48,12 @@ class TestAccessModels:
         ood = OodAccessModel(topo.num_nodes, topo.num_interfaces,
                              topo.num_hosts)
         sim = OodSimulator(fattree4_scenario)
-        sim.bus.subscribe_ops(ood)
+        sim.bus.ops = ood
         sim.run()
         eng = DodEngine(fattree4_scenario)
-        eng.bus.subscribe_ops(dod := DodAccessModel(
+        eng.bus.ops = dod = DodAccessModel(
             topo.num_nodes, topo.num_interfaces,
-            topo.num_hosts, len(fattree4_scenario.flows)))
+            topo.num_hosts, len(fattree4_scenario.flows))
         eng.run()
         assert len(ood.addresses) > 1000
         assert len(dod.addresses) > 1000
@@ -65,12 +65,12 @@ class TestAccessModels:
         ood = OodAccessModel(topo.num_nodes, topo.num_interfaces,
                              topo.num_hosts)
         sim = OodSimulator(fattree4_scenario)
-        sim.bus.subscribe_ops(ood)
+        sim.bus.ops = ood
         sim.run()
         eng = DodEngine(fattree4_scenario)
-        eng.bus.subscribe_ops(dod := DodAccessModel(
+        eng.bus.ops = dod = DodAccessModel(
             topo.num_nodes, topo.num_interfaces,
-            topo.num_hosts, len(fattree4_scenario.flows)))
+            topo.num_hosts, len(fattree4_scenario.flows))
         eng.run()
         cfg = CacheConfig(size_bytes=8 * MIB)
         assert (ood.measure(cfg).miss_rate

@@ -26,7 +26,7 @@ from repro.traffic import fixed_flows
 
 def _bus_with(*spans):
     bus = InstrumentationBus()
-    bus.enable_telemetry()
+    bus.telemetry = True
     for span in spans:
         bus.span_add(*span)
     return bus

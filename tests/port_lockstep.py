@@ -138,7 +138,7 @@ def watching_bus(ops, level):
     bus = InstrumentationBus()
     published = bus.set_trace(Published(level))
     if ops:
-        bus.subscribe_ops(lambda *op: published.append(op))
+        bus.ops = lambda *op: published.append(op)
     return bus, published
 
 

@@ -90,3 +90,14 @@ def test_custom_aqm(small_dumbbell):
     aqm = AqmConfig(kind=AqmKind.RED)
     sc = make_scenario(small_dumbbell, [Flow(0, 0, 4, 1000, 0)], aqm=aqm)
     assert sc.switch_egress.aqm.kind == AqmKind.RED
+
+
+@pytest.mark.parametrize("field,value", [
+    ("duration_ps", -5), ("duration_ps", -1), ("ecmp_mode", "spray"),
+])
+def test_bad_stop_or_ecmp_mode_refused(small_dumbbell, field, value):
+    """A negative hard stop or an unknown ECMP mode used to build a
+    scenario that ran 0 events; both are refused where it is made."""
+    with pytest.raises(ConfigError, match=field):
+        make_scenario(small_dumbbell, [Flow(0, 0, 4, 1000, 0)],
+                      **{field: value})

@@ -150,6 +150,15 @@ MALFORMED = {
     "dctcp-unknown-parameter": (
         lambda sc: _mutated(sc, lambda d: d["dctcp"].update(bogus=1)),
         "dctcp is malformed.*bogus"),
+    "negative-duration": (
+        lambda sc: _mutated(sc, lambda d: d.update(duration_ps=-3)),
+        "duration_ps=-3"),
+    "duration-is-a-string": (
+        lambda sc: _mutated(sc, lambda d: d.update(duration_ps="abc")),
+        "duration_ps='abc'"),
+    "unknown-ecmp-mode": (
+        lambda sc: _mutated(sc, lambda d: d.update(ecmp_mode="spray")),
+        "ecmp_mode='spray'"),
 }
 
 
@@ -171,3 +180,13 @@ def test_cli_reports_malformed_file_without_traceback(tmp_path, capsys):
     assert err.startswith("error: scenario:")
     assert "'topology'" in err
     assert "Traceback" not in err
+
+
+def test_cli_reports_unreadable_load_file_without_traceback(tmp_path,
+                                                             capsys):
+    from repro.cli import main
+    missing = tmp_path / "missing.json"
+    assert main(["run", "--load", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cannot read" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
