@@ -21,6 +21,11 @@ not just the dead one — is restored from the latest coordinated
 snapshot, a dead worker is respawned first, every pair ring is replaced
 by a fresh segment, and the normal window loop re-runs from the
 snapshot window with the already-reported windows consumed silently.
+On a ``ProcessTransport`` the checkpoints travel on the workers' control
+pipes, so a rollback strands no segment of its own; the one thing it
+can orphan is an oversize batch's blob that the old timeline never
+read, which :func:`~repro.cluster.shm.reap_orphans` removes once its
+writer has exited.
 Because engine state between windows is a pure function of the windows
 executed, the recovered run's merged trace is byte-identical to the
 fault-free run (tests/cluster/test_fault_recovery.py,

@@ -50,6 +50,15 @@ completed, a log of recent windows with agent-measured busy CPU and
 barrier-wait seconds, events so far, how its last grant ended).  The
 coordinator only reads it — it learns about finished windows without
 being on any window's critical path.
+
+**Lifecycle.**  Every segment is named ``dons-shm-<pid>-<tag>-<nonce>``,
+and the pid is its one owner.  Rings and board share one base for
+create / attach / close / unlink: the owner unlinks, other processes
+attach by name, and attaching a name that is gone raises a
+:class:`~repro.errors.ClusterError` naming it.  Unlinking a name that is
+already gone counts as done.  A blob is the exception: its reader
+unlinks it.  :func:`reap_orphans` removes only segments whose owner has
+exited, so it never pulls a live run's rings away.
 """
 
 from __future__ import annotations
@@ -63,8 +72,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..errors import ClusterError
 from ..protocols.packet import ROW_FIELDS, Row
 
-#: Every segment this package creates starts with this prefix — the
-#: conftest reaper and :func:`reap_orphans` key on it.
+#: Every segment this package creates starts with this prefix and then
+#: its owner's pid — :func:`reap_orphans` keys on both.
 SEGMENT_PREFIX = "dons-shm-"
 
 #: Frame kinds.
@@ -149,85 +158,57 @@ def unpack_outbox(view) -> Dict[int, List[Tuple[int, int, Row]]]:
     return out
 
 
-# --- shared-memory ring -----------------------------------------------------
+# --- segments: one owner, one lifecycle -------------------------------------
 
-def _spawn_world() -> bool:
-    """True when worker processes get their *own* resource tracker.
-
-    Under the fork start method (what the transport prefers) every
-    process inherits the parent's tracker: its name set dedupes the
-    attach-time re-registration, so the built-in accounting is already
-    exactly-once and an explicit unregister would double-remove (the
-    tracker prints a KeyError).  Under spawn each process tracks
-    independently, and an attacher *must* unregister or its tracker
-    will unlink — and warn about — a segment it never owned.
-    """
-    import multiprocessing
-    return "fork" not in multiprocessing.get_all_start_methods()
+def _create(tag: str, size: int) -> shared_memory.SharedMemory:
+    """A fresh zero-filled segment owned by this process."""
+    return shared_memory.SharedMemory(
+        create=True, size=size,
+        name=f"{SEGMENT_PREFIX}{os.getpid()}-{tag}-{secrets.token_hex(4)}")
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach without adopting unlink duty.
-
-    Python 3.11's ``SharedMemory`` registers the name with the attaching
-    process's resource tracker too; creators own the unlink, so spawned
-    attachers unregister (see :func:`_spawn_world` for why forked ones
-    must not).
-    """
-    seg = shared_memory.SharedMemory(name=name)
-    if _spawn_world():  # pragma: no cover - non-fork platforms
-        try:
-            resource_tracker.unregister(seg._name, "shared_memory")
-        except Exception:
-            pass
-    return seg
+def _attach(name: str) -> shared_memory.SharedMemory:
+    """Map an existing segment.  Forked processes share the creator's
+    resource tracker, whose name set dedupes the attach-time
+    registration, so attaching adopts no unlink duty."""
+    try:
+        return shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        raise ClusterError(f"shared-memory segment {name} is gone") from None
 
 
 def _disown_segment(seg: shared_memory.SharedMemory) -> None:
-    """Hand a created segment's unlink duty to the peer process."""
+    """Drop the segment's resource-tracker registration."""
     try:
         resource_tracker.unregister(seg._name, "shared_memory")
     except Exception:  # pragma: no cover - tracker not running
         pass
 
 
-def _fresh_name(tag: str) -> str:
-    return f"{SEGMENT_PREFIX}{os.getpid()}-{tag}-{secrets.token_hex(4)}"
+def _unlink(seg: shared_memory.SharedMemory) -> None:
+    """Remove the segment's name.  A name that is already gone counts as
+    removed; its tracker registration is dropped either way."""
+    try:
+        seg.unlink()
+    except FileNotFoundError:
+        _disown_segment(seg)
 
 
-class ShmRing:
-    """Framed slots from one writer to one reader inside one segment.
-
-    Any process may create the ring (the coordinator does, and owns the
-    unlink); each process then uses one role.  Frame sequence numbers
-    start at 1; the slot of seq ``s`` is ``(s - 1) % n_slots``.
-    """
+class _Segment:
+    """A named segment viewed as int64 words (see the module doc).  Its
+    one owner is the process that created it — the pid in its name — and
+    only the owner unlinks it; other processes attach by name."""
 
     def __init__(self, seg: shared_memory.SharedMemory, created: bool) -> None:
         self._seg = seg
         self._words = seg.buf.cast("q")   # see the module doc
         self.name = seg.name
-        self.slot_bytes, self.n_slots = self._words[0], self._words[1]
         self._created = created
         self.unlinked = False
-        self.next_seq = 1   # writer: seq of the next frame published
-        self.read_seq = 1   # reader: seq of the next frame awaited
-
-    # -- lifecycle --
 
     @classmethod
-    def create(cls, tag: str) -> "ShmRing":
-        slot_bytes, n_slots = DEFAULT_SLOT_BYTES, DEFAULT_SLOTS
-        # A fresh segment is zero-filled: cursor 0, no committed frame.
-        seg = shared_memory.SharedMemory(
-            create=True, name=_fresh_name(tag),
-            size=_GEOMETRY.size + n_slots * (_COMMIT.size + slot_bytes))
-        _GEOMETRY.pack_into(seg.buf, 0, slot_bytes, n_slots, 0)
-        return cls(seg, created=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmRing":
-        return cls(_attach_segment(name), created=False)
+    def attach(cls, name: str):
+        return cls(_attach(name), created=False)
 
     def close(self) -> None:
         if self._words is None:
@@ -240,14 +221,37 @@ class ShmRing:
             pass
 
     def unlink(self) -> None:
-        """Remove the segment name; exactly-once (idempotent re-calls)."""
-        if self.unlinked or not self._created:
-            return
-        self.unlinked = True
-        try:
-            self._seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - reaped externally
-            pass
+        """Remove the name: the owner's duty, done once (re-calls and an
+        attacher's call are no-ops)."""
+        if self._created and not self.unlinked:
+            self.unlinked = True
+            _unlink(self._seg)
+
+
+# --- shared-memory ring -----------------------------------------------------
+
+class ShmRing(_Segment):
+    """Framed slots from one writer to one reader inside one segment.
+
+    Any process may create the ring (the coordinator does, and owns the
+    unlink); each process then uses one role.  Frame sequence numbers
+    start at 1; the slot of seq ``s`` is ``(s - 1) % n_slots``.
+    """
+
+    def __init__(self, seg: shared_memory.SharedMemory, created: bool) -> None:
+        super().__init__(seg, created)
+        self.slot_bytes, self.n_slots = self._words[0], self._words[1]
+        self.next_seq = 1   # writer: seq of the next frame published
+        self.read_seq = 1   # reader: seq of the next frame awaited
+
+    @classmethod
+    def create(cls, tag: str) -> "ShmRing":
+        slot_bytes, n_slots = DEFAULT_SLOT_BYTES, DEFAULT_SLOTS
+        # A fresh segment is zero-filled: cursor 0, no committed frame.
+        seg = _create(tag, _GEOMETRY.size
+                      + n_slots * (_COMMIT.size + slot_bytes))
+        _GEOMETRY.pack_into(seg.buf, 0, slot_bytes, n_slots, 0)
+        return cls(seg, created=True)
 
     # -- geometry --
 
@@ -330,40 +334,30 @@ class ShmRing:
             self._words[_CURSOR] = seq
 
 
-# --- one-off blob segments (checkpoint payloads) ----------------------------
+# --- one-off blob segments (oversize batches) ------------------------------
 
-def write_blob(tag: str, parts: Sequence) -> Tuple[str, int]:
-    """Copy ``parts`` into a fresh named segment for the peer to read.
+def write_blob(tag: str, data: bytes) -> Tuple[str, int]:
+    """Copy ``data`` into a fresh named segment for the peer to read.
 
     The *reader* unlinks (attach -> copy -> unlink), so the creating
-    process disowns the name from its resource tracker; a crash before
-    the read leaves an orphan for :func:`reap_orphans`.
+    process disowns the name from its resource tracker; a blob left
+    unread is an orphan once its creator exits (:func:`reap_orphans`).
     """
-    views = [memoryview(p).cast("B") for p in parts]
-    total = sum(v.nbytes for v in views)
-    seg = shared_memory.SharedMemory(
-        create=True, size=max(1, total), name=_fresh_name(tag))
-    off = 0
-    for view in views:
-        seg.buf[off:off + view.nbytes] = view
-        off += view.nbytes
+    seg = _create(tag, max(1, len(data)))
+    seg.buf[:len(data)] = data
     _disown_segment(seg)
     seg.close()
-    return seg.name, total
+    return seg.name, len(data)
 
 
 def read_blob(name: str, nbytes: int) -> bytes:
     """Consume a blob segment: copy out, unlink, close."""
-    seg = _attach_segment(name)
+    seg = _attach(name)
     try:
-        payload = bytes(seg.buf[:nbytes])
+        return bytes(seg.buf[:nbytes])
     finally:
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
+        _unlink(seg)
         seg.close()
-    return payload
 
 
 # --- window frames (one per window per directed pair) ------------------------
@@ -378,7 +372,7 @@ def publish_batch(ring: ShmRing, window: int, advertised: Optional[int],
     if _BATCH.size + len(packed) <= ring.frame_capacity:
         ring.write_frame(KIND_BATCH, len(records), (head, packed))
         return False
-    name, nbytes = write_blob("batch", [packed])
+    name, nbytes = write_blob("batch", packed)
     ring.write_frame(KIND_BLOB, len(records),
                      (head, _COMMIT.pack(nbytes), name.encode()))
     return True
@@ -412,7 +406,7 @@ _AGENT_WORDS = 5   # completed, events, epoch, outcome, pending
 _ENTRY = struct.Struct("<qdd")  # window, busy_s, wait_s
 
 
-class ProgressBoard:
+class ProgressBoard(_Segment):
     """Per-agent progress records in one segment.
 
     Agent *i* is the only writer of region *i*; the coordinator reads
@@ -426,35 +420,13 @@ class ProgressBoard:
     LOG_SLOTS = 1024
     _STRIDE = _AGENT_WORDS + LOG_SLOTS * _ENTRY.size // 8   # in words
 
-    def __init__(self, seg: shared_memory.SharedMemory,
-                 created: bool) -> None:
-        self._seg = seg
-        self._words = seg.buf.cast("q")   # see the module doc
-        self.name = seg.name
-        self._created = created
-
     @classmethod
     def create(cls, tag: str, n_agents: int) -> "ProgressBoard":
-        seg = shared_memory.SharedMemory(
-            create=True, name=_fresh_name(tag),
-            size=8 * (_BOARD_WORDS + n_agents * cls._STRIDE))
-        board = cls(seg, created=True)
+        board = cls(_create(tag, 8 * (_BOARD_WORDS + n_agents * cls._STRIDE)),
+                    created=True)
         for agent in range(n_agents):
             board.reset(agent, 0)
         return board
-
-    @classmethod
-    def attach(cls, name: str) -> "ProgressBoard":
-        return cls(_attach_segment(name), created=False)
-
-    def close(self) -> None:
-        self._words.release()
-        self._seg.close()
-
-    def unlink(self) -> None:
-        if self._created:
-            self._created = False
-            self._seg.unlink()
 
     def _base(self, agent: int) -> int:
         return _BOARD_WORDS + agent * self._STRIDE
@@ -515,7 +487,8 @@ class ProgressBoard:
 # --- orphan reaping ---------------------------------------------------------
 
 def list_orphans() -> List[str]:
-    """Names of this package's segments still present in ``/dev/shm``."""
+    """Names of this package's segments still present in ``/dev/shm``,
+    live or not."""
     shm_dir = "/dev/shm"
     if not os.path.isdir(shm_dir):  # pragma: no cover - non-POSIX host
         return []
@@ -525,22 +498,36 @@ def list_orphans() -> List[str]:
     )
 
 
-def reap_orphans() -> List[str]:
-    """Unlink every leftover segment; returns the reaped names.
+def live_owner(name: str) -> Optional[int]:
+    """The pid in a segment's name while that process runs; ``None`` once
+    it has exited, or for a name that carries no pid.  A recycled pid
+    reads as live, which only spares a segment."""
+    pid = name[len(SEGMENT_PREFIX):].split("-", 1)[0]
+    if not pid.isdigit():
+        return None
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return None
+    except PermissionError:  # another user's process
+        pass
+    return int(pid)
 
-    The conftest worker-reaper calls this after each test so a failing
-    test cannot strand segments for the rest of the session.
-    """
-    reaped = []
-    for name in list_orphans():
-        try:
-            seg = _attach_segment(name)
-        except FileNotFoundError:  # pragma: no cover - raced another reaper
-            continue
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
-        seg.close()
-        reaped.append(name)
-    return reaped
+
+def remove_segment(name: str) -> bool:
+    """Unlink a segment by name; False when it was already gone."""
+    try:
+        seg = _attach(name)
+    except ClusterError:
+        return False
+    _unlink(seg)
+    seg.close()
+    return True
+
+
+def reap_orphans() -> List[str]:
+    """Unlink every segment whose owner has exited; returns the reaped
+    names.  Segments of live processes — this one's, a concurrent
+    run's — are left alone."""
+    return [name for name in list_orphans()
+            if live_owner(name) is None and remove_segment(name)]

@@ -60,15 +60,17 @@ transports call: ``cluster.finish_frames`` (one per peer per window),
 rollback re-counts nothing, and come home in the :class:`AgentReport`;
 :meth:`Transport.finalize_stats` prices them into
 :class:`ClusterTrafficStats`, which therefore cannot tell the
-transports apart.  What crosses the process boundary is an engine
-checkpoint or an :class:`AgentReport`, nothing else.
+transports apart.  Beyond the window frames, what crosses the process
+boundary is an engine checkpoint or an :class:`AgentReport`, both on
+the control pipe (a checkpoint rides a ``snapshot`` reply or a
+``restore`` command).  The only shared-memory segments are the pair
+rings, the board and an oversize batch's blob.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import time
 import traceback
 from dataclasses import dataclass, field, replace
@@ -77,7 +79,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from .agent import AgentEngine, AgentSpec, Horizon, agreed_window
 from .shm import (
     DONE, FAILED, PAUSED, RECORD_BYTES, ProgressBoard, SequenceError,
-    ShmRing, consume_batch, publish_batch, read_blob, write_blob,
+    ShmRing, consume_batch, publish_batch,
 )
 from ..core.checkpoint import (
     Checkpoint, restore_checkpoint, take_checkpoint,
@@ -340,17 +342,6 @@ _NAP_S = 0.0005
 _yield = getattr(os, "sched_yield", None) or (lambda: time.sleep(0))
 
 
-def _checkpoint_blob(tag: str, checkpoint: Checkpoint) -> Tuple[str, int]:
-    """Ship one engine checkpoint — format tag and scenario name
-    included — as a one-off blob segment."""
-    return write_blob(
-        tag, [pickle.dumps(checkpoint, pickle.HIGHEST_PROTOCOL)])
-
-
-def _read_checkpoint(name: str, nbytes: int) -> Checkpoint:
-    return pickle.loads(read_blob(name, nbytes))
-
-
 class _Interrupted(Exception):
     """A command (or EOF) is waiting on the control pipe: the window
     loop gives up so the command loop can serve it."""
@@ -487,12 +478,10 @@ class _AgentWorker:
         board.publish(me, window, cpu() - c0 - wait_cpu, waited,
                       engine.results.events.total)
 
-    def _snapshot(self, window: int) -> Tuple[str, int]:
-        """The engine checkpoint, in a blob segment."""
-        return _checkpoint_blob(f"{self.me}-snap",
-                                take_checkpoint(self.engine, window))
+    def _snapshot(self, window: int) -> Checkpoint:
+        return take_checkpoint(self.engine, window)
 
-    def _restore(self, blob, window: int, wiring,
+    def _restore(self, checkpoint: Checkpoint, window: int, wiring,
                  partition: Partition) -> Optional[int]:
         self._wire(wiring)
         if partition != self.spec.partition:  # the sink routes by it
@@ -500,7 +489,7 @@ class _AgentWorker:
             self.engine = self.spec.make()
         if not self.engine.built:
             self.engine.build()
-        restore_checkpoint(self.engine, _read_checkpoint(*blob))
+        restore_checkpoint(self.engine, checkpoint)
         self.board.reset(self.me, self.engine.results.events.total)
         return self.engine.peek_next_window(window)
 
@@ -685,8 +674,7 @@ class ProcessTransport(Transport):
                    for a in range(len(self._workers)))
 
     def snapshot_all(self, window: int) -> List[Checkpoint]:
-        replies = self._fan_out([("snapshot", window)] * len(self._workers))
-        return [_read_checkpoint(*blob) for blob in replies]
+        return self._fan_out([("snapshot", window)] * len(self._workers))
 
     def kill(self, agent_id: int) -> None:
         """Fault injection: terminate the worker process outright."""
@@ -707,8 +695,7 @@ class ProcessTransport(Transport):
             self._workers[agent_id].conn.close()
             self._workers[agent_id] = self._spawn(self.specs[agent_id])
         self._offers = self._fan_out([
-            ("restore", _checkpoint_blob(f"{a}-restore", snapshot[a]),
-             window, wiring, self.specs[a].partition)
+            ("restore", snapshot[a], window, wiring, self.specs[a].partition)
             for a, wiring in enumerate(self._rewire())])
         self._reported = 0
         self._board.consume(0)

@@ -26,7 +26,7 @@ import pytest
 
 import repro
 from repro.cluster import AgentSpec, ClusterEngine
-from repro.cluster.shm import list_orphans, reap_orphans
+from repro.cluster.shm import reap_orphans
 from repro.des.partition_types import contiguous_partition
 from repro.errors import ClusterError
 from repro.metrics import TraceLevel
@@ -34,6 +34,7 @@ from repro.scenario import make_scenario
 from repro.topology import fattree
 from repro.traffic import Transport, fixed_flows
 from repro.units import GBPS, us
+from shm_leaks import leaked_segments
 
 #: Seconds within which a failure must have surfaced / been survived.
 BUDGET_S = 10.0
@@ -80,7 +81,7 @@ def test_sigkill_without_checkpoint_fails_fast_and_leaks_nothing(scenario):
             engine.finalize()   # the dead agent cannot report
     assert time.monotonic() - t0 < BUDGET_S
     assert _agents_alive() == []
-    assert list_orphans() == []
+    assert leaked_segments() == []
 
 
 def test_sigkill_with_checkpoints_recovers_byte_identical(scenario):

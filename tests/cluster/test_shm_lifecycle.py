@@ -6,7 +6,9 @@ unlinked (``/dev/shm`` fills until the machine wedges), or the old
 timeline's rings surviving a rollback.  This suite pins the
 contract at three levels: the :class:`ShmRing`/blob primitives, the
 transport's kill/restore segment turnover, and a full run in a fresh
-interpreter whose stderr must stay free of tracker warnings.
+interpreter whose stderr must stay free of tracker warnings.  A segment
+belongs to the pid in its name: the reaper spares a live owner's, and a
+run whose names vanish under it still finishes and shuts down cleanly.
 """
 
 import multiprocessing
@@ -31,10 +33,11 @@ from repro.core.engine import run_dons
 from repro.des.partition_types import contiguous_partition, random_partition
 from repro.errors import ClusterError
 from repro.metrics import TraceLevel
+from shm_leaks import leaked_segments
 
 
 def _live_segments():
-    return set(list_orphans())
+    return set(leaked_segments())
 
 
 class TestRingLifecycle:
@@ -114,10 +117,10 @@ class TestRingLifecycle:
         assert board.name not in _live_segments()
 
     def test_blob_round_trip_unlinks_on_read(self):
-        parts = [b"header", bytes(range(200)), b"tail"]
-        name, nbytes = write_blob("blob-test", parts)
+        data = b"header" + bytes(range(200)) + b"tail"
+        name, nbytes = write_blob("blob-test", data)
         assert name in _live_segments()
-        assert read_blob(name, nbytes) == b"".join(parts)
+        assert read_blob(name, nbytes) == data
         # The reader unlinks the one-shot blob as it consumes it.
         assert name not in _live_segments()
 
@@ -132,6 +135,44 @@ class TestRingLifecycle:
         assert f"{SEGMENT_PREFIX}stranded-test" in reaped
         assert f"{SEGMENT_PREFIX}stranded-test" not in _live_segments()
         assert reap_orphans() == []  # nothing left to reap
+
+    def test_reap_orphans_spares_a_live_childs_ring(self):
+        """The reaper reads the owner pid in a segment's name: a ring
+        whose creator is still running survives it."""
+        ctx = multiprocessing.get_context("fork")
+        parent, child = ctx.Pipe()
+        proc = ctx.Process(target=_hold_a_ring, args=(child,))
+        proc.start()
+        child.close()
+        try:
+            name = parent.recv()
+            assert name.startswith(f"{SEGMENT_PREFIX}{proc.pid}-")
+            assert name not in reap_orphans()
+            assert name in list_orphans()
+        finally:
+            parent.send("done")
+            proc.join(timeout=10)
+        assert proc.exitcode == 0
+        assert name not in list_orphans()
+
+    @pytest.mark.parametrize("attach", [
+        ShmRing.attach, ProgressBoard.attach,
+        lambda name: read_blob(name, 8),
+    ], ids=["ring", "board", "blob"])
+    def test_attaching_a_removed_name_names_it(self, attach):
+        ring = ShmRing.create("gone")
+        ring.unlink()
+        ring.close()
+        with pytest.raises(ClusterError, match=ring.name):
+            attach(ring.name)
+
+
+def _hold_a_ring(conn):
+    ring = ShmRing.create("child")
+    conn.send(ring.name)
+    conn.recv()
+    ring.unlink()
+    ring.close()
 
 
 class TestTransportSegmentTurnover:
@@ -221,6 +262,32 @@ def test_scheduled_migration_on_shm_equals_serial(fattree4_scenario):
     assert merged.fcts_ps() == reference.fcts_ps()
     assert TestFailedBuildLeavesNothing._agents() == []
     assert _live_segments() == set()
+
+
+def test_run_survives_its_segment_names_vanishing(fattree4_scenario):
+    """Removing every ``dons-shm-<pid>-*`` name of a running 2-agent
+    cluster (the mappings stay valid) neither stops the run nor breaks
+    its shutdown: ``finalize()`` raises nothing and the merged trace is
+    the serial one."""
+    part = contiguous_partition(fattree4_scenario.topology, 2)
+    specs = [AgentSpec(a, fattree4_scenario, part, TraceLevel.FULL)
+             for a in range(2)]
+    engine = ClusterEngine(specs, transport="shm")
+    engine.build()
+    try:
+        for _ in range(5):
+            assert engine.advance()
+        mine = f"{SEGMENT_PREFIX}{os.getpid()}-"
+        gone = [name for name in list_orphans() if name.startswith(mine)]
+        assert gone
+        for name in gone:
+            os.unlink(f"/dev/shm/{name}")
+        while engine.advance():
+            pass
+    finally:
+        merged = engine.finalize()
+    reference = run_dons(fattree4_scenario, TraceLevel.FULL)
+    assert merged.trace.digest() == reference.trace.digest()
 
 
 def test_full_run_leaves_clean_interpreter_and_shm():

@@ -8,9 +8,9 @@ Escalations, each pinned to the LocalTransport reference:
   be byte-identical across {local, process}.
 * **Large batches** — a 10k-record batch through a 4 KiB-slot ring (the
   blob path), and a whole run with 4 KiB slots.  The snapshots taken
-  mid-run — classic pickle from the LocalTransport, protocol-5
-  out-of-band container from the workers — must restore to engines with
-  equal ``window_signature()``.
+  mid-run — in process from the LocalTransport, over the control pipes
+  from the workers — must restore to engines with equal
+  ``window_signature()``.
 * **Back-to-back kill/restore** — two faults on the same agent in one
   run, each answered by a coordinated rollback, trace-identical to the
   same faults under the LocalTransport.
@@ -31,7 +31,7 @@ from repro.cluster import (
 from repro.cluster import shm
 from repro.cluster.agent import Horizon
 from repro.cluster.shm import (
-    ShmRing, consume_batch, list_orphans, publish_batch,
+    ShmRing, consume_batch, publish_batch,
 )
 from repro.core import EngineRunner
 from repro.core.checkpoint import restore_checkpoint
@@ -43,6 +43,7 @@ from repro.scenario import make_scenario
 from repro.topology import fattree
 from repro.traffic import TINY, Flow, Transport, full_mesh_dynamic
 from repro.units import GBPS, ms, us
+from shm_leaks import leaked_segments
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,7 @@ class TestLargeBatches:
             assert consume_batch(reader) == (8, None, small)
             assert not reader.ready()
             # the reader consumed (and unlinked) the one-off blob
-            assert list_orphans() == [ring.name]
+            assert leaked_segments() == [ring.name]
         finally:
             reader.close()
             ring.unlink()
@@ -211,7 +212,7 @@ def _run_with_faults(scenario, transport, kill_windows):
 def test_back_to_back_kill_restore(scenario):
     """Two kill/rollback cycles on the same agent: the process transport
     respawns the dead worker, swaps every pair ring for a fresh segment,
-    restores everyone from the blob-segment snapshot — twice — and the
+    restores everyone from the snapshot — twice — and the
     merged trace still matches the LocalTransport running the same
     fault schedule."""
     kills = (3, 6)

@@ -9,10 +9,12 @@ import signal
 
 import pytest
 
+from repro.cluster.shm import remove_segment
 from repro.scenario import Scenario, make_scenario
 from repro.topology import dumbbell, fattree
 from repro.traffic import Flow, Transport
 from repro.units import GBPS, us
+from shm_leaks import leaked_segments
 
 #: Seconds to wait for a leaked agent worker to die before escalating.
 _REAP_TIMEOUT_S = 5.0
@@ -34,16 +36,16 @@ def reap_leaked_agent_workers():
 
     Every cluster worker process is named ``dons-agent-<id>`` by the
     transport, and every shared segment the shm transport creates starts
-    with :data:`repro.cluster.shm.SEGMENT_PREFIX`.  A test that aborts
-    mid-run (assertion failure, raised exception, fault-injection path
-    gone wrong) can strand both: workers parked on their command queues,
-    segments pinned in ``/dev/shm``.  This fixture terminates and joins
-    surviving workers and unlinks leftover segments after each test,
-    then fails the test that leaked them so the leak is fixed at the
-    source rather than masked.
+    with :data:`repro.cluster.shm.SEGMENT_PREFIX` and its owner's pid.
+    A test that aborts mid-run (assertion failure, raised exception,
+    fault-injection path gone wrong) can strand both: workers parked on
+    their command queues, segments pinned in ``/dev/shm``.  This fixture
+    terminates and joins surviving workers and unlinks the leftover
+    segments of :func:`shm_leaks.leaked_segments` after each test, then
+    fails the test that leaked them so the leak is fixed at the source
+    rather than masked.  Another live run's segments are left alone.
     """
     yield
-    from repro.cluster import shm as shm_mod
     leaked = [
         p for p in multiprocessing.active_children()
         if p.name.startswith("dons-agent-")
@@ -59,7 +61,7 @@ def reap_leaked_agent_workers():
             proc.join(timeout=deadline)
     # Workers must be dead before reaping segments, else a live worker
     # could recreate what we just unlinked.
-    reaped = shm_mod.reap_orphans()
+    reaped = [name for name in leaked_segments() if remove_segment(name)]
     if not leaked and not reaped:
         return
     problems = []
